@@ -378,9 +378,8 @@ def default_audits() -> List[Audit]:
             ReplicationFollower,
             "_lock",
             {
-                "_fifo", "_accepted_total", "_watermark", "_state",
-                "_last_seq_applied", "_last_hb_primary_t", "_last_hb_seen_at",
-                "_heartbeats_seen", "_lag_records",
+                "_log", "_state", "_last_seq_applied", "_last_hb_primary_t",
+                "_last_hb_seen_at", "_heartbeats_seen", "_lag_records",
             },
         ),
     ]

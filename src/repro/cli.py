@@ -73,6 +73,53 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
+def _add_replay_args(
+    p: argparse.ArgumentParser,
+    batch_size: int,
+    capacity: int,
+    faults: str,
+    output: str,
+) -> None:
+    """Flags of ``serve-replay`` and ``chaos-replay``: two entry points
+    (and two sets of defaults) onto the same replay harness."""
+    _add_common(p)
+    p.add_argument("--k", type=int, default=10, help="recommendation list length")
+    p.add_argument("--dim", type=int, default=32)
+    p.add_argument(
+        "--batch-size", type=int, default=batch_size, help="update micro-batch"
+    )
+    p.add_argument("--capacity", type=int, default=capacity, help="queue capacity")
+    p.add_argument("--cache-size", type=int, default=1024)
+    p.add_argument(
+        "--faults",
+        default=faults,
+        help="comma-separated kind=count fault spec like "
+        "'malformed=4,late=3,crash=1' ('none' for a clean run); any fault "
+        "makes serve-replay run the chaos harness",
+    )
+    p.add_argument(
+        "--crash-at",
+        type=int,
+        default=None,
+        help="crash + recover just before this stream position (replaces "
+        "any seeded crash fault)",
+    )
+    p.add_argument(
+        "--max-parity-users", type=int, default=None, help="cap parity check users"
+    )
+    p.add_argument(
+        "--min-parity",
+        type=float,
+        default=0.99,
+        help="fail when served/offline top-K parity drops below this",
+    )
+    p.add_argument(
+        "--output",
+        default=os.path.join("benchmarks", "results", output),
+        help="JSON report path ('' to skip writing)",
+    )
+
+
 def _build(name: str, dataset, dim: int, seed: int):
     if name == "SUPA":
         return make_baseline(
@@ -217,6 +264,27 @@ def _build_fault_plan(
     return plan
 
 
+def _print_summary(title: str, rows) -> None:
+    print(format_table(["metric", "value"], rows, title=title))
+
+
+def _emit_report(report, title: str, output: Optional[str]) -> None:
+    """Print a replay driver's report table; persist it as JSON if asked."""
+    _print_summary(title, report.summary_rows())
+    if output:
+        print(f"wrote {report.write_json(output)}")
+
+
+def _below_min_parity(report, min_parity: float) -> bool:
+    if report.parity_fraction >= min_parity:
+        return False
+    print(
+        f"FAIL: parity {report.parity_fraction:.4f} below "
+        f"--min-parity {min_parity}"
+    )
+    return True
+
+
 def _chaos_replay(args: argparse.Namespace, title: str) -> int:
     """Shared body of ``chaos-replay`` and faulted ``serve-replay``."""
     import tempfile
@@ -255,27 +323,12 @@ def _chaos_replay(args: argparse.Namespace, title: str) -> int:
         seed=args.seed,
     )
     report = driver.run()
-    print(
-        format_table(
-            ["metric", "value"],
-            report.summary_rows(),
-            title=title,
-        )
-    )
-    if args.output:
-        print(f"wrote {report.write_json(args.output)}")
-    failed = False
+    _emit_report(report, title, args.output)
     if not report.reconciled:
         print("FAIL: fault ledger did not reconcile:")
         for mismatch in report.mismatches:
             print(f"  {mismatch}")
-        failed = True
-    if report.parity_fraction < args.min_parity:
-        print(
-            f"FAIL: parity {report.parity_fraction:.4f} below "
-            f"--min-parity {args.min_parity}"
-        )
-        failed = True
+    failed = _below_min_parity(report, args.min_parity) or not report.reconciled
     return 1 if failed else 0
 
 
@@ -320,25 +373,15 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
     )
     service = driver.build_service()
     report = driver.run(service)
-    print(
-        format_table(
-            ["metric", "value"],
-            report.summary_rows(),
-            title=f"serve-replay: {args.dataset} (scale={args.scale}, k={args.k})",
-        )
+    _emit_report(
+        report,
+        f"serve-replay: {args.dataset} (scale={args.scale}, k={args.k})",
+        args.output,
     )
     if trace:
         print()
         print(format_span_tree(service.tracer))
-    if args.output:
-        print(f"wrote {report.write_json(args.output)}")
-    if report.parity_fraction < args.min_parity:
-        print(
-            f"FAIL: parity {report.parity_fraction:.4f} below "
-            f"--min-parity {args.min_parity}"
-        )
-        return 1
-    return 0
+    return 1 if _below_min_parity(report, args.min_parity) else 0
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
@@ -392,12 +435,9 @@ def cmd_obs(args: argparse.Namespace) -> int:
         report = driver.run(service)
     tracer = service.tracer
 
-    print(
-        format_table(
-            ["metric", "value"],
-            report.summary_rows(),
-            title=f"obs: traced replay of {args.dataset} (scale={args.scale})",
-        )
+    _print_summary(
+        f"obs: traced replay of {args.dataset} (scale={args.scale})",
+        report.summary_rows(),
     )
     print()
     print("span tree (layer.component.phase):")
@@ -505,7 +545,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
     def tier_audit(service: RecommendationService, tier: dict) -> None:
         """Ledger reconciliation + replay parity for one drained tier."""
-        from repro.replicate.failover import state_fingerprint
+        from repro.replicate.failover import compare_services
         from repro.resilience.recovery import recover
         from repro.resilience.wal import decision_ledger
 
@@ -562,30 +602,25 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         )
         twin = recovered.service
         try:
-            live_fp = state_fingerprint(service)
-            replay_fp = state_fingerprint(twin)
-            tier["audit"]["state_fingerprint"] = live_fp
-            if live_fp != replay_fp:
+            verdict = compare_services(
+                service, service.users[:4], args.k, reference=twin
+            )
+            tier["audit"]["state_fingerprint"] = verdict.fingerprint
+            if not verdict.fingerprint_match:
                 failures.append(
-                    f"replay parity: drained state fingerprint {live_fp[:12]} "
-                    f"!= inline-replay fingerprint {replay_fp[:12]}"
+                    "replay parity: drained state fingerprint "
+                    f"{verdict.fingerprint[:12]} != inline-replay fingerprint"
                 )
-            if (
-                service.model.rng.bit_generator.state
-                != twin.model.rng.bit_generator.state
-            ):
-                failures.append("replay parity: model RNG streams diverged")
-            if service.trainer.rng_state() != twin.trainer.rng_state():
-                failures.append("replay parity: trainer RNG streams diverged")
-            for user in service.users[: min(4, len(service.users))]:
-                served = list(service.recommend(int(user), k=args.k))
-                replayed = list(twin.recommend(int(user), k=args.k))
-                if served != replayed:
-                    failures.append(
-                        f"replay parity: top-{args.k} for user {user} "
-                        "differs between drained and replayed service"
-                    )
-                    break
+            if not verdict.rng_match:
+                failures.append(
+                    "replay parity: model or trainer RNG streams diverged"
+                )
+            if verdict.matches != verdict.users:
+                failures.append(
+                    f"replay parity: top-{args.k} differs between drained "
+                    f"and replayed service for "
+                    f"{verdict.users - verdict.matches} of {verdict.users} users"
+                )
         finally:
             twin.close()
 
@@ -721,20 +756,12 @@ def cmd_replicate_primary(args: argparse.Namespace) -> int:
         ),
         ("stopped", "graceful" if args.graceful else "abrupt"),
     ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"replicate primary: {args.dataset} -> {args.state_dir}",
-        )
-    )
+    _print_summary(f"replicate primary: {args.dataset} -> {args.state_dir}", rows)
     return 0
 
 
 def cmd_replicate_follower(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from repro.replicate import ReplicationFollower
+    from repro.replicate import ReplicationFollower, compare_services
 
     dataset, serve_config, model_config, replication = _replication_pieces(args)
     follower = ReplicationFollower(
@@ -747,14 +774,7 @@ def cmd_replicate_follower(args: argparse.Namespace) -> int:
     while follower.poll():
         pass
     service = follower.service
-    users = service.users
-    matches = 0
-    probes = min(args.probes, int(users.size))
-    for i in range(probes):
-        user = int(users[i % users.size])
-        served = follower.recommend(user, args.k)
-        if np.array_equal(served, service.offline_top_k(user, args.k)):
-            matches += 1
+    verdict = compare_services(service, service.users[: args.probes], args.k)
     metrics = service.metrics
     rows = [
         ("state", follower.state),
@@ -772,22 +792,14 @@ def cmd_replicate_follower(args: argparse.Namespace) -> int:
             int(metrics.counter("replica.bytes_shipped").value),
         ),
         ("cache entries warmed", service.index.warmed),
-        (f"top-{args.k} parity", f"{matches}/{probes}"),
+        (f"top-{args.k} parity", f"{verdict.matches}/{verdict.users}"),
     ]
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=f"replicate follower: tailing {args.state_dir}",
-        )
-    )
-    return 0 if matches == probes else 1
+    _print_summary(f"replicate follower: tailing {args.state_dir}", rows)
+    return 0 if verdict.identical else 1
 
 
 def cmd_replicate_promote(args: argparse.Namespace) -> int:
-    import numpy as np
-
-    from repro.replicate import ReplicationFollower, state_fingerprint
+    from repro.replicate import ReplicationFollower, compare_services
 
     dataset, serve_config, model_config, replication = _replication_pieces(args)
     stream = list(dataset.stream)
@@ -820,50 +832,40 @@ def cmd_replicate_promote(args: argparse.Namespace) -> int:
         # golden: one uninterrupted single-node run over the identical
         # prefix + resumed slice (valid when the primary ingested
         # exactly stream[:resume_from] and stopped abruptly)
-        from dataclasses import replace
-
-        from repro.serve import RecommendationService
         from repro.core.model import SUPA
+        from repro.serve import RecommendationService
 
-        golden_config = replace(
-            serve_config, wal_path=None, checkpoint_dir=None, checkpoint_every=0
-        )
+        # serve_config names no WAL or checkpoints (the roles fill those
+        # into their own copies), so the golden run journals nothing
         golden = RecommendationService(
             dataset,
             model=SUPA.for_dataset(dataset, model_config),
-            config=golden_config,
+            config=serve_config,
         )
-        for edge in stream[:resume_from]:
-            golden.ingest(edge)
-        for edge in resumed:
+        for edge in stream[:resume_from] + resumed:
             golden.ingest(edge)
         golden.flush()
-        fingerprint_ok = state_fingerprint(service) == state_fingerprint(golden)
-        users = service.users
-        probes = min(args.probes, int(users.size))
-        matches = 0
-        for i in range(probes):
-            user = int(users[i % users.size])
-            if np.array_equal(
-                follower.recommend(user, args.k), golden.recommend(user, args.k)
-            ):
-                matches += 1
+        verdict = compare_services(
+            service, service.users[: args.probes], args.k, reference=golden
+        )
         golden.close()
         rows.append(
-            ("state fingerprint", "match" if fingerprint_ok else "MISMATCH")
+            (
+                "state fingerprint",
+                "match" if verdict.fingerprint_match else "MISMATCH",
+            )
         )
-        rows.append((f"top-{args.k} parity vs golden", f"{matches}/{probes}"))
-        if not fingerprint_ok or matches != probes:
+        rows.append(
+            (
+                f"top-{args.k} parity vs golden",
+                f"{verdict.matches}/{verdict.users}",
+            )
+        )
+        if not verdict.identical:
             exit_code = 1
     follower.close()
-    print(
-        format_table(
-            ["metric", "value"],
-            rows,
-            title=(
-                f"replicate promote: {args.state_dir} -> {args.replica_dir}"
-            ),
-        )
+    _print_summary(
+        f"replicate promote: {args.state_dir} -> {args.replica_dir}", rows
     )
     return exit_code
 
@@ -889,18 +891,12 @@ def cmd_replicate_failover(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     report = driver.run()
-    print(
-        format_table(
-            ["metric", "value"],
-            report.summary_rows(),
-            title=(
-                f"replicate failover: {args.dataset} (scale={args.scale}, "
-                f"seed={args.seed})"
-            ),
-        )
+    _emit_report(
+        report,
+        f"replicate failover: {args.dataset} (scale={args.scale}, "
+        f"seed={args.seed})",
+        args.output,
     )
-    if args.output:
-        print(f"wrote {report.write_json(args.output)}")
     return 0 if report.passed else 1
 
 
@@ -965,23 +961,12 @@ def cmd_shard_smoke(args: argparse.Namespace) -> int:
     Finally serves both models and compares top-K answers.  Exit 1 on
     any mismatch; this is the CI shard-parity smoke.
     """
-    import hashlib
-
     import numpy as np
 
     from repro.core.inslearn import InsLearnTrainer
     from repro.core.model import SUPA
-    from repro.resilience.checkpoint import _flatten
+    from repro.replicate.failover import state_fingerprint
     from repro.serve.service import RecommendationService, ServeConfig
-
-    def fingerprint(model) -> str:
-        flat = {}
-        _flatten(model.state_dict(), "", flat)
-        digest = hashlib.sha256()
-        for name in sorted(flat):
-            digest.update(name.encode("utf-8"))
-            digest.update(np.ascontiguousarray(flat[name]).tobytes())
-        return digest.hexdigest()
 
     def run(engine: str, workers: int):
         dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
@@ -1016,7 +1001,7 @@ def cmd_shard_smoke(args: argparse.Namespace) -> int:
         )
         service.close()
         return {
-            "fingerprint": fingerprint(model),
+            "fingerprint": state_fingerprint(service),
             "rng": model.rng.bit_generator.state,
             "losses": losses,
             "topk": topk,
@@ -1107,44 +1092,14 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-replay",
         help="replay a dataset through the online serving layer",
     )
-    _add_common(p)
-    p.add_argument("--k", type=int, default=10, help="recommendation list length")
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--batch-size", type=int, default=256, help="update micro-batch")
-    p.add_argument("--cache-size", type=int, default=1024)
+    _add_replay_args(
+        p, batch_size=256, capacity=2048, faults="", output="serving_throughput.json"
+    )
     p.add_argument("--probe-every", type=int, default=64)
-    p.add_argument(
-        "--max-parity-users", type=int, default=None, help="cap parity check users"
-    )
-    p.add_argument(
-        "--min-parity",
-        type=float,
-        default=0.99,
-        help="fail when served/offline top-K parity drops below this",
-    )
-    p.add_argument(
-        "--output",
-        default=os.path.join("benchmarks", "results", "serving_throughput.json"),
-        help="JSON report path ('' to skip writing)",
-    )
     p.add_argument(
         "--trace",
         action="store_true",
         help="record repro.obs spans and print the span tree",
-    )
-    p.add_argument("--capacity", type=int, default=2048, help="queue capacity")
-    p.add_argument(
-        "--faults",
-        default="",
-        help="fault spec like 'malformed=4,late=3,crash=1'; switches the "
-        "replay into the chaos harness (see chaos-replay)",
-    )
-    p.add_argument(
-        "--crash-at",
-        type=int,
-        default=None,
-        help="crash + recover just before this stream position "
-        "(also switches into the chaos harness)",
     )
     p.set_defaults(func=cmd_serve_replay)
 
@@ -1153,41 +1108,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay with seeded fault injection, crash recovery and "
         "fault-ledger reconciliation",
     )
-    _add_common(p)
-    p.add_argument("--k", type=int, default=10, help="recommendation list length")
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--batch-size", type=int, default=32, help="update micro-batch")
-    p.add_argument("--capacity", type=int, default=128, help="queue capacity")
-    p.add_argument("--cache-size", type=int, default=1024)
+    _add_replay_args(
+        p,
+        batch_size=32,
+        capacity=128,
+        faults="malformed=4,late=3,duplicate=3,burst=1,crash=1",
+        output="chaos_replay.json",
+    )
     p.add_argument(
         "--state-dir",
         default=None,
         help="directory for the WAL + checkpoints (default: a fresh tempdir)",
-    )
-    p.add_argument(
-        "--faults",
-        default="malformed=4,late=3,duplicate=3,burst=1,crash=1",
-        help="comma-separated kind=count fault spec ('none' for a clean run)",
-    )
-    p.add_argument(
-        "--crash-at",
-        type=int,
-        default=None,
-        help="pin the crash fault to this stream position",
-    )
-    p.add_argument(
-        "--max-parity-users", type=int, default=None, help="cap parity check users"
-    )
-    p.add_argument(
-        "--min-parity",
-        type=float,
-        default=0.99,
-        help="fail when served/offline top-K parity drops below this",
-    )
-    p.add_argument(
-        "--output",
-        default=os.path.join("benchmarks", "results", "chaos_replay.json"),
-        help="JSON report path ('' to skip writing)",
     )
     p.set_defaults(func=cmd_chaos_replay)
 

@@ -4,9 +4,8 @@ Section IV-H: "To deal with larger dynamic graphs, one can use multiple
 GPUs to train SUPA since the update procedure of SUPA is localized."
 This package is the CPU-side realisation of that claim (DESIGN.md §14):
 
-* :mod:`repro.core.shard.estimate` — the planning utilities that used to
-  live in ``repro.core.sharding``: greedy conflict-free round partition
-  over :class:`~repro.graph.streams.StreamEdge` lists and the analytical
+* :mod:`repro.core.shard.estimate` — the planning utilities: greedy
+  conflict-free round partition over :class:`~repro.graph.streams.StreamEdge` lists and the analytical
   speedup bound.
 * :mod:`repro.core.shard.schedule` — the same greedy partition over a
   compiled :class:`~repro.core.engine.plan.BatchPlan`'s index arrays,

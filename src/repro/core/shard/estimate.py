@@ -16,8 +16,6 @@ objects; the execution-side twin that plans over compiled
 :class:`~repro.core.engine.plan.BatchPlan` index arrays lives in
 :mod:`repro.core.shard.schedule`, and the engine that actually runs the
 rounds in parallel is :class:`repro.core.shard.executor.ShardedEngine`.
-(Until PR 8 this module was ``repro.core.sharding``, which remains as a
-deprecation re-export shim.)
 """
 
 from __future__ import annotations

@@ -1,8 +1,7 @@
 """The shared, thread-safe metrics registry.
 
-Grown out of the serving layer's process-local registry
-(:mod:`repro.serve.metrics` is now a thin re-export of this module) so
-the trainer, the execution engines, sampling and the serving stack all
+Grown out of the serving layer's process-local registry so the
+trainer, the execution engines, sampling and the serving stack all
 report into one instrument namespace.  Three instrument kinds cover
 everything the system reports:
 

@@ -25,6 +25,7 @@ from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
 from repro.replicate.failover import (
     FailoverDriver,
     FailoverReport,
+    compare_services,
     state_fingerprint,
 )
 from repro.replicate.follower import (
@@ -40,6 +41,7 @@ __all__ = [
     "wal_path",
     "FailoverDriver",
     "FailoverReport",
+    "compare_services",
     "state_fingerprint",
     "ReplicationError",
     "ReplicationFollower",

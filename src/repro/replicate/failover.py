@@ -1,19 +1,19 @@
 """Kill-the-primary chaos: promote a follower, prove nothing was lost.
 
-The :class:`FailoverDriver` is the replication layer's acceptance gate,
-built in the image of :class:`~repro.resilience.faults.ChaosReplayDriver`
-but spanning *two* nodes.  One seeded plan drives the whole run:
+The :class:`FailoverDriver` is the replication layer's acceptance gate:
+the same replay loop and :class:`~repro.resilience.faults.FaultInjector`
+as :class:`~repro.resilience.faults.ChaosReplayDriver`, but spanning
+*two* nodes.  One seeded plan drives the whole run:
 
 1. A :class:`~repro.replicate.primary.ReplicationPrimary` ingests the
    dataset stream (with seeded ``malformed``/``late``/``duplicate``
    faults riding along) while a bootstrapped
    :class:`~repro.replicate.follower.ReplicationFollower` tails its WAL
    and answers probe reads.
-2. At the plan's ``crash`` position the primary is killed abruptly —
-   its externally-visible tallies are banked first, exactly like the
-   single-node chaos harness — the follower keeps serving reads
-   through the outage (counted as ``reads_during_failover``), then
-   drains the log and promotes.
+2. At the plan's ``crash`` position the primary is killed abruptly
+   (its externally-visible tallies are banked first), the follower
+   keeps serving reads through the outage (counted as
+   ``reads_during_failover``), then drains the log and promotes.
 3. The promoted follower ingests the rest of the stream, remaining
    faults included, and flushes.
 4. A **golden** single-node service replays the identical stream +
@@ -29,38 +29,39 @@ The gate then demands three things at once:
 - **reads**: the promoted follower's top-K equals the golden run's
   *and* its own brute-force ``offline_top_k`` for every parity user.
 
-Why this must hold: the WAL journals queue decisions, so the follower
-replays the primary's exact micro-batch boundaries; promotion inherits
-the log and the FIFO residue, so resumed ingest cuts the same
-boundaries the uninterrupted run would; and all randomness is seeded
-through the shared model/trainer configs.  Any divergence — a dropped
-record, a double-applied batch, a residue leak — breaks the SHA or the
-ledger and fails the gate.
+Why this must hold is the replay argument of
+:mod:`repro.resilience.recovery` carried across two nodes: promotion
+inherits the log and the FIFO residue, so resumed ingest cuts the same
+micro-batch boundaries the uninterrupted run would.  Any divergence — a
+dropped record, a double-applied batch, a residue leak — breaks the SHA
+or the ledger and fails the gate.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import shutil
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import SUPAConfig
 from repro.core.inslearn import InsLearnConfig
-from repro.core.model import SUPA
 from repro.datasets.base import Dataset
-from repro.graph.streams import StreamEdge
 from repro.replicate.config import ReplicationConfig
-from repro.replicate.follower import ReplicationFollower
+from repro.replicate.follower import PROMOTED, ReplicationFollower
 from repro.replicate.primary import ReplicationPrimary
 from repro.resilience.checkpoint import _flatten
-from repro.resilience.faults import FAULT_KINDS, FaultPlan, _malformed_edge
+from repro.resilience.faults import (
+    FAULT_KINDS,
+    FaultInjector,
+    FaultPlan,
+    fault_serve_config,
+)
+from repro.serve.replay import JsonReport, StreamReplayDriver, parity_matches
 from repro.serve.service import RecommendationService, ServeConfig
-from repro.utils.timer import Timer
 
 
 def state_fingerprint(service: RecommendationService) -> str:
@@ -78,8 +79,59 @@ def state_fingerprint(service: RecommendationService) -> str:
     return digest.hexdigest()
 
 
+@dataclass(frozen=True)
+class ServiceComparison:
+    """What :func:`compare_services` found."""
+
+    #: ``state_fingerprint`` of the service under test
+    fingerprint: str
+    #: it equals the reference's (vacuously true without a reference)
+    fingerprint_match: bool
+    #: model and trainer RNG streams equal the reference's (likewise)
+    rng_match: bool
+    users: int
+    #: users served exactly the offline top-K (and the reference's list)
+    matches: int
+
+    @property
+    def identical(self) -> bool:
+        return (
+            self.fingerprint_match
+            and self.rng_match
+            and self.matches == self.users
+        )
+
+
+def compare_services(
+    service: RecommendationService,
+    users: Iterable[int],
+    k: int,
+    reference: Optional[RecommendationService] = None,
+) -> ServiceComparison:
+    """The bitwise-parity comparison: learned state, both RNG streams
+    and served top-``k`` of ``service`` against ``reference`` — or, with
+    no reference, served top-``k`` against the offline ranking alone."""
+
+    def rng_streams(s: RecommendationService) -> Tuple[object, object]:
+        return s.model.rng.bit_generator.state, s.trainer.rng_state()
+
+    users = [int(user) for user in users]
+    fingerprint = state_fingerprint(service)
+    return ServiceComparison(
+        fingerprint=fingerprint,
+        fingerprint_match=(
+            reference is None or fingerprint == state_fingerprint(reference)
+        ),
+        rng_match=(
+            reference is None or rng_streams(service) == rng_streams(reference)
+        ),
+        users=len(users),
+        matches=parity_matches(service, users, k, golden=reference),
+    )
+
+
 @dataclass
-class FailoverReport:
+class FailoverReport(JsonReport):
     """Everything one failover run injected, observed and reconciled."""
 
     dataset: str
@@ -116,36 +168,8 @@ class FailoverReport:
         )
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready payload."""
-        return {
-            "dataset": self.dataset,
-            "k": self.k,
-            "num_events": self.num_events,
-            "seed": self.seed,
-            "kill_position": self.kill_position,
-            "ingest_seconds": self.ingest_seconds,
-            "events_accepted": self.events_accepted,
-            "num_updates": self.num_updates,
-            "reads_during_failover": self.reads_during_failover,
-            "injected": dict(self.injected),
-            "observed": dict(self.observed),
-            "mismatches": list(self.mismatches),
-            "reconciled": self.reconciled,
-            "fingerprint_match": self.fingerprint_match,
-            "parity_users": self.parity_users,
-            "parity_matches": self.parity_matches,
-            "parity_fraction": self.parity_fraction,
-            "passed": self.passed,
-        }
-
-    def write_json(self, path: str) -> str:
-        """Persist the report; creates parent directories. Returns path."""
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
+        """JSON-ready payload: the fields plus the gate verdict."""
+        return {**super().as_dict(), "passed": self.passed}
 
     def summary_rows(self) -> List[Tuple[str, object]]:
         """(name, value) pairs for a printed summary table."""
@@ -179,7 +203,7 @@ class FailoverReport:
         return rows
 
 
-class FailoverDriver:
+class FailoverDriver(StreamReplayDriver):
     """One seeded kill-primary → promote-follower → reconcile run.
 
     Parameters
@@ -233,35 +257,26 @@ class FailoverDriver:
             raise ValueError("state_dir and replica_dir must differ")
         if poll_every < 1:
             raise ValueError(f"poll_every must be >= 1, got {poll_every}")
-        if probe_every < 1:
-            raise ValueError(f"probe_every must be >= 1, got {probe_every}")
-        self.dataset = dataset
-        self.state_dir = state_dir
-        self.replica_dir = replica_dir
-        self.k = k
-        self.serve_config = serve_config or ServeConfig(
-            batch_size=32,
-            capacity=128,
-            overflow="drop_new",
-            late_tolerance=0.0,
-            warm_users=8,
-        )
-        if self.serve_config.late_tolerance is None:
-            raise ValueError(
-                "failover replay needs serve_config.late_tolerance set; "
-                "late faults are defined relative to it"
-            )
-        self.model_config = model_config or SUPAConfig(
-            dim=32, num_walks=2, walk_length=2, seed=seed
-        )
-        self.train_config = train_config or InsLearnConfig(
-            batch_size=self.serve_config.batch_size,
-            max_iterations=2,
-            validation_interval=1,
-            validation_size=25,
-            patience=1,
+        super().__init__(
+            dataset,
+            k=k,
+            # Durability belongs to the roles: the primary points it at
+            # state_dir, the follower strips it until promotion, and the
+            # golden run (``build_service``) is the config as-is.
+            serve_config=replace(
+                fault_serve_config(serve_config, warm_users=8),
+                wal_path=None,
+                checkpoint_dir=None,
+            ),
+            model_config=model_config,
+            train_config=train_config,
+            probe_every=probe_every,
+            probes_per_checkpoint=1,
+            max_parity_users=max_parity_users,
             seed=seed,
         )
+        self.state_dir = state_dir
+        self.replica_dir = replica_dir
         self.replication = replication or ReplicationConfig(
             heartbeat_every=16, checkpoint_every=4
         )
@@ -269,108 +284,18 @@ class FailoverDriver:
         self.late = late
         self.duplicate = duplicate
         self.poll_every = poll_every
-        self.probe_every = probe_every
         self.failover_probes = failover_probes
-        self.max_parity_users = max_parity_users
         self.seed = seed
         if fresh:
             for directory in (state_dir, replica_dir):
                 if os.path.isdir(directory):
                     shutil.rmtree(directory)
 
-    # ------------------------------------------------------------- injection
-
-    def _inject(
-        self,
-        service: RecommendationService,
-        kind: str,
-        payload: int,
-        template: StreamEdge,
-        ledger: Dict[str, int],
-    ) -> None:
-        """Offer one fault event to whichever node is currently writable."""
-        service.metrics.counter(f"faults.injected.{kind}").inc()
-        if kind == "malformed":
-            service.ingest(
-                _malformed_edge(template, payload, self.dataset.num_nodes)
-            )
-        elif kind == "late":
-            stale_t = (
-                service.queue.max_timestamp
-                - float(self.serve_config.late_tolerance or 0.0)
-                - 1.0
-                - float(payload)
-            )
-            service.ingest(template._replace(t=stale_t))
-        else:  # duplicate
-            if service.ingest(StreamEdge(*template)):
-                ledger["duplicates_accepted"] += 1
-
-    @staticmethod
-    def _register_fault_counters(service: RecommendationService) -> None:
-        for kind in FAULT_KINDS:
-            service.metrics.counter(f"faults.injected.{kind}")
-
-    @staticmethod
-    def _bank(service: RecommendationService, banked: Dict[str, float]) -> None:
-        """Fold a dying node's tallies into ``banked`` (ChaosReplayDriver's
-        cross-life accounting, verbatim semantics)."""
-        for category, count in service.queue.reason_counts.items():
-            banked[category] = banked.get(category, 0) + count
-        for kind in FAULT_KINDS:
-            name = f"faults.injected.{kind}"
-            banked[name] = (
-                banked.get(name, 0) + service.metrics.counter(name).value
-            )
-
-    def _parity_users(self, service: RecommendationService) -> np.ndarray:
-        users = service.users
-        cap = self.max_parity_users
-        if cap is None or users.size <= cap:
-            return users
-        picks = np.linspace(0, users.size - 1, cap).astype(np.int64)
-        return users[picks]
-
-    # ------------------------------------------------------------------ run
-
-    def _golden(
-        self, stream: List[StreamEdge], plan: FaultPlan, ledger: Dict[str, int]
-    ) -> RecommendationService:
-        """The uninterrupted single-node reference run: identical stream,
-        identical fault sequence (crash excluded), no durability."""
-        config = replace(
-            self.serve_config,
-            wal_path=None,
-            checkpoint_dir=None,
-            checkpoint_every=0,
-            read_only=False,
-        )
-        model = SUPA.for_dataset(self.dataset, self.model_config)
-        service = RecommendationService(
-            self.dataset,
-            model=model,
-            config=config,
-            train_config=self.train_config,
-        )
-        self._register_fault_counters(service)
-        last_accepted: Optional[StreamEdge] = None
-        for position, edge in enumerate(stream):
-            for fault in plan.at(position):
-                if fault.kind == "crash" or last_accepted is None:
-                    continue
-                self._inject(
-                    service, fault.kind, fault.payload, last_accepted, ledger
-                )
-            if service.ingest(edge):
-                last_accepted = edge
-        service.flush()
-        return service
-
-    def run(self) -> FailoverReport:
+    def run(self) -> FailoverReport:  # type: ignore[override]
         """Execute kill → promote → reconcile; returns the gate report."""
-        stream = list(self.dataset.stream)
+        num_events = len(self.dataset.stream)
         plan = FaultPlan.seeded(
-            len(stream),
+            num_events,
             seed=self.seed,
             malformed=self.malformed,
             late=self.late,
@@ -378,186 +303,103 @@ class FailoverDriver:
             burst=0,
             crash=1,
         )
-        injected = plan.injection_counts()
         kill_position = next(
             f.position for f in plan.faults if f.kind == "crash"
         )
-
-        primary = ReplicationPrimary(
-            self.dataset,
-            self.state_dir,
+        roles = dict(
             serve_config=self.serve_config,
             model_config=self.model_config,
             train_config=self.train_config,
             replication=self.replication,
         )
-        self._register_fault_counters(primary.service)
+        primary = ReplicationPrimary(self.dataset, self.state_dir, **roles)
         follower = ReplicationFollower(
-            self.dataset,
-            self.state_dir,
-            replica_dir=self.replica_dir,
-            serve_config=self.serve_config,
-            model_config=self.model_config,
-            train_config=self.train_config,
-            replication=self.replication,
+            self.dataset, self.state_dir, replica_dir=self.replica_dir, **roles
         ).bootstrap()
-
-        banked: Dict[str, float] = {}
-        ledger: Dict[str, int] = {"duplicates_accepted": 0}
-        skipped: Dict[str, int] = {}
-        reads_during_failover = 0
-        promotions = 0
-        probe_cursor = 0
-        last_accepted: Optional[StreamEdge] = None
         users = primary.service.users
+        reads_during_failover = 0
 
-        timer = Timer()
-        with timer:
-            writable = primary.service
-            for position, edge in enumerate(stream):
-                for fault in plan.at(position):
-                    if fault.kind == "crash":
-                        # abrupt primary death: bank the dying node's
-                        # tallies, keep serving reads off the replica,
-                        # then drain + promote
-                        writable.metrics.counter("faults.injected.crash").inc()
-                        self._bank(writable, banked)
-                        primary.kill()
-                        for _ in range(self.failover_probes):
-                            user = int(users[probe_cursor % users.size])
-                            probe_cursor += 1
-                            follower.recommend(user, self.k)
-                            reads_during_failover += 1
-                        follower.promote(self.replica_dir)
-                        promotions += 1
-                        writable = follower.service
-                        self._register_fault_counters(writable)
-                        continue
-                    if last_accepted is None:
-                        skipped[fault.kind] = skipped.get(fault.kind, 0) + 1
-                        continue
-                    self._inject(
-                        writable, fault.kind, fault.payload, last_accepted,
-                        ledger,
-                    )
-                if writable.ingest(edge):
-                    last_accepted = edge
-                if promotions == 0 and (position + 1) % self.poll_every == 0:
-                    follower.poll()
-                if (position + 1) % self.probe_every == 0:
-                    user = int(users[probe_cursor % users.size])
-                    probe_cursor += 1
-                    follower.recommend(user, self.k)
-            if promotions == 0:
-                raise RuntimeError(
-                    "the seeded plan scheduled no crash inside the stream"
-                )
-            follower.flush()
+        def kill_and_promote(_dying: RecommendationService) -> RecommendationService:
+            # abrupt primary death: keep serving reads off the replica
+            # through the outage, then drain + promote
+            nonlocal reads_during_failover
+            primary.kill()
+            for probe in range(self.failover_probes):
+                follower.recommend(int(users[probe % users.size]), self.k)
+                reads_during_failover += 1
+            follower.promote(self.replica_dir)
+            return follower.service
 
-        promoted = follower.service
-        golden_ledger: Dict[str, int] = {"duplicates_accepted": 0}
-        golden = self._golden(stream, plan, golden_ledger)
+        def tail(position: int) -> None:
+            if follower.state != PROMOTED and (position + 1) % self.poll_every == 0:
+                follower.poll()
 
-        # ---------------------------------------------------- reconciliation
-        for kind, count in skipped.items():
-            injected[kind] -= count
-
-        def bucket_total(category: str) -> int:
-            return int(
-                banked.get(category, 0)
-                + promoted.queue.reason_counts.get(category, 0)
-            )
-
-        def counter_total(kind: str) -> int:
-            name = f"faults.injected.{kind}"
-            return int(
-                banked.get(name, 0) + promoted.metrics.counter(name).value
-            )
-
-        mismatches: List[str] = []
-
-        def check(label: str, expected: object, got: object) -> None:
-            if expected != got:
-                mismatches.append(f"{label}: expected {expected}, got {got}")
-
-        check(
-            "malformed deadletters",
-            injected["malformed"],
-            bucket_total("malformed"),
+        tolerance = self.serve_config.late_tolerance
+        faults = FaultInjector(
+            plan, self.dataset.num_nodes, tolerance, on_crash=kill_and_promote
         )
-        check("late deadletters", injected["late"], bucket_total("late event"))
-        check(
-            "duplicates accepted",
-            injected["duplicate"],
-            ledger["duplicates_accepted"],
-        )
-        check("promotions", injected["crash"], promotions)
-        for kind in ("malformed", "late", "duplicate", "crash"):
-            check(f"{kind} counter", injected[kind], counter_total(kind))
-        check(
-            "accepted ledger (golden vs promoted)",
-            golden.queue.accepted,
-            promoted.queue.accepted,
-        )
-        check(
-            "updates applied (golden vs promoted)",
-            int(golden.metrics.counter("updates.applied").value),
-            int(promoted.metrics.counter("updates.applied").value),
-        )
-        check(
-            "duplicates accepted (golden vs promoted)",
-            golden_ledger["duplicates_accepted"],
-            ledger["duplicates_accepted"],
+        promoted, ingest_seconds, _ = faults.replay(
+            self,
+            primary.service,
+            after_event=tail,
+            probe=lambda user: follower.recommend(user, self.k),
         )
 
-        fingerprint_match = state_fingerprint(promoted) == state_fingerprint(
-            golden
+        # the uninterrupted single-node reference: identical stream and
+        # fault sequence (crash skipped), no durability
+        golden_faults = FaultInjector(plan, self.dataset.num_nodes, tolerance)
+        golden, _, _ = golden_faults.replay(self, self.build_service())
+
+        def updates(service: RecommendationService) -> int:
+            return int(service.metrics.counter("updates.applied").value)
+
+        mismatches = faults.reconcile(
+            promoted,
+            "promotions",
+            extra=[
+                (
+                    "accepted ledger (golden vs promoted)",
+                    golden.queue.accepted,
+                    promoted.queue.accepted,
+                ),
+                (
+                    "updates applied (golden vs promoted)",
+                    updates(golden),
+                    updates(promoted),
+                ),
+                (
+                    "duplicates accepted (golden vs promoted)",
+                    golden_faults.duplicates_accepted,
+                    faults.duplicates_accepted,
+                ),
+            ],
         )
-
-        parity_users = self._parity_users(promoted)
-        matches = 0
-        for user in parity_users:
-            served = promoted.recommend(int(user), self.k)
-            reference = golden.recommend(int(user), self.k)
-            offline = promoted.offline_top_k(int(user), self.k)
-            if np.array_equal(served, reference) and np.array_equal(
-                served, offline
-            ):
-                matches += 1
-
+        buckets = faults.deadletter_buckets(promoted)
         report = FailoverReport(
             dataset=self.dataset.name,
             k=self.k,
-            num_events=len(stream),
+            num_events=num_events,
             seed=self.seed,
             kill_position=kill_position,
-            ingest_seconds=timer.elapsed,
+            ingest_seconds=ingest_seconds,
             events_accepted=promoted.queue.accepted,
-            num_updates=int(
-                promoted.metrics.counter("updates.applied").value
-            ),
+            num_updates=updates(promoted),
             reads_during_failover=reads_during_failover,
-            injected=injected,
+            injected=faults.injected,
             observed={
-                "malformed": bucket_total("malformed"),
-                "late": bucket_total("late event"),
-                "duplicates_accepted": ledger["duplicates_accepted"],
-                "promotions": promotions,
-                "records_shipped": int(
-                    follower.tailer.records_read if follower.tailer else 0
-                ),
-                "bytes_shipped": int(
-                    follower.tailer.bytes_read if follower.tailer else 0
-                ),
+                "malformed": buckets.get("malformed", 0),
+                "late": buckets.get("late event", 0),
+                "duplicates_accepted": faults.duplicates_accepted,
+                "promotions": faults.crashes,
+                "records_shipped": int(follower.tailer.records_read),
+                "bytes_shipped": int(follower.tailer.bytes_read),
             },
             mismatches=mismatches,
             reconciled=not mismatches,
-            fingerprint_match=fingerprint_match,
-            parity_users=int(parity_users.size),
-            parity_matches=matches,
-            parity_fraction=(
-                matches / parity_users.size if parity_users.size else 1.0
+            fingerprint_match=(
+                state_fingerprint(promoted) == state_fingerprint(golden)
             ),
+            **self._parity(promoted, golden),
         )
         golden.close()
         follower.close()

@@ -1,15 +1,13 @@
 """The follower role: bootstrap from a checkpoint, tail the WAL, serve.
 
-A :class:`ReplicationFollower` rebuilds the primary's learned state
-with exactly the machinery crash recovery trusts — newest checkpoint +
-WAL-prefix fold + deterministic replay — and then keeps replaying live:
-each :meth:`poll` fetches newly shipped records through a
-:class:`~repro.resilience.wal.WalTailer` and applies them to the
-replica's own :class:`~repro.serve.store.VersionedEmbeddingStore` /
-:class:`~repro.serve.index.TopKIndex`.  Because the WAL journals queue
-*decisions* (including exact micro-batch boundaries), the replica's
-model walks the identical stochastic path as the primary and its
-published snapshots are bitwise equal at every applied sequence number.
+A :class:`ReplicationFollower` is crash recovery that never stops: it
+restores from the newest shipped checkpoint with recovery's own
+:func:`~repro.resilience.recovery.restore_service`, then feeds every
+record a :class:`~repro.resilience.wal.WalTailer` :meth:`poll` returns
+through recovery's own :class:`~repro.resilience.recovery.QueueLogState`
+into its store and index.  By the replay argument of
+:mod:`repro.resilience.recovery` its published snapshots are bitwise
+equal to the primary's at every applied sequence number.
 
 Reads are served from the replica's latest published snapshot with
 **bounded staleness**: gauges ``replica.seq_lag`` (records behind at
@@ -37,19 +35,24 @@ import os
 import shutil
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from repro.core.config import SUPAConfig
-from repro.core.inslearn import InsLearnConfig, InsLearnTrainer
-from repro.core.model import SUPA
+from repro.core.inslearn import InsLearnConfig
 from repro.datasets.base import Dataset
 from repro.graph.streams import EdgeStream, StreamEdge
 from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
 from repro.resilience.checkpoint import CheckpointManager
-from repro.resilience.recovery import fold_queue_log
+from repro.resilience.recovery import (
+    QueueLogState,
+    RecoveryError,
+    fold_queue_log,
+    restore_service,
+)
 from repro.resilience.wal import WalRecord, WalTailer, iter_records, segment_paths
 from repro.serve.service import RecommendationService, ServeConfig
 
@@ -65,6 +68,16 @@ class ReplicationError(RuntimeError):
 
 class StaleReadError(RuntimeError):
     """A ``stale_reads="reject"`` replica was asked to serve past its bound."""
+
+
+@contextmanager
+def _replication_errors() -> Iterator[None]:
+    """Shared replay code raises :class:`RecoveryError`; on this side of
+    the wire the same contradiction is a :class:`ReplicationError`."""
+    try:
+        yield
+    except RecoveryError as exc:
+        raise ReplicationError(str(exc)) from exc
 
 
 class ReplicationFollower:
@@ -123,14 +136,12 @@ class ReplicationFollower:
         )
         self.service: Optional[RecommendationService] = None
         self.tailer: Optional[WalTailer] = None
-        # Guards the replication position (applied seq, FIFO mirror,
-        # ledger tallies, heartbeat observations, lifecycle state) so
+        # Guards the replication position (applied seq, the mirrored
+        # queue-log state, heartbeat observations, lifecycle state) so
         # lag probes and serving threads read a consistent view while
         # the poll thread advances it.
         self._lock = threading.Lock()
-        self._fifo: List[StreamEdge] = []
-        self._accepted_total = 0
-        self._watermark = float("-inf")
+        self._log = QueueLogState()
         self._state = BOOTSTRAPPING
         self._last_seq_applied = 0
         self._last_hb_primary_t: Optional[float] = None
@@ -141,13 +152,9 @@ class ReplicationFollower:
     # -------------------------------------------------------------- bootstrap
 
     def bootstrap(self) -> "ReplicationFollower":
-        """Rebuild state from the newest shipped checkpoint + WAL prefix.
-
-        Uses the same fold/replay/cross-check discipline as
-        :func:`repro.resilience.recovery.recover`, then drains whatever
-        WAL suffix already exists and warms the read cache.  Returns
-        ``self`` for chaining.
-        """
+        """Restore from the newest shipped checkpoint + WAL prefix, drain
+        whatever suffix already exists and warm the read cache.  Returns
+        ``self`` for chaining."""
         if self.service is not None:
             raise ReplicationError("follower is already bootstrapped")
         shipped_wal = wal_path(self.state_dir)
@@ -157,49 +164,17 @@ class ReplicationFollower:
         )
         ckpt = manager.latest()
         base_seq = ckpt.seq if ckpt is not None else 0
-        prefix = fold_queue_log(iter_records(shipped_wal), upto_seq=base_seq)
-        if ckpt is not None:
-            if list(ckpt.residue) != prefix.fifo:
-                raise ReplicationError(
-                    "shipped checkpoint residue disagrees with the WAL "
-                    f"prefix ({len(ckpt.residue)} vs {len(prefix.fifo)} "
-                    "buffered events)"
-                )
-            if ckpt.num_nodes and ckpt.num_nodes != self.dataset.num_nodes:
-                raise ReplicationError(
-                    f"shipped checkpoint covers {ckpt.num_nodes} nodes but "
-                    f"the dataset has {self.dataset.num_nodes}"
-                )
-
-        model = SUPA.for_dataset(self.dataset, self._model_config)
-        for edge in prefix.trained:
-            model.observe(edge.u, edge.v, edge.edge_type, edge.t)
-        if ckpt is not None:
-            model.load_state_dict(ckpt.model_state)
-            model.rng.bit_generator.state = ckpt.model_rng_state
-        train_config = self._train_config or InsLearnConfig(
-            batch_size=self._serve_config.batch_size,
-            max_iterations=4,
-            validation_interval=2,
-            validation_size=25,
-            patience=1,
-        )
-        trainer = InsLearnTrainer(model, train_config)
-        if ckpt is not None:
-            trainer.set_rng_state(ckpt.trainer_rng_state)
-
-        service = RecommendationService(
-            self.dataset,
-            model=model,
-            trainer=trainer,
-            config=self._serve_config,
-            trace=self._trace,
-            initial_clock=ckpt.clock if ckpt is not None else 0.0,
-        )
-        service.restore_runtime(
-            updates_applied=ckpt.updates_applied if ckpt is not None else 0,
-            max_timestamp=prefix.watermark,
-        )
+        with _replication_errors():
+            prefix = fold_queue_log(iter_records(shipped_wal), upto_seq=base_seq)
+            service = restore_service(
+                self.dataset,
+                self._serve_config,
+                ckpt,
+                prefix,
+                self._model_config,
+                self._train_config,
+                self._trace,
+            )
         for name in (
             "replica.records_applied",
             "replica.batches_applied",
@@ -215,9 +190,8 @@ class ReplicationFollower:
             service.metrics.gauge(name)
         self.service = service
         with self._lock:
-            self._fifo = list(prefix.fifo)
-            self._accepted_total = prefix.accepted
-            self._watermark = prefix.watermark
+            # the trained prefix is in the model now; mirror the rest
+            self._log = replace(prefix, trained=[])
             self._last_seq_applied = base_seq
             self._state = TAILING
         self.tailer = WalTailer(shipped_wal, from_seq=base_seq + 1)
@@ -247,49 +221,18 @@ class ReplicationFollower:
 
     def _apply(self, record: WalRecord) -> None:
         """Replay one shipped record into the replica's state."""
-        if record.kind == "heartbeat":
-            now = self._clock()
-            with self._lock:
+        now = self._clock() if record.kind == "heartbeat" else None
+        with self._lock, _replication_errors():
+            chunk = self._log.apply(record)
+            if now is not None:
                 self._heartbeats_seen += 1
                 self._last_hb_primary_t = record.t
                 self._last_hb_seen_at = now
-                self._last_seq_applied = record.seq
-            return
-        if record.kind in ("shed", "throttle"):
-            # Admission-ledger records: the primary denied the event, so
-            # there is nothing to replay — advance the position only.
-            with self._lock:
-                self._last_seq_applied = record.seq
-            return
-        if record.kind == "accept":
-            with self._lock:
-                self._fifo.append(record.edge)
-                self._accepted_total += 1
-                self._watermark = max(self._watermark, record.edge.t)
-                self._last_seq_applied = record.seq
-            return
-        if record.kind == "evict":
-            with self._lock:
-                if not self._fifo or self._fifo[0] != record.edge:
-                    raise ReplicationError(
-                        f"evict record #{record.seq} does not match the "
-                        "replica's queue head"
-                    )
-                self._fifo.pop(0)
-                self._last_seq_applied = record.seq
+            self._last_seq_applied = record.seq
+        if chunk is None:
             return
         # batch: hand the chunk to the deterministic replay machinery
-        with self._lock:
-            if record.count > len(self._fifo):
-                raise ReplicationError(
-                    f"batch record #{record.seq} dispatches {record.count} "
-                    f"events but the replica buffers {len(self._fifo)}"
-                )
-            chunk = self._fifo[: record.count]
-            del self._fifo[: record.count]
-            self._last_seq_applied = record.seq
-        with self.service.resilience_suspended():
-            self.service.apply_recovered_batch(EdgeStream(chunk))
+        self.service.apply_recovered_batch(EdgeStream(chunk))
         self.service.metrics.counter("replica.batches_applied").inc()
 
     def _publish_lag(self, applied: int, bytes_before: int) -> None:
@@ -394,21 +337,14 @@ class ReplicationFollower:
             checkpoint_every=self.replication.checkpoint_every,
         )
         with self._lock:
-            fifo = list(self._fifo)
-            accepted = self._accepted_total
-            watermark = self._watermark
+            log = self._log
             applied_seq = self._last_seq_applied
         if service.wal.last_seq != applied_seq:
             raise ReplicationError(
                 f"inherited WAL ends at seq {service.wal.last_seq} but the "
                 f"replica applied through seq {applied_seq}"
             )
-        if fifo:
-            service.queue.preload(fifo)
-        service.queue.restore_accounting(
-            accepted=accepted, max_timestamp=watermark
-        )
-        service.metrics.counter("ingest.accepted").set(service.queue.accepted)
+        log.hand_over(service)
         service.set_writable()
         with self._lock:
             self._state = PROMOTED
@@ -453,13 +389,13 @@ class ReplicationFollower:
     def accepted_total(self) -> int:
         """Accept records applied so far (the inherited ledger)."""
         with self._lock:
-            return self._accepted_total
+            return self._log.accepted
 
     @property
     def residue(self) -> int:
         """Accepted-but-untrained events mirrored from the primary queue."""
         with self._lock:
-            return len(self._fifo)
+            return len(self._log.fifo)
 
     @property
     def heartbeats_seen(self) -> int:

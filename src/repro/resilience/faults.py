@@ -2,13 +2,17 @@
 
 A :class:`FaultPlan` schedules faults at stream positions drawn from a
 :mod:`repro.utils.rng` generator, so a (dataset, seed) pair always
-produces the same chaos run.  :class:`ChaosReplayDriver` extends the
-plain :class:`~repro.serve.replay.StreamReplayDriver` to execute the
-plan while replaying, then **reconciles**: every injected fault must be
-accounted for in the queue's deadletter buckets, the service's
-``faults.injected.*`` counters, or the driver's own acceptance ledger —
-``injected == observed``, per fault type, or the report lists the
-mismatches and flags itself unreconciled.
+produces the same chaos run.  A :class:`FaultInjector` executes the plan
+from inside :meth:`StreamReplayDriver.replay_stream
+<repro.serve.replay.StreamReplayDriver.replay_stream>` — the one replay
+loop — and then **reconciles**: every injected fault must be accounted
+for in the queue's deadletter buckets, the service's
+``faults.injected.*`` counters, or the injector's own acceptance ledger
+— ``injected == observed``, per fault type, or the report lists the
+mismatches and flags itself unreconciled.  :class:`ChaosReplayDriver`
+is the single-node caller (a ``crash`` recovers from WAL + checkpoints);
+:class:`~repro.replicate.failover.FailoverDriver` is the two-node one
+(a ``crash`` kills the primary and promotes the follower).
 
 Fault taxonomy (see :data:`FAULT_KINDS`):
 
@@ -28,9 +32,10 @@ Fault taxonomy (see :data:`FAULT_KINDS`):
     dispatch is paused — a backpressure spike; overflow sheds must
     equal the ``backpressure`` bucket growth.
 ``crash``
-    The service is dropped on the floor mid-stream and rebuilt via
-    :func:`repro.resilience.recovery.recover`; its externally-visible
-    tallies are banked first so reconciliation spans process lives.
+    The service is dropped on the floor mid-stream and replaced by
+    whatever the driver's ``on_crash`` builds (a recovered service, a
+    promoted follower); its externally-visible tallies are banked
+    first so reconciliation spans process lives.
 
 Accounting across crashes: replayed WAL-suffix events bypass the new
 queue's ``put`` (they were already counted before the crash), so
@@ -43,8 +48,8 @@ from __future__ import annotations
 
 import os
 import shutil
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,10 +58,9 @@ from repro.core.inslearn import InsLearnConfig
 from repro.datasets.base import Dataset
 from repro.graph.streams import StreamEdge
 from repro.resilience.recovery import recover
-from repro.serve.replay import StreamReplayDriver
+from repro.serve.replay import JsonReport, StreamReplayDriver
 from repro.serve.service import RecommendationService, ServeConfig
 from repro.utils.rng import derive_seed, new_rng
-from repro.utils.timer import Timer
 
 #: the five injectable fault kinds
 FAULT_KINDS = ("malformed", "late", "duplicate", "burst", "crash")
@@ -191,8 +195,196 @@ def _malformed_edge(template: StreamEdge, variant: int, num_nodes: int) -> Strea
     return template._replace(t=float("nan"))
 
 
+def fault_serve_config(
+    serve_config: Optional[ServeConfig], **defaults: object
+) -> ServeConfig:
+    """The fault drivers' serving config: chaos-sized unless given (small
+    batches, small capacity, ``drop_new`` overflow so shed bursts stay
+    out of the WAL), and always with a ``late_tolerance``."""
+    config = serve_config or ServeConfig(
+        batch_size=32,
+        capacity=128,
+        overflow="drop_new",
+        late_tolerance=0.0,
+        **defaults,
+    )
+    if config.late_tolerance is None:
+        raise ValueError(
+            "fault replay needs serve_config.late_tolerance set; late "
+            "faults are defined relative to it"
+        )
+    return config
+
+
+class FaultInjector:
+    """Executes a :class:`FaultPlan` against whichever service is writable.
+
+    One injector spans one replay across process lives.  Its
+    :meth:`before_event` is the replay loop's hook: non-crash faults are
+    offered to the current service as mutations of the last accepted
+    event; a ``crash`` banks the dying service's tallies and swaps in
+    whatever ``on_crash(service)`` returns (``None`` = this run has no
+    crash semantics and skips them, e.g. a golden reference run).
+    :meth:`reconcile` then checks ``injected == observed`` per kind.
+    """
+
+    def __init__(
+        self,
+        plan: FaultPlan,
+        num_nodes: int,
+        late_tolerance: float,
+        on_crash: Optional[
+            Callable[[RecommendationService], RecommendationService]
+        ] = None,
+    ):
+        self.plan = plan
+        #: events injected per kind (bursts count per event); faults
+        #: skipped for want of a template event are taken back out
+        self.injected = plan.injection_counts()
+        self.num_nodes = num_nodes
+        self.late_tolerance = float(late_tolerance)
+        self.on_crash = on_crash
+        self.duplicates_accepted = 0
+        self.burst_accepted = 0
+        self.burst_dropped = 0
+        self.crashes = 0
+        # tallies of services that died mid-run (their metrics die with
+        # them; reconciliation must span process lives)
+        self._banked_buckets: Dict[str, int] = {}
+        self._banked_counters: Dict[str, int] = {}
+
+    @staticmethod
+    def _register_fault_counters(
+        service: RecommendationService,
+    ) -> RecommendationService:
+        """Pre-register ``faults.injected.*`` on a (replacement) writer."""
+        for kind in FAULT_KINDS:
+            service.metrics.counter(f"faults.injected.{kind}")
+        return service
+
+    def deadletter_buckets(self, service: RecommendationService) -> Dict[str, int]:
+        """Deadletter reason buckets summed across process lives."""
+        buckets = dict(self._banked_buckets)
+        for category, count in service.queue.reason_counts.items():
+            buckets[category] = buckets.get(category, 0) + int(count)
+        return buckets
+
+    def counter_totals(self, service: RecommendationService) -> Dict[str, int]:
+        """``faults.injected.*`` counters summed across process lives."""
+        return {
+            kind: self._banked_counters.get(kind, 0)
+            + int(service.metrics.counter(f"faults.injected.{kind}").value)
+            for kind in FAULT_KINDS
+        }
+
+    def _bank(self, service: RecommendationService) -> None:
+        """Fold a dying service's externally-visible tallies into the bank."""
+        self._banked_buckets = self.deadletter_buckets(service)
+        self._banked_counters = self.counter_totals(service)
+
+    def _inject(
+        self, service: RecommendationService, fault: Fault, template: StreamEdge
+    ) -> None:
+        """Offer one non-crash fault, mutated from ``template``."""
+        kind = fault.kind
+        copies = fault.payload if kind == "burst" else 1
+        service.metrics.counter(f"faults.injected.{kind}").inc(copies)
+        if kind == "malformed":
+            service.ingest(_malformed_edge(template, fault.payload, self.num_nodes))
+        elif kind == "late":
+            stale_t = (
+                service.queue.max_timestamp
+                - self.late_tolerance
+                - 1.0
+                - float(fault.payload)
+            )
+            service.ingest(template._replace(t=stale_t))
+        elif kind == "duplicate":
+            if service.ingest(StreamEdge(*template)):
+                self.duplicates_accepted += 1
+        else:  # burst: a backpressure spike while dispatch is paused
+            service.queue.pause()
+            for _ in range(copies):
+                if service.ingest(StreamEdge(*template)):
+                    self.burst_accepted += 1
+                else:
+                    self.burst_dropped += 1
+            service.queue.resume()
+
+    def before_event(
+        self,
+        position: int,
+        service: RecommendationService,
+        template: Optional[StreamEdge],
+    ) -> RecommendationService:
+        """Run the faults scheduled before ``position``; returns the
+        service that is writable afterwards."""
+        for fault in self.plan.at(position):
+            if fault.kind == "crash":
+                if self.on_crash is None:
+                    continue
+                service.metrics.counter("faults.injected.crash").inc()
+                self._bank(service)
+                service = self._register_fault_counters(self.on_crash(service))
+                self.crashes += 1
+            elif template is None:
+                # no template event yet (possible only if event 0 itself
+                # was shed); keep the ledger honest
+                self.injected[fault.kind] -= (
+                    fault.payload if fault.kind == "burst" else 1
+                )
+            else:
+                self._inject(service, fault, template)
+        return service
+
+    def replay(
+        self,
+        driver: StreamReplayDriver,
+        service: RecommendationService,
+        **hooks: object,
+    ) -> Tuple[RecommendationService, float, float]:
+        """Run ``driver``'s replay loop from ``service`` with the plan injected."""
+        return driver.replay_stream(
+            self._register_fault_counters(service),
+            before_event=self.before_event,
+            **hooks,
+        )
+
+    def reconcile(
+        self,
+        service: RecommendationService,
+        crash_label: str,
+        extra: Iterable[Tuple[str, object, object]] = (),
+    ) -> List[str]:
+        """``injected == observed`` per channel; returns the mismatches.
+
+        ``crash_label`` names what a crash became in this run
+        (``"recoveries"``, ``"promotions"``); ``extra`` appends the
+        caller's own ``(label, expected, got)`` checks to the ledger.
+        """
+        injected = self.injected
+        bucket = self.deadletter_buckets(service).get
+        counters = self.counter_totals(service)
+        burst_seen = self.burst_accepted + self.burst_dropped
+        checks = [
+            ("malformed deadletters", injected["malformed"], bucket("malformed", 0)),
+            ("late deadletters", injected["late"], bucket("late event", 0)),
+            ("backpressure deadletters", self.burst_dropped, bucket("backpressure", 0)),
+            ("duplicates accepted", injected["duplicate"], self.duplicates_accepted),
+            ("burst dispositions", injected["burst"], burst_seen),
+            (crash_label, injected["crash"], self.crashes),
+            *((f"{k} counter", injected[k], counters[k]) for k in FAULT_KINDS),
+            *extra,
+        ]
+        return [
+            f"{label}: expected {expected}, got {got}"
+            for label, expected, got in checks
+            if expected != got
+        ]
+
+
 @dataclass
-class ChaosReport:
+class ChaosReport(JsonReport):
     """Everything one chaos run injected, observed and reconciled."""
 
     dataset: str
@@ -213,37 +405,6 @@ class ChaosReport:
     parity_users: int = 0
     parity_matches: int = 0
     parity_fraction: float = 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready payload."""
-        return {
-            "dataset": self.dataset,
-            "k": self.k,
-            "num_events": self.num_events,
-            "seed": self.seed,
-            "ingest_seconds": self.ingest_seconds,
-            "events_accepted": self.events_accepted,
-            "num_updates": self.num_updates,
-            "injected": dict(self.injected),
-            "observed": dict(self.observed),
-            "deadletter_buckets": dict(self.deadletter_buckets),
-            "mismatches": list(self.mismatches),
-            "reconciled": self.reconciled,
-            "parity_users": self.parity_users,
-            "parity_matches": self.parity_matches,
-            "parity_fraction": self.parity_fraction,
-        }
-
-    def write_json(self, path: str) -> str:
-        """Persist the report; creates parent directories. Returns path."""
-        import json
-
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
 
     def summary_rows(self) -> List[Tuple[str, object]]:
         """(name, value) pairs for a printed summary table."""
@@ -290,11 +451,10 @@ class ChaosReplayDriver(StreamReplayDriver):
         sequence numbers start at 1 (default).  Pass ``False`` only
         when resuming an interrupted chaos run on purpose.
 
-    The driver fills any unset resilience knobs on ``serve_config``
-    (``wal_path``, ``checkpoint_dir``, ``checkpoint_every``) and
-    requires a ``late_tolerance`` so late faults have a defined
-    contract.  The default ``serve_config`` is chaos-sized: small
-    batches, small capacity, ``drop_new`` overflow.
+    The driver works on its own copy of ``serve_config`` with any unset
+    resilience knobs (``wal_path``, ``checkpoint_dir``,
+    ``checkpoint_every``) pointed into ``state_dir`` — the caller's
+    object is never touched, so one config can seed many drivers.
     """
 
     def __init__(
@@ -313,23 +473,14 @@ class ChaosReplayDriver(StreamReplayDriver):
         trace: bool = False,
         fresh: bool = True,
     ):
-        serve_config = serve_config or ServeConfig(
-            batch_size=32,
-            capacity=128,
-            overflow="drop_new",
-            late_tolerance=0.0,
+        base = fault_serve_config(serve_config)
+        serve_config = replace(
+            base,
+            wal_path=base.wal_path or os.path.join(state_dir, "chaos.wal"),
+            checkpoint_dir=base.checkpoint_dir
+            or os.path.join(state_dir, "checkpoints"),
+            checkpoint_every=base.checkpoint_every or 4,
         )
-        if serve_config.late_tolerance is None:
-            raise ValueError(
-                "chaos replay needs serve_config.late_tolerance set; late "
-                "faults are defined relative to it"
-            )
-        if serve_config.wal_path is None:
-            serve_config.wal_path = os.path.join(state_dir, "chaos.wal")
-        if serve_config.checkpoint_dir is None:
-            serve_config.checkpoint_dir = os.path.join(state_dir, "checkpoints")
-        if serve_config.checkpoint_every < 1:
-            serve_config.checkpoint_every = 4
         super().__init__(
             dataset,
             k=k,
@@ -366,187 +517,54 @@ class ChaosReplayDriver(StreamReplayDriver):
             burst_size=self.serve_config.capacity,
         )
 
-    def build_service(self) -> RecommendationService:
-        service = super().build_service()
-        self._register_fault_counters(service)
-        return service
-
-    @staticmethod
-    def _register_fault_counters(service: RecommendationService) -> None:
-        for kind in FAULT_KINDS:
-            service.metrics.counter(f"faults.injected.{kind}")
-
-    @staticmethod
-    def _bank(service: RecommendationService, banked: Dict[str, float]) -> None:
-        """Fold a dying service's externally-visible tallies into ``banked``
-        (its metrics die with it; reconciliation must span process lives)."""
-        for category, count in service.queue.reason_counts.items():
-            banked[category] = banked.get(category, 0) + count
-        for kind in FAULT_KINDS:
-            name = f"faults.injected.{kind}"
-            banked[name] = banked.get(name, 0) + service.metrics.counter(name).value
-        service.close()
-
     def run(self) -> ChaosReport:  # type: ignore[override]
         """Execute the plan over a full replay; returns the reconciliation."""
-        stream = list(self.dataset.stream)
-        plan = self.plan or self._default_plan(len(stream))
-        injected = plan.injection_counts()
-        service = self.build_service()
-        users = service.users
+        num_events = len(self.dataset.stream)
+        replayed_events = 0
 
-        banked: Dict[str, float] = {}
-        duplicates_accepted = 0
-        burst_accepted = 0
-        burst_dropped = 0
-        recoveries = 0
-        replayed_total = 0
-        skipped: Dict[str, int] = {}
-        probe_cursor = 0
-        last_accepted: Optional[StreamEdge] = None
-        tolerance = float(self.serve_config.late_tolerance or 0.0)
-
-        timer = Timer()
-        with timer:
-            for position, edge in enumerate(stream):
-                for fault in plan.at(position):
-                    kind = fault.kind
-                    if kind == "crash":
-                        service.metrics.counter("faults.injected.crash").inc()
-                        self._bank(service, banked)
-                        result = recover(
-                            self.dataset,
-                            serve_config=self.serve_config,
-                            model_config=self.model_config,
-                            train_config=self.train_config,
-                            trace=self.trace,
-                        )
-                        service = result.service
-                        self._register_fault_counters(service)
-                        recoveries += 1
-                        replayed_total += result.replayed_events
-                        continue
-                    if last_accepted is None:
-                        # no template event yet (possible only if event 0
-                        # itself was shed); keep the ledger honest
-                        weight = fault.payload if kind == "burst" else 1
-                        skipped[kind] = skipped.get(kind, 0) + weight
-                        continue
-                    if kind == "malformed":
-                        service.metrics.counter("faults.injected.malformed").inc()
-                        service.ingest(
-                            _malformed_edge(
-                                last_accepted, fault.payload, self.dataset.num_nodes
-                            )
-                        )
-                    elif kind == "late":
-                        service.metrics.counter("faults.injected.late").inc()
-                        stale_t = (
-                            service.queue.max_timestamp
-                            - tolerance
-                            - 1.0
-                            - float(fault.payload)
-                        )
-                        service.ingest(last_accepted._replace(t=stale_t))
-                    elif kind == "duplicate":
-                        service.metrics.counter("faults.injected.duplicate").inc()
-                        if service.ingest(StreamEdge(*last_accepted)):
-                            duplicates_accepted += 1
-                    elif kind == "burst":
-                        service.queue.pause()
-                        for _ in range(fault.payload):
-                            service.metrics.counter("faults.injected.burst").inc()
-                            if service.ingest(StreamEdge(*last_accepted)):
-                                burst_accepted += 1
-                            else:
-                                burst_dropped += 1
-                        service.queue.resume()
-                if service.ingest(edge):
-                    last_accepted = edge
-                if (position + 1) % self.probe_every == 0:
-                    for _ in range(self.probes_per_checkpoint):
-                        user = int(users[probe_cursor % users.size])
-                        probe_cursor += 1
-                        service.recommend(user, self.k)
-            service.flush()
-
-        # ---------------------------------------------------- reconciliation
-        def bucket_total(category: str) -> int:
-            return int(
-                banked.get(category, 0)
-                + service.queue.reason_counts.get(category, 0)
+        def crash_and_recover(dying: RecommendationService) -> RecommendationService:
+            nonlocal replayed_events
+            dying.close()
+            result = recover(
+                self.dataset,
+                serve_config=self.serve_config,
+                model_config=self.model_config,
+                train_config=self.train_config,
+                trace=self.trace,
             )
+            replayed_events += result.replayed_events
+            return result.service
 
-        def counter_total(kind: str) -> int:
-            name = f"faults.injected.{kind}"
-            return int(banked.get(name, 0) + service.metrics.counter(name).value)
-
-        for kind, count in skipped.items():
-            injected[kind] -= count
-
-        buckets = dict(banked)
-        for category, count in service.queue.reason_counts.items():
-            buckets[category] = buckets.get(category, 0) + count
-        buckets = {
-            name: int(count)
-            for name, count in buckets.items()
-            if not name.startswith("faults.injected.")
-        }
-
-        mismatches: List[str] = []
-
-        def check(label: str, expected: int, got: int) -> None:
-            if expected != got:
-                mismatches.append(f"{label}: injected {expected}, observed {got}")
-
-        check("malformed deadletters", injected["malformed"], bucket_total("malformed"))
-        check("late deadletters", injected["late"], bucket_total("late event"))
-        check(
-            "backpressure deadletters", burst_dropped, bucket_total("backpressure")
+        faults = FaultInjector(
+            self.plan or self._default_plan(num_events),
+            self.dataset.num_nodes,
+            self.serve_config.late_tolerance,
+            on_crash=crash_and_recover,
         )
-        check("duplicates accepted", injected["duplicate"], duplicates_accepted)
-        check(
-            "burst dispositions",
-            injected["burst"],
-            burst_accepted + burst_dropped,
-        )
-        check("recoveries", injected["crash"], recoveries)
-        for kind in FAULT_KINDS:
-            check(f"{kind} counter", injected[kind], counter_total(kind))
-
-        parity_users = self._parity_users(service)
-        matches = 0
-        for user in parity_users:
-            served = service.recommend(int(user), self.k)
-            offline = service.offline_top_k(int(user), self.k)
-            if np.array_equal(served, offline):
-                matches += 1
-
+        service, ingest_seconds, _ = faults.replay(self, self.build_service())
+        mismatches = faults.reconcile(service, "recoveries")
+        buckets = faults.deadletter_buckets(service)
         return ChaosReport(
             dataset=self.dataset.name,
             k=self.k,
-            num_events=len(stream),
+            num_events=num_events,
             seed=self.seed,
-            ingest_seconds=timer.elapsed,
+            ingest_seconds=ingest_seconds,
             events_accepted=service.queue.accepted,
             num_updates=int(service.metrics.counter("updates.applied").value),
-            injected=injected,
+            injected=faults.injected,
             observed={
-                "malformed": bucket_total("malformed"),
-                "late": bucket_total("late event"),
-                "backpressure": bucket_total("backpressure"),
-                "duplicates_accepted": duplicates_accepted,
-                "burst_accepted": burst_accepted,
-                "burst_dropped": burst_dropped,
-                "recoveries": recoveries,
-                "replayed_events": replayed_total,
+                "malformed": buckets.get("malformed", 0),
+                "late": buckets.get("late event", 0),
+                "backpressure": buckets.get("backpressure", 0),
+                "duplicates_accepted": faults.duplicates_accepted,
+                "burst_accepted": faults.burst_accepted,
+                "burst_dropped": faults.burst_dropped,
+                "recoveries": faults.crashes,
+                "replayed_events": replayed_events,
             },
             deadletter_buckets=buckets,
             mismatches=mismatches,
             reconciled=not mismatches,
-            parity_users=int(parity_users.size),
-            parity_matches=matches,
-            parity_fraction=(
-                matches / parity_users.size if parity_users.size else 1.0
-            ),
+            **self._parity(service),
         )

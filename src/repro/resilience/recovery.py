@@ -38,15 +38,15 @@ state, not the log length.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional
 
 from repro.core.config import SUPAConfig
-from repro.core.inslearn import InsLearnConfig, InsLearnTrainer
+from repro.core.inslearn import InsLearnConfig
 from repro.core.model import SUPA
 from repro.datasets.base import Dataset
 from repro.graph.streams import EdgeStream, StreamEdge
-from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.checkpoint import Checkpoint, CheckpointManager
 from repro.resilience.wal import (
     LEDGER_ONLY_KINDS,
     WalRecord,
@@ -93,6 +93,46 @@ class QueueLogState:
     #: newest accepted-event timestamp (late-arrival watermark)
     watermark: float = float("-inf")
 
+    def apply(self, record: WalRecord) -> Optional[List[StreamEdge]]:
+        """The one per-record transition every replayer drives (prefix
+        fold, recovery suffix, follower tail): ledger-only kinds are
+        no-ops, ``accept`` appends, ``evict`` pops the head it names,
+        ``batch`` cuts ``count`` events off the head and returns them
+        (``None`` otherwise) for the caller to observe or retrain."""
+        if record.kind in LEDGER_ONLY_KINDS:
+            return None
+        if record.kind == "accept":
+            self.fifo.append(record.edge)
+            self.accepted += 1
+            self.watermark = max(self.watermark, record.edge.t)
+            return None
+        if record.kind == "evict":
+            if not self.fifo or self.fifo[0] != record.edge:
+                raise RecoveryError(
+                    f"evict record #{record.seq} does not match the queue head"
+                )
+            self.fifo.pop(0)
+            return None
+        if record.count > len(self.fifo):
+            raise RecoveryError(
+                f"batch record #{record.seq} dispatches {record.count} "
+                f"events but only {len(self.fifo)} are buffered"
+            )
+        chunk = self.fifo[: record.count]
+        del self.fifo[: record.count]
+        return chunk
+
+    def hand_over(self, service: RecommendationService) -> None:
+        """Give ``service`` the queue this log ends with: residue
+        buffered, accepted-event ledger and late-event watermark
+        continued (every ``accept`` on record is one it inherits)."""
+        if self.fifo:
+            service.queue.preload(self.fifo)
+        service.queue.restore_accounting(
+            accepted=self.accepted, max_timestamp=self.watermark
+        )
+        service.metrics.counter("ingest.accepted").set(service.queue.accepted)
+
 
 def fold_queue_log(
     records: Iterable[WalRecord], upto_seq: Optional[int] = None
@@ -101,34 +141,64 @@ def fold_queue_log(
 
     Accepts any record iterable — a :func:`~repro.resilience.wal.iter_records`
     stream or an in-memory list — and stops without exhausting it once
-    ``upto_seq`` is passed.  Heartbeats are skipped: they journal writer
-    liveness, not queue decisions.
+    ``upto_seq`` is passed.
     """
     state = QueueLogState()
     for record in records:
         if upto_seq is not None and record.seq > upto_seq:
             break
-        if record.kind in LEDGER_ONLY_KINDS:
-            continue
-        if record.kind == "accept":
-            state.fifo.append(record.edge)
-            state.accepted += 1
-            state.watermark = max(state.watermark, record.edge.t)
-        elif record.kind == "evict":
-            if not state.fifo or state.fifo[0] != record.edge:
-                raise RecoveryError(
-                    f"evict record #{record.seq} does not match the queue head"
-                )
-            state.fifo.pop(0)
-        else:  # batch
-            if record.count > len(state.fifo):
-                raise RecoveryError(
-                    f"batch record #{record.seq} dispatches {record.count} "
-                    f"events but only {len(state.fifo)} are buffered"
-                )
-            state.trained.extend(state.fifo[: record.count])
-            del state.fifo[: record.count]
+        state.trained.extend(state.apply(record) or ())
     return state
+
+
+def restore_service(
+    dataset: Dataset,
+    serve_config: ServeConfig,
+    ckpt: Optional[Checkpoint],
+    prefix: QueueLogState,
+    model_config: Optional[SUPAConfig] = None,
+    train_config: Optional[InsLearnConfig] = None,
+    trace: bool = False,
+) -> RecommendationService:
+    """The one restore (steps 2–3 above): a service at ``ckpt``'s learned
+    state, clock and update count, over the graph that ``prefix`` — the
+    log folded up to ``ckpt.seq``, or an empty fold without a checkpoint
+    — implies.  Replaying the log past ``ckpt.seq`` is the caller's job.
+    """
+    if ckpt is not None:
+        if list(ckpt.residue) != prefix.fifo:
+            raise RecoveryError(
+                "checkpoint residue disagrees with the WAL prefix "
+                f"({len(ckpt.residue)} vs {len(prefix.fifo)} buffered events)"
+            )
+        if ckpt.num_nodes and ckpt.num_nodes != dataset.num_nodes:
+            raise RecoveryError(
+                f"checkpoint was taken over {ckpt.num_nodes} nodes but "
+                f"the dataset has {dataset.num_nodes}"
+            )
+    model = SUPA.for_dataset(dataset, model_config)
+    for edge in prefix.trained:
+        model.observe(edge.u, edge.v, edge.edge_type, edge.t)
+    if ckpt is not None:
+        model.load_state_dict(ckpt.model_state)
+        model.rng.bit_generator.state = ckpt.model_rng_state
+    # an omitted train_config falls back to the service's own default,
+    # i.e. the one the crashed writer was built with
+    service = RecommendationService(
+        dataset,
+        model=model,
+        config=serve_config,
+        train_config=train_config,
+        trace=trace,
+        initial_clock=ckpt.clock if ckpt is not None else 0.0,
+    )
+    if ckpt is not None:
+        service.trainer.set_rng_state(ckpt.trainer_rng_state)
+    service.restore_runtime(
+        updates_applied=ckpt.updates_applied if ckpt is not None else 0,
+        max_timestamp=prefix.watermark,
+    )
+    return service
 
 
 def recover(
@@ -162,99 +232,32 @@ def recover(
                 f"WAL ends at seq {status.last_seq} but the newest "
                 f"checkpoint covers seq {base_seq} (log truncated?)"
             )
-        prefix = fold_queue_log(
-            iter_records(serve_config.wal_path), upto_seq=base_seq
-        )
-        fifo = prefix.fifo
-        if ckpt is not None:
-            if list(ckpt.residue) != fifo:
-                raise RecoveryError(
-                    "checkpoint residue disagrees with the WAL prefix "
-                    f"({len(ckpt.residue)} vs {len(fifo)} buffered events)"
-                )
-            if ckpt.num_nodes and ckpt.num_nodes != dataset.num_nodes:
-                raise RecoveryError(
-                    f"checkpoint was taken over {ckpt.num_nodes} nodes but "
-                    f"the dataset has {dataset.num_nodes}"
-                )
-
-        # 1. rebuild graph + sampler schedule (consumes no RNG), then
-        #    restore the learned state and both RNG streams on top
-        model = SUPA.for_dataset(dataset, model_config)
-        for edge in prefix.trained:
-            model.observe(edge.u, edge.v, edge.edge_type, edge.t)
-        if ckpt is not None:
-            model.load_state_dict(ckpt.model_state)
-            model.rng.bit_generator.state = ckpt.model_rng_state
-        train_config = train_config or InsLearnConfig(
-            batch_size=serve_config.batch_size,
-            max_iterations=4,
-            validation_interval=2,
-            validation_size=25,
-            patience=1,
-        )
-        trainer = InsLearnTrainer(model, train_config)
-        if ckpt is not None:
-            trainer.set_rng_state(ckpt.trainer_rng_state)
-
-        # 2. bring the service up at the checkpoint's watermark (its WAL
-        #    reopens self-repairing and keeps appending from last_seq)
-        service = RecommendationService(
-            dataset,
-            model=model,
-            trainer=trainer,
-            config=serve_config,
-            trace=trace,
-            initial_clock=ckpt.clock if ckpt is not None else 0.0,
-        )
-
-        # 3. replay the post-checkpoint suffix: batches retrain, evicts
-        #    pop (their deadletters were the dead process's, not ours)
-        replayed_events = 0
-        replayed_batches = 0
-        accepted_total = prefix.accepted
-        watermark = prefix.watermark
+        # one pass: batches cut up to the checkpoint are only observed
+        # (the checkpoint holds their learning), later ones retrain
+        state = QueueLogState()
+        prefix: Optional[QueueLogState] = None
         suffix_batches: List[List[StreamEdge]] = []
-        for record in iter_records(
-            serve_config.wal_path, from_seq=base_seq + 1
-        ):
-            if record.kind in LEDGER_ONLY_KINDS:
-                continue
-            if record.kind == "accept":
-                fifo.append(record.edge)
-                replayed_events += 1
-                accepted_total += 1
-                watermark = max(watermark, record.edge.t)
-            elif record.kind == "evict":
-                if not fifo or fifo[0] != record.edge:
-                    raise RecoveryError(
-                        f"evict record #{record.seq} does not match the "
-                        "queue head during suffix replay"
-                    )
-                fifo.pop(0)
-            else:
-                if record.count > len(fifo):
-                    raise RecoveryError(
-                        f"batch record #{record.seq} dispatches "
-                        f"{record.count} events but only {len(fifo)} "
-                        "are buffered during suffix replay"
-                    )
-                chunk, fifo = fifo[: record.count], fifo[record.count :]
-                suffix_batches.append(chunk)
-        service.restore_runtime(
-            updates_applied=ckpt.updates_applied if ckpt is not None else 0,
-            max_timestamp=watermark,
+        for record in iter_records(serve_config.wal_path):
+            if prefix is None and record.seq > base_seq:
+                prefix = replace(state, fifo=list(state.fifo))
+            chunk = state.apply(record)
+            if chunk is not None:
+                if prefix is None:
+                    state.trained.extend(chunk)
+                else:
+                    suffix_batches.append(chunk)
+        if prefix is None:  # the log ends at the checkpoint
+            prefix = state
+
+        # the service's WAL reopens self-repairing and keeps appending
+        # from last_seq
+        service = restore_service(
+            dataset, serve_config, ckpt, prefix, model_config, train_config, trace
         )
-        with service.resilience_suspended():
-            for chunk in suffix_batches:
-                service.apply_recovered_batch(EdgeStream(chunk))
-                replayed_batches += 1
-        if fifo:
-            service.queue.preload(fifo)
-        # accepted-event accounting continues across process lives: every
-        # accept record in the log was an acceptance this service inherits
-        service.queue.restore_accounting(accepted=accepted_total)
-        service.metrics.counter("ingest.accepted").set(service.queue.accepted)
+        for chunk in suffix_batches:
+            service.apply_recovered_batch(EdgeStream(chunk))
+        state.hand_over(service)
+        replayed_events = state.accepted - prefix.accepted
         service.metrics.gauge("queue.pending").set(service.queue.pending)
         service.metrics.counter("recovery.replayed_events").inc(replayed_events)
         service.warm_cache()
@@ -262,8 +265,8 @@ def recover(
         service=service,
         checkpoint_seq=base_seq,
         replayed_events=replayed_events,
-        replayed_batches=replayed_batches,
-        residue_events=len(fifo),
+        replayed_batches=len(suffix_batches),
+        residue_events=len(state.fifo),
         torn_records_dropped=status.dropped_records,
         recovery_seconds=timer.elapsed,
     )

@@ -18,12 +18,14 @@ live platform while it learns"; this package is that deployment story:
   invalidation from the trainer's touched-node sets;
 * :mod:`repro.serve.service` — the :class:`RecommendationService`
   façade (``ingest`` / ``recommend`` / ``flush``);
-* :mod:`repro.serve.metrics` — counters, gauges and latency histograms
-  exported as JSON;
+* :mod:`repro.obs.metrics` — the counters, gauges and latency
+  histograms the service registers (``MetricsRegistry`` is re-exported
+  here);
 * :mod:`repro.serve.replay` — deterministic stream replay with
   offline-parity checking (the ``repro serve-replay`` command).
 """
 
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.admission import (
     AdmissionConfig,
     AdmissionController,
@@ -32,7 +34,6 @@ from repro.serve.admission import (
 from repro.serve.dispatch import DispatchWorker
 from repro.serve.index import TopKIndex
 from repro.serve.ingest import BackpressureError, DeadLetter, EventQueue
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.replay import ReplayReport, StreamReplayDriver
 from repro.serve.service import QueryResult, RecommendationService, ServeConfig
 from repro.serve.store import (

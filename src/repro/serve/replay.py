@@ -6,7 +6,9 @@ platform would — interleaving ``ingest`` with periodic ``recommend``
 probes — then quiesces with ``flush()`` and checks **parity**: the
 served top-K list of every user must equal the offline ranking
 pipeline's answer (Eq. 15 over the full catalogue, identical stable
-tie-breaking).
+tie-breaking).  :meth:`StreamReplayDriver.replay_stream` is the only
+such loop in the tree: the chaos and failover drivers run it with their
+fault hooks plugged in.
 
 The resulting :class:`ReplayReport` carries throughput (events/s in,
 recommendations/s out), latency percentiles, cache hit-rate, staleness
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -27,12 +29,53 @@ from repro.core.config import SUPAConfig
 from repro.core.inslearn import InsLearnConfig
 from repro.core.model import SUPA
 from repro.datasets.base import Dataset
+from repro.graph.streams import StreamEdge
 from repro.serve.service import RecommendationService, ServeConfig
 from repro.utils.timer import Timer
 
 
+class JsonReport:
+    """``as_dict`` / ``write_json`` for the replay drivers' report dataclasses."""
+
+    def as_dict(self) -> Dict[str, object]:
+        """JSON-ready payload: every dataclass field under its own name."""
+        return asdict(self)
+
+    def write_json(self, path: str) -> str:
+        """Persist the report; creates parent directories. Returns path."""
+        parent = os.path.dirname(os.path.abspath(path))
+        os.makedirs(parent, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return path
+
+
+def parity_matches(
+    service: RecommendationService,
+    users: Iterable[int],
+    k: int,
+    golden: Optional[RecommendationService] = None,
+) -> int:
+    """How many of ``users`` are served exactly the offline ranking.
+
+    A user matches when ``service``'s served top-``k`` equals its own
+    brute-force ``offline_top_k`` — and, given a ``golden`` service,
+    that service's served list as well.
+    """
+    matches = 0
+    for user in users:
+        served = service.recommend(int(user), k)
+        if np.array_equal(served, service.offline_top_k(int(user), k)) and (
+            golden is None
+            or np.array_equal(served, golden.recommend(int(user), k))
+        ):
+            matches += 1
+    return matches
+
+
 @dataclass
-class ReplayReport:
+class ReplayReport(JsonReport):
     """Everything one replay run measured."""
 
     dataset: str
@@ -60,44 +103,12 @@ class ReplayReport:
     trace: Dict[str, object] = field(default_factory=dict, repr=False)
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready payload (full metrics registry included)."""
-        payload = {
-            name: getattr(self, name)
-            for name in (
-                "dataset",
-                "k",
-                "num_events",
-                "events_accepted",
-                "events_rejected",
-                "num_updates",
-                "ingest_seconds",
-                "events_per_second",
-                "num_recommends",
-                "recommends_per_second",
-                "recommend_p50_ms",
-                "recommend_p95_ms",
-                "recommend_p99_ms",
-                "update_p95_ms",
-                "cache_hit_rate",
-                "max_staleness_events",
-                "parity_users",
-                "parity_matches",
-                "parity_fraction",
-            )
-        }
-        payload["metrics"] = self.metrics
-        if self.trace:
-            payload["trace"] = self.trace
+        """JSON-ready payload (full metrics registry included; the span
+        tree only when the replay was traced)."""
+        payload = super().as_dict()
+        if not self.trace:
+            del payload["trace"]
         return payload
-
-    def write_json(self, path: str) -> str:
-        """Persist the report; creates parent directories. Returns path."""
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
 
     def summary_rows(self) -> List[Tuple[str, object]]:
         """(name, value) pairs for a printed summary table."""
@@ -199,36 +210,72 @@ class StreamReplayDriver:
         picks = np.linspace(0, users.size - 1, cap).astype(np.int64)
         return users[picks]
 
-    def run(self, service: Optional[RecommendationService] = None) -> ReplayReport:
-        """Replay the full stream; returns the measured report."""
-        service = service or self.build_service()
-        stream = self.dataset.stream
+    def _parity(
+        self,
+        service: RecommendationService,
+        golden: Optional[RecommendationService] = None,
+    ) -> Dict[str, object]:
+        """The reports' three parity fields, over the parity-user subsample."""
+        users = self._parity_users(service)
+        matches = parity_matches(service, users, self.k, golden)
+        return {
+            "parity_users": int(users.size),
+            "parity_matches": matches,
+            "parity_fraction": matches / users.size if users.size else 1.0,
+        }
+
+    def replay_stream(
+        self,
+        service: RecommendationService,
+        before_event: Optional[Callable[..., RecommendationService]] = None,
+        after_event: Optional[Callable[[int], None]] = None,
+        probe: Optional[Callable[[int], object]] = None,
+    ) -> Tuple[RecommendationService, float, float]:
+        """The one ingest → probe → flush loop every replay driver runs.
+
+        Callers differ only in the hooks.  ``before_event(position,
+        service, last_accepted)`` runs ahead of each event and returns
+        the service that is writable from then on — fault drivers inject
+        here, and hand back the replacement when a crash swapped the
+        writer; ``after_event(position)`` follows each ingest (a
+        follower's tail poll); ``probe(user)`` reads from somewhere
+        other than the writable service.  Returns ``(writable service,
+        ingest seconds, max staleness)``.
+        """
         users = service.users
         probe_cursor = 0
         max_staleness = 0.0
-
-        ingest_timer = Timer()
-        with ingest_timer:
-            for i, edge in enumerate(stream):
-                service.ingest(edge)
-                if (i + 1) % self.probe_every == 0:
+        last_accepted: Optional[StreamEdge] = None
+        timer = Timer()
+        with timer:
+            for position, edge in enumerate(self.dataset.stream):
+                if before_event is not None:
+                    service = before_event(position, service, last_accepted)
+                if service.ingest(edge):
+                    last_accepted = edge
+                if after_event is not None:
+                    after_event(position)
+                if (position + 1) % self.probe_every == 0:
                     for _ in range(self.probes_per_checkpoint):
                         user = int(users[probe_cursor % users.size])
                         probe_cursor += 1
-                        service.recommend(user, self.k)
+                        if probe is None:
+                            service.recommend(user, self.k)
+                        else:
+                            probe(user)
                     max_staleness = max(
                         max_staleness,
                         service.metrics.gauge("staleness.events_behind").value,
                     )
             service.flush()
+        return service, timer.elapsed, max_staleness
 
-        parity_users = self._parity_users(service)
-        matches = 0
-        for user in parity_users:
-            served = service.recommend(int(user), self.k)
-            offline = service.offline_top_k(int(user), self.k)
-            if np.array_equal(served, offline):
-                matches += 1
+    def run(self, service: Optional[RecommendationService] = None) -> ReplayReport:
+        """Replay the full stream; returns the measured report."""
+        service, ingest_seconds, max_staleness = self.replay_stream(
+            service or self.build_service()
+        )
+        num_events = len(self.dataset.stream)
 
         latency = service.metrics.histogram("latency.recommend_seconds")
         update_latency = service.metrics.histogram("latency.update_seconds")
@@ -238,13 +285,13 @@ class StreamReplayDriver:
         return ReplayReport(
             dataset=self.dataset.name,
             k=self.k,
-            num_events=len(stream),
+            num_events=num_events,
             events_accepted=service.queue.accepted,
             events_rejected=service.queue.rejected,
             num_updates=int(service.metrics.counter("updates.applied").value),
-            ingest_seconds=ingest_timer.elapsed,
+            ingest_seconds=ingest_seconds,
             events_per_second=(
-                len(stream) / ingest_timer.elapsed if ingest_timer.elapsed else 0.0
+                num_events / ingest_seconds if ingest_seconds else 0.0
             ),
             num_recommends=latency.count,
             recommends_per_second=(
@@ -256,11 +303,7 @@ class StreamReplayDriver:
             update_p95_ms=update_latency.percentile(95.0) * 1e3,
             cache_hit_rate=service.index.hit_rate,
             max_staleness_events=max_staleness,
-            parity_users=int(parity_users.size),
-            parity_matches=matches,
-            parity_fraction=(
-                matches / parity_users.size if parity_users.size else 1.0
-            ),
             metrics=service.metrics.as_dict(),
             trace=service.tracer.as_dict() if service.tracer.enabled else {},
+            **self._parity(service),
         )

@@ -29,9 +29,8 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from repro.core.inslearn import InsLearnConfig, InsLearnTrainer
 from repro.core.model import SUPA
 from repro.datasets.base import Dataset
 from repro.graph.streams import EdgeStream, StreamEdge
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NullTracer, Tracer, make_tracer
 from repro.serve.admission import (
     SHEDDING,
@@ -49,7 +49,6 @@ from repro.serve.admission import (
 from repro.serve.dispatch import DispatchWorker
 from repro.serve.index import TopKIndex
 from repro.serve.ingest import BackpressureError, EventQueue
-from repro.serve.metrics import MetricsRegistry
 from repro.serve.store import DecayedEmbeddingStore, VersionedEmbeddingStore
 
 
@@ -213,10 +212,9 @@ class RecommendationService:
     ----------
     dataset:
         Fixes the node universe, schema and candidate catalogue.
-    model / trainer:
-        A :class:`SUPA` model and its :class:`InsLearnTrainer`; fresh
-        ones are built when omitted (``train_config`` then tunes the
-        default trainer).
+    model / train_config:
+        The :class:`SUPA` model (a fresh one when omitted) and the
+        config of the :class:`InsLearnTrainer` the service builds on it.
     config:
         Serving knobs; see :class:`ServeConfig`.
     trace:
@@ -231,7 +229,6 @@ class RecommendationService:
         self,
         dataset: Dataset,
         model: Optional[SUPA] = None,
-        trainer: Optional[InsLearnTrainer] = None,
         config: Optional[ServeConfig] = None,
         train_config: Optional[InsLearnConfig] = None,
         trace: Union[bool, Tracer, NullTracer] = False,
@@ -240,22 +237,17 @@ class RecommendationService:
         self.config = config or ServeConfig()
         self.dataset = dataset
         self.model = model if model is not None else SUPA.for_dataset(dataset)
-        if trainer is not None:
-            self.trainer = trainer
-        else:
-            self.trainer = InsLearnTrainer(
-                self.model,
-                train_config
-                or InsLearnConfig(
-                    batch_size=self.config.batch_size,
-                    max_iterations=4,
-                    validation_interval=2,
-                    validation_size=25,
-                    patience=1,
-                ),
-            )
-        if self.trainer.model is not self.model:
-            raise ValueError("trainer is bound to a different model instance")
+        self.trainer = InsLearnTrainer(
+            self.model,
+            train_config
+            or InsLearnConfig(
+                batch_size=self.config.batch_size,
+                max_iterations=4,
+                validation_interval=2,
+                validation_size=25,
+                patience=1,
+            ),
+        )
 
         schema = dataset.schema
         if self.config.edge_type is not None:
@@ -364,23 +356,7 @@ class RecommendationService:
         self._consecutive_update_failures = 0
         self._breaker_open = False
         self._breaker_cooldown = 0
-        if self.config.wal_path is not None:
-            from repro.resilience.wal import WriteAheadLog
-
-            self.wal = WriteAheadLog(
-                self.config.wal_path,
-                fsync=self.config.wal_fsync,
-                metrics=self.metrics,
-                segment_bytes=self.config.wal_segment_bytes,
-            )
-        if self.config.checkpoint_dir is not None:
-            from repro.resilience.checkpoint import CheckpointManager
-
-            self.checkpoints = CheckpointManager(
-                self.config.checkpoint_dir,
-                retain=self.config.checkpoint_retain,
-                metrics=self.metrics,
-            )
+        self._open_durability()
 
         # Eq. 14 embeddings depend on wall-clock time (and alpha) only
         # when decay-at-inference is on.  A dense store would then have
@@ -439,7 +415,7 @@ class RecommendationService:
             else None
         )
         # Created eagerly, started lazily on the first ingest: recovery
-        # replay (resilience_suspended) must never race a live worker.
+        # replay (apply_recovered_batch) must never race a live worker.
         self.dispatcher: Optional[DispatchWorker] = (
             DispatchWorker(
                 self.queue,
@@ -601,20 +577,7 @@ class RecommendationService:
         counts toward the circuit breaker exactly like an update
         failure, so a persistently failing async path degrades to
         bounded-stale serving instead of spinning."""
-        with self._state_lock:
-            self._consecutive_update_failures += 1
-            failures = self._consecutive_update_failures
-        self.metrics.counter("updates.failed").inc()
-        threshold = self.config.breaker_threshold
-        with self._state_lock:
-            trip = bool(threshold) and failures >= threshold and not self._breaker_open
-            if trip:
-                self._breaker_open = True
-                self._breaker_cooldown = self.config.breaker_cooldown_events
-        if trip:
-            self.queue.pause()
-            self.metrics.counter("breaker.opened").inc()
-            self.metrics.gauge("breaker.state").set(1.0)
+        self._count_failure()
 
     def ingest_with_retry(
         self,
@@ -811,19 +774,26 @@ class RecommendationService:
 
     def _register_update_failure(self, batch: EdgeStream, exc: Exception) -> None:
         """Deadletter a failed batch; trip the breaker at the threshold."""
-        with self._state_lock:
-            self._consecutive_update_failures += 1
-            failures = self._consecutive_update_failures
-        self.metrics.counter("updates.failed").inc()
         reason = f"update failure: {type(exc).__name__}: {exc}"
         for edge in batch:
             self.queue.dead_letter(edge, reason)
+        self._count_failure()
+
+    def _count_failure(self) -> None:
+        """One more consecutive failure; at ``breaker_threshold`` the
+        breaker opens: dispatch pauses until a cooldown probe."""
         threshold = self.config.breaker_threshold
         with self._state_lock:
-            trip = bool(threshold) and failures >= threshold and not self._breaker_open
+            self._consecutive_update_failures += 1
+            trip = (
+                bool(threshold)
+                and self._consecutive_update_failures >= threshold
+                and not self._breaker_open
+            )
             if trip:
                 self._breaker_open = True
                 self._breaker_cooldown = self.config.breaker_cooldown_events
+        self.metrics.counter("updates.failed").inc()
         if trip:
             self.queue.pause()
             self.metrics.counter("breaker.opened").inc()
@@ -911,22 +881,29 @@ class RecommendationService:
         """
         if self.wal is not None:
             raise ValueError("service already has a write-ahead log")
-        from repro.resilience.checkpoint import CheckpointManager
-        from repro.resilience.wal import WriteAheadLog
-
         self.config.wal_path = wal_path
-        self.wal = WriteAheadLog(
-            wal_path,
-            fsync=self.config.wal_fsync,
-            metrics=self.metrics,
-            segment_bytes=self.config.wal_segment_bytes,
-        )
         if checkpoint_dir is not None:
             self.config.checkpoint_dir = checkpoint_dir
             if checkpoint_every is not None:
                 self.config.checkpoint_every = int(checkpoint_every)
+        self._open_durability()
+
+    def _open_durability(self) -> None:
+        """Open the WAL / checkpoint manager the config names (if any)."""
+        if self.config.wal_path is not None:
+            from repro.resilience.wal import WriteAheadLog
+
+            self.wal = WriteAheadLog(
+                self.config.wal_path,
+                fsync=self.config.wal_fsync,
+                metrics=self.metrics,
+                segment_bytes=self.config.wal_segment_bytes,
+            )
+        if self.config.checkpoint_dir is not None:
+            from repro.resilience.checkpoint import CheckpointManager
+
             self.checkpoints = CheckpointManager(
-                checkpoint_dir,
+                self.config.checkpoint_dir,
                 retain=self.config.checkpoint_retain,
                 metrics=self.metrics,
             )
@@ -1030,25 +1007,20 @@ class RecommendationService:
         self.queue.restore_accounting(max_timestamp=float(max_timestamp))
 
     def apply_recovered_batch(self, batch: EdgeStream) -> None:
-        """Re-run one journaled micro-batch during WAL replay."""
-        self._apply_batch(batch)
+        """Re-run one journaled micro-batch during WAL replay.
 
-    @contextmanager
-    def resilience_suspended(self) -> Iterator["RecommendationService"]:
-        """Disable WAL journaling and auto-checkpoints within the block.
-
-        Recovery replays records that already exist in the log;
-        re-journaling them (or checkpointing against a mid-replay WAL
+        WAL journaling and auto-checkpoints are off for the duration:
+        the record being replayed already exists in the log, and
+        re-journaling it (or checkpointing against a mid-replay WAL
         position) would corrupt the sequence.
         """
         with self._state_lock:
-            previous = self._resilience_suspended
             self._resilience_suspended = True
         try:
-            yield self
+            self._apply_batch(batch)
         finally:
             with self._state_lock:
-                self._resilience_suspended = previous
+                self._resilience_suspended = False
 
     def close(self) -> None:
         """Release pooled resources (idempotent): the dispatcher thread

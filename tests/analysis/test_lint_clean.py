@@ -1,7 +1,8 @@
 """Tier-1 gate: the real ``src/repro`` tree must be reprolint-clean.
 
-Also refreshes ``benchmarks/results/lint_report.json`` so violation
-counts are tracked across PRs.
+The JSON report is written under ``tmp_path`` (tests never touch tracked
+files); ``repro lint --format json --output benchmarks/results/lint_report.json``
+refreshes the committed copy.
 """
 
 import json
@@ -10,12 +11,11 @@ from pathlib import Path
 from repro.analysis import run_lint, write_json
 
 REPO = Path(__file__).resolve().parents[2]
-REPORT = REPO / "benchmarks" / "results" / "lint_report.json"
 
 
-def test_src_tree_is_lint_clean():
+def test_src_tree_is_lint_clean(tmp_path):
     result = run_lint([REPO / "src" / "repro"], project_root=REPO)
-    report = write_json(result, REPORT)
+    report = write_json(result, tmp_path / "lint_report.json")
     payload = json.loads(report.read_text())
     assert payload["total_violations"] == len(result.violations)
     assert result.ok, "reprolint violations:\n" + "\n".join(

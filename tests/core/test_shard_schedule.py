@@ -9,8 +9,6 @@ context-row mask that marks precisely the rows shared across edges of
 one round, and worker-count independence of the round structure.
 """
 
-import importlib
-import sys
 import types
 
 import numpy as np
@@ -263,19 +261,3 @@ class TestBuildSchedule:
             plan.num_edges / len(legacy)
         )
         assert schedule.stats["imbalance"] >= 1.0 - 1e-12
-
-
-# ------------------------------------------------------------ legacy shim
-
-
-def test_sharding_module_is_a_deprecated_alias():
-    sys.modules.pop("repro.core.sharding", None)
-    with pytest.warns(DeprecationWarning, match="repro.core.shard"):
-        legacy = importlib.import_module("repro.core.sharding")
-    import repro.core.shard.estimate as estimate
-
-    assert legacy.partition_conflict_free_rounds is (
-        estimate.partition_conflict_free_rounds
-    )
-    assert legacy.estimate_parallel_speedup is estimate.estimate_parallel_speedup
-    assert legacy.shard_statistics is estimate.shard_statistics

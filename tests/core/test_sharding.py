@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sharding import (
+from repro.core.shard import (
     estimate_parallel_speedup,
     partition_conflict_free_rounds,
     shard_statistics,

@@ -129,6 +129,56 @@ class TestChaosReplay:
                 serve_config=ServeConfig(batch_size=32, capacity=128),
             )
 
+    def test_callers_serve_config_is_copied_never_mutated(
+        self, dataset, tmp_path
+    ):
+        """One config object may seed many drivers: each journals into its
+        own ``state_dir``, and ``fresh=True`` wipes only that directory."""
+        import os
+        from dataclasses import replace
+
+        from repro.serve.service import ServeConfig
+
+        config = ServeConfig(
+            batch_size=32, capacity=128, overflow="drop_new", late_tolerance=0.0
+        )
+        untouched = replace(config)
+        plan = FaultPlan(faults=[Fault("crash", position=80)])
+
+        first = ChaosReplayDriver(
+            dataset,
+            state_dir=str(tmp_path / "a"),
+            plan=plan,
+            serve_config=config,
+            max_parity_users=4,
+        )
+        assert config == untouched
+        assert first.run().reconciled
+        first_wal = first.serve_config.wal_path
+        first_checkpoints = sorted(os.listdir(first.serve_config.checkpoint_dir))
+        assert os.path.dirname(first_wal) == str(tmp_path / "a")
+        assert first_checkpoints
+
+        second = ChaosReplayDriver(
+            dataset,
+            state_dir=str(tmp_path / "b"),
+            plan=plan,
+            serve_config=config,
+            max_parity_users=4,
+        )
+        assert config == untouched
+        assert os.path.dirname(second.serve_config.wal_path) == str(tmp_path / "b")
+        # building the second driver (fresh=True) left the first run alone
+        assert os.path.exists(first_wal)
+        assert (
+            sorted(os.listdir(first.serve_config.checkpoint_dir))
+            == first_checkpoints
+        )
+        service = second.build_service()
+        service.ingest(next(iter(dataset.stream)))
+        service.close()
+        assert os.path.exists(second.serve_config.wal_path)
+
     def test_sanitized_run_is_clean_and_bitwise_identical(
         self, dataset, tmp_path
     ):

@@ -111,7 +111,7 @@ class TestManager:
         assert manager.latest().seq == 4
 
     def test_latest_falls_back_past_corruption(self, tmp_path):
-        from repro.serve.metrics import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
         manager = CheckpointManager(str(tmp_path), metrics=metrics)

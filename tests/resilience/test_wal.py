@@ -112,7 +112,7 @@ class TestLifecycle:
             wal.append_accept(edge(1))
 
     def test_metrics_count_appends_and_torn_repairs(self, wal_path):
-        from repro.serve.metrics import MetricsRegistry
+        from repro.obs.metrics import MetricsRegistry
 
         metrics = MetricsRegistry()
         with WriteAheadLog(wal_path, metrics=metrics) as wal:

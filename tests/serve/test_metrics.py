@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.serve.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:

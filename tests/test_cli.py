@@ -391,7 +391,7 @@ class TestObsWatch:
         assert args.watch_interval == 0.5
         assert "ingest.accepted" in args.watch_metrics
 
-    def test_watch_prints_delta_rows(self, capsys):
+    def test_watch_prints_delta_rows(self, capsys, tmp_path):
         code = main(
             [
                 "obs",
@@ -401,6 +401,8 @@ class TestObsWatch:
                 "0.05",
                 "--batch-size",
                 "64",
+                "--output-dir",
+                str(tmp_path),
                 "--watch",
                 "--watch-interval",
                 "0.05",
