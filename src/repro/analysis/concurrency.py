@@ -24,14 +24,18 @@ concurrency suite over the threaded subsystems (``serve/``, ``obs/``,
   ``time.sleep``, ``open()``, ``os``/``shutil``/``subprocess``/``socket``
   calls, and calls through *injected callables* (attributes assigned
   from an ``__init__`` parameter, e.g. user validators/handlers).
-  Intentional cases — the queue's dispatch-under-lock contract — are
-  suppressed inline with the invariant spelled out next to the call.
+  Intentional cases — the queue's non-blocking validate/journal hooks,
+  the WAL's write-under-lock — are suppressed inline with the invariant
+  spelled out next to the call.
 
 Scope and limits: the analysis is per class, per module.  It does not
 follow calls across object boundaries (``self.store.publish()`` from
-inside the service), so cross-class lock ordering is enforced at
-runtime by :mod:`repro.analysis.sanitizer` instead; the two halves share
-one lock-hierarchy contract (DESIGN.md §12).
+inside the service) and sees a lock taken through a context-manager
+method (``with self.dispatch_barrier():``) as a call, not an
+acquisition, so cross-class lock ordering — and the rank of such an
+order-only mutex — is enforced at runtime by
+:mod:`repro.analysis.sanitizer` instead; the two halves share one
+lock-hierarchy contract (DESIGN.md §12).
 """
 
 from __future__ import annotations

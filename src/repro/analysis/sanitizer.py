@@ -25,7 +25,8 @@ chaos-replay gate asserts this).  Reports serialise to JSON for the
 
 Order edges are keyed by ``ClassName.lock_attr`` — rank, not instance —
 which makes the checker enforce the lock *hierarchy* documented in
-DESIGN.md §12 (queue -> service state -> store -> index -> metrics):
+DESIGN.md §12 (dispatch mutex -> queue -> service state -> store ->
+index -> metrics):
 two instances of the same rank never nest in this codebase, and a
 violation between ranks is a design break even when the particular
 interleaving did not deadlock this time.
@@ -296,6 +297,10 @@ def default_audits() -> List[Audit]:
                 "shed", "batches_dispatched",
             },
         ),
+        # The dispatch mutex guards no attribute, only order (cuts and
+        # handler runs, one at a time); audited for its rank above the
+        # queue lock.
+        audit(EventQueue, "_dispatch_lock", set()),
         audit(
             AdmissionController,
             "_lock",

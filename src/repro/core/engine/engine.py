@@ -237,11 +237,17 @@ class BatchedEngine(_EngineBase):
         tracer = model.tracer
         if not tracer.enabled:
             plan = compile_plan(model, records, self.candidate_cache)
+            # Undo-log pre-images for the whole pass in one vectorised
+            # call: the plan names every row execution can write (the
+            # interactive endpoints, each edge's unique context rows), so
+            # InsLearn's rollback needs no hook in the per-edge loop.
+            model.optimizer.save_rows(plan.uv.reshape(-1), plan.ctx_uniq_rows)
             return self._execute_plan(plan)
         with tracer.span("core.engine.compile", edges=len(records)):
             plan = compile_plan(model, records, self.candidate_cache)
         self._record_plan_metrics(plan, tracer.registry)
         with tracer.span("core.engine.execute", edges=plan.num_edges):
+            model.optimizer.save_rows(plan.uv.reshape(-1), plan.ctx_uniq_rows)
             return self._execute_plan(plan, tracer)
 
     def _record_plan_metrics(self, plan, registry) -> None:

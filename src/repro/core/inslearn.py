@@ -7,6 +7,11 @@ batch the model trains for up to ``N_iter`` replays, validating every
 best-model restore, then moves to the next batch.  Because training
 never revisits earlier batches, the model stays deployable on the live
 platform while it learns.
+
+The restore costs what the batch touched, not what the model weighs:
+the "best model" is the state at the last mark of the optimiser's undo
+log (:meth:`repro.core.memory.MemoryOptimizer.mark`), and line 20 writes
+the logged pre-images home instead of reloading a full copy.
 """
 
 from __future__ import annotations
@@ -210,40 +215,46 @@ class InsLearnTrainer:
             with tracer.span("core.inslearn.observe", edges=len(train)):
                 records = _record_and_observe(self.model, list(train))
 
+            # Best model = the state at the undo log's last mark (module
+            # docstring).  No validation tail, no rollback, so no log.
+            optimizer = self.model.optimizer
             best_score = 0.0
-            best_state = self.model.state_dict()
             patience_used = 0
             losses: List[float] = []
             iterations_run = 0
+            if len(valid):
+                optimizer.mark()
+            try:
+                for iteration in range(1, cfg.max_iterations + 1):
+                    with tracer.span("core.inslearn.replay", edges=len(records)):
+                        losses.append(_train_pass(self.model, records, touched))
+                    iterations_run = iteration
+                    if len(valid) and iteration % cfg.validation_interval == 0:
+                        with tracer.span("core.inslearn.validate", edges=len(valid)):
+                            score = validation_mrr(
+                                self.model,
+                                list(valid),
+                                num_candidates=cfg.num_validation_candidates,
+                                rng=self._rng,
+                            )
+                        if score > best_score:
+                            best_score = score
+                            optimizer.mark()
+                            patience_used = 0
+                        else:
+                            patience_used += 1
+                            if patience_used > cfg.patience:
+                                break
 
-            for iteration in range(1, cfg.max_iterations + 1):
-                with tracer.span("core.inslearn.replay", edges=len(records)):
-                    losses.append(_train_pass(self.model, records, touched))
-                iterations_run = iteration
-                if len(valid) and iteration % cfg.validation_interval == 0:
-                    with tracer.span("core.inslearn.validate", edges=len(valid)):
-                        score = validation_mrr(
-                            self.model,
-                            list(valid),
-                            num_candidates=cfg.num_validation_candidates,
-                            rng=self._rng,
-                        )
-                    if score > best_score:
-                        best_score = score
-                        best_state = self.model.state_dict()
-                        patience_used = 0
-                    else:
-                        patience_used += 1
-                        if patience_used > cfg.patience:
-                            break
-
-            with tracer.span("core.inslearn.restore"):
-                if len(valid):
-                    # Line 20: carry the best-validated parameters forward.
-                    self.model.load_state_dict(best_state)
-                # Validation edges join the graph before the next batch
-                # arrives.
-                _record_and_observe(self.model, list(valid))
+                with tracer.span("core.inslearn.restore"):
+                    if len(valid):
+                        # Line 20: carry the best-validated parameters forward.
+                        optimizer.rollback()
+                    # Validation edges join the graph before the next batch
+                    # arrives.
+                    _record_and_observe(self.model, list(valid))
+            finally:
+                optimizer.release()
             touched.update(e.u for e in batch)
             touched.update(e.v for e in batch)
             self.last_touched_nodes = tuple(sorted(touched))

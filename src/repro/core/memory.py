@@ -7,11 +7,18 @@ memory ``h^L``, a short-term memory ``h^S`` and one context embedding
 touches only a handful of rows, updates go through a *sparse* Adam that
 keeps per-row step counts for bias correction (the numpy analogue of
 ``torch.optim.SparseAdam``).
+
+The same sparsity makes InsLearn's best-model restore (Algorithm 1
+line 20) cheap: :meth:`SparseAdam.update_rows` is the only writer of
+learnable state, so an **undo log** of the pre-images of the rows
+written since a *mark* is enough to return to the marked state — cost
+proportional to the rows an update touched, never to the node count
+(:meth:`MemoryOptimizer.mark` / ``rollback`` / ``release``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +60,54 @@ class SparseAdam:
         # per streamed edge.
         self._corr1 = np.empty(0, dtype=np.float64)
         self._corr2 = np.empty(0, dtype=np.float64)
+        # Undo log: ``None`` while closed; while open, the pre-images
+        # ``(rows, param, m, v, steps)`` saved since the last mark, with
+        # ``_logged`` flagging those rows so each is saved once per mark.
+        self._undo: Optional[List[Tuple[np.ndarray, ...]]] = None
+        self._logged = np.zeros(param.shape[0], dtype=bool)
+
+    def mark(self) -> None:
+        """Make the current state the one :meth:`rollback` returns to
+        (opens the undo log, or drops the pre-images it holds)."""
+        if self._undo is None:
+            self._undo = []
+            return
+        for entry in self._undo:
+            self._logged[entry[0]] = False
+        self._undo.clear()
+
+    def save_rows(self, rows: np.ndarray) -> None:
+        """Log the pre-images of ``rows`` ahead of a write to them.
+
+        No-op while the log is closed; rows already logged since the
+        mark are skipped, so the saved value is always the value *at*
+        the mark.  Duplicate and never-written rows are harmless.
+        """
+        if self._undo is None:
+            return
+        rows = np.asarray(rows, dtype=np.int64)
+        fresh = np.unique(rows[~self._logged[rows]])
+        if fresh.size == 0:
+            return
+        self._logged[fresh] = True
+        self._undo.append(
+            (fresh, self.param[fresh], self._m[fresh], self._v[fresh], self._steps[fresh])
+        )
+
+    def rollback(self) -> None:
+        """Write every logged pre-image home: the state at the mark."""
+        for rows, param, m, v, steps in self._undo:
+            self.param[rows] = param
+            self._m[rows] = m
+            self._v[rows] = v
+            self._steps[rows] = steps
+        self.mark()
+
+    def release(self) -> None:
+        """Drop the log and close it (idempotent)."""
+        if self._undo is not None:
+            self.mark()
+            self._undo = None
 
     def _grow_corrections(self, upto: int) -> None:
         size = max(upto, 2 * self._corr1.size, 64)
@@ -64,7 +119,10 @@ class SparseAdam:
         """Apply one Adam step to ``rows`` with per-row ``grads``.
 
         ``rows`` must be unique; accumulate duplicate contributions
-        before calling.
+        before calling.  While the undo log is open the caller saves
+        the rows first (:meth:`save_rows`) — once per replay pass from
+        the compiled plan, not here: a per-call "already logged?"
+        gather, four calls per edge, measurably slows large batches.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
@@ -193,6 +251,8 @@ class MemoryOptimizer:
         # memory.alpha[:, None] is a numpy view, so SparseAdam's in-place
         # updates write straight through to the memory's alpha vector.
         self.alpha = SparseAdam(memory.alpha[:, None], lr, weight_decay=0.0)
+        self._adams = (self.long, self.short, self.context, self.alpha)
+        self._alpha_rows = np.arange(memory.num_alpha_slots, dtype=np.int64)
 
     def context_row(self, slot: int, node: int) -> int:
         """Flat row index of context embedding ``(slot, node)``."""
@@ -205,50 +265,63 @@ class MemoryOptimizer:
         context_grads: Dict[int, np.ndarray],
         alpha_grads: Optional[Dict[int, float]] = None,
     ) -> None:
-        """Apply accumulated per-row gradients in one sparse Adam step."""
+        """Apply accumulated per-row gradients in one sparse Adam step.
+
+        The reference engine's per-edge path: with the undo log open,
+        the gradient-dict keys are the rows to save.
+        """
         if long_grads:
             rows = np.fromiter(long_grads, dtype=np.int64, count=len(long_grads))
+            self.long.save_rows(rows)
             self.long.update_rows(rows, np.stack([long_grads[r] for r in rows]))
         if short_grads:
             rows = np.fromiter(short_grads, dtype=np.int64, count=len(short_grads))
+            self.short.save_rows(rows)
             self.short.update_rows(rows, np.stack([short_grads[r] for r in rows]))
         if context_grads:
             rows = np.fromiter(context_grads, dtype=np.int64, count=len(context_grads))
+            self.context.save_rows(rows)
             self.context.update_rows(rows, np.stack([context_grads[r] for r in rows]))
         if alpha_grads:
             rows = np.fromiter(alpha_grads, dtype=np.int64, count=len(alpha_grads))
             grads = np.asarray([alpha_grads[r] for r in rows])[:, None]
+            self.alpha.save_rows(rows)
             self.alpha.update_rows(rows, grads)
 
-    def step_arrays(
-        self,
-        long_rows: np.ndarray,
-        long_grads: np.ndarray,
-        short_rows: Optional[np.ndarray],
-        short_grads: Optional[np.ndarray],
-        context_rows: np.ndarray,
-        context_grads: np.ndarray,
-        alpha_rows: Optional[np.ndarray],
-        alpha_grads: Optional[np.ndarray],
-    ) -> None:
-        """Array-native :meth:`step` for the batched execution engine.
+    # ------------------------------------------------------------- undo log
 
-        Each ``*_rows`` array must already hold unique rows with
-        duplicate contributions pre-accumulated (see
-        :func:`repro.core.engine.kernels.accumulate_rows`); ``None``
-        pairs skip that parameter entirely — an applied zero gradient
-        would still advance Adam's moments, so "no gradient" and
-        "zero gradient" must stay distinguishable here exactly as they
-        are in the dict-based path.
+    def mark(self) -> None:
+        """Mark the current learnable state as the rollback target.
+
+        The first call opens the undo log; a later one *commits* — the
+        pre-images held so far are dropped and the current state becomes
+        the new target.  Between a mark and a :meth:`rollback`, every
+        writer must :meth:`save_rows` before it writes.
         """
-        if long_rows.size:
-            self.long.update_rows(long_rows, long_grads)
-        if short_rows is not None and short_rows.size:
-            self.short.update_rows(short_rows, short_grads)
-        if context_rows.size:
-            self.context.update_rows(context_rows, context_grads)
-        if alpha_rows is not None and alpha_rows.size:
-            self.alpha.update_rows(alpha_rows, alpha_grads)
+        for adam in self._adams:
+            adam.mark()
+
+    def save_rows(self, node_rows: np.ndarray, context_rows: np.ndarray) -> None:
+        """Save the pre-images one replay pass is about to overwrite.
+
+        ``node_rows`` index long/short memories, ``context_rows`` the
+        flat context table; every alpha slot is saved with them (a
+        handful of scalars).  No-op while the log is closed.
+        """
+        self.long.save_rows(node_rows)
+        self.short.save_rows(node_rows)
+        self.context.save_rows(context_rows)
+        self.alpha.save_rows(self._alpha_rows)
+
+    def rollback(self) -> None:
+        """Return to the state at the last :meth:`mark` (log stays open)."""
+        for adam in self._adams:
+            adam.rollback()
+
+    def release(self) -> None:
+        """Close the undo log, dropping whatever it holds (idempotent)."""
+        for adam in self._adams:
+            adam.release()
 
     def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
         return {

@@ -23,8 +23,10 @@ never dies, it backs off to its poll interval (a paused queue yields no
 batches, so an open breaker idles the thread at no cost).
 
 The worker's lock is leaf-like: never held while calling into the
-queue, so the queue-outermost lock hierarchy (DESIGN.md §12) gains no
-new edges.  Wake-ups use a dedicated :class:`threading.Event` — not a
+queue, so the lock hierarchy (DESIGN.md §12) gains no new edges.
+``dispatch_next`` itself trains under the queue's dispatch mutex with
+the queue lock released, so producers and readers never wait on the
+batch this thread is training.  Wake-ups use a dedicated :class:`threading.Event` — not a
 condition on the queue's lock — plus a poll timeout as a liveness
 backstop.
 """

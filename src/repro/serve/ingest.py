@@ -36,8 +36,16 @@ malformed (``rejected``) and backpressure (``dropped``) events;
 reconciliation against the WAL's decision ledger.
 
 Dispatch itself stays strictly serial — one micro-batch at a time, in
-cut order, under the queue lock — because InsLearn's replay/RNG
-contract is sequential over batches.  Shard parallelism (DESIGN.md §14)
+cut order — because InsLearn's replay/RNG contract is sequential over
+batches.  What serialises it is a *dispatch mutex* of its own
+(:meth:`EventQueue.dispatch_barrier`), ranked above the queue lock and
+taken first: one cut-then-apply routine holds it across "cut a batch,
+run the handler", and takes the queue lock inside it only to journal
+the ``batch`` record, slice the buffer and bump the counters.  The
+handler — a whole train + publish step — therefore runs with the queue
+lock *released*: ``put()``, ``pending``, ``has_ready`` and
+``shed_oldest()`` never wait on an update, whichever thread runs it
+(DESIGN.md §12).  Shard parallelism (DESIGN.md §14)
 lives *inside* the handler: the sharded engine fans one batch's plan
 out over conflict-free rounds, and the service stripes the post-update
 embedding recompute across its shard pool, both merging
@@ -52,8 +60,9 @@ replay the queue bit-exactly after a crash.
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.graph.streams import EdgeStream, StreamEdge
 
@@ -151,12 +160,20 @@ class EventQueue:
         self.late_tolerance = late_tolerance
         self._journal = journal
         self._buffer: List[StreamEdge] = []
-        # The queue lock is the OUTERMOST rank in the serving hierarchy
-        # (DESIGN.md §12): batches dispatch to the handler while it is
-        # held, and the handler legitimately calls back in.
-        # reentrant: put/flush -> _dispatch_one -> handler
-        #            -> dead_letter/pause (update failure, breaker trip)
-        self._lock = threading.RLock()
+        # Guards the buffer, the pause flag and the ledger counters.
+        # Never held across the handler, and nothing re-enters it: the
+        # hooks that do run under it (validator, journal) are
+        # non-blocking by contract and never call back into the queue.
+        self._lock = threading.Lock()
+        # The dispatch mutex: guards no attribute, only *order* — cuts
+        # and handler runs happen one at a time, in cut order.  Ranked
+        # above the queue lock (taken first, DESIGN.md §12); the one
+        # lock held across the handler is the one that exists to
+        # serialise it.
+        # reentrant: dispatch_next/flush/resume/put -> _cut_and_apply
+        #            -> handler -> (service) _maybe_checkpoint
+        #            -> checkpoint -> dispatch_barrier
+        self._dispatch_lock = threading.RLock()
         self._paused = False
         self.defer_dispatch = bool(defer_dispatch)
         self.deadletters: List[DeadLetter] = []
@@ -187,8 +204,8 @@ class EventQueue:
     def pause(self) -> None:
         """Stop dispatching micro-batches; events keep buffering.
 
-        Reentrancy-safe: the update handler calls this mid-dispatch when
-        the circuit breaker trips (see the lock's reentrant chain).
+        The update handler calls this mid-dispatch when the circuit
+        breaker trips; the drain loop re-checks the flag before every cut.
         """
         with self._lock:
             self._paused = True
@@ -197,7 +214,9 @@ class EventQueue:
         """Re-enable dispatch and drain any ready micro-batches."""
         with self._lock:
             self._paused = False
-            self._dispatch_ready()
+            ready = self._ready()
+        if ready:
+            self._drain_ready()
 
     # ----------------------------------------------------------------- intake
 
@@ -211,7 +230,7 @@ class EventQueue:
         """
         with self._lock:
             if self._validator is not None:
-                # The validate/journal/dispatch sequence is one atomic
+                # The validate/journal/buffer sequence is one atomic
                 # queue decision: the deadletter ledger, the WAL and the
                 # buffer must agree event-for-event, so the injected
                 # hooks run under the lock by contract.  Hooks must be
@@ -251,14 +270,19 @@ class EventQueue:
             self.accepted += 1
             if edge.t > self.max_timestamp:
                 self.max_timestamp = float(edge.t)
-            self._dispatch_ready()
-            return True
+            ready = self._ready()
+        # Inline dispatch happens after the queue lock is released: only
+        # the producer whose accept completed a batch goes on to train;
+        # the others keep buffering (up to ``capacity``) meanwhile.
+        if ready:
+            self._drain_ready()
+        return True
 
     @property
     def has_ready(self) -> bool:
         """True when a full micro-batch is buffered and dispatch is live."""
         with self._lock:
-            return not self._paused and len(self._buffer) >= self.batch_size
+            return self._ready()
 
     def dispatch_next(self) -> int:
         """Dispatch at most one ready micro-batch; returns events cut.
@@ -269,10 +293,7 @@ class EventQueue:
         an inline queue fed the same accepted events.  Returns 0 while
         paused or when fewer than ``batch_size`` events are pending.
         """
-        with self._lock:
-            if self._paused or len(self._buffer) < self.batch_size:
-                return 0
-            return self._dispatch_one(self.batch_size)
+        return self._cut_and_apply()
 
     def shed_oldest(self, reason: str) -> Optional[StreamEdge]:
         """Evict the queue head under an admission ``drop_head`` decision.
@@ -298,14 +319,30 @@ class EventQueue:
     def flush(self) -> int:
         """Dispatch everything pending (final batch may be short).
 
-        Flushing overrides ``pause`` — it is the explicit drain.
-        Returns the number of events dispatched.
+        Flushing overrides ``pause`` — it is the explicit drain.  It
+        waits for a batch in flight on another thread, then drains in
+        FIFO order.  Returns the number of events dispatched.
         """
-        with self._lock:
-            drained = 0
-            while self._buffer:
-                drained += self._dispatch_one(min(self.batch_size, len(self._buffer)))
-            return drained
+        drained = 0
+        with self.dispatch_barrier():
+            while True:
+                cut = self._cut_and_apply(force=True)
+                if not cut:
+                    return drained
+                drained += cut
+
+    @contextmanager
+    def dispatch_barrier(self) -> Iterator[None]:
+        """Hold off dispatch: no batch is cut and no handler runs on any
+        other thread inside the ``with`` body, and none is in flight when
+        it is entered.  Producers keep buffering meanwhile.
+
+        This *is* the dispatch mutex — the queue's own cut-then-apply
+        routine runs inside it — so an owner that needs the handler's
+        side effects at a batch boundary (a checkpoint) takes it too.
+        """
+        with self._dispatch_lock:
+            yield
 
     # ------------------------------------------------------- recovery support
 
@@ -313,6 +350,20 @@ class EventQueue:
         """Snapshot of not-yet-dispatched events, oldest first."""
         with self._lock:
             return tuple(self._buffer)
+
+    def buffered_at(
+        self, position: Callable[[], int]
+    ) -> Tuple[int, Tuple[StreamEdge, ...]]:
+        """``(position(), buffered())`` read at one instant.
+
+        ``position`` reads the journal's write position (the WAL's last
+        sequence number).  Every journaled decision is written under the
+        queue lock, so reading both inside one hold of it yields a pair
+        that describes a single point of the log — what a checkpoint
+        records as ``(seq, residue)``.  Must not block or call back in.
+        """
+        with self._lock:
+            return position(), tuple(self._buffer)
 
     def preload(self, edges: Iterable[StreamEdge]) -> None:
         """Restore recovered, already-journaled events into the buffer.
@@ -368,30 +419,43 @@ class EventQueue:
 
     # --------------------------------------------------------------- internals
 
-    def _dispatch_ready(self) -> None:
-        # re-check pause each round: a handler (e.g. a tripped circuit
-        # breaker) may pause the queue mid-drain.  Under defer_dispatch
-        # the inline path never drains — the dispatcher thread owns it.
-        while (
-            not self._paused
-            and not self.defer_dispatch
-            and len(self._buffer) >= self.batch_size
-        ):
-            self._dispatch_one(self.batch_size)
+    def _ready(self) -> bool:
+        # caller holds the queue lock
+        return not self._paused and len(self._buffer) >= self.batch_size
 
-    def _dispatch_one(self, size: int) -> int:
-        if self._journal is not None:
-            # write-ahead: journal the batch cut before it happens
-            self._journal("batch", None, size, "")  # reprolint: disable=hold-and-call
-        batch, self._buffer = self._buffer[:size], self._buffer[size:]
-        self.batches_dispatched += 1
-        # Dispatch-under-lock is the queue's consistency contract: the
-        # batch boundary, the ledger counters and the handler's view of
-        # them commit atomically, and the WAL replay reconstructs the
-        # exact same sequence.  The reentrant chain documented on the
-        # lock exists precisely because the handler may call back in.
-        self._handler(EdgeStream(batch))  # reprolint: disable=hold-and-call
-        return len(batch)
+    def _drain_ready(self) -> None:
+        # The inline drain; under defer_dispatch the dispatcher thread
+        # owns it.  Pause is re-checked at every cut: a handler (e.g. a
+        # tripped circuit breaker) may pause the queue mid-drain.
+        if self.defer_dispatch:
+            return
+        while self._cut_and_apply():
+            pass
+
+    def _cut_and_apply(self, force: bool = False) -> int:
+        """Cut one micro-batch and run the handler on it; returns the
+        events cut (0: nothing ready).  ``force`` cuts whatever is
+        buffered, paused or not (the flush path).
+
+        The one routine behind ``put()``'s inline dispatch,
+        ``dispatch_next()``, ``flush()`` and ``resume()``.  The barrier
+        is taken first and spans cut + handler, so batches train one at
+        a time in cut order; the queue lock covers the cut alone —
+        journal record, buffer slice, counter — and is released before
+        the handler starts.
+        """
+        with self.dispatch_barrier():
+            with self._lock:
+                size = min(self.batch_size, len(self._buffer))
+                if not (size if force else self._ready()):
+                    return 0
+                if self._journal is not None:
+                    # write-ahead: journal the batch cut before it happens
+                    self._journal("batch", None, size, "")  # reprolint: disable=hold-and-call
+                batch, self._buffer = self._buffer[:size], self._buffer[size:]
+                self.batches_dispatched += 1
+            self._handler(EdgeStream(batch))
+            return size
 
     def _dead_letter(self, edge: StreamEdge, reason: str) -> None:
         category = reason.split(":", 1)[0]

@@ -10,7 +10,9 @@ that never block each other:
 2. **Update** — each ready micro-batch runs one resumable
    :meth:`~repro.core.inslearn.InsLearnTrainer.train_one_batch` step,
    then the touched nodes' Eq. 14 embeddings are recomputed and
-   **published atomically** as a new copy-on-write snapshot.
+   **published atomically** as a new copy-on-write snapshot.  The step
+   runs under the queue's dispatch mutex only — the queue lock that
+   ``ingest()`` and ``recommend()`` take is released before it starts.
 3. **Serve** — ``recommend(user, k)`` pins the latest published
    snapshot and answers from the cached top-K index.  While an update
    is mid-flight the pinned snapshot is simply the last published one,
@@ -329,8 +331,8 @@ class RecommendationService:
         # _shard_pool).  Leaf-like by contract: never call into the
         # queue, store, index or metrics while holding it — it ranks
         # between the queue lock and the store lock in the hierarchy
-        # (DESIGN.md §12) only because update dispatch runs under the
-        # queue lock.
+        # (DESIGN.md §12) only because the journal hook reads
+        # _resilience_suspended under the queue lock.
         self._state_lock = threading.Lock()
         self._sleep = self.config.sleep_fn if self.config.sleep_fn else time.sleep
         self._stage_clock = self.config.clock_fn
@@ -973,26 +975,38 @@ class RecommendationService:
 
         ``None`` when no ``checkpoint_dir`` is configured.  The snapshot
         is keyed to the WAL position (``wal.last_seq``) so recovery can
-        replay exactly the suffix this checkpoint has not seen.
+        replay exactly the suffix this checkpoint has not seen.  Safe
+        from any thread: the queue's dispatch barrier keeps every update
+        out while the model is copied (a call from inside an update —
+        the auto-checkpoint — re-enters it), and ``(seq, residue)`` are
+        read in one hold of the queue lock, so the checkpoint describes
+        exactly one batch boundary.
         """
         if self.checkpoints is None:
             return None
         from repro.resilience.checkpoint import Checkpoint
 
-        with self._state_lock:
-            updates_applied = self._updates_applied
-            clock = self._clock
-        ckpt = Checkpoint(
-            seq=self.wal.last_seq if self.wal is not None else 0,
-            updates_applied=updates_applied,
-            clock=clock,
-            residue=list(self.queue.buffered()),
-            model_state=self.model.state_dict(),
-            model_rng_state=self.model.rng.bit_generator.state,
-            trainer_rng_state=self.trainer.rng_state(),
-            num_nodes=self.dataset.num_nodes,
-        )
-        return self.checkpoints.save(ckpt)
+        wal = self.wal
+        with self.queue.dispatch_barrier():
+            with self._state_lock:
+                updates_applied = self._updates_applied
+                clock = self._clock
+            seq, residue = self.queue.buffered_at(
+                lambda: wal.last_seq if wal is not None else 0
+            )
+            ckpt = Checkpoint(
+                seq=seq,
+                updates_applied=updates_applied,
+                clock=clock,
+                residue=list(residue),
+                model_state=self.model.state_dict(),
+                model_rng_state=self.model.rng.bit_generator.state,
+                trainer_rng_state=self.trainer.rng_state(),
+                num_nodes=self.dataset.num_nodes,
+            )
+            # saved inside the barrier too: concurrent callers at one
+            # boundary would otherwise race on the same ckpt-<seq> file
+            return self.checkpoints.save(ckpt)
 
     def restore_runtime(self, *, updates_applied: int, max_timestamp: float) -> None:
         """Adopt progress restored from a checkpoint.

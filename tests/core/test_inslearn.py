@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import inslearn
 from repro.core.config import SUPAConfig
 from repro.core.inslearn import (
     InsLearnConfig,
@@ -213,3 +214,138 @@ class TestTrainOneBatch:
             )[0]
             changed.update(int(r) % num_nodes for r in rows)
         assert changed <= set(report.touched_nodes)
+
+
+def _oracle_train_one_batch(trainer, batch):
+    """Algorithm 1's inner loop with the best model kept as a *full copy*
+    (``state_dict`` / ``load_state_dict``) — the oracle the undo-log
+    rollback in ``train_one_batch`` must match byte for byte."""
+    model, cfg = trainer.model, trainer.config
+    train, valid = batch.split_train_valid(cfg.validation_size)
+    records = inslearn._record_and_observe(model, list(train))
+    best_score, best_state, patience_used = 0.0, model.state_dict(), 0
+    for iteration in range(1, cfg.max_iterations + 1):
+        inslearn._train_pass(model, records)
+        if len(valid) and iteration % cfg.validation_interval == 0:
+            score = inslearn.validation_mrr(
+                model,
+                list(valid),
+                num_candidates=cfg.num_validation_candidates,
+                rng=trainer._rng,
+            )
+            if score > best_score:
+                best_score, best_state, patience_used = score, model.state_dict(), 0
+            else:
+                patience_used += 1
+                if patience_used > cfg.patience:
+                    break
+    if len(valid):
+        model.load_state_dict(best_state)
+    inslearn._record_and_observe(model, list(valid))
+    return best_score
+
+
+@pytest.mark.parametrize("engine", ["reference", "batched", "sharded"])
+class TestEarlyStoppingRollback:
+    """Line 20 through the undo log ≡ the full-snapshot restore, for the
+    four ways a batch can end and on every engine's save site."""
+
+    #: validation scores per iteration -> which state line 20 restores
+    OUTCOMES = {
+        "best_at_first_validation": [0.9, 0.1, 0.2, 0.3],
+        "best_at_last_iteration": [0.1, 0.2, 0.3, 0.4],  # rollback is a no-op
+        "never_better_than_start": [0.0, 0.0, 0.0, 0.0],  # back to batch start
+        "best_in_the_middle_then_patience_runs_out": [0.1, 0.5, 0.2, 0.2],
+    }
+
+    def pair(self, tiny_synthetic, engine, **cfg):
+        cfg = InsLearnConfig(
+            **{
+                **dict(
+                    batch_size=60,
+                    max_iterations=4,
+                    validation_interval=1,
+                    validation_size=12,
+                    patience=1,
+                ),
+                **cfg,
+            }
+        )
+        make = lambda: InsLearnTrainer(  # noqa: E731
+            SUPA.for_dataset(tiny_synthetic, SUPAConfig(dim=8, seed=0, engine=engine)),
+            cfg,
+        )
+        return make(), make()
+
+    @pytest.mark.parametrize("outcome", sorted(OUTCOMES))
+    def test_outcome_matches_full_snapshot_oracle(
+        self, tiny_synthetic, train_stream, monkeypatch, engine, outcome
+    ):
+        trainer, oracle = self.pair(tiny_synthetic, engine)
+        script = self.OUTCOMES[outcome]
+
+        def run(step, who):
+            # two batches: the second starts from a rolled-back state
+            for start in (0, 60):
+                scores = iter(script)
+                monkeypatch.setattr(
+                    inslearn, "validation_mrr", lambda *a, **k: next(scores)
+                )
+                best = step(who, train_stream[start : start + 60])
+            return best
+
+        trained = run(lambda t, b: t.train_one_batch(b).best_score, trainer)
+        assert trained == max(script)
+        assert run(_oracle_train_one_batch, oracle) == max(script)
+        _assert_state_identical(
+            trainer.model.state_dict(), oracle.model.state_dict()
+        )
+        assert (
+            trainer.model.rng.bit_generator.state
+            == oracle.model.rng.bit_generator.state
+        )
+        assert all(
+            a._undo is None and not a._logged.any()
+            for a in trainer.model.optimizer._adams
+        )
+
+    def test_no_validation_edges_logs_nothing(
+        self, tiny_synthetic, train_stream, monkeypatch, engine
+    ):
+        trainer, oracle = self.pair(tiny_synthetic, engine, validation_size=0)
+        marks = []
+        mark = type(trainer.model.optimizer).mark
+        monkeypatch.setattr(
+            type(trainer.model.optimizer),
+            "mark",
+            lambda self: (marks.append(1), mark(self))[1],
+        )
+        trainer.train_one_batch(train_stream[:60])
+        _oracle_train_one_batch(oracle, train_stream[:60])
+        assert marks == []
+        _assert_state_identical(
+            trainer.model.state_dict(), oracle.model.state_dict()
+        )
+
+    def test_exception_in_a_replay_pass_leaves_no_log_open(
+        self, tiny_synthetic, train_stream, engine
+    ):
+        trainer, _ = self.pair(tiny_synthetic, engine)
+        model = trainer.model
+        train_batch, calls = model.train_batch, []
+
+        def failing(records):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("kernel failure mid-batch")
+            return train_batch(records)
+
+        model.train_batch = failing
+        with pytest.raises(RuntimeError, match="mid-batch"):
+            trainer.train_one_batch(train_stream[:60])
+        assert all(
+            a._undo is None and not a._logged.any() for a in model.optimizer._adams
+        )
+        # the next batch runs normally on the same trainer
+        model.train_batch = train_batch
+        assert trainer.train_one_batch(train_stream[60:120]).iterations_run >= 1

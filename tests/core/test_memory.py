@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.memory import MemoryOptimizer, NodeMemory, SparseAdam
 
@@ -161,3 +163,108 @@ class TestMemoryOptimizer:
         opt.step({0: np.ones(4)}, {}, {}, {})
         opt.load_state_dict(state)
         assert opt.long.state_dict()["steps"][0] == 1
+
+
+# ------------------------------------------------------------------ undo log
+
+GROUPS = ("long", "short", "context", "alpha")
+
+
+def _snapshot(mem, opt):
+    """The full-copy oracle the undo log replaces: every learnable byte."""
+    return mem.state_dict(), opt.state_dict()
+
+
+def _restore(mem, opt, snapshot):
+    mem.load_state_dict(snapshot[0])
+    opt.load_state_dict(snapshot[1])
+
+
+def _state_bytes(mem, opt):
+    memory, moments = _snapshot(mem, opt)
+    flat = dict(memory)
+    for group, arrays in moments.items():
+        flat.update({f"{group}.{k}": v for k, v in arrays.items()})
+    return {k: v.tobytes() for k, v in flat.items()}
+
+
+_update = st.tuples(
+    st.just("update"),
+    st.sampled_from(GROUPS),
+    st.lists(st.integers(0, 17), min_size=1, max_size=6, unique=True),
+    st.integers(0, 2**16),
+)
+_ops = st.lists(
+    st.one_of(_update, *(st.tuples(st.just(op)) for op in ("mark", "rollback", "release"))),
+    max_size=40,
+)
+
+
+class TestUndoLog:
+    """mark / save_rows / rollback must equal state_dict → load_state_dict."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=_ops)
+    def test_rollback_equals_full_snapshot_restore(self, ops):
+        mem = make_memory()
+        opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.01)
+        # the oracle runs the same writes on a twin and restores a copy
+        twin_mem = make_memory()
+        twin = MemoryOptimizer(twin_mem, lr=0.1, weight_decay=0.01)
+        best = None  # twin snapshot at the last mark; None = log closed
+        for op, *args in ops:
+            if op == "update":
+                group, rows, seed = args
+                adam, twin_adam = getattr(opt, group), getattr(twin, group)
+                rows = np.asarray(rows, dtype=np.int64) % adam.param.shape[0]
+                rows = np.unique(rows)
+                grads = np.random.default_rng(seed).normal(
+                    size=(rows.size, adam.param.shape[1])
+                )
+                adam.save_rows(rows)
+                adam.update_rows(rows, grads)
+                twin_adam.update_rows(rows, grads)
+            elif op == "mark":
+                opt.mark()
+                best = _snapshot(twin_mem, twin)
+            elif op == "rollback" and best is not None:
+                opt.rollback()
+                _restore(twin_mem, twin, best)
+            elif op == "release":
+                opt.release()
+                best = None
+            assert _state_bytes(mem, opt) == _state_bytes(twin_mem, twin)
+        if best is not None:
+            opt.rollback()
+            _restore(twin_mem, twin, best)
+            assert _state_bytes(mem, opt) == _state_bytes(twin_mem, twin)
+        opt.release()
+        for adam in opt._adams:
+            assert adam._undo is None and not adam._logged.any()
+
+    def test_closed_log_saves_nothing(self):
+        mem = make_memory()
+        opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)
+        opt.save_rows(np.array([0, 1]), np.array([2, 3]))
+        opt.step({0: np.ones(4)}, {}, {}, {0: 1.0})
+        assert all(a._undo is None for a in opt._adams)
+
+    def test_step_and_pass_level_saves_cover_their_writes(self):
+        """The two production save sites: ``step`` (reference engine,
+        gradient-dict keys) and ``save_rows`` (compiled engines, one call
+        per pass with repeated rows) — alpha through its ``[:, None]`` view."""
+        mem = make_memory()
+        opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)
+        opt.step({1: np.ones(4)}, {1: np.ones(4)}, {3: np.ones(4)}, {1: 0.5})
+        start = _state_bytes(mem, opt)
+        opt.mark()
+        opt.step({1: np.ones(4), 2: np.ones(4)}, {2: np.ones(4)}, {3: np.ones(4)}, {1: 2.0})
+        opt.save_rows(np.array([4, 4, 1]), np.array([3, 9, 9]))
+        opt.long.update_rows(np.array([1, 4]), np.ones((2, 4)))
+        opt.context.update_rows(np.array([3, 9]), np.ones((2, 4)))
+        opt.alpha.update_rows(np.array([0, 1]), np.ones((2, 1)))
+        assert _state_bytes(mem, opt) != start
+        opt.rollback()
+        assert _state_bytes(mem, opt) == start
+        assert mem.alpha[1] != 0.0  # the pre-mark value, not the initial one
+        opt.release()

@@ -8,6 +8,8 @@ state, RNG streams, clock and served top-K lists.
 """
 
 import os
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from repro.core.inslearn import InsLearnConfig
 from repro.core.model import SUPA
 from repro.datasets.zoo import load_dataset
 from repro.resilience import RecoveryError, recover
-from repro.resilience.checkpoint import _flatten
+from repro.resilience.checkpoint import CheckpointManager, _flatten
+from repro.resilience.recovery import fold_queue_log
+from repro.resilience.wal import iter_records
 from repro.serve.service import RecommendationService, ServeConfig
 
 MODEL_CFG = SUPAConfig(dim=16, num_walks=2, walk_length=2, seed=0)
@@ -187,3 +191,79 @@ def test_recovery_from_empty_state_is_fresh_service(dataset, tmp_path):
     assert result.replayed_events == 0
     assert result.service.queue.accepted == 0
     result.service.close()
+
+
+def test_checkpoint_from_another_thread_is_one_batch_boundary(
+    dataset, golden, tmp_path
+):
+    """``checkpoint()`` is public: called from a thread that is not the
+    dispatcher it must wait for the update in flight, then pair a model
+    copy, ``updates_applied``, ``seq`` and ``residue`` that all describe
+    the same instant of the log — while producers keep ingesting."""
+    config = replace(
+        durable_config(tmp_path),
+        checkpoint_every=0,
+        async_dispatch=True,
+        dispatch_poll_seconds=0.005,
+    )
+    service = RecommendationService(
+        dataset,
+        model=SUPA.for_dataset(dataset, MODEL_CFG),
+        config=config,
+        train_config=TRAIN_CFG,
+    )
+    entered, release = threading.Event(), threading.Event()
+    train = service.trainer.train_one_batch
+
+    def parked(batch, batch_index=0):
+        if batch_index == 1:  # hold the second update mid-flight
+            entered.set()
+            assert release.wait(30)
+        return train(batch, batch_index=batch_index)
+
+    service.trainer.train_one_batch = parked
+    edges = list(dataset.stream)
+    paths = []
+    writer = threading.Thread(target=lambda: paths.append(service.checkpoint()))
+    try:
+        for edge in edges[:70]:  # two full batches + 6 buffered
+            assert service.ingest(edge)
+        assert entered.wait(30)
+        writer.start()
+        writer.join(0.3)
+        assert writer.is_alive()  # an update is in flight: no checkpoint yet
+        for edge in edges[70:75]:  # the log and the buffer move meanwhile
+            assert service.ingest(edge)
+    finally:
+        release.set()
+    writer.join(30)
+    assert not writer.is_alive()
+    service.close()  # the crash: 11 events journaled but never trained
+
+    manager = CheckpointManager(config.checkpoint_dir)
+    ckpt = manager.load(paths[0])
+    prefix = fold_queue_log(iter_records(config.wal_path), upto_seq=ckpt.seq)
+    assert ckpt.updates_applied == 2
+    assert len(prefix.trained) == 2 * config.batch_size
+    assert list(ckpt.residue) == prefix.fifo
+    assert 6 <= len(ckpt.residue) <= 11
+
+    result = recover(
+        dataset,
+        serve_config=replace(config, async_dispatch=False),
+        model_config=MODEL_CFG,
+        train_config=TRAIN_CFG,
+    )
+    assert result.checkpoint_seq == ckpt.seq
+    assert result.replayed_batches == 0 and result.residue_events == 11
+    recovered = result.service
+    for edge in edges[75:]:
+        recovered.ingest(edge)
+    recovered.flush()
+    recovered.close()
+    assert state_bytes(recovered) == state_bytes(golden)
+    assert (
+        recovered.model.rng.bit_generator.state
+        == golden.model.rng.bit_generator.state
+    )
+    assert recovered.trainer.rng_state() == golden.trainer.rng_state()

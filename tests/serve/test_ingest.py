@@ -277,3 +277,67 @@ class TestConcurrentPut:
         assert q.dropped == offered - self.CAPACITY  # ...at the old ones' expense
         assert dispatched + q.pending == q.accepted - q.dropped
         assert dispatched == self.CAPACITY and q.pending == 0
+
+    def test_unpaused_inline_hammer_cuts_fifo_batches(self):
+        """Several producers, dispatch live, a handler that takes time:
+        whoever completes a batch trains it while the others keep
+        buffering.  The ledger balances and the batches are exactly the
+        ones a single producer would cut from the same accepted order."""
+        import sys
+        import threading
+        import time
+
+        from repro.analysis import threadcheck
+
+        batches, accepted_order = [], []
+
+        def handler(batch):
+            batches.append(list(batch))
+            time.sleep(0.0005)  # long enough for the other producers to pile up
+
+        def journal(kind, edge_, count, reason):
+            if kind == "accept":
+                accepted_order.append(edge_)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with threadcheck() as monitor:
+                q = EventQueue(
+                    handler, batch_size=8, capacity=self.CAPACITY, journal=journal
+                )
+                raised = [0] * self.THREADS
+
+                def worker(tid):
+                    for i in range(self.PER_THREAD):
+                        try:
+                            # equal timestamps: a batch keeps arrival order
+                            q.put(edge(tid * self.PER_THREAD + i, t=0.0))
+                        except BackpressureError:
+                            raised[tid] += 1
+
+                threads = [
+                    threading.Thread(target=worker, args=(t,))
+                    for t in range(self.THREADS)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(60)
+                assert not any(t.is_alive() for t in threads)
+                dispatched = sum(len(b) for b in batches)
+                assert q.accepted == dispatched + q.pending
+                assert q.pending < q.batch_size  # nothing ready was left behind
+                q.flush()
+        finally:
+            sys.setswitchinterval(interval)
+        assert monitor.inversions == [] and monitor.unguarded_writes == []
+        assert q.accepted + sum(raised) == self.THREADS * self.PER_THREAD
+        assert len(accepted_order) == q.accepted
+
+        single_batches, single_handler = collector()
+        single = EventQueue(single_handler, batch_size=8, capacity=self.CAPACITY)
+        for e in accepted_order:
+            single.put(e)
+        single.flush()
+        assert batches == [list(b) for b in single_batches]

@@ -3,6 +3,7 @@ crash routing into the breaker, and the deterministic retry deadline.
 """
 
 import math
+import threading
 import time
 
 import numpy as np
@@ -245,3 +246,80 @@ class TestShedAccounting:
         assert by_reason["malformed"] == 1
         assert svc.metrics.counter("ingest.shed").value == 1
         assert svc.metrics.counter("ingest.rejected").value == 1
+
+
+class TestNobodyWaitsOnAnUpdate:
+    """An update holds the dispatch mutex, never the queue lock: with the
+    handler parked mid-update every ingest- and read-side call still
+    returns, and only another dispatcher (``flush``) waits its turn."""
+
+    def test_ingest_and_reads_return_while_an_update_is_parked(
+        self, small_dataset
+    ):
+        from repro.analysis import threadcheck
+
+        edges = list(small_dataset.stream)[:4] + [
+            StreamEdge(u=i % 5, v=5 + (i * 3) % 5, t=10.0 + i, edge_type="click")
+            for i in range(12)
+        ]
+        entered, release = threading.Event(), threading.Event()
+        trained, results = [], {}
+        with threadcheck() as monitor:
+            svc = make_service(
+                small_dataset,
+                async_dispatch=True,
+                dispatch_poll_seconds=0.005,
+                admission=AdmissionConfig(),
+            )
+            train = svc.trainer.train_one_batch
+
+            def parked(batch, batch_index=0):
+                trained.append(list(batch))
+                if batch_index == 0:
+                    entered.set()
+                    assert release.wait(30)
+                return train(batch, batch_index=batch_index)
+
+            svc.trainer.train_one_batch = parked
+
+            def bystander():
+                results["put"] = svc.queue.put(edges[4])
+                results["pending"] = svc.queue.pending
+                results["has_ready"] = svc.queue.has_ready
+                results["shed"] = svc.queue.shed_oldest("shed: test")
+                results["ingest"] = [svc.ingest(e) for e in edges[5:14]]
+                results["recommend"] = svc.recommend(0, k=3)
+                results["query"] = svc.query(0, k=3)
+
+            caller = threading.Thread(target=bystander)
+            flusher = threading.Thread(
+                target=lambda: results.__setitem__("flushed", svc.flush())
+            )
+            try:
+                for e in edges[:4]:  # one full micro-batch: the update parks
+                    assert svc.ingest(e)
+                assert entered.wait(30)
+                caller.start()
+                caller.join(10)
+                assert not caller.is_alive()  # nobody waited on the update
+                flusher.start()
+                flusher.join(0.3)
+                assert flusher.is_alive()  # a second dispatcher does wait
+            finally:
+                release.set()
+            flusher.join(30)
+            caller.join(30)
+            assert not flusher.is_alive()
+            svc.close()
+
+        assert results["put"] is True and results["pending"] == 1
+        assert results["has_ready"] is False and results["shed"] == edges[4]
+        assert results["ingest"] == [True] * 9
+        assert len(results["recommend"]) == 3 and not results["query"].degraded
+        # flush waited for the batch in flight, then everything drained
+        # FIFO in count-cut batches, whichever thread cut them
+        assert [len(b) for b in trained] == [4, 4, 4, 1]
+        assert [e for b in trained for e in b] == edges[:4] + edges[5:14]
+        assert svc.queue.pending == 0
+        assert monitor.inversions == [] and monitor.unguarded_writes == []
+        assert ("EventQueue._dispatch_lock", "EventQueue._lock") in monitor.order_edges()
