@@ -265,7 +265,6 @@ def default_audits() -> List[Audit]:
     from the source — ``tests/analysis/test_sanitizer.py`` cross-checks
     the two so they cannot drift apart.
     """
-    from repro.core.shard.executor import ShardedEngine
     from repro.obs.hdr import HdrHistogram
     from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
     from repro.obs.quality import StreamingQualityEvaluator
@@ -321,7 +320,6 @@ def default_audits() -> List[Audit]:
         ),
         audit(DecayedEmbeddingStore, "_lock", {"_current"}),
         audit(DecayedSnapshot, "_lock", {"_cache"}),
-        audit(ShardedEngine, "_pool_lock", {"_pool"}),
         audit(
             TopKIndex,
             "_lock",

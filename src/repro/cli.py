@@ -27,9 +27,6 @@ Commands:
 * ``bench-train`` — measure steady-state training throughput of the
   reference vs batched execution engine (with a bitwise parity check)
   and optionally enforce a minimum speedup.
-* ``shard-smoke`` — train the same stream prefix with the sharded
-  engine at 1 vs N workers and gate bitwise on state fingerprint, RNG
-  stream, losses and served top-K (the CI shard-parity smoke).
 * ``lint`` — run the reprolint static-analysis suite over the source
   tree (see :mod:`repro.analysis`).
 * ``obs`` — run a short traced replay and print the observability
@@ -950,90 +947,6 @@ def cmd_bench_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_shard_smoke(args: argparse.Namespace) -> int:
-    """Bitwise worker-count-invariance gate for the sharded engine.
-
-    Trains the same stream prefix with ``engine="sharded"`` at 1 and
-    ``--workers`` workers, then asserts the two runs are bitwise equal:
-    state fingerprint (every parameter and optimiser moment), model RNG
-    stream, per-batch mean losses — and that both consumed the *same*
-    RNG stream as the batched engine (compile runs on the coordinator).
-    Finally serves both models and compares top-K answers.  Exit 1 on
-    any mismatch; this is the CI shard-parity smoke.
-    """
-    import numpy as np
-
-    from repro.core.inslearn import InsLearnTrainer
-    from repro.core.model import SUPA
-    from repro.replicate.failover import state_fingerprint
-    from repro.serve.service import RecommendationService, ServeConfig
-
-    def run(engine: str, workers: int):
-        dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-        cfg = SUPAConfig(
-            seed=args.seed,
-            engine=engine,
-            shard_workers=workers,
-            shard_min_chunk=2,
-        )
-        model = SUPA.for_dataset(dataset, config=cfg)
-        trainer = InsLearnTrainer(
-            model,
-            InsLearnConfig(
-                batch_size=args.batch_size,
-                max_iterations=4,
-                validation_interval=2,
-                validation_size=20,
-                seed=args.seed,
-            ),
-        )
-        batches = list(dataset.stream.sequential_batches(args.batch_size))
-        batches = batches[: args.batches]
-        losses = [
-            trainer.train_one_batch(b, batch_index=i).mean_loss
-            for i, b in enumerate(batches)
-        ]
-        service = RecommendationService(
-            dataset, model=model, config=ServeConfig(batch_size=args.batch_size)
-        )
-        topk = np.concatenate(
-            [service.recommend(u, k=10) for u in range(min(5, dataset.num_nodes))]
-        )
-        service.close()
-        return {
-            "fingerprint": state_fingerprint(service),
-            "rng": model.rng.bit_generator.state,
-            "losses": losses,
-            "topk": topk,
-        }
-
-    base = run("sharded", 1)
-    multi = run("sharded", args.workers)
-    batched = run("batched", 1)
-    checks = [
-        ("state fingerprint 1 vs N", base["fingerprint"] == multi["fingerprint"]),
-        ("model RNG stream 1 vs N", base["rng"] == multi["rng"]),
-        ("mean losses 1 vs N", base["losses"] == multi["losses"]),
-        ("served top-K 1 vs N", bool(np.array_equal(base["topk"], multi["topk"]))),
-        ("RNG stream sharded vs batched", base["rng"] == batched["rng"]),
-    ]
-    print(
-        format_table(
-            ["check", "result"],
-            [[name, "ok" if ok else "MISMATCH"] for name, ok in checks],
-            title=(
-                f"shard parity smoke ({args.dataset}, scale={args.scale}, "
-                f"workers 1 vs {args.workers}, fingerprint "
-                f"{base['fingerprint'][:12]})"
-            ),
-        )
-    )
-    if all(ok for _, ok in checks):
-        return 0
-    print("FAIL: sharded execution is not worker-count invariant")
-    return 1
-
-
 def cmd_export(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     save_edge_tsv(dataset.stream, args.output)
@@ -1446,22 +1359,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON report path ('' to skip writing)",
     )
     p.set_defaults(func=cmd_bench_train)
-
-    p = sub.add_parser(
-        "shard-smoke",
-        help="bitwise 1-vs-N-worker parity gate for the sharded engine",
-    )
-    p.add_argument(
-        "--dataset",
-        default="movielens",
-        choices=sorted(DATASET_BUILDERS),
-    )
-    p.add_argument("--scale", type=float, default=0.08)
-    p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--workers", type=int, default=4, help="multi-worker side")
-    p.add_argument("--batch-size", type=int, default=96)
-    p.add_argument("--batches", type=int, default=2, help="stream prefix batches")
-    p.set_defaults(func=cmd_shard_smoke)
 
     p = sub.add_parser(
         "lint", help="run the reprolint static-analysis suite"

@@ -90,28 +90,12 @@ class SUPAConfig:
     #: better on the drifting datasets, so it is the default.
     decay_at_inference: bool = True
     #: Which execution engine runs ``train_step``: ``"batched"`` compiles
-    #: micro-batches into structure-of-arrays plans and executes them
-    #: with vectorised kernels; ``"reference"`` is the original per-edge
-    #: object path kept as the correctness oracle.  Both produce
-    #: bitwise-identical results (``tests/core/test_engine_parity.py``).
-    #: ``"sharded"`` reuses the batched compile step but executes each
-    #: plan as conflict-free rounds on a worker pool
-    #: (:mod:`repro.core.shard`) — bitwise invariant across worker
-    #: counts, intentionally not bitwise against ``"batched"`` on rows
-    #: shared within a round (DESIGN §14).
+    #: micro-batches into structure-of-arrays plans and executes them as
+    #: conflict-free rounds of stacked kernels; ``"reference"`` is the
+    #: per-edge object path of the same round semantics, kept as the
+    #: correctness oracle.  Both produce bitwise-identical results
+    #: (``tests/core/test_engine_parity.py``, DESIGN §9).
     engine: str = "batched"
-    #: Worker-pool size for ``engine="sharded"``; also the maximum
-    #: number of chunks a conflict-free round is cut into.
-    shard_workers: int = 4
-    #: How sharded chunks execute: ``"thread"`` (pool sharing the live
-    #: memory arrays), ``"process"`` (pre-gathered picklable tasks), or
-    #: ``"serial"`` (in-line on the coordinator — same schedule and
-    #: merge, used for deterministic tests and clean per-chunk timing).
-    shard_backend: str = "thread"
-    #: Rounds smaller than ``shard_min_chunk * 2`` edges stay on one
-    #: worker: chunk bounds never cut below this many edges, so tiny
-    #: rounds don't pay pool dispatch for no win.
-    shard_min_chunk: int = 8
     #: Record ``repro.obs`` spans while training.  Off by default: the
     #: no-op tracer keeps instrumented hot paths free (DESIGN §10's
     #: overhead budget); flip on for per-phase wall-time attribution.
@@ -121,23 +105,9 @@ class SUPAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.engine not in ("reference", "batched", "sharded"):
+        if self.engine not in ("reference", "batched"):
             raise ValueError(
-                "engine must be 'reference', 'batched' or 'sharded', "
-                f"got {self.engine!r}"
-            )
-        if self.shard_workers < 1:
-            raise ValueError(
-                f"shard_workers must be >= 1, got {self.shard_workers}"
-            )
-        if self.shard_backend not in ("thread", "process", "serial"):
-            raise ValueError(
-                "shard_backend must be 'thread', 'process' or 'serial', "
-                f"got {self.shard_backend!r}"
-            )
-        if self.shard_min_chunk < 1:
-            raise ValueError(
-                f"shard_min_chunk must be >= 1, got {self.shard_min_chunk}"
+                f"engine must be 'reference' or 'batched', got {self.engine!r}"
             )
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")

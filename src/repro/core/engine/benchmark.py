@@ -103,8 +103,6 @@ def measure_train_throughput(
     loss arrays must be bitwise equal — a speedup measured against a
     numerically different computation would be meaningless.
     """
-    # Explicitly the reference-vs-batched pair (not ENGINE_NAMES: the
-    # sharded engine has its own protocol in bench_ablation_sharding).
     results = {
         name: measure_engine(
             dataset, name, warm_history, batch_size, passes, repeats, seed, config

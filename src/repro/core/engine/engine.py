@@ -1,31 +1,38 @@
-"""The two execution engines behind ``SUPA.train_step``.
+"""The execution engine behind ``SUPA.train_step`` and its oracle.
 
-:class:`ReferenceEngine` is the original per-edge path: Python objects
-for walks and hops, dict-based gradient accumulation, one model update
-per streamed edge.  It is easy to audit line-by-line against the paper
-and stays as the correctness oracle.
+One semantics, two implementations (DESIGN.md §9).  A micro-batch is
+partitioned into conflict-free *rounds* — edges with pairwise-disjoint
+endpoints (:func:`repro.core.shard.schedule.partition_round_indices`).
+Rounds run in order; within a round every edge's gradients are taken
+against round-start memory and applied at the round barrier, in edge
+order on the rows several of its edges share.  A single streamed edge
+is a round of one, so ``train_step`` is plain per-edge SGD.
 
-:class:`BatchedEngine` compiles a micro-batch of edges into a
-structure-of-arrays :class:`~repro.core.engine.plan.BatchPlan` up front
-(:mod:`repro.core.engine.plan`) and then executes each edge as a
-handful of gathers and array kernels — no per-walk/per-hop Python
-objects, no dict bookkeeping, and neighbour queries answered from a
-:class:`~repro.graph.sampling.NeighborCandidateCache` that survives
-across InsLearn's replay iterations.
+:class:`BatchedEngine` is the production path: it compiles the
+micro-batch into a structure-of-arrays
+:class:`~repro.core.engine.plan.BatchPlan` (all sampling up front,
+:mod:`repro.core.engine.plan`), re-lays it out round-major
+(:func:`repro.core.shard.schedule.build_schedule`) and executes each
+round as a handful of stacked ``[round, dim]`` kernels — Python
+dispatch is paid per round, not per edge.
 
-Both engines route every float through the same kernels
+:class:`ReferenceEngine` is the per-edge oracle of the same semantics:
+Python objects for walks and hops, dict-based gradient accumulation,
+one optimiser step per edge.  It is easy to audit line-by-line against
+the paper.
+
+Both route every float through the same kernels
 (:mod:`repro.core.engine.kernels`), draw from the model RNG in the same
-order, and gate optimiser updates on the same "did this parameter get a
-gradient" conditions, which makes their results *bitwise* identical —
-losses, memories, Adam moments and touched-node sets — as enforced by
-``tests/core/test_engine_parity.py``.  Per-edge optimiser steps are
-kept in both engines (edges in a batch share alpha/context rows, so
-cross-edge fusion would change the semantics, not just the speed).
+order (stream order, at compile time), and gate optimiser updates on
+the same "did this parameter get a gradient" conditions, which makes
+their results *bitwise* identical — losses, memories, Adam moments,
+touched-node sets and RNG state — as enforced by
+``tests/core/test_engine_parity.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,17 +40,19 @@ from repro.core.engine import kernels
 from repro.core.engine.plan import compile_plan
 from repro.core.interactor import interaction_loss, interaction_loss_backward
 from repro.core.propagation import propagation_loss, propagation_loss_backward
+from repro.core.shard.schedule import build_schedule, partition_round_indices
 from repro.core.updater import target_embedding, target_embedding_backward
-from repro.graph.sampling import NeighborCandidateCache, sample_influenced_graph_compiled
+from repro.graph.sampling import (
+    InfluencedGraph,
+    NeighborCandidateCache,
+    sample_influenced_graph_compiled,
+)
 from repro.graph.streams import StreamEdge
-from repro.obs.trace import NULL_TRACER
 
 _Record = Tuple[StreamEdge, float, float]
 
-#: Engine names accepted by ``SUPAConfig.engine``.  ``"sharded"``
-#: (``repro.core.shard``) shares the batched compile step and executes
-#: plans as conflict-free rounds on a worker pool.
-ENGINE_NAMES = ("reference", "batched", "sharded")
+#: Engine names accepted by ``SUPAConfig.engine``.
+ENGINE_NAMES = ("reference", "batched")
 
 
 class _EngineBase:
@@ -57,32 +66,81 @@ class _EngineBase:
     def train_step(
         self, u: int, v: int, edge_type: str, t: float, delta_u: float, delta_v: float
     ) -> float:
-        raise NotImplementedError
+        """One edge is a micro-batch of one (a single round)."""
+        record = (StreamEdge(u=u, v=v, edge_type=edge_type, t=t), delta_u, delta_v)
+        return float(self.train_batch((record,))[0])
 
     def train_batch(self, records: Sequence[_Record]) -> np.ndarray:
-        """Train on each record in order; returns per-edge losses.
+        """Train on ``records`` round by round; returns per-edge losses.
 
         Leaves the union of the batch's touched nodes (sorted tuple) on
-        ``model.last_touched_nodes``.
+        ``model.last_touched_nodes`` and the last record's loss terms on
+        ``model.last_loss_components``.
         """
         raise NotImplementedError
 
 
+class _EdgeSample(NamedTuple):
+    """One edge's stochastic decisions, drawn in stream order."""
+
+    influenced: Optional[InfluencedGraph]
+    #: u-side then v-side negative draws (``None`` with Eq. 12 off)
+    negatives: Optional[Tuple[np.ndarray, np.ndarray]]
+
+
+class _EdgeGradients(NamedTuple):
+    """One edge's loss terms and per-row gradients, not yet applied."""
+
+    components: Dict[str, float]
+    long: Dict[int, np.ndarray]
+    short: Dict[int, np.ndarray]
+    context: Dict[int, np.ndarray]
+    alpha: Dict[int, float]
+
+
 class ReferenceEngine(_EngineBase):
-    """The legacy per-edge object path (the correctness oracle)."""
+    """The per-edge object path (the correctness oracle)."""
 
     name = "reference"
 
-    def train_step(
-        self, u: int, v: int, edge_type: str, t: float, delta_u: float, delta_v: float
-    ) -> float:
+    def _sample(self, edge: StreamEdge) -> _EdgeSample:
+        """Walks, then u-side and v-side negatives — the RNG draw order
+        :func:`~repro.core.engine.plan.compile_plan` reproduces."""
+        model = self.model
+        cfg = model.config
+        influenced = None
+        if cfg.use_prop and cfg.num_walks > 0:
+            influenced = sample_influenced_graph_compiled(
+                model.graph,
+                edge.u,
+                edge.v,
+                model.schema.edge_type_id(edge.edge_type),
+                edge.t,
+                model._compiled_metapaths,
+                num_walks=cfg.num_walks,
+                walk_length=cfg.walk_length,
+                rng=model.rng,
+            )
+        negatives = None
+        if cfg.use_neg and cfg.num_negatives > 0:
+            node_type_ids = model._node_type_ids
+            negatives = tuple(
+                model.negatives.sample(int(opposite), cfg.num_negatives, model.rng)
+                for opposite in (node_type_ids[edge.v], node_type_ids[edge.u])
+            )
+        return _EdgeSample(influenced, negatives)
+
+    def _edge_gradients(self, record: _Record, sample: _EdgeSample) -> _EdgeGradients:
+        """Eq. 5/7/10/12 forward and backward for one edge against the
+        memory as it stands; writes nothing."""
+        edge, delta_u, delta_v = record
+        u, v, t = edge.u, edge.v, edge.t
         model = self.model
         cfg = model.config
         tracer = model.tracer
         memory = model.memory
         node_type_ids = model._node_type_ids
-        rel = model.schema.edge_type_id(edge_type)
-        slot = memory.context_slot(rel)
+        slot = memory.context_slot(model.schema.edge_type_id(edge.edge_type))
 
         grad_h_star_u = np.zeros(cfg.dim, dtype=np.float64)
         grad_h_star_v = np.zeros(cfg.dim, dtype=np.float64)
@@ -111,22 +169,10 @@ class ReferenceEngine(_EngineBase):
                 components["inter"] = inter.loss
 
         # --- propagation loss (Eq. 10) ----------------------------------
-        if cfg.use_prop and cfg.num_walks > 0:
-            with tracer.span("core.engine.sample"):
-                influenced = sample_influenced_graph_compiled(
-                    model.graph,
-                    u,
-                    v,
-                    rel,
-                    t,
-                    model._compiled_metapaths,
-                    num_walks=cfg.num_walks,
-                    walk_length=cfg.walk_length,
-                    rng=model.rng,
-                )
+        if sample.influenced is not None:
             with tracer.span("core.engine.propagate"):
                 prop = propagation_loss(
-                    memory, influenced, fwd_u.h_star, fwd_v.h_star, t, cfg
+                    memory, sample.influenced, fwd_u.h_star, fwd_v.h_star, t, cfg
                 )
                 if prop.steps:
                     g_u, g_v, ctx = propagation_loss_backward(
@@ -141,17 +187,14 @@ class ReferenceEngine(_EngineBase):
                 components["prop"] = prop.loss
 
         # --- negative sampling loss (Eq. 12) -----------------------------
-        if cfg.use_neg and cfg.num_negatives > 0:
+        if sample.negatives is not None:
             with tracer.span("core.engine.negative"):
                 neg_loss = 0.0
                 sides = (
-                    (fwd_u, grad_h_star_u, node_type_ids[v]),
-                    (fwd_v, grad_h_star_v, node_type_ids[u]),
+                    (fwd_u, grad_h_star_u, sample.negatives[0]),
+                    (fwd_v, grad_h_star_v, sample.negatives[1]),
                 )
-                for fwd, grad_h_star, opposite_type in sides:
-                    samples = model.negatives.sample(
-                        int(opposite_type), cfg.num_negatives, model.rng
-                    )
+                for fwd, grad_h_star, samples in sides:
                     if samples.size:
                         side_loss, ctx_grads, grad_h_add = (
                             kernels.negative_forward_backward(
@@ -167,44 +210,58 @@ class ReferenceEngine(_EngineBase):
                             )
                 components["neg"] = neg_loss
 
-        # --- backprop through the updater and apply ----------------------
-        with tracer.span("core.engine.apply"):
-            long_grads: Dict[int, np.ndarray] = {}
-            short_grads: Dict[int, np.ndarray] = {}
-            alpha_grads: Dict[int, float] = {}
-            for fwd, grad in ((fwd_u, grad_h_star_u), (fwd_v, grad_h_star_v)):
-                g_long, g_short, g_alpha = target_embedding_backward(
-                    memory, fwd, grad, cfg
+        # --- backprop through the updater --------------------------------
+        long_grads: Dict[int, np.ndarray] = {}
+        short_grads: Dict[int, np.ndarray] = {}
+        alpha_grads: Dict[int, float] = {}
+        for fwd, grad in ((fwd_u, grad_h_star_u), (fwd_v, grad_h_star_v)):
+            g_long, g_short, g_alpha = target_embedding_backward(
+                memory, fwd, grad, cfg
+            )
+            long_grads[fwd.node] = long_grads.get(fwd.node, 0.0) + g_long
+            if g_short is not None:
+                short_grads[fwd.node] = short_grads.get(fwd.node, 0.0) + g_short
+            if g_alpha is not None:
+                alpha_grads[fwd.alpha_slot] = (
+                    alpha_grads.get(fwd.alpha_slot, 0.0) + g_alpha
                 )
-                long_grads[fwd.node] = long_grads.get(fwd.node, 0.0) + g_long
-                if g_short is not None:
-                    short_grads[fwd.node] = short_grads.get(fwd.node, 0.0) + g_short
-                if g_alpha is not None:
-                    alpha_grads[fwd.alpha_slot] = (
-                        alpha_grads.get(fwd.alpha_slot, 0.0) + g_alpha
-                    )
-
-            model.optimizer.step(long_grads, short_grads, context_grads, alpha_grads)
-        num_nodes = memory.num_nodes
-        touched = set(long_grads)
-        touched.update(short_grads)
-        touched.update(row % num_nodes for row in context_grads)
-        model.last_touched_nodes = tuple(sorted(touched))
-        model.last_loss_components = components
-        return float(sum(components.values()))
+        return _EdgeGradients(
+            components, long_grads, short_grads, context_grads, alpha_grads
+        )
 
     def train_batch(self, records: Sequence[_Record]) -> np.ndarray:
+        model = self.model
+        tracer = model.tracer
         losses = np.empty(len(records), dtype=np.float64)
+        if not len(records):
+            model.last_touched_nodes = ()
+            return losses
+        with tracer.span("core.engine.sample", edges=len(records)):
+            samples = [self._sample(edge) for edge, _, _ in records]
+        uv = np.asarray([(edge.u, edge.v) for edge, _, _ in records], dtype=np.int64)
+        num_nodes = model.memory.num_nodes
         touched: set = set()
-        for i, (e, du, dv) in enumerate(records):
-            losses[i] = self.train_step(e.u, e.v, e.edge_type, e.t, du, dv)
-            touched.update(self.model.last_touched_nodes)
-        self.model.last_touched_nodes = tuple(sorted(touched))
+        for round_edges in partition_round_indices(uv):
+            # Every gradient of the round before any write of the round.
+            gradients = [
+                self._edge_gradients(records[b], samples[b]) for b in round_edges
+            ]
+            with tracer.span("core.engine.apply", edges=len(round_edges)):
+                for b, grads in zip(round_edges, gradients):
+                    model.optimizer.step(
+                        grads.long, grads.short, grads.context, grads.alpha
+                    )
+                    losses[b] = float(sum(grads.components.values()))
+                    touched.update(grads.long)
+                    touched.update(row % num_nodes for row in grads.context)
+                    if b == len(records) - 1:
+                        model.last_loss_components = grads.components
+        model.last_touched_nodes = tuple(sorted(touched))
         return losses
 
 
 class BatchedEngine(_EngineBase):
-    """Plan-compiled structure-of-arrays execution."""
+    """Plan-compiled, round-stacked execution (the production engine)."""
 
     name = "batched"
 
@@ -215,238 +272,254 @@ class BatchedEngine(_EngineBase):
         #: after the first pass is a cache hit.
         self.candidate_cache = NeighborCandidateCache(model.graph)
 
-    def train_step(
-        self, u: int, v: int, edge_type: str, t: float, delta_u: float, delta_v: float
-    ) -> float:
-        record = (StreamEdge(u=u, v=v, edge_type=edge_type, t=t), delta_u, delta_v)
-        return float(self.train_batch((record,))[0])
-
     def train_batch(self, records: Sequence[_Record]) -> np.ndarray:
-        """Compile the micro-batch, then execute the plan edge by edge.
+        """Compile the micro-batch, then execute the plan round by round.
 
-        With tracing enabled the two halves get their own spans
-        (``core.engine.compile`` / ``core.engine.execute``), kernel
-        self-times are attributed via wrapped kernels, and plan-size
-        counters land in the tracer's registry; with the default no-op
-        tracer the only extra work is one ``enabled`` check per batch.
+        The two halves get their own spans (``core.engine.compile`` /
+        ``core.engine.execute``); with the default no-op tracer a span
+        is one shared do-nothing context manager per batch.
         """
         model = self.model
         if not len(records):
             model.last_touched_nodes = ()
             return np.empty(0, dtype=np.float64)
         tracer = model.tracer
-        if not tracer.enabled:
-            plan = compile_plan(model, records, self.candidate_cache)
-            # Undo-log pre-images for the whole pass in one vectorised
-            # call: the plan names every row execution can write (the
-            # interactive endpoints, each edge's unique context rows), so
-            # InsLearn's rollback needs no hook in the per-edge loop.
-            model.optimizer.save_rows(plan.uv.reshape(-1), plan.ctx_uniq_rows)
-            return self._execute_plan(plan)
         with tracer.span("core.engine.compile", edges=len(records)):
             plan = compile_plan(model, records, self.candidate_cache)
-        self._record_plan_metrics(plan, tracer.registry)
         with tracer.span("core.engine.execute", edges=plan.num_edges):
-            model.optimizer.save_rows(plan.uv.reshape(-1), plan.ctx_uniq_rows)
-            return self._execute_plan(plan, tracer)
+            return self._execute_plan(plan)
 
-    def _record_plan_metrics(self, plan, registry) -> None:
-        """Plan-size counters + candidate-cache hit rate (traced runs)."""
+    def _record_plan_metrics(self, plan, schedule, registry) -> None:
+        """Plan- and round-size telemetry + candidate-cache hit rate."""
         if registry is None:
             return
         registry.counter("engine.plan.edges").inc(plan.num_edges)
         registry.counter("engine.plan.walk_steps").inc(len(plan.step_rows))
         registry.counter("engine.plan.negatives").inc(len(plan.neg_rows))
         registry.counter("engine.plan.ctx_rows").inc(len(plan.ctx_uniq_rows))
+        registry.counter("engine.plan.rounds").inc(schedule.num_rounds)
+        registry.counter("engine.plan.contended_ctx_rows").inc(
+            schedule.contended_ctx_rows
+        )
+        round_edges = registry.hdr_histogram(
+            "engine.round.edges", min_value=1.0, max_value=1e4
+        )
+        for size in np.diff(schedule.edge_bounds).tolist():
+            round_edges.observe(size)
         cache = self.candidate_cache
         registry.counter("graph.sampling.cache_queries").set(
             cache.hits + cache.misses
         )
         registry.gauge("graph.sampling.cache_hit_rate").set(cache.hit_rate)
 
-    def _execute_plan(self, plan, tracer=NULL_TRACER) -> np.ndarray:
-        """Execute a compiled plan edge by edge.
+    def _execute_plan(self, plan) -> np.ndarray:
+        """Execute a compiled plan as conflict-free rounds.
 
-        The per-edge body is written inline (rather than as per-phase
-        helpers) with every loop-invariant lookup hoisted to a local:
-        this loop runs once per streamed edge and the Python overhead of
-        attribute chains and method dispatch is a measurable fraction of
-        the remaining step cost.  The arithmetic, the optimiser-update
-        gating and the apply order (long, short, context, alpha) are
-        exactly those of :class:`ReferenceEngine` — see the module
-        docstring for why that makes the engines bitwise identical.
+        Each round is one pass of stacked kernels over its ``k`` edges'
+        ``(2k, dim)`` endpoint rows, hop rows and negative rows (all
+        gathered from round-start memory), then the barrier: one fused
+        optimiser call each for the round's long and short rows
+        (endpoint-disjoint, so unique up to self-loops), the context
+        rows swept by occurrence rank (one call when no two edges of the
+        round share a row — Adam is per-row, so a row's updates land in
+        edge order either way), and the alpha slots as one in-order
+        chain of scalar steps (nearly every edge shares them, so each
+        step needs the moments the previous edge left).  The
+        arithmetic, the optimiser-update gating and the per-row update
+        order are exactly those of :class:`ReferenceEngine`.
         """
         model = self.model
         cfg = model.config
         memory = model.memory
         optimizer = model.optimizer
+        # Undo-log pre-images for the whole pass in one vectorised call:
+        # the plan names every row execution can write (the interactive
+        # endpoints, each edge's unique context rows), so InsLearn's
+        # rollback needs no hook in the round loop.
+        optimizer.save_rows(plan.uv.reshape(-1), plan.ctx_uniq_rows)
         ctx_flat = optimizer._context_flat
         mem_long = memory.long
         mem_short = memory.short
         mem_alpha = memory.alpha
-        update_long = optimizer.long.update_rows
-        update_short = optimizer.short.update_rows
-        update_context = optimizer.context.update_rows
-        update_alpha = optimizer.alpha.update_rows
-        target_forward = kernels.target_forward
-        target_backward = kernels.target_backward
-        propagation_forward_backward = kernels.propagation_forward_backward
-        negative_forward_backward = kernels.negative_forward_backward
+        padded_segment_sums = kernels.padded_segment_sums
         accumulate_rows = kernels.accumulate_rows
-        if tracer.enabled:
-            # Attribute kernel self-times; the wrappers only exist on
-            # traced runs, so the untraced loop keeps bare locals.
-            target_forward = tracer.wrap("core.kernels.update", target_forward)
-            target_backward = tracer.wrap("core.kernels.update", target_backward)
-            propagation_forward_backward = tracer.wrap(
-                "core.kernels.propagate", propagation_forward_backward
-            )
-            negative_forward_backward = tracer.wrap(
-                "core.kernels.negative", negative_forward_backward
-            )
+        tracer = model.tracer
+        with tracer.span("core.engine.schedule", edges=plan.num_edges):
+            sched = build_schedule(plan)
+        self._record_plan_metrics(plan, sched, tracer.registry)
+        # Attribute kernel and optimiser self-times on traced runs; the
+        # no-op tracer's wrap() hands the callable back unchanged.
+        wrap = tracer.wrap
+        target_forward = wrap("core.kernels.update", kernels.target_forward)
+        target_backward = wrap("core.kernels.update", kernels.target_backward)
+        interaction_forward = wrap("core.kernels.update", kernels.interaction_forward)
+        interaction_backward = wrap(
+            "core.kernels.update", kernels.interaction_backward
+        )
+        propagation_rows = wrap("core.kernels.propagate", kernels.propagation_rows)
+        negative_rows = wrap("core.kernels.negative", kernels.negative_rows)
+        update_long = wrap("core.engine.apply", optimizer.long.update_rows)
+        update_short = wrap("core.engine.apply", optimizer.short.update_rows)
+        update_context = wrap("core.engine.apply", optimizer.context.update_rows)
+        update_alpha = wrap("core.engine.apply", optimizer.alpha.update_chain)
         use_inter = cfg.use_inter
         use_prop = cfg.use_prop and cfg.num_walks > 0
         use_neg = cfg.use_neg and cfg.num_negatives > 0
-        dim = cfg.dim
+        edge_bounds = sched.edge_bounds.tolist()
+        step_bounds = sched.step_bounds.tolist()
+        neg_bounds = sched.neg_bounds.tolist()
+        ctx_bounds = sched.ctx_bounds.tolist()
+        later_bounds = sched.ctx_later_bounds.tolist()
+        max_rank = sched.ctx_max_rank.tolist()
+        has_self_loop = sched.has_self_loop.tolist()
 
-        uv = plan.uv
-        alpha_slots = plan.alpha_slots
-        deltas = plan.deltas
-        inter_rows = plan.inter_rows
-        step_rows = plan.step_rows
-        step_sides = plan.step_sides
-        step_cums = plan.step_cums
-        step_bounds = plan.step_offsets.tolist()
-        neg_rows = plan.neg_rows
-        neg_counts = plan.neg_counts.tolist()
-        neg_starts = plan.neg_offsets.tolist()
-        ctx_uniq_rows = plan.ctx_uniq_rows
-        ctx_inverse = plan.ctx_inverse
-        uniq_bounds = plan.ctx_uniq_offsets.tolist()
-        cat_bounds = plan.ctx_cat_offsets.tolist()
-
+        # Per-edge loss terms in round-major order; hop terms accumulate
+        # per edge and negative terms per (edge, side), both in order.
         num_edges = plan.num_edges
-        losses = np.empty(num_edges, dtype=np.float64)
-        for b in range(num_edges):
-            uv_b = uv[b]
-            alpha_slots_b = alpha_slots[b]
-            deltas_b = deltas[b]
-            short_rows = mem_short[uv_b]
-            alpha_values = mem_alpha[alpha_slots_b]
+        inter_loss = np.zeros(num_edges, dtype=np.float64)
+        prop_loss = np.zeros(num_edges, dtype=np.float64)
+        neg_side_loss = np.zeros(2 * num_edges, dtype=np.float64)
+
+        for r in range(sched.num_rounds):
+            e0 = edge_bounds[r]
+            e1 = edge_bounds[r + 1]
+            ends = slice(2 * e0, 2 * e1)
+            nodes = sched.nodes[ends]
+            alpha_slots = sched.alpha_slots[ends]
+            deltas = sched.deltas[ends]
+            short_rows = mem_short[nodes]
+            alpha_values = mem_alpha[alpha_slots]
             h_star, gamma, x, sig = target_forward(
-                mem_long[uv_b], short_rows, alpha_values, deltas_b, cfg
+                mem_long[nodes], short_rows, alpha_values, deltas, cfg
             )
 
-            grad_h = np.zeros((2, dim), dtype=np.float64)
-            # Gradient rows appended in the plan's catalogue order
-            # (inter pair, hops, negatives) — the matching context rows
-            # and their dedup scatter are precompiled on the plan.
-            ctx_grads_parts = []
-            components: Dict[str, float] = {}
+            grad_h = np.zeros(h_star.shape, dtype=np.float64)
+            # Context gradients stacked in the schedule's catalogue
+            # order: interaction pair rows, hop rows, negative rows.
+            ctx_grad_parts = []
 
             # --- interaction loss (Eq. 7) -------------------------------
             if use_inter:
-                r = inter_rows[b]
-                inter = interaction_loss(
-                    h_star[0], ctx_flat[r[0]], h_star[1], ctx_flat[r[1]]
+                loss, score, h_r = interaction_forward(
+                    h_star, ctx_flat[sched.inter_rows[ends]]
                 )
-                g_hu, g_cu, g_hv, g_cv = interaction_loss_backward(inter)
-                grad_h[0] += g_hu
-                grad_h[1] += g_hv
-                ctx_grads_parts.append(g_cu[None, :])
-                ctx_grads_parts.append(g_cv[None, :])
-                components["inter"] = inter.loss
+                grad = interaction_backward(score, h_r)
+                inter_loss[e0:e1] = loss
+                grad_h += grad
+                ctx_grad_parts.append(grad)
 
             # --- propagation loss (Eq. 10) ------------------------------
-            if use_prop:
-                s0 = step_bounds[b]
-                s1 = step_bounds[b + 1]
-                if s1 > s0:
-                    rows = step_rows[s0:s1]
-                    prop_loss, ctx_grads, grad_sides = (
-                        propagation_forward_backward(
-                            ctx_flat[rows],
-                            h_star,
-                            step_sides[s0:s1],
-                            step_cums[s0:s1],
-                        )
-                    )
-                    grad_h += grad_sides
-                    ctx_grads_parts.append(ctx_grads)
-                    components["prop"] = prop_loss
-                else:
-                    components["prop"] = 0.0
+            hops = slice(step_bounds[r], step_bounds[r + 1])
+            if use_prop and hops.stop > hops.start:
+                terms, ctx_grads, source_grads = propagation_rows(
+                    ctx_flat[sched.step_rows[hops]],
+                    h_star[sched.step_source[hops]],
+                    sched.step_cums[hops],
+                )
+                np.add.at(prop_loss, sched.step_owner[hops], terms)
+                grad_h += padded_segment_sums(
+                    source_grads, sched.step_slots[hops], len(nodes), sched.step_width
+                )
+                ctx_grad_parts.append(ctx_grads)
 
             # --- negative sampling loss (Eq. 12) -------------------------
-            if use_neg:
-                neg_loss = 0.0
-                n0 = neg_starts[b]
-                counts = neg_counts[b]
-                for side in (0, 1):
-                    count = counts[side]
-                    if count:
-                        rows = neg_rows[n0 : n0 + count]
-                        ctx = ctx_flat[rows]
-                        side_loss, ctx_grads, grad_h_add = (
-                            negative_forward_backward(ctx, h_star[side])
-                        )
-                        neg_loss += side_loss
-                        grad_h[side] += grad_h_add
-                        ctx_grads_parts.append(ctx_grads)
-                        n0 += count
-                components["neg"] = neg_loss
-
-            # --- backprop through the updater and apply ------------------
-            g_long, g_short, g_alpha = target_backward(
-                grad_h, short_rows, alpha_values, gamma, x, deltas_b, cfg, sig=sig
-            )
-            # u != v for almost every edge, so the 2-row accumulations
-            # usually need no dedup at all.
-            uv_distinct = uv_b[0] != uv_b[1]
-            if uv_distinct:
-                update_long(uv_b, g_long)
-            else:
-                update_long(*accumulate_rows(uv_b, g_long))
-            if g_short is not None:
-                if uv_distinct:
-                    update_short(uv_b, g_short)
-                else:
-                    update_short(*accumulate_rows(uv_b, g_short))
-            if ctx_grads_parts:
-                gcat = (
-                    np.concatenate(ctx_grads_parts, axis=0)
-                    if len(ctx_grads_parts) > 1
-                    else ctx_grads_parts[0]
+            draws = slice(neg_bounds[r], neg_bounds[r + 1])
+            if use_neg and draws.stop > draws.start:
+                terms, ctx_grads, source_grads = negative_rows(
+                    ctx_flat[sched.neg_rows[draws]], h_star[sched.neg_source[draws]]
                 )
-                q0 = uniq_bounds[b]
-                n_uniq = uniq_bounds[b + 1] - q0
-                inv = ctx_inverse[cat_bounds[b] : cat_bounds[b + 1]]
-                if n_uniq == gcat.shape[0]:
-                    # All rows distinct: a pure scatter into sorted-row
-                    # order, bit-preserving (Adam is per-row, so row
-                    # order within one update is numerically irrelevant).
-                    summed = np.empty((n_uniq, dim), dtype=np.float64)
-                    summed[inv] = gcat
-                else:
-                    # Duplicates: same zeros + np.add.at accumulation as
-                    # kernels.accumulate_rows, with the inverse read off
-                    # the plan instead of a per-edge np.unique.
-                    summed = np.zeros((n_uniq, dim), dtype=np.float64)
-                    np.add.at(summed, inv, gcat)
-                update_context(ctx_uniq_rows[q0 : q0 + n_uniq], summed)
-            if g_alpha is not None:
-                if alpha_slots_b[0] != alpha_slots_b[1]:
-                    update_alpha(alpha_slots_b, g_alpha[:, None])
-                else:
-                    update_alpha(*accumulate_rows(alpha_slots_b, g_alpha[:, None]))
-            model.last_loss_components = components
-            losses[b] = sum(components.values())
+                np.add.at(neg_side_loss, sched.neg_owner[draws], terms)
+                grad_h += padded_segment_sums(
+                    source_grads, sched.neg_slots[draws], len(nodes), sched.neg_width
+                )
+                ctx_grad_parts.append(ctx_grads)
 
+            # --- backprop through the updater ---------------------------
+            g_long, g_short, g_alpha = target_backward(
+                grad_h, short_rows, alpha_values, gamma, x, deltas, cfg, sig=sig
+            )
+
+            # --- round barrier: apply ------------------------------------
+            if has_self_loop[r]:
+                update_long(*accumulate_rows(nodes, g_long))
+                if g_short is not None:
+                    update_short(*accumulate_rows(nodes, g_short))
+            else:
+                update_long(nodes, g_long)
+                if g_short is not None:
+                    update_short(nodes, g_short)
+            if ctx_grad_parts:
+                stack = (
+                    np.concatenate(ctx_grad_parts, axis=0)
+                    if len(ctx_grad_parts) > 1
+                    else ctx_grad_parts[0]
+                )
+                block = slice(ctx_bounds[r], ctx_bounds[r + 1])
+                later = slice(later_bounds[r], later_bounds[r + 1])
+                # Each unique row starts from its first contribution and
+                # adds the rest in catalogue order — dict accumulation.
+                summed = stack[sched.ctx_first[block]]
+                if later.stop > later.start:
+                    np.add.at(
+                        summed,
+                        sched.ctx_later_dest[later],
+                        stack[sched.ctx_later_sel[later]],
+                    )
+                rows = sched.ctx_rows[block]
+                if max_rank[r]:
+                    rank = sched.ctx_rank[block]
+                    for sweep in range(max_rank[r] + 1):
+                        pick = np.flatnonzero(rank == sweep)
+                        update_context(rows[pick], summed[pick])
+                else:
+                    update_context(rows, summed)
+            if g_alpha is not None:
+                update_alpha(*_alpha_steps(alpha_slots, g_alpha))
+
+        # Per-edge totals in the per-edge summation order (inter + prop
+        # + neg, u-side negatives before v-side), back in plan order.
+        components = {}
+        if use_inter:
+            components["inter"] = inter_loss
+        if use_prop:
+            components["prop"] = prop_loss
+        if use_neg:
+            components["neg"] = 0.0 + neg_side_loss[0::2] + neg_side_loss[1::2]
+        totals = np.zeros(num_edges, dtype=np.float64)
+        for values in components.values():
+            totals += values
+        losses = np.empty(num_edges, dtype=np.float64)
+        losses[sched.edges] = totals
+        last = int(np.argmax(sched.edges))
+        model.last_loss_components = {
+            name: float(values[last]) for name, values in components.items()
+        }
         all_nodes = np.concatenate(
             (plan.uv.reshape(-1), plan.step_nodes, plan.neg_nodes)
         )
-        model.last_touched_nodes = tuple(int(n) for n in np.unique(all_nodes))
+        model.last_touched_nodes = tuple(np.unique(all_nodes).tolist())
         return losses
+
+
+def _alpha_steps(slots: np.ndarray, grads: np.ndarray):
+    """A round's alpha steps in edge order, as ``(rows, grads)`` for
+    :meth:`~repro.core.memory.SparseAdam.update_chain`.
+
+    ``slots`` / ``grads`` are the flat ``(2k,)`` endpoint arrays.  An
+    edge's two endpoints step one after the other (distinct slots do
+    not interact); an edge with both endpoints on one slot takes a
+    single step with the pair's summed gradient, as the per-edge
+    accumulation does.
+    """
+    pair_slots = slots.reshape(-1, 2)
+    same = pair_slots[:, 0] == pair_slots[:, 1]
+    if not same.any():
+        return slots, grads
+    pair_grads = grads.reshape(-1, 2).copy()
+    pair_grads[same, 0] = 0.0 + pair_grads[same, 0] + pair_grads[same, 1]
+    keep = np.ones(pair_slots.shape, dtype=bool)
+    keep[same, 1] = False
+    return pair_slots[keep], pair_grads[keep]
 
 
 def make_engine(name: str, model) -> _EngineBase:
@@ -455,10 +528,4 @@ def make_engine(name: str, model) -> _EngineBase:
         return BatchedEngine(model)
     if name == "reference":
         return ReferenceEngine(model)
-    if name == "sharded":
-        # Imported lazily: the shard executor subclasses BatchedEngine,
-        # so a top-level import would be circular.
-        from repro.core.shard.executor import ShardedEngine
-
-        return ShardedEngine(model)
     raise ValueError(f"unknown engine {name!r}; expected one of {ENGINE_NAMES}")

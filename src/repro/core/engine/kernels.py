@@ -1,23 +1,26 @@
-"""Vectorised numpy kernels shared by both execution engines.
+"""Vectorised numpy kernels shared by the round executor and its oracle.
 
 Every float produced on the training hot path — Eq. 5 target
-embeddings, the propagation weighting of Eq. 8-9, the skip-gram losses
-of Eq. 10/12 and their analytic gradients — is computed here, once, as
-an array kernel.  The per-edge reference path
-(:mod:`repro.core.updater`, :mod:`repro.core.propagation`) and the
-batched plan executor (:mod:`repro.core.engine.engine`) are both thin
-callers, which is what makes the two engines *bitwise* comparable: they
-cannot drift because they do not own any arithmetic.
+embeddings, the Eq. 7 interaction score, the propagation weighting of
+Eq. 8-9, the skip-gram losses of Eq. 10/12 and their analytic
+gradients — is computed here, once, as an array kernel.  The per-edge
+oracle (:mod:`repro.core.interactor`, :mod:`repro.core.updater`,
+:mod:`repro.core.propagation`) calls them one edge at a time; the
+round executor (:mod:`repro.core.engine.engine`) calls the row kernels
+(``*_rows``, ``interaction_*``, ``target_*``) once per conflict-free
+round over ``[round, dim]`` stacks.  Neither owns any arithmetic, which
+is what makes the two *bitwise* comparable.
 
 Bitwise-determinism contract (verified by the golden parity suite):
 
-* scalar ufunc evaluation equals array evaluation element-for-element,
-  so a kernel applied to a 1-row batch reproduces the legacy scalar
-  code exactly;
+* ufunc evaluation is element-for-element independent of the array
+  length, so a row kernel applied to a stack of rounds' rows equals the
+  same kernel applied one edge at a time;
 * ``rowwise_dot`` reduces each row independently of the batch size
   (unlike BLAS ``np.dot``, whose summation order is unspecified —
   never mix the two on values that must match across engines);
-* ``sequential_sum`` accumulates strictly left-to-right
+* ``sequential_sum`` / ``sequential_colsum`` /
+  ``padded_segment_sums`` accumulate strictly left-to-right
   (``np.add.accumulate``), matching a scalar ``+=`` loop;
 * ``np.add.at`` applies duplicate-index contributions sequentially in
   index order, matching dict-based gradient accumulation.
@@ -38,13 +41,17 @@ __all__ = [
     "rowwise_dot",
     "sequential_sum",
     "sequential_colsum",
+    "padded_segment_sums",
     "edge_factors",
     "walk_cumulative_factors",
     "target_forward",
     "target_backward",
+    "interaction_forward",
+    "interaction_backward",
+    "propagation_rows",
     "propagation_forward",
     "propagation_backward",
-    "propagation_forward_backward",
+    "negative_rows",
     "negative_forward_backward",
     "accumulate_rows",
 ]
@@ -54,9 +61,8 @@ __all__ = [
 
 
 def sigmoid_branched(x: np.ndarray) -> np.ndarray:
-    """Numerically-stable sigmoid, branch-equivalent to the interactor's
-    scalar ``_sigmoid`` (``x >= 0``: ``1/(1+exp(-min(x,500)))``; else
-    ``z/(1+z)`` with ``z = exp(max(x,-500))``)."""
+    """Numerically-stable sigmoid (``x >= 0``: ``1/(1+exp(-min(x,500)))``;
+    else ``z/(1+z)`` with ``z = exp(max(x,-500))``)."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape, dtype=np.float64)
     pos = x >= 0.0
@@ -69,8 +75,8 @@ def sigmoid_branched(x: np.ndarray) -> np.ndarray:
 
 
 def log_sigmoid_branched(x: np.ndarray) -> np.ndarray:
-    """``log sigma(x)``, branch-equivalent to the interactor's scalar
-    ``_log_sigmoid``."""
+    """``log sigma(x)`` without overflow (``x >= 0``:
+    ``-log1p(exp(-x))``; else ``x - log1p(exp(x))``)."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty(x.shape, dtype=np.float64)
     pos = x >= 0.0
@@ -115,6 +121,26 @@ def sequential_colsum(mat: np.ndarray) -> np.ndarray:
     if mat.shape[0] == 0:
         return np.zeros(mat.shape[1], dtype=np.float64)
     return np.add.accumulate(mat, axis=0)[-1]
+
+
+def padded_segment_sums(
+    values: np.ndarray, slots: np.ndarray, num_segments: int, width: int
+) -> np.ndarray:
+    """Left-to-right row sums of ``values`` grouped into segments.
+
+    ``slots[i] = segment * width + position`` places row ``i`` at its
+    position within its segment (positions run ``0, 1, ...`` in
+    accumulation order; ``width`` bounds the longest segment).  The
+    rows are scattered into a zero-padded ``(segment, width, dim)``
+    block and accumulated along ``width``, so segment ``s`` receives
+    ``v0 + v1 + ...`` in position order — :func:`sequential_colsum` per
+    segment, in a constant number of array calls (``np.add.at`` visits
+    one row per inner-loop call).  Trailing padding adds exact zeros;
+    an empty segment sums to zero.
+    """
+    padded = np.zeros((num_segments * width, values.shape[1]), dtype=np.float64)
+    padded[slots] = values
+    return np.add.accumulate(padded.reshape(num_segments, width, -1), axis=1)[:, -1]
 
 
 # ------------------------------------------------------------ Eq. 8-9 factors
@@ -252,7 +278,58 @@ def target_backward(
     return grad_long, grad_short, grad_alpha
 
 
+# ------------------------------------------------------------ Eq. 7 interactor
+
+
+def interaction_forward(
+    h_star: np.ndarray, context: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 6-7 forward over stacked endpoint pairs.
+
+    Rows ``2i`` / ``2i + 1`` of both inputs are edge ``i``'s ``u`` /
+    ``v`` side.  Returns ``(loss, score, h_r)``: the per-edge
+    ``-log sigma(h_u^r . h_v^r)``, its score, and the ``(2k, dim)``
+    final embeddings ``h^r = 1/2 (h* + c^r)`` the backward reuses.
+    """
+    h_r = 0.5 * (h_star + context)
+    score = rowwise_dot(h_r[0::2], h_r[1::2])
+    return -log_sigmoid_branched(score), score, h_r
+
+
+def interaction_backward(score: np.ndarray, h_r: np.ndarray) -> np.ndarray:
+    """Gradient of Eq. 7 w.r.t. each endpoint's ``h*`` *and* ``c^r``.
+
+    With ``s = h_u^r . h_v^r`` the upstream derivative is
+    ``dL/ds = sigma(s) - 1``; Eq. 6's half factor makes the two
+    gradients of a side equal, so one ``(2k, dim)`` array serves both.
+    """
+    coeff = (sigmoid_branched(score) - 1.0)[:, None]
+    grad = np.empty(h_r.shape, dtype=np.float64)
+    grad[0::2] = coeff * h_r[1::2]
+    grad[1::2] = coeff * h_r[0::2]
+    return 0.5 * grad
+
+
 # --------------------------------------------------------- Eq. 10 propagation
+
+
+def propagation_rows(
+    context_rows: np.ndarray, source_rows: np.ndarray, cum_factors: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 10 hop by hop, no reduction across hops.
+
+    ``source_rows`` gathers each hop's source target embedding.  Returns
+    ``(loss_terms, context_grads, source_grads)`` — the caller sums the
+    terms per edge and the source grads per ``(edge, side)`` in hop
+    order.
+    """
+    scores = rowwise_dot(context_rows, cum_factors[:, None] * source_rows)
+    coeff = ((sigmoid_branched(scores) - 1.0) * cum_factors)[:, None]
+    return (
+        -log_sigmoid_branched(scores),
+        coeff * source_rows,
+        coeff * context_rows,
+    )
 
 
 def propagation_forward(
@@ -289,32 +366,24 @@ def propagation_backward(
     return context_grads, grad_sides
 
 
-def propagation_forward_backward(
-    context_rows: np.ndarray,
-    h_star_sides: np.ndarray,
-    sides: np.ndarray,
-    cum_factors: np.ndarray,
-) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Fused :func:`propagation_forward` + :func:`propagation_backward`.
-
-    Bitwise-identical composition of the two (same ufuncs in the same
-    order); fusing shares the ``h_star_sides[sides]`` gather and skips
-    the intermediate score hand-off, which matters because this runs
-    once per edge in the batched executor.  The reference path keeps the
-    split calls — it materialises step objects between them.
-    """
-    hs = h_star_sides[sides]
-    d_vecs = cum_factors[:, None] * hs
-    scores = rowwise_dot(context_rows, d_vecs)
-    loss = sequential_sum(-log_sigmoid_branched(scores))
-    coeff = (sigmoid_branched(scores) - 1.0) * cum_factors
-    context_grads = coeff[:, None] * hs
-    grad_sides = np.zeros(h_star_sides.shape, dtype=np.float64)
-    np.add.at(grad_sides, sides, coeff[:, None] * context_rows)
-    return loss, context_grads, grad_sides
-
-
 # ------------------------------------------------------------- Eq. 12 negative
+
+
+def negative_rows(
+    context_rows: np.ndarray, source_rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eq. 12 draw by draw, no reduction across draws.
+
+    Returns ``(loss_terms, context_grads, source_grads)``, shaped like
+    :func:`propagation_rows`.
+    """
+    scores = rowwise_dot(context_rows, source_rows)
+    coeff = sigmoid_branched(scores)[:, None]
+    return (
+        -log_sigmoid_branched(-scores),
+        coeff * source_rows,
+        coeff * context_rows,
+    )
 
 
 def negative_forward_backward(
@@ -325,12 +394,10 @@ def negative_forward_backward(
     Returns ``(loss, context_grads, grad_h_star)``; ``grad_h_star`` is
     pre-summed over samples in draw order.
     """
-    scores = rowwise_dot(context_rows, h_star[None, :])
-    loss = sequential_sum(-log_sigmoid_branched(-scores))
-    coeff = sigmoid_branched(scores)
-    context_grads = coeff[:, None] * h_star
-    grad_h_star = sequential_colsum(coeff[:, None] * context_rows)
-    return loss, context_grads, grad_h_star
+    terms, context_grads, source_grads = negative_rows(
+        context_rows, np.broadcast_to(h_star, context_rows.shape)
+    )
+    return sequential_sum(terms), context_grads, sequential_colsum(source_grads)
 
 
 # ------------------------------------------------------------- accumulation

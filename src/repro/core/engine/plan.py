@@ -88,22 +88,6 @@ class BatchPlan(NamedTuple):
         return self.uv.shape[0]
 
 
-def plan_edge_costs(plan: BatchPlan) -> np.ndarray:
-    """Relative execution cost of each plan edge, for shard balancing.
-
-    The batched executor's per-edge work is one target forward/backward
-    plus one kernel call per surviving hop slice, negative slice and
-    context-update row, so hop + negative + unique-context counts plus a
-    constant base approximate it well enough to cut worker chunks of
-    near-equal wall time (``repro.core.shard.schedule``).  Units are
-    arbitrary; only ratios matter.
-    """
-    steps = np.diff(plan.step_offsets).astype(np.float64)
-    negs = np.diff(plan.neg_offsets).astype(np.float64)
-    uniq = np.diff(plan.ctx_uniq_offsets).astype(np.float64)
-    return 4.0 + steps + negs + uniq
-
-
 def compile_plan(
     model, records: Sequence[_Record], cache: NeighborCandidateCache
 ) -> BatchPlan:

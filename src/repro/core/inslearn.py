@@ -181,14 +181,6 @@ class InsLearnTrainer:
         """Restore a snapshot captured by :meth:`rng_state`."""
         self._rng.bit_generator.state = state
 
-    @property
-    def shard_stats(self):
-        """The sharded engine's last schedule stats (rounds, imbalance,
-        busy/critical-path seconds) or ``None`` for other engines —
-        surfaced here so serving and benchmarks need not reach into the
-        engine object."""
-        return getattr(self.model.engine, "last_shard_stats", None)
-
     def fit(self, stream: EdgeStream) -> TrainingReport:
         """Train the model on ``stream`` batch by batch (single pass)."""
         report = TrainingReport()

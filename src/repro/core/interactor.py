@@ -8,7 +8,8 @@ form the final embeddings
 and computes the interaction loss ``L_inter = -log sigma(h_u^r . h_v^r)``
 that pulls the two interactive nodes together.  Forward and analytic
 backward are exposed separately so the model can fold the gradients into
-its sparse accumulators.
+its sparse accumulators; both are one-edge calls of the row kernels in
+:mod:`repro.core.engine.kernels`, which own the arithmetic.
 """
 
 from __future__ import annotations
@@ -17,18 +18,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-min(x, 500.0)))
-    z = np.exp(max(x, -500.0))
-    return z / (1.0 + z)
-
-
-def _log_sigmoid(x: float) -> float:
-    if x >= 0:
-        return -np.log1p(np.exp(-x))
-    return x - np.log1p(np.exp(x))
+from repro.core.engine import kernels
 
 
 def final_embedding(h_star: np.ndarray, context: np.ndarray) -> np.ndarray:
@@ -52,28 +42,19 @@ def interaction_loss(
     c_v: np.ndarray,
 ) -> InteractionForward:
     """Eq. 7 forward: ``-log sigma(h_u^r . h_v^r)``."""
-    h_r_u = final_embedding(h_star_u, c_u)
-    h_r_v = final_embedding(h_star_v, c_v)
-    score = float(np.dot(h_r_u, h_r_v))
+    loss, score, h_r = kernels.interaction_forward(
+        np.stack((h_star_u, h_star_v)), np.stack((c_u, c_v))
+    )
     return InteractionForward(
-        loss=-_log_sigmoid(score), score=score, h_r_u=h_r_u, h_r_v=h_r_v
+        loss=float(loss[0]), score=float(score[0]), h_r_u=h_r[0], h_r_v=h_r[1]
     )
 
 
 def interaction_loss_backward(
     fwd: InteractionForward,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients ``(d/dh*_u, d/dc_u, d/dh*_v, d/dc_v)`` of Eq. 7.
-
-    With ``s = h_u^r . h_v^r`` the upstream derivative is
-    ``dL/ds = sigma(s) - 1``; the half factors come from Eq. 6.
-    """
-    coeff = _sigmoid(fwd.score) - 1.0
-    grad_h_r_u = coeff * fwd.h_r_v
-    grad_h_r_v = coeff * fwd.h_r_u
-    return (
-        0.5 * grad_h_r_u,
-        0.5 * grad_h_r_u,
-        0.5 * grad_h_r_v,
-        0.5 * grad_h_r_v,
+    """Gradients ``(d/dh*_u, d/dc_u, d/dh*_v, d/dc_v)`` of Eq. 7."""
+    grad = kernels.interaction_backward(
+        np.asarray([fwd.score], dtype=np.float64), np.stack((fwd.h_r_u, fwd.h_r_v))
     )
+    return grad[0], grad[0], grad[1], grad[1]

@@ -18,6 +18,7 @@ proportional to the rows an update touched, never to the node count
 
 from __future__ import annotations
 
+from math import sqrt
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -147,6 +148,54 @@ class SparseAdam:
         m_hat = m / self._corr1[t][:, None]
         v_hat = v / self._corr2[t][:, None]
         self.param[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def update_chain(self, rows: np.ndarray, grads: np.ndarray) -> None:
+        """Apply ``len(rows)`` one-row Adam steps, one after another.
+
+        For single-column parameters (the ``alpha`` vector) whose rows
+        nearly every streamed edge shares: step ``i`` must see the
+        moments step ``i - 1`` left, so the steps cannot be fused — but
+        they can run on Python floats.  Bitwise identical to
+        ``for r, g in zip(rows, grads): update_rows([r], [[g]])`` (the
+        same IEEE operations in the same order; pinned by
+        ``tests/core/test_memory.py``) at a fraction of the per-call
+        dispatch cost.  ``rows`` may repeat; the caller saves undo-log
+        pre-images as for :meth:`update_rows`.
+        """
+        if self.param.shape[1] != 1:
+            raise ValueError("update_chain expects a single-column parameter")
+        if len(rows) == 0:
+            return
+        param = self.param[:, 0]
+        m_all = self._m[:, 0]
+        v_all = self._v[:, 0]
+        steps = self._steps
+        upto = int(steps.max()) + len(rows)
+        if upto >= self._corr1.size:
+            self._grow_corrections(upto)
+        corr1 = self._corr1.item
+        corr2 = self._corr2.item
+        beta1, beta2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        rest1, rest2 = 1.0 - beta1, 1.0 - beta2
+        weight_decay = self.weight_decay
+        state: Dict[int, Tuple[float, float, float, int]] = {}
+        for row, grad in zip(rows.tolist(), grads.tolist()):
+            if row in state:
+                p, m, v, t = state[row]
+            else:
+                p, m, v, t = param.item(row), m_all.item(row), v_all.item(row), steps.item(row)
+            if weight_decay:
+                grad = grad + weight_decay * p
+            t += 1
+            m = m * beta1 + rest1 * grad
+            v = v * beta2 + rest2 * (grad * grad)
+            p -= lr * (m / corr1(t)) / (sqrt(v / corr2(t)) + eps)
+            state[row] = (p, m, v, t)
+        for row, (p, m, v, t) in state.items():
+            param[row] = p
+            m_all[row] = m
+            v_all[row] = v
+            steps[row] = t
 
     def state_dict(self) -> Dict[str, np.ndarray]:
         return {

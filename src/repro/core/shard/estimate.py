@@ -14,8 +14,9 @@ prefix.
 These functions plan over :class:`~repro.graph.streams.StreamEdge`
 objects; the execution-side twin that plans over compiled
 :class:`~repro.core.engine.plan.BatchPlan` index arrays lives in
-:mod:`repro.core.shard.schedule`, and the engine that actually runs the
-rounds in parallel is :class:`repro.core.shard.executor.ShardedEngine`.
+:mod:`repro.core.shard.schedule`, and the engine executes each of its
+rounds as one stacked array pass
+(:class:`repro.core.engine.engine.BatchedEngine`).
 """
 
 from __future__ import annotations

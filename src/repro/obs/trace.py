@@ -173,22 +173,6 @@ class Tracer:
         traced.__name__ = getattr(fn, "__name__", name)
         return traced
 
-    def attribute(self, name: str, seconds: float, count: int = 1, **attrs) -> None:
-        """Record an externally measured duration as child span ``name``.
-
-        For work timed off-thread: the tracer itself is single-threaded
-        (``_stack`` is a plain list), so pool workers cannot open spans —
-        instead the coordinator measures their wall time and attributes
-        it here after the barrier (e.g. ``core.shard.worker0``).  The
-        node lands under the *currently open* span, exactly where an
-        inline ``span()`` of the same work would.
-        """
-        node = self._stack[-1].child(name)
-        node.count += count
-        node.total_seconds += seconds
-        if attrs:
-            node.merge_attrs(attrs)
-
     def reset(self) -> None:
         """Drop the recorded tree (the registry is left alone)."""
         self.root = SpanNode("root")
@@ -248,9 +232,6 @@ class NullTracer:
 
     def wrap(self, name: str, fn):
         return fn
-
-    def attribute(self, name: str, seconds: float, count: int = 1, **attrs) -> None:
-        return None
 
     def reset(self) -> None:
         return None

@@ -292,7 +292,6 @@ class RecommendationService:
             "recovery.replayed_events",
             "breaker.opened",
             "cache.warmed",
-            "shard.rounds",
             "shard.publish.parts",
             "ingest.offered",
             "ingest.shed",
@@ -309,7 +308,6 @@ class RecommendationService:
             "store.version",
             "staleness.events_behind",
             "breaker.state",
-            "shard.imbalance",
             "admission.state",
             "queue.depth_fraction",
         ):
@@ -671,7 +669,6 @@ class RecommendationService:
             self.metrics.counter("cache.evictions").set(self.index.evictions)
             self.metrics.counter("store.compactions").set(self.store.compactions)
             self.metrics.gauge("store.version").set(snapshot.version)
-            self._record_shard_stats()
             self._record_activity(batch)
             self.warm_cache()
             self._maybe_checkpoint()
@@ -759,20 +756,6 @@ class RecommendationService:
             for s in stripes
         ]
         return [(s, f.result()) for s, f in zip(stripes, futures)]
-
-    def _record_shard_stats(self) -> None:
-        """Mirror a sharded engine's scheduling counters into metrics.
-
-        No-op for the reference/batched engines: only
-        :class:`~repro.core.shard.executor.ShardedEngine` exposes
-        ``last_shard_stats``.
-        """
-        engine = self.model.engine
-        stats = getattr(engine, "last_shard_stats", None)
-        if stats is None:
-            return
-        self.metrics.counter("shard.rounds").set(engine.total_rounds)
-        self.metrics.gauge("shard.imbalance").set(float(stats["imbalance"]))
 
     def _register_update_failure(self, batch: EdgeStream, exc: Exception) -> None:
         """Deadletter a failed batch; trip the breaker at the threshold."""
@@ -1039,8 +1022,8 @@ class RecommendationService:
     def close(self) -> None:
         """Release pooled resources (idempotent): the dispatcher thread
         (joined after draining ready batches — quiescence contract,
-        DESIGN.md §16), the serve-side shard pool, a sharded engine's
-        worker pool, and the WAL file handle (a crashed process releases
+        DESIGN.md §16), the serve-side shard pool and the WAL file
+        handle (a crashed process releases
         these for free; tests and drivers call it before recovering).
         A partial trailing micro-batch stays buffered; call ``flush()``
         first when the run must quiesce completely."""
@@ -1051,9 +1034,6 @@ class RecommendationService:
             self._shard_pool = None
         if pool is not None:
             pool.shutdown(wait=True)
-        engine_close = getattr(self.model.engine, "close", None)
-        if engine_close is not None:
-            engine_close()
         if self.wal is not None:
             self.wal.close()
 

@@ -1,5 +1,6 @@
-"""Golden parity suite: the batched engine must be *bitwise* identical
-to the per-edge reference under fixed seeds.
+"""Golden parity suite: the production engine (stacked conflict-free
+rounds) must be *bitwise* identical to the per-edge oracle of the same
+round semantics under fixed seeds.
 
 The sweep trains both engines on the same stream with identical seeds —
 across every model variant (``core/variants.py``), decay/termination
@@ -7,22 +8,31 @@ settings and walk configurations — and asserts byte-equality of the
 full model state, the per-batch reports, and the consumed RNG state.
 ``tobytes`` comparison is deliberate: it distinguishes ``-0.0`` from
 ``+0.0`` and catches any reassociated float reduction that ``allclose``
-would wave through.
+would wave through.  Hand-built micro-batches then hit the cases a
+stacked round can get wrong, a mutation check shows the gate goes red
+when the barrier order is broken, and a digest captured on the parent
+commit pins single-edge ``train_step`` bytes.
 
 The second half checks every analytic kernel against central finite
-differences, and the scalar-vs-vector / fused-vs-split identities the
-kernels module promises.
+differences, and the stacked-vs-per-edge / fused-vs-split identities
+the kernels module promises.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.core.config import SUPAConfig, g_decay
+from repro.core.engine import engine as engine_module
 from repro.core.engine import kernels
+from repro.core.engine.plan import compile_plan
 from repro.core.inslearn import InsLearnConfig, InsLearnTrainer
 from repro.core.model import SUPA
+from repro.core.shard import partition_round_indices
 from repro.core.variants import VARIANT_BUILDERS, make_variant
 from repro.datasets.zoo import movielens
+from repro.graph.streams import StreamEdge
 
 BATCH_SIZE = 96
 N_BATCHES = 2
@@ -113,84 +123,206 @@ def test_batched_engine_is_run_deterministic():
         assert a.mean_loss == b.mean_loss
 
 
-# ------------------------------------------------- sharded engine invariance
+# ------------------------------------------------------- round edge cases
 #
-# The sharded engine is NOT bitwise-equal to the batched engine on rows
-# several edges of one round share (alpha slots, colliding context rows)
-# — round-snapshot semantics, documented in DESIGN.md §14.  What it does
-# guarantee bitwise is (a) worker-count invariance: schedule and merge
-# order are pure functions of the plan, so any ``shard_workers`` and any
-# backend produce identical bytes; and (b) an identical RNG stream to
-# the batched engine, because compilation (all sampling) stays on the
-# coordinator.
+# Hand-built micro-batches that hit what a stacked round can get wrong;
+# both engines train the same records over the same observed history.
 
 
-def _train_sharded(config_overrides):
-    config = SUPAConfig(
-        seed=7, engine="sharded", shard_min_chunk=2, **config_overrides
-    )
-    model, reports = _train(config)
-    model.engine.close()
-    return model, reports
+def _trained_pair(overrides, make_records, history=260):
+    """Production and oracle models after one ``train_batch`` of
+    ``make_records(dataset, stream_edges)`` (never inserted — only the
+    first ``history`` stream edges are)."""
+    out = []
+    for engine in ("batched", "reference"):
+        dataset = movielens(scale=0.3, seed=3)
+        edges = list(dataset.stream)
+        model = SUPA.for_dataset(
+            dataset, config=SUPAConfig(seed=7, engine=engine, **overrides)
+        )
+        for e in edges[:history]:
+            model.observe(e.u, e.v, e.edge_type, e.t)
+        records = make_records(dataset, edges[history:])
+        losses = model.train_batch(records)
+        out.append((model, losses, records))
+    return out
+
+
+def _assert_pair_identical(pair):
+    (bat, bat_losses, records), (ref, ref_losses, _) = pair
+    assert bat_losses.tobytes() == ref_losses.tobytes()
+    assert _state_bytes(bat) == _state_bytes(ref)
+    assert bat.rng.bit_generator.state == ref.rng.bit_generator.state
+    assert bat.last_touched_nodes == ref.last_touched_nodes
+    assert bat.last_loss_components == ref.last_loss_components
+    return bat, records
+
+
+def _next_records(count):
+    def make(dataset, upcoming):
+        return [(e, 0.5 + i, 1.5 * i) for i, e in enumerate(upcoming[:count])]
+
+    return make
+
+
+def _rounds_of(records):
+    uv = np.asarray([(e.u, e.v) for e, _, _ in records], dtype=np.int64)
+    return partition_round_indices(uv)
+
+
+def test_self_loop_edge_inside_a_multi_edge_round():
+    """``u == v`` collapses the long/short pair to one row and puts the
+    same context row twice in the interaction pair."""
+
+    def make(dataset, upcoming):
+        records = _next_records(12)(dataset, upcoming)
+        loop = records[3][0]
+        records[3] = (StreamEdge(loop.u, loop.u, loop.edge_type, loop.t), 0.7, 0.7)
+        return records
+
+    _, records = _assert_pair_identical(_trained_pair({}, make))
+    loop_round = next(r for r in _rounds_of(records) if 3 in r)
+    assert len(loop_round) > 1
 
 
 @pytest.mark.parametrize(
     "overrides",
     [
-        {},
-        {"use_forgetting": False},
-        {"use_short_term": False},
-        {"num_walks": 0},
+        {"typed_alpha": False},  # both endpoints of every edge on one slot
         {"num_negatives": 0},
-        {"walk_length": 5, "num_walks": 6},
+        {"use_short_term": False},  # g_short and g_alpha are None
+        {"use_forgetting": False},  # g_alpha is None
+        {"use_inter": False},  # no interaction pair in the catalogue
+        {"use_prop": False, "use_neg": False},  # context rows = the pair only
     ],
-    ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "full",
+    ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
 )
-def test_sharded_worker_count_invariance(overrides):
-    """1, 2 and 4 workers: byte-identical state, reports and RNG."""
-    base_model, base_reports = _train_sharded({"shard_workers": 1, **overrides})
-    for workers in (2, 4):
-        model, reports = _train_sharded({"shard_workers": workers, **overrides})
-        assert _state_bytes(base_model) == _state_bytes(model)
-        for a, b in zip(base_reports, reports):
-            assert a.mean_loss == b.mean_loss
-            assert a.best_score == b.best_score
-            assert a.touched_nodes == b.touched_nodes
-        assert (
-            base_model.rng.bit_generator.state == model.rng.bit_generator.state
+def test_multi_edge_rounds_parity(overrides):
+    _, records = _assert_pair_identical(_trained_pair(overrides, _next_records(40)))
+    assert max(len(r) for r in _rounds_of(records)) > 1
+
+
+def test_edge_with_no_surviving_hops_inside_a_multi_edge_round():
+    """An edge between two never-seen nodes has no walk to sample; its
+    slices of the round's hop arrays are empty."""
+
+    def make(dataset, upcoming):
+        records = _next_records(12)(dataset, upcoming)
+        seen = {n for e in list(dataset.stream)[:260] for n in (e.u, e.v)}
+        busy = {n for e, _, _ in records for n in (e.u, e.v)}
+        fresh_user = next(
+            int(n) for n in dataset.nodes_of_type("user") if n not in seen | busy
         )
+        fresh_movie = next(
+            int(n) for n in dataset.nodes_of_type("movie") if n not in seen | busy
+        )
+        records[5] = (
+            StreamEdge(fresh_user, fresh_movie, "rate", records[5][0].t),
+            0.0,
+            0.0,
+        )
+        return records
+
+    bat, records = _assert_pair_identical(_trained_pair({}, make))
+    plan = compile_plan(bat, records, bat.engine.candidate_cache)
+    hops = np.diff(plan.step_offsets)
+    assert hops[5] == 0 and hops.sum() > 0
+    assert len(next(r for r in _rounds_of(records) if 5 in r)) > 1
 
 
-def test_sharded_backends_agree_bitwise():
-    """thread == serial == process pools, byte for byte: results merge
-    in schedule order, never in completion order."""
-    runs = {
-        backend: _train_sharded({"shard_workers": 2, "shard_backend": backend})
-        for backend in ("thread", "serial", "process")
-    }
-    thread_model, thread_reports = runs["thread"]
-    for backend in ("serial", "process"):
-        model, reports = runs[backend]
-        assert _state_bytes(thread_model) == _state_bytes(model)
-        for a, b in zip(thread_reports, reports):
-            assert a.mean_loss == b.mean_loss
-            assert a.touched_nodes == b.touched_nodes
+def test_all_singleton_rounds():
+    """A star batch (every edge shares one endpoint) is fully
+    sequential: every round holds one edge."""
+
+    def make(dataset, upcoming):
+        hub = upcoming[0].u
+        movies = dataset.nodes_of_type("movie")[:9]
+        return [
+            (StreamEdge(hub, int(m), "rate", upcoming[i].t), 0.3 * i, 2.0)
+            for i, m in enumerate(movies)
+        ]
+
+    _, records = _assert_pair_identical(_trained_pair({}, make))
+    assert [len(r) for r in _rounds_of(records)] == [1] * 9
 
 
-def test_sharded_rng_stream_matches_batched():
-    """Sampling happens at compile time on the coordinator, so the
-    sharded engine consumes exactly the batched engine's draw sequence
-    — replayability does not depend on the engine choice."""
-    batched_model, batched_reports = _train(SUPAConfig(seed=7, engine="batched"))
-    sharded_model, sharded_reports = _train_sharded({"shard_workers": 4})
-    assert (
-        batched_model.rng.bit_generator.state
-        == sharded_model.rng.bit_generator.state
-    )
-    # identical sampling also means identical touched-node sets, even
-    # though shared-row float values may differ (round-snapshot merge)
-    for bat, shd in zip(batched_reports, sharded_reports):
-        assert bat.touched_nodes == shd.touched_nodes
+def test_barrier_order_mutation_turns_parity_red(monkeypatch):
+    """Mutation check on the parity gate itself: apply each round's
+    contended context rows in *reverse* edge order and the suite must
+    notice (ROADMAP aim 3: every gate is shown to fail when the thing it
+    guards is broken)."""
+    real = engine_module.build_schedule
+
+    def reversed_contended_order(plan):
+        schedule = real(plan)
+        rank = schedule.ctx_rank.copy()
+        bounds = schedule.ctx_bounds.tolist()
+        for c0, c1 in zip(bounds[:-1], bounds[1:]):
+            rows = schedule.ctx_rows[c0:c1]
+            for row in np.unique(rows[rank[c0:c1] > 0]):
+                hits = c0 + np.flatnonzero(rows == row)
+                rank[hits] = rank[hits][::-1]
+        return schedule._replace(ctx_rank=rank)
+
+    monkeypatch.setattr(engine_module, "build_schedule", reversed_contended_order)
+    with pytest.raises(AssertionError):
+        _assert_engines_agree(SUPAConfig(seed=7))
+
+
+# ------------------------------------------------ single-edge golden digest
+#
+# A streamed edge is a round of one, so round execution must not move
+# ``train_step`` / ``process_edge`` bytes.  Both digests were captured on
+# the parent commit (f510364, per-edge executor) with this function.
+
+
+def _single_edge_digest(config):
+    dataset = movielens(scale=0.08, seed=3)
+    model = SUPA.for_dataset(dataset, config=config)
+    losses = [
+        model.process_edge(e.u, e.v, e.edge_type, e.t)
+        for e in list(dataset.stream)[:300]
+    ]
+    digest = hashlib.sha256(_state_bytes(model))
+    digest.update(np.asarray(losses, dtype=np.float64).tobytes())
+    digest.update(repr(model.rng.bit_generator.state).encode())
+    return digest.hexdigest()
+
+
+PARENT_DIGEST = "9966e64aca78d7cdda3e2dc4191882222f225b33a9509cee1734a95745aa0d22"
+PARENT_DIGEST_NO_INTER = (
+    "e32007fee2be4bd7bd2f955627b01a81635abf85b7c3fdf0cc4019fd925e4e41"
+)
+
+
+@pytest.mark.parametrize("engine", ["batched", "reference"])
+def test_single_edge_bytes_equal_the_parent_without_eq7(engine):
+    """Everything but the interaction score: byte-identical to the
+    parent commit."""
+    config = SUPAConfig(seed=7, engine=engine, use_inter=False)
+    assert _single_edge_digest(config) == PARENT_DIGEST_NO_INTER
+
+
+@pytest.mark.parametrize("engine", ["batched", "reference"])
+def test_single_edge_bytes_equal_the_parent_given_its_blas_score(
+    monkeypatch, engine
+):
+    """The one float that moved is Eq. 7's score, now reduced by
+    ``rowwise_dot`` like every other inner product (the parent used BLAS
+    ``np.dot``, whose summation order no stacked kernel can reproduce).
+    Put the BLAS reduction back and the full model's single-edge bytes
+    are the parent's."""
+
+    def blas_forward(h_star, context):
+        h_r = 0.5 * (h_star + context)
+        score = np.asarray(
+            [float(np.dot(u, v)) for u, v in zip(h_r[0::2], h_r[1::2])],
+            dtype=np.float64,
+        )
+        return -kernels.log_sigmoid_branched(score), score, h_r
+
+    monkeypatch.setattr(kernels, "interaction_forward", blas_forward)
+    assert _single_edge_digest(SUPAConfig(seed=7, engine=engine)) == PARENT_DIGEST
 
 
 # ------------------------------------------------------------ tracing parity
@@ -217,6 +349,16 @@ def test_tracing_is_bitwise_neutral(engine):
     # the traced run actually recorded the training span tree
     spans = {s["name"] for s in traced_model.tracer.as_dict()["spans"]}
     assert "core.inslearn.batch" in spans
+    if engine == "batched":
+        # ... and the round-size telemetry the next engine issue sizes from
+        registry = traced_model.tracer.registry
+        rounds = registry.get("engine.plan.rounds").value
+        edges = registry.get("engine.plan.edges").value
+        histogram = registry.get("engine.round.edges").as_dict()
+        assert 0 < rounds <= edges
+        assert histogram["count"] == rounds
+        assert histogram["sum"] == edges
+        assert registry.get("engine.plan.contended_ctx_rows").value > 0
 
 
 def test_engines_agree_with_tracing_enabled():
@@ -327,8 +469,23 @@ class TestTargetKernelGradients:
             assert a.tobytes() == b.tobytes()
 
 
+def _propagation_fused(context_rows, h_star_sides, sides, cum_factors):
+    """The round executor's Eq. 10 for one edge: the row kernel plus the
+    reductions the engine applies (hop-order loss sum, per-side gradient
+    sums)."""
+    terms, context_grads, source_grads = kernels.propagation_rows(
+        context_rows, h_star_sides[sides], cum_factors
+    )
+    slots = np.empty(sides.size, dtype=np.int64)
+    for side in (0, 1):
+        picked = np.flatnonzero(sides == side)
+        slots[picked] = side * sides.size + np.arange(picked.size)
+    grad_sides = kernels.padded_segment_sums(source_grads, slots, 2, sides.size)
+    return kernels.sequential_sum(terms), context_grads, grad_sides
+
+
 class TestPropagationKernelGradients:
-    """Eq. 10 propagation: fused kernel FD check + fused == split."""
+    """Eq. 10 propagation: row kernel FD check + stacked == split."""
 
     def _inputs(self, rng, hops=5, dim=6):
         return (
@@ -341,13 +498,13 @@ class TestPropagationKernelGradients:
     def test_fused_matches_fd(self):
         rng = np.random.default_rng(21)
         ctx, h_star, sides, cums = self._inputs(rng)
-        loss, ctx_grads, side_grads = kernels.propagation_forward_backward(
+        loss, ctx_grads, side_grads = _propagation_fused(
             ctx, h_star, sides, cums
         )
         _assert_close(
             ctx_grads,
             _fd_grad(
-                lambda a: kernels.propagation_forward_backward(
+                lambda a: _propagation_fused(
                     a, h_star, sides, cums
                 )[0],
                 ctx,
@@ -356,7 +513,7 @@ class TestPropagationKernelGradients:
         _assert_close(
             side_grads,
             _fd_grad(
-                lambda a: kernels.propagation_forward_backward(
+                lambda a: _propagation_fused(
                     ctx, a, sides, cums
                 )[0],
                 h_star,
@@ -364,15 +521,16 @@ class TestPropagationKernelGradients:
         )
 
     def test_fused_equals_split_bitwise(self):
-        """The fused kernel is a pure composition of forward + backward:
-        same ufuncs in the same order, so identical bits."""
+        """The executor's row kernel + reductions equal the split
+        forward / backward pair the oracle calls: same ufuncs in the
+        same order, so identical bits."""
         rng = np.random.default_rng(22)
         ctx, h_star, sides, cums = self._inputs(rng)
         scores, loss = kernels.propagation_forward(ctx, h_star, sides, cums)
         ctx_grads, side_grads = kernels.propagation_backward(
             ctx, h_star, sides, cums, scores
         )
-        f_loss, f_ctx, f_sides = kernels.propagation_forward_backward(
+        f_loss, f_ctx, f_sides = _propagation_fused(
             ctx, h_star, sides, cums
         )
         assert np.float64(f_loss).tobytes() == np.float64(loss).tobytes()
@@ -396,6 +554,66 @@ class TestPropagationKernelGradients:
                 lambda a: kernels.negative_forward_backward(ctx, a)[0], h_star
             ),
         )
+
+
+class TestStackedKernels:
+    """Row kernels over a stack of edges == the same kernel edge by
+    edge, bit for bit — what lets a round run as one array pass."""
+
+    def test_interaction_stack_equals_per_edge(self):
+        rng = np.random.default_rng(51)
+        h_star = rng.normal(size=(10, 7))
+        context = rng.normal(size=(10, 7))
+        loss, score, h_r = kernels.interaction_forward(h_star, context)
+        grad = kernels.interaction_backward(score, h_r)
+        for i in range(5):
+            pair = slice(2 * i, 2 * i + 2)
+            l_i, s_i, h_i = kernels.interaction_forward(h_star[pair], context[pair])
+            assert l_i.tobytes() == loss[i : i + 1].tobytes()
+            assert s_i.tobytes() == score[i : i + 1].tobytes()
+            assert kernels.interaction_backward(s_i, h_i).tobytes() == grad[pair].tobytes()
+
+    def test_interaction_backward_matches_fd(self):
+        rng = np.random.default_rng(52)
+        h_star = rng.normal(size=(4, 5))
+        context = rng.normal(size=(4, 5))
+        loss, score, h_r = kernels.interaction_forward(h_star, context)
+        grad = kernels.interaction_backward(score, h_r)
+        total = lambda h, c: float(kernels.interaction_forward(h, c)[0].sum())  # noqa: E731
+        _assert_close(grad, _fd_grad(lambda a: total(a, context), h_star))
+        _assert_close(grad, _fd_grad(lambda a: total(h_star, a), context))
+
+    def test_row_kernels_are_stack_size_independent(self):
+        rng = np.random.default_rng(53)
+        ctx = rng.normal(size=(23, 6))
+        src = rng.normal(size=(23, 6))
+        cums = rng.uniform(0.1, 1.0, size=23)
+        whole_p = kernels.propagation_rows(ctx, src, cums)
+        whole_n = kernels.negative_rows(ctx, src)
+        for lo, hi in ((0, 1), (1, 9), (9, 23)):
+            part_p = kernels.propagation_rows(ctx[lo:hi], src[lo:hi], cums[lo:hi])
+            part_n = kernels.negative_rows(ctx[lo:hi], src[lo:hi])
+            for whole, part in ((whole_p, part_p), (whole_n, part_n)):
+                for w, p in zip(whole, part):
+                    assert w[lo:hi].tobytes() == p.tobytes()
+
+    def test_padded_segment_sums_are_sequential_per_segment(self):
+        rng = np.random.default_rng(54)
+        lengths = [3, 0, 5, 1, 0, 4]
+        width = max(lengths)
+        values = rng.normal(size=(sum(lengths), 6)) * 10.0 ** rng.integers(
+            -6, 6, size=(sum(lengths), 1)
+        )
+        slots = np.asarray(
+            [seg * width + pos for seg, n in enumerate(lengths) for pos in range(n)],
+            dtype=np.int64,
+        )
+        sums = kernels.padded_segment_sums(values, slots, len(lengths), width)
+        start = 0
+        for seg, n in enumerate(lengths):
+            expected = kernels.sequential_colsum(values[start : start + n])
+            assert sums[seg].tobytes() == expected.tobytes()
+            start += n
 
 
 class TestFactorKernels:

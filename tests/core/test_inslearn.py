@@ -245,7 +245,7 @@ def _oracle_train_one_batch(trainer, batch):
     return best_score
 
 
-@pytest.mark.parametrize("engine", ["reference", "batched", "sharded"])
+@pytest.mark.parametrize("engine", ["reference", "batched"])
 class TestEarlyStoppingRollback:
     """Line 20 through the undo log ≡ the full-snapshot restore, for the
     four ways a batch can end and on every engine's save site."""

@@ -121,6 +121,43 @@ class TestSparseAdam:
         opt.load_state_dict(state)
         assert state["steps"][0] == 1
 
+    @given(
+        calls=st.lists(
+            st.lists(
+                st.tuples(
+                    st.integers(0, 2),
+                    st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+                ),
+                min_size=1,
+                max_size=80,
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        weight_decay=st.sampled_from([0.0, 1e-4]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_update_chain_equals_one_row_steps_bitwise(self, calls, weight_decay):
+        """The scalar chain is the same IEEE operations in the same
+        order as one ``update_rows`` call per step — bytes, not
+        ``allclose`` — including repeated rows and table growth."""
+        start = np.asarray([[0.3], [-1.2], [0.0]], dtype=np.float64)
+        chain = SparseAdam(start.copy(), lr=3e-3, weight_decay=weight_decay)
+        steps = SparseAdam(start.copy(), lr=3e-3, weight_decay=weight_decay)
+        for call in calls:
+            rows = np.asarray([r for r, _ in call], dtype=np.int64)
+            grads = np.asarray([g for _, g in call], dtype=np.float64)
+            chain.update_chain(rows, grads)
+            for r, g in zip(rows, grads):
+                steps.update_rows(np.asarray([r]), np.asarray([[g]]))
+        for name in ("param", "_m", "_v", "_steps"):
+            assert getattr(chain, name).tobytes() == getattr(steps, name).tobytes()
+
+    def test_update_chain_rejects_wide_parameters(self):
+        opt = SparseAdam(np.ones((2, 2)), lr=0.1)
+        with pytest.raises(ValueError):
+            opt.update_chain(np.array([0]), np.array([1.0]))
+
 
 class TestMemoryOptimizer:
     def test_context_row_mapping(self):

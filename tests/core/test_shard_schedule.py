@@ -1,15 +1,12 @@
-"""Tests for the plan-level shard scheduler (``repro.core.shard.schedule``).
+"""Tests for the plan-level round scheduler (``repro.core.shard.schedule``).
 
-The scheduler is a pure function of the compiled plan, the worker count
-and ``min_chunk`` — these tests pin the properties the sharded engine's
-correctness rests on: conflict-free (endpoint-disjoint) rounds that
-agree with the legacy :func:`partition_conflict_free_rounds` partition,
-cost-balanced chunk bounds that tile each round exactly, a contended
-context-row mask that marks precisely the rows shared across edges of
-one round, and worker-count independence of the round structure.
+The schedule is a pure function of the compiled plan — these tests pin
+the properties the engine's correctness rests on: conflict-free
+(endpoint-disjoint) rounds that agree with the StreamEdge-level
+:func:`partition_conflict_free_rounds` partition, a round-major layout
+that covers the plan exactly, and an occurrence rank that is non-zero
+precisely on the context rows shared across edges of one round.
 """
-
-import types
 
 import numpy as np
 import pytest
@@ -20,8 +17,12 @@ from repro.core.config import SUPAConfig
 from repro.core.engine.benchmark import _steady_state_records
 from repro.core.engine.plan import compile_plan
 from repro.core.model import SUPA
-from repro.core.shard import build_schedule, partition_conflict_free_rounds
-from repro.core.shard.schedule import _chunk_bounds, _partition_round_indices
+from repro.core.shard import (
+    build_schedule,
+    partition_conflict_free_rounds,
+    partition_round_indices,
+    shard_statistics,
+)
 from repro.datasets.zoo import movielens
 from repro.graph.streams import StreamEdge
 
@@ -48,30 +49,30 @@ def compiled_plan():
 
 class TestRoundPartition:
     def test_disjoint_edges_one_round(self):
-        rounds = _partition_round_indices(
+        rounds = partition_round_indices(
             uv_from_pairs([(0, 1), (2, 3), (4, 5)])
         )
         assert rounds == [[0, 1, 2]]
 
     def test_star_graph_fully_sequential(self):
-        rounds = _partition_round_indices(uv_from_pairs([(0, i) for i in range(1, 6)]))
+        rounds = partition_round_indices(uv_from_pairs([(0, i) for i in range(1, 6)]))
         assert rounds == [[0], [1], [2], [3], [4]]
 
     def test_chain_respects_per_node_time_order(self):
         # (0,1),(1,2),(2,3): each edge conflicts with its predecessor and
         # the per-node time-order constraint forbids hoisting (2,3) into
         # round 0, so the chain is fully sequential.
-        rounds = _partition_round_indices(uv_from_pairs([(0, 1), (1, 2), (2, 3)]))
+        rounds = partition_round_indices(uv_from_pairs([(0, 1), (1, 2), (2, 3)]))
         assert rounds == [[0], [1], [2]]
 
     def test_interleaved_independent_pairs_share_rounds(self):
-        rounds = _partition_round_indices(
+        rounds = partition_round_indices(
             uv_from_pairs([(0, 1), (2, 3), (0, 1), (2, 3)])
         )
         assert rounds == [[0, 1], [2, 3]]
 
     def test_empty(self):
-        assert _partition_round_indices(np.empty((0, 2), dtype=np.int64)) == []
+        assert partition_round_indices(np.empty((0, 2), dtype=np.int64)) == []
 
     @given(
         pairs=st.lists(
@@ -84,7 +85,7 @@ class TestRoundPartition:
     def test_matches_legacy_stream_edge_partition(self, pairs):
         """Index partition == the StreamEdge partition, edge for edge
         (they are the same greedy algorithm over two input shapes)."""
-        index_rounds = _partition_round_indices(uv_from_pairs(pairs))
+        index_rounds = partition_round_indices(uv_from_pairs(pairs))
         edges = edges_from_pairs(pairs)
         legacy = partition_conflict_free_rounds(edges)
         legacy_indices = [[int(e.t) for e in r] for r in legacy]
@@ -100,7 +101,7 @@ class TestRoundPartition:
     @settings(max_examples=50, deadline=None)
     def test_rounds_are_endpoint_disjoint_and_exhaustive(self, pairs):
         uv = uv_from_pairs(pairs)
-        rounds = _partition_round_indices(uv)
+        rounds = partition_round_indices(uv)
         flat = sorted(i for r in rounds for i in r)
         assert flat == list(range(uv.shape[0]))
         for r in rounds:
@@ -112,152 +113,126 @@ class TestRoundPartition:
                 touched.update((u, v))
 
 
-# ------------------------------------------------------------- chunk bounds
-
-
-class TestChunkBounds:
-    def test_empty_round(self):
-        assert _chunk_bounds(np.empty(0), 4, 2) == ()
-
-    def test_small_round_single_chunk(self):
-        assert _chunk_bounds(np.ones(3), 4, 8) == ((0, 3),)
-
-    def test_bounds_tile_the_round(self):
-        rng = np.random.default_rng(5)
-        for k in (1, 2, 7, 16, 33):
-            costs = rng.uniform(0.5, 3.0, size=k)
-            bounds = _chunk_bounds(costs, 4, 2)
-            assert bounds[0][0] == 0 and bounds[-1][1] == k
-            for (_, a_end), (b_start, _) in zip(bounds, bounds[1:]):
-                assert a_end == b_start
-            assert all(s < e for s, e in bounds)
-
-    def test_chunk_count_respects_workers_and_min_chunk(self):
-        costs = np.ones(16)
-        assert len(_chunk_bounds(costs, 4, 2)) <= 4
-        # min_chunk=8 over 16 edges allows at most 2 chunks
-        assert len(_chunk_bounds(costs, 4, 8)) <= 2
-        assert len(_chunk_bounds(costs, 1, 1)) == 1
-
-    def test_cost_balancing_moves_the_cut(self):
-        # One hop-heavy tail edge: a naive halfway split would put 7
-        # cheap edges against 1 expensive one; the cost cumsum cut
-        # lands the boundary so both chunks carry similar cost.
-        costs = np.asarray([1.0] * 7 + [7.0])
-        (s0, e0), (s1, e1) = _chunk_bounds(costs, 2, 1)
-        assert float(costs[s0:e0].sum()) == pytest.approx(7.0)
-        assert float(costs[s1:e1].sum()) == pytest.approx(7.0)
-
-
 # ------------------------------------------------------- schedule on a plan
 
 
-class TestBuildSchedule:
-    def test_validation(self, compiled_plan):
-        _, plan = compiled_plan
-        with pytest.raises(ValueError):
-            build_schedule(plan, 0)
-        with pytest.raises(ValueError):
-            build_schedule(plan, 2, min_chunk=0)
+def _round_slices(bounds):
+    return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
-    def test_empty_plan(self):
-        empty = types.SimpleNamespace(num_edges=0)
-        schedule = build_schedule(empty, 4, 2)
+
+class TestBuildSchedule:
+    def test_empty_plan(self, compiled_plan):
+        model, _ = compiled_plan
+        schedule = build_schedule(
+            compile_plan(model, [], model.engine.candidate_cache)
+        )
         assert schedule.num_rounds == 0
-        assert schedule.stats["edges"] == 0
-        assert schedule.stats["imbalance"] == 1.0
+        assert schedule.contended_ctx_rows == 0
+        assert schedule.edges.size == 0 and schedule.ctx_rows.size == 0
 
     def test_rounds_cover_plan_and_are_conflict_free(self, compiled_plan):
         _, plan = compiled_plan
-        schedule = build_schedule(plan, 4, 2)
-        covered = np.concatenate([r.edges for r in schedule.rounds])
-        assert sorted(covered.tolist()) == list(range(plan.num_edges))
-        for rnd in schedule.rounds:
-            assert (np.diff(rnd.edges) > 0).all()
-            endpoints = plan.uv[rnd.edges]
+        schedule = build_schedule(plan)
+        assert sorted(schedule.edges.tolist()) == list(range(plan.num_edges))
+        assert schedule.nodes.tobytes() == plan.uv[schedule.edges].tobytes()
+        for e0, e1 in _round_slices(schedule.edge_bounds):
+            assert (np.diff(schedule.edges[e0:e1]) > 0).all()
             touched = set()
-            for u, v in endpoints.tolist():
+            for u, v in plan.uv[schedule.edges[e0:e1]].tolist():
                 assert u not in touched and v not in touched
                 touched.update((u, v))
 
-    def test_round_structure_is_worker_count_independent(self, compiled_plan):
+    def test_round_major_layout_matches_the_plan(self, compiled_plan):
+        """Every hop, negative and unique context row of the plan lands
+        in its edge's round, in plan order within the edge."""
         _, plan = compiled_plan
-        schedules = {w: build_schedule(plan, w, 2) for w in (1, 2, 4)}
-        base = schedules[1]
-        for w in (2, 4):
-            other = schedules[w]
-            assert other.num_rounds == base.num_rounds
-            for a, b in zip(base.rounds, other.rounds):
-                assert a.edges.tobytes() == b.edges.tobytes()
-                assert a.ctx_rows.tobytes() == b.ctx_rows.tobytes()
-                assert a.ctx_dup_mask.tobytes() == b.ctx_dup_mask.tobytes()
-                assert a.contended_edges.tobytes() == b.contended_edges.tobytes()
+        schedule = build_schedule(plan)
+        for name, offsets, flat in (
+            ("step", plan.step_offsets, plan.step_rows),
+            ("neg", plan.neg_offsets, plan.neg_rows),
+            ("ctx", plan.ctx_uniq_offsets, plan.ctx_uniq_rows),
+        ):
+            expected = [
+                flat[offsets[e] : offsets[e + 1]] for e in schedule.edges.tolist()
+            ]
+            rows = getattr(schedule, f"{name}_rows")
+            assert rows.tobytes() == np.concatenate(expected).tobytes()
+            bounds = getattr(schedule, f"{name}_bounds")
+            per_edge = np.asarray([len(x) for x in expected], dtype=np.int64)
+            for r, (e0, e1) in enumerate(
+                _round_slices(schedule.edge_bounds)
+            ):
+                assert bounds[r + 1] - bounds[r] == per_edge[e0:e1].sum()
+        # a hop's source row addresses its own edge's side in the stack
+        step_edge = np.repeat(
+            np.arange(plan.num_edges), np.diff(plan.step_offsets)[schedule.edges]
+        )
+        round_of_edge = np.repeat(
+            np.arange(schedule.num_rounds), np.diff(schedule.edge_bounds)
+        )
+        local_edge = step_edge - schedule.edge_bounds[round_of_edge[step_edge]]
+        assert (schedule.step_source // 2 == local_edge).all()
+        assert (schedule.step_owner == step_edge).all()
 
-    def test_chunks_tile_each_round(self, compiled_plan):
+    def test_context_accumulation_indices_rebuild_the_catalogue(self, compiled_plan):
+        """``ctx_first`` + the later lists route every stack row to the
+        unique context row the plan's catalogue assigns it."""
         _, plan = compiled_plan
-        schedule = build_schedule(plan, 4, 2)
-        for rnd in schedule.rounds:
-            k = rnd.num_edges
-            bounds = rnd.chunk_bounds
-            assert 1 <= len(bounds) <= min(4, k)
-            assert bounds[0][0] == 0 and bounds[-1][1] == k
-            for (_, a_end), (b_start, _) in zip(bounds, bounds[1:]):
-                assert a_end == b_start
+        schedule = build_schedule(plan)
+        for r, (e0, e1) in enumerate(_round_slices(schedule.edge_bounds)):
+            edges = schedule.edges[e0:e1].tolist()
+            # the round's stack: interaction pair rows | hop rows | negative rows
+            stack_rows = np.concatenate(
+                [plan.inter_rows[edges].reshape(-1)]
+                + [plan.step_rows[plan.step_offsets[e] : plan.step_offsets[e + 1]] for e in edges]
+                + [plan.neg_rows[plan.neg_offsets[e] : plan.neg_offsets[e + 1]] for e in edges]
+            )
+            c0, c1 = schedule.ctx_bounds[r], schedule.ctx_bounds[r + 1]
+            rows = schedule.ctx_rows[c0:c1]
+            first = schedule.ctx_first[c0:c1]
+            assert (stack_rows[first] == rows).all()
+            l0, l1 = schedule.ctx_later_bounds[r], schedule.ctx_later_bounds[r + 1]
+            sel = schedule.ctx_later_sel[l0:l1]
+            dest = schedule.ctx_later_dest[l0:l1]
+            assert (stack_rows[sel] == rows[dest]).all()
+            # firsts and laters partition the stack; a later row follows
+            # its unique row's first contribution
+            assert sorted(first.tolist() + sel.tolist()) == list(range(stack_rows.size))
+            assert (sel > first[dest]).all()
+            assert (np.diff(sel) > 0).all()
 
     def test_contended_mask_matches_recomputation(self, compiled_plan):
-        """``ctx_dup_mask`` marks exactly the context rows appearing in
-        more than one edge's block of the round; ``contended_edges`` are
-        exactly the edges owning at least one such row."""
+        """Within a round, a context row's k-th block occurrence (edge
+        order) has rank k — non-zero ranks (and their rank-0 firsts) are
+        exactly the rows two or more edges of the round contend for."""
         _, plan = compiled_plan
-        schedule = build_schedule(plan, 4, 2)
-        uniq_counts = np.diff(plan.ctx_uniq_offsets)
-        saw_contention = False
-        for rnd in schedule.rounds:
-            counts = uniq_counts[rnd.edges]
-            assert rnd.ctx_bounds.tolist() == [0, *np.cumsum(counts).tolist()]
-            blocks = [
-                plan.ctx_uniq_rows[
-                    plan.ctx_uniq_offsets[e] : plan.ctx_uniq_offsets[e] + c
-                ]
-                for e, c in zip(rnd.edges.tolist(), counts.tolist())
-            ]
-            concat = (
-                np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-            )
-            assert concat.tobytes() == rnd.ctx_rows.tobytes()
-            owners = {}
-            for local, block in enumerate(blocks):
-                for row in block.tolist():
-                    owners.setdefault(row, set()).add(local)
-            expected_mask = np.asarray(
-                [len(owners[row]) > 1 for row in concat.tolist()], dtype=bool
-            )
-            assert expected_mask.tolist() == rnd.ctx_dup_mask.tolist()
-            expected_edges = sorted(
-                {local for row, ls in owners.items() if len(ls) > 1 for local in ls}
-            )
-            assert rnd.contended_edges.tolist() == expected_edges
-            saw_contention = saw_contention or bool(expected_edges)
-        assert schedule.stats["contended_ctx_rows"] == sum(
-            int(r.ctx_dup_mask.sum()) for r in schedule.rounds
-        )
-        # the fixture batch is dense enough to exercise the per-edge path
-        assert saw_contention
+        schedule = build_schedule(plan)
+        contended = 0
+        for r, (c0, c1) in enumerate(_round_slices(schedule.ctx_bounds)):
+            seen = {}
+            expected = []
+            for row in schedule.ctx_rows[c0:c1].tolist():
+                expected.append(seen.get(row, 0))
+                seen[row] = expected[-1] + 1
+            assert schedule.ctx_rank[c0:c1].tolist() == expected
+            assert schedule.ctx_max_rank[r] == max(expected, default=0)
+            contended += sum(n for n in seen.values() if n > 1)
+        assert schedule.contended_ctx_rows == contended
+        # the fixture batch is dense enough to exercise the sweep path
+        assert contended > 0
 
     def test_stats_agree_with_stream_edge_partition(self, compiled_plan):
         """Plan-level rounds == StreamEdge-level rounds on the same batch
-        (same greedy algorithm), so the summary stats coincide."""
+        (same greedy algorithm), so the round counts and sizes coincide."""
         _, plan = compiled_plan
-        schedule = build_schedule(plan, 4, 2)
+        schedule = build_schedule(plan)
         edges = [
             StreamEdge(int(u), int(v), "r", float(i))
             for i, (u, v) in enumerate(plan.uv.tolist())
         ]
-        legacy = partition_conflict_free_rounds(edges)
-        assert schedule.num_rounds == len(legacy)
-        assert schedule.stats["edges"] == plan.num_edges
-        assert schedule.stats["max_round"] == max(len(r) for r in legacy)
-        assert schedule.stats["parallelism_bound"] == pytest.approx(
-            plan.num_edges / len(legacy)
-        )
-        assert schedule.stats["imbalance"] >= 1.0 - 1e-12
+        stats = shard_statistics(edges)
+        sizes = np.diff(schedule.edge_bounds)
+        assert schedule.num_rounds == stats["rounds"]
+        assert sizes.sum() == stats["edges"] == plan.num_edges
+        assert sizes.max() == stats["max_round"]
+        assert sizes.mean() == pytest.approx(stats["mean_round"])

@@ -101,35 +101,6 @@ class TestStripedPublish:
         np.testing.assert_array_equal(snap.row(7), [3.0, 3.0])
         np.testing.assert_array_equal(snap.row(2), [0.0, 0.0])
 
-    def test_sharded_engine_service_is_worker_count_invariant(
-        self, small_dataset
-    ):
-        """End to end through the service: a sharded-engine model at 4
-        workers serves exactly the 1-worker answers and state."""
-        services = {}
-        for w in (1, 4):
-            cfg = SUPAConfig(
-                seed=7, engine="sharded", shard_workers=w, shard_min_chunk=2
-            )
-            services[w] = make_service(
-                small_dataset, model_config=cfg, shard_workers=w
-            )
-            drain(services[w], small_dataset)
-        base, sharded = services[1], services[4]
-        assert (
-            base.store.snapshot().matrix().tobytes()
-            == sharded.store.snapshot().matrix().tobytes()
-        )
-        for user in range(3):
-            np.testing.assert_array_equal(
-                base.recommend(user, k=4), sharded.recommend(user, k=4)
-            )
-        # scheduling observability fed from the engine's counters
-        assert sharded.metrics.counter("shard.rounds").value > 0
-        assert sharded.metrics.gauge("shard.imbalance").value >= 1.0
-        for svc in services.values():
-            svc.close()
-
 
 # ------------------------------------------------------- delta-publish store
 
