@@ -1,8 +1,7 @@
 """Open-loop offered-load sweep: latency tails with queueing attribution.
 
-Unlike :mod:`bench_serving_throughput` (closed-loop: each event waits
-for the previous one, so queueing delay is structurally invisible),
-this harness drives the serving stack **open-loop** through
+Unlike a closed loop (each event waits for the previous one, so
+queueing delay is structurally invisible), this harness drives the serving stack **open-loop** through
 :mod:`repro.obs.loadgen`: seeded Poisson arrivals at fixed fractions of
 the service's calibrated closed-loop capacity.  Each tier reports
 p50/p99/p999 end-to-end latency split into queue wait (admission →

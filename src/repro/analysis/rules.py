@@ -154,7 +154,7 @@ class ExplicitDtypeRule(Rule):
         "resilience/ and replicate/ must pass an explicit dtype= so the "
         "analytic-gradient, autograd, serving-snapshot, checkpoint-parity "
         "and replica-fingerprint paths cannot drift between float32 and "
-        "float64; core/engine/ and core/shard/ additionally require "
+        "float64; core/engine/ additionally requires "
         "dtype= on np.asarray/np.arange because plan and schedule arrays "
         "feed the engines' bitwise-parity contract"
     )
@@ -166,7 +166,7 @@ class ExplicitDtypeRule(Rule):
     #: would silently break the parity gate, not just precision).
     ENGINE_CONSTRUCTORS = {**CONSTRUCTORS, "asarray": 1, "arange": 3}
     SCOPES = ("core/", "autograd/", "serve/", "resilience/", "replicate/", "obs/")
-    ENGINE_SCOPE = ("core/engine/", "core/shard/")
+    ENGINE_SCOPE = "core/engine/"
 
     def applies_to(self, sf: SourceFile) -> bool:
         return sf.package_rel.startswith(self.SCOPES)
@@ -289,12 +289,12 @@ class InplaceMutationRule(Rule):
     description = (
         "augmented assignment targeting a `.data` backing array outside a "
         "`with no_grad():` block mutates values saved by backward closures; "
-        "in core/engine/ and core/shard/ any subscript write to an "
+        "in core/engine/ any subscript write to an "
         "attribute-held array is also banned — kernels return gradients, "
         "the optimizer owns writes"
     )
 
-    ENGINE_SCOPE = ("core/engine/", "core/shard/")
+    ENGINE_SCOPE = "core/engine/"
 
     def check_file(self, sf: SourceFile) -> Iterator[Violation]:
         parents = build_parent_map(sf.tree)

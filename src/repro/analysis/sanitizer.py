@@ -324,7 +324,7 @@ def default_audits() -> List[Audit]:
             TopKIndex,
             "_lock",
             {
-                "_cache", "_cache_bytes", "hits", "misses",
+                "_cache", "hits", "misses",
                 "invalidations", "evictions", "warmed",
             },
         ),
@@ -360,7 +360,7 @@ def default_audits() -> List[Audit]:
                 "_clock", "_update_in_flight", "_updates_applied",
                 "_resilience_suspended", "_consecutive_update_failures",
                 "_breaker_open", "_breaker_cooldown", "_read_only",
-                "_user_activity", "_shard_pool",
+                "_user_activity",
             },
         ),
         audit(

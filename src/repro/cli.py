@@ -24,9 +24,6 @@ Commands:
   it, ``promote`` flips a drained follower writable and optionally
   resumes ingest with a golden parity check, and ``failover`` runs the
   seeded kill-primary chaos gate end to end.
-* ``bench-train`` — measure steady-state training throughput of the
-  reference vs batched execution engine (with a bitwise parity check)
-  and optionally enforce a minimum speedup.
 * ``lint`` — run the reprolint static-analysis suite over the source
   tree (see :mod:`repro.analysis`).
 * ``obs`` — run a short traced replay and print the observability
@@ -112,7 +109,7 @@ def _add_replay_args(
     )
     p.add_argument(
         "--output",
-        default=os.path.join("benchmarks", "results", output),
+        default=output,
         help="JSON report path ('' to skip writing)",
     )
 
@@ -897,56 +894,6 @@ def cmd_replicate_failover(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_bench_train(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.core.engine.benchmark import measure_zoo
-
-    summary = measure_zoo(
-        dataset_names=args.datasets,
-        scale=args.scale,
-        dataset_seed=args.seed,
-        warm_history=args.history,
-        batch_size=args.batch_size,
-        passes=args.passes,
-        repeats=args.repeats,
-        seed=args.model_seed,
-    )
-    rows = [
-        [
-            r["dataset"],
-            r["reference_edges_per_second"],
-            r["batched_edges_per_second"],
-            r["speedup"],
-            "yes" if r["parity"] else "NO",
-        ]
-        for r in summary["datasets"]
-    ]
-    print(
-        format_table(
-            ["dataset", "reference e/s", "batched e/s", "speedup", "parity"],
-            rows,
-            title=(
-                f"engine throughput (S_batch={args.batch_size}, "
-                f"history={args.history}, geomean {summary['geomean_speedup']:.2f}x)"
-            ),
-        )
-    )
-    if args.output:
-        os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}")
-    if args.min_speedup and summary["geomean_speedup"] < args.min_speedup:
-        print(
-            f"FAIL: geomean speedup {summary['geomean_speedup']:.2f}x below "
-            f"--min-speedup {args.min_speedup}"
-        )
-        return 1
-    return 0
-
-
 def cmd_export(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     save_edge_tsv(dataset.stream, args.output)
@@ -1005,9 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-replay",
         help="replay a dataset through the online serving layer",
     )
-    _add_replay_args(
-        p, batch_size=256, capacity=2048, faults="", output="serving_throughput.json"
-    )
+    _add_replay_args(p, batch_size=256, capacity=2048, faults="", output="")
     p.add_argument("--probe-every", type=int, default=64)
     p.add_argument(
         "--trace",
@@ -1026,7 +971,7 @@ def build_parser() -> argparse.ArgumentParser:
         batch_size=32,
         capacity=128,
         faults="malformed=4,late=3,duplicate=3,burst=1,crash=1",
-        output="chaos_replay.json",
+        output=os.path.join("benchmarks", "results", "chaos_replay.json"),
     )
     p.add_argument(
         "--state-dir",
@@ -1329,36 +1274,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON report path ('' to skip writing)",
     )
     rp.set_defaults(func=cmd_replicate_failover)
-
-    p = sub.add_parser(
-        "bench-train",
-        help="benchmark the batched engine against the per-edge reference",
-    )
-    p.add_argument(
-        "--datasets",
-        nargs="+",
-        default=["movielens", "taobao", "kuaishou", "lastfm"],
-        choices=sorted(DATASET_BUILDERS),
-    )
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=3, help="dataset generation seed")
-    p.add_argument("--model-seed", type=int, default=7)
-    p.add_argument("--history", type=int, default=16384, help="warm-up stream edges")
-    p.add_argument("--batch-size", type=int, default=1024, help="measured S_batch")
-    p.add_argument("--passes", type=int, default=2, help="replay passes per timing")
-    p.add_argument("--repeats", type=int, default=3, help="timings (median kept)")
-    p.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="fail when the geomean speedup drops below this",
-    )
-    p.add_argument(
-        "--output",
-        default=os.path.join("benchmarks", "results", "train_throughput.json"),
-        help="JSON report path ('' to skip writing)",
-    )
-    p.set_defaults(func=cmd_bench_train)
 
     p = sub.add_parser(
         "lint", help="run the reprolint static-analysis suite"

@@ -89,13 +89,6 @@ class SUPAConfig:
     #: of Definition 2's time-dependent representations and measures
     #: better on the drifting datasets, so it is the default.
     decay_at_inference: bool = True
-    #: Which execution engine runs ``train_step``: ``"batched"`` compiles
-    #: micro-batches into structure-of-arrays plans and executes them as
-    #: conflict-free rounds of stacked kernels; ``"reference"`` is the
-    #: per-edge object path of the same round semantics, kept as the
-    #: correctness oracle.  Both produce bitwise-identical results
-    #: (``tests/core/test_engine_parity.py``, DESIGN §9).
-    engine: str = "batched"
     #: Record ``repro.obs`` spans while training.  Off by default: the
     #: no-op tracer keeps instrumented hot paths free (DESIGN §10's
     #: overhead budget); flip on for per-phase wall-time attribution.
@@ -105,10 +98,6 @@ class SUPAConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.engine not in ("reference", "batched"):
-            raise ValueError(
-                f"engine must be 'reference' or 'batched', got {self.engine!r}"
-            )
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         if self.num_walks < 0 or self.walk_length < 1:

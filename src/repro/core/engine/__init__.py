@@ -4,10 +4,10 @@
   float on the training path flows through (both engines share them);
 - :mod:`repro.core.engine.plan` — micro-batch compilation into
   structure-of-arrays :class:`~repro.core.engine.plan.BatchPlan`\\ s;
-- :mod:`repro.core.engine.engine` — the :class:`ReferenceEngine` /
-  :class:`BatchedEngine` pair selected by ``SUPAConfig.engine``;
-- :mod:`repro.core.engine.benchmark` — the edges-per-second harness
-  behind ``repro bench-train``.
+- :mod:`repro.core.engine.schedule` — the conflict-free round
+  partition and the round-major re-layout of a plan;
+- :mod:`repro.core.engine.engine` — :class:`BatchedEngine`, which every
+  model runs, and :class:`ReferenceEngine`, its per-edge oracle.
 
 No eager re-exports: the per-edge reference modules
 (:mod:`repro.core.updater`, :mod:`repro.core.propagation`) import the

@@ -2,24 +2,25 @@
 
 One semantics, two implementations (DESIGN.md §9).  A micro-batch is
 partitioned into conflict-free *rounds* — edges with pairwise-disjoint
-endpoints (:func:`repro.core.shard.schedule.partition_round_indices`).
+endpoints (:func:`repro.core.engine.schedule.partition_round_indices`).
 Rounds run in order; within a round every edge's gradients are taken
 against round-start memory and applied at the round barrier, in edge
 order on the rows several of its edges share.  A single streamed edge
 is a round of one, so ``train_step`` is plain per-edge SGD.
 
-:class:`BatchedEngine` is the production path: it compiles the
-micro-batch into a structure-of-arrays
+:class:`BatchedEngine` is the engine every model is built with: it
+compiles the micro-batch into a structure-of-arrays
 :class:`~repro.core.engine.plan.BatchPlan` (all sampling up front,
 :mod:`repro.core.engine.plan`), re-lays it out round-major
-(:func:`repro.core.shard.schedule.build_schedule`) and executes each
+(:func:`repro.core.engine.schedule.build_schedule`) and executes each
 round as a handful of stacked ``[round, dim]`` kernels — Python
 dispatch is paid per round, not per edge.
 
 :class:`ReferenceEngine` is the per-edge oracle of the same semantics:
 Python objects for walks and hops, dict-based gradient accumulation,
 one optimiser step per edge.  It is easy to audit line-by-line against
-the paper.
+the paper, and no configuration selects it — tests install it on a
+freshly built model (``model.engine = ReferenceEngine(model)``).
 
 Both route every float through the same kernels
 (:mod:`repro.core.engine.kernels`), draw from the model RNG in the same
@@ -39,8 +40,8 @@ import numpy as np
 from repro.core.engine import kernels
 from repro.core.engine.plan import compile_plan
 from repro.core.interactor import interaction_loss, interaction_loss_backward
+from repro.core.engine.schedule import build_schedule, partition_round_indices
 from repro.core.propagation import propagation_loss, propagation_loss_backward
-from repro.core.shard.schedule import build_schedule, partition_round_indices
 from repro.core.updater import target_embedding, target_embedding_backward
 from repro.graph.sampling import (
     InfluencedGraph,
@@ -51,14 +52,9 @@ from repro.graph.streams import StreamEdge
 
 _Record = Tuple[StreamEdge, float, float]
 
-#: Engine names accepted by ``SUPAConfig.engine``.
-ENGINE_NAMES = ("reference", "batched")
-
 
 class _EngineBase:
     """Shared wiring: an engine executes gradient steps for its model."""
-
-    name = ""
 
     def __init__(self, model) -> None:
         self.model = model
@@ -100,8 +96,6 @@ class _EdgeGradients(NamedTuple):
 
 class ReferenceEngine(_EngineBase):
     """The per-edge object path (the correctness oracle)."""
-
-    name = "reference"
 
     def _sample(self, edge: StreamEdge) -> _EdgeSample:
         """Walks, then u-side and v-side negatives — the RNG draw order
@@ -262,8 +256,6 @@ class ReferenceEngine(_EngineBase):
 
 class BatchedEngine(_EngineBase):
     """Plan-compiled, round-stacked execution (the production engine)."""
-
-    name = "batched"
 
     def __init__(self, model) -> None:
         super().__init__(model)
@@ -520,12 +512,3 @@ def _alpha_steps(slots: np.ndarray, grads: np.ndarray):
     keep = np.ones(pair_slots.shape, dtype=bool)
     keep[same, 1] = False
     return pair_slots[keep], pair_grads[keep]
-
-
-def make_engine(name: str, model) -> _EngineBase:
-    """Instantiate the engine selected by ``SUPAConfig.engine``."""
-    if name == "batched":
-        return BatchedEngine(model)
-    if name == "reference":
-        return ReferenceEngine(model)
-    raise ValueError(f"unknown engine {name!r}; expected one of {ENGINE_NAMES}")

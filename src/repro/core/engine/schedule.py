@@ -1,11 +1,14 @@
 """Conflict-free round schedule of a compiled plan.
 
-The execution-side twin of :mod:`repro.core.shard.estimate`: the same
-greedy earliest-round partition, but over a compiled
-:class:`~repro.core.engine.plan.BatchPlan`'s ``uv`` index array instead
-of :class:`~repro.graph.streams.StreamEdge` objects.  Edges of one round
-have pairwise-disjoint endpoints, so a round is the unit the engine
-executes as stacked ``[round, dim]`` array operations (DESIGN.md §9).
+Section IV-H: "the update procedure of SUPA is localized".  Edges with
+pairwise-disjoint endpoints touch disjoint memory rows, so a round of
+them is the unit the engine executes as stacked ``[round, dim]`` array
+operations (DESIGN.md §9).  :func:`partition_round_indices` is the
+greedy earliest-round partition over a compiled
+:class:`~repro.core.engine.plan.BatchPlan`'s ``uv`` index array;
+:func:`partition_conflict_free_rounds` is the same algorithm over
+:class:`~repro.graph.streams.StreamEdge` objects, kept as the
+edge-level reference the tests compare it against.
 
 :func:`build_schedule` re-lays the plan out *round-major* once per plan:
 every per-edge, per-hop, per-negative and per-context-row array is
@@ -18,11 +21,12 @@ arrays.  The schedule is a pure function of the plan.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple
+from typing import Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.engine.plan import BatchPlan
+from repro.graph.streams import StreamEdge
 
 
 class RoundSchedule(NamedTuple):
@@ -106,8 +110,7 @@ class RoundSchedule(NamedTuple):
 def partition_round_indices(uv: np.ndarray) -> List[List[int]]:
     """Greedy earliest-round partition over the plan's ``(B, 2)`` ids.
 
-    Identical algorithm to
-    :func:`repro.core.shard.estimate.partition_conflict_free_rounds`,
+    Identical algorithm to :func:`partition_conflict_free_rounds`,
     returning edge *indices* so the engine can slice plan arrays.
     """
     rounds: List[List[int]] = []
@@ -126,6 +129,34 @@ def partition_round_indices(uv: np.ndarray) -> List[List[int]]:
         round_touched[earliest].update((u, v))
         next_free[u] = earliest + 1
         next_free[v] = earliest + 1
+    return rounds
+
+
+def partition_conflict_free_rounds(
+    edges: Sequence[StreamEdge],
+) -> List[List[StreamEdge]]:
+    """Split ``edges`` into rounds with pairwise-disjoint endpoints.
+
+    Edges keep their relative time order within and across rounds: an
+    edge is placed in the earliest round after the rounds containing any
+    conflicting earlier edge.
+    """
+    rounds: List[List[StreamEdge]] = []
+    round_touched: List[set] = []
+    next_free: Dict[int, int] = {}
+    for e in edges:
+        earliest = max(next_free.get(e.u, 0), next_free.get(e.v, 0))
+        while earliest < len(rounds) and (
+            e.u in round_touched[earliest] or e.v in round_touched[earliest]
+        ):
+            earliest += 1
+        if earliest == len(rounds):
+            rounds.append([])
+            round_touched.append(set())
+        rounds[earliest].append(e)
+        round_touched[earliest].update((e.u, e.v))
+        next_free[e.u] = earliest + 1
+        next_free[e.v] = earliest + 1
     return rounds
 
 

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.config import SUPAConfig
-from repro.core.engine.engine import make_engine
+from repro.core.engine.engine import BatchedEngine
 from repro.core.interactor import final_embedding
 from repro.core.memory import MemoryOptimizer, NodeMemory
 from repro.core.negative import NegativeSampler
@@ -112,7 +112,7 @@ class SUPA:
         #: recording tracer after construction, so engines read this
         #: attribute per call rather than caching it.
         self.tracer = make_tracer(self.config.trace)
-        self.engine = make_engine(self.config.engine, self)
+        self.engine = BatchedEngine(self)
 
     @classmethod
     def for_dataset(
@@ -174,7 +174,7 @@ class SUPA:
 
         Does *not* insert the edge — InsLearn replays batches several
         times and must control insertion separately.  Delegates to the
-        configured execution engine (``SUPAConfig.engine``).
+        execution engine (a micro-batch of one).
         """
         return self.engine.train_step(u, v, edge_type, t, delta_u, delta_v)
 

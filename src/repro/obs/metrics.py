@@ -24,8 +24,8 @@ everything the system reports:
   answered from them instead of the reservoir.
 
 Every mutating operation is lock-guarded — registry get-or-create and
-instrument observe/inc/set — so an ingestion worker thread and sharded
-serving loops can share one registry without lost updates.  The
+instrument observe/inc/set — so ingest producers, the dispatcher thread
+and concurrent readers can share one registry without lost updates.  The
 registry renders to plain dictionaries / JSON so replay drivers and
 benchmarks persist snapshots next to their tables; Prometheus text and
 JSONL exposition live in :mod:`repro.obs.export`.
@@ -61,18 +61,17 @@ class Counter:
             self.value += amount
 
     def set(self, value: float) -> None:
-        """Synchronise the counter with an externally tracked total.
+        """Mirror an externally tracked cumulative total (monotone latch).
 
-        The serving layer mirrors queue-owned cumulative counts into the
-        registry this way; ``value`` may never move backwards.
+        The serving layer copies component-owned tallies into the
+        registry this way from many threads, with no ordering between
+        the read and the write — so an older reading may arrive after a
+        newer one.  The counter keeps the larger value and drops the
+        stale write: a mirror must never fail the call it reports on.
         """
         with self._lock:
-            if value < self.value:
-                raise ValueError(
-                    f"counter {self.name!r} cannot move backwards "
-                    f"({self.value} -> {value})"
-                )
-            self.value = value
+            if value > self.value:
+                self.value = value
 
     def as_dict(self) -> Dict[str, object]:
         with self._lock:

@@ -158,10 +158,7 @@ class ReplicationFollower:
         if self.service is not None:
             raise ReplicationError("follower is already bootstrapped")
         shipped_wal = wal_path(self.state_dir)
-        manager = CheckpointManager(
-            checkpoint_dir(self.state_dir),
-            retain=self._serve_config.checkpoint_retain,
-        )
+        manager = CheckpointManager(checkpoint_dir(self.state_dir))
         ckpt = manager.latest()
         base_seq = ckpt.seq if ckpt is not None else 0
         with _replication_errors():

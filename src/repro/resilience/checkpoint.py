@@ -167,6 +167,10 @@ def deserialize(data: bytes) -> Checkpoint:
     )
 
 
+#: Newest checkpoints kept on disk; older ones are pruned on save.
+RETAIN = 3
+
+
 class CheckpointManager:
     """Atomic writes + retention + corruption fallback over a directory.
 
@@ -177,7 +181,7 @@ class CheckpointManager:
 
     SUFFIX = ".ckpt"
 
-    def __init__(self, directory: str, retain: int = 3, metrics=None):
+    def __init__(self, directory: str, retain: int = RETAIN, metrics=None):
         if retain < 1:
             raise ValueError(f"retain must be >= 1, got {retain}")
         os.makedirs(directory, exist_ok=True)

@@ -221,9 +221,7 @@ def recover(
         )
     timer = Timer()
     with timer:
-        manager = CheckpointManager(
-            serve_config.checkpoint_dir, retain=serve_config.checkpoint_retain
-        )
+        manager = CheckpointManager(serve_config.checkpoint_dir)
         ckpt = manager.latest()
         status = scan(serve_config.wal_path, collect_records=False)
         base_seq = ckpt.seq if ckpt is not None else 0

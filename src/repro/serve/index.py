@@ -18,23 +18,25 @@ using the trainer's touched-node sets:
   version stamp advanced to the new snapshot.
 
 Orthogonally to correctness-driven invalidation, entries are *evicted*
-on capacity pressure: LRU count (``cache_size``), age (``ttl_seconds``,
-lazily on access and eagerly via :meth:`TopKIndex.evict_expired`) and
-memory footprint (``max_bytes``, oldest-first).  Evictions never make an
-answer wrong — they only cost a recomputation — and are tallied
-separately from invalidations.
+least-recently-used first once the cache holds ``cache_size`` of them.
+Evictions never make an answer wrong — they only cost a recomputation —
+and are tallied separately from invalidations.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, NamedTuple, Optional, Set, Tuple
+from typing import Dict, Iterable, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.serve.store import Snapshot
+
+#: Candidate rows scored per matmul block.
+SCORE_BLOCK = 512
+#: ``k`` of the answers the service pre-computes for its busiest users.
+WARM_K = 10
 
 
 class CacheEntry(NamedTuple):
@@ -43,8 +45,6 @@ class CacheEntry(NamedTuple):
     version: int
     items: np.ndarray
     kth_score: float
-    created_at: float = 0.0
-    nbytes: int = 0
 
 
 class TopKIndex:
@@ -59,41 +59,21 @@ class TopKIndex:
         0 disables caching.
     score_block:
         Candidate rows scored per matmul block.
-    ttl_seconds:
-        Entries older than this are expired — lazily when accessed, and
-        in bulk via :meth:`evict_expired`.  ``None`` disables aging.
-    max_bytes:
-        Soft cap on the summed payload bytes of cached answers; when an
-        insert pushes past it, oldest entries are evicted until back
-        under.  ``None`` disables the cap.
-    clock:
-        Injectable time source for TTL accounting (seconds, monotonic);
-        defaults to :func:`time.monotonic`.
     """
 
     def __init__(
         self,
         candidates: np.ndarray,
         cache_size: int = 1024,
-        score_block: int = 512,
-        ttl_seconds: Optional[float] = None,
-        max_bytes: Optional[int] = None,
-        clock: Optional[Callable[[], float]] = None,
+        score_block: int = SCORE_BLOCK,
     ):
         self.candidates = np.asarray(candidates, dtype=np.int64)
         if self.candidates.ndim != 1 or self.candidates.size == 0:
             raise ValueError("candidates must be a non-empty 1-D id array")
         if score_block < 1:
             raise ValueError(f"score_block must be >= 1, got {score_block}")
-        if ttl_seconds is not None and ttl_seconds <= 0:
-            raise ValueError(f"ttl_seconds must be > 0, got {ttl_seconds}")
-        if max_bytes is not None and max_bytes < 0:
-            raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
         self.cache_size = int(cache_size)
         self.score_block = int(score_block)
-        self.ttl_seconds = ttl_seconds
-        self.max_bytes = max_bytes
-        self._clock = clock if clock is not None else time.monotonic
         self._candidate_set: Set[int] = set(int(c) for c in self.candidates)
         # Innermost serve-path lock (DESIGN.md §12): guards the LRU cache
         # and its tallies.  Scoring runs *outside* it — only cache
@@ -101,39 +81,11 @@ class TopKIndex:
         # matmul.
         self._lock = threading.Lock()
         self._cache: "OrderedDict[Tuple[int, int], CacheEntry]" = OrderedDict()
-        self._cache_bytes = 0
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
         self.warmed = 0
-
-    # ----------------------------------------------------------------- eviction
-
-    def _expired(self, entry: CacheEntry, now: float) -> bool:
-        return self.ttl_seconds is not None and now - entry.created_at > self.ttl_seconds
-
-    def _evict(self, key: Tuple[int, int]) -> None:
-        entry = self._cache.pop(key)
-        self._cache_bytes -= entry.nbytes
-        self.evictions += 1
-
-    def evict_expired(self) -> int:
-        """Eagerly drop every entry past its TTL; returns the count."""
-        if self.ttl_seconds is None:
-            return 0
-        now = self._clock()
-        with self._lock:
-            stale = [k for k, e in self._cache.items() if self._expired(e, now)]
-            for key in stale:
-                self._evict(key)
-        return len(stale)
-
-    @property
-    def cache_bytes(self) -> int:
-        """Summed payload bytes of the currently cached answers."""
-        with self._lock:
-            return self._cache_bytes
 
     # ---------------------------------------------------------------- scoring
 
@@ -176,12 +128,8 @@ class TopKIndex:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         key = (int(user), int(k))
-        now = self._clock()
         with self._lock:
             entry = self._cache.get(key)
-            if entry is not None and self._expired(entry, now):
-                self._evict(key)
-                entry = None
             if entry is not None and entry.version == snapshot.version:
                 self._cache.move_to_end(key)
                 self.hits += 1
@@ -196,28 +144,19 @@ class TopKIndex:
         items = self.candidates[positions]
         if self.cache_size > 0:
             with self._lock:
-                self._store_entry(
-                    key,
-                    CacheEntry(snapshot.version, items, kth, now, int(items.nbytes)),
-                )
+                self._store_entry(key, CacheEntry(snapshot.version, items, kth))
         return items
 
     def _store_entry(self, key: Tuple[int, int], entry: CacheEntry) -> None:
-        """Insert an answer and apply capacity pressure (lock held)."""
-        old = self._cache.pop(key, None)
-        if old is not None:
-            self._cache_bytes -= old.nbytes
+        """Insert an answer, evicting least-recently-used entries past
+        ``cache_size`` (lock held)."""
+        self._cache.pop(key, None)
         self._cache[key] = entry
-        self._cache_bytes += entry.nbytes
         while len(self._cache) > self.cache_size:
-            self._evict(next(iter(self._cache)))
-        if self.max_bytes is not None:
-            # Oldest-first until under the cap; a single oversized
-            # answer is evicted too (caching it could never pay off).
-            while self._cache_bytes > self.max_bytes and self._cache:
-                self._evict(next(iter(self._cache)))
+            self._cache.popitem(last=False)
+            self.evictions += 1
 
-    def warm(self, snapshot: Snapshot, users: Iterable[int], k: int) -> int:
+    def warm(self, snapshot: Snapshot, users: Iterable[int], k: int = WARM_K) -> int:
         """Pre-compute and cache top-``k`` answers for ``users``.
 
         Users whose cached answer is already exact for this snapshot
@@ -233,23 +172,15 @@ class TopKIndex:
         count = 0
         for user in users:
             key = (int(user), int(k))
-            now = self._clock()
             with self._lock:
                 entry = self._cache.get(key)
-                if (
-                    entry is not None
-                    and not self._expired(entry, now)
-                    and entry.version == snapshot.version
-                ):
+                if entry is not None and entry.version == snapshot.version:
                     continue
             scores = self.scores(snapshot, int(user))
             positions, kth = self._top_k_exact(scores, k)
             items = self.candidates[positions]
             with self._lock:
-                self._store_entry(
-                    key,
-                    CacheEntry(snapshot.version, items, kth, now, int(items.nbytes)),
-                )
+                self._store_entry(key, CacheEntry(snapshot.version, items, kth))
                 self.warmed += 1
             count += 1
         return count
@@ -299,16 +230,9 @@ class TopKIndex:
                     stale = False
                 if stale:
                     del self._cache[key]
-                    self._cache_bytes -= entry.nbytes
                     dropped += 1
                 else:
-                    self._cache[key] = CacheEntry(
-                        snapshot.version,
-                        entry.items,
-                        entry.kth_score,
-                        entry.created_at,
-                        entry.nbytes,
-                    )
+                    self._cache[key] = entry._replace(version=snapshot.version)
             self.invalidations += dropped
         return dropped
 

@@ -45,10 +45,7 @@ the ``batch`` record, slice the buffer and bump the counters.  The
 handler — a whole train + publish step — therefore runs with the queue
 lock *released*: ``put()``, ``pending``, ``has_ready`` and
 ``shed_oldest()`` never wait on an update, whichever thread runs it
-(DESIGN.md §12).  Parallelism lives *inside* the handler: the
-service stripes the post-update embedding recompute across its shard
-pool (DESIGN.md §14) and merges deterministically before the handler
-returns.
+(DESIGN.md §12).
 
 For durability, a ``journal`` hook receives every queue *decision*
 (``accept`` / ``evict`` / ``batch``) **before** the matching state

@@ -12,8 +12,7 @@ fault hooks plugged in.
 
 The resulting :class:`ReplayReport` carries throughput (events/s in,
 recommendations/s out), latency percentiles, cache hit-rate, staleness
-and the parity fraction, and serialises to JSON for the benchmark
-harness (``benchmarks/bench_serving_throughput.py``).
+and the parity fraction, and serialises to JSON.
 """
 
 from __future__ import annotations

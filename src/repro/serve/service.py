@@ -30,9 +30,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Deque, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -67,18 +66,7 @@ class ServeConfig:
     capacity: int = 2048  # queue bound before backpressure
     overflow: str = "raise"  # backpressure policy: raise | drop_new | drop_oldest
     cache_size: int = 1024  # (user, k) entries in the top-K LRU cache
-    cache_ttl_seconds: Optional[float] = None  # age out cached answers; None = never
-    cache_max_bytes: Optional[int] = None  # memory-pressure cap on cached answers
     warm_users: int = 0  # pre-warm top-K for the N most-active users; 0 = off
-    warm_k: int = 10  # k used for warmed cache entries
-    store_block_size: int = 256  # rows per copy-on-write block
-    compact_every: int = 64  # defragment the store every N publishes; 0 = never
-    score_block: int = 512  # candidate rows per scoring matmul
-    #: Worker threads for the sharded update loop: touched-row Eq. 14
-    #: recomputes are striped across this many workers and merged into
-    #: one atomic snapshot (``publish_parts``).  1 keeps publishing
-    #: in-line on the update thread.
-    shard_workers: int = 1
     read_only: bool = False  # reject ingest (replica mode); reads still served
     # --- resilience (repro.resilience); all off by default -----------------
     wal_path: Optional[str] = None  # journal accepted events/batches here
@@ -86,21 +74,9 @@ class ServeConfig:
     wal_segment_bytes: Optional[int] = None  # rotate WAL segments at this size
     checkpoint_dir: Optional[str] = None  # atomic state snapshots live here
     checkpoint_every: int = 0  # checkpoint every N applied updates; 0 = never
-    checkpoint_retain: int = 3  # newest checkpoints kept on disk
     late_tolerance: Optional[float] = None  # deadletter events older than this
-    ingest_retries: int = 3  # ingest_with_retry backpressure budget
-    ingest_backoff_seconds: float = 0.001  # base of the exponential backoff
-    #: total-deadline budget for ingest_with_retry: retries stop once the
-    #: *planned* cumulative backoff would exceed this many seconds (a
-    #: deterministic budget — no clock read — so retry behaviour is
-    #: replayable).  ``None`` keeps the attempt-count budget alone.
-    retry_deadline_seconds: Optional[float] = None
     breaker_threshold: int = 3  # consecutive update failures to trip; 0 = never
     breaker_cooldown_events: int = 64  # ingests while open before a probe
-    #: injectable sleep for the ingest_with_retry backoff; ``None`` uses
-    #: :func:`time.sleep`.  Tests pass a recording fake so retry timing
-    #: is deterministic and never actually blocks.
-    sleep_fn: Optional[Callable[[float], None]] = None
     #: injectable monotonic clock for per-event stage timestamping:
     #: when set, each accepted event is stamped at admission and its
     #: queue wait (admission → batch dispatch) lands in the HDR-backed
@@ -124,10 +100,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.compact_every < 0:
-            raise ValueError(
-                f"compact_every must be >= 0, got {self.compact_every}"
-            )
         if self.capacity < self.batch_size:
             raise ValueError(
                 f"capacity ({self.capacity}) must be >= batch_size "
@@ -136,19 +108,6 @@ class ServeConfig:
         if self.checkpoint_every < 0:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
-            )
-        if self.checkpoint_retain < 1:
-            raise ValueError(
-                f"checkpoint_retain must be >= 1, got {self.checkpoint_retain}"
-            )
-        if self.ingest_retries < 0:
-            raise ValueError(
-                f"ingest_retries must be >= 0, got {self.ingest_retries}"
-            )
-        if self.ingest_backoff_seconds < 0:
-            raise ValueError(
-                "ingest_backoff_seconds must be >= 0, got "
-                f"{self.ingest_backoff_seconds}"
             )
         if self.breaker_threshold < 0:
             raise ValueError(
@@ -159,25 +118,14 @@ class ServeConfig:
                 "breaker_cooldown_events must be >= 1, got "
                 f"{self.breaker_cooldown_events}"
             )
-        if self.shard_workers < 1:
-            raise ValueError(
-                f"shard_workers must be >= 1, got {self.shard_workers}"
-            )
         if self.warm_users < 0:
             raise ValueError(
                 f"warm_users must be >= 0, got {self.warm_users}"
             )
-        if self.warm_k < 1:
-            raise ValueError(f"warm_k must be >= 1, got {self.warm_k}")
         if self.wal_segment_bytes is not None and self.wal_segment_bytes < 1:
             raise ValueError(
                 "wal_segment_bytes must be >= 1 when set, got "
                 f"{self.wal_segment_bytes}"
-            )
-        if self.retry_deadline_seconds is not None and self.retry_deadline_seconds < 0:
-            raise ValueError(
-                "retry_deadline_seconds must be >= 0 when set, got "
-                f"{self.retry_deadline_seconds}"
             )
         if self.dispatch_poll_seconds <= 0:
             raise ValueError(
@@ -292,7 +240,6 @@ class RecommendationService:
             "recovery.replayed_events",
             "breaker.opened",
             "cache.warmed",
-            "shard.publish.parts",
             "ingest.offered",
             "ingest.shed",
             "admission.admitted",
@@ -325,14 +272,13 @@ class RecommendationService:
             self.metrics.histogram(name, hdr=True)
         # Guards the service's scalar runtime state (_clock,
         # _update_in_flight, _updates_applied, breaker fields,
-        # _resilience_suspended, _read_only, _user_activity,
-        # _shard_pool).  Leaf-like by contract: never call into the
-        # queue, store, index or metrics while holding it — it ranks
-        # between the queue lock and the store lock in the hierarchy
-        # (DESIGN.md §12) only because the journal hook reads
-        # _resilience_suspended under the queue lock.
+        # _resilience_suspended, _read_only, _user_activity).  Leaf-like
+        # by contract: never call into the queue, store, index or
+        # metrics while holding it — it ranks between the queue lock and
+        # the store lock in the hierarchy (DESIGN.md §12) only because
+        # the journal hook reads _resilience_suspended under the queue
+        # lock.
         self._state_lock = threading.Lock()
-        self._sleep = self.config.sleep_fn if self.config.sleep_fn else time.sleep
         self._stage_clock = self.config.clock_fn
         # Accept-time stamps for currently buffered events.  Appended
         # and popped exclusively inside the queue's journal hook — i.e.
@@ -344,10 +290,6 @@ class RecommendationService:
         self._updates_applied = 0
         self._read_only = bool(self.config.read_only)
         self._user_activity: Dict[int, int] = {}
-        # Lazy worker pool for the sharded update loop (created on the
-        # first striped publish; the handle is used outside the lock —
-        # executors are thread-safe).
-        self._shard_pool: Optional[ThreadPoolExecutor] = None
         # --- resilience wiring (function-level imports keep repro.serve
         # importable on its own and avoid a serve <-> resilience cycle)
         self.wal = None
@@ -380,22 +322,12 @@ class RecommendationService:
                 alpha=memory.alpha,
                 alpha_slots=memory.alpha_slots(self.model._node_type_ids),
                 clock=self._clock,
-                block_size=self.config.store_block_size,
-                compact_every=self.config.compact_every,
             )
         else:
             self.store = VersionedEmbeddingStore(
-                self.model.final_embeddings(all_nodes, self.edge_type, self._clock),
-                block_size=self.config.store_block_size,
-                compact_every=self.config.compact_every,
+                self.model.final_embeddings(all_nodes, self.edge_type, self._clock)
             )
-        self.index = TopKIndex(
-            self.items,
-            cache_size=self.config.cache_size,
-            score_block=self.config.score_block,
-            ttl_seconds=self.config.cache_ttl_seconds,
-            max_bytes=self.config.cache_max_bytes,
-        )
+        self.index = TopKIndex(self.items, cache_size=self.config.cache_size)
         self.queue = EventQueue(
             handler=self._apply_batch,
             batch_size=self.config.batch_size,
@@ -582,9 +514,10 @@ class RecommendationService:
     def ingest_with_retry(
         self,
         edge: StreamEdge,
-        retries: Optional[int] = None,
-        backoff_seconds: Optional[float] = None,
+        retries: int = 3,
+        backoff_seconds: float = 0.001,
         deadline_seconds: Optional[float] = None,
+        sleep: Callable[[float], None] = time.sleep,
     ) -> bool:
         """:meth:`ingest` with exponential-backoff retries on backpressure.
 
@@ -592,17 +525,14 @@ class RecommendationService:
         concurrent drainer (the async dispatcher, or another thread
         flushing or resuming the queue).  Two budgets bound the retry
         loop: the attempt count (``retries``) and a total deadline over
-        the *planned* cumulative backoff (``deadline_seconds``, default
-        ``retry_deadline_seconds``) — deterministic, no clock read — so
-        retries can never stall a caller past its timeout.  Exhausting
-        either budget counts ``retry.exhausted`` and re-raises the final
+        the *planned* cumulative backoff (``deadline_seconds``; ``None``
+        keeps the attempt budget alone) — deterministic, no clock read —
+        so retries can never stall a caller past its timeout.  The delay
+        before retry ``n`` is ``backoff_seconds * 2**n``, slept through
+        ``sleep`` (tests pass a recording fake).  Exhausting either
+        budget counts ``retry.exhausted`` and re-raises the final
         :class:`~repro.serve.ingest.BackpressureError`.
         """
-        retries = self.config.ingest_retries if retries is None else retries
-        if backoff_seconds is None:
-            backoff_seconds = self.config.ingest_backoff_seconds
-        if deadline_seconds is None:
-            deadline_seconds = self.config.retry_deadline_seconds
         attempt = 0
         planned_wait = 0.0
         while True:
@@ -617,7 +547,7 @@ class RecommendationService:
                 if attempt >= retries or over_deadline:
                     self.metrics.counter("retry.exhausted").inc()
                     raise
-                self._sleep(delay)
+                sleep(delay)
                 planned_wait += delay
                 attempt += 1
 
@@ -692,10 +622,8 @@ class RecommendationService:
                 if self._decay_serving:
                     snapshot = self._publish_components(rows, clock)
                 else:
-                    parts = self._embedding_parts(rows, clock)
-                    snapshot = self.store.publish_parts(parts)
-                    if len(parts) > 1:
-                        self.metrics.counter("shard.publish.parts").inc(len(parts))
+                    values = self.model.final_embeddings(rows, self.edge_type, clock)
+                    snapshot = self.store.publish_parts([(rows, values)])
             if self._decay_serving:
                 # The clock advance moved every decayed embedding, so
                 # every cached answer is potentially stale — same
@@ -723,39 +651,6 @@ class RecommendationService:
             alpha=memory.alpha,
             clock=clock,
         )
-
-    def _ensure_shard_pool(self) -> ThreadPoolExecutor:
-        with self._state_lock:
-            pool = self._shard_pool
-            if pool is None:
-                pool = ThreadPoolExecutor(
-                    max_workers=self.config.shard_workers,
-                    thread_name_prefix="repro-serve-shard",
-                )
-                self._shard_pool = pool
-        return pool
-
-    def _embedding_parts(
-        self, rows: np.ndarray, clock: float
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Eq. 14 rows for a dense publish, striped across the shard pool.
-
-        Stripes come from ``np.array_split`` over the sorted touched-row
-        list and merge back in stripe order, so the published values are
-        bitwise identical to a single-threaded recompute regardless of
-        ``shard_workers`` or pool scheduling (``final_embeddings`` is a
-        pure row-wise read of model state).
-        """
-        workers = self.config.shard_workers
-        if workers <= 1 or rows.size < 2 * workers:
-            return [(rows, self.model.final_embeddings(rows, self.edge_type, clock))]
-        stripes = [s for s in np.array_split(rows, workers) if s.size]
-        pool = self._ensure_shard_pool()
-        futures = [
-            pool.submit(self.model.final_embeddings, s, self.edge_type, clock)
-            for s in stripes
-        ]
-        return [(s, f.result()) for s, f in zip(stripes, futures)]
 
     def _register_update_failure(self, batch: EdgeStream, exc: Exception) -> None:
         """Deadletter a failed batch; trip the breaker at the threshold."""
@@ -820,7 +715,8 @@ class RecommendationService:
         """Pre-compute top-K cache entries against the latest snapshot.
 
         With ``users=None`` the ``warm_users`` most-active users (by
-        accepted-event count) are warmed with ``warm_k``; runs after
+        accepted-event count) are warmed with ``k =``
+        :data:`~repro.serve.index.WARM_K`; runs after
         every publish, after recovery, and after follower bootstrap.
         Returns the number of entries computed (0 when warming is off
         or activity is empty).
@@ -833,7 +729,7 @@ class RecommendationService:
         if not users:
             return 0
         snapshot = self.store.snapshot()
-        warmed = self.index.warm(snapshot, users, self.config.warm_k)
+        warmed = self.index.warm(snapshot, users)
         self.metrics.counter("cache.warmed").set(self.index.warmed)
         return warmed
 
@@ -889,7 +785,6 @@ class RecommendationService:
 
             self.checkpoints = CheckpointManager(
                 self.config.checkpoint_dir,
-                retain=self.config.checkpoint_retain,
                 metrics=self.metrics,
             )
 
@@ -1022,18 +917,13 @@ class RecommendationService:
     def close(self) -> None:
         """Release pooled resources (idempotent): the dispatcher thread
         (joined after draining ready batches — quiescence contract,
-        DESIGN.md §16), the serve-side shard pool and the WAL file
-        handle (a crashed process releases
-        these for free; tests and drivers call it before recovering).
+        DESIGN.md §16) and the WAL file handle (a crashed process
+        releases these for free; tests and drivers call it before
+        recovering).
         A partial trailing micro-batch stays buffered; call ``flush()``
         first when the run must quiesce completely."""
         if self.dispatcher is not None:
             self.dispatcher.close()
-        with self._state_lock:
-            pool = self._shard_pool
-            self._shard_pool = None
-        if pool is not None:
-            pool.shutdown(wait=True)
         if self.wal is not None:
             self.wal.close()
 
@@ -1046,6 +936,11 @@ class RecommendationService:
         snapshot (the last published one) serving, and the staleness
         gauge records how many events the answer is behind.
         """
+        return self._serve(user, k)[0]
+
+    def _serve(self, user: int, k: int) -> Tuple[np.ndarray, int]:
+        """One read: the items and the version of the snapshot they came
+        from (pinned once, so the two can never disagree)."""
         if not 0 <= int(user) < self.dataset.num_nodes:
             raise IndexError(
                 f"user {user} outside universe of {self.dataset.num_nodes} nodes"
@@ -1053,13 +948,10 @@ class RecommendationService:
         with self.tracer.span("serve.service.query"):
             with self.metrics.histogram("latency.recommend_seconds").time():
                 snapshot = self.store.snapshot()  # pin: reads stay on one version
-                hits_before = self.index.hits
                 items = self.index.top_k(snapshot, int(user), int(k))
         self.metrics.counter("serve.recommendations").inc()
-        if self.index.hits > hits_before:
-            self.metrics.counter("cache.hits").inc()
-        else:
-            self.metrics.counter("cache.misses").inc()
+        self.metrics.counter("cache.hits").set(self.index.hits)
+        self.metrics.counter("cache.misses").set(self.index.misses)
         self.metrics.counter("cache.evictions").set(self.index.evictions)
         stale_by = self.queue.pending
         with self._state_lock:
@@ -1070,7 +962,7 @@ class RecommendationService:
         elif stale_by:
             self.metrics.counter("serve.stale_serves").inc()
         self.metrics.gauge("staleness.events_behind").set(stale_by)
-        return items
+        return items, snapshot.version
 
     def query(self, user: int, k: int = 10) -> "QueryResult":
         """Overload-aware :meth:`recommend`: answers never error under
@@ -1099,14 +991,14 @@ class RecommendationService:
                 )
                 if high is not None and self._staleness_seconds() >= high:
                     reason = "staleness past watermark"
-        items = self.recommend(user, k)
+        items, version = self._serve(user, k)
         if reason:
             self.metrics.counter("serve.degraded").inc()
         return QueryResult(
             items=items,
             degraded=bool(reason),
             reason=reason,
-            snapshot_version=self.store.version,
+            snapshot_version=version,
         )
 
     def offline_top_k(self, user: int, k: int = 10) -> np.ndarray:

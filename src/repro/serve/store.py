@@ -35,6 +35,11 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+#: Rows per copy-on-write block.
+BLOCK_SIZE = 256
+#: Publishes between automatic compactions of the live snapshot.
+COMPACT_EVERY = 64
+
 
 class Snapshot:
     """An immutable, versioned view of the full embedding matrix.
@@ -110,11 +115,14 @@ class VersionedEmbeddingStore:
         update but cost more gather overhead per read.
     compact_every:
         Automatically :meth:`compact` after every this many publishes;
-        0 (the default) disables automatic compaction.
+        0 disables automatic compaction.
     """
 
     def __init__(
-        self, initial: np.ndarray, block_size: int = 256, compact_every: int = 0
+        self,
+        initial: np.ndarray,
+        block_size: int = BLOCK_SIZE,
+        compact_every: int = COMPACT_EVERY,
     ):
         initial = np.asarray(initial, dtype=np.float64)
         if initial.ndim != 2:
@@ -196,12 +204,11 @@ class VersionedEmbeddingStore:
     ) -> Snapshot:
         """Publish several ``(rows, values)`` stripes as ONE snapshot.
 
-        The sharded serve path computes disjoint row stripes on a worker
-        pool; they land here in *stripe order* (a pure function of the
-        sorted touched-row list, never of which worker finished first),
-        and are concatenated into a single atomic :meth:`publish` — so a
-        striped publish is bitwise identical to the unsharded one and
-        readers never observe a partially published update.
+        The stripes are concatenated in the order given into a single
+        atomic :meth:`publish` — bitwise identical to publishing the
+        concatenation, and readers never observe a partially published
+        update.  The service's dense path hands its touched rows here as
+        one stripe.
         """
         if not parts:
             return self.publish(
@@ -373,8 +380,8 @@ class DecayedEmbeddingStore:
         alpha: np.ndarray,
         alpha_slots: np.ndarray,
         clock: float = 0.0,
-        block_size: int = 256,
-        compact_every: int = 0,
+        block_size: int = BLOCK_SIZE,
+        compact_every: int = COMPACT_EVERY,
     ):
         components = np.asarray(components, dtype=np.float64)
         if components.ndim != 2 or components.shape[1] % 3:

@@ -28,11 +28,11 @@ from repro.core.engine import engine as engine_module
 from repro.core.engine import kernels
 from repro.core.engine.plan import compile_plan
 from repro.core.inslearn import InsLearnConfig, InsLearnTrainer
-from repro.core.model import SUPA
-from repro.core.shard import partition_round_indices
+from repro.core.engine.schedule import partition_round_indices
 from repro.core.variants import VARIANT_BUILDERS, make_variant
 from repro.datasets.zoo import movielens
 from repro.graph.streams import StreamEdge
+from tests.core import build_model
 
 BATCH_SIZE = 96
 N_BATCHES = 2
@@ -50,9 +50,9 @@ def _state_bytes(model):
     return b"".join(parts)
 
 
-def _train(config):
+def _train(config, engine="batched"):
     dataset = movielens(scale=0.08, seed=3)
-    model = SUPA.for_dataset(dataset, config=config)
+    model = build_model(dataset, config, engine)
     trainer = InsLearnTrainer(
         model,
         InsLearnConfig(
@@ -71,8 +71,8 @@ def _train(config):
 
 
 def _assert_engines_agree(config):
-    ref_model, ref_reports = _train(config.with_overrides(engine="reference"))
-    bat_model, bat_reports = _train(config.with_overrides(engine="batched"))
+    ref_model, ref_reports = _train(config, engine="reference")
+    bat_model, bat_reports = _train(config)
     assert _state_bytes(ref_model) == _state_bytes(bat_model)
     for ref, bat in zip(ref_reports, bat_reports):
         assert ref.mean_loss == bat.mean_loss
@@ -115,8 +115,8 @@ def test_walk_and_decay_config_parity(overrides):
 def test_batched_engine_is_run_deterministic():
     """Two identically-seeded batched runs are byte-identical — the
     serving layer's replay logs and JSON exports depend on this."""
-    model_a, reports_a = _train(SUPAConfig(seed=7, engine="batched"))
-    model_b, reports_b = _train(SUPAConfig(seed=7, engine="batched"))
+    model_a, reports_a = _train(SUPAConfig(seed=7))
+    model_b, reports_b = _train(SUPAConfig(seed=7))
     assert _state_bytes(model_a) == _state_bytes(model_b)
     for a, b in zip(reports_a, reports_b):
         assert a.touched_nodes == b.touched_nodes
@@ -137,9 +137,7 @@ def _trained_pair(overrides, make_records, history=260):
     for engine in ("batched", "reference"):
         dataset = movielens(scale=0.3, seed=3)
         edges = list(dataset.stream)
-        model = SUPA.for_dataset(
-            dataset, config=SUPAConfig(seed=7, engine=engine, **overrides)
-        )
+        model = build_model(dataset, SUPAConfig(seed=7, **overrides), engine)
         for e in edges[:history]:
             model.observe(e.u, e.v, e.edge_type, e.t)
         records = make_records(dataset, edges[history:])
@@ -276,9 +274,9 @@ def test_barrier_order_mutation_turns_parity_red(monkeypatch):
 # the parent commit (f510364, per-edge executor) with this function.
 
 
-def _single_edge_digest(config):
+def _single_edge_digest(config, engine):
     dataset = movielens(scale=0.08, seed=3)
-    model = SUPA.for_dataset(dataset, config=config)
+    model = build_model(dataset, config, engine)
     losses = [
         model.process_edge(e.u, e.v, e.edge_type, e.t)
         for e in list(dataset.stream)[:300]
@@ -299,8 +297,8 @@ PARENT_DIGEST_NO_INTER = (
 def test_single_edge_bytes_equal_the_parent_without_eq7(engine):
     """Everything but the interaction score: byte-identical to the
     parent commit."""
-    config = SUPAConfig(seed=7, engine=engine, use_inter=False)
-    assert _single_edge_digest(config) == PARENT_DIGEST_NO_INTER
+    config = SUPAConfig(seed=7, use_inter=False)
+    assert _single_edge_digest(config, engine) == PARENT_DIGEST_NO_INTER
 
 
 @pytest.mark.parametrize("engine", ["batched", "reference"])
@@ -322,7 +320,7 @@ def test_single_edge_bytes_equal_the_parent_given_its_blas_score(
         return -kernels.log_sigmoid_branched(score), score, h_r
 
     monkeypatch.setattr(kernels, "interaction_forward", blas_forward)
-    assert _single_edge_digest(SUPAConfig(seed=7, engine=engine)) == PARENT_DIGEST
+    assert _single_edge_digest(SUPAConfig(seed=7), engine) == PARENT_DIGEST
 
 
 # ------------------------------------------------------------ tracing parity
@@ -333,10 +331,8 @@ def test_tracing_is_bitwise_neutral(engine):
     """Observability must never change the computation: a traced run and
     an untraced run of the same engine are byte-identical — model state,
     reports, and the consumed RNG stream."""
-    plain_model, plain_reports = _train(SUPAConfig(seed=7, engine=engine))
-    traced_model, traced_reports = _train(
-        SUPAConfig(seed=7, engine=engine, trace=True)
-    )
+    plain_model, plain_reports = _train(SUPAConfig(seed=7), engine)
+    traced_model, traced_reports = _train(SUPAConfig(seed=7, trace=True), engine)
     assert _state_bytes(plain_model) == _state_bytes(traced_model)
     for plain, traced in zip(plain_reports, traced_reports):
         assert plain.mean_loss == traced.mean_loss

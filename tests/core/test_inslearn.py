@@ -12,6 +12,7 @@ from repro.core.inslearn import (
     validation_mrr,
 )
 from repro.core.model import SUPA
+from tests.core import build_model
 
 
 @pytest.fixture
@@ -272,7 +273,7 @@ class TestEarlyStoppingRollback:
             }
         )
         make = lambda: InsLearnTrainer(  # noqa: E731
-            SUPA.for_dataset(tiny_synthetic, SUPAConfig(dim=8, seed=0, engine=engine)),
+            build_model(tiny_synthetic, SUPAConfig(dim=8, seed=0), engine),
             cfg,
         )
         return make(), make()

@@ -1,4 +1,4 @@
-"""Tests for the plan-level round scheduler (``repro.core.shard.schedule``).
+"""Tests for the plan-level round scheduler (``repro.core.engine.schedule``).
 
 The schedule is a pure function of the compiled plan — these tests pin
 the properties the engine's correctness rests on: conflict-free
@@ -14,15 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SUPAConfig
-from repro.core.engine.benchmark import _steady_state_records
 from repro.core.engine.plan import compile_plan
-from repro.core.model import SUPA
-from repro.core.shard import (
+from repro.core.engine.schedule import (
     build_schedule,
     partition_conflict_free_rounds,
     partition_round_indices,
-    shard_statistics,
 )
+from repro.core.inslearn import _record_and_observe
+from repro.core.model import SUPA
 from repro.datasets.zoo import movielens
 from repro.graph.streams import StreamEdge
 
@@ -35,11 +34,24 @@ def edges_from_pairs(pairs):
     return [StreamEdge(u, v, "r", float(i)) for i, (u, v) in enumerate(pairs)]
 
 
+def _steady_state_records(model, dataset, warm_history: int, batch_size: int):
+    """Insert ``warm_history`` edges (graph only, no training), return
+    the next batch's records — a micro-batch over dense neighbourhoods."""
+    edges = list(dataset.stream)
+    need = warm_history + batch_size
+    if len(edges) < need:
+        # Repeat interactions are ordinary recsys dynamics and keep
+        # densifying neighbourhoods.
+        edges = edges * (need // len(edges) + 1)
+    _record_and_observe(model, edges[:warm_history])
+    return _record_and_observe(model, edges[warm_history:need])
+
+
 @pytest.fixture(scope="module")
 def compiled_plan():
     """A real compiled plan over a warm graph (walks + negatives live)."""
     dataset = movielens(scale=0.08, seed=3)
-    model = SUPA.for_dataset(dataset, config=SUPAConfig(seed=7, engine="batched"))
+    model = SUPA.for_dataset(dataset, config=SUPAConfig(seed=7))
     records = _steady_state_records(model, dataset, 256, 96)
     return model, compile_plan(model, records, model.engine.candidate_cache)
 
@@ -230,9 +242,7 @@ class TestBuildSchedule:
             StreamEdge(int(u), int(v), "r", float(i))
             for i, (u, v) in enumerate(plan.uv.tolist())
         ]
-        stats = shard_statistics(edges)
+        rounds = partition_conflict_free_rounds(edges)
         sizes = np.diff(schedule.edge_bounds)
-        assert schedule.num_rounds == stats["rounds"]
-        assert sizes.sum() == stats["edges"] == plan.num_edges
-        assert sizes.max() == stats["max_round"]
-        assert sizes.mean() == pytest.approx(stats["mean_round"])
+        assert sizes.tolist() == [len(r) for r in rounds]
+        assert sizes.sum() == plan.num_edges

@@ -1,15 +1,10 @@
-"""Tests for conflict-free update sharding."""
+"""Tests for the edge-level conflict-free round partition (the
+reference ``partition_round_indices`` is compared against)."""
 
-import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.shard import (
-    estimate_parallel_speedup,
-    partition_conflict_free_rounds,
-    shard_statistics,
-)
+from repro.core.engine.schedule import partition_conflict_free_rounds
 from repro.graph.streams import StreamEdge
 
 
@@ -53,45 +48,6 @@ class TestPartition:
         assert partition_conflict_free_rounds([]) == []
 
 
-class TestSpeedup:
-    def test_single_worker_is_one(self):
-        edges = edges_from_pairs([(0, 1), (2, 3), (4, 5), (0, 2)])
-        assert estimate_parallel_speedup(edges, 1) == pytest.approx(1.0)
-
-    def test_fully_parallel_batch(self):
-        edges = edges_from_pairs([(0, 1), (2, 3), (4, 5), (6, 7)])
-        assert estimate_parallel_speedup(edges, 4) == pytest.approx(4.0)
-
-    def test_star_graph_no_speedup(self):
-        edges = edges_from_pairs([(0, i) for i in range(1, 9)])
-        assert estimate_parallel_speedup(edges, 8) == pytest.approx(1.0)
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            estimate_parallel_speedup([], 0)
-
-    def test_empty_edges(self):
-        assert estimate_parallel_speedup([], 4) == 1.0
-
-    def test_monotone_in_workers(self):
-        rng = np.random.default_rng(0)
-        edges = edges_from_pairs(
-            [(int(rng.integers(20)), 20 + int(rng.integers(20))) for _ in range(100)]
-        )
-        speedups = [estimate_parallel_speedup(edges, w) for w in (1, 2, 4, 8)]
-        assert all(b >= a - 1e-9 for a, b in zip(speedups, speedups[1:]))
-
-
-class TestStatistics:
-    def test_keys_and_consistency(self):
-        edges = edges_from_pairs([(0, 1), (1, 2), (3, 4)])
-        stats = shard_statistics(edges)
-        assert stats["edges"] == 3
-        assert stats["rounds"] >= 2
-        assert stats["parallelism_bound"] <= stats["max_round"] + 1e-9 or True
-        assert stats["mean_round"] > 0
-
-
 @given(
     pairs=st.lists(
         st.tuples(st.integers(0, 15), st.integers(16, 30)), min_size=1, max_size=60
@@ -99,8 +55,7 @@ class TestStatistics:
 )
 @settings(max_examples=50, deadline=None)
 def test_partition_invariants(pairs):
-    """Every edge lands in exactly one round; rounds are conflict-free;
-    speedup at infinite workers equals edges / rounds."""
+    """Every edge lands in exactly one round; rounds are conflict-free."""
     edges = edges_from_pairs(pairs)
     rounds = partition_conflict_free_rounds(edges)
     flat = [e for r in rounds for e in r]
@@ -110,5 +65,3 @@ def test_partition_invariants(pairs):
         for e in r:
             assert e.u not in touched and e.v not in touched
             touched.update((e.u, e.v))
-    speedup = estimate_parallel_speedup(edges, 10_000)
-    assert speedup == pytest.approx(len(edges) / len(rounds))

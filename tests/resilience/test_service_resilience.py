@@ -160,12 +160,7 @@ class TestIngestWithRetry:
     def test_retries_then_succeeds_when_queue_drains(self, dataset):
         service = RecommendationService(
             dataset,
-            config=ServeConfig(
-                batch_size=4,
-                capacity=4,
-                ingest_retries=3,
-                ingest_backoff_seconds=0.0,
-            ),
+            config=ServeConfig(batch_size=4, capacity=4),
         )
         service.queue.pause()
         stream = list(dataset.stream)
@@ -183,48 +178,38 @@ class TestIngestWithRetry:
             return original_ingest(edge)
 
         service.ingest = draining_ingest
-        assert service.ingest_with_retry(stream[4])
+        assert service.ingest_with_retry(stream[4], retries=3, backoff_seconds=0.0)
         assert len(attempts) >= 2
 
     def test_injected_sleep_fn_sees_exponential_backoff(self, dataset):
-        """``ServeConfig.sleep_fn`` replaces ``time.sleep`` in the retry
-        loop, making backoff schedules testable without wall-clock."""
+        """``sleep=`` replaces ``time.sleep`` in the retry loop, making
+        backoff schedules testable without wall-clock."""
         naps = []
         service = RecommendationService(
-            dataset,
-            config=ServeConfig(
-                batch_size=4,
-                capacity=4,
-                ingest_retries=3,
-                ingest_backoff_seconds=0.5,
-                sleep_fn=naps.append,
-            ),
+            dataset, config=ServeConfig(batch_size=4, capacity=4)
         )
         service.queue.pause()
         stream = list(dataset.stream)
         for edge in stream[:4]:
             service.ingest(edge)
         with pytest.raises(BackpressureError):
-            service.ingest_with_retry(stream[4])
+            service.ingest_with_retry(
+                stream[4], retries=3, backoff_seconds=0.5, sleep=naps.append
+            )
         # 3 retries -> 3 naps, doubling each time, no real sleeping
         assert naps == [0.5, 1.0, 2.0]
 
     def test_exhausted_budget_reraises(self, dataset):
         service = RecommendationService(
             dataset,
-            config=ServeConfig(
-                batch_size=4,
-                capacity=4,
-                ingest_retries=2,
-                ingest_backoff_seconds=0.0,
-            ),
+            config=ServeConfig(batch_size=4, capacity=4),
         )
         service.queue.pause()
         stream = list(dataset.stream)
         for edge in stream[:4]:
             service.ingest(edge)
         with pytest.raises(BackpressureError):
-            service.ingest_with_retry(stream[4])
+            service.ingest_with_retry(stream[4], retries=2, backoff_seconds=0.0)
 
 
 class TestLateEvents:

@@ -183,17 +183,19 @@ class TestRetryDeadline:
             overflow="raise",
             batch_size=4,
             capacity=4,
-            sleep_fn=sleeps.append,
-            ingest_retries=10,
-            ingest_backoff_seconds=0.002,
-            retry_deadline_seconds=0.005,
         )
         edges = list(small_dataset.stream)
         svc.queue.pause()
         for e in edges[:4]:
             assert svc.ingest(e)  # queue now full
         with pytest.raises(BackpressureError):
-            svc.ingest_with_retry(edges[4])
+            svc.ingest_with_retry(
+                edges[4],
+                retries=10,
+                backoff_seconds=0.002,
+                deadline_seconds=0.005,
+                sleep=sleeps.append,
+            )
         # planned backoff: 0.002 fits the 0.005 budget, 0.002 + 0.004
         # would exceed it — exactly one sleep, then exhaustion
         assert sleeps == [0.002]
@@ -206,17 +208,19 @@ class TestRetryDeadline:
             overflow="raise",
             batch_size=4,
             capacity=4,
-            sleep_fn=sleeps.append,
-            ingest_retries=2,
-            ingest_backoff_seconds=0.001,
-            retry_deadline_seconds=10.0,
         )
         edges = list(small_dataset.stream)
         svc.queue.pause()
         for e in edges[:4]:
             assert svc.ingest(e)
         with pytest.raises(BackpressureError):
-            svc.ingest_with_retry(edges[4])
+            svc.ingest_with_retry(
+                edges[4],
+                retries=2,
+                backoff_seconds=0.001,
+                deadline_seconds=10.0,
+                sleep=sleeps.append,
+            )
         assert sleeps == [0.001, 0.002]  # retries bound it before the deadline
         assert svc.metrics.counter("retry.exhausted").value == 1
 

@@ -7,6 +7,8 @@ malformed events, and exact offline parity once quiesced.
 
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -124,6 +126,25 @@ class TestSnapshotIsolation:
         assert svc.metrics.gauge("staleness.events_behind").value == 0.0
 
 
+    def test_query_reports_the_version_its_items_came_from(self, small_dataset):
+        """A publish landing between the read and the return (an async
+        update) must not relabel the answer: ``snapshot_version`` is the
+        pinned snapshot's, not a second look at the store."""
+        svc = make_service(small_dataset)
+        original = svc.index.top_k
+
+        def answer_then_publish(snapshot, user, k):
+            items = original(snapshot, user, k)
+            for e in stream_edges(small_dataset)[:4]:
+                svc.ingest(e)  # a full batch: trains and publishes version 1
+            return items
+
+        svc.index.top_k = answer_then_publish
+        result = svc.query(0, k=3)
+        assert svc.snapshot_version == 1
+        assert result.snapshot_version == 0
+
+
 class TestCacheInvalidation:
     def test_only_affected_entries_are_dropped_and_rest_stay_exact(
         self, small_dataset
@@ -206,3 +227,47 @@ class TestParityAndMetrics:
         stats = svc.stats()
         assert stats["events_accepted"] == 8.0
         assert 0.0 <= stats["cache_hit_rate"] <= 1.0
+
+    def test_cache_counters_mirror_the_index(self, small_dataset):
+        svc = make_service(small_dataset)
+        svc.recommend(0, k=3)
+        svc.recommend(0, k=3)
+        svc.recommend(1, k=3)
+        assert (svc.index.hits, svc.index.misses) == (1, 2)
+        assert svc.metrics.counter("cache.hits").value == 1
+        assert svc.metrics.counter("cache.misses").value == 2
+
+    def test_concurrent_ingest_never_fails_on_its_metrics_mirror(self, small_dataset):
+        """Eight producers race the read-then-set mirror of the queue's
+        tallies; a slower thread's older reading must be dropped, never
+        raised out of an ``ingest()`` whose event was already accepted."""
+        threads, per_thread = 8, 1500
+        svc = make_service(small_dataset, capacity=threads * per_thread)
+        svc.queue.pause()  # buffer only: the race is in ingest, not training
+        errors = []
+
+        def produce(worker):
+            try:
+                for i in range(per_thread):
+                    svc.ingest(StreamEdge(worker % 5, 5, "click", float(i)))
+            except Exception as exc:  # the regression: ValueError from Counter.set
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=produce, args=(w,)) for w in range(threads)
+            ]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert errors == []
+        offered = threads * per_thread
+        assert svc.queue.accepted == offered
+        assert svc.metrics.counter("ingest.offered").value == offered
+        assert svc.metrics.counter("ingest.accepted").value == offered

@@ -51,7 +51,7 @@ class TestIndexWarm:
         assert cold.index.warm(cold.store.snapshot(), [0], 5) == 0
 
     def test_service_warms_most_active_users_after_publish(self, small_dataset):
-        svc = make_service(small_dataset, warm_users=2, warm_k=5)
+        svc = make_service(small_dataset, warm_users=2)
         for e in list(small_dataset.stream)[:4]:
             svc.ingest(e)
         assert svc.index.warmed >= 1

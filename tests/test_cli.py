@@ -119,7 +119,7 @@ class TestServeReplay:
         assert args.k == 10
         assert args.batch_size == 256
         assert args.min_parity == 0.99
-        assert args.output.endswith("serving_throughput.json")
+        assert args.output == ""  # nothing written unless asked
 
     def test_replay_writes_report_and_passes_parity(self, tmp_path, capsys):
         out = tmp_path / "serving.json"
