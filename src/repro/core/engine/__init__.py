@@ -2,10 +2,11 @@
 
 - :mod:`repro.core.engine.kernels` — the vectorised numpy kernels every
   float on the training path flows through (both engines share them);
-- :mod:`repro.core.engine.plan` — micro-batch compilation into
-  structure-of-arrays :class:`~repro.core.engine.plan.BatchPlan`\\ s;
+- :mod:`repro.core.engine.plan` — micro-batch compilation into the
+  round-major :class:`~repro.core.engine.plan.BatchPlan` a round is a
+  contiguous slice of;
 - :mod:`repro.core.engine.schedule` — the conflict-free round
-  partition and the round-major re-layout of a plan;
+  partition the plan is laid out by;
 - :mod:`repro.core.engine.engine` — :class:`BatchedEngine`, which every
   model runs, and :class:`ReferenceEngine`, its per-edge oracle.
 

@@ -9,11 +9,10 @@ order on the rows several of its edges share.  A single streamed edge
 is a round of one, so ``train_step`` is plain per-edge SGD.
 
 :class:`BatchedEngine` is the engine every model is built with: it
-compiles the micro-batch into a structure-of-arrays
+compiles the micro-batch into a round-major
 :class:`~repro.core.engine.plan.BatchPlan` (all sampling up front,
-:mod:`repro.core.engine.plan`), re-lays it out round-major
-(:func:`repro.core.engine.schedule.build_schedule`) and executes each
-round as a handful of stacked ``[round, dim]`` kernels — Python
+:mod:`repro.core.engine.plan`) and executes each round, a contiguous
+slice of it, as a handful of stacked ``[round, dim]`` kernels — Python
 dispatch is paid per round, not per edge.
 
 :class:`ReferenceEngine` is the per-edge oracle of the same semantics:
@@ -40,7 +39,7 @@ import numpy as np
 from repro.core.engine import kernels
 from repro.core.engine.plan import compile_plan
 from repro.core.interactor import interaction_loss, interaction_loss_backward
-from repro.core.engine.schedule import build_schedule, partition_round_indices
+from repro.core.engine.schedule import partition_round_indices
 from repro.core.propagation import propagation_loss, propagation_loss_backward
 from repro.core.updater import target_embedding, target_embedding_backward
 from repro.graph.sampling import (
@@ -281,22 +280,22 @@ class BatchedEngine(_EngineBase):
         with tracer.span("core.engine.execute", edges=plan.num_edges):
             return self._execute_plan(plan)
 
-    def _record_plan_metrics(self, plan, schedule, registry) -> None:
+    def _record_plan_metrics(self, plan, registry) -> None:
         """Plan- and round-size telemetry + candidate-cache hit rate."""
         if registry is None:
             return
         registry.counter("engine.plan.edges").inc(plan.num_edges)
         registry.counter("engine.plan.walk_steps").inc(len(plan.step_rows))
         registry.counter("engine.plan.negatives").inc(len(plan.neg_rows))
-        registry.counter("engine.plan.ctx_rows").inc(len(plan.ctx_uniq_rows))
-        registry.counter("engine.plan.rounds").inc(schedule.num_rounds)
+        registry.counter("engine.plan.ctx_rows").inc(len(plan.ctx_rows))
+        registry.counter("engine.plan.rounds").inc(plan.num_rounds)
         registry.counter("engine.plan.contended_ctx_rows").inc(
-            schedule.contended_ctx_rows
+            plan.contended_ctx_rows
         )
         round_edges = registry.hdr_histogram(
             "engine.round.edges", min_value=1.0, max_value=1e4
         )
-        for size in np.diff(schedule.edge_bounds).tolist():
+        for size in np.diff(plan.edge_bounds).tolist():
             round_edges.observe(size)
         cache = self.candidate_cache
         registry.counter("graph.sampling.cache_queries").set(
@@ -328,7 +327,7 @@ class BatchedEngine(_EngineBase):
         # the plan names every row execution can write (the interactive
         # endpoints, each edge's unique context rows), so InsLearn's
         # rollback needs no hook in the round loop.
-        optimizer.save_rows(plan.uv.reshape(-1), plan.ctx_uniq_rows)
+        optimizer.save_rows(plan.nodes, plan.ctx_rows)
         ctx_flat = optimizer._context_flat
         mem_long = memory.long
         mem_short = memory.short
@@ -336,9 +335,7 @@ class BatchedEngine(_EngineBase):
         padded_segment_sums = kernels.padded_segment_sums
         accumulate_rows = kernels.accumulate_rows
         tracer = model.tracer
-        with tracer.span("core.engine.schedule", edges=plan.num_edges):
-            sched = build_schedule(plan)
-        self._record_plan_metrics(plan, sched, tracer.registry)
+        self._record_plan_metrics(plan, tracer.registry)
         # Attribute kernel and optimiser self-times on traced runs; the
         # no-op tracer's wrap() hands the callable back unchanged.
         wrap = tracer.wrap
@@ -357,13 +354,13 @@ class BatchedEngine(_EngineBase):
         use_inter = cfg.use_inter
         use_prop = cfg.use_prop and cfg.num_walks > 0
         use_neg = cfg.use_neg and cfg.num_negatives > 0
-        edge_bounds = sched.edge_bounds.tolist()
-        step_bounds = sched.step_bounds.tolist()
-        neg_bounds = sched.neg_bounds.tolist()
-        ctx_bounds = sched.ctx_bounds.tolist()
-        later_bounds = sched.ctx_later_bounds.tolist()
-        max_rank = sched.ctx_max_rank.tolist()
-        has_self_loop = sched.has_self_loop.tolist()
+        edge_bounds = plan.edge_bounds.tolist()
+        step_bounds = plan.step_bounds.tolist()
+        neg_bounds = plan.neg_bounds.tolist()
+        ctx_bounds = plan.ctx_bounds.tolist()
+        later_bounds = plan.ctx_later_bounds.tolist()
+        max_rank = plan.ctx_max_rank.tolist()
+        has_self_loop = plan.has_self_loop.tolist()
 
         # Per-edge loss terms in round-major order; hop terms accumulate
         # per edge and negative terms per (edge, side), both in order.
@@ -372,13 +369,13 @@ class BatchedEngine(_EngineBase):
         prop_loss = np.zeros(num_edges, dtype=np.float64)
         neg_side_loss = np.zeros(2 * num_edges, dtype=np.float64)
 
-        for r in range(sched.num_rounds):
+        for r in range(plan.num_rounds):
             e0 = edge_bounds[r]
             e1 = edge_bounds[r + 1]
             ends = slice(2 * e0, 2 * e1)
-            nodes = sched.nodes[ends]
-            alpha_slots = sched.alpha_slots[ends]
-            deltas = sched.deltas[ends]
+            nodes = plan.nodes[ends]
+            alpha_slots = plan.alpha_slots[ends]
+            deltas = plan.deltas[ends]
             short_rows = mem_short[nodes]
             alpha_values = mem_alpha[alpha_slots]
             h_star, gamma, x, sig = target_forward(
@@ -386,14 +383,14 @@ class BatchedEngine(_EngineBase):
             )
 
             grad_h = np.zeros(h_star.shape, dtype=np.float64)
-            # Context gradients stacked in the schedule's catalogue
-            # order: interaction pair rows, hop rows, negative rows.
+            # Context gradients stacked in the plan's catalogue order:
+            # interaction pair rows, hop rows, negative rows.
             ctx_grad_parts = []
 
             # --- interaction loss (Eq. 7) -------------------------------
             if use_inter:
                 loss, score, h_r = interaction_forward(
-                    h_star, ctx_flat[sched.inter_rows[ends]]
+                    h_star, ctx_flat[plan.inter_rows[ends]]
                 )
                 grad = interaction_backward(score, h_r)
                 inter_loss[e0:e1] = loss
@@ -404,13 +401,13 @@ class BatchedEngine(_EngineBase):
             hops = slice(step_bounds[r], step_bounds[r + 1])
             if use_prop and hops.stop > hops.start:
                 terms, ctx_grads, source_grads = propagation_rows(
-                    ctx_flat[sched.step_rows[hops]],
-                    h_star[sched.step_source[hops]],
-                    sched.step_cums[hops],
+                    ctx_flat[plan.step_rows[hops]],
+                    h_star[plan.step_source[hops]],
+                    plan.step_cums[hops],
                 )
-                np.add.at(prop_loss, sched.step_owner[hops], terms)
+                np.add.at(prop_loss, plan.step_owner[hops], terms)
                 grad_h += padded_segment_sums(
-                    source_grads, sched.step_slots[hops], len(nodes), sched.step_width
+                    source_grads, plan.step_slots[hops], len(nodes), plan.step_width
                 )
                 ctx_grad_parts.append(ctx_grads)
 
@@ -418,11 +415,11 @@ class BatchedEngine(_EngineBase):
             draws = slice(neg_bounds[r], neg_bounds[r + 1])
             if use_neg and draws.stop > draws.start:
                 terms, ctx_grads, source_grads = negative_rows(
-                    ctx_flat[sched.neg_rows[draws]], h_star[sched.neg_source[draws]]
+                    ctx_flat[plan.neg_rows[draws]], h_star[plan.neg_source[draws]]
                 )
-                np.add.at(neg_side_loss, sched.neg_owner[draws], terms)
+                np.add.at(neg_side_loss, plan.neg_owner[draws], terms)
                 grad_h += padded_segment_sums(
-                    source_grads, sched.neg_slots[draws], len(nodes), sched.neg_width
+                    source_grads, plan.neg_slots[draws], len(nodes), plan.neg_width
                 )
                 ctx_grad_parts.append(ctx_grads)
 
@@ -450,16 +447,16 @@ class BatchedEngine(_EngineBase):
                 later = slice(later_bounds[r], later_bounds[r + 1])
                 # Each unique row starts from its first contribution and
                 # adds the rest in catalogue order — dict accumulation.
-                summed = stack[sched.ctx_first[block]]
+                summed = stack[plan.ctx_first[block]]
                 if later.stop > later.start:
                     np.add.at(
                         summed,
-                        sched.ctx_later_dest[later],
-                        stack[sched.ctx_later_sel[later]],
+                        plan.ctx_later_dest[later],
+                        stack[plan.ctx_later_sel[later]],
                     )
-                rows = sched.ctx_rows[block]
+                rows = plan.ctx_rows[block]
                 if max_rank[r]:
-                    rank = sched.ctx_rank[block]
+                    rank = plan.ctx_rank[block]
                     for sweep in range(max_rank[r] + 1):
                         pick = np.flatnonzero(rank == sweep)
                         update_context(rows[pick], summed[pick])
@@ -481,14 +478,12 @@ class BatchedEngine(_EngineBase):
         for values in components.values():
             totals += values
         losses = np.empty(num_edges, dtype=np.float64)
-        losses[sched.edges] = totals
-        last = int(np.argmax(sched.edges))
+        losses[plan.edges] = totals
+        last = int(np.argmax(plan.edges))
         model.last_loss_components = {
             name: float(values[last]) for name, values in components.items()
         }
-        all_nodes = np.concatenate(
-            (plan.uv.reshape(-1), plan.step_nodes, plan.neg_nodes)
-        )
+        all_nodes = np.concatenate((plan.nodes, plan.ctx_rows % memory.num_nodes))
         model.last_touched_nodes = tuple(np.unique(all_nodes).tolist())
         return losses
 

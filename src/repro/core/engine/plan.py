@@ -1,14 +1,19 @@
-"""Micro-batch plan compilation: stream edges → structure-of-arrays.
+"""Micro-batch plan compilation: stream edges → round-major arrays.
 
-A :class:`BatchPlan` is everything the batched executor needs to run a
-micro-batch of edges without touching a Python object per walk or hop:
-flat int arrays of node ids, context rows, sides and propagation
-weights, CSR-partitioned per edge by offset arrays.
+A :class:`BatchPlan` is everything the executor needs to run a
+micro-batch of edges without touching a Python object per walk or hop,
+laid out *round-major*: the batch is partitioned into conflict-free
+rounds (:func:`repro.core.engine.schedule.partition_round_indices`) and
+every per-edge, per-hop, per-negative and per-context-row array is
+ordered so that a round is a contiguous slice.  Everything a round
+needs beyond slicing — where each hop's source embedding sits in the
+round's stack, where each context gradient accumulates, which context
+rows several edges of the round share — is precomputed as index arrays.
 
 Compilation performs every stochastic decision (walk sampling, negative
-draws) up front, in *exactly* the RNG draw order of the per-edge
-reference path — see the RNG-order contract on
-:func:`repro.graph.sampling.sample_walk_plan`.  That is sound because
+draws) up front, in stream order and in *exactly* the RNG draw order of
+the per-edge reference path — see the RNG-order contract on
+:func:`repro.graph.sampling.sample_walks_into`.  That is sound because
 the training loop (InsLearn's replay passes, Algorithm 1) inserts a
 batch's edges into the graph *before* replaying them, so the graph and
 the negative-sampler tables are static while a plan is compiled and
@@ -18,7 +23,7 @@ which no sampling decision reads.
 The propagation weighting (Eq. 8-9 edge factors, running products,
 termination) is also folded in at compile time: hops cut off by an
 out-of-date edge are dropped from the plan entirely, so the executor
-only ever sees surviving ``<node, rel, cum_factor, side>`` tuples.
+only ever sees surviving ``<row, cum_factor, side>`` tuples.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from repro.core.engine import kernels
+from repro.core.engine.schedule import partition_round_indices
 from repro.graph.sampling import NeighborCandidateCache, sample_walks_into
 from repro.graph.streams import StreamEdge
 
@@ -35,64 +41,137 @@ _Record = Tuple[StreamEdge, float, float]
 
 
 class BatchPlan(NamedTuple):
-    """Structure-of-arrays execution plan for one edge micro-batch.
+    """Round-major execution plan for one edge micro-batch (``R`` rounds).
 
-    Per-edge arrays (``B`` edges):
+    Round ``r`` owns the slices ``[bounds[r], bounds[r + 1])`` of the
+    arrays its ``*_bounds`` index.  *Local* indices count from the start
+    of the round's own slice or stack.
 
-    - ``uv``: ``(B, 2)`` interactive node ids,
-    - ``deltas``: ``(B, 2)`` active intervals ``Delta_V``,
-    - ``alpha_slots``: ``(B, 2)`` forgetting-parameter slots,
-    - ``inter_rows``: ``(B, 2)`` flat context rows of ``(slot, u/v)``.
+    Edges (``B``; endpoint arrays are flat ``(2B,)``, ``u`` then ``v``):
 
-    Propagation hops (``S`` surviving hops over all edges, CSR by
-    ``step_offsets``): ``step_rows`` (flat context rows), ``step_nodes``,
-    ``step_sides`` (0 = flow from ``u``), ``step_cums`` (Eq. 8-9
-    cumulative factors).
+    - ``edges``: stream index of the edge at each position, ascending
+      within a round (the greedy partition appends in stream order);
+      ``edge_bounds``,
+    - ``nodes`` / ``deltas`` / ``alpha_slots`` / ``inter_rows``: node
+      ids, active intervals ``Delta_V``, forgetting-parameter slots and
+      flat context rows of ``(slot, u/v)``,
+    - ``has_self_loop``: ``(R,)`` — some edge of the round has
+      ``u == v``, so its endpoint rows are not all distinct.
 
-    Negative samples (``M`` draws over all edges, CSR by
-    ``neg_offsets``): ``neg_rows`` (flat context rows), ``neg_nodes``,
-    ``neg_counts`` — ``(B, 2)`` draws per side, u-side first within each
-    edge's slice.
+    Surviving hops and negative draws (``step_*`` / ``neg_*``, stream
+    order within an edge, u-side first):
 
-    Context-update catalogue: every edge updates the context rows it
-    scored (inter pair, surviving hops, negatives — in that order, the
-    executor's gradient-append order).  The deduplication those updates
-    need is known at compile time, so it is done here once for the whole
-    batch: ``ctx_uniq_rows`` holds each edge's unique context rows
-    (sorted, CSR by ``ctx_uniq_offsets``) and ``ctx_inverse`` maps each
-    of the edge's gradient rows to its position in that unique block
-    (CSR by ``ctx_cat_offsets``), exactly as ``np.unique(...,
-    return_inverse=True)`` would per edge.
+    - ``*_rows``: flat context rows; ``step_cums``: Eq. 8-9 factors,
+    - ``*_source``: local row of the source embedding in the round's
+      ``(2k, dim)`` endpoint stack,
+    - ``*_owner``: where the loss term accumulates — the edge position
+      for hops, the flat endpoint position for negatives,
+    - ``*_slots`` / ``*_width``: ``source * width + position`` for
+      :func:`~repro.core.engine.kernels.padded_segment_sums`.
+
+    Context catalogue — the round's gradient stack is the concatenation
+    of its interaction, hop and negative context gradients:
+
+    - ``ctx_rows`` / ``ctx_bounds``: each edge's unique context rows
+      (sorted), concatenated in edge order (a row shared by two edges of
+      the round appears in both blocks),
+    - ``ctx_first``: per unique row, the local stack index of its first
+      contribution; ``ctx_later_sel`` → ``ctx_later_dest`` (CSR by
+      ``ctx_later_bounds``): the remaining contributions in stack
+      order, as local stack index → local unique row,
+    - ``ctx_rank``: occurrence rank of the row value among the round's
+      blocks (0 everywhere for an uncontended round),
+      ``ctx_max_rank``: ``(R,)`` its per-round maximum, and
+      ``contended_ctx_rows``: how many block rows share their value
+      with another block of the same round.
     """
 
-    uv: np.ndarray
+    edges: np.ndarray
+    edge_bounds: np.ndarray
+    nodes: np.ndarray
     deltas: np.ndarray
     alpha_slots: np.ndarray
     inter_rows: np.ndarray
+    has_self_loop: np.ndarray
+    step_bounds: np.ndarray
     step_rows: np.ndarray
-    step_nodes: np.ndarray
-    step_sides: np.ndarray
     step_cums: np.ndarray
-    step_offsets: np.ndarray
+    step_source: np.ndarray
+    step_owner: np.ndarray
+    step_slots: np.ndarray
+    step_width: int
+    neg_bounds: np.ndarray
     neg_rows: np.ndarray
-    neg_nodes: np.ndarray
-    neg_counts: np.ndarray
-    neg_offsets: np.ndarray
-    ctx_uniq_rows: np.ndarray
-    ctx_uniq_offsets: np.ndarray
-    ctx_inverse: np.ndarray
-    ctx_cat_offsets: np.ndarray
+    neg_source: np.ndarray
+    neg_owner: np.ndarray
+    neg_slots: np.ndarray
+    neg_width: int
+    ctx_rows: np.ndarray
+    ctx_bounds: np.ndarray
+    ctx_first: np.ndarray
+    ctx_later_bounds: np.ndarray
+    ctx_later_sel: np.ndarray
+    ctx_later_dest: np.ndarray
+    ctx_rank: np.ndarray
+    ctx_max_rank: np.ndarray
+    contended_ctx_rows: int
 
     @property
     def num_edges(self) -> int:
-        return self.uv.shape[0]
+        return int(self.edges.size)
+
+    @property
+    def num_rounds(self) -> int:
+        return int(self.edge_bounds.size) - 1
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR boundary array of consecutive segments of ``counts`` rows."""
+    offsets = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _csr_gather(offsets: np.ndarray, order: np.ndarray):
+    """Concatenate the CSR slices ``offsets`` delimits in ``order``.
+
+    Returns ``(flat, new_offsets)``: ``flat`` indexes the CSR's flat
+    arrays, ``new_offsets`` is the ``(len(order) + 1,)`` boundary array
+    of the concatenation.
+    """
+    counts = np.diff(offsets)[order]
+    new_offsets = _offsets(counts)
+    flat = np.repeat(offsets[order] - new_offsets[:-1], counts) + np.arange(
+        int(new_offsets[-1]), dtype=np.int64
+    )
+    return flat, new_offsets
+
+
+def _run_positions(keys: np.ndarray) -> np.ndarray:
+    """Position of each element within its run of equal consecutive keys."""
+    index = np.arange(keys.size, dtype=np.int64)
+    starts = np.zeros(keys.size, dtype=np.int64)
+    starts[1:] = np.where(keys[1:] != keys[:-1], index[1:], 0)
+    return index - np.maximum.accumulate(starts)
+
+
+def _segment_slots(source: np.ndarray, round_first: np.ndarray):
+    """``(slots, width)`` placing each row at ``local source * width +
+    position``; equal ``source`` values must be contiguous."""
+    if source.size == 0:
+        return np.empty(0, dtype=np.int64), 0
+    position = _run_positions(source)
+    width = int(position.max()) + 1
+    return (source - round_first) * width + position, width
 
 
 def compile_plan(
     model, records: Sequence[_Record], cache: NeighborCandidateCache
 ) -> BatchPlan:
     """Compile ``records`` (edge + pre-insertion ``Delta_V`` pair) into a
-    :class:`BatchPlan` against ``model``'s current graph state."""
+    :class:`BatchPlan` against ``model``'s current graph state: sample in
+    stream order, weight the hops, partition into rounds, gather
+    everything round-major, deduplicate the context rows."""
     cfg = model.config
     memory = model.memory
     schema = model.schema
@@ -125,10 +204,8 @@ def compile_plan(
     times_l: List[float] = []
     offsets_l: List[int] = [0]
     sides_l: List[int] = []
-    neg_rows: List[np.ndarray] = []
-    neg_nodes: List[np.ndarray] = []
+    neg_samples: List[np.ndarray] = []
     neg_counts = np.zeros((batch, 2), dtype=np.int64)
-    neg_offsets = np.zeros(batch + 1, dtype=np.int64)
 
     # One span over the whole sequential sampling sweep — the RNG-order
     # contract forbids reordering it, so the span just prices it.
@@ -163,111 +240,161 @@ def compile_plan(
                     sides_l,
                 )
 
-            neg_offsets[b + 1] = neg_offsets[b]
             if sample_negatives:
                 # u-side negatives impersonate v's type and vice versa,
                 # drawn u-side first — the reference draw order.
                 for side, opposite in ((0, node_type_ids[v]), (1, node_type_ids[u])):
                     samples = negatives_sample(opposite, num_negatives, rng)
-                    if samples.size:
-                        neg_rows.append(slot * num_nodes + samples)
-                        neg_nodes.append(samples)
-                        neg_counts[b, side] = samples.size
-                        neg_offsets[b + 1] += samples.size
+                    neg_samples.append(samples)
+                    neg_counts[b, side] = samples.size
 
     # Eq. 8-9 weighting for the whole batch in one kernel sweep: the
     # cumulative-factor kernel is walk-independent, so running it over
     # the batch-level CSR arrays changes nothing numerically and
     # replaces O(batch) small kernel calls with O(1) large ones.
-    step_offsets = np.zeros(batch + 1, dtype=np.int64)
-    if nodes_l:
-        nodes_all = np.asarray(nodes_l, dtype=np.int64)
-        rels_all = np.asarray(rels_l, dtype=np.int64)
-        times_all = np.asarray(times_l, dtype=np.float64)
-        offsets_all = np.asarray(offsets_l, dtype=np.int64)
-        sides_all = np.asarray(sides_l, dtype=np.int64)
-        now_per_hop = np.repeat(edge_ts, hop_counts)
-        factors = kernels.edge_factors(now_per_hop - times_all, cfg)
-        cums, keep = kernels.walk_cumulative_factors(factors, offsets_all)
-        hop_sides = np.repeat(sides_all, np.diff(offsets_all))
-        hop_edges = np.repeat(np.arange(batch, dtype=np.int64), hop_counts)
-        step_nodes_arr = nodes_all[keep]
-        step_slots = memory.context_slots(rels_all[keep])
-        step_rows_arr = step_slots * num_nodes + step_nodes_arr
-        step_sides_arr = hop_sides[keep]
-        step_cums_arr = cums[keep]
-        kept_per_edge = np.bincount(hop_edges[keep], minlength=batch)
-        np.cumsum(kept_per_edge, out=step_offsets[1:])
-    else:
-        step_nodes_arr = np.empty(0, dtype=np.int64)
-        step_rows_arr = np.empty(0, dtype=np.int64)
-        step_sides_arr = np.empty(0, dtype=np.int64)
-        step_cums_arr = np.empty(0, dtype=np.float64)
+    hop_nodes = np.asarray(nodes_l, dtype=np.int64)
+    hop_times = np.asarray(times_l, dtype=np.float64)
+    walk_offsets = np.asarray(offsets_l, dtype=np.int64)
+    factors = kernels.edge_factors(np.repeat(edge_ts, hop_counts) - hop_times, cfg)
+    cums, keep = kernels.walk_cumulative_factors(factors, walk_offsets)
+    kept = np.flatnonzero(keep)
+    hop_sides = np.repeat(np.asarray(sides_l, dtype=np.int64), np.diff(walk_offsets))
+    edge_pos = np.arange(batch, dtype=np.int64)
+    kept_per_edge = np.bincount(np.repeat(edge_pos, hop_counts)[kept], minlength=batch)
 
-    inter_rows = edge_slots[:, None] * num_nodes + uv
-    alpha_slots = memory.alpha_slots(node_type_ids[uv.reshape(-1)]).reshape(batch, 2)
+    with model.tracer.span("core.engine.schedule", edges=batch):
+        # --- partition: conflict-free rounds; from here on every array
+        # (``uv`` and ``edge_slots`` included) is round-major -------------
+        rounds = partition_round_indices(uv)
+        num_rounds = len(rounds)
+        edge_bounds = _offsets(np.asarray([len(r) for r in rounds], dtype=np.int64))
+        edges = np.asarray([b for r in rounds for b in r], dtype=np.int64)
+        round_of_edge = np.repeat(
+            np.arange(num_rounds, dtype=np.int64), np.diff(edge_bounds)
+        )
+        uv = uv[edges]
+        edge_slots = edge_slots[edges]
+        nodes = uv.reshape(-1)
+        inter_rows = (edge_slots[:, None] * num_nodes + uv).reshape(-1)
+        has_self_loop = np.zeros(num_rounds, dtype=bool)
+        has_self_loop[round_of_edge[uv[:, 0] == uv[:, 1]]] = True
 
-    def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
-        if not parts:
-            return np.empty(0, dtype=dtype)
-        return np.concatenate(parts)
+        # --- hops: each source embedding's (edge, side) is one segment --
+        step_flat, step_offsets = _csr_gather(_offsets(kept_per_edge), edges)
+        step_flat = kept[step_flat]
+        step_edge = np.repeat(edge_pos, np.diff(step_offsets))
+        step_round = round_of_edge[step_edge]
+        step_bounds = step_offsets[edge_bounds]
+        step_rows = (
+            memory.context_slots(np.asarray(rels_l, dtype=np.int64)[step_flat])
+            * num_nodes
+            + hop_nodes[step_flat]
+        )
+        step_endpoint = 2 * step_edge + hop_sides[step_flat]
+        step_slots, step_width = _segment_slots(
+            step_endpoint, 2 * edge_bounds[step_round]
+        )
 
-    neg_rows_all = _concat(neg_rows, np.int64)
+        # --- negatives: u-side draws first within each edge -------------
+        neg_flat, neg_offsets = _csr_gather(_offsets(neg_counts.sum(axis=1)), edges)
+        neg_owner = np.repeat(
+            np.arange(2 * batch, dtype=np.int64), neg_counts[edges].reshape(-1)
+        )
+        neg_edge = neg_owner // 2
+        neg_round = round_of_edge[neg_edge]
+        neg_bounds = neg_offsets[edge_bounds]
+        neg_nodes = (
+            np.concatenate(neg_samples) if neg_samples else np.empty(0, dtype=np.int64)
+        )
+        neg_rows = edge_slots[neg_edge] * num_nodes + neg_nodes[neg_flat]
+        neg_slots, neg_width = _segment_slots(neg_owner, 2 * edge_bounds[neg_round])
 
-    # Context-update catalogue: concatenate each edge's context rows in
-    # the executor's gradient-append order (inter pair, surviving hops,
-    # negatives), then deduplicate all edges at once with ONE
-    # ``np.unique`` over ``edge_id * span + row`` composite keys.  Edge
-    # blocks are key-disjoint, so the global sort is a per-edge sort and
-    # the unique/inverse of each block equal what a per-edge
-    # ``np.unique(rows, return_inverse=True)`` would return — one
-    # O(total log total) sort instead of B small ones on the hot path.
-    inter_n = 2 if cfg.use_inter else 0
-    step_counts = np.diff(step_offsets)
-    neg_per_edge = np.diff(neg_offsets)
-    cat_counts = step_counts + neg_per_edge + inter_n
-    ctx_cat_offsets = np.zeros(batch + 1, dtype=np.int64)
-    np.cumsum(cat_counts, out=ctx_cat_offsets[1:])
-    cat_starts = ctx_cat_offsets[:-1]
-    cat_rows = np.empty(int(ctx_cat_offsets[-1]), dtype=np.int64)
-    if inter_n:
-        cat_rows[cat_starts] = inter_rows[:, 0]
-        cat_rows[cat_starts + 1] = inter_rows[:, 1]
-    if step_rows_arr.size:
-        dest = np.repeat(
-            cat_starts + inter_n - step_offsets[:-1], step_counts
-        ) + np.arange(step_rows_arr.size, dtype=np.int64)
-        cat_rows[dest] = step_rows_arr
-    if neg_rows_all.size:
-        dest = np.repeat(
-            cat_starts + inter_n + step_counts - neg_offsets[:-1], neg_per_edge
-        ) + np.arange(neg_rows_all.size, dtype=np.int64)
-        cat_rows[dest] = neg_rows_all
-    span = np.int64(memory.num_context_slots) * num_nodes
-    edge_ids = np.repeat(np.arange(batch, dtype=np.int64), cat_counts)
-    uniq_keys, inverse = np.unique(edge_ids * span + cat_rows, return_inverse=True)
-    ctx_uniq_offsets = np.zeros(batch + 1, dtype=np.int64)
-    np.cumsum(
-        np.bincount(uniq_keys // span, minlength=batch), out=ctx_uniq_offsets[1:]
-    )
-    ctx_inverse = inverse - np.repeat(ctx_uniq_offsets[:-1], cat_counts)
+        # --- context catalogue ------------------------------------------
+        # Each round's gradient stack is [interaction pair rows | hop
+        # rows | negative rows].  ONE ``np.unique`` over ``edge position
+        # * span + row`` keys taken in stack order deduplicates every
+        # edge's rows at once: edge blocks are key-disjoint and edge
+        # positions ascend with the round, so the sorted unique keys are
+        # each edge's sorted unique rows in round-major edge order,
+        # ``first`` is each unique row's first contribution in the stack
+        # and ``dest`` maps every stack row to its unique row.
+        inter_n = 2 if cfg.use_inter else 0
+        stack_bounds = inter_n * edge_bounds + step_bounds + neg_bounds
+        span = np.int64(memory.num_context_slots) * num_nodes
+        keys = np.empty(int(stack_bounds[-1]), dtype=np.int64)
+        if inter_n:
+            pair_edge = np.repeat(edge_pos, 2)
+            pair_round = round_of_edge[pair_edge]
+            keys[
+                np.arange(2 * batch, dtype=np.int64)
+                + step_bounds[pair_round]
+                + neg_bounds[pair_round]
+            ] = pair_edge * span + inter_rows
+        keys[
+            np.arange(step_flat.size, dtype=np.int64)
+            + inter_n * edge_bounds[step_round + 1]
+            + neg_bounds[step_round]
+        ] = step_edge * span + step_rows
+        keys[
+            np.arange(neg_flat.size, dtype=np.int64)
+            + inter_n * edge_bounds[neg_round + 1]
+            + step_bounds[neg_round + 1]
+        ] = neg_edge * span + neg_rows
+        uniq_keys, first, dest = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
+        ctx_rows = uniq_keys % span
+        ctx_edge = uniq_keys // span
+        round_of_ctx = round_of_edge[ctx_edge]
+        ctx_bounds = np.searchsorted(ctx_edge, edge_bounds)
+        is_later = np.ones(keys.size, dtype=bool)
+        is_later[first] = False
+        later = np.flatnonzero(is_later)
+        later_round = np.searchsorted(stack_bounds, later, side="right") - 1
 
-    return BatchPlan(
-        uv=uv,
-        deltas=deltas,
-        alpha_slots=alpha_slots,
-        inter_rows=inter_rows,
-        step_rows=step_rows_arr,
-        step_nodes=step_nodes_arr,
-        step_sides=step_sides_arr,
-        step_cums=step_cums_arr,
-        step_offsets=step_offsets,
-        neg_rows=neg_rows_all,
-        neg_nodes=_concat(neg_nodes, np.int64),
-        neg_counts=neg_counts,
-        neg_offsets=neg_offsets,
-        ctx_uniq_rows=uniq_keys % span,
-        ctx_uniq_offsets=ctx_uniq_offsets,
-        ctx_inverse=ctx_inverse,
-        ctx_cat_offsets=ctx_cat_offsets,
-    )
+        # Occurrence rank of each context row among its round's blocks.
+        # Singleton rounds cannot contend (an edge's block is unique).
+        ctx_rank = np.zeros(ctx_rows.size, dtype=np.int64)
+        ctx_max_rank = np.zeros(num_rounds, dtype=np.int64)
+        contended = 0
+        if num_rounds < batch and ctx_rows.size:
+            round_keys = round_of_ctx * span + ctx_rows
+            order = np.argsort(round_keys, kind="stable")
+            ranks = _run_positions(round_keys[order])
+            ctx_rank[order] = ranks
+            np.maximum.at(ctx_max_rank, round_of_ctx, ctx_rank)
+            # rows of every run longer than one: each later occurrence
+            # plus the run's first
+            contended = int((ranks > 0).sum() + (ranks == 1).sum())
+
+        return BatchPlan(
+            edges=edges,
+            edge_bounds=edge_bounds,
+            nodes=nodes,
+            deltas=deltas[edges].reshape(-1),
+            alpha_slots=memory.alpha_slots(node_type_ids[nodes]),
+            inter_rows=inter_rows,
+            has_self_loop=has_self_loop,
+            step_bounds=step_bounds,
+            step_rows=step_rows,
+            step_cums=cums[step_flat],
+            step_source=step_endpoint - 2 * edge_bounds[step_round],
+            step_owner=step_edge,
+            step_slots=step_slots,
+            step_width=step_width,
+            neg_bounds=neg_bounds,
+            neg_rows=neg_rows,
+            neg_source=neg_owner - 2 * edge_bounds[neg_round],
+            neg_owner=neg_owner,
+            neg_slots=neg_slots,
+            neg_width=neg_width,
+            ctx_rows=ctx_rows,
+            ctx_bounds=ctx_bounds,
+            ctx_first=first - stack_bounds[round_of_ctx],
+            ctx_later_bounds=np.searchsorted(later, stack_bounds),
+            ctx_later_sel=later - stack_bounds[later_round],
+            ctx_later_dest=dest[later] - ctx_bounds[later_round],
+            ctx_rank=ctx_rank,
+            ctx_max_rank=ctx_max_rank,
+            contended_ctx_rows=contended,
+        )

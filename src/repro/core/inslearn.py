@@ -208,20 +208,25 @@ class InsLearnTrainer:
                 records = _record_and_observe(self.model, list(train))
 
             # Best model = the state at the undo log's last mark (module
-            # docstring).  No validation tail, no rollback, so no log.
+            # docstring).  A batch that never validates (no validation
+            # tail, or an interval past the iteration cap) has no
+            # best-validated state to restore: no rollback, so no log.
             optimizer = self.model.optimizer
             best_score = 0.0
             patience_used = 0
             losses: List[float] = []
             iterations_run = 0
-            if len(valid):
+            validates = (
+                len(valid) > 0 and cfg.validation_interval <= cfg.max_iterations
+            )
+            if validates:
                 optimizer.mark()
             try:
                 for iteration in range(1, cfg.max_iterations + 1):
                     with tracer.span("core.inslearn.replay", edges=len(records)):
                         losses.append(_train_pass(self.model, records, touched))
                     iterations_run = iteration
-                    if len(valid) and iteration % cfg.validation_interval == 0:
+                    if validates and iteration % cfg.validation_interval == 0:
                         with tracer.span("core.inslearn.validate", edges=len(valid)):
                             score = validation_mrr(
                                 self.model,
@@ -239,7 +244,7 @@ class InsLearnTrainer:
                                 break
 
                 with tracer.span("core.inslearn.restore"):
-                    if len(valid):
+                    if validates:
                         # Line 20: carry the best-validated parameters forward.
                         optimizer.rollback()
                     # Validation edges join the graph before the next batch

@@ -198,23 +198,6 @@ def sample_influenced_graph_compiled(
     return result
 
 
-class WalkPlanArrays(NamedTuple):
-    """Structure-of-arrays form of one edge's influenced graph.
-
-    ``nodes``/``rels``/``times`` hold every walk's hops back to back;
-    ``offsets`` is the CSR boundary array (walk ``w`` owns
-    ``[offsets[w], offsets[w+1])``) and ``sides`` records whether a walk
-    is rooted at ``u`` (0) or ``v`` (1).  Start nodes are not stored —
-    propagation only ever consumes hops.
-    """
-
-    nodes: np.ndarray  # (S,) int64
-    rels: np.ndarray  # (S,) int64
-    times: np.ndarray  # (S,) float64
-    offsets: np.ndarray  # (W + 1,) int64
-    sides: np.ndarray  # (W,) int64
-
-
 _EMPTY_CANDIDATES = (
     np.empty(0, dtype=np.int64),
     np.empty(0, dtype=np.int64),
@@ -268,7 +251,8 @@ class NeighborCandidateCache:
         self, key: Tuple[int, frozenset, Optional[int]]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Answer a missed ``(node, rel_ids, type_id)`` query from the
-        graph and memoise it.  Callers must :meth:`sync` first."""
+        graph — ``(others, rels, times)`` arrays in adjacency (insertion)
+        order — and memoise it.  Callers must :meth:`sync` first."""
         self.misses += 1
         entries = self.graph.neighbors_ids(key[0], rel_ids=key[1], type_id=key[2])
         if entries:
@@ -282,19 +266,6 @@ class NeighborCandidateCache:
         self._store[key] = hit
         return hit
 
-    def candidates(
-        self, node: int, rel_ids: frozenset, type_id: Optional[int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(others, rels, times)`` arrays of admissible neighbours of
-        ``node``, in adjacency (insertion) order."""
-        self.sync()
-        key = (node, rel_ids, type_id)
-        hit = self._store.get(key)
-        if hit is None:
-            return self.fill(key)
-        self.hits += 1
-        return hit
-
 
 def sample_walks_into(
     graph: DMHG,
@@ -304,7 +275,7 @@ def sample_walks_into(
     num_walks: int,
     walk_length: int,
     rng,
-    cache: Optional[NeighborCandidateCache],
+    cache: NeighborCandidateCache,
     nodes: List[int],
     rels: List[int],
     times: List[float],
@@ -332,10 +303,9 @@ def sample_walks_into(
     begin_edge = len(nodes)
     hops = walk_length - 1
     integers = rng.integers
-    if cache is not None:
-        cache.sync()
-        store = cache.store_get
-        fill = cache.fill
+    cache.sync()
+    store = cache.store_get
+    fill = cache.fill
     for side, start in ((0, u), (1, v)):
         options = compiled.for_type(graph.node_type_id(start))
         if not options:
@@ -346,73 +316,26 @@ def sample_walks_into(
             filters = mp.filters_for(hops)
             current = start
             begin = len(nodes)
-            if cache is not None:
-                for rel_ids, type_id in filters:
-                    key = (current, rel_ids, type_id)
-                    hit = store(key)
-                    if hit is None:
-                        hit = fill(key)
-                    else:
-                        cache.hits += 1
-                    others, hop_rels, hop_times = hit
-                    n = others.shape[0]
-                    if n == 0:
-                        break
-                    pick = integers(n)
-                    current = int(others[pick])
-                    nodes.append(current)
-                    rels.append(hop_rels[pick])
-                    times.append(hop_times[pick])
-            else:
-                for rel_ids, type_id in filters:
-                    candidates = graph.neighbors_ids(
-                        current, rel_ids=rel_ids, type_id=type_id
-                    )
-                    if not candidates:
-                        break
-                    entry = candidates[int(integers(len(candidates)))]
-                    current = entry.other
-                    nodes.append(entry.other)
-                    rels.append(entry.rel)
-                    times.append(entry.t)
+            for rel_ids, type_id in filters:
+                key = (current, rel_ids, type_id)
+                hit = store(key)
+                if hit is None:
+                    hit = fill(key)
+                else:
+                    cache.hits += 1
+                others, hop_rels, hop_times = hit
+                n = others.shape[0]
+                if n == 0:
+                    break
+                pick = integers(n)
+                current = int(others[pick])
+                nodes.append(current)
+                rels.append(hop_rels[pick])
+                times.append(hop_times[pick])
             if len(nodes) > begin:
                 offsets.append(len(nodes))
                 sides.append(side)
     return len(nodes) - begin_edge
-
-
-def sample_walk_plan(
-    graph: DMHG,
-    u: int,
-    v: int,
-    compiled: CompiledMetapathSet,
-    num_walks: int,
-    walk_length: int,
-    rng,
-    cache: Optional[NeighborCandidateCache] = None,
-) -> WalkPlanArrays:
-    """Sample one edge's influenced graph directly into plan arrays.
-
-    Single-edge wrapper over :func:`sample_walks_into` (same RNG-order
-    contract) — kept as the standalone API; the batch compiler uses the
-    flat-list form directly.
-    """
-    nodes: List[int] = []
-    rels: List[int] = []
-    times: List[float] = []
-    offsets: List[int] = [0]
-    sides: List[int] = []
-    sample_walks_into(
-        graph, u, v, compiled, num_walks, walk_length, rng, cache,
-        nodes, rels, times, offsets, sides,
-    )
-    return WalkPlanArrays(
-        nodes=np.asarray(nodes, dtype=np.int64),
-        rels=np.asarray(rels, dtype=np.int64),
-        times=np.asarray(times, dtype=np.float64),
-        offsets=np.asarray(offsets, dtype=np.int64),
-        sides=np.asarray(sides, dtype=np.int64),
-    )
 
 
 def sample_metapath_walk(

@@ -190,14 +190,23 @@ class TopKIndex:
     def invalidate(
         self,
         snapshot: Snapshot,
-        touched_users: Iterable[int],
-        touched_items: Iterable[int],
+        touched_users: Optional[Iterable[int]] = None,
+        touched_items: Optional[Iterable[int]] = None,
     ) -> int:
         """Drop exactly the cache entries the last update made stale.
 
         ``snapshot`` is the newly published version; surviving entries
-        are re-stamped to it.  Returns the number of dropped entries.
+        are re-stamped to it.  ``None`` for either set means *every*
+        node changed (decayed serving: the clock moved every embedding),
+        which leaves nothing to decide per entry — the cache is cleared
+        in O(entries).  Returns the number of dropped entries.
         """
+        if touched_users is None or touched_items is None:
+            with self._lock:
+                dropped = len(self._cache)
+                self._cache.clear()
+                self.invalidations += dropped
+            return dropped
         users = set(int(u) for u in touched_users)
         items = np.asarray(
             sorted(self._candidate_set.intersection(int(i) for i in touched_items)),

@@ -624,14 +624,9 @@ class RecommendationService:
                 else:
                     values = self.model.final_embeddings(rows, self.edge_type, clock)
                     snapshot = self.store.publish_parts([(rows, values)])
-            if self._decay_serving:
-                # The clock advance moved every decayed embedding, so
-                # every cached answer is potentially stale — same
-                # invalidation the old full republish implied, without
-                # the matrix rewrite.
-                touched = set(range(self.dataset.num_nodes))
-            else:
-                touched = set(int(r) for r in rows)
+            # Decayed serving: the clock advance moved every embedding,
+            # so every cached answer is potentially stale (None = all).
+            touched = None if self._decay_serving else set(int(r) for r in rows)
             with self.tracer.span("serve.index.invalidate"):
                 self.index.invalidate(snapshot, touched, touched)
         return snapshot

@@ -223,7 +223,7 @@ def test_edge_with_no_surviving_hops_inside_a_multi_edge_round():
 
     bat, records = _assert_pair_identical(_trained_pair({}, make))
     plan = compile_plan(bat, records, bat.engine.candidate_cache)
-    hops = np.diff(plan.step_offsets)
+    hops = np.bincount(plan.edges[plan.step_owner], minlength=plan.num_edges)
     assert hops[5] == 0 and hops.sum() > 0
     assert len(next(r for r in _rounds_of(records) if 5 in r)) > 1
 
@@ -249,20 +249,20 @@ def test_barrier_order_mutation_turns_parity_red(monkeypatch):
     contended context rows in *reverse* edge order and the suite must
     notice (ROADMAP aim 3: every gate is shown to fail when the thing it
     guards is broken)."""
-    real = engine_module.build_schedule
+    real = engine_module.compile_plan
 
-    def reversed_contended_order(plan):
-        schedule = real(plan)
-        rank = schedule.ctx_rank.copy()
-        bounds = schedule.ctx_bounds.tolist()
+    def reversed_contended_order(model, records, cache):
+        plan = real(model, records, cache)
+        rank = plan.ctx_rank.copy()
+        bounds = plan.ctx_bounds.tolist()
         for c0, c1 in zip(bounds[:-1], bounds[1:]):
-            rows = schedule.ctx_rows[c0:c1]
+            rows = plan.ctx_rows[c0:c1]
             for row in np.unique(rows[rank[c0:c1] > 0]):
                 hits = c0 + np.flatnonzero(rows == row)
                 rank[hits] = rank[hits][::-1]
-        return schedule._replace(ctx_rank=rank)
+        return plan._replace(ctx_rank=rank)
 
-    monkeypatch.setattr(engine_module, "build_schedule", reversed_contended_order)
+    monkeypatch.setattr(engine_module, "compile_plan", reversed_contended_order)
     with pytest.raises(AssertionError):
         _assert_engines_agree(SUPAConfig(seed=7))
 

@@ -225,9 +225,11 @@ def _oracle_train_one_batch(trainer, batch):
     train, valid = batch.split_train_valid(cfg.validation_size)
     records = inslearn._record_and_observe(model, list(train))
     best_score, best_state, patience_used = 0.0, model.state_dict(), 0
+    validated = False
     for iteration in range(1, cfg.max_iterations + 1):
         inslearn._train_pass(model, records)
         if len(valid) and iteration % cfg.validation_interval == 0:
+            validated = True
             score = inslearn.validation_mrr(
                 model,
                 list(valid),
@@ -240,7 +242,7 @@ def _oracle_train_one_batch(trainer, batch):
                 patience_used += 1
                 if patience_used > cfg.patience:
                     break
-    if len(valid):
+    if validated:
         model.load_state_dict(best_state)
     inslearn._record_and_observe(model, list(valid))
     return best_score
@@ -327,6 +329,29 @@ class TestEarlyStoppingRollback:
         _assert_state_identical(
             trainer.model.state_dict(), oracle.model.state_dict()
         )
+
+    def test_batch_that_never_validates_keeps_its_training(
+        self, tiny_synthetic, train_stream, engine
+    ):
+        """``validation_interval > max_iterations``: no validation runs,
+        so there is no best-validated state to restore and the trained
+        state stays (rolling back to the only mark, the pre-batch one,
+        would discard every pass)."""
+        trainer, oracle = self.pair(tiny_synthetic, engine, validation_interval=8)
+        memory = trainer.model.memory
+        before = memory.long.copy()
+        batch = train_stream[:60]
+        report = trainer.train_one_batch(batch)
+        _oracle_train_one_batch(oracle, batch)
+        _assert_state_identical(
+            trainer.model.state_dict(), oracle.model.state_dict()
+        )
+        assert report.iterations_run == 4
+        assert report.num_valid_edges == 12 and report.best_score == 0.0
+        changed = set(np.flatnonzero((memory.long != before).any(axis=1)).tolist())
+        train, _ = batch.split_train_valid(12)
+        assert {n for e in train for n in (e.u, e.v)} <= changed
+        assert changed <= set(report.touched_nodes)
 
     def test_exception_in_a_replay_pass_leaves_no_log_open(
         self, tiny_synthetic, train_stream, engine

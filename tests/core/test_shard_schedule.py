@@ -1,10 +1,11 @@
-"""Tests for the plan-level round scheduler (``repro.core.engine.schedule``).
+"""Tests for the round partition (``repro.core.engine.schedule``) and the
+round-major layout of a compiled plan (``repro.core.engine.plan``).
 
-The schedule is a pure function of the compiled plan — these tests pin
-the properties the engine's correctness rests on: conflict-free
-(endpoint-disjoint) rounds that agree with the StreamEdge-level
-:func:`partition_conflict_free_rounds` partition, a round-major layout
-that covers the plan exactly, and an occurrence rank that is non-zero
+These tests pin the properties the engine's correctness rests on:
+conflict-free (endpoint-disjoint) rounds that agree with the
+StreamEdge-level :func:`partition_conflict_free_rounds` partition, a
+round-major layout that holds, per edge, exactly what the per-edge
+oracle samples and scores, and an occurrence rank that is non-zero
 precisely on the context rows shared across edges of one round.
 """
 
@@ -14,14 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SUPAConfig
+from repro.core.engine.engine import ReferenceEngine
 from repro.core.engine.plan import compile_plan
 from repro.core.engine.schedule import (
-    build_schedule,
     partition_conflict_free_rounds,
     partition_round_indices,
 )
 from repro.core.inslearn import _record_and_observe
 from repro.core.model import SUPA
+from repro.core.propagation import propagation_loss
 from repro.datasets.zoo import movielens
 from repro.graph.streams import StreamEdge
 
@@ -49,11 +51,20 @@ def _steady_state_records(model, dataset, warm_history: int, batch_size: int):
 
 @pytest.fixture(scope="module")
 def compiled_plan():
-    """A real compiled plan over a warm graph (walks + negatives live)."""
+    """A real compiled plan over a warm graph (walks + negatives live),
+    its records, and the oracle's draws for the same records from the
+    same RNG state: ``(model, records, plan, samples)``."""
     dataset = movielens(scale=0.08, seed=3)
     model = SUPA.for_dataset(dataset, config=SUPAConfig(seed=7))
     records = _steady_state_records(model, dataset, 256, 96)
-    return model, compile_plan(model, records, model.engine.candidate_cache)
+    before = model.rng.bit_generator.state
+    plan = compile_plan(model, records, model.engine.candidate_cache)
+    after = model.rng.bit_generator.state
+    model.rng.bit_generator.state = before
+    oracle = ReferenceEngine(model)
+    samples = [oracle._sample(edge) for edge, _, _ in records]
+    assert model.rng.bit_generator.state == after
+    return model, records, plan, samples
 
 
 # --------------------------------------------------- round partition fixtures
@@ -125,87 +136,126 @@ class TestRoundPartition:
                 touched.update((u, v))
 
 
-# ------------------------------------------------------- schedule on a plan
+# ------------------------------------------------------- the plan's layout
 
 
 def _round_slices(bounds):
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
+def _oracle_rows(model, record, sample):
+    """One edge's context rows as the per-edge oracle scores them:
+    ``(hop rows, hop cums, hop sides, u-side and v-side negative rows)``
+    from the object sampler's walks + the Eq. 8-9 survivors."""
+    edge = record[0]
+    memory = model.memory
+    slot = memory.context_slot(model.schema.edge_type_id(edge.edge_type))
+    zeros = np.zeros(model.config.dim, dtype=np.float64)
+    steps = propagation_loss(
+        memory, sample.influenced, zeros, zeros, edge.t, model.config
+    ).steps
+    hop_rows = [
+        memory.context_slot(s.rel) * memory.num_nodes + s.node for s in steps
+    ]
+    neg_rows = [slot * memory.num_nodes + draws for draws in sample.negatives]
+    return (
+        np.asarray(hop_rows, dtype=np.int64),
+        np.asarray([s.cum_factor for s in steps], dtype=np.float64),
+        np.asarray([s.source_side for s in steps], dtype=np.int64),
+        neg_rows,
+    )
+
+
 class TestBuildSchedule:
     def test_empty_plan(self, compiled_plan):
-        model, _ = compiled_plan
-        schedule = build_schedule(
-            compile_plan(model, [], model.engine.candidate_cache)
-        )
-        assert schedule.num_rounds == 0
-        assert schedule.contended_ctx_rows == 0
-        assert schedule.edges.size == 0 and schedule.ctx_rows.size == 0
+        model = compiled_plan[0]
+        plan = compile_plan(model, [], model.engine.candidate_cache)
+        assert plan.num_rounds == 0 and plan.num_edges == 0
+        assert plan.contended_ctx_rows == 0
+        assert plan.edges.size == 0 and plan.ctx_rows.size == 0
 
     def test_rounds_cover_plan_and_are_conflict_free(self, compiled_plan):
-        _, plan = compiled_plan
-        schedule = build_schedule(plan)
-        assert sorted(schedule.edges.tolist()) == list(range(plan.num_edges))
-        assert schedule.nodes.tobytes() == plan.uv[schedule.edges].tobytes()
-        for e0, e1 in _round_slices(schedule.edge_bounds):
-            assert (np.diff(schedule.edges[e0:e1]) > 0).all()
+        model, records, plan, _ = compiled_plan
+        assert sorted(plan.edges.tolist()) == list(range(len(records)))
+        uv = np.asarray([(e.u, e.v) for e, _, _ in records], dtype=np.int64)
+        deltas = np.asarray([(du, dv) for _, du, dv in records], dtype=np.float64)
+        assert plan.nodes.tobytes() == uv[plan.edges].tobytes()
+        assert plan.deltas.tobytes() == deltas[plan.edges].tobytes()
+        assert plan.alpha_slots.tolist() == [
+            model.memory.alpha_slot(model._node_type_ids[n]) for n in plan.nodes
+        ]
+        for r, (e0, e1) in enumerate(_round_slices(plan.edge_bounds)):
+            assert (np.diff(plan.edges[e0:e1]) > 0).all()
             touched = set()
-            for u, v in plan.uv[schedule.edges[e0:e1]].tolist():
+            for u, v in uv[plan.edges[e0:e1]].tolist():
                 assert u not in touched and v not in touched
                 touched.update((u, v))
+            assert not plan.has_self_loop[r]
 
     def test_round_major_layout_matches_the_plan(self, compiled_plan):
-        """Every hop, negative and unique context row of the plan lands
-        in its edge's round, in plan order within the edge."""
-        _, plan = compiled_plan
-        schedule = build_schedule(plan)
-        for name, offsets, flat in (
-            ("step", plan.step_offsets, plan.step_rows),
-            ("neg", plan.neg_offsets, plan.neg_rows),
-            ("ctx", plan.ctx_uniq_offsets, plan.ctx_uniq_rows),
-        ):
-            expected = [
-                flat[offsets[e] : offsets[e + 1]] for e in schedule.edges.tolist()
-            ]
-            rows = getattr(schedule, f"{name}_rows")
-            assert rows.tobytes() == np.concatenate(expected).tobytes()
-            bounds = getattr(schedule, f"{name}_bounds")
-            per_edge = np.asarray([len(x) for x in expected], dtype=np.int64)
-            for r, (e0, e1) in enumerate(
-                _round_slices(schedule.edge_bounds)
-            ):
-                assert bounds[r + 1] - bounds[r] == per_edge[e0:e1].sum()
-        # a hop's source row addresses its own edge's side in the stack
-        step_edge = np.repeat(
-            np.arange(plan.num_edges), np.diff(plan.step_offsets)[schedule.edges]
+        """Every edge's slice of the round-major hop, negative and
+        context-row arrays is what the object sampler + the Eq. 8-9
+        survivors give for that edge under the same RNG state, and it
+        addresses the edge's own rows of its round's endpoint stack."""
+        model, records, plan, samples = compiled_plan
+        round_of = np.repeat(np.arange(plan.num_rounds), np.diff(plan.edge_bounds))
+        hops_per_round = np.zeros(plan.num_rounds, dtype=np.int64)
+        negs_per_round = np.zeros(plan.num_rounds, dtype=np.int64)
+        ctx_per_round = np.zeros(plan.num_rounds, dtype=np.int64)
+        ctx_at = 0
+        for pos, e in enumerate(plan.edges.tolist()):
+            rows, cums, sides, negs = _oracle_rows(model, records[e], samples[e])
+            local = 2 * (pos - plan.edge_bounds[round_of[pos]])
+            hops = np.flatnonzero(plan.step_owner == pos)
+            assert (np.diff(hops) == 1).all()
+            assert plan.step_rows[hops].tobytes() == rows.tobytes()
+            assert plan.step_cums[hops].tobytes() == cums.tobytes()
+            assert (plan.step_source[hops] == local + sides).all()
+            draws = []
+            for side in (0, 1):
+                hits = np.flatnonzero(plan.neg_owner == 2 * pos + side)
+                assert plan.neg_rows[hits].tobytes() == negs[side].tobytes()
+                assert (plan.neg_source[hits] == local + side).all()
+                draws.extend(hits.tolist())
+            assert draws == list(range(draws[0], draws[0] + len(draws)))
+            uniq = np.unique(
+                np.concatenate((plan.inter_rows[2 * pos : 2 * pos + 2], rows, *negs))
+            )
+            block = plan.ctx_rows[ctx_at : ctx_at + uniq.size]
+            assert block.tobytes() == uniq.tobytes()
+            ctx_at += uniq.size
+            hops_per_round[round_of[pos]] += hops.size
+            negs_per_round[round_of[pos]] += len(draws)
+            ctx_per_round[round_of[pos]] += uniq.size
+        assert ctx_at == plan.ctx_rows.size
+        assert np.diff(plan.step_bounds).tolist() == hops_per_round.tolist()
+        assert np.diff(plan.neg_bounds).tolist() == negs_per_round.tolist()
+        assert np.diff(plan.ctx_bounds).tolist() == ctx_per_round.tolist()
+        # the fixture exercises Eq. 9 termination and both sides
+        assert 0 < plan.step_rows.size < sum(
+            len(w.hops()) for s in samples for w in s.influenced.walks
         )
-        round_of_edge = np.repeat(
-            np.arange(schedule.num_rounds), np.diff(schedule.edge_bounds)
-        )
-        local_edge = step_edge - schedule.edge_bounds[round_of_edge[step_edge]]
-        assert (schedule.step_source // 2 == local_edge).all()
-        assert (schedule.step_owner == step_edge).all()
 
     def test_context_accumulation_indices_rebuild_the_catalogue(self, compiled_plan):
-        """``ctx_first`` + the later lists route every stack row to the
-        unique context row the plan's catalogue assigns it."""
-        _, plan = compiled_plan
-        schedule = build_schedule(plan)
-        for r, (e0, e1) in enumerate(_round_slices(schedule.edge_bounds)):
-            edges = schedule.edges[e0:e1].tolist()
+        """``ctx_first`` + the later lists route every row of a round's
+        gradient stack to the unique context row of its edge's block."""
+        plan = compiled_plan[2]
+        for r, (e0, e1) in enumerate(_round_slices(plan.edge_bounds)):
             # the round's stack: interaction pair rows | hop rows | negative rows
             stack_rows = np.concatenate(
-                [plan.inter_rows[edges].reshape(-1)]
-                + [plan.step_rows[plan.step_offsets[e] : plan.step_offsets[e + 1]] for e in edges]
-                + [plan.neg_rows[plan.neg_offsets[e] : plan.neg_offsets[e + 1]] for e in edges]
+                (
+                    plan.inter_rows[2 * e0 : 2 * e1],
+                    plan.step_rows[plan.step_bounds[r] : plan.step_bounds[r + 1]],
+                    plan.neg_rows[plan.neg_bounds[r] : plan.neg_bounds[r + 1]],
+                )
             )
-            c0, c1 = schedule.ctx_bounds[r], schedule.ctx_bounds[r + 1]
-            rows = schedule.ctx_rows[c0:c1]
-            first = schedule.ctx_first[c0:c1]
+            c0, c1 = plan.ctx_bounds[r], plan.ctx_bounds[r + 1]
+            rows = plan.ctx_rows[c0:c1]
+            first = plan.ctx_first[c0:c1]
             assert (stack_rows[first] == rows).all()
-            l0, l1 = schedule.ctx_later_bounds[r], schedule.ctx_later_bounds[r + 1]
-            sel = schedule.ctx_later_sel[l0:l1]
-            dest = schedule.ctx_later_dest[l0:l1]
+            l0, l1 = plan.ctx_later_bounds[r], plan.ctx_later_bounds[r + 1]
+            sel = plan.ctx_later_sel[l0:l1]
+            dest = plan.ctx_later_dest[l0:l1]
             assert (stack_rows[sel] == rows[dest]).all()
             # firsts and laters partition the stack; a later row follows
             # its unique row's first contribution
@@ -217,32 +267,26 @@ class TestBuildSchedule:
         """Within a round, a context row's k-th block occurrence (edge
         order) has rank k — non-zero ranks (and their rank-0 firsts) are
         exactly the rows two or more edges of the round contend for."""
-        _, plan = compiled_plan
-        schedule = build_schedule(plan)
+        plan = compiled_plan[2]
         contended = 0
-        for r, (c0, c1) in enumerate(_round_slices(schedule.ctx_bounds)):
+        for r, (c0, c1) in enumerate(_round_slices(plan.ctx_bounds)):
             seen = {}
             expected = []
-            for row in schedule.ctx_rows[c0:c1].tolist():
+            for row in plan.ctx_rows[c0:c1].tolist():
                 expected.append(seen.get(row, 0))
                 seen[row] = expected[-1] + 1
-            assert schedule.ctx_rank[c0:c1].tolist() == expected
-            assert schedule.ctx_max_rank[r] == max(expected, default=0)
+            assert plan.ctx_rank[c0:c1].tolist() == expected
+            assert plan.ctx_max_rank[r] == max(expected, default=0)
             contended += sum(n for n in seen.values() if n > 1)
-        assert schedule.contended_ctx_rows == contended
+        assert plan.contended_ctx_rows == contended
         # the fixture batch is dense enough to exercise the sweep path
         assert contended > 0
 
     def test_stats_agree_with_stream_edge_partition(self, compiled_plan):
-        """Plan-level rounds == StreamEdge-level rounds on the same batch
+        """Plan rounds == StreamEdge-level rounds on the same batch
         (same greedy algorithm), so the round counts and sizes coincide."""
-        _, plan = compiled_plan
-        schedule = build_schedule(plan)
-        edges = [
-            StreamEdge(int(u), int(v), "r", float(i))
-            for i, (u, v) in enumerate(plan.uv.tolist())
-        ]
-        rounds = partition_conflict_free_rounds(edges)
-        sizes = np.diff(schedule.edge_bounds)
+        _, records, plan, _ = compiled_plan
+        rounds = partition_conflict_free_rounds([edge for edge, _, _ in records])
+        sizes = np.diff(plan.edge_bounds)
         assert sizes.tolist() == [len(r) for r in rounds]
-        assert sizes.sum() == plan.num_edges
+        assert sizes.sum() == len(records)

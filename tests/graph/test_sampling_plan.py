@@ -1,10 +1,12 @@
 """The plan sampler's RNG-order contract and the neighbour cache.
 
-``sample_walk_plan`` / ``sample_walks_into`` feed the batched engine;
-their draws must track :func:`sample_influenced_graph_compiled` exactly
-(with or without a :class:`NeighborCandidateCache`), and the cache must
-drop itself the instant the graph mutates.
+``sample_walks_into`` feeds the batched engine; its draws must track
+:func:`sample_influenced_graph_compiled` exactly, and its
+:class:`NeighborCandidateCache` must drop itself the instant the graph
+mutates.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from repro.graph.sampling import (
     CompiledMetapathSet,
     NeighborCandidateCache,
     sample_influenced_graph_compiled,
-    sample_walk_plan,
+    sample_walks_into,
 )
 
 
@@ -23,13 +25,37 @@ def compiled(small_graph, metapath):
     return CompiledMetapathSet([metapath], small_graph.schema)
 
 
-def _plan(small_graph, compiled, seed, cache=None):
-    rng = np.random.default_rng(seed)
-    plan = sample_walk_plan(
-        small_graph, 0, 5, compiled, num_walks=4, walk_length=4, rng=rng,
-        cache=cache,
+class _WalkArrays(NamedTuple):
+    nodes: np.ndarray
+    rels: np.ndarray
+    times: np.ndarray
+    offsets: np.ndarray
+    sides: np.ndarray
+
+
+def _sample_walk_arrays(graph, u, v, compiled, rng, cache, num_walks=4):
+    """One edge's walks through :func:`sample_walks_into`, as arrays."""
+    nodes, rels, times, offsets, sides = [], [], [], [0], []
+    count = sample_walks_into(
+        graph, u, v, compiled, num_walks, 4, rng, cache,
+        nodes, rels, times, offsets, sides,
     )
-    return plan, rng
+    assert count == len(nodes)
+    return _WalkArrays(
+        np.asarray(nodes, dtype=np.int64),
+        np.asarray(rels, dtype=np.int64),
+        np.asarray(times, dtype=np.float64),
+        np.asarray(offsets, dtype=np.int64),
+        np.asarray(sides, dtype=np.int64),
+    )
+
+
+def _plan(small_graph, compiled, seed, cache=None):
+    """Walks of edge (0, 5); a fresh cache unless one is passed."""
+    rng = np.random.default_rng(seed)
+    if cache is None:
+        cache = NeighborCandidateCache(small_graph)
+    return _sample_walk_arrays(small_graph, 0, 5, compiled, rng, cache), rng
 
 
 class TestPlanSampler:
@@ -59,21 +85,13 @@ class TestPlanSampler:
         assert plan.offsets.tolist() == offsets
         assert plan_rng.bit_generator.state == obj_rng.bit_generator.state
 
-    def test_cached_and_uncached_draws_agree(self, small_graph, compiled):
-        cache = NeighborCandidateCache(small_graph)
-        bare, bare_rng = _plan(small_graph, compiled, seed=9)
-        cached, cached_rng = _plan(small_graph, compiled, seed=9, cache=cache)
-        for a, b in zip(bare, cached):
-            assert a.tobytes() == b.tobytes()
-        assert bare_rng.bit_generator.state == cached_rng.bit_generator.state
-
     def test_empty_graph_yields_empty_plan(self, schema, compiled):
         g = DMHG(schema)
         g.add_nodes("user", 1)
         g.add_nodes("video", 1)
-        plan = sample_walk_plan(
-            g, 0, 1, compiled, num_walks=3, walk_length=4,
-            rng=np.random.default_rng(0), cache=None,
+        plan = _sample_walk_arrays(
+            g, 0, 1, compiled, np.random.default_rng(0),
+            NeighborCandidateCache(g), num_walks=3,
         )
         assert plan.nodes.size == 0
         assert plan.offsets.tolist() == [0]
@@ -93,7 +111,7 @@ class TestNeighborCandidateCache:
         cache = NeighborCandidateCache(small_graph)
         _plan(small_graph, compiled, seed=1, cache=cache)
         small_graph.add_edge(0, 9, "click", 10.0)
-        # Post-mutation, cached answers must match a fresh uncached run.
+        # Post-mutation, cached answers must match a fresh cache's.
         stale, stale_rng = _plan(small_graph, compiled, seed=2, cache=cache)
         fresh, fresh_rng = _plan(small_graph, compiled, seed=2)
         for a, b in zip(stale, fresh):
@@ -101,9 +119,13 @@ class TestNeighborCandidateCache:
         assert stale_rng.bit_generator.state == fresh_rng.bit_generator.state
 
     def test_candidates_reflect_new_edge(self, small_graph, compiled):
+        """The sampler's protocol: ``sync`` once, then ``store_get`` with
+        ``fill`` on a miss."""
         cache = NeighborCandidateCache(small_graph)
-        rel_ids = frozenset(range(len(small_graph.schema.edge_types)))
-        before = cache.candidates(0, rel_ids, None)[0].tolist()
+        key = (0, frozenset(range(len(small_graph.schema.edge_types))), None)
+        before = cache.fill(key)[0].tolist()
+        assert cache.store_get(key)[0].tolist() == before
         small_graph.add_edge(0, 9, "click", 10.0)
-        after = cache.candidates(0, rel_ids, None)[0].tolist()
-        assert after == before + [9]
+        cache.sync()
+        assert cache.store_get(key) is None
+        assert cache.fill(key)[0].tolist() == before + [9]

@@ -141,6 +141,27 @@ class TestInvalidation:
         dropped = index.invalidate(new, touched_users=(), touched_items={outsider})
         assert dropped == 1
 
+    def test_full_invalidation_equals_naming_every_node(self):
+        """``None`` (every node changed — what decayed serving passes on
+        each publish) drops and counts exactly what passing the whole
+        node range does, without building it."""
+        outcomes = []
+        for everything in (None, set(range(24))):  # make_world: 4 users + 20 items
+            store, index, _, items = make_world()
+            snap = store.snapshot()
+            for user in range(4):
+                index.top_k(snap, user, 5)
+            index.top_k(snap, 0, 3)
+            new = store.publish([0], np.zeros((1, 8), dtype=np.float64))
+            dropped = index.invalidate(new, everything, everything)
+            outcomes.append((dropped, index.invalidations, index.cached_keys()))
+            # the emptied cache keeps serving: next read is a miss on `new`
+            np.testing.assert_array_equal(
+                index.top_k(new, 1, 5),
+                offline_top_k(new.matrix(), items, 1, 5),
+            )
+        assert outcomes[0] == outcomes[1] == (5, 5, ())
+
     def test_non_candidate_touched_items_ignored(self):
         store, index, _, _ = make_world()
         snap = store.snapshot()
