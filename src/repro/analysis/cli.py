@@ -42,8 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--output",
         metavar="FILE",
-        help="also write a JSON report to FILE (e.g. "
-        "benchmarks/results/lint_report.json)",
+        help="also write a JSON report to FILE",
     )
     parser.add_argument(
         "--select", nargs="+", metavar="RULE", help="run only these rules"
@@ -52,8 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency",
         action="store_true",
         help="run only the concurrency rules (lock-discipline, "
-        "lock-ordering, hold-and-call) and record their counts in "
-        "benchmarks/results/lint_report.json when that directory exists",
+        "lock-ordering, hold-and-call)",
     )
     parser.add_argument(
         "--ignore", nargs="+", metavar="RULE", help="skip these rules"
@@ -89,12 +87,6 @@ def run(
         select = list(CONCURRENCY_RULES) + [
             r for r in (select or []) if r not in CONCURRENCY_RULES
         ]
-        if output is None:
-            # the benchmarks/results convention: track per-rule counts
-            # across PRs next to the other reports, when the tree has one
-            default_report = Path("benchmarks") / "results" / "lint_report.json"
-            if default_report.parent.is_dir():
-                output = str(default_report)
     try:
         result = run_lint(
             paths or default_paths(),

@@ -28,6 +28,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 #: rule id used for files that cannot be parsed at all
 PARSE_ERROR_RULE = "parse-error"
+#: rule id used for a suppression comment that silenced nothing
+UNUSED_SUPPRESSION_RULE = "unused-suppression"
 
 _SUPPRESS_RE = re.compile(
     r"#\s*reprolint:\s*(?P<kind>disable|disable-file)="
@@ -75,11 +77,24 @@ class SourceFile:
                 return "/".join(parts[i + 1 :])
         return "/".join(parts)
 
-    def is_suppressed(self, rule_id: str, line: int) -> bool:
-        if rule_id in self.file_suppressions or "all" in self.file_suppressions:
-            return True
-        rules = self.line_suppressions.get(line, ())
-        return rule_id in rules or "all" in rules
+    def suppressor(self, rule_id: str, line: int) -> Optional[Tuple[int, str]]:
+        """The directive silencing ``rule_id`` at ``line``, if any, as
+        ``(line, name)`` — line 0 for a ``disable-file``."""
+        on_line = self.line_suppressions.get(line, ())
+        for name in (rule_id, "all"):
+            if name in self.file_suppressions:
+                return 0, name
+            if name in on_line:
+                return line, name
+        return None
+
+    def directives(self) -> Iterator[Tuple[int, str]]:
+        """Every suppression directive, in :meth:`suppressor`'s form."""
+        for name in self.file_suppressions:
+            yield 0, name
+        for line, names in self.line_suppressions.items():
+            for name in names:
+                yield line, name
 
 
 def _parse_suppressions(text: str) -> Tuple[Dict[int, Set[str]], Set[str]]:
@@ -256,7 +271,11 @@ def run_lint(
     """Lint ``paths`` (files or directories) with the registered rules.
 
     Suppressed violations are dropped; files that fail to parse yield a
-    single ``parse-error`` violation and are skipped by every rule.
+    single ``parse-error`` violation and are skipped by every rule.  A
+    suppression comment that silenced nothing is itself reported
+    (``unused-suppression``) when the rule it names ran — or is not a
+    rule at all — so a stale directive cannot outlive the code it
+    excused; ``all`` is judged only when the whole rule set ran.
     """
     path_objs = [Path(p) for p in paths]
     if not path_objs:
@@ -288,6 +307,7 @@ def run_lint(
             )
 
     by_rel = {sf.rel: sf for sf in files}
+    used: Set[Tuple[str, int, str]] = set()
     for rule in rules:
         candidates: List[Violation] = []
         for sf in files:
@@ -297,9 +317,28 @@ def run_lint(
         candidates.extend(rule.check_project(project))
         for v in candidates:
             sf = by_rel.get(v.path)
-            if sf is not None and sf.is_suppressed(v.rule, v.line):
+            directive = sf.suppressor(v.rule, v.line) if sf is not None else None
+            if directive is not None:
+                used.add((sf.rel, *directive))
                 continue
             violations.append(v)
+
+    not_judged = set(_REGISTRY) - {r.id for r in rules}
+    if not_judged:
+        not_judged.add("all")  # the wildcard may cover a rule that did not run
+    for sf in files:
+        for line, name in sf.directives():
+            if (sf.rel, line, name) not in used and name not in not_judged:
+                violations.append(
+                    Violation(
+                        path=sf.rel,
+                        line=max(line, 1),
+                        col=0,
+                        rule=UNUSED_SUPPRESSION_RULE,
+                        message=f"suppression of {name!r} suppresses nothing "
+                        "here; delete the comment",
+                    )
+                )
 
     return LintResult(
         root=root,

@@ -1,7 +1,7 @@
 """Render :class:`~repro.analysis.core.LintResult` as text or JSON.
 
-The JSON form is stable and machine-readable so benchmark tooling can
-track violation counts across PRs (``benchmarks/results/lint_report.json``).
+The JSON form is stable and machine-readable (``--format json`` /
+``--output FILE``) so tooling can track violation counts across PRs.
 """
 
 from __future__ import annotations

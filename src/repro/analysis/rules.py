@@ -119,7 +119,7 @@ class RngDisciplineRule(Rule):
                         sf,
                         node,
                         f"call to {dotted}() bypasses seed discipline; "
-                        "take an rng from repro.utils.rng.new_rng/spawn_rngs",
+                        "take an rng from repro.utils.rng.new_rng",
                     )
                 else:
                     head = dotted.split(".")[0]

@@ -135,10 +135,6 @@ class LockMonitor:
     def holds(self, lock: SanitizedLock) -> bool:
         return any(entry[0] == id(lock) for entry in self._stack())
 
-    def held_names(self) -> List[str]:
-        """Rank names of the locks this thread currently holds."""
-        return [entry[1] for entry in self._stack()]
-
     # ----------------------------------------------------------- acquisition
 
     def before_acquire(self, lock: SanitizedLock) -> None:
@@ -265,10 +261,8 @@ def default_audits() -> List[Audit]:
     from the source — ``tests/analysis/test_sanitizer.py`` cross-checks
     the two so they cannot drift apart.
     """
-    from repro.obs.hdr import HdrHistogram
     from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
     from repro.obs.quality import StreamingQualityEvaluator
-    from repro.obs.slo import SLOMonitor
     from repro.replicate.follower import ReplicationFollower
     from repro.resilience.checkpoint import CheckpointManager
     from repro.resilience.wal import WalTailer, WriteAheadLog
@@ -333,16 +327,8 @@ def default_audits() -> List[Audit]:
         audit(
             Histogram,
             "_lock",
-            {"count", "sum", "sum_sq", "max_value", "_samples"},
-        ),
-        audit(
-            HdrHistogram,
-            "_lock",
             {"_counts", "count", "sum", "min_observed", "max_observed"},
         ),
-        # _states mutations route through a local alias of the per-SLO
-        # state object, which is exactly what the static rule sees too.
-        audit(SLOMonitor, "_lock", {"_alerts"}),
         audit(
             StreamingQualityEvaluator,
             "_lock",

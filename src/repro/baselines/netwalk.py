@@ -42,7 +42,7 @@ class NetWalk(EmbeddingModel):
         window: int = 2,
         negatives: int = 3,
         epochs: int = 1,
-        reservoir_size: int = 5000,
+        reservoir_capacity: int = 5000,
         seed: int = 0,
     ):
         super().__init__(dataset, dim=dim, seed=seed)
@@ -51,7 +51,7 @@ class NetWalk(EmbeddingModel):
         self.window = window
         self.negatives = negatives
         self.epochs = epochs
-        self.reservoir_size = reservoir_size
+        self.reservoir_capacity = reservoir_capacity
         self._trainer: Optional[SkipGramTrainer] = None
         self._reservoir: List[List[int]] = []
         self._graph = None
@@ -92,8 +92,8 @@ class NetWalk(EmbeddingModel):
                     if len(walk) > 1:
                         new_walks.append(walk)
         self._reservoir.extend(new_walks)
-        if len(self._reservoir) > self.reservoir_size:
-            self._reservoir = self._reservoir[-self.reservoir_size :]
+        if len(self._reservoir) > self.reservoir_capacity:
+            self._reservoir = self._reservoir[-self.reservoir_capacity :]
         if new_walks:
             self._trainer.train_corpus(new_walks, epochs=self.epochs, lr_decay=False)
         self.embeddings = self._trainer.embeddings()

@@ -28,8 +28,7 @@ Commands:
   tree (see :mod:`repro.analysis`).
 * ``obs`` — run a short traced replay and print the observability
   story: span tree, flame table, metrics snapshot, plus Prometheus-text
-  and JSONL exports (see :mod:`repro.obs`); ``--watch`` polls and
-  prints counter/gauge deltas while the replay runs.
+  and JSONL exports (see :mod:`repro.obs`).
 * ``loadtest`` — the open-loop SLO harness (see
   :mod:`repro.obs.loadgen`): calibrate closed-loop capacity, then sweep
   offered-rate tiers with seeded Poisson/bursty/ramp arrivals and
@@ -72,7 +71,6 @@ def _add_replay_args(
     batch_size: int,
     capacity: int,
     faults: str,
-    output: str,
 ) -> None:
     """Flags of ``serve-replay`` and ``chaos-replay``: two entry points
     (and two sets of defaults) onto the same replay harness."""
@@ -109,8 +107,8 @@ def _add_replay_args(
     )
     p.add_argument(
         "--output",
-        default=output,
-        help="JSON report path ('' to skip writing)",
+        default="",
+        help="JSON report path (default: write nothing)",
     )
 
 
@@ -381,7 +379,6 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
 def cmd_obs(args: argparse.Namespace) -> int:
     """Run a short traced replay and print the full telemetry story."""
     from repro.obs import (
-        MetricsWatcher,
         format_flame_table,
         format_span_tree,
         to_prometheus_text,
@@ -403,30 +400,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
         trace=True,
     )
     service = driver.build_service()
-    if args.watch:
-        import threading
-
-        watcher = MetricsWatcher(
-            service.metrics,
-            args.watch_metrics,
-            interval_seconds=args.watch_interval,
-        )
-        outcome = {}
-        runner = threading.Thread(
-            target=lambda: outcome.update(report=driver.run(service)),
-            name="repro-obs-replay",
-            daemon=True,
-        )
-        print(f"watching {', '.join(watcher.names)} every {watcher.interval_seconds}s:")
-        runner.start()
-        watcher.watch(emit=print, until=lambda: not runner.is_alive())
-        runner.join()
-        # Final row so short replays always show at least one delta line.
-        print(watcher.format_row(watcher.poll()))
-        print()
-        report = outcome["report"]
-    else:
-        report = driver.run(service)
+    report = driver.run(service)
     tracer = service.tracer
 
     _print_summary(
@@ -461,10 +435,10 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
-    """Open-loop offered-load sweep with the SLO gate (see ISSUE/DESIGN §15).
+    """Open-loop offered-load sweep with the SLO gate (see ISSUE/DESIGN §14).
 
     With ``--async-dispatch`` / ``--admission`` the sweep exercises the
-    overload path (DESIGN §16): ``ingest()`` returns after the journaled
+    overload path (DESIGN §15): ``ingest()`` returns after the journaled
     accept decision and a dispatcher thread runs the updates, while the
     admission controller throttles and sheds past the watermarks.  Add
     ``--state-dir`` to journal each tier into its own WAL and run the
@@ -952,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-replay",
         help="replay a dataset through the online serving layer",
     )
-    _add_replay_args(p, batch_size=256, capacity=2048, faults="", output="")
+    _add_replay_args(p, batch_size=256, capacity=2048, faults="")
     p.add_argument("--probe-every", type=int, default=64)
     p.add_argument(
         "--trace",
@@ -971,7 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
         batch_size=32,
         capacity=128,
         faults="malformed=4,late=3,duplicate=3,burst=1,crash=1",
-        output=os.path.join("benchmarks", "results", "chaos_replay.json"),
     )
     p.add_argument(
         "--state-dir",
@@ -997,30 +970,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-parity-users", type=int, default=50)
     p.add_argument(
         "--output-dir",
-        default=os.path.join("benchmarks", "results"),
-        help="directory for the .prom / .jsonl exports ('' to skip)",
-    )
-    p.add_argument(
-        "--watch",
-        action="store_true",
-        help="poll-and-print metric deltas while the replay runs",
-    )
-    p.add_argument(
-        "--watch-interval",
-        type=float,
-        default=0.5,
-        help="seconds between --watch polls",
-    )
-    p.add_argument(
-        "--watch-metrics",
-        nargs="+",
-        default=[
-            "ingest.accepted",
-            "updates.applied",
-            "serve.recommendations",
-            "queue.pending",
-        ],
-        help="counter/gauge names to watch",
+        default="",
+        help="directory for the .prom / .jsonl exports (default: write nothing)",
     )
     p.set_defaults(func=cmd_obs)
 
@@ -1076,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--async-dispatch",
         action="store_true",
         help="drain micro-batches on the dispatcher thread so ingest() "
-        "returns after the journaled accept decision (DESIGN §16)",
+        "returns after the journaled accept decision (DESIGN §15)",
     )
     p.add_argument(
         "--admission",
@@ -1138,8 +1089,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--output",
-        default=os.path.join("benchmarks", "results", "loadtest.json"),
-        help="write the sweep JSON here ('' to skip)",
+        default="",
+        help="write the sweep JSON here (default: write nothing)",
     )
     p.add_argument(
         "--no-gate",
@@ -1270,8 +1221,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rp.add_argument(
         "--output",
-        default=os.path.join("benchmarks", "results", "failover.json"),
-        help="JSON report path ('' to skip writing)",
+        default="",
+        help="JSON report path (default: write nothing)",
     )
     rp.set_defaults(func=cmd_replicate_failover)
 

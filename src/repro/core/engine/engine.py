@@ -292,7 +292,7 @@ class BatchedEngine(_EngineBase):
         registry.counter("engine.plan.contended_ctx_rows").inc(
             plan.contended_ctx_rows
         )
-        round_edges = registry.hdr_histogram(
+        round_edges = registry.histogram(
             "engine.round.edges", min_value=1.0, max_value=1e4
         )
         for size in np.diff(plan.edge_bounds).tolist():

@@ -8,7 +8,7 @@ sampling used by SUPA (Section III-B).
 
 from repro.graph.dmhg import DMHG, TemporalEdge
 from repro.graph.metapath import MultiplexMetapath
-from repro.graph.sampling import InfluencedGraph, Walk, WalkStep, sample_influenced_graph, sample_metapath_walk
+from repro.graph.sampling import InfluencedGraph, Walk, WalkStep, sample_metapath_walk
 from repro.graph.schema import GraphSchema
 from repro.graph.streams import EdgeStream
 
@@ -19,7 +19,6 @@ __all__ = [
     "InfluencedGraph",
     "Walk",
     "WalkStep",
-    "sample_influenced_graph",
     "sample_metapath_walk",
     "GraphSchema",
     "EdgeStream",

@@ -183,8 +183,14 @@ def sample_influenced_graph_compiled(
     walk_length: int,
     rng,
 ) -> InfluencedGraph:
-    """Hot-path variant of :func:`sample_influenced_graph` taking ids and
-    a precompiled metapath set."""
+    """Sample ``G_{s,e}`` for the new edge ``(u, v, rel, t)`` as objects.
+
+    Draws ``num_walks`` (the paper's ``k``) walks of ``walk_length``
+    (the paper's ``l``) from each interactive node.  Each walk picks a
+    uniformly random schema among those applicable to its start node; a
+    node with no applicable schema contributes no walks (its side of the
+    influenced graph is empty, and propagation towards it is skipped).
+    The draw-for-draw oracle of :func:`sample_walks_into`."""
     result = InfluencedGraph(u=u, v=v, rel=rel, t=float(t))
     for node, bucket in ((u, result.walks_u), (v, result.walks_v)):
         options = compiled.for_type(graph.node_type_id(node))
@@ -374,42 +380,6 @@ def sample_metapath_walk(
         steps.append(WalkStep(other, rel, t))
         current = other
     return Walk(steps)
-
-
-def sample_influenced_graph(
-    graph: DMHG,
-    u: int,
-    v: int,
-    edge_type: str,
-    t: float,
-    metapaths: Sequence[MultiplexMetapath],
-    num_walks: int,
-    walk_length: int,
-    rng: RngLike = None,
-) -> InfluencedGraph:
-    """Sample ``G_{s,e}`` for the new edge ``(u, v, edge_type, t)``.
-
-    Draws ``num_walks`` (the paper's ``k``) walks of ``walk_length``
-    (the paper's ``l``) from each interactive node.  Each walk picks a
-    uniformly random schema among those applicable to its start node; a
-    node with no applicable schema contributes no walks (its side of the
-    influenced graph is empty, and propagation towards it is skipped).
-    """
-    if num_walks < 0:
-        raise ValueError(f"num_walks must be >= 0, got {num_walks}")
-    rng = new_rng(rng)
-    rel = graph.schema.edge_type_id(edge_type)
-    result = InfluencedGraph(u=u, v=v, rel=rel, t=float(t))
-    for node, bucket in ((u, result.walks_u), (v, result.walks_v)):
-        candidates = applicable_metapaths(metapaths, graph.node_type(node))
-        if not candidates:
-            continue
-        for _ in range(num_walks):
-            metapath = candidates[int(rng.integers(len(candidates)))]
-            walk = sample_metapath_walk(graph, node, metapath, walk_length, rng)
-            if len(walk) > 1:
-                bucket.append(walk)
-    return result
 
 
 def random_walk_corpus(

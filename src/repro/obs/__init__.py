@@ -4,25 +4,21 @@ One dependency-free subsystem shared by every layer:
 
 * :mod:`repro.obs.metrics` — a thread-safe :class:`MetricsRegistry` of
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments
-  (histograms are bounded: fixed-size reservoir + exact streaming
-  moments, so replay-scale sample counts cannot leak memory);
+  (histograms are bounded and tail-accurate: exact per-bucket counts
+  over fixed log-spaced buckets plus exact count/sum/min/max, so
+  replay-scale sample counts cannot leak memory and p99/p99.9 stay
+  within one bucket at any observation count);
 * :mod:`repro.obs.trace` — nested span tracing
   (``with tracer.span("core.engine.execute", edges=n): ...``) with an
   aggregated parent/child span tree, JSON export and a self-time flame
   table; the default :data:`NULL_TRACER` is a no-op so instrumented hot
   paths cost nothing until tracing is switched on;
-* :mod:`repro.obs.export` — Prometheus-style text exposition (including
-  cumulative ``_bucket{le=...}`` families for HDR-backed histograms), a
-  JSONL snapshot writer, and the poll-and-print
-  :class:`~repro.obs.export.MetricsWatcher` behind ``repro obs --watch``;
-* :mod:`repro.obs.hdr` — fixed log-bucketed
-  :class:`~repro.obs.hdr.HdrHistogram`: exact per-bucket counts in
-  bounded memory, so p99/p999 stay accurate at any observation count;
+* :mod:`repro.obs.export` — Prometheus-style text exposition (histograms
+  as cumulative ``_bucket{le=...}`` families) and a JSONL snapshot
+  writer;
 * :mod:`repro.obs.loadgen` — the open-loop load harness: seeded
   Poisson/bursty/ramp arrival processes driving the service at a fixed
   offered rate with queue-wait vs service-time attribution;
-* :mod:`repro.obs.slo` — declarative SLOs evaluated as multi-window
-  burn rates with alert records;
 * :mod:`repro.obs.quality` — online quality telemetry: prequential
   hold-out hit-rate/MRR, node-age cohorts, embedding-drift norms.
 
@@ -32,12 +28,10 @@ in DESIGN.md §10 (e.g. ``core.inslearn.replay``, ``core.engine.compile``,
 """
 
 from repro.obs.export import (
-    MetricsWatcher,
     parse_prometheus_text,
     to_prometheus_text,
     write_jsonl_snapshot,
 )
-from repro.obs.hdr import HdrHistogram, exact_percentile
 from repro.obs.loadgen import (
     ArrivalProcess,
     LoadReport,
@@ -46,15 +40,14 @@ from repro.obs.loadgen import (
     hdr_bucket_error,
     measure_capacity,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.quality import QualityRecord, StreamingQualityEvaluator
-from repro.obs.slo import (
-    DEFAULT_WINDOWS,
-    SLO,
-    AlertRecord,
-    BurnWindow,
-    SLOMonitor,
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    exact_percentile,
 )
+from repro.obs.quality import QualityRecord, StreamingQualityEvaluator
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -69,10 +62,8 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "HdrHistogram",
     "exact_percentile",
     "MetricsRegistry",
-    "MetricsWatcher",
     "ArrivalProcess",
     "LoadReport",
     "OpenLoopLoadGenerator",
@@ -81,11 +72,6 @@ __all__ = [
     "measure_capacity",
     "QualityRecord",
     "StreamingQualityEvaluator",
-    "SLO",
-    "SLOMonitor",
-    "AlertRecord",
-    "BurnWindow",
-    "DEFAULT_WINDOWS",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",

@@ -4,14 +4,11 @@ Two formats, both deliberately boring:
 
 * :func:`to_prometheus_text` renders a :class:`~repro.obs.metrics.MetricsRegistry`
   (or its ``as_dict()``) in the Prometheus text exposition format —
-  counters and gauges become single samples, reservoir histograms become
-  summary-style ``{quantile=...}`` samples plus ``_count``/``_sum``
-  series, and HDR-backed histograms (``hdr_histogram`` instruments or
-  reservoir histograms with an attached
-  :class:`~repro.obs.hdr.HdrHistogram`) become real Prometheus
-  *histogram* families: cumulative ``_bucket{le="..."}`` series ending
-  in ``le="+Inf"``, plus ``_count``/``_sum``.  Metric names are
-  sanitised (dots → underscores) and prefixed ``repro_``.
+  counters and gauges become single samples, histograms become
+  Prometheus *histogram* families: cumulative ``_bucket{le="..."}``
+  series ending in ``le="+Inf"``, plus ``_count``/``_sum`` (quantiles
+  are derivable from the buckets, ``histogram_quantile``-style).  Metric
+  names are sanitised (dots → underscores) and prefixed ``repro_``.
   :func:`parse_prometheus_text` reads that text back into a flat
   ``{series_name: value}`` dict so the format is round-trippable in
   tests and scrapeable by anything that speaks Prometheus.
@@ -26,10 +23,9 @@ from __future__ import annotations
 
 import json
 import os
-import time
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Dict, Optional, Union
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 _PREFIX = "repro_"
 
@@ -58,9 +54,9 @@ def _format_le(le: object) -> str:
 
 
 def _histogram_family_lines(sane: str, info: Dict[str, object]) -> list:
-    """Prometheus *histogram* exposition from an ``hdr_histogram``
-    summary: cumulative ``_bucket{le=...}`` samples ending at ``+Inf``,
-    then ``_count`` and ``_sum``."""
+    """Prometheus *histogram* exposition from a histogram summary:
+    cumulative ``_bucket{le=...}`` samples ending at ``+Inf``, then
+    ``_count`` and ``_sum``."""
     lines = [f"# TYPE {sane} histogram"]
     for le, cumulative in info["buckets"]:
         lines.append(
@@ -84,28 +80,8 @@ def to_prometheus_text(
         if kind in ("counter", "gauge"):
             lines.append(f"# TYPE {sane} {kind}")
             lines.append(f"{sane} {_format_value(info['value'])}")
-        elif kind == "hdr_histogram":
-            lines.extend(_histogram_family_lines(sane, info))
         elif kind == "histogram":
-            if "hdr" in info:
-                # The attached HDR backend has exact bucket counts —
-                # expose the real histogram family instead of the
-                # reservoir summary (quantiles are derivable from the
-                # cumulative buckets, histogram_quantile-style).
-                lines.extend(_histogram_family_lines(sane, info["hdr"]))
-                continue
-            lines.append(f"# TYPE {sane} summary")
-            for p in Histogram.PERCENTILES:
-                quantile = repr(p / 100.0)
-                lines.append(
-                    f'{sane}{{quantile="{quantile}"}} '
-                    f"{_format_value(info[f'p{p:g}'])}"
-                )
-            lines.append(f"{sane}_count {_format_value(info['count'])}")
-            # The registry summary reports mean rather than sum; recover
-            # the exact sum (mean is sum/count by construction).
-            total = float(info["mean"]) * int(info["count"])
-            lines.append(f"{sane}_sum {_format_value(total)}")
+            lines.extend(_histogram_family_lines(sane, info))
         else:
             raise ValueError(f"unknown instrument type {kind!r} for {name!r}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -115,7 +91,7 @@ def parse_prometheus_text(text: str) -> Dict[str, float]:
     """Parse exposition text back into ``{series_name: value}``.
 
     Labelled samples keep their label block in the key
-    (``repro_serve_latency{quantile="0.5"}``).  Comment and blank lines
+    (``repro_serve_latency_bucket{le="0.5"}``).  Comment and blank lines
     are skipped.
     """
     series: Dict[str, float] = {}
@@ -159,99 +135,3 @@ def write_jsonl_snapshot(
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
     return record
-
-
-class MetricsWatcher:
-    """Poll selected counters/gauges and report per-interval deltas.
-
-    Backs ``repro obs --watch``: each tick reads the named instruments
-    (counter value, gauge value, or histogram count), computes the delta
-    and per-second rate since the previous tick, and hands one formatted
-    row to the ``emit`` callback.  The clock and sleep are injectable —
-    defaults are :func:`time.monotonic` / :func:`time.sleep` (this
-    module is in the ``obs/`` clock-exemption scope) — so tests drive
-    ticks with a fake clock and no real sleeping.  The watcher itself is
-    single-threaded and lock-free: it only *reads* instruments, each of
-    which is internally locked.
-    """
-
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        names: Iterable[str],
-        interval_seconds: float = 1.0,
-        clock_fn: Optional[Callable[[], float]] = None,
-        sleep_fn: Optional[Callable[[float], None]] = None,
-    ):
-        if interval_seconds <= 0:
-            raise ValueError(
-                f"interval_seconds must be > 0, got {interval_seconds}"
-            )
-        self.registry = registry
-        self.names = list(names)
-        if not self.names:
-            raise ValueError("watcher needs at least one metric name")
-        self.interval_seconds = float(interval_seconds)
-        self._clock = clock_fn if clock_fn is not None else time.monotonic
-        self._sleep = sleep_fn if sleep_fn is not None else time.sleep
-        self._last: Dict[str, float] = {}
-        self._last_time: Optional[float] = None
-
-    def _read(self, name: str) -> float:
-        instrument = self.registry.get(name)
-        if instrument is None:
-            return 0.0
-        if isinstance(instrument, (Counter, Gauge)):
-            return float(instrument.as_dict()["value"])
-        # Histogram-ish: the observation count is the watchable series.
-        return float(instrument.as_dict()["count"])
-
-    def poll(self) -> Dict[str, Dict[str, float]]:
-        """One tick: ``{name: {value, delta, rate}}`` since the last poll."""
-        now = float(self._clock())
-        elapsed = (
-            now - self._last_time if self._last_time is not None else 0.0
-        )
-        snapshot: Dict[str, Dict[str, float]] = {}
-        for name in self.names:
-            value = self._read(name)
-            delta = value - self._last.get(name, 0.0) if self._last else 0.0
-            rate = delta / elapsed if elapsed > 0 else 0.0
-            snapshot[name] = {"value": value, "delta": delta, "rate": rate}
-            self._last[name] = value
-        self._last_time = now
-        return snapshot
-
-    @staticmethod
-    def format_row(snapshot: Dict[str, Dict[str, float]]) -> str:
-        """One aligned text row: ``name=value (+delta, rate/s)`` columns."""
-        cells: List[str] = []
-        for name in sorted(snapshot):
-            cell = snapshot[name]
-            cells.append(
-                f"{name}={cell['value']:g} "
-                f"(+{cell['delta']:g}, {cell['rate']:.1f}/s)"
-            )
-        return "  ".join(cells)
-
-    def watch(
-        self,
-        emit: Callable[[str], None],
-        until: Optional[Callable[[], bool]] = None,
-        max_ticks: Optional[int] = None,
-    ) -> int:
-        """Poll-and-emit until ``until()`` is true (or ``max_ticks``).
-
-        The first poll establishes the baseline without emitting; every
-        subsequent tick sleeps ``interval_seconds`` then emits one
-        formatted delta row.  Returns the number of rows emitted.
-        """
-        self.poll()
-        ticks = 0
-        while max_ticks is None or ticks < max_ticks:
-            if until is not None and until():
-                break
-            self._sleep(self.interval_seconds)
-            emit(self.format_row(self.poll()))
-            ticks += 1
-        return ticks

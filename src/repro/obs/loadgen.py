@@ -24,8 +24,8 @@ closed-loop harness cannot show.  This module is the open-loop harness:
   ``stage.train_seconds``, ``stage.publish_seconds``).
 * :class:`LoadReport` — per-tier summary: exact p50/p99/p999 for
   end-to-end, queue-wait and service time (from retained samples),
-  the HDR-histogram view of the same (tail-accurate at any scale), and
-  the bucket error between them.
+  the bucketed-histogram view of the same (tail-accurate at any scale),
+  and the bucket error between them.
 
 The clock and sleep are injectable (defaults
 :func:`time.perf_counter` / :func:`time.sleep`; this module is in the
@@ -56,7 +56,7 @@ from typing import (
 
 import numpy as np
 
-from repro.obs.hdr import HdrHistogram, exact_percentile
+from repro.obs.metrics import Histogram, exact_percentile
 from repro.utils.rng import derive_seed, new_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; obs must not import serve
@@ -250,7 +250,7 @@ class OpenLoopLoadGenerator:
     ``query_every``-th request, or every request routed through a
     ``quality`` evaluator), ingests the event, and stamps completion.
     Latency histograms land in the service's own metrics registry as
-    HDR-backed instruments (``loadgen.e2e_seconds``,
+    bucketed histograms (``loadgen.e2e_seconds``,
     ``loadgen.queue_wait_seconds``, ``loadgen.service_seconds``).
 
     ``quality`` is any object with ``observe_event(edge)`` /
@@ -287,11 +287,9 @@ class OpenLoopLoadGenerator:
         self._pending: Deque[RequestEnvelope] = deque()
         self._admission_done = False
         metrics = service.metrics
-        self.hist_e2e = metrics.histogram("loadgen.e2e_seconds", hdr=True)
-        self.hist_queue_wait = metrics.histogram(
-            "loadgen.queue_wait_seconds", hdr=True
-        )
-        self.hist_service = metrics.histogram("loadgen.service_seconds", hdr=True)
+        self.hist_e2e = metrics.histogram("loadgen.e2e_seconds")
+        self.hist_queue_wait = metrics.histogram("loadgen.queue_wait_seconds")
+        self.hist_service = metrics.histogram("loadgen.service_seconds")
 
     # ------------------------------------------------------------- worker side
 
@@ -396,14 +394,12 @@ class OpenLoopLoadGenerator:
         )
 
 
-def hdr_bucket_error(
-    hist: HdrHistogram, samples: Sequence[float], p: float
-) -> int:
-    """Bucket distance between the HDR quantile and the exact quantile.
+def hdr_bucket_error(hist: Histogram, samples: Sequence[float], p: float) -> int:
+    """Bucket distance between the bucketed quantile and the exact quantile.
 
     Replays nothing — compares ``hist.percentile(p)`` against the exact
-    rank-based quantile of ``samples`` in bucket-index space.  The HDR
-    accuracy contract is that this is at most 1 for any sample set the
+    rank-based quantile of ``samples`` in bucket-index space.  The
+    histogram's accuracy contract is that this is at most 1 for any sample set the
     histogram actually observed.
     """
     exact = exact_percentile(samples, p)
@@ -500,7 +496,7 @@ def run_offered_load_sweep(
                 report.queue_wait["p99"] < report.service["p99"]
             )
             tier["hdr_p999_bucket_error"] = hdr_bucket_error(
-                generator.hist_e2e.hdr, report.e2e_samples, 99.9
+                generator.hist_e2e, report.e2e_samples, 99.9
             )
             metrics = service.metrics
             tier["stages"] = {

@@ -10,18 +10,16 @@ everything the system reports:
 * :class:`Gauge` — point-in-time values with ``set``/``inc``/``dec``
   (queue depth, staleness, cache hit rate),
 * :class:`Histogram` — latency/size distributions summarised as
-  count/mean/p50/p95/p99/max.  **Bounded**: exact streaming moments
-  (count, sum, sum of squares, max) plus a fixed-size reservoir for
-  percentiles.  Below the reservoir capacity every sample is retained
-  and percentiles are exact; beyond it, uniform reservoir sampling
-  (Algorithm R) keeps memory constant under replay-scale load.  The
-  reservoir RNG is a :mod:`repro.utils.rng` generator seeded
-  deterministically from the instrument name, so summaries stay
-  reproducible run to run.  For tail-accurate quantiles a
-  :class:`~repro.obs.hdr.HdrHistogram` backend can be attached
-  (``registry.histogram(name, hdr=True)``): observations are mirrored
-  into exact log-spaced bucket counts and ``percentile(p >= 99)`` is
-  answered from them instead of the reservoir.
+  count/sum/mean/min/max plus p50/p95/p99/p99.9.  **Bounded and
+  tail-accurate**: a fixed array of log-spaced buckets with exact
+  per-bucket counts (no sampling), so memory is constant under
+  replay-scale load and every quantile is a bucket upper bound within
+  :attr:`Histogram.relative_error` (~8 % at the default 30 buckets per
+  decade over 1 µs – 1000 s) at any observation count, while count,
+  sum, min and max stay exact.  The buckets map one-to-one onto
+  Prometheus *histogram* exposition (:mod:`repro.obs.export`).
+  ``registry.histogram(name, min_value=..., max_value=...)`` picks
+  another range for non-latency sizes.
 
 Every mutating operation is lock-guarded — registry get-or-create and
 instrument observe/inc/set — so ingest producers, the dispatcher thread
@@ -34,14 +32,13 @@ JSONL exposition live in :mod:`repro.obs.export`.
 from __future__ import annotations
 
 import json
+import math
 import threading
-import zlib
-from typing import Dict, Iterator, List, Optional, Union
+from bisect import bisect_left
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.hdr import HdrHistogram
-from repro.utils.rng import new_rng
 from repro.utils.timer import Timer
 
 
@@ -118,134 +115,189 @@ class _HistogramTimer(Timer):
 
 
 class Histogram:
-    """Bounded sample accumulator summarised as count/mean/p50/p95/p99/max.
+    """Exact-count log-bucketed histogram with bounded memory.
+
+    A fixed array of geometrically spaced buckets covers
+    ``[min_value, max_value]`` with ``buckets_per_decade`` buckets per
+    decade; every observation lands in exactly one bucket (no
+    sampling).  Values at or below ``min_value`` fall into the first
+    bucket, values above ``max_value`` into the overflow (``+Inf``)
+    bucket.  ``count``, ``sum`` (so ``mean``), ``min_observed`` and
+    ``max_observed`` are exact streaming moments whatever the range.
 
     ``observe`` records raw values (the service records seconds);
     :meth:`time` returns a context manager that records one wall-clock
-    lap per ``with`` block.  Count, mean and max are exact streaming
-    moments; percentiles come from a reservoir of at most
-    ``reservoir_size`` samples (exact until the reservoir fills).
+    lap per ``with`` block.  Thread-safe: one lock guards the bucket
+    counts and the moments; reads snapshot under it and compute outside.
     """
 
-    PERCENTILES = (50.0, 95.0, 99.0)
-    #: default reservoir capacity; large enough that every workload in
-    #: the test/benchmark suites stays in the exact-percentile regime.
-    DEFAULT_RESERVOIR_SIZE = 4096
-    #: quantiles at or above this are routed to the attached HDR
-    #: backend (when one exists), where they are bucket-exact.
-    HDR_ROUTE_PERCENTILE = 99.0
+    #: percentiles reported by :meth:`as_dict`.
+    PERCENTILES = (50.0, 95.0, 99.0, 99.9)
 
     def __init__(
         self,
         name: str,
-        reservoir_size: Optional[int] = None,
-        hdr: Union[None, bool, HdrHistogram] = None,
+        min_value: float = 1e-6,
+        max_value: float = 1e3,
+        buckets_per_decade: int = 30,
     ):
-        if reservoir_size is not None and reservoir_size < 1:
+        if min_value <= 0.0:
+            raise ValueError(f"min_value must be > 0, got {min_value}")
+        if max_value <= min_value:
             raise ValueError(
-                f"reservoir_size must be >= 1, got {reservoir_size}"
+                f"max_value must exceed min_value ({min_value} -> {max_value})"
+            )
+        if buckets_per_decade < 1:
+            raise ValueError(
+                f"buckets_per_decade must be >= 1, got {buckets_per_decade}"
             )
         self.name = name
-        self.reservoir_size = (
-            self.DEFAULT_RESERVOIR_SIZE if reservoir_size is None else reservoir_size
-        )
-        # Optional tail-accurate backend: every observation is mirrored
-        # into the HDR histogram, and high quantiles are answered from
-        # its exact bucket counts instead of the reservoir.  ``True``
-        # builds one with the default latency range.  Set only here so
-        # the attribute is immutable after construction (no lock needed
-        # to read it; HdrHistogram carries its own lock).
-        if hdr is True:
-            hdr = HdrHistogram(name)
-        self.hdr: Optional[HdrHistogram] = hdr if hdr else None
+        self.min_value = float(min_value)
+        self.max_value = float(max_value)
+        self.buckets_per_decade = int(buckets_per_decade)
+        decades = math.log10(max_value / min_value)
+        n_buckets = int(math.ceil(decades * buckets_per_decade)) + 1
+        growth = 10.0 ** (1.0 / buckets_per_decade)
+        # _boundaries[i] is the inclusive upper bound (Prometheus ``le``)
+        # of bucket i; one extra overflow bucket catches values above the
+        # last boundary.  Immutable after construction.
+        self._boundaries: List[float] = (
+            self.min_value * growth ** np.arange(n_buckets, dtype=np.float64)
+        ).tolist()
+        self._counts = [0] * (n_buckets + 1)
         self.count = 0
         self.sum = 0.0
-        self.sum_sq = 0.0
-        self.max_value = 0.0
-        self._samples: List[float] = []
+        self.min_observed = 0.0
+        self.max_observed = 0.0
         self._lock = threading.Lock()
-        # Deterministic per-name reservoir stream (utils/rng discipline:
-        # an explicit seeded Generator, never global numpy state).
-        self._rng = new_rng(zlib.crc32(name.encode("utf-8")))
+
+    @property
+    def relative_error(self) -> float:
+        """Worst-case relative quantile error: one bucket's width."""
+        return 10.0 ** (1.0 / self.buckets_per_decade) - 1.0
+
+    @property
+    def boundaries(self) -> np.ndarray:
+        """The inclusive bucket upper bounds (``le`` values), a copy."""
+        return np.asarray(self._boundaries, dtype=np.float64)
+
+    def bucket_index(self, value: float) -> int:
+        """Index of the bucket ``value`` lands in; ``len(boundaries)``
+        is the overflow bucket."""
+        return bisect_left(self._boundaries, float(value))
 
     def observe(self, value: float) -> None:
         value = float(value)
-        if self.hdr is not None:
-            self.hdr.observe(value)
+        idx = self.bucket_index(value)
         with self._lock:
+            self._counts[idx] += 1
             self.count += 1
             self.sum += value
-            self.sum_sq += value * value
-            if self.count == 1 or value > self.max_value:
-                self.max_value = value
-            if len(self._samples) < self.reservoir_size:
-                self._samples.append(value)
-            else:
-                # Algorithm R: keep each of the ``count`` samples seen so
-                # far with probability reservoir_size / count.
-                slot = int(self._rng.integers(self.count))
-                if slot < self.reservoir_size:
-                    self._samples[slot] = value
+            if self.count == 1 or value < self.min_observed:
+                self.min_observed = value
+            if self.count == 1 or value > self.max_observed:
+                self.max_observed = value
 
     def time(self) -> Timer:
         """Context manager: ``with h.time(): ...`` observes the lap."""
         return _HistogramTimer(self)
 
     @property
-    def samples(self) -> List[float]:
-        """The retained reservoir samples (a copy; at most
-        ``reservoir_size`` of the ``count`` observed values)."""
-        with self._lock:
-            return list(self._samples)
-
-    @property
     def mean(self) -> float:
         with self._lock:
             return self.sum / self.count if self.count else 0.0
 
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0.0 if empty).
-
-        Accuracy bound: percentiles come from a uniform reservoir of at
-        most ``reservoir_size`` samples.  They are **exact** while
-        ``count <= reservoir_size``; beyond that the reported quantile
-        is an estimate whose rank error scales like
-        ``sqrt(p/100 * (1 - p/100) / reservoir_size)`` — about ±0.16
-        rank-percentile points at p50 with the default 4096-sample
-        reservoir, but relatively much worse in the tail: at p99.9 only
-        ~4 reservoir samples sit above the quantile, so the estimate is
-        dominated by sampling noise.  When an HDR backend is attached
-        (``hdr=`` at construction), quantiles at or above
-        :data:`HDR_ROUTE_PERCENTILE` are answered from its exact bucket
-        counts instead — correct to within one bucket
-        (:attr:`~repro.obs.hdr.HdrHistogram.relative_error`) at any
-        observation count.
-        """
-        if self.hdr is not None and p >= self.HDR_ROUTE_PERCENTILE:
-            return self.hdr.percentile(p)
+    def _snapshot(self) -> Tuple[np.ndarray, float, float, float]:
+        """``(cumulative bucket counts, sum, min, max)`` from one lock
+        hold; the last cumulative entry is the observation count."""
         with self._lock:
-            if not self._samples:
-                return 0.0
-            data = np.asarray(self._samples, dtype=np.float64)
-        return float(np.percentile(data, p))
+            counts = list(self._counts)
+            moments = (self.sum, self.min_observed, self.max_observed)
+        return (np.cumsum(np.asarray(counts, dtype=np.int64)), *moments)
+
+    def _quantile(
+        self, cumulative: np.ndarray, max_observed: float, p: float
+    ) -> float:
+        count = int(cumulative[-1])
+        if count == 0:
+            return 0.0
+        rank = max(1, int(math.ceil(p / 100.0 * count)))
+        idx = int(np.searchsorted(cumulative, rank, side="left"))
+        if idx >= len(self._boundaries):
+            return float(max_observed)
+        return self._boundaries[idx]
+
+    def percentile(self, p: float) -> float:
+        """The ``p``-th percentile as a bucket upper bound (0.0 if empty).
+
+        The returned boundary is >= the exact ceil-rank quantile
+        (:func:`exact_percentile`) and within one bucket of it —
+        :attr:`relative_error` relative width, ~8 % at the default 30
+        buckets per decade — at any observation count.  A quantile that
+        falls in the overflow bucket reports the exact observed maximum;
+        one at or below ``min_value`` reports ``min_value``.
+        """
+        if not 0.0 <= p <= 100.0:
+            raise ValueError(f"percentile must be in [0, 100], got {p}")
+        cumulative, _, _, max_observed = self._snapshot()
+        return self._quantile(cumulative, max_observed, p)
+
+    def cumulative_buckets(self) -> List[Tuple[float, int]]:
+        """``(le, cumulative_count)`` pairs for Prometheus exposition.
+
+        Leading all-zero buckets are trimmed and trailing buckets are cut
+        once the cumulative count reaches the finite total; the ``+Inf``
+        bucket is always emitted last so ``_bucket{le="+Inf"} == _count``.
+        """
+        return self._bucket_pairs(self._snapshot()[0])
+
+    def _bucket_pairs(self, cumulative: np.ndarray) -> List[Tuple[float, int]]:
+        finite = cumulative[:-1]
+        finite_total = int(finite[-1])
+        pairs: List[Tuple[float, int]] = []
+        if finite_total > 0:
+            first = int(np.argmax(finite > 0))
+            last = int(np.searchsorted(finite, finite_total, side="left"))
+            pairs = [
+                (self._boundaries[i], int(finite[i])) for i in range(first, last + 1)
+            ]
+        pairs.append((math.inf, int(cumulative[-1])))
+        return pairs
 
     def as_dict(self) -> Dict[str, object]:
-        with self._lock:
-            count = self.count
-            mean = self.sum / count if count else 0.0
-            max_value = self.max_value if count else 0.0
-            data = np.asarray(self._samples, dtype=np.float64)
+        cumulative, total, min_observed, max_observed = self._snapshot()
+        count = int(cumulative[-1])
         summary: Dict[str, object] = {
             "type": "histogram",
-            "count": int(count),
-            "mean": float(mean),
-            "max": float(max_value),
+            "count": count,
+            "sum": float(total),
+            "mean": float(total / count) if count else 0.0,
+            "min": float(min_observed),
+            "max": float(max_observed),
+            "relative_error": self.relative_error,
         }
         for p in self.PERCENTILES:
-            summary[f"p{p:g}"] = float(np.percentile(data, p)) if data.size else 0.0
-        if self.hdr is not None:
-            summary["hdr"] = self.hdr.as_dict()
+            summary[f"p{p:g}"] = self._quantile(cumulative, max_observed, p)
+        summary["buckets"] = [
+            [le if math.isfinite(le) else "+Inf", c]
+            for le, c in self._bucket_pairs(cumulative)
+        ]
         return summary
+
+
+def exact_percentile(values: Sequence[float], p: float) -> float:
+    """Rank-based exact quantile matching :meth:`Histogram.percentile`.
+
+    Uses the same ceil-rank definition (the smallest value with at least
+    ``ceil(p/100 * n)`` observations at or below it) so tests and the
+    load harness can compare a bucketed estimate against ground truth
+    bucket-for-bucket.
+    """
+    data = np.sort(np.asarray(values, dtype=np.float64))
+    if data.size == 0:
+        return 0.0
+    rank = max(1, int(math.ceil(p / 100.0 * data.size)))
+    return float(data[rank - 1])
 
 
 class MetricsRegistry:
@@ -284,26 +336,15 @@ class MetricsRegistry:
     def histogram(
         self,
         name: str,
-        reservoir_size: Optional[int] = None,
-        hdr: Union[None, bool, HdrHistogram] = None,
-    ) -> Histogram:
-        """Get or create a histogram; ``reservoir_size`` and ``hdr``
-        only apply on creation (an existing instrument keeps its bound
-        and backend)."""
-        return self._get(name, Histogram, reservoir_size=reservoir_size, hdr=hdr)
-
-    def hdr_histogram(
-        self,
-        name: str,
         min_value: float = 1e-6,
         max_value: float = 1e3,
         buckets_per_decade: int = 30,
-    ) -> HdrHistogram:
-        """Get or create a standalone log-bucketed HDR histogram
-        (bucket layout only applies on creation)."""
+    ) -> Histogram:
+        """Get or create a histogram; the bucket layout only applies on
+        creation (an existing instrument keeps its own)."""
         return self._get(
             name,
-            HdrHistogram,
+            Histogram,
             min_value=min_value,
             max_value=max_value,
             buckets_per_decade=buckets_per_decade,

@@ -71,10 +71,6 @@ class QualityRecord:
     def hit(self) -> bool:
         return self.rank <= self.k
 
-    @property
-    def reciprocal_rank(self) -> float:
-        return 1.0 / self.rank if math.isfinite(self.rank) else 0.0
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "index": self.index,

@@ -472,12 +472,6 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------- lifecycle
 
-    @property
-    def active_path(self) -> str:
-        """Segment file currently receiving appends."""
-        with self._lock:
-            return self._active_path
-
     def segments(self) -> List[str]:
         """All on-disk segments of this log, oldest first."""
         return segment_paths(self.path)

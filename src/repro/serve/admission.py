@@ -33,7 +33,7 @@ queue, the WAL or metrics.  The service acts on the returned
 :class:`AdmissionDecision` — journaling every shed/throttle to the WAL
 ledger before the deadletter — which is what keeps the
 ``decision_ledger`` / ``deadletters_by_reason`` reconciliation exact
-(DESIGN.md §16).  Time is injected (``clock``): benches and tests pass
+(DESIGN.md §15).  Time is injected (``clock``): benches and tests pass
 a deterministic counter, making the whole admission layer replayable.
 """
 

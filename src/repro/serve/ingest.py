@@ -27,7 +27,7 @@ at all: a dispatcher thread (:mod:`repro.serve.dispatch`) drains ready
 micro-batches via :meth:`dispatch_next`, so producers pay only the
 accept/journal cost.  Batch boundaries are cut by *count* over the
 accepted FIFO either way, which is why a drained deferred queue is
-bitwise-identical to the inline path (DESIGN.md §16).  Admission
+bitwise-identical to the inline path (DESIGN.md §15).  Admission
 control (:mod:`repro.serve.admission`) sheds into the same deadletter
 ledger — :meth:`shed_oldest` evicts the head under a ``drop_head``
 decision, and ``shed`` tallies admission denials separately from

@@ -278,8 +278,6 @@ class StreamReplayDriver:
 
         latency = service.metrics.histogram("latency.recommend_seconds")
         update_latency = service.metrics.histogram("latency.update_seconds")
-        # The histogram's streaming sum is exact even past the reservoir
-        # bound (its retained samples are only a subset).
         recommend_seconds = float(latency.sum) if latency.count else 0.0
         return ReplayReport(
             dataset=self.dataset.name,

@@ -79,13 +79,13 @@ class ServeConfig:
     breaker_cooldown_events: int = 64  # ingests while open before a probe
     #: injectable monotonic clock for per-event stage timestamping:
     #: when set, each accepted event is stamped at admission and its
-    #: queue wait (admission → batch dispatch) lands in the HDR-backed
+    #: queue wait (admission → batch dispatch) lands in the bucketed
     #: ``latency.queue_wait_seconds`` histogram, separating time spent
     #: buffered from service time proper.  ``None`` (the default) keeps
     #: the ingest path stamp-free.  The load harness and benches pass
     #: ``time.perf_counter``; tests pass a fake clock.
     clock_fn: Optional[Callable[[], float]] = None
-    # --- async dispatch + admission control (DESIGN.md §16) ---------------
+    # --- async dispatch + admission control (DESIGN.md §15) ---------------
     #: run updates on a dispatcher thread instead of inline in ``put()``:
     #: ``ingest()`` returns after the journaled accept decision.  The
     #: worker starts lazily on the first ingest (so recovery replay never
@@ -259,17 +259,17 @@ class RecommendationService:
             "queue.depth_fraction",
         ):
             self.metrics.gauge(name)
-        for name in ("latency.recommend_seconds", "latency.update_seconds"):
-            self.metrics.histogram(name)
-        # Tail-accurate (HDR-backed) stage histograms: queue wait
-        # (admission → dispatch, stamped only when ``clock_fn`` is set)
-        # and the train/publish split inside each update.
+        # Stage histograms: queue wait (admission → dispatch, stamped
+        # only when ``clock_fn`` is set) and the train/publish split
+        # inside each update.
         for name in (
+            "latency.recommend_seconds",
+            "latency.update_seconds",
             "latency.queue_wait_seconds",
             "stage.train_seconds",
             "stage.publish_seconds",
         ):
-            self.metrics.histogram(name, hdr=True)
+            self.metrics.histogram(name)
         # Guards the service's scalar runtime state (_clock,
         # _update_in_flight, _updates_applied, breaker fields,
         # _resilience_suspended, _read_only, _user_activity).  Leaf-like
@@ -340,7 +340,7 @@ class RecommendationService:
             journal=self._journal_decision,
             defer_dispatch=self.config.async_dispatch,
         )
-        # --- admission control + async dispatch (DESIGN.md §16) ----------
+        # --- admission control + async dispatch (DESIGN.md §15) ----------
         self.admission: Optional[AdmissionController] = (
             AdmissionController(self.config.admission, clock=self.config.clock_fn)
             if self.config.admission is not None
@@ -912,7 +912,7 @@ class RecommendationService:
     def close(self) -> None:
         """Release pooled resources (idempotent): the dispatcher thread
         (joined after draining ready batches — quiescence contract,
-        DESIGN.md §16) and the WAL file handle (a crashed process
+        DESIGN.md §15) and the WAL file handle (a crashed process
         releases these for free; tests and drivers call it before
         recovering).
         A partial trailing micro-batch stays buffered; call ``flush()``
@@ -1032,7 +1032,3 @@ class RecommendationService:
                 "latency.recommend_seconds"
             ).percentile(95.0),
         }
-
-    def metrics_json(self, path: Optional[str] = None) -> str:
-        """The full metrics registry as JSON (optionally written to disk)."""
-        return self.metrics.to_json(path)

@@ -2,14 +2,14 @@
 
 Every stochastic component in this library receives an explicit
 :class:`numpy.random.Generator`.  These helpers create them from integer
-seeds and fan a parent generator out into independent child streams, so
+seeds and derive stable sub-seeds for independent child streams, so
 experiments are reproducible end to end while components never share a
 stream accidentally.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -25,14 +25,6 @@ def new_rng(seed: RngLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def spawn_rngs(rng: np.random.Generator, n: int) -> List[np.random.Generator]:
-    """Split ``rng`` into ``n`` statistically independent child generators."""
-    if n < 0:
-        raise ValueError(f"cannot spawn a negative number of rngs: {n}")
-    seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
 
 
 def derive_seed(seed: Optional[int], *salt: int) -> Optional[int]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from typing import Dict, List
+from typing import List
 
 
 class Timer:
@@ -30,27 +30,6 @@ class Timer:
         self.elapsed += lap
         self.laps.append(lap)
 
-    @property
-    def mean_lap(self) -> float:
-        """Average duration of completed laps (0.0 if none)."""
-        if not self.laps:
-            return 0.0
-        return self.elapsed / len(self.laps)
-
     def reset(self) -> None:
         self.elapsed = 0.0
         self.laps = []
-
-
-class StageTimer:
-    """Named stage accumulator: ``with st.stage('sample'): ...``."""
-
-    def __init__(self) -> None:
-        self._timers: Dict[str, Timer] = {}
-
-    def stage(self, name: str) -> Timer:
-        return self._timers.setdefault(name, Timer())
-
-    def report(self) -> Dict[str, float]:
-        """Total elapsed seconds per stage name."""
-        return {name: t.elapsed for name, t in self._timers.items()}

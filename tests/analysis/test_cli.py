@@ -78,6 +78,18 @@ class TestOutputs:
         assert code == 1
         assert json.loads(report.read_text())["total_violations"] == 1
 
+    def test_concurrency_bundle_writes_nothing_unless_told(
+        self, make_project, monkeypatch
+    ):
+        """``--concurrency`` used to drop ``benchmarks/results/lint_report.json``
+        into whatever checkout it ran from."""
+        root = make_project(CLEAN)
+        results = root / "benchmarks" / "results"
+        results.mkdir(parents=True)
+        monkeypatch.chdir(root)
+        assert main(["src/repro", "--concurrency"]) == 0
+        assert list(results.iterdir()) == []
+
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out

@@ -1,8 +1,8 @@
 """Tier-1 gate: the real ``src/repro`` tree must be reprolint-clean.
 
-The JSON report is written under ``tmp_path`` (tests never touch tracked
-files); ``repro lint --format json --output benchmarks/results/lint_report.json``
-refreshes the committed copy.
+The JSON report is written under ``tmp_path``: tests never touch the
+work tree, and no report is tracked (``repro lint --output FILE`` writes
+one where it is told to).
 """
 
 import json

@@ -744,3 +744,49 @@ class TestExceptionDiscipline:
             }
         )
         assert result.ok
+
+
+# ---------------------------------------------------------- unused-suppression
+
+
+class TestUnusedSuppression:
+    def test_directive_that_silences_nothing_is_reported(self, lint):
+        result = lint(
+            {
+                "src/repro/core/foo.py": """
+                import numpy as np
+                x = np.zeros(3, dtype=np.float64)  # reprolint: disable=explicit-dtype
+                """
+            }
+        )
+        assert rules_hit(result) == ["unused-suppression"]
+        assert result.violations[0].line == 2
+        assert "'explicit-dtype'" in result.violations[0].message
+
+    def test_unused_file_directive_and_unknown_rule_name(self, lint):
+        result = lint(
+            {
+                "src/repro/core/foo.py": """
+                # reprolint: disable-file=rng-discipline
+                x = 1  # reprolint: disable=no-such-rule
+                """
+            }
+        )
+        assert [(v.rule, v.line) for v in result.violations] == [
+            ("unused-suppression", 1),
+            ("unused-suppression", 2),
+        ]
+
+    def test_rule_that_did_not_run_is_not_judged(self, lint):
+        files = {
+            "src/repro/core/foo.py": """
+            import numpy as np
+            x = np.zeros(3)  # reprolint: disable=all
+            y = np.zeros(3, dtype=np.float64)  # reprolint: disable=explicit-dtype
+            """
+        }
+        assert lint(files, select=["rng-discipline"]).ok
+        # with every rule running, ``all`` on line 2 is live and line 3 is not
+        assert [(v.rule, v.line) for v in lint(files).violations] == [
+            ("unused-suppression", 3)
+        ]

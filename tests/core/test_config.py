@@ -55,6 +55,8 @@ class TestConfig:
     def test_validation_walks(self):
         with pytest.raises(ValueError):
             SUPAConfig(walk_length=0)
+        with pytest.raises(ValueError):
+            SUPAConfig(num_walks=-1)
 
     def test_validation_negatives(self):
         with pytest.raises(ValueError):

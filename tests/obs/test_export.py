@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs.export import (
-    MetricsWatcher,
     parse_prometheus_text,
     to_prometheus_text,
     write_jsonl_snapshot,
@@ -31,8 +30,9 @@ class TestPrometheusText:
         assert "repro_events_ingested 7" in text
         assert "# TYPE repro_queue_depth gauge" in text
         assert "repro_queue_depth 3.5" in text
-        assert "# TYPE repro_latency_recommend_seconds summary" in text
-        assert 'repro_latency_recommend_seconds{quantile="0.5"}' in text
+        assert "# TYPE repro_latency_recommend_seconds histogram" in text
+        assert 'repro_latency_recommend_seconds_bucket{le="+Inf"} 4' in text
+        assert "quantile=" not in text  # one exposition path: bucket families
         assert "repro_latency_recommend_seconds_count 4" in text
         assert text.endswith("\n")
 
@@ -42,13 +42,12 @@ class TestPrometheusText:
         assert series["repro_events_ingested"] == 7.0
         assert series["repro_queue_depth"] == 3.5
         h = reg.histogram("latency.recommend_seconds")
-        key = 'repro_latency_recommend_seconds{quantile="0.5"}'
-        assert series[key] == h.percentile(50.0)
+        # the median's bucket is the first whose cumulative count reaches rank 2
+        key = f'repro_latency_recommend_seconds_bucket{{le="{h.percentile(50.0)!r}"}}'
+        assert series[key] == 2.0
+        assert series['repro_latency_recommend_seconds_bucket{le="+Inf"}'] == 4.0
         assert series["repro_latency_recommend_seconds_count"] == 4.0
-        # _sum is recovered exactly as mean * count
-        assert series["repro_latency_recommend_seconds_sum"] == pytest.approx(
-            h.sum
-        )
+        assert series["repro_latency_recommend_seconds_sum"] == h.sum
 
     def test_accepts_as_dict_form(self):
         reg = make_registry()
@@ -98,88 +97,3 @@ class TestJsonlSnapshot:
         write_jsonl_snapshot(str(a), metrics=make_registry(), label="x")
         write_jsonl_snapshot(str(b), metrics=make_registry(), label="x")
         assert a.read_bytes() == b.read_bytes()
-
-
-class FakeTime:
-    """Injectable clock + sleep for watcher ticks (no real waiting)."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.sleeps = []
-
-    def clock(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.sleeps.append(seconds)
-        self.now += seconds
-
-
-class TestMetricsWatcher:
-    def test_poll_reports_value_delta_rate(self):
-        reg = make_registry()
-        fake = FakeTime()
-        watcher = MetricsWatcher(
-            reg,
-            ["events.ingested", "queue.depth", "latency.recommend_seconds"],
-            interval_seconds=2.0,
-            clock_fn=fake.clock,
-            sleep_fn=fake.sleep,
-        )
-        first = watcher.poll()  # baseline: no elapsed time, no deltas
-        assert first["events.ingested"] == {"value": 7.0, "delta": 0.0, "rate": 0.0}
-        # histograms are watched by observation count
-        assert first["latency.recommend_seconds"]["value"] == 4.0
-        reg.counter("events.ingested").inc(5)
-        fake.now = 2.0
-        tick = watcher.poll()
-        assert tick["events.ingested"] == {"value": 12.0, "delta": 5.0, "rate": 2.5}
-        assert tick["queue.depth"]["delta"] == 0.0
-
-    def test_unregistered_metric_reads_zero(self):
-        watcher = MetricsWatcher(make_registry(), ["no.such.metric"])
-        assert watcher.poll()["no.such.metric"]["value"] == 0.0
-
-    def test_watch_emits_one_row_per_tick_until_done(self):
-        reg = make_registry()
-        fake = FakeTime()
-        watcher = MetricsWatcher(
-            reg,
-            ["events.ingested"],
-            interval_seconds=0.5,
-            clock_fn=fake.clock,
-            sleep_fn=fake.sleep,
-        )
-        rows = []
-        ticks = watcher.watch(emit=rows.append, until=lambda: fake.now >= 1.0)
-        assert ticks == 2  # until() is checked before each sleep
-        assert fake.sleeps == [0.5, 0.5]
-        assert all("events.ingested=" in row for row in rows)
-
-    def test_watch_max_ticks(self):
-        fake = FakeTime()
-        watcher = MetricsWatcher(
-            make_registry(),
-            ["events.ingested"],
-            clock_fn=fake.clock,
-            sleep_fn=fake.sleep,
-        )
-        rows = []
-        assert watcher.watch(emit=rows.append, max_ticks=3) == 3
-        assert len(rows) == 3
-
-    def test_format_row_is_sorted_and_aligned(self):
-        row = MetricsWatcher.format_row(
-            {
-                "b.metric": {"value": 2.0, "delta": 1.0, "rate": 0.5},
-                "a.metric": {"value": 1.0, "delta": 0.0, "rate": 0.0},
-            }
-        )
-        assert row.index("a.metric=") < row.index("b.metric=")
-        assert "(+1, 0.5/s)" in row
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="interval_seconds"):
-            MetricsWatcher(make_registry(), ["x"], interval_seconds=0.0)
-        with pytest.raises(ValueError, match="at least one metric"):
-            MetricsWatcher(make_registry(), [])

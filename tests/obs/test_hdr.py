@@ -1,4 +1,4 @@
-"""repro.obs.hdr: log-bucketed histograms and their accuracy contract."""
+"""repro.obs.metrics.Histogram: log-bucketed layout and its accuracy contract."""
 
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.obs.export import parse_prometheus_text, to_prometheus_text
-from repro.obs.hdr import HdrHistogram, exact_percentile
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry, exact_percentile
 from repro.utils.rng import new_rng
 
 
@@ -19,7 +18,7 @@ def heavy_tailed(n: int = 20_000, seed: int = 7) -> np.ndarray:
 
 class TestBucketLayout:
     def test_boundaries_are_geometric(self):
-        h = HdrHistogram("x", min_value=1e-3, max_value=1e0, buckets_per_decade=10)
+        h = Histogram("x", min_value=1e-3, max_value=1e0, buckets_per_decade=10)
         b = h.boundaries
         ratios = b[1:] / b[:-1]
         assert np.allclose(ratios, 10 ** 0.1)
@@ -27,46 +26,46 @@ class TestBucketLayout:
         assert b[-1] >= 1.0
 
     def test_relative_error_formula(self):
-        h = HdrHistogram("x", buckets_per_decade=30)
+        h = Histogram("x", buckets_per_decade=30)
         assert h.relative_error == pytest.approx(10 ** (1 / 30) - 1)
         assert h.relative_error < 0.08  # <8% at the default resolution
 
     def test_bucket_index_covers_clamp_and_overflow(self):
-        h = HdrHistogram("x", min_value=1e-3, max_value=1e0, buckets_per_decade=10)
+        h = Histogram("x", min_value=1e-3, max_value=1e0, buckets_per_decade=10)
         assert h.bucket_index(0.0) == 0  # below min clamps into bucket 0
         assert h.bucket_index(1e-9) == 0
         assert h.bucket_index(1e-3) == 0  # boundary is inclusive
-        assert h.bucket_index(1e9) == h.bucket_count  # overflow
+        assert h.bucket_index(1e9) == len(h.boundaries)  # overflow
 
     def test_memory_is_bounded(self):
-        h = HdrHistogram("x")  # default 1e-6..1e3, 30/decade
-        assert h.bucket_count <= 9 * 30 + 2
+        h = Histogram("x")  # default 1e-6..1e3, 30/decade
+        assert len(h.boundaries) <= 9 * 30 + 2
         for v in np.linspace(1e-6, 2e3, 10_000):
             h.observe(v)
-        assert h.bucket_count <= 9 * 30 + 2  # observations never grow it
+        assert len(h.boundaries) <= 9 * 30 + 2  # observations never grow it
 
     def test_validation(self):
         with pytest.raises(ValueError, match="min_value"):
-            HdrHistogram("x", min_value=0.0)
+            Histogram("x", min_value=0.0)
         with pytest.raises(ValueError, match="max_value"):
-            HdrHistogram("x", min_value=1.0, max_value=0.5)
+            Histogram("x", min_value=1.0, max_value=0.5)
         with pytest.raises(ValueError, match="buckets_per_decade"):
-            HdrHistogram("x", buckets_per_decade=0)
+            Histogram("x", buckets_per_decade=0)
         with pytest.raises(ValueError, match="percentile"):
-            HdrHistogram("x").percentile(101.0)
+            Histogram("x").percentile(101.0)
 
 
 class TestPercentileAccuracy:
     def test_empty_reads_zero(self):
-        h = HdrHistogram("x")
+        h = Histogram("x")
         assert h.percentile(99.9) == 0.0
         assert h.count == 0
 
     @pytest.mark.parametrize("p", [50.0, 95.0, 99.0, 99.9])
     def test_within_one_bucket_of_exact_on_heavy_tail(self, p):
-        """The HDR accuracy contract the loadtest gate relies on."""
+        """The accuracy contract the loadtest gate relies on."""
         samples = heavy_tailed()
-        h = HdrHistogram("lat")
+        h = Histogram("lat")
         for v in samples:
             h.observe(float(v))
         exact = exact_percentile(samples, p)
@@ -75,14 +74,14 @@ class TestPercentileAccuracy:
         assert abs(h.bucket_index(estimate) - h.bucket_index(exact)) <= 1
 
     def test_overflow_reports_exact_max(self):
-        h = HdrHistogram("x", min_value=1e-3, max_value=1e0)
+        h = Histogram("x", min_value=1e-3, max_value=1e0)
         for v in (0.5, 123.25, 999.5):
             h.observe(v)
         assert h.percentile(99.9) == 999.5
         assert h.max_observed == 999.5
 
     def test_streaming_moments_are_exact(self):
-        h = HdrHistogram("x")
+        h = Histogram("x")
         values = [0.004, 0.001, 0.25, 0.002]
         for v in values:
             h.observe(v)
@@ -91,52 +90,10 @@ class TestPercentileAccuracy:
         assert h.min_observed == 0.001
         assert h.max_observed == 0.25
 
-    def test_beats_overflowing_reservoir_on_p999(self):
-        """Satellite check: past the reservoir bound the p999 from a
-        uniform reservoir is sampling-noise-limited (only ~n/1000 of its
-        slots sit above the quantile), while the HDR estimate stays
-        within one bucket.  Deterministic: the reservoir's per-name RNG
-        is seeded from its name."""
-        rng = new_rng(3)
-        base = np.full(8000, 1e-3)
-        tail = np.exp(rng.normal(loc=0.0, scale=1.0, size=50)) + 1.0
-        samples = np.concatenate([base, tail])  # tail arrives after overflow
-        reservoir = Histogram("lat", reservoir_size=256)
-        hdr = HdrHistogram("lat")
-        for v in samples:
-            reservoir.observe(float(v))
-            hdr.observe(float(v))
-        exact = exact_percentile(samples, 99.9)
-        hdr_error = abs(
-            hdr.bucket_index(hdr.percentile(99.9)) - hdr.bucket_index(exact)
-        )
-        reservoir_error = abs(
-            hdr.bucket_index(reservoir.percentile(99.9)) - hdr.bucket_index(exact)
-        )
-        assert hdr_error <= 1
-        assert reservoir_error > 1  # 6 buckets off with this seed
-
-
-class TestGoodBadSplit:
-    def test_count_above_at_boundary_is_exact(self):
-        h = HdrHistogram("x", min_value=1e-3, max_value=1e0, buckets_per_decade=10)
-        threshold = float(h.boundaries[5])
-        below = [threshold * 0.5] * 7 + [threshold] * 2  # le is inclusive
-        above = [threshold * 1.5] * 4
-        for v in below + above:
-            h.observe(v)
-        assert h.count_above(threshold) == 4
-        good, bad = h.good_bad(threshold)
-        assert (good, bad) == (9, 4)
-        assert good + bad == h.count
-
-    def test_good_bad_empty(self):
-        assert HdrHistogram("x").good_bad(0.05) == (0, 0)
-
 
 class TestCumulativeBuckets:
     def test_monotone_and_terminated_by_inf(self):
-        h = HdrHistogram("x")
+        h = Histogram("x")
         for v in (0.001, 0.002, 0.002, 0.004):
             h.observe(v)
         pairs = h.cumulative_buckets()
@@ -147,15 +104,15 @@ class TestCumulativeBuckets:
         assert math.isinf(les[-1]) and counts[-1] == h.count
 
     def test_empty_emits_only_inf(self):
-        assert HdrHistogram("x").cumulative_buckets() == [(math.inf, 0)]
+        assert Histogram("x").cumulative_buckets() == [(math.inf, 0)]
 
     def test_all_overflow_emits_only_inf(self):
-        h = HdrHistogram("x", min_value=1e-3, max_value=1e-2)
+        h = Histogram("x", min_value=1e-3, max_value=1e-2)
         h.observe(5.0)
         assert h.cumulative_buckets() == [(math.inf, 1)]
 
     def test_trims_leading_zero_buckets(self):
-        h = HdrHistogram("x")
+        h = Histogram("x")
         h.observe(0.5)  # far above min_value
         pairs = h.cumulative_buckets()
         assert pairs[0][1] == 1  # first emitted bucket already has count
@@ -166,7 +123,7 @@ class TestPrometheusExposition:
 
     def make_registry(self):
         reg = MetricsRegistry()
-        h = reg.hdr_histogram("latency.e2e_seconds")
+        h = reg.histogram("latency.e2e_seconds")
         for v in (0.001, 0.002, 0.004, 0.008, 5000.0):  # one overflow
             h.observe(v)
         return reg, h
@@ -177,7 +134,7 @@ class TestPrometheusExposition:
         assert "# TYPE repro_latency_e2e_seconds histogram" in text
         assert 'repro_latency_e2e_seconds_bucket{le="+Inf"} 5' in text
         assert "repro_latency_e2e_seconds_count 5" in text
-        # no summary-form quantile lines for the HDR family
+        # no summary-form quantile lines
         assert 'repro_latency_e2e_seconds{quantile=' not in text
 
     def test_round_trip_recovers_cumulative_counts(self):
@@ -189,15 +146,6 @@ class TestPrometheusExposition:
             assert series[key] == float(cumulative)
         assert series["repro_latency_e2e_seconds_count"] == 5.0
         assert series["repro_latency_e2e_seconds_sum"] == pytest.approx(h.sum)
-
-    def test_attached_hdr_upgrades_reservoir_exposition(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("latency.mixed_seconds", hdr=True)
-        h.observe(0.25)
-        text = to_prometheus_text(reg)
-        assert "# TYPE repro_latency_mixed_seconds histogram" in text
-        assert 'repro_latency_mixed_seconds_bucket{le=' in text
-        assert "quantile=" not in text
 
 
 class TestExactPercentile:

@@ -1,11 +1,18 @@
-"""repro.obs.metrics: instruments, bounded reservoir, thread safety."""
+"""repro.obs.metrics: instruments, bounded histograms, thread safety."""
 
 import threading
 
 import numpy as np
 import pytest
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.export import parse_prometheus_text, to_prometheus_text
+from repro.obs.metrics import (
+    Counter,
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    exact_percentile,
+)
 
 
 class TestCounter:
@@ -62,47 +69,58 @@ class TestGauge:
 
 
 class TestHistogram:
-    def test_exact_percentiles_below_reservoir_bound(self):
-        """While count <= reservoir_size every sample is retained, so
-        percentiles are exactly numpy's over the full data."""
-        h = Histogram("latency", reservoir_size=256)
-        values = list(range(100))
+    def test_percentiles_are_bucket_upper_bounds_within_relative_error(self):
+        h = Histogram("latency", min_value=1.0, max_value=1e3)
+        values = list(range(1, 101))
         for v in values:
             h.observe(v)
-        data = np.asarray(values, dtype=np.float64)
         for p in (50.0, 95.0, 99.0):
-            assert h.percentile(p) == float(np.percentile(data, p))
-        assert h.samples == [float(v) for v in values]
+            exact = exact_percentile(values, p)
+            assert exact <= h.percentile(p) <= exact * (1.0 + h.relative_error)
+            assert h.percentile(p) in h.boundaries
 
-    def test_reservoir_stays_bounded(self):
-        h = Histogram("latency", reservoir_size=32)
+    def test_memory_stays_bounded_and_moments_exact(self):
+        h = Histogram("latency")
+        buckets = len(h.boundaries)
         for v in range(10_000):
             h.observe(v)
-        assert len(h.samples) == 32
+        assert len(h.boundaries) == buckets  # observations never grow it
         assert h.count == 10_000
-        # streaming moments stay exact regardless of the bound
+        # streaming moments are exact: 0 is under range, 1001.. over range
         assert h.sum == float(sum(range(10_000)))
         assert h.mean == h.sum / 10_000
-        assert h.max_value == 9999.0
+        assert h.min_observed == 0.0 and h.max_observed == 9999.0
 
-    def test_reservoir_is_deterministic_per_name(self):
-        a = Histogram("latency.recommend", reservoir_size=16)
-        b = Histogram("latency.recommend", reservoir_size=16)
-        for v in range(500):
-            a.observe(v)
-            b.observe(v)
-        assert a.samples == b.samples
-
-    def test_reservoir_is_a_uniformish_subsample(self):
-        """Past the bound the reservoir holds a subset of observed values
-        spanning the stream, not just a head or tail window."""
-        h = Histogram("latency", reservoir_size=64)
-        for v in range(4096):
+    def test_one_backend_one_answer(self):
+        """Regression: a histogram had a reservoir *and* mirrored
+        buckets, so ``as_dict()["p99"]`` and ``percentile(99)`` disagreed
+        for the same instrument and the exporter emitted whichever fork
+        it hit.  One backend: every reported quantile is the
+        ``percentile()`` answer, the exposition is the bucket family,
+        and out-of-range observations leave count / sum / max exact."""
+        reg = MetricsRegistry()
+        h = reg.histogram("stage.train_seconds")
+        rng = np.random.default_rng(5)
+        values = rng.lognormal(mean=-6.0, sigma=1.5, size=3000).tolist()
+        values += [1e-9, 0.0, 5e3, 7e4]  # two under range, two over range
+        for v in values:
             h.observe(v)
-        samples = h.samples
-        assert len(samples) == 64
-        assert all(0 <= s < 4096 for s in samples)
-        assert min(samples) < 1024 and max(samples) >= 3072
+        d = h.as_dict()
+        assert Histogram.PERCENTILES == (50.0, 95.0, 99.0, 99.9)
+        for p in Histogram.PERCENTILES:
+            assert d[f"p{p:g}"] == h.percentile(p)
+        assert d["count"] == h.count == len(values)
+        assert d["sum"] == h.sum == pytest.approx(sum(values), rel=1e-12)
+        assert d["mean"] == h.mean
+        assert d["min"] == 0.0 and d["max"] == 7e4
+        assert h.percentile(100.0) == 7e4  # overflow reports the exact max
+        series = parse_prometheus_text(to_prometheus_text(reg))
+        assert series['repro_stage_train_seconds_bucket{le="+Inf"}'] == h.count
+        assert series["repro_stage_train_seconds_count"] == h.count
+        assert series["repro_stage_train_seconds_sum"] == h.sum
+        assert not any("quantile=" in key for key in series)
+        # the two over-range observations sit only in the +Inf bucket
+        assert d["buckets"][-2][1] == h.count - 2
 
     def test_time_context_manager_observes_laps(self):
         h = Histogram("elapsed")
@@ -111,13 +129,16 @@ class TestHistogram:
         with h.time():
             pass
         assert h.count == 2
-        assert all(s >= 0.0 for s in h.samples)
+        assert 0.0 <= h.min_observed <= h.max_observed
 
     def test_as_dict_keys_are_the_stable_schema(self):
         h = Histogram("latency")
         h.observe(1.0)
         d = h.as_dict()
-        assert set(d) == {"type", "count", "mean", "max", "p50", "p95", "p99"}
+        assert set(d) == {
+            "type", "count", "sum", "mean", "min", "max", "relative_error",
+            "p50", "p95", "p99", "p99.9", "buckets",
+        }
         assert d["count"] == 1 and d["mean"] == 1.0 and d["max"] == 1.0
 
     def test_empty_histogram_is_all_zeros(self):
@@ -126,16 +147,17 @@ class TestHistogram:
         assert h.as_dict() == {
             "type": "histogram",
             "count": 0,
+            "sum": 0.0,
             "mean": 0.0,
+            "min": 0.0,
             "max": 0.0,
+            "relative_error": h.relative_error,
             "p50": 0.0,
             "p95": 0.0,
             "p99": 0.0,
+            "p99.9": 0.0,
+            "buckets": [["+Inf", 0]],
         }
-
-    def test_invalid_reservoir_size_rejected(self):
-        with pytest.raises(ValueError, match="reservoir_size"):
-            Histogram("latency", reservoir_size=0)
 
 
 class TestRegistry:
@@ -197,7 +219,7 @@ class TestThreadSafety:
         reg = MetricsRegistry()
 
         def work():
-            h = reg.histogram("lat", reservoir_size=64)
+            h = reg.histogram("lat")
             for i in range(self.N_OPS):
                 h.observe(float(i))
 
@@ -209,7 +231,7 @@ class TestThreadSafety:
         h = reg.histogram("lat")
         assert h.count == self.N_THREADS * self.N_OPS
         assert h.sum == float(self.N_THREADS * sum(range(self.N_OPS)))
-        assert len(h.samples) == 64
+        assert h.cumulative_buckets()[-1][1] == h.count
 
     def test_concurrent_get_or_create_yields_one_instrument(self):
         reg = MetricsRegistry()
@@ -240,7 +262,7 @@ class TestThreadSafety:
                 for i in range(self.N_OPS // 4):
                     reg.counter("hits").inc()
                     reg.gauge("depth").set(float(i))
-                    reg.histogram("lat", reservoir_size=32).observe(float(i))
+                    reg.histogram("lat").observe(float(i))
 
             threads = [
                 threading.Thread(target=work) for _ in range(self.N_THREADS)

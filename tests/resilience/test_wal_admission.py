@@ -1,6 +1,6 @@
 """WAL ledger records for admission decisions: shed, throttle, reasons.
 
-Covers the write-ahead decision ledger (DESIGN.md §16): shed/throttle
+Covers the write-ahead decision ledger (DESIGN.md §15): shed/throttle
 records round-trip with their reasons, replayers skip them (they journal
 policy, not state), ``decision_ledger`` aggregates them, and a service
 run with admission control reconciles ledger == controller == queue

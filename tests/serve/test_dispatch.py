@@ -1,6 +1,6 @@
 """Dispatcher-thread lifecycle tests: idempotence, drain, crash routing.
 
-The :class:`DispatchWorker` contract (DESIGN.md §16): start/close are
+The :class:`DispatchWorker` contract (DESIGN.md §15): start/close are
 idempotent, ``close(drain=True)`` leaves at most a partial micro-batch
 behind, a crash escaping a dispatch round lands in ``on_error`` without
 killing the worker, and the whole producer/worker dance stays clean

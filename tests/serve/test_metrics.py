@@ -35,8 +35,9 @@ class TestHistogram:
         for v in range(1, 101):
             h.observe(float(v))
         assert h.count == 100
-        assert h.percentile(50.0) == pytest.approx(50.5)
-        assert h.percentile(99.0) == pytest.approx(99.01)
+        # bucket upper bounds: at or just above the exact ceil-rank quantile
+        assert 50.0 <= h.percentile(50.0) <= 50.0 * (1 + h.relative_error)
+        assert 99.0 <= h.percentile(99.0) <= 99.0 * (1 + h.relative_error)
 
     def test_empty_summary_is_zero(self):
         d = Histogram("lat").as_dict()
@@ -49,14 +50,14 @@ class TestHistogram:
         with h.time():
             pass
         assert h.count == 2
-        assert h.samples[0] >= 0.001
-        assert all(s >= 0.0 for s in h.samples)
+        assert h.max_observed >= 0.001
+        assert h.min_observed >= 0.0
 
     def test_summary_keys(self):
         h = Histogram("lat")
         h.observe(1.0)
         d = h.as_dict()
-        assert set(d) == {"type", "count", "mean", "max", "p50", "p95", "p99"}
+        assert {"type", "count", "mean", "max", "p50", "p95", "p99"} <= set(d)
 
 
 class TestRegistry:

@@ -201,7 +201,7 @@ class TestParityAndMetrics:
         svc.recommend(0, k=3)
         svc.recommend(0, k=3)
         path = tmp_path / "metrics.json"
-        payload = json.loads(svc.metrics_json(str(path)))
+        payload = json.loads(svc.metrics.to_json(str(path)))
         assert payload == json.loads(path.read_text())
         expected = {
             "ingest.accepted",

@@ -176,7 +176,7 @@ class TestChaosReplay:
         assert args.capacity == 128
         assert args.crash_at is None
         assert "crash=1" in args.faults
-        assert args.output.endswith("chaos_replay.json")
+        assert args.output == ""  # nothing written unless asked
 
     def test_chaos_replay_reconciles_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "chaos.json"
@@ -312,7 +312,7 @@ class TestReplicate:
             ]
         )
         assert args.malformed == 2
-        assert args.output.endswith("failover.json")
+        assert args.output == ""  # nothing written unless asked
 
     def test_role_is_required(self):
         with pytest.raises(SystemExit):
@@ -384,40 +384,26 @@ class TestReplicate:
         assert payload["mismatches"] == []
 
 
-class TestObsWatch:
-    def test_watch_parser_defaults(self):
-        args = build_parser().parse_args(["obs", "--dataset", "uci"])
-        assert args.watch is False
-        assert args.watch_interval == 0.5
-        assert "ingest.accepted" in args.watch_metrics
+class TestObs:
+    ARGS = ["obs", "--dataset", "uci", "--scale", "0.05", "--batch-size", "64"]
 
-    def test_watch_prints_delta_rows(self, capsys, tmp_path):
-        code = main(
-            [
-                "obs",
-                "--dataset",
-                "uci",
-                "--scale",
-                "0.05",
-                "--batch-size",
-                "64",
-                "--output-dir",
-                str(tmp_path),
-                "--watch",
-                "--watch-interval",
-                "0.05",
-                "--watch-metrics",
-                "ingest.accepted",
-                "updates.applied",
-            ]
-        )
+    def test_default_writes_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert build_parser().parse_args(self.ARGS).output_dir == ""
+        assert main(self.ARGS) == 0
         out = capsys.readouterr().out
-        assert code == 0
-        assert "watching ingest.accepted, updates.applied" in out
-        # the final poll row always lands, even on a sub-interval replay
-        assert "ingest.accepted=" in out and "updates.applied=" in out
-        # the usual telemetry story still follows the watch stream
-        assert "span tree" in out
+        assert "span tree" in out and "metrics snapshot" in out
+        assert "wrote" not in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_exports_land_where_told(self, capsys, tmp_path):
+        out_dir = tmp_path / "telemetry"
+        assert main(self.ARGS + ["--output-dir", str(out_dir)]) == 0
+        prom = (out_dir / "obs_metrics.prom").read_text()
+        assert "# TYPE repro_latency_recommend_seconds histogram" in prom
+        assert 'repro_latency_recommend_seconds_bucket{le="+Inf"}' in prom
+        assert "quantile=" not in prom
+        assert len((out_dir / "obs_telemetry.jsonl").read_text().splitlines()) == 1
 
 
 class TestLoadtest:
@@ -426,7 +412,7 @@ class TestLoadtest:
         assert args.tiers == [0.02, 0.5, 2.0]
         assert args.arrival == "poisson"
         assert args.events == 400
-        assert args.output.endswith("loadtest.json")
+        assert args.output == ""  # nothing written unless asked
         assert args.quality is False
 
     def test_unknown_arrival_rejected(self):

@@ -1,0 +1,158 @@
+"""Reachability census: every ``src/repro`` module is reached by an entrypoint.
+
+Walks the static import graph (``ast``, lazy imports inside functions
+included) from the things a user or CI job actually runs — the
+``repro`` / ``repro-lint`` command lines, ``examples/``,
+``benchmarks/*.py`` and ``benchmarks/spine/`` — and fails on any module
+nothing reaches.  A package ``__init__`` does not count as a reacher:
+``from repro.obs import Tracer`` is an edge to the module that defines
+``Tracer``, not to everything ``obs/__init__`` re-exports, so a module
+that is only re-exported (and imported by its own tests, which are not
+entrypoints) is reported.
+
+``KEPT_ON_PURPOSE`` is the allow-list: modules no entrypoint reaches
+that stay anyway, each with the reason.  An entry that *is* reached is
+stale and fails too, so the list cannot rot.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+from typing import Dict, Iterator, List, Optional, Set, Tuple
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+#: module files run as programs (``python -m repro``, ``python -m
+#: repro.lint``, the ``repro-lint`` console script in pyproject.toml).
+ENTRY_MODULES = ("repro.__main__", "repro.cli", "repro.lint", "repro.analysis.cli")
+#: script directories whose files are each an entrypoint.
+ENTRY_DIRS = ("examples", "benchmarks", "benchmarks/spine")
+
+#: module -> why it stays although no entrypoint imports it.
+KEPT_ON_PURPOSE: Dict[str, str] = {
+    "repro.analysis.sanitizer": (
+        "test instrument, like ReferenceEngine: `threadcheck()` is the runtime "
+        "half of the concurrency lint that the serve / resilience / replicate "
+        "stress tests run under, cross-checked against the static rules by "
+        "tests/analysis/test_sanitizer.py"
+    ),
+    "repro.autograd.module": (
+        "`autograd/` is kept whole (the substrate the paper's Tables V-VIII "
+        "baselines are written in); Module/Parameter are its public container "
+        "API, re-exported by the package, though no baseline subclasses them yet"
+    ),
+}
+
+
+def _module_table() -> Dict[str, Path]:
+    """Dotted name -> file, a package named by its ``__init__``."""
+    table: Dict[str, Path] = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = path.relative_to(SRC).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        table[".".join(parts)] = path
+    return table
+
+
+MODULES = _module_table()
+
+
+def _is_package(name: str) -> bool:
+    return name in MODULES and MODULES[name].name == "__init__.py"
+
+
+def _imports(path: Path) -> Iterator[Tuple[str, Optional[str]]]:
+    """``(module, imported name or None)`` for every import in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom):
+            # the tree uses absolute imports only; a relative or star
+            # import would hide edges from this walk
+            assert node.level == 0 and node.names[0].name != "*", (
+                f"{path}:{node.lineno}: relative / star import"
+            )
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def _resolve(module: str, name: Optional[str]) -> Optional[str]:
+    """The ``src/repro`` module an import really depends on, if any.
+
+    ``import a.b`` -> ``a.b``.  ``from a import b`` -> the submodule
+    ``a.b`` when there is one; else, when ``a`` is a package, whichever
+    module its ``__init__`` takes ``b`` from (followed transitively);
+    else ``a`` itself.
+    """
+    if module not in MODULES:
+        return None
+    if name is None:
+        return module
+    if f"{module}.{name}" in MODULES:
+        return f"{module}.{name}"
+    if _is_package(module):
+        for source, imported in _imports(MODULES[module]):
+            if imported == name and source != module:
+                return _resolve(source, name)
+    return module  # defined right there
+
+
+def _edges(path: Path) -> Set[str]:
+    targets = {_resolve(module, name) for module, name in _imports(path)}
+    return targets - {None}
+
+
+def reached_modules() -> Set[str]:
+    frontier: List[str] = []
+    reached: Set[str] = set()
+
+    def visit(targets: Set[str]) -> None:
+        for target in targets - reached:
+            reached.add(target)
+            frontier.append(target)
+
+    visit({name for name in ENTRY_MODULES if name in MODULES})
+    for directory in ENTRY_DIRS:
+        for script in sorted((ROOT / directory).glob("*.py")):
+            visit(_edges(script))
+    while frontier:
+        name = frontier.pop()
+        visit(_edges(MODULES[name]))
+    return reached
+
+
+def unreached_modules() -> List[str]:
+    reached = reached_modules()
+    return sorted(
+        name
+        for name, path in MODULES.items()
+        if name not in reached and path.name not in ("__init__.py", "__main__.py")
+    )
+
+
+def test_entrypoints_exist():
+    missing = [name for name in ENTRY_MODULES if name not in MODULES]
+    assert not missing, f"entrypoint modules gone: {missing}"
+    for directory in ENTRY_DIRS:
+        assert list((ROOT / directory).glob("*.py")), f"no scripts under {directory}/"
+
+
+def test_every_module_is_reached_by_an_entrypoint():
+    orphans = [name for name in unreached_modules() if name not in KEPT_ON_PURPOSE]
+    assert not orphans, (
+        "modules no entrypoint reaches (only their own tests or a package "
+        f"__init__ import them): {orphans}.  Delete them, wire them into an "
+        "entrypoint, or add them to KEPT_ON_PURPOSE with the reason."
+    )
+
+
+def test_allow_list_has_no_stale_rows():
+    unreached = set(unreached_modules())
+    stale = sorted(set(KEPT_ON_PURPOSE) - unreached)
+    assert not stale, f"KEPT_ON_PURPOSE rows that are reached (or gone): {stale}"
+    assert all(reason.strip() for reason in KEPT_ON_PURPOSE.values())

@@ -1,9 +1,8 @@
 """Tests for seeded RNG helpers."""
 
 import numpy as np
-import pytest
 
-from repro.utils.rng import derive_seed, new_rng, spawn_rngs
+from repro.utils.rng import derive_seed, new_rng
 
 
 class TestNewRng:
@@ -21,28 +20,6 @@ class TestNewRng:
 
     def test_none_gives_generator(self):
         assert isinstance(new_rng(None), np.random.Generator)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(new_rng(0), 5)) == 5
-
-    def test_children_independent(self):
-        children = spawn_rngs(new_rng(0), 2)
-        assert not np.array_equal(children[0].random(20), children[1].random(20))
-
-    def test_deterministic(self):
-        a = spawn_rngs(new_rng(3), 3)
-        b = spawn_rngs(new_rng(3), 3)
-        for x, y in zip(a, b):
-            assert np.array_equal(x.random(5), y.random(5))
-
-    def test_zero(self):
-        assert spawn_rngs(new_rng(0), 0) == []
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(new_rng(0), -1)
 
 
 class TestDeriveSeed:

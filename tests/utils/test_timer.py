@@ -2,7 +2,7 @@
 
 import time
 
-from repro.utils.timer import StageTimer, Timer
+from repro.utils.timer import Timer
 
 
 class TestTimer:
@@ -15,13 +15,6 @@ class TestTimer:
         assert t.elapsed >= 0.02
         assert len(t.laps) == 2
 
-    def test_mean_lap(self):
-        t = Timer()
-        assert t.mean_lap == 0.0
-        with t:
-            pass
-        assert t.mean_lap == t.elapsed
-
     def test_reset(self):
         t = Timer()
         with t:
@@ -29,22 +22,3 @@ class TestTimer:
         t.reset()
         assert t.elapsed == 0.0
         assert t.laps == []
-
-
-class TestStageTimer:
-    def test_named_stages(self):
-        st = StageTimer()
-        with st.stage("a"):
-            time.sleep(0.005)
-        with st.stage("b"):
-            pass
-        report = st.report()
-        assert set(report) == {"a", "b"}
-        assert report["a"] >= 0.005
-
-    def test_stage_reuse_accumulates(self):
-        st = StageTimer()
-        for _ in range(3):
-            with st.stage("x"):
-                pass
-        assert len(st.stage("x").laps) == 3
