@@ -25,8 +25,8 @@ chaos-replay gate asserts this).  Reports serialise to JSON for the
 
 Order edges are keyed by ``ClassName.lock_attr`` — rank, not instance —
 which makes the checker enforce the lock *hierarchy* documented in
-DESIGN.md §12 (dispatch mutex -> queue -> service state -> store ->
-index -> metrics):
+DESIGN.md §12 (dispatch mutex -> queue [-> admission, WAL] -> service
+state -> store -> index -> metrics):
 two instances of the same rank never nest in this codebase, and a
 violation between ranks is a design break even when the particular
 interleaving did not deadlock this time.
@@ -285,9 +285,9 @@ def default_audits() -> List[Audit]:
             EventQueue,
             "_lock",
             {
-                "_buffer", "_paused", "deadletters", "reason_counts",
-                "max_timestamp", "accepted", "rejected", "dropped",
-                "shed", "batches_dispatched",
+                "_buffer", "_journal", "_paused", "deadletters",
+                "reason_counts", "max_timestamp", "accepted", "rejected",
+                "dropped", "shed", "batches_dispatched",
             },
         ),
         # The dispatch mutex guards no attribute, only order (cuts and
@@ -322,8 +322,8 @@ def default_audits() -> List[Audit]:
                 "invalidations", "evictions", "warmed",
             },
         ),
-        audit(Counter, "_lock", {"value"}),
-        audit(Gauge, "_lock", {"value"}),
+        audit(Counter, "_lock", {"_total"}),
+        audit(Gauge, "_lock", {"_level"}),
         audit(
             Histogram,
             "_lock",
@@ -344,7 +344,7 @@ def default_audits() -> List[Audit]:
             "_state_lock",
             {
                 "_clock", "_update_in_flight", "_updates_applied",
-                "_resilience_suspended", "_consecutive_update_failures",
+                "_consecutive_update_failures",
                 "_breaker_open", "_breaker_cooldown", "_read_only",
                 "_user_activity",
             },

@@ -438,7 +438,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     """Open-loop offered-load sweep with the SLO gate (see ISSUE/DESIGN §14).
 
     With ``--async-dispatch`` / ``--admission`` the sweep exercises the
-    overload path (DESIGN §15): ``ingest()`` returns after the journaled
+    overload path (DESIGN §8): ``ingest()`` returns after the journaled
     accept decision and a dispatcher thread runs the updates, while the
     admission controller throttles and sheds past the watermarks.  Add
     ``--state-dir`` to journal each tier into its own WAL and run the
@@ -1027,7 +1027,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--async-dispatch",
         action="store_true",
         help="drain micro-batches on the dispatcher thread so ingest() "
-        "returns after the journaled accept decision (DESIGN §15)",
+        "returns after the journaled accept decision (DESIGN §8)",
     )
     p.add_argument(
         "--admission",

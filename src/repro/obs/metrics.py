@@ -23,7 +23,10 @@ everything the system reports:
 
 Every mutating operation is lock-guarded — registry get-or-create and
 instrument observe/inc/set — so ingest producers, the dispatcher thread
-and concurrent readers can share one registry without lost updates.  The
+and concurrent readers can share one registry without lost updates.  A
+tally some component already keeps is not copied in: the counter or
+gauge is registered with a ``source`` and reads its owner on demand, so
+every tally has one owner.  The
 registry renders to plain dictionaries / JSON so replay drivers and
 benchmarks persist snapshots next to their tables; Prometheus text and
 JSONL exposition live in :mod:`repro.obs.export`.
@@ -35,7 +38,7 @@ import json
 import math
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,63 +46,98 @@ from repro.utils.timer import Timer
 
 
 class Counter:
-    """A monotonically increasing counter."""
+    """A monotonically increasing counter.
 
-    def __init__(self, name: str):
+    With a ``source`` the counter owns no total: ``value`` (and so every
+    export) calls ``source()`` — the component that keeps the tally —
+    with no registry or counter lock held, and ``inc`` / ``set`` raise.
+    """
+
+    def __init__(self, name: str, source: Optional[Callable[[], float]] = None):
         self.name = name
-        self.value = 0
+        self._source = source
+        self._total = 0
         self._lock = threading.Lock()
+
+    @property
+    def value(self):
+        if self._source is not None:
+            return self._source()
+        with self._lock:
+            return self._total
 
     def inc(self, amount: int = 1) -> None:
         """Add ``amount`` (must be non-negative) to the counter."""
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease by {amount}")
+        if self._source is not None:
+            raise _sourced(self)
         with self._lock:
-            self.value += amount
+            self._total += amount
 
     def set(self, value: float) -> None:
-        """Mirror an externally tracked cumulative total (monotone latch).
+        """Mirror a cumulative total polled from elsewhere (monotone
+        latch: quality, replication lag, the engine's sampling cache).
 
-        The serving layer copies component-owned tallies into the
-        registry this way from many threads, with no ordering between
-        the read and the write — so an older reading may arrive after a
-        newer one.  The counter keeps the larger value and drops the
-        stale write: a mirror must never fail the call it reports on.
+        Callers write from many threads with no ordering between the
+        read and the write, so an older reading may arrive after a newer
+        one: the counter keeps the larger value and drops the stale
+        write — a mirror must never fail the call it reports on.
         """
+        if self._source is not None:
+            raise _sourced(self)
         with self._lock:
-            if value > self.value:
-                self.value = value
+            if value > self._total:
+                self._total = value
 
     def as_dict(self) -> Dict[str, object]:
-        with self._lock:
-            return {"type": "counter", "value": self.value}
+        return {"type": "counter", "value": self.value}
 
 
 class Gauge:
-    """A point-in-time value that can move in either direction."""
+    """A point-in-time value that can move in either direction, or —
+    with a ``source`` — is read from its owner like a sourced
+    :class:`Counter`."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, source: Optional[Callable[[], float]] = None):
         self.name = name
-        self.value = 0.0
+        self._source = source
+        self._level = 0.0
         self._lock = threading.Lock()
 
-    def set(self, value: float) -> None:
+    @property
+    def value(self) -> float:
+        if self._source is not None:
+            return float(self._source())
         with self._lock:
-            self.value = float(value)
+            return self._level
+
+    def set(self, value: float) -> None:
+        if self._source is not None:
+            raise _sourced(self)
+        with self._lock:
+            self._level = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         """Move the gauge up by ``amount`` (queue-depth style tracking)."""
+        if self._source is not None:
+            raise _sourced(self)
         with self._lock:
-            self.value += float(amount)
+            self._level += float(amount)
 
     def dec(self, amount: float = 1.0) -> None:
         """Move the gauge down by ``amount``."""
-        with self._lock:
-            self.value -= float(amount)
+        self.inc(-amount)
 
     def as_dict(self) -> Dict[str, object]:
-        with self._lock:
-            return {"type": "gauge", "value": self.value}
+        return {"type": "gauge", "value": self.value}
+
+
+def _sourced(instrument) -> TypeError:
+    return TypeError(
+        f"metric {instrument.name!r} is sourced: its owner keeps the "
+        "tally, the registry only reads it"
+    )
 
 
 class _HistogramTimer(Timer):
@@ -327,11 +365,13 @@ class MetricsRegistry:
                 )
             return instrument
 
-    def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
+    def counter(self, name: str, source=None) -> Counter:
+        """Get or create a counter; like a histogram's layout, a
+        ``source`` only applies on creation."""
+        return self._get(name, Counter, source=source)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
+    def gauge(self, name: str, source=None) -> Gauge:
+        return self._get(name, Gauge, source=source)
 
     def histogram(
         self,

@@ -131,7 +131,6 @@ class QueueLogState:
         service.queue.restore_accounting(
             accepted=self.accepted, max_timestamp=self.watermark
         )
-        service.metrics.counter("ingest.accepted").set(service.queue.accepted)
 
 
 def fold_queue_log(
@@ -256,7 +255,6 @@ def recover(
             service.apply_recovered_batch(EdgeStream(chunk))
         state.hand_over(service)
         replayed_events = state.accepted - prefix.accepted
-        service.metrics.gauge("queue.pending").set(service.queue.pending)
         service.metrics.counter("recovery.replayed_events").inc(replayed_events)
         service.warm_cache()
     return RecoveryResult(

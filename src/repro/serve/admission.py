@@ -1,10 +1,10 @@
 """Admission control for the serving ingest path.
 
 Backpressure (:mod:`repro.serve.ingest`) protects the *queue*; this
-module protects the *system*: before an event may even reach ``put()``,
-the :class:`AdmissionController` decides whether to admit, throttle or
-shed it, so overload is absorbed by explicit, journaled policy instead
-of unbounded queue wait or producer exceptions.
+module protects the *system*: for every valid, timely event offered to
+``put()`` the :class:`AdmissionController` decides whether to admit,
+throttle or shed it, so overload is absorbed by explicit, journaled
+policy instead of unbounded queue wait or producer exceptions.
 
 Three mechanisms compose, checked in order per offered event:
 
@@ -29,11 +29,12 @@ Three mechanisms compose, checked in order per offered event:
    clock, bitwise reproducible).
 
 The controller is deliberately *pure decision*: it never touches the
-queue, the WAL or metrics.  The service acts on the returned
-:class:`AdmissionDecision` — journaling every shed/throttle to the WAL
-ledger before the deadletter — which is what keeps the
-``decision_ledger`` / ``deadletters_by_reason`` reconciliation exact
-(DESIGN.md §15).  Time is injected (``clock``): benches and tests pass
+queue, the WAL or metrics.  The queue consults it inside its one intake
+decision (under the queue lock, with the exact depth and head age) and
+acts on the returned :class:`AdmissionDecision` — journaling every
+shed/throttle to the WAL ledger before the deadletter — which is what
+keeps the ``decision_ledger`` / ``deadletters_by_reason`` /
+:meth:`AdmissionController.counts` reconciliation exact (DESIGN.md §8).  Time is injected (``clock``): benches and tests pass
 a deterministic counter, making the whole admission layer replayable.
 """
 
@@ -178,8 +179,9 @@ class AdmissionController:
         self.config = config or AdmissionConfig()
         self._clock = clock if clock is not None else time.monotonic
         # Guards the bucket LRU, the hysteresis state and the decision
-        # tallies.  Leaf lock: the controller calls nothing while
-        # holding it (clock reads happen before acquisition).
+        # tallies.  Ranks just below the queue lock (DESIGN.md §12) and
+        # is a leaf: the controller calls nothing while holding it
+        # (clock reads happen before acquisition).
         self._lock = threading.Lock()
         #: user id -> (tokens banked, last refill time); LRU order
         self._buckets: "OrderedDict[int, tuple]" = OrderedDict()
@@ -202,10 +204,10 @@ class AdmissionController:
     ) -> AdmissionDecision:
         """Decide one offered event against the current pressure signals.
 
-        ``queue_depth``/``capacity``/``staleness_seconds`` are the
-        caller's snapshot of the queue (the service reads them just
-        before offering).  Rate limiting applies in every state;
-        shedding applies only while escalated.
+        ``queue_depth``/``capacity``/``staleness_seconds`` describe the
+        queue at this very offer (the queue calls this under its own
+        lock).  Rate limiting applies in every state; shedding applies
+        only while escalated.
         """
         now = self._clock()  # outside the lock: clocks may be injected
         with self._lock:
@@ -223,8 +225,8 @@ class AdmissionController:
                 self.shed += 1
                 return AdmissionDecision(False, "shed", REASON_REJECT)
             if policy == "drop_head":
-                # the head is shed by the caller; the new event is
-                # admitted (freshest-wins under overload)
+                # the queue sheds its head once the new event is about
+                # to be buffered (freshest-wins under overload)
                 self.shed += 1
                 self.admitted += 1
                 return AdmissionDecision(True, "drop_head", REASON_DROP_HEAD)

@@ -8,7 +8,7 @@ producer pays queue wait *and* service time per event.  The
 WAL-journaled accept decision and this thread drains ready micro-batches
 via :meth:`EventQueue.dispatch_next`.
 
-Parity argument (DESIGN.md §15): batch boundaries are cut by *count*
+Parity argument (DESIGN.md §8): batch boundaries are cut by *count*
 over the accepted FIFO in both modes, and the WAL journals every
 boundary, so once the worker is closed and the queue flushed
 (*quiescence*) the async run's state, RNG positions and served top-K

@@ -1,61 +1,59 @@
-"""Bounded event ingestion: queue → micro-batch → InsLearn hand-off.
+"""Bounded event ingestion: one intake decision → micro-batch → InsLearn.
 
-Live platforms deliver interaction events slightly out of order and
-occasionally malformed.  The :class:`EventQueue` absorbs both:
+Live platforms deliver interaction events slightly out of order,
+occasionally malformed and sometimes faster than updates can absorb.
+:meth:`EventQueue.put` is the one place an offered event is judged, in
+one hold of the queue lock::
 
-* accepted events buffer in arrival order; once ``batch_size`` are
-  pending, they are cut into an :class:`~repro.graph.streams.EdgeStream`
-  micro-batch (construction re-sorts any out-of-order arrivals) and
-  handed to the update handler — the resumable
-  :meth:`~repro.core.inslearn.InsLearnTrainer.train_one_batch` step;
-* malformed events (unknown edge type, out-of-range ids, non-finite
-  timestamps, ...) never reach the model: a validator rejects them into
-  a bounded deadletter buffer with the reason preserved;
-* events arriving *too far* behind the accepted-timestamp watermark are
-  deadlettered as ``"late event"`` when a ``late_tolerance`` is set —
-  the engine's replay/RNG contract assumes batches are cut from a
-  near-ordered stream, so stale stragglers must not silently reorder it;
-* when updates cannot keep up, the queue exerts **backpressure** at
-  ``capacity``: raise to the producer, shed the new event, or evict the
-  oldest buffered one, per the configured overflow policy.
+    validate → late → admit → capacity → journal → buffer
 
-Dispatch can be paused (``pause()``/``resume()``) so a service can defer
-updates — e.g. while degraded — and drain later with :meth:`flush`.
+It ends either *buffered* or *refused* through :meth:`EventQueue._refuse`
+with a typed kind (the refusal table of DESIGN.md §8): ``malformed`` (the
+validator said why), ``late`` (further than ``late_tolerance`` behind
+the accepted-timestamp watermark — the replay/RNG contract assumes a
+near-ordered stream), ``throttle`` /
+``shed`` (the :class:`~repro.serve.admission.AdmissionController`,
+consulted with the exact buffer depth and head age) and
+``backpressure`` (``capacity`` reached: raise to the producer, shed the
+new event, or evict the oldest, per ``overflow``).  Validation of
+outside input precedes policy, so a refused offer charges no token and
+evicts nothing: the head is evicted (``drop_oldest``, or an admission
+``drop_head``) only once the new event is certain to be buffered.
 
-With ``defer_dispatch=True`` the queue never dispatches from ``put()``
-at all: a dispatcher thread (:mod:`repro.serve.dispatch`) drains ready
-micro-batches via :meth:`dispatch_next`, so producers pay only the
-accept/journal cost.  Batch boundaries are cut by *count* over the
-accepted FIFO either way, which is why a drained deferred queue is
-bitwise-identical to the inline path (DESIGN.md §15).  Admission
-control (:mod:`repro.serve.admission`) sheds into the same deadletter
-ledger — :meth:`shed_oldest` evicts the head under a ``drop_head``
-decision, and ``shed`` tallies admission denials separately from
-malformed (``rejected``) and backpressure (``dropped``) events;
-:meth:`deadletters_by_reason` exposes the per-category tallies for
-reconciliation against the WAL's decision ledger.
+Accepted events buffer in arrival order with their accept time; once
+``batch_size`` are pending they are cut into an
+:class:`~repro.graph.streams.EdgeStream` micro-batch (construction
+re-sorts any out-of-order arrivals) and handed to the update handler —
+the resumable :meth:`~repro.core.inslearn.InsLearnTrainer.train_one_batch`
+step.  The stamps give the head's age (the staleness watermark) and, at
+each cut, every event's queue wait.  Batch boundaries are cut by *count*
+over the accepted FIFO, so with ``defer_dispatch=True`` — ``put()`` never
+dispatches, a dispatcher thread (:mod:`repro.serve.dispatch`) drains via
+:meth:`dispatch_next` — a drained queue is bitwise-identical to the
+inline path.  Dispatch can be paused (``pause()``/``resume()``) and
+drained explicitly with :meth:`flush`.
 
-Dispatch itself stays strictly serial — one micro-batch at a time, in
-cut order — because InsLearn's replay/RNG contract is sequential over
+Dispatch stays strictly serial — one micro-batch at a time, in cut
+order — because InsLearn's replay/RNG contract is sequential over
 batches.  What serialises it is a *dispatch mutex* of its own
-(:meth:`EventQueue.dispatch_barrier`), ranked above the queue lock and
-taken first: one cut-then-apply routine holds it across "cut a batch,
-run the handler", and takes the queue lock inside it only to journal
-the ``batch`` record, slice the buffer and bump the counters.  The
-handler — a whole train + publish step — therefore runs with the queue
-lock *released*: ``put()``, ``pending``, ``has_ready`` and
-``shed_oldest()`` never wait on an update, whichever thread runs it
-(DESIGN.md §12).
+(:meth:`EventQueue.dispatch_barrier`), ranked above the queue lock: the
+one cut-then-apply routine holds it across "cut a batch, run the
+handler" and takes the queue lock inside it only for the cut, so the
+handler — a whole train + publish step — runs with the queue lock
+*released* and ``put()``, ``pending`` and ``has_ready`` never wait on an
+update, whichever thread runs it (DESIGN.md §12).
 
-For durability, a ``journal`` hook receives every queue *decision*
-(``accept`` / ``evict`` / ``batch``) **before** the matching state
-change — the write-ahead ordering :mod:`repro.resilience.wal` needs to
-replay the queue bit-exactly after a crash.
+For durability the queue writes every *decision* to its ``journal`` —
+the :class:`~repro.resilience.wal.WriteAheadLog` — **before** the
+matching state change: ``accept`` / ``evict`` / ``batch`` replay the
+queue bit-exactly after a crash, ``shed`` / ``throttle`` are the audit
+ledger :meth:`deadletters_by_reason` reconciles against.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -65,11 +63,16 @@ from repro.graph.streams import EdgeStream, StreamEdge
 #: overflow policies accepted by :class:`EventQueue`
 OVERFLOW_POLICIES = ("raise", "drop_new", "drop_oldest")
 
+#: An event is deadlettered under a *kind*: the five ways ``put()``
+#: refuses an offer — ``malformed``, ``late``, ``throttle``, ``shed``,
+#: ``backpressure`` — plus ``failed``, a batch whose update raised after
+#: it left the buffer (:meth:`EventQueue.dead_letter`).  A kind's
+#: ``reason_counts`` bucket is its own name, except for the two that
+#: keep their reason-prefix name:
+_BUCKETS = {"late": "late event", "failed": "update failure"}
+
 Validator = Callable[[StreamEdge], Optional[str]]
 BatchHandler = Callable[[EdgeStream], None]
-#: journal hook: (kind, edge-or-None, batch size, reason) — see module
-#: docstring; ``reason`` is non-empty only for admission-driven evictions
-Journal = Callable[[str, Optional[StreamEdge], int, str], None]
 
 
 class BackpressureError(RuntimeError):
@@ -108,17 +111,26 @@ class EventQueue:
         watermark; older events deadletter as ``"late event"``.  ``None``
         (default) accepts any ordering.
     journal:
-        Write-ahead hook called with every queue decision before it
-        takes effect: ``("accept", edge, 0, "")``,
-        ``("evict", edge, 0, reason)``, ``("batch", None, size, "")``.
-        The reason is non-empty only for admission-driven evictions
-        (:meth:`shed_oldest`).  An exception from the hook aborts the
+        The write-ahead log (or anything with its five ``append_accept``
+        / ``append_evict`` / ``append_shed`` / ``append_throttle`` /
+        ``append_batch`` methods), called with every queue decision
+        before it takes effect.  An exception from it aborts the
         decision (the event is not accepted), keeping the journal
-        strictly ahead of the state.
+        strictly ahead of the state.  ``None`` journals nothing;
+        :meth:`set_journal` attaches one later.
     defer_dispatch:
         When True, ``put()`` never dispatches; ready micro-batches wait
         for an external drainer calling :meth:`dispatch_next` (the
         async dispatcher).  :meth:`flush` still drains explicitly.
+    admission:
+        The :class:`~repro.serve.admission.AdmissionController` consulted
+        for every valid, timely offer; ``None`` admits everything.
+    clock:
+        Monotonic seconds for the accept stamps (head age, queue wait);
+        defaults to :func:`time.monotonic`.
+    waits:
+        Histogram (``observe(seconds)``) receiving each event's wait
+        from its accept to the cut that dispatches it.
     """
 
     def __init__(
@@ -130,8 +142,11 @@ class EventQueue:
         overflow: str = "raise",
         max_deadletters: int = 1024,
         late_tolerance: Optional[float] = None,
-        journal: Optional[Journal] = None,
+        journal=None,
         defer_dispatch: bool = False,
+        admission=None,
+        clock: Optional[Callable[[], float]] = None,
+        waits=None,
     ):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
@@ -155,11 +170,17 @@ class EventQueue:
         self.max_deadletters = max_deadletters
         self.late_tolerance = late_tolerance
         self._journal = journal
-        self._buffer: List[StreamEdge] = []
-        # Guards the buffer, the pause flag and the ledger counters.
-        # Never held across the handler, and nothing re-enters it: the
-        # hooks that do run under it (validator, journal) are
-        # non-blocking by contract and never call back into the queue.
+        self._admission = admission
+        self._clock = clock if clock is not None else time.monotonic
+        self._waits = waits
+        #: ``(event, accept stamp)`` in arrival order; a preloaded event
+        #: carries no stamp (``None``)
+        self._buffer: List[Tuple[StreamEdge, Optional[float]]] = []
+        # Guards the stamped buffer, the journal binding, the pause flag
+        # and the ledger counters.  Never held across the handler, and
+        # nothing re-enters it: what runs under it (validator, admission
+        # controller, journal) is non-blocking by contract and never
+        # calls back into the queue.
         self._lock = threading.Lock()
         # The dispatch mutex: guards no attribute, only *order* — cuts
         # and handler runs happen one at a time, in cut order.  Ranked
@@ -173,8 +194,8 @@ class EventQueue:
         self._paused = False
         self.defer_dispatch = bool(defer_dispatch)
         self.deadletters: List[DeadLetter] = []
-        #: rejection tallies bucketed by reason category (the part of the
-        #: reason before the first ":"), never truncated
+        #: deadletter tallies per bucket (the refusal kind, under its
+        #: reason-prefix name), never truncated
         self.reason_counts: Dict[str, int] = {}
         #: highest timestamp among accepted events (the late watermark)
         self.max_timestamp = float("-inf")
@@ -214,55 +235,71 @@ class EventQueue:
         if ready:
             self._drain_ready()
 
+    def set_journal(self, journal) -> None:
+        """Journal into ``journal`` from the next decision on (a promoted
+        follower gains a log of its own)."""
+        with self._lock:
+            self._journal = journal
+
     # ----------------------------------------------------------------- intake
 
     def put(self, edge: StreamEdge) -> bool:
         """Offer one event; returns True when buffered for an update.
 
-        Malformed events are deadlettered (returns False).  At capacity
-        the overflow policy applies: ``raise`` raises
-        :class:`BackpressureError`, ``drop_new`` sheds ``edge`` (returns
-        False), ``drop_oldest`` evicts the oldest buffered event.
+        The whole judgement is one hold of the queue lock, so the
+        deadletter ledger, the admission tallies, the journal and the
+        buffer agree event-for-event.  A refused event is deadlettered
+        (returns False); at capacity under ``overflow="raise"`` the
+        producer gets :class:`BackpressureError` instead.
         """
+        now = self._clock()  # outside the lock: clocks may be injected
         with self._lock:
             if self._validator is not None:
-                # The validate/journal/buffer sequence is one atomic
-                # queue decision: the deadletter ledger, the WAL and the
-                # buffer must agree event-for-event, so the injected
-                # hooks run under the lock by contract.  Hooks must be
-                # non-blocking (DESIGN.md §12).
+                # non-blocking by contract: a pure check of the event
                 reason = self._validator(edge)  # reprolint: disable=hold-and-call
                 if reason is not None:
-                    self._dead_letter(edge, reason)
-                    return False
+                    return self._refuse(edge, "malformed", reason)
             if (
                 self.late_tolerance is not None
                 and edge.t < self.max_timestamp - self.late_tolerance
             ):
-                self._dead_letter(
+                return self._refuse(
                     edge,
+                    "late",
                     f"late event: t={edge.t!r} more than {self.late_tolerance!r} "
                     f"behind watermark {self.max_timestamp!r}",
                 )
-                return False
-            if len(self._buffer) >= self.capacity:
+            # head eviction owed once the event is certain to be buffered:
+            # None = none, "" = drop_oldest backpressure, else the shed reason
+            evict: Optional[str] = None
+            if self._admission is not None:
+                decision = self._admission.admit(
+                    edge,
+                    queue_depth=len(self._buffer),
+                    capacity=self.capacity,
+                    staleness_seconds=self._head_age(now),
+                )
+                if not decision.admitted:
+                    return self._refuse(edge, decision.action, decision.reason)
+                if decision.action == "drop_head" and self._buffer:
+                    evict = decision.reason
+            if evict is None and len(self._buffer) >= self.capacity:
                 if self.overflow == "raise":
                     raise BackpressureError(
                         f"event queue at capacity ({self.capacity}); "
                         "flush() or resume() before ingesting more"
                     )
                 if self.overflow == "drop_new":
-                    self._dead_letter(edge, "backpressure: queue at capacity")
-                    return False
-                if self._journal is not None:
-                    # write-ahead: journal the eviction before it happens
-                    self._journal("evict", self._buffer[0], 0, "")  # reprolint: disable=hold-and-call
-                evicted = self._buffer.pop(0)
-                self._dead_letter(evicted, "backpressure: evicted oldest")
+                    return self._refuse(
+                        edge, "backpressure", "backpressure: queue at capacity"
+                    )
+                evict = ""
+            # the event will be buffered: write-ahead, then state
+            if evict is not None:
+                self._evict_head(evict)
             if self._journal is not None:
-                # write-ahead: journal the acceptance before buffering
-                self._journal("accept", edge, 0, "")  # reprolint: disable=hold-and-call
-            self._buffer.append(edge)
+                self._journal.append_accept(edge)
+            self._buffer.append((edge, now))
             self.accepted += 1
             if edge.t > self.max_timestamp:
                 self.max_timestamp = float(edge.t)
@@ -280,6 +317,13 @@ class EventQueue:
         with self._lock:
             return self._ready()
 
+    def head_age(self) -> float:
+        """Seconds the oldest buffered event has waited; 0.0 when the
+        buffer is empty or its head was preloaded (no stamp)."""
+        now = self._clock()
+        with self._lock:
+            return self._head_age(now)
+
     def dispatch_next(self) -> int:
         """Dispatch at most one ready micro-batch; returns events cut.
 
@@ -289,28 +333,7 @@ class EventQueue:
         an inline queue fed the same accepted events.  Returns 0 while
         paused or when fewer than ``batch_size`` events are pending.
         """
-        return self._cut_and_apply()
-
-    def shed_oldest(self, reason: str) -> Optional[StreamEdge]:
-        """Evict the queue head under an admission ``drop_head`` decision.
-
-        Journals the eviction *with the reason* before popping — replay
-        treats it like any other eviction (the head pops), but the WAL
-        decision ledger can tell an admission shed from plain
-        backpressure.  The head is deadlettered under ``reason``.
-        Returns the shed event, or ``None`` when nothing is buffered.
-        """
-        if not reason:
-            raise ValueError("shed_oldest requires a non-empty reason")
-        with self._lock:
-            if not self._buffer:
-                return None
-            if self._journal is not None:
-                # write-ahead: journal the shed-eviction before it happens
-                self._journal("evict", self._buffer[0], 0, reason)  # reprolint: disable=hold-and-call
-            head = self._buffer.pop(0)
-            self._dead_letter(head, reason)
-            return head
+        return self._cut_and_apply()[0]
 
     def flush(self) -> int:
         """Dispatch everything pending (final batch may be short).
@@ -319,13 +342,12 @@ class EventQueue:
         waits for a batch in flight on another thread, then drains in
         FIFO order.  Returns the number of events dispatched.
         """
-        drained = 0
+        drained, more = 0, True
         with self.dispatch_barrier():
-            while True:
-                cut = self._cut_and_apply(force=True)
-                if not cut:
-                    return drained
+            while more:
+                cut, more = self._cut_and_apply(force=True)
                 drained += cut
+        return drained
 
     @contextmanager
     def dispatch_barrier(self) -> Iterator[None]:
@@ -344,8 +366,7 @@ class EventQueue:
 
     def buffered(self) -> Tuple[StreamEdge, ...]:
         """Snapshot of not-yet-dispatched events, oldest first."""
-        with self._lock:
-            return tuple(self._buffer)
+        return self.buffered_at(lambda: 0)[1]
 
     def buffered_at(
         self, position: Callable[[], int]
@@ -359,7 +380,7 @@ class EventQueue:
         records as ``(seq, residue)``.  Must not block or call back in.
         """
         with self._lock:
-            return position(), tuple(self._buffer)
+            return position(), tuple(edge for edge, _ in self._buffer)
 
     def preload(self, edges: Iterable[StreamEdge]) -> None:
         """Restore recovered, already-journaled events into the buffer.
@@ -367,11 +388,12 @@ class EventQueue:
         Skips validation, journaling and dispatch: the caller
         (:mod:`repro.resilience.recovery`) replays events whose
         acceptance was already journaled and validated in a previous
-        process life.
+        process life — which is also why they carry no accept stamp and
+        observe no queue wait.
         """
         with self._lock:
             for edge in edges:
-                self._buffer.append(edge)
+                self._buffer.append((edge, None))
                 self.accepted += 1
                 if edge.t > self.max_timestamp:
                     self.max_timestamp = float(edge.t)
@@ -395,43 +417,88 @@ class EventQueue:
                 self.max_timestamp = float(max_timestamp)
 
     def dead_letter(self, edge: StreamEdge, reason: str) -> None:
-        """Deadletter an event on the owner's behalf (e.g. a batch whose
-        update failed after it left the buffer, or an admission denial
-        that never reached ``put``)."""
+        """Deadletter an event of a batch whose update failed after it
+        left the buffer (kind ``failed``; counted ``rejected``)."""
         with self._lock:
-            self._dead_letter(edge, reason)
+            self._dead_letter(edge, "failed", reason)
 
     def deadletters_by_reason(self) -> Dict[str, int]:
-        """Per-category rejection tallies (never truncated).
+        """Per-bucket deadletter tallies (never truncated).
 
-        Categories are the reason text before the first ``":"`` —
-        ``shed`` / ``throttle`` for admission denials, ``backpressure``
-        for overflow, validator text for malformed events — so
-        reconciliation can assert per-reason ledgers against the WAL's
+        Buckets are the refusal kinds under their reason-prefix names —
+        ``malformed``, ``late event``, ``throttle``, ``shed``,
+        ``backpressure``, ``update failure`` — so reconciliation can
+        assert per-reason ledgers against the WAL's
         :func:`~repro.resilience.wal.decision_ledger`.
         """
         with self._lock:
             return dict(self.reason_counts)
 
-    # --------------------------------------------------------------- internals
+    # ---------- internals (all but the last two: caller holds the queue lock)
 
     def _ready(self) -> bool:
-        # caller holds the queue lock
         return not self._paused and len(self._buffer) >= self.batch_size
+
+    def _head_age(self, now: float) -> float:
+        stamp = self._buffer[0][1] if self._buffer else None
+        return 0.0 if stamp is None else max(0.0, now - stamp)
+
+    def _refuse(self, edge: StreamEdge, kind: str, reason: str) -> bool:
+        """The one way ``put()`` turns an offer down: the ledger record
+        for a policy denial (write-ahead of the deadletter), the kind's
+        tally, the deadletter.  Returns ``put()``'s answer, False."""
+        if self._journal is not None:
+            if kind == "shed":
+                self._journal.append_shed(edge, reason)
+            elif kind == "throttle":
+                self._journal.append_throttle(edge, reason)
+        self._dead_letter(edge, kind, reason)
+        return False
+
+    def _evict_head(self, reason: str) -> None:
+        """Evict the oldest buffered event in favour of one about to be
+        buffered.  ``reason`` is the admission ``drop_head`` reason, or
+        ``""`` for ``drop_oldest`` backpressure; it is journaled on the
+        ``evict`` record as given — replay pops the head either way, the
+        decision ledger tells the two apart."""
+        head = self._buffer[0][0]
+        if self._journal is not None:
+            self._journal.append_evict(head, reason=reason)
+        del self._buffer[0]
+        if reason:
+            self._dead_letter(head, "shed", reason)
+        else:
+            self._dead_letter(head, "backpressure", "backpressure: evicted oldest")
+
+    def _dead_letter(self, edge: StreamEdge, kind: str, reason: str) -> None:
+        if kind in ("shed", "throttle"):
+            # admission denials are policy, not pathology: counted apart
+            # from malformed / late / failed (rejected) and backpressure
+            self.shed += 1
+        elif kind == "backpressure":
+            self.dropped += 1
+        else:
+            self.rejected += 1
+        bucket = _BUCKETS.get(kind, kind)
+        self.reason_counts[bucket] = self.reason_counts.get(bucket, 0) + 1
+        self.deadletters.append(DeadLetter(edge, reason))
+        overflow = len(self.deadletters) - self.max_deadletters
+        if overflow > 0:
+            del self.deadletters[:overflow]
 
     def _drain_ready(self) -> None:
         # The inline drain; under defer_dispatch the dispatcher thread
-        # owns it.  Pause is re-checked at every cut: a handler (e.g. a
-        # tripped circuit breaker) may pause the queue mid-drain.
-        if self.defer_dispatch:
-            return
-        while self._cut_and_apply():
-            pass
+        # owns it.  Every cut re-checks pause under the queue lock: a
+        # handler (e.g. a tripped circuit breaker) may pause mid-drain.
+        more = not self.defer_dispatch
+        while more:
+            _, more = self._cut_and_apply()
 
-    def _cut_and_apply(self, force: bool = False) -> int:
+    def _cut_and_apply(self, force: bool = False) -> Tuple[int, bool]:
         """Cut one micro-batch and run the handler on it; returns the
-        events cut (0: nothing ready).  ``force`` cuts whatever is
-        buffered, paused or not (the flush path).
+        events cut (0: nothing ready) and whether another cut was ready
+        behind it.  ``force`` cuts whatever is buffered, paused or not
+        (the flush path).
 
         The one routine behind ``put()``'s inline dispatch,
         ``dispatch_next()``, ``flush()`` and ``resume()``.  The barrier
@@ -441,30 +508,20 @@ class EventQueue:
         the handler starts.
         """
         with self.dispatch_barrier():
+            now = self._clock()
             with self._lock:
                 size = min(self.batch_size, len(self._buffer))
                 if not (size if force else self._ready()):
-                    return 0
+                    return 0, False
                 if self._journal is not None:
                     # write-ahead: journal the batch cut before it happens
-                    self._journal("batch", None, size, "")  # reprolint: disable=hold-and-call
+                    self._journal.append_batch(size)
                 batch, self._buffer = self._buffer[:size], self._buffer[size:]
                 self.batches_dispatched += 1
-            self._handler(EdgeStream(batch))
-            return size
-
-    def _dead_letter(self, edge: StreamEdge, reason: str) -> None:
-        category = reason.split(":", 1)[0]
-        self.reason_counts[category] = self.reason_counts.get(category, 0) + 1
-        if category in ("shed", "throttle"):
-            # admission denials are policy, not pathology: counted apart
-            # from malformed (rejected) and backpressure (dropped)
-            self.shed += 1
-        elif reason.startswith("backpressure"):
-            self.dropped += 1
-        else:
-            self.rejected += 1
-        self.deadletters.append(DeadLetter(edge, reason))
-        overflow = len(self.deadletters) - self.max_deadletters
-        if overflow > 0:
-            del self.deadletters[:overflow]
+                more = bool(self._buffer) if force else self._ready()
+            if self._waits is not None:
+                for _, stamp in batch:
+                    if stamp is not None:
+                        self._waits.observe(now - stamp)
+            self._handler(EdgeStream([edge for edge, _ in batch]))
+            return size, more

@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,12 +40,7 @@ from repro.datasets.base import Dataset
 from repro.graph.streams import EdgeStream, StreamEdge
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NullTracer, Tracer, make_tracer
-from repro.serve.admission import (
-    SHEDDING,
-    AdmissionConfig,
-    AdmissionController,
-    AdmissionDecision,
-)
+from repro.serve.admission import SHEDDING, AdmissionConfig, AdmissionController
 from repro.serve.dispatch import DispatchWorker
 from repro.serve.index import TopKIndex
 from repro.serve.ingest import BackpressureError, EventQueue
@@ -77,15 +71,16 @@ class ServeConfig:
     late_tolerance: Optional[float] = None  # deadletter events older than this
     breaker_threshold: int = 3  # consecutive update failures to trip; 0 = never
     breaker_cooldown_events: int = 64  # ingests while open before a probe
-    #: injectable monotonic clock for per-event stage timestamping:
-    #: when set, each accepted event is stamped at admission and its
-    #: queue wait (admission → batch dispatch) lands in the bucketed
-    #: ``latency.queue_wait_seconds`` histogram, separating time spent
-    #: buffered from service time proper.  ``None`` (the default) keeps
-    #: the ingest path stamp-free.  The load harness and benches pass
-    #: ``time.perf_counter``; tests pass a fake clock.
+    #: injectable monotonic clock for the intake stamps: each accepted
+    #: event is stamped as it is buffered, which gives the head's age
+    #: (the admission staleness watermark) and, at the batch cut, its
+    #: queue wait in the ``latency.queue_wait_seconds`` histogram —
+    #: time spent buffered, apart from service time proper.  The token
+    #: buckets refill on the same clock.  ``None`` (the default) is
+    #: ``time.monotonic``; the load harness and benches pass
+    #: ``time.perf_counter``, tests a fake clock.
     clock_fn: Optional[Callable[[], float]] = None
-    # --- async dispatch + admission control (DESIGN.md §15) ---------------
+    # --- async dispatch + admission control (DESIGN.md §8) ----------------
     #: run updates on a dispatcher thread instead of inline in ``put()``:
     #: ``ingest()`` returns after the journaled accept decision.  The
     #: worker starts lazily on the first ingest (so recovery replay never
@@ -217,74 +212,12 @@ class RecommendationService:
             # Nest the model's training spans (core.inslearn.*,
             # core.engine.*) under this service's update span.
             self.model.tracer = self.tracer
-        # Pre-register every instrument so exports are fully populated
-        # even before the first event / recommendation arrives.
-        for name in (
-            "ingest.accepted",
-            "ingest.rejected",
-            "ingest.dropped",
-            "ingest.late",
-            "updates.applied",
-            "updates.failed",
-            "cache.hits",
-            "cache.misses",
-            "cache.invalidated",
-            "cache.evictions",
-            "store.compactions",
-            "serve.recommendations",
-            "serve.stale_serves",
-            "wal.appends",
-            "wal.torn_records_dropped",
-            "checkpoint.writes",
-            "checkpoint.fallbacks",
-            "recovery.replayed_events",
-            "breaker.opened",
-            "cache.warmed",
-            "ingest.offered",
-            "ingest.shed",
-            "admission.admitted",
-            "admission.throttled",
-            "admission.shed",
-            "admission.escalations",
-            "retry.exhausted",
-            "serve.degraded",
-        ):
-            self.metrics.counter(name)
-        for name in (
-            "queue.pending",
-            "store.version",
-            "staleness.events_behind",
-            "breaker.state",
-            "admission.state",
-            "queue.depth_fraction",
-        ):
-            self.metrics.gauge(name)
-        # Stage histograms: queue wait (admission → dispatch, stamped
-        # only when ``clock_fn`` is set) and the train/publish split
-        # inside each update.
-        for name in (
-            "latency.recommend_seconds",
-            "latency.update_seconds",
-            "latency.queue_wait_seconds",
-            "stage.train_seconds",
-            "stage.publish_seconds",
-        ):
-            self.metrics.histogram(name)
         # Guards the service's scalar runtime state (_clock,
         # _update_in_flight, _updates_applied, breaker fields,
-        # _resilience_suspended, _read_only, _user_activity).  Leaf-like
-        # by contract: never call into the queue, store, index or
-        # metrics while holding it — it ranks between the queue lock and
-        # the store lock in the hierarchy (DESIGN.md §12) only because
-        # the journal hook reads _resilience_suspended under the queue
-        # lock.
+        # _read_only, _user_activity).  Leaf-like by contract: never
+        # call into the queue, store, index or metrics while holding it
+        # (DESIGN.md §12).
         self._state_lock = threading.Lock()
-        self._stage_clock = self.config.clock_fn
-        # Accept-time stamps for currently buffered events.  Appended
-        # and popped exclusively inside the queue's journal hook — i.e.
-        # always under the queue's lock — so the deque needs no lock of
-        # its own and the state lock is never involved.
-        self._accept_times: Deque[float] = deque()
         self._clock = float(initial_clock)  # latest applied event timestamp
         self._update_in_flight = False
         self._updates_applied = 0
@@ -294,7 +227,6 @@ class RecommendationService:
         # importable on its own and avoid a serve <-> resilience cycle)
         self.wal = None
         self.checkpoints = None
-        self._resilience_suspended = False
         self._consecutive_update_failures = 0
         self._breaker_open = False
         self._breaker_cooldown = 0
@@ -328,6 +260,13 @@ class RecommendationService:
                 self.model.final_embeddings(all_nodes, self.edge_type, self._clock)
             )
         self.index = TopKIndex(self.items, cache_size=self.config.cache_size)
+        # Admission is consulted by the queue, inside its one intake
+        # decision (DESIGN.md §8); the service only reads its tallies.
+        self.admission: Optional[AdmissionController] = (
+            AdmissionController(self.config.admission, clock=self.config.clock_fn)
+            if self.config.admission is not None
+            else None
+        )
         self.queue = EventQueue(
             handler=self._apply_batch,
             batch_size=self.config.batch_size,
@@ -335,16 +274,11 @@ class RecommendationService:
             validator=self._validate_event,
             overflow=self.config.overflow,
             late_tolerance=self.config.late_tolerance,
-            # Always installed: the hook no-ops without a WAL, which
-            # lets attach_durability() start journaling post-promotion.
-            journal=self._journal_decision,
+            journal=self.wal,  # None until attach_durability() on a follower
             defer_dispatch=self.config.async_dispatch,
-        )
-        # --- admission control + async dispatch (DESIGN.md §15) ----------
-        self.admission: Optional[AdmissionController] = (
-            AdmissionController(self.config.admission, clock=self.config.clock_fn)
-            if self.config.admission is not None
-            else None
+            admission=self.admission,
+            clock=self.config.clock_fn,
+            waits=self.metrics.histogram("latency.queue_wait_seconds"),
         )
         # Created eagerly, started lazily on the first ingest: recovery
         # replay (apply_recovered_batch) must never race a live worker.
@@ -357,15 +291,73 @@ class RecommendationService:
             if self.config.async_dispatch
             else None
         )
+        self._register_metrics()
+
+    def _register_metrics(self) -> None:
+        """Every instrument, registered once so exports are fully
+        populated before the first event.  A tally a component already
+        keeps is *sourced* — read from its one owner at ``.value`` /
+        export time, never copied — and the service keeps handles to
+        the instruments it moves itself on the per-event paths."""
+        metrics, queue, index, store = self.metrics, self.queue, self.index, self.store
+        admission = self.admission
+        for name, source in (
+            ("ingest.accepted", lambda: queue.accepted),
+            ("ingest.rejected", lambda: queue.rejected),
+            ("ingest.dropped", lambda: queue.dropped),
+            ("ingest.shed", lambda: queue.shed),
+            ("ingest.late", lambda: queue.deadletters_by_reason().get("late event", 0)),
+            ("updates.applied", lambda: self.updates_applied),
+            ("cache.hits", lambda: index.hits),
+            ("cache.misses", lambda: index.misses),
+            ("cache.invalidated", lambda: index.invalidations),
+            ("cache.evictions", lambda: index.evictions),
+            ("cache.warmed", lambda: index.warmed),
+            ("store.compactions", lambda: store.compactions),
+        ):
+            metrics.counter(name, source=source)
+        for key in ("admitted", "throttled", "shed", "escalations"):
+            metrics.counter(
+                f"admission.{key}",
+                source=(lambda key=key: admission.counts()[key]) if admission else None,
+            )
+        for name, source in (
+            ("queue.pending", lambda: queue.pending),
+            ("queue.depth_fraction", lambda: queue.pending / queue.capacity),
+            ("store.version", lambda: store.version),
+            ("admission.state", lambda: admission is not None and admission.state == SHEDDING),
+        ):
+            metrics.gauge(name, source=source)
+        for name in (
+            "updates.failed",
+            "wal.appends",
+            "wal.torn_records_dropped",
+            "checkpoint.writes",
+            "checkpoint.fallbacks",
+            "recovery.replayed_events",
+            "breaker.opened",
+            "retry.exhausted",
+            "serve.degraded",
+        ):
+            metrics.counter(name)
+        metrics.gauge("breaker.state")
+        # Stage histograms: queue wait (accept → batch cut, observed by
+        # the queue) and the train/publish split inside each update.
+        for name in ("latency.update_seconds", "stage.train_seconds", "stage.publish_seconds"):
+            metrics.histogram(name)
+        self._offered = metrics.counter("ingest.offered")
+        self._recommendations = metrics.counter("serve.recommendations")
+        self._stale_serves = metrics.counter("serve.stale_serves")
+        self._events_behind = metrics.gauge("staleness.events_behind")
+        self._recommend_seconds = metrics.histogram("latency.recommend_seconds")
 
     # ------------------------------------------------------------------ intake
 
     def _validate_event(self, edge: StreamEdge) -> Optional[str]:
         """Reject events the model could not apply (deadletter reason).
 
-        Reasons are prefixed ``"malformed: "`` so the queue's
-        ``reason_counts`` buckets them under one category the chaos
-        harness can reconcile against.
+        Runs first in the queue's intake decision (kind ``malformed``):
+        outside input is checked before any policy sees it.
         """
         try:
             u, v = int(edge.u), int(edge.v)
@@ -388,8 +380,9 @@ class RecommendationService:
         With inline dispatch a full micro-batch triggers an update +
         snapshot publish before this returns; with ``async_dispatch``
         the call returns right after the journaled accept decision and
-        the dispatcher thread runs the update.  Malformed, late,
-        throttled or shed events return False (see ``deadletters``).
+        the dispatcher thread runs the update.  The event is judged
+        once, inside :meth:`EventQueue.put`: malformed, late, throttled
+        or shed events return False (see ``deadletters``).
         While the circuit breaker is open, events keep buffering
         (bounded-stale serving) and every ingest counts toward the
         cooldown that triggers a half-open probe.
@@ -406,101 +399,15 @@ class RecommendationService:
                 probe = self._breaker_cooldown <= 0
         if probe:
             self._probe_breaker()
-        counters = self.metrics
-        counters.counter("ingest.offered").inc()
+        self._offered.inc()
         dispatcher = self.dispatcher
         if dispatcher is not None:
             dispatcher.start()  # idempotent; lazy so recovery never races
-        admission = self.admission
-        if admission is not None and not self._admit(admission, edge):
-            self._publish_ingest_metrics()
-            return False
         with self.tracer.span("serve.service.ingest"):
             accepted = self.queue.put(edge)
         if accepted and dispatcher is not None:
             dispatcher.notify()
-        self._publish_ingest_metrics()
         return accepted
-
-    def _admit(self, admission: AdmissionController, edge: StreamEdge) -> bool:
-        """Run one event through admission; False when denied.
-
-        Every denial is journaled to the WAL ledger *before* the
-        deadletter (write-ahead of the decision), so the ledger, the
-        queue's per-reason tallies and the controller's counts stay
-        reconcilable event-for-event.  A ``drop_head`` decision admits
-        the event but first sheds the queue head (journaled as an
-        eviction carrying the shed reason).
-        """
-        decision = admission.admit(
-            edge,
-            queue_depth=self.queue.pending,
-            capacity=self.config.capacity,
-            staleness_seconds=self._staleness_seconds(),
-        )
-        if decision.admitted:
-            if decision.action == "drop_head":
-                self.queue.shed_oldest(decision.reason)
-            return True
-        self._journal_denial(decision, edge)
-        self.queue.dead_letter(edge, decision.reason)
-        return False
-
-    def _journal_denial(self, decision: AdmissionDecision, edge: StreamEdge) -> None:
-        """Write one shed/throttle record (ledger-only; never replayed)."""
-        wal = self.wal
-        if wal is None:
-            return
-        with self._state_lock:
-            suspended = self._resilience_suspended
-        if suspended:
-            return
-        if decision.action == "throttle":
-            wal.append_throttle(edge, decision.reason)
-        else:
-            wal.append_shed(edge, decision.reason)
-
-    def _staleness_seconds(self) -> float:
-        """How long the oldest buffered event has waited (0 when unknown).
-
-        Reads the head of the accept-time stamp deque without the queue
-        lock: a concurrent pop can race the peek, so this is a pressure
-        *heuristic* for admission watermarks, never an accounting input.
-        Requires ``clock_fn``; returns 0.0 otherwise.
-        """
-        clock = self._stage_clock
-        if clock is None:
-            return 0.0
-        try:
-            head = self._accept_times[0]
-        except IndexError:
-            return 0.0
-        return max(0.0, clock() - head)
-
-    def _publish_ingest_metrics(self) -> None:
-        counters = self.metrics
-        counters.counter("ingest.accepted").set(self.queue.accepted)
-        counters.counter("ingest.rejected").set(self.queue.rejected)
-        counters.counter("ingest.dropped").set(self.queue.dropped)
-        counters.counter("ingest.shed").set(self.queue.shed)
-        counters.counter("ingest.late").set(
-            self.queue.reason_counts.get("late event", 0)
-        )
-        pending = self.queue.pending
-        counters.gauge("queue.pending").set(pending)
-        counters.gauge("queue.depth_fraction").set(
-            pending / self.config.capacity
-        )
-        admission = self.admission
-        if admission is not None:
-            counts = admission.counts()
-            counters.counter("admission.admitted").set(counts["admitted"])
-            counters.counter("admission.throttled").set(counts["throttled"])
-            counters.counter("admission.shed").set(counts["shed"])
-            counters.counter("admission.escalations").set(counts["escalations"])
-            counters.gauge("admission.state").set(
-                1.0 if admission.state == SHEDDING else 0.0
-            )
 
     def _register_dispatch_failure(self, exc: Exception) -> None:
         """Dispatcher ``on_error`` hook: a crash escaping the worker's
@@ -558,9 +465,7 @@ class RecommendationService:
         events — the service is *quiesced* and answers match the offline
         ranking pipeline exactly.
         """
-        drained = self.queue.flush()
-        self.metrics.gauge("queue.pending").set(self.queue.pending)
-        return drained
+        return self.queue.flush()
 
     @property
     def deadletters(self):
@@ -569,7 +474,7 @@ class RecommendationService:
 
     # ----------------------------------------------------------------- updates
 
-    def _apply_batch(self, batch: EdgeStream) -> None:
+    def _apply_batch(self, batch: EdgeStream, checkpoint: bool = True) -> None:
         """One background InsLearn step + atomic snapshot publication.
 
         A failing update never poisons the ingest path: the batch is
@@ -577,6 +482,7 @@ class RecommendationService:
         counted, and after ``breaker_threshold`` consecutive failures
         the circuit breaker opens — dispatch pauses and the service
         degrades to bounded-stale reads until a cooldown probe.
+        ``checkpoint=False`` (WAL replay) skips the auto-checkpoint.
         """
         with self._state_lock:
             self._update_in_flight = True
@@ -584,7 +490,7 @@ class RecommendationService:
             with self.tracer.span("serve.service.update", events=len(batch)):
                 with self.metrics.histogram("latency.update_seconds").time():
                     try:
-                        snapshot = self._train_and_publish(batch)
+                        self._train_and_publish(batch)
                     except Exception as exc:
                         # breaker boundary: record + degrade, never raise
                         # into the producer's ingest call
@@ -593,21 +499,16 @@ class RecommendationService:
             with self._state_lock:
                 self._updates_applied += 1
                 self._consecutive_update_failures = 0
-                applied = self._updates_applied
-            self.metrics.counter("updates.applied").set(applied)
-            self.metrics.counter("cache.invalidated").set(self.index.invalidations)
-            self.metrics.counter("cache.evictions").set(self.index.evictions)
-            self.metrics.counter("store.compactions").set(self.store.compactions)
-            self.metrics.gauge("store.version").set(snapshot.version)
             self._record_activity(batch)
             self.warm_cache()
-            self._maybe_checkpoint()
+            if checkpoint:
+                self._maybe_checkpoint()
         finally:
             with self._state_lock:
                 self._update_in_flight = False
 
-    def _train_and_publish(self, batch: EdgeStream):
-        """The transactional core of one update; returns the snapshot."""
+    def _train_and_publish(self, batch: EdgeStream) -> None:
+        """The transactional core of one update."""
         with self._state_lock:
             batch_index = self._updates_applied
         with self.metrics.histogram("stage.train_seconds").time():
@@ -629,7 +530,6 @@ class RecommendationService:
             touched = None if self._decay_serving else set(int(r) for r in rows)
             with self.tracer.span("serve.index.invalidate"):
                 self.index.invalidate(snapshot, touched, touched)
-        return snapshot
 
     def _publish_components(self, rows: np.ndarray, clock: float):
         """Delta publish for the decayed store: touched components only."""
@@ -723,10 +623,7 @@ class RecommendationService:
         users = list(users)
         if not users:
             return 0
-        snapshot = self.store.snapshot()
-        warmed = self.index.warm(snapshot, users)
-        self.metrics.counter("cache.warmed").set(self.index.warmed)
-        return warmed
+        return self.index.warm(self.store.snapshot(), users)
 
     # ------------------------------------------------------------ replica mode
 
@@ -763,6 +660,7 @@ class RecommendationService:
             if checkpoint_every is not None:
                 self.config.checkpoint_every = int(checkpoint_every)
         self._open_durability()
+        self.queue.set_journal(self.wal)
 
     def _open_durability(self) -> None:
         """Open the WAL / checkpoint manager the config names (if any)."""
@@ -785,61 +683,9 @@ class RecommendationService:
 
     # -------------------------------------------------------------- durability
 
-    def _journal_decision(
-        self,
-        kind: str,
-        edge: Optional[StreamEdge],
-        count: int,
-        reason: str = "",
-    ) -> None:
-        """EventQueue journal hook → WAL append (write-ahead of state),
-        then per-event stage stamping (queue-wait attribution).
-
-        ``reason`` is non-empty only for admission-driven evictions
-        (``drop_head`` sheds), which journal as evictions so replay
-        pops the head but stay auditable in the decision ledger.
-        """
-        wal = self.wal
-        if wal is not None:
-            with self._state_lock:
-                suspended = self._resilience_suspended
-            if not suspended:
-                # A WAL failure raises here, aborting the decision — the
-                # stamp below is only recorded for decisions that stick.
-                if kind == "accept":
-                    wal.append_accept(edge)
-                elif kind == "evict":
-                    wal.append_evict(edge, reason=reason)
-                else:
-                    wal.append_batch(count)
-        clock = self._stage_clock
-        if clock is None:
-            return
-        # Runs under the queue's lock (journal-hook contract), which is
-        # exactly what keeps the stamp deque aligned with the buffer.
-        if kind == "accept":
-            self._accept_times.append(clock())
-        elif kind == "evict":
-            if self._accept_times:
-                self._accept_times.popleft()
-        else:  # batch cut: dispatch begins now
-            if len(self._accept_times) >= count:
-                now = clock()
-                waits = self.metrics.histogram("latency.queue_wait_seconds")
-                for _ in range(count):
-                    waits.observe(now - self._accept_times.popleft())
-            else:
-                # Recovery preload() buffers events without journaling
-                # their acceptance; drop the partial stamps rather than
-                # misattribute waits across the restart.
-                self._accept_times.clear()
-
     def _maybe_checkpoint(self) -> None:
         every = self.config.checkpoint_every
-        with self._state_lock:
-            suspended = self._resilience_suspended
-            applied = self._updates_applied
-        if self.checkpoints is None or suspended or every < 1 or applied % every != 0:
+        if self.checkpoints is None or every < 1 or self.updates_applied % every != 0:
             return
         self.checkpoint()
 
@@ -890,29 +736,22 @@ class RecommendationService:
         """
         with self._state_lock:
             self._updates_applied = int(updates_applied)
-        self.metrics.counter("updates.applied").set(int(updates_applied))
         self.queue.restore_accounting(max_timestamp=float(max_timestamp))
 
     def apply_recovered_batch(self, batch: EdgeStream) -> None:
         """Re-run one journaled micro-batch during WAL replay.
 
-        WAL journaling and auto-checkpoints are off for the duration:
-        the record being replayed already exists in the log, and
-        re-journaling it (or checkpointing against a mid-replay WAL
-        position) would corrupt the sequence.
+        The batch bypasses the queue, so nothing is journaled — the
+        record being replayed already exists in the log — and the
+        auto-checkpoint is off: checkpointing against a mid-replay WAL
+        position would corrupt the sequence.
         """
-        with self._state_lock:
-            self._resilience_suspended = True
-        try:
-            self._apply_batch(batch)
-        finally:
-            with self._state_lock:
-                self._resilience_suspended = False
+        self._apply_batch(batch, checkpoint=False)
 
     def close(self) -> None:
         """Release pooled resources (idempotent): the dispatcher thread
         (joined after draining ready batches — quiescence contract,
-        DESIGN.md §15) and the WAL file handle (a crashed process
+        DESIGN.md §8) and the WAL file handle (a crashed process
         releases these for free; tests and drivers call it before
         recovering).
         A partial trailing micro-batch stays buffered; call ``flush()``
@@ -941,22 +780,17 @@ class RecommendationService:
                 f"user {user} outside universe of {self.dataset.num_nodes} nodes"
             )
         with self.tracer.span("serve.service.query"):
-            with self.metrics.histogram("latency.recommend_seconds").time():
+            with self._recommend_seconds.time():
                 snapshot = self.store.snapshot()  # pin: reads stay on one version
                 items = self.index.top_k(snapshot, int(user), int(k))
-        self.metrics.counter("serve.recommendations").inc()
-        self.metrics.counter("cache.hits").set(self.index.hits)
-        self.metrics.counter("cache.misses").set(self.index.misses)
-        self.metrics.counter("cache.evictions").set(self.index.evictions)
+        self._recommendations.inc()
         stale_by = self.queue.pending
         with self._state_lock:
-            in_flight = self._update_in_flight
-        if in_flight:
-            stale_by += self.config.batch_size
-            self.metrics.counter("serve.stale_serves").inc()
-        elif stale_by:
-            self.metrics.counter("serve.stale_serves").inc()
-        self.metrics.gauge("staleness.events_behind").set(stale_by)
+            if self._update_in_flight:
+                stale_by += self.config.batch_size
+        if stale_by:
+            self._stale_serves.inc()
+        self._events_behind.set(stale_by)
         return items, snapshot.version
 
     def query(self, user: int, k: int = 10) -> "QueryResult":
@@ -979,12 +813,8 @@ class RecommendationService:
             if admission.state == SHEDDING:
                 reason = "admission shedding"
             else:
-                high = (
-                    self.config.admission.staleness_highwater
-                    if self.config.admission is not None
-                    else None
-                )
-                if high is not None and self._staleness_seconds() >= high:
+                high = admission.config.staleness_highwater
+                if high is not None and self.queue.head_age() >= high:
                     reason = "staleness past watermark"
         items, version = self._serve(user, k)
         if reason:
@@ -1016,19 +846,21 @@ class RecommendationService:
         with self._state_lock:
             return self._clock
 
+    @property
+    def updates_applied(self) -> int:
+        """Micro-batches trained and published so far."""
+        with self._state_lock:
+            return self._updates_applied
+
     def stats(self) -> Dict[str, float]:
         """A flat convenience summary of the busiest metrics."""
-        with self._state_lock:
-            updates_applied = self._updates_applied
         return {
             "events_accepted": float(self.queue.accepted),
             "events_rejected": float(self.queue.rejected),
             "events_dropped": float(self.queue.dropped),
             "events_pending": float(self.queue.pending),
-            "updates_applied": float(updates_applied),
+            "updates_applied": float(self.updates_applied),
             "snapshot_version": float(self.store.version),
             "cache_hit_rate": self.index.hit_rate,
-            "recommend_p95_seconds": self.metrics.histogram(
-                "latency.recommend_seconds"
-            ).percentile(95.0),
+            "recommend_p95_seconds": self._recommend_seconds.percentile(95.0),
         }

@@ -1,6 +1,6 @@
 """WAL ledger records for admission decisions: shed, throttle, reasons.
 
-Covers the write-ahead decision ledger (DESIGN.md §15): shed/throttle
+Covers the write-ahead decision ledger (DESIGN.md §8): shed/throttle
 records round-trip with their reasons, replayers skip them (they journal
 policy, not state), ``decision_ledger`` aggregates them, and a service
 run with admission control reconciles ledger == controller == queue
@@ -104,7 +104,7 @@ class TestReplaySkipsLedgerOnlyKinds:
 
 
 class TestServiceReconciliation:
-    def _shedding_service(self, dataset, tmp_path):
+    def _shedding_service(self, dataset, tmp_path, shed_policy="reject"):
         return RecommendationService(
             dataset,
             config=ServeConfig(
@@ -113,7 +113,9 @@ class TestServiceReconciliation:
                 wal_path=str(tmp_path / "svc.wal"),
                 checkpoint_dir=str(tmp_path / "ckpts"),
                 admission=AdmissionConfig(
-                    depth_highwater=0.25, depth_lowwater=0.1
+                    depth_highwater=0.25,
+                    depth_lowwater=0.1,
+                    shed_policy=shed_policy,
                 ),
             ),
         )
@@ -139,6 +141,33 @@ class TestServiceReconciliation:
         assert svc.queue.shed == counts["shed"] + counts["throttled"]
         assert svc.queue.deadletters_by_reason()["shed"] == 4
         # zero reconciliation mismatches: ledger == controller == queue
+
+    def test_a_refused_offer_evicts_nothing_under_drop_head(
+        self, small_dataset, tmp_path
+    ):
+        svc = self._shedding_service(small_dataset, tmp_path, "drop_head")
+        edges = list(small_dataset.stream)
+        malformed = edges[0]._replace(t=float("nan"))
+        svc.queue.pause()
+        svc.ingest(edges[0])
+        svc.ingest(edges[1])  # depth 2/8 >= 0.25: SHEDDING from here on
+        for offer in (malformed, edges[2], malformed, edges[3]):
+            # a valid offer replaces the head, a refused one touches nothing
+            assert svc.ingest(offer) is (offer is not malformed)
+            assert svc.queue.pending == 2
+        assert svc.queue.buffered() == (edges[2], edges[3])
+        svc.queue.resume()
+        svc.flush()
+        svc.close()
+
+        ledger = decision_ledger(svc.config.wal_path)
+        counts = svc.admission.counts()
+        # one evict record per event actually buffered in place of a head
+        assert ledger["evict"] == {"shed: drop_head": 2}
+        assert counts["offered"] == 4 and counts["shed"] == 2
+        assert counts["admitted"] == svc.queue.accepted == 4
+        assert svc.queue.deadletters_by_reason() == {"shed": 2, "malformed": 2}
+        assert svc.queue.shed == 2 and svc.queue.rejected == 2
 
     def test_throttle_denials_reach_the_ledger(
         self, small_dataset, tmp_path

@@ -1,6 +1,6 @@
 """Dispatcher-thread lifecycle tests: idempotence, drain, crash routing.
 
-The :class:`DispatchWorker` contract (DESIGN.md §15): start/close are
+The :class:`DispatchWorker` contract (DESIGN.md §8): start/close are
 idempotent, ``close(drain=True)`` leaves at most a partial micro-batch
 behind, a crash escaping a dispatch round lands in ``on_error`` without
 killing the worker, and the whole producer/worker dance stays clean
@@ -219,3 +219,87 @@ class TestSanitized:
         # them went through the worker's drain path (none were dropped,
         # none left for flush)
         assert worker.events == 200
+
+    def test_service_hammer_sourced_metrics_equal_their_owners(self, small_dataset):
+        """The same 4-producer hammer through a whole service, scraped
+        while it runs: a sourced instrument reads its owner at export
+        time (no registry lock held, so no order inversion), and at
+        quiescence every one of them equals the tally it sources."""
+        from repro.obs.export import parse_prometheus_text, to_prometheus_text
+        from repro.serve.admission import AdmissionConfig
+        from repro.serve.service import RecommendationService, ServeConfig
+
+        edges = list(small_dataset.stream)
+        malformed = edges[0]._replace(edge_type="nope")
+        scrapes, done = [], threading.Event()
+        with threadcheck() as monitor:
+            svc = RecommendationService(
+                small_dataset,
+                config=ServeConfig(
+                    batch_size=4,
+                    capacity=8,
+                    overflow="drop_new",
+                    cache_size=2,
+                    async_dispatch=True,
+                    dispatch_poll_seconds=0.005,
+                    admission=AdmissionConfig(rate_per_user=1.0, burst=16.0),
+                ),
+            )
+
+            def produce(base):
+                for i in range(50):
+                    svc.ingest(malformed if i % 10 == 9 else edges[(base + i) % len(edges)])
+                    svc.recommend((base + i) % 5, k=3)
+
+            def scrape():
+                while not done.is_set():
+                    scrapes.append(to_prometheus_text(svc.metrics))
+
+            scraper = threading.Thread(target=scrape)
+            threads = [threading.Thread(target=produce, args=(b,)) for b in range(4)]
+            for t in [scraper] + threads:
+                t.start()
+            for t in threads:
+                t.join()
+            done.set()
+            scraper.join()
+            svc.close()
+            svc.flush()
+        assert monitor.inversions == [] and monitor.unguarded_writes == []
+        assert scrapes and "repro_ingest_accepted" in scrapes[-1]
+
+        value = {k: v["value"] for k, v in svc.metrics.as_dict().items() if "value" in v}
+        queue, index, counts = svc.queue, svc.index, svc.admission.counts()
+        owners = {
+            "ingest.accepted": queue.accepted,
+            "ingest.rejected": queue.rejected,
+            "ingest.dropped": queue.dropped,
+            "ingest.shed": queue.shed,
+            "ingest.late": 0,
+            "queue.pending": queue.pending,
+            "queue.depth_fraction": queue.pending / queue.capacity,
+            "admission.admitted": counts["admitted"],
+            "admission.throttled": counts["throttled"],
+            "admission.shed": counts["shed"],
+            "admission.escalations": counts["escalations"],
+            "admission.state": float(svc.admission.state == "shedding"),
+            "updates.applied": queue.batches_dispatched,
+            "cache.hits": index.hits,
+            "cache.misses": index.misses,
+            "cache.invalidated": index.invalidations,
+            "cache.evictions": index.evictions,
+            "cache.warmed": index.warmed,
+            "store.compactions": svc.store.compactions,
+            "store.version": svc.store.version,
+        }
+        assert {name: value[name] for name in owners} == owners
+        # every offer was judged exactly once, and the export agrees
+        assert value["ingest.offered"] == 200 == (
+            queue.accepted + queue.rejected + queue.dropped + queue.shed
+        )
+        assert queue.rejected == 20 and queue.pending == 0
+        assert counts["throttled"] > 0 and queue.batches_dispatched > 0
+        assert index.hits + index.misses == value["serve.recommendations"] == 200
+        series = parse_prometheus_text(to_prometheus_text(svc.metrics))
+        assert series["repro_ingest_accepted"] == queue.accepted
+

@@ -115,7 +115,7 @@ class TestBackpressure:
         assert not q.put(edge(99))
         assert q.pending == 3
         assert q.dropped == 1
-        assert [e.u for e in q._buffer] == [0, 1, 2]
+        assert [e.u for e in q.buffered()] == [0, 1, 2]
         assert q.deadletters[-1].edge.u == 99
 
     def test_drop_oldest_policy(self):
@@ -123,7 +123,7 @@ class TestBackpressure:
         assert q.put(edge(99))
         assert q.pending == 3
         assert q.dropped == 1
-        assert [e.u for e in q._buffer] == [1, 2, 99]
+        assert [e.u for e in q.buffered()] == [1, 2, 99]
         assert q.deadletters[-1].edge.u == 0
 
 
@@ -166,7 +166,7 @@ class TestDeadletterTrimRegression:
             q.put(edge(i))
         assert q.deadletters == []
         assert q.rejected == 6
-        assert q.reason_counts["bad"] == 6
+        assert q.reason_counts["malformed"] == 6  # a validator refusal, by kind
 
 
 class TestLateEvents:
@@ -289,22 +289,35 @@ class TestConcurrentPut:
 
         from repro.analysis import threadcheck
 
-        batches, accepted_order = [], []
+        batches, accepted_order, cuts = [], [], []
 
         def handler(batch):
             batches.append(list(batch))
             time.sleep(0.0005)  # long enough for the other producers to pile up
 
-        def journal(kind, edge_, count, reason):
-            if kind == "accept":
+        class RecordingJournal:
+            """The five ``append_*`` methods of the write-ahead log."""
+
+            def append_accept(self, edge_):
                 accepted_order.append(edge_)
+
+            def append_evict(self, edge_, reason=""):
+                raise AssertionError("overflow='raise' never evicts")
+
+            append_shed = append_throttle = append_evict
+
+            def append_batch(self, count):
+                cuts.append(count)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with threadcheck() as monitor:
                 q = EventQueue(
-                    handler, batch_size=8, capacity=self.CAPACITY, journal=journal
+                    handler,
+                    batch_size=8,
+                    capacity=self.CAPACITY,
+                    journal=RecordingJournal(),
                 )
                 raised = [0] * self.THREADS
 
@@ -334,6 +347,7 @@ class TestConcurrentPut:
         assert monitor.inversions == [] and monitor.unguarded_writes == []
         assert q.accepted + sum(raised) == self.THREADS * self.PER_THREAD
         assert len(accepted_order) == q.accepted
+        assert cuts == [len(b) for b in batches]  # every cut journaled, in order
 
         single_batches, single_handler = collector()
         single = EventQueue(single_handler, batch_size=8, capacity=self.CAPACITY)

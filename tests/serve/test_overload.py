@@ -104,6 +104,22 @@ class TestDegradedQuery:
         assert not svc.query(0, k=3).degraded
 
 
+    def test_staleness_watermark_runs_on_the_default_clock(self, small_dataset):
+        """``clock_fn=None`` stamps with ``time.monotonic``: the staleness
+        watermark degrades reads and escalates admission without it."""
+        svc = make_service(
+            small_dataset, admission=AdmissionConfig(staleness_highwater=0.01)
+        )
+        edges = list(small_dataset.stream)
+        assert svc.ingest(edges[0])  # buffered; batch not full yet
+        time.sleep(0.03)  # the buffered head is now past the watermark
+        result = svc.query(0, k=3)
+        assert result.degraded and result.reason == "staleness past watermark"
+        assert not svc.ingest(edges[1])  # escalated on head age: shed
+        assert svc.admission.state == "shedding"
+        assert svc.deadletters[-1].reason == "shed: reject"
+
+
 class TestAsyncInlineParity:
     def test_drained_async_run_is_bitwise_identical_to_inline(
         self, small_dataset
@@ -252,6 +268,73 @@ class TestShedAccounting:
         assert svc.metrics.counter("ingest.rejected").value == 1
 
 
+class TestOneIntakeDecision:
+    """``EventQueue.put`` judges an offer once: validate → late → admit →
+    capacity → journal → buffer, in one hold of the queue lock."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            StreamEdge("abc", 1, "click", 1.0),  # non-integer ids
+            StreamEdge(0, 10**6, "click", 1.0),  # outside the universe
+            StreamEdge(0, 5, "nope", 1.0),  # unknown edge type
+            StreamEdge(0, 5, "click", math.inf),  # non-finite timestamp
+        ],
+    )
+    def test_malformed_offers_never_reach_admission(self, small_dataset, bad):
+        svc = make_service(
+            small_dataset,
+            admission=AdmissionConfig(rate_per_user=0.001, burst=1.0),
+        )
+        assert svc.ingest(bad) is False
+        assert svc.deadletters[-1].reason.startswith("malformed: ")
+        assert svc.queue.rejected == 1 and svc.queue.shed == 0
+        # validation of outside input precedes policy: nothing offered to
+        # the controller, no bucket opened, no token charged
+        assert svc.admission.offered == 0
+        assert svc.admission.tracked_users == 0
+        assert svc.ingest(StreamEdge(0, 5, "click", 1.0))  # user 0's one token
+
+    def test_late_offers_never_reach_admission(self, small_dataset):
+        svc = make_service(
+            small_dataset,
+            late_tolerance=1.0,
+            admission=AdmissionConfig(rate_per_user=0.001, burst=2.0),
+        )
+        assert svc.ingest(StreamEdge(0, 5, "click", 10.0))
+        assert svc.ingest(StreamEdge(0, 5, "click", 5.0)) is False
+        assert svc.deadletters[-1].reason.startswith("late event")
+        assert svc.admission.offered == 1
+        assert svc.metrics.counter("ingest.late").value == 1
+        assert svc.ingest(StreamEdge(0, 6, "click", 11.0))  # the second token
+
+    def test_ingest_holds_the_queue_lock_once_plus_once_per_cut(
+        self, small_dataset
+    ):
+        from repro.analysis import threadcheck
+
+        edges = list(small_dataset.stream)
+        with threadcheck() as monitor:
+            svc = make_service(
+                small_dataset,
+                batch_size=4,
+                admission=AdmissionConfig(rate_per_user=100.0),
+            )
+
+            def holds(offer):
+                before = monitor.acquisitions.get("EventQueue._lock", 0)
+                svc.ingest(offer)
+                return monitor.acquisitions["EventQueue._lock"] - before
+
+            assert [holds(e) for e in edges[:3]] == [1, 1, 1]
+            assert holds(StreamEdge(0, 5, "click", math.nan)) == 1  # refused
+            assert holds(edges[3]) == 2  # the accept, then the inline cut
+            assert svc.queue.batches_dispatched == 1
+        assert monitor.inversions == [] and monitor.unguarded_writes == []
+        # the controller is consulted inside the intake decision
+        assert ("EventQueue._lock", "AdmissionController._lock") in monitor.order_edges()
+
+
 class TestNobodyWaitsOnAnUpdate:
     """An update holds the dispatch mutex, never the queue lock: with the
     handler parked mid-update every ingest- and read-side call still
@@ -290,7 +373,6 @@ class TestNobodyWaitsOnAnUpdate:
                 results["put"] = svc.queue.put(edges[4])
                 results["pending"] = svc.queue.pending
                 results["has_ready"] = svc.queue.has_ready
-                results["shed"] = svc.queue.shed_oldest("shed: test")
                 results["ingest"] = [svc.ingest(e) for e in edges[5:14]]
                 results["recommend"] = svc.recommend(0, k=3)
                 results["query"] = svc.query(0, k=3)
@@ -317,13 +399,13 @@ class TestNobodyWaitsOnAnUpdate:
             svc.close()
 
         assert results["put"] is True and results["pending"] == 1
-        assert results["has_ready"] is False and results["shed"] == edges[4]
+        assert results["has_ready"] is False
         assert results["ingest"] == [True] * 9
         assert len(results["recommend"]) == 3 and not results["query"].degraded
         # flush waited for the batch in flight, then everything drained
         # FIFO in count-cut batches, whichever thread cut them
-        assert [len(b) for b in trained] == [4, 4, 4, 1]
-        assert [e for b in trained for e in b] == edges[:4] + edges[5:14]
+        assert [len(b) for b in trained] == [4, 4, 4, 2]
+        assert [e for b in trained for e in b] == edges[:14]
         assert svc.queue.pending == 0
         assert monitor.inversions == [] and monitor.unguarded_writes == []
         assert ("EventQueue._dispatch_lock", "EventQueue._lock") in monitor.order_edges()

@@ -238,9 +238,11 @@ class TestParityAndMetrics:
         assert svc.metrics.counter("cache.misses").value == 2
 
     def test_concurrent_ingest_never_fails_on_its_metrics_mirror(self, small_dataset):
-        """Eight producers race the read-then-set mirror of the queue's
-        tallies; a slower thread's older reading must be dropped, never
-        raised out of an ``ingest()`` whose event was already accepted."""
+        """Eight producers race ``ingest()``.  The registry used to mirror
+        the queue's tallies read-then-set (a slower thread's older reading
+        raised ``ValueError``); the instruments are sourced now, so nothing
+        can raise out of an ``ingest()`` whose event was already accepted
+        and the export reads the owner's exact total."""
         threads, per_thread = 8, 1500
         svc = make_service(small_dataset, capacity=threads * per_thread)
         svc.queue.pause()  # buffer only: the race is in ingest, not training
@@ -250,7 +252,7 @@ class TestParityAndMetrics:
             try:
                 for i in range(per_thread):
                     svc.ingest(StreamEdge(worker % 5, 5, "click", float(i)))
-            except Exception as exc:  # the regression: ValueError from Counter.set
+            except Exception as exc:  # the regression: ValueError from the mirror
                 errors.append(exc)
 
         interval = sys.getswitchinterval()

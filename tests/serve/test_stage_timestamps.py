@@ -1,10 +1,11 @@
 """Per-event stage timestamps: queue-wait attribution inside the service.
 
-With ``ServeConfig.clock_fn`` set, every accepted event is stamped at
-admission and its wait until the batch cut lands in the HDR-backed
-``latency.queue_wait_seconds`` histogram; each update's train and
-publish phases land in ``stage.train_seconds`` / ``stage.publish_seconds``.
-A fake clock makes the waits exact.
+The queue stamps every accepted event as it buffers it (on
+``ServeConfig.clock_fn``, ``time.monotonic`` by default) and its wait
+until the batch cut lands in the bucketed ``latency.queue_wait_seconds``
+histogram; each update's train and publish phases land in
+``stage.train_seconds`` / ``stage.publish_seconds``.  A fake clock makes
+the waits exact.
 """
 
 import itertools
@@ -48,13 +49,15 @@ class TestQueueWaitStamps:
         assert 4.0 <= waits.percentile(99.0) <= 4.0 * (1 + waits.relative_error)
         svc.close()
 
-    def test_no_clock_no_stamps(self, small_dataset, small_stream):
+    def test_default_clock_is_monotonic(self, small_dataset, small_stream):
+        """``clock_fn=None`` is ``time.monotonic``, not "no stamps"."""
         svc = RecommendationService(
             small_dataset, config=ServeConfig(batch_size=4, capacity=16)
         )
         for edge in list(small_stream)[:4]:
             svc.ingest(edge)
-        assert svc.metrics.histogram("latency.queue_wait_seconds").count == 0
+        waits = svc.metrics.histogram("latency.queue_wait_seconds")
+        assert waits.count == 4 and 0.0 <= waits.sum < 60.0
         svc.close()
 
     def test_flush_stamps_the_partial_batch(self, small_dataset, small_stream):
@@ -67,6 +70,7 @@ class TestQueueWaitStamps:
         svc.close()
 
     def test_evicted_events_drop_their_stamps(self, small_dataset, small_stream):
+        """Accept / evict / cut keep each wait with its own event."""
         svc = make_service(
             small_dataset,
             TickClock(),
@@ -75,28 +79,33 @@ class TestQueueWaitStamps:
             overflow="drop_oldest",
         )
         edges = list(small_stream)
-        # Fill to capacity without cutting a batch is impossible here
-        # (capacity == batch_size), so drive the journal hook directly:
-        # accept 2, evict 1, then a 1-event batch must observe 1 wait.
-        svc._journal_decision("accept", edges[0], 0)
-        svc._journal_decision("accept", edges[1], 0)
-        svc._journal_decision("evict", edges[0], 0)
-        assert len(svc._accept_times) == 1
-        svc._journal_decision("batch", None, 1)
-        assert svc.metrics.histogram("latency.queue_wait_seconds").count == 1
-        assert len(svc._accept_times) == 0
+        svc.queue.pause()  # capacity == batch_size: fill without cutting
+        for edge in edges[:4]:  # stamps 0, 1, 2, 3
+            assert svc.ingest(edge)
+        assert svc.ingest(edges[4])  # stamp 4; evicts the head (stamp 0)
+        assert svc.queue.dropped == 1
+        assert svc.queue.head_age() == 5.0 - 1.0  # the head is now stamp 1
+        svc.flush()  # one cut at t=6: waits 6-1, 6-2, 6-3, 6-4
+        waits = svc.metrics.histogram("latency.queue_wait_seconds")
+        assert waits.count == 4
+        assert waits.sum == pytest.approx(5 + 4 + 3 + 2)
+        assert svc.queue.head_age() == 0.0  # nothing buffered
         svc.close()
 
-    def test_recovery_preload_mismatch_clears_stamps(self, small_dataset, small_stream):
-        """preload() buffers events without journaling acceptance; a
-        batch larger than the stamp deque must drop the partial stamps
-        rather than misattribute waits across a restart."""
+    def test_preloaded_events_observe_no_wait(self, small_dataset, small_stream):
+        """preload() restores events journaled in a previous process
+        life: they carry no stamp, so a batch that mixes them with live
+        accepts observes the live waits only — never a wait measured
+        across the restart."""
         svc = make_service(small_dataset, TickClock(), batch_size=4)
         edges = list(small_stream)
-        svc._journal_decision("accept", edges[0], 0)  # one stamped event
-        svc._journal_decision("batch", None, 3)  # batch includes preloads
-        assert svc.metrics.histogram("latency.queue_wait_seconds").count == 0
-        assert len(svc._accept_times) == 0
+        svc.queue.preload(edges[:2])
+        assert svc.queue.head_age() == 0.0  # a preloaded head has no age
+        svc.ingest(edges[2])  # stamp 1 (head_age read tick 0)
+        svc.ingest(edges[3])  # stamp 2; completes the batch, cut at t=3
+        waits = svc.metrics.histogram("latency.queue_wait_seconds")
+        assert waits.count == 2
+        assert waits.sum == pytest.approx((3 - 1) + (3 - 2))
         svc.close()
 
 
