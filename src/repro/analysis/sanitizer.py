@@ -358,10 +358,7 @@ def default_audits() -> List[Audit]:
         audit(
             WalTailer,
             "_lock",
-            {
-                "_segment", "_offset", "_next_seq", "_bytes_read",
-                "_records_read", "_backlog_bytes",
-            },
+            {"_position", "_bytes_read", "_records_read", "_backlog_bytes"},
         ),
         audit(
             ReplicationFollower,

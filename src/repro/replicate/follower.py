@@ -1,11 +1,12 @@
 """The follower role: bootstrap from a checkpoint, tail the WAL, serve.
 
 A :class:`ReplicationFollower` is crash recovery that never stops: it
-restores from the newest shipped checkpoint with recovery's own
-:func:`~repro.resilience.recovery.restore_service`, then feeds every
-record a :class:`~repro.resilience.wal.WalTailer` :meth:`poll` returns
-through recovery's own :class:`~repro.resilience.recovery.QueueLogState`
-into its store and index.  By the replay argument of
+bootstraps with recovery's own
+:func:`~repro.resilience.recovery.catch_up` over the shipped directory,
+read through one :class:`~repro.resilience.wal.WalTailer`, then feeds
+every record that tailer's later :meth:`poll` calls return through
+recovery's own :class:`~repro.resilience.recovery.QueueLogState` into
+its store and index.  By the replay argument of
 :mod:`repro.resilience.recovery` its published snapshots are bitwise
 equal to the primary's at every applied sequence number.
 
@@ -19,7 +20,7 @@ hard refusal past ``max_lag_records``.
 Promotion (:meth:`promote`) is the failover state machine's last step:
 drain the shipped log to its end, *inherit* it — the segments are
 copied into the replica's own directory so the new timeline keeps the
-full decision history — flip the service writable, preload the
+full decision history — flip the service writable, restore the
 surviving FIFO residue, and checkpoint immediately so the promoted
 node is recoverable from its own state from the first post-promotion
 event.
@@ -46,14 +47,8 @@ from repro.core.inslearn import InsLearnConfig
 from repro.datasets.base import Dataset
 from repro.graph.streams import EdgeStream, StreamEdge
 from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
-from repro.resilience.checkpoint import CheckpointManager
-from repro.resilience.recovery import (
-    QueueLogState,
-    RecoveryError,
-    fold_queue_log,
-    restore_service,
-)
-from repro.resilience.wal import WalRecord, WalTailer, iter_records, segment_paths
+from repro.resilience.recovery import QueueLogState, RecoveryError, catch_up
+from repro.resilience.wal import WalRecord, WalTailer, segment_paths
 from repro.serve.service import RecommendationService, ServeConfig
 
 #: follower lifecycle states (the promote state machine, DESIGN.md §13)
@@ -152,49 +147,49 @@ class ReplicationFollower:
     # -------------------------------------------------------------- bootstrap
 
     def bootstrap(self) -> "ReplicationFollower":
-        """Restore from the newest shipped checkpoint + WAL prefix, drain
-        whatever suffix already exists and warm the read cache.  Returns
-        ``self`` for chaining."""
+        """Catch up with the shipped directory — recovery's own
+        :func:`~repro.resilience.recovery.catch_up` over one tailer
+        drained to quiescence — keep the queue it ends with as the
+        mirror, and warm the read cache.  The tailer stays where the
+        catch-up stopped.  Returns ``self`` for chaining."""
         if self.service is not None:
             raise ReplicationError("follower is already bootstrapped")
-        shipped_wal = wal_path(self.state_dir)
-        manager = CheckpointManager(checkpoint_dir(self.state_dir))
-        ckpt = manager.latest()
-        base_seq = ckpt.seq if ckpt is not None else 0
+        tailer = WalTailer(wal_path(self.state_dir))
         with _replication_errors():
-            prefix = fold_queue_log(iter_records(shipped_wal), upto_seq=base_seq)
-            service = restore_service(
+            caught = catch_up(
                 self.dataset,
                 self._serve_config,
-                ckpt,
-                prefix,
+                checkpoint_dir(self.state_dir),
+                self._shipped(tailer),
                 self._model_config,
                 self._train_config,
                 self._trace,
             )
-        for name in (
-            "replica.records_applied",
-            "replica.batches_applied",
-            "replica.heartbeats_seen",
-            "replica.bytes_shipped",
-        ):
-            service.metrics.counter(name)
-        for name in (
-            "replica.seq_lag",
-            "replica.lag_seconds",
-            "replica.backlog_bytes",
-        ):
-            service.metrics.gauge(name)
+        service = caught.service
+        service.metrics.gauge("replica.lag_seconds")  # set by a heartbeat
+        service.metrics.counter("replica.batches_applied").inc(
+            caught.replayed_batches
+        )
         self.service = service
+        self.tailer = tailer
         with self._lock:
-            # the trained prefix is in the model now; mirror the rest
-            self._log = replace(prefix, trained=[])
-            self._last_seq_applied = base_seq
+            self._log = caught.log
+            self._lag_records = caught.last_seq - caught.checkpoint_seq
             self._state = TAILING
-        self.tailer = WalTailer(shipped_wal, from_seq=base_seq + 1)
-        self.poll()  # drain the suffix that already exists on disk
+        self._publish_lag()
         service.warm_cache()
         return self
+
+    def _shipped(self, tailer: WalTailer) -> Iterator[WalRecord]:
+        """Drain ``tailer`` to quiescence, observing each record as it
+        passes (the catch-up folds and retrains them)."""
+        while True:
+            records = tailer.poll()
+            if not records:
+                return
+            for record in records:
+                self._observe(record)
+                yield record
 
     # ---------------------------------------------------------------- tailing
 
@@ -207,43 +202,49 @@ class ReplicationFollower:
         """
         if self.tailer is None:
             raise ReplicationError("call bootstrap() before poll()")
-        before = self.tailer.bytes_read
         records = self.tailer.poll(max_records=max_records)
         with self._lock:
             self._lag_records = len(records)
         for record in records:
             self._apply(record)
-        self._publish_lag(applied=len(records), bytes_before=before)
+        self._publish_lag()
         return len(records)
 
     def _apply(self, record: WalRecord) -> None:
         """Replay one shipped record into the replica's state."""
-        now = self._clock() if record.kind == "heartbeat" else None
         with self._lock, _replication_errors():
             chunk = self._log.apply(record)
-            if now is not None:
-                self._heartbeats_seen += 1
-                self._last_hb_primary_t = record.t
-                self._last_hb_seen_at = now
-            self._last_seq_applied = record.seq
+        self._observe(record)
         if chunk is None:
             return
         # batch: hand the chunk to the deterministic replay machinery
         self.service.apply_recovered_batch(EdgeStream(chunk))
         self.service.metrics.counter("replica.batches_applied").inc()
 
-    def _publish_lag(self, applied: int, bytes_before: int) -> None:
+    def _observe(self, record: WalRecord) -> None:
+        """Move the replication position past ``record``; a heartbeat
+        also refreshes the primary's liveness."""
+        now = self._clock() if record.kind == "heartbeat" else None
+        with self._lock:
+            if now is not None:
+                self._heartbeats_seen += 1
+                self._last_hb_primary_t = record.t
+                self._last_hb_seen_at = now
+            self._last_seq_applied = record.seq
+
+    def _publish_lag(self) -> None:
         """Refresh the staleness observables after a poll."""
         metrics = self.service.metrics
         now = self._clock()
         with self._lock:
             hb_t = self._last_hb_primary_t
-        metrics.counter("replica.records_applied").inc(applied)
-        metrics.counter("replica.bytes_shipped").inc(
-            max(0, self.tailer.bytes_read - bytes_before)
-        )
-        metrics.counter("replica.heartbeats_seen").set(self.heartbeats_seen)
-        metrics.gauge("replica.seq_lag").set(applied)
+            heartbeats = self._heartbeats_seen
+            applied_seq = self._last_seq_applied  # seqs count from 1
+            lag = self._lag_records
+        metrics.counter("replica.records_applied").set(applied_seq)
+        metrics.counter("replica.bytes_shipped").set(self.tailer.bytes_read)
+        metrics.counter("replica.heartbeats_seen").set(heartbeats)
+        metrics.gauge("replica.seq_lag").set(lag)
         metrics.gauge("replica.backlog_bytes").set(self.tailer.backlog_bytes)
         if hb_t is not None:
             metrics.gauge("replica.lag_seconds").set(max(0.0, now - hb_t))
@@ -301,8 +302,8 @@ class ReplicationFollower:
            history (its own ``recover()`` replays it end to end);
         3. attach — open the inherited WAL + a fresh checkpoint manager
            on the service and flip it writable;
-        4. restore — preload the surviving FIFO residue and the
-           accepted-event ledger into the queue;
+        4. restore — hand the surviving FIFO residue, accepted-event
+           ledger and watermark over to the queue;
         5. checkpoint — immediately, so the promoted node is
            recoverable without replaying the whole inherited log.
         """

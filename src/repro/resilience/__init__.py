@@ -10,9 +10,9 @@ Four pieces, composing into crash recovery with bitwise parity:
 * :mod:`~repro.resilience.checkpoint` — atomic (write-temp + rename)
   snapshots of the full learned state: ``SUPA.state_dict()``, both RNG
   streams, the queue residue and the WAL position;
-* :mod:`~repro.resilience.recovery` — :func:`recover` rebuilds a
-  service from the newest valid checkpoint plus a WAL-suffix replay,
-  **bitwise identical** to a run that never crashed;
+* :mod:`~repro.resilience.recovery` — :func:`catch_up` turns the
+  newest valid checkpoint plus one read of the WAL into a service
+  **bitwise identical** to one that never crashed (:func:`recover`);
 * :mod:`~repro.resilience.faults` — a seeded fault-injection plan and
   :class:`ChaosReplayDriver` that replays a dataset's stream while
   injecting malformed / late / duplicate / burst / crash faults, then
@@ -35,7 +35,7 @@ from repro.resilience.recovery import (
     QueueLogState,
     RecoveryError,
     RecoveryResult,
-    fold_queue_log,
+    catch_up,
     recover,
 )
 from repro.resilience.wal import (
@@ -60,7 +60,7 @@ __all__ = [
     "QueueLogState",
     "RecoveryError",
     "RecoveryResult",
-    "fold_queue_log",
+    "catch_up",
     "recover",
     "WalRecord",
     "WalTailError",

@@ -1,9 +1,11 @@
-"""Crash recovery: newest valid checkpoint + WAL-suffix replay.
+"""Catch-up: newest valid checkpoint + one pass over the WAL.
 
-:func:`recover` rebuilds a :class:`~repro.serve.service.RecommendationService`
-whose learned state is **bitwise identical** to the crashed process at
-its last journaled decision — the same golden-parity discipline as
-``tests/core/test_engine_parity.py``.  The argument, step by step:
+:func:`catch_up` builds a :class:`~repro.serve.service.RecommendationService`
+whose learned state is **bitwise identical** to the writer's at its last
+journaled decision — the same golden-parity discipline as
+``tests/core/test_engine_parity.py``.  :func:`recover` (crash recovery)
+and a replication follower's bootstrap are its two callers.  The
+argument, step by step:
 
 1. The WAL (:mod:`repro.resilience.wal`) is the queue's decision log:
    ``accept``/``evict``/``batch`` records written *before* each state
@@ -26,14 +28,11 @@ its last journaled decision — the same golden-parity discipline as
 4. Replaying the post-checkpoint ``batch`` records through
    ``train_one_batch`` with the restored ``updates_applied`` as
    ``batch_index`` then re-derives every post-checkpoint update
-   bit-for-bit; the surviving FIFO tail is preloaded back into the
-   queue as residue.
+   bit-for-bit; the surviving FIFO tail is handed back to the queue
+   as residue.
 
-With no usable checkpoint, recovery degrades gracefully to replaying
+With no usable checkpoint, the catch-up degrades gracefully to replaying
 the *entire* WAL from a fresh model — slower, same parity guarantee.
-The WAL is streamed (:func:`~repro.resilience.wal.iter_records`), never
-materialised whole, so recovery memory is bounded by the *learned*
-state, not the log length.
 """
 
 from __future__ import annotations
@@ -63,21 +62,26 @@ class RecoveryError(RuntimeError):
 
 @dataclass
 class RecoveryResult:
-    """What :func:`recover` rebuilt, plus replay accounting."""
+    """What :func:`catch_up` built, plus replay accounting."""
 
     service: RecommendationService
-    #: WAL position of the checkpoint recovery started from (0 = none)
+    #: the queue the log ends with — residue, accepted ledger, watermark
+    #: (its trained events live in the model now: ``trained`` is empty)
+    log: QueueLogState
+    #: WAL position of the checkpoint the catch-up started from (0 = none)
     checkpoint_seq: int
+    #: last WAL record folded
+    last_seq: int
     #: accept records re-applied from the WAL suffix
     replayed_events: int
     #: micro-batches re-trained from the WAL suffix
     replayed_batches: int
-    #: events restored into the queue buffer (accepted, never trained)
+    #: events left in ``log.fifo`` (accepted, never trained)
     residue_events: int
-    #: torn/corrupt trailing records the WAL scan dropped
-    torn_records_dropped: int
-    #: wall-clock seconds the whole recovery took
-    recovery_seconds: float
+    #: torn/corrupt trailing records the WAL scan dropped (``recover`` only)
+    torn_records_dropped: int = 0
+    #: wall-clock seconds the whole recovery took (``recover`` only)
+    recovery_seconds: float = 0.0
 
 
 @dataclass
@@ -126,28 +130,7 @@ class QueueLogState:
         """Give ``service`` the queue this log ends with: residue
         buffered, accepted-event ledger and late-event watermark
         continued (every ``accept`` on record is one it inherits)."""
-        if self.fifo:
-            service.queue.preload(self.fifo)
-        service.queue.restore_accounting(
-            accepted=self.accepted, max_timestamp=self.watermark
-        )
-
-
-def fold_queue_log(
-    records: Iterable[WalRecord], upto_seq: Optional[int] = None
-) -> QueueLogState:
-    """Fold queue decisions up to ``upto_seq`` into a :class:`QueueLogState`.
-
-    Accepts any record iterable — a :func:`~repro.resilience.wal.iter_records`
-    stream or an in-memory list — and stops without exhausting it once
-    ``upto_seq`` is passed.
-    """
-    state = QueueLogState()
-    for record in records:
-        if upto_seq is not None and record.seq > upto_seq:
-            break
-        state.trained.extend(state.apply(record) or ())
-    return state
+        service.queue.restore(self.fifo, self.accepted, self.watermark)
 
 
 def restore_service(
@@ -194,10 +177,66 @@ def restore_service(
     if ckpt is not None:
         service.trainer.set_rng_state(ckpt.trainer_rng_state)
     service.restore_runtime(
-        updates_applied=ckpt.updates_applied if ckpt is not None else 0,
-        max_timestamp=prefix.watermark,
+        updates_applied=ckpt.updates_applied if ckpt is not None else 0
     )
     return service
+
+
+def catch_up(
+    dataset: Dataset,
+    serve_config: ServeConfig,
+    checkpoint_dir: str,
+    records: Iterable[WalRecord],
+    model_config: Optional[SUPAConfig] = None,
+    train_config: Optional[InsLearnConfig] = None,
+    trace: bool = False,
+) -> RecoveryResult:
+    """The one catch-up: newest checkpoint + log → a running service.
+
+    ``records`` is the log from seq 1, read once: batches cut up to the
+    checkpoint's seq are only observed (the checkpoint holds their
+    learning), later ones retrain through ``apply_recovered_batch``.  A
+    checkpoint newer than the log is refused — no history produces that
+    state.  Handing the queue over, or mirroring it, is the caller's job.
+    """
+    ckpt = CheckpointManager(checkpoint_dir).latest()
+    base_seq = ckpt.seq if ckpt is not None else 0
+    state = QueueLogState()
+    prefix: Optional[QueueLogState] = None
+    suffix_batches: List[List[StreamEdge]] = []
+    last_seq = 0
+    for record in records:
+        if prefix is None and record.seq > base_seq:
+            prefix = replace(state, fifo=list(state.fifo))
+        chunk = state.apply(record)
+        if chunk is not None:
+            if prefix is None:
+                state.trained.extend(chunk)
+            else:
+                suffix_batches.append(chunk)
+        last_seq = record.seq
+    if base_seq > last_seq:
+        raise RecoveryError(
+            f"WAL ends at seq {last_seq} but the newest "
+            f"checkpoint covers seq {base_seq} (log truncated?)"
+        )
+    if prefix is None:  # the log ends at the checkpoint
+        prefix = state
+    service = restore_service(
+        dataset, serve_config, ckpt, prefix, model_config, train_config, trace
+    )
+    for chunk in suffix_batches:
+        service.apply_recovered_batch(EdgeStream(chunk))
+    state.trained = []
+    return RecoveryResult(
+        service=service,
+        log=state,
+        checkpoint_seq=base_seq,
+        last_seq=last_seq,
+        replayed_events=state.accepted - prefix.accepted,
+        replayed_batches=len(suffix_batches),
+        residue_events=len(state.fifo),
+    )
 
 
 def recover(
@@ -207,7 +246,9 @@ def recover(
     train_config: Optional[InsLearnConfig] = None,
     trace: bool = False,
 ) -> RecoveryResult:
-    """Rebuild the service from ``serve_config``'s WAL + checkpoints.
+    """Rebuild the service from ``serve_config``'s WAL + checkpoints:
+    :func:`catch_up` over the log, then hand the queue over and warm the
+    read cache.
 
     ``model_config`` / ``train_config`` must match the crashed process's
     (recovery re-derives, it does not store hyper-parameters); omitted
@@ -220,49 +261,24 @@ def recover(
         )
     timer = Timer()
     with timer:
-        manager = CheckpointManager(serve_config.checkpoint_dir)
-        ckpt = manager.latest()
         status = scan(serve_config.wal_path, collect_records=False)
-        base_seq = ckpt.seq if ckpt is not None else 0
-        if base_seq > status.last_seq:
-            raise RecoveryError(
-                f"WAL ends at seq {status.last_seq} but the newest "
-                f"checkpoint covers seq {base_seq} (log truncated?)"
-            )
-        # one pass: batches cut up to the checkpoint are only observed
-        # (the checkpoint holds their learning), later ones retrain
-        state = QueueLogState()
-        prefix: Optional[QueueLogState] = None
-        suffix_batches: List[List[StreamEdge]] = []
-        for record in iter_records(serve_config.wal_path):
-            if prefix is None and record.seq > base_seq:
-                prefix = replace(state, fifo=list(state.fifo))
-            chunk = state.apply(record)
-            if chunk is not None:
-                if prefix is None:
-                    state.trained.extend(chunk)
-                else:
-                    suffix_batches.append(chunk)
-        if prefix is None:  # the log ends at the checkpoint
-            prefix = state
-
-        # the service's WAL reopens self-repairing and keeps appending
-        # from last_seq
-        service = restore_service(
-            dataset, serve_config, ckpt, prefix, model_config, train_config, trace
+        # the service's WAL reopens self-repairing once the pass is done
+        # and keeps appending from last_seq
+        result = catch_up(
+            dataset,
+            serve_config,
+            serve_config.checkpoint_dir,
+            iter_records(serve_config.wal_path),
+            model_config,
+            train_config,
+            trace,
         )
-        for chunk in suffix_batches:
-            service.apply_recovered_batch(EdgeStream(chunk))
-        state.hand_over(service)
-        replayed_events = state.accepted - prefix.accepted
-        service.metrics.counter("recovery.replayed_events").inc(replayed_events)
+        service = result.service
+        result.log.hand_over(service)
+        service.metrics.counter("recovery.replayed_events").inc(
+            result.replayed_events
+        )
         service.warm_cache()
-    return RecoveryResult(
-        service=service,
-        checkpoint_seq=base_seq,
-        replayed_events=replayed_events,
-        replayed_batches=len(suffix_batches),
-        residue_events=len(state.fifo),
-        torn_records_dropped=status.dropped_records,
-        recovery_seconds=timer.elapsed,
-    )
+    result.torn_records_dropped = status.dropped_records
+    result.recovery_seconds = timer.elapsed
+    return result

@@ -52,8 +52,9 @@ import json
 import os
 import threading
 import zlib
+from itertools import islice
 from dataclasses import dataclass, field
-from typing import IO, Dict, Iterator, List, Optional, Tuple
+from typing import IO, Dict, Generator, Iterator, List, Optional, Tuple
 
 from repro.graph.streams import StreamEdge
 
@@ -214,50 +215,98 @@ def _count_lines(data: bytes) -> int:
     return sum(1 for piece in data.split(b"\n") if piece)
 
 
-def iter_records(path: str, from_seq: int = 1) -> Iterator[WalRecord]:
-    """Stream the valid record prefix of ``path`` from ``from_seq`` on.
+#: how a read of the log can end — the cursor's typed stop
+EOF, TORN, INVALID, GAP, VANISHED = "eof", "torn", "invalid", "gap", "vanished"
 
-    Unlike :func:`scan` this never materialises the log: records are
-    decoded one line at a time across all segments, and segments whose
-    name proves they end before ``from_seq`` are skipped without being
-    read.  Iteration ends at the first torn/invalid/out-of-sequence
-    line — the same valid-prefix contract as :func:`scan`.
+
+class _Cursor:
+    """The one reader: every parse of the log is a walk of this cursor.
+
+    It owns segment listing, line framing, ``_decode``, seq continuity
+    and the ``(segment, offset, next_seq)`` position, which only ever
+    advances past complete, valid, in-sequence records.  Iterating
+    yields those records from the position on and leaves in ``stop`` why
+    the walk ended: ``eof`` (every listed segment read to its end),
+    ``torn`` (an unterminated final line), ``invalid`` (a terminated
+    line that fails to parse or checksum), ``gap`` (a record or a
+    segment name out of sequence) or ``vanished`` (the resumed-from
+    segment is gone).  ``stop`` stays ``None`` while the consumer has
+    not drained the walk.  A fresh cursor starts before the first
+    segment at seq 1; there is no seek.
     """
-    from_seq = max(1, int(from_seq))
-    segments = segment_paths(path)
-    if not segments:
-        return
-    # seek: start at the newest segment whose first seq is <= from_seq
-    start_index = 0
-    for index, segment in enumerate(segments):
-        if _segment_start(path, segment) <= from_seq:
-            start_index = index
-    expected = _segment_start(path, segments[start_index])
-    for segment in segments[start_index:]:
-        if _segment_start(path, segment) != expected:
-            return  # gap between segments: valid prefix ends here
-        with open(segment, "rb") as fh:
-            while True:
-                line = fh.readline()
-                if not line:
-                    break
-                if not line.endswith(b"\n"):
-                    return  # torn tail at true EOF
-                record = _decode(line[:-1])
-                if record is None or record.seq != expected:
-                    return
-                expected += 1
-                if record.seq >= from_seq:
-                    yield record
+
+    def __init__(
+        self,
+        path: str,
+        segment: Optional[str] = None,
+        offset: int = 0,
+        next_seq: int = 1,
+    ):
+        self.path = path
+        self.segment = segment
+        self.offset = offset
+        self.next_seq = next_seq
+        #: bytes of the records yielded so far
+        self.nbytes = 0
+        self.stop: Optional[str] = None
+
+    def __iter__(self) -> Iterator[WalRecord]:
+        self.stop = yield from self._walk()
+
+    def _walk(self) -> Generator[WalRecord, None, str]:
+        segments = segment_paths(self.path)
+        if self.segment is None:
+            index = -1  # before the first segment
+        elif self.segment in segments:
+            index = segments.index(self.segment)
+        else:
+            return VANISHED
+        while True:
+            if index >= 0:
+                with open(self.segment, "rb") as fh:
+                    fh.seek(self.offset)
+                    while True:
+                        line = fh.readline()
+                        if not line:
+                            break
+                        if not line.endswith(b"\n"):
+                            return TORN
+                        record = _decode(line[:-1])
+                        if record is None:
+                            return INVALID
+                        if record.seq != self.next_seq:
+                            return GAP
+                        self.offset += len(line)
+                        self.nbytes += len(line)
+                        self.next_seq += 1
+                        yield record
+            index += 1
+            if index == len(segments):
+                return EOF
+            if _segment_start(self.path, segments[index]) != self.next_seq:
+                return GAP
+            self.segment, self.offset = segments[index], 0
+
+
+def iter_records(path: str) -> Iterator[WalRecord]:
+    """Stream the valid record prefix of ``path`` from seq 1.
+
+    Unlike :func:`scan` this never materialises the log.  Iteration
+    ends at the cursor's stop, whatever its kind, so
+    ``list(iter_records(p)) == scan(p).records`` for any log, damaged or
+    not — both are the same walk.
+    """
+    return iter(_Cursor(path))
 
 
 def scan(path: str, collect_records: bool = True) -> WalScan:
     """Read the valid record prefix of ``path`` (missing file: empty).
 
-    Scanning stops at the first unterminated, unparsable, checksum-
-    failing or out-of-sequence line; everything from there on counts as
-    dropped.  This is the torn-tail tolerance contract: a crash mid-
-    append loses at most the record being written, never the log.
+    The prefix ends at the cursor's stop — the first unterminated,
+    unparsable, checksum-failing or out-of-sequence line or segment —
+    and everything on disk past it counts as dropped.  This is the
+    torn-tail tolerance contract: a crash mid-append loses at most the
+    record being written, never the log.
 
     With ``collect_records=False`` the log is still fully validated
     (``last_seq``/``valid_bytes``/``dropped_records`` are exact) but the
@@ -265,42 +314,22 @@ def scan(path: str, collect_records: bool = True) -> WalScan:
     contents without holding them all in memory.
     """
     result = WalScan(valid_path=path)
-    segments = segment_paths(path)
-    if not segments:
-        return result
-    expected_seq = 1
-    stopped = False
-    for segment in segments:
-        if not stopped and _segment_start(path, segment) != expected_seq:
-            stopped = True  # gap between segments: prefix ended earlier
-        if stopped:
-            result.dropped_segments.append(segment)
-            with open(segment, "rb") as fh:
-                result.dropped_records += _count_lines(fh.read())
-            continue
-        result.valid_path = segment
-        result.valid_bytes = 0
+    cursor = _Cursor(path)
+    for record in cursor:
+        if collect_records:
+            result.records.append(record)
+    result.last_seq = cursor.next_seq - 1
+    past = segment_paths(path)
+    if cursor.segment is not None:
+        result.valid_path, result.valid_bytes = cursor.segment, cursor.offset
+        with open(cursor.segment, "rb") as fh:
+            fh.seek(cursor.offset)
+            result.dropped_records = _count_lines(fh.read())
+        past = past[past.index(cursor.segment) + 1:]
+    for segment in past:
+        result.dropped_segments.append(segment)
         with open(segment, "rb") as fh:
-            while True:
-                line = fh.readline()
-                if not line:
-                    break
-                if not line.endswith(b"\n"):
-                    result.dropped_records += 1  # unterminated final record
-                    stopped = True
-                    break
-                record = _decode(line[:-1])
-                if record is None or record.seq != expected_seq:
-                    if line[:-1]:
-                        result.dropped_records += 1
-                    result.dropped_records += _count_lines(fh.read())
-                    stopped = True
-                    break
-                if collect_records:
-                    result.records.append(record)
-                result.last_seq = record.seq
-                expected_seq += 1
-                result.valid_bytes = fh.tell()
+            result.dropped_records += _count_lines(fh.read())
     return result
 
 
@@ -498,36 +527,42 @@ class WalTailError(RuntimeError):
     """The tailed log contradicts itself (sequence gap or corruption)."""
 
 
+#: cursor stops a tailer cannot wait out
+_TAIL_ERRORS = {
+    INVALID: "corrupt record",
+    GAP: "sequence gap",
+    VANISHED: "committed segment vanished",
+}
+
+
 class WalTailer:
     """Incremental reader over a WAL a live writer may still be appending.
 
-    Each :meth:`poll` re-opens the log at the last *committed*
-    (segment, offset) position and returns every complete, valid record
-    appended since.  The committed position only ever advances past
-    fully-validated records, which makes the tailer safe against the
-    writer's crash-repair truncation: a recovering
+    Each :meth:`poll` resumes the cursor from the last *committed*
+    (segment, offset, next_seq) position and returns every complete,
+    valid record appended since.  The committed position only ever
+    advances past fully-validated records, which makes the tailer safe
+    against the writer's crash-repair truncation: a recovering
     :class:`WriteAheadLog` truncates only the *invalid* suffix, and the
-    tailer never committed into it — an unterminated or missing tail is
-    reported as "pending" (empty poll) and simply retried.
+    tailer never committed into it.
 
-    A torn tail at true EOF is therefore *pending*, while a terminated-
-    but-invalid line or a sequence gap is real corruption and raises
-    :class:`WalTailError`.
+    A walk that stops ``eof`` or ``torn`` is *pending* — the writer is
+    idle or mid-flush; the next poll retries from the same position —
+    while ``invalid``, ``gap`` and ``vanished`` are real corruption and
+    raise :class:`WalTailError`.  A tailer always starts at seq 1.
 
     Single-consumer: one thread drives :meth:`poll`; the lock makes the
     position and tallies safely readable from other threads (lag
     probes, metrics scrapes).
     """
 
-    def __init__(self, path: str, from_seq: int = 1, metrics=None):
+    def __init__(self, path: str, metrics=None):
         self.path = path
         self._metrics = metrics
         # Guards the committed read position and tallies so lag probes
         # from other threads see a consistent (segment, offset, seq).
         self._lock = threading.Lock()
-        self._next_seq = max(1, int(from_seq))
-        self._segment: Optional[str] = None
-        self._offset = 0
+        self._position: Tuple[Optional[str], int, int] = (None, 0, 1)
         self._bytes_read = 0
         self._records_read = 0
         self._backlog_bytes = 0
@@ -544,91 +579,23 @@ class WalTailer:
         was.
         """
         with self._lock:
-            segment, offset, next_seq = self._segment, self._offset, self._next_seq
-        records, segment, offset, next_seq, consumed = self._read(
-            segment, offset, next_seq, max_records
-        )
-        backlog = self._measure_backlog(segment, offset)
+            cursor = _Cursor(self.path, *self._position)
+        records = list(islice(cursor, max_records))
+        if cursor.stop in _TAIL_ERRORS:
+            raise WalTailError(
+                f"{_TAIL_ERRORS[cursor.stop]} after seq {cursor.next_seq - 1} "
+                f"of {self.path!r} (at {cursor.segment!r})"
+            )
+        backlog = self._measure_backlog(cursor.segment, cursor.offset)
         with self._lock:
-            self._segment = segment
-            self._offset = offset
-            self._next_seq = next_seq
-            self._bytes_read += consumed
+            self._position = (cursor.segment, cursor.offset, cursor.next_seq)
+            self._bytes_read += cursor.nbytes
             self._records_read += len(records)
             self._backlog_bytes = backlog
         if self._metrics is not None and records:
             self._metrics.counter("wal.tail_records").inc(len(records))
-            self._metrics.counter("wal.tail_bytes").inc(consumed)
+            self._metrics.counter("wal.tail_bytes").inc(cursor.nbytes)
         return records
-
-    def _read(
-        self,
-        segment: Optional[str],
-        offset: int,
-        next_seq: int,
-        max_records: Optional[int],
-    ) -> Tuple[List[WalRecord], Optional[str], int, int, int]:
-        """Read from a committed position; returns the advanced position."""
-        records: List[WalRecord] = []
-        consumed = 0
-        segments = segment_paths(self.path)
-        if not segments:
-            if segment is not None:
-                raise WalTailError(
-                    f"tailed log {self.path!r} vanished after seq {next_seq - 1}"
-                )
-            return records, segment, offset, next_seq, consumed
-        if segment is None:
-            # first poll: start at the newest segment named <= next_seq
-            index = 0
-            for i, candidate in enumerate(segments):
-                if _segment_start(self.path, candidate) <= next_seq:
-                    index = i
-            segment, offset = segments[index], 0
-        elif segment not in segments:
-            raise WalTailError(
-                f"committed segment {segment!r} vanished from {self.path!r}"
-            )
-        else:
-            index = segments.index(segment)
-        while True:
-            with open(segment, "rb") as fh:
-                fh.seek(offset)
-                advance = False
-                while True:
-                    if max_records is not None and len(records) >= max_records:
-                        return records, segment, offset, next_seq, consumed
-                    line = fh.readline()
-                    if not line:
-                        advance = True  # true EOF of this segment
-                        break
-                    if not line.endswith(b"\n"):
-                        # live writer's partial flush, or a crashed
-                        # writer's torn tail: pending either way —
-                        # retry from the same committed offset
-                        return records, segment, offset, next_seq, consumed
-                    record = _decode(line[:-1])
-                    if record is None:
-                        raise WalTailError(
-                            f"corrupt record after seq {next_seq - 1} "
-                            f"in {segment!r}"
-                        )
-                    if record.seq < next_seq:
-                        offset = fh.tell()  # before our start: skip
-                        continue
-                    if record.seq > next_seq:
-                        raise WalTailError(
-                            f"sequence gap: expected {next_seq}, "
-                            f"found {record.seq} in {segment!r}"
-                        )
-                    records.append(record)
-                    consumed += len(line)
-                    next_seq += 1
-                    offset = fh.tell()
-            if not advance or index >= len(segments) - 1:
-                return records, segment, offset, next_seq, consumed
-            index += 1
-            segment, offset = segments[index], 0
 
     def _measure_backlog(self, segment: Optional[str], offset: int) -> int:
         """Bytes on disk past the committed position (shipping backlog)."""
@@ -652,7 +619,7 @@ class WalTailer:
     def committed_seq(self) -> int:
         """Highest sequence number returned by :meth:`poll` so far."""
         with self._lock:
-            return self._next_seq - 1
+            return self._position[2] - 1
 
     @property
     def bytes_read(self) -> int:

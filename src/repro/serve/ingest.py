@@ -382,39 +382,23 @@ class EventQueue:
         with self._lock:
             return position(), tuple(edge for edge, _ in self._buffer)
 
-    def preload(self, edges: Iterable[StreamEdge]) -> None:
-        """Restore recovered, already-journaled events into the buffer.
-
-        Skips validation, journaling and dispatch: the caller
-        (:mod:`repro.resilience.recovery`) replays events whose
-        acceptance was already journaled and validated in a previous
-        process life — which is also why they carry no accept stamp and
-        observe no queue wait.
-        """
-        with self._lock:
-            for edge in edges:
-                self._buffer.append((edge, None))
-                self.accepted += 1
-                if edge.t > self.max_timestamp:
-                    self.max_timestamp = float(edge.t)
-
-    def restore_accounting(
-        self,
-        accepted: Optional[int] = None,
-        max_timestamp: Optional[float] = None,
+    def restore(
+        self, residue: Iterable[StreamEdge], accepted: int, watermark: float
     ) -> None:
-        """Adopt ledger state recovered from a previous process life.
+        """Adopt the queue a journal ends with (one call, one hold).
 
-        Recovery replays the WAL into a fresh queue; the cumulative
-        ``accepted`` count and the late-event watermark must continue
-        across the crash rather than restart from zero.  The watermark
-        only ever advances.
+        ``residue`` goes back into the buffer without validation,
+        journaling or dispatch: its acceptance was journaled and
+        validated in a previous process life — which is also why the
+        events carry no accept stamp and observe no queue wait.  The
+        cumulative ``accepted`` ledger (residue included) and the
+        late-event ``watermark`` continue across the restart rather
+        than start from zero; the watermark only ever advances.
         """
         with self._lock:
-            if accepted is not None:
-                self.accepted = int(accepted)
-            if max_timestamp is not None and max_timestamp > self.max_timestamp:
-                self.max_timestamp = float(max_timestamp)
+            self._buffer.extend((edge, None) for edge in residue)
+            self.accepted = int(accepted)
+            self.max_timestamp = max(self.max_timestamp, float(watermark))
 
     def dead_letter(self, edge: StreamEdge, reason: str) -> None:
         """Deadletter an event of a batch whose update failed after it

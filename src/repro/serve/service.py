@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -654,7 +654,9 @@ class RecommendationService:
         """
         if self.wal is not None:
             raise ValueError("service already has a write-ahead log")
-        self.config.wal_path = wal_path
+        # on a copy: the caller's ServeConfig may build other services,
+        # and one journal must never gain a second writer
+        self.config = replace(self.config, wal_path=wal_path)
         if checkpoint_dir is not None:
             self.config.checkpoint_dir = checkpoint_dir
             if checkpoint_every is not None:
@@ -727,16 +729,12 @@ class RecommendationService:
             # boundary would otherwise race on the same ckpt-<seq> file
             return self.checkpoints.save(ckpt)
 
-    def restore_runtime(self, *, updates_applied: int, max_timestamp: float) -> None:
-        """Adopt progress restored from a checkpoint.
-
-        Called by :func:`repro.resilience.recovery.recover` before
-        replaying the WAL suffix so ``batch_index`` and the late-event
-        watermark continue where the crashed process stopped.
-        """
+    def restore_runtime(self, *, updates_applied: int) -> None:
+        """Adopt the update count restored from a checkpoint, so replay's
+        ``batch_index`` continues where the checkpointed process stood
+        (:func:`repro.resilience.recovery.restore_service`)."""
         with self._state_lock:
             self._updates_applied = int(updates_applied)
-        self.queue.restore_accounting(max_timestamp=float(max_timestamp))
 
     def apply_recovered_batch(self, batch: EdgeStream) -> None:
         """Re-run one journaled micro-batch during WAL replay.

@@ -134,6 +134,32 @@ class TestFollower:
             )
         primary.close()
 
+    def test_bootstrap_reads_the_log_once(self, dataset, tmp_path, monkeypatch):
+        """One reader, one pass: a follower bootstrapping at a checkpoint
+        decodes each shipped record once — not the prefix a second time
+        to find where its tail starts."""
+        from repro.resilience import wal
+        from repro.resilience.checkpoint import CheckpointManager
+
+        primary = make_primary(dataset, tmp_path)
+        for edge in list(dataset.stream)[:100]:
+            primary.ingest(edge)
+        primary.kill()
+        records = scan(wal_path(str(tmp_path / "primary"))).records
+        ckpt = CheckpointManager(checkpoint_dir(str(tmp_path / "primary"))).latest()
+        assert len(records) // 2 < ckpt.seq  # a long prefix to not re-read
+        decoded = []
+        real = wal._decode
+        monkeypatch.setattr(
+            wal, "_decode", lambda line: decoded.append(1) or real(line)
+        )
+        follower = make_follower(dataset, tmp_path).bootstrap()
+        assert len(decoded) == len(records)
+        assert follower.applied_seq == follower.tailer.committed_seq == len(records)
+        assert follower.tailer.records_read == len(records)
+        assert follower.poll() == 0  # and it tails on from where it stopped
+        assert len(decoded) == len(records)
+
     def test_follower_mirrors_queue_residue(self, dataset, tmp_path):
         primary = make_primary(dataset, tmp_path)
         stream = list(dataset.stream)[:11]  # not a batch multiple

@@ -11,6 +11,7 @@ follower.
 
 import os
 import tempfile
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -22,14 +23,10 @@ from repro.graph.streams import StreamEdge
 from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
 from repro.replicate.follower import ReplicationError, ReplicationFollower
 from repro.replicate.primary import ReplicationPrimary
-from repro.resilience.recovery import (
-    QueueLogState,
-    RecoveryError,
-    fold_queue_log,
-    recover,
-)
-from repro.resilience.wal import WalTailer, WriteAheadLog, iter_records
+from repro.resilience.recovery import QueueLogState, RecoveryError, recover
+from repro.resilience.wal import WalTailer, WriteAheadLog, iter_records, scan
 from repro.serve.service import ServeConfig
+from tests.resilience import fold
 
 KINDS = ("accept", "evict", "batch", "heartbeat", "shed", "throttle")
 
@@ -73,12 +70,6 @@ def write_valid_log(path, draws, segment_bytes):
     )
 
 
-def feed(state, records):
-    for record in records:
-        state.trained.extend(state.apply(record) or ())
-    return state
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     draws=st.lists(
@@ -94,7 +85,7 @@ def test_one_shot_fold_equals_tailed_equals_split_fold(draws, chunk, segment_byt
         path = os.path.join(tmp, "decisions.wal")
         model = write_valid_log(path, draws, segment_bytes)
 
-        one_shot = fold_queue_log(iter_records(path))
+        one_shot = fold(iter_records(path))
         assert one_shot == model
 
         tailer = WalTailer(path)
@@ -104,12 +95,13 @@ def test_one_shot_fold_equals_tailed_equals_split_fold(draws, chunk, segment_byt
             if not records:
                 break
             assert len(records) <= chunk
-            feed(tailed, records)
+            fold(records, tailed)
         assert tailed == one_shot
 
         for split in range(len(draws) + 1):
-            state = fold_queue_log(iter_records(path), upto_seq=split)
-            feed(state, iter_records(path, from_seq=split + 1))
+            records = iter_records(path)  # one pass, paused at the split
+            state = fold(islice(records, split))
+            fold(records, state)
             assert state == one_shot, f"diverged when split at seq {split}"
 
 
@@ -173,3 +165,53 @@ def test_recover_and_follower_refuse_the_same_record(dataset, tmp_path, corrupt)
             ),
             model_config=MODEL,
         )
+
+
+def test_recover_and_follower_refuse_a_checkpoint_newer_than_the_log(
+    dataset, tmp_path
+):
+    """A log cut back below the newest checkpoint (here to its first
+    batch boundary) has no history that produces the checkpoint's
+    state: the one catch-up refuses it, with one message, whether
+    ``recover()`` or a bootstrapping follower asks."""
+    state_dir = str(tmp_path / "primary")
+    primary = ReplicationPrimary(
+        dataset,
+        state_dir,
+        serve_config=ServeConfig(**SERVE),
+        model_config=MODEL,
+        replication=REPLICATION,
+    )
+    for edge in list(dataset.stream)[:32]:  # 4 batches, checkpoints at 2 and 4
+        primary.ingest(edge)
+    primary.kill()
+    path = wal_path(state_dir)
+    status = scan(path)
+    assert status.valid_path == path  # one segment: cut it in place
+    cut = next(r.seq for r in status.records if r.kind == "batch")
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    with open(path, "wb") as fh:
+        fh.writelines(lines[:cut])
+    assert scan(path).last_seq == cut < status.last_seq
+
+    with pytest.raises(RecoveryError, match=r"log truncated\?") as recovered:
+        recover(
+            dataset,
+            ServeConfig(
+                wal_path=path, checkpoint_dir=checkpoint_dir(state_dir), **SERVE
+            ),
+            model_config=MODEL,
+        )
+    follower = ReplicationFollower(
+        dataset,
+        state_dir,
+        serve_config=ServeConfig(**SERVE),
+        model_config=MODEL,
+        replication=REPLICATION,
+    )
+    with pytest.raises(ReplicationError) as replicated:
+        follower.bootstrap()
+    assert str(replicated.value) == str(recovered.value)
+    assert f"WAL ends at seq {cut} " in str(recovered.value)
+    assert follower.service is None  # nothing was built to serve from

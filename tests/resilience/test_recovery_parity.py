@@ -20,9 +20,9 @@ from repro.core.model import SUPA
 from repro.datasets.zoo import load_dataset
 from repro.resilience import RecoveryError, recover
 from repro.resilience.checkpoint import CheckpointManager, _flatten
-from repro.resilience.recovery import fold_queue_log
 from repro.resilience.wal import iter_records
 from repro.serve.service import RecommendationService, ServeConfig
+from tests.resilience import fold
 
 MODEL_CFG = SUPAConfig(dim=16, num_walks=2, walk_length=2, seed=0)
 TRAIN_CFG = InsLearnConfig(
@@ -242,7 +242,7 @@ def test_checkpoint_from_another_thread_is_one_batch_boundary(
 
     manager = CheckpointManager(config.checkpoint_dir)
     ckpt = manager.load(paths[0])
-    prefix = fold_queue_log(iter_records(config.wal_path), upto_seq=ckpt.seq)
+    prefix = fold(r for r in iter_records(config.wal_path) if r.seq <= ckpt.seq)
     assert ckpt.updates_applied == 2
     assert len(prefix.trained) == 2 * config.batch_size
     assert list(ckpt.residue) == prefix.fifo

@@ -10,7 +10,7 @@ exactly — then recovers from the same WAL to the identical state.
 import pytest
 
 from repro.graph.streams import StreamEdge
-from repro.resilience.recovery import fold_queue_log, recover
+from repro.resilience.recovery import recover
 from repro.resilience.wal import (
     LEDGER_ONLY_KINDS,
     WriteAheadLog,
@@ -20,6 +20,7 @@ from repro.resilience.wal import (
 )
 from repro.serve.admission import AdmissionConfig
 from repro.serve.service import RecommendationService, ServeConfig
+from tests.resilience import fold
 
 
 def edge(i, t=None):
@@ -84,7 +85,7 @@ class TestReplaySkipsLedgerOnlyKinds:
             wal.append_accept(edge(3))
             wal.append_throttle(edge(4), "throttle: user rate")
             wal.append_batch(2)
-        state = fold_queue_log(iter_records(wal_path))
+        state = fold(iter_records(wal_path))
         assert state.accepted == 2
         assert state.trained == [edge(1), edge(3)]
         assert state.fifo == []
@@ -99,7 +100,7 @@ class TestReplaySkipsLedgerOnlyKinds:
             wal.append_accept(edge(1))
             wal.append_accept(edge(2))
             wal.append_evict(edge(1), reason="shed: drop_head")
-        state = fold_queue_log(iter_records(wal_path))
+        state = fold(iter_records(wal_path))
         assert state.fifo == [edge(2)]
 
 

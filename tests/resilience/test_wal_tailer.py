@@ -14,6 +14,7 @@ from repro.resilience.wal import (
     scan,
     segment_paths,
 )
+from tests.resilience import fold
 
 
 def edge(i, t=None):
@@ -96,15 +97,13 @@ class TestHeartbeat:
         assert records[1].edge is None
 
     def test_heartbeats_are_skipped_by_the_fold(self, wal_path):
-        from repro.resilience.recovery import fold_queue_log
-
         with WriteAheadLog(wal_path) as wal:
             wal.append_heartbeat(1.0)
             wal.append_accept(edge(1))
             wal.append_heartbeat(2.0)
             wal.append_batch(1)
             wal.append_heartbeat(3.0)
-        state = fold_queue_log(iter_records(wal_path))
+        state = fold(iter_records(wal_path))
         assert state.accepted == 1
         assert state.trained == [edge(1)]
         assert state.fifo == []
@@ -116,13 +115,6 @@ class TestIterRecords:
             for i in range(6):
                 wal.append_accept(edge(i))
         assert list(iter_records(wal_path)) == scan(wal_path).records
-
-    def test_from_seq_skips_earlier_segments(self, wal_path):
-        with WriteAheadLog(wal_path, segment_bytes=1) as wal:
-            for i in range(6):
-                wal.append_accept(edge(i))
-        tail = list(iter_records(wal_path, from_seq=4))
-        assert [r.seq for r in tail] == [4, 5, 6]
 
     def test_stops_at_torn_tail(self, wal_path):
         with WriteAheadLog(wal_path) as wal:
@@ -148,13 +140,6 @@ class TestTailer:
             assert [r.seq for r in tailer.poll()] == [2, 3]
             assert tailer.committed_seq == 3
             assert tailer.records_read == 3
-
-    def test_from_seq_skips_already_applied_records(self, wal_path):
-        with WriteAheadLog(wal_path) as wal:
-            for i in range(5):
-                wal.append_accept(edge(i))
-        tailer = WalTailer(wal_path, from_seq=4)
-        assert [r.seq for r in tailer.poll()] == [4, 5]
 
     def test_follows_across_rotation(self, wal_path):
         with WriteAheadLog(wal_path, segment_bytes=1) as wal:

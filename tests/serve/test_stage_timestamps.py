@@ -93,13 +93,13 @@ class TestQueueWaitStamps:
         svc.close()
 
     def test_preloaded_events_observe_no_wait(self, small_dataset, small_stream):
-        """preload() restores events journaled in a previous process
+        """restore() buffers events journaled in a previous process
         life: they carry no stamp, so a batch that mixes them with live
         accepts observes the live waits only — never a wait measured
         across the restart."""
         svc = make_service(small_dataset, TickClock(), batch_size=4)
         edges = list(small_stream)
-        svc.queue.preload(edges[:2])
+        svc.queue.restore(edges[:2], accepted=2, watermark=edges[1].t)
         assert svc.queue.head_age() == 0.0  # a preloaded head has no age
         svc.ingest(edges[2])  # stamp 1 (head_age read tick 0)
         svc.ingest(edges[3])  # stamp 2; completes the batch, cut at t=3

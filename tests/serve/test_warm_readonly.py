@@ -97,3 +97,26 @@ class TestAttachDurability:
         with pytest.raises(ValueError):
             svc.attach_durability(str(tmp_path / "b.wal"))
         svc.close()
+
+    def test_attach_leaves_the_callers_config_alone(self, small_dataset, tmp_path):
+        """One journal, one writer: the attach lands on the service's
+        own copy of the config, so a second service built from the same
+        ``ServeConfig`` object does not open the first one's WAL."""
+        config = ServeConfig(batch_size=4, capacity=16, cache_size=32)
+        first = RecommendationService(small_dataset, config=config)
+        wal_file = str(tmp_path / "first.wal")
+        first.attach_durability(
+            wal_file, checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=2
+        )
+        assert (config.wal_path, config.checkpoint_dir) == (None, None)
+        assert config.checkpoint_every == ServeConfig().checkpoint_every
+        assert first.config.wal_path == wal_file  # the service sees its own
+        assert first.config.checkpoint_every == 2
+        second = RecommendationService(small_dataset, config=config)
+        assert second.wal is None and second.checkpoints is None
+        edges = list(small_dataset.stream)
+        second.ingest(edges[0])
+        first.ingest(edges[1])
+        first.close()
+        second.close()
+        assert [r.edge for r in scan(wal_file).records] == [edges[1]]
