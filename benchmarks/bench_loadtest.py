@@ -101,12 +101,8 @@ def _make_overload_service(dataset) -> RecommendationService:
             overflow="drop_new",
             clock_fn=time.perf_counter,
             async_dispatch=True,
-            admission=AdmissionConfig(
-                shed_policy="reject",
-                depth_highwater=0.2,
-                depth_lowwater=0.1,
-                seed=0,
-            ),
+            # the lowest watermarks one 64-event batch fits under
+            admission=AdmissionConfig(depth_highwater=0.5, depth_lowwater=0.25),
         ),
     )
 

@@ -41,6 +41,8 @@ lock-hierarchy contract (DESIGN.md §12).
 from __future__ import annotations
 
 import ast
+import functools
+import inspect
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
@@ -149,6 +151,16 @@ class _ClassModel:
 
     def effective_held(self, method: str, held: FrozenSet[str]) -> FrozenSet[str]:
         return held | self.inherited.get(method, frozenset())
+
+    def guarded(self) -> Dict[str, Set[str]]:
+        """Per lock, the attributes written while it is held."""
+        guarded: Dict[str, Set[str]] = {lock: set() for lock in self.locks}
+        for access in self.accesses:
+            if access.is_write:
+                for lock in self.effective_held(access.method, access.held):
+                    if lock in guarded:
+                        guarded[lock].add(access.attr)
+        return guarded
 
 
 def _self_attr(node: ast.AST) -> Optional[str]:
@@ -449,6 +461,20 @@ def _analyze_module(sf: SourceFile) -> List[_ClassModel]:
     return models
 
 
+@functools.lru_cache(maxsize=None)
+def infer_guarded(cls: type) -> Dict[str, FrozenSet[str]]:
+    """What ``lock-discipline`` infers each of ``cls``'s locks guards,
+    read off the class's own source (the runtime sanitizer audits
+    exactly these sets)."""
+    tree = ast.parse(inspect.getsource(inspect.getmodule(cls)))
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == cls.__name__:
+            model = _analyze_class(node)
+            if model is not None:
+                return {k: frozenset(v) for k, v in model.guarded().items()}
+    raise ValueError(f"{cls.__name__} creates no locks in its module's source")
+
+
 @register_rule
 class LockDisciplineRule(Rule):
     """Guarded attributes must only be touched under their lock."""
@@ -461,13 +487,7 @@ class LockDisciplineRule(Rule):
 
     def check_file(self, sf: SourceFile) -> Iterator[Violation]:
         for model in _analyze_module(sf):
-            guarded: Dict[str, Set[str]] = {lock: set() for lock in model.locks}
-            for access in model.accesses:
-                if not access.is_write:
-                    continue
-                for lock in model.effective_held(access.method, access.held):
-                    if lock in guarded:
-                        guarded[lock].add(access.attr)
+            guarded = model.guarded()
             for access in model.accesses:
                 held = model.effective_held(access.method, access.held)
                 for lock, attrs in guarded.items():

@@ -12,10 +12,10 @@ itself and the WAL/checkpoint writers) is patched so that:
   acquisition of *A* while holding *B* — on any thread, any instance —
   is a **lock-order inversion** (the classic ABBA deadlock seed) and is
   reported with both acquisition sites;
-* writes to the attributes its lock guards (declared per class in
-  :data:`DEFAULT_AUDITS`, cross-checked against the static inference in
-  the test suite) are verified to happen while the lock is held —
-  anything else is an **unguarded write** report.
+* writes to the attributes its lock guards (per class, what the static
+  ``lock-discipline`` rule infers from its source) are verified to
+  happen while the lock is held — anything else is an **unguarded
+  write** report.
 
 Monitoring is pure recording: no RNG is drawn, no float is touched, no
 exception is raised into the audited code path, so a run under
@@ -256,11 +256,13 @@ def default_audits() -> List[Audit]:
     """The audited classes: every lock owner in serve/obs/resilience.
 
     Imports live here (not module top) so ``repro.analysis`` stays
-    importable without dragging in numpy-heavy serving modules.  The
-    guarded sets mirror what the static ``lock-discipline`` rule infers
-    from the source — ``tests/analysis/test_sanitizer.py`` cross-checks
-    the two so they cannot drift apart.
+    importable without dragging in numpy-heavy serving modules.  Each
+    row names a lock; what it guards is what the static
+    ``lock-discipline`` rule infers from the class's source
+    (:func:`~repro.analysis.concurrency.infer_guarded`), so the two
+    halves of the suite cannot drift apart.
     """
+    from repro.analysis.concurrency import infer_guarded
     from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
     from repro.obs.quality import StreamingQualityEvaluator
     from repro.replicate.follower import ReplicationFollower
@@ -277,97 +279,31 @@ def default_audits() -> List[Audit]:
         VersionedEmbeddingStore,
     )
 
-    def audit(cls, lock_attr, guarded):
-        return Audit(cls, lock_attr, frozenset(guarded))
-
     return [
-        audit(
-            EventQueue,
-            "_lock",
-            {
-                "_buffer", "_journal", "_paused", "deadletters",
-                "reason_counts", "max_timestamp", "accepted", "rejected",
-                "dropped", "shed", "batches_dispatched",
-            },
-        ),
-        # The dispatch mutex guards no attribute, only order (cuts and
-        # handler runs, one at a time); audited for its rank above the
-        # queue lock.
-        audit(EventQueue, "_dispatch_lock", set()),
-        audit(
-            AdmissionController,
-            "_lock",
-            {
-                "_buckets", "_state", "_offered", "admitted", "throttled",
-                "shed", "escalations", "de_escalations",
-            },
-        ),
-        audit(
-            DispatchWorker,
-            "_lock",
-            {"_thread", "_closing", "batches", "events", "errors"},
-        ),
-        audit(
-            VersionedEmbeddingStore,
-            "_lock",
-            {"_current", "compactions", "_publishes_since_compact"},
-        ),
-        audit(DecayedEmbeddingStore, "_lock", {"_current"}),
-        audit(DecayedSnapshot, "_lock", {"_cache"}),
-        audit(
-            TopKIndex,
-            "_lock",
-            {
-                "_cache", "hits", "misses",
-                "invalidations", "evictions", "warmed",
-            },
-        ),
-        audit(Counter, "_lock", {"_total"}),
-        audit(Gauge, "_lock", {"_level"}),
-        audit(
-            Histogram,
-            "_lock",
-            {"_counts", "count", "sum", "min_observed", "max_observed"},
-        ),
-        audit(
-            StreamingQualityEvaluator,
-            "_lock",
-            {
-                "_seen", "_window_hits", "_window_rr", "_evaluated", "_hits",
-                "_rr_sum", "_records", "_cohort_evaluated", "_cohort_hits",
-                "_baseline", "_last_version",
-            },
-        ),
-        audit(MetricsRegistry, "_lock", {"_instruments"}),
-        audit(
-            RecommendationService,
-            "_state_lock",
-            {
-                "_clock", "_update_in_flight", "_updates_applied",
-                "_consecutive_update_failures",
-                "_breaker_open", "_breaker_cooldown", "_read_only",
-                "_user_activity",
-            },
-        ),
-        audit(
-            WriteAheadLog,
-            "_lock",
-            {"last_seq", "_fh", "_active_path", "_active_bytes"},
-        ),
-        audit(CheckpointManager, "_lock", {"writes", "fallbacks"}),
-        audit(
-            WalTailer,
-            "_lock",
-            {"_position", "_bytes_read", "_records_read", "_backlog_bytes"},
-        ),
-        audit(
-            ReplicationFollower,
-            "_lock",
-            {
-                "_log", "_state", "_last_seq_applied", "_last_hb_primary_t",
-                "_last_hb_seen_at", "_heartbeats_seen", "_lag_records",
-            },
-        ),
+        Audit(cls, lock_attr, infer_guarded(cls)[lock_attr])
+        for cls, lock_attr in (
+            (EventQueue, "_lock"),
+            # The dispatch mutex guards no attribute, only order (cuts
+            # and handler runs, one at a time); audited for its rank
+            # above the queue lock.
+            (EventQueue, "_dispatch_lock"),
+            (AdmissionController, "_lock"),
+            (DispatchWorker, "_lock"),
+            (VersionedEmbeddingStore, "_lock"),
+            (DecayedEmbeddingStore, "_lock"),
+            (DecayedSnapshot, "_lock"),
+            (TopKIndex, "_lock"),
+            (Counter, "_lock"),
+            (Gauge, "_lock"),
+            (Histogram, "_lock"),
+            (StreamingQualityEvaluator, "_lock"),
+            (MetricsRegistry, "_lock"),
+            (RecommendationService, "_state_lock"),
+            (WriteAheadLog, "_lock"),
+            (CheckpointManager, "_lock"),
+            (WalTailer, "_lock"),
+            (ReplicationFollower, "_lock"),
+        )
     ]
 
 

@@ -43,15 +43,6 @@ def tanh(x: Tensor) -> Tensor:
     return Tensor._make(data, (x,), backward)
 
 
-def relu(x: Tensor) -> Tensor:
-    data = np.maximum(x.data, 0.0)
-
-    def backward(grad: np.ndarray) -> None:
-        x._accumulate(grad * (x.data > 0))
-
-    return Tensor._make(data, (x,), backward)
-
-
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     data = np.where(x.data > 0, x.data, slope * x.data)
 
@@ -76,54 +67,3 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 def embedding(table: Tensor, indices) -> Tensor:
     """Row lookup into an embedding ``table`` with scatter-add gradient."""
     return table.gather_rows(indices)
-
-
-def dot_rows(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise dot products of two ``(n, d)`` tensors -> ``(n,)``."""
-    return (a * b).sum(axis=-1)
-
-
-def mse_loss(pred: Tensor, target) -> Tensor:
-    target = Tensor._lift(target)
-    diff = pred - target
-    return (diff * diff).mean()
-
-
-def bpr_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
-    """Bayesian Personalised Ranking loss ``-mean log sigma(pos - neg)``.
-
-    The standard pairwise objective of the GNN recommendation baselines
-    (NGCF, LightGCN, MB-GMN, ...).
-    """
-    return -log_sigmoid(pos_scores - neg_scores).mean()
-
-
-def binary_cross_entropy_with_logits(logits: Tensor, labels) -> Tensor:
-    """Stable BCE on raw scores: ``mean(softplus(x) - x * y)``."""
-    labels = np.asarray(labels, dtype=np.float64)
-    pos = log_sigmoid(logits)
-    neg = log_sigmoid(-logits)
-    loss = pos * labels + neg * (1.0 - labels)
-    return -loss.mean()
-
-
-def dropout(x: Tensor, p: float, rng=None, training: bool = True) -> Tensor:
-    """Inverted dropout: zero each entry with probability ``p`` and scale
-    survivors by ``1 / (1 - p)``.  Identity when not training."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must lie in [0, 1), got {p}")
-    if not training or p == 0.0:
-        return x * 1.0
-    from repro.utils.rng import new_rng
-
-    rng = new_rng(rng)
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    return x * Tensor(mask)
-
-
-def layer_norm(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Feature-axis layer normalisation (no affine parameters)."""
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    variance = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (variance + eps).sqrt()

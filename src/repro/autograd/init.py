@@ -16,12 +16,6 @@ def normal_(shape: Sequence[int], std: float = 0.1, rng: RngLike = None) -> Tens
     return Tensor(rng.normal(0.0, std, size=tuple(shape)), requires_grad=True)
 
 
-def uniform_(shape: Sequence[int], low: float = -0.1, high: float = 0.1, rng: RngLike = None) -> Tensor:
-    """Uniformly initialised parameter on ``[low, high)``."""
-    rng = new_rng(rng)
-    return Tensor(rng.uniform(low, high, size=tuple(shape)), requires_grad=True)
-
-
 def xavier_uniform(shape: Sequence[int], rng: RngLike = None) -> Tensor:
     """Glorot/Xavier uniform initialisation for weight matrices."""
     rng = new_rng(rng)
@@ -31,8 +25,3 @@ def xavier_uniform(shape: Sequence[int], rng: RngLike = None) -> Tensor:
         fan_in, fan_out = int(shape[0]), int(shape[1])
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     return Tensor(rng.uniform(-bound, bound, size=tuple(shape)), requires_grad=True)
-
-
-def zeros_(shape: Sequence[int]) -> Tensor:
-    """Zero-initialised parameter (biases)."""
-    return Tensor(np.zeros(tuple(shape), dtype=np.float64), requires_grad=True)

@@ -12,12 +12,14 @@ Commands:
 * ``export`` — write a generated dataset's edge stream to TSV.
 * ``serve-replay`` — replay a dataset through the online serving layer
   (:mod:`repro.serve`) and report throughput, latency and offline
-  parity; ``--faults`` / ``--crash-at`` switch the replay into the
-  fault-injecting chaos harness.
-* ``chaos-replay`` — replay a dataset while injecting a seeded fault
-  plan (malformed / late / duplicate / burst / crash), recover through
-  the WAL + checkpoint stack and reconcile every injected fault against
-  what the system recorded (see :mod:`repro.resilience`).
+  parity.  ``--faults`` / ``--crash-at`` switch the replay into the
+  chaos harness: inject a seeded fault plan (malformed / late /
+  duplicate / burst / crash), recover through the WAL + checkpoint
+  stack and reconcile every injected fault against what the system
+  recorded (see :mod:`repro.resilience`).  ``--trace`` prints the
+  observability story — span tree, flame table, metrics snapshot — and
+  with ``--output-dir`` writes Prometheus-text and JSONL exports (see
+  :mod:`repro.obs`).
 * ``replicate`` — WAL-shipping replication roles (see
   :mod:`repro.replicate`): ``primary`` runs the writable update loop
   publishing its WAL, ``follower`` bootstraps a read replica and tails
@@ -26,9 +28,6 @@ Commands:
   seeded kill-primary chaos gate end to end.
 * ``lint`` — run the reprolint static-analysis suite over the source
   tree (see :mod:`repro.analysis`).
-* ``obs`` — run a short traced replay and print the observability
-  story: span tree, flame table, metrics snapshot, plus Prometheus-text
-  and JSONL exports (see :mod:`repro.obs`).
 * ``loadtest`` — the open-loop SLO harness (see
   :mod:`repro.obs.loadgen`): calibrate closed-loop capacity, then sweep
   offered-rate tiers with seeded Poisson/bursty/ramp arrivals and
@@ -55,61 +54,41 @@ from repro.graph.mining import mine_metapaths
 from repro.utils.tables import format_table
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, dataset: Optional[str] = None, scale: float = 0.5
+) -> None:
     parser.add_argument(
         "--dataset",
-        required=True,
+        required=dataset is None,
+        default=dataset,
         choices=sorted(DATASET_BUILDERS),
         help="built-in dataset equivalent",
     )
-    parser.add_argument("--scale", type=float, default=0.5, help="dataset scale")
+    parser.add_argument("--scale", type=float, default=scale, help="dataset scale")
     parser.add_argument("--seed", type=int, default=0)
 
 
-def _add_replay_args(
-    p: argparse.ArgumentParser,
-    batch_size: int,
-    capacity: int,
-    faults: str,
+def _add_serving(
+    parser: argparse.ArgumentParser, batch_size: int, capacity: int
 ) -> None:
-    """Flags of ``serve-replay`` and ``chaos-replay``: two entry points
-    (and two sets of defaults) onto the same replay harness."""
-    _add_common(p)
-    p.add_argument("--k", type=int, default=10, help="recommendation list length")
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument(
+    """The serving-stack flags every service-building command takes."""
+    parser.add_argument("--k", type=int, default=10, help="recommendation list length")
+    parser.add_argument("--dim", type=int, default=32)
+    parser.add_argument(
         "--batch-size", type=int, default=batch_size, help="update micro-batch"
     )
-    p.add_argument("--capacity", type=int, default=capacity, help="queue capacity")
-    p.add_argument("--cache-size", type=int, default=1024)
-    p.add_argument(
-        "--faults",
-        default=faults,
-        help="comma-separated kind=count fault spec like "
-        "'malformed=4,late=3,crash=1' ('none' for a clean run); any fault "
-        "makes serve-replay run the chaos harness",
-    )
-    p.add_argument(
-        "--crash-at",
-        type=int,
-        default=None,
-        help="crash + recover just before this stream position (replaces "
-        "any seeded crash fault)",
-    )
-    p.add_argument(
-        "--max-parity-users", type=int, default=None, help="cap parity check users"
-    )
-    p.add_argument(
-        "--min-parity",
-        type=float,
-        default=0.99,
-        help="fail when served/offline top-K parity drops below this",
-    )
-    p.add_argument(
-        "--output",
-        default="",
-        help="JSON report path (default: write nothing)",
-    )
+    parser.add_argument("--capacity", type=int, default=capacity, help="queue capacity")
+
+
+def _add_fit(parser: argparse.ArgumentParser) -> None:
+    _add_common(parser)
+    parser.add_argument("--dim", type=int, default=32)
+    parser.add_argument("--max-queries", type=int, default=150)
+
+
+def _serving_model_config(args: argparse.Namespace) -> SUPAConfig:
+    """The small SUPA every serving-stack command trains."""
+    return SUPAConfig(dim=args.dim, num_walks=2, walk_length=2, seed=args.seed)
 
 
 def _build(name: str, dataset, dim: int, seed: int):
@@ -232,18 +211,17 @@ def cmd_lint(args: argparse.Namespace) -> int:
     )
 
 
-def _build_fault_plan(
-    spec: str, crash_at: Optional[int], num_events: int, seed: int, burst_size: int
-):
-    """A :class:`FaultPlan` from a CLI spec plus an optional pinned crash."""
+def _build_fault_plan(args: argparse.Namespace, num_events: int, burst_size: int):
+    """A :class:`FaultPlan` from ``--faults`` plus an optional pinned crash."""
     from repro.resilience import Fault, FaultPlan
 
-    counts = FaultPlan.parse_spec(spec)
+    crash_at = args.crash_at
+    counts = FaultPlan.parse_spec(args.faults)
     if crash_at is not None:
         # an explicit crash position replaces any seeded crash faults
         counts.pop("crash", None)
     plan = FaultPlan.seeded(
-        num_events, seed=seed, burst_size=burst_size, **counts
+        num_events, seed=args.seed, burst_size=burst_size, **counts
     )
     if crash_at is not None:
         if not 1 <= crash_at < num_events:
@@ -277,25 +255,17 @@ def _below_min_parity(report, min_parity: float) -> bool:
     return True
 
 
-def _chaos_replay(args: argparse.Namespace, title: str) -> int:
-    """Shared body of ``chaos-replay`` and faulted ``serve-replay``."""
+def _chaos_replay(args: argparse.Namespace) -> int:
+    """``serve-replay`` with ``--faults`` / ``--crash-at``."""
     import tempfile
 
     from repro.resilience import ChaosReplayDriver
     from repro.serve import ServeConfig
 
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    state_dir = getattr(args, "state_dir", None) or tempfile.mkdtemp(
-        prefix="repro-chaos-"
-    )
+    state_dir = args.state_dir or tempfile.mkdtemp(prefix="repro-chaos-")
     capacity = max(args.capacity, args.batch_size)
-    plan = _build_fault_plan(
-        args.faults,
-        args.crash_at,
-        len(dataset.stream),
-        args.seed,
-        burst_size=capacity,
-    )
+    plan = _build_fault_plan(args, len(dataset.stream), burst_size=capacity)
     driver = ChaosReplayDriver(
         dataset,
         state_dir=state_dir,
@@ -308,14 +278,17 @@ def _chaos_replay(args: argparse.Namespace, title: str) -> int:
             cache_size=args.cache_size,
             late_tolerance=0.0,
         ),
-        model_config=SUPAConfig(
-            dim=args.dim, num_walks=2, walk_length=2, seed=args.seed
-        ),
+        model_config=_serving_model_config(args),
         max_parity_users=args.max_parity_users,
         seed=args.seed,
     )
     report = driver.run()
-    _emit_report(report, title, args.output)
+    _emit_report(
+        report,
+        f"serve-replay (chaos): {args.dataset} (scale={args.scale}, "
+        f"seed={args.seed}, faults={args.faults!r}, crash_at={args.crash_at})",
+        args.output,
+    )
     if not report.reconciled:
         print("FAIL: fault ledger did not reconcile:")
         for mismatch in report.mismatches:
@@ -324,60 +297,7 @@ def _chaos_replay(args: argparse.Namespace, title: str) -> int:
     return 1 if failed else 0
 
 
-def cmd_chaos_replay(args: argparse.Namespace) -> int:
-    return _chaos_replay(
-        args,
-        title=(
-            f"chaos-replay: {args.dataset} (scale={args.scale}, "
-            f"seed={args.seed}, faults={args.faults!r})"
-        ),
-    )
-
-
 def cmd_serve_replay(args: argparse.Namespace) -> int:
-    from repro.obs import format_span_tree
-    from repro.serve import ServeConfig, StreamReplayDriver
-
-    if args.faults.strip() not in ("", "none") or args.crash_at is not None:
-        return _chaos_replay(
-            args,
-            title=(
-                f"serve-replay (chaos): {args.dataset} "
-                f"(scale={args.scale}, faults={args.faults!r}, "
-                f"crash_at={args.crash_at})"
-            ),
-        )
-    trace = bool(getattr(args, "trace", False))
-    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    driver = StreamReplayDriver(
-        dataset,
-        k=args.k,
-        serve_config=ServeConfig(
-            batch_size=args.batch_size, cache_size=args.cache_size
-        ),
-        model_config=SUPAConfig(
-            dim=args.dim, num_walks=2, walk_length=2, seed=args.seed
-        ),
-        probe_every=args.probe_every,
-        max_parity_users=args.max_parity_users,
-        seed=args.seed,
-        trace=trace,
-    )
-    service = driver.build_service()
-    report = driver.run(service)
-    _emit_report(
-        report,
-        f"serve-replay: {args.dataset} (scale={args.scale}, k={args.k})",
-        args.output,
-    )
-    if trace:
-        print()
-        print(format_span_tree(service.tracer))
-    return 1 if _below_min_parity(report, args.min_parity) else 0
-
-
-def cmd_obs(args: argparse.Namespace) -> int:
-    """Run a short traced replay and print the full telemetry story."""
     from repro.obs import (
         format_flame_table,
         format_span_tree,
@@ -386,52 +306,54 @@ def cmd_obs(args: argparse.Namespace) -> int:
     )
     from repro.serve import ServeConfig, StreamReplayDriver
 
+    if args.faults.strip() not in ("", "none") or args.crash_at is not None:
+        return _chaos_replay(args)
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     driver = StreamReplayDriver(
         dataset,
         k=args.k,
-        serve_config=ServeConfig(batch_size=args.batch_size),
-        model_config=SUPAConfig(
-            dim=args.dim, num_walks=2, walk_length=2, seed=args.seed
+        serve_config=ServeConfig(
+            batch_size=args.batch_size, cache_size=args.cache_size
         ),
+        model_config=_serving_model_config(args),
         probe_every=args.probe_every,
         max_parity_users=args.max_parity_users,
         seed=args.seed,
-        trace=True,
+        trace=args.trace,
     )
     service = driver.build_service()
     report = driver.run(service)
-    tracer = service.tracer
-
-    _print_summary(
-        f"obs: traced replay of {args.dataset} (scale={args.scale})",
-        report.summary_rows(),
+    _emit_report(
+        report,
+        f"serve-replay: {args.dataset} (scale={args.scale}, k={args.k})",
+        args.output,
     )
-    print()
-    print("span tree (layer.component.phase):")
-    print(format_span_tree(tracer))
-    print()
-    print(format_flame_table(tracer))
-    print()
-    print("metrics snapshot:")
-    print(service.metrics.to_json())
-
-    if args.output_dir:
-        os.makedirs(args.output_dir, exist_ok=True)
-        prom_path = os.path.join(args.output_dir, "obs_metrics.prom")
-        with open(prom_path, "w", encoding="utf-8") as fh:
-            fh.write(to_prometheus_text(service.metrics))
-        jsonl_path = os.path.join(args.output_dir, "obs_telemetry.jsonl")
-        write_jsonl_snapshot(
-            jsonl_path,
-            metrics=service.metrics,
-            trace=tracer,
-            label=f"obs:{args.dataset}:scale={args.scale}:seed={args.seed}",
-        )
+    if args.trace:
+        tracer = service.tracer
         print()
-        print(f"wrote {prom_path}")
-        print(f"wrote {jsonl_path}")
-    return 0
+        print("span tree (layer.component.phase):")
+        print(format_span_tree(tracer))
+        print()
+        print(format_flame_table(tracer))
+        print()
+        print("metrics snapshot:")
+        print(service.metrics.to_json())
+        if args.output_dir:
+            os.makedirs(args.output_dir, exist_ok=True)
+            prom_path = os.path.join(args.output_dir, "obs_metrics.prom")
+            with open(prom_path, "w", encoding="utf-8") as fh:
+                fh.write(to_prometheus_text(service.metrics))
+            jsonl_path = os.path.join(args.output_dir, "obs_telemetry.jsonl")
+            write_jsonl_snapshot(
+                jsonl_path,
+                metrics=service.metrics,
+                trace=tracer,
+                label=f"obs:{args.dataset}:scale={args.scale}:seed={args.seed}",
+            )
+            print()
+            print(f"wrote {prom_path}")
+            print(f"wrote {jsonl_path}")
+    return 1 if _below_min_parity(report, args.min_parity) else 0
 
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
@@ -469,19 +391,14 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
     if args.events:
         edges = edges[: args.events]
 
-    model_config = SUPAConfig(
-        dim=args.dim, num_walks=2, walk_length=2, seed=args.seed
-    )
+    model_config = _serving_model_config(args)
     admission_config = None
     if args.admission:
         admission_config = AdmissionConfig(
             rate_per_user=args.rate_per_user,
             burst=args.burst,
-            shed_policy=args.shed_policy,
             depth_highwater=args.depth_highwater,
             depth_lowwater=args.depth_lowwater,
-            sample_keep=args.sample_keep,
-            seed=args.seed,
         )
     # Every service the sweep builds (the calibration throwaway, then
     # one per tier) gets its own WAL directory so tiers never share a
@@ -533,7 +450,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         if admission is not None:
             counts = admission.counts()
             throttled = sum(ledger["throttle"].values())
-            shed = sum(ledger["shed"].values()) + sum(ledger["evict"].values())
+            shed = sum(ledger["shed"].values())
             if throttled != counts["throttled"]:
                 failures.append(
                     f"ledger has {throttled} throttle records but the "
@@ -541,7 +458,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
                 )
             if shed != counts["shed"]:
                 failures.append(
-                    f"ledger has {shed} shed/evict records but the "
+                    f"ledger has {shed} shed records but the "
                     f"controller shed {counts['shed']}"
                 )
             expected_queue_shed = counts["throttled"] + counts["shed"]
@@ -665,8 +582,9 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
 
 
 def _replication_pieces(args: argparse.Namespace):
-    """(dataset, serve_config, model_config, replication) shared by every
-    ``replicate`` role — the three roles must agree on all of them."""
+    """``(dataset, configs)`` shared by every ``replicate`` role, which
+    must agree on all of them; ``configs`` are the role constructors'
+    ``serve_config`` / ``model_config`` / ``replication`` keywords."""
     from repro.replicate import ReplicationConfig
     from repro.serve import ServeConfig
 
@@ -678,41 +596,35 @@ def _replication_pieces(args: argparse.Namespace):
         late_tolerance=0.0,
         warm_users=8,
     )
-    model_config = SUPAConfig(
-        dim=args.dim, num_walks=2, walk_length=2, seed=args.seed
-    )
     replication = ReplicationConfig(
         heartbeat_every=args.heartbeat_every,
         checkpoint_every=args.checkpoint_every,
     )
-    return dataset, serve_config, model_config, replication
+    return dataset, dict(
+        serve_config=serve_config,
+        model_config=_serving_model_config(args),
+        replication=replication,
+    )
 
 
 def cmd_replicate_primary(args: argparse.Namespace) -> int:
     from repro.replicate import ReplicationPrimary
 
-    dataset, serve_config, model_config, replication = _replication_pieces(args)
+    dataset, configs = _replication_pieces(args)
     stream = list(dataset.stream)
     end = len(stream) if args.events is None else min(args.events, len(stream))
     primary = ReplicationPrimary(
         dataset,
         args.state_dir,
-        serve_config=serve_config,
-        model_config=model_config,
-        replication=replication,
+        **configs,
     )
     accepted = 0
     for edge in stream[:end]:
         if primary.ingest(edge):
             accepted += 1
-    if args.graceful:
-        primary.flush()
-        primary.checkpoint()
-        primary.close()
-    else:
-        # default: stop abruptly, like a killed process — buffered
-        # events stay journaled and a follower inherits them as residue
-        primary.kill()
+    # stop abruptly, like a killed process: buffered events stay
+    # journaled and a follower inherits them as residue
+    primary.kill()
     rows = [
         ("events offered", end),
         ("events accepted", accepted),
@@ -722,7 +634,6 @@ def cmd_replicate_primary(args: argparse.Namespace) -> int:
             "heartbeats",
             int(primary.metrics.counter("replica.heartbeats").value),
         ),
-        ("stopped", "graceful" if args.graceful else "abrupt"),
     ]
     _print_summary(f"replicate primary: {args.dataset} -> {args.state_dir}", rows)
     return 0
@@ -731,13 +642,11 @@ def cmd_replicate_primary(args: argparse.Namespace) -> int:
 def cmd_replicate_follower(args: argparse.Namespace) -> int:
     from repro.replicate import ReplicationFollower, compare_services
 
-    dataset, serve_config, model_config, replication = _replication_pieces(args)
+    dataset, configs = _replication_pieces(args)
     follower = ReplicationFollower(
         dataset,
         args.state_dir,
-        serve_config=serve_config,
-        model_config=model_config,
-        replication=replication,
+        **configs,
     ).bootstrap()
     while follower.poll():
         pass
@@ -769,15 +678,13 @@ def cmd_replicate_follower(args: argparse.Namespace) -> int:
 def cmd_replicate_promote(args: argparse.Namespace) -> int:
     from repro.replicate import ReplicationFollower, compare_services
 
-    dataset, serve_config, model_config, replication = _replication_pieces(args)
+    dataset, configs = _replication_pieces(args)
     stream = list(dataset.stream)
     follower = ReplicationFollower(
         dataset,
         args.state_dir,
         replica_dir=args.replica_dir,
-        serve_config=serve_config,
-        model_config=model_config,
-        replication=replication,
+        **configs,
     ).bootstrap()
     follower.promote(args.replica_dir)
     resume_from = args.resume_from
@@ -807,8 +714,8 @@ def cmd_replicate_promote(args: argparse.Namespace) -> int:
         # into their own copies), so the golden run journals nothing
         golden = RecommendationService(
             dataset,
-            model=SUPA.for_dataset(dataset, model_config),
-            config=serve_config,
+            model=SUPA.for_dataset(dataset, configs["model_config"]),
+            config=configs["serve_config"],
         )
         for edge in stream[:resume_from] + resumed:
             golden.ingest(edge)
@@ -841,20 +748,13 @@ def cmd_replicate_promote(args: argparse.Namespace) -> int:
 def cmd_replicate_failover(args: argparse.Namespace) -> int:
     from repro.replicate import FailoverDriver
 
-    dataset, serve_config, model_config, replication = _replication_pieces(args)
+    dataset, configs = _replication_pieces(args)
     driver = FailoverDriver(
         dataset,
         state_dir=args.state_dir,
         replica_dir=args.replica_dir,
         k=args.k,
-        serve_config=serve_config,
-        model_config=model_config,
-        replication=replication,
-        malformed=args.malformed,
-        late=args.late,
-        duplicate=args.duplicate,
-        poll_every=args.poll_every,
-        probe_every=args.probe_every,
+        **configs,
         max_parity_users=args.max_parity_users,
         seed=args.seed,
     )
@@ -888,24 +788,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_datasets)
 
     p = sub.add_parser("train", help="train one method, print metrics")
-    _add_common(p)
+    _add_fit(p)
     p.add_argument(
         "--method", default="SUPA", choices=available_baselines()
     )
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--max-queries", type=int, default=150)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", help="compare several methods")
-    _add_common(p)
+    _add_fit(p)
     p.add_argument(
         "--methods",
         nargs="+",
         default=["SUPA", "LightGCN", "DeepWalk"],
         choices=available_baselines(),
     )
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--max-queries", type=int, default=150)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("mine", help="mine multiplex metapath schemas")
@@ -924,56 +820,61 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve-replay",
-        help="replay a dataset through the online serving layer",
+        help="replay a dataset through the online serving layer; "
+        "--faults / --crash-at inject seeded faults, recover and reconcile "
+        "the fault ledger; --trace prints the telemetry story",
     )
-    _add_replay_args(p, batch_size=256, capacity=2048, faults="")
+    _add_common(p)
+    _add_serving(p, batch_size=256, capacity=2048)
+    p.add_argument("--cache-size", type=int, default=1024)
     p.add_argument("--probe-every", type=int, default=64)
     p.add_argument(
-        "--trace",
-        action="store_true",
-        help="record repro.obs spans and print the span tree",
+        "--faults",
+        default="",
+        help="comma-separated kind=count fault spec like "
+        "'malformed=4,late=3,duplicate=3,burst=1,crash=1' ('none' for a "
+        "clean run); any fault makes serve-replay run the chaos harness",
     )
-    p.set_defaults(func=cmd_serve_replay)
-
-    p = sub.add_parser(
-        "chaos-replay",
-        help="replay with seeded fault injection, crash recovery and "
-        "fault-ledger reconciliation",
-    )
-    _add_replay_args(
-        p,
-        batch_size=32,
-        capacity=128,
-        faults="malformed=4,late=3,duplicate=3,burst=1,crash=1",
+    p.add_argument(
+        "--crash-at",
+        type=int,
+        default=None,
+        help="crash + recover just before this stream position (replaces "
+        "any seeded crash fault)",
     )
     p.add_argument(
         "--state-dir",
         default=None,
-        help="directory for the WAL + checkpoints (default: a fresh tempdir)",
-    )
-    p.set_defaults(func=cmd_chaos_replay)
-
-    p = sub.add_parser(
-        "obs",
-        help="run a short traced replay; print span tree + metrics, "
-        "export Prometheus text and a JSONL snapshot",
+        help="chaos harness: directory for the WAL + checkpoints "
+        "(default: a fresh tempdir)",
     )
     p.add_argument(
-        "--dataset", default="uci", choices=sorted(DATASET_BUILDERS)
+        "--max-parity-users", type=int, default=None, help="cap parity check users"
     )
-    p.add_argument("--scale", type=float, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--probe-every", type=int, default=64)
-    p.add_argument("--max-parity-users", type=int, default=50)
+    p.add_argument(
+        "--min-parity",
+        type=float,
+        default=0.99,
+        help="fail when served/offline top-K parity drops below this",
+    )
+    p.add_argument(
+        "--output",
+        default="",
+        help="JSON report path (default: write nothing)",
+    )
+    p.add_argument(
+        "--trace",
+        action="store_true",
+        help="record repro.obs spans; print the span tree, flame table and "
+        "metrics snapshot",
+    )
     p.add_argument(
         "--output-dir",
         default="",
-        help="directory for the .prom / .jsonl exports (default: write nothing)",
+        help="with --trace: directory for the .prom / .jsonl exports "
+        "(default: write nothing)",
     )
-    p.set_defaults(func=cmd_obs)
+    p.set_defaults(func=cmd_serve_replay)
 
     p = sub.add_parser(
         "loadtest",
@@ -981,15 +882,8 @@ def build_parser() -> argparse.ArgumentParser:
         "Poisson/bursty/ramp arrivals, report tail latency split into "
         "queue wait vs service time, gate on the SLO contract",
     )
-    p.add_argument(
-        "--dataset", default="uci", choices=sorted(DATASET_BUILDERS)
-    )
-    p.add_argument("--scale", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--dim", type=int, default=32)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--capacity", type=int, default=4096)
+    _add_common(p, dataset="uci", scale=0.1)
+    _add_serving(p, batch_size=64, capacity=4096)
     p.add_argument(
         "--events",
         type=int,
@@ -1033,13 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--admission",
         action="store_true",
         help="put the admission controller in front of the queue "
-        "(token-bucket throttling + watermark-driven shedding)",
-    )
-    p.add_argument(
-        "--shed-policy",
-        default="reject",
-        choices=["reject", "drop_head", "degrade_to_sample"],
-        help="what SHEDDING does to new arrivals (with --admission)",
+        "(token-bucket throttling + watermark-driven rejection)",
     )
     p.add_argument(
         "--rate-per-user",
@@ -1065,13 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.5,
         help="queue-depth fraction SHEDDING must fall below to clear "
-        "(hysteresis)",
-    )
-    p.add_argument(
-        "--sample-keep",
-        type=float,
-        default=0.5,
-        help="fraction kept under the degrade_to_sample policy",
+        "(hysteresis); must hold one batch: x capacity >= batch size",
     )
     p.add_argument(
         "--state-dir",
@@ -1108,12 +990,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _add_replicate_common(rp: argparse.ArgumentParser) -> None:
         _add_common(rp)
-        rp.add_argument("--k", type=int, default=10)
-        rp.add_argument("--dim", type=int, default=32)
+        _add_serving(rp, batch_size=32, capacity=256)
         rp.add_argument(
-            "--batch-size", type=int, default=32, help="update micro-batch"
+            "--state-dir",
+            required=True,
+            help="the primary's directory (its WAL + checkpoints)",
         )
-        rp.add_argument("--capacity", type=int, default=256, help="queue capacity")
         rp.add_argument(
             "--heartbeat-every",
             type=int,
@@ -1131,17 +1013,11 @@ def build_parser() -> argparse.ArgumentParser:
         "primary", help="run the writable update loop, publishing its WAL"
     )
     _add_replicate_common(rp)
-    rp.add_argument("--state-dir", required=True, help="directory this primary owns")
     rp.add_argument(
         "--events",
         type=int,
         default=None,
         help="ingest only the first N stream events (default: all)",
-    )
-    rp.add_argument(
-        "--graceful",
-        action="store_true",
-        help="flush + checkpoint before stopping (default: abrupt kill)",
     )
     rp.set_defaults(func=cmd_replicate_primary)
 
@@ -1151,9 +1027,6 @@ def build_parser() -> argparse.ArgumentParser:
         "its WAL and probe reads",
     )
     _add_replicate_common(rp)
-    rp.add_argument(
-        "--state-dir", required=True, help="the primary's directory to tail"
-    )
     rp.add_argument(
         "--probes", type=int, default=16, help="read probes after draining"
     )
@@ -1165,9 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
         "resume ingest",
     )
     _add_replicate_common(rp)
-    rp.add_argument(
-        "--state-dir", required=True, help="the dead primary's directory"
-    )
     rp.add_argument(
         "--replica-dir", required=True, help="the promoted node's own directory"
     )
@@ -1202,19 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_replicate_common(rp)
     rp.add_argument(
-        "--state-dir", required=True, help="the primary's directory"
-    )
-    rp.add_argument(
         "--replica-dir", required=True, help="the promoted follower's directory"
-    )
-    rp.add_argument("--malformed", type=int, default=2)
-    rp.add_argument("--late", type=int, default=2)
-    rp.add_argument("--duplicate", type=int, default=2)
-    rp.add_argument(
-        "--poll-every", type=int, default=8, help="follower tail cadence"
-    )
-    rp.add_argument(
-        "--probe-every", type=int, default=64, help="replica read-probe cadence"
     )
     rp.add_argument(
         "--max-parity-users", type=int, default=32, help="cap parity check users"

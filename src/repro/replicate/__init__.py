@@ -5,7 +5,7 @@ durability layer — no new log format, no consensus:
 
 * :mod:`~repro.replicate.config` — the shared on-disk layout (one
   directory per role) and the :class:`ReplicationConfig` knobs
-  (heartbeat cadence, staleness bound, promotion policy);
+  (heartbeat and checkpoint cadence);
 * :mod:`~repro.replicate.primary` — :class:`ReplicationPrimary`, the
   writable update loop publishing its segment-rotated WAL plus
   clock-stamped heartbeat records;
@@ -28,11 +28,7 @@ from repro.replicate.failover import (
     compare_services,
     state_fingerprint,
 )
-from repro.replicate.follower import (
-    ReplicationError,
-    ReplicationFollower,
-    StaleReadError,
-)
+from repro.replicate.follower import ReplicationError, ReplicationFollower
 from repro.replicate.primary import ReplicationPrimary
 
 __all__ = [
@@ -45,6 +41,5 @@ __all__ = [
     "state_fingerprint",
     "ReplicationError",
     "ReplicationFollower",
-    "StaleReadError",
     "ReplicationPrimary",
 ]

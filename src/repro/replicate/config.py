@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 #: WAL file name inside a role's state directory
 WAL_BASENAME = "replicate.wal"
@@ -33,26 +32,10 @@ def checkpoint_dir(state_dir: str) -> str:
 
 @dataclass
 class ReplicationConfig:
-    """Knobs shared by the primary and follower roles.
-
-    The staleness contract: a follower that polls at least every
-    ``heartbeat_timeout_seconds`` and applies what it fetches is never
-    more than one poll interval plus one heartbeat interval behind the
-    primary; ``max_lag_records`` bounds how far behind a replica may be
-    before ``stale_reads="reject"`` refuses to answer.
-    """
+    """Knobs shared by the primary and follower roles."""
 
     #: primary: emit a heartbeat record every N accepted events
     heartbeat_every: int = 32
-    #: follower: primary silence threshold before promotion is advised
-    heartbeat_timeout_seconds: float = 5.0
-    #: staleness bound (records behind at last poll) for reject-mode reads
-    max_lag_records: int = 1024
-    #: ``"allow"`` serves bounded-stale answers; ``"reject"`` raises
-    #: :class:`~repro.replicate.follower.StaleReadError` past the bound
-    stale_reads: str = "allow"
-    #: primary WAL segment rotation size (None = single file)
-    wal_segment_bytes: Optional[int] = 1 << 20
     #: checkpoint cadence (applied updates) for primary and promoted nodes
     checkpoint_every: int = 8
 
@@ -60,25 +43,6 @@ class ReplicationConfig:
         if self.heartbeat_every < 1:
             raise ValueError(
                 f"heartbeat_every must be >= 1, got {self.heartbeat_every}"
-            )
-        if self.heartbeat_timeout_seconds <= 0:
-            raise ValueError(
-                "heartbeat_timeout_seconds must be > 0, got "
-                f"{self.heartbeat_timeout_seconds}"
-            )
-        if self.max_lag_records < 0:
-            raise ValueError(
-                f"max_lag_records must be >= 0, got {self.max_lag_records}"
-            )
-        if self.stale_reads not in ("allow", "reject"):
-            raise ValueError(
-                f"stale_reads must be 'allow' or 'reject', got "
-                f"{self.stale_reads!r}"
-            )
-        if self.wal_segment_bytes is not None and self.wal_segment_bytes < 1:
-            raise ValueError(
-                "wal_segment_bytes must be >= 1 when set, got "
-                f"{self.wal_segment_bytes}"
             )
         if self.checkpoint_every < 0:
             raise ValueError(

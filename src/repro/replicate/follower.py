@@ -14,8 +14,7 @@ Reads are served from the replica's latest published snapshot with
 **bounded staleness**: gauges ``replica.seq_lag`` (records behind at
 the start of the last poll), ``replica.lag_seconds`` (age of the
 newest heartbeat stamp) and ``replica.backlog_bytes`` (unshipped bytes
-on disk) expose the bound, and ``stale_reads="reject"`` turns it into a
-hard refusal past ``max_lag_records``.
+on disk) expose the bound.
 
 Promotion (:meth:`promote`) is the failover state machine's last step:
 drain the shipped log to its end, *inherit* it — the segments are
@@ -51,6 +50,9 @@ from repro.resilience.recovery import QueueLogState, RecoveryError, catch_up
 from repro.resilience.wal import WalRecord, WalTailer, segment_paths
 from repro.serve.service import RecommendationService, ServeConfig
 
+#: primary silence (seconds without a heartbeat) before promotion is advised
+HEARTBEAT_TIMEOUT_SECONDS = 5.0
+
 #: follower lifecycle states (the promote state machine, DESIGN.md §13)
 BOOTSTRAPPING = "bootstrapping"
 TAILING = "tailing"
@@ -59,10 +61,6 @@ PROMOTED = "promoted"
 
 class ReplicationError(RuntimeError):
     """The shipped log contradicts the replica, or a protocol misuse."""
-
-
-class StaleReadError(RuntimeError):
-    """A ``stale_reads="reject"`` replica was asked to serve past its bound."""
 
 
 @contextmanager
@@ -93,7 +91,7 @@ class ReplicationFollower:
         ship hyper-parameters.  The follower forces ``read_only=True``
         and strips the resilience knobs until promotion.
     replication:
-        Staleness bound, heartbeat timeout and promotion knobs.
+        The checkpoint cadence a promoted replica adopts.
     clock:
         Injectable time source (seconds) for heartbeat-age accounting;
         defaults to :func:`time.monotonic` and must share a clock
@@ -252,44 +250,28 @@ class ReplicationFollower:
     # ---------------------------------------------------------------- serving
 
     def recommend(self, user: int, k: int = 10) -> np.ndarray:
-        """Read-only top-``k`` from the replica's published snapshot.
-
-        Under ``stale_reads="reject"`` a replica whose last poll was
-        more than ``max_lag_records`` behind refuses with
-        :class:`StaleReadError` instead of serving a stale answer.
-        """
+        """Read-only top-``k`` from the replica's published snapshot
+        (bounded-stale: see the ``replica.*`` lag gauges)."""
         if self.service is None:
             raise ReplicationError("call bootstrap() before recommend()")
-        if self.replication.stale_reads == "reject":
-            with self._lock:
-                lag = self._lag_records
-            if lag > self.replication.max_lag_records:
-                raise StaleReadError(
-                    f"replica was {lag} records behind at its last poll "
-                    f"(bound {self.replication.max_lag_records})"
-                )
         return self.service.recommend(user, k)
 
     # ------------------------------------------------------------- promotion
 
-    def primary_silent(self, timeout_seconds: Optional[float] = None) -> bool:
-        """True when no heartbeat arrived within the timeout.
+    def primary_silent(self) -> bool:
+        """True when no heartbeat arrived within
+        :data:`HEARTBEAT_TIMEOUT_SECONDS`.
 
         Measured against the follower clock at the moment the last
         heartbeat was *applied* — keep polling, or silence and a stalled
         poller look alike.  ``False`` until the first heartbeat lands.
         """
-        timeout = (
-            timeout_seconds
-            if timeout_seconds is not None
-            else self.replication.heartbeat_timeout_seconds
-        )
         now = self._clock()
         with self._lock:
             seen_at = self._last_hb_seen_at
         if seen_at is None:
             return False
-        return (now - seen_at) > timeout
+        return (now - seen_at) > HEARTBEAT_TIMEOUT_SECONDS
 
     def promote(self, replica_dir: Optional[str] = None) -> None:
         """Flip the drained replica into a writable primary-in-waiting.

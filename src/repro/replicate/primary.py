@@ -35,6 +35,10 @@ from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
 from repro.serve.service import RecommendationService, ServeConfig
 
 
+#: shipped-WAL segment rotation size when ``serve_config`` names none
+WAL_SEGMENT_BYTES = 1 << 20
+
+
 class ReplicationPrimary:
     """Run the writable update loop while publishing its WAL.
 
@@ -51,7 +55,7 @@ class ReplicationPrimary:
         Forwarded to the service; the resilience knobs are filled in
         from ``state_dir`` and ``replication``.
     replication:
-        Heartbeat cadence and WAL rotation knobs
+        Heartbeat and checkpoint cadence
         (:class:`~repro.replicate.config.ReplicationConfig`).
     clock:
         Injectable time source for heartbeat stamps (seconds); defaults
@@ -89,7 +93,7 @@ class ReplicationPrimary:
             wal_segment_bytes=(
                 base.wal_segment_bytes
                 if base.wal_segment_bytes is not None
-                else self.replication.wal_segment_bytes
+                else WAL_SEGMENT_BYTES
             ),
         )
         model = SUPA.for_dataset(dataset, model_config)

@@ -24,10 +24,7 @@ rate-limit rejection, each carrying the denied edge and the decision
 replayer skips them — they exist so overload behaviour is *audited*:
 :func:`decision_ledger` folds them back into per-reason counts that
 reconciliation compares against the queue's deadletter ledger (zero
-unjournaled drops).  ``evict`` records may carry a ``reason`` too,
-distinguishing an admission-driven ``drop_head`` shed (which *is* a
-queue-state change and must replay as an eviction) from a plain
-``drop_oldest`` backpressure eviction.
+unjournaled drops).
 
 Format: one JSON record per line, smallest-possible canonical encoding
 (sorted keys, no whitespace) with a ``crc`` field holding the CRC-32 of
@@ -80,8 +77,7 @@ class WalRecord:
     records; ``count`` is the micro-batch size for ``batch`` records;
     ``t`` is the writer's clock reading for ``heartbeat`` records;
     ``reason`` is the admission decision category on ``shed``/
-    ``throttle`` records (and, optionally, on admission-driven
-    ``evict`` records).
+    ``throttle`` records.
     """
 
     seq: int
@@ -337,21 +333,14 @@ def decision_ledger(path: str) -> Dict[str, Dict[str, int]]:
     """Per-reason counts of journaled admission decisions in ``path``.
 
     Returns ``{kind: {reason: count}}`` for ``shed`` and ``throttle``
-    records plus ``evict`` records that carry a reason (a ``drop_head``
-    shed journals as an eviction so replay pops the head, but its
-    reason keeps it auditable here).  Plain backpressure evictions
-    (empty reason) are not admission decisions and are excluded.
-    Streams the log; never materialises it.
+    records.  Backpressure evictions are not admission decisions and
+    are excluded.  Streams the log; never materialises it.
     """
-    ledger: Dict[str, Dict[str, int]] = {"shed": {}, "throttle": {}, "evict": {}}
+    ledger: Dict[str, Dict[str, int]] = {"shed": {}, "throttle": {}}
     for record in iter_records(path):
-        if record.kind in ("shed", "throttle"):
+        if record.kind in ledger:
             bucket = ledger[record.kind]
-        elif record.kind == "evict" and record.reason:
-            bucket = ledger["evict"]
-        else:
-            continue
-        bucket[record.reason] = bucket.get(record.reason, 0) + 1
+            bucket[record.reason] = bucket.get(record.reason, 0) + 1
     return ledger
 
 
@@ -424,14 +413,9 @@ class WriteAheadLog:
         """Journal one accepted event (call *before* buffering it)."""
         return self._append("accept", edge=edge)
 
-    def append_evict(self, edge: StreamEdge, reason: str = "") -> WalRecord:
-        """Journal an eviction (call *before* popping the queue head).
-
-        ``reason`` distinguishes an admission-driven ``drop_head`` shed
-        from a plain backpressure ``drop_oldest``; replay treats both
-        identically (the head pops), the ledger does not.
-        """
-        return self._append("evict", edge=edge, reason=reason)
+    def append_evict(self, edge: StreamEdge) -> WalRecord:
+        """Journal an eviction (call *before* popping the queue head)."""
+        return self._append("evict", edge=edge)
 
     def append_shed(self, edge: StreamEdge, reason: str) -> WalRecord:
         """Journal a load-shedding denial (ledger-only; never replayed)."""

@@ -6,36 +6,31 @@ module protects the *system*: for every valid, timely event offered to
 throttle or shed it, so overload is absorbed by explicit, journaled
 policy instead of unbounded queue wait or producer exceptions.
 
-Three mechanisms compose, checked in order per offered event:
+Two mechanisms compose, checked in order per offered event:
 
 1. **Per-user token buckets** — each user refills at
    ``rate_per_user`` tokens/second up to ``burst``; an empty bucket
    throttles the event (``"throttle: user rate"``).  Buckets live in an
-   LRU bounded at ``max_tracked_users`` (the heavy-hitter working set
-   stays resident; an evicted user returns to a fresh full bucket), the
-   same ``OrderedDict`` idiom as the top-K cache.
+   LRU bounded at :data:`MAX_TRACKED_USERS` (the heavy-hitter working
+   set stays resident; an evicted user returns to a fresh full bucket),
+   the same ``OrderedDict`` idiom as the top-K cache.
 2. **Overload watermarks with hysteresis** — the controller escalates
-   ``NORMAL -> SHEDDING`` when queue depth crosses
-   ``depth_highwater`` (as a fraction of capacity), staleness crosses
-   ``staleness_highwater`` seconds, or pending events reach
-   ``max_inflight``; it de-escalates only when *all* pressure signals
-   fall back below the low watermarks, so the state cannot flap at the
-   boundary.
-3. **Shed policies** — while ``SHEDDING``, one of: ``reject`` (deny the
-   new event), ``drop_head`` (admit it but evict the queue head first —
-   freshest-wins), ``degrade_to_sample`` (keep a deterministic
-   ``sample_keep`` fraction, hashed from the seed and the offered-event
-   ordinal via :func:`~repro.utils.rng.derive_seed` — no RNG object, no
-   clock, bitwise reproducible).
+   ``NORMAL -> SHEDDING`` when queue depth crosses ``depth_highwater``
+   (as a fraction of capacity) and de-escalates only once it falls back
+   to ``depth_lowwater``, so the state cannot flap at the boundary.
+   While ``SHEDDING`` every new event is refused (``"shed: reject"``).
+   Batches are cut by *count*, so a low watermark below one batch would
+   be absorbing; :class:`~repro.serve.service.ServeConfig` refuses it.
 
 The controller is deliberately *pure decision*: it never touches the
 queue, the WAL or metrics.  The queue consults it inside its one intake
-decision (under the queue lock, with the exact depth and head age) and
-acts on the returned :class:`AdmissionDecision` — journaling every
-shed/throttle to the WAL ledger before the deadletter — which is what
-keeps the ``decision_ledger`` / ``deadletters_by_reason`` /
-:meth:`AdmissionController.counts` reconciliation exact (DESIGN.md §8).  Time is injected (``clock``): benches and tests pass
-a deterministic counter, making the whole admission layer replayable.
+decision (under the queue lock, with the exact depth) and acts on the
+returned :class:`AdmissionDecision` — journaling every shed/throttle to
+the WAL ledger before the deadletter — which is what keeps the
+``decision_ledger`` / ``deadletters_by_reason`` /
+:meth:`AdmissionController.counts` reconciliation exact (DESIGN.md §8).
+Time is injected (``clock``): benches and tests pass a deterministic
+counter, making the whole admission layer replayable.
 """
 
 from __future__ import annotations
@@ -47,10 +42,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.graph.streams import StreamEdge
-from repro.utils.rng import derive_seed
-
-#: shed policies accepted by :class:`AdmissionConfig`
-SHED_POLICIES = ("reject", "drop_head", "degrade_to_sample")
 
 #: hysteresis states of the overload escalation machine
 NORMAL = "normal"
@@ -59,33 +50,23 @@ SHEDDING = "shedding"
 #: ledger reason strings (category before ":" buckets the deadletter)
 REASON_THROTTLE = "throttle: user rate"
 REASON_REJECT = "shed: reject"
-REASON_DROP_HEAD = "shed: drop_head"
-REASON_SAMPLE = "shed: sample"
 
-#: resolution of the deterministic keep/drop hash for degrade_to_sample
-_SAMPLE_BUCKETS = 1 << 20
+#: LRU bound on live token buckets
+MAX_TRACKED_USERS = 1024
 
 
 @dataclass
 class AdmissionConfig:
     """Knobs for :class:`AdmissionController`.
 
-    Defaults are permissive: no rate limit, no inflight cap, escalation
-    only at 90% queue depth, ``reject`` shedding.  ``seed`` pins the
-    ``degrade_to_sample`` hash so two runs shed the same events.
+    Defaults are permissive: no rate limit, escalation only at 90% queue
+    depth.
     """
 
     rate_per_user: float = 0.0  # tokens/second; 0 disables rate limiting
     burst: float = 10.0  # bucket capacity (max tokens banked)
-    max_tracked_users: int = 1024  # LRU bound on live buckets
-    max_inflight: int = 0  # pending-event cap forcing escalation; 0 = off
-    shed_policy: str = "reject"  # reject | drop_head | degrade_to_sample
     depth_highwater: float = 0.9  # queue-depth fraction that escalates
     depth_lowwater: float = 0.5  # fraction required to de-escalate
-    staleness_highwater: Optional[float] = None  # seconds; None = off
-    staleness_lowwater: Optional[float] = None  # defaults to half the high
-    sample_keep: float = 0.5  # fraction kept under degrade_to_sample
-    seed: int = 0  # pins the deterministic sampling hash
 
     def __post_init__(self) -> None:
         if self.rate_per_user < 0:
@@ -94,19 +75,6 @@ class AdmissionConfig:
             )
         if self.burst < 1:
             raise ValueError(f"burst must be >= 1, got {self.burst}")
-        if self.max_tracked_users < 1:
-            raise ValueError(
-                f"max_tracked_users must be >= 1, got {self.max_tracked_users}"
-            )
-        if self.max_inflight < 0:
-            raise ValueError(
-                f"max_inflight must be >= 0, got {self.max_inflight}"
-            )
-        if self.shed_policy not in SHED_POLICIES:
-            raise ValueError(
-                f"shed_policy must be one of {SHED_POLICIES}, "
-                f"got {self.shed_policy!r}"
-            )
         if not 0.0 < self.depth_highwater <= 1.0:
             raise ValueError(
                 f"depth_highwater must be in (0, 1], got {self.depth_highwater}"
@@ -116,26 +84,6 @@ class AdmissionConfig:
                 "depth_lowwater must be in [0, depth_highwater], got "
                 f"{self.depth_lowwater}"
             )
-        if self.staleness_highwater is not None and self.staleness_highwater <= 0:
-            raise ValueError(
-                "staleness_highwater must be > 0 when set, got "
-                f"{self.staleness_highwater}"
-            )
-        if self.staleness_lowwater is None and self.staleness_highwater is not None:
-            self.staleness_lowwater = self.staleness_highwater / 2.0
-        if (
-            self.staleness_lowwater is not None
-            and self.staleness_highwater is not None
-            and not 0.0 <= self.staleness_lowwater <= self.staleness_highwater
-        ):
-            raise ValueError(
-                "staleness_lowwater must be in [0, staleness_highwater], got "
-                f"{self.staleness_lowwater}"
-            )
-        if not 0.0 < self.sample_keep <= 1.0:
-            raise ValueError(
-                f"sample_keep must be in (0, 1], got {self.sample_keep}"
-            )
 
 
 @dataclass(frozen=True)
@@ -143,10 +91,9 @@ class AdmissionDecision:
     """What to do with one offered event.
 
     ``admitted`` — whether the event may enter the queue;
-    ``action`` — ``"admit"``, ``"throttle"``, ``"shed"`` or
-    ``"drop_head"`` (admit the event, but shed the queue head first);
-    ``reason`` — the ledger reason string (empty for a plain admit),
-    whose text before the first ``":"`` is the deadletter category.
+    ``action`` — ``"admit"``, ``"throttle"`` or ``"shed"``;
+    ``reason`` — the ledger reason string (empty for an admit), whose
+    text before the first ``":"`` is the deadletter category.
     """
 
     admitted: bool
@@ -196,54 +143,26 @@ class AdmissionController:
     # ------------------------------------------------------------- decisions
 
     def admit(
-        self,
-        edge: StreamEdge,
-        queue_depth: int,
-        capacity: int,
-        staleness_seconds: float = 0.0,
+        self, edge: StreamEdge, queue_depth: int, capacity: int
     ) -> AdmissionDecision:
-        """Decide one offered event against the current pressure signals.
+        """Decide one offered event against the current queue pressure.
 
-        ``queue_depth``/``capacity``/``staleness_seconds`` describe the
-        queue at this very offer (the queue calls this under its own
-        lock).  Rate limiting applies in every state; shedding applies
-        only while escalated.
+        ``queue_depth``/``capacity`` describe the queue at this very
+        offer (the queue calls this under its own lock).  Rate limiting
+        applies in every state; shedding applies only while escalated.
         """
         now = self._clock()  # outside the lock: clocks may be injected
         with self._lock:
             self._offered += 1
-            ordinal = self._offered
             if not self._throttle_allows(int(edge.u), now):
                 self.throttled += 1
                 return AdmissionDecision(False, "throttle", REASON_THROTTLE)
-            self._update_state(queue_depth, capacity, staleness_seconds)
+            self._update_state(queue_depth, capacity)
             if self._state == NORMAL:
                 self.admitted += 1
                 return ADMIT
-            policy = self.config.shed_policy
-            if policy == "reject":
-                self.shed += 1
-                return AdmissionDecision(False, "shed", REASON_REJECT)
-            if policy == "drop_head":
-                # the queue sheds its head once the new event is about
-                # to be buffered (freshest-wins under overload)
-                self.shed += 1
-                self.admitted += 1
-                return AdmissionDecision(True, "drop_head", REASON_DROP_HEAD)
-            # degrade_to_sample: deterministic keep/drop by ordinal.
-            # The ordinal is salted twice: one LCG step maps consecutive
-            # ordinals to consecutive outputs (a narrow band mod the
-            # bucket count — all-or-nothing, not a sample); the second
-            # step multiplies that difference out across the range.
-            keep_hash = (
-                derive_seed(self.config.seed, ordinal, ordinal)
-                % _SAMPLE_BUCKETS
-            )
-            if keep_hash >= int(self.config.sample_keep * _SAMPLE_BUCKETS):
-                self.shed += 1
-                return AdmissionDecision(False, "shed", REASON_SAMPLE)
-            self.admitted += 1
-            return ADMIT
+            self.shed += 1
+            return AdmissionDecision(False, "shed", REASON_REJECT)
 
     # ------------------------------------------------- internals (lock held)
 
@@ -267,39 +186,22 @@ class AdmissionController:
             tokens -= 1.0
         self._buckets[user] = (tokens, now)
         self._buckets.move_to_end(user)
-        while len(self._buckets) > self.config.max_tracked_users:
+        while len(self._buckets) > MAX_TRACKED_USERS:
             self._buckets.popitem(last=False)  # LRU: coldest user evicted
         return allowed
 
-    def _update_state(
-        self, queue_depth: int, capacity: int, staleness_seconds: float
-    ) -> None:
-        """Run the hysteresis machine on one pressure snapshot.
+    def _update_state(self, queue_depth: int, capacity: int) -> None:
+        """Run the hysteresis machine on one depth reading.
 
-        Caller must hold ``self._lock``.  Escalates when *any* signal
-        crosses its high watermark; de-escalates only when *all* fall
-        below the low ones.
+        Caller must hold ``self._lock``.  Escalates at the high
+        watermark; de-escalates only at or below the low one.
         """
-        cfg = self.config
         fraction = queue_depth / capacity if capacity > 0 else 0.0
-        over_depth = fraction >= cfg.depth_highwater
-        over_stale = (
-            cfg.staleness_highwater is not None
-            and staleness_seconds >= cfg.staleness_highwater
-        )
-        over_inflight = cfg.max_inflight > 0 and queue_depth >= cfg.max_inflight
         if self._state == NORMAL:
-            if over_depth or over_stale or over_inflight:
+            if fraction >= self.config.depth_highwater:
                 self._state = SHEDDING
                 self.escalations += 1
-            return
-        under_depth = fraction <= cfg.depth_lowwater
-        under_stale = (
-            cfg.staleness_highwater is None
-            or staleness_seconds <= (cfg.staleness_lowwater or 0.0)
-        )
-        under_inflight = cfg.max_inflight == 0 or queue_depth < cfg.max_inflight
-        if under_depth and under_stale and under_inflight:
+        elif fraction <= self.config.depth_lowwater:
             self._state = NORMAL
             self.de_escalations += 1
 
@@ -319,7 +221,7 @@ class AdmissionController:
 
     @property
     def tracked_users(self) -> int:
-        """Live token buckets (bounded by ``max_tracked_users``)."""
+        """Live token buckets (bounded by :data:`MAX_TRACKED_USERS`)."""
         with self._lock:
             return len(self._buckets)
 

@@ -13,20 +13,19 @@ validator said why), ``late`` (further than ``late_tolerance`` behind
 the accepted-timestamp watermark — the replay/RNG contract assumes a
 near-ordered stream), ``throttle`` /
 ``shed`` (the :class:`~repro.serve.admission.AdmissionController`,
-consulted with the exact buffer depth and head age) and
+consulted with the exact buffer depth) and
 ``backpressure`` (``capacity`` reached: raise to the producer, shed the
 new event, or evict the oldest, per ``overflow``).  Validation of
 outside input precedes policy, so a refused offer charges no token and
-evicts nothing: the head is evicted (``drop_oldest``, or an admission
-``drop_head``) only once the new event is certain to be buffered.
+evicts nothing: the head is evicted (``drop_oldest``) only once the new
+event is certain to be buffered.
 
 Accepted events buffer in arrival order with their accept time; once
 ``batch_size`` are pending they are cut into an
 :class:`~repro.graph.streams.EdgeStream` micro-batch (construction
 re-sorts any out-of-order arrivals) and handed to the update handler —
 the resumable :meth:`~repro.core.inslearn.InsLearnTrainer.train_one_batch`
-step.  The stamps give the head's age (the staleness watermark) and, at
-each cut, every event's queue wait.  Batch boundaries are cut by *count*
+step.  The stamps give, at each cut, every event's queue wait.  Batch boundaries are cut by *count*
 over the accepted FIFO, so with ``defer_dispatch=True`` — ``put()`` never
 dispatches, a dispatcher thread (:mod:`repro.serve.dispatch`) drains via
 :meth:`dispatch_next` — a drained queue is bitwise-identical to the
@@ -126,8 +125,7 @@ class EventQueue:
         The :class:`~repro.serve.admission.AdmissionController` consulted
         for every valid, timely offer; ``None`` admits everything.
     clock:
-        Monotonic seconds for the accept stamps (head age, queue wait);
-        defaults to :func:`time.monotonic`.
+        Monotonic seconds for the accept stamps (queue wait); defaults to :func:`time.monotonic`.
     waits:
         Histogram (``observe(seconds)``) receiving each event's wait
         from its accept to the cut that dispatches it.
@@ -269,21 +267,13 @@ class EventQueue:
                     f"late event: t={edge.t!r} more than {self.late_tolerance!r} "
                     f"behind watermark {self.max_timestamp!r}",
                 )
-            # head eviction owed once the event is certain to be buffered:
-            # None = none, "" = drop_oldest backpressure, else the shed reason
-            evict: Optional[str] = None
             if self._admission is not None:
                 decision = self._admission.admit(
-                    edge,
-                    queue_depth=len(self._buffer),
-                    capacity=self.capacity,
-                    staleness_seconds=self._head_age(now),
+                    edge, queue_depth=len(self._buffer), capacity=self.capacity
                 )
                 if not decision.admitted:
                     return self._refuse(edge, decision.action, decision.reason)
-                if decision.action == "drop_head" and self._buffer:
-                    evict = decision.reason
-            if evict is None and len(self._buffer) >= self.capacity:
+            if len(self._buffer) >= self.capacity:
                 if self.overflow == "raise":
                     raise BackpressureError(
                         f"event queue at capacity ({self.capacity}); "
@@ -293,10 +283,9 @@ class EventQueue:
                     return self._refuse(
                         edge, "backpressure", "backpressure: queue at capacity"
                     )
-                evict = ""
+                # drop_oldest: the event will be buffered, so the head goes
+                self._evict_head()
             # the event will be buffered: write-ahead, then state
-            if evict is not None:
-                self._evict_head(evict)
             if self._journal is not None:
                 self._journal.append_accept(edge)
             self._buffer.append((edge, now))
@@ -316,13 +305,6 @@ class EventQueue:
         """True when a full micro-batch is buffered and dispatch is live."""
         with self._lock:
             return self._ready()
-
-    def head_age(self) -> float:
-        """Seconds the oldest buffered event has waited; 0.0 when the
-        buffer is empty or its head was preloaded (no stamp)."""
-        now = self._clock()
-        with self._lock:
-            return self._head_age(now)
 
     def dispatch_next(self) -> int:
         """Dispatch at most one ready micro-batch; returns events cut.
@@ -423,10 +405,6 @@ class EventQueue:
     def _ready(self) -> bool:
         return not self._paused and len(self._buffer) >= self.batch_size
 
-    def _head_age(self, now: float) -> float:
-        stamp = self._buffer[0][1] if self._buffer else None
-        return 0.0 if stamp is None else max(0.0, now - stamp)
-
     def _refuse(self, edge: StreamEdge, kind: str, reason: str) -> bool:
         """The one way ``put()`` turns an offer down: the ledger record
         for a policy denial (write-ahead of the deadletter), the kind's
@@ -439,20 +417,14 @@ class EventQueue:
         self._dead_letter(edge, kind, reason)
         return False
 
-    def _evict_head(self, reason: str) -> None:
+    def _evict_head(self) -> None:
         """Evict the oldest buffered event in favour of one about to be
-        buffered.  ``reason`` is the admission ``drop_head`` reason, or
-        ``""`` for ``drop_oldest`` backpressure; it is journaled on the
-        ``evict`` record as given — replay pops the head either way, the
-        decision ledger tells the two apart."""
+        buffered (``drop_oldest`` backpressure)."""
         head = self._buffer[0][0]
         if self._journal is not None:
-            self._journal.append_evict(head, reason=reason)
+            self._journal.append_evict(head)
         del self._buffer[0]
-        if reason:
-            self._dead_letter(head, "shed", reason)
-        else:
-            self._dead_letter(head, "backpressure", "backpressure: evicted oldest")
+        self._dead_letter(head, "backpressure", "backpressure: evicted oldest")
 
     def _dead_letter(self, edge: StreamEdge, kind: str, reason: str) -> None:
         if kind in ("shed", "throttle"):

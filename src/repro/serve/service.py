@@ -72,13 +72,12 @@ class ServeConfig:
     breaker_threshold: int = 3  # consecutive update failures to trip; 0 = never
     breaker_cooldown_events: int = 64  # ingests while open before a probe
     #: injectable monotonic clock for the intake stamps: each accepted
-    #: event is stamped as it is buffered, which gives the head's age
-    #: (the admission staleness watermark) and, at the batch cut, its
-    #: queue wait in the ``latency.queue_wait_seconds`` histogram —
-    #: time spent buffered, apart from service time proper.  The token
-    #: buckets refill on the same clock.  ``None`` (the default) is
-    #: ``time.monotonic``; the load harness and benches pass
-    #: ``time.perf_counter``, tests a fake clock.
+    #: event is stamped as it is buffered, which gives, at the batch
+    #: cut, its queue wait in the ``latency.queue_wait_seconds``
+    #: histogram — time spent buffered, apart from service time proper.
+    #: The token buckets refill on the same clock.  ``None`` (the
+    #: default) is ``time.monotonic``; the load harness and benches
+    #: pass ``time.perf_counter``, tests a fake clock.
     clock_fn: Optional[Callable[[], float]] = None
     # --- async dispatch + admission control (DESIGN.md §8) ----------------
     #: run updates on a dispatcher thread instead of inline in ``put()``:
@@ -127,6 +126,20 @@ class ServeConfig:
                 "dispatch_poll_seconds must be > 0, got "
                 f"{self.dispatch_poll_seconds}"
             )
+        # Batches are cut by count alone, so SHEDDING must stand down
+        # with a whole batch still buffered: below that, the remainder
+        # nothing can cut keeps the depth above the low watermark and
+        # every later event is shed (a livelock).
+        admission = self.admission
+        if (
+            admission is not None
+            and admission.depth_lowwater * self.capacity < self.batch_size
+        ):
+            raise ValueError(
+                f"admission depth_lowwater ({admission.depth_lowwater}) x "
+                f"capacity ({self.capacity}) must hold one batch "
+                f"(batch_size {self.batch_size}): shedding could never stand down"
+            )
 
 
 class ReadOnlyServiceError(RuntimeError):
@@ -137,11 +150,11 @@ class ReadOnlyServiceError(RuntimeError):
 class QueryResult:
     """A :meth:`RecommendationService.query` answer with its health.
 
-    ``degraded`` marks answers served while the system is shedding load,
-    breaker-paused, or past the staleness watermark — still correct
-    against the last published snapshot, just staler than the SLO
-    promises.  ``reason`` says which signal tripped; ``snapshot_version``
-    pins the version the items came from.
+    ``degraded`` marks answers served while the system is shedding load
+    or breaker-paused — still correct against the last published
+    snapshot, just staler than the SLO promises.  ``reason`` says which
+    signal tripped; ``snapshot_version`` pins the version the items came
+    from.
     """
 
     items: np.ndarray
@@ -795,25 +808,19 @@ class RecommendationService:
         """Overload-aware :meth:`recommend`: answers never error under
         pressure, they degrade.
 
-        When the circuit breaker is open, admission is shedding, or the
-        oldest buffered event has waited past the admission staleness
-        watermark, the answer still comes from the last published
-        snapshot (exactly what :meth:`recommend` serves) but carries
-        ``degraded=True`` and the reason — the SLO-visible marker that
-        bounded staleness is currently *unbounded by fresh updates*.
+        When the circuit breaker is open or admission is shedding, the
+        answer still comes from the last published snapshot (exactly
+        what :meth:`recommend` serves) but carries ``degraded=True`` and
+        the reason — the SLO-visible marker that bounded staleness is
+        currently *unbounded by fresh updates*.
         """
         reason = ""
         with self._state_lock:
             if self._breaker_open:
                 reason = "breaker open"
         admission = self.admission
-        if not reason and admission is not None:
-            if admission.state == SHEDDING:
-                reason = "admission shedding"
-            else:
-                high = admission.config.staleness_highwater
-                if high is not None and self.queue.head_age() >= high:
-                    reason = "staleness past watermark"
+        if not reason and admission is not None and admission.state == SHEDDING:
+            reason = "admission shedding"
         items, version = self._serve(user, k)
         if reason:
             self.metrics.counter("serve.degraded").inc()

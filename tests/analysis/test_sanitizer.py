@@ -2,21 +2,19 @@
 
 Covers the monitor mechanics with purpose-built fixture classes (order
 inversions across two threads, self-deadlock detection, RLock reentry,
-unguarded writes, patch/unpatch hygiene) and — the keystone — the
-cross-check that :func:`default_audits`'s guarded sets match what the
-static ``lock-discipline`` rule infers from the real source, so the two
-halves of the concurrency suite cannot drift apart.
+unguarded writes, patch/unpatch hygiene) and that an audit *derived*
+from the static ``lock-discipline`` inference — how
+:func:`default_audits` gets its guarded sets — catches a seeded
+unguarded write.
 """
 
-import ast
-import inspect
 import json
 import threading
 
 import pytest
 
 from repro.analysis import Audit, LockMonitor, SanitizedLock, threadcheck
-from repro.analysis.concurrency import _analyze_class
+from repro.analysis.concurrency import infer_guarded
 from repro.analysis.sanitizer import default_audits
 
 
@@ -218,30 +216,15 @@ class TestThreadcheck:
         } <= names
 
 
-def _static_guarded(cls, lock_attr):
-    """Guarded set the ``lock-discipline`` rule infers for ``cls``."""
-    tree = ast.parse(inspect.getsource(inspect.getmodule(cls)))
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == cls.__name__:
-            model = _analyze_class(node)
-            assert model is not None, f"{cls.__name__} creates no locks?"
-            guarded = {lock: set() for lock in model.locks}
-            for access in model.accesses:
-                if not access.is_write:
-                    continue
-                for lock in model.effective_held(access.method, access.held):
-                    if lock in guarded:
-                        guarded[lock].add(access.attr)
-            return guarded[lock_attr]
-    raise AssertionError(f"class {cls.__name__} not found in its module")
-
-
-@pytest.mark.parametrize("audit", default_audits(), ids=lambda a: a.lock_name)
-def test_runtime_audit_matches_static_inference(audit):
-    """The two halves of the suite must agree on what each lock guards.
-
-    ``default_audits`` is hand-maintained; this pins it to the static
-    rule's inference over the real source so adding a guarded attribute
-    (or a new lock) in one place and not the other fails loudly.
-    """
-    assert _static_guarded(audit.cls, audit.lock_attr) == set(audit.guarded)
+def test_derived_audit_catches_a_seeded_unguarded_write():
+    """The guarded sets are inferred from source, not typed in: the
+    audit derived for the toy class names ``count`` and flags the one
+    write that skips the lock."""
+    guarded = infer_guarded(_Guarded)
+    assert guarded == {"_lock": frozenset({"count"})}
+    with threadcheck(audits=[Audit(_Guarded, "_lock", guarded["_lock"])]) as monitor:
+        obj = _Guarded()
+        obj.safe_inc()
+        assert monitor.ok
+        obj.rogue_inc()
+    assert [w["attr"] for w in monitor.unguarded_writes] == ["count"]

@@ -1,10 +1,7 @@
-"""Tests for the extended tensor ops (sqrt/abs/max/min/var) and
-functionals (dropout, layer_norm)."""
+"""Tests for the extended tensor ops (sqrt/abs/max/min/var)."""
 
 import numpy as np
-import pytest
 
-from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 
 from tests.autograd.test_tensor import check_gradients
@@ -51,44 +48,3 @@ class TestTensorOps:
 
     def test_var_gradient(self):
         check_gradients(lambda a: a.var(axis=1), np.random.randn(3, 5))
-
-
-class TestDropout:
-    def test_identity_when_not_training(self):
-        x = Tensor(np.ones(100))
-        out = F.dropout(x, 0.5, rng=0, training=False)
-        assert np.allclose(out.numpy(), 1.0)
-
-    def test_zero_p_identity(self):
-        x = Tensor(np.ones(10))
-        assert np.allclose(F.dropout(x, 0.0, rng=0).numpy(), 1.0)
-
-    def test_expected_scale_preserved(self):
-        x = Tensor(np.ones(20_000))
-        out = F.dropout(x, 0.3, rng=0)
-        assert out.numpy().mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            F.dropout(Tensor([1.0]), 1.0)
-        with pytest.raises(ValueError):
-            F.dropout(Tensor([1.0]), -0.1)
-
-    def test_gradient_masks_match_forward(self):
-        x = Tensor(np.ones(50), requires_grad=True)
-        out = F.dropout(x, 0.5, rng=3)
-        out.sum().backward()
-        dropped = out.numpy() == 0.0
-        assert np.allclose(x.grad[dropped], 0.0)
-        assert np.all(x.grad[~dropped] > 0)
-
-
-class TestLayerNorm:
-    def test_normalises_rows(self):
-        x = Tensor(np.random.default_rng(0).normal(3.0, 2.0, size=(4, 16)))
-        out = F.layer_norm(x).numpy()
-        assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-6)
-        assert np.allclose(out.var(axis=-1), 1.0, atol=1e-3)
-
-    def test_gradient(self):
-        check_gradients(lambda a: F.layer_norm(a), np.random.randn(2, 6))

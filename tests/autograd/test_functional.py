@@ -30,10 +30,6 @@ class TestForwardValues:
         assert np.all(np.isfinite(out))
         assert out[1] == pytest.approx(-1e4)
 
-    def test_relu(self):
-        out = F.relu(Tensor([-1.0, 0.0, 2.0])).numpy()
-        assert np.allclose(out, [0.0, 0.0, 2.0])
-
     def test_leaky_relu(self):
         out = F.leaky_relu(Tensor([-1.0, 2.0]), slope=0.1).numpy()
         assert np.allclose(out, [-0.1, 2.0])
@@ -56,30 +52,6 @@ class TestForwardValues:
         out = F.embedding(table, [2, 0]).numpy()
         assert np.allclose(out, [[6, 7, 8], [0, 1, 2]])
 
-    def test_dot_rows(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[5.0, 6.0], [7.0, 8.0]])
-        assert np.allclose(F.dot_rows(a, b).numpy(), [17.0, 53.0])
-
-
-class TestLosses:
-    def test_mse_zero_for_equal(self):
-        x = Tensor([1.0, 2.0])
-        assert F.mse_loss(x, np.array([1.0, 2.0])).item() == 0.0
-
-    def test_bpr_loss_decreases_with_margin(self):
-        small = F.bpr_loss(Tensor([0.1]), Tensor([0.0])).item()
-        large = F.bpr_loss(Tensor([5.0]), Tensor([0.0])).item()
-        assert large < small
-
-    def test_bce_with_logits_matches_reference(self):
-        logits = np.array([0.5, -1.0, 2.0])
-        labels = np.array([1.0, 0.0, 1.0])
-        got = F.binary_cross_entropy_with_logits(Tensor(logits), labels).item()
-        p = 1.0 / (1.0 + np.exp(-logits))
-        want = -np.mean(labels * np.log(p) + (1 - labels) * np.log(1 - p))
-        assert got == pytest.approx(want)
-
 
 class TestGradients:
     def test_sigmoid(self):
@@ -91,10 +63,6 @@ class TestGradients:
     def test_tanh(self):
         check_gradients(F.tanh, np.random.randn(5))
 
-    def test_relu_away_from_kink(self):
-        check_gradients(F.relu, np.random.randn(5) + 3.0)
-        check_gradients(F.relu, np.random.randn(5) - 3.0)
-
     def test_leaky_relu(self):
         check_gradients(lambda a: F.leaky_relu(a, 0.2), np.random.randn(5) + 2.0)
 
@@ -102,16 +70,4 @@ class TestGradients:
         check_gradients(
             lambda a: F.softmax(a) * Tensor(np.random.default_rng(0).normal(size=(2, 4))),
             np.random.randn(2, 4),
-        )
-
-    def test_bpr(self):
-        check_gradients(
-            lambda a, b: F.bpr_loss(a, b), np.random.randn(6), np.random.randn(6)
-        )
-
-    def test_bce(self):
-        labels = np.random.default_rng(0).integers(0, 2, size=5).astype(float)
-        check_gradients(
-            lambda a: F.binary_cross_entropy_with_logits(a, labels),
-            np.random.randn(5),
         )

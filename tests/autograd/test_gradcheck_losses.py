@@ -1,6 +1,6 @@
-"""Finite-difference gradient checks for the taped ops the reprolint
-``autograd-backward`` audit showed lacked them: ``mse_loss``,
-``dot_rows``, and the ``embedding`` row-lookup primitive."""
+"""Finite-difference gradient checks for the ``embedding`` row-lookup
+primitive (the reprolint ``autograd-backward`` audit showed it lacked
+them)."""
 
 import numpy as np
 
@@ -8,19 +8,6 @@ from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 
 from tests.autograd.test_tensor import check_gradients
-
-
-class TestLossGradients:
-    def test_mse_loss(self):
-        rng = np.random.default_rng(0)
-        target = rng.normal(size=6)
-        check_gradients(lambda a: F.mse_loss(a, target), rng.normal(size=6))
-
-    def test_dot_rows_both_inputs(self):
-        rng = np.random.default_rng(1)
-        check_gradients(
-            F.dot_rows, rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-        )
 
 
 class TestEmbeddingGradients:

@@ -9,11 +9,7 @@ from repro.core.config import SUPAConfig
 from repro.datasets.zoo import load_dataset
 from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
 from repro.replicate.failover import state_fingerprint
-from repro.replicate.follower import (
-    ReplicationError,
-    ReplicationFollower,
-    StaleReadError,
-)
+from repro.replicate.follower import ReplicationError, ReplicationFollower
 from repro.replicate.primary import ReplicationPrimary
 from repro.resilience.wal import scan
 from repro.serve.service import ReadOnlyServiceError, ServeConfig
@@ -79,10 +75,6 @@ class TestConfig:
         "kwargs",
         [
             dict(heartbeat_every=0),
-            dict(heartbeat_timeout_seconds=0.0),
-            dict(max_lag_records=-1),
-            dict(stale_reads="maybe"),
-            dict(wal_segment_bytes=0),
             dict(checkpoint_every=-1),
         ],
     )
@@ -182,30 +174,6 @@ class TestFollower:
         assert follower.lag_from(primary.last_seq) == 0
         primary.close()
 
-    def test_reject_mode_refuses_stale_reads(self, dataset, tmp_path):
-        primary = make_primary(dataset, tmp_path)
-        for edge in list(dataset.stream)[:64]:
-            primary.ingest(edge)
-        follower = ReplicationFollower(
-            dataset,
-            str(tmp_path / "primary"),
-            serve_config=serve_config(),
-            model_config=model_config(),
-            replication=ReplicationConfig(
-                heartbeat_every=4, max_lag_records=0, stale_reads="reject"
-            ),
-        )
-        # bootstrap's initial drain applies a non-zero backlog in one
-        # poll, so the replica knows it was behind its zero bound
-        follower.bootstrap()
-        user = int(primary.service.users[0])
-        if follower.lag_records > 0:
-            with pytest.raises(StaleReadError):
-                follower.recommend(user, 5)
-        follower.poll()  # nothing new: lag drops to zero
-        assert follower.recommend(user, 5) is not None
-        primary.close()
-
     def test_primary_silence_detection(self, dataset, tmp_path):
         now = {"t": 100.0}
         primary = make_primary(dataset, tmp_path, clock=lambda: now["t"])
@@ -213,9 +181,7 @@ class TestFollower:
             dataset,
             tmp_path,
             clock=lambda: now["t"],
-            replication=ReplicationConfig(
-                heartbeat_every=4, heartbeat_timeout_seconds=5.0
-            ),
+            replication=ReplicationConfig(heartbeat_every=4),
         ).bootstrap()
         assert not follower.primary_silent()
         now["t"] = 104.0

@@ -52,8 +52,7 @@ def write_valid_log(path, draws, segment_bytes):
                 accepted += 1
                 watermark = max(watermark, edge.t)
             elif kind == "evict":
-                reason = "shed: drop_head" if magnitude % 2 else ""
-                wal.append_evict(fifo.pop(0), reason=reason)
+                wal.append_evict(fifo.pop(0))
             elif kind == "batch":
                 count = 1 + magnitude % len(fifo)
                 wal.append_batch(count)

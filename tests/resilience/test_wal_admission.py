@@ -51,16 +51,6 @@ class TestLedgerRecords:
             with pytest.raises(ValueError):
                 wal.append_throttle(edge(1), "")
 
-    def test_evict_reason_roundtrips_and_defaults_empty(self, wal_path):
-        with WriteAheadLog(wal_path) as wal:
-            wal.append_accept(edge(1))
-            wal.append_accept(edge(2))
-            wal.append_evict(edge(1))
-            wal.append_evict(edge(2), reason="shed: drop_head")
-        records = scan(wal_path).records
-        assert records[2].reason == ""
-        assert records[3].reason == "shed: drop_head"
-
     def test_decision_ledger_aggregates_by_kind_and_reason(self, wal_path):
         with WriteAheadLog(wal_path) as wal:
             wal.append_accept(edge(0))
@@ -68,13 +58,11 @@ class TestLedgerRecords:
             wal.append_shed(edge(2), "shed: reject")
             wal.append_shed(edge(3), "shed: sample")
             wal.append_throttle(edge(4), "throttle: user rate")
-            wal.append_evict(edge(0), reason="shed: drop_head")
-            wal.append_accept(edge(5))
-            wal.append_evict(edge(5))  # plain eviction: not a decision
-        ledger = decision_ledger(wal_path)
-        assert ledger["shed"] == {"shed: reject": 2, "shed: sample": 1}
-        assert ledger["throttle"] == {"throttle: user rate": 1}
-        assert ledger["evict"] == {"shed: drop_head": 1}
+            wal.append_evict(edge(0))  # backpressure: not a decision
+        assert decision_ledger(wal_path) == {
+            "shed": {"shed: reject": 2, "shed: sample": 1},
+            "throttle": {"throttle: user rate": 1},
+        }
 
 
 class TestReplaySkipsLedgerOnlyKinds:
@@ -95,28 +83,18 @@ class TestReplaySkipsLedgerOnlyKinds:
         assert "throttle" in LEDGER_ONLY_KINDS
         assert "heartbeat" in LEDGER_ONLY_KINDS
 
-    def test_drop_head_eviction_replays_as_head_pop(self, wal_path):
-        with WriteAheadLog(wal_path) as wal:
-            wal.append_accept(edge(1))
-            wal.append_accept(edge(2))
-            wal.append_evict(edge(1), reason="shed: drop_head")
-        state = fold(iter_records(wal_path))
-        assert state.fifo == [edge(2)]
-
 
 class TestServiceReconciliation:
-    def _shedding_service(self, dataset, tmp_path, shed_policy="reject"):
+    def _shedding_service(self, dataset, tmp_path):
         return RecommendationService(
             dataset,
             config=ServeConfig(
-                batch_size=4,
+                batch_size=2,
                 capacity=8,
                 wal_path=str(tmp_path / "svc.wal"),
                 checkpoint_dir=str(tmp_path / "ckpts"),
                 admission=AdmissionConfig(
-                    depth_highwater=0.25,
-                    depth_lowwater=0.1,
-                    shed_policy=shed_policy,
+                    depth_highwater=0.5, depth_lowwater=0.25
                 ),
             ),
         )
@@ -127,9 +105,9 @@ class TestServiceReconciliation:
         svc = self._shedding_service(small_dataset, tmp_path)
         edges = list(small_dataset.stream)
         svc.queue.pause()
-        svc.ingest(edges[0])
-        svc.ingest(edges[1])
-        for e in edges[2:6]:  # depth 2/8 >= 0.25: every one of these sheds
+        for e in edges[:4]:
+            assert svc.ingest(e)
+        for e in edges[4:8]:  # depth 4/8 >= 0.5: every one of these sheds
             assert not svc.ingest(e)
         svc.queue.resume()
         svc.flush()
@@ -143,32 +121,37 @@ class TestServiceReconciliation:
         assert svc.queue.deadletters_by_reason()["shed"] == 4
         # zero reconciliation mismatches: ledger == controller == queue
 
-    def test_a_refused_offer_evicts_nothing_under_drop_head(
+    def test_a_refused_offer_evicts_nothing_under_drop_oldest(
         self, small_dataset, tmp_path
     ):
-        svc = self._shedding_service(small_dataset, tmp_path, "drop_head")
+        svc = RecommendationService(
+            small_dataset,
+            config=ServeConfig(
+                batch_size=2,
+                capacity=2,
+                overflow="drop_oldest",
+                late_tolerance=0.0,
+                wal_path=str(tmp_path / "svc.wal"),
+            ),
+        )
         edges = list(small_dataset.stream)
         malformed = edges[0]._replace(t=float("nan"))
         svc.queue.pause()
-        svc.ingest(edges[0])
-        svc.ingest(edges[1])  # depth 2/8 >= 0.25: SHEDDING from here on
-        for offer in (malformed, edges[2], malformed, edges[3]):
-            # a valid offer replaces the head, a refused one touches nothing
-            assert svc.ingest(offer) is (offer is not malformed)
-            assert svc.queue.pending == 2
+        assert svc.ingest(edges[1]) and svc.ingest(edges[2])  # full
+        # refused offers (malformed, then late) touch nothing
+        for offer in (malformed, edges[0]):
+            assert svc.ingest(offer) is False
+            assert svc.queue.buffered() == (edges[1], edges[2])
+        assert svc.ingest(edges[3])  # a buffered offer replaces the head
         assert svc.queue.buffered() == (edges[2], edges[3])
-        svc.queue.resume()
-        svc.flush()
         svc.close()
 
-        ledger = decision_ledger(svc.config.wal_path)
-        counts = svc.admission.counts()
+        kinds = [r.kind for r in iter_records(svc.config.wal_path)]
         # one evict record per event actually buffered in place of a head
-        assert ledger["evict"] == {"shed: drop_head": 2}
-        assert counts["offered"] == 4 and counts["shed"] == 2
-        assert counts["admitted"] == svc.queue.accepted == 4
-        assert svc.queue.deadletters_by_reason() == {"shed": 2, "malformed": 2}
-        assert svc.queue.shed == 2 and svc.queue.rejected == 2
+        assert kinds == ["accept", "accept", "evict", "accept"]
+        assert svc.queue.deadletters_by_reason() == {
+            "malformed": 1, "late event": 1, "backpressure": 1,
+        }
 
     def test_throttle_denials_reach_the_ledger(
         self, small_dataset, tmp_path
@@ -206,9 +189,9 @@ class TestServiceReconciliation:
         svc = self._shedding_service(small_dataset, tmp_path)
         edges = list(small_dataset.stream)
         svc.queue.pause()
-        svc.ingest(edges[0])
-        svc.ingest(edges[1])
-        assert not svc.ingest(edges[2])  # journaled shed record
+        for e in edges[:4]:
+            assert svc.ingest(e)
+        assert not svc.ingest(edges[4])  # journaled shed record
         svc.queue.resume()
         svc.flush()
         svc.close()
@@ -216,7 +199,7 @@ class TestServiceReconciliation:
         recovered = recover(small_dataset, svc.config)
         try:
             # the shed record was skipped; accepts/batches replayed
-            assert recovered.replayed_events == 2
+            assert recovered.replayed_events == 4
             assert state_fingerprint(recovered.service) == state_fingerprint(
                 svc
             )

@@ -1,13 +1,12 @@
-"""Tests for the admission controller: token buckets, hysteresis, policies."""
+"""Tests for the admission controller: token buckets, hysteresis, rejection."""
 
 import pytest
 
 from repro.graph.streams import StreamEdge
+from repro.serve import admission
 from repro.serve.admission import (
     NORMAL,
-    REASON_DROP_HEAD,
     REASON_REJECT,
-    REASON_SAMPLE,
     REASON_THROTTLE,
     SHEDDING,
     AdmissionConfig,
@@ -42,25 +41,14 @@ class TestConfig:
         [
             dict(rate_per_user=-1.0),
             dict(burst=0.5),
-            dict(max_tracked_users=0),
-            dict(max_inflight=-1),
-            dict(shed_policy="tarpit"),
             dict(depth_highwater=0.0),
             dict(depth_highwater=1.5),
             dict(depth_lowwater=0.95, depth_highwater=0.9),
-            dict(staleness_highwater=0.0),
-            dict(staleness_highwater=1.0, staleness_lowwater=2.0),
-            dict(sample_keep=0.0),
-            dict(sample_keep=1.5),
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
         with pytest.raises(ValueError):
             AdmissionConfig(**kwargs)
-
-    def test_staleness_lowwater_defaults_to_half_the_high(self):
-        cfg = AdmissionConfig(staleness_highwater=4.0)
-        assert cfg.staleness_lowwater == 2.0
 
 
 class TestTokenBucket:
@@ -97,11 +85,10 @@ class TestTokenBucket:
         assert not ctl.admit(edge(u=1), 0, 100).admitted
         assert ctl.admit(edge(u=2), 0, 100).admitted  # fresh bucket
 
-    def test_lru_bound_evicts_coldest_user(self):
+    def test_lru_bound_evicts_coldest_user(self, monkeypatch):
+        monkeypatch.setattr(admission, "MAX_TRACKED_USERS", 2)
         clock = FakeClock()
-        ctl = controller(
-            clock, rate_per_user=1.0, burst=1.0, max_tracked_users=2
-        )
+        ctl = controller(clock, rate_per_user=1.0, burst=1.0)
         assert ctl.admit(edge(u=1), 0, 100).admitted  # drains user 1
         assert ctl.admit(edge(u=2), 0, 100).admitted
         assert ctl.admit(edge(u=3), 0, 100).admitted  # evicts user 1
@@ -147,92 +134,15 @@ class TestHysteresis:
         assert ctl.state == NORMAL
         assert ctl.de_escalations == 1
 
-    def test_staleness_signal_escalates(self):
-        ctl = controller(FakeClock(), staleness_highwater=2.0)
-        assert ctl.admit(edge(), 0, 100, staleness_seconds=1.9).admitted
-        assert not ctl.admit(edge(), 0, 100, staleness_seconds=2.0).admitted
-        assert ctl.state == SHEDDING
-
-    def test_max_inflight_signal_escalates(self):
-        ctl = controller(FakeClock(), max_inflight=10)
-        assert ctl.admit(edge(), 9, 1000).admitted
-        assert not ctl.admit(edge(), 10, 1000).admitted
-        assert ctl.state == SHEDDING
-
-    def test_de_escalation_needs_all_signals_below_low(self):
-        ctl = controller(
-            FakeClock(),
-            depth_highwater=0.5,
-            depth_lowwater=0.25,
-            staleness_highwater=2.0,
-        )
-        ctl.admit(edge(), 50, 100)  # escalate on depth
-        # depth recovered, staleness still above its low watermark (1.0)
-        assert not ctl.admit(edge(), 0, 100, staleness_seconds=1.5).admitted
-        assert ctl.state == SHEDDING
-        assert ctl.admit(edge(), 0, 100, staleness_seconds=0.5).admitted
-        assert ctl.state == NORMAL
-
 
 class TestShedPolicies:
     def test_reject_denies_new_events(self):
-        ctl = controller(FakeClock(), shed_policy="reject", depth_highwater=0.5)
+        ctl = controller(FakeClock(), depth_highwater=0.5)
         decision = ctl.admit(edge(), 50, 100)
         assert not decision.admitted
         assert decision.action == "shed"
         assert decision.reason == REASON_REJECT
         assert ctl.shed == 1
-
-    def test_drop_head_admits_but_requests_head_shed(self):
-        ctl = controller(
-            FakeClock(), shed_policy="drop_head", depth_highwater=0.5
-        )
-        decision = ctl.admit(edge(), 50, 100)
-        assert decision.admitted
-        assert decision.action == "drop_head"
-        assert decision.reason == REASON_DROP_HEAD
-        # one offered event counted as both a shed (the head) and an admit
-        assert ctl.shed == 1 and ctl.admitted == 1
-
-    def test_degrade_to_sample_is_seed_deterministic(self):
-        def run(seed):
-            ctl = controller(
-                FakeClock(),
-                shed_policy="degrade_to_sample",
-                depth_highwater=0.5,
-                depth_lowwater=0.1,
-                sample_keep=0.5,
-                seed=seed,
-            )
-            return [ctl.admit(edge(), 50, 100).admitted for _ in range(64)]
-
-        assert run(7) == run(7)
-        assert run(7) != run(8)
-
-    def test_degrade_to_sample_keeps_roughly_the_keep_fraction(self):
-        ctl = controller(
-            FakeClock(),
-            shed_policy="degrade_to_sample",
-            depth_highwater=0.5,
-            depth_lowwater=0.1,  # depth stays above: no flap back to normal
-            sample_keep=0.25,
-            seed=0,
-        )
-        decisions = [ctl.admit(edge(), 50, 100) for _ in range(400)]
-        kept = sum(d.admitted for d in decisions)
-        assert 0.15 * 400 < kept < 0.35 * 400
-        for d in decisions:
-            if not d.admitted:
-                assert d.reason == REASON_SAMPLE
-
-    def test_sample_keep_one_admits_everything(self):
-        ctl = controller(
-            FakeClock(),
-            shed_policy="degrade_to_sample",
-            depth_highwater=0.5,
-            sample_keep=1.0,
-        )
-        assert all(ctl.admit(edge(), 50, 100).admitted for _ in range(64))
 
 
 class TestCounts:
@@ -257,7 +167,7 @@ class TestCounts:
         assert counts["admitted"] == 2
         assert counts["throttled"] == 3
         assert counts["shed"] == 5
-        # reject policy: every offer is exactly one of the three outcomes
+        # every offer is exactly one of the three outcomes
         assert (
             counts["admitted"] + counts["throttled"] + counts["shed"]
             == counts["offered"]

@@ -7,11 +7,17 @@ need different values; with one value in use, make it a constant next to
 the code that reads it (ROADMAP aim 2).
 """
 
+import argparse
 import dataclasses
 import inspect
 
+from repro.cli import build_parser
 from repro.core.config import SUPAConfig
+from repro.core.inslearn import InsLearnConfig
+from repro.replicate.config import ReplicationConfig
+from repro.serve.admission import AdmissionConfig
 from repro.serve.index import TopKIndex
+from repro.serve.ingest import OVERFLOW_POLICIES
 from repro.serve.service import ServeConfig
 
 
@@ -45,3 +51,86 @@ def test_top_k_index_constructor():
     assert list(inspect.signature(TopKIndex).parameters) == [
         "candidates", "cache_size", "score_block",
     ]
+
+
+def test_admission_config_fields():
+    assert field_names(AdmissionConfig) == {
+        "rate_per_user", "burst", "depth_highwater", "depth_lowwater",
+    }
+
+
+def test_replication_config_fields():
+    assert field_names(ReplicationConfig) == {"heartbeat_every", "checkpoint_every"}
+
+
+def test_inslearn_config_fields():
+    # the paper's S_batch, N_iter, I_valid, S_valid, mu (PAPER.md §IV-C) + ours
+    assert field_names(InsLearnConfig) == {
+        "batch_size", "max_iterations", "validation_interval",
+        "validation_size", "patience",
+        "num_validation_candidates", "seed",
+    }
+
+
+def test_overflow_policies():
+    assert set(OVERFLOW_POLICIES) == {"raise", "drop_new", "drop_oldest"}
+
+
+def cli_flags(parser, prefix=""):
+    """``{subcommand: its option strings and positionals}`` off a parser."""
+    subparsers = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    if not subparsers:
+        return {
+            prefix.strip(): {
+                a.option_strings[-1] if a.option_strings else a.dest
+                for a in parser._actions
+                if a.dest != "help"
+            }
+        }
+    flags = {}
+    for name, sub in subparsers[0].choices.items():
+        flags.update(cli_flags(sub, f"{prefix} {name}"))
+    return flags
+
+
+COMMON = {"--dataset", "--scale", "--seed"}
+SERVING = {"--k", "--dim", "--batch-size", "--capacity"}
+REPLICATE = COMMON | SERVING | {"--state-dir", "--heartbeat-every", "--checkpoint-every"}
+
+
+def test_cli_surface():
+    assert cli_flags(build_parser()) == {
+        "datasets": {"--scale", "--seed"},
+        "train": COMMON | {"--method", "--dim", "--max-queries"},
+        "compare": COMMON | {"--methods", "--dim", "--max-queries"},
+        "mine": COMMON | {
+            "--prefix", "--walks", "--walk-length", "--top-k", "--min-support",
+        },
+        "export": COMMON | {"--output"},
+        "serve-replay": COMMON | SERVING | {
+            "--cache-size", "--probe-every", "--max-parity-users", "--min-parity",
+            "--output",
+            "--faults", "--crash-at", "--state-dir",  # the chaos harness
+            "--trace", "--output-dir",  # the telemetry story
+        },
+        "loadtest": COMMON | SERVING | {
+            "--events", "--arrival", "--tiers", "--query-every", "--quality",
+            "--async-dispatch", "--admission", "--rate-per-user", "--burst",
+            "--depth-highwater", "--depth-lowwater",
+            "--state-dir", "--overload-gate", "--output", "--no-gate",
+        },
+        "replicate primary": REPLICATE | {"--events"},
+        "replicate follower": REPLICATE | {"--probes"},
+        "replicate promote": REPLICATE | {
+            "--replica-dir", "--resume-from", "--events", "--verify-parity", "--probes",
+        },
+        "replicate failover": REPLICATE | {
+            "--replica-dir", "--max-parity-users", "--output",
+        },
+        "lint": {
+            "paths", "--format", "--output", "--select", "--ignore",
+            "--concurrency", "--project-root",
+        },
+    }

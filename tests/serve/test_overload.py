@@ -8,12 +8,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core import SUPAConfig
 from repro.core.model import SUPA
 from repro.graph.streams import StreamEdge
-from repro.serve.admission import AdmissionConfig
-from repro.serve.ingest import BackpressureError
+from repro.serve.admission import NORMAL, SHEDDING, AdmissionConfig, AdmissionController
+from repro.serve.ingest import BackpressureError, EventQueue
 from repro.serve.service import RecommendationService, ServeConfig
 
 
@@ -38,14 +40,6 @@ def wait_until(predicate, timeout=5.0):
     return predicate()
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self):
-        return self.now
-
-
 class TestDegradedQuery:
     def test_plain_query_is_not_degraded(self, small_dataset):
         svc = make_service(small_dataset)
@@ -66,58 +60,139 @@ class TestDegradedQuery:
     def test_admission_shedding_marks_answers_degraded(self, small_dataset):
         svc = make_service(
             small_dataset,
-            batch_size=4,
+            batch_size=2,
             capacity=8,
             admission=AdmissionConfig(
-                depth_highwater=0.25, depth_lowwater=0.1
+                depth_highwater=0.5, depth_lowwater=0.25
             ),
         )
         edges = list(small_dataset.stream)
         svc.queue.pause()  # build depth without dispatching
-        assert svc.ingest(edges[0])
-        assert svc.ingest(edges[1])
-        # depth 2/8 = 0.25 crosses the highwater: escalate + shed
-        assert not svc.ingest(edges[2])
+        for e in edges[:4]:
+            assert svc.ingest(e)
+        # depth 4/8 = 0.5 crosses the highwater: escalate + shed
+        assert not svc.ingest(edges[4])
         assert svc.query(0, k=3).reason == "admission shedding"
         # drain, then one admitted event de-escalates the machine
         svc.queue.resume()
         svc.flush()
-        assert svc.ingest(edges[2])
+        assert svc.ingest(edges[4])
         assert not svc.query(0, k=3).degraded
 
-    def test_staleness_past_watermark_marks_answers_degraded(
-        self, small_dataset
+
+class TestSheddingStandsDown:
+    """Batches are cut by count alone, so SHEDDING must be able to stand
+    down above the remainder nothing can cut: ``ServeConfig`` refuses
+    watermarks that cannot hold one batch (ROADMAP aim 3: no valid
+    configuration may livelock)."""
+
+    @staticmethod
+    def queue(batch_size, capacity, highwater, lowwater):
+        """A bare queue + controller (no ``ServeConfig`` in the way)."""
+        controller = AdmissionController(
+            AdmissionConfig(depth_highwater=highwater, depth_lowwater=lowwater)
+        )
+        queue = EventQueue(
+            lambda batch: None,
+            batch_size=batch_size,
+            capacity=capacity,
+            overflow="drop_new",
+            admission=controller,
+        )
+        return queue, controller
+
+    @staticmethod
+    def offer(queue, count, start=0):
+        return sum(
+            queue.put(StreamEdge(i % 7, 7 + i % 5, "click", float(i)))
+            for i in range(start, start + count)
+        )
+
+    @pytest.mark.parametrize(
+        "highwater, lowwater, accepted, batches, stranded",
+        [
+            # CI overload-smoke's and bench_loadtest's old tier: sheds
+            # before the first batch ever fills
+            (0.2, 0.1, 52, 0, 52),
+            # a burst while an update is slow: 103 mod 64 = 39 events
+            # stay above lowwater x capacity = 25.6 for good
+            (0.4, 0.1, 103, 1, 39),
+        ],
+    )
+    def test_watermarks_below_one_batch_are_refused(
+        self, highwater, lowwater, accepted, batches, stranded
     ):
-        clock = FakeClock()
-        svc = make_service(
-            small_dataset,
-            clock_fn=clock,
-            admission=AdmissionConfig(staleness_highwater=1.0),
-        )
-        edges = list(small_dataset.stream)
-        assert svc.ingest(edges[0])  # buffered; batch not full yet
-        clock.now += 2.0  # the buffered head is now 2s old
-        result = svc.query(0, k=3)
-        assert result.degraded
-        assert result.reason == "staleness past watermark"
-        svc.flush()  # queue empty: staleness heuristic back to 0
-        assert not svc.query(0, k=3).degraded
+        with pytest.raises(ValueError, match=r"0\.1.*256.*64"):
+            ServeConfig(
+                batch_size=64,
+                capacity=256,
+                overflow="drop_new",
+                admission=AdmissionConfig(
+                    depth_highwater=highwater, depth_lowwater=lowwater
+                ),
+            )
+        # what the refusal prevents, on the bare queue: SHEDDING absorbs
+        queue, controller = self.queue(64, 256, highwater, lowwater)
+        queue.pause()  # an update is slow...
+        assert self.offer(queue, 200) == accepted  # ...while a burst lands
+        queue.resume()
+        assert self.offer(queue, 200, start=200) == 0  # every later event shed
+        assert queue.batches_dispatched == batches
+        assert queue.pending == stranded and not queue.has_ready
+        assert controller.state == SHEDDING and controller.de_escalations == 0
 
-
-    def test_staleness_watermark_runs_on_the_default_clock(self, small_dataset):
-        """``clock_fn=None`` stamps with ``time.monotonic``: the staleness
-        watermark degrades reads and escalates admission without it."""
+    def test_watermarks_holding_one_batch_drain_a_paused_burst(self, tiny_synthetic):
         svc = make_service(
-            small_dataset, admission=AdmissionConfig(staleness_highwater=0.01)
+            tiny_synthetic,
+            batch_size=64,
+            capacity=256,
+            overflow="drop_new",
+            admission=AdmissionConfig(depth_highwater=0.5, depth_lowwater=0.25),
         )
-        edges = list(small_dataset.stream)
-        assert svc.ingest(edges[0])  # buffered; batch not full yet
-        time.sleep(0.03)  # the buffered head is now past the watermark
-        result = svc.query(0, k=3)
-        assert result.degraded and result.reason == "staleness past watermark"
-        assert not svc.ingest(edges[1])  # escalated on head age: shed
-        assert svc.admission.state == "shedding"
-        assert svc.deadletters[-1].reason == "shed: reject"
+        edges = list(tiny_synthetic.stream)
+        svc.queue.pause()  # an update is slow while a burst lands
+        taken = [svc.ingest(e) for e in edges[:200]]
+        assert sum(taken) == 128 and svc.admission.state == SHEDDING
+        svc.queue.resume()
+        assert all(svc.ingest(e) for e in edges[200:400])  # nothing shed after
+        counts = svc.admission.counts()
+        assert svc.admission.state == NORMAL and counts["de_escalations"] >= 1
+        assert counts["shed"] == 72
+        assert svc.updates_applied == (128 + 200) // 64
+        assert svc.queue.pending == (128 + 200) % 64  # only the open batch
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batch_size=st.integers(1, 24),
+        slack=st.integers(0, 100),
+        lowwater=st.floats(0.0, 1.0),
+        headroom=st.floats(0.0, 1.0),
+        prefix=st.integers(0, 60),
+        burst=st.integers(0, 300),
+    )
+    def test_no_accepted_config_strands_a_quiesced_producer(
+        self, batch_size, slack, lowwater, headroom, prefix, burst
+    ):
+        capacity = batch_size + slack
+        highwater = min(1.0, lowwater + headroom * (1.0 - lowwater))
+        assume(highwater > 0.0)
+        admission = AdmissionConfig(depth_highwater=highwater, depth_lowwater=lowwater)
+        try:
+            ServeConfig(batch_size=batch_size, capacity=capacity, admission=admission)
+        except ValueError:
+            assume(False)
+        queue, controller = self.queue(batch_size, capacity, highwater, lowwater)
+        self.offer(queue, prefix)
+        queue.pause()
+        self.offer(queue, burst, start=prefix)
+        queue.resume()  # drains every full batch
+        while queue.dispatch_next():
+            pass
+        # the producer went quiet: whatever is buffered cannot be cut,
+        # so the next offer must find SHEDDING able to stand down
+        assert queue.pending < batch_size
+        assert self.offer(queue, 1, start=prefix + burst) == 1
+        assert controller.state == NORMAL
 
 
 class TestAsyncInlineParity:
@@ -245,10 +320,10 @@ class TestShedAccounting:
     def test_shed_counts_separately_from_malformed(self, small_dataset):
         svc = make_service(
             small_dataset,
-            batch_size=4,
+            batch_size=2,
             capacity=8,
             admission=AdmissionConfig(
-                depth_highwater=0.25, depth_lowwater=0.1
+                depth_highwater=0.5, depth_lowwater=0.25
             ),
         )
         edges = list(small_dataset.stream)
@@ -256,9 +331,9 @@ class TestShedAccounting:
         # malformed first, while admission is still calm: it must land
         # in ``rejected``, never in ``shed``
         assert not svc.ingest(StreamEdge(0, 5, "click", math.nan))
-        svc.ingest(edges[0])
-        svc.ingest(edges[1])
-        assert not svc.ingest(edges[2])  # shed: reject
+        for e in edges[:4]:
+            assert svc.ingest(e)
+        assert not svc.ingest(edges[4])  # shed: reject
         assert svc.queue.shed == 1
         assert svc.queue.rejected == 1
         by_reason = svc.queue.deadletters_by_reason()

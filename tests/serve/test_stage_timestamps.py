@@ -83,13 +83,11 @@ class TestQueueWaitStamps:
         for edge in edges[:4]:  # stamps 0, 1, 2, 3
             assert svc.ingest(edge)
         assert svc.ingest(edges[4])  # stamp 4; evicts the head (stamp 0)
-        assert svc.queue.dropped == 1
-        assert svc.queue.head_age() == 5.0 - 1.0  # the head is now stamp 1
-        svc.flush()  # one cut at t=6: waits 6-1, 6-2, 6-3, 6-4
+        assert svc.queue.dropped == 1  # the head is now stamp 1
+        svc.flush()  # one cut at t=5: waits 5-1, 5-2, 5-3, 5-4
         waits = svc.metrics.histogram("latency.queue_wait_seconds")
         assert waits.count == 4
-        assert waits.sum == pytest.approx(5 + 4 + 3 + 2)
-        assert svc.queue.head_age() == 0.0  # nothing buffered
+        assert waits.sum == pytest.approx(4 + 3 + 2 + 1)
         svc.close()
 
     def test_preloaded_events_observe_no_wait(self, small_dataset, small_stream):
@@ -100,12 +98,11 @@ class TestQueueWaitStamps:
         svc = make_service(small_dataset, TickClock(), batch_size=4)
         edges = list(small_stream)
         svc.queue.restore(edges[:2], accepted=2, watermark=edges[1].t)
-        assert svc.queue.head_age() == 0.0  # a preloaded head has no age
-        svc.ingest(edges[2])  # stamp 1 (head_age read tick 0)
-        svc.ingest(edges[3])  # stamp 2; completes the batch, cut at t=3
+        svc.ingest(edges[2])  # stamp 0
+        svc.ingest(edges[3])  # stamp 1; completes the batch, cut at t=2
         waits = svc.metrics.histogram("latency.queue_wait_seconds")
         assert waits.count == 2
-        assert waits.sum == pytest.approx((3 - 1) + (3 - 2))
+        assert waits.sum == pytest.approx((2 - 0) + (2 - 1))
         svc.close()
 
 

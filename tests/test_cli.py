@@ -170,23 +170,21 @@ class TestServeReplay:
 
 
 class TestChaosReplay:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["chaos-replay", "--dataset", "uci"])
-        assert args.batch_size == 32
-        assert args.capacity == 128
-        assert args.crash_at is None
-        assert "crash=1" in args.faults
-        assert args.output == ""  # nothing written unless asked
+    """``serve-replay --faults / --crash-at``: the chaos harness."""
 
     def test_chaos_replay_reconciles_and_writes_report(self, tmp_path, capsys):
         out = tmp_path / "chaos.json"
         code = main(
             [
-                "chaos-replay",
+                "serve-replay",
                 "--dataset",
                 "uci",
                 "--scale",
                 "0.2",
+                "--batch-size",
+                "32",
+                "--capacity",
+                "128",
                 "--faults",
                 "malformed=2,late=2,duplicate=2,burst=1,crash=1",
                 "--state-dir",
@@ -199,7 +197,7 @@ class TestChaosReplay:
         )
         captured = capsys.readouterr().out
         assert code == 0
-        assert "chaos-replay: uci" in captured
+        assert "serve-replay (chaos): uci" in captured
         assert "reconciled" in captured
         payload = json.loads(out.read_text())
         assert payload["reconciled"] is True
@@ -261,7 +259,7 @@ class TestChaosReplay:
         with pytest.raises((SystemExit, ValueError)):
             main(
                 [
-                    "chaos-replay",
+                    "serve-replay",
                     "--dataset",
                     "uci",
                     "--scale",
@@ -277,7 +275,7 @@ class TestChaosReplay:
         with pytest.raises(SystemExit):
             main(
                 [
-                    "chaos-replay",
+                    "serve-replay",
                     "--dataset",
                     "uci",
                     "--scale",
@@ -298,7 +296,6 @@ class TestReplicate:
         assert args.role == "primary"
         assert args.heartbeat_every == 16
         assert args.checkpoint_every == 4
-        assert not args.graceful
         args = build_parser().parse_args(
             [
                 "replicate",
@@ -311,7 +308,6 @@ class TestReplicate:
                 "r",
             ]
         )
-        assert args.malformed == 2
         assert args.output == ""  # nothing written unless asked
 
     def test_role_is_required(self):
@@ -385,7 +381,12 @@ class TestReplicate:
 
 
 class TestObs:
-    ARGS = ["obs", "--dataset", "uci", "--scale", "0.05", "--batch-size", "64"]
+    """``serve-replay --trace``: the telemetry story."""
+
+    ARGS = [
+        "serve-replay", "--dataset", "uci", "--scale", "0.05", "--batch-size", "64",
+        "--trace",
+    ]
 
     def test_default_writes_nothing(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

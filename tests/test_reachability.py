@@ -35,13 +35,8 @@ KEPT_ON_PURPOSE: Dict[str, str] = {
     "repro.analysis.sanitizer": (
         "test instrument, like ReferenceEngine: `threadcheck()` is the runtime "
         "half of the concurrency lint that the serve / resilience / replicate "
-        "stress tests run under, cross-checked against the static rules by "
-        "tests/analysis/test_sanitizer.py"
-    ),
-    "repro.autograd.module": (
-        "`autograd/` is kept whole (the substrate the paper's Tables V-VIII "
-        "baselines are written in); Module/Parameter are its public container "
-        "API, re-exported by the package, though no baseline subclasses them yet"
+        "stress tests run under; its guarded sets are the static rule's inference "
+        "(`concurrency.infer_guarded`)"
     ),
 }
 
