@@ -31,7 +31,7 @@ and already-pinned snapshots are untouched.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +39,35 @@ import numpy as np
 BLOCK_SIZE = 256
 #: Publishes between automatic compactions of the live snapshot.
 COMPACT_EVERY = 64
+
+
+def _runs(block_ids: np.ndarray) -> List[Tuple[int, int]]:
+    """``[lo, hi)`` positions of each maximal run of equal (``>= 0``) block ids."""
+    starts = np.flatnonzero(np.diff(block_ids, prepend=-1)).tolist()
+    return list(zip(starts, starts[1:] + [block_ids.size]))
+
+
+def _gather(
+    block: Callable[[int], np.ndarray],
+    block_size: int,
+    num_rows: int,
+    dim: int,
+    indices: Sequence[int],
+) -> np.ndarray:
+    """Rows ``indices`` of a blocked matrix as a fresh ``(n, dim)`` array.
+
+    One fancy-index per run of consecutive indices in the same block,
+    so a sorted or contiguous gather touches each block once.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    outside = (indices < 0) | (indices >= num_rows)
+    if outside.any():
+        raise IndexError(f"row {indices[outside][0]} outside store of {num_rows} rows")
+    out = np.empty((indices.size, dim), dtype=np.float64)
+    block_ids, offsets = np.divmod(indices, block_size)
+    for lo, hi in _runs(block_ids):
+        out[lo:hi] = block(int(block_ids[lo]))[offsets[lo:hi]]
+    return out
 
 
 class Snapshot:
@@ -84,18 +113,13 @@ class Snapshot:
 
     def rows(self, indices: Sequence[int]) -> np.ndarray:
         """Gather ``indices`` into a fresh ``(len(indices), dim)`` array."""
-        indices = np.asarray(indices, dtype=np.int64)
-        out = np.empty((indices.size, self.dim), dtype=np.float64)
-        blocks, offsets = np.divmod(indices, self._block_size)
-        for i in range(indices.size):
-            out[i] = self._blocks[blocks[i]][offsets[i]]
-        return out
+        return _gather(
+            self._blocks.__getitem__, self._block_size, self.num_rows, self.dim, indices
+        )
 
     def matrix(self) -> np.ndarray:
-        """The full matrix as one fresh (writable) array — test helper."""
-        if not self._blocks:
-            return np.empty((0, 0), dtype=np.float64)
-        return np.concatenate(self._blocks, axis=0)
+        """The full matrix as one fresh (writable) array."""
+        return self.rows(np.arange(self.num_rows, dtype=np.int64))
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -178,19 +202,18 @@ class VersionedEmbeddingStore:
             )
         if rows.size and (rows.min() < 0 or rows.max() >= self.num_rows):
             raise IndexError("row index outside the store")
+        # Last write wins: keep each row's final occurrence, in row order,
+        # so every dirty block is one run and one fancy-assign.
+        last = rows.size - 1 - np.unique(rows[::-1], return_index=True)[1]
+        rows, values = rows[last], values[last]
+        block_ids, offsets = np.divmod(rows, self._block_size)
         with self._lock:
             old = self._current
             blocks: List[np.ndarray] = list(old._blocks)
-            dirty: Dict[int, np.ndarray] = {}
-            block_ids, offsets = np.divmod(rows, self._block_size)
-            for i in range(rows.size):
-                b = int(block_ids[i])
-                writable = dirty.get(b)
-                if writable is None:
-                    writable = blocks[b].copy()
-                    dirty[b] = writable
-                writable[offsets[i]] = values[i]
-            for b, writable in dirty.items():
+            for lo, hi in _runs(block_ids):
+                b = int(block_ids[lo])
+                writable = blocks[b].copy()
+                writable[offsets[lo:hi]] = values[lo:hi]
                 blocks[b] = _freeze(writable)
             new = Snapshot(old.version + 1, tuple(blocks), self._block_size, self.num_rows)
             self._current = new
@@ -228,12 +251,7 @@ class VersionedEmbeddingStore:
         preserved; only the backing memory layout changes.
         """
         old = self._current
-        matrix = (
-            np.concatenate(old._blocks, axis=0)
-            if old._blocks
-            else np.empty((0, self.dim), dtype=np.float64)
-        )
-        _freeze(matrix)
+        matrix = _freeze(old.matrix())
         blocks = tuple(
             matrix[lo : lo + self._block_size]
             for lo in range(0, self.num_rows, self._block_size)
@@ -275,9 +293,7 @@ class DecayedSnapshot:
         alpha_slots: np.ndarray,
     ):
         if components.dim % 3:
-            raise ValueError(
-                f"component width {components.dim} is not 3 * dim"
-            )
+            raise ValueError(f"component width {components.dim} is not 3 * dim")
         self._components = components
         self.version = components.version
         self.num_rows = components.num_rows
@@ -291,14 +307,6 @@ class DecayedSnapshot:
         # it (pure, race-benign) so readers never wait on a rebuild.
         self._lock = threading.Lock()
         self._cache: Dict[int, np.ndarray] = {}
-
-    @property
-    def num_blocks(self) -> int:
-        return self._components.num_blocks
-
-    def block_rows(self, index: int) -> Tuple[int, int]:
-        """Half-open global row range ``[lo, hi)`` covered by a block."""
-        return self._components.block_rows(index)
 
     def _materialize(self, index: int) -> np.ndarray:
         from repro.core.updater import decayed_embedding_rows
@@ -336,20 +344,11 @@ class DecayedSnapshot:
 
     def rows(self, indices: Sequence[int]) -> np.ndarray:
         """Gather ``indices`` into a fresh ``(len(indices), dim)`` array."""
-        indices = np.asarray(indices, dtype=np.int64)
-        out = np.empty((indices.size, self.dim), dtype=np.float64)
-        blocks, offsets = np.divmod(indices, self._block_size)
-        for i in range(indices.size):
-            out[i] = self.block(int(blocks[i]))[offsets[i]]
-        return out
+        return _gather(self.block, self._block_size, self.num_rows, self.dim, indices)
 
     def matrix(self) -> np.ndarray:
-        """The full decayed matrix as one fresh array — test helper."""
-        if not self.num_blocks:
-            return np.empty((0, 0), dtype=np.float64)
-        return np.concatenate(
-            [self.block(i) for i in range(self.num_blocks)], axis=0
-        )
+        """The full decayed matrix as one fresh (writable) array."""
+        return self.rows(np.arange(self.num_rows, dtype=np.int64))
 
 
 class DecayedEmbeddingStore:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.serve.index import TopKIndex
-from repro.serve.store import VersionedEmbeddingStore
+from repro.serve.index import SCORE_BLOCK, TopKIndex
+from repro.serve.store import BLOCK_SIZE, DecayedSnapshot, VersionedEmbeddingStore
+from tests.serve import make_decayed_store
 
 
 def make_world(n_users=4, n_items=20, d=8, seed=0, **index_kwargs):
@@ -183,3 +184,51 @@ class TestEviction:
         new = store.publish([1], np.zeros((1, 8), dtype=np.float64))
         assert index.invalidate(new, touched_users={1}, touched_items=()) == 1
         assert index.evictions == 1 and index.invalidations == 1
+
+
+class TestBlockGather:
+    @pytest.mark.parametrize("kind", ["dense", "decayed"])
+    @pytest.mark.parametrize("catalogue", ["contiguous", "shuffled"])
+    def test_scores_equal_per_row_reference_byte_for_byte(self, kind, catalogue):
+        """The gather keeps each ``SCORE_BLOCK`` chunk's rows in one
+        contiguous ``(chunk, d)`` array, so the matmul — and its bits —
+        are those of a per-row gather."""
+        rng = np.random.default_rng(5)
+        num_rows, d = 1337, 16
+        if kind == "dense":
+            store = VersionedEmbeddingStore(rng.normal(size=(num_rows, d)))
+        else:
+            store = make_decayed_store(num_rows, d, BLOCK_SIZE, seed=5)
+        items = np.arange(100, num_rows, dtype=np.int64)
+        if catalogue == "shuffled":
+            items = rng.permutation(items)
+        index = TopKIndex(items)
+        snap = store.snapshot()
+        for user in (0, 7, 99):
+            query = snap.row(user)
+            want = np.concatenate(
+                [
+                    np.stack([snap.row(c) for c in items[lo : lo + SCORE_BLOCK]]) @ query
+                    for lo in range(0, items.size, SCORE_BLOCK)
+                ]
+            )
+            assert index.scores(snap, user).tobytes() == want.tobytes()
+
+    def test_a_miss_reads_a_block_per_run_not_per_row(self, monkeypatch):
+        """One ``top_k`` miss over a 6,000-item contiguous catalogue with
+        256-row blocks: 12 ``SCORE_BLOCK`` chunks span at most 3 blocks
+        each, plus the user row's block — at most 37 ``block()`` calls.
+        A per-row gather makes one per candidate (≈ 6,000)."""
+        store = make_decayed_store(7500, 8, BLOCK_SIZE)
+        index = TopKIndex(np.arange(1500, 7500, dtype=np.int64))
+        calls = []
+        block = DecayedSnapshot.block
+
+        def counted(snapshot, i):
+            calls.append(i)
+            return block(snapshot, i)
+
+        monkeypatch.setattr(DecayedSnapshot, "block", counted)
+        index.top_k(store.snapshot(), 3, 10)
+        assert index.misses == 1
+        assert 0 < len(calls) <= 40

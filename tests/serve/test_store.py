@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.serve.store import VersionedEmbeddingStore
+from repro.serve.store import BLOCK_SIZE, VersionedEmbeddingStore
+from tests.serve import make_decayed_store
 
 
 def make_store(n=10, d=4, block=4, seed=0):
@@ -92,6 +95,20 @@ class TestSnapshotReads:
         with pytest.raises(IndexError):
             store.snapshot().row(10)
 
+    @pytest.mark.parametrize("kind", ["dense", "decayed"])
+    @pytest.mark.parametrize("bad", [-217, -1, 2600, 9999])
+    def test_rows_refuses_what_row_refuses(self, kind, bad):
+        """A negative index must not wrap around: ``divmod(-217, 256)`` is
+        ``(-1, 39)``, the last row of the last block, so an unchecked
+        gather of ``[-217]`` on 2,600 rows would return row 2,599."""
+        snap = _snapshot(kind, 2600, BLOCK_SIZE)
+        with pytest.raises(IndexError) as from_row:
+            snap.row(bad)
+        with pytest.raises(IndexError) as from_rows:
+            snap.rows([3, bad, 5])
+        assert str(from_rows.value) == str(from_row.value)
+        assert str(from_row.value) == f"row {bad} outside store of 2600 rows"
+
     def test_block_rows_ranges(self):
         store, _ = make_store(n=10, block=4)
         snap = store.snapshot()
@@ -163,3 +180,69 @@ class TestCompaction:
         np.testing.assert_array_equal(new.row(0), [5.0, 5.0])
         # untouched blocks are still shared with the compacted snapshot
         assert new.block(1) is compacted.block(1)
+
+
+# --------------------------------------------------- block gather and scatter
+
+
+def _snapshot(kind, num_rows, block_size, dim=3, seed=0):
+    """A snapshot of either kind over ``num_rows`` random rows."""
+    if kind == "dense":
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=(num_rows, dim))
+        return VersionedEmbeddingStore(matrix, block_size=block_size).snapshot()
+    return make_decayed_store(num_rows, dim, block_size, seed=seed).snapshot()
+
+
+@st.composite
+def gathers(draw):
+    """``(block_size, num_rows, indices)``: the block does not divide
+    ``num_rows`` (bar 1-row blocks); indices come unsorted, repeated,
+    across blocks or empty, as drawn."""
+    block_size = draw(st.sampled_from([1, 7, 256]))
+    num_rows = draw(st.integers(0, 3)) * block_size + draw(
+        st.integers(1, max(block_size - 1, 5))
+    )
+    indices = draw(st.lists(st.integers(0, num_rows - 1), max_size=64))
+    return block_size, num_rows, indices
+
+
+@pytest.mark.parametrize("kind", ["dense", "decayed"])
+@settings(max_examples=60, deadline=None)
+@given(case=gathers())
+@example(case=(7, 23, [22, 0, 0, 7, 6, 22, 13, 14]))
+@example(case=(256, 600, []))
+@example(case=(256, 600, list(range(250, 520))))
+def test_rows_is_the_per_row_gather_byte_for_byte(kind, case):
+    block_size, num_rows, indices = case
+    snap = _snapshot(kind, num_rows, block_size)
+    got = snap.rows(indices)
+    want = (
+        np.stack([snap.row(i) for i in indices])
+        if indices
+        else np.empty((0, snap.dim), dtype=np.float64)
+    )
+    assert got.shape == want.shape == (len(indices), snap.dim)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    block_size=st.sampled_from([1, 7, 256]),
+    writes=st.lists(st.integers(0, 299), max_size=40),
+)
+@example(block_size=7, writes=[5, 5, 12, 5, 0, 299, 12])
+def test_publish_is_the_per_row_scatter_last_write_wins(block_size, writes):
+    rng = np.random.default_rng(len(writes))
+    initial = rng.normal(size=(300, 3))
+    values = rng.normal(size=(len(writes), 3))
+    store = VersionedEmbeddingStore(initial, block_size=block_size, compact_every=0)
+    old = store.snapshot()
+    new = store.publish(writes, values)
+    want = initial.copy()
+    for row, value in zip(writes, values):
+        want[row] = value
+    assert new.matrix().tobytes() == want.tobytes()
+    dirty = {row // block_size for row in writes}
+    for b in range(new.num_blocks):
+        assert (new.block(b) is old.block(b)) == (b not in dirty)
