@@ -74,17 +74,27 @@ def process_edge_deletion(
     as a new interaction of that type — the paper's "special relation"
     treatment — and the training loss is returned.  Returns ``None``
     when no matching live edge exists.
+
+    A matching edge joins ``u`` and ``v`` in either direction with
+    ``t' <= t``; the newest wins, ties to the earlier-inserted one.  The
+    search covers the whole edge store, not an adjacency list: under a
+    recency cap the edge may have fallen out of both endpoints' lists,
+    yet it is still live and still counts in their degrees.
     """
     rel = model.schema.edge_type_id(edge_type)
-    candidates = [
-        (other, r, te, idx)
-        for other, r, te, idx in model.graph.neighbors(u)
-        if other == v and r == rel and te <= t
-    ]
-    if not candidates:
+    pair = {(u, v), (v, u)}
+    newest = None
+    for edge in model.graph.edges():
+        if (
+            edge.rel == rel
+            and edge.t <= t
+            and (edge.u, edge.v) in pair
+            and (newest is None or edge.t > newest.t)
+        ):
+            newest = edge
+    if newest is None:
         return None
-    newest = max(candidates, key=lambda entry: entry[2])
-    model.graph.remove_edge(newest[3])
+    model.graph.remove_edge(newest.index)
 
     twin = deletion_edge_type(edge_type, prefix)
     if learn and twin in model.schema.edge_types:

@@ -42,11 +42,7 @@ from repro.core.interactor import interaction_loss, interaction_loss_backward
 from repro.core.engine.schedule import partition_round_indices
 from repro.core.propagation import propagation_loss, propagation_loss_backward
 from repro.core.updater import target_embedding, target_embedding_backward
-from repro.graph.sampling import (
-    InfluencedGraph,
-    NeighborCandidateCache,
-    sample_influenced_graph_compiled,
-)
+from repro.graph.sampling import InfluencedGraph, sample_influenced_graph_compiled
 from repro.graph.streams import StreamEdge
 
 _Record = Tuple[StreamEdge, float, float]
@@ -256,13 +252,6 @@ class ReferenceEngine(_EngineBase):
 class BatchedEngine(_EngineBase):
     """Plan-compiled, round-stacked execution (the production engine)."""
 
-    def __init__(self, model) -> None:
-        super().__init__(model)
-        #: survives across train_batch calls — InsLearn replays the same
-        #: batch over a static graph, so almost every neighbour query
-        #: after the first pass is a cache hit.
-        self.candidate_cache = NeighborCandidateCache(model.graph)
-
     def train_batch(self, records: Sequence[_Record]) -> np.ndarray:
         """Compile the micro-batch, then execute the plan round by round.
 
@@ -276,12 +265,12 @@ class BatchedEngine(_EngineBase):
             return np.empty(0, dtype=np.float64)
         tracer = model.tracer
         with tracer.span("core.engine.compile", edges=len(records)):
-            plan = compile_plan(model, records, self.candidate_cache)
+            plan = compile_plan(model, records)
         with tracer.span("core.engine.execute", edges=plan.num_edges):
             return self._execute_plan(plan)
 
     def _record_plan_metrics(self, plan, registry) -> None:
-        """Plan- and round-size telemetry + candidate-cache hit rate."""
+        """Plan- and round-size telemetry."""
         if registry is None:
             return
         registry.counter("engine.plan.edges").inc(plan.num_edges)
@@ -297,11 +286,6 @@ class BatchedEngine(_EngineBase):
         )
         for size in np.diff(plan.edge_bounds).tolist():
             round_edges.observe(size)
-        cache = self.candidate_cache
-        registry.counter("graph.sampling.cache_queries").set(
-            cache.hits + cache.misses
-        )
-        registry.gauge("graph.sampling.cache_hit_rate").set(cache.hit_rate)
 
     def _execute_plan(self, plan) -> np.ndarray:
         """Execute a compiled plan as conflict-free rounds.

@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.core.engine import kernels
 from repro.core.engine.schedule import partition_round_indices
-from repro.graph.sampling import NeighborCandidateCache, sample_walks_into
+from repro.graph.sampling import sample_walks_into
 from repro.graph.streams import StreamEdge
 
 _Record = Tuple[StreamEdge, float, float]
@@ -165,9 +165,7 @@ def _segment_slots(source: np.ndarray, round_first: np.ndarray):
     return (source - round_first) * width + position, width
 
 
-def compile_plan(
-    model, records: Sequence[_Record], cache: NeighborCandidateCache
-) -> BatchPlan:
+def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
     """Compile ``records`` (edge + pre-insertion ``Delta_V`` pair) into a
     :class:`BatchPlan` against ``model``'s current graph state: sample in
     stream order, weight the hops, partition into rounds, gather
@@ -232,7 +230,6 @@ def compile_plan(
                     num_walks,
                     walk_length,
                     rng,
-                    cache,
                     nodes_l,
                     rels_l,
                     times_l,

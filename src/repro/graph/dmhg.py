@@ -10,8 +10,7 @@ operations the paper's system needs:
   cause *neighbourhood disturbance* (Section IV-F),
 * type/time-filtered neighbour queries for metapath walks,
 * last-interaction timestamps for the active time interval ``Delta_V``,
-* degree tallies for the skip-gram noise distribution, and
-* chronological snapshots for static baselines.
+* degree tallies for the skip-gram noise distribution.
 """
 
 from __future__ import annotations
@@ -28,13 +27,6 @@ class TemporalEdge(NamedTuple):
 
     u: int
     v: int
-    rel: int
-    t: float
-    index: int
-
-
-class _AdjEntry(NamedTuple):
-    other: int
     rel: int
     t: float
     index: int
@@ -62,7 +54,12 @@ class DMHG:
         self._nodes_by_type: Dict[int, List[int]] = {
             i: [] for i in range(schema.num_node_types)
         }
-        self._adj: List[List[_AdjEntry]] = []
+        #: per node, its traversable incident edges as
+        #: ``(other, rel, t, index)`` in insertion order
+        self._adj: List[List[Tuple[int, int, float, int]]] = []
+        #: per node, :meth:`candidates` answers keyed by filter; dropped
+        #: whenever that node's adjacency list changes
+        self._memo: List[Dict[tuple, tuple]] = []
         self._edge_u: List[int] = []
         self._edge_v: List[int] = []
         self._edge_rel: List[int] = []
@@ -71,29 +68,17 @@ class DMHG:
         self._num_alive_edges = 0
         self._last_time: List[float] = []
         self._degree: List[int] = []
-        self._mutation_count = 0
 
     # ------------------------------------------------------------------ nodes
-
-    @property
-    def mutation_count(self) -> int:
-        """Monotone counter bumped by every structural change.
-
-        Neighbourhood caches (``repro.graph.sampling``'s candidate
-        cache) compare this stamp to decide whether their cached
-        adjacency views are still valid — cheap, exact invalidation
-        without back-references from the graph to its caches.
-        """
-        return self._mutation_count
 
     def add_node(self, node_type: str) -> int:
         """Create a node of ``node_type`` and return its integer id."""
         type_id = self.schema.node_type_id(node_type)
-        self._mutation_count += 1
         node = len(self._node_types)
         self._node_types.append(type_id)
         self._nodes_by_type[type_id].append(node)
         self._adj.append([])
+        self._memo.append({})
         self._last_time.append(-np.inf)
         self._degree.append(0)
         return node
@@ -140,7 +125,6 @@ class DMHG:
                     f"edge type {edge_type!r} connects {src_type}->{dst_type}, "
                     f"got {self.node_type(u)}->{self.node_type(v)}"
                 )
-        self._mutation_count += 1
         index = len(self._edge_u)
         self._edge_u.append(u)
         self._edge_v.append(v)
@@ -148,8 +132,8 @@ class DMHG:
         self._edge_t.append(float(t))
         self._edge_alive.append(True)
         self._num_alive_edges += 1
-        self._append_adj(u, _AdjEntry(v, rel, float(t), index))
-        self._append_adj(v, _AdjEntry(u, rel, float(t), index))
+        self._append_adj(u, (v, rel, float(t), index))
+        self._append_adj(v, (u, rel, float(t), index))
         self._last_time[u] = max(self._last_time[u], float(t))
         self._last_time[v] = max(self._last_time[v], float(t))
         self._degree[u] += 1
@@ -162,14 +146,14 @@ class DMHG:
             raise IndexError(f"edge index {index} out of range")
         if not self._edge_alive[index]:
             return
-        self._mutation_count += 1
         self._edge_alive[index] = False
         self._num_alive_edges -= 1
         for node in (self._edge_u[index], self._edge_v[index]):
-            self._adj[node] = [e for e in self._adj[node] if e.index != index]
+            self._adj[node] = [e for e in self._adj[node] if e[3] != index]
+            self._memo[node].clear()
             self._degree[node] = max(0, self._degree[node] - 1)
 
-    def _append_adj(self, node: int, entry: _AdjEntry) -> None:
+    def _append_adj(self, node: int, entry: Tuple[int, int, float, int]) -> None:
         lst = self._adj[node]
         lst.append(entry)
         if self.max_neighbors is not None and len(lst) > self.max_neighbors:
@@ -177,6 +161,7 @@ class DMHG:
             # edge stays in the global store (it still exists historically)
             # but is no longer traversable from this node.
             del lst[0]
+        self._memo[node].clear()
 
     @property
     def num_edges(self) -> int:
@@ -229,33 +214,47 @@ class DMHG:
             type_id = self.schema.node_type_id(node_type)
         out = []
         for entry in self._adj[node]:
-            if rel_ids is not None and entry.rel not in rel_ids:
+            other, rel, t, _ = entry
+            if rel_ids is not None and rel not in rel_ids:
                 continue
-            if type_id is not None and self._node_types[entry.other] != type_id:
+            if type_id is not None and self._node_types[other] != type_id:
                 continue
             if within is not None:
                 reference = self._last_time[node] if now is None else now
-                if reference - entry.t > within:
+                if reference - t > within:
                     continue
-            out.append((entry.other, entry.rel, entry.t, entry.index))
-        return out
-
-    def neighbors_ids(self, node, rel_ids=None, type_id=None):
-        """Fast id-level neighbour query used by the walk hot path.
-
-        Like :meth:`neighbors` but takes an edge-type-id set and a
-        node-type id directly (no name lookups) and returns the raw
-        adjacency entries ``(other, rel, t, index)``.
-        """
-        node_types = self._node_types
-        out = []
-        for entry in self._adj[node]:
-            if rel_ids is not None and entry.rel not in rel_ids:
-                continue
-            if type_id is not None and node_types[entry.other] != type_id:
-                continue
             out.append(entry)
         return out
+
+    def candidates(
+        self, node: int, rel_ids: frozenset, type_id: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One metapath hop's admissible neighbours of ``node``.
+
+        ``(others, rels, times)`` as int64 / int64 / float64 arrays, in
+        adjacency (insertion) order, of the traversable edges whose type
+        is in ``rel_ids`` and whose far end has node type ``type_id`` —
+        :meth:`neighbors` by ids, without names or the time window.
+        Answers are memoised per node and dropped whenever that node's
+        adjacency list changes; they read nothing else that can change,
+        so a memoised answer is never stale.  Callers must not write to
+        the arrays.
+        """
+        memo = self._memo[node]
+        key = (rel_ids, type_id)
+        hit = memo.get(key)
+        if hit is None:
+            node_types = self._node_types
+            entries = [
+                e for e in self._adj[node]
+                if e[1] in rel_ids and node_types[e[0]] == type_id
+            ]
+            hit = memo[key] = (
+                np.asarray([e[0] for e in entries], dtype=np.int64),
+                np.asarray([e[1] for e in entries], dtype=np.int64),
+                np.asarray([e[2] for e in entries], dtype=np.float64),
+            )
+        return hit
 
     def degree(self, node: int) -> int:
         """Number of live incident edges of ``node`` (before the recency cap)."""
@@ -281,24 +280,6 @@ class DMHG:
 
     # ---------------------------------------------------------------- views
 
-    def snapshot_until(self, t: float, max_neighbors: Optional[int] = None) -> "DMHG":
-        """A new graph containing the same nodes and live edges with ``t' <= t``.
-
-        Static baselines train on such snapshots in the dynamic
-        link-prediction protocol (Section IV-E).
-        """
-        g = DMHG(self.schema, max_neighbors=max_neighbors)
-        for type_id in self._node_types:
-            g.add_node(self.schema.node_types[type_id])
-        for e in self.edges():
-            if e.t <= t:
-                g.add_edge(e.u, e.v, self.schema.edge_types[e.rel], e.t)
-        return g
-
-    def copy(self, max_neighbors: Optional[int] = None) -> "DMHG":
-        """Deep copy, optionally changing the recency cap."""
-        return self.snapshot_until(np.inf, max_neighbors=max_neighbors)
-
     def traversable_edge_indices(self) -> List[int]:
         """Indices of edges still reachable from some adjacency list.
 
@@ -310,24 +291,8 @@ class DMHG:
         seen = set()
         for entries in self._adj:
             for entry in entries:
-                seen.add(entry.index)
+                seen.add(entry[3])
         return sorted(seen)
-
-    def timestamps(self) -> np.ndarray:
-        """Timestamps of live edges in insertion order."""
-        alive = np.asarray(self._edge_alive, dtype=bool)
-        return np.asarray(self._edge_t, dtype=np.float64)[alive]
-
-    def statistics(self) -> Dict[str, int]:
-        """|V|, |E|, |O|, |R|, |T| as in the paper's Table III."""
-        ts = self.timestamps()
-        return {
-            "|V|": self.num_nodes,
-            "|E|": self.num_edges,
-            "|O|": self.schema.num_node_types,
-            "|R|": self.schema.num_edge_types,
-            "|T|": int(np.unique(ts).size) if ts.size else 0,
-        }
 
     def _check_node(self, node: int) -> None:
         if not 0 <= node < len(self._node_types):

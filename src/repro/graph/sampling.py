@@ -13,9 +13,7 @@ walk never trivially crosses the edge whose influence it measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set
 
 from repro.graph.dmhg import DMHG
 from repro.graph.metapath import MultiplexMetapath
@@ -83,13 +81,6 @@ class InfluencedGraph:
         return nodes
 
 
-def applicable_metapaths(
-    metapaths: Sequence[MultiplexMetapath], node_type: str
-) -> List[MultiplexMetapath]:
-    """Metapaths whose head type matches ``node_type``."""
-    return [p for p in metapaths if p.head == node_type]
-
-
 class CompiledMetapath:
     """A metapath pre-resolved to integer type/relation ids.
 
@@ -102,38 +93,28 @@ class CompiledMetapath:
         self.metapath = metapath
         self.head_type_id = schema.node_type_id(metapath.head)
         self.period = len(metapath) - 1
-        self._type_ids = [schema.node_type_id(t) for t in metapath.node_types]
-        self._rel_id_sets = [
-            frozenset(schema.edge_type_id(r) for r in rset)
-            for rset in metapath.edge_type_sets
-        ]
-        # (rel_ids, next_type_id) per hop position within one period —
-        # the exact filter pair every hop query uses, precomputed so the
-        # batch sampler can key its candidate cache on it.
-        self._hop_filters = [
-            (self._rel_id_sets[p], self._type_ids[(p + 1) % self.period])
-            for p in range(self.period)
+        type_ids = [schema.node_type_id(t) for t in metapath.node_types]
+        # (rel_ids, next_type_id) per hop position within one period:
+        # the filter pair :meth:`DMHG.candidates` answers for that hop
+        # (Eq. 2-3, positions wrapping with the period).
+        self._period_filters = [
+            (
+                frozenset(schema.edge_type_id(r) for r in rset),
+                type_ids[(p + 1) % self.period],
+            )
+            for p, rset in enumerate(metapath.edge_type_sets)
         ]
         self._filters_for_len: Dict[int, list] = {}
 
-    def type_id_at(self, position: int) -> int:
-        return self._type_ids[position % self.period]
-
-    def rel_ids_at(self, hop: int) -> frozenset:
-        return self._rel_id_sets[hop % self.period]
-
-    def hop_filter(self, position: int) -> Tuple[frozenset, int]:
-        """The ``(rel_ids, next_type_id)`` filter pair of hop ``position``."""
-        return self._hop_filters[position % self.period]
-
     def filters_for(self, hops: int) -> list:
-        """:meth:`hop_filter` of positions ``0..hops-1`` as one list, so
-        the walk hot loop iterates filter pairs with no per-hop indexing
-        or modulo.  Cached per length (walk length is a config constant,
-        so in practice this holds a single entry)."""
+        """The ``(rel_ids, next_type_id)`` filter pairs of hops
+        ``0..hops-1`` as one list, so a walk loop iterates filter pairs
+        with no per-hop indexing or modulo.  Cached per length (walk
+        length is a config constant, so in practice this holds a single
+        entry)."""
         cached = self._filters_for_len.get(hops)
         if cached is None:
-            cached = [self._hop_filters[p % self.period] for p in range(hops)]
+            cached = [self._period_filters[p % self.period] for p in range(hops)]
             self._filters_for_len[hops] = cached
         return cached
 
@@ -154,21 +135,17 @@ class CompiledMetapathSet:
 def _sample_compiled_walk(
     graph: DMHG, start: int, compiled: CompiledMetapath, length: int, rng
 ) -> Walk:
-    """Id-level walk used by the training hot path (same semantics as
-    :func:`sample_metapath_walk`)."""
+    """One walk as objects: per hop, one uniform draw among
+    :meth:`DMHG.candidates`; stops early when a hop has none."""
     steps = [WalkStep(start, None, None)]
     current = start
-    for position in range(length - 1):
-        candidates = graph.neighbors_ids(
-            current,
-            rel_ids=compiled.rel_ids_at(position),
-            type_id=compiled.type_id_at(position + 1),
-        )
-        if not candidates:
+    for rel_ids, type_id in compiled.filters_for(length - 1):
+        others, rels, times = graph.candidates(current, rel_ids, type_id)
+        if not others.size:
             break
-        entry = candidates[int(rng.integers(len(candidates)))]
-        steps.append(WalkStep(entry.other, entry.rel, entry.t))
-        current = entry.other
+        pick = int(rng.integers(others.size))
+        current = int(others[pick])
+        steps.append(WalkStep(current, int(rels[pick]), float(times[pick])))
     return Walk(steps)
 
 
@@ -204,75 +181,6 @@ def sample_influenced_graph_compiled(
     return result
 
 
-_EMPTY_CANDIDATES = (
-    np.empty(0, dtype=np.int64),
-    np.empty(0, dtype=np.int64),
-    np.empty(0, dtype=np.float64),
-)
-
-
-class NeighborCandidateCache:
-    """Memoises filtered neighbour queries as flat arrays.
-
-    The walk hot path asks the same ``(node, rel filter, type filter)``
-    question over and over — InsLearn replays each batch up to
-    ``N_iter`` times over a graph that does not change during the
-    replays.  This cache answers repeats from ``(others, rels, times)``
-    numpy arrays instead of re-scanning adjacency lists, and drops
-    everything the moment :attr:`DMHG.mutation_count` moves, so a stale
-    answer is impossible.
-    """
-
-    def __init__(self, graph: DMHG):
-        self.graph = graph
-        self._stamp = graph.mutation_count
-        self._store: Dict[Tuple[int, frozenset, Optional[int]], tuple] = {}
-        #: bound ``dict.get`` of the store (stable: :meth:`sync` clears
-        #: the dict in place, never rebinds it) — the walk sampler's hot
-        #: loop calls it directly after :meth:`sync`.
-        self.store_get = self._store.get
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of queries answered from the cache (0.0 when idle)."""
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def sync(self) -> None:
-        """Drop every entry if the graph has mutated since the last call.
-
-        The walk sampler calls this once per edge and then reads
-        :attr:`_store` directly — the graph cannot mutate in the middle
-        of sampling one edge's walks, so re-checking the stamp on every
-        hop (tens of times per edge) would be pure overhead.
-        """
-        stamp = self.graph.mutation_count
-        if stamp != self._stamp:
-            self._store.clear()
-            self._stamp = stamp
-
-    def fill(
-        self, key: Tuple[int, frozenset, Optional[int]]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Answer a missed ``(node, rel_ids, type_id)`` query from the
-        graph — ``(others, rels, times)`` arrays in adjacency (insertion)
-        order — and memoise it.  Callers must :meth:`sync` first."""
-        self.misses += 1
-        entries = self.graph.neighbors_ids(key[0], rel_ids=key[1], type_id=key[2])
-        if entries:
-            hit = (
-                np.asarray([e.other for e in entries], dtype=np.int64),
-                np.asarray([e.rel for e in entries], dtype=np.int64),
-                np.asarray([e.t for e in entries], dtype=np.float64),
-            )
-        else:
-            hit = _EMPTY_CANDIDATES
-        self._store[key] = hit
-        return hit
-
-
 def sample_walks_into(
     graph: DMHG,
     u: int,
@@ -281,7 +189,6 @@ def sample_walks_into(
     num_walks: int,
     walk_length: int,
     rng,
-    cache: NeighborCandidateCache,
     nodes: List[int],
     rels: List[int],
     times: List[float],
@@ -309,9 +216,7 @@ def sample_walks_into(
     begin_edge = len(nodes)
     hops = walk_length - 1
     integers = rng.integers
-    cache.sync()
-    store = cache.store_get
-    fill = cache.fill
+    candidates = graph.candidates
     for side, start in ((0, u), (1, v)):
         options = compiled.for_type(graph.node_type_id(start))
         if not options:
@@ -323,13 +228,7 @@ def sample_walks_into(
             current = start
             begin = len(nodes)
             for rel_ids, type_id in filters:
-                key = (current, rel_ids, type_id)
-                hit = store(key)
-                if hit is None:
-                    hit = fill(key)
-                else:
-                    cache.hits += 1
-                others, hop_rels, hop_times = hit
+                others, hop_rels, hop_times = candidates(current, rel_ids, type_id)
                 n = others.shape[0]
                 if n == 0:
                     break
@@ -365,21 +264,9 @@ def sample_metapath_walk(
             f"start node {start} has type {graph.node_type(start)!r}; "
             f"metapath head is {metapath.head!r}"
         )
-    rng = new_rng(rng)
-    steps = [WalkStep(start, None, None)]
-    current = start
-    for position in range(length - 1):
-        wanted_type = metapath.node_type_at(position + 1)
-        wanted_edges = metapath.edge_types_at(position)
-        candidates = graph.neighbors(
-            current, edge_types=sorted(wanted_edges), node_type=wanted_type
-        )
-        if not candidates:
-            break
-        other, rel, t, _ = candidates[int(rng.integers(len(candidates)))]
-        steps.append(WalkStep(other, rel, t))
-        current = other
-    return Walk(steps)
+    return _sample_compiled_walk(
+        graph, start, CompiledMetapath(metapath, graph.schema), length, new_rng(rng)
+    )
 
 
 def random_walk_corpus(
@@ -396,15 +283,18 @@ def random_walk_corpus(
     by the random-walk baselines.
     """
     rng = new_rng(rng)
+    compiled = None
+    if metapaths is not None:
+        compiled = CompiledMetapathSet(metapaths, graph.schema)
     corpus: List[List[int]] = []
     for start in range(graph.num_nodes):
         for _ in range(num_walks):
-            if metapaths is not None:
-                options = applicable_metapaths(metapaths, graph.node_type(start))
+            if compiled is not None:
+                options = compiled.for_type(graph.node_type_id(start))
                 if not options:
                     continue
                 mp = options[int(rng.integers(len(options)))]
-                walk = sample_metapath_walk(graph, start, mp, walk_length, rng)
+                walk = _sample_compiled_walk(graph, start, mp, walk_length, rng)
                 seq = walk.nodes()
             else:
                 seq = [start]

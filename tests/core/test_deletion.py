@@ -78,6 +78,32 @@ class TestProcessDeletion:
         model.observe(0, 5, "click", 10.0)
         assert process_edge_deletion(model, 0, 5, "click", 5.0) is None
 
+    def test_deletes_edge_capped_out_of_both_lists(self, schema, metapath):
+        """Under a recency cap the matching edge may be traversable from
+        neither endpoint; it is still live and must still be deleted."""
+        model = SUPA(
+            schema, [("user", 5), ("video", 5)], [metapath], SUPAConfig(dim=8),
+            max_neighbors=1,
+        )
+        model.observe(0, 5, "click", 1.0)
+        model.observe(0, 6, "click", 2.0)
+        model.observe(1, 5, "click", 2.5)
+        process_edge_deletion(model, 0, 5, "click", 3.0, learn=False)
+        assert not model.graph.edge_alive(0)
+        assert model.graph.num_edges == 2
+        assert model.graph.degree(0) == 1 and model.graph.degree(5) == 1
+
+    def test_newest_match_wins_even_when_capped_out(self, schema, metapath):
+        model = SUPA(
+            schema, [("user", 5), ("video", 5)], [metapath], SUPAConfig(dim=8),
+            max_neighbors=2,
+        )
+        model.observe(0, 5, "click", 3.0)  # newest match, capped out below
+        model.observe(0, 5, "click", 1.0)
+        model.observe(0, 6, "click", 2.0)
+        process_edge_deletion(model, 0, 5, "click", 4.0, learn=False)
+        assert [e.index for e in model.graph.edges()] == [1, 2]
+
     def test_plain_schema_deletes_without_learning(self, schema, metapath):
         model = SUPA(
             schema, [("user", 5), ("video", 5)], [metapath], SUPAConfig(dim=8)

@@ -222,7 +222,7 @@ def test_edge_with_no_surviving_hops_inside_a_multi_edge_round():
         return records
 
     bat, records = _assert_pair_identical(_trained_pair({}, make))
-    plan = compile_plan(bat, records, bat.engine.candidate_cache)
+    plan = compile_plan(bat, records)
     hops = np.bincount(plan.edges[plan.step_owner], minlength=plan.num_edges)
     assert hops[5] == 0 and hops.sum() > 0
     assert len(next(r for r in _rounds_of(records) if 5 in r)) > 1
@@ -251,8 +251,8 @@ def test_barrier_order_mutation_turns_parity_red(monkeypatch):
     guards is broken)."""
     real = engine_module.compile_plan
 
-    def reversed_contended_order(model, records, cache):
-        plan = real(model, records, cache)
+    def reversed_contended_order(model, records):
+        plan = real(model, records)
         rank = plan.ctx_rank.copy()
         bounds = plan.ctx_bounds.tolist()
         for c0, c1 in zip(bounds[:-1], bounds[1:]):

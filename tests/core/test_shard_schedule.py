@@ -58,7 +58,7 @@ def compiled_plan():
     model = SUPA.for_dataset(dataset, config=SUPAConfig(seed=7))
     records = _steady_state_records(model, dataset, 256, 96)
     before = model.rng.bit_generator.state
-    plan = compile_plan(model, records, model.engine.candidate_cache)
+    plan = compile_plan(model, records)
     after = model.rng.bit_generator.state
     model.rng.bit_generator.state = before
     oracle = ReferenceEngine(model)
@@ -169,7 +169,7 @@ def _oracle_rows(model, record, sample):
 class TestBuildSchedule:
     def test_empty_plan(self, compiled_plan):
         model = compiled_plan[0]
-        plan = compile_plan(model, [], model.engine.candidate_cache)
+        plan = compile_plan(model, [])
         assert plan.num_rounds == 0 and plan.num_edges == 0
         assert plan.contended_ctx_rows == 0
         assert plan.edges.size == 0 and plan.ctx_rows.size == 0

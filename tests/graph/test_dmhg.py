@@ -119,10 +119,12 @@ class TestNeighbors:
         nbrs = small_graph.neighbors(5, now=3.0, within=1.0)
         assert {n for n, _, _, _ in nbrs} == {1}
 
-    def test_neighbors_ids_fast_path_matches(self, small_graph):
+    def test_candidates_match_neighbors(self, small_graph):
         slow = small_graph.neighbors(0, edge_types=["click"], node_type="video")
-        fast = small_graph.neighbors_ids(0, rel_ids=frozenset({0}), type_id=1)
-        assert [(n, r, t, i) for n, r, t, i in slow] == [tuple(e) for e in fast]
+        others, rels, times = small_graph.candidates(0, frozenset({0}), 1)
+        assert [(n, r, t) for n, r, t, _ in slow] == list(
+            zip(others.tolist(), rels.tolist(), times.tolist())
+        )
 
 
 class TestRecencyCap:
@@ -149,30 +151,6 @@ class TestRecencyCap:
 
 
 class TestViews:
-    def test_snapshot_until(self, small_graph):
-        snap = small_graph.snapshot_until(4.0)
-        assert snap.num_edges == 4
-        assert snap.num_nodes == small_graph.num_nodes
-
-    def test_snapshot_excludes_deleted(self, small_graph):
-        small_graph.remove_edge(0)
-        snap = small_graph.snapshot_until(10.0)
-        assert snap.num_edges == 7
-
-    def test_copy_with_new_cap(self, small_graph):
-        copy = small_graph.copy(max_neighbors=1)
-        assert copy.max_neighbors == 1
-        assert copy.num_edges == small_graph.num_edges
-
-    def test_copy_is_independent(self, small_graph):
-        copy = small_graph.copy()
-        copy.add_edge(0, 5, "click", 99.0)
-        assert small_graph.num_edges == 8
-
-    def test_statistics(self, small_graph):
-        stats = small_graph.statistics()
-        assert stats == {"|V|": 10, "|E|": 8, "|O|": 2, "|R|": 2, "|T|": 8}
-
     def test_repr(self, small_graph):
         assert "|V|=10" in repr(small_graph)
 

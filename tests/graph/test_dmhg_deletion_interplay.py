@@ -50,10 +50,3 @@ class TestWalksAfterDeletion:
         graph.add_edge(0, 7, "like", 10.0)
         graph.remove_edge(3)
         assert graph.degrees().sum() == 2 * graph.num_edges
-
-    def test_snapshot_of_deleted_graph(self, graph):
-        graph.remove_edge(2)
-        snap = graph.snapshot_until(100.0)
-        assert snap.num_edges == graph.num_edges
-        # snapshot re-inserts live edges only; degree invariant holds
-        assert snap.degrees().sum() == 2 * snap.num_edges

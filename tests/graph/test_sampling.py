@@ -10,7 +10,6 @@ from repro.graph.metapath import MultiplexMetapath
 from repro.graph.sampling import (
     CompiledMetapathSet,
     InfluencedGraph,
-    applicable_metapaths,
     random_walk_corpus,
     sample_influenced_graph_compiled,
     sample_metapath_walk,
@@ -104,10 +103,6 @@ class TestInfluencedGraph:
         for walk in ig.walks:
             for i, step in enumerate(walk.steps):
                 assert small_graph.node_type(step.node) == metapath.node_type_at(i)
-
-    def test_applicable_metapaths(self, metapath):
-        assert applicable_metapaths([metapath], "user") == [metapath]
-        assert applicable_metapaths([metapath], "video") == []
 
 
 class TestCorpus:

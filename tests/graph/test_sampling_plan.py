@@ -1,9 +1,9 @@
-"""The plan sampler's RNG-order contract and the neighbour cache.
+"""The plan sampler's RNG-order contract and the candidate memo.
 
 ``sample_walks_into`` feeds the batched engine; its draws must track
-:func:`sample_influenced_graph_compiled` exactly, and its
-:class:`NeighborCandidateCache` must drop itself the instant the graph
-mutates.
+:func:`sample_influenced_graph_compiled` exactly, and the memo behind
+:meth:`DMHG.candidates` must answer repeats without going stale when
+the graph mutates.
 """
 
 from typing import NamedTuple
@@ -14,7 +14,6 @@ import pytest
 from repro.graph.dmhg import DMHG
 from repro.graph.sampling import (
     CompiledMetapathSet,
-    NeighborCandidateCache,
     sample_influenced_graph_compiled,
     sample_walks_into,
 )
@@ -33,11 +32,11 @@ class _WalkArrays(NamedTuple):
     sides: np.ndarray
 
 
-def _sample_walk_arrays(graph, u, v, compiled, rng, cache, num_walks=4):
+def _sample_walk_arrays(graph, u, v, compiled, rng, num_walks=4):
     """One edge's walks through :func:`sample_walks_into`, as arrays."""
     nodes, rels, times, offsets, sides = [], [], [], [0], []
     count = sample_walks_into(
-        graph, u, v, compiled, num_walks, 4, rng, cache,
+        graph, u, v, compiled, num_walks, 4, rng,
         nodes, rels, times, offsets, sides,
     )
     assert count == len(nodes)
@@ -50,12 +49,10 @@ def _sample_walk_arrays(graph, u, v, compiled, rng, cache, num_walks=4):
     )
 
 
-def _plan(small_graph, compiled, seed, cache=None):
-    """Walks of edge (0, 5); a fresh cache unless one is passed."""
+def _plan(graph, compiled, seed):
+    """Walks of edge (0, 5)."""
     rng = np.random.default_rng(seed)
-    if cache is None:
-        cache = NeighborCandidateCache(small_graph)
-    return _sample_walk_arrays(small_graph, 0, 5, compiled, rng, cache), rng
+    return _sample_walk_arrays(graph, 0, 5, compiled, rng), rng
 
 
 class TestPlanSampler:
@@ -90,42 +87,47 @@ class TestPlanSampler:
         g.add_nodes("user", 1)
         g.add_nodes("video", 1)
         plan = _sample_walk_arrays(
-            g, 0, 1, compiled, np.random.default_rng(0),
-            NeighborCandidateCache(g), num_walks=3,
+            g, 0, 1, compiled, np.random.default_rng(0), num_walks=3
         )
         assert plan.nodes.size == 0
         assert plan.offsets.tolist() == [0]
         assert plan.sides.size == 0
 
 
-class TestNeighborCandidateCache:
+def _copy(graph):
+    """The same nodes and edges in a fresh graph (an empty memo)."""
+    g = DMHG(graph.schema, max_neighbors=graph.max_neighbors)
+    for node in range(graph.num_nodes):
+        g.add_node(graph.node_type(node))
+    for e in graph.edges():
+        g.add_edge(e.u, e.v, graph.schema.edge_types[e.rel], e.t)
+    return g
+
+
+class TestCandidateMemo:
     def test_repeat_queries_hit(self, small_graph, compiled):
-        cache = NeighborCandidateCache(small_graph)
-        _plan(small_graph, compiled, seed=1, cache=cache)
-        misses_after_first = cache.misses
-        _plan(small_graph, compiled, seed=1, cache=cache)
-        assert cache.misses == misses_after_first  # all repeats served
-        assert cache.hits > 0
+        """A replay over an unchanged graph reuses every memoised array."""
+        _plan(small_graph, compiled, seed=1)
+        first = [dict(memo) for memo in small_graph._memo]
+        assert any(first)
+        _plan(small_graph, compiled, seed=1)
+        for before, after in zip(first, small_graph._memo):
+            assert after.keys() == before.keys()
+            assert all(after[key] is arrays for key, arrays in before.items())
 
     def test_mutation_invalidates(self, small_graph, compiled):
-        cache = NeighborCandidateCache(small_graph)
-        _plan(small_graph, compiled, seed=1, cache=cache)
+        _plan(small_graph, compiled, seed=1)
         small_graph.add_edge(0, 9, "click", 10.0)
-        # Post-mutation, cached answers must match a fresh cache's.
-        stale, stale_rng = _plan(small_graph, compiled, seed=2, cache=cache)
-        fresh, fresh_rng = _plan(small_graph, compiled, seed=2)
-        for a, b in zip(stale, fresh):
+        # Post-mutation, memoised answers must match a fresh graph's.
+        warm, warm_rng = _plan(small_graph, compiled, seed=2)
+        fresh, fresh_rng = _plan(_copy(small_graph), compiled, seed=2)
+        for a, b in zip(warm, fresh):
             assert a.tobytes() == b.tobytes()
-        assert stale_rng.bit_generator.state == fresh_rng.bit_generator.state
+        assert warm_rng.bit_generator.state == fresh_rng.bit_generator.state
 
-    def test_candidates_reflect_new_edge(self, small_graph, compiled):
-        """The sampler's protocol: ``sync`` once, then ``store_get`` with
-        ``fill`` on a miss."""
-        cache = NeighborCandidateCache(small_graph)
-        key = (0, frozenset(range(len(small_graph.schema.edge_types))), None)
-        before = cache.fill(key)[0].tolist()
-        assert cache.store_get(key)[0].tolist() == before
+    def test_candidates_reflect_new_edge(self, small_graph):
+        every_rel = frozenset(range(len(small_graph.schema.edge_types)))
+        before = small_graph.candidates(0, every_rel, 1)[0].tolist()
+        assert small_graph.candidates(0, every_rel, 1)[0].tolist() == before
         small_graph.add_edge(0, 9, "click", 10.0)
-        cache.sync()
-        assert cache.store_get(key) is None
-        assert cache.fill(key)[0].tolist() == before + [9]
+        assert small_graph.candidates(0, every_rel, 1)[0].tolist() == before + [9]
