@@ -12,20 +12,14 @@ Commands:
 * ``export`` — write a generated dataset's edge stream to TSV.
 * ``serve-replay`` — replay a dataset through the online serving layer
   (:mod:`repro.serve`) and report throughput, latency and offline
-  parity.  ``--faults`` / ``--crash-at`` switch the replay into the
-  chaos harness: inject a seeded fault plan (malformed / late /
-  duplicate / burst / crash), recover through the WAL + checkpoint
-  stack and reconcile every injected fault against what the system
-  recorded (see :mod:`repro.resilience`).  ``--trace`` prints the
-  observability story — span tree, flame table, metrics snapshot — and
-  with ``--output-dir`` writes Prometheus-text and JSONL exports (see
-  :mod:`repro.obs`).
+  parity.  ``--trace`` prints the observability story — span tree,
+  flame table, metrics snapshot — and with ``--output-dir`` writes
+  Prometheus-text and JSONL exports (see :mod:`repro.obs`).
 * ``replicate`` — WAL-shipping replication roles (see
   :mod:`repro.replicate`): ``primary`` runs the writable update loop
   publishing its WAL, ``follower`` bootstraps a read replica and tails
-  it, ``promote`` flips a drained follower writable and optionally
-  resumes ingest with a golden parity check, and ``failover`` runs the
-  seeded kill-primary chaos gate end to end.
+  it, and ``promote`` flips a drained follower writable and optionally
+  resumes ingest with a golden parity check.
 * ``lint`` — run the reprolint static-analysis suite over the source
   tree (see :mod:`repro.analysis`).
 * ``loadtest`` — the open-loop SLO harness (see
@@ -211,90 +205,8 @@ def cmd_lint(args: argparse.Namespace) -> int:
     )
 
 
-def _build_fault_plan(args: argparse.Namespace, num_events: int, burst_size: int):
-    """A :class:`FaultPlan` from ``--faults`` plus an optional pinned crash."""
-    from repro.resilience import Fault, FaultPlan
-
-    crash_at = args.crash_at
-    counts = FaultPlan.parse_spec(args.faults)
-    if crash_at is not None:
-        # an explicit crash position replaces any seeded crash faults
-        counts.pop("crash", None)
-    plan = FaultPlan.seeded(
-        num_events, seed=args.seed, burst_size=burst_size, **counts
-    )
-    if crash_at is not None:
-        if not 1 <= crash_at < num_events:
-            raise SystemExit(
-                f"--crash-at must be in [1, {num_events - 1}] for this "
-                f"stream, got {crash_at}"
-            )
-        plan.faults.append(Fault(kind="crash", position=int(crash_at)))
-        plan.faults.sort(key=lambda f: (f.position, f.kind))
-    return plan
-
-
 def _print_summary(title: str, rows) -> None:
     print(format_table(["metric", "value"], rows, title=title))
-
-
-def _emit_report(report, title: str, output: Optional[str]) -> None:
-    """Print a replay driver's report table; persist it as JSON if asked."""
-    _print_summary(title, report.summary_rows())
-    if output:
-        print(f"wrote {report.write_json(output)}")
-
-
-def _below_min_parity(report, min_parity: float) -> bool:
-    if report.parity_fraction >= min_parity:
-        return False
-    print(
-        f"FAIL: parity {report.parity_fraction:.4f} below "
-        f"--min-parity {min_parity}"
-    )
-    return True
-
-
-def _chaos_replay(args: argparse.Namespace) -> int:
-    """``serve-replay`` with ``--faults`` / ``--crash-at``."""
-    import tempfile
-
-    from repro.resilience import ChaosReplayDriver
-    from repro.serve import ServeConfig
-
-    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    state_dir = args.state_dir or tempfile.mkdtemp(prefix="repro-chaos-")
-    capacity = max(args.capacity, args.batch_size)
-    plan = _build_fault_plan(args, len(dataset.stream), burst_size=capacity)
-    driver = ChaosReplayDriver(
-        dataset,
-        state_dir=state_dir,
-        plan=plan,
-        k=args.k,
-        serve_config=ServeConfig(
-            batch_size=args.batch_size,
-            capacity=capacity,
-            overflow="drop_new",
-            cache_size=args.cache_size,
-            late_tolerance=0.0,
-        ),
-        model_config=_serving_model_config(args),
-        max_parity_users=args.max_parity_users,
-        seed=args.seed,
-    )
-    report = driver.run()
-    _emit_report(
-        report,
-        f"serve-replay (chaos): {args.dataset} (scale={args.scale}, "
-        f"seed={args.seed}, faults={args.faults!r}, crash_at={args.crash_at})",
-        args.output,
-    )
-    if not report.reconciled:
-        print("FAIL: fault ledger did not reconcile:")
-        for mismatch in report.mismatches:
-            print(f"  {mismatch}")
-    failed = _below_min_parity(report, args.min_parity) or not report.reconciled
-    return 1 if failed else 0
 
 
 def cmd_serve_replay(args: argparse.Namespace) -> int:
@@ -306,15 +218,11 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
     )
     from repro.serve import ServeConfig, StreamReplayDriver
 
-    if args.faults.strip() not in ("", "none") or args.crash_at is not None:
-        return _chaos_replay(args)
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     driver = StreamReplayDriver(
         dataset,
         k=args.k,
-        serve_config=ServeConfig(
-            batch_size=args.batch_size, cache_size=args.cache_size
-        ),
+        serve_config=ServeConfig(batch_size=args.batch_size),
         model_config=_serving_model_config(args),
         probe_every=args.probe_every,
         max_parity_users=args.max_parity_users,
@@ -323,11 +231,12 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
     )
     service = driver.build_service()
     report = driver.run(service)
-    _emit_report(
-        report,
+    _print_summary(
         f"serve-replay: {args.dataset} (scale={args.scale}, k={args.k})",
-        args.output,
+        report.summary_rows(),
     )
+    if args.output:
+        print(f"wrote {report.write_json(args.output)}")
     if args.trace:
         tracer = service.tracer
         print()
@@ -353,7 +262,13 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
             print()
             print(f"wrote {prom_path}")
             print(f"wrote {jsonl_path}")
-    return 1 if _below_min_parity(report, args.min_parity) else 0
+    if report.parity_fraction < args.min_parity:
+        print(
+            f"FAIL: parity {report.parity_fraction:.4f} below "
+            f"--min-parity {args.min_parity}"
+        )
+        return 1
+    return 0
 
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
@@ -745,29 +660,6 @@ def cmd_replicate_promote(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def cmd_replicate_failover(args: argparse.Namespace) -> int:
-    from repro.replicate import FailoverDriver
-
-    dataset, configs = _replication_pieces(args)
-    driver = FailoverDriver(
-        dataset,
-        state_dir=args.state_dir,
-        replica_dir=args.replica_dir,
-        k=args.k,
-        **configs,
-        max_parity_users=args.max_parity_users,
-        seed=args.seed,
-    )
-    report = driver.run()
-    _emit_report(
-        report,
-        f"replicate failover: {args.dataset} (scale={args.scale}, "
-        f"seed={args.seed})",
-        args.output,
-    )
-    return 0 if report.passed else 1
-
-
 def cmd_export(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
     save_edge_tsv(dataset.stream, args.output)
@@ -821,33 +713,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve-replay",
         help="replay a dataset through the online serving layer; "
-        "--faults / --crash-at inject seeded faults, recover and reconcile "
-        "the fault ledger; --trace prints the telemetry story",
+        "--trace prints the telemetry story",
     )
     _add_common(p)
     _add_serving(p, batch_size=256, capacity=2048)
-    p.add_argument("--cache-size", type=int, default=1024)
     p.add_argument("--probe-every", type=int, default=64)
-    p.add_argument(
-        "--faults",
-        default="",
-        help="comma-separated kind=count fault spec like "
-        "'malformed=4,late=3,duplicate=3,burst=1,crash=1' ('none' for a "
-        "clean run); any fault makes serve-replay run the chaos harness",
-    )
-    p.add_argument(
-        "--crash-at",
-        type=int,
-        default=None,
-        help="crash + recover just before this stream position (replaces "
-        "any seeded crash fault)",
-    )
-    p.add_argument(
-        "--state-dir",
-        default=None,
-        help="chaos harness: directory for the WAL + checkpoints "
-        "(default: a fresh tempdir)",
-    )
     p.add_argument(
         "--max-parity-users", type=int, default=None, help="cap parity check users"
     )
@@ -983,8 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "replicate",
-        help="WAL-shipping replication: primary / follower / promote / "
-        "failover roles",
+        help="WAL-shipping replication: primary / follower / promote roles",
     )
     rsub = p.add_subparsers(dest="role", required=True)
 
@@ -1064,25 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--probes", type=int, default=16, help="parity probes when verifying"
     )
     rp.set_defaults(func=cmd_replicate_promote)
-
-    rp = rsub.add_parser(
-        "failover",
-        help="seeded kill-primary chaos gate: ledger + fingerprint + "
-        "top-K parity",
-    )
-    _add_replicate_common(rp)
-    rp.add_argument(
-        "--replica-dir", required=True, help="the promoted follower's directory"
-    )
-    rp.add_argument(
-        "--max-parity-users", type=int, default=32, help="cap parity check users"
-    )
-    rp.add_argument(
-        "--output",
-        default="",
-        help="JSON report path (default: write nothing)",
-    )
-    rp.set_defaults(func=cmd_replicate_failover)
 
     p = sub.add_parser(
         "lint", help="run the reprolint static-analysis suite"

@@ -15,19 +15,13 @@ durability layer — no new log format, no consensus:
   into its own store/index (bitwise-parity discipline borrowed from
   crash recovery) and serves read-only top-K with measured, bounded
   staleness — or promotes itself to writable when the primary dies;
-* :mod:`~repro.replicate.failover` — :class:`FailoverDriver`, the
-  seeded kill-primary chaos gate: ledger reconciliation, state
-  fingerprint equality and top-K parity against an uninterrupted
-  golden run.
+* :mod:`~repro.replicate.failover` — :func:`compare_services`, the
+  bitwise-parity check (state fingerprint, RNG streams, top-K) of a
+  replica or promoted node against a reference.
 """
 
 from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
-from repro.replicate.failover import (
-    FailoverDriver,
-    FailoverReport,
-    compare_services,
-    state_fingerprint,
-)
+from repro.replicate.failover import compare_services, state_fingerprint
 from repro.replicate.follower import ReplicationError, ReplicationFollower
 from repro.replicate.primary import ReplicationPrimary
 
@@ -35,8 +29,6 @@ __all__ = [
     "ReplicationConfig",
     "checkpoint_dir",
     "wal_path",
-    "FailoverDriver",
-    "FailoverReport",
     "compare_services",
     "state_fingerprint",
     "ReplicationError",

@@ -4,8 +4,8 @@ A replicated deployment is one directory per role: the primary owns
 ``state_dir`` (its WAL segments + checkpoints), and each follower that
 gets promoted owns a ``replica_dir`` with the identical layout.  The
 layout functions here are the single source of truth for where the
-shipped files live, so the primary, follower, failover driver and CLI
-can never disagree about paths.
+shipped files live, so the primary, follower and CLI can never disagree
+about paths.
 """
 
 from __future__ import annotations

@@ -285,7 +285,8 @@ class ReplicationFollower:
         3. attach — open the inherited WAL + a fresh checkpoint manager
            on the service and flip it writable;
         4. restore — hand the surviving FIFO residue, accepted-event
-           ledger and watermark over to the queue;
+           ledger and watermark over to the queue, which cuts any whole
+           batch of it into the inherited log at once;
         5. checkpoint — immediately, so the promoted node is
            recoverable without replaying the whole inherited log.
         """

@@ -1,6 +1,6 @@
 """repro.resilience: durability and fault tolerance for the serving layer.
 
-Four pieces, composing into crash recovery with bitwise parity:
+Three pieces, composing into crash recovery with bitwise parity:
 
 * :mod:`~repro.resilience.wal` — an append-only, CRC-checksummed,
   segment-rotated write-ahead log of every
@@ -12,24 +12,13 @@ Four pieces, composing into crash recovery with bitwise parity:
   streams, the queue residue and the WAL position;
 * :mod:`~repro.resilience.recovery` — :func:`catch_up` turns the
   newest valid checkpoint plus one read of the WAL into a service
-  **bitwise identical** to one that never crashed (:func:`recover`);
-* :mod:`~repro.resilience.faults` — a seeded fault-injection plan and
-  :class:`ChaosReplayDriver` that replays a dataset's stream while
-  injecting malformed / late / duplicate / burst / crash faults, then
-  reconciles every injected fault against what the system recorded.
+  **bitwise identical** to one that never crashed (:func:`recover`).
 """
 
 from repro.resilience.checkpoint import (
     Checkpoint,
     CheckpointError,
     CheckpointManager,
-)
-from repro.resilience.faults import (
-    FAULT_KINDS,
-    ChaosReplayDriver,
-    ChaosReport,
-    Fault,
-    FaultPlan,
 )
 from repro.resilience.recovery import (
     QueueLogState,
@@ -52,11 +41,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "CheckpointManager",
-    "FAULT_KINDS",
-    "ChaosReplayDriver",
-    "ChaosReport",
-    "Fault",
-    "FaultPlan",
     "QueueLogState",
     "RecoveryError",
     "RecoveryResult",

@@ -129,7 +129,9 @@ class QueueLogState:
     def hand_over(self, service: RecommendationService) -> None:
         """Give ``service`` the queue this log ends with: residue
         buffered, accepted-event ledger and late-event watermark
-        continued (every ``accept`` on record is one it inherits)."""
+        continued (every ``accept`` on record is one it inherits), and
+        any whole batch of residue cut and trained through the journal,
+        as the live queue would have."""
         service.queue.restore(self.fifo, self.accepted, self.watermark)
 
 

@@ -367,20 +367,26 @@ class EventQueue:
     def restore(
         self, residue: Iterable[StreamEdge], accepted: int, watermark: float
     ) -> None:
-        """Adopt the queue a journal ends with (one call, one hold).
+        """Adopt the queue a journal ends with, then cut what it makes ready.
 
-        ``residue`` goes back into the buffer without validation,
-        journaling or dispatch: its acceptance was journaled and
-        validated in a previous process life — which is also why the
-        events carry no accept stamp and observe no queue wait.  The
-        cumulative ``accepted`` ledger (residue included) and the
-        late-event ``watermark`` continue across the restart rather
-        than start from zero; the watermark only ever advances.
+        ``residue`` goes back into the buffer without validation or
+        journaling: its acceptance was journaled and validated in a
+        previous process life — which is also why the events carry no
+        accept stamp and observe no queue wait.  The cumulative
+        ``accepted`` ledger (residue included) and the late-event
+        ``watermark`` continue across the restart rather than start from
+        zero; the watermark only ever advances.  A log can end with a
+        whole batch or more buffered (the writer was paused, or its last
+        ``batch`` record was torn), so the restore ends like
+        :meth:`resume`: every ready micro-batch is cut, journaled, now.
         """
         with self._lock:
             self._buffer.extend((edge, None) for edge in residue)
             self.accepted = int(accepted)
             self.max_timestamp = max(self.max_timestamp, float(watermark))
+            ready = self._ready()
+        if ready:
+            self._drain_ready()
 
     def dead_letter(self, edge: StreamEdge, reason: str) -> None:
         """Deadletter an event of a batch whose update failed after it

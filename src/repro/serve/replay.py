@@ -6,9 +6,7 @@ platform would — interleaving ``ingest`` with periodic ``recommend``
 probes — then quiesces with ``flush()`` and checks **parity**: the
 served top-K list of every user must equal the offline ranking
 pipeline's answer (Eq. 15 over the full catalogue, identical stable
-tie-breaking).  :meth:`StreamReplayDriver.replay_stream` is the only
-such loop in the tree: the chaos and failover drivers run it with their
-fault hooks plugged in.
+tie-breaking).
 
 The resulting :class:`ReplayReport` carries throughput (events/s in,
 recommendations/s out), latency percentiles, cache hit-rate, staleness
@@ -20,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,26 +26,8 @@ from repro.core.config import SUPAConfig
 from repro.core.inslearn import InsLearnConfig
 from repro.core.model import SUPA
 from repro.datasets.base import Dataset
-from repro.graph.streams import StreamEdge
 from repro.serve.service import RecommendationService, ServeConfig
 from repro.utils.timer import Timer
-
-
-class JsonReport:
-    """``as_dict`` / ``write_json`` for the replay drivers' report dataclasses."""
-
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready payload: every dataclass field under its own name."""
-        return asdict(self)
-
-    def write_json(self, path: str) -> str:
-        """Persist the report; creates parent directories. Returns path."""
-        parent = os.path.dirname(os.path.abspath(path))
-        os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
 
 
 def parity_matches(
@@ -74,7 +54,7 @@ def parity_matches(
 
 
 @dataclass
-class ReplayReport(JsonReport):
+class ReplayReport:
     """Everything one replay run measured."""
 
     dataset: str
@@ -104,10 +84,19 @@ class ReplayReport(JsonReport):
     def as_dict(self) -> Dict[str, object]:
         """JSON-ready payload (full metrics registry included; the span
         tree only when the replay was traced)."""
-        payload = super().as_dict()
+        payload = asdict(self)
         if not self.trace:
             del payload["trace"]
         return payload
+
+    def write_json(self, path: str) -> str:
+        """Persist the report; creates parent directories. Returns path."""
+        parent = os.path.dirname(os.path.abspath(path))
+        os.makedirs(parent, exist_ok=True)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.as_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return path
 
     def summary_rows(self) -> List[Tuple[str, object]]:
         """(name, value) pairs for a printed summary table."""
@@ -209,71 +198,38 @@ class StreamReplayDriver:
         picks = np.linspace(0, users.size - 1, cap).astype(np.int64)
         return users[picks]
 
-    def _parity(
-        self,
-        service: RecommendationService,
-        golden: Optional[RecommendationService] = None,
-    ) -> Dict[str, object]:
-        """The reports' three parity fields, over the parity-user subsample."""
+    def _parity(self, service: RecommendationService) -> Dict[str, object]:
+        """The report's three parity fields, over the parity-user subsample."""
         users = self._parity_users(service)
-        matches = parity_matches(service, users, self.k, golden)
+        matches = parity_matches(service, users, self.k)
         return {
             "parity_users": int(users.size),
             "parity_matches": matches,
             "parity_fraction": matches / users.size if users.size else 1.0,
         }
 
-    def replay_stream(
-        self,
-        service: RecommendationService,
-        before_event: Optional[Callable[..., RecommendationService]] = None,
-        after_event: Optional[Callable[[int], None]] = None,
-        probe: Optional[Callable[[int], object]] = None,
-    ) -> Tuple[RecommendationService, float, float]:
-        """The one ingest → probe → flush loop every replay driver runs.
-
-        Callers differ only in the hooks.  ``before_event(position,
-        service, last_accepted)`` runs ahead of each event and returns
-        the service that is writable from then on — fault drivers inject
-        here, and hand back the replacement when a crash swapped the
-        writer; ``after_event(position)`` follows each ingest (a
-        follower's tail poll); ``probe(user)`` reads from somewhere
-        other than the writable service.  Returns ``(writable service,
-        ingest seconds, max staleness)``.
-        """
+    def run(self, service: Optional[RecommendationService] = None) -> ReplayReport:
+        """Replay the full stream (ingest, probe, then flush); returns the
+        measured report."""
+        service = service or self.build_service()
         users = service.users
         probe_cursor = 0
         max_staleness = 0.0
-        last_accepted: Optional[StreamEdge] = None
         timer = Timer()
         with timer:
             for position, edge in enumerate(self.dataset.stream):
-                if before_event is not None:
-                    service = before_event(position, service, last_accepted)
-                if service.ingest(edge):
-                    last_accepted = edge
-                if after_event is not None:
-                    after_event(position)
+                service.ingest(edge)
                 if (position + 1) % self.probe_every == 0:
                     for _ in range(self.probes_per_checkpoint):
                         user = int(users[probe_cursor % users.size])
                         probe_cursor += 1
-                        if probe is None:
-                            service.recommend(user, self.k)
-                        else:
-                            probe(user)
+                        service.recommend(user, self.k)
                     max_staleness = max(
                         max_staleness,
                         service.metrics.gauge("staleness.events_behind").value,
                     )
             service.flush()
-        return service, timer.elapsed, max_staleness
-
-    def run(self, service: Optional[RecommendationService] = None) -> ReplayReport:
-        """Replay the full stream; returns the measured report."""
-        service, ingest_seconds, max_staleness = self.replay_stream(
-            service or self.build_service()
-        )
+        ingest_seconds = timer.elapsed
         num_events = len(self.dataset.stream)
 
         latency = service.metrics.histogram("latency.recommend_seconds")
@@ -302,5 +258,6 @@ class StreamReplayDriver:
             max_staleness_events=max_staleness,
             metrics=service.metrics.as_dict(),
             trace=service.tracer.as_dict() if service.tracer.enabled else {},
+            # last: its parity reads must not land in the figures above
             **self._parity(service),
         )

@@ -110,9 +110,7 @@ def test_cli_surface():
         },
         "export": COMMON | {"--output"},
         "serve-replay": COMMON | SERVING | {
-            "--cache-size", "--probe-every", "--max-parity-users", "--min-parity",
-            "--output",
-            "--faults", "--crash-at", "--state-dir",  # the chaos harness
+            "--probe-every", "--max-parity-users", "--min-parity", "--output",
             "--trace", "--output-dir",  # the telemetry story
         },
         "loadtest": COMMON | SERVING | {
@@ -125,9 +123,6 @@ def test_cli_surface():
         "replicate follower": REPLICATE | {"--probes"},
         "replicate promote": REPLICATE | {
             "--replica-dir", "--resume-from", "--events", "--verify-parity", "--probes",
-        },
-        "replicate failover": REPLICATE | {
-            "--replica-dir", "--max-parity-users", "--output",
         },
         "lint": {
             "paths", "--format", "--output", "--select", "--ignore",

@@ -169,125 +169,6 @@ class TestServeReplay:
         assert "FAIL: parity" in capsys.readouterr().out
 
 
-class TestChaosReplay:
-    """``serve-replay --faults / --crash-at``: the chaos harness."""
-
-    def test_chaos_replay_reconciles_and_writes_report(self, tmp_path, capsys):
-        out = tmp_path / "chaos.json"
-        code = main(
-            [
-                "serve-replay",
-                "--dataset",
-                "uci",
-                "--scale",
-                "0.2",
-                "--batch-size",
-                "32",
-                "--capacity",
-                "128",
-                "--faults",
-                "malformed=2,late=2,duplicate=2,burst=1,crash=1",
-                "--state-dir",
-                str(tmp_path / "state"),
-                "--max-parity-users",
-                "8",
-                "--output",
-                str(out),
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "serve-replay (chaos): uci" in captured
-        assert "reconciled" in captured
-        payload = json.loads(out.read_text())
-        assert payload["reconciled"] is True
-        assert payload["mismatches"] == []
-        assert payload["injected"]["crash"] == 1
-        assert payload["observed"]["recoveries"] == 1
-        assert payload["parity_fraction"] >= 0.99
-
-    def test_serve_replay_crash_at_delegates_to_chaos(self, tmp_path, capsys):
-        code = main(
-            [
-                "serve-replay",
-                "--dataset",
-                "uci",
-                "--scale",
-                "0.2",
-                "--batch-size",
-                "32",
-                "--capacity",
-                "128",
-                "--crash-at",
-                "77",
-                "--max-parity-users",
-                "8",
-                "--output",
-                "",
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "serve-replay (chaos)" in captured
-        assert "crash_at=77" in captured
-
-    def test_serve_replay_fault_spec_delegates(self, tmp_path, capsys):
-        code = main(
-            [
-                "serve-replay",
-                "--dataset",
-                "uci",
-                "--scale",
-                "0.2",
-                "--batch-size",
-                "32",
-                "--capacity",
-                "128",
-                "--faults",
-                "malformed=2,late=1",
-                "--max-parity-users",
-                "4",
-                "--output",
-                "",
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "serve-replay (chaos)" in captured
-
-    def test_bad_fault_spec_exits(self):
-        with pytest.raises((SystemExit, ValueError)):
-            main(
-                [
-                    "serve-replay",
-                    "--dataset",
-                    "uci",
-                    "--scale",
-                    "0.1",
-                    "--faults",
-                    "meteor=1",
-                    "--output",
-                    "",
-                ]
-            )
-
-    def test_crash_at_out_of_range_exits(self):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "serve-replay",
-                    "--dataset",
-                    "uci",
-                    "--scale",
-                    "0.1",
-                    "--crash-at",
-                    "100000",
-                    "--output",
-                    "",
-                ]
-            )
-
-
 class TestReplicate:
     def test_parser_defaults(self):
         args = build_parser().parse_args(
@@ -296,19 +177,6 @@ class TestReplicate:
         assert args.role == "primary"
         assert args.heartbeat_every == 16
         assert args.checkpoint_every == 4
-        args = build_parser().parse_args(
-            [
-                "replicate",
-                "failover",
-                "--dataset",
-                "uci",
-                "--state-dir",
-                "s",
-                "--replica-dir",
-                "r",
-            ]
-        )
-        assert args.output == ""  # nothing written unless asked
 
     def test_role_is_required(self):
         with pytest.raises(SystemExit):
@@ -349,35 +217,6 @@ class TestReplicate:
         ) == 0
         out = capsys.readouterr().out
         assert "fingerprint" in out
-
-    def test_failover_gate_writes_report(self, tmp_path, capsys):
-        out_path = tmp_path / "failover.json"
-        code = main(
-            [
-                "replicate",
-                "failover",
-                "--dataset",
-                "uci",
-                "--scale",
-                "0.1",
-                "--dim",
-                "16",
-                "--state-dir",
-                str(tmp_path / "p"),
-                "--replica-dir",
-                str(tmp_path / "r"),
-                "--max-parity-users",
-                "8",
-                "--output",
-                str(out_path),
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "PASS" in captured
-        payload = json.loads(out_path.read_text())
-        assert payload["passed"] is True
-        assert payload["mismatches"] == []
 
 
 class TestObs:
