@@ -264,7 +264,6 @@ def default_audits() -> List[Audit]:
     """
     from repro.analysis.concurrency import infer_guarded
     from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-    from repro.obs.quality import StreamingQualityEvaluator
     from repro.replicate.follower import ReplicationFollower
     from repro.resilience.checkpoint import CheckpointManager
     from repro.resilience.wal import WalTailer, WriteAheadLog
@@ -296,7 +295,6 @@ def default_audits() -> List[Audit]:
             (Counter, "_lock"),
             (Gauge, "_lock"),
             (Histogram, "_lock"),
-            (StreamingQualityEvaluator, "_lock"),
             (MetricsRegistry, "_lock"),
             (RecommendationService, "_state_lock"),
             (WriteAheadLog, "_lock"),

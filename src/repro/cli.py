@@ -22,14 +22,10 @@ Commands:
   resumes ingest with a golden parity check.
 * ``lint`` — run the reprolint static-analysis suite over the source
   tree (see :mod:`repro.analysis`).
-* ``loadtest`` — the open-loop SLO harness (see
-  :mod:`repro.obs.loadgen`): calibrate closed-loop capacity, then sweep
-  offered-rate tiers with seeded Poisson/bursty/ramp arrivals and
-  report p50/p99/p999 end-to-end latency split into queue wait vs
-  service time, gated on the SLO contract.
 
-Every command is deterministic for a fixed ``--seed`` (loadtest latency
-numbers vary with the machine; its arrival schedules do not).
+Every command is deterministic for a fixed ``--seed`` (timings vary with
+the machine).  Load and latency under open-loop arrivals are measured by
+the benchmark spine (``benchmarks/spine``), not by a command here.
 """
 
 from __future__ import annotations
@@ -222,7 +218,9 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
     driver = StreamReplayDriver(
         dataset,
         k=args.k,
-        serve_config=ServeConfig(batch_size=args.batch_size),
+        serve_config=ServeConfig(
+            batch_size=args.batch_size, capacity=args.capacity
+        ),
         model_config=_serving_model_config(args),
         probe_every=args.probe_every,
         max_parity_users=args.max_parity_users,
@@ -269,231 +267,6 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
         )
         return 1
     return 0
-
-
-def cmd_loadtest(args: argparse.Namespace) -> int:
-    """Open-loop offered-load sweep with the SLO gate (see ISSUE/DESIGN §14).
-
-    With ``--async-dispatch`` / ``--admission`` the sweep exercises the
-    overload path (DESIGN §8): ``ingest()`` returns after the journaled
-    accept decision and a dispatcher thread runs the updates, while the
-    admission controller throttles and sheds past the watermarks.  Add
-    ``--state-dir`` to journal each tier into its own WAL and run the
-    per-tier audit: every shed/throttle decision in the WAL ledger must
-    reconcile with the controller's and queue's tallies, and a full
-    replay of the WAL from a fresh model must reproduce the drained
-    service bitwise (state fingerprint, RNG streams, served top-K) —
-    the async-equals-inline parity gate.  ``--overload-gate`` swaps the
-    SLO gate for the overload contract (flat ingest p99, shedding
-    measured, audit findings fatal).
-    """
-    import itertools
-    import json
-    import time
-
-    from repro.core.model import SUPA
-    from repro.obs.loadgen import (
-        overload_gate_failures,
-        run_offered_load_sweep,
-        sweep_gate_failures,
-    )
-    from repro.obs.quality import StreamingQualityEvaluator
-    from repro.serve.admission import AdmissionConfig
-    from repro.serve.service import RecommendationService, ServeConfig
-
-    dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    edges = list(dataset.stream)
-    if args.events:
-        edges = edges[: args.events]
-
-    model_config = _serving_model_config(args)
-    admission_config = None
-    if args.admission:
-        admission_config = AdmissionConfig(
-            rate_per_user=args.rate_per_user,
-            burst=args.burst,
-            depth_highwater=args.depth_highwater,
-            depth_lowwater=args.depth_lowwater,
-        )
-    # Every service the sweep builds (the calibration throwaway, then
-    # one per tier) gets its own WAL directory so tiers never share a
-    # journal and the audit replays exactly one tier's decisions.
-    tier_ordinal = itertools.count()
-
-    def service_factory() -> RecommendationService:
-        model = SUPA.for_dataset(dataset, config=model_config)
-        wal_path = None
-        if args.state_dir:
-            tier_dir = os.path.join(
-                args.state_dir, f"tier-{next(tier_ordinal):03d}"
-            )
-            os.makedirs(tier_dir, exist_ok=True)
-            wal_path = os.path.join(tier_dir, "events.wal")
-        return RecommendationService(
-            dataset,
-            model=model,
-            config=ServeConfig(
-                batch_size=args.batch_size,
-                capacity=args.capacity,
-                overflow="drop_new",
-                clock_fn=time.perf_counter,
-                wal_path=wal_path,
-                async_dispatch=args.async_dispatch,
-                admission=admission_config,
-            ),
-        )
-
-    def tier_audit(service: RecommendationService, tier: dict) -> None:
-        """Ledger reconciliation + replay parity for one drained tier."""
-        from repro.replicate.failover import compare_services
-        from repro.resilience.recovery import recover
-        from repro.resilience.wal import decision_ledger
-
-        failures: list = []
-        tier["audit"] = {"failures": failures}
-        # Quiesce first: stop + drain the dispatcher, flush the partial
-        # batch (both idempotent — service.close() repeats them later).
-        if service.dispatcher is not None:
-            service.dispatcher.close()
-        service.flush()
-        wal_path = service.config.wal_path
-        if wal_path is None:
-            return
-        ledger = decision_ledger(wal_path)
-        tier["audit"]["ledger"] = ledger
-        admission = service.admission
-        if admission is not None:
-            counts = admission.counts()
-            throttled = sum(ledger["throttle"].values())
-            shed = sum(ledger["shed"].values())
-            if throttled != counts["throttled"]:
-                failures.append(
-                    f"ledger has {throttled} throttle records but the "
-                    f"controller throttled {counts['throttled']}"
-                )
-            if shed != counts["shed"]:
-                failures.append(
-                    f"ledger has {shed} shed records but the "
-                    f"controller shed {counts['shed']}"
-                )
-            expected_queue_shed = counts["throttled"] + counts["shed"]
-            if service.queue.shed != expected_queue_shed:
-                failures.append(
-                    f"queue counted {service.queue.shed} shed deadletters "
-                    f"but the controller denied {expected_queue_shed}"
-                )
-        # Replay parity: recover() over the tier's WAL with no
-        # checkpoint replays every journaled accept/evict/batch from a
-        # fresh model — i.e. the inline golden run over the same
-        # accepted-event sequence.  The drained async service must match
-        # it bitwise: state fingerprint, both RNG streams, served top-K.
-        recover_dir = os.path.join(os.path.dirname(wal_path), "recover-ckpt")
-        os.makedirs(recover_dir, exist_ok=True)
-        recovered = recover(
-            dataset,
-            ServeConfig(
-                batch_size=args.batch_size,
-                capacity=args.capacity,
-                overflow="drop_new",
-                wal_path=wal_path,
-                checkpoint_dir=recover_dir,
-            ),
-            model_config=model_config,
-        )
-        twin = recovered.service
-        try:
-            verdict = compare_services(
-                service, service.users[:4], args.k, reference=twin
-            )
-            tier["audit"]["state_fingerprint"] = verdict.fingerprint
-            if not verdict.fingerprint_match:
-                failures.append(
-                    "replay parity: drained state fingerprint "
-                    f"{verdict.fingerprint[:12]} != inline-replay fingerprint"
-                )
-            if not verdict.rng_match:
-                failures.append(
-                    "replay parity: model or trainer RNG streams diverged"
-                )
-            if verdict.matches != verdict.users:
-                failures.append(
-                    f"replay parity: top-{args.k} differs between drained "
-                    f"and replayed service for "
-                    f"{verdict.users - verdict.matches} of {verdict.users} users"
-                )
-        finally:
-            twin.close()
-
-    quality_factory = None
-    if args.quality:
-        quality_factory = lambda service: StreamingQualityEvaluator(
-            service, k=args.k
-        )
-    sweep = run_offered_load_sweep(
-        service_factory,
-        edges,
-        fractions=args.tiers,
-        kind=args.arrival,
-        seed=args.seed,
-        k=args.k,
-        query_every=args.query_every,
-        quality_factory=quality_factory,
-        tier_audit=tier_audit if args.state_dir else None,
-    )
-    rows = [
-        [
-            f"{tier['fraction_of_capacity']:g}x",
-            f"{tier['offered_rate']:.0f}",
-            f"{tier['achieved_rate']:.0f}",
-            f"{tier['e2e']['p50'] * 1e3:.2f}",
-            f"{tier['e2e']['p99'] * 1e3:.2f}",
-            f"{tier['e2e']['p99.9'] * 1e3:.2f}",
-            f"{tier['queue_wait']['p99'] * 1e3:.2f}",
-            f"{tier['service']['p99'] * 1e3:.2f}",
-            f"{tier['ingest_latency']['p99'] * 1e3:.3f}",
-            str(tier["ingest"]["shed"]),
-            str(tier["hdr_p999_bucket_error"]),
-        ]
-        for tier in sweep["tiers"]
-    ]
-    print(
-        format_table(
-            [
-                "tier",
-                "offered/s",
-                "achieved/s",
-                "e2e p50 ms",
-                "e2e p99 ms",
-                "e2e p999 ms",
-                "qwait p99 ms",
-                "service p99 ms",
-                "ingest p99 ms",
-                "shed",
-                "p999 Δbuckets",
-            ],
-            rows,
-            title=(
-                f"loadtest: {args.dataset} (scale={args.scale}, "
-                f"{args.arrival} arrivals, capacity "
-                f"{sweep['capacity_events_per_second']:.0f} events/s)"
-            ),
-        )
-    )
-    if args.output:
-        os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
-        with open(args.output, "w", encoding="utf-8") as fh:
-            json.dump(sweep, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.output}")
-    if args.no_gate:
-        return 0
-    if args.overload_gate:
-        failures = overload_gate_failures(sweep)
-    else:
-        failures = sweep_gate_failures(sweep)
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
 
 
 def _replication_pieces(args: argparse.Namespace):
@@ -745,111 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: write nothing)",
     )
     p.set_defaults(func=cmd_serve_replay)
-
-    p = sub.add_parser(
-        "loadtest",
-        help="open-loop offered-load sweep: calibrate capacity, drive "
-        "Poisson/bursty/ramp arrivals, report tail latency split into "
-        "queue wait vs service time, gate on the SLO contract",
-    )
-    _add_common(p, dataset="uci", scale=0.1)
-    _add_serving(p, batch_size=64, capacity=4096)
-    p.add_argument(
-        "--events",
-        type=int,
-        default=400,
-        help="requests per tier (stream prefix length)",
-    )
-    p.add_argument(
-        "--arrival",
-        default="poisson",
-        choices=["poisson", "bursty", "ramp"],
-        help="arrival process for every tier",
-    )
-    p.add_argument(
-        "--tiers",
-        type=float,
-        nargs="+",
-        default=[0.02, 0.5, 2.0],
-        help="offered rate as fractions of calibrated capacity; keep the "
-        "lowest tier well under the batch-update duty cycle so queue "
-        "waits are rare there (the gate checks that tier)",
-    )
-    p.add_argument(
-        "--query-every",
-        type=int,
-        default=4,
-        help="issue a top-K query on every Nth request",
-    )
-    p.add_argument(
-        "--quality",
-        action="store_true",
-        help="run the streaming hold-out quality evaluator per tier "
-        "(queries every request)",
-    )
-    p.add_argument(
-        "--async-dispatch",
-        action="store_true",
-        help="drain micro-batches on the dispatcher thread so ingest() "
-        "returns after the journaled accept decision (DESIGN §8)",
-    )
-    p.add_argument(
-        "--admission",
-        action="store_true",
-        help="put the admission controller in front of the queue "
-        "(token-bucket throttling + watermark-driven rejection)",
-    )
-    p.add_argument(
-        "--rate-per-user",
-        type=float,
-        default=0.0,
-        help="token-bucket refill per user per second; 0 disables "
-        "per-user throttling (with --admission)",
-    )
-    p.add_argument(
-        "--burst",
-        type=float,
-        default=10.0,
-        help="token-bucket burst capacity per user (with --admission)",
-    )
-    p.add_argument(
-        "--depth-highwater",
-        type=float,
-        default=0.9,
-        help="queue-depth fraction that escalates to SHEDDING",
-    )
-    p.add_argument(
-        "--depth-lowwater",
-        type=float,
-        default=0.5,
-        help="queue-depth fraction SHEDDING must fall below to clear "
-        "(hysteresis); must hold one batch: x capacity >= batch size",
-    )
-    p.add_argument(
-        "--state-dir",
-        default="",
-        help="journal each tier into <dir>/tier-NNN/events.wal and run "
-        "the per-tier audit: decision-ledger reconciliation plus the "
-        "drained-async == inline-replay parity check ('' to skip)",
-    )
-    p.add_argument(
-        "--overload-gate",
-        action="store_true",
-        help="gate on the overload contract instead of the SLO gate: "
-        "ingest p99 flat vs the sub-saturation reference, shedding "
-        "measured past saturation, audit findings fatal",
-    )
-    p.add_argument(
-        "--output",
-        default="",
-        help="write the sweep JSON here (default: write nothing)",
-    )
-    p.add_argument(
-        "--no-gate",
-        action="store_true",
-        help="report only; skip the SLO gate exit code",
-    )
-    p.set_defaults(func=cmd_loadtest)
 
     p = sub.add_parser(
         "replicate",

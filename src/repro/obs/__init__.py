@@ -15,12 +15,7 @@ One dependency-free subsystem shared by every layer:
   paths cost nothing until tracing is switched on;
 * :mod:`repro.obs.export` — Prometheus-style text exposition (histograms
   as cumulative ``_bucket{le=...}`` families) and a JSONL snapshot
-  writer;
-* :mod:`repro.obs.loadgen` — the open-loop load harness: seeded
-  Poisson/bursty/ramp arrival processes driving the service at a fixed
-  offered rate with queue-wait vs service-time attribution;
-* :mod:`repro.obs.quality` — online quality telemetry: prequential
-  hold-out hit-rate/MRR, node-age cohorts, embedding-drift norms.
+  writer.
 
 Span names follow the ``layer.component.phase`` convention documented
 in DESIGN.md §10 (e.g. ``core.inslearn.replay``, ``core.engine.compile``,
@@ -32,14 +27,6 @@ from repro.obs.export import (
     to_prometheus_text,
     write_jsonl_snapshot,
 )
-from repro.obs.loadgen import (
-    ArrivalProcess,
-    LoadReport,
-    OpenLoopLoadGenerator,
-    RequestEnvelope,
-    hdr_bucket_error,
-    measure_capacity,
-)
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -47,7 +34,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     exact_percentile,
 )
-from repro.obs.quality import QualityRecord, StreamingQualityEvaluator
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -64,14 +50,6 @@ __all__ = [
     "Histogram",
     "exact_percentile",
     "MetricsRegistry",
-    "ArrivalProcess",
-    "LoadReport",
-    "OpenLoopLoadGenerator",
-    "RequestEnvelope",
-    "hdr_bucket_error",
-    "measure_capacity",
-    "QualityRecord",
-    "StreamingQualityEvaluator",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",

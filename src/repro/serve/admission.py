@@ -17,10 +17,11 @@ Two mechanisms compose, checked in order per offered event:
 2. **Overload watermarks with hysteresis** — the controller escalates
    ``NORMAL -> SHEDDING`` when queue depth crosses ``depth_highwater``
    (as a fraction of capacity) and de-escalates only once it falls back
-   to ``depth_lowwater``, so the state cannot flap at the boundary.
+   to :data:`DEPTH_LOWWATER`, so the state cannot flap at the boundary.
    While ``SHEDDING`` every new event is refused (``"shed: reject"``).
    Batches are cut by *count*, so a low watermark below one batch would
-   be absorbing; :class:`~repro.serve.service.ServeConfig` refuses it.
+   be absorbing; :class:`~repro.serve.service.ServeConfig` refuses a
+   capacity that puts it there.
 
 The controller is deliberately *pure decision*: it never touches the
 queue, the WAL or metrics.  The queue consults it inside its one intake
@@ -54,6 +55,10 @@ REASON_REJECT = "shed: reject"
 #: LRU bound on live token buckets
 MAX_TRACKED_USERS = 1024
 
+#: queue-depth fraction at or below which SHEDDING stands down; every
+#: ``depth_highwater`` sits above it (the hysteresis band)
+DEPTH_LOWWATER = 0.5
+
 
 @dataclass
 class AdmissionConfig:
@@ -66,7 +71,6 @@ class AdmissionConfig:
     rate_per_user: float = 0.0  # tokens/second; 0 disables rate limiting
     burst: float = 10.0  # bucket capacity (max tokens banked)
     depth_highwater: float = 0.9  # queue-depth fraction that escalates
-    depth_lowwater: float = 0.5  # fraction required to de-escalate
 
     def __post_init__(self) -> None:
         if self.rate_per_user < 0:
@@ -75,14 +79,10 @@ class AdmissionConfig:
             )
         if self.burst < 1:
             raise ValueError(f"burst must be >= 1, got {self.burst}")
-        if not 0.0 < self.depth_highwater <= 1.0:
+        if not DEPTH_LOWWATER < self.depth_highwater <= 1.0:
             raise ValueError(
-                f"depth_highwater must be in (0, 1], got {self.depth_highwater}"
-            )
-        if not 0.0 <= self.depth_lowwater <= self.depth_highwater:
-            raise ValueError(
-                "depth_lowwater must be in [0, depth_highwater], got "
-                f"{self.depth_lowwater}"
+                f"depth_highwater must be in ({DEPTH_LOWWATER}, 1], got "
+                f"{self.depth_highwater}"
             )
 
 
@@ -201,7 +201,7 @@ class AdmissionController:
             if fraction >= self.config.depth_highwater:
                 self._state = SHEDDING
                 self.escalations += 1
-        elif fraction <= self.config.depth_lowwater:
+        elif fraction <= DEPTH_LOWWATER:
             self._state = NORMAL
             self.de_escalations += 1
 

@@ -138,7 +138,7 @@ class StreamReplayDriver:
         updates run.
     max_parity_users:
         Cap on users checked for offline parity (evenly spaced
-        subsample); ``None`` checks every user.
+        subsample, at least 1); ``None`` checks every user.
     trace:
         Record ``repro.obs`` spans during the replay; the span tree
         lands on ``ReplayReport.trace`` (and the service's tracer stays
@@ -160,6 +160,11 @@ class StreamReplayDriver:
     ):
         if probe_every < 1:
             raise ValueError(f"probe_every must be >= 1, got {probe_every}")
+        if max_parity_users is not None and max_parity_users < 1:
+            # zero users would pass any --min-parity gate unchecked
+            raise ValueError(
+                f"max_parity_users must be >= 1 when set, got {max_parity_users}"
+            )
         self.trace = trace
         self.dataset = dataset
         self.k = k

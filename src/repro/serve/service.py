@@ -40,7 +40,12 @@ from repro.datasets.base import Dataset
 from repro.graph.streams import EdgeStream, StreamEdge
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NullTracer, Tracer, make_tracer
-from repro.serve.admission import SHEDDING, AdmissionConfig, AdmissionController
+from repro.serve.admission import (
+    DEPTH_LOWWATER,
+    SHEDDING,
+    AdmissionConfig,
+    AdmissionController,
+)
 from repro.serve.dispatch import DispatchWorker
 from repro.serve.index import TopKIndex
 from repro.serve.ingest import BackpressureError, EventQueue
@@ -76,8 +81,8 @@ class ServeConfig:
     #: cut, its queue wait in the ``latency.queue_wait_seconds``
     #: histogram — time spent buffered, apart from service time proper.
     #: The token buckets refill on the same clock.  ``None`` (the
-    #: default) is ``time.monotonic``; the load harness and benches
-    #: pass ``time.perf_counter``, tests a fake clock.
+    #: default) is ``time.monotonic``; the benchmark spine passes
+    #: ``time.perf_counter``, tests a fake clock.
     clock_fn: Optional[Callable[[], float]] = None
     # --- async dispatch + admission control (DESIGN.md §8) ----------------
     #: run updates on a dispatcher thread instead of inline in ``put()``:
@@ -130,13 +135,12 @@ class ServeConfig:
         # with a whole batch still buffered: below that, the remainder
         # nothing can cut keeps the depth above the low watermark and
         # every later event is shed (a livelock).
-        admission = self.admission
         if (
-            admission is not None
-            and admission.depth_lowwater * self.capacity < self.batch_size
+            self.admission is not None
+            and DEPTH_LOWWATER * self.capacity < self.batch_size
         ):
             raise ValueError(
-                f"admission depth_lowwater ({admission.depth_lowwater}) x "
+                f"admission DEPTH_LOWWATER ({DEPTH_LOWWATER}) x "
                 f"capacity ({self.capacity}) must hold one batch "
                 f"(batch_size {self.batch_size}): shedding could never stand down"
             )

@@ -63,7 +63,7 @@ class TestPercentileAccuracy:
 
     @pytest.mark.parametrize("p", [50.0, 95.0, 99.0, 99.9])
     def test_within_one_bucket_of_exact_on_heavy_tail(self, p):
-        """The accuracy contract the loadtest gate relies on."""
+        """The accuracy contract the reported tail percentiles rely on."""
         samples = heavy_tailed()
         h = Histogram("lat")
         for v in samples:

@@ -85,7 +85,7 @@ class TestReplaySkipsLedgerOnlyKinds:
 
 
 class TestServiceReconciliation:
-    def _shedding_service(self, dataset, tmp_path):
+    def _shedding_service(self, dataset, tmp_path, async_dispatch):
         return RecommendationService(
             dataset,
             config=ServeConfig(
@@ -93,32 +93,42 @@ class TestServiceReconciliation:
                 capacity=8,
                 wal_path=str(tmp_path / "svc.wal"),
                 checkpoint_dir=str(tmp_path / "ckpts"),
-                admission=AdmissionConfig(
-                    depth_highwater=0.5, depth_lowwater=0.25
-                ),
+                async_dispatch=async_dispatch,
+                dispatch_poll_seconds=0.005,
+                admission=AdmissionConfig(depth_highwater=0.75),
             ),
         )
 
-    def test_every_denial_is_journaled_before_the_deadletter(
-        self, small_dataset, tmp_path
-    ):
-        svc = self._shedding_service(small_dataset, tmp_path)
-        edges = list(small_dataset.stream)
+    @staticmethod
+    def _shed_then_drain(svc, edges):
+        """Accept six events while paused, shed the rest, then quiesce:
+        on the async path the dispatcher is closed (draining ready
+        batches) before the flush, as the async ≡ inline parity gate
+        does."""
         svc.queue.pause()
-        for e in edges[:4]:
+        for e in edges[:6]:
             assert svc.ingest(e)
-        for e in edges[4:8]:  # depth 4/8 >= 0.5: every one of these sheds
+        for e in edges[6:]:  # depth 6/8 >= 0.75: every one sheds
             assert not svc.ingest(e)
         svc.queue.resume()
+        if svc.dispatcher is not None:
+            svc.dispatcher.close()
         svc.flush()
+
+    @pytest.mark.parametrize("async_dispatch", [False, True])
+    def test_every_denial_is_journaled_before_the_deadletter(
+        self, small_dataset, tmp_path, async_dispatch
+    ):
+        svc = self._shedding_service(small_dataset, tmp_path, async_dispatch)
+        self._shed_then_drain(svc, list(small_dataset.stream))
         svc.close()
 
         ledger = decision_ledger(svc.config.wal_path)
         counts = svc.admission.counts()
-        assert sum(ledger["shed"].values()) == counts["shed"] == 4
+        assert sum(ledger["shed"].values()) == counts["shed"] == 2
         assert sum(ledger["throttle"].values()) == counts["throttled"] == 0
         assert svc.queue.shed == counts["shed"] + counts["throttled"]
-        assert svc.queue.deadletters_by_reason()["shed"] == 4
+        assert svc.queue.deadletters_by_reason()["shed"] == 2
         # zero reconciliation mismatches: ledger == controller == queue
 
     def test_a_refused_offer_evicts_nothing_under_drop_oldest(
@@ -181,25 +191,21 @@ class TestServiceReconciliation:
             "throttle: user rate": len(same_user) - 1
         }
 
+    @pytest.mark.parametrize("async_dispatch", [False, True])
     def test_recovery_over_a_shedding_wal_reproduces_the_state(
-        self, small_dataset, tmp_path
+        self, small_dataset, tmp_path, async_dispatch
     ):
         from repro.replicate.failover import state_fingerprint
 
-        svc = self._shedding_service(small_dataset, tmp_path)
-        edges = list(small_dataset.stream)
-        svc.queue.pause()
-        for e in edges[:4]:
-            assert svc.ingest(e)
-        assert not svc.ingest(edges[4])  # journaled shed record
-        svc.queue.resume()
-        svc.flush()
+        svc = self._shedding_service(small_dataset, tmp_path, async_dispatch)
+        # one journaled shed record between the accepts and the cuts
+        self._shed_then_drain(svc, list(small_dataset.stream)[:7])
         svc.close()
 
         recovered = recover(small_dataset, svc.config)
         try:
             # the shed record was skipped; accepts/batches replayed
-            assert recovered.replayed_events == 4
+            assert recovered.replayed_events == 6
             assert state_fingerprint(recovered.service) == state_fingerprint(
                 svc
             )

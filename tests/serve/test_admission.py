@@ -5,6 +5,7 @@ import pytest
 from repro.graph.streams import StreamEdge
 from repro.serve import admission
 from repro.serve.admission import (
+    DEPTH_LOWWATER,
     NORMAL,
     REASON_REJECT,
     REASON_THROTTLE,
@@ -43,7 +44,7 @@ class TestConfig:
             dict(burst=0.5),
             dict(depth_highwater=0.0),
             dict(depth_highwater=1.5),
-            dict(depth_lowwater=0.95, depth_highwater=0.9),
+            dict(depth_highwater=DEPTH_LOWWATER),  # no hysteresis band
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -116,29 +117,29 @@ class TestTokenBucket:
 
 class TestHysteresis:
     def test_escalates_on_depth_highwater(self):
-        ctl = controller(FakeClock(), depth_highwater=0.5, depth_lowwater=0.25)
-        assert ctl.admit(edge(), 49, 100).admitted
+        ctl = controller(FakeClock(), depth_highwater=0.75)
+        assert ctl.admit(edge(), 74, 100).admitted
         assert ctl.state == NORMAL
-        assert not ctl.admit(edge(), 50, 100).admitted
+        assert not ctl.admit(edge(), 75, 100).admitted
         assert ctl.state == SHEDDING
         assert ctl.escalations == 1
 
     def test_holds_between_the_watermarks(self):
-        ctl = controller(FakeClock(), depth_highwater=0.5, depth_lowwater=0.25)
-        ctl.admit(edge(), 50, 100)
+        ctl = controller(FakeClock(), depth_highwater=0.75)
+        ctl.admit(edge(), 75, 100)
         # depth fell below high but not to low: still shedding
-        assert not ctl.admit(edge(), 40, 100).admitted
+        assert not ctl.admit(edge(), 51, 100).admitted
         assert ctl.state == SHEDDING
-        # at/below low: de-escalates, this event is admitted
-        assert ctl.admit(edge(), 25, 100).admitted
+        # at/below DEPTH_LOWWATER: de-escalates, this event is admitted
+        assert ctl.admit(edge(), 50, 100).admitted
         assert ctl.state == NORMAL
         assert ctl.de_escalations == 1
 
 
 class TestShedPolicies:
     def test_reject_denies_new_events(self):
-        ctl = controller(FakeClock(), depth_highwater=0.5)
-        decision = ctl.admit(edge(), 50, 100)
+        ctl = controller(FakeClock(), depth_highwater=0.75)
+        decision = ctl.admit(edge(), 75, 100)
         assert not decision.admitted
         assert decision.action == "shed"
         assert decision.reason == REASON_REJECT
@@ -152,8 +153,7 @@ class TestCounts:
             clock,
             rate_per_user=1.0,
             burst=2.0,
-            depth_highwater=0.5,
-            depth_lowwater=0.1,
+            depth_highwater=0.6,
         )
         # user 0 over its burst: 2 admitted, 3 throttled (throttling
         # precedes the watermark machine, so depth stays calm here)

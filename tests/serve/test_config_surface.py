@@ -54,9 +54,8 @@ def test_top_k_index_constructor():
 
 
 def test_admission_config_fields():
-    assert field_names(AdmissionConfig) == {
-        "rate_per_user", "burst", "depth_highwater", "depth_lowwater",
-    }
+    # the low watermark is the constant admission.DEPTH_LOWWATER
+    assert field_names(AdmissionConfig) == {"rate_per_user", "burst", "depth_highwater"}
 
 
 def test_replication_config_fields():
@@ -112,12 +111,6 @@ def test_cli_surface():
         "serve-replay": COMMON | SERVING | {
             "--probe-every", "--max-parity-users", "--min-parity", "--output",
             "--trace", "--output-dir",  # the telemetry story
-        },
-        "loadtest": COMMON | SERVING | {
-            "--events", "--arrival", "--tiers", "--query-every", "--quality",
-            "--async-dispatch", "--admission", "--rate-per-user", "--burst",
-            "--depth-highwater", "--depth-lowwater",
-            "--state-dir", "--overload-gate", "--output", "--no-gate",
         },
         "replicate primary": REPLICATE | {"--events"},
         "replicate follower": REPLICATE | {"--probes"},

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from repro.core import SUPAConfig
 from repro.core.model import SUPA
 from repro.graph.streams import StreamEdge
-from repro.serve.admission import NORMAL, SHEDDING, AdmissionConfig, AdmissionController
+from repro.serve.admission import (
+    DEPTH_LOWWATER,
+    NORMAL,
+    SHEDDING,
+    AdmissionConfig,
+    AdmissionController,
+)
 from repro.serve.ingest import BackpressureError, EventQueue
 from repro.serve.service import RecommendationService, ServeConfig
 
@@ -62,36 +68,32 @@ class TestDegradedQuery:
             small_dataset,
             batch_size=2,
             capacity=8,
-            admission=AdmissionConfig(
-                depth_highwater=0.5, depth_lowwater=0.25
-            ),
+            admission=AdmissionConfig(depth_highwater=0.75),
         )
         edges = list(small_dataset.stream)
         svc.queue.pause()  # build depth without dispatching
-        for e in edges[:4]:
+        for e in edges[:6]:
             assert svc.ingest(e)
-        # depth 4/8 = 0.5 crosses the highwater: escalate + shed
-        assert not svc.ingest(edges[4])
+        # depth 6/8 = 0.75 crosses the highwater: escalate + shed
+        assert not svc.ingest(edges[6])
         assert svc.query(0, k=3).reason == "admission shedding"
         # drain, then one admitted event de-escalates the machine
         svc.queue.resume()
         svc.flush()
-        assert svc.ingest(edges[4])
+        assert svc.ingest(edges[6])
         assert not svc.query(0, k=3).degraded
 
 
 class TestSheddingStandsDown:
     """Batches are cut by count alone, so SHEDDING must be able to stand
-    down above the remainder nothing can cut: ``ServeConfig`` refuses
-    watermarks that cannot hold one batch (ROADMAP aim 3: no valid
-    configuration may livelock)."""
+    down above the remainder nothing can cut: ``ServeConfig`` refuses a
+    capacity whose ``DEPTH_LOWWATER`` share cannot hold one batch
+    (ROADMAP aim 3: no valid configuration may livelock)."""
 
     @staticmethod
-    def queue(batch_size, capacity, highwater, lowwater):
+    def queue(batch_size, capacity, highwater):
         """A bare queue + controller (no ``ServeConfig`` in the way)."""
-        controller = AdmissionController(
-            AdmissionConfig(depth_highwater=highwater, depth_lowwater=lowwater)
-        )
+        controller = AdmissionController(AdmissionConfig(depth_highwater=highwater))
         queue = EventQueue(
             lambda batch: None,
             batch_size=batch_size,
@@ -109,79 +111,71 @@ class TestSheddingStandsDown:
         )
 
     @pytest.mark.parametrize(
-        "highwater, lowwater, accepted, batches, stranded",
+        "highwater, capacity, accepted",
         [
-            # CI overload-smoke's and bench_loadtest's old tier: sheds
-            # before the first batch ever fills
-            (0.2, 0.1, 52, 0, 52),
-            # a burst while an update is slow: 103 mod 64 = 39 events
-            # stay above lowwater x capacity = 25.6 for good
-            (0.4, 0.1, 103, 1, 39),
+            # a highwater just above the low watermark
+            (0.6, 100, 60),
+            # the default highwater at the smallest capacity (one batch)
+            (0.9, 64, 58),
         ],
     )
-    def test_watermarks_below_one_batch_are_refused(
-        self, highwater, lowwater, accepted, batches, stranded
-    ):
-        with pytest.raises(ValueError, match=r"0\.1.*256.*64"):
+    def test_watermarks_below_one_batch_are_refused(self, highwater, capacity, accepted):
+        with pytest.raises(ValueError, match=rf"0\.5.*{capacity}.*64"):
             ServeConfig(
                 batch_size=64,
-                capacity=256,
+                capacity=capacity,
                 overflow="drop_new",
-                admission=AdmissionConfig(
-                    depth_highwater=highwater, depth_lowwater=lowwater
-                ),
+                admission=AdmissionConfig(depth_highwater=highwater),
             )
-        # what the refusal prevents, on the bare queue: SHEDDING absorbs
-        queue, controller = self.queue(64, 256, highwater, lowwater)
-        queue.pause()  # an update is slow...
-        assert self.offer(queue, 200) == accepted  # ...while a burst lands
-        queue.resume()
+        # what the refusal prevents, on the bare queue: SHEDDING escalates
+        # before the first batch fills, and the depth nothing can cut
+        # stays above DEPTH_LOWWATER x capacity for good
+        queue, controller = self.queue(64, capacity, highwater)
+        assert self.offer(queue, 200) == accepted
         assert self.offer(queue, 200, start=200) == 0  # every later event shed
-        assert queue.batches_dispatched == batches
-        assert queue.pending == stranded and not queue.has_ready
+        assert queue.batches_dispatched == 0
+        assert queue.pending == accepted and not queue.has_ready
         assert controller.state == SHEDDING and controller.de_escalations == 0
 
     def test_watermarks_holding_one_batch_drain_a_paused_burst(self, tiny_synthetic):
+        # DEPTH_LOWWATER x 128 = 64: exactly one batch, the boundary
         svc = make_service(
             tiny_synthetic,
             batch_size=64,
-            capacity=256,
+            capacity=128,
             overflow="drop_new",
-            admission=AdmissionConfig(depth_highwater=0.5, depth_lowwater=0.25),
+            admission=AdmissionConfig(depth_highwater=0.75),
         )
         edges = list(tiny_synthetic.stream)
         svc.queue.pause()  # an update is slow while a burst lands
         taken = [svc.ingest(e) for e in edges[:200]]
-        assert sum(taken) == 128 and svc.admission.state == SHEDDING
+        assert sum(taken) == 96 and svc.admission.state == SHEDDING
         svc.queue.resume()
         assert all(svc.ingest(e) for e in edges[200:400])  # nothing shed after
         counts = svc.admission.counts()
         assert svc.admission.state == NORMAL and counts["de_escalations"] >= 1
-        assert counts["shed"] == 72
-        assert svc.updates_applied == (128 + 200) // 64
-        assert svc.queue.pending == (128 + 200) % 64  # only the open batch
+        assert counts["shed"] == 104
+        assert svc.updates_applied == (96 + 200) // 64
+        assert svc.queue.pending == (96 + 200) % 64  # only the open batch
 
     @settings(max_examples=200, deadline=None)
     @given(
         batch_size=st.integers(1, 24),
         slack=st.integers(0, 100),
-        lowwater=st.floats(0.0, 1.0),
-        headroom=st.floats(0.0, 1.0),
+        highwater=st.floats(DEPTH_LOWWATER, 1.0, exclude_min=True),
         prefix=st.integers(0, 60),
         burst=st.integers(0, 300),
     )
     def test_no_accepted_config_strands_a_quiesced_producer(
-        self, batch_size, slack, lowwater, headroom, prefix, burst
+        self, batch_size, slack, highwater, prefix, burst
     ):
         capacity = batch_size + slack
-        highwater = min(1.0, lowwater + headroom * (1.0 - lowwater))
-        assume(highwater > 0.0)
-        admission = AdmissionConfig(depth_highwater=highwater, depth_lowwater=lowwater)
+        admission = AdmissionConfig(depth_highwater=highwater)
         try:
             ServeConfig(batch_size=batch_size, capacity=capacity, admission=admission)
         except ValueError:
             assume(False)
-        queue, controller = self.queue(batch_size, capacity, highwater, lowwater)
+        queue, controller = self.queue(batch_size, capacity, highwater)
         self.offer(queue, prefix)
         queue.pause()
         self.offer(queue, burst, start=prefix)
@@ -322,18 +316,16 @@ class TestShedAccounting:
             small_dataset,
             batch_size=2,
             capacity=8,
-            admission=AdmissionConfig(
-                depth_highwater=0.5, depth_lowwater=0.25
-            ),
+            admission=AdmissionConfig(depth_highwater=0.75),
         )
         edges = list(small_dataset.stream)
         svc.queue.pause()
         # malformed first, while admission is still calm: it must land
         # in ``rejected``, never in ``shed``
         assert not svc.ingest(StreamEdge(0, 5, "click", math.nan))
-        for e in edges[:4]:
+        for e in edges[:6]:
             assert svc.ingest(e)
-        assert not svc.ingest(edges[4])  # shed: reject
+        assert not svc.ingest(edges[6])  # shed: reject
         assert svc.queue.shed == 1
         assert svc.queue.rejected == 1
         by_reason = svc.queue.deadletters_by_reason()

@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import SUPAConfig
 from repro.datasets.zoo import load_dataset
 from repro.serve.replay import StreamReplayDriver
 from repro.serve.service import ServeConfig
@@ -86,6 +87,27 @@ class TestReplay:
         # the summary table covers the headline numbers
         names = [name for name, _ in report.summary_rows()]
         assert "parity fraction" in names and "events / s" in names
+
+
+class TestParityUsers:
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_a_cap_below_one_user_is_refused(self, cap):
+        """Zero users would report parity 1.0 and pass any --min-parity;
+        a negative cap would crash inside ``np.linspace``."""
+        dataset = load_dataset("uci", scale=0.05, seed=0)
+        with pytest.raises(ValueError, match="max_parity_users"):
+            StreamReplayDriver(dataset, max_parity_users=cap)
+
+    def test_a_cap_of_one_checks_one_user(self):
+        dataset = load_dataset("uci", scale=0.05, seed=0)
+        driver = StreamReplayDriver(
+            dataset,
+            serve_config=ServeConfig(batch_size=64, capacity=512),
+            model_config=SUPAConfig(dim=8, num_walks=2, walk_length=2, seed=0),
+            max_parity_users=1,
+        )
+        report = driver.run()
+        assert report.parity_users == 1 and report.parity_matches == 1
 
 
 class TestDeterminism:

@@ -168,6 +168,29 @@ class TestServeReplay:
         assert code == 1
         assert "FAIL: parity" in capsys.readouterr().out
 
+    def test_capacity_reaches_the_queue(self, monkeypatch, capsys):
+        """A batch above the default capacity needs --capacity to land."""
+        from repro.serve import StreamReplayDriver
+
+        built = []
+        build = StreamReplayDriver.build_service
+
+        def spy(driver):
+            built.append(build(driver))
+            return built[-1]
+
+        monkeypatch.setattr(StreamReplayDriver, "build_service", spy)
+        code = main(
+            [
+                "serve-replay", "--dataset", "uci", "--scale", "0.05", "--dim", "8",
+                "--batch-size", "4096", "--capacity", "8192",
+                "--max-parity-users", "8",
+            ]
+        )
+        assert code == 0
+        assert built[0].queue.capacity == 8192
+        assert "serve-replay: uci" in capsys.readouterr().out
+
 
 class TestReplicate:
     def test_parser_defaults(self):
@@ -244,74 +267,3 @@ class TestObs:
         assert 'repro_latency_recommend_seconds_bucket{le="+Inf"}' in prom
         assert "quantile=" not in prom
         assert len((out_dir / "obs_telemetry.jsonl").read_text().splitlines()) == 1
-
-
-class TestLoadtest:
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["loadtest", "--dataset", "uci"])
-        assert args.tiers == [0.02, 0.5, 2.0]
-        assert args.arrival == "poisson"
-        assert args.events == 400
-        assert args.output == ""  # nothing written unless asked
-        assert args.quality is False
-
-    def test_unknown_arrival_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["loadtest", "--dataset", "uci", "--arrival", "steady"])
-
-    def test_sweep_writes_tiered_report(self, tmp_path, capsys):
-        out = tmp_path / "loadtest.json"
-        code = main(
-            [
-                "loadtest",
-                "--dataset",
-                "uci",
-                "--scale",
-                "0.05",
-                "--events",
-                "120",
-                "--tiers",
-                "0.1",
-                "0.5",
-                "2.0",
-                "--output",
-                str(out),
-                "--no-gate",
-            ]
-        )
-        captured = capsys.readouterr().out
-        assert code == 0
-        assert "loadtest: uci" in captured
-        assert "qwait p99 ms" in captured
-        payload = json.loads(out.read_text())
-        assert payload["capacity_events_per_second"] > 0
-        assert len(payload["tiers"]) == 3
-        for tier in payload["tiers"]:
-            assert tier["requests"] == 120
-            for section in ("e2e", "queue_wait", "service"):
-                assert {"p50", "p99", "p99.9"} <= set(tier[section])
-            assert {"batch_wait_p99", "train_p99", "publish_p99"} <= set(
-                tier["stages"]
-            )
-            assert tier["hdr_p999_bucket_error"] <= 1
-
-    def test_gate_fails_without_sub_saturation_tier(self, capsys):
-        code = main(
-            [
-                "loadtest",
-                "--dataset",
-                "uci",
-                "--scale",
-                "0.05",
-                "--events",
-                "60",
-                "--tiers",
-                "1.5",
-                "2.0",
-                "2.5",
-                "--output",
-                "",
-            ]
-        )
-        assert code == 1
-        assert "FAIL: sweep has no sub-saturation tier" in capsys.readouterr().out
