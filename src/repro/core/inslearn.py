@@ -49,8 +49,18 @@ class InsLearnConfig:
             raise ValueError(
                 f"validation_interval must be >= 1, got {self.validation_interval}"
             )
+        if self.validation_size < 0:
+            raise ValueError(
+                f"validation_size must be >= 0, got {self.validation_size}"
+            )
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
+        if self.num_validation_candidates < 2:
+            # with no distractors every rank is 1: the score is a constant
+            raise ValueError(
+                "num_validation_candidates must be >= 2, "
+                f"got {self.num_validation_candidates}"
+            )
 
 
 @dataclass
@@ -130,30 +140,52 @@ def validation_mrr(
     For each held-out edge the true node is ranked against
     ``num_candidates - 1`` random same-type distractors — a cheap,
     monotone proxy for the full-catalogue ranking metrics.
+
+    One ``rng.choice`` per scored edge, in edge order, on the int64 pool
+    (a pool of one node draws nothing); then one embedding pass over the
+    whole tail, and per edge its own ``(n_k, d) @ (d,)`` matvec on a
+    fresh block — another gemv shape need not give :meth:`SUPA.score`'s
+    bits.
     """
     if not len(edges):
         return 0.0
     rng = new_rng(rng)
-    reciprocal = []
+    graph = model.graph
+    blocks, rel_ids, times = [], [], []
     for e in edges:
-        src_type, dst_type = model.schema.endpoints_of(e.edge_type)
-        if model.graph.node_type(e.u) == src_type:
+        src_type, _ = model.schema.endpoints_of(e.edge_type)
+        if graph.node_type(e.u) == src_type:
             query, true = e.u, e.v
         else:
             # the record arrived (target, source); swap roles
             query, true = e.v, e.u
-        true_type = model.graph.node_type(true)
-        pool = model.graph.nodes_of_type(true_type)
+        pool = graph.nodes_of_type(graph.node_type(true))
         if len(pool) <= 1:
             continue
         distractors = rng.choice(
             pool, size=min(num_candidates - 1, len(pool)), replace=False
         )
-        candidates = np.concatenate(([true], distractors[distractors != true]))
-        scores = model.score(query, candidates, e.edge_type, e.t)
-        rank = 1.0 + np.sum(scores > scores[0]) + 0.5 * np.sum(scores[1:] == scores[0])
+        blocks.append(np.concatenate(([query, true], distractors[distractors != true])))
+        rel_ids.append(model.schema.edge_type_id(e.edge_type))
+        times.append(e.t)
+    if not blocks:
+        return 0.0
+    sizes = [len(b) for b in blocks]
+    h = model.final_embedding_rows(
+        np.concatenate(blocks),
+        np.repeat(model.memory.context_slots(rel_ids), sizes),
+        np.repeat(np.asarray(times, dtype=np.float64), sizes),
+    )
+    reciprocal = []
+    lo = 0
+    for size in sizes:
+        # row ``lo`` is the query, the next ``size - 1`` its candidates
+        scores = h[lo + 1 : lo + size].copy() @ h[lo]
+        lo += size
+        ahead = np.count_nonzero(scores > scores[0])
+        rank = 1.0 + ahead + 0.5 * np.count_nonzero(scores[1:] == scores[0])
         reciprocal.append(1.0 / rank)
-    return float(np.mean(reciprocal)) if reciprocal else 0.0
+    return float(np.mean(reciprocal))
 
 
 class InsLearnTrainer:

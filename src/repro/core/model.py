@@ -200,15 +200,20 @@ class SUPA:
     ) -> np.ndarray:
         """Eq. 14: ``h^r = 1/2 (h^L + gamma h^S + c^r)`` for ``nodes`` at
         time ``t``."""
+        slot = self.memory.context_slot(self.schema.edge_type_id(edge_type))
+        return self.final_embedding_rows(nodes, slot, t)
+
+    def final_embedding_rows(self, nodes: Sequence[int], slots, t) -> np.ndarray:
+        """:meth:`final_embeddings` row by row: the context slot ``slots``
+        and the time ``t`` are each a scalar or one entry per node, so
+        rows of different relations and times share one gather."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        rel = self.schema.edge_type_id(edge_type)
-        slot = self.memory.context_slot(rel)
         deltas = t - self.graph.last_interaction_times(nodes)
         deltas = np.where(np.isfinite(deltas), np.maximum(deltas, 0.0), 0.0)
         h_star = target_embeddings_batch(
             self.memory, nodes, self._node_type_ids[nodes], deltas, self.config
         )
-        return final_embedding(h_star, self.memory.context[slot, nodes])
+        return final_embedding(h_star, self.memory.context[slots, nodes])
 
     def score(
         self, node: int, candidates: np.ndarray, edge_type: str, t: float

@@ -54,6 +54,7 @@ class DMHG:
         self._nodes_by_type: Dict[int, List[int]] = {
             i: [] for i in range(schema.num_node_types)
         }
+        self._type_pools: Dict[int, np.ndarray] = {}
         #: per node, its traversable incident edges as
         #: ``(other, rel, t, index)`` in insertion order
         self._adj: List[List[Tuple[int, int, float, int]]] = []
@@ -66,7 +67,9 @@ class DMHG:
         self._edge_t: List[float] = []
         self._edge_alive: List[bool] = []
         self._num_alive_edges = 0
-        self._last_time: List[float] = []
+        #: per node, its latest interaction time (``-inf`` if none); a
+        #: growable buffer whose first ``num_nodes`` entries are live
+        self._last_time = np.empty(0, dtype=np.float64)
         self._degree: List[int] = []
 
     # ------------------------------------------------------------------ nodes
@@ -77,9 +80,13 @@ class DMHG:
         node = len(self._node_types)
         self._node_types.append(type_id)
         self._nodes_by_type[type_id].append(node)
+        self._type_pools.pop(type_id, None)
         self._adj.append([])
         self._memo.append({})
-        self._last_time.append(-np.inf)
+        if node == self._last_time.size:
+            grown = np.full(max(16, 2 * node), -np.inf)
+            grown[:node] = self._last_time
+            self._last_time = grown
         self._degree.append(0)
         return node
 
@@ -103,9 +110,16 @@ class DMHG:
         """Array of type ids for all nodes (index = node id)."""
         return np.asarray(self._node_types, dtype=np.int64)
 
-    def nodes_of_type(self, node_type: str) -> List[int]:
-        """All node ids whose type is ``node_type``."""
-        return list(self._nodes_by_type[self.schema.node_type_id(node_type)])
+    def nodes_of_type(self, node_type: str) -> np.ndarray:
+        """All node ids whose type is ``node_type``, ascending: a read-only
+        int64 array, cached until the next :meth:`add_node` of that type."""
+        type_id = self.schema.node_type_id(node_type)
+        pool = self._type_pools.get(type_id)
+        if pool is None:
+            pool = np.asarray(self._nodes_by_type[type_id], dtype=np.int64)
+            pool.flags.writeable = False
+            self._type_pools[type_id] = pool
+        return pool
 
     # ------------------------------------------------------------------ edges
 
@@ -272,11 +286,11 @@ class DMHG:
         active interval ``Delta_V`` accordingly.
         """
         self._check_node(node)
-        return self._last_time[node]
+        return float(self._last_time[node])
 
     def last_interaction_times(self, nodes: Sequence[int]) -> np.ndarray:
         """Vectorised :meth:`last_interaction_time` over ``nodes``."""
-        return np.asarray([self._last_time[n] for n in nodes], dtype=np.float64)
+        return self._last_time[: self.num_nodes][np.asarray(nodes, dtype=np.int64)]
 
     # ---------------------------------------------------------------- views
 

@@ -47,6 +47,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             InsLearnConfig(**kwargs)
 
+    def test_refuses_negative_validation_size(self):
+        """Accepted, it would fail only inside the first batch's split —
+        in serving, a dispatcher-side update failure."""
+        with pytest.raises(ValueError, match="validation_size must be >= 0"):
+            InsLearnConfig(validation_size=-1)
+        assert InsLearnConfig(validation_size=0).validation_size == 0
+
+    @pytest.mark.parametrize("count", [1, 0])
+    def test_refuses_fewer_than_two_validation_candidates(self, count):
+        """One candidate draws no distractors: every rank is 1, the score
+        a constant 1.0, and early stopping restores the first state."""
+        with pytest.raises(ValueError, match="num_validation_candidates must be >= 2"):
+            InsLearnConfig(num_validation_candidates=count)
+        assert InsLearnConfig(num_validation_candidates=2).num_validation_candidates == 2
+
 
 class TestFit:
     def test_processes_every_edge(self, model, train_stream):

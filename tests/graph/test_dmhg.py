@@ -22,8 +22,19 @@ class TestNodes:
         assert small_graph.node_type_id(5) == 1
 
     def test_nodes_of_type(self, small_graph):
-        assert small_graph.nodes_of_type("user") == [0, 1, 2, 3, 4]
-        assert small_graph.nodes_of_type("video") == [5, 6, 7, 8, 9]
+        users = small_graph.nodes_of_type("user")
+        assert users.dtype == np.int64 and not users.flags.writeable
+        assert users.tolist() == [0, 1, 2, 3, 4]
+        assert small_graph.nodes_of_type("video").tolist() == [5, 6, 7, 8, 9]
+        assert small_graph.nodes_of_type("user") is users  # cached
+
+    def test_nodes_of_type_sees_a_later_node(self, small_graph):
+        videos = small_graph.nodes_of_type("video")
+        users = small_graph.nodes_of_type("user")
+        new = small_graph.add_node("video")
+        assert small_graph.nodes_of_type("video").tolist() == [5, 6, 7, 8, 9, new]
+        assert videos.tolist() == [5, 6, 7, 8, 9]  # an earlier answer is kept
+        assert small_graph.nodes_of_type("user") is users  # other types stay
 
     def test_node_type_ids_array(self, small_graph):
         ids = small_graph.node_type_ids()
@@ -78,6 +89,23 @@ class TestEdges:
     def test_last_interaction_times_vectorised(self, small_graph):
         times = small_graph.last_interaction_times([0, 5])
         assert list(times) == [2.0, 3.0]
+
+    def test_last_interaction_times_match_scalar(self, schema):
+        """The gather over the growable buffer equals the scalar lookup
+        (a Python float) for every node, across buffer growth."""
+        g = DMHG(schema)
+        g.add_nodes("user", 20)
+        g.add_nodes("video", 20)
+        for i in range(30):
+            g.add_edge(i % 20, 20 + (7 * i) % 20, "click", 0.5 * i)
+        g.add_node("user")  # never interacts: -inf
+        nodes = list(range(g.num_nodes))
+        scalar = [g.last_interaction_time(n) for n in nodes]
+        assert all(type(t) is float for t in scalar)
+        assert g.last_interaction_times(nodes).tolist() == scalar
+        assert g.last_interaction_times([]).shape == (0,)
+        with pytest.raises(IndexError):
+            g.last_interaction_times([g.num_nodes])
 
 
 class TestDeletion:
