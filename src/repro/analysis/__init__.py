@@ -6,21 +6,20 @@ Usage::
     result = run_lint(["src/repro"])
     assert result.ok, [v.format() for v in result.violations]
 
-or from a shell: ``python -m repro.lint src/repro`` / ``repro lint``.
+or from a shell: ``repro lint src/repro``.
 See :mod:`repro.analysis.rules` for the rule set and how to add one.
 """
 
 from repro.analysis.core import (
     LintResult,
-    Project,
     Rule,
     SourceFile,
     Violation,
     get_rules,
     register_rule,
+    render_text,
     run_lint,
 )
-from repro.analysis.reporters import render_json, render_text, to_dict, write_json
 from repro.analysis.sanitizer import (
     Audit,
     LockMonitor,
@@ -33,7 +32,6 @@ __all__ = [
     "Audit",
     "LintResult",
     "LockMonitor",
-    "Project",
     "Rule",
     "SanitizedLock",
     "SourceFile",
@@ -41,9 +39,6 @@ __all__ = [
     "default_audits",
     "get_rules",
     "register_rule",
-    "run_lint",
-    "render_json",
     "render_text",
-    "to_dict",
-    "write_json",
+    "run_lint",
 ]

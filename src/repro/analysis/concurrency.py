@@ -673,11 +673,3 @@ class HoldAndCallRule(Rule):
                         f"holding {locks}"
                     ),
                 )
-
-
-#: the rule ids behind ``repro lint --concurrency``
-CONCURRENCY_RULES = (
-    LockDisciplineRule.id,
-    LockOrderingRule.id,
-    HoldAndCallRule.id,
-)

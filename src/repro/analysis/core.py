@@ -1,24 +1,19 @@
 """reprolint core: source model, rule registry, suppressions, driver.
 
 The framework is deliberately small and dependency-free: rules receive
-parsed :mod:`ast` trees (never import the code under analysis), report
-:class:`Violation` records, and can be silenced per line or per file
-with ``# reprolint: disable=<rule>[,<rule>...]`` comments.
+parsed :mod:`ast` trees (never import the code under analysis), look at
+one module at a time (``check_file``), report :class:`Violation`
+records, and can be silenced per line or per file with
+``# reprolint: disable=<rule>[,<rule>...]`` comments.
 
-Two rule granularities exist:
-
-* **file rules** look at one module at a time (``check_file``);
-* **project rules** see the whole linted tree plus the repository
-  layout (``check_project``) — e.g. "every baseline module has a
-  matching test file".
-
-``run_lint`` is the single entry point used by the CLI, the ``repro
-lint`` subcommand, and the tier-1 gate test.
+``run_lint`` is the single entry point used by the ``repro lint``
+subcommand and the tier-1 gate test; ``render_text`` is its report.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import io
 import re
 import tokenize
@@ -96,6 +91,26 @@ class SourceFile:
             for name in names:
                 yield line, name
 
+    @functools.cached_property
+    def imports(self) -> Dict[str, str]:
+        """Local name -> the dotted path it was imported as, anywhere in
+        the file: ``import numpy.random as npr`` binds ``npr`` to
+        ``numpy.random``, ``from time import perf_counter`` binds
+        ``perf_counter`` to ``time.perf_counter``."""
+        bound: Dict[str, str] = {}
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        head = alias.name.split(".")[0]
+                        bound[head] = head
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        return bound
+
 
 def _parse_suppressions(text: str) -> Tuple[Dict[int, Set[str]], Set[str]]:
     """Extract ``# reprolint: disable[-file]=...`` directives.
@@ -146,26 +161,9 @@ def load_source_file(path: Path, root: Path) -> SourceFile:
     )
 
 
-@dataclass
-class Project:
-    """The linted file set plus enough repository layout for project rules."""
-
-    root: Path
-    files: List[SourceFile]
-
-    def find(self, package_rel: str) -> Optional[SourceFile]:
-        """The loaded file whose :attr:`SourceFile.package_rel` matches."""
-        for sf in self.files:
-            if sf.package_rel == package_rel:
-                return sf
-        return None
-
-    def tests_dir(self) -> Path:
-        return self.root / "tests"
-
-
 class Rule:
-    """Base class: subclass, set ``id``/``description``, override a hook."""
+    """Base class: subclass, set ``id``/``description``, override
+    ``check_file`` (and ``applies_to`` to scope it)."""
 
     id: str = ""
     description: str = ""
@@ -174,9 +172,6 @@ class Rule:
         return True
 
     def check_file(self, sf: SourceFile) -> Iterator[Violation]:
-        return iter(())
-
-    def check_project(self, project: Project) -> Iterator[Violation]:
         return iter(())
 
 
@@ -219,7 +214,6 @@ def get_rules(
 class LintResult:
     """Outcome of one ``run_lint`` invocation."""
 
-    root: Path
     violations: List[Violation]
     files_checked: int
     rules: List[str]
@@ -291,7 +285,6 @@ def run_lint(
         files.append(load_source_file(fp, root))
 
     rules = get_rules(select=select, ignore=ignore)
-    project = Project(root=root, files=files)
     violations: List[Violation] = []
 
     for sf in files:
@@ -306,22 +299,17 @@ def run_lint(
                 )
             )
 
-    by_rel = {sf.rel: sf for sf in files}
     used: Set[Tuple[str, int, str]] = set()
     for rule in rules:
-        candidates: List[Violation] = []
         for sf in files:
             if sf.tree is None or not rule.applies_to(sf):
                 continue
-            candidates.extend(rule.check_file(sf))
-        candidates.extend(rule.check_project(project))
-        for v in candidates:
-            sf = by_rel.get(v.path)
-            directive = sf.suppressor(v.rule, v.line) if sf is not None else None
-            if directive is not None:
-                used.add((sf.rel, *directive))
-                continue
-            violations.append(v)
+            for v in rule.check_file(sf):
+                directive = sf.suppressor(v.rule, v.line)
+                if directive is not None:
+                    used.add((sf.rel, *directive))
+                else:
+                    violations.append(v)
 
     not_judged = set(_REGISTRY) - {r.id for r in rules}
     if not_judged:
@@ -341,11 +329,30 @@ def run_lint(
                 )
 
     return LintResult(
-        root=root,
         violations=sorted(violations),
         files_checked=len(files),
         rules=[r.id for r in rules],
     )
+
+
+def render_text(result: LintResult) -> str:
+    """``path:line:col: [rule] message`` lines plus a one-line summary."""
+    lines = [v.format() for v in result.violations]
+    if result.ok:
+        lines.append(
+            f"reprolint: clean ({result.files_checked} files, "
+            f"{len(result.rules)} rules)"
+        )
+    else:
+        counts = ", ".join(
+            f"{rule}={n}" for rule, n in result.counts_by_rule().items()
+        )
+        lines.append(
+            f"reprolint: {len(result.violations)} violation"
+            f"{'s' if len(result.violations) != 1 else ''} "
+            f"in {result.files_checked} files ({counts})"
+        )
+    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------- helpers
@@ -361,6 +368,20 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def qualified_name(node: ast.AST, sf: SourceFile) -> Optional[str]:
+    """:func:`dotted_name` with its head resolved through ``sf``'s imports.
+
+    ``npr.rand`` after ``import numpy.random as npr`` is
+    ``numpy.random.rand``, ``zeros`` after ``from numpy import zeros`` is
+    ``numpy.zeros``; a head the file never imported is left as written.
+    """
+    dotted = dotted_name(node)
+    if dotted is None:
+        return None
+    head, dot, rest = dotted.partition(".")
+    return sf.imports.get(head, head) + dot + rest
 
 
 def build_parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:

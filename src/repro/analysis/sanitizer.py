@@ -20,8 +20,9 @@ itself and the WAL/checkpoint writers) is patched so that:
 Monitoring is pure recording: no RNG is drawn, no float is touched, no
 exception is raised into the audited code path, so a run under
 ``threadcheck()`` stays bitwise identical to an unsanitized run (the
-chaos-replay gate asserts this).  Reports serialise to JSON for the
-``benchmarks/results`` convention.
+fault-injection state machine's sanitized-run test asserts this).
+:meth:`LockMonitor.assert_clean` puts the whole report into its
+assertion message.
 
 Order edges are keyed by ``ClassName.lock_attr`` — rank, not instance —
 which makes the checker enforce the lock *hierarchy* documented in
@@ -237,12 +238,6 @@ class LockMonitor:
                 "unguarded_writes": list(self.unguarded_writes),
             }
 
-    def write_json(self, path: str) -> str:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.report(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return path
-
     def assert_clean(self) -> None:
         """Raise ``AssertionError`` with the full report unless clean."""
         if not self.ok:
@@ -352,10 +347,7 @@ def _patch_class(cls: type, audit: Audit, monitor: LockMonitor):
 
 
 @contextmanager
-def threadcheck(
-    audits: Optional[Sequence[Audit]] = None,
-    report_path: Optional[str] = None,
-) -> Iterator[LockMonitor]:
+def threadcheck(audits: Optional[Sequence[Audit]] = None) -> Iterator[LockMonitor]:
     """Audit every lock acquisition and guarded write within the block.
 
     Instances *constructed inside the block* of the audited classes get
@@ -365,8 +357,7 @@ def threadcheck(
             ...  # exercise the threaded system
         monitor.assert_clean()
 
-    ``audits`` overrides the audited class set (see :class:`Audit`);
-    ``report_path`` writes the JSON report on exit, clean or not.
+    ``audits`` overrides the audited class set (see :class:`Audit`).
     Patching is restored exactly on exit, even on error.  Blocks must
     not be nested over the same classes.
     """
@@ -380,5 +371,3 @@ def threadcheck(
     finally:
         for undo in reversed(undos):
             undo()
-        if report_path is not None:
-            monitor.write_json(report_path)

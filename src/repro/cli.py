@@ -188,17 +188,21 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import run as lint_run
+    """Exit 0 on a clean tree, 1 on violations, 2 on a usage error."""
+    from repro.analysis import render_text, run_lint
 
-    return lint_run(
-        args.paths,
-        fmt=args.format,
-        output=args.output,
-        select=args.select,
-        ignore=args.ignore,
-        project_root=args.project_root,
-        concurrency=args.concurrency,
-    )
+    try:
+        result = run_lint(
+            args.paths,
+            project_root=args.project_root,
+            select=args.select,
+            ignore=args.ignore,
+        )
+    except (FileNotFoundError, KeyError) as exc:
+        print(f"repro lint: error: {exc}", file=sys.stderr)
+        return 2
+    print(render_text(result))
+    return 0 if result.ok else 1
 
 
 def _print_summary(title: str, rows) -> None:
@@ -605,18 +609,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint", help="run the reprolint static-analysis suite"
     )
-    p.add_argument("paths", nargs="*", help="files/dirs (default: src/repro)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", help="also write a JSON report here")
-    p.add_argument("--select", nargs="+", metavar="RULE")
-    p.add_argument("--ignore", nargs="+", metavar="RULE")
     p.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="run only the concurrency rules (lock-discipline, "
-        "lock-ordering, hold-and-call)",
+        "paths", nargs="*", default=["src/repro"], help="files/dirs (default: src/repro)"
     )
-    p.add_argument("--project-root")
+    p.add_argument("--select", nargs="+", metavar="RULE", help="run only these rules")
+    p.add_argument("--ignore", nargs="+", metavar="RULE", help="skip these rules")
+    p.add_argument(
+        "--project-root",
+        help="repository root (default: walk up to pyproject.toml/.git)",
+    )
     p.set_defaults(func=cmd_lint)
 
     return parser

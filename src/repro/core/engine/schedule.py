@@ -27,21 +27,13 @@ def partition_round_indices(uv: np.ndarray) -> List[List[int]]:
     returning edge *indices* so the plan can be laid out by them.
     """
     rounds: List[List[int]] = []
-    round_touched: List[set] = []
     next_free: Dict[int, int] = {}
     for b, (u, v) in enumerate(uv.tolist()):
         earliest = max(next_free.get(u, 0), next_free.get(v, 0))
-        while earliest < len(rounds) and (
-            u in round_touched[earliest] or v in round_touched[earliest]
-        ):
-            earliest += 1
         if earliest == len(rounds):
             rounds.append([])
-            round_touched.append(set())
         rounds[earliest].append(b)
-        round_touched[earliest].update((u, v))
-        next_free[u] = earliest + 1
-        next_free[v] = earliest + 1
+        next_free[u] = next_free[v] = earliest + 1
     return rounds
 
 
@@ -52,22 +44,16 @@ def partition_conflict_free_rounds(
 
     Edges keep their relative time order within and across rounds: an
     edge is placed in the earliest round after the rounds containing any
-    conflicting earlier edge.
+    conflicting earlier edge.  ``next_free[x]`` is one past the last
+    round holding ``x``, so no round from ``earliest`` on holds either
+    endpoint.
     """
     rounds: List[List[StreamEdge]] = []
-    round_touched: List[set] = []
     next_free: Dict[int, int] = {}
     for e in edges:
         earliest = max(next_free.get(e.u, 0), next_free.get(e.v, 0))
-        while earliest < len(rounds) and (
-            e.u in round_touched[earliest] or e.v in round_touched[earliest]
-        ):
-            earliest += 1
         if earliest == len(rounds):
             rounds.append([])
-            round_touched.append(set())
         rounds[earliest].append(e)
-        round_touched[earliest].update((e.u, e.v))
-        next_free[e.u] = earliest + 1
-        next_free[e.v] = earliest + 1
+        next_free[e.u] = next_free[e.v] = earliest + 1
     return rounds

@@ -10,7 +10,7 @@ documentation, and blocked-call classification.
 
 import pytest
 
-from repro.analysis.concurrency import CONCURRENCY_RULES
+CONCURRENCY_RULES = ("lock-discipline", "lock-ordering", "hold-and-call")
 
 
 def _messages(result, rule):

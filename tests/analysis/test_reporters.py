@@ -1,8 +1,6 @@
-"""Text and JSON reporter behaviour, including the on-disk report."""
+"""The text report ``repro lint`` prints."""
 
-import json
-
-from repro.analysis import render_json, render_text, to_dict, write_json
+from repro.analysis import render_text
 
 FILES_CLEAN = {"src/repro/core/clean.py": "x = 1\n"}
 FILES_DIRTY = {
@@ -25,28 +23,3 @@ class TestText:
         assert "[explicit-dtype]" in out and "[rng-discipline]" in out
         assert "2 violations" in out
         assert "explicit-dtype=1" in out
-
-
-class TestJson:
-    def test_round_trip_shape(self, lint):
-        payload = json.loads(render_json(lint(FILES_DIRTY)))
-        assert payload["ok"] is False
-        assert payload["total_violations"] == 2
-        assert payload["counts_by_rule"]["explicit-dtype"] == 1
-        assert payload["counts_by_rule"]["rng-discipline"] == 1
-        # every rule that ran is recorded, clean rules with an explicit 0
-        assert set(payload["counts_by_rule"]) == set(payload["rules"])
-        assert payload["counts_by_rule"]["lock-discipline"] == 0
-        first = payload["violations"][0]
-        assert set(first) == {"path", "line", "col", "rule", "message"}
-
-    def test_to_dict_lists_rules(self, lint):
-        payload = to_dict(lint(FILES_CLEAN))
-        assert "rng-discipline" in payload["rules"]
-        assert payload["ok"] is True and payload["violations"] == []
-
-    def test_write_json_creates_parents(self, lint, tmp_path):
-        target = tmp_path / "benchmarks" / "results" / "lint_report.json"
-        written = write_json(lint(FILES_CLEAN), target)
-        assert written == target and target.exists()
-        assert json.loads(target.read_text())["ok"] is True

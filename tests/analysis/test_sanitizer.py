@@ -115,15 +115,13 @@ class TestLockMonitor:
         assert monitor.ok
         assert monitor.order_edges() == []
 
-    def test_report_and_json_round_trip(self, tmp_path):
+    def test_report_and_json_round_trip(self):
         monitor = LockMonitor()
         locks = _Pair(monitor)
         with locks.a:
             with locks.b:
                 pass
-        path = tmp_path / "threadcheck.json"
-        monitor.write_json(str(path))
-        payload = json.loads(path.read_text())
+        payload = json.loads(json.dumps(monitor.report()))
         assert payload["ok"] is True
         assert payload["order_edges"] == [["A._lock", "B._lock"]]
         assert payload["acquisitions"] == {"A._lock": 1, "B._lock": 1}
@@ -190,14 +188,6 @@ class TestThreadcheck:
         assert isinstance(outside._lock, type(threading.Lock()))
         # rogue writes after the block are nobody's business again
         outside.rogue_inc()
-
-    def test_report_path_written_on_exit(self, tmp_path):
-        path = tmp_path / "report.json"
-        with threadcheck(audits=[_GUARDED_AUDIT], report_path=str(path)):
-            _Guarded().safe_inc()
-        payload = json.loads(path.read_text())
-        assert payload["ok"] is True
-        assert payload["acquisitions"] == {"_Guarded._lock": 1}
 
     def test_default_audits_cover_the_real_classes(self):
         audits = default_audits()

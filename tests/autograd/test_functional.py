@@ -64,7 +64,9 @@ class TestGradients:
         check_gradients(F.tanh, np.random.randn(5))
 
     def test_leaky_relu(self):
+        # one input per branch, away from the kink at 0
         check_gradients(lambda a: F.leaky_relu(a, 0.2), np.random.randn(5) + 2.0)
+        check_gradients(lambda a: F.leaky_relu(a, 0.2), np.random.randn(5) - 2.0)
 
     def test_softmax(self):
         check_gradients(

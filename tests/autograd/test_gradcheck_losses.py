@@ -1,6 +1,5 @@
 """Finite-difference gradient checks for the ``embedding`` row-lookup
-primitive (the reprolint ``autograd-backward`` audit showed it lacked
-them)."""
+primitive."""
 
 import numpy as np
 

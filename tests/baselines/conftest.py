@@ -1,7 +1,7 @@
 """Shared fixtures for the per-baseline contract tests.
 
-Every baseline module has a matching ``test_<module>.py`` here (the
-reprolint ``baseline-registry`` rule enforces this).  The files share
+Every baseline module has a matching ``test_<module>.py`` here
+(``test_models.py::TestRegistry`` enforces this).  The files share
 one session-scoped dataset and a common fit/score contract checker so
 each stays small and fast.
 """

@@ -6,13 +6,22 @@ value per candidate, the fitted model ranks held-in pairs above random,
 and partial_fit accepts further edges.
 """
 
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.baselines
 from repro.baselines import available_baselines, make_baseline
+from repro.baselines.base import BaselineModel, EmbeddingModel
 from repro.baselines.registry import BASELINE_BUILDERS, STRONG_BASELINES
 from repro.core import InsLearnConfig, SUPAConfig
 from repro.eval import RankingEvaluator
+
+TESTS_DIR = Path(__file__).resolve().parent
 
 FAST_KWARGS = {
     "DeepWalk": dict(num_walks=2, walk_length=5, epochs=1),
@@ -124,6 +133,31 @@ class TestRegistry:
 
     def test_available_sorted(self):
         assert available_baselines() == sorted(available_baselines())
+
+    def test_every_baseline_class_is_registered_and_tested(self):
+        """Each ``BaselineModel`` / ``EmbeddingModel`` subclass defined in
+        any ``repro.baselines`` module is a ``BASELINE_BUILDERS`` value and
+        its module has a ``tests/baselines/test_<module>.py``."""
+        registered = set(BASELINE_BUILDERS.values())
+        problems = []
+        checked = 0
+        for info in pkgutil.iter_modules(repro.baselines.__path__):
+            module = importlib.import_module(f"repro.baselines.{info.name}")
+            for cls in vars(module).values():
+                if (
+                    not inspect.isclass(cls)
+                    or cls.__module__ != module.__name__
+                    or not issubclass(cls, BaselineModel)
+                    or cls in (BaselineModel, EmbeddingModel)
+                ):
+                    continue
+                checked += 1
+                if cls not in registered:
+                    problems.append(f"{cls.__name__} is not in BASELINE_BUILDERS")
+                if not (TESTS_DIR / f"test_{info.name}.py").exists():
+                    problems.append(f"{info.name}.py has no test_{info.name}.py")
+        assert checked == len(registered)
+        assert not problems, problems
 
 
 class TestModelSpecifics:

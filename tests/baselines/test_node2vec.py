@@ -1,8 +1,8 @@
 """Per-module contract tests for ``baselines/node2vec.py``.
 
-The reprolint ``baseline-registry`` rule requires every baseline module
-to ship a matching test file; these checks pin registration plus the
-shared fit/score contract (finite, deterministic scores).
+``test_models.py`` requires every baseline module to ship a matching
+test file; these checks pin registration plus the shared fit/score
+contract (finite, deterministic scores).
 """
 
 from repro.baselines.node2vec import Node2Vec

@@ -117,8 +117,5 @@ def test_cli_surface():
         "replicate promote": REPLICATE | {
             "--replica-dir", "--resume-from", "--events", "--verify-parity", "--probes",
         },
-        "lint": {
-            "paths", "--format", "--output", "--select", "--ignore",
-            "--concurrency", "--project-root",
-        },
+        "lint": {"paths", "--select", "--ignore", "--project-root"},
     }

@@ -7,6 +7,9 @@ import pytest
 
 from repro.cli import build_parser, main
 
+#: a ``core/`` module with one dtype-less allocation (an ``explicit-dtype`` hit)
+UNPINNED = "import numpy as np\nbuf = np.zeros(3)\n"
+
 
 class TestParser:
     def test_requires_command(self):
@@ -111,6 +114,27 @@ class TestCommands:
         )
         assert code == 0
         assert "reprolint: clean" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "source, extra, code, expected",
+        [
+            ("x = 1\n", [], 0, "reprolint: clean"),
+            (UNPINNED, [], 1, "src/repro/core/alloc.py:2:6: [explicit-dtype]"),
+            (UNPINNED, ["--ignore", "explicit-dtype"], 0, "reprolint: clean"),
+            ("x = 1\n", ["--select", "bogus-rule"], 2, "unknown rule 'bogus-rule'"),
+            (None, [], 2, "no such file or directory"),
+        ],
+        ids=["clean", "violations", "ignore", "unknown-rule", "missing-path"],
+    )
+    def test_lint_exit_codes(self, tmp_path, capsys, source, extra, code, expected):
+        tree = tmp_path / "src" / "repro"
+        if source is not None:
+            (tmp_path / "pyproject.toml").write_text("[project]\nname = 'fixture'\n")
+            (tree / "core").mkdir(parents=True)
+            (tree / "core" / "alloc.py").write_text(source)
+        assert main(["lint", str(tree), "--project-root", str(tmp_path), *extra]) == code
+        captured = capsys.readouterr()
+        assert expected in (captured.err if code == 2 else captured.out)
 
 
 class TestServeReplay:

@@ -1,5 +1,7 @@
 """The documented top-level API surface stays importable and coherent."""
 
+import inspect
+
 import repro
 
 
@@ -8,8 +10,17 @@ class TestPublicAPI:
         assert repro.__version__ == "1.0.0"
 
     def test_all_exports_resolve(self):
+        """Every export exists, and every exported class and function
+        carries its own docstring (a dataclass without one gets a
+        generated ``Name(field, ...)`` signature, which does not count)."""
         for name in repro.__all__:
             assert hasattr(repro, name), name
+            obj = getattr(repro, name)
+            if inspect.isclass(obj) or inspect.isfunction(obj):
+                doc = (obj.__doc__ or "").strip()
+                assert doc and not doc.startswith(f"{obj.__name__}("), (
+                    f"repro.{name} has no docstring"
+                )
 
     def test_readme_quickstart_surface(self):
         """The names the README quickstart uses exist where it says."""

@@ -2,7 +2,7 @@
 
 Walks the static import graph (``ast``, lazy imports inside functions
 included) from the things a user or CI job actually runs — the
-``repro`` / ``repro-lint`` command lines, ``examples/``,
+``repro`` command line, ``examples/``,
 ``benchmarks/*.py`` and ``benchmarks/spine/`` — and fails on any module
 nothing reaches.  A package ``__init__`` does not count as a reacher:
 ``from repro.obs import Tracer`` is an edge to the module that defines
@@ -24,9 +24,8 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
-#: module files run as programs (``python -m repro``, ``python -m
-#: repro.lint``, the ``repro-lint`` console script in pyproject.toml).
-ENTRY_MODULES = ("repro.__main__", "repro.cli", "repro.lint", "repro.analysis.cli")
+#: module files run as programs (``python -m repro``, ``python -m repro.cli``).
+ENTRY_MODULES = ("repro.__main__", "repro.cli")
 #: script directories whose files are each an entrypoint.
 ENTRY_DIRS = ("examples", "benchmarks", "benchmarks/spine")
 
