@@ -22,8 +22,9 @@ the paper, and no configuration selects it — tests install it on a
 freshly built model (``model.engine = ReferenceEngine(model)``).
 
 Both route every float through the same kernels
-(:mod:`repro.core.engine.kernels`), draw from the model RNG in the same
-order (stream order, at compile time), and gate optimiser updates on
+(:mod:`repro.core.engine.kernels`), take a pass's randomness from the
+same two draws (:func:`~repro.core.engine.plan.draw_pass`, before any
+walk), and gate optimiser updates on
 the same "did this parameter get a gradient" conditions, which makes
 their results *bitwise* identical — losses, memories, Adam moments,
 touched-node sets and RNG state — as enforced by
@@ -37,7 +38,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.engine import kernels
-from repro.core.engine.plan import compile_plan
+from repro.core.engine.plan import compile_plan, draw_pass
 from repro.core.interactor import interaction_loss, interaction_loss_backward
 from repro.core.engine.schedule import partition_round_indices
 from repro.core.propagation import propagation_loss, propagation_loss_backward
@@ -72,7 +73,7 @@ class _EngineBase:
 
 
 class _EdgeSample(NamedTuple):
-    """One edge's stochastic decisions, drawn in stream order."""
+    """One edge's stochastic decisions, realised from the pass's draws."""
 
     influenced: Optional[InfluencedGraph]
     #: u-side then v-side negative draws (``None`` with Eq. 12 off)
@@ -92,32 +93,39 @@ class _EdgeGradients(NamedTuple):
 class ReferenceEngine(_EngineBase):
     """The per-edge object path (the correctness oracle)."""
 
-    def _sample(self, edge: StreamEdge) -> _EdgeSample:
-        """Walks, then u-side and v-side negatives — the RNG draw order
-        :func:`~repro.core.engine.plan.compile_plan` reproduces."""
+    def _sample_pass(
+        self, records: Sequence[_Record], uv: np.ndarray
+    ) -> List[_EdgeSample]:
+        """Every edge's walks and negatives, as objects, from the pass's
+        :func:`~repro.core.engine.plan.draw_pass` over the ``(B, 2)``
+        endpoints ``uv`` — the draws
+        :func:`~repro.core.engine.plan.compile_plan` makes."""
         model = self.model
         cfg = model.config
-        influenced = None
-        if cfg.use_prop and cfg.num_walks > 0:
-            influenced = sample_influenced_graph_compiled(
-                model.graph,
-                edge.u,
-                edge.v,
-                model.schema.edge_type_id(edge.edge_type),
-                edge.t,
-                model._compiled_metapaths,
-                num_walks=cfg.num_walks,
-                walk_length=cfg.walk_length,
-                rng=model.rng,
-            )
-        negatives = None
-        if cfg.use_neg and cfg.num_negatives > 0:
-            node_type_ids = model._node_type_ids
-            negatives = tuple(
-                model.negatives.sample(int(opposite), cfg.num_negatives, model.rng)
-                for opposite in (node_type_ids[edge.v], node_type_ids[edge.u])
-            )
-        return _EdgeSample(influenced, negatives)
+        draws = draw_pass(model, uv)
+        negs = draws.negatives
+        bounds = draws.neg_offsets.tolist()
+        samples = []
+        for b, (edge, _, _) in enumerate(records):
+            influenced = None
+            if draws.walks is not None:
+                influenced = sample_influenced_graph_compiled(
+                    model.graph,
+                    edge.u,
+                    edge.v,
+                    model.schema.edge_type_id(edge.edge_type),
+                    edge.t,
+                    model._compiled_metapaths,
+                    num_walks=cfg.num_walks,
+                    walk_length=cfg.walk_length,
+                    uniforms=draws.walks[b],
+                )
+            negatives = None
+            if cfg.use_neg and cfg.num_negatives > 0:
+                lo, mid, hi = bounds[2 * b : 2 * b + 3]
+                negatives = (negs[lo:mid], negs[mid:hi])
+            samples.append(_EdgeSample(influenced, negatives))
+        return samples
 
     def _edge_gradients(self, record: _Record, sample: _EdgeSample) -> _EdgeGradients:
         """Eq. 5/7/10/12 forward and backward for one edge against the
@@ -225,9 +233,9 @@ class ReferenceEngine(_EngineBase):
         if not len(records):
             model.last_touched_nodes = ()
             return losses
-        with tracer.span("core.engine.sample", edges=len(records)):
-            samples = [self._sample(edge) for edge, _, _ in records]
         uv = np.asarray([(edge.u, edge.v) for edge, _, _ in records], dtype=np.int64)
+        with tracer.span("core.engine.sample", edges=len(records)):
+            samples = self._sample_pass(records, uv)
         num_nodes = model.memory.num_nodes
         touched: set = set()
         for round_edges in partition_round_indices(uv):

@@ -10,10 +10,10 @@ needs beyond slicing — where each hop's source embedding sits in the
 round's stack, where each context gradient accumulates, which context
 rows several edges of the round share — is precomputed as index arrays.
 
-Compilation performs every stochastic decision (walk sampling, negative
-draws) up front, in stream order and in *exactly* the RNG draw order of
-the per-edge reference path — see the RNG-order contract on
-:func:`repro.graph.sampling.sample_walks_into`.  That is sound because
+Compilation performs every stochastic decision up front, from the two
+draws :func:`draw_pass` makes for the whole pass (the per-pass draw
+contract, DESIGN.md §9 rule 2), which the per-edge oracle makes too.
+That is sound because
 the training loop (InsLearn's replay passes, Algorithm 1) inserts a
 batch's edges into the graph *before* replaying them, so the graph and
 the negative-sampler tables are static while a plan is compiled and
@@ -28,7 +28,7 @@ only ever sees surviving ``<row, cum_factor, side>`` tuples.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -165,32 +165,80 @@ def _segment_slots(source: np.ndarray, round_first: np.ndarray):
     return (source - round_first) * width + position, width
 
 
+class PassDraws(NamedTuple):
+    """Every random number one training pass over ``B`` edges uses."""
+
+    #: ``(B, 2, k, l)`` walk uniforms (edge, side, walk, slot); ``None``
+    #: when walks are off
+    walks: Optional[np.ndarray]
+    #: every negative, in ``(edge, side)`` stream order, u-side first
+    negatives: np.ndarray
+    #: ``(2B + 1,)`` CSR boundaries of ``negatives`` per ``(edge, side)``
+    neg_offsets: np.ndarray
+
+
+def draw_pass(model, uv: np.ndarray) -> PassDraws:
+    """The per-pass draw contract (DESIGN.md §9 rule 2) for the batch's
+    ``(B, 2)`` endpoints, shared by both engines.
+
+    At most two kinds of call on ``model.rng``, in this order: one
+    ``rng.random((B, 2, k, l))`` when walks are on (drawn whole whatever
+    the graph holds), then one :meth:`NegativeSampler.sample` of
+    ``slots * N_neg`` per distinct opposite node type, ascending, when
+    negatives are on.  A u-side slot wants v's type and vice versa; a
+    type's samples go to its slots in stream order, ``N_neg`` each, and a
+    type with no table leaves its slots empty.  RNG consumption therefore
+    depends only on the batch's size and node types.
+    """
+    cfg = model.config
+    rng = model.rng
+    batch = uv.shape[0]
+    walks = None
+    if cfg.use_prop and cfg.num_walks > 0:
+        walks = rng.random((batch, 2, cfg.num_walks, cfg.walk_length))
+    counts = np.zeros(2 * batch, dtype=np.int64)
+    drawn = []
+    per_slot = cfg.num_negatives
+    if cfg.use_neg and per_slot > 0:
+        opposite = model._node_type_ids[uv[:, ::-1]].reshape(-1)
+        for type_id in np.unique(opposite).tolist():
+            slots = np.flatnonzero(opposite == type_id)
+            samples = model.negatives.sample(type_id, slots.size * per_slot, rng)
+            if samples.size:
+                counts[slots] = per_slot
+                drawn.append((slots, samples))
+    offsets = _offsets(counts)
+    negatives = np.empty(int(offsets[-1]), dtype=np.int64)
+    for slots, samples in drawn:
+        at = offsets[slots][:, None] + np.arange(per_slot, dtype=np.int64)
+        negatives[at.reshape(-1)] = samples
+    return PassDraws(walks, negatives, offsets)
+
+
 def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
     """Compile ``records`` (edge + pre-insertion ``Delta_V`` pair) into a
-    :class:`BatchPlan` against ``model``'s current graph state: sample in
-    stream order, weight the hops, partition into rounds, gather
-    everything round-major, deduplicate the context rows."""
+    :class:`BatchPlan` against ``model``'s current graph state: draw the
+    pass, walk in stream order, weight the hops, partition into rounds,
+    gather everything round-major, deduplicate the context rows."""
     cfg = model.config
     memory = model.memory
     schema = model.schema
     graph = model.graph
     node_type_ids = model._node_type_ids
     num_nodes = memory.num_nodes
-    rng = model.rng
-    sample_walks = cfg.use_prop and cfg.num_walks > 0
-    sample_negatives = cfg.use_neg and cfg.num_negatives > 0
 
     batch = len(records)
-    uv = np.empty((batch, 2), dtype=np.int64)
-    deltas = np.empty((batch, 2), dtype=np.float64)
-    edge_ts = np.empty(batch, dtype=np.float64)
-    edge_slots = np.empty(batch, dtype=np.int64)
-    slot_of: dict = {}
-    compiled_metapaths = model._compiled_metapaths
-    num_walks = cfg.num_walks
-    walk_length = cfg.walk_length
-    num_negatives = cfg.num_negatives
-    negatives_sample = model.negatives.sample
+    edges_l = [edge for edge, _, _ in records]
+    uv = np.asarray([(e.u, e.v) for e in edges_l], dtype=np.int64).reshape(batch, 2)
+    deltas = np.asarray(
+        [(du, dv) for _, du, dv in records], dtype=np.float64
+    ).reshape(batch, 2)
+    edge_ts = np.asarray([e.t for e in edges_l], dtype=np.float64)
+    slot_of = {
+        name: memory.context_slot(schema.edge_type_id(name))
+        for name in {e.edge_type for e in edges_l}
+    }
+    edge_slots = np.asarray([slot_of[e.edge_type] for e in edges_l], dtype=np.int64)
 
     # Batch-level flat walk lists: :func:`sample_walks_into` appends
     # every edge's hops here with *global* offsets, so the whole batch
@@ -202,26 +250,15 @@ def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
     times_l: List[float] = []
     offsets_l: List[int] = [0]
     sides_l: List[int] = []
-    neg_samples: List[np.ndarray] = []
-    neg_counts = np.zeros((batch, 2), dtype=np.int64)
 
-    # One span over the whole sequential sampling sweep — the RNG-order
-    # contract forbids reordering it, so the span just prices it.
+    # One span over the pass's draws and the stream-order walk sweep.
     with model.tracer.span("core.plan.sample", edges=batch):
-        for b, (edge, delta_u, delta_v) in enumerate(records):
-            u, v, t = edge.u, edge.v, edge.t
-            uv[b, 0] = u
-            uv[b, 1] = v
-            deltas[b, 0] = delta_u
-            deltas[b, 1] = delta_v
-            edge_ts[b] = t
-            slot = slot_of.get(edge.edge_type)
-            if slot is None:
-                slot = memory.context_slot(schema.edge_type_id(edge.edge_type))
-                slot_of[edge.edge_type] = slot
-            edge_slots[b] = slot
-
-            if sample_walks:
+        draws = draw_pass(model, uv)
+        if draws.walks is not None:
+            compiled_metapaths = model._compiled_metapaths
+            num_walks = cfg.num_walks
+            walk_length = cfg.walk_length
+            for b, ((u, v), block) in enumerate(zip(uv.tolist(), draws.walks.tolist())):
                 hop_counts[b] = sample_walks_into(
                     graph,
                     u,
@@ -229,21 +266,14 @@ def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
                     compiled_metapaths,
                     num_walks,
                     walk_length,
-                    rng,
+                    block,
                     nodes_l,
                     rels_l,
                     times_l,
                     offsets_l,
                     sides_l,
                 )
-
-            if sample_negatives:
-                # u-side negatives impersonate v's type and vice versa,
-                # drawn u-side first — the reference draw order.
-                for side, opposite in ((0, node_type_ids[v]), (1, node_type_ids[u])):
-                    samples = negatives_sample(opposite, num_negatives, rng)
-                    neg_samples.append(samples)
-                    neg_counts[b, side] = samples.size
+    neg_counts = np.diff(draws.neg_offsets).reshape(batch, 2)
 
     # Eq. 8-9 weighting for the whole batch in one kernel sweep: the
     # cumulative-factor kernel is walk-independent, so running it over
@@ -300,10 +330,7 @@ def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
         neg_edge = neg_owner // 2
         neg_round = round_of_edge[neg_edge]
         neg_bounds = neg_offsets[edge_bounds]
-        neg_nodes = (
-            np.concatenate(neg_samples) if neg_samples else np.empty(0, dtype=np.int64)
-        )
-        neg_rows = edge_slots[neg_edge] * num_nodes + neg_nodes[neg_flat]
+        neg_rows = edge_slots[neg_edge] * num_nodes + draws.negatives[neg_flat]
         neg_slots, neg_width = _segment_slots(neg_owner, 2 * edge_bounds[neg_round])
 
         # --- context catalogue ------------------------------------------

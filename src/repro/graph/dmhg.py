@@ -251,8 +251,8 @@ class DMHG:
         :meth:`neighbors` by ids, without names or the time window.
         Answers are memoised per node and dropped whenever that node's
         adjacency list changes; they read nothing else that can change,
-        so a memoised answer is never stale.  Callers must not write to
-        the arrays.
+        so a memoised answer is never stale.  The arrays are read-only:
+        every caller shares them.
         """
         memo = self._memo[node]
         key = (rel_ids, type_id)
@@ -263,11 +263,14 @@ class DMHG:
                 e for e in self._adj[node]
                 if e[1] in rel_ids and node_types[e[0]] == type_id
             ]
-            hit = memo[key] = (
+            hit = (
                 np.asarray([e[0] for e in entries], dtype=np.int64),
                 np.asarray([e[1] for e in entries], dtype=np.int64),
                 np.asarray([e[2] for e in entries], dtype=np.float64),
             )
+            for array in hit:
+                array.flags.writeable = False
+            memo[key] = hit
         return hit
 
     def degree(self, node: int) -> int:

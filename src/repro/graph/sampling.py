@@ -132,21 +132,40 @@ class CompiledMetapathSet:
         return self.by_head.get(type_id, [])
 
 
+def uniform_pick(u: float, n: int) -> int:
+    """The index in ``[0, n)`` that a uniform ``u`` in ``[0, 1)`` picks.
+
+    ``int(u * n)``.  It never reaches ``n`` for ``n < 2**53``: the
+    largest ``u`` is ``1 - 2**-53``, whose exact product with ``n`` lies
+    ``n * 2**-53`` below ``n`` — more than half an ulp of ``n``, or
+    exactly representable when ``n`` is a power of two — so the rounded
+    product is below ``n`` (rounding is monotone) and truncation gives at
+    most ``n - 1``.
+    """
+    return int(u * n)
+
+
 def _sample_compiled_walk(
-    graph: DMHG, start: int, compiled: CompiledMetapath, length: int, rng
+    graph: DMHG, start: int, compiled: CompiledMetapath, length: int, pick
 ) -> Walk:
-    """One walk as objects: per hop, one uniform draw among
-    :meth:`DMHG.candidates`; stops early when a hop has none."""
+    """One walk as objects: hop ``h`` (1-based) takes index ``pick(h, n)``
+    among its ``n`` :meth:`DMHG.candidates`; stops early when a hop has
+    none."""
     steps = [WalkStep(start, None, None)]
     current = start
-    for rel_ids, type_id in compiled.filters_for(length - 1):
+    for h, (rel_ids, type_id) in enumerate(compiled.filters_for(length - 1), 1):
         others, rels, times = graph.candidates(current, rel_ids, type_id)
         if not others.size:
             break
-        pick = int(rng.integers(others.size))
-        current = int(others[pick])
-        steps.append(WalkStep(current, int(rels[pick]), float(times[pick])))
+        i = pick(h, others.size)
+        current = int(others[i])
+        steps.append(WalkStep(current, int(rels[i]), float(times[i])))
     return Walk(steps)
+
+
+def _rng_pick(rng):
+    """Per-hop picks drawn one by one from ``rng`` (the baselines' walkers)."""
+    return lambda _, n: int(rng.integers(n))
 
 
 def sample_influenced_graph_compiled(
@@ -158,7 +177,7 @@ def sample_influenced_graph_compiled(
     compiled: CompiledMetapathSet,
     num_walks: int,
     walk_length: int,
-    rng,
+    uniforms,
 ) -> InfluencedGraph:
     """Sample ``G_{s,e}`` for the new edge ``(u, v, rel, t)`` as objects.
 
@@ -167,15 +186,23 @@ def sample_influenced_graph_compiled(
     uniformly random schema among those applicable to its start node; a
     node with no applicable schema contributes no walks (its side of the
     influenced graph is empty, and propagation towards it is skipped).
-    The draw-for-draw oracle of :func:`sample_walks_into`."""
+
+    ``uniforms`` is the edge's ``(2, k, l)`` block of the pass's walk
+    draw (DESIGN.md §9 rule 2): walk ``w`` of side ``s`` picks its schema
+    with ``uniforms[s][w][0]`` and hop ``h`` with ``uniforms[s][w][h]``,
+    both by :func:`uniform_pick`.  The object oracle of
+    :func:`sample_walks_into`."""
     result = InfluencedGraph(u=u, v=v, rel=rel, t=float(t))
-    for node, bucket in ((u, result.walks_u), (v, result.walks_v)):
+    for side, (node, bucket) in enumerate(((u, result.walks_u), (v, result.walks_v))):
         options = compiled.for_type(graph.node_type_id(node))
         if not options:
             continue
-        for _ in range(num_walks):
-            mp = options[int(rng.integers(len(options)))]
-            walk = _sample_compiled_walk(graph, node, mp, walk_length, rng)
+        for w in range(num_walks):
+            slots = uniforms[side][w]
+            mp = options[uniform_pick(slots[0], len(options))]
+            walk = _sample_compiled_walk(
+                graph, node, mp, walk_length, lambda h, n: uniform_pick(slots[h], n)
+            )
             if len(walk) > 1:
                 bucket.append(walk)
     return result
@@ -188,7 +215,7 @@ def sample_walks_into(
     compiled: CompiledMetapathSet,
     num_walks: int,
     walk_length: int,
-    rng,
+    uniforms,
     nodes: List[int],
     rels: List[int],
     times: List[float],
@@ -205,38 +232,38 @@ def sample_walks_into(
     it are global positions in ``nodes``.  Returns the number of hops
     appended for this edge.
 
-    RNG-order contract: this function consumes *exactly* the same draws
-    in the same order as :func:`sample_influenced_graph_compiled` — per
-    side (``u`` first), per walk: one metapath draw (even when only one
-    metapath applies), then one uniform candidate draw per hop until the
-    walk length is reached or no candidate exists.  Walks that fail at
-    the first hop are dropped (their metapath draw stays consumed,
-    matching the reference's ``len(walk) > 1`` filter).
+    Draw contract: no RNG is read here.  ``uniforms`` is the edge's
+    ``(2, k, l)`` block of the pass's walk draw (nested lists are
+    fastest), read exactly as :func:`sample_influenced_graph_compiled`
+    reads it — per side (``u`` first), per walk: slot 0 picks the
+    metapath, slot ``h`` picks hop ``h`` by :func:`uniform_pick`, until
+    the walk length is reached or no candidate exists.  Walks that fail
+    at the first hop are dropped (the reference's ``len(walk) > 1``
+    filter); slots a walk does not reach are never read.
     """
     begin_edge = len(nodes)
     hops = walk_length - 1
-    integers = rng.integers
     candidates = graph.candidates
     for side, start in ((0, u), (1, v)):
         options = compiled.for_type(graph.node_type_id(start))
         if not options:
             continue
         num_options = len(options)
-        for _ in range(num_walks):
-            mp = options[integers(num_options)]
-            filters = mp.filters_for(hops)
+        for slots in uniforms[side][:num_walks]:
+            # int(u * n) is uniform_pick, inlined on the hot path
+            mp = options[int(slots[0] * num_options)]
             current = start
             begin = len(nodes)
-            for rel_ids, type_id in filters:
+            for (rel_ids, type_id), draw in zip(mp.filters_for(hops), slots[1:]):
                 others, hop_rels, hop_times = candidates(current, rel_ids, type_id)
-                n = others.shape[0]
+                n = len(others)
                 if n == 0:
                     break
-                pick = integers(n)
-                current = int(others[pick])
+                pick = int(draw * n)
+                current = others.item(pick)
                 nodes.append(current)
-                rels.append(hop_rels[pick])
-                times.append(hop_times[pick])
+                rels.append(hop_rels.item(pick))
+                times.append(hop_times.item(pick))
             if len(nodes) > begin:
                 offsets.append(len(nodes))
                 sides.append(side)
@@ -265,7 +292,11 @@ def sample_metapath_walk(
             f"metapath head is {metapath.head!r}"
         )
     return _sample_compiled_walk(
-        graph, start, CompiledMetapath(metapath, graph.schema), length, new_rng(rng)
+        graph,
+        start,
+        CompiledMetapath(metapath, graph.schema),
+        length,
+        _rng_pick(new_rng(rng)),
     )
 
 
@@ -283,6 +314,7 @@ def random_walk_corpus(
     by the random-walk baselines.
     """
     rng = new_rng(rng)
+    pick = _rng_pick(rng)
     compiled = None
     if metapaths is not None:
         compiled = CompiledMetapathSet(metapaths, graph.schema)
@@ -294,7 +326,7 @@ def random_walk_corpus(
                 if not options:
                     continue
                 mp = options[int(rng.integers(len(options)))]
-                walk = _sample_compiled_walk(graph, start, mp, walk_length, rng)
+                walk = _sample_compiled_walk(graph, start, mp, walk_length, pick)
                 seq = walk.nodes()
             else:
                 seq = [start]

@@ -10,8 +10,8 @@ full model state, the per-batch reports, and the consumed RNG state.
 ``+0.0`` and catches any reassociated float reduction that ``allclose``
 would wave through.  Hand-built micro-batches then hit the cases a
 stacked round can get wrong, a mutation check shows the gate goes red
-when the barrier order is broken, and a digest captured on the parent
-commit pins single-edge ``train_step`` bytes.
+when the barrier order is broken, and two golden digests pin
+single-edge ``train_step`` bytes under the per-pass draw contract.
 
 The second half checks every analytic kernel against central finite
 differences, and the stacked-vs-per-edge / fused-vs-split identities
@@ -81,8 +81,8 @@ def _assert_engines_agree(config):
         assert ref.touched_nodes == bat.touched_nodes
         assert isinstance(bat.touched_nodes, tuple)
         assert list(bat.touched_nodes) == sorted(set(bat.touched_nodes))
-    # Both engines must consume *exactly* the same RNG draw sequence —
-    # equal final generator state is the strongest witness of that.
+    # Both engines must make *exactly* the same per-pass draws — equal
+    # final generator state is the strongest witness of that.
     assert (
         ref_model.rng.bit_generator.state == bat_model.rng.bit_generator.state
     )
@@ -269,9 +269,12 @@ def test_barrier_order_mutation_turns_parity_red(monkeypatch):
 
 # ------------------------------------------------ single-edge golden digest
 #
-# A streamed edge is a round of one, so round execution must not move
-# ``train_step`` / ``process_edge`` bytes.  Both digests were captured on
-# the parent commit (f510364, per-edge executor) with this function.
+# A streamed edge is a round of one and a pass of one: its bytes are
+# fixed by the per-pass draw contract (DESIGN.md §9 rule 2) — one
+# ``(1, 2, k, l)`` walk block, then one negative draw per opposite node
+# type — and the round executor.  Both digests were captured with this
+# function when that contract replaced the per-draw RNG order, and both
+# engines must reproduce them.
 
 
 def _single_edge_digest(config, engine):
@@ -287,16 +290,16 @@ def _single_edge_digest(config, engine):
     return digest.hexdigest()
 
 
-PARENT_DIGEST = "9966e64aca78d7cdda3e2dc4191882222f225b33a9509cee1734a95745aa0d22"
+PARENT_DIGEST = "19168fb4f3c70332624d5b4200b7641efdb67cd003fc03f38df6c712c9b30f13"
 PARENT_DIGEST_NO_INTER = (
-    "e32007fee2be4bd7bd2f955627b01a81635abf85b7c3fdf0cc4019fd925e4e41"
+    "60cee0e72d51049df4129b5b29a4bd190ee92bd1a95c8710012d0e250a1d3b0c"
 )
 
 
 @pytest.mark.parametrize("engine", ["batched", "reference"])
 def test_single_edge_bytes_equal_the_parent_without_eq7(engine):
-    """Everything but the interaction score: byte-identical to the
-    parent commit."""
+    """Everything but the interaction score: 300 streamed edges give
+    the golden state, losses and RNG state on either engine."""
     config = SUPAConfig(seed=7, use_inter=False)
     assert _single_edge_digest(config, engine) == PARENT_DIGEST_NO_INTER
 
@@ -305,11 +308,12 @@ def test_single_edge_bytes_equal_the_parent_without_eq7(engine):
 def test_single_edge_bytes_equal_the_parent_given_its_blas_score(
     monkeypatch, engine
 ):
-    """The one float that moved is Eq. 7's score, now reduced by
-    ``rowwise_dot`` like every other inner product (the parent used BLAS
-    ``np.dot``, whose summation order no stacked kernel can reproduce).
-    Put the BLAS reduction back and the full model's single-edge bytes
-    are the parent's."""
+    """Eq. 7's score reduces through ``rowwise_dot`` like every other
+    inner product; the per-edge executor the round engine replaced used
+    BLAS ``np.dot``, whose summation order no stacked kernel can
+    reproduce.  Put the BLAS reduction back and the full model's
+    single-edge bytes are the golden digest, which therefore still
+    pins that executor's arithmetic under today's draws."""
 
     def blas_forward(h_star, context):
         h_r = 0.5 * (h_star + context)

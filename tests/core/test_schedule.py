@@ -3,11 +3,13 @@ round-major layout of a compiled plan (``repro.core.engine.plan``).
 
 These tests pin the properties the engine's correctness rests on:
 conflict-free (endpoint-disjoint) rounds that agree with the
-StreamEdge-level :func:`partition_conflict_free_rounds` partition, a
+StreamEdge-level :func:`partition_conflict_free_rounds` oracle below, a
 round-major layout that holds, per edge, exactly what the per-edge
 oracle samples and scores, and an occurrence rank that is non-zero
 precisely on the context rows shared across edges of one round.
 """
+
+from typing import Dict, List, Sequence
 
 import numpy as np
 import pytest
@@ -17,15 +19,35 @@ from hypothesis import strategies as st
 from repro.core.config import SUPAConfig
 from repro.core.engine.engine import ReferenceEngine
 from repro.core.engine.plan import compile_plan
-from repro.core.engine.schedule import (
-    partition_conflict_free_rounds,
-    partition_round_indices,
-)
+from repro.core.engine.schedule import partition_round_indices
 from repro.core.inslearn import _record_and_observe
 from repro.core.model import SUPA
 from repro.core.propagation import propagation_loss
 from repro.datasets.zoo import movielens
 from repro.graph.streams import StreamEdge
+
+
+def partition_conflict_free_rounds(
+    edges: Sequence[StreamEdge],
+) -> List[List[StreamEdge]]:
+    """The oracle of :func:`partition_round_indices`, over edge objects:
+    split ``edges`` into rounds with pairwise-disjoint endpoints.
+
+    Edges keep their relative time order within and across rounds: an
+    edge is placed in the earliest round after the rounds containing any
+    conflicting earlier edge.  ``next_free[x]`` is one past the last
+    round holding ``x``, so no round from ``earliest`` on holds either
+    endpoint.
+    """
+    rounds: List[List[StreamEdge]] = []
+    next_free: Dict[int, int] = {}
+    for e in edges:
+        earliest = max(next_free.get(e.u, 0), next_free.get(e.v, 0))
+        if earliest == len(rounds):
+            rounds.append([])
+        rounds[earliest].append(e)
+        next_free[e.u] = next_free[e.v] = earliest + 1
+    return rounds
 
 
 def uv_from_pairs(pairs):
@@ -61,8 +83,8 @@ def compiled_plan():
     plan = compile_plan(model, records)
     after = model.rng.bit_generator.state
     model.rng.bit_generator.state = before
-    oracle = ReferenceEngine(model)
-    samples = [oracle._sample(edge) for edge, _, _ in records]
+    uv = np.asarray([(e.u, e.v) for e, _, _ in records], dtype=np.int64)
+    samples = ReferenceEngine(model)._sample_pass(records, uv)
     assert model.rng.bit_generator.state == after
     return model, records, plan, samples
 
@@ -134,6 +156,64 @@ class TestRoundPartition:
                 u, v = int(uv[i, 0]), int(uv[i, 1])
                 assert u not in touched and v not in touched
                 touched.update((u, v))
+
+
+class TestStreamEdgePartition:
+    """The oracle itself: what ``partition_round_indices`` is held to."""
+
+    def test_disjoint_edges_one_round(self):
+        rounds = partition_conflict_free_rounds(
+            edges_from_pairs([(0, 1), (2, 3), (4, 5)])
+        )
+        assert len(rounds) == 1
+
+    def test_conflicting_edges_separate_rounds(self):
+        rounds = partition_conflict_free_rounds(
+            edges_from_pairs([(0, 1), (1, 2), (2, 3)])
+        )
+        assert len(rounds) >= 2
+        for r in rounds:
+            touched = set()
+            for e in r:
+                assert e.u not in touched and e.v not in touched
+                touched.update((e.u, e.v))
+
+    def test_star_graph_fully_sequential(self):
+        # every edge shares node 0 -> one edge per round
+        rounds = partition_conflict_free_rounds(
+            edges_from_pairs([(0, i) for i in range(1, 6)])
+        )
+        assert [len(r) for r in rounds] == [1] * 5
+
+    def test_time_order_preserved_per_node(self):
+        edges = edges_from_pairs([(0, 1), (0, 2), (0, 3)])
+        rounds = partition_conflict_free_rounds(edges)
+        flat = [e for r in rounds for e in r]
+        times = [e.t for e in flat if 0 in (e.u, e.v)]
+        assert times == sorted(times)
+
+    def test_empty(self):
+        assert partition_conflict_free_rounds([]) == []
+
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(0, 15), st.integers(16, 30)),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_partition_invariants(self, pairs):
+        """Every edge lands in exactly one round; rounds are conflict-free."""
+        edges = edges_from_pairs(pairs)
+        rounds = partition_conflict_free_rounds(edges)
+        flat = [e for r in rounds for e in r]
+        assert sorted(flat, key=lambda e: e.t) == sorted(edges, key=lambda e: e.t)
+        for r in rounds:
+            touched = set()
+            for e in r:
+                assert e.u not in touched and e.v not in touched
+                touched.update((e.u, e.v))
 
 
 # ------------------------------------------------------- the plan's layout

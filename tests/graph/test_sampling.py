@@ -13,6 +13,8 @@ from repro.graph.sampling import (
     random_walk_corpus,
     sample_influenced_graph_compiled,
     sample_metapath_walk,
+    sample_walks_into,
+    uniform_pick,
 )
 from repro.graph.schema import GraphSchema
 
@@ -20,12 +22,12 @@ from repro.graph.schema import GraphSchema
 def sample_influenced_graph(
     graph, u, v, edge_type, t, metapaths, num_walks, walk_length, rng
 ):
-    """The Eq. 1-3 object sampler (the engine's draw-for-draw oracle),
-    driven with names and a seed."""
+    """The Eq. 1-3 object sampler (the engine's oracle), driven with
+    names and a seed that draws the edge's ``(2, k, l)`` uniform block."""
     return sample_influenced_graph_compiled(
         graph, u, v, graph.schema.edge_type_id(edge_type), t,
         CompiledMetapathSet(metapaths, graph.schema), num_walks, walk_length,
-        np.random.default_rng(rng),
+        uniforms=np.random.default_rng(rng).random((2, num_walks, walk_length)),
     )
 
 
@@ -97,12 +99,69 @@ class TestInfluencedGraph:
         compiled = CompiledMetapathSet([metapath], small_graph.schema)
         ig = sample_influenced_graph_compiled(
             small_graph, 0, 6, 0, 9.0, compiled, num_walks=4, walk_length=4,
-            rng=np.random.default_rng(0),
+            uniforms=np.random.default_rng(0).random((2, 4, 4)),
         )
         assert isinstance(ig, InfluencedGraph)
         for walk in ig.walks:
             for i, step in enumerate(walk.steps):
                 assert small_graph.node_type(step.node) == metapath.node_type_at(i)
+
+
+class TestUniformPick:
+    """The pick rule ``int(u * n)`` the per-pass draw contract realises
+    every metapath and hop choice with."""
+
+    def test_largest_uniform_picks_the_last_index(self):
+        top = float(np.nextafter(1.0, 0.0))
+        rng = np.random.default_rng(0)
+        sizes = (
+            list(range(1, 4097))
+            + [2**e + d for e in range(12, 41) for d in (-1, 0, 1)]
+            + rng.integers(1, 2**40, size=2000).tolist()
+        )
+        for n in sizes:
+            assert uniform_pick(top, n) == n - 1
+            assert uniform_pick(0.0, n) == 0
+
+    def test_largest_uniform_walks_to_the_last_candidates(self, small_graph, metapath):
+        """A block of top uniforms picks the last schema and the last
+        candidate at every hop, on both samplers, without overrunning."""
+        compiled = CompiledMetapathSet([metapath], small_graph.schema)
+        block = np.full((2, 2, 3), np.nextafter(1.0, 0.0))
+        nodes = []
+        sample_walks_into(
+            small_graph, 0, 5, compiled, 2, 3, block.tolist(), nodes, [], [], [0], []
+        )
+        ig = sample_influenced_graph_compiled(
+            small_graph, 0, 5, 0, 9.0, compiled, 2, 3, uniforms=block
+        )
+        expected = []
+        current = 0
+        for rel_ids, type_id in compiled.for_type(0)[0].filters_for(2):
+            current = int(small_graph.candidates(current, rel_ids, type_id)[0][-1])
+            expected.append(current)
+        assert nodes == expected * 2
+        assert [[s.node for s in w.hops()] for w in ig.walks] == [expected] * 2
+
+    def test_hop_picks_are_uniform_over_candidates(self, schema, metapath):
+        """Fixed-seed chi-square: one node's first-hop picks over its 7
+        candidates, 7000 walks from one uniform block."""
+        g = DMHG(schema)
+        g.add_nodes("user", 1)
+        g.add_nodes("video", 7)
+        for i in range(7):
+            g.add_edge(0, 1 + i, "click", float(i))
+        compiled = CompiledMetapathSet([metapath], schema)
+        walks = 7000
+        block = np.random.default_rng(2023).random((2, walks, 2)).tolist()
+        nodes, sides = [], []
+        sample_walks_into(g, 0, 1, compiled, walks, 2, block, nodes, [], [], [0], sides)
+        assert sides == [0] * walks
+        counts = np.bincount(np.asarray(nodes) - 1, minlength=7)
+        expected = walks / 7
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
+        # 22.46 is the 0.999 quantile of chi-square with 6 degrees of freedom
+        assert chi2 < 22.46, counts
 
 
 class TestCorpus:
