@@ -28,13 +28,13 @@ only ever sees surviving ``<row, cum_factor, side>`` tuples.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.engine import kernels
 from repro.core.engine.schedule import partition_round_indices
-from repro.graph.sampling import sample_walks_into
+from repro.graph.sampling import sample_pass_walks
 from repro.graph.streams import StreamEdge
 
 _Record = Tuple[StreamEdge, float, float]
@@ -84,6 +84,9 @@ class BatchPlan(NamedTuple):
       ``ctx_max_rank``: ``(R,)`` its per-round maximum, and
       ``contended_ctx_rows``: how many block rows share their value
       with another block of the same round.
+
+    ``walk_lookups``: the distinct ``(node, hop filter)`` candidate
+    lookups the pass's walks made (:class:`~repro.graph.sampling.PassWalks`).
     """
 
     edges: np.ndarray
@@ -115,6 +118,7 @@ class BatchPlan(NamedTuple):
     ctx_rank: np.ndarray
     ctx_max_rank: np.ndarray
     contended_ctx_rows: int
+    walk_lookups: int
 
     @property
     def num_edges(self) -> int:
@@ -218,7 +222,9 @@ def draw_pass(model, uv: np.ndarray) -> PassDraws:
 def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
     """Compile ``records`` (edge + pre-insertion ``Delta_V`` pair) into a
     :class:`BatchPlan` against ``model``'s current graph state: draw the
-    pass, walk in stream order, weight the hops, partition into rounds,
+    pass, advance all its walks a hop level at a time
+    (:func:`~repro.graph.sampling.sample_pass_walks`, hops back in stream
+    order), weight the hops, partition into rounds,
     gather everything round-major, deduplicate the context rows."""
     cfg = model.config
     memory = model.memory
@@ -240,54 +246,25 @@ def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
     }
     edge_slots = np.asarray([slot_of[e.edge_type] for e in edges_l], dtype=np.int64)
 
-    # Batch-level flat walk lists: :func:`sample_walks_into` appends
-    # every edge's hops here with *global* offsets, so the whole batch
-    # becomes one CSR structure with a single list→array conversion
-    # below — no per-edge arrays and no concatenate/offset-shift pass.
-    hop_counts = np.zeros(batch, dtype=np.int64)
-    nodes_l: List[int] = []
-    rels_l: List[int] = []
-    times_l: List[float] = []
-    offsets_l: List[int] = [0]
-    sides_l: List[int] = []
-
-    # One span over the pass's draws and the stream-order walk sweep.
+    # One span over the pass's draws and its level-synchronous walks.
     with model.tracer.span("core.plan.sample", edges=batch):
         draws = draw_pass(model, uv)
-        if draws.walks is not None:
-            compiled_metapaths = model._compiled_metapaths
-            num_walks = cfg.num_walks
-            walk_length = cfg.walk_length
-            for b, ((u, v), block) in enumerate(zip(uv.tolist(), draws.walks.tolist())):
-                hop_counts[b] = sample_walks_into(
-                    graph,
-                    u,
-                    v,
-                    compiled_metapaths,
-                    num_walks,
-                    walk_length,
-                    block,
-                    nodes_l,
-                    rels_l,
-                    times_l,
-                    offsets_l,
-                    sides_l,
-                )
+        walks = sample_pass_walks(
+            graph, uv, node_type_ids[uv], model._compiled_metapaths, draws.walks
+        )
     neg_counts = np.diff(draws.neg_offsets).reshape(batch, 2)
 
     # Eq. 8-9 weighting for the whole batch in one kernel sweep: the
     # cumulative-factor kernel is walk-independent, so running it over
     # the batch-level CSR arrays changes nothing numerically and
     # replaces O(batch) small kernel calls with O(1) large ones.
-    hop_nodes = np.asarray(nodes_l, dtype=np.int64)
-    hop_times = np.asarray(times_l, dtype=np.float64)
-    walk_offsets = np.asarray(offsets_l, dtype=np.int64)
-    factors = kernels.edge_factors(np.repeat(edge_ts, hop_counts) - hop_times, cfg)
-    cums, keep = kernels.walk_cumulative_factors(factors, walk_offsets)
-    kept = np.flatnonzero(keep)
-    hop_sides = np.repeat(np.asarray(sides_l, dtype=np.int64), np.diff(walk_offsets))
     edge_pos = np.arange(batch, dtype=np.int64)
-    kept_per_edge = np.bincount(np.repeat(edge_pos, hop_counts)[kept], minlength=batch)
+    hop_edge = np.repeat(edge_pos, walks.hop_counts)
+    factors = kernels.edge_factors(edge_ts[hop_edge] - walks.times, cfg)
+    cums, keep = kernels.walk_cumulative_factors(factors, walks.offsets)
+    kept = np.flatnonzero(keep)
+    hop_sides = np.repeat(walks.sides, np.diff(walks.offsets))
+    kept_per_edge = np.bincount(hop_edge[kept], minlength=batch)
 
     with model.tracer.span("core.engine.schedule", edges=batch):
         # --- partition: conflict-free rounds; from here on every array
@@ -313,9 +290,8 @@ def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
         step_round = round_of_edge[step_edge]
         step_bounds = step_offsets[edge_bounds]
         step_rows = (
-            memory.context_slots(np.asarray(rels_l, dtype=np.int64)[step_flat])
-            * num_nodes
-            + hop_nodes[step_flat]
+            memory.context_slots(walks.rels[step_flat]) * num_nodes
+            + walks.nodes[step_flat]
         )
         step_endpoint = 2 * step_edge + hop_sides[step_flat]
         step_slots, step_width = _segment_slots(
@@ -421,4 +397,5 @@ def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
             ctx_rank=ctx_rank,
             ctx_max_rank=ctx_max_rank,
             contended_ctx_rows=contended,
+            walk_lookups=walks.lookups,
         )

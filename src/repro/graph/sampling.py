@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.graph.dmhg import DMHG
 from repro.graph.metapath import MultiplexMetapath
 from repro.utils.rng import RngLike, new_rng
@@ -119,17 +121,58 @@ class CompiledMetapath:
         return cached
 
 
+class HopFilters(NamedTuple):
+    """A metapath set's ``(head type, option, hop) → filter id`` table.
+
+    Option ``o`` of node type ``t`` (``compiled.for_type(t)[o]``) is row
+    ``option_base[t] + o`` of ``table``; ``filters[table[row, h]]`` is the
+    ``(rel_ids, next_type_id)`` pair its hop ``h`` (0-based) hands
+    :meth:`DMHG.candidates`.  Equal pairs share one id.
+    """
+
+    #: ``(T,)`` row of each node type's first option
+    option_base: np.ndarray
+    #: ``(T,)`` number of options (metapaths headed by the type)
+    option_count: np.ndarray
+    #: ``(M, hops)`` filter id per option and hop
+    table: np.ndarray
+    filters: List[tuple]
+
+
 class CompiledMetapathSet:
     """Metapaths compiled against a schema, indexed by head node type id."""
 
     def __init__(self, metapaths: Sequence[MultiplexMetapath], schema) -> None:
         self.by_head: dict = {}
+        self._num_types = schema.num_node_types
+        self._hop_filters: Dict[int, HopFilters] = {}
         for mp in metapaths:
             compiled = CompiledMetapath(mp, schema)
             self.by_head.setdefault(compiled.head_type_id, []).append(compiled)
 
     def for_type(self, type_id: int) -> List["CompiledMetapath"]:
         return self.by_head.get(type_id, [])
+
+    def hop_filters(self, hops: int) -> HopFilters:
+        """The :class:`HopFilters` of walks with ``hops`` hops, built once
+        per length."""
+        cached = self._hop_filters.get(hops)
+        if cached is None:
+            ids: Dict[tuple, int] = {}
+            base = np.zeros(self._num_types, dtype=np.int64)
+            count = np.zeros(self._num_types, dtype=np.int64)
+            rows = []
+            for type_id, options in sorted(self.by_head.items()):
+                base[type_id] = len(rows)
+                count[type_id] = len(options)
+                for mp in options:
+                    rows.append(
+                        [ids.setdefault(f, len(ids)) for f in mp.filters_for(hops)]
+                    )
+            table = np.asarray(rows, dtype=np.int64).reshape(len(rows), hops)
+            cached = HopFilters(base, count, table, list(ids))
+            self._hop_filters[hops] = cached
+        return cached
 
 
 def uniform_pick(u: float, n: int) -> int:
@@ -190,8 +233,8 @@ def sample_influenced_graph_compiled(
     ``uniforms`` is the edge's ``(2, k, l)`` block of the pass's walk
     draw (DESIGN.md §9 rule 2): walk ``w`` of side ``s`` picks its schema
     with ``uniforms[s][w][0]`` and hop ``h`` with ``uniforms[s][w][h]``,
-    both by :func:`uniform_pick`.  The object oracle of
-    :func:`sample_walks_into`."""
+    both by :func:`uniform_pick`.  The per-edge object oracle of
+    :func:`sample_pass_walks`."""
     result = InfluencedGraph(u=u, v=v, rel=rel, t=float(t))
     for side, (node, bucket) in enumerate(((u, result.walks_u), (v, result.walks_v))):
         options = compiled.for_type(graph.node_type_id(node))
@@ -208,66 +251,104 @@ def sample_influenced_graph_compiled(
     return result
 
 
-def sample_walks_into(
+class PassWalks(NamedTuple):
+    """Every walk of one pass, flat: edge, then side (``u`` first), then
+    walk, then hop — the order the per-edge sampler produces."""
+
+    #: per hop: the node it reaches, the edge type id and time it uses
+    nodes: np.ndarray
+    rels: np.ndarray
+    times: np.ndarray
+    #: ``(W + 1,)`` CSR boundaries of the ``W`` kept walks in the hops
+    offsets: np.ndarray
+    #: ``(W,)`` side of each kept walk, 0 for ``u``
+    sides: np.ndarray
+    #: ``(B,)`` hops per edge
+    hop_counts: np.ndarray
+    #: distinct ``(node, hop filter)`` candidate lookups the pass made
+    lookups: int
+
+
+def sample_pass_walks(
     graph: DMHG,
-    u: int,
-    v: int,
+    uv: np.ndarray,
+    start_types: np.ndarray,
     compiled: CompiledMetapathSet,
-    num_walks: int,
-    walk_length: int,
-    uniforms,
-    nodes: List[int],
-    rels: List[int],
-    times: List[float],
-    offsets: List[int],
-    sides: List[int],
-) -> int:
-    """Sample one edge's influenced graph, appending hops to flat lists.
+    uniforms: Optional[np.ndarray],
+) -> PassWalks:
+    """Sample the influenced graphs of a pass's ``(B, 2)`` edges ``uv``
+    (endpoint node types ``start_types``), all walks one hop at a time.
 
-    The batch plan compiler passes *batch-level* lists here so a whole
-    micro-batch accumulates into one flat CSR structure with a single
-    list→array conversion at the end — no per-edge arrays, no per-edge
-    concatenation.  ``offsets`` must arrive non-empty (the running CSR
-    boundary list, ``[0]`` for a fresh structure); entries appended to
-    it are global positions in ``nodes``.  Returns the number of hops
-    appended for this edge.
+    Draw contract: no RNG is read here.  ``uniforms`` is the pass's
+    ``(B, 2, k, l)`` walk draw (``None``: walks are off), read exactly as
+    :func:`sample_influenced_graph_compiled` reads each edge's block:
+    slot 0 picks the walk's metapath among its start type's options,
+    slot ``h`` picks hop ``h`` among the ``n`` candidates, both by
+    :func:`uniform_pick`.  A walk stops when its hop has no candidate,
+    and one that stops at hop 1 is dropped (the oracle's ``len(walk) >
+    1``); slots a walk does not reach are never read.
 
-    Draw contract: no RNG is read here.  ``uniforms`` is the edge's
-    ``(2, k, l)`` block of the pass's walk draw (nested lists are
-    fastest), read exactly as :func:`sample_influenced_graph_compiled`
-    reads it — per side (``u`` first), per walk: slot 0 picks the
-    metapath, slot ``h`` picks hop ``h`` by :func:`uniform_pick`, until
-    the walk length is reached or no candidate exists.  Walks that fail
-    at the first hop are dropped (the reference's ``len(walk) > 1``
-    filter); slots a walk does not reach are never read.
+    The graph is static for the pass, so every live walk advances
+    together: per hop, the walks are grouped by ``(current node, hop
+    filter id)`` (:meth:`CompiledMetapathSet.hop_filters`),
+    :meth:`DMHG.candidates` is asked once per group, and each walk picks
+    ``offset[group] + int(u * n)`` in the concatenated answers.
     """
-    begin_edge = len(nodes)
-    hops = walk_length - 1
-    candidates = graph.candidates
-    for side, start in ((0, u), (1, v)):
-        options = compiled.for_type(graph.node_type_id(start))
-        if not options:
-            continue
-        num_options = len(options)
-        for slots in uniforms[side][:num_walks]:
-            # int(u * n) is uniform_pick, inlined on the hot path
-            mp = options[int(slots[0] * num_options)]
-            current = start
-            begin = len(nodes)
-            for (rel_ids, type_id), draw in zip(mp.filters_for(hops), slots[1:]):
-                others, hop_rels, hop_times = candidates(current, rel_ids, type_id)
-                n = len(others)
-                if n == 0:
-                    break
-                pick = int(draw * n)
-                current = others.item(pick)
-                nodes.append(current)
-                rels.append(hop_rels.item(pick))
-                times.append(hop_times.item(pick))
-            if len(nodes) > begin:
-                offsets.append(len(nodes))
-                sides.append(side)
-    return len(nodes) - begin_edge
+    batch = uv.shape[0]
+    if uniforms is None:
+        uniforms = np.empty((batch, 2, 0, 1), dtype=np.float64)
+    num_walks, length = uniforms.shape[2:]
+    hops = length - 1
+    table = compiled.hop_filters(hops)
+    num_filters = len(table.filters)
+    # walk ``(b, side, w)`` is row ``(2b + side) * k + w``
+    draws = uniforms.reshape(-1, length)
+    types = np.repeat(start_types.reshape(-1), num_walks)
+    count = table.option_count[types]
+    option = table.option_base[types] + (draws[:, 0] * count).astype(np.int64)
+    taken = np.zeros(draws.shape[0], dtype=np.int64)
+    hop_nodes = np.empty((draws.shape[0], hops), dtype=np.int64)
+    hop_rels = np.empty((draws.shape[0], hops), dtype=np.int64)
+    hop_times = np.empty((draws.shape[0], hops), dtype=np.float64)
+    live = np.flatnonzero(count > 0)
+    current = np.repeat(uv.reshape(-1), num_walks)[live]
+    lookups = 0
+    for h in range(hops):
+        if not live.size:
+            break
+        keys = current * num_filters + table.table[option[live], h]
+        groups, inverse = np.unique(keys, return_inverse=True)
+        lookups += groups.size
+        nodes_of, filters_of = np.divmod(groups, num_filters)
+        answers = [
+            graph.candidates(node, *table.filters[f])
+            for node, f in zip(nodes_of.tolist(), filters_of.tolist())
+        ]
+        sizes = np.asarray([a[0].size for a in answers], dtype=np.int64)
+        n = sizes[inverse]
+        moving = n > 0
+        live, n = live[moving], n[moving]
+        first = np.cumsum(sizes) - sizes
+        pick = first[inverse[moving]] + (draws[live, h + 1] * n).astype(np.int64)
+        current = np.concatenate([a[0] for a in answers])[pick]
+        hop_nodes[live, h] = current
+        hop_rels[live, h] = np.concatenate([a[1] for a in answers])[pick]
+        hop_times[live, h] = np.concatenate([a[2] for a in answers])[pick]
+        taken[live] += 1
+    reached = np.arange(hops) < taken[:, None]
+    kept = taken > 0
+    offsets = np.zeros(int(kept.sum()) + 1, dtype=np.int64)
+    np.cumsum(taken[kept], out=offsets[1:])
+    sides = np.tile(np.repeat(np.arange(2, dtype=np.int64), num_walks), batch)
+    return PassWalks(
+        nodes=hop_nodes[reached],
+        rels=hop_rels[reached],
+        times=hop_times[reached],
+        offsets=offsets,
+        sides=sides[kept],
+        hop_counts=taken.reshape(batch, 2 * num_walks).sum(axis=1),
+        lookups=lookups,
+    )
 
 
 def sample_metapath_walk(

@@ -13,10 +13,17 @@ from repro.graph.sampling import (
     random_walk_corpus,
     sample_influenced_graph_compiled,
     sample_metapath_walk,
-    sample_walks_into,
+    sample_pass_walks,
     uniform_pick,
 )
 from repro.graph.schema import GraphSchema
+
+
+def _pass_walk_nodes(graph, u, v, compiled, block):
+    """Hop nodes of one edge's walks through :func:`sample_pass_walks`."""
+    uv = np.asarray([[u, v]], dtype=np.int64)
+    types = graph.node_type_ids()[uv]
+    return sample_pass_walks(graph, uv, types, compiled, block[None]).nodes.tolist()
 
 
 def sample_influenced_graph(
@@ -128,10 +135,7 @@ class TestUniformPick:
         candidate at every hop, on both samplers, without overrunning."""
         compiled = CompiledMetapathSet([metapath], small_graph.schema)
         block = np.full((2, 2, 3), np.nextafter(1.0, 0.0))
-        nodes = []
-        sample_walks_into(
-            small_graph, 0, 5, compiled, 2, 3, block.tolist(), nodes, [], [], [0], []
-        )
+        nodes = _pass_walk_nodes(small_graph, 0, 5, compiled, block)
         ig = sample_influenced_graph_compiled(
             small_graph, 0, 5, 0, 9.0, compiled, 2, 3, uniforms=block
         )
@@ -153,11 +157,13 @@ class TestUniformPick:
             g.add_edge(0, 1 + i, "click", float(i))
         compiled = CompiledMetapathSet([metapath], schema)
         walks = 7000
-        block = np.random.default_rng(2023).random((2, walks, 2)).tolist()
-        nodes, sides = [], []
-        sample_walks_into(g, 0, 1, compiled, walks, 2, block, nodes, [], [], [0], sides)
-        assert sides == [0] * walks
-        counts = np.bincount(np.asarray(nodes) - 1, minlength=7)
+        block = np.random.default_rng(2023).random((2, walks, 2))
+        uv = np.asarray([[0, 1]], dtype=np.int64)
+        pass_walks = sample_pass_walks(
+            g, uv, g.node_type_ids()[uv], compiled, block[None]
+        )
+        assert pass_walks.sides.tolist() == [0] * walks
+        counts = np.bincount(pass_walks.nodes - 1, minlength=7)
         expected = walks / 7
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         # 22.46 is the 0.999 quantile of chi-square with 6 degrees of freedom

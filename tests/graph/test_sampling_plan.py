@@ -1,17 +1,17 @@
 """The plan sampler's per-pass draw contract and the candidate memo.
 
-``sample_walks_into`` feeds the batched engine; given the same uniforms
-it must walk exactly what :func:`sample_influenced_graph_compiled`
-walks, a compiled pass must consume the model RNG exactly as the two
-documented draws do (DESIGN.md §9 rule 2), and the memo behind
-:meth:`DMHG.candidates` must answer repeats without going stale when the
-graph mutates.
+:func:`sample_pass_walks` feeds the batched engine; given the same
+uniforms it must walk exactly what the per-edge
+:func:`sample_influenced_graph_compiled` walks, a compiled pass must
+consume the model RNG exactly as the two documented draws do (DESIGN.md
+§9 rule 2), and the memo behind :meth:`DMHG.candidates` must answer
+repeats without going stale when the graph mutates.
 """
-
-from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 from repro.core.config import SUPAConfig
 from repro.core.engine.plan import compile_plan
@@ -23,8 +23,12 @@ from repro.graph.metapath import MultiplexMetapath
 from repro.graph.sampling import (
     CompiledMetapathSet,
     sample_influenced_graph_compiled,
-    sample_walks_into,
+    sample_pass_walks,
 )
+from repro.graph.schema import GraphSchema
+
+#: the array fields of :class:`~repro.graph.sampling.PassWalks`
+_ARRAYS = ("nodes", "rels", "times", "offsets", "sides", "hop_counts")
 
 
 @pytest.fixture
@@ -32,29 +36,41 @@ def compiled(small_graph, metapath):
     return CompiledMetapathSet([metapath], small_graph.schema)
 
 
-class _WalkArrays(NamedTuple):
-    nodes: np.ndarray
-    rels: np.ndarray
-    times: np.ndarray
-    offsets: np.ndarray
-    sides: np.ndarray
+def _pass_walks(graph, uv, compiled, uniforms):
+    """:func:`sample_pass_walks` over the ``(B, 2)`` edges ``uv``."""
+    uv = np.asarray(uv, dtype=np.int64).reshape(-1, 2)
+    return sample_pass_walks(
+        graph, uv, graph.node_type_ids()[uv], compiled, np.asarray(uniforms)
+    )
 
 
-def _sample_walk_arrays(graph, u, v, compiled, uniforms, num_walks=4):
-    """One edge's walks through :func:`sample_walks_into`, as arrays."""
-    nodes, rels, times, offsets, sides = [], [], [], [0], []
-    count = sample_walks_into(
-        graph, u, v, compiled, num_walks, 4, uniforms.tolist(),
-        nodes, rels, times, offsets, sides,
+def _oracle_walks(graph, uv, compiled, uniforms):
+    """The same arrays from the per-edge object sampler, edge by edge."""
+    nodes, rels, times, offsets, sides, hop_counts = [], [], [], [0], [], []
+    _, _, num_walks, length = uniforms.shape
+    for (u, v), block in zip(uv, uniforms):
+        influenced = sample_influenced_graph_compiled(
+            graph, u, v, 0, 0.0, compiled, num_walks, length, uniforms=block
+        )
+        begin = len(nodes)
+        for side, walks in enumerate((influenced.walks_u, influenced.walks_v)):
+            for walk in walks:
+                for step in walk.hops():
+                    nodes.append(step.node)
+                    rels.append(step.rel)
+                    times.append(step.t)
+                offsets.append(len(nodes))
+                sides.append(side)
+        hop_counts.append(len(nodes) - begin)
+    return dict(
+        nodes=nodes, rels=rels, times=times, offsets=offsets, sides=sides,
+        hop_counts=hop_counts,
     )
-    assert count == len(nodes)
-    return _WalkArrays(
-        np.asarray(nodes, dtype=np.int64),
-        np.asarray(rels, dtype=np.int64),
-        np.asarray(times, dtype=np.float64),
-        np.asarray(offsets, dtype=np.int64),
-        np.asarray(sides, dtype=np.int64),
-    )
+
+
+def _assert_same_walks(walks, expected):
+    for name in _ARRAYS:
+        assert getattr(walks, name).tolist() == expected[name], name
 
 
 def _uniforms(seed, num_walks=4):
@@ -64,7 +80,7 @@ def _uniforms(seed, num_walks=4):
 
 def _plan(graph, compiled, seed):
     """Walks of edge (0, 5)."""
-    return _sample_walk_arrays(graph, 0, 5, compiled, _uniforms(seed))
+    return _pass_walks(graph, [0, 5], compiled, _uniforms(seed)[None])
 
 
 @pytest.fixture
@@ -88,35 +104,100 @@ class TestPlanSampler:
         order, as the object sampler the oracle engine walks with."""
         for seed in range(8):
             plan = _plan(small_graph, two_sided, seed)
-            influenced = sample_influenced_graph_compiled(
-                small_graph, 0, 5, 0, 9.0, two_sided,
-                num_walks=4, walk_length=4, uniforms=_uniforms(seed),
+            block = _uniforms(seed)[None]
+            _assert_same_walks(
+                plan, _oracle_walks(small_graph, [(0, 5)], two_sided, block)
             )
-            walks = [(0, w) for w in influenced.walks_u] + [
-                (1, w) for w in influenced.walks_v
-            ]
-            assert plan.sides.tolist() == [side for side, _ in walks]
-            flat_nodes, flat_rels, flat_times, offsets = [], [], [], [0]
-            for _, walk in walks:
-                for step in walk.hops():
-                    flat_nodes.append(step.node)
-                    flat_rels.append(step.rel)
-                    flat_times.append(step.t)
-                offsets.append(len(flat_nodes))
-            assert plan.nodes.tolist() == flat_nodes
-            assert plan.rels.tolist() == flat_rels
-            assert plan.times.tolist() == flat_times
-            assert plan.offsets.tolist() == offsets
             assert set(plan.sides.tolist()) == {0, 1}
 
     def test_empty_graph_yields_empty_plan(self, schema, compiled):
         g = DMHG(schema)
         g.add_nodes("user", 1)
         g.add_nodes("video", 1)
-        plan = _sample_walk_arrays(g, 0, 1, compiled, _uniforms(0, 3), num_walks=3)
+        plan = _pass_walks(g, [0, 1], compiled, _uniforms(0, 3)[None])
         assert plan.nodes.size == 0
         assert plan.offsets.tolist() == [0]
         assert plan.sides.size == 0
+        assert plan.hop_counts.tolist() == [0]
+
+    def test_one_lookup_per_distinct_node_and_filter(self, small_graph, compiled):
+        """Four edges from one user ask the memo once per hop level for
+        the user, where the per-edge sampler asks once per walk."""
+        calls = []
+        candidates = small_graph.candidates
+        small_graph.candidates = lambda *key: calls.append(key) or candidates(*key)
+        uniforms = np.random.default_rng(0).random((4, 2, 4, 2))
+        walks = _pass_walks(small_graph, [(0, 5)] * 4, compiled, uniforms)
+        # hop 1 only: user 0 (one filter); videos head no metapath
+        assert walks.lookups == len(calls) == 1
+        assert walks.hop_counts.tolist() == [4] * 4
+
+
+# ------------------------------------------------- the pass sampler ≡ oracle
+
+#: three node types and three edge types, any type pair may connect
+_SCHEMA = GraphSchema.create(["a", "b", "c"], ["r0", "r1", "r2"])
+#: two metapaths headed by "a", one by "b", none by "c"
+_METAPATHS = [
+    MultiplexMetapath.create(["a", "b", "a"], [["r0", "r1"], ["r0", "r1"]]),
+    MultiplexMetapath.create(["a", "a"], [["r2"]]),
+    MultiplexMetapath.create(
+        ["b", "a", "c", "a", "b"], [["r1", "r2"], ["r0"], ["r0"], ["r1", "r2"]]
+    ),
+]
+
+
+@given(
+    types=st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    edges=st.lists(
+        st.tuples(st.integers(0, 63), st.integers(0, 63), st.integers(0, 2)),
+        min_size=8,
+        max_size=48,
+    ),
+    removed=st.lists(st.integers(0, 63), max_size=6),
+    eta=st.sampled_from([None, 2, 5]),
+    options=st.permutations(range(len(_METAPATHS))).flatmap(
+        lambda order: st.integers(0, len(order)).map(lambda n: order[:n])
+    ),
+    batch=st.lists(
+        st.tuples(st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=6
+    ),
+    num_walks=st.integers(0, 4),
+    walk_length=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+    top=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_pass_walks_match_the_per_edge_oracle(
+    types, edges, removed, eta, options, batch, num_walks, walk_length, seed, top
+):
+    """Random multiplex graphs (self-loops, removals, an η cap), any
+    metapath subset and order, batches that repeat endpoints: the pass
+    sampler walks hop for hop what the per-edge oracle walks."""
+    graph = DMHG(_SCHEMA, max_neighbors=eta)
+    for type_id in types:
+        graph.add_node(_SCHEMA.node_types[type_id])
+    n = len(types)
+    for t, (u, v, rel) in enumerate(edges):
+        graph.add_edge(u % n, v % n, _SCHEMA.edge_types[rel], float(t))
+    for index in removed:
+        graph.remove_edge(index % len(edges))
+    compiled = CompiledMetapathSet([_METAPATHS[i] for i in options], _SCHEMA)
+    uv = np.asarray(batch, dtype=np.int64) % n
+    shape = (len(batch), 2, num_walks, walk_length)
+    uniforms = np.random.default_rng(seed).random(shape)
+    if top:  # the largest uniform picks the last option or candidate
+        uniforms[..., ::2] = np.nextafter(1.0, 0.0)
+    calls = []
+    candidates = graph.candidates
+    graph.candidates = lambda *key: calls.append(key) or candidates(*key)
+    expected = _oracle_walks(graph, uv.tolist(), compiled, uniforms)
+    oracle_calls = len(calls)
+    # steer towards passes where many picks have a real choice
+    target(float(sum(candidates(*key)[0].size > 1 for key in calls)))
+    walks = _pass_walks(graph, uv, compiled, uniforms)
+    _assert_same_walks(walks, expected)
+    assert walks.lookups == len(calls) - oracle_calls <= oracle_calls
 
 
 # ------------------------------------------------------- the per-pass draws
@@ -196,8 +277,8 @@ class TestCandidateMemo:
         # Post-mutation, memoised answers must match a fresh graph's.
         warm = _plan(small_graph, compiled, seed=2)
         fresh = _plan(_copy(small_graph), compiled, seed=2)
-        for a, b in zip(warm, fresh):
-            assert a.tobytes() == b.tobytes()
+        for name in _ARRAYS:
+            assert getattr(warm, name).tobytes() == getattr(fresh, name).tobytes()
 
     def test_candidates_reflect_new_edge(self, small_graph):
         every_rel = frozenset(range(len(small_graph.schema.edge_types)))
