@@ -22,7 +22,7 @@ from repro.core import (
 from repro.datasets import Dataset, load_dataset
 from repro.eval import RankingEvaluator
 from repro.graph import DMHG, EdgeStream, GraphSchema, MultiplexMetapath
-from repro.serve import RecommendationService, ServeConfig, StreamReplayDriver
+from repro.serve import RecommendationService, ServeConfig
 
 __version__ = "1.0.0"
 
@@ -43,6 +43,5 @@ __all__ = [
     "MultiplexMetapath",
     "RecommendationService",
     "ServeConfig",
-    "StreamReplayDriver",
     "__version__",
 ]

@@ -10,11 +10,12 @@ Commands:
   comparison table.
 * ``mine`` — mine multiplex metapath schemas from a dataset prefix.
 * ``export`` — write a generated dataset's edge stream to TSV.
-* ``serve-replay`` — replay a dataset through the online serving layer
-  (:mod:`repro.serve`) and report throughput, latency and offline
-  parity.  ``--trace`` prints the observability story — span tree,
-  flame table, metrics snapshot — and with ``--output-dir`` writes
-  Prometheus-text and JSONL exports (see :mod:`repro.obs`).
+* ``serve-replay`` — ingest a dataset's stream into a fresh
+  ``RecommendationService`` with interleaved probes, flush, and gate
+  served-vs-offline parity (``failover.parity_matches``).  ``--trace``
+  prints the observability story — span tree, flame table, metrics
+  snapshot — and with ``--output-dir`` writes Prometheus-text and JSONL
+  exports (see :mod:`repro.obs`).
 * ``replicate`` — WAL-shipping replication roles (see
   :mod:`repro.replicate`): ``primary`` runs the writable update loop
   publishing its WAL, ``follower`` bootstraps a read replica and tails
@@ -31,9 +32,13 @@ the benchmark spine (``benchmarks/spine``), not by a command here.
 from __future__ import annotations
 
 import argparse
+import itertools
+import json
 import os
 import sys
 from typing import List, Optional
+
+import numpy as np
 
 from repro.baselines import available_baselines, make_baseline
 from repro.core import InsLearnConfig, SUPAConfig
@@ -42,6 +47,17 @@ from repro.datasets.loaders import save_edge_tsv
 from repro.eval import LinkPredictionProtocol
 from repro.graph.mining import mine_metapaths
 from repro.utils.tables import format_table
+
+#: ``recommend`` probes ``serve-replay`` issues every ``--probe-every`` events
+PROBES_PER_CHECKPOINT = 4
+
+
+def _positive_int(text: str) -> int:
+    """A count of at least 1: a parity gate over no users checks nobody."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_common(
@@ -62,7 +78,9 @@ def _add_serving(
     parser: argparse.ArgumentParser, batch_size: int, capacity: int
 ) -> None:
     """The serving-stack flags every service-building command takes."""
-    parser.add_argument("--k", type=int, default=10, help="recommendation list length")
+    parser.add_argument(
+        "--k", type=_positive_int, default=10, help="recommendation list length"
+    )
     parser.add_argument("--dim", type=int, default=32)
     parser.add_argument(
         "--batch-size", type=int, default=batch_size, help="update micro-batch"
@@ -210,35 +228,68 @@ def _print_summary(title: str, rows) -> None:
 
 
 def cmd_serve_replay(args: argparse.Namespace) -> int:
+    from repro.core.model import SUPA
     from repro.obs import (
         format_flame_table,
         format_span_tree,
         to_prometheus_text,
         write_jsonl_snapshot,
     )
-    from repro.serve import ServeConfig, StreamReplayDriver
+    from repro.replicate.failover import parity_matches
+    from repro.serve import RecommendationService, ServeConfig
+    from repro.utils.timer import Timer
 
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    driver = StreamReplayDriver(
+    service = RecommendationService(
         dataset,
-        k=args.k,
-        serve_config=ServeConfig(
-            batch_size=args.batch_size, capacity=args.capacity
-        ),
-        model_config=_serving_model_config(args),
-        probe_every=args.probe_every,
-        max_parity_users=args.max_parity_users,
-        seed=args.seed,
+        model=SUPA.for_dataset(dataset, _serving_model_config(args)),
+        config=ServeConfig(batch_size=args.batch_size, capacity=args.capacity),
         trace=args.trace,
     )
-    service = driver.build_service()
-    report = driver.run(service)
+    probes = itertools.cycle(service.users)
+    timer = Timer()
+    with timer:
+        for position, edge in enumerate(dataset.stream, 1):
+            service.ingest(edge)
+            if position % args.probe_every == 0:
+                for _ in range(PROBES_PER_CHECKPOINT):
+                    service.recommend(int(next(probes)), args.k)
+        service.flush()
+    events = len(dataset.stream)
+    # read before the parity check, whose reads must not land in them
+    rows = [("events replayed", events), ("events / s", events / timer.elapsed)]
+    rows += [
+        (name.replace("_", " "), int(v) if v.is_integer() else v)
+        for name, v in service.stats().items()
+    ]
+    metrics = service.metrics.as_dict()
+
+    users = service.users
+    if args.max_parity_users is not None and users.size > args.max_parity_users:
+        picks = np.linspace(0, users.size - 1, args.max_parity_users)
+        users = users[picks.astype(np.int64)]
+    matches = parity_matches(service, users, args.k)
+    fraction = matches / max(1, users.size)
+    rows += [
+        (f"top-{args.k} parity", f"{matches}/{users.size}"),
+        ("parity fraction", fraction),
+    ]
     _print_summary(
-        f"serve-replay: {args.dataset} (scale={args.scale}, k={args.k})",
-        report.summary_rows(),
+        f"serve-replay: {args.dataset} (scale={args.scale}, k={args.k})", rows
     )
     if args.output:
-        print(f"wrote {report.write_json(args.output)}")
+        report = {
+            "dataset": dataset.name,
+            "k": args.k,
+            "parity_users": int(users.size),
+            "parity_matches": matches,
+            "parity_fraction": fraction,
+            "metrics": metrics,
+        }
+        os.makedirs(os.path.dirname(os.path.abspath(args.output)), exist_ok=True)
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {args.output}")
     if args.trace:
         tracer = service.tracer
         print()
@@ -264,9 +315,9 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
             print()
             print(f"wrote {prom_path}")
             print(f"wrote {jsonl_path}")
-    if report.parity_fraction < args.min_parity:
+    if fraction < args.min_parity:
         print(
-            f"FAIL: parity {report.parity_fraction:.4f} below "
+            f"FAIL: parity {fraction:.4f} below "
             f"--min-parity {args.min_parity}"
         )
         return 1
@@ -494,9 +545,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common(p)
     _add_serving(p, batch_size=256, capacity=2048)
-    p.add_argument("--probe-every", type=int, default=64)
+    p.add_argument("--probe-every", type=_positive_int, default=64)
     p.add_argument(
-        "--max-parity-users", type=int, default=None, help="cap parity check users"
+        "--max-parity-users", type=_positive_int, help="cap parity check users"
     )
     p.add_argument(
         "--min-parity",
@@ -569,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_replicate_common(rp)
     rp.add_argument(
-        "--probes", type=int, default=16, help="read probes after draining"
+        "--probes", type=_positive_int, default=16, help="read probes after draining"
     )
     rp.set_defaults(func=cmd_replicate_follower)
 
@@ -602,7 +653,7 @@ def build_parser() -> argparse.ArgumentParser:
         "golden run",
     )
     rp.add_argument(
-        "--probes", type=int, default=16, help="parity probes when verifying"
+        "--probes", type=_positive_int, default=16, help="parity probes when verifying"
     )
     rp.set_defaults(func=cmd_replicate_promote)
 

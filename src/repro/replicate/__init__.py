@@ -15,9 +15,9 @@ durability layer — no new log format, no consensus:
   into its own store/index (bitwise-parity discipline borrowed from
   crash recovery) and serves read-only top-K with measured, bounded
   staleness — or promotes itself to writable when the primary dies;
-* :mod:`~repro.replicate.failover` — :func:`compare_services`, the
-  bitwise-parity check (state fingerprint, RNG streams, top-K) of a
-  replica or promoted node against a reference.
+* :mod:`~repro.replicate.failover` — the determinism contract:
+  served ≡ offline (``parity_matches``) and :func:`compare_services`
+  (state fingerprint, RNG streams, top-K) against a reference.
 """
 
 from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path

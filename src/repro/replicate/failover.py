@@ -1,11 +1,12 @@
-"""Is a recovered or promoted service the one that never stopped?
+"""Served ≡ offline, and recovered or promoted ≡ never stopped.
 
-:func:`state_fingerprint` hashes a service's learned state and
-:func:`compare_services` adds both RNG streams and the served top-K:
-the bitwise-parity comparison behind ``replicate follower`` /
-``promote --verify-parity`` and the load harness's replay audit.  The
-fault injector that drives crashes, recoveries and promotions against it
-is a model-based test, ``tests/resilience/test_service_machine.py``.
+:func:`parity_matches` counts users served exactly the offline Eq. 15
+ranking (the gate of ``repro serve-replay``); :func:`state_fingerprint`
+hashes a service's learned state and :func:`compare_services` adds both
+RNG streams and the served top-K: the bitwise-parity comparison behind
+``replicate follower`` / ``promote --verify-parity``.  The fault
+injector that drives crashes, recoveries and promotions against it is a
+model-based test, ``tests/resilience/test_service_machine.py``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,30 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from repro.resilience.checkpoint import _flatten
-from repro.serve.replay import parity_matches
 from repro.serve.service import RecommendationService
+
+
+def parity_matches(
+    service: RecommendationService,
+    users: Iterable[int],
+    k: int,
+    golden: Optional[RecommendationService] = None,
+) -> int:
+    """How many of ``users`` are served exactly the offline ranking.
+
+    A user matches when ``service``'s served top-``k`` equals its own
+    brute-force ``offline_top_k`` — and, given a ``golden`` service,
+    that service's served list as well.
+    """
+    matches = 0
+    for user in users:
+        served = service.recommend(int(user), k)
+        if np.array_equal(served, service.offline_top_k(int(user), k)) and (
+            golden is None
+            or np.array_equal(served, golden.recommend(int(user), k))
+        ):
+            matches += 1
+    return matches
 
 
 def state_fingerprint(service: RecommendationService) -> str:

@@ -20,9 +20,10 @@ live platform while it learns"; this package is that deployment story:
   façade (``ingest`` / ``recommend`` / ``flush``);
 * :mod:`repro.obs.metrics` — the counters, gauges and latency
   histograms the service registers (``MetricsRegistry`` is re-exported
-  here);
-* :mod:`repro.serve.replay` — deterministic stream replay with
-  offline-parity checking (the ``repro serve-replay`` command).
+  here).
+
+``repro serve-replay`` drives the service directly; its parity check is
+:func:`repro.replicate.failover.parity_matches`.
 """
 
 from repro.obs.metrics import MetricsRegistry
@@ -34,7 +35,6 @@ from repro.serve.admission import (
 from repro.serve.dispatch import DispatchWorker
 from repro.serve.index import TopKIndex
 from repro.serve.ingest import BackpressureError, DeadLetter, EventQueue
-from repro.serve.replay import ReplayReport, StreamReplayDriver
 from repro.serve.service import QueryResult, RecommendationService, ServeConfig
 from repro.serve.store import (
     DecayedEmbeddingStore,
@@ -56,10 +56,8 @@ __all__ = [
     "MetricsRegistry",
     "QueryResult",
     "RecommendationService",
-    "ReplayReport",
     "ServeConfig",
     "Snapshot",
-    "StreamReplayDriver",
     "TopKIndex",
     "VersionedEmbeddingStore",
 ]

@@ -54,13 +54,8 @@ from repro.serve.store import DecayedEmbeddingStore, VersionedEmbeddingStore
 
 @dataclass
 class ServeConfig:
-    """Serving-side knobs (model/training knobs stay on their configs).
+    """Serving-side knobs (model/training knobs stay on their configs)."""
 
-    ``edge_type`` selects the recommendation relation; ``None`` uses the
-    dataset's first target edge type (or first schema edge type).
-    """
-
-    edge_type: Optional[str] = None
     batch_size: int = 256  # events per update micro-batch (serving S_batch)
     capacity: int = 2048  # queue bound before backpressure
     overflow: str = "raise"  # backpressure policy: raise | drop_new | drop_oldest
@@ -173,7 +168,8 @@ class RecommendationService:
     Parameters
     ----------
     dataset:
-        Fixes the node universe, schema and candidate catalogue.
+        Fixes the node universe, schema, candidate catalogue and the
+        served relation (its first target edge type, else schema's).
     model / train_config:
         The :class:`SUPA` model (a fresh one when omitted) and the
         config of the :class:`InsLearnTrainer` the service builds on it.
@@ -212,13 +208,8 @@ class RecommendationService:
         )
 
         schema = dataset.schema
-        if self.config.edge_type is not None:
-            self.edge_type = self.config.edge_type
-        elif dataset.target_edge_types:
-            self.edge_type = dataset.target_edge_types[0]
-        else:
-            self.edge_type = schema.edge_types[0]
-        schema.edge_type_id(self.edge_type)  # validates
+        targets = dataset.target_edge_types
+        self.edge_type = targets[0] if targets else schema.edge_types[0]
         self.user_type, self.item_type = schema.endpoints_of(self.edge_type)
         self.users = dataset.nodes_of_type(self.user_type)
         self.items = dataset.nodes_of_type(self.item_type)

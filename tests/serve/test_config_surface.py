@@ -27,7 +27,7 @@ def field_names(cls):
 
 def test_serve_config_fields():
     assert field_names(ServeConfig) == {
-        "edge_type", "batch_size", "capacity", "overflow", "cache_size",
+        "batch_size", "capacity", "overflow", "cache_size",
         "warm_users", "read_only",
         "wal_path", "wal_fsync", "wal_segment_bytes",
         "checkpoint_dir", "checkpoint_every", "late_tolerance",

@@ -37,10 +37,10 @@ class TestConfig:
             ServeConfig(batch_size=8, capacity=4)
 
     def test_edge_type_resolution(self, small_dataset):
-        svc = make_service(small_dataset)
-        assert svc.edge_type in small_dataset.schema.edge_types
-        svc2 = make_service(small_dataset, edge_type="like")
-        assert svc2.edge_type == "like"
+        """The dataset's first target relation, else its first schema one."""
+        assert make_service(small_dataset).edge_type == "click"
+        small_dataset.target_edge_types = ["like"]
+        assert make_service(small_dataset).edge_type == "like"
 
 
 class TestDeadletter:

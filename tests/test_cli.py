@@ -194,16 +194,16 @@ class TestServeReplay:
 
     def test_capacity_reaches_the_queue(self, monkeypatch, capsys):
         """A batch above the default capacity needs --capacity to land."""
-        from repro.serve import StreamReplayDriver
+        import repro.serve
 
         built = []
-        build = StreamReplayDriver.build_service
+        build = repro.serve.RecommendationService
 
-        def spy(driver):
-            built.append(build(driver))
+        def spy(*args, **kwargs):
+            built.append(build(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(StreamReplayDriver, "build_service", spy)
+        monkeypatch.setattr(repro.serve, "RecommendationService", spy)
         code = main(
             [
                 "serve-replay", "--dataset", "uci", "--scale", "0.05", "--dim", "8",
@@ -214,6 +214,61 @@ class TestServeReplay:
         assert code == 0
         assert built[0].queue.capacity == 8192
         assert "serve-replay: uci" in capsys.readouterr().out
+
+    def test_a_cap_of_one_checks_one_user(self, tmp_path, capsys):
+        out = tmp_path / "nested" / "serving.json"
+        code = main(
+            [
+                "serve-replay", "--dataset", "uci", "--scale", "0.05", "--dim", "8",
+                "--batch-size", "64", "--max-parity-users", "1", "--output", str(out),
+            ]
+        )
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert set(payload) == {
+            "dataset", "k", "parity_users", "parity_matches", "parity_fraction",
+            "metrics",
+        }
+        assert payload["parity_users"] == 1 and payload["parity_matches"] == 1
+
+
+SERVE_REPLAY = ["serve-replay", "--dataset", "uci"]
+FOLLOWER = ["replicate", "follower", "--dataset", "uci", "--state-dir", "s"]
+PROMOTE = [
+    "replicate", "promote", "--dataset", "uci", "--state-dir", "s",
+    "--replica-dir", "r",
+]
+
+
+class TestCountsBelowOne:
+    """A count below one exits 2 at parse time.  ``--probes 0`` passed
+    the follower's parity gate as 0/0 and ``--probes -3`` checked all
+    users but the last three; ``--k 0`` and ``--probe-every 0`` ended in
+    a traceback, ``--k 0`` only after the whole replay."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SERVE_REPLAY + ["--k", "0"],
+            SERVE_REPLAY + ["--probe-every", "0"],
+            SERVE_REPLAY + ["--max-parity-users", "0"],
+            SERVE_REPLAY + ["--max-parity-users", "-3"],
+            FOLLOWER + ["--probes", "0"],
+            FOLLOWER + ["--probes", "-3"],
+            PROMOTE + ["--probes", "0"],
+            PROMOTE + ["--k", "-1"],
+        ],
+        ids=[
+            "k-0", "probe-every-0", "max-parity-users-0", "max-parity-users-neg",
+            "follower-probes-0", "follower-probes-neg", "promote-probes-0",
+            "promote-k-neg",
+        ],
+    )
+    def test_exits_2_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
 
 class TestReplicate:
