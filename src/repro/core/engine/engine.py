@@ -301,16 +301,18 @@ class BatchedEngine(_EngineBase):
 
         Each round is one pass of stacked kernels over its ``k`` edges'
         ``(2k, dim)`` endpoint rows, hop rows and negative rows (all
-        gathered from round-start memory), then the barrier: one fused
-        optimiser call each for the round's long and short rows
-        (endpoint-disjoint, so unique up to self-loops), the context
-        rows swept by occurrence rank (one call when no two edges of the
-        round share a row — Adam is per-row, so a row's updates land in
-        edge order either way), and the alpha slots as one in-order
-        chain of scalar steps (nearly every edge shares them, so each
-        step needs the moments the previous edge left).  The
-        arithmetic, the optimiser-update gating and the per-row update
-        order are exactly those of :class:`ReferenceEngine`.
+        gathered from round-start memory), then the barrier: long,
+        short and context rows share one table, so the round's long rows
+        (endpoint-disjoint, so unique up to self-loops), its short rows
+        (at ``+N``) and its first occurrence of every context row (at
+        ``+2N``) take **one** optimiser call; a context row several
+        edges of the round share takes its later occurrences in
+        occurrence-rank sweeps after it (Adam is per-row, so a row's
+        updates land in edge order either way), and the alpha slots
+        one in-order chain of scalar steps (nearly every edge shares
+        them, so each step needs the moments the previous edge left).
+        The arithmetic, the optimiser-update gating and the per-row
+        update order are exactly those of :class:`ReferenceEngine`.
         """
         model = self.model
         cfg = model.config
@@ -321,7 +323,10 @@ class BatchedEngine(_EngineBase):
         # endpoints, each edge's unique context rows), so InsLearn's
         # rollback needs no hook in the round loop.
         optimizer.save_rows(plan.nodes, plan.ctx_rows)
-        ctx_flat = optimizer._context_flat
+        num_nodes = memory.num_nodes
+        # Context rows as table rows; ``ctx_flat`` is the context block.
+        ctx_table_rows = plan.ctx_rows + memory.context_offset
+        ctx_flat = memory.table[memory.context_offset :]
         mem_long = memory.long
         mem_short = memory.short
         mem_alpha = memory.alpha
@@ -340,9 +345,7 @@ class BatchedEngine(_EngineBase):
         )
         propagation_rows = wrap("core.kernels.propagate", kernels.propagation_rows)
         negative_rows = wrap("core.kernels.negative", kernels.negative_rows)
-        update_long = wrap("core.engine.apply", optimizer.long.update_rows)
-        update_short = wrap("core.engine.apply", optimizer.short.update_rows)
-        update_context = wrap("core.engine.apply", optimizer.context.update_rows)
+        update_rows = wrap("core.engine.apply", optimizer.table.update_rows)
         update_alpha = wrap("core.engine.apply", optimizer.alpha.update_chain)
         use_inter = cfg.use_inter
         use_prop = cfg.use_prop and cfg.num_walks > 0
@@ -361,6 +364,7 @@ class BatchedEngine(_EngineBase):
         inter_loss = np.zeros(num_edges, dtype=np.float64)
         prop_loss = np.zeros(num_edges, dtype=np.float64)
         neg_side_loss = np.zeros(2 * num_edges, dtype=np.float64)
+        adam_calls = 0
 
         for r in range(plan.num_rounds):
             e0 = edge_bounds[r]
@@ -422,14 +426,14 @@ class BatchedEngine(_EngineBase):
             )
 
             # --- round barrier: apply ------------------------------------
-            if has_self_loop[r]:
-                update_long(*accumulate_rows(nodes, g_long))
-                if g_short is not None:
-                    update_short(*accumulate_rows(nodes, g_short))
+            if g_short is not None:
+                rows = np.concatenate((nodes, nodes + num_nodes))
+                grads = np.concatenate((g_long, g_short))
             else:
-                update_long(nodes, g_long)
-                if g_short is not None:
-                    update_short(nodes, g_short)
+                rows, grads = nodes, g_long
+            if has_self_loop[r]:
+                rows, grads = accumulate_rows(rows, grads)
+            sweeps = ()
             if ctx_grad_parts:
                 stack = (
                     np.concatenate(ctx_grad_parts, axis=0)
@@ -447,14 +451,19 @@ class BatchedEngine(_EngineBase):
                         plan.ctx_later_dest[later],
                         stack[plan.ctx_later_sel[later]],
                     )
-                rows = plan.ctx_rows[block]
+                ctx_rows = ctx_table_rows[block]
+                first = slice(None)
                 if max_rank[r]:
                     rank = plan.ctx_rank[block]
-                    for sweep in range(max_rank[r] + 1):
-                        pick = np.flatnonzero(rank == sweep)
-                        update_context(rows[pick], summed[pick])
-                else:
-                    update_context(rows, summed)
+                    first, *sweeps = [
+                        np.flatnonzero(rank == k) for k in range(max_rank[r] + 1)
+                    ]
+                rows = np.concatenate((rows, ctx_rows[first]))
+                grads = np.concatenate((grads, summed[first]))
+            update_rows(rows, grads)
+            for pick in sweeps:
+                update_rows(ctx_rows[pick], summed[pick])
+            adam_calls += 1 + len(sweeps)
             if g_alpha is not None:
                 update_alpha(*_alpha_steps(alpha_slots, g_alpha))
 
@@ -476,7 +485,10 @@ class BatchedEngine(_EngineBase):
         model.last_loss_components = {
             name: float(values[last]) for name, values in components.items()
         }
-        all_nodes = np.concatenate((plan.nodes, plan.ctx_rows % memory.num_nodes))
+        if tracer.registry is not None:
+            # table ``update_rows`` calls; the alpha chain is one per round
+            tracer.registry.counter("engine.apply.adam_calls").inc(adam_calls)
+        all_nodes = np.concatenate((plan.nodes, plan.ctx_rows % num_nodes))
         model.last_touched_nodes = tuple(np.unique(all_nodes).tolist())
         return losses
 

@@ -8,6 +8,12 @@ touches only a handful of rows, updates go through a *sparse* Adam that
 keeps per-row step counts for bias correction (the numpy analogue of
 ``torch.optim.SparseAdam``).
 
+The three kinds of row live in **one** ``((2 + R) · N, d)`` table —
+long rows at ``[0, N)``, short rows at ``[N, 2N)``, context rows from
+``2N`` — under one :class:`SparseAdam`, so a round barrier applies all
+of them in one call.  ``long`` / ``short`` / ``context`` are views of
+that table.
+
 The same sparsity makes InsLearn's best-model restore (Algorithm 1
 line 20) cheap: :meth:`SparseAdam.update_rows` is the only writer of
 learnable state, so an **undo log** of the pre-images of the rows
@@ -24,6 +30,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.utils.rng import RngLike, new_rng
+
+_ALL = slice(None)
 
 
 class SparseAdam:
@@ -57,10 +65,13 @@ class SparseAdam:
         # start at 1).  Entries are produced by the same ``**`` ufunc the
         # per-call code used, so looked-up values are identical; the
         # lookup replaces two transcendental ``np.power`` evaluations
-        # per update, which is measurable because this runs four times
-        # per streamed edge.
+        # per update.
         self._corr1 = np.empty(0, dtype=np.float64)
         self._corr2 = np.empty(0, dtype=np.float64)
+        # An upper bound on every row's step count: an ``update_rows``
+        # call raises a row's count by at most one, so counting calls
+        # sizes the tables without a per-call ``max`` over the rows.
+        self._step_bound = 0
         # Undo log: ``None`` while closed; while open, the pre-images
         # ``(rows, param, m, v, steps)`` saved since the last mark, with
         # ``_logged`` flagging those rows so each is saved once per mark.
@@ -123,31 +134,54 @@ class SparseAdam:
         before calling.  While the undo log is open the caller saves
         the rows first (:meth:`save_rows`) — once per replay pass from
         the compiled plan, not here: a per-call "already logged?"
-        gather, four calls per edge, measurably slows large batches.
+        gather measurably slows large batches.
+
+        Every value is the textbook expression ``param -= lr · m̂ /
+        (√v̂ + ε)`` with ``m̂ = m / (1 − β₁ᵗ)``, ``v̂ = v / (1 − β₂ᵗ)``,
+        evaluated in that operation order on ``take`` gathers and
+        in-place temporaries; ``tests/core/test_memory.py`` keeps the
+        expression form as the bitwise oracle.
         """
         rows = np.asarray(rows, dtype=np.int64)
         if rows.size == 0:
             return
         grads = np.asarray(grads, dtype=np.float64)
-        if grads.shape != (rows.size, self.param.shape[1]):
+        param = self.param
+        if grads.shape != (rows.size, param.shape[1]):
             raise ValueError(
                 f"grads shape {grads.shape} does not match "
-                f"({rows.size}, {self.param.shape[1]})"
+                f"({rows.size}, {param.shape[1]})"
             )
         if self.weight_decay:
-            grads = grads + self.weight_decay * self.param[rows]
-        t = self._steps[rows] + 1
+            grads = grads + self.weight_decay * param.take(rows, axis=0)
+        t = self._steps.take(rows)
+        t += 1
         self._steps[rows] = t
-        tmax = int(t.max())
-        if tmax >= self._corr1.size:
-            self._grow_corrections(tmax)
-        m = self._m[rows] * self.beta1 + (1.0 - self.beta1) * grads
-        v = self._v[rows] * self.beta2 + (1.0 - self.beta2) * grads**2
+        self._step_bound += 1
+        if self._step_bound >= self._corr1.size:
+            self._grow_corrections(self._step_bound)
+        beta1, beta2 = self.beta1, self.beta2
+        m = self._m.take(rows, axis=0)
+        m *= beta1
+        m += (1.0 - beta1) * grads
+        v = self._v.take(rows, axis=0)
+        v *= beta2
+        square = grads * grads
+        square *= 1.0 - beta2
+        v += square
         self._m[rows] = m
         self._v[rows] = v
-        m_hat = m / self._corr1[t][:, None]
-        v_hat = v / self._corr2[t][:, None]
-        self.param[rows] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        # From here ``m`` / ``v`` are scratch: m̂, then lr · m̂, then the
+        # step; v̂, then √v̂ + ε.
+        m /= self._corr1.take(t)[:, None]
+        v /= self._corr2.take(t)[:, None]
+        np.sqrt(v, out=v)
+        v += self.eps
+        m *= self.lr
+        m /= v
+        updated = param.take(rows, axis=0)
+        updated -= m
+        param[rows] = updated
 
     def update_chain(self, rows: np.ndarray, grads: np.ndarray) -> None:
         """Apply ``len(rows)`` one-row Adam steps, one after another.
@@ -171,6 +205,7 @@ class SparseAdam:
         v_all = self._v[:, 0]
         steps = self._steps
         upto = int(steps.max()) + len(rows)
+        self._step_bound = max(self._step_bound, upto)
         if upto >= self._corr1.size:
             self._grow_corrections(upto)
         corr1 = self._corr1.item
@@ -197,17 +232,36 @@ class SparseAdam:
             v_all[row] = v
             steps[row] = t
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
+    def state_dict(self, rows: slice = _ALL) -> Dict[str, np.ndarray]:
+        """Copies of the moments and step counts of the ``rows`` slice
+        (one copy of that block, never of the whole table)."""
         return {
-            "m": self._m.copy(),
-            "v": self._v.copy(),
-            "steps": self._steps.copy(),
+            "m": self._m[rows].copy(),
+            "v": self._v[rows].copy(),
+            "steps": self._steps[rows].copy(),
         }
 
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        self._m[...] = state["m"]
-        self._v[...] = state["v"]
-        self._steps[...] = state["steps"]
+    def check_state(self, state: Dict[str, np.ndarray], rows: slice = _ALL) -> None:
+        """Raise ``ValueError`` unless ``state`` holds ``m`` / ``v`` /
+        ``steps`` of exactly the ``rows`` slice's shapes and dtypes."""
+        expected = {"m": self._m[rows], "v": self._v[rows], "steps": self._steps[rows]}
+        for key, target in expected.items():
+            if key not in state:
+                raise ValueError(f"optimizer state has no {key!r}")
+            value = np.asarray(state[key])
+            if value.shape != target.shape or value.dtype != target.dtype:
+                raise ValueError(
+                    f"optimizer state {key!r} is {value.dtype}{value.shape}, "
+                    f"expected {target.dtype}{target.shape}"
+                )
+
+    def load_state_dict(self, state: Dict[str, np.ndarray], rows: slice = _ALL) -> None:
+        """Write ``state`` (as :meth:`state_dict` made it) over ``rows``."""
+        self.check_state(state, rows)
+        self._m[rows] = state["m"]
+        self._v[rows] = state["v"]
+        self._steps[rows] = state["steps"]
+        self._step_bound = int(self._steps.max(initial=0))
 
 
 class NodeMemory:
@@ -215,10 +269,13 @@ class NodeMemory:
 
     Arrays (``N`` nodes, ``R`` edge types, ``O`` node types, dim ``d``):
 
-    - ``long``: ``(N, d)`` long-term memories,
-    - ``short``: ``(N, d)`` short-term memories,
-    - ``context``: ``(R, N, d)`` relation-specific context embeddings
-      (``R = 1`` when ``typed_context`` is off — SUPA_se),
+    - ``table``: ``((2 + R) · N, d)``, every learnable row — the
+      optimiser's one parameter table; the next three are views of it,
+    - ``long``: ``(N, d)`` long-term memories, table rows ``[0, N)``,
+    - ``short``: ``(N, d)`` short-term memories, rows ``[N, 2N)``,
+    - ``context``: ``(R, N, d)`` relation-specific context embeddings,
+      rows ``[2N, (2 + R) · N)`` slot-major (``R = 1`` when
+      ``typed_context`` is off — SUPA_se),
     - ``alpha``: ``(O,)`` node-type forgetting parameters
       (``O = 1`` when ``typed_alpha`` is off — SUPA_sn).
     """
@@ -243,11 +300,21 @@ class NodeMemory:
         self.typed_alpha = typed_alpha
         self.num_context_slots = num_edge_types if typed_context else 1
         self.num_alpha_slots = num_node_types if typed_alpha else 1
-        self.long = rng.normal(0.0, init_std, size=(num_nodes, dim))
-        self.short = rng.normal(0.0, init_std, size=(num_nodes, dim))
-        self.context = rng.normal(
-            0.0, init_std, size=(self.num_context_slots, num_nodes, dim)
+        #: first table row of the short / context block
+        self.short_offset = num_nodes
+        self.context_offset = 2 * num_nodes
+        self.table = np.empty(
+            ((2 + self.num_context_slots) * num_nodes, dim), dtype=np.float64
         )
+        self.long = self.table[:num_nodes]
+        self.short = self.table[num_nodes : 2 * num_nodes]
+        self.context = self.table[2 * num_nodes :].reshape(
+            self.num_context_slots, num_nodes, dim
+        )
+        # Long, short, then context slot by slot: the draws one
+        # (R, N, d) normal would make, in the same order.
+        for block in (self.long, self.short, *self.context):
+            block[...] = rng.normal(0.0, init_std, size=(num_nodes, dim))
         self.alpha = np.zeros(self.num_alpha_slots, dtype=np.float64)
 
     def context_slot(self, edge_type_id: int) -> int:
@@ -276,35 +343,51 @@ class NodeMemory:
             "alpha": self.alpha.copy(),
         }
 
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+    def check_state(self, state: Dict[str, np.ndarray]) -> None:
+        """Raise ``ValueError`` unless every array of ``state`` matches
+        its target's shape and dtype."""
         for name in ("long", "short", "context", "alpha"):
-            target = getattr(self, name)
-            if target.shape != state[name].shape:
+            if name not in state:
+                raise ValueError(f"memory state has no {name!r}")
+            target, value = getattr(self, name), np.asarray(state[name])
+            if target.shape != value.shape or target.dtype != value.dtype:
                 raise ValueError(
-                    f"shape mismatch for {name}: {target.shape} vs {state[name].shape}"
+                    f"memory state {name!r} is {value.dtype}{value.shape}, "
+                    f"expected {target.dtype}{target.shape}"
                 )
-            target[...] = state[name]
+
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Write ``state`` into the existing arrays (views stay views);
+        nothing is written unless every array fits."""
+        self.check_state(state)
+        for name in ("long", "short", "context", "alpha"):
+            getattr(self, name)[...] = state[name]
 
 
 class MemoryOptimizer:
-    """Bundles the sparse Adam instances for every memory array."""
+    """One sparse Adam over the memory's row table, plus the alpha chain."""
 
     def __init__(self, memory: NodeMemory, lr: float, weight_decay: float):
         self.memory = memory
-        self.long = SparseAdam(memory.long, lr, weight_decay=weight_decay)
-        self.short = SparseAdam(memory.short, lr, weight_decay=weight_decay)
-        # Context is (R, N, d); flatten the first two axes so each
-        # (relation, node) pair is one sparse row.
-        self._context_flat = memory.context.reshape(-1, memory.dim)
-        self.context = SparseAdam(self._context_flat, lr, weight_decay=weight_decay)
+        self.table = SparseAdam(memory.table, lr, weight_decay=weight_decay)
         # memory.alpha[:, None] is a numpy view, so SparseAdam's in-place
         # updates write straight through to the memory's alpha vector.
         self.alpha = SparseAdam(memory.alpha[:, None], lr, weight_decay=0.0)
-        self._adams = (self.long, self.short, self.context, self.alpha)
+        self._adams = (self.table, self.alpha)
         self._alpha_rows = np.arange(memory.num_alpha_slots, dtype=np.int64)
+        # Checkpoint part → (optimiser, its rows): the per-array format
+        # of the separate long / short / context optimisers, kept.
+        n = memory.num_nodes
+        self._parts = {
+            "long": (self.table, slice(0, n)),
+            "short": (self.table, slice(n, 2 * n)),
+            "context": (self.table, slice(2 * n, None)),
+            "alpha": (self.alpha, _ALL),
+        }
 
     def context_row(self, slot: int, node: int) -> int:
-        """Flat row index of context embedding ``(slot, node)``."""
+        """Row of context embedding ``(slot, node)`` within the context
+        block (table row ``memory.context_offset`` + this)."""
         return slot * self.memory.num_nodes + node
 
     def step(
@@ -316,21 +399,24 @@ class MemoryOptimizer:
     ) -> None:
         """Apply accumulated per-row gradients in one sparse Adam step.
 
-        The reference engine's per-edge path: with the undo log open,
-        the gradient-dict keys are the rows to save.
+        The reference engine's per-edge path: long rows keyed by node,
+        short rows by node, context rows by :meth:`context_row`, written
+        at their table offsets.  With the undo log open, the keys are
+        the rows to save.
         """
-        if long_grads:
-            rows = np.fromiter(long_grads, dtype=np.int64, count=len(long_grads))
-            self.long.save_rows(rows)
-            self.long.update_rows(rows, np.stack([long_grads[r] for r in rows]))
-        if short_grads:
-            rows = np.fromiter(short_grads, dtype=np.int64, count=len(short_grads))
-            self.short.save_rows(rows)
-            self.short.update_rows(rows, np.stack([short_grads[r] for r in rows]))
-        if context_grads:
-            rows = np.fromiter(context_grads, dtype=np.int64, count=len(context_grads))
-            self.context.save_rows(rows)
-            self.context.update_rows(rows, np.stack([context_grads[r] for r in rows]))
+        memory = self.memory
+        groups = (
+            (long_grads, 0),
+            (short_grads, memory.short_offset),
+            (context_grads, memory.context_offset),
+        )
+        rows = [offset + row for grads, offset in groups for row in grads]
+        if rows:
+            rows = np.asarray(rows, dtype=np.int64)
+            self.table.save_rows(rows)
+            self.table.update_rows(
+                rows, np.stack([g for grads, _ in groups for g in grads.values()])
+            )
         if alpha_grads:
             rows = np.fromiter(alpha_grads, dtype=np.int64, count=len(alpha_grads))
             grads = np.asarray([alpha_grads[r] for r in rows])[:, None]
@@ -353,13 +439,21 @@ class MemoryOptimizer:
     def save_rows(self, node_rows: np.ndarray, context_rows: np.ndarray) -> None:
         """Save the pre-images one replay pass is about to overwrite.
 
-        ``node_rows`` index long/short memories, ``context_rows`` the
-        flat context table; every alpha slot is saved with them (a
-        handful of scalars).  No-op while the log is closed.
+        ``node_rows`` are nodes (their long and short rows are saved),
+        ``context_rows`` rows of the context block; one call on the
+        table, plus every alpha slot (a handful of scalars).  No-op
+        while the log is closed.
         """
-        self.long.save_rows(node_rows)
-        self.short.save_rows(node_rows)
-        self.context.save_rows(context_rows)
+        memory = self.memory
+        self.table.save_rows(
+            np.concatenate(
+                (
+                    node_rows,
+                    node_rows + memory.short_offset,
+                    context_rows + memory.context_offset,
+                )
+            )
+        )
         self.alpha.save_rows(self._alpha_rows)
 
     def rollback(self) -> None:
@@ -374,14 +468,18 @@ class MemoryOptimizer:
 
     def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
         return {
-            "long": self.long.state_dict(),
-            "short": self.short.state_dict(),
-            "context": self.context.state_dict(),
-            "alpha": self.alpha.state_dict(),
+            name: adam.state_dict(rows) for name, (adam, rows) in self._parts.items()
         }
 
+    def check_state(self, state: Dict[str, Dict[str, np.ndarray]]) -> None:
+        """Raise ``ValueError`` unless every part of ``state`` fits."""
+        for name, (adam, rows) in self._parts.items():
+            if name not in state:
+                raise ValueError(f"optimizer state has no {name!r} part")
+            adam.check_state(state[name], rows)
+
     def load_state_dict(self, state: Dict[str, Dict[str, np.ndarray]]) -> None:
-        self.long.load_state_dict(state["long"])
-        self.short.load_state_dict(state["short"])
-        self.context.load_state_dict(state["context"])
-        self.alpha.load_state_dict(state["alpha"])
+        """Write every part; nothing is written unless every part fits."""
+        self.check_state(state)
+        for name, (adam, rows) in self._parts.items():
+            adam.load_state_dict(state[name], rows)

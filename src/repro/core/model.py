@@ -242,5 +242,10 @@ class SUPA:
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:
+        """Restore :meth:`state_dict`'s output; a state whose memory or
+        optimiser part does not fit raises ``ValueError`` before either
+        is written, so a refused load leaves the model as it was."""
+        self.memory.check_state(state["memory"])
+        self.optimizer.check_state(state["optimizer"])
         self.memory.load_state_dict(state["memory"])
         self.optimizer.load_state_dict(state["optimizer"])

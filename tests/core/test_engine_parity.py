@@ -361,6 +361,29 @@ def test_tracing_is_bitwise_neutral(engine):
         assert registry.get("engine.plan.contended_ctx_rows").value > 0
 
 
+def test_adam_call_counter_counts_every_optimiser_call(monkeypatch):
+    """``engine.apply.adam_calls`` is the number of ``update_rows``
+    calls the barriers made: per round one table call (long, short and
+    first context occurrences) plus one per extra occurrence-rank sweep
+    (the alpha chain is one ``update_chain`` per round, not counted)."""
+    from repro.core.memory import SparseAdam
+
+    calls = []
+    real = SparseAdam.update_rows
+    monkeypatch.setattr(
+        SparseAdam,
+        "update_rows",
+        lambda self, *a: calls.append(1) or real(self, *a),
+    )
+    model, _ = _train(SUPAConfig(seed=7, trace=True))
+    registry = model.tracer.registry
+    adam_calls = registry.get("engine.apply.adam_calls").value
+    rounds = registry.get("engine.plan.rounds").value
+    contended = registry.get("engine.plan.contended_ctx_rows").value
+    assert adam_calls == len(calls)
+    assert rounds < adam_calls <= rounds + contended
+
+
 def test_engines_agree_with_tracing_enabled():
     """The cross-engine bitwise contract holds under tracing too."""
     _assert_engines_agree(SUPAConfig(seed=7, trace=True))

@@ -61,6 +61,30 @@ class TestNodeMemory:
         b = make_memory()
         assert np.allclose(a.long, b.long)
 
+    @pytest.mark.parametrize("typed_context", [True, False])
+    def test_init_draws_are_the_three_separate_draws(self, typed_context):
+        """The one table holds exactly what three separate arrays drew:
+        long, then short, then one ``(R, N, d)`` context draw."""
+        mem = make_memory(typed_context=typed_context)
+        rng = np.random.default_rng(0)
+        for name, shape in (
+            ("long", (6, 4)),
+            ("short", (6, 4)),
+            ("context", (mem.num_context_slots, 6, 4)),
+        ):
+            expected = rng.normal(0.0, 0.1, size=shape)
+            assert getattr(mem, name).tobytes() == expected.tobytes()
+        assert mem.table.shape == ((2 + mem.num_context_slots) * 6, 4)
+
+    def test_refused_load_writes_nothing(self):
+        mem = make_memory()
+        before = {k: v.tobytes() for k, v in mem.state_dict().items()}
+        state = make_memory(rng=1).state_dict()
+        state["context"] = state["context"][:, :3]
+        with pytest.raises(ValueError, match="context"):
+            mem.load_state_dict(state)
+        assert {k: v.tobytes() for k, v in mem.state_dict().items()} == before
+
 
 class TestSparseAdam:
     def test_rejects_non_2d(self):
@@ -153,10 +177,118 @@ class TestSparseAdam:
         for name in ("param", "_m", "_v", "_steps"):
             assert getattr(chain, name).tobytes() == getattr(steps, name).tobytes()
 
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("update"),
+                    st.lists(st.integers(0, 11), min_size=1, max_size=12, unique=True),
+                    st.integers(0, 2**16),
+                    st.sampled_from([1e-3, 1.0, 1e3]),
+                ),
+                *(st.tuples(st.just(op)) for op in ("mark", "rollback", "release")),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        weight_decay=st.sampled_from([0.0, 1e-4, 0.1]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_update_rows_equals_the_textbook_expression_bitwise(
+        self, ops, weight_decay
+    ):
+        """The lean step (``take`` gathers, in-place temporaries, tables
+        sized by a call counter) is the textbook expression, byte for
+        byte, through mark / rollback / release sequences."""
+        start = np.random.default_rng(7).normal(size=(12, 3))
+        lean = SparseAdam(start.copy(), lr=3e-3, weight_decay=weight_decay)
+        oracle = SparseAdam(start.copy(), lr=3e-3, weight_decay=weight_decay)
+        for op, *args in ops:
+            if op == "update":
+                rows, seed, scale = args
+                rows = np.asarray(rows, dtype=np.int64)
+                grads = scale * np.random.default_rng(seed).normal(size=(rows.size, 3))
+                for adam in (lean, oracle):
+                    adam.save_rows(rows)
+                lean.update_rows(rows, grads)
+                _textbook_update_rows(oracle, rows, grads)
+            elif op == "rollback":
+                if lean._undo is not None:
+                    lean.rollback()
+                    oracle.rollback()
+            else:
+                getattr(lean, op)()
+                getattr(oracle, op)()
+            for name in ("param", "_m", "_v", "_steps"):
+                assert getattr(lean, name).tobytes() == getattr(oracle, name).tobytes()
+
+    def test_loaded_steps_beyond_the_call_count_grow_the_tables(self):
+        """The call counter bounds the step counts only from where
+        ``load_state_dict`` re-seeds it: a loaded row far past the
+        number of calls made must still find its correction."""
+        lean = SparseAdam(np.ones((4, 2)), lr=0.1)
+        oracle = SparseAdam(np.ones((4, 2)), lr=0.1)
+        state = lean.state_dict()
+        state["steps"] = np.asarray([0, 5000, 3, 0], dtype=np.int64)
+        for adam in (lean, oracle):
+            adam.load_state_dict(state)
+        rows, grads = np.asarray([1, 2]), np.full((2, 2), 0.5)
+        lean.update_rows(rows, grads)
+        _textbook_update_rows(oracle, rows, grads)
+        assert lean._corr1.size > 5001
+        for name in ("param", "_m", "_v", "_steps"):
+            assert getattr(lean, name).tobytes() == getattr(oracle, name).tobytes()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("m", np.ones((1, 2))),  # broadcastable: used to be accepted
+            ("v", np.ones(2)),
+            ("steps", np.asarray([7])),
+            ("m", np.ones((4, 2), dtype=np.float32)),
+            ("steps", np.ones(4, dtype=np.int32)),
+            ("steps", np.ones(4)),
+            ("m", None),
+        ],
+    )
+    def test_load_refuses_a_mismatched_state(self, key, value):
+        opt = SparseAdam(np.ones((4, 2)), lr=0.1)
+        opt.update_rows(np.asarray([0, 3]), np.ones((2, 2)))
+        before = opt.state_dict()
+        state = opt.state_dict()
+        if value is None:
+            del state[key]
+        else:
+            state[key] = value
+        with pytest.raises(ValueError, match=key):
+            opt.load_state_dict(state)
+        for name, array in opt.state_dict().items():
+            assert array.tobytes() == before[name].tobytes()
+
     def test_update_chain_rejects_wide_parameters(self):
         opt = SparseAdam(np.ones((2, 2)), lr=0.1)
         with pytest.raises(ValueError):
             opt.update_chain(np.array([0]), np.array([1.0]))
+
+
+def _textbook_update_rows(adam, rows, grads):
+    """The expression form of ``SparseAdam.update_rows`` — fancy-index
+    gathers and a ``t.max()`` to size the correction tables — kept as
+    the bitwise oracle of the lean step."""
+    if adam.weight_decay:
+        grads = grads + adam.weight_decay * adam.param[rows]
+    t = adam._steps[rows] + 1
+    adam._steps[rows] = t
+    tmax = int(t.max())
+    if tmax >= adam._corr1.size:
+        adam._grow_corrections(tmax)
+    m = adam._m[rows] * adam.beta1 + (1.0 - adam.beta1) * grads
+    v = adam._v[rows] * adam.beta2 + (1.0 - adam.beta2) * grads**2
+    adam._m[rows] = m
+    adam._v[rows] = v
+    m_hat = m / adam._corr1[t][:, None]
+    v_hat = v / adam._corr2[t][:, None]
+    adam.param[rows] -= adam.lr * m_hat / (np.sqrt(v_hat) + adam.eps)
 
 
 class TestMemoryOptimizer:
@@ -199,7 +331,20 @@ class TestMemoryOptimizer:
         state = opt.state_dict()
         opt.step({0: np.ones(4)}, {}, {}, {})
         opt.load_state_dict(state)
-        assert opt.long.state_dict()["steps"][0] == 1
+        assert opt.state_dict()["long"]["steps"][0] == 1
+
+    @pytest.mark.parametrize("part", ["long", "short", "context", "alpha"])
+    def test_refused_load_writes_no_part(self, part):
+        """Every part is checked before any is written."""
+        mem = make_memory()
+        opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)
+        opt.step({0: np.ones(4)}, {1: np.ones(4)}, {2: np.ones(4)}, {0: 1.0})
+        before = _state_bytes(mem, opt)
+        state = MemoryOptimizer(make_memory(), lr=0.1, weight_decay=0.0).state_dict()
+        state[part]["steps"] = state[part]["steps"][:1]
+        with pytest.raises(ValueError, match="steps"):
+            opt.load_state_dict(state)
+        assert _state_bytes(mem, opt) == before
 
 
 # ------------------------------------------------------------------ undo log
@@ -223,6 +368,15 @@ def _state_bytes(mem, opt):
     for group, arrays in moments.items():
         flat.update({f"{group}.{k}": v for k, v in arrays.items()})
     return {k: v.tobytes() for k, v in flat.items()}
+
+
+#: group → (first table row, row count) for ``make_memory()``'s 6 nodes
+#: and 3 context slots; alpha is its own optimiser
+_GROUP_ROWS = {"long": (0, 6), "short": (6, 6), "context": (12, 18), "alpha": (0, 2)}
+
+
+def _group(opt, group):
+    return opt.alpha if group == "alpha" else opt.table
 
 
 _update = st.tuples(
@@ -252,9 +406,9 @@ class TestUndoLog:
         for op, *args in ops:
             if op == "update":
                 group, rows, seed = args
-                adam, twin_adam = getattr(opt, group), getattr(twin, group)
-                rows = np.asarray(rows, dtype=np.int64) % adam.param.shape[0]
-                rows = np.unique(rows)
+                adam, twin_adam = _group(opt, group), _group(twin, group)
+                offset, size = _GROUP_ROWS[group]
+                rows = np.unique(np.asarray(rows, dtype=np.int64) % size) + offset
                 grads = np.random.default_rng(seed).normal(
                     size=(rows.size, adam.param.shape[1])
                 )
@@ -297,8 +451,7 @@ class TestUndoLog:
         opt.mark()
         opt.step({1: np.ones(4), 2: np.ones(4)}, {2: np.ones(4)}, {3: np.ones(4)}, {1: 2.0})
         opt.save_rows(np.array([4, 4, 1]), np.array([3, 9, 9]))
-        opt.long.update_rows(np.array([1, 4]), np.ones((2, 4)))
-        opt.context.update_rows(np.array([3, 9]), np.ones((2, 4)))
+        opt.table.update_rows(np.array([1, 4, 12 + 3, 12 + 9]), np.ones((4, 4)))
         opt.alpha.update_rows(np.array([0, 1]), np.ones((2, 1)))
         assert _state_bytes(mem, opt) != start
         opt.rollback()

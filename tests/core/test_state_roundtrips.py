@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SUPA, SUPAConfig
+from tests.core import assert_one_row_table
 
 
 @pytest.fixture
@@ -28,10 +29,10 @@ class TestRoundtrips:
 
     def test_restore_includes_optimizer_moments(self, trained_model):
         state = trained_model.state_dict()
-        steps_before = trained_model.optimizer.long.state_dict()["steps"].copy()
+        steps_before = trained_model.optimizer.state_dict()["long"]["steps"]
         trained_model.train_step(0, 5, "click", 20.0, 1.0, 1.0)
         trained_model.load_state_dict(state)
-        steps_after = trained_model.optimizer.long.state_dict()["steps"]
+        steps_after = trained_model.optimizer.state_dict()["long"]["steps"]
         assert np.array_equal(steps_before, steps_after)
 
     def test_double_restore_idempotent(self, trained_model):
@@ -39,6 +40,79 @@ class TestRoundtrips:
         trained_model.load_state_dict(state)
         trained_model.load_state_dict(state)
         assert np.allclose(trained_model.memory.long, state["memory"]["long"])
+
+    def test_state_dict_format_is_the_per_array_one(self, trained_model):
+        """Keys, shapes and dtypes of the checkpoint format: one row
+        table inside, the per-array memory and optimiser parts out."""
+        memory = trained_model.memory
+        n, r, o = memory.num_nodes, memory.num_context_slots, memory.num_alpha_slots
+        f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
+
+        def moments(rows, width):
+            matrix = ((rows, width), f8)
+            return {"m": matrix, "v": matrix, "steps": ((rows,), i8)}
+
+        layout = {
+            group: {
+                name: (
+                    {k: (v.shape, v.dtype) for k, v in value.items()}
+                    if isinstance(value, dict)
+                    else (value.shape, value.dtype)
+                )
+                for name, value in part.items()
+            }
+            for group, part in trained_model.state_dict().items()
+        }
+        assert layout == {
+            "memory": {
+                "long": ((n, 6), f8),
+                "short": ((n, 6), f8),
+                "context": ((r, n, 6), f8),
+                "alpha": ((o,), f8),
+            },
+            "optimizer": {
+                "long": moments(n, 6),
+                "short": moments(n, 6),
+                "context": moments(r * n, 6),
+                "alpha": moments(o, 1),
+            },
+        }
+
+    def test_construction_training_and_loading_keep_one_row_table(
+        self, trained_model, small_dataset
+    ):
+        assert_one_row_table(SUPA.for_dataset(small_dataset, SUPAConfig(dim=6)))
+        assert_one_row_table(trained_model)
+        state = trained_model.state_dict()
+        trained_model.train_step(0, 5, "click", 30.0, 1.0, 1.0)
+        trained_model.load_state_dict(state)
+        assert_one_row_table(trained_model)
+        assert trained_model.memory.long.tobytes() == state["memory"]["long"].tobytes()
+
+    @pytest.mark.parametrize(
+        "group, part, key",
+        [
+            ("memory", "context", None),
+            ("optimizer", "short", "m"),
+            ("optimizer", "context", "steps"),
+            ("optimizer", "alpha", "v"),
+        ],
+    )
+    def test_refused_load_leaves_the_model_as_it_was(
+        self, trained_model, group, part, key
+    ):
+        """Memory and optimiser are both checked before either is
+        written: a refused optimiser part used to land after the memory."""
+        state = trained_model.state_dict()
+        trained_model.train_step(0, 5, "click", 40.0, 1.0, 1.0)
+        before = _model_bytes(trained_model)
+        if key is None:
+            state[group][part] = state[group][part][:1]
+        else:
+            state[group][part][key] = state[group][part][key][:1]
+        with pytest.raises(ValueError):
+            trained_model.load_state_dict(state)
+        assert _model_bytes(trained_model) == before
 
     def test_state_survives_further_training(self, trained_model):
         """The saved dict is a snapshot, not a live view."""
@@ -66,3 +140,11 @@ def test_identical_seeds_identical_models(seed, ):
     a, b = build(), build()
     assert np.allclose(a.memory.long, b.memory.long)
     assert np.allclose(a.memory.context, b.memory.context)
+
+
+def _model_bytes(model):
+    state = model.state_dict()
+    flat = dict(state["memory"])
+    for part, arrays in state["optimizer"].items():
+        flat.update({f"{part}.{k}": v for k, v in arrays.items()})
+    return {k: v.tobytes() for k, v in flat.items()}

@@ -11,8 +11,10 @@ from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
 from repro.replicate.failover import state_fingerprint
 from repro.replicate.follower import ReplicationError, ReplicationFollower
 from repro.replicate.primary import ReplicationPrimary
+from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.wal import scan
 from repro.serve.service import ReadOnlyServiceError, ServeConfig
+from tests.core import assert_one_row_table
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +133,6 @@ class TestFollower:
         decodes each shipped record once — not the prefix a second time
         to find where its tail starts."""
         from repro.resilience import wal
-        from repro.resilience.checkpoint import CheckpointManager
 
         primary = make_primary(dataset, tmp_path)
         for edge in list(dataset.stream)[:100]:
@@ -151,6 +152,25 @@ class TestFollower:
         assert follower.tailer.records_read == len(records)
         assert follower.poll() == 0  # and it tails on from where it stopped
         assert len(decoded) == len(records)
+
+    def test_bootstrapped_follower_keeps_one_row_table(self, dataset, tmp_path):
+        primary = make_primary(dataset, tmp_path)
+        for edge in list(dataset.stream)[:100]:
+            primary.ingest(edge)
+        ckpt = CheckpointManager(checkpoint_dir(str(tmp_path / "primary"))).latest()
+        assert ckpt is not None and ckpt.seq > 0  # bootstraps from a load
+        follower = make_follower(dataset, tmp_path).bootstrap()
+        assert_one_row_table(follower.service.model)
+        for edge in list(dataset.stream)[100:140]:
+            primary.ingest(edge)
+        primary.flush()
+        while follower.poll():
+            pass
+        assert_one_row_table(follower.service.model)
+        assert state_fingerprint(follower.service) == state_fingerprint(
+            primary.service
+        )
+        primary.close()
 
     def test_follower_mirrors_queue_residue(self, dataset, tmp_path):
         primary = make_primary(dataset, tmp_path)

@@ -22,6 +22,7 @@ from repro.resilience import RecoveryError, recover
 from repro.resilience.checkpoint import CheckpointManager, _flatten
 from repro.resilience.wal import iter_records
 from repro.serve.service import RecommendationService, ServeConfig
+from tests.core import assert_one_row_table
 from tests.resilience import fold
 
 MODEL_CFG = SUPAConfig(dim=16, num_walks=2, walk_length=2, seed=0)
@@ -122,6 +123,22 @@ def test_recovery_is_bitwise_identical(dataset, golden, tmp_path, position):
         assert np.array_equal(
             service.recommend(int(user), 10), service.offline_top_k(int(user), 10)
         )
+
+
+def test_recovered_model_keeps_one_row_table(dataset, tmp_path):
+    """A checkpoint load writes into the table's views, never rebinds them."""
+    config = durable_config(tmp_path)
+    crash_at(dataset, config, 150)
+    result = recover(
+        dataset, serve_config=config, model_config=MODEL_CFG, train_config=TRAIN_CFG
+    )
+    assert result.checkpoint_seq > 0
+    assert_one_row_table(result.service.model)
+    for edge in list(dataset.stream)[150:200]:
+        result.service.ingest(edge)
+    result.service.flush()
+    assert_one_row_table(result.service.model)
+    result.service.close()
 
 
 def test_recovery_accounting(dataset, tmp_path):
