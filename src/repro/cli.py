@@ -36,7 +36,7 @@ import itertools
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -52,12 +52,24 @@ from repro.utils.tables import format_table
 PROBES_PER_CHECKPOINT = 4
 
 
-def _positive_int(text: str) -> int:
-    """A count of at least 1: a parity gate over no users checks nobody."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type`` for an integer count of at least ``minimum``:
+    a bad value exits 2 at parse time instead of slicing a stream from
+    its end or failing in a config's check after the work began."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+#: a parity gate over no users checks nobody
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _add_common(
@@ -590,13 +602,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         rp.add_argument(
             "--heartbeat-every",
-            type=int,
+            type=_positive_int,
             default=16,
             help="primary heartbeat cadence in accepted events",
         )
         rp.add_argument(
             "--checkpoint-every",
-            type=int,
+            type=_non_negative_int,
             default=4,
             help="checkpoint cadence in applied updates",
         )
@@ -607,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_replicate_common(rp)
     rp.add_argument(
         "--events",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="ingest only the first N stream events (default: all)",
     )
@@ -635,14 +647,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     rp.add_argument(
         "--resume-from",
-        type=int,
+        type=_non_negative_int,
         default=0,
         help="stream position ingest resumes from (= events the primary "
         "ingested)",
     )
     rp.add_argument(
         "--events",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="resume at most N events (default: the rest of the stream)",
     )

@@ -70,7 +70,7 @@ class BatchReport:
     ``touched_nodes`` is the union of every node whose memory rows were
     written while training this batch (a superset of the rows that
     actually differ after best-model restore) — the serving layer uses
-    it to refresh embedding snapshots and invalidate caches precisely.
+    it to publish the touched rows of the next embedding snapshot.
     It is a *sorted tuple* so that serialised reports (replay logs,
     JSON traces) are byte-deterministic across runs.
     """
@@ -229,7 +229,7 @@ class InsLearnTrainer:
         best-validated state and inserts the validation edges — exactly
         what one iteration of :meth:`fit`'s loop does.  The returned
         report carries the batch's touched-node set (also kept on
-        ``self.last_touched_nodes``) for downstream cache invalidation.
+        ``self.last_touched_nodes``) for the serve store's row publish.
         """
         cfg = self.config
         tracer = self.model.tracer

@@ -25,10 +25,9 @@ import numpy as np
 
 from repro.core.config import SUPAConfig
 from repro.core.engine.engine import BatchedEngine
-from repro.core.interactor import final_embedding
 from repro.core.memory import MemoryOptimizer, NodeMemory
 from repro.core.negative import NegativeSampler
-from repro.core.updater import active_interval, target_embeddings_batch
+from repro.core.updater import active_interval, final_embedding_rows
 from repro.datasets.base import Dataset
 from repro.graph.dmhg import DMHG
 from repro.graph.metapath import MultiplexMetapath
@@ -104,8 +103,8 @@ class SUPA:
         #: nodes whose memory rows (long / short / any context slot) were
         #: written by the most recent :meth:`train_step` /
         #: :meth:`train_batch` — a *sorted tuple* (byte-deterministic
-        #: when serialised) the serving layer uses for snapshot refresh
-        #: and cache invalidation.
+        #: when serialised) the serving layer publishes as the next
+        #: snapshot's rows.
         self.last_touched_nodes: Tuple[int, ...] = ()
         #: observability hook (``repro.obs``): the no-op tracer unless
         #: ``config.trace`` is set; the serving layer may swap in its own
@@ -208,12 +207,16 @@ class SUPA:
         and the time ``t`` are each a scalar or one entry per node, so
         rows of different relations and times share one gather."""
         nodes = np.asarray(nodes, dtype=np.int64)
-        deltas = t - self.graph.last_interaction_times(nodes)
-        deltas = np.where(np.isfinite(deltas), np.maximum(deltas, 0.0), 0.0)
-        h_star = target_embeddings_batch(
-            self.memory, nodes, self._node_type_ids[nodes], deltas, self.config
+        memory = self.memory
+        return final_embedding_rows(
+            memory.long[nodes],
+            memory.short[nodes],
+            memory.context[slots, nodes],
+            memory.alpha,
+            memory.alpha_slots(self._node_type_ids[nodes]),
+            t - self.graph.last_interaction_times(nodes),
+            self.config,
         )
-        return final_embedding(h_star, self.memory.context[slots, nodes])
 
     def score(
         self, node: int, candidates: np.ndarray, edge_type: str, t: float

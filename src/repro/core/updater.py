@@ -6,9 +6,9 @@ memory according to the active time interval:
     h* = h^L + h^S * g(sigma(alpha_phi(v)) * Delta_V(v)),
     g(x) = 1 / log(e + x).
 
-The forward returns everything the analytic backward needs, and a
-vectorised batch version serves candidate scoring (Eq. 15 over the whole
-catalogue).
+The forward returns everything the analytic backward needs, and
+:func:`final_embedding_rows` is the one vectorised Eq. 14 formula that
+candidate scoring (Eq. 15 over the whole catalogue) and serving share.
 
 The per-node forward/backward are thin 1-row wrappers over the shared
 array kernels (:mod:`repro.core.engine.kernels`), so the reference and
@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.core.config import SUPAConfig, g_decay
 from repro.core.engine import kernels
+from repro.core.interactor import final_embedding
 from repro.core.memory import NodeMemory
 
 
@@ -110,58 +111,34 @@ def target_embedding_backward(
     )
 
 
-def target_embeddings_batch(
-    memory: NodeMemory,
-    nodes: np.ndarray,
-    node_type_ids: np.ndarray,
-    deltas: np.ndarray,
-    cfg: SUPAConfig,
-) -> np.ndarray:
-    """Vectorised target embeddings for inference / scoring.
-
-    By default this is Eq. 14's ``h^L + h^S`` (gamma = 1 — the paper
-    applies time forgetting when *updating* on an interaction, Eq. 5,
-    not when scoring); ``cfg.decay_at_inference`` switches to the
-    decayed Eq. 5 form.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
-    if not cfg.use_short_term:
-        return memory.long[nodes].copy()
-    if not cfg.use_forgetting or not cfg.decay_at_inference:
-        return memory.long[nodes] + memory.short[nodes]
-    slots = (
-        np.asarray(node_type_ids, dtype=np.int64)
-        if memory.typed_alpha
-        else np.zeros(nodes.size, dtype=np.int64)
-    )
-    deltas = np.maximum(np.asarray(deltas, dtype=np.float64), 0.0)
-    gammas = g_decay(_sigmoid(memory.alpha[slots]) * deltas)
-    return memory.long[nodes] + gammas[:, None] * memory.short[nodes]
-
-
-def decayed_embedding_rows(
+def final_embedding_rows(
     long_rows: np.ndarray,
     short_rows: np.ndarray,
     context_rows: np.ndarray,
     alpha: np.ndarray,
     slots: np.ndarray,
     deltas: np.ndarray,
+    cfg: SUPAConfig,
 ) -> np.ndarray:
-    """Eq. 14 with Eq. 5 decay from *captured* component rows.
+    """Eq. 14's ``h^r = 1/2 (h* + c^r)`` from gathered component rows.
 
-    The delta-publishing serve store (:mod:`repro.serve.store`) keeps
-    ``(h^L, h^S, c^r)`` rows and rebuilds final embeddings lazily at a
-    frozen clock; this helper is that rebuild.  It applies exactly the
-    operation sequence of ``SUPA.final_embeddings`` →
-    :func:`target_embeddings_batch` (decayed branch) →
-    ``final_embedding``, so a materialised row is bitwise equal to the
-    live model's answer at the same clock.  ``deltas`` may contain
-    ``-inf``-derived non-finite values for never-seen nodes; they clamp
-    to 0 exactly as the model path does.
+    The one served formula: ``SUPA.final_embedding_rows`` gathers the
+    live memory's rows, the serve store (:mod:`repro.serve.store`) the
+    rows it captured at publish time, and both call this, so a served
+    row is bitwise the model's answer at the same clock.  ``h*`` is the
+    decayed Eq. 5 form under ``cfg.decay_at_inference`` (``slots`` index
+    ``alpha``; non-finite and negative ``deltas`` — never-seen nodes,
+    clock skew — clamp to 0), Eq. 14's plain ``h^L + h^S`` without it or
+    without forgetting, and ``h^L`` alone without short-term memory.
     """
-    deltas = np.asarray(deltas, dtype=np.float64)
-    deltas = np.where(np.isfinite(deltas), np.maximum(deltas, 0.0), 0.0)
-    slots = np.asarray(slots, dtype=np.int64)
-    gammas = g_decay(_sigmoid(np.asarray(alpha, dtype=np.float64)[slots]) * deltas)
-    h_star = long_rows + gammas[:, None] * short_rows
-    return 0.5 * (h_star + context_rows)
+    if not cfg.use_short_term:
+        h_star = long_rows
+    elif not cfg.use_forgetting or not cfg.decay_at_inference:
+        h_star = long_rows + short_rows
+    else:
+        deltas = np.asarray(deltas, dtype=np.float64)
+        deltas = np.where(np.isfinite(deltas), np.maximum(deltas, 0.0), 0.0)
+        slots = np.asarray(slots, dtype=np.int64)
+        gammas = g_decay(_sigmoid(np.asarray(alpha, dtype=np.float64)[slots]) * deltas)
+        h_star = long_rows + gammas[:, None] * short_rows
+    return final_embedding(h_star, context_rows)

@@ -10,12 +10,11 @@ live platform while it learns"; this package is that deployment story:
   hysteresis, and pluggable shed policies;
 * :mod:`repro.serve.dispatch` — the async dispatcher thread that drains
   micro-batches so ``ingest()`` returns after the journaled accept;
-* :mod:`repro.serve.store` — copy-on-write versioned embedding
-  snapshots (readers pin a version; updates publish atomically), plus
-  the delta-publishing decayed store that keeps publishes sparse under
-  inference-time decay;
-* :mod:`repro.serve.index` — cached top-K retrieval with precise
-  invalidation from the trainer's touched-node sets;
+* :mod:`repro.serve.store` — copy-on-write versioned snapshots of the
+  time-free Eq. 14 components (readers pin a version; updates publish
+  touched rows atomically); a snapshot reads Eq. 14 at its own clock;
+* :mod:`repro.serve.index` — cached top-K retrieval; an entry serves
+  only its snapshot version, and every publish clears the cache;
 * :mod:`repro.serve.service` — the :class:`RecommendationService`
   façade (``ingest`` / ``recommend`` / ``flush``);
 * :mod:`repro.obs.metrics` — the counters, gauges and latency

@@ -6,28 +6,19 @@ full sort) and tie-broken exactly like the offline ranking pipeline
 (``np.argsort(-scores, kind="stable")``), so a cached answer and an
 offline recomputation agree list-for-list.
 
-The per-user LRU cache is invalidated *precisely* after each update
-using the trainer's touched-node sets:
-
-* entries whose **user** embedding changed are dropped;
-* entries whose cached list contains a **changed item** are dropped
-  (a member's score moved, so in-list order may differ);
-* entries where a changed item's *new* score ties or beats the cached
-  k-th score are dropped (the item could enter the list);
-* every other entry is provably still exact and is retained, with its
-  version stamp advanced to the new snapshot.
-
-Orthogonally to correctness-driven invalidation, entries are *evicted*
-least-recently-used first once the cache holds ``cache_size`` of them.
-Evictions never make an answer wrong — they only cost a recomputation —
-and are tallied separately from invalidations.
+Each ``(user, k)`` answer is cached with the snapshot version it was
+computed on and served only while that version is live.  Every publish
+clears the cache (:meth:`TopKIndex.invalidate`); once ``cache_size``
+entries are held the least recently used is *evicted*.  Neither makes
+an answer wrong — both only cost a recomputation — and the two are
+tallied separately.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, NamedTuple, Optional, Set, Tuple
+from typing import Iterable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -40,11 +31,10 @@ WARM_K = 10
 
 
 class CacheEntry(NamedTuple):
-    """One cached top-K answer plus what invalidation needs to know."""
+    """One cached top-K answer and the snapshot version it is exact for."""
 
     version: int
     items: np.ndarray
-    kth_score: float
 
 
 class TopKIndex:
@@ -55,8 +45,8 @@ class TopKIndex:
     candidates:
         Global node ids of the retrievable items (the catalogue).
     cache_size:
-        Maximum number of ``(user, k)`` entries kept in the LRU cache;
-        0 disables caching.
+        Maximum number of ``(user, k)`` entries kept in the LRU cache
+        (``>= 0``); 0 disables caching.
     score_block:
         Candidate rows scored per matmul block.
     """
@@ -70,11 +60,12 @@ class TopKIndex:
         self.candidates = np.asarray(candidates, dtype=np.int64)
         if self.candidates.ndim != 1 or self.candidates.size == 0:
             raise ValueError("candidates must be a non-empty 1-D id array")
+        if cache_size < 0:
+            raise ValueError(f"cache_size must be >= 0, got {cache_size}")
         if score_block < 1:
             raise ValueError(f"score_block must be >= 1, got {score_block}")
         self.cache_size = int(cache_size)
         self.score_block = int(score_block)
-        self._candidate_set: Set[int] = set(int(c) for c in self.candidates)
         # Innermost serve-path lock (DESIGN.md §12): guards the LRU cache
         # and its tallies.  Scoring runs *outside* it — only cache
         # bookkeeping serialises, so concurrent readers never wait on a
@@ -98,26 +89,20 @@ class TopKIndex:
             out[lo : lo + chunk.size] = snapshot.rows(chunk) @ query
         return out
 
-    def _top_k_exact(self, scores: np.ndarray, k: int) -> Tuple[np.ndarray, float]:
+    def _top_k_exact(self, scores: np.ndarray, k: int) -> np.ndarray:
         """Positions of the top ``k`` scores in offline (stable) order.
 
         Matches ``np.argsort(-scores, kind="stable")[:k]`` exactly:
         ``argpartition`` preselects ``k`` candidates, and a full stable
         sort is used only when ties straddle the cut boundary.
         """
-        n = scores.size
-        if k >= n:
-            order = np.argsort(-scores, kind="stable")
-            kth = float(scores[order[-1]]) if n else float("-inf")
-            return order, kth
+        if k >= scores.size:
+            return np.argsort(-scores, kind="stable")
         part = np.argpartition(-scores, k - 1)[:k]
-        kth = float(scores[part].min())
-        if np.count_nonzero(scores >= kth) > k:
-            order = np.argsort(-scores, kind="stable")[:k]
-            return order, float(scores[order[-1]])
+        if np.count_nonzero(scores >= scores[part].min()) > k:
+            return np.argsort(-scores, kind="stable")[:k]
         # lexsort: primary key -score, ties broken by ascending position
-        order = part[np.lexsort((part, -scores[part]))]
-        return order, kth
+        return part[np.lexsort((part, -scores[part]))]
 
     def top_k(self, snapshot: Snapshot, user: int, k: int) -> np.ndarray:
         """The ``k`` best candidate ids for ``user`` under ``snapshot``.
@@ -140,11 +125,10 @@ class TopKIndex:
         # immutable, so the answer stays exact for its version even if
         # another thread publishes or caches meanwhile.
         scores = self.scores(snapshot, user)
-        positions, kth = self._top_k_exact(scores, k)
-        items = self.candidates[positions]
+        items = self.candidates[self._top_k_exact(scores, k)]
         if self.cache_size > 0:
             with self._lock:
-                self._store_entry(key, CacheEntry(snapshot.version, items, kth))
+                self._store_entry(key, CacheEntry(snapshot.version, items))
         return items
 
     def _store_entry(self, key: Tuple[int, int], entry: CacheEntry) -> None:
@@ -177,71 +161,27 @@ class TopKIndex:
                 if entry is not None and entry.version == snapshot.version:
                     continue
             scores = self.scores(snapshot, int(user))
-            positions, kth = self._top_k_exact(scores, k)
-            items = self.candidates[positions]
+            items = self.candidates[self._top_k_exact(scores, k)]
             with self._lock:
-                self._store_entry(key, CacheEntry(snapshot.version, items, kth))
+                self._store_entry(key, CacheEntry(snapshot.version, items))
                 self.warmed += 1
             count += 1
         return count
 
     # ----------------------------------------------------------- invalidation
 
-    def invalidate(
-        self,
-        snapshot: Snapshot,
-        touched_users: Optional[Iterable[int]] = None,
-        touched_items: Optional[Iterable[int]] = None,
-    ) -> int:
-        """Drop exactly the cache entries the last update made stale.
+    def invalidate(self, snapshot: Snapshot) -> int:
+        """Drop every cached answer now that ``snapshot`` is published.
 
-        ``snapshot`` is the newly published version; surviving entries
-        are re-stamped to it.  ``None`` for either set means *every*
-        node changed (decayed serving: the clock moved every embedding),
-        which leaves nothing to decide per entry — the cache is cleared
-        in O(entries).  Returns the number of dropped entries.
+        Under inference-time decay a publish's clock advance moves every
+        served embedding, so no entry survives it; the version check in
+        :meth:`top_k` already refuses an answer from an older snapshot,
+        and clearing here only frees the memory early.  Returns the
+        number of dropped entries (tallied in ``invalidations``).
         """
-        if touched_users is None or touched_items is None:
-            with self._lock:
-                dropped = len(self._cache)
-                self._cache.clear()
-                self.invalidations += dropped
-            return dropped
-        users = set(int(u) for u in touched_users)
-        items = np.asarray(
-            sorted(self._candidate_set.intersection(int(i) for i in touched_items)),
-            dtype=np.int64,
-        )
-        item_set = set(int(i) for i in items)
-        dropped = 0
-        new_scores: Dict[int, np.ndarray] = {}
-        # Writer path: staleness decisions and the re-stamp must be
-        # atomic against concurrent readers, so the whole sweep holds
-        # the lock (the per-user rescoring touches only the immutable
-        # snapshot).
         with self._lock:
-            for key in list(self._cache):
-                user, _ = key
-                entry = self._cache[key]
-                if user in users:
-                    stale = True
-                elif item_set and any(int(i) in item_set for i in entry.items):
-                    stale = True
-                elif items.size:
-                    scores = new_scores.get(user)
-                    if scores is None:
-                        query = np.asarray(snapshot.row(user), dtype=np.float64)
-                        scores = snapshot.rows(items) @ query
-                        new_scores[user] = scores
-                    # >= : a tie with the cached boundary can reorder the list
-                    stale = bool(np.any(scores >= entry.kth_score))
-                else:
-                    stale = False
-                if stale:
-                    del self._cache[key]
-                    dropped += 1
-                else:
-                    self._cache[key] = entry._replace(version=snapshot.version)
+            dropped = len(self._cache)
+            self._cache.clear()
             self.invalidations += dropped
         return dropped
 

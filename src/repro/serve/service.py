@@ -9,16 +9,17 @@ that never block each other:
    deadlettered, overload triggers backpressure.
 2. **Update** — each ready micro-batch runs one resumable
    :meth:`~repro.core.inslearn.InsLearnTrainer.train_one_batch` step,
-   then the touched nodes' Eq. 14 embeddings are recomputed and
-   **published atomically** as a new copy-on-write snapshot.  The step
-   runs under the queue's dispatch mutex only — the queue lock that
-   ``ingest()`` and ``recommend()`` take is released before it starts.
+   then the touched nodes' time-free Eq. 14 components are **published
+   atomically** as a new copy-on-write snapshot, which reads Eq. 14 at
+   its own clock.  The step runs under the queue's dispatch mutex only —
+   the queue lock that ``ingest()`` and ``recommend()`` take is released
+   before it starts.
 3. **Serve** — ``recommend(user, k)`` pins the latest published
-   snapshot and answers from the cached top-K index.  While an update
-   is mid-flight the pinned snapshot is simply the last published one,
-   so service degrades to *bounded staleness*, never inconsistency; a
-   staleness gauge records how many applied-but-unpublished and queued
-   events the answer is behind.
+   snapshot and answers from the top-K index, whose cache every publish
+   clears.  While an update is mid-flight the pinned snapshot is simply
+   the last published one, so service degrades to *bounded staleness*,
+   never inconsistency; a staleness gauge records how many
+   applied-but-unpublished and queued events the answer is behind.
 
 Consistency model: an answer always reflects a single snapshot version
 (never a half-applied update); after ``flush()`` on a quiesced service,
@@ -49,7 +50,7 @@ from repro.serve.admission import (
 from repro.serve.dispatch import DispatchWorker
 from repro.serve.index import TopKIndex
 from repro.serve.ingest import BackpressureError, EventQueue
-from repro.serve.store import DecayedEmbeddingStore, VersionedEmbeddingStore
+from repro.serve.store import DecayedEmbeddingStore
 
 
 @dataclass
@@ -112,6 +113,8 @@ class ServeConfig:
                 "breaker_cooldown_events must be >= 1, got "
                 f"{self.breaker_cooldown_events}"
             )
+        if self.cache_size < 0:
+            raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
         if self.warm_users < 0:
             raise ValueError(
                 f"warm_users must be >= 0, got {self.warm_users}"
@@ -240,33 +243,20 @@ class RecommendationService:
         self._breaker_cooldown = 0
         self._open_durability()
 
-        # Eq. 14 embeddings depend on wall-clock time (and alpha) only
-        # when decay-at-inference is on.  A dense store would then have
-        # to republish every row per update (the clock advance moves
-        # them all); instead the decayed path versions the time-free
-        # components and materialises decay lazily at read time
-        # (DecayedEmbeddingStore), keeping publishes O(touched rows).
-        cfg = self.model.config
-        self._decay_serving = bool(
-            cfg.use_short_term and cfg.use_forgetting and cfg.decay_at_inference
-        )
+        # The store versions Eq. 14's time-free components and reads the
+        # formula at each snapshot's clock, so a publish costs O(touched
+        # rows) even though a clock advance moves every decayed row.
+        memory = self.model.memory
+        self._context_slot = memory.context_slot(schema.edge_type_id(self.edge_type))
         all_nodes = np.arange(dataset.num_nodes, dtype=np.int64)
-        if self._decay_serving:
-            memory = self.model.memory
-            slot = memory.context_slot(schema.edge_type_id(self.edge_type))
-            self.store = DecayedEmbeddingStore(
-                np.concatenate(
-                    (memory.long, memory.short, memory.context[slot]), axis=1
-                ),
-                last_times=self.model.graph.last_interaction_times(all_nodes),
-                alpha=memory.alpha,
-                alpha_slots=memory.alpha_slots(self.model._node_type_ids),
-                clock=self._clock,
-            )
-        else:
-            self.store = VersionedEmbeddingStore(
-                self.model.final_embeddings(all_nodes, self.edge_type, self._clock)
-            )
+        self.store = DecayedEmbeddingStore(
+            self._components(all_nodes),
+            last_times=self.model.graph.last_interaction_times(all_nodes),
+            alpha=memory.alpha,
+            alpha_slots=memory.alpha_slots(self.model._node_type_ids),
+            config=self.model.config,
+            clock=self._clock,
+        )
         self.index = TopKIndex(self.items, cache_size=self.config.cache_size)
         # Admission is consulted by the queue, inside its one intake
         # decision (DESIGN.md §8); the service only reads its tallies.
@@ -528,31 +518,22 @@ class RecommendationService:
         rows = np.asarray(report.touched_nodes, dtype=np.int64)
         with self.metrics.histogram("stage.publish_seconds").time():
             with self.tracer.span("serve.store.publish", rows=int(rows.size)):
-                if self._decay_serving:
-                    snapshot = self._publish_components(rows, clock)
-                else:
-                    values = self.model.final_embeddings(rows, self.edge_type, clock)
-                    snapshot = self.store.publish_parts([(rows, values)])
-            # Decayed serving: the clock advance moved every embedding,
-            # so every cached answer is potentially stale (None = all).
-            touched = None if self._decay_serving else set(int(r) for r in rows)
+                snapshot = self.store.publish(
+                    rows,
+                    self._components(rows),
+                    last_times=self.model.graph.last_interaction_times(rows),
+                    alpha=self.model.memory.alpha,
+                    clock=clock,
+                )
             with self.tracer.span("serve.index.invalidate"):
-                self.index.invalidate(snapshot, touched, touched)
+                self.index.invalidate(snapshot)
 
-    def _publish_components(self, rows: np.ndarray, clock: float):
-        """Delta publish for the decayed store: touched components only."""
+    def _components(self, rows: np.ndarray) -> np.ndarray:
+        """The store's time-free rows ``concat(h^L, h^S, c^r)`` for ``rows``."""
         memory = self.model.memory
-        slot = memory.context_slot(self.dataset.schema.edge_type_id(self.edge_type))
-        components = np.concatenate(
-            (memory.long[rows], memory.short[rows], memory.context[slot, rows]),
-            axis=1,
-        )
-        return self.store.publish(
-            rows,
-            components,
-            last_times=self.model.graph.last_interaction_times(rows),
-            alpha=memory.alpha,
-            clock=clock,
+        context = memory.context[self._context_slot]
+        return np.concatenate(
+            (memory.long[rows], memory.short[rows], context[rows]), axis=1
         )
 
     def _register_update_failure(self, batch: EdgeStream, exc: Exception) -> None:

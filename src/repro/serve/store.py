@@ -1,9 +1,13 @@
-"""A versioned embedding store with copy-on-write snapshots.
+"""The serve store: versioned, copy-on-write snapshots of Eq. 14 inputs.
 
 The serving hot path must never observe a half-applied update: while the
 background InsLearn step rewrites memory rows, concurrent ``recommend``
-calls keep reading a consistent embedding table.  The store achieves
-this with block-granular copy-on-write:
+calls keep reading a consistent embedding table.  The service serves
+every model through :class:`DecayedEmbeddingStore`, which versions the
+time-free components ``concat(h^L, h^S, c^r)`` and reads Eq. 14 through
+:func:`repro.core.updater.final_embedding_rows` at each snapshot's clock.
+Its components live in a :class:`VersionedEmbeddingStore`, which gets
+consistency from block-granular copy-on-write:
 
 * the logical ``(num_rows, dim)`` matrix is stored as fixed-size row
   blocks, each frozen (``writeable=False``) once published;
@@ -34,6 +38,9 @@ import threading
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
+
+from repro.core.config import SUPAConfig
+from repro.core.updater import final_embedding_rows
 
 #: Rows per copy-on-write block.
 BLOCK_SIZE = 256
@@ -230,8 +237,8 @@ class VersionedEmbeddingStore:
         The stripes are concatenated in the order given into a single
         atomic :meth:`publish` — bitwise identical to publishing the
         concatenation, and readers never observe a partially published
-        update.  The service's dense path hands its touched rows here as
-        one stripe.
+        update.  Nothing in ``repro`` calls it; the benchmark spine's
+        probes bind it by name (ROADMAP item 1(b) retires both).
         """
         if not parts:
             return self.publish(
@@ -272,16 +279,16 @@ class VersionedEmbeddingStore:
 
 
 class DecayedSnapshot:
-    """A :class:`Snapshot` duck-type that materialises decay lazily.
+    """A :class:`Snapshot` duck-type that materialises Eq. 14 lazily.
 
     Wraps a component snapshot whose rows are ``concat(h^L, h^S, c^r)``
     (width ``3d``) plus the decay inputs frozen at publish time — the
-    clock, per-node last-interaction times and the alpha parameters.
-    Blocks of the logical ``(num_rows, d)`` decayed Eq. 14 matrix are
-    computed on first access (:func:`repro.core.updater.decayed_embedding_rows`)
-    and cached; materialisation is a pure function of the frozen inputs,
-    so racing readers compute identical bits and keep-first caching is
-    harmless.
+    clock, per-node last-interaction times and the alpha parameters —
+    and the model's :class:`~repro.core.config.SUPAConfig`.  Blocks of
+    the logical ``(num_rows, d)`` Eq. 14 matrix are computed on first
+    access (:func:`repro.core.updater.final_embedding_rows`) and cached;
+    materialisation is a pure function of the frozen inputs, so racing
+    readers compute identical bits and keep-first caching is harmless.
     """
 
     def __init__(
@@ -291,6 +298,7 @@ class DecayedSnapshot:
         last_times: np.ndarray,
         alpha: np.ndarray,
         alpha_slots: np.ndarray,
+        config: SUPAConfig,
     ):
         if components.dim % 3:
             raise ValueError(f"component width {components.dim} is not 3 * dim")
@@ -302,6 +310,7 @@ class DecayedSnapshot:
         self._last_times = last_times
         self._alpha = alpha
         self._slots = alpha_slots
+        self._config = config
         self._block_size = components._block_size
         # Guards the lazy block cache only; materialisation runs outside
         # it (pure, race-benign) so readers never wait on a rebuild.
@@ -309,24 +318,23 @@ class DecayedSnapshot:
         self._cache: Dict[int, np.ndarray] = {}
 
     def _materialize(self, index: int) -> np.ndarray:
-        from repro.core.updater import decayed_embedding_rows
-
         comp = self._components.block(index)
         lo, hi = self._components.block_rows(index)
         d = self.dim
         return _freeze(
-            decayed_embedding_rows(
+            final_embedding_rows(
                 comp[:, :d],
                 comp[:, d : 2 * d],
                 comp[:, 2 * d :],
                 self._alpha,
                 self._slots[lo:hi],
                 self.clock - self._last_times[lo:hi],
+                self._config,
             )
         )
 
     def block(self, index: int) -> np.ndarray:
-        """The ``index``-th decayed row block (read-only, cached)."""
+        """The ``index``-th Eq. 14 row block (read-only, cached)."""
         with self._lock:
             cached = self._cache.get(index)
         if cached is not None:
@@ -336,7 +344,7 @@ class DecayedSnapshot:
             return self._cache.setdefault(index, computed)
 
     def row(self, index: int) -> np.ndarray:
-        """One decayed embedding row (read-only view)."""
+        """One Eq. 14 embedding row (read-only view)."""
         if not 0 <= index < self.num_rows:
             raise IndexError(f"row {index} outside store of {self.num_rows} rows")
         block, offset = divmod(index, self._block_size)
@@ -347,28 +355,29 @@ class DecayedSnapshot:
         return _gather(self.block, self._block_size, self.num_rows, self.dim, indices)
 
     def matrix(self) -> np.ndarray:
-        """The full decayed matrix as one fresh (writable) array."""
+        """The full Eq. 14 matrix as one fresh (writable) array."""
         return self.rows(np.arange(self.num_rows, dtype=np.int64))
 
 
 class DecayedEmbeddingStore:
-    """Delta-publishing store for ``decay_at_inference`` models.
+    """The service's one store: time-free components, Eq. 14 on read.
 
     Publishing final Eq. 14 embeddings under inference-time decay is
     pathological for a copy-on-write store: every update advances the
     clock, which moves *every* node's decayed embedding, so each publish
-    would rewrite the full matrix.  This store factors the decay out of
-    the stored value: an inner :class:`VersionedEmbeddingStore` versions
-    the decay-invariant components ``concat(h^L, h^S, c^r)`` — touched
-    rows only, O(touched) per publish — while the cheap decay inputs
-    (clock, last-interaction times, alpha) ride along as per-snapshot
-    metadata.  Readers get a :class:`DecayedSnapshot` that materialises
-    the decayed matrix block-by-block on demand, bitwise equal to
-    ``SUPA.final_embeddings`` at the snapshot clock.
+    would rewrite the full matrix.  This store factors time out of the
+    stored value: an inner :class:`VersionedEmbeddingStore` versions the
+    components ``concat(h^L, h^S, c^r)`` — touched rows only,
+    O(touched) per publish — while the cheap decay inputs (clock,
+    last-interaction times, alpha) ride along as per-snapshot metadata.
+    Readers get a :class:`DecayedSnapshot` that materialises Eq. 14
+    block-by-block on demand through the model's own formula and
+    ``config`` (the model's :class:`~repro.core.config.SUPAConfig`, so
+    ablations without decay serve ``h^L + h^S`` or ``h^L``), bitwise
+    equal to ``SUPA.final_embeddings`` at the snapshot clock.
 
     The per-publish metadata cost is ``O(num_rows)`` *scalars* (the
-    last-time vector copy) against the dense store's ``O(num_rows * d)``
-    row refresh — and the component blocks themselves stay structurally
+    last-time vector copy), and the component blocks stay structurally
     shared between consecutive snapshots.
     """
 
@@ -378,6 +387,7 @@ class DecayedEmbeddingStore:
         last_times: np.ndarray,
         alpha: np.ndarray,
         alpha_slots: np.ndarray,
+        config: SUPAConfig,
         clock: float = 0.0,
         block_size: int = BLOCK_SIZE,
         compact_every: int = COMPACT_EVERY,
@@ -403,6 +413,7 @@ class DecayedEmbeddingStore:
             raise ValueError(
                 f"alpha_slots shape {self._slots.shape} != ({self.num_rows},)"
             )
+        self._config = config
         self._lock = threading.Lock()
         self._current = DecayedSnapshot(
             self._inner.snapshot(),
@@ -410,6 +421,7 @@ class DecayedEmbeddingStore:
             _freeze(last_times.copy()),
             _freeze(np.asarray(alpha, dtype=np.float64).copy()),
             self._slots,
+            config,
         )
 
     @property
@@ -465,6 +477,7 @@ class DecayedEmbeddingStore:
                 new_last,
                 _freeze(np.asarray(alpha, dtype=np.float64).copy()),
                 self._slots,
+                self._config,
             )
             self._current = snap
             return snap
@@ -479,6 +492,7 @@ class DecayedEmbeddingStore:
                 old._last_times,
                 old._alpha,
                 self._slots,
+                self._config,
             )
             self._current = snap
             return snap

@@ -7,9 +7,9 @@ from repro.core.config import SUPAConfig, g_decay
 from repro.core.memory import NodeMemory
 from repro.core.updater import (
     active_interval,
+    final_embedding_rows,
     target_embedding,
     target_embedding_backward,
-    target_embeddings_batch,
 )
 
 
@@ -112,6 +112,21 @@ class TestBackward:
         assert g_short is not None and g_alpha is None
 
 
+def target_embeddings_batch(memory, nodes, node_type_ids, deltas, cfg):
+    """``h*`` through the one Eq. 14 formula: with ``c^r = 0`` it returns
+    ``h* / 2``, and doubling undoes the halving bit for bit."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    return 2.0 * final_embedding_rows(
+        memory.long[nodes],
+        memory.short[nodes],
+        np.zeros((nodes.size, memory.dim)),
+        memory.alpha,
+        memory.alpha_slots(node_type_ids),
+        deltas,
+        cfg,
+    )
+
+
 class TestBatch:
     def test_batch_matches_single_with_inference_decay(self, memory, cfg):
         cfg_decay = cfg.with_overrides(decay_at_inference=True)
@@ -141,6 +156,14 @@ class TestBatch:
             cfg.with_overrides(use_short_term=False),
         )
         assert np.allclose(out[0], memory.long[0])
+
+    def test_non_finite_deltas_clamped(self, memory):
+        """A never-seen node's delta is ``t - (-inf)``: fresh, like 0."""
+        cfg = SUPAConfig(dim=3, decay_at_inference=True)
+        nodes, types = np.array([0, 1]), np.array([0, 1])
+        a = target_embeddings_batch(memory, nodes, types, np.array([np.inf, np.nan]), cfg)
+        b = target_embeddings_batch(memory, nodes, types, np.zeros(2), cfg)
+        assert a.tobytes() == b.tobytes()
 
     def test_negative_deltas_clamped(self, memory):
         cfg = SUPAConfig(dim=3, decay_at_inference=True)

@@ -1,5 +1,6 @@
 import numpy as np
 
+from repro.core.config import SUPAConfig
 from repro.serve.store import DecayedEmbeddingStore
 
 
@@ -13,6 +14,7 @@ def make_decayed_store(num_rows, dim, block_size, seed=0):
         last_times=rng.uniform(0.0, 5.0, size=num_rows),
         alpha=rng.normal(size=3),
         alpha_slots=rng.integers(0, 3, size=num_rows),
+        config=SUPAConfig(),
         clock=6.0,
         block_size=block_size,
     )

@@ -1,4 +1,4 @@
-"""Tests for cached top-K retrieval and precise invalidation."""
+"""Tests for cached top-K retrieval, its version check and invalidation."""
 
 import numpy as np
 import pytest
@@ -79,6 +79,10 @@ class TestCache:
         index.top_k(snap, 2, 5)  # evicts user 0
         assert index.cached_keys() == ((1, 5), (2, 5))
 
+    def test_rejects_negative_cache_size(self):
+        with pytest.raises(ValueError, match="cache_size must be >= 0"):
+            make_world(cache_size=-4)
+
     def test_cache_disabled(self):
         store, index, _, _ = make_world(cache_size=0)
         snap = store.snapshot()
@@ -88,17 +92,22 @@ class TestCache:
 
 
 class TestInvalidation:
-    def test_touched_user_dropped_untouched_retained(self):
-        store, index, matrix, items = make_world()
+    def test_invalidate_clears_every_entry_and_counts(self):
+        """A publish's clock advance can move every served embedding, so
+        ``invalidate`` drops and counts every entry; the emptied cache
+        keeps serving."""
+        store, index, _, items = make_world()
         snap = store.snapshot()
-        index.top_k(snap, 0, 5)
-        index.top_k(snap, 1, 5)
+        for user in range(4):
+            index.top_k(snap, user, 5)
+        index.top_k(snap, 0, 3)
         new = store.publish([0], np.zeros((1, 8), dtype=np.float64))
-        dropped = index.invalidate(new, touched_users={0}, touched_items=())
-        assert dropped == 1
-        assert index.cache_entry(0, 5) is None
-        retained = index.cache_entry(1, 5)
-        assert retained is not None and retained.version == new.version
+        assert index.invalidate(new) == 5
+        assert index.invalidations == 5 and index.cached_keys() == ()
+        np.testing.assert_array_equal(
+            index.top_k(new, 1, 5), offline_top_k(new.matrix(), items, 1, 5)
+        )
+        assert index.misses == 6 and index.hits == 0
 
     def test_item_inside_cached_list_drops_entry(self):
         store, index, matrix, items = make_world()
@@ -106,27 +115,7 @@ class TestInvalidation:
         cached = index.top_k(snap, 0, 5)
         member = int(cached[0])
         new = store.publish([member], np.zeros((1, 8), dtype=np.float64))
-        assert index.invalidate(new, touched_users=(), touched_items={member}) == 1
-
-    def test_weak_item_change_retains_entry_exactly(self):
-        """An item that stays below the cached k-th score leaves the
-        entry valid — and the retained answer equals recomputation."""
-        store, index, matrix, items = make_world()
-        snap = store.snapshot()
-        cached = index.top_k(snap, 0, 5)
-        loser = int(items[-1]) if int(items[-1]) not in set(int(i) for i in cached) else int(items[0])
-        assert loser not in set(int(i) for i in cached)
-        # push the loser even further down: a large negative embedding
-        new = store.publish(
-            [loser], np.full((1, 8), -100.0, dtype=np.float64)
-        )
-        dropped = index.invalidate(new, touched_users=(), touched_items={loser})
-        assert dropped == 0
-        fresh_matrix = new.matrix()
-        np.testing.assert_array_equal(
-            index.top_k(new, 0, 5), offline_top_k(fresh_matrix, items, 0, 5)
-        )
-        assert index.hits >= 1  # the retained entry actually served
+        assert index.invalidate(new) == 1
 
     def test_item_beating_kth_score_drops_entry(self):
         store, index, matrix, items = make_world()
@@ -139,37 +128,22 @@ class TestInvalidation:
                 np.where(snap.row(0) == 0, 1.0, snap.row(0))
             )
         )
-        dropped = index.invalidate(new, touched_users=(), touched_items={outsider})
-        assert dropped == 1
+        assert index.invalidate(new) == 1
+        assert int(index.top_k(new, 0, 5)[0]) == outsider
 
-    def test_full_invalidation_equals_naming_every_node(self):
-        """``None`` (every node changed — what decayed serving passes on
-        each publish) drops and counts exactly what passing the whole
-        node range does, without building it."""
-        outcomes = []
-        for everything in (None, set(range(24))):  # make_world: 4 users + 20 items
-            store, index, _, items = make_world()
-            snap = store.snapshot()
-            for user in range(4):
-                index.top_k(snap, user, 5)
-            index.top_k(snap, 0, 3)
-            new = store.publish([0], np.zeros((1, 8), dtype=np.float64))
-            dropped = index.invalidate(new, everything, everything)
-            outcomes.append((dropped, index.invalidations, index.cached_keys()))
-            # the emptied cache keeps serving: next read is a miss on `new`
-            np.testing.assert_array_equal(
-                index.top_k(new, 1, 5),
-                offline_top_k(new.matrix(), items, 1, 5),
-            )
-        assert outcomes[0] == outcomes[1] == (5, 5, ())
-
-    def test_non_candidate_touched_items_ignored(self):
-        store, index, _, _ = make_world()
+    def test_version_check_refuses_an_older_answer(self):
+        """Correctness does not rest on ``invalidate``: an answer cached
+        on one snapshot is never served for another."""
+        store, index, _, items = make_world()
         snap = store.snapshot()
-        index.top_k(snap, 0, 5)
-        new = store.publish([1], np.zeros((1, 8), dtype=np.float64))
-        # node 1 is a user, not in the candidate catalogue
-        assert index.invalidate(new, touched_users=(), touched_items={1}) == 0
+        old = index.top_k(snap, 0, 5)
+        outsider = int(items[-1]) if int(items[-1]) not in set(old.tolist()) else int(items[0])
+        new = store.publish([outsider], 100.0 * np.sign(snap.row(0))[None, :])
+        fresh = index.top_k(new, 0, 5)
+        assert int(fresh[0]) == outsider
+        np.testing.assert_array_equal(fresh, offline_top_k(new.matrix(), items, 0, 5))
+        np.testing.assert_array_equal(index.top_k(snap, 0, 5), old)
+        assert index.hits == 0 and index.misses == 3
 
 
 class TestEviction:
@@ -182,8 +156,8 @@ class TestEviction:
         assert index.cached_keys() == ((1, 5), (2, 5))
         # invalidations are not evictions
         new = store.publish([1], np.zeros((1, 8), dtype=np.float64))
-        assert index.invalidate(new, touched_users={1}, touched_items=()) == 1
-        assert index.evictions == 1 and index.invalidations == 1
+        assert index.invalidate(new) == 2
+        assert index.evictions == 1 and index.invalidations == 2
 
 
 class TestBlockGather:

@@ -1,19 +1,19 @@
-"""The two publish paths of the service (DESIGN.md §8).
+"""The service's one publish path (DESIGN.md §8).
 
-* the dense path hands its touched-row Eq. 14 recompute to
-  ``publish_parts``, which lands any number of row stripes as ONE
-  atomic snapshot;
-* under ``decay_at_inference`` the store versions decay-invariant
-  components and materialises the decayed matrix lazily at read time,
-  bitwise equal to ``SUPA.final_embeddings`` at the snapshot clock,
-  while publishes stay O(touched rows).
+Every model, ablations included, publishes its time-free components
+``concat(h^L, h^S, c^r)`` into the ``DecayedEmbeddingStore``; a snapshot
+reads Eq. 14 through the model's own formula at its clock, bitwise equal
+to ``SUPA.final_embeddings``, while publishes stay O(touched rows).
+``publish_parts`` (one atomic snapshot from any number of row stripes)
+has no caller in ``repro``; it stays for the benchmark spine's probes.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.config import SUPAConfig
+from repro.core.config import SUPAConfig, g_decay
 from repro.core.model import SUPA
+from repro.core.variants import VARIANT_BUILDERS
 from repro.serve.service import RecommendationService, ServeConfig
 from repro.serve.store import (
     DecayedEmbeddingStore,
@@ -41,28 +41,71 @@ def drain(svc, dataset):
     svc.flush()
 
 
-DENSE = SUPAConfig(seed=7, decay_at_inference=False)
+BASE = SUPAConfig(seed=7)
+SERVED_CONFIGS = {
+    **{name: build(BASE) for name, build in VARIANT_BUILDERS.items()},
+    "no_inference_decay": BASE.with_overrides(decay_at_inference=False),
+}
 
 
-# ------------------------------------------------------------ dense publishes
+def eq14_reference(model, edge_type, t):
+    """Eq. 14 written out per ablation, apart from the served formula:
+    ``1/2 (h^L + gamma h^S + c^r)``, with ``gamma = g(sigma(alpha) Delta)``
+    under decay-at-inference, 1 without it, and no ``h^S`` without
+    short-term memory."""
+    memory, cfg = model.memory, model.config
+    nodes = np.arange(memory.num_nodes)
+    h_star = memory.long.copy()
+    if cfg.use_short_term:
+        gamma = np.ones(nodes.size)
+        if cfg.use_forgetting and cfg.decay_at_inference:
+            last = model.graph.last_interaction_times(nodes)
+            delta = np.where(np.isfinite(last), np.maximum(t - last, 0.0), 0.0)
+            alpha = memory.alpha[memory.alpha_slots(model._node_type_ids)]
+            gamma = g_decay(delta / (1.0 + np.exp(-alpha)))
+        h_star += gamma[:, None] * memory.short
+    slot = memory.context_slot(model.schema.edge_type_id(edge_type))
+    return 0.5 * (h_star + memory.context[slot])
+
+
+# ------------------------------------------------------------ one serve path
+
+
+@pytest.mark.parametrize("name", sorted(SERVED_CONFIGS))
+def test_every_variant_serves_the_model_bitwise(small_dataset, name):
+    """Each ablation, and a model without inference-time decay, serves
+    through the component store: at a mid-stream version and after
+    draining, the served matrix is ``SUPA.final_embeddings`` at that
+    snapshot's clock byte for byte, the formula is Eq. 14 for that
+    ablation, and quiesced answers equal the offline pipeline."""
+    svc = make_service(small_dataset, model_config=SERVED_CONFIGS[name])
+    assert isinstance(svc.store, DecayedEmbeddingStore)
+    all_nodes = np.arange(small_dataset.num_nodes, dtype=np.int64)
+    edges = list(small_dataset.stream)
+    for e in edges[:4]:
+        svc.ingest(e)
+    svc.flush()
+    pinned = svc.store.snapshot()
+    assert pinned.version == 1 and pinned.clock == svc.clock
+    mid = svc.model.final_embeddings(all_nodes, svc.edge_type, pinned.clock)
+    for e in edges[4:]:
+        svc.ingest(e)
+    svc.flush()
+    assert svc.store.version > pinned.version
+    assert pinned.matrix().tobytes() == mid.tobytes()
+    expected = svc.model.final_embeddings(all_nodes, svc.edge_type, svc.clock)
+    assert svc.store.snapshot().matrix().tobytes() == expected.tobytes()
+    np.testing.assert_allclose(
+        expected, eq14_reference(svc.model, svc.edge_type, svc.clock), rtol=1e-12
+    )
+    for user in range(3):
+        np.testing.assert_array_equal(
+            svc.recommend(user, k=4), svc.offline_top_k(user, k=4)
+        )
+    svc.close()
 
 
 class TestStripedPublish:
-    def test_dense_service_matches_model_bitwise(self, small_dataset):
-        """Without decay-at-inference the service publishes Eq. 14 rows
-        into the dense store; quiesced, it equals the live model."""
-        svc = make_service(small_dataset, model_config=DENSE)
-        assert isinstance(svc.store, VersionedEmbeddingStore)
-        drain(svc, small_dataset)
-        all_nodes = np.arange(small_dataset.num_nodes, dtype=np.int64)
-        expected = svc.model.final_embeddings(all_nodes, svc.edge_type, svc.clock)
-        assert svc.store.snapshot().matrix().tobytes() == expected.tobytes()
-        for user in range(3):
-            np.testing.assert_array_equal(
-                svc.recommend(user, k=4), svc.offline_top_k(user, k=4)
-            )
-        svc.close()
-
     def test_publish_parts_empty_and_single(self):
         store = VersionedEmbeddingStore(np.zeros((6, 3)), block_size=2)
         snap = store.publish_parts([])
@@ -130,6 +173,7 @@ class TestDecayedServing:
             last_times=seed._last_times,
             alpha=seed._alpha,
             alpha_slots=svc.store._slots,
+            config=svc.model.config,
             clock=seed.clock,
             block_size=1,
             compact_every=0,
@@ -179,6 +223,7 @@ class TestDecayedServing:
                 last_times=np.zeros(4),
                 alpha=np.zeros(2),
                 alpha_slots=np.zeros(4, dtype=np.int64),
+                config=SUPAConfig(),
             )
         with pytest.raises(ValueError, match="last_times"):
             DecayedEmbeddingStore(
@@ -186,4 +231,5 @@ class TestDecayedServing:
                 last_times=np.zeros(3),
                 alpha=np.zeros(2),
                 alpha_slots=np.zeros(4, dtype=np.int64),
+                config=SUPAConfig(),
             )

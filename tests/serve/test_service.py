@@ -1,7 +1,7 @@
 """Tests for the RecommendationService façade.
 
 Covers the serving consistency model: snapshot isolation while an
-update is mid-flight, precise cache invalidation, deadlettering of
+update is mid-flight, cache invalidation on publish, deadlettering of
 malformed events, and exact offline parity once quiesced.
 """
 
@@ -35,6 +35,12 @@ class TestConfig:
     def test_rejects_capacity_below_batch(self):
         with pytest.raises(ValueError):
             ServeConfig(batch_size=8, capacity=4)
+
+    def test_rejects_negative_cache_size(self):
+        """A negative size once ran cacheless, silently, like 0."""
+        with pytest.raises(ValueError, match="cache_size must be >= 0"):
+            ServeConfig(cache_size=-4)
+        assert ServeConfig(cache_size=0).cache_size == 0
 
     def test_edge_type_resolution(self, small_dataset):
         """The dataset's first target relation, else its first schema one."""

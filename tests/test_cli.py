@@ -233,6 +233,7 @@ class TestServeReplay:
 
 
 SERVE_REPLAY = ["serve-replay", "--dataset", "uci"]
+PRIMARY = ["replicate", "primary", "--dataset", "uci", "--state-dir", "s"]
 FOLLOWER = ["replicate", "follower", "--dataset", "uci", "--state-dir", "s"]
 PROMOTE = [
     "replicate", "promote", "--dataset", "uci", "--state-dir", "s",
@@ -241,34 +242,51 @@ PROMOTE = [
 
 
 class TestCountsBelowOne:
-    """A count below one exits 2 at parse time.  ``--probes 0`` passed
-    the follower's parity gate as 0/0 and ``--probes -3`` checked all
-    users but the last three; ``--k 0`` and ``--probe-every 0`` ended in
-    a traceback, ``--k 0`` only after the whole replay."""
+    """A count below its floor exits 2 at parse time.  ``--probes 0``
+    passed the follower's parity gate as 0/0 and ``--probes -3`` checked
+    all users but the last three; ``--k 0`` and ``--probe-every 0`` ended
+    in a traceback, ``--k 0`` only after the whole replay.  ``replicate
+    primary --events -5`` ingested all but the last five events,
+    ``promote --resume-from -3`` resumed from the stream's end (so
+    ``--verify-parity`` replayed another prefix than the primary
+    ingested), and ``--heartbeat-every 0`` / ``--checkpoint-every -1``
+    ended in a ``ReplicationConfig`` traceback."""
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, floor",
         [
-            SERVE_REPLAY + ["--k", "0"],
-            SERVE_REPLAY + ["--probe-every", "0"],
-            SERVE_REPLAY + ["--max-parity-users", "0"],
-            SERVE_REPLAY + ["--max-parity-users", "-3"],
-            FOLLOWER + ["--probes", "0"],
-            FOLLOWER + ["--probes", "-3"],
-            PROMOTE + ["--probes", "0"],
-            PROMOTE + ["--k", "-1"],
+            (SERVE_REPLAY + ["--k", "0"], 1),
+            (SERVE_REPLAY + ["--probe-every", "0"], 1),
+            (SERVE_REPLAY + ["--max-parity-users", "0"], 1),
+            (SERVE_REPLAY + ["--max-parity-users", "-3"], 1),
+            (FOLLOWER + ["--probes", "0"], 1),
+            (FOLLOWER + ["--probes", "-3"], 1),
+            (PROMOTE + ["--probes", "0"], 1),
+            (PROMOTE + ["--k", "-1"], 1),
+            (PRIMARY + ["--events", "-5"], 0),
+            (PROMOTE + ["--events", "-1"], 0),
+            (PROMOTE + ["--resume-from", "-3"], 0),
+            (PRIMARY + ["--checkpoint-every", "-1"], 0),
+            (FOLLOWER + ["--heartbeat-every", "0"], 1),
         ],
         ids=[
             "k-0", "probe-every-0", "max-parity-users-0", "max-parity-users-neg",
             "follower-probes-0", "follower-probes-neg", "promote-probes-0",
-            "promote-k-neg",
+            "promote-k-neg", "primary-events-neg", "promote-events-neg",
+            "promote-resume-from-neg", "checkpoint-every-neg", "heartbeat-every-0",
         ],
     )
-    def test_exits_2_at_parse_time(self, argv, capsys):
+    def test_exits_2_at_parse_time(self, argv, floor, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        assert f"must be >= {floor}" in capsys.readouterr().err
+
+    def test_zero_is_a_replicate_count(self):
+        args = build_parser().parse_args(
+            PROMOTE + ["--events", "0", "--resume-from", "0", "--checkpoint-every", "0"]
+        )
+        assert (args.events, args.resume_from, args.checkpoint_every) == (0, 0, 0)
 
 
 class TestReplicate:
