@@ -134,37 +134,47 @@ def deserialize(data: bytes) -> Checkpoint:
     canonical = json.dumps(meta, sort_keys=True, separators=(",", ":"))
     if wrapper["crc"] != zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF:
         raise CheckpointError("checkpoint header failed its CRC check")
+    # a header can pass its CRC and still not be one this writer makes
+    if not isinstance(meta, dict):
+        raise CheckpointError("malformed checkpoint header")
     if meta.get("format") != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint format {meta.get('format')!r} "
             f"(expected {FORMAT_VERSION})"
         )
+    try:
+        payload_bytes, payload_crc = meta["payload_bytes"], meta["payload_crc"]
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint header lacks {exc}") from exc
     payload = data[newline + 1 :]
-    if len(payload) != meta["payload_bytes"]:
+    if len(payload) != payload_bytes:
         raise CheckpointError(
             f"truncated checkpoint payload ({len(payload)} of "
-            f"{meta['payload_bytes']} bytes)"
+            f"{payload_bytes} bytes)"
         )
-    if zlib.crc32(payload) & 0xFFFFFFFF != meta["payload_crc"]:
+    if zlib.crc32(payload) & 0xFFFFFFFF != payload_crc:
         raise CheckpointError("checkpoint payload failed its CRC check")
     try:
         with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
             flat = {name: archive[name] for name in archive.files}
     except (ValueError, OSError) as exc:
         raise CheckpointError(f"unreadable checkpoint payload: {exc}") from exc
-    return Checkpoint(
-        seq=int(meta["seq"]),
-        updates_applied=int(meta["updates_applied"]),
-        clock=float(meta["clock"]),
-        residue=[
-            StreamEdge(int(u), int(v), str(et), float(t))
-            for u, v, et, t in meta["residue"]
-        ],
-        model_state=_unflatten(flat),
-        model_rng_state=meta["model_rng_state"],
-        trainer_rng_state=meta["trainer_rng_state"],
-        num_nodes=int(meta.get("num_nodes", 0)),
-    )
+    try:
+        return Checkpoint(
+            seq=int(meta["seq"]),
+            updates_applied=int(meta["updates_applied"]),
+            clock=float(meta["clock"]),
+            residue=[
+                StreamEdge(int(u), int(v), str(et), float(t))
+                for u, v, et, t in meta["residue"]
+            ],
+            model_state=_unflatten(flat),
+            model_rng_state=meta["model_rng_state"],
+            trainer_rng_state=meta["trainer_rng_state"],
+            num_nodes=int(meta.get("num_nodes", 0)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
 
 
 #: Newest checkpoints kept on disk; older ones are pruned on save.

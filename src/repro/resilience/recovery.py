@@ -49,7 +49,7 @@ from repro.resilience.checkpoint import Checkpoint, CheckpointManager
 from repro.resilience.wal import (
     LEDGER_ONLY_KINDS,
     WalRecord,
-    iter_records,
+    iter_records,  # unused here; bound so the spine's probes can wrap it
     scan,
 )
 from repro.serve.service import RecommendationService, ServeConfig
@@ -263,19 +263,21 @@ def recover(
         )
     timer = Timer()
     with timer:
-        status = scan(serve_config.wal_path, collect_records=False)
-        # the service's WAL reopens self-repairing once the pass is done
-        # and keeps appending from last_seq
+        # the one read of the log: its records feed the catch-up, and the
+        # WAL opens from the same walk — cut back to its valid prefix,
+        # appending from last_seq — once the service is caught up
+        status = scan(serve_config.wal_path)
         result = catch_up(
             dataset,
-            serve_config,
+            replace(serve_config, wal_path=None),
             serve_config.checkpoint_dir,
-            iter_records(serve_config.wal_path),
+            status.records,
             model_config,
             train_config,
             trace,
         )
         service = result.service
+        service.attach_durability(serve_config.wal_path, recovered=status)
         result.log.hand_over(service)
         service.metrics.counter("recovery.replayed_events").inc(
             result.replayed_events

@@ -28,11 +28,15 @@ unjournaled drops).
 
 Format: one JSON record per line, smallest-possible canonical encoding
 (sorted keys, no whitespace) with a ``crc`` field holding the CRC-32 of
-the canonical record body.  Sequence numbers are contiguous from 1; a
-gap, a failed checksum or an unterminated final line marks the end of
-the valid prefix.  A torn tail — the partially-flushed final record of
-a crashed process — is *detected and dropped*, never fatal: opening the
-log truncates it back to the valid prefix and appends from there.
+the canonical record body.  ``crc`` sorts first, so a line is
+``{"crc":N,`` followed by the body's canonical bytes minus their ``{``:
+the writer splices the checksum in and the reader checks it over the
+bytes as written, neither re-encoding.  Sequence numbers are contiguous
+from 1; a gap, a failed checksum or an unterminated final line marks the
+end of the valid prefix.  A torn tail — the partially-flushed final
+record of a crashed process — is *detected and dropped*, never fatal:
+opening the log truncates it back to the valid prefix and appends from
+there.
 
 Large logs rotate into Kafka-style segments: the root ``path`` is always
 the oldest segment and rotation opens a side file named
@@ -105,6 +109,10 @@ class WalScan:
     dropped_segments: List[str] = field(default_factory=list)
 
 
+#: every line opens with its checksum: ``{"crc":N,`` then the body's keys
+_CRC_HEAD = b'{"crc":'
+
+
 def _canonical(body: dict) -> bytes:
     return json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -123,22 +131,29 @@ def _encode(record: WalRecord) -> bytes:
     if record.reason:
         body["why"] = str(record.reason)
     canonical = _canonical(body)
-    crc = zlib.crc32(canonical) & 0xFFFFFFFF
-    wrapped = dict(body)
-    wrapped["crc"] = crc
-    return _canonical(wrapped) + b"\n"
+    # "crc" sorts before every body key, so splicing it in first is the
+    # canonical encoding of the body with its checksum added
+    return b'{"crc":%d,' % zlib.crc32(canonical) + canonical[1:] + b"\n"
 
 
 def _decode(line: bytes) -> Optional[WalRecord]:
-    """Parse one journal line; ``None`` for anything invalid."""
+    """Parse one journal line; ``None`` for anything invalid.
+
+    The checksum is verified over the bytes as written — the line minus
+    its ``"crc":N,`` head — so nothing is re-encoded to check it.
+    """
+    if not line.startswith(_CRC_HEAD):
+        return None
+    comma = line.find(b",", len(_CRC_HEAD))
+    digits = line[len(_CRC_HEAD):comma]
+    if comma < 0 or not digits.isdigit():
+        return None
+    crc = int(digits)
+    if crc != zlib.crc32(b"{" + line[comma + 1:]):
+        return None
     try:
-        payload = json.loads(line.decode("utf-8"))
+        payload = json.loads(line.decode("utf-8"))  # an object: it opens with "{"
     except (ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(payload, dict) or "crc" not in payload:
-        return None
-    crc = payload.pop("crc")
-    if crc != zlib.crc32(_canonical(payload)) & 0xFFFFFFFF:
         return None
     kind = payload.get("kind")
     seq = payload.get("seq")
@@ -344,6 +359,19 @@ def decision_ledger(path: str) -> Dict[str, Dict[str, int]]:
     return ledger
 
 
+def _repair(recovered: WalScan) -> None:
+    """Cut the log :func:`scan` read back to its valid prefix: truncate
+    the segment it ends in and remove every whole segment past it."""
+    if (
+        os.path.exists(recovered.valid_path)
+        and recovered.valid_bytes < os.path.getsize(recovered.valid_path)
+    ):
+        with open(recovered.valid_path, "r+b") as fh:
+            fh.truncate(recovered.valid_bytes)
+    for stale in recovered.dropped_segments:
+        os.remove(stale)
+
+
 class WriteAheadLog:
     """Appender over one journal, self-repairing on open.
 
@@ -365,6 +393,9 @@ class WriteAheadLog:
         When set, an append that leaves the active segment at or above
         this size rotates to a fresh segment named by the next sequence
         number.  ``None`` (default) keeps the single-file layout.
+    recovered:
+        A :func:`scan` of ``path`` taken since its last append (recovery
+        reads the log once and opens from that walk); ``None`` scans.
     """
 
     def __init__(
@@ -373,6 +404,7 @@ class WriteAheadLog:
         fsync: bool = False,
         metrics=None,
         segment_bytes: Optional[int] = None,
+        recovered: Optional[WalScan] = None,
     ):
         if segment_bytes is not None and segment_bytes < 1:
             raise ValueError(
@@ -388,17 +420,11 @@ class WriteAheadLog:
         self._lock = threading.Lock()
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
-        recovered = scan(path, collect_records=False)
+        if recovered is None:
+            recovered = scan(path, collect_records=False)
+        _repair(recovered)
         self.last_seq = recovered.last_seq
         self.torn_records_dropped = recovered.dropped_records
-        if (
-            os.path.exists(recovered.valid_path)
-            and recovered.valid_bytes < os.path.getsize(recovered.valid_path)
-        ):
-            with open(recovered.valid_path, "r+b") as fh:
-                fh.truncate(recovered.valid_bytes)
-        for stale in recovered.dropped_segments:
-            os.remove(stale)
         if metrics is not None and self.torn_records_dropped:
             metrics.counter("wal.torn_records_dropped").inc(
                 self.torn_records_dropped

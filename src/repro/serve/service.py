@@ -241,7 +241,10 @@ class RecommendationService:
         self._consecutive_update_failures = 0
         self._breaker_open = False
         self._breaker_cooldown = 0
-        self._open_durability()
+        if self.config.wal_path is not None:
+            self._open_wal()
+        if self.config.checkpoint_dir is not None:
+            self._open_checkpoints()
 
         # The store versions Eq. 14's time-free components and reads the
         # formula at each snapshot's clock, so a publish costs O(touched
@@ -632,45 +635,51 @@ class RecommendationService:
         wal_path: str,
         checkpoint_dir: Optional[str] = None,
         checkpoint_every: Optional[int] = None,
+        recovered=None,
     ) -> None:
         """Wire a WAL (and optionally checkpoints) into a running service.
 
-        The promotion path: a follower runs with journaling off — the
-        primary's log is its source of truth — and gains durability of
-        its own only on becoming the writer.  Call while no producers
-        are ingesting; journal coverage starts with the first decision
-        made after the attach.
+        Two callers: promotion — a follower runs with journaling off,
+        the primary's log is its source of truth, and it gains
+        durability of its own only on becoming the writer — and
+        :func:`~repro.resilience.recovery.recover`, which passes the
+        :func:`~repro.resilience.wal.scan` it replayed as ``recovered``
+        so the log opens (and repairs its torn tail) from that walk
+        instead of reading itself again.  Call while no producers are
+        ingesting; journal coverage starts with the first decision made
+        after the attach.
         """
         if self.wal is not None:
             raise ValueError("service already has a write-ahead log")
         # on a copy: the caller's ServeConfig may build other services,
         # and one journal must never gain a second writer
         self.config = replace(self.config, wal_path=wal_path)
+        self._open_wal(recovered)
         if checkpoint_dir is not None:
             self.config.checkpoint_dir = checkpoint_dir
             if checkpoint_every is not None:
                 self.config.checkpoint_every = int(checkpoint_every)
-        self._open_durability()
+            self._open_checkpoints()
         self.queue.set_journal(self.wal)
 
-    def _open_durability(self) -> None:
-        """Open the WAL / checkpoint manager the config names (if any)."""
-        if self.config.wal_path is not None:
-            from repro.resilience.wal import WriteAheadLog
+    def _open_wal(self, recovered=None) -> None:
+        from repro.resilience.wal import WriteAheadLog
 
-            self.wal = WriteAheadLog(
-                self.config.wal_path,
-                fsync=self.config.wal_fsync,
-                metrics=self.metrics,
-                segment_bytes=self.config.wal_segment_bytes,
-            )
-        if self.config.checkpoint_dir is not None:
-            from repro.resilience.checkpoint import CheckpointManager
+        self.wal = WriteAheadLog(
+            self.config.wal_path,
+            fsync=self.config.wal_fsync,
+            metrics=self.metrics,
+            segment_bytes=self.config.wal_segment_bytes,
+            recovered=recovered,
+        )
 
-            self.checkpoints = CheckpointManager(
-                self.config.checkpoint_dir,
-                metrics=self.metrics,
-            )
+    def _open_checkpoints(self) -> None:
+        from repro.resilience.checkpoint import CheckpointManager
+
+        self.checkpoints = CheckpointManager(
+            self.config.checkpoint_dir,
+            metrics=self.metrics,
+        )
 
     # -------------------------------------------------------------- durability
 

@@ -1,6 +1,9 @@
 """Tests for atomic checkpoints: roundtrip, retention, corruption fallback."""
 
+import io
+import json
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -135,3 +138,48 @@ class TestManager:
     def test_invalid_retain_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointManager(str(tmp_path), retain=0)
+
+
+def header_only(meta, payload=b""):
+    """A checkpoint file whose header passes its CRC whatever ``meta`` is."""
+    canonical = json.dumps(meta, sort_keys=True, separators=(",", ":"))
+    header = json.dumps(
+        {"crc": zlib.crc32(canonical.encode("utf-8")), "meta": meta},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return header.encode("utf-8") + b"\n" + payload
+
+
+def _npz():
+    buffer = io.BytesIO()
+    np.savez(buffer, x=np.zeros(2))
+    return buffer.getvalue()
+
+
+_MALFORMED = {
+    "meta is a list": header_only([1, 2]),
+    "no payload_bytes": header_only({"format": 1}),
+    "no seq": header_only(
+        {"format": 1, "payload_bytes": len(_npz()), "payload_crc": zlib.crc32(_npz())},
+        _npz(),
+    ),
+}
+
+
+class TestMalformedHeader:
+    """A header can pass its CRC and still not be one the writer makes:
+    that is corruption too, so recovery falls back past it."""
+
+    @pytest.mark.parametrize("data", _MALFORMED.values(), ids=_MALFORMED.keys())
+    def test_is_a_checkpoint_error(self, data):
+        with pytest.raises(CheckpointError):
+            deserialize(data)
+
+    @pytest.mark.parametrize("data", _MALFORMED.values(), ids=_MALFORMED.keys())
+    def test_latest_falls_back_past_it(self, tmp_path, data):
+        manager = CheckpointManager(str(tmp_path))
+        manager.save(make_checkpoint(seq=1))
+        (tmp_path / f"ckpt-{2:012d}.ckpt").write_bytes(data)
+        assert manager.latest().seq == 1
+        assert manager.fallbacks == 1

@@ -1,11 +1,23 @@
 """Tests for the write-ahead log: roundtrip, torn tails, CRC, sequencing."""
 
+import json
 import os
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.streams import StreamEdge
-from repro.resilience.wal import WalRecord, WriteAheadLog, _encode, scan
+from repro.resilience.wal import (
+    WAL_KINDS,
+    WalRecord,
+    WriteAheadLog,
+    _canonical,
+    _decode,
+    _encode,
+    scan,
+)
 
 
 def edge(i, t=None):
@@ -129,3 +141,153 @@ class TestLifecycle:
         with WriteAheadLog(nested) as wal:
             wal.append_accept(edge(1))
         assert os.path.exists(nested)
+
+
+# ------------------------------------------------ encoding oracle (two-pass)
+
+
+def _body(record):
+    body = {"kind": record.kind, "seq": int(record.seq)}
+    if record.edge is not None:
+        body.update(
+            u=int(record.edge.u),
+            v=int(record.edge.v),
+            et=str(record.edge.edge_type),
+            t=float(record.edge.t),
+        )
+    if record.kind == "batch":
+        body["n"] = int(record.count)
+    if record.kind == "heartbeat":
+        body["t"] = float(record.t)
+    if record.reason:
+        body["why"] = str(record.reason)
+    return body
+
+
+def two_pass_encode(record):
+    """The encoder that defined the format: canonicalise the body, CRC
+    it, then canonicalise the body again with the CRC added."""
+    body = _body(record)
+    wrapped = dict(body, crc=zlib.crc32(_canonical(body)) & 0xFFFFFFFF)
+    return _canonical(wrapped) + b"\n"
+
+
+def two_pass_decode(line):
+    """The reader that defined the format: parse, pop the CRC and check
+    it against the re-canonicalised body, then validate the fields."""
+    try:
+        payload = json.loads(line.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError):
+        return None
+    if not isinstance(payload, dict) or "crc" not in payload:
+        return None
+    crc = payload.pop("crc")
+    if crc != zlib.crc32(_canonical(payload)) & 0xFFFFFFFF:
+        return None
+    kind, seq = payload.get("kind"), payload.get("seq")
+    if kind not in WAL_KINDS or not isinstance(seq, int) or seq < 1:
+        return None
+    reason = payload.get("why", "")
+    if not isinstance(reason, str):
+        return None
+    if kind in ("accept", "evict", "shed", "throttle"):
+        try:
+            e = StreamEdge(
+                int(payload["u"]), int(payload["v"]), str(payload["et"]),
+                float(payload["t"]),
+            )
+        except (KeyError, TypeError, ValueError):
+            return None
+        return WalRecord(seq, kind, edge=e, reason=reason)
+    if kind == "batch":
+        count = payload.get("n")
+        if not isinstance(count, int) or count < 1:
+            return None
+        return WalRecord(seq, kind, count=count, reason=reason)
+    raw = payload.get("t")
+    if not isinstance(raw, (int, float)) or isinstance(raw, bool):
+        return None
+    return WalRecord(seq, kind, t=float(raw), reason=reason)
+
+
+_floats = st.one_of(
+    st.sampled_from([1e-05, -0.0, 0.0, 1e16, 0.1 + 0.2, 5e-324, 1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_ids = st.integers(min_value=0, max_value=2**63 - 1)
+
+
+@st.composite
+def records(draw):
+    kind = draw(st.sampled_from(WAL_KINDS))
+    seq = draw(st.integers(min_value=1, max_value=2**62))
+    reason = draw(st.text(max_size=12))  # non-ASCII included
+    if kind in ("accept", "evict", "shed", "throttle"):
+        e = StreamEdge(draw(_ids), draw(_ids), draw(st.text(max_size=8)), draw(_floats))
+        return WalRecord(seq, kind, edge=e, reason=reason)
+    if kind == "batch":
+        return WalRecord(seq, kind, count=draw(st.integers(1, 2**40)), reason=reason)
+    return WalRecord(seq, kind, t=draw(_floats), reason=reason)
+
+
+#: one awkward record per kind, for the exhaustive corruption sweep
+_FIXED = [
+    WalRecord(1, "accept", edge=StreamEdge(2**40, 7, "click", 1e-05)),
+    WalRecord(2, "evict", edge=StreamEdge(3, 2**53 + 1, "like", -0.0)),
+    WalRecord(3, "batch", count=256),
+    WalRecord(4, "heartbeat", t=1e16),
+    WalRecord(5, "shed", edge=StreamEdge(9, 4, "buy", 0.1 + 0.2), reason="queue full"),
+    WalRecord(6, "throttle", edge=StreamEdge(1, 2, "click", 1618.0340), reason="débit ≥ 5/s"),
+]
+
+
+class TestEncoding:
+    """The one-pass encoder writes the two-pass encoder's bytes, and the
+    check over the bytes as written accepts nothing the old check
+    (over the re-encoded body) rejected."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(record=records())
+    def test_bytes_match_the_two_pass_encoder(self, record):
+        line = _encode(record)
+        assert line == two_pass_encode(record)
+        assert _decode(line[:-1]) == record
+        assert two_pass_decode(line[:-1]) == record
+
+    @settings(max_examples=300, deadline=None)
+    @given(record=records(), data=st.data())
+    def test_a_corrupt_line_is_no_likelier_to_pass(self, record, data):
+        line = _encode(record)[:-1]
+        position = data.draw(st.integers(0, len(line) - 1))
+        value = data.draw(st.integers(0, 255).filter(lambda b: b != line[position]))
+        corrupt = line[:position] + bytes([value]) + line[position + 1:]
+        decoded = _decode(corrupt)
+        assert decoded is None or decoded == two_pass_decode(corrupt)
+        cut = data.draw(st.integers(0, len(line) - 1))
+        assert _decode(line[:cut]) is None
+
+    @pytest.mark.parametrize("record", _FIXED, ids=lambda r: r.kind)
+    def test_every_substitution_and_truncation(self, record):
+        line = _encode(record)[:-1]
+        for position in range(len(line)):
+            head, tail = line[:position], line[position + 1:]
+            for value in range(256):
+                if value == line[position]:
+                    continue
+                corrupt = head + bytes([value]) + tail
+                decoded = _decode(corrupt)
+                assert decoded is None or decoded == two_pass_decode(corrupt)
+            assert _decode(line[:position]) is None
+            assert two_pass_decode(line[:position]) is None
+
+    def test_a_same_double_digit_change_is_now_caught(self):
+        """Two spellings of one double: the old check re-encoded the
+        parsed float and passed the edit, the check over bytes fails it."""
+        t = 0.1 + 0.2
+        line = _encode(WalRecord(1, "heartbeat", t=t))[:-1]
+        spelled = repr(t).encode()
+        other = spelled[:-1] + bytes([spelled[-1] - 1])  # ...04 -> ...03
+        assert float(other) == t
+        edited = line.replace(spelled, other)
+        assert two_pass_decode(edited) is not None
+        assert _decode(edited) is None
