@@ -379,12 +379,11 @@ def cmd_replicate_primary(args: argparse.Namespace) -> int:
             accepted += 1
     # stop abruptly, like a killed process: buffered events stay
     # journaled and a follower inherits them as residue
-    primary.kill()
+    primary.close()
     rows = [
         ("events offered", end),
         ("events accepted", accepted),
         ("wal last seq", primary.last_seq),
-        ("wal segments", len(primary.service.wal.segments())),
         (
             "heartbeats",
             int(primary.metrics.counter("replica.heartbeats").value),

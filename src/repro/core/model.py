@@ -13,8 +13,9 @@ For every streamed edge ``(u, v, r, t)`` the model
 
 Gradients are hand-derived (the model is shallow — every loss is a
 log-sigmoid of an inner product of memory rows), which keeps the per-edge
-step allocation-light; correctness is cross-checked against the autograd
-engine and finite differences in ``tests/core/test_gradients.py``.
+step allocation-light; correctness is cross-checked against finite
+differences in ``tests/core/test_propagation.py``, ``test_updater.py``,
+``test_interactor.py`` and ``test_engine_parity.py``.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ durability layer — no new log format, no consensus:
   directory per role) and the :class:`ReplicationConfig` knobs
   (heartbeat and checkpoint cadence);
 * :mod:`~repro.replicate.primary` — :class:`ReplicationPrimary`, the
-  writable update loop publishing its segment-rotated WAL plus
+  writable update loop publishing its one-file WAL plus
   clock-stamped heartbeat records;
 * :mod:`~repro.replicate.follower` — :class:`ReplicationFollower`,
   which bootstraps from the newest shipped checkpoint, tails the WAL

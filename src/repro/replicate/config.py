@@ -1,7 +1,7 @@
 """Replication knobs and the on-disk layout both roles agree on.
 
 A replicated deployment is one directory per role: the primary owns
-``state_dir`` (its WAL segments + checkpoints), and each follower that
+``state_dir`` (its WAL file + checkpoints), and each follower that
 gets promoted owns a ``replica_dir`` with the identical layout.  The
 layout functions here are the single source of truth for where the
 shipped files live, so the primary, follower and CLI can never disagree
@@ -21,7 +21,7 @@ CHECKPOINT_DIRNAME = "checkpoints"
 
 
 def wal_path(state_dir: str) -> str:
-    """The WAL root inside ``state_dir`` (segments rotate beside it)."""
+    """The WAL file inside ``state_dir``."""
     return os.path.join(state_dir, WAL_BASENAME)
 
 

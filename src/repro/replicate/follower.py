@@ -17,7 +17,7 @@ newest heartbeat stamp) and ``replica.backlog_bytes`` (unshipped bytes
 on disk) expose the bound.
 
 Promotion (:meth:`promote`) is the failover state machine's last step:
-drain the shipped log to its end, *inherit* it — the segments are
+drain the shipped log to its end, *inherit* it — the log file is
 copied into the replica's own directory so the new timeline keeps the
 full decision history — flip the service writable, restore the
 surviving FIFO residue, and checkpoint immediately so the promoted
@@ -47,7 +47,7 @@ from repro.datasets.base import Dataset
 from repro.graph.streams import EdgeStream, StreamEdge
 from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
 from repro.resilience.recovery import QueueLogState, RecoveryError, catch_up
-from repro.resilience.wal import WalRecord, WalTailer, segment_paths
+from repro.resilience.wal import WalRecord, WalTailer
 from repro.serve.service import RecommendationService, ServeConfig
 
 #: primary silence (seconds without a heartbeat) before promotion is advised
@@ -108,7 +108,6 @@ class ReplicationFollower:
         train_config: Optional[InsLearnConfig] = None,
         replication: Optional[ReplicationConfig] = None,
         clock: Optional[Callable[[], float]] = None,
-        trace: bool = False,
     ):
         self.dataset = dataset
         self.state_dir = state_dir
@@ -116,7 +115,6 @@ class ReplicationFollower:
         self.replication = replication or ReplicationConfig()
         self._model_config = model_config
         self._train_config = train_config
-        self._trace = trace
         self._clock = clock if clock is not None else time.monotonic
         base = serve_config or ServeConfig()
         # the primary's log is this replica's durability until promotion
@@ -161,7 +159,6 @@ class ReplicationFollower:
                 self._shipped(tailer),
                 self._model_config,
                 self._train_config,
-                self._trace,
             )
         service = caught.service
         service.metrics.gauge("replica.lag_seconds")  # set by a heartbeat
@@ -279,7 +276,7 @@ class ReplicationFollower:
         The sequence (each step idempotent-safe to observe mid-way):
 
         1. drain — poll until the shipped log yields nothing more;
-        2. inherit — copy the primary's WAL segments into
+        2. inherit — copy the primary's WAL file into
            ``replica_dir`` so the new timeline owns the full decision
            history (its own ``recover()`` replays it end to end);
         3. attach — open the inherited WAL + a fresh checkpoint manager
@@ -308,8 +305,8 @@ class ReplicationFollower:
         shipped_wal = wal_path(self.state_dir)
         own_wal = wal_path(target)
         os.makedirs(target, exist_ok=True)
-        for segment in segment_paths(shipped_wal):
-            shutil.copyfile(segment, own_wal + segment[len(shipped_wal):])
+        if os.path.exists(shipped_wal):  # a primary that never opened one
+            shutil.copyfile(shipped_wal, own_wal)
 
         service = self.service
         service.attach_durability(

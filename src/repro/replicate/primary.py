@@ -4,7 +4,7 @@ A :class:`ReplicationPrimary` is a thin shell around the existing
 :class:`~repro.serve.service.RecommendationService` update loop.  It
 adds exactly two replication duties:
 
-1. **Own the shipped layout** — the WAL (with segment rotation) and the
+1. **Own the shipped layout** — the WAL (one append-only file) and the
    checkpoints live under one ``state_dir`` that followers read from
    (:mod:`repro.replicate.config` fixes the paths).
 2. **Prove liveness** — every ``heartbeat_every`` accepted events a
@@ -33,10 +33,6 @@ from repro.datasets.base import Dataset
 from repro.graph.streams import StreamEdge
 from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
 from repro.serve.service import RecommendationService, ServeConfig
-
-
-#: shipped-WAL segment rotation size when ``serve_config`` names none
-WAL_SEGMENT_BYTES = 1 << 20
 
 
 class ReplicationPrimary:
@@ -73,7 +69,6 @@ class ReplicationPrimary:
         train_config: Optional[InsLearnConfig] = None,
         replication: Optional[ReplicationConfig] = None,
         clock: Optional[Callable[[], float]] = None,
-        trace: bool = False,
     ):
         self.dataset = dataset
         self.state_dir = state_dir
@@ -90,11 +85,6 @@ class ReplicationPrimary:
                 if base.checkpoint_every > 0
                 else self.replication.checkpoint_every
             ),
-            wal_segment_bytes=(
-                base.wal_segment_bytes
-                if base.wal_segment_bytes is not None
-                else WAL_SEGMENT_BYTES
-            ),
         )
         model = SUPA.for_dataset(dataset, model_config)
         self.service = RecommendationService(
@@ -102,7 +92,6 @@ class ReplicationPrimary:
             model=model,
             config=config,
             train_config=train_config,
-            trace=trace,
         )
         self.service.metrics.counter("replica.heartbeats")
         self._since_heartbeat = 0
@@ -154,13 +143,10 @@ class ReplicationPrimary:
     # -------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Graceful stop: release the WAL handle (buffered events stay
-        journaled; a follower inherits them as queue residue)."""
-        self.service.close()
-
-    def kill(self) -> None:
-        """Simulate abrupt primary death: drop the WAL handle without
-        flushing, checkpointing or farewell heartbeats."""
+        """Stop without flushing, checkpointing or a farewell heartbeat —
+        what a killed process leaves: the WAL handle is released and
+        buffered events stay journaled (a follower inherits them as
+        queue residue)."""
         self.service.close()
 
     def __enter__(self) -> "ReplicationPrimary":

@@ -3,7 +3,7 @@
 Three pieces, composing into crash recovery with bitwise parity:
 
 * :mod:`~repro.resilience.wal` — an append-only, CRC-checksummed,
-  segment-rotated write-ahead log of every
+  single-file write-ahead log of every
   :class:`~repro.serve.ingest.EventQueue` decision (accept / evict /
   batch, plus replication heartbeats), tolerant of torn tails, with a
   :class:`WalTailer` for live follow reads against a concurrent writer;
@@ -34,7 +34,6 @@ from repro.resilience.wal import (
     WriteAheadLog,
     iter_records,
     scan,
-    segment_paths,
 )
 
 __all__ = [
@@ -52,5 +51,4 @@ __all__ = [
     "WriteAheadLog",
     "iter_records",
     "scan",
-    "segment_paths",
 ]

@@ -142,7 +142,6 @@ def restore_service(
     prefix: QueueLogState,
     model_config: Optional[SUPAConfig] = None,
     train_config: Optional[InsLearnConfig] = None,
-    trace: bool = False,
 ) -> RecommendationService:
     """The one restore (steps 2–3 above): a service at ``ckpt``'s learned
     state, clock and update count, over the graph that ``prefix`` — the
@@ -173,7 +172,6 @@ def restore_service(
         model=model,
         config=serve_config,
         train_config=train_config,
-        trace=trace,
         initial_clock=ckpt.clock if ckpt is not None else 0.0,
     )
     if ckpt is not None:
@@ -191,7 +189,6 @@ def catch_up(
     records: Iterable[WalRecord],
     model_config: Optional[SUPAConfig] = None,
     train_config: Optional[InsLearnConfig] = None,
-    trace: bool = False,
 ) -> RecoveryResult:
     """The one catch-up: newest checkpoint + log → a running service.
 
@@ -225,7 +222,7 @@ def catch_up(
     if prefix is None:  # the log ends at the checkpoint
         prefix = state
     service = restore_service(
-        dataset, serve_config, ckpt, prefix, model_config, train_config, trace
+        dataset, serve_config, ckpt, prefix, model_config, train_config
     )
     for chunk in suffix_batches:
         service.apply_recovered_batch(EdgeStream(chunk))
@@ -246,7 +243,6 @@ def recover(
     serve_config: ServeConfig,
     model_config: Optional[SUPAConfig] = None,
     train_config: Optional[InsLearnConfig] = None,
-    trace: bool = False,
 ) -> RecoveryResult:
     """Rebuild the service from ``serve_config``'s WAL + checkpoints:
     :func:`catch_up` over the log, then hand the queue over and warm the
@@ -274,7 +270,6 @@ def recover(
             status.records,
             model_config,
             train_config,
-            trace,
         )
         service = result.service
         service.attach_durability(serve_config.wal_path, recovered=status)

@@ -38,10 +38,10 @@ record of a crashed process — is *detected and dropped*, never fatal:
 opening the log truncates it back to the valid prefix and appends from
 there.
 
-Large logs rotate into Kafka-style segments: the root ``path`` is always
-the oldest segment and rotation opens a side file named
-``{path}.{first_seq:012d}`` — never a rename, so a concurrent tailer's
-committed (segment, offset) position stays valid across rotations.
+The log is one append-only file that only the torn-tail repair ever
+cuts: catch-up rebuilds the graph from every edge ever journaled, so
+every reader starts at seq 1, and a concurrent tailer's committed
+offset stays valid because the repair never cuts a valid record.
 
 Timestamps survive the JSON round-trip bit-exactly: ``json`` emits the
 shortest ``repr`` that parses back to the identical IEEE-754 double.
@@ -69,9 +69,6 @@ LEDGER_ONLY_KINDS = ("heartbeat", "shed", "throttle")
 #: kinds that carry a denied/evicted edge payload
 _EDGE_KINDS = ("accept", "evict", "shed", "throttle")
 
-#: width of the zero-padded first-seq suffix in rotated segment names
-_SEGMENT_SUFFIX_DIGITS = 12
-
 
 @dataclass(frozen=True)
 class WalRecord:
@@ -97,16 +94,12 @@ class WalScan:
     """The valid prefix of a log plus what was dropped after it."""
 
     records: List[WalRecord] = field(default_factory=list)
-    #: byte offset of the valid prefix *within* ``valid_path``
+    #: byte length of the valid prefix (the truncation target)
     valid_bytes: int = 0
     #: records after the valid prefix (torn tail / corruption), dropped
     dropped_records: int = 0
     #: highest sequence number in the valid prefix (0 = empty log)
     last_seq: int = 0
-    #: segment file holding the end of the valid prefix (truncation target)
-    valid_path: str = ""
-    #: whole segment files past the valid prefix (removal targets)
-    dropped_segments: List[str] = field(default_factory=list)
 
 
 #: every line opens with its checksum: ``{"crc":N,`` then the body's keys
@@ -189,39 +182,6 @@ def _decode(line: bytes) -> Optional[WalRecord]:
     )
 
 
-def segment_paths(path: str) -> List[str]:
-    """On-disk segment files of the log rooted at ``path``, oldest first.
-
-    A non-rotating log is the single file ``path``.  Rotation adds side
-    files ``{path}.{first_seq:012d}``; the plain file, when present, is
-    always the oldest segment because rotation never renames it.
-    """
-    out: List[str] = []
-    if os.path.exists(path):
-        out.append(path)
-    parent = os.path.dirname(path) or "."
-    base = os.path.basename(path)
-    if os.path.isdir(parent):
-        numbered: List[Tuple[int, str]] = []
-        prefix = base + "."
-        for name in os.listdir(parent):
-            if not name.startswith(prefix):
-                continue
-            suffix = name[len(prefix):]
-            if len(suffix) == _SEGMENT_SUFFIX_DIGITS and suffix.isdigit():
-                numbered.append((int(suffix), f"{path}.{suffix}"))
-        numbered.sort()
-        out.extend(seg for _, seg in numbered)
-    return out
-
-
-def _segment_start(path: str, segment: str) -> int:
-    """First sequence number a segment file is named to contain."""
-    if segment == path:
-        return 1
-    return int(segment[len(path) + 1:])
-
-
 def _count_lines(data: bytes) -> int:
     return sum(1 for piece in data.split(b"\n") if piece)
 
@@ -233,28 +193,21 @@ EOF, TORN, INVALID, GAP, VANISHED = "eof", "torn", "invalid", "gap", "vanished"
 class _Cursor:
     """The one reader: every parse of the log is a walk of this cursor.
 
-    It owns segment listing, line framing, ``_decode``, seq continuity
-    and the ``(segment, offset, next_seq)`` position, which only ever
-    advances past complete, valid, in-sequence records.  Iterating
-    yields those records from the position on and leaves in ``stop`` why
-    the walk ended: ``eof`` (every listed segment read to its end),
+    It owns line framing, ``_decode``, seq continuity and the
+    ``(offset, next_seq)`` position, which only ever advances past
+    complete, valid, in-sequence records.  Iterating yields those
+    records from the position on and leaves in ``stop`` why the walk
+    ended: ``eof`` (the file read to its end, or no file yet),
     ``torn`` (an unterminated final line), ``invalid`` (a terminated
-    line that fails to parse or checksum), ``gap`` (a record or a
-    segment name out of sequence) or ``vanished`` (the resumed-from
-    segment is gone).  ``stop`` stays ``None`` while the consumer has
-    not drained the walk.  A fresh cursor starts before the first
-    segment at seq 1; there is no seek.
+    line that fails to parse or checksum), ``gap`` (a record out of
+    sequence) or ``vanished`` (a resumed position the file no longer
+    reaches: it is missing or shorter than the offset).  ``stop`` stays
+    ``None`` while the consumer has not drained the walk.  A fresh
+    cursor starts at byte 0, seq 1; there is no seek.
     """
 
-    def __init__(
-        self,
-        path: str,
-        segment: Optional[str] = None,
-        offset: int = 0,
-        next_seq: int = 1,
-    ):
+    def __init__(self, path: str, offset: int = 0, next_seq: int = 1):
         self.path = path
-        self.segment = segment
         self.offset = offset
         self.next_seq = next_seq
         #: bytes of the records yielded so far
@@ -265,38 +218,29 @@ class _Cursor:
         self.stop = yield from self._walk()
 
     def _walk(self) -> Generator[WalRecord, None, str]:
-        segments = segment_paths(self.path)
-        if self.segment is None:
-            index = -1  # before the first segment
-        elif self.segment in segments:
-            index = segments.index(self.segment)
-        else:
-            return VANISHED
-        while True:
-            if index >= 0:
-                with open(self.segment, "rb") as fh:
-                    fh.seek(self.offset)
-                    while True:
-                        line = fh.readline()
-                        if not line:
-                            break
-                        if not line.endswith(b"\n"):
-                            return TORN
-                        record = _decode(line[:-1])
-                        if record is None:
-                            return INVALID
-                        if record.seq != self.next_seq:
-                            return GAP
-                        self.offset += len(line)
-                        self.nbytes += len(line)
-                        self.next_seq += 1
-                        yield record
-            index += 1
-            if index == len(segments):
-                return EOF
-            if _segment_start(self.path, segments[index]) != self.next_seq:
-                return GAP
-            self.segment, self.offset = segments[index], 0
+        try:
+            fh = open(self.path, "rb")
+        except FileNotFoundError:
+            return VANISHED if self.offset else EOF
+        with fh:
+            if os.fstat(fh.fileno()).st_size < self.offset:
+                return VANISHED
+            fh.seek(self.offset)
+            while True:
+                line = fh.readline()
+                if not line:
+                    return EOF
+                if not line.endswith(b"\n"):
+                    return TORN
+                record = _decode(line[:-1])
+                if record is None:
+                    return INVALID
+                if record.seq != self.next_seq:
+                    return GAP
+                self.offset += len(line)
+                self.nbytes += len(line)
+                self.next_seq += 1
+                yield record
 
 
 def iter_records(path: str) -> Iterator[WalRecord]:
@@ -314,33 +258,27 @@ def scan(path: str, collect_records: bool = True) -> WalScan:
     """Read the valid record prefix of ``path`` (missing file: empty).
 
     The prefix ends at the cursor's stop — the first unterminated,
-    unparsable, checksum-failing or out-of-sequence line or segment —
-    and everything on disk past it counts as dropped.  This is the
-    torn-tail tolerance contract: a crash mid-append loses at most the
-    record being written, never the log.
+    unparsable, checksum-failing or out-of-sequence line — and every
+    line on disk past it counts as dropped.  This is the torn-tail
+    tolerance contract: a crash mid-append loses at most the record
+    being written, never the log.
 
     With ``collect_records=False`` the log is still fully validated
     (``last_seq``/``valid_bytes``/``dropped_records`` are exact) but the
     record list stays empty — use :func:`iter_records` to stream the
     contents without holding them all in memory.
     """
-    result = WalScan(valid_path=path)
+    result = WalScan()
     cursor = _Cursor(path)
     for record in cursor:
         if collect_records:
             result.records.append(record)
     result.last_seq = cursor.next_seq - 1
-    past = segment_paths(path)
-    if cursor.segment is not None:
-        result.valid_path, result.valid_bytes = cursor.segment, cursor.offset
-        with open(cursor.segment, "rb") as fh:
+    result.valid_bytes = cursor.offset
+    if cursor.stop != EOF:
+        with open(path, "rb") as fh:
             fh.seek(cursor.offset)
             result.dropped_records = _count_lines(fh.read())
-        past = past[past.index(cursor.segment) + 1:]
-    for segment in past:
-        result.dropped_segments.append(segment)
-        with open(segment, "rb") as fh:
-            result.dropped_records += _count_lines(fh.read())
     return result
 
 
@@ -359,17 +297,11 @@ def decision_ledger(path: str) -> Dict[str, Dict[str, int]]:
     return ledger
 
 
-def _repair(recovered: WalScan) -> None:
-    """Cut the log :func:`scan` read back to its valid prefix: truncate
-    the segment it ends in and remove every whole segment past it."""
-    if (
-        os.path.exists(recovered.valid_path)
-        and recovered.valid_bytes < os.path.getsize(recovered.valid_path)
-    ):
-        with open(recovered.valid_path, "r+b") as fh:
+def _repair(path: str, recovered: WalScan) -> None:
+    """Truncate the log :func:`scan` read back to its valid prefix."""
+    if os.path.exists(path) and recovered.valid_bytes < os.path.getsize(path):
+        with open(path, "r+b") as fh:
             fh.truncate(recovered.valid_bytes)
-    for stale in recovered.dropped_segments:
-        os.remove(stale)
 
 
 class WriteAheadLog:
@@ -378,8 +310,8 @@ class WriteAheadLog:
     Parameters
     ----------
     path:
-        Journal root; parent directories are created, existing segments
-        are scanned and truncated back to their valid prefix so appends
+        Journal file; parent directories are created, an existing log is
+        scanned and truncated back to its valid prefix so appends
         continue the sequence.
     fsync:
         ``True`` forces an ``os.fsync`` after every append (durability
@@ -389,10 +321,6 @@ class WriteAheadLog:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`; appends
         increment ``wal.appends`` and a repaired torn tail increments
         ``wal.torn_records_dropped``.
-    segment_bytes:
-        When set, an append that leaves the active segment at or above
-        this size rotates to a fresh segment named by the next sequence
-        number.  ``None`` (default) keeps the single-file layout.
     recovered:
         A :func:`scan` of ``path`` taken since its last append (recovery
         reads the log once and opens from that walk); ``None`` scans.
@@ -403,35 +331,26 @@ class WriteAheadLog:
         path: str,
         fsync: bool = False,
         metrics=None,
-        segment_bytes: Optional[int] = None,
         recovered: Optional[WalScan] = None,
     ):
-        if segment_bytes is not None and segment_bytes < 1:
-            raise ValueError(
-                f"segment_bytes must be >= 1 when set, got {segment_bytes}"
-            )
         self.path = path
         self.fsync = fsync
-        self.segment_bytes = segment_bytes
         self._metrics = metrics
-        # Guards the file handle, the sequence counter and the active-
-        # segment bookkeeping: one append = one contiguous seq + one
-        # uninterleaved record line in exactly one segment.
+        # Guards the file handle and the sequence counter: one append =
+        # one contiguous seq + one uninterleaved record line.
         self._lock = threading.Lock()
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
         if recovered is None:
             recovered = scan(path, collect_records=False)
-        _repair(recovered)
+        _repair(path, recovered)
         self.last_seq = recovered.last_seq
         self.torn_records_dropped = recovered.dropped_records
         if metrics is not None and self.torn_records_dropped:
             metrics.counter("wal.torn_records_dropped").inc(
                 self.torn_records_dropped
             )
-        self._active_path = recovered.valid_path
-        self._active_bytes = recovered.valid_bytes
-        self._fh: Optional[IO[bytes]] = open(self._active_path, "ab")
+        self._fh: Optional[IO[bytes]] = open(path, "ab")
 
     # ------------------------------------------------------------- appending
 
@@ -487,33 +406,12 @@ class WriteAheadLog:
             if self.fsync:
                 os.fsync(self._fh.fileno())  # reprolint: disable=hold-and-call
             self.last_seq = record.seq
-            self._active_bytes += len(payload)
-            if (
-                self.segment_bytes is not None
-                and self._active_bytes >= self.segment_bytes
-            ):
-                # Rotation must be atomic with the sequence counter: the
-                # new segment's name claims the *next* seq, so no append
-                # may slip in between sizing the old file and opening
-                # the new one.  Both are bounded local-file operations.
-                self._fh.close()
-                next_path = (
-                    f"{self.path}."
-                    f"{self.last_seq + 1:0{_SEGMENT_SUFFIX_DIGITS}d}"
-                )
-                self._fh = open(next_path, "ab")  # reprolint: disable=hold-and-call
-                self._active_path = next_path
-                self._active_bytes = 0
         if self._metrics is not None:
             self._metrics.counter("wal.appends").inc()
             self._metrics.counter("wal.bytes_appended").inc(len(payload))
         return record
 
     # ------------------------------------------------------------- lifecycle
-
-    def segments(self) -> List[str]:
-        """All on-disk segments of this log, oldest first."""
-        return segment_paths(self.path)
 
     @property
     def closed(self) -> bool:
@@ -541,7 +439,7 @@ class WalTailError(RuntimeError):
 _TAIL_ERRORS = {
     INVALID: "corrupt record",
     GAP: "sequence gap",
-    VANISHED: "committed segment vanished",
+    VANISHED: "committed position vanished",
 }
 
 
@@ -549,12 +447,14 @@ class WalTailer:
     """Incremental reader over a WAL a live writer may still be appending.
 
     Each :meth:`poll` resumes the cursor from the last *committed*
-    (segment, offset, next_seq) position and returns every complete,
+    (offset, next_seq) position and returns every complete,
     valid record appended since.  The committed position only ever
     advances past fully-validated records, which makes the tailer safe
     against the writer's crash-repair truncation: a recovering
     :class:`WriteAheadLog` truncates only the *invalid* suffix, and the
-    tailer never committed into it.
+    tailer never committed into it.  A file cut below the committed
+    offset (or removed) was not repaired by a writer: that is
+    ``vanished``.
 
     A walk that stops ``eof`` or ``torn`` is *pending* — the writer is
     idle or mid-flush; the next poll retries from the same position —
@@ -566,13 +466,12 @@ class WalTailer:
     probes, metrics scrapes).
     """
 
-    def __init__(self, path: str, metrics=None):
+    def __init__(self, path: str):
         self.path = path
-        self._metrics = metrics
         # Guards the committed read position and tallies so lag probes
-        # from other threads see a consistent (segment, offset, seq).
+        # from other threads see a consistent (offset, seq).
         self._lock = threading.Lock()
-        self._position: Tuple[Optional[str], int, int] = (None, 0, 1)
+        self._position: Tuple[int, int] = (0, 1)
         self._bytes_read = 0
         self._records_read = 0
         self._backlog_bytes = 0
@@ -594,34 +493,22 @@ class WalTailer:
         if cursor.stop in _TAIL_ERRORS:
             raise WalTailError(
                 f"{_TAIL_ERRORS[cursor.stop]} after seq {cursor.next_seq - 1} "
-                f"of {self.path!r} (at {cursor.segment!r})"
+                f"of {self.path!r} (at byte {cursor.offset})"
             )
-        backlog = self._measure_backlog(cursor.segment, cursor.offset)
+        backlog = self._measure_backlog(cursor.offset)
         with self._lock:
-            self._position = (cursor.segment, cursor.offset, cursor.next_seq)
+            self._position = (cursor.offset, cursor.next_seq)
             self._bytes_read += cursor.nbytes
             self._records_read += len(records)
             self._backlog_bytes = backlog
-        if self._metrics is not None and records:
-            self._metrics.counter("wal.tail_records").inc(len(records))
-            self._metrics.counter("wal.tail_bytes").inc(cursor.nbytes)
         return records
 
-    def _measure_backlog(self, segment: Optional[str], offset: int) -> int:
+    def _measure_backlog(self, offset: int) -> int:
         """Bytes on disk past the committed position (shipping backlog)."""
-        total = 0
-        seen_current = segment is None
-        for candidate in segment_paths(self.path):
-            try:
-                size = os.path.getsize(candidate)
-            except OSError:
-                continue
-            if candidate == segment:
-                seen_current = True
-                total += max(0, size - offset)
-            elif seen_current:
-                total += size
-        return total
+        try:
+            return max(0, os.path.getsize(self.path) - offset)
+        except OSError:
+            return 0
 
     # ------------------------------------------------------------ inspection
 
@@ -629,7 +516,7 @@ class WalTailer:
     def committed_seq(self) -> int:
         """Highest sequence number returned by :meth:`poll` so far."""
         with self._lock:
-            return self._position[2] - 1
+            return self._position[1] - 1
 
     @property
     def bytes_read(self) -> int:

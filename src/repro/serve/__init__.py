@@ -6,8 +6,8 @@ live platform while it learns"; this package is that deployment story:
 * :mod:`repro.serve.ingest` — bounded event queue with micro-batching,
   backpressure and a deadletter policy;
 * :mod:`repro.serve.admission` — admission control in front of the
-  queue: per-user token-bucket rate limiting, overload watermarks with
-  hysteresis, and pluggable shed policies;
+  queue: per-user token-bucket rate limiting, and overload watermarks
+  with hysteresis that reject new events while shedding;
 * :mod:`repro.serve.dispatch` — the async dispatcher thread that drains
   micro-batches so ``ingest()`` returns after the journaled accept;
 * :mod:`repro.serve.store` — copy-on-write versioned snapshots of the

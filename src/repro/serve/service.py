@@ -66,7 +66,6 @@ class ServeConfig:
     # --- resilience (repro.resilience); all off by default -----------------
     wal_path: Optional[str] = None  # journal accepted events/batches here
     wal_fsync: bool = False  # fsync every WAL append (OS-crash durability)
-    wal_segment_bytes: Optional[int] = None  # rotate WAL segments at this size
     checkpoint_dir: Optional[str] = None  # atomic state snapshots live here
     checkpoint_every: int = 0  # checkpoint every N applied updates; 0 = never
     late_tolerance: Optional[float] = None  # deadletter events older than this
@@ -118,11 +117,6 @@ class ServeConfig:
         if self.warm_users < 0:
             raise ValueError(
                 f"warm_users must be >= 0, got {self.warm_users}"
-            )
-        if self.wal_segment_bytes is not None and self.wal_segment_bytes < 1:
-            raise ValueError(
-                "wal_segment_bytes must be >= 1 when set, got "
-                f"{self.wal_segment_bytes}"
             )
         if self.dispatch_poll_seconds <= 0:
             raise ValueError(
@@ -669,7 +663,6 @@ class RecommendationService:
             self.config.wal_path,
             fsync=self.config.wal_fsync,
             metrics=self.metrics,
-            segment_bytes=self.config.wal_segment_bytes,
             recovered=recovered,
         )
 

@@ -137,7 +137,7 @@ class TestFollower:
         primary = make_primary(dataset, tmp_path)
         for edge in list(dataset.stream)[:100]:
             primary.ingest(edge)
-        primary.kill()
+        primary.close()
         records = scan(wal_path(str(tmp_path / "primary"))).records
         ckpt = CheckpointManager(checkpoint_dir(str(tmp_path / "primary"))).latest()
         assert len(records) // 2 < ckpt.seq  # a long prefix to not re-read
@@ -245,7 +245,7 @@ class TestPromote:
         stream = list(dataset.stream)
         for edge in stream[:60]:
             primary.ingest(edge)
-        primary.kill()
+        primary.close()
         follower = make_follower(dataset, tmp_path).bootstrap()
         follower.promote()
         assert follower.state == "promoted"
@@ -273,7 +273,7 @@ class TestPromote:
         stream = list(dataset.stream)[:90]
         for edge in stream[:50]:
             primary.ingest(edge)
-        primary.kill()
+        primary.close()
         follower = make_follower(dataset, tmp_path).bootstrap()
         follower.promote()
         for edge in stream[50:]:

@@ -31,7 +31,7 @@ from tests.resilience import fold
 KINDS = ("accept", "evict", "batch", "heartbeat", "shed", "throttle")
 
 
-def write_valid_log(path, draws, segment_bytes):
+def write_valid_log(path, draws):
     """Journal a valid decision sequence steered by ``draws``.
 
     Each draw is ``(kind index, magnitude)``; an ``evict``/``batch``
@@ -40,7 +40,7 @@ def write_valid_log(path, draws, segment_bytes):
     model's own ``(trained, fifo, accepted, watermark)``.
     """
     trained, fifo, accepted, watermark = [], [], 0, float("-inf")
-    with WriteAheadLog(path, segment_bytes=segment_bytes) as wal:
+    with WriteAheadLog(path) as wal:
         for i, (kind_index, magnitude) in enumerate(draws):
             kind = KINDS[kind_index]
             edge = StreamEdge(i, magnitude, "r", float(magnitude % 7))
@@ -77,12 +77,11 @@ def write_valid_log(path, draws, segment_bytes):
         max_size=40,
     ),
     chunk=st.integers(1, 7),
-    segment_bytes=st.sampled_from([None, 256]),
 )
-def test_one_shot_fold_equals_tailed_equals_split_fold(draws, chunk, segment_bytes):
+def test_one_shot_fold_equals_tailed_equals_split_fold(draws, chunk):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "decisions.wal")
-        model = write_valid_log(path, draws, segment_bytes)
+        model = write_valid_log(path, draws)
 
         one_shot = fold(iter_records(path))
         assert one_shot == model
@@ -136,7 +135,7 @@ def test_recover_and_follower_refuse_the_same_record(dataset, tmp_path, corrupt)
     )
     for edge in list(dataset.stream)[:30]:  # 3 batches + 6 events of residue
         primary.ingest(edge)
-    primary.kill()
+    primary.close()
     follower = ReplicationFollower(
         dataset,
         state_dir,
@@ -183,10 +182,9 @@ def test_recover_and_follower_refuse_a_checkpoint_newer_than_the_log(
     )
     for edge in list(dataset.stream)[:32]:  # 4 batches, checkpoints at 2 and 4
         primary.ingest(edge)
-    primary.kill()
+    primary.close()
     path = wal_path(state_dir)
     status = scan(path)
-    assert status.valid_path == path  # one segment: cut it in place
     cut = next(r.seq for r in status.records if r.kind == "batch")
     with open(path, "rb") as fh:
         lines = fh.readlines()

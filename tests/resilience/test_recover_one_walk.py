@@ -3,7 +3,7 @@
 One :func:`~repro.resilience.wal.scan` feeds the catch-up, the torn-tail
 accounting and the service's WAL open, which repairs the log from that
 walk instead of reading it again.  These tests pin the read count and
-show the repair leaves the same files on disk as a WAL opening the
+show the repair leaves the same bytes on disk as a WAL opening the
 damaged log on its own.
 """
 
@@ -18,7 +18,7 @@ from repro.core.model import SUPA
 from repro.datasets.zoo import load_dataset
 from repro.resilience import recover, wal
 from repro.resilience.checkpoint import CheckpointManager
-from repro.resilience.wal import WriteAheadLog, scan, segment_paths
+from repro.resilience.wal import WriteAheadLog, scan
 from repro.serve.service import RecommendationService, ServeConfig
 
 MODEL_CFG = SUPAConfig(dim=8, num_walks=2, walk_length=2, seed=0)
@@ -58,22 +58,18 @@ def crash(dataset, state_dir, events, **overrides):
     return config
 
 
-def log_files(path):
-    """basename -> bytes of every segment of the log rooted at ``path``."""
-    out = {}
-    for segment in segment_paths(path):
-        with open(segment, "rb") as fh:
-            out[os.path.basename(segment)] = fh.read()
-    return out
+def log_bytes(path):
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 def self_repaired(config, tmp_path):
-    """The files a WAL opening a copy of the damaged log leaves behind."""
+    """The bytes a WAL opening a copy of the damaged log leaves behind."""
     copy = str(tmp_path / "reference")
     shutil.copytree(os.path.dirname(config.wal_path), copy)
     path = os.path.join(copy, os.path.basename(config.wal_path))
-    WriteAheadLog(path, segment_bytes=config.wal_segment_bytes).close()
-    return log_files(path)
+    WriteAheadLog(path).close()
+    return log_bytes(path)
 
 
 def test_recover_decodes_each_record_once(dataset, tmp_path, monkeypatch):
@@ -92,15 +88,11 @@ def test_recover_decodes_each_record_once(dataset, tmp_path, monkeypatch):
 
 
 class TestTornTailThroughOneWalk:
-    def test_torn_final_record_of_a_rotated_log(self, dataset, tmp_path):
-        config = crash(
-            dataset, str(tmp_path / "state"), 150,
-            checkpoint_every=3, wal_segment_bytes=1500,
-        )
-        intact = log_files(config.wal_path)
+    def test_torn_final_record(self, dataset, tmp_path):
+        config = crash(dataset, str(tmp_path / "state"), 150, checkpoint_every=3)
+        intact = log_bytes(config.wal_path)
         last_seq = scan(config.wal_path).last_seq
-        assert len(intact) >= 3
-        with open(segment_paths(config.wal_path)[-1], "ab") as fh:
+        with open(config.wal_path, "ab") as fh:
             fh.write(b'{"crc":1,"kind":"acc')  # torn mid-append
         expected = self_repaired(config, tmp_path)
         assert expected == intact
@@ -109,25 +101,26 @@ class TestTornTailThroughOneWalk:
         service = result.service
         assert result.torn_records_dropped == 1
         assert service.metrics.counter("wal.torn_records_dropped").value == 1
-        assert log_files(config.wal_path) == expected
+        assert log_bytes(config.wal_path) == expected
         assert service.wal.last_seq == result.last_seq == last_seq
         assert service.wal.append_heartbeat(1.0).seq == last_seq + 1
         service.close()
         assert scan(config.wal_path).last_seq == last_seq + 1
 
-    def test_damage_in_an_early_segment_drops_the_later_ones(self, dataset, tmp_path):
+    def test_mid_log_damage(self, dataset, tmp_path):
         # no checkpoints: the log's surviving prefix is all recovery has
-        config = crash(dataset, str(tmp_path / "state"), 150, wal_segment_bytes=1500)
-        segments = segment_paths(config.wal_path)
-        assert len(segments) >= 3
-        with open(segments[1], "r+b") as fh:
-            fh.truncate(os.path.getsize(segments[1]) - 5)
+        config = crash(dataset, str(tmp_path / "state"), 150)
+        lines = log_bytes(config.wal_path).splitlines(keepends=True)
+        middle = len(lines) // 2
+        damaged = bytearray(lines[middle])
+        damaged[len(damaged) // 2] ^= 0xFF  # a terminated, CRC-failing line
+        with open(config.wal_path, "wb") as fh:
+            fh.writelines(lines[:middle] + [bytes(damaged)] + lines[middle + 1:])
         survivors = scan(config.wal_path)
-        later = sum(len(log_files(config.wal_path)[os.path.basename(s)].splitlines())
-                    for s in segments[2:])
-        assert survivors.dropped_records == 1 + later
+        assert survivors.last_seq == middle
+        assert survivors.dropped_records == len(lines) - middle
         expected = self_repaired(config, tmp_path)
-        assert sorted(expected) == [os.path.basename(s) for s in segments[:2]]
+        assert expected == b"".join(lines[:middle])
 
         result = recover(dataset, config, MODEL_CFG, TRAIN_CFG)
         service = result.service
@@ -135,11 +128,11 @@ class TestTornTailThroughOneWalk:
         assert service.metrics.counter("wal.torn_records_dropped").value == (
             survivors.dropped_records
         )
-        assert log_files(config.wal_path) == expected
-        assert service.wal.append_heartbeat(1.0).seq == survivors.last_seq + 1
+        assert log_bytes(config.wal_path) == expected
+        assert service.wal.last_seq == result.last_seq == middle
+        assert service.wal.append_heartbeat(1.0).seq == middle + 1
         service.close()
-        assert scan(config.wal_path).last_seq == survivors.last_seq + 1
-        assert len(segment_paths(config.wal_path)) == 2
+        assert scan(config.wal_path).last_seq == middle + 1
 
 
 def test_recover_falls_back_past_a_malformed_checkpoint(dataset, tmp_path):

@@ -369,7 +369,7 @@ def paused_writer_log(state_dir):
     primary.service.queue.pause()
     for edge in STREAM[:20]:
         primary.ingest(edge)
-    primary.kill()
+    primary.close()
 
 
 def test_recovered_queue_cuts_inherited_batches(tmp_path):

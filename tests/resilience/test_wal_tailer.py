@@ -1,4 +1,4 @@
-"""Tests for WAL segment rotation, heartbeats, streaming reads and tailing."""
+"""Tests for WAL heartbeats, streaming reads and tailing."""
 
 import os
 import threading
@@ -12,7 +12,6 @@ from repro.resilience.wal import (
     WriteAheadLog,
     iter_records,
     scan,
-    segment_paths,
 )
 from tests.resilience import fold
 
@@ -24,65 +23,6 @@ def edge(i, t=None):
 @pytest.fixture
 def wal_path(tmp_path):
     return str(tmp_path / "test.wal")
-
-
-class TestSegments:
-    def test_rotation_creates_numbered_segments(self, wal_path):
-        with WriteAheadLog(wal_path, segment_bytes=1) as wal:
-            for i in range(4):
-                wal.append_accept(edge(i))
-            segments = wal.segments()
-        # segment_bytes=1 rotates after every append: the root plus one
-        # side file per rotation, the last being the (empty) active one
-        assert segments[0] == wal_path
-        assert [os.path.basename(s) for s in segments[1:]] == [
-            "test.wal.000000000002",
-            "test.wal.000000000003",
-            "test.wal.000000000004",
-            "test.wal.000000000005",
-        ]
-        assert os.path.getsize(segments[-1]) == 0
-
-    def test_scan_spans_segments(self, wal_path):
-        with WriteAheadLog(wal_path, segment_bytes=1) as wal:
-            for i in range(5):
-                wal.append_accept(edge(i))
-        result = scan(wal_path)
-        assert [r.seq for r in result.records] == [1, 2, 3, 4, 5]
-        assert result.last_seq == 5
-        assert result.dropped_records == 0
-
-    def test_reopen_continues_sequence_across_segments(self, wal_path):
-        with WriteAheadLog(wal_path, segment_bytes=1) as wal:
-            wal.append_accept(edge(1))
-            wal.append_accept(edge(2))
-        with WriteAheadLog(wal_path, segment_bytes=1) as wal:
-            record = wal.append_accept(edge(3))
-        assert record.seq == 3
-        assert scan(wal_path).last_seq == 3
-
-    def test_segment_gap_ends_valid_prefix(self, wal_path):
-        with WriteAheadLog(wal_path, segment_bytes=1) as wal:
-            for i in range(4):
-                wal.append_accept(edge(i))
-        segments = segment_paths(wal_path)
-        os.remove(segments[1])  # seqs 2.. vanish: prefix ends at seq 1
-        result = scan(wal_path)
-        assert result.last_seq == 1
-        assert result.dropped_records == 2  # the two later segments' records
-
-    def test_reopen_after_gap_removes_orphaned_segments(self, wal_path):
-        with WriteAheadLog(wal_path, segment_bytes=1) as wal:
-            for i in range(4):
-                wal.append_accept(edge(i))
-        segments = segment_paths(wal_path)
-        os.remove(segments[1])
-        with WriteAheadLog(wal_path, segment_bytes=1) as wal:
-            assert wal.last_seq == 1
-            wal.append_accept(edge(99))
-        result = scan(wal_path)
-        assert result.last_seq == 2
-        assert result.dropped_records == 0
 
 
 class TestHeartbeat:
@@ -111,7 +51,7 @@ class TestHeartbeat:
 
 class TestIterRecords:
     def test_streams_the_same_prefix_as_scan(self, wal_path):
-        with WriteAheadLog(wal_path, segment_bytes=1) as wal:
+        with WriteAheadLog(wal_path) as wal:
             for i in range(6):
                 wal.append_accept(edge(i))
         assert list(iter_records(wal_path)) == scan(wal_path).records
@@ -140,16 +80,6 @@ class TestTailer:
             assert [r.seq for r in tailer.poll()] == [2, 3]
             assert tailer.committed_seq == 3
             assert tailer.records_read == 3
-
-    def test_follows_across_rotation(self, wal_path):
-        with WriteAheadLog(wal_path, segment_bytes=1) as wal:
-            tailer = WalTailer(wal_path)
-            wal.append_accept(edge(1))
-            assert [r.seq for r in tailer.poll()] == [1]
-            wal.append_accept(edge(2))  # lands in a rotated segment
-            wal.append_accept(edge(3))
-            assert [r.seq for r in tailer.poll()] == [2, 3]
-        assert tailer.backlog_bytes == 0
 
     def test_torn_tail_is_pending_not_fatal(self, wal_path):
         with WriteAheadLog(wal_path) as wal:
@@ -204,14 +134,14 @@ class TestTailer:
 
 class TestConcurrentAppendAndTail:
     def test_tailer_keeps_up_with_live_writer_under_threadcheck(self, wal_path):
-        """One writer appends (with rotation) while a tailer polls
+        """One writer appends while a tailer polls
         concurrently; the tailer must observe every record exactly once,
         in sequence, and the lock sanitizer must stay clean."""
         from repro.analysis import threadcheck
 
         total = 200
         with threadcheck() as monitor:
-            wal = WriteAheadLog(wal_path, segment_bytes=256)
+            wal = WriteAheadLog(wal_path)
             tailer = WalTailer(wal_path)
             seen = []
             errors = []
@@ -234,4 +164,4 @@ class TestConcurrentAppendAndTail:
         assert not errors, errors
         assert [r.seq for r in seen] == list(range(1, total + 1))
         assert tailer.committed_seq == total
-        assert len(segment_paths(wal_path)) > 1  # rotation really happened
+        assert tailer.backlog_bytes == 0

@@ -29,7 +29,7 @@ def test_serve_config_fields():
     assert field_names(ServeConfig) == {
         "batch_size", "capacity", "overflow", "cache_size",
         "warm_users", "read_only",
-        "wal_path", "wal_fsync", "wal_segment_bytes",
+        "wal_path", "wal_fsync",
         "checkpoint_dir", "checkpoint_every", "late_tolerance",
         "breaker_threshold", "breaker_cooldown_events",
         "clock_fn", "async_dispatch", "dispatch_poll_seconds", "admission",
