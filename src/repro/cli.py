@@ -50,6 +50,9 @@ from repro.utils.tables import format_table
 
 #: ``recommend`` probes ``serve-replay`` issues every ``--probe-every`` events
 PROBES_PER_CHECKPOINT = 4
+#: ``mine``'s stream fraction and walk budget (else ``mine_metapaths``')
+MINE_PREFIX = 0.3
+MINE_WALKS = 400
 
 
 def _int_at_least(minimum: int) -> Callable[[str], int]:
@@ -198,18 +201,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_mine(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    prefix_len = max(1, int(len(dataset.stream) * args.prefix))
+    prefix_len = max(1, int(len(dataset.stream) * MINE_PREFIX))
     graph = dataset.build_graph(dataset.stream[:prefix_len])
-    schemas = mine_metapaths(
-        graph,
-        num_walks=args.walks,
-        walk_length=args.walk_length,
-        top_k=args.top_k,
-        min_support=args.min_support,
-        rng=args.seed,
-    )
+    schemas = mine_metapaths(graph, num_walks=MINE_WALKS, rng=args.seed)
     if not schemas:
-        print("no metapath schemas found (try more walks or lower support)")
+        print("no metapath schemas found")
         return 1
     print(f"mined {len(schemas)} schemas from {prefix_len} edges:")
     for mp in schemas:
@@ -537,11 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mine", help="mine multiplex metapath schemas")
     _add_common(p)
-    p.add_argument("--prefix", type=float, default=0.3, help="stream fraction to mine")
-    p.add_argument("--walks", type=int, default=400)
-    p.add_argument("--walk-length", type=int, default=4)
-    p.add_argument("--top-k", type=int, default=4)
-    p.add_argument("--min-support", type=int, default=5)
     p.set_defaults(func=cmd_mine)
 
     p = sub.add_parser("export", help="write a dataset's edges to TSV")

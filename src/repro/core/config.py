@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -24,11 +23,15 @@ def tau_from_g(value: float) -> float:
     """Invert ``g``: the threshold ``tau`` with ``g(tau) = value``.
 
     The paper sets ``tau`` from ``g(tau) = 0.3`` (Section IV-C), i.e.
-    ``tau = exp(1/0.3) - e ~= 25.35``.
+    ``tau = exp(1/0.3) - e ~= 25.31``.
     """
     if not 0.0 < value <= 1.0:
         raise ValueError(f"g ranges in (0, 1]; cannot invert at {value}")
     return float(np.exp(1.0 / value) - np.e)
+
+
+#: the paper's propagation cut-off, ``g(TAU) = 0.3`` (Section IV-C)
+TAU = tau_from_g(0.3)
 
 
 @dataclass
@@ -42,10 +45,11 @@ class SUPAConfig:
     - ``num_walks``: paths ``k`` sampled per interactive node.
     - ``walk_length``: walk length ``l``.
     - ``num_negatives``: negative samples ``N_neg`` per side (paper: 5).
-    - ``tau``: propagation termination threshold; ``None`` derives it
-      from ``g(tau) = tau_g_value`` per the paper.
-    - ``learning_rate`` / ``weight_decay``: Adam settings (paper: 3e-3 /
-      1e-4).
+    - ``tau``: propagation termination threshold (paper: :data:`TAU`,
+      ``g(tau) = 0.3``; ``inf`` never cuts propagation off).
+
+    Adam's settings (paper: lr 3e-3, weight decay 1e-4) are
+    :class:`~repro.core.memory.MemoryOptimizer`'s defaults.
 
     Ablation toggles (all ``True``/default in full SUPA):
 
@@ -58,21 +62,16 @@ class SUPAConfig:
     - ``use_short_term``: short-term memory; ``False`` is SUPA_nf.
     - ``use_propagation_decay``: attenuation ``g`` and filter ``D`` while
       propagating; ``False`` is SUPA_nd.
-    - ``use_forgetting``: time-based short-term forgetting in the
-      updater; ``False`` freezes ``gamma = 1`` (part of SUPA_nt).
+    - ``use_forgetting``: time-based short-term forgetting (Eq. 5) in
+      the updater and in scored rows; ``False`` freezes ``gamma = 1``
+      (part of SUPA_nt), so scoring reads Eq. 14's plain ``h^L + h^S``.
     """
 
     dim: int = 32
     num_walks: int = 4
     walk_length: int = 3
     num_negatives: int = 5
-    tau: Optional[float] = None
-    tau_g_value: float = 0.3
-    learning_rate: float = 3e-3
-    weight_decay: float = 1e-4
-    init_std: float = 0.1
-    noise_power: float = 0.75
-    negative_table_refresh: int = 1024
+    tau: float = TAU
     use_inter: bool = True
     use_prop: bool = True
     use_neg: bool = True
@@ -81,20 +80,6 @@ class SUPAConfig:
     use_short_term: bool = True
     use_propagation_decay: bool = True
     use_forgetting: bool = True
-    #: Whether scoring applies Eq. 5's short-term forgetting with the
-    #: time since the node's last interaction.  Eq. 14 writes the final
-    #: embedding as ``1/2 (h^L + h^S + c^r)`` — implicitly gamma = 1,
-    #: valid right after an update (Delta ~= 0); for nodes scored long
-    #: after their last activity the decayed form is the natural reading
-    #: of Definition 2's time-dependent representations and measures
-    #: better on the drifting datasets, so it is the default.
-    decay_at_inference: bool = True
-    #: Record ``repro.obs`` spans while training.  Off by default: the
-    #: no-op tracer keeps instrumented hot paths free (DESIGN §10's
-    #: overhead budget); flip on for per-phase wall-time attribution.
-    #: Tracing never touches model RNG, so results are bitwise identical
-    #: either way.
-    trace: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -106,12 +91,11 @@ class SUPAConfig:
             )
         if self.num_negatives < 0:
             raise ValueError(f"num_negatives must be >= 0, got {self.num_negatives}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        # refuses NaN too: no ``delta_e <= tau`` would hold, silently
+        if not self.tau >= 0:
+            raise ValueError(f"tau must be >= 0 (inf = no cut-off), got {self.tau}")
         if not (self.use_inter or self.use_prop or self.use_neg):
             raise ValueError("at least one loss must be enabled")
-        if self.tau is None:
-            self.tau = tau_from_g(self.tau_g_value)
 
     def with_overrides(self, **kwargs) -> "SUPAConfig":
         """A copy with the given fields replaced (ablation helper)."""

@@ -365,9 +365,14 @@ class NodeMemory:
 
 
 class MemoryOptimizer:
-    """One sparse Adam over the memory's row table, plus the alpha chain."""
+    """One sparse Adam over the memory's row table, plus the alpha chain;
+    the defaults are the paper's (Section IV-C), no decay on alpha."""
 
-    def __init__(self, memory: NodeMemory, lr: float, weight_decay: float):
+    def __init__(
+        self, memory: NodeMemory, lr: float = 3e-3, weight_decay: float = 1e-4
+    ):
+        if lr <= 0:
+            raise ValueError(f"lr must be positive, got {lr}")
         self.memory = memory
         self.table = SparseAdam(memory.table, lr, weight_decay=weight_decay)
         # memory.alpha[:, None] is a numpy view, so SparseAdam's in-place

@@ -35,7 +35,7 @@ from repro.graph.metapath import MultiplexMetapath
 from repro.graph.sampling import CompiledMetapathSet
 from repro.graph.schema import GraphSchema
 from repro.graph.streams import StreamEdge
-from repro.obs.trace import make_tracer
+from repro.obs.trace import NULL_TRACER
 from repro.utils.rng import new_rng
 
 
@@ -85,21 +85,12 @@ class SUPA:
             num_edge_types=schema.num_edge_types,
             num_node_types=schema.num_node_types,
             dim=self.config.dim,
-            init_std=self.config.init_std,
             rng=self.rng,
             typed_context=self.config.typed_context,
             typed_alpha=self.config.typed_alpha,
         )
-        self.optimizer = MemoryOptimizer(
-            self.memory,
-            lr=self.config.learning_rate,
-            weight_decay=self.config.weight_decay,
-        )
-        self.negatives = NegativeSampler(
-            self.graph,
-            power=self.config.noise_power,
-            refresh_every=self.config.negative_table_refresh,
-        )
+        self.optimizer = MemoryOptimizer(self.memory)
+        self.negatives = NegativeSampler(self.graph)
         self.last_loss_components: Dict[str, float] = {}
         #: nodes whose memory rows (long / short / any context slot) were
         #: written by the most recent :meth:`train_step` /
@@ -107,11 +98,11 @@ class SUPA:
         #: when serialised) the serving layer publishes as the next
         #: snapshot's rows.
         self.last_touched_nodes: Tuple[int, ...] = ()
-        #: observability hook (``repro.obs``): the no-op tracer unless
-        #: ``config.trace`` is set; the serving layer may swap in its own
-        #: recording tracer after construction, so engines read this
-        #: attribute per call rather than caching it.
-        self.tracer = make_tracer(self.config.trace)
+        #: observability hook (``repro.obs``): the no-op tracer until a
+        #: caller installs a recording one (``model.tracer = Tracer()``,
+        #: as a traced service does), so engines read this attribute per
+        #: call rather than caching it.
+        self.tracer = NULL_TRACER
         self.engine = BatchedEngine(self)
 
     @classmethod

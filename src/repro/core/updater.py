@@ -126,14 +126,15 @@ def final_embedding_rows(
     live memory's rows, the serve store (:mod:`repro.serve.store`) the
     rows it captured at publish time, and both call this, so a served
     row is bitwise the model's answer at the same clock.  ``h*`` is the
-    decayed Eq. 5 form under ``cfg.decay_at_inference`` (``slots`` index
-    ``alpha``; non-finite and negative ``deltas`` — never-seen nodes,
-    clock skew — clamp to 0), Eq. 14's plain ``h^L + h^S`` without it or
-    without forgetting, and ``h^L`` alone without short-term memory.
+    decayed Eq. 5 form (``slots`` index ``alpha``; non-finite and
+    negative ``deltas`` — never-seen nodes, clock skew — clamp to 0),
+    Eq. 14's plain ``h^L + h^S`` without forgetting, and ``h^L`` alone
+    without short-term memory.  (Eq. 14's gamma = 1 holds right after an
+    update; the decayed form reads Definition 2's time dependence.)
     """
     if not cfg.use_short_term:
         h_star = long_rows
-    elif not cfg.use_forgetting or not cfg.decay_at_inference:
+    elif not cfg.use_forgetting:
         h_star = long_rows + short_rows
     else:
         deltas = np.asarray(deltas, dtype=np.float64)

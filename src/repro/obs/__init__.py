@@ -41,7 +41,6 @@ from repro.obs.trace import (
     Tracer,
     format_flame_table,
     format_span_tree,
-    make_tracer,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "NullTracer",
     "NULL_TRACER",
     "SpanNode",
-    "make_tracer",
     "format_span_tree",
     "format_flame_table",
     "to_prometheus_text",

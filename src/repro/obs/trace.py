@@ -247,23 +247,6 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-def make_tracer(
-    spec: Union[bool, Tracer, NullTracer, None],
-    registry: Optional[MetricsRegistry] = None,
-) -> Union[Tracer, NullTracer]:
-    """Resolve a tracer from a config-style value.
-
-    ``True`` builds a recording :class:`Tracer` (over ``registry`` when
-    given); ``False``/``None`` yield the shared :data:`NULL_TRACER`; an
-    existing tracer instance passes through unchanged.
-    """
-    if isinstance(spec, (Tracer, NullTracer)):
-        return spec
-    if spec:
-        return Tracer(registry=registry)
-    return NULL_TRACER
-
-
 def format_span_tree(
     tracer: Union[Tracer, NullTracer], precision: int = 4
 ) -> str:

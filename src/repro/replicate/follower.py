@@ -165,6 +165,9 @@ class ReplicationFollower:
         service.metrics.counter("replica.batches_applied").inc(
             caught.replayed_batches
         )
+        service.metrics.counter("checkpoint.fallbacks").inc(
+            caught.checkpoint_fallbacks
+        )
         self.service = service
         self.tailer = tailer
         with self._lock:

@@ -78,6 +78,8 @@ class RecoveryResult:
     replayed_batches: int
     #: events left in ``log.fifo`` (accepted, never trained)
     residue_events: int
+    #: corrupt checkpoints skipped to reach ``checkpoint_seq``
+    checkpoint_fallbacks: int = 0
     #: torn/corrupt trailing records the WAL scan dropped (``recover`` only)
     torn_records_dropped: int = 0
     #: wall-clock seconds the whole recovery took (``recover`` only)
@@ -198,7 +200,8 @@ def catch_up(
     checkpoint newer than the log is refused — no history produces that
     state.  Handing the queue over, or mirroring it, is the caller's job.
     """
-    ckpt = CheckpointManager(checkpoint_dir).latest()
+    checkpoints = CheckpointManager(checkpoint_dir)
+    ckpt = checkpoints.latest()
     base_seq = ckpt.seq if ckpt is not None else 0
     state = QueueLogState()
     prefix: Optional[QueueLogState] = None
@@ -235,6 +238,7 @@ def catch_up(
         replayed_events=state.accepted - prefix.accepted,
         replayed_batches=len(suffix_batches),
         residue_events=len(state.fifo),
+        checkpoint_fallbacks=checkpoints.fallbacks,
     )
 
 
@@ -276,6 +280,9 @@ def recover(
         result.log.hand_over(service)
         service.metrics.counter("recovery.replayed_events").inc(
             result.replayed_events
+        )
+        service.metrics.counter("checkpoint.fallbacks").inc(
+            result.checkpoint_fallbacks
         )
         service.warm_cache()
     result.torn_records_dropped = status.dropped_records

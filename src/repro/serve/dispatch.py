@@ -54,8 +54,6 @@ class DispatchWorker:
     on_error:
         Called with any exception escaping a dispatch round (see module
         docstring); exceptions it raises itself are swallowed.
-    name:
-        Thread name (visible in sanitizer reports and stack dumps).
     """
 
     def __init__(
@@ -63,14 +61,12 @@ class DispatchWorker:
         queue: EventQueue,
         poll_seconds: float = 0.05,
         on_error: Optional[Callable[[Exception], None]] = None,
-        name: str = "repro-dispatch",
     ):
         if poll_seconds <= 0:
             raise ValueError(f"poll_seconds must be > 0, got {poll_seconds}")
         self._queue = queue
         self.poll_seconds = float(poll_seconds)
         self._on_error = on_error
-        self._name = name
         # Guards lifecycle state (_thread, _closing) and the drain
         # tallies.  Leaf lock by contract: never held across a call
         # into the queue, the handler or the error callback.
@@ -91,20 +87,20 @@ class DispatchWorker:
                 return self
             self._closing = False
             thread = threading.Thread(
-                target=self._run, name=self._name, daemon=True
+                target=self._run, name="repro-dispatch", daemon=True
             )
             self._thread = thread
         thread.start()
         return self
 
-    def close(self, drain: bool = True) -> None:
+    def close(self) -> None:
         """Stop the worker and join it (idempotent).
 
-        With ``drain=True`` (default) any micro-batches that became
-        ready during shutdown are dispatched on the caller's thread, so
-        close leaves at most a partial batch behind — exactly what a
-        final ``flush()`` clears.  The close/flush pair is the
-        quiescence contract the parity gate relies on.
+        Any micro-batches that became ready during shutdown are
+        dispatched on the caller's thread, so close leaves at most a
+        partial batch behind — exactly what a final ``flush()`` clears.
+        The close/flush pair is the quiescence contract the parity gate
+        relies on.
         """
         with self._lock:
             thread = self._thread
@@ -113,8 +109,7 @@ class DispatchWorker:
             self._closing = True
         self._wake.set()
         thread.join()
-        if drain:
-            self._drain()
+        self._drain()
         with self._lock:
             self._thread = None
 
@@ -133,9 +128,8 @@ class DispatchWorker:
     def _run(self) -> None:
         while True:
             # closing is checked *before* draining so a ``close`` wake-up
-            # dispatches nothing — with ``drain=False`` the buffered
-            # batches must stay put; with ``drain=True`` the closer's
-            # thread drains them after the join.
+            # dispatches nothing: the closer's thread drains the buffered
+            # batches after the join.
             with self._lock:
                 if self._closing:
                     return
@@ -148,7 +142,7 @@ class DispatchWorker:
     def _drain(self) -> int:
         """Dispatch ready batches until the queue yields none; returns
         events drained.  Runs on the worker thread and, during
-        ``close(drain=True)``, once on the closer's thread — never
+        ``close()``, once on the closer's thread — never
         concurrently, because close joins the worker first."""
         total = 0
         while True:

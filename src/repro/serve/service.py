@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.core.model import SUPA
 from repro.datasets.base import Dataset
 from repro.graph.streams import EdgeStream, StreamEdge
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import NullTracer, Tracer, make_tracer
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.serve.admission import (
     DEPTH_LOWWATER,
     SHEDDING,
@@ -51,6 +51,11 @@ from repro.serve.dispatch import DispatchWorker
 from repro.serve.index import TopKIndex
 from repro.serve.ingest import BackpressureError, EventQueue
 from repro.serve.store import DecayedEmbeddingStore
+
+#: consecutive update failures that open the circuit breaker
+BREAKER_THRESHOLD = 3
+#: ingests while the breaker is open before a half-open probe
+BREAKER_COOLDOWN_EVENTS = 64
 
 
 @dataclass
@@ -69,8 +74,6 @@ class ServeConfig:
     checkpoint_dir: Optional[str] = None  # atomic state snapshots live here
     checkpoint_every: int = 0  # checkpoint every N applied updates; 0 = never
     late_tolerance: Optional[float] = None  # deadletter events older than this
-    breaker_threshold: int = 3  # consecutive update failures to trip; 0 = never
-    breaker_cooldown_events: int = 64  # ingests while open before a probe
     #: injectable monotonic clock for the intake stamps: each accepted
     #: event is stamped as it is buffered, which gives, at the batch
     #: cut, its queue wait in the ``latency.queue_wait_seconds``
@@ -85,7 +88,6 @@ class ServeConfig:
     #: worker starts lazily on the first ingest (so recovery replay never
     #: races it) and is closed by :meth:`RecommendationService.close`.
     async_dispatch: bool = False
-    dispatch_poll_seconds: float = 0.05  # worker idle wake-up backstop
     #: admission control in front of the queue (rate limiting, overload
     #: shedding); ``None`` admits everything.  See
     #: :class:`~repro.serve.admission.AdmissionConfig`.
@@ -103,25 +105,11 @@ class ServeConfig:
             raise ValueError(
                 f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
             )
-        if self.breaker_threshold < 0:
-            raise ValueError(
-                f"breaker_threshold must be >= 0, got {self.breaker_threshold}"
-            )
-        if self.breaker_cooldown_events < 1:
-            raise ValueError(
-                "breaker_cooldown_events must be >= 1, got "
-                f"{self.breaker_cooldown_events}"
-            )
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
         if self.warm_users < 0:
             raise ValueError(
                 f"warm_users must be >= 0, got {self.warm_users}"
-            )
-        if self.dispatch_poll_seconds <= 0:
-            raise ValueError(
-                "dispatch_poll_seconds must be > 0, got "
-                f"{self.dispatch_poll_seconds}"
             )
         # Batches are cut by count alone, so SHEDDING must stand down
         # with a whole batch still buffered: below that, the remainder
@@ -173,11 +161,10 @@ class RecommendationService:
     config:
         Serving knobs; see :class:`ServeConfig`.
     trace:
-        ``True`` (or an existing :class:`~repro.obs.trace.Tracer`)
-        records ``repro.obs`` spans — ingest/update/query here, and the
-        model's training phases nested inside update — into a tree
-        shared with the service's metrics registry.  Default off: the
-        no-op tracer keeps the serve path overhead-free.
+        ``True`` records ``repro.obs`` spans — ingest/update/query
+        here, and the model's training phases nested inside update —
+        into a tree shared with the service's metrics registry.  Default
+        off: the no-op tracer keeps the serve path overhead-free.
     """
 
     def __init__(
@@ -186,7 +173,7 @@ class RecommendationService:
         model: Optional[SUPA] = None,
         config: Optional[ServeConfig] = None,
         train_config: Optional[InsLearnConfig] = None,
-        trace: Union[bool, Tracer, NullTracer] = False,
+        trace: bool = False,
         initial_clock: float = 0.0,
     ):
         self.config = config or ServeConfig()
@@ -212,8 +199,8 @@ class RecommendationService:
         self.items = dataset.nodes_of_type(self.item_type)
 
         self.metrics = MetricsRegistry()
-        self.tracer = make_tracer(trace, registry=self.metrics)
-        if self.tracer.enabled:
+        self.tracer = Tracer(registry=self.metrics) if trace else NULL_TRACER
+        if trace:
             # Nest the model's training spans (core.inslearn.*,
             # core.engine.*) under this service's update span.
             self.model.tracer = self.tracer
@@ -278,11 +265,7 @@ class RecommendationService:
         # Created eagerly, started lazily on the first ingest: recovery
         # replay (apply_recovered_batch) must never race a live worker.
         self.dispatcher: Optional[DispatchWorker] = (
-            DispatchWorker(
-                self.queue,
-                poll_seconds=self.config.dispatch_poll_seconds,
-                on_error=self._register_dispatch_failure,
-            )
+            DispatchWorker(self.queue, on_error=self._register_dispatch_failure)
             if self.config.async_dispatch
             else None
         )
@@ -474,7 +457,7 @@ class RecommendationService:
 
         A failing update never poisons the ingest path: the batch is
         deadlettered (reason ``"update failure: ..."``), the failure
-        counted, and after ``breaker_threshold`` consecutive failures
+        counted, and after ``BREAKER_THRESHOLD`` consecutive failures
         the circuit breaker opens — dispatch pauses and the service
         degrades to bounded-stale reads until a cooldown probe.
         ``checkpoint=False`` (WAL replay) skips the auto-checkpoint.
@@ -541,19 +524,17 @@ class RecommendationService:
         self._count_failure()
 
     def _count_failure(self) -> None:
-        """One more consecutive failure; at ``breaker_threshold`` the
+        """One more consecutive failure; at ``BREAKER_THRESHOLD`` the
         breaker opens: dispatch pauses until a cooldown probe."""
-        threshold = self.config.breaker_threshold
         with self._state_lock:
             self._consecutive_update_failures += 1
             trip = (
-                bool(threshold)
-                and self._consecutive_update_failures >= threshold
+                self._consecutive_update_failures >= BREAKER_THRESHOLD
                 and not self._breaker_open
             )
             if trip:
                 self._breaker_open = True
-                self._breaker_cooldown = self.config.breaker_cooldown_events
+                self._breaker_cooldown = BREAKER_COOLDOWN_EVENTS
         self.metrics.counter("updates.failed").inc()
         if trip:
             self.queue.pause()

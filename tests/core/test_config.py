@@ -1,5 +1,8 @@
 """Tests for SUPAConfig and tau derivation."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ class TestDecayFunction:
 
 class TestTauFromG:
     def test_paper_value(self):
-        # g(tau) = 0.3  =>  tau = exp(1/0.3) - e ~ 25.35
+        # g(tau) = 0.3  =>  tau = exp(1/0.3) - e ~ 25.31
         tau = tau_from_g(0.3)
         assert tau == pytest.approx(np.exp(1 / 0.3) - np.e)
         assert g_decay(tau) == pytest.approx(0.3)
@@ -42,6 +45,30 @@ class TestConfig:
 
     def test_explicit_tau_kept(self):
         assert SUPAConfig(tau=5.0).tau == 5.0
+
+    def test_negative_or_nan_tau_refused(self):
+        """Either would switch propagation off without an error: no
+        ``delta_e <= tau`` is true.  ``inf`` (no cut-off) and 0 stay."""
+        for bad in (-1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="tau"):
+                SUPAConfig(tau=bad)
+        assert SUPAConfig(tau=math.inf).tau == math.inf
+        assert SUPAConfig(tau=0.0).tau == 0.0
+
+    def test_with_overrides_equals_construction_for_every_field(self):
+        """No field is derived from another at construction, so an
+        override never leaves a stale value behind."""
+        default = SUPAConfig()
+        for field in dataclasses.fields(SUPAConfig):
+            value = getattr(default, field.name)
+            if isinstance(value, bool):
+                value = not value
+            elif isinstance(value, int):
+                value += 1
+            else:
+                value /= 2
+            built = SUPAConfig(**{field.name: value})
+            assert default.with_overrides(**{field.name: value}) == built, field.name
 
     def test_with_overrides_copies(self):
         cfg = SUPAConfig()
@@ -61,10 +88,6 @@ class TestConfig:
     def test_validation_negatives(self):
         with pytest.raises(ValueError):
             SUPAConfig(num_negatives=-1)
-
-    def test_validation_lr(self):
-        with pytest.raises(ValueError):
-            SUPAConfig(learning_rate=0.0)
 
     def test_all_losses_off_rejected(self):
         with pytest.raises(ValueError, match="at least one loss"):

@@ -32,6 +32,7 @@ from repro.core.engine.schedule import partition_round_indices
 from repro.core.variants import VARIANT_BUILDERS, make_variant
 from repro.datasets.zoo import movielens
 from repro.graph.streams import StreamEdge
+from repro.obs.trace import Tracer
 from tests.core import build_model
 
 BATCH_SIZE = 96
@@ -50,9 +51,11 @@ def _state_bytes(model):
     return b"".join(parts)
 
 
-def _train(config, engine="batched"):
+def _train(config, engine="batched", traced=False):
     dataset = movielens(scale=0.08, seed=3)
     model = build_model(dataset, config, engine)
+    if traced:
+        model.tracer = Tracer()
     trainer = InsLearnTrainer(
         model,
         InsLearnConfig(
@@ -70,9 +73,9 @@ def _train(config, engine="batched"):
     return model, reports
 
 
-def _assert_engines_agree(config):
-    ref_model, ref_reports = _train(config, engine="reference")
-    bat_model, bat_reports = _train(config)
+def _assert_engines_agree(config, traced=False):
+    ref_model, ref_reports = _train(config, engine="reference", traced=traced)
+    bat_model, bat_reports = _train(config, traced=traced)
     assert _state_bytes(ref_model) == _state_bytes(bat_model)
     for ref, bat in zip(ref_reports, bat_reports):
         assert ref.mean_loss == bat.mean_loss
@@ -336,7 +339,7 @@ def test_tracing_is_bitwise_neutral(engine):
     an untraced run of the same engine are byte-identical — model state,
     reports, and the consumed RNG stream."""
     plain_model, plain_reports = _train(SUPAConfig(seed=7), engine)
-    traced_model, traced_reports = _train(SUPAConfig(seed=7, trace=True), engine)
+    traced_model, traced_reports = _train(SUPAConfig(seed=7), engine, traced=True)
     assert _state_bytes(plain_model) == _state_bytes(traced_model)
     for plain, traced in zip(plain_reports, traced_reports):
         assert plain.mean_loss == traced.mean_loss
@@ -375,7 +378,7 @@ def test_adam_call_counter_counts_every_optimiser_call(monkeypatch):
         "update_rows",
         lambda self, *a: calls.append(1) or real(self, *a),
     )
-    model, _ = _train(SUPAConfig(seed=7, trace=True))
+    model, _ = _train(SUPAConfig(seed=7), traced=True)
     registry = model.tracer.registry
     adam_calls = registry.get("engine.apply.adam_calls").value
     rounds = registry.get("engine.plan.rounds").value
@@ -386,7 +389,7 @@ def test_adam_call_counter_counts_every_optimiser_call(monkeypatch):
 
 def test_engines_agree_with_tracing_enabled():
     """The cross-engine bitwise contract holds under tracing too."""
-    _assert_engines_agree(SUPAConfig(seed=7, trace=True))
+    _assert_engines_agree(SUPAConfig(seed=7), traced=True)
 
 
 # ------------------------------------------------- finite-difference checks

@@ -292,6 +292,14 @@ def _textbook_update_rows(adam, rows, grads):
 
 
 class TestMemoryOptimizer:
+    def test_paper_defaults_and_lr_check(self):
+        opt = MemoryOptimizer(make_memory())
+        assert (opt.table.lr, opt.table.weight_decay) == (3e-3, 1e-4)
+        assert (opt.alpha.lr, opt.alpha.weight_decay) == (3e-3, 0.0)
+        for bad in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="lr"):
+                MemoryOptimizer(make_memory(), lr=bad)
+
     def test_context_row_mapping(self):
         mem = make_memory()
         opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)

@@ -129,17 +129,18 @@ def target_embeddings_batch(memory, nodes, node_type_ids, deltas, cfg):
 
 class TestBatch:
     def test_batch_matches_single_with_inference_decay(self, memory, cfg):
-        cfg_decay = cfg.with_overrides(decay_at_inference=True)
         nodes = np.array([0, 1, 2])
         types = np.array([0, 1, 0])
         deltas = np.array([0.0, 2.0, 10.0])
-        batch = target_embeddings_batch(memory, nodes, types, deltas, cfg_decay)
+        batch = target_embeddings_batch(memory, nodes, types, deltas, cfg)
         for i, (n, ty, d) in enumerate(zip(nodes, types, deltas)):
-            single = target_embedding(memory, int(n), int(ty), float(d), cfg_decay)
+            single = target_embedding(memory, int(n), int(ty), float(d), cfg)
             assert np.allclose(batch[i], single.h_star)
 
     def test_batch_eq14_ignores_delta_by_default(self, memory):
-        cfg = SUPAConfig(dim=3, decay_at_inference=False)
+        """Without forgetting (SUPA_nt) a row is Eq. 14's plain
+        ``h^L + h^S`` at any time since the last interaction."""
+        cfg = SUPAConfig(dim=3, use_forgetting=False)
         nodes = np.array([0, 1])
         out_small = target_embeddings_batch(memory, nodes, np.zeros(2, int), np.zeros(2), cfg)
         out_large = target_embeddings_batch(
@@ -159,14 +160,14 @@ class TestBatch:
 
     def test_non_finite_deltas_clamped(self, memory):
         """A never-seen node's delta is ``t - (-inf)``: fresh, like 0."""
-        cfg = SUPAConfig(dim=3, decay_at_inference=True)
+        cfg = SUPAConfig(dim=3)
         nodes, types = np.array([0, 1]), np.array([0, 1])
         a = target_embeddings_batch(memory, nodes, types, np.array([np.inf, np.nan]), cfg)
         b = target_embeddings_batch(memory, nodes, types, np.zeros(2), cfg)
         assert a.tobytes() == b.tobytes()
 
     def test_negative_deltas_clamped(self, memory):
-        cfg = SUPAConfig(dim=3, decay_at_inference=True)
+        cfg = SUPAConfig(dim=3)
         a = target_embeddings_batch(
             memory, np.array([0]), np.array([0]), np.array([-5.0]), cfg
         )

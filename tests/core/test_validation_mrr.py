@@ -101,7 +101,7 @@ def _edge(rng, t):
     return StreamEdge(user, other, kind, t)
 
 
-def _trained(typed_context, decay_at_inference):
+def _trained(typed_context, use_forgetting):
     """A model trained on 60 edges of the three-type universe; two
     videos never interact (their active interval clamps from -inf)."""
     rng = np.random.default_rng(3)
@@ -122,7 +122,7 @@ def _trained(typed_context, decay_at_inference):
         dim=8,
         seed=0,
         typed_context=typed_context,
-        decay_at_inference=decay_at_inference,
+        use_forgetting=use_forgetting,
     )
     model = SUPA.for_dataset(ds, cfg)
     model.process_stream(stream)
@@ -142,7 +142,7 @@ def _tail(seed, size=25):
     return tail
 
 
-@pytest.mark.parametrize("decay_at_inference", [True, False])
+@pytest.mark.parametrize("use_forgetting", [True, False])
 @pytest.mark.parametrize("typed_context", [True, False])
 class TestOnePassOracle:
     """The one-pass scorer equals the per-edge loop byte for byte: the
@@ -150,11 +150,11 @@ class TestOnePassOracle:
 
     @pytest.mark.parametrize("num_candidates", [2, 4, 50])
     def test_matches_per_edge_loop(
-        self, typed_context, decay_at_inference, num_candidates
+        self, typed_context, use_forgetting, num_candidates
     ):
         # 50 > the 12-video pool: every draw is a full permutation, so
         # the true node is always among the distractors and dropped
-        model = _trained(typed_context, decay_at_inference)
+        model = _trained(typed_context, use_forgetting)
         fast, slow = np.random.default_rng(11), np.random.default_rng(11)
         for seed in range(4):  # consecutive tails share one generator
             tail = _tail(seed)
@@ -167,9 +167,9 @@ class TestOnePassOracle:
             assert fast.bit_generator.state == slow.bit_generator.state
 
     def test_tail_of_skipped_edges_draws_nothing(
-        self, typed_context, decay_at_inference
+        self, typed_context, use_forgetting
     ):
-        model = _trained(typed_context, decay_at_inference)
+        model = _trained(typed_context, use_forgetting)
         rng = np.random.default_rng(5)
         before = rng.bit_generator.state
         tail = [StreamEdge(u, _CHANNEL, "follow", 65.0) for u in range(3)]

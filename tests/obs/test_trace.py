@@ -9,7 +9,6 @@ from repro.obs.trace import (
     Tracer,
     format_flame_table,
     format_span_tree,
-    make_tracer,
 )
 
 
@@ -133,27 +132,6 @@ class TestNullTracer:
             return 42
 
         assert NULL_TRACER.wrap("fn", fn) is fn
-
-
-class TestMakeTracer:
-    def test_truthy_builds_recording_tracer(self):
-        t = make_tracer(True)
-        assert isinstance(t, Tracer) and t.enabled
-
-    def test_falsy_yields_shared_null(self):
-        assert make_tracer(False) is NULL_TRACER
-        assert make_tracer(None) is NULL_TRACER
-
-    def test_instances_pass_through(self):
-        t = Tracer()
-        n = NullTracer()
-        assert make_tracer(t) is t
-        assert make_tracer(n) is n
-
-    def test_registry_is_shared_when_given(self):
-        reg = MetricsRegistry()
-        t = make_tracer(True, registry=reg)
-        assert t.registry is reg
 
 
 class TestRendering:

@@ -172,6 +172,17 @@ class TestFollower:
         )
         primary.close()
 
+    def test_bootstrap_counts_a_skipped_damaged_checkpoint(self, dataset, tmp_path):
+        primary = make_primary(dataset, tmp_path)
+        for edge in list(dataset.stream)[:100]:
+            primary.ingest(edge)
+        primary.close()
+        newest = CheckpointManager(checkpoint_dir(str(tmp_path / "primary"))).paths()[0]
+        with open(newest, "r+b") as fh:
+            fh.truncate(16)
+        follower = make_follower(dataset, tmp_path).bootstrap()
+        assert follower.service.metrics.counter("checkpoint.fallbacks").value == 1
+
     def test_follower_mirrors_queue_residue(self, dataset, tmp_path):
         primary = make_primary(dataset, tmp_path)
         stream = list(dataset.stream)[:11]  # not a batch multiple

@@ -137,3 +137,18 @@ def test_recover_over_a_damaged_checkpoint_equals_recover_without_it(
             with open(newest, "wb") as fh:
                 fh.write(data)
             assert recovered(root) == without, f"{mode}@{offset}"
+
+
+def test_recover_counts_the_damaged_checkpoint_it_skipped(small_dataset, crashed):
+    """The catch-up reads checkpoints through a manager of its own; the
+    fallback it took still lands on the recovered service's counter."""
+    manager = CheckpointManager(serve_config(crashed).checkpoint_dir)
+    newest, previous = manager.paths()[:2]
+    previous_seq = manager.load(previous).seq
+    with open(newest, "r+b") as fh:
+        fh.truncate(16)
+    result = recover(small_dataset, serve_config(crashed), model_config=MODEL)
+    result.service.close()
+    assert result.checkpoint_seq == previous_seq
+    assert result.service.metrics.counter("checkpoint.fallbacks").value == 1
+    assert result.checkpoint_fallbacks == 1

@@ -221,7 +221,6 @@ def test_checkpoint_from_another_thread_is_one_batch_boundary(
         durable_config(tmp_path),
         checkpoint_every=0,
         async_dispatch=True,
-        dispatch_poll_seconds=0.005,
     )
     service = RecommendationService(
         dataset,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.datasets.zoo import load_dataset
 from repro.resilience.wal import scan
+from repro.serve import service as service_module
 from repro.serve.ingest import BackpressureError
 from repro.serve.service import RecommendationService, ServeConfig
 
@@ -97,21 +98,20 @@ class FailingTrainer:
 
 
 class TestCircuitBreaker:
-    def make_failing(self, dataset, threshold=2, cooldown=8):
+    @pytest.fixture(autouse=True)
+    def _breaker(self, monkeypatch):
+        monkeypatch.setattr(service_module, "BREAKER_THRESHOLD", 2)
+        monkeypatch.setattr(service_module, "BREAKER_COOLDOWN_EVENTS", 8)
+
+    def make_failing(self, dataset):
         service = RecommendationService(
-            dataset,
-            config=ServeConfig(
-                batch_size=4,
-                capacity=64,
-                breaker_threshold=threshold,
-                breaker_cooldown_events=cooldown,
-            ),
+            dataset, config=ServeConfig(batch_size=4, capacity=64)
         )
         service.trainer = FailingTrainer(service.trainer)
         return service
 
     def test_update_failures_deadletter_and_count(self, dataset):
-        service = self.make_failing(dataset, threshold=0)  # breaker disabled
+        service = self.make_failing(dataset)  # one failure, below the threshold
         for edge in list(dataset.stream)[:4]:
             assert service.ingest(edge)  # ingest path survives the failure
         assert service.metrics.counter("updates.failed").value == 1
@@ -123,7 +123,7 @@ class TestCircuitBreaker:
         assert not service.breaker_open
 
     def test_breaker_opens_after_consecutive_failures(self, dataset):
-        service = self.make_failing(dataset, threshold=2)
+        service = self.make_failing(dataset)
         for edge in list(dataset.stream)[:8]:  # two failing batches
             service.ingest(edge)
         assert service.breaker_open
@@ -139,8 +139,9 @@ class TestCircuitBreaker:
             service.ingest(edge)
         assert service.trainer.calls == before
 
-    def test_cooldown_probe_resumes_dispatch(self, dataset):
-        service = self.make_failing(dataset, threshold=2, cooldown=3)
+    def test_cooldown_probe_resumes_dispatch(self, dataset, monkeypatch):
+        monkeypatch.setattr(service_module, "BREAKER_COOLDOWN_EVENTS", 3)
+        service = self.make_failing(dataset)
         stream = list(dataset.stream)
         for edge in stream[:8]:
             service.ingest(edge)

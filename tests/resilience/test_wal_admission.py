@@ -86,7 +86,7 @@ class TestReplaySkipsLedgerOnlyKinds:
 
 class TestServiceReconciliation:
     def _shedding_service(self, dataset, tmp_path, async_dispatch):
-        return RecommendationService(
+        svc = RecommendationService(
             dataset,
             config=ServeConfig(
                 batch_size=2,
@@ -94,10 +94,12 @@ class TestServiceReconciliation:
                 wal_path=str(tmp_path / "svc.wal"),
                 checkpoint_dir=str(tmp_path / "ckpts"),
                 async_dispatch=async_dispatch,
-                dispatch_poll_seconds=0.005,
                 admission=AdmissionConfig(depth_highwater=0.75),
             ),
         )
+        if async_dispatch:
+            svc.dispatcher.poll_seconds = 0.005
+        return svc
 
     @staticmethod
     def _shed_then_drain(svc, edges):

@@ -31,19 +31,17 @@ def test_serve_config_fields():
         "warm_users", "read_only",
         "wal_path", "wal_fsync",
         "checkpoint_dir", "checkpoint_every", "late_tolerance",
-        "breaker_threshold", "breaker_cooldown_events",
-        "clock_fn", "async_dispatch", "dispatch_poll_seconds", "admission",
+        "clock_fn", "async_dispatch", "admission",
     }
 
 
 def test_supa_config_fields():
     assert field_names(SUPAConfig) == {
         "dim", "num_walks", "walk_length", "num_negatives",
-        "tau", "tau_g_value", "learning_rate", "weight_decay", "init_std",
-        "noise_power", "negative_table_refresh",
+        "tau",
         "use_inter", "use_prop", "use_neg", "typed_alpha", "typed_context",
         "use_short_term", "use_propagation_decay", "use_forgetting",
-        "decay_at_inference", "trace", "seed",
+        "seed",
     }
 
 
@@ -104,9 +102,7 @@ def test_cli_surface():
         "datasets": {"--scale", "--seed"},
         "train": COMMON | {"--method", "--dim", "--max-queries"},
         "compare": COMMON | {"--methods", "--dim", "--max-queries"},
-        "mine": COMMON | {
-            "--prefix", "--walks", "--walk-length", "--top-k", "--min-support",
-        },
+        "mine": COMMON,
         "export": COMMON | {"--output"},
         "serve-replay": COMMON | SERVING | {
             "--probe-every", "--max-parity-users", "--min-parity", "--output",

@@ -1,7 +1,7 @@
 """Dispatcher-thread lifecycle tests: idempotence, drain, crash routing.
 
 The :class:`DispatchWorker` contract (DESIGN.md §8): start/close are
-idempotent, ``close(drain=True)`` leaves at most a partial micro-batch
+idempotent, ``close()`` leaves at most a partial micro-batch
 behind, a crash escaping a dispatch round lands in ``on_error`` without
 killing the worker, and the whole producer/worker dance stays clean
 under the concurrency sanitizer.
@@ -111,21 +111,10 @@ class TestDrainOnClose:
         assert wait_until(lambda: not worker._wake.is_set())
         for i in range(7):
             q.put(edge(i))
-        worker.close()  # drain=True: closer's thread dispatches the 3
+        worker.close()  # the closer's thread dispatches the 3
         assert len(batches) == 3
         assert q.pending == 1  # the partial batch stays for flush()
         assert q.flush() == 1
-
-    def test_close_without_drain_leaves_batches_buffered(self):
-        batches, handler = collector()
-        q = EventQueue(handler, batch_size=2, capacity=16, defer_dispatch=True)
-        worker = DispatchWorker(q, poll_seconds=SLOW_POLL).start()
-        assert wait_until(lambda: not worker._wake.is_set())
-        for i in range(4):
-            q.put(edge(i))
-        worker.close(drain=False)
-        assert batches == []
-        assert q.pending == 4
 
 
 class TestCrashRouting:
@@ -241,10 +230,10 @@ class TestSanitized:
                     overflow="drop_new",
                     cache_size=2,
                     async_dispatch=True,
-                    dispatch_poll_seconds=0.005,
                     admission=AdmissionConfig(rate_per_user=1.0, burst=16.0),
                 ),
             )
+            svc.dispatcher.poll_seconds = 0.005
 
             def produce(base):
                 for i in range(50):

@@ -21,20 +21,24 @@ from repro.serve.admission import (
     AdmissionConfig,
     AdmissionController,
 )
+from repro.serve import service as service_module
 from repro.serve.ingest import BackpressureError, EventQueue
 from repro.serve.service import RecommendationService, ServeConfig
 
 
-def make_service(dataset, **kwargs):
+def make_service(dataset, poll_seconds=None, **kwargs):
     model = SUPA.for_dataset(
         dataset,
         config=SUPAConfig(dim=8, num_walks=2, walk_length=2, seed=0),
     )
     defaults = dict(batch_size=4, capacity=64)
     defaults.update(kwargs)
-    return RecommendationService(
+    svc = RecommendationService(
         dataset, model=model, config=ServeConfig(**defaults)
     )
+    if poll_seconds is not None:  # before the first ingest starts the worker
+        svc.dispatcher.poll_seconds = poll_seconds
+    return svc
 
 
 def wait_until(predicate, timeout=5.0):
@@ -54,8 +58,9 @@ class TestDegradedQuery:
         assert len(result.items) == 3
         assert result.snapshot_version == svc.snapshot_version
 
-    def test_open_breaker_marks_answers_degraded(self, small_dataset):
-        svc = make_service(small_dataset, breaker_threshold=1)
+    def test_open_breaker_marks_answers_degraded(self, small_dataset, monkeypatch):
+        monkeypatch.setattr(service_module, "BREAKER_THRESHOLD", 1)
+        svc = make_service(small_dataset)
         svc._register_dispatch_failure(RuntimeError("worker crash"))
         assert svc.breaker_open
         result = svc.query(0, k=3)
@@ -202,9 +207,7 @@ class TestAsyncInlineParity:
             inline.ingest(e)
         inline.flush()
 
-        deferred = make_service(
-            small_dataset, async_dispatch=True, dispatch_poll_seconds=0.005
-        )
+        deferred = make_service(small_dataset, async_dispatch=True, poll_seconds=0.005)
         for e in edges:
             deferred.ingest(e)
         assert deferred.dispatcher is not None and deferred.dispatcher.running
@@ -229,13 +232,13 @@ class TestAsyncInlineParity:
 
 class TestCrashInWorker:
     def test_wal_failure_in_async_dispatch_trips_the_breaker(
-        self, small_dataset, tmp_path
+        self, small_dataset, tmp_path, monkeypatch
     ):
+        monkeypatch.setattr(service_module, "BREAKER_THRESHOLD", 1)
         svc = make_service(
             small_dataset,
             async_dispatch=True,
-            dispatch_poll_seconds=0.005,
-            breaker_threshold=1,
+            poll_seconds=0.005,
             wal_path=str(tmp_path / "events.wal"),
         )
         try:
@@ -422,7 +425,7 @@ class TestNobodyWaitsOnAnUpdate:
             svc = make_service(
                 small_dataset,
                 async_dispatch=True,
-                dispatch_poll_seconds=0.005,
+                poll_seconds=0.005,
                 admission=AdmissionConfig(),
             )
             train = svc.trainer.train_one_batch

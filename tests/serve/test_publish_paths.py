@@ -42,23 +42,20 @@ def drain(svc, dataset):
 
 
 BASE = SUPAConfig(seed=7)
-SERVED_CONFIGS = {
-    **{name: build(BASE) for name, build in VARIANT_BUILDERS.items()},
-    "no_inference_decay": BASE.with_overrides(decay_at_inference=False),
-}
+SERVED_CONFIGS = {name: build(BASE) for name, build in VARIANT_BUILDERS.items()}
 
 
 def eq14_reference(model, edge_type, t):
     """Eq. 14 written out per ablation, apart from the served formula:
     ``1/2 (h^L + gamma h^S + c^r)``, with ``gamma = g(sigma(alpha) Delta)``
-    under decay-at-inference, 1 without it, and no ``h^S`` without
-    short-term memory."""
+    under forgetting, 1 without it, and no ``h^S`` without short-term
+    memory."""
     memory, cfg = model.memory, model.config
     nodes = np.arange(memory.num_nodes)
     h_star = memory.long.copy()
     if cfg.use_short_term:
         gamma = np.ones(nodes.size)
-        if cfg.use_forgetting and cfg.decay_at_inference:
+        if cfg.use_forgetting:
             last = model.graph.last_interaction_times(nodes)
             delta = np.where(np.isfinite(last), np.maximum(t - last, 0.0), 0.0)
             alpha = memory.alpha[memory.alpha_slots(model._node_type_ids)]

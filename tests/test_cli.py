@@ -86,7 +86,7 @@ class TestCommands:
 
     def test_mine_prints_schemas(self, capsys):
         code = main(
-            ["mine", "--dataset", "taobao", "--scale", "0.2", "--min-support", "2"]
+            ["mine", "--dataset", "taobao", "--scale", "0.2"]
         )
         assert code == 0
         out = capsys.readouterr().out
