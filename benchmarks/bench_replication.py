@@ -36,11 +36,7 @@ import numpy as np
 from harness import BENCH_SCALE, RESULTS_DIR, emit
 from repro.core import InsLearnConfig, SUPAConfig
 from repro.datasets import load_dataset
-from repro.replicate import (
-    ReplicationConfig,
-    ReplicationFollower,
-    ReplicationPrimary,
-)
+from repro.replicate import ReplicationFollower, ReplicationPrimary
 from repro.serve import ServeConfig
 from repro.utils.tables import format_table
 
@@ -60,6 +56,7 @@ def _configs(seed: int = 0):
         overflow="drop_new",
         late_tolerance=0.0,
         cache_size=0,
+        checkpoint_every=4,
     )
     model_cfg = SUPAConfig(dim=32, num_walks=2, walk_length=2, seed=seed)
     train_cfg = InsLearnConfig(
@@ -70,8 +67,7 @@ def _configs(seed: int = 0):
         patience=1,
         seed=seed,
     )
-    replication = ReplicationConfig(heartbeat_every=32, checkpoint_every=4)
-    return serve_cfg, model_cfg, train_cfg, replication
+    return serve_cfg, model_cfg, train_cfg
 
 
 class _Reader(threading.Thread):
@@ -106,7 +102,7 @@ class _Reader(threading.Thread):
 
 
 def _measure_fleet(dataset, num_followers: int, seed: int = 0) -> Dict[str, object]:
-    serve_cfg, model_cfg, train_cfg, replication = _configs(seed)
+    serve_cfg, model_cfg, train_cfg = _configs(seed)
     stream = list(dataset.stream)
     warmup = max(1, int(len(stream) * WARMUP_FRACTION))
     state_dir = tempfile.mkdtemp(prefix="repro-bench-replication-")
@@ -117,7 +113,7 @@ def _measure_fleet(dataset, num_followers: int, seed: int = 0) -> Dict[str, obje
             serve_config=serve_cfg,
             model_config=model_cfg,
             train_config=train_cfg,
-            replication=replication,
+            heartbeat_every=32,
         )
         for edge in stream[:warmup]:
             primary.ingest(edge)
@@ -130,7 +126,6 @@ def _measure_fleet(dataset, num_followers: int, seed: int = 0) -> Dict[str, obje
                 serve_config=serve_cfg,
                 model_config=model_cfg,
                 train_config=train_cfg,
-                replication=replication,
             ).bootstrap()
             for _ in range(num_followers)
         ]

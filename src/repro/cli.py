@@ -335,8 +335,7 @@ def cmd_serve_replay(args: argparse.Namespace) -> int:
 def _replication_pieces(args: argparse.Namespace):
     """``(dataset, configs)`` shared by every ``replicate`` role, which
     must agree on all of them; ``configs`` are the role constructors'
-    ``serve_config`` / ``model_config`` / ``replication`` keywords."""
-    from repro.replicate import ReplicationConfig
+    ``serve_config`` / ``model_config`` keywords."""
     from repro.serve import ServeConfig
 
     dataset = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
@@ -345,16 +344,11 @@ def _replication_pieces(args: argparse.Namespace):
         capacity=args.capacity,
         overflow="drop_new",
         late_tolerance=0.0,
-        warm_users=8,
-    )
-    replication = ReplicationConfig(
-        heartbeat_every=args.heartbeat_every,
         checkpoint_every=args.checkpoint_every,
     )
     return dataset, dict(
         serve_config=serve_config,
         model_config=_serving_model_config(args),
-        replication=replication,
     )
 
 
@@ -367,6 +361,7 @@ def cmd_replicate_primary(args: argparse.Namespace) -> int:
     primary = ReplicationPrimary(
         dataset,
         args.state_dir,
+        heartbeat_every=args.heartbeat_every,
         **configs,
     )
     accepted = 0
@@ -418,7 +413,6 @@ def cmd_replicate_follower(args: argparse.Namespace) -> int:
             "bytes shipped",
             int(metrics.counter("replica.bytes_shipped").value),
         ),
-        ("cache entries warmed", service.index.warmed),
         (f"top-{args.k} parity", f"{verdict.matches}/{verdict.users}"),
     ]
     _print_summary(f"replicate follower: tailing {args.state_dir}", rows)
@@ -591,12 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="the primary's directory (its WAL + checkpoints)",
         )
         rp.add_argument(
-            "--heartbeat-every",
-            type=_positive_int,
-            default=16,
-            help="primary heartbeat cadence in accepted events",
-        )
-        rp.add_argument(
             "--checkpoint-every",
             type=_non_negative_int,
             default=4,
@@ -607,6 +595,12 @@ def build_parser() -> argparse.ArgumentParser:
         "primary", help="run the writable update loop, publishing its WAL"
     )
     _add_replicate_common(rp)
+    rp.add_argument(
+        "--heartbeat-every",
+        type=_positive_int,
+        default=16,
+        help="heartbeat cadence in offered events",
+    )
     rp.add_argument(
         "--events",
         type=_non_negative_int,

@@ -37,7 +37,6 @@ class InsLearnConfig:
     validation_interval: int = 8  # I_valid
     validation_size: int = 150  # S_valid
     patience: int = 3  # mu
-    num_validation_candidates: int = 100
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -55,12 +54,6 @@ class InsLearnConfig:
             )
         if self.patience < 0:
             raise ValueError(f"patience must be >= 0, got {self.patience}")
-        if self.num_validation_candidates < 2:
-            # with no distractors every rank is 1: the score is a constant
-            raise ValueError(
-                "num_validation_candidates must be >= 2, "
-                f"got {self.num_validation_candidates}"
-            )
 
 
 @dataclass
@@ -195,9 +188,6 @@ class InsLearnTrainer:
         self.model = model
         self.config = config or InsLearnConfig()
         self._rng = new_rng(self.config.seed)
-        #: sorted touched-node tuple of the most recent
-        #: :meth:`train_one_batch`.
-        self.last_touched_nodes: Tuple[int, ...] = ()
 
     def rng_state(self):
         """JSON-serialisable snapshot of the validation RNG.
@@ -228,8 +218,8 @@ class InsLearnTrainer:
         edges up to ``N_iter`` times with early stopping, restores the
         best-validated state and inserts the validation edges — exactly
         what one iteration of :meth:`fit`'s loop does.  The returned
-        report carries the batch's touched-node set (also kept on
-        ``self.last_touched_nodes``) for the serve store's row publish.
+        report carries the batch's touched-node set for the serve
+        store's row publish.
         """
         cfg = self.config
         tracer = self.model.tracer
@@ -261,10 +251,7 @@ class InsLearnTrainer:
                     if validates and iteration % cfg.validation_interval == 0:
                         with tracer.span("core.inslearn.validate", edges=len(valid)):
                             score = validation_mrr(
-                                self.model,
-                                list(valid),
-                                num_candidates=cfg.num_validation_candidates,
-                                rng=self._rng,
+                                self.model, list(valid), rng=self._rng
                             )
                         if score > best_score:
                             best_score = score
@@ -286,7 +273,6 @@ class InsLearnTrainer:
                 optimizer.release()
             touched.update(e.u for e in batch)
             touched.update(e.v for e in batch)
-            self.last_touched_nodes = tuple(sorted(touched))
 
         return BatchReport(
             batch_index=batch_index,
@@ -295,7 +281,7 @@ class InsLearnTrainer:
             iterations_run=iterations_run,
             best_score=best_score,
             mean_loss=float(np.mean(losses)) if losses else 0.0,
-            touched_nodes=self.last_touched_nodes,
+            touched_nodes=tuple(sorted(touched)),
         )
 
 

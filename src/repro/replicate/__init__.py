@@ -4,8 +4,7 @@ Single-writer, many-reader replication built on the existing
 durability layer — no new log format, no consensus:
 
 * :mod:`~repro.replicate.config` — the shared on-disk layout (one
-  directory per role) and the :class:`ReplicationConfig` knobs
-  (heartbeat and checkpoint cadence);
+  directory per role);
 * :mod:`~repro.replicate.primary` — :class:`ReplicationPrimary`, the
   writable update loop publishing its one-file WAL plus
   clock-stamped heartbeat records;
@@ -20,13 +19,12 @@ durability layer — no new log format, no consensus:
   (state fingerprint, RNG streams, top-K) against a reference.
 """
 
-from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
+from repro.replicate.config import checkpoint_dir, wal_path
 from repro.replicate.failover import compare_services, state_fingerprint
 from repro.replicate.follower import ReplicationError, ReplicationFollower
 from repro.replicate.primary import ReplicationPrimary
 
 __all__ = [
-    "ReplicationConfig",
     "checkpoint_dir",
     "wal_path",
     "compare_services",

@@ -1,4 +1,4 @@
-"""Replication knobs and the on-disk layout both roles agree on.
+"""The on-disk layout both replication roles agree on.
 
 A replicated deployment is one directory per role: the primary owns
 ``state_dir`` (its WAL file + checkpoints), and each follower that
@@ -11,7 +11,6 @@ about paths.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
 #: WAL file name inside a role's state directory
 WAL_BASENAME = "replicate.wal"
@@ -29,22 +28,3 @@ def checkpoint_dir(state_dir: str) -> str:
     """The checkpoint directory inside ``state_dir``."""
     return os.path.join(state_dir, CHECKPOINT_DIRNAME)
 
-
-@dataclass
-class ReplicationConfig:
-    """Knobs shared by the primary and follower roles."""
-
-    #: primary: emit a heartbeat record every N accepted events
-    heartbeat_every: int = 32
-    #: checkpoint cadence (applied updates) for primary and promoted nodes
-    checkpoint_every: int = 8
-
-    def __post_init__(self) -> None:
-        if self.heartbeat_every < 1:
-            raise ValueError(
-                f"heartbeat_every must be >= 1, got {self.heartbeat_every}"
-            )
-        if self.checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0, got {self.checkpoint_every}"
-            )

@@ -45,7 +45,7 @@ from repro.core.config import SUPAConfig
 from repro.core.inslearn import InsLearnConfig
 from repro.datasets.base import Dataset
 from repro.graph.streams import EdgeStream, StreamEdge
-from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
+from repro.replicate.config import checkpoint_dir, wal_path
 from repro.resilience.recovery import QueueLogState, RecoveryError, catch_up
 from repro.resilience.wal import WalRecord, WalTailer
 from repro.serve.service import RecommendationService, ServeConfig
@@ -89,9 +89,8 @@ class ReplicationFollower:
     serve_config / model_config / train_config:
         Must match the primary's — replay re-derives state, it does not
         ship hyper-parameters.  The follower forces ``read_only=True``
-        and strips the resilience knobs until promotion.
-    replication:
-        The checkpoint cadence a promoted replica adopts.
+        and strips the resilience knobs until promotion, when it adopts
+        ``serve_config.checkpoint_every`` as its checkpoint cadence.
     clock:
         Injectable time source (seconds) for heartbeat-age accounting;
         defaults to :func:`time.monotonic` and must share a clock
@@ -106,17 +105,16 @@ class ReplicationFollower:
         serve_config: Optional[ServeConfig] = None,
         model_config: Optional[SUPAConfig] = None,
         train_config: Optional[InsLearnConfig] = None,
-        replication: Optional[ReplicationConfig] = None,
         clock: Optional[Callable[[], float]] = None,
     ):
         self.dataset = dataset
         self.state_dir = state_dir
         self.replica_dir = replica_dir
-        self.replication = replication or ReplicationConfig()
         self._model_config = model_config
         self._train_config = train_config
         self._clock = clock if clock is not None else time.monotonic
         base = serve_config or ServeConfig()
+        self._checkpoint_every = base.checkpoint_every
         # the primary's log is this replica's durability until promotion
         self._serve_config = replace(
             base,
@@ -145,9 +143,9 @@ class ReplicationFollower:
     def bootstrap(self) -> "ReplicationFollower":
         """Catch up with the shipped directory — recovery's own
         :func:`~repro.resilience.recovery.catch_up` over one tailer
-        drained to quiescence — keep the queue it ends with as the
-        mirror, and warm the read cache.  The tailer stays where the
-        catch-up stopped.  Returns ``self`` for chaining."""
+        drained to quiescence — and keep the queue it ends with as the
+        mirror.  The tailer stays where the catch-up stopped.  Returns
+        ``self`` for chaining."""
         if self.service is not None:
             raise ReplicationError("follower is already bootstrapped")
         tailer = WalTailer(wal_path(self.state_dir))
@@ -175,7 +173,6 @@ class ReplicationFollower:
             self._lag_records = caught.last_seq - caught.checkpoint_seq
             self._state = TAILING
         self._publish_lag()
-        service.warm_cache()
         return self
 
     def _shipped(self, tailer: WalTailer) -> Iterator[WalRecord]:
@@ -315,7 +312,7 @@ class ReplicationFollower:
         service.attach_durability(
             own_wal,
             checkpoint_dir=checkpoint_dir(target),
-            checkpoint_every=self.replication.checkpoint_every,
+            checkpoint_every=self._checkpoint_every,
         )
         with self._lock:
             log = self._log

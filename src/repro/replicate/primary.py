@@ -7,7 +7,7 @@ adds exactly two replication duties:
 1. **Own the shipped layout** — the WAL (one append-only file) and the
    checkpoints live under one ``state_dir`` that followers read from
    (:mod:`repro.replicate.config` fixes the paths).
-2. **Prove liveness** — every ``heartbeat_every`` accepted events a
+2. **Prove liveness** — every ``heartbeat_every`` offered events a
    ``heartbeat`` record stamped with the primary's clock is appended to
    the WAL.  Followers measure staleness against these stamps and treat
    their absence as primary death (the promote trigger).
@@ -31,7 +31,7 @@ from repro.core.inslearn import InsLearnConfig
 from repro.core.model import SUPA
 from repro.datasets.base import Dataset
 from repro.graph.streams import StreamEdge
-from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
+from repro.replicate.config import checkpoint_dir, wal_path
 from repro.serve.service import RecommendationService, ServeConfig
 
 
@@ -48,11 +48,11 @@ class ReplicationPrimary:
         ``checkpoint_dir`` already set on ``serve_config`` is
         overridden — followers must be able to find the files).
     serve_config / model_config / train_config:
-        Forwarded to the service; the resilience knobs are filled in
-        from ``state_dir`` and ``replication``.
-    replication:
-        Heartbeat and checkpoint cadence
-        (:class:`~repro.replicate.config.ReplicationConfig`).
+        Forwarded to the service; the WAL and checkpoint paths are
+        filled in from ``state_dir``, and ``serve_config.checkpoint_every``
+        is the checkpoint cadence (0 = never).
+    heartbeat_every:
+        Append a heartbeat record every N offered events (``>= 1``).
     clock:
         Injectable time source for heartbeat stamps (seconds); defaults
         to :func:`time.monotonic`.  Followers compare these stamps to
@@ -67,24 +67,22 @@ class ReplicationPrimary:
         serve_config: Optional[ServeConfig] = None,
         model_config: Optional[SUPAConfig] = None,
         train_config: Optional[InsLearnConfig] = None,
-        replication: Optional[ReplicationConfig] = None,
+        heartbeat_every: int = 32,
         clock: Optional[Callable[[], float]] = None,
     ):
         self.dataset = dataset
         self.state_dir = state_dir
-        self.replication = replication or ReplicationConfig()
+        if heartbeat_every < 1:
+            raise ValueError(
+                f"heartbeat_every must be >= 1, got {heartbeat_every}"
+            )
+        self.heartbeat_every = int(heartbeat_every)
         self._clock = clock if clock is not None else time.monotonic
         os.makedirs(state_dir, exist_ok=True)
-        base = serve_config or ServeConfig()
         config = replace(
-            base,
+            serve_config or ServeConfig(),
             wal_path=wal_path(state_dir),
             checkpoint_dir=checkpoint_dir(state_dir),
-            checkpoint_every=(
-                base.checkpoint_every
-                if base.checkpoint_every > 0
-                else self.replication.checkpoint_every
-            ),
         )
         model = SUPA.for_dataset(dataset, model_config)
         self.service = RecommendationService(
@@ -105,7 +103,7 @@ class ReplicationPrimary:
         """Offer one event; heartbeats ride along at the configured cadence."""
         accepted = self.service.ingest(edge)
         self._since_heartbeat += 1
-        if self._since_heartbeat >= self.replication.heartbeat_every:
+        if self._since_heartbeat >= self.heartbeat_every:
             self.heartbeat()
         return accepted
 

@@ -249,8 +249,7 @@ def recover(
     train_config: Optional[InsLearnConfig] = None,
 ) -> RecoveryResult:
     """Rebuild the service from ``serve_config``'s WAL + checkpoints:
-    :func:`catch_up` over the log, then hand the queue over and warm the
-    read cache.
+    :func:`catch_up` over the log, then hand the queue over.
 
     ``model_config`` / ``train_config`` must match the crashed process's
     (recovery re-derives, it does not store hyper-parameters); omitted
@@ -284,7 +283,6 @@ def recover(
         service.metrics.counter("checkpoint.fallbacks").inc(
             result.checkpoint_fallbacks
         )
-        service.warm_cache()
     result.torn_records_dropped = status.dropped_records
     result.recovery_seconds = timer.elapsed
     return result

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -26,8 +26,6 @@ from repro.serve.store import Snapshot
 
 #: Candidate rows scored per matmul block.
 SCORE_BLOCK = 512
-#: ``k`` of the answers the service pre-computes for its busiest users.
-WARM_K = 10
 
 
 class CacheEntry(NamedTuple):
@@ -76,7 +74,6 @@ class TopKIndex:
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
-        self.warmed = 0
 
     # ---------------------------------------------------------------- scoring
 
@@ -128,45 +125,13 @@ class TopKIndex:
         items = self.candidates[self._top_k_exact(scores, k)]
         if self.cache_size > 0:
             with self._lock:
-                self._store_entry(key, CacheEntry(snapshot.version, items))
+                # insert, evicting least-recently-used entries past cache_size
+                self._cache.pop(key, None)
+                self._cache[key] = CacheEntry(snapshot.version, items)
+                while len(self._cache) > self.cache_size:
+                    self._cache.popitem(last=False)
+                    self.evictions += 1
         return items
-
-    def _store_entry(self, key: Tuple[int, int], entry: CacheEntry) -> None:
-        """Insert an answer, evicting least-recently-used entries past
-        ``cache_size`` (lock held)."""
-        self._cache.pop(key, None)
-        self._cache[key] = entry
-        while len(self._cache) > self.cache_size:
-            self._cache.popitem(last=False)
-            self.evictions += 1
-
-    def warm(self, snapshot: Snapshot, users: Iterable[int], k: int = WARM_K) -> int:
-        """Pre-compute and cache top-``k`` answers for ``users``.
-
-        Users whose cached answer is already exact for this snapshot
-        version are skipped.  Warm fills are tallied in ``warmed``
-        rather than ``hits``/``misses`` — they are speculative work
-        done off the serving path, not traffic.  Returns the number of
-        entries actually computed.
-        """
-        if self.cache_size <= 0:
-            return 0
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        count = 0
-        for user in users:
-            key = (int(user), int(k))
-            with self._lock:
-                entry = self._cache.get(key)
-                if entry is not None and entry.version == snapshot.version:
-                    continue
-            scores = self.scores(snapshot, int(user))
-            items = self.candidates[self._top_k_exact(scores, k)]
-            with self._lock:
-                self._store_entry(key, CacheEntry(snapshot.version, items))
-                self.warmed += 1
-            count += 1
-        return count
 
     # ----------------------------------------------------------- invalidation
 

@@ -66,7 +66,6 @@ class ServeConfig:
     capacity: int = 2048  # queue bound before backpressure
     overflow: str = "raise"  # backpressure policy: raise | drop_new | drop_oldest
     cache_size: int = 1024  # (user, k) entries in the top-K LRU cache
-    warm_users: int = 0  # pre-warm top-K for the N most-active users; 0 = off
     read_only: bool = False  # reject ingest (replica mode); reads still served
     # --- resilience (repro.resilience); all off by default -----------------
     wal_path: Optional[str] = None  # journal accepted events/batches here
@@ -107,10 +106,6 @@ class ServeConfig:
             )
         if self.cache_size < 0:
             raise ValueError(f"cache_size must be >= 0, got {self.cache_size}")
-        if self.warm_users < 0:
-            raise ValueError(
-                f"warm_users must be >= 0, got {self.warm_users}"
-            )
         # Batches are cut by count alone, so SHEDDING must stand down
         # with a whole batch still buffered: below that, the remainder
         # nothing can cut keeps the depth above the low watermark and
@@ -206,15 +201,13 @@ class RecommendationService:
             self.model.tracer = self.tracer
         # Guards the service's scalar runtime state (_clock,
         # _update_in_flight, _updates_applied, breaker fields,
-        # _read_only, _user_activity).  Leaf-like by contract: never
-        # call into the queue, store, index or metrics while holding it
-        # (DESIGN.md §12).
+        # _read_only).  Leaf-like by contract: never call into the
+        # queue, store, index or metrics while holding it (DESIGN.md §12).
         self._state_lock = threading.Lock()
         self._clock = float(initial_clock)  # latest applied event timestamp
         self._update_in_flight = False
         self._updates_applied = 0
         self._read_only = bool(self.config.read_only)
-        self._user_activity: Dict[int, int] = {}
         # --- resilience wiring (function-level imports keep repro.serve
         # importable on its own and avoid a serve <-> resilience cycle)
         self.wal = None
@@ -290,7 +283,6 @@ class RecommendationService:
             ("cache.misses", lambda: index.misses),
             ("cache.invalidated", lambda: index.invalidations),
             ("cache.evictions", lambda: index.evictions),
-            ("cache.warmed", lambda: index.warmed),
             ("store.compactions", lambda: store.compactions),
         ):
             metrics.counter(name, source=source)
@@ -477,8 +469,6 @@ class RecommendationService:
             with self._state_lock:
                 self._updates_applied += 1
                 self._consecutive_update_failures = 0
-            self._record_activity(batch)
-            self.warm_cache()
             if checkpoint:
                 self._maybe_checkpoint()
         finally:
@@ -553,44 +543,6 @@ class RecommendationService:
         """True while the update circuit breaker has dispatch paused."""
         with self._state_lock:
             return self._breaker_open
-
-    # ------------------------------------------------------------ cache warming
-
-    def _record_activity(self, batch: EdgeStream) -> None:
-        """Tally per-user event counts for warm-cache candidate ranking."""
-        if self.config.warm_users < 1:
-            return
-        with self._state_lock:
-            for edge in batch:
-                u = int(edge.u)
-                self._user_activity[u] = self._user_activity.get(u, 0) + 1
-
-    def _most_active_users(self):
-        """The ``warm_users`` busiest users, ties broken by id."""
-        with self._state_lock:
-            ranked = sorted(
-                self._user_activity.items(), key=lambda kv: (-kv[1], kv[0])
-            )
-        return [u for u, _ in ranked[: self.config.warm_users]]
-
-    def warm_cache(self, users=None) -> int:
-        """Pre-compute top-K cache entries against the latest snapshot.
-
-        With ``users=None`` the ``warm_users`` most-active users (by
-        accepted-event count) are warmed with ``k =``
-        :data:`~repro.serve.index.WARM_K`; runs after
-        every publish, after recovery, and after follower bootstrap.
-        Returns the number of entries computed (0 when warming is off
-        or activity is empty).
-        """
-        if users is None:
-            if self.config.warm_users < 1:
-                return 0
-            users = self._most_active_users()
-        users = list(users)
-        if not users:
-            return 0
-        return self.index.warm(self.store.snapshot(), users)
 
     # ------------------------------------------------------------ replica mode
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import SUPAConfig
 from repro.datasets.zoo import load_dataset
-from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
+from repro.replicate.config import checkpoint_dir, wal_path
 from repro.replicate.failover import state_fingerprint
 from repro.replicate.follower import ReplicationError, ReplicationFollower
 from repro.replicate.primary import ReplicationPrimary
@@ -28,7 +28,7 @@ def serve_config(**kwargs):
         capacity=64,
         overflow="drop_new",
         late_tolerance=0.0,
-        warm_users=4,
+        checkpoint_every=2,
     )
     defaults.update(kwargs)
     return ServeConfig(**defaults)
@@ -38,31 +38,24 @@ def model_config(seed=0):
     return SUPAConfig(dim=16, num_walks=2, walk_length=2, seed=seed)
 
 
-def make_primary(dataset, tmp_path, clock=None, **repl_kwargs):
-    repl = ReplicationConfig(
-        heartbeat_every=repl_kwargs.pop("heartbeat_every", 4),
-        checkpoint_every=repl_kwargs.pop("checkpoint_every", 2),
-        **repl_kwargs,
-    )
+def make_primary(dataset, tmp_path, clock=None, heartbeat_every=4, **serve_kwargs):
     return ReplicationPrimary(
         dataset,
         str(tmp_path / "primary"),
-        serve_config=serve_config(),
+        serve_config=serve_config(**serve_kwargs),
         model_config=model_config(),
-        replication=repl,
+        heartbeat_every=heartbeat_every,
         clock=clock,
     )
 
 
-def make_follower(dataset, tmp_path, clock=None, replication=None):
+def make_follower(dataset, tmp_path, clock=None, **serve_kwargs):
     return ReplicationFollower(
         dataset,
         str(tmp_path / "primary"),
         replica_dir=str(tmp_path / "replica"),
-        serve_config=serve_config(),
+        serve_config=serve_config(**serve_kwargs),
         model_config=model_config(),
-        replication=replication
-        or ReplicationConfig(heartbeat_every=4, checkpoint_every=2),
         clock=clock,
     )
 
@@ -73,16 +66,14 @@ class TestConfig:
         assert wal_path(root) == os.path.join(root, "replicate.wal")
         assert checkpoint_dir(root) == os.path.join(root, "checkpoints")
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(heartbeat_every=0),
-            dict(checkpoint_every=-1),
-        ],
-    )
-    def test_rejects_bad_knobs(self, kwargs):
-        with pytest.raises(ValueError):
-            ReplicationConfig(**kwargs)
+    def test_primary_rejects_heartbeat_every_below_one(self, dataset, tmp_path):
+        with pytest.raises(ValueError, match="heartbeat_every must be >= 1"):
+            make_primary(dataset, tmp_path, heartbeat_every=0)
+        assert not os.path.exists(tmp_path / "primary")
+
+    def test_serve_config_rejects_negative_checkpoint_every(self):
+        with pytest.raises(ValueError, match="checkpoint_every must be >= 0"):
+            ServeConfig(checkpoint_every=-1)
 
 
 class TestPrimary:
@@ -102,6 +93,16 @@ class TestPrimary:
         # startup heartbeat + one per 4 offered events
         assert kinds.count("heartbeat") >= 4
         assert int(primary.metrics.counter("replica.heartbeats").value) >= 4
+
+    def test_checkpoint_every_zero_never_checkpoints(self, dataset, tmp_path):
+        """The cadence is ``ServeConfig.checkpoint_every`` alone: 0 means
+        no checkpoint, not a replication-side default."""
+        primary = make_primary(dataset, tmp_path, checkpoint_every=0)
+        for edge in list(dataset.stream)[:80]:
+            primary.ingest(edge)
+        assert primary.service.updates_applied >= 8
+        primary.close()
+        assert CheckpointManager(checkpoint_dir(str(tmp_path / "primary"))).paths() == []
 
 
 class TestFollower:
@@ -209,10 +210,7 @@ class TestFollower:
         now = {"t": 100.0}
         primary = make_primary(dataset, tmp_path, clock=lambda: now["t"])
         follower = make_follower(
-            dataset,
-            tmp_path,
-            clock=lambda: now["t"],
-            replication=ReplicationConfig(heartbeat_every=4),
+            dataset, tmp_path, clock=lambda: now["t"]
         ).bootstrap()
         assert not follower.primary_silent()
         now["t"] = 104.0
@@ -270,6 +268,26 @@ class TestPromote:
         assert svc.wal.last_seq == before + 1
         with pytest.raises(ReplicationError):
             follower.promote()  # already promoted
+        follower.close()
+
+    def test_promoted_replica_checkpoints_at_its_serve_cadence(self, dataset, tmp_path):
+        primary = make_primary(dataset, tmp_path)
+        stream = list(dataset.stream)
+        for edge in stream[:48]:
+            primary.ingest(edge)
+        primary.close()
+        follower = make_follower(dataset, tmp_path, checkpoint_every=3).bootstrap()
+        follower.promote()
+        svc = follower.service
+        assert svc.config.checkpoint_every == 3
+        first = svc.updates_applied
+        for edge in stream[48:112]:
+            follower.ingest(edge)
+        last = svc.updates_applied
+        assert last - first >= 6
+        # one checkpoint at promotion, then one per third applied update
+        cadence = sum(1 for u in range(first + 1, last + 1) if u % 3 == 0)
+        assert svc.metrics.counter("checkpoint.writes").value == 1 + cadence
         follower.close()
 
     def test_promoted_timeline_is_recoverable(self, dataset, tmp_path):

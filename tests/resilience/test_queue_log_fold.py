@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.config import SUPAConfig
 from repro.datasets.zoo import load_dataset
 from repro.graph.streams import StreamEdge
-from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
+from repro.replicate.config import checkpoint_dir, wal_path
 from repro.replicate.follower import ReplicationError, ReplicationFollower
 from repro.replicate.primary import ReplicationPrimary
 from repro.resilience.recovery import QueueLogState, RecoveryError, recover
@@ -111,9 +111,10 @@ def dataset():
     return load_dataset("uci", scale=0.1)
 
 
-SERVE = dict(batch_size=8, capacity=64, overflow="drop_new", late_tolerance=0.0)
+SERVE = dict(
+    batch_size=8, capacity=64, overflow="drop_new", late_tolerance=0.0, checkpoint_every=2
+)
 MODEL = SUPAConfig(dim=16, num_walks=2, walk_length=2, seed=0)
-REPLICATION = ReplicationConfig(heartbeat_every=4, checkpoint_every=2)
 
 
 @pytest.mark.parametrize(
@@ -131,7 +132,7 @@ def test_recover_and_follower_refuse_the_same_record(dataset, tmp_path, corrupt)
         state_dir,
         serve_config=ServeConfig(**SERVE),
         model_config=MODEL,
-        replication=REPLICATION,
+        heartbeat_every=4,
     )
     for edge in list(dataset.stream)[:30]:  # 3 batches + 6 events of residue
         primary.ingest(edge)
@@ -141,7 +142,6 @@ def test_recover_and_follower_refuse_the_same_record(dataset, tmp_path, corrupt)
         state_dir,
         serve_config=ServeConfig(**SERVE),
         model_config=MODEL,
-        replication=REPLICATION,
     ).bootstrap()
     assert follower.residue == 6
 
@@ -178,7 +178,7 @@ def test_recover_and_follower_refuse_a_checkpoint_newer_than_the_log(
         state_dir,
         serve_config=ServeConfig(**SERVE),
         model_config=MODEL,
-        replication=REPLICATION,
+        heartbeat_every=4,
     )
     for edge in list(dataset.stream)[:32]:  # 4 batches, checkpoints at 2 and 4
         primary.ingest(edge)
@@ -205,7 +205,6 @@ def test_recover_and_follower_refuse_a_checkpoint_newer_than_the_log(
         state_dir,
         serve_config=ServeConfig(**SERVE),
         model_config=MODEL,
-        replication=REPLICATION,
     )
     with pytest.raises(ReplicationError) as replicated:
         follower.bootstrap()

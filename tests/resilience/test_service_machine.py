@@ -40,7 +40,7 @@ from repro.core.config import SUPAConfig
 from repro.core.inslearn import InsLearnConfig
 from repro.core.model import SUPA
 from repro.datasets.zoo import load_dataset
-from repro.replicate.config import ReplicationConfig, checkpoint_dir, wal_path
+from repro.replicate.config import checkpoint_dir, wal_path
 from repro.replicate.failover import compare_services, state_fingerprint
 from repro.replicate.follower import ReplicationFollower
 from repro.replicate.primary import ReplicationPrimary
@@ -52,7 +52,9 @@ from tests.resilience import fold
 
 DATASET = load_dataset("uci", scale=0.1)
 STREAM = list(DATASET.stream)
-SERVE = ServeConfig(batch_size=8, capacity=32, overflow="drop_new", late_tolerance=0.0)
+SERVE = ServeConfig(
+    batch_size=8, capacity=32, overflow="drop_new", late_tolerance=0.0, checkpoint_every=3
+)
 MODEL = SUPAConfig(dim=8, num_walks=2, walk_length=2, seed=0)
 TRAIN = InsLearnConfig(
     batch_size=8,
@@ -62,10 +64,7 @@ TRAIN = InsLearnConfig(
     patience=1,
     seed=0,
 )
-REPLICATION = ReplicationConfig(heartbeat_every=5, checkpoint_every=3)
-ROLES = dict(
-    serve_config=SERVE, model_config=MODEL, train_config=TRAIN, replication=REPLICATION
-)
+ROLES = dict(serve_config=SERVE, model_config=MODEL, train_config=TRAIN)
 #: deadletter buckets the machine injects into (invariant 3)
 FAULTS = ("malformed", "late event", "backpressure")
 K = 5
@@ -76,7 +75,6 @@ def durable_config(state_dir):
         SERVE,
         wal_path=wal_path(state_dir),
         checkpoint_dir=checkpoint_dir(state_dir),
-        checkpoint_every=REPLICATION.checkpoint_every,
     )
 
 
@@ -114,7 +112,7 @@ class ServiceMachine(RuleBasedStateMachine):
         self.root = tempfile.mkdtemp(prefix="service-machine-")
         self.nodes = 0
         self.dir = self._new_dir()
-        primary = ReplicationPrimary(DATASET, self.dir, **ROLES)
+        primary = ReplicationPrimary(DATASET, self.dir, heartbeat_every=5, **ROLES)
         # heartbeats ride along while the first primary lives; later
         # writers are the recovered or promoted services themselves
         self.writer = primary
@@ -365,7 +363,7 @@ def test_sanitized_run_is_clean_and_bitwise_identical(tmp_path):
 
 def paused_writer_log(state_dir):
     """A primary that journaled 20 accepts and no batch (paused), then died."""
-    primary = ReplicationPrimary(DATASET, state_dir, **ROLES)
+    primary = ReplicationPrimary(DATASET, state_dir, heartbeat_every=5, **ROLES)
     primary.service.queue.pause()
     for edge in STREAM[:20]:
         primary.ingest(edge)

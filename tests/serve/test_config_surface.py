@@ -14,7 +14,6 @@ import inspect
 from repro.cli import build_parser
 from repro.core.config import SUPAConfig
 from repro.core.inslearn import InsLearnConfig
-from repro.replicate.config import ReplicationConfig
 from repro.serve.admission import AdmissionConfig
 from repro.serve.index import TopKIndex
 from repro.serve.ingest import OVERFLOW_POLICIES
@@ -28,7 +27,7 @@ def field_names(cls):
 def test_serve_config_fields():
     assert field_names(ServeConfig) == {
         "batch_size", "capacity", "overflow", "cache_size",
-        "warm_users", "read_only",
+        "read_only",
         "wal_path", "wal_fsync",
         "checkpoint_dir", "checkpoint_every", "late_tolerance",
         "clock_fn", "async_dispatch", "admission",
@@ -56,16 +55,11 @@ def test_admission_config_fields():
     assert field_names(AdmissionConfig) == {"rate_per_user", "burst", "depth_highwater"}
 
 
-def test_replication_config_fields():
-    assert field_names(ReplicationConfig) == {"heartbeat_every", "checkpoint_every"}
-
-
 def test_inslearn_config_fields():
     # the paper's S_batch, N_iter, I_valid, S_valid, mu (PAPER.md §IV-C) + ours
     assert field_names(InsLearnConfig) == {
         "batch_size", "max_iterations", "validation_interval",
-        "validation_size", "patience",
-        "num_validation_candidates", "seed",
+        "validation_size", "patience", "seed",
     }
 
 
@@ -94,7 +88,7 @@ def cli_flags(parser, prefix=""):
 
 COMMON = {"--dataset", "--scale", "--seed"}
 SERVING = {"--k", "--dim", "--batch-size", "--capacity"}
-REPLICATE = COMMON | SERVING | {"--state-dir", "--heartbeat-every", "--checkpoint-every"}
+REPLICATE = COMMON | SERVING | {"--state-dir", "--checkpoint-every"}
 
 
 def test_cli_surface():
@@ -108,7 +102,7 @@ def test_cli_surface():
             "--probe-every", "--max-parity-users", "--min-parity", "--output",
             "--trace", "--output-dir",  # the telemetry story
         },
-        "replicate primary": REPLICATE | {"--events"},
+        "replicate primary": REPLICATE | {"--heartbeat-every", "--events"},
         "replicate follower": REPLICATE | {"--probes"},
         "replicate promote": REPLICATE | {
             "--replica-dir", "--resume-from", "--events", "--verify-parity", "--probes",

@@ -277,7 +277,6 @@ class TestSanitized:
             "cache.misses": index.misses,
             "cache.invalidated": index.invalidations,
             "cache.evictions": index.evictions,
-            "cache.warmed": index.warmed,
             "store.compactions": svc.store.compactions,
             "store.version": svc.store.version,
         }

@@ -1,6 +1,5 @@
-"""Tests for cache warming, read-only mode and late durability attach."""
+"""Tests for read-only mode and late durability attach."""
 
-import numpy as np
 import pytest
 
 from repro.graph.streams import StreamEdge
@@ -16,46 +15,6 @@ def make_service(dataset, **kwargs):
     defaults = dict(batch_size=4, capacity=16, cache_size=32)
     defaults.update(kwargs)
     return RecommendationService(dataset, config=ServeConfig(**defaults))
-
-
-class TestIndexWarm:
-    def test_warm_prefills_without_touching_hit_stats(self, small_dataset):
-        svc = make_service(small_dataset, warm_users=0)
-        for e in list(small_dataset.stream)[:4]:
-            svc.ingest(e)
-        snapshot = svc.store.snapshot()
-        warmed = svc.index.warm(snapshot, [0, 1, 2], 5)
-        assert warmed == 3
-        assert svc.index.warmed == 3
-        assert svc.index.hits == 0 and svc.index.misses == 0
-        # warmed entries serve identically to computed ones
-        before_misses = svc.index.misses
-        got = svc.recommend(0, 5)
-        assert svc.index.misses == before_misses  # cache hit
-        assert np.array_equal(got, svc.offline_top_k(0, 5))
-
-    def test_warm_skips_fresh_entries(self, small_dataset):
-        svc = make_service(small_dataset, warm_users=0)
-        for e in list(small_dataset.stream)[:4]:
-            svc.ingest(e)
-        snapshot = svc.store.snapshot()
-        assert svc.index.warm(snapshot, [0], 5) == 1
-        assert svc.index.warm(snapshot, [0], 5) == 0  # already fresh
-
-    def test_warm_validates_k_and_disabled_cache(self, small_dataset):
-        svc = make_service(small_dataset, warm_users=0)
-        snapshot = svc.store.snapshot()
-        with pytest.raises(ValueError):
-            svc.index.warm(snapshot, [0], 0)
-        cold = make_service(small_dataset, cache_size=0, warm_users=0)
-        assert cold.index.warm(cold.store.snapshot(), [0], 5) == 0
-
-    def test_service_warms_most_active_users_after_publish(self, small_dataset):
-        svc = make_service(small_dataset, warm_users=2)
-        for e in list(small_dataset.stream)[:4]:
-            svc.ingest(e)
-        assert svc.index.warmed >= 1
-        assert svc.metrics.counter("cache.warmed").value == svc.index.warmed
 
 
 class TestReadOnly:

@@ -250,7 +250,7 @@ class TestCountsBelowOne:
     ``promote --resume-from -3`` resumed from the stream's end (so
     ``--verify-parity`` replayed another prefix than the primary
     ingested), and ``--heartbeat-every 0`` / ``--checkpoint-every -1``
-    ended in a ``ReplicationConfig`` traceback."""
+    ended in a configuration traceback."""
 
     @pytest.mark.parametrize(
         "argv, floor",
@@ -267,7 +267,7 @@ class TestCountsBelowOne:
             (PROMOTE + ["--events", "-1"], 0),
             (PROMOTE + ["--resume-from", "-3"], 0),
             (PRIMARY + ["--checkpoint-every", "-1"], 0),
-            (FOLLOWER + ["--heartbeat-every", "0"], 1),
+            (PRIMARY + ["--heartbeat-every", "0"], 1),
         ],
         ids=[
             "k-0", "probe-every-0", "max-parity-users-0", "max-parity-users-neg",
@@ -287,6 +287,16 @@ class TestCountsBelowOne:
             PROMOTE + ["--events", "0", "--resume-from", "0", "--checkpoint-every", "0"]
         )
         assert (args.events, args.resume_from, args.checkpoint_every) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("role", [FOLLOWER, PROMOTE], ids=["follower", "promote"])
+def test_heartbeat_every_is_a_primary_flag(role, capsys):
+    """Only the primary writes heartbeats: a follower or promote run
+    given ``--heartbeat-every`` refuses it instead of ignoring it."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(role + ["--heartbeat-every", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --heartbeat-every 4" in capsys.readouterr().err
 
 
 class TestReplicate:
