@@ -12,75 +12,52 @@ methods spike at the last step.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List
 
 import numpy as np
-import pytest
 
-from harness import BENCH_QUERIES, build_method, emit, prepare
+from harness import BENCH_QUERIES, bench_dataset, build_method, emit
 from repro.baselines.registry import STRONG_BASELINES
-from repro.eval import RankingEvaluator
-from repro.graph.streams import EdgeStream
+from repro.eval import DynamicLinkPredictionProtocol
+from repro.eval.protocol import ProtocolResult
 from repro.utils.tables import format_table
 
 METHODS = STRONG_BASELINES + ["SUPA"]
 NUM_STEPS = 10
 
-_CACHE: Dict[str, object] = {}
+_CACHE: Dict[str, Dict[str, List[ProtocolResult]]] = {}
 
 
-def run_dynamic_protocol():
-    """Returns per-step H@50/MRR and total runtime per method."""
-    if "results" in _CACHE:
-        return _CACHE["results"]
-    dataset, train, valid, _ = prepare("movielens")
-    full = dataset.stream
-    slices = full.equal_slices(NUM_STEPS)
-    evaluator = RankingEvaluator(hit_ks=(50,), ndcg_k=10, max_queries=BENCH_QUERIES, rng=0)
-
-    per_method: Dict[str, Dict[str, List[float]]] = {}
-    runtimes: Dict[str, float] = {}
-    slice_len = max(1, len(slices[0]))
-    for name in METHODS:
-        model = build_method(name, dataset)
-        h50_trace, mrr_trace = [], []
-        total = 0.0
-        seen = []
-        for i in range(NUM_STEPS - 1):
-            seen.extend(list(slices[i]))
-            start = time.perf_counter()
-            if model.is_dynamic:
-                # incremental training on the new slice only
-                model.partial_fit(slices[i])
-            else:
-                # full retrain on everything seen so far, with a training
-                # budget that grows with the data (as converging would)
-                model = build_method(
-                    name, dataset, steps_scale=len(seen) / slice_len
-                )
-                model.fit(EdgeStream(list(seen)))
-            total += time.perf_counter() - start
-            queries = dataset.ranking_queries(slices[i + 1])
-            result = evaluator.evaluate(model, queries)
-            h50_trace.append(result["H@50"])
-            mrr_trace.append(result["MRR"])
-        per_method[name] = {"H@50": h50_trace, "MRR": mrr_trace}
-        runtimes[name] = total
-    _CACHE["results"] = (per_method, runtimes)
+def run_dynamic_protocol() -> Dict[str, List[ProtocolResult]]:
+    """Per-method step results (cached: Figure 5 sums their fit times)."""
+    if "results" not in _CACHE:
+        dataset = bench_dataset("movielens")
+        slice_len = max(1, len(dataset.stream.equal_slices(NUM_STEPS)[0]))
+        _CACHE["results"] = {
+            name: DynamicLinkPredictionProtocol(
+                num_slices=NUM_STEPS,
+                max_queries=BENCH_QUERIES,
+                # a retrained baseline's budget grows with the data it
+                # retrains on, as converging would
+                retrain_factory=lambda ds, n, name=name: build_method(
+                    name, ds, steps_scale=n / slice_len
+                ),
+            ).run(lambda ds, name=name: build_method(name, ds), dataset)
+            for name in METHODS
+        }
     return _CACHE["results"]
 
 
 def test_fig4_dynamic_link_prediction(benchmark):
-    per_method, _ = benchmark.pedantic(run_dynamic_protocol, rounds=1, iterations=1)
+    per_method = benchmark.pedantic(run_dynamic_protocol, rounds=1, iterations=1)
 
     headers = ["method"] + [f"step{i+1}" for i in range(NUM_STEPS - 1)] + ["mean"]
     sections = []
     for metric in ("H@50", "MRR"):
         rows = []
         for name in METHODS:
-            trace = per_method[name][metric]
-            rows.append([name] + list(trace) + [float(np.mean(trace))])
+            trace = [step[metric] for step in per_method[name]]
+            rows.append([name] + trace + [float(np.mean(trace))])
         sections.append(
             format_table(
                 headers,
@@ -91,6 +68,6 @@ def test_fig4_dynamic_link_prediction(benchmark):
         )
     emit("fig4_dynamic_link_prediction", "\n\n".join(sections))
 
-    supa_mean = np.mean(per_method["SUPA"]["MRR"])
+    supa_mean = np.mean([step["MRR"] for step in per_method["SUPA"]])
     assert supa_mean > 0.0
     benchmark.extra_info["SUPA mean MRR"] = float(supa_mean)

@@ -14,9 +14,11 @@ from repro.utils.tables import format_table
 
 
 def test_fig5_running_time(benchmark):
-    per_method, runtimes = benchmark.pedantic(
-        run_dynamic_protocol, rounds=1, iterations=1
-    )
+    per_method = benchmark.pedantic(run_dynamic_protocol, rounds=1, iterations=1)
+    runtimes = {
+        name: sum(step.fit_seconds for step in steps)
+        for name, steps in per_method.items()
+    }
     rows = sorted(
         ([name, runtimes[name]] for name in METHODS), key=lambda r: r[1]
     )

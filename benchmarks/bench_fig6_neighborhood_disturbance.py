@@ -11,66 +11,50 @@ EvolveGCN also flat; neighbour-aggregation baselines vary with eta.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Optional
 
-import numpy as np
-import pytest
-
-from harness import (
-    BENCH_QUERIES,
-    build_method,
-    emit,
-    prepare,
-    supa_configs,
-)
+from harness import BENCH_QUERIES, bench_dataset, build_method, emit
 from repro.baselines import make_baseline
 from repro.baselines.registry import STRONG_BASELINES
-from repro.core import SUPA, InsLearnTrainer
-from repro.eval import RankingEvaluator
-from repro.graph.streams import EdgeStream
+from repro.baselines.supa_adapter import cpu_schedule
+from repro.eval import NeighborhoodDisturbanceProtocol
+from repro.eval.protocol import ProtocolResult
 from repro.utils.tables import format_table
 
 ETAS = [5, 10, 20, 50, 100, None]  # None = no cap (infinity)
 METHODS = STRONG_BASELINES + ["SUPA"]
+PROTOCOL = NeighborhoodDisturbanceProtocol(etas=ETAS, max_queries=BENCH_QUERIES)
 
 
-def run_disturbance_protocol():
-    dataset, train, _, queries = prepare("movielens")
-    evaluator = RankingEvaluator(hit_ks=(50,), ndcg_k=10, max_queries=BENCH_QUERIES, rng=0)
-    results: Dict[str, List[float]] = {name: [] for name in METHODS}
-    for eta in ETAS:
-        # The capped training stream: replay the edges through a capped
-        # graph and keep only the ones still traversable at the end —
-        # the "most recent subgraph" a constrained platform retains.
-        capped_graph = dataset.build_graph(train, max_neighbors=eta)
-        surviving = set(capped_graph.traversable_edge_indices())
-        capped_train = EdgeStream(
-            [e for i, e in enumerate(train) if i in surviving]
+def _factory(name: str):
+    """``(dataset, eta) -> model``: every method trains on the capped
+    stream, and SUPA also runs its walks on a graph capped at eta."""
+    if name != "SUPA":
+        return lambda dataset, eta: build_method(name, dataset)
+
+    def supa(dataset, eta):
+        model_cfg, train_cfg = cpu_schedule()
+        return make_baseline(
+            "SUPA", dataset, config=model_cfg, train_config=train_cfg, max_neighbors=eta
         )
-        for name in METHODS:
-            if name == "SUPA":
-                model_cfg, train_cfg = supa_configs()
-                model = make_baseline(
-                    "SUPA",
-                    dataset,
-                    config=model_cfg,
-                    train_config=train_cfg,
-                    max_neighbors=eta,
-                )
-            else:
-                model = build_method(name, dataset)
-            model.fit(capped_train)
-            results[name].append(evaluator.evaluate(model, queries)["H@50"])
-    return results
+
+    return supa
+
+
+def run_disturbance_protocol() -> Dict[str, Dict[Optional[int], ProtocolResult]]:
+    dataset = bench_dataset("movielens")
+    return {name: PROTOCOL.run(_factory(name), dataset) for name in METHODS}
 
 
 def test_fig6_neighborhood_disturbance(benchmark):
     results = benchmark.pedantic(run_disturbance_protocol, rounds=1, iterations=1)
     headers = ["method"] + [str(e) if e else "inf" for e in ETAS] + ["spread"]
-    rows = []
-    for name in METHODS:
-        trace = results[name]
-        rows.append([name] + trace + [max(trace) - min(trace)])
+    rows = [
+        [name]
+        + [results[name][eta]["H@50"] for eta in ETAS]
+        + [PROTOCOL.sensitivity(results[name], "H@50")]
+        for name in METHODS
+    ]
     text = format_table(
         headers,
         rows,
@@ -78,6 +62,6 @@ def test_fig6_neighborhood_disturbance(benchmark):
     )
     emit("fig6_neighborhood_disturbance", text)
 
-    supa = np.asarray(results["SUPA"])
-    assert supa.min() > 0
-    benchmark.extra_info["SUPA spread"] = float(supa.max() - supa.min())
+    supa = [results["SUPA"][eta]["H@50"] for eta in ETAS]
+    assert min(supa) > 0
+    benchmark.extra_info["SUPA spread"] = PROTOCOL.sensitivity(results["SUPA"], "H@50")

@@ -16,8 +16,9 @@ from typing import List
 
 import numpy as np
 
-from harness import BENCH_QUERIES, emit, prepare, supa_configs
+from harness import BENCH_QUERIES, emit, prepare
 from repro.baselines import make_baseline
+from repro.baselines.supa_adapter import cpu_schedule
 from repro.core import InsLearnConfig
 from repro.eval import RankingEvaluator
 from repro.utils.tables import format_table
@@ -27,10 +28,10 @@ BATCH_SIZES = [32, 64, 128, 256, 512, 1024, 2048]
 
 def run_scalability():
     dataset, train, _, queries = prepare("movielens")
-    evaluator = RankingEvaluator(hit_ks=(50,), ndcg_k=10, max_queries=BENCH_QUERIES, rng=0)
+    evaluator = RankingEvaluator(hit_ks=(50,), ndcg_k=10, max_queries=BENCH_QUERIES)
     rows: List[List[object]] = []
     for batch_size in BATCH_SIZES:
-        model_cfg, train_cfg = supa_configs()
+        model_cfg, train_cfg = cpu_schedule()
         train_cfg = InsLearnConfig(
             batch_size=batch_size,
             max_iterations=train_cfg.max_iterations,

@@ -17,8 +17,9 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from harness import emit, evaluate_queries, prepare, supa_configs
+from harness import emit, evaluate_queries, prepare
 from repro.baselines import make_baseline
+from repro.baselines.supa_adapter import cpu_schedule
 from repro.core import InsLearnConfig, SUPAConfig, tau_from_g
 from repro.utils.tables import format_table
 
@@ -50,7 +51,7 @@ def _fit_and_score(dataset, train, queries, model_cfg, train_cfg) -> float:
 
 def run_sensitivity(dataset_name: str) -> List[Tuple[str, object, float]]:
     dataset, train, _, queries = prepare(dataset_name)
-    base_model, base_train = supa_configs()
+    base_model, base_train = cpu_schedule()
     rows: List[Tuple[str, object, float]] = []
     for param, values in MODEL_SWEEPS.items():
         for value in values:

@@ -12,20 +12,20 @@ recommendation; DyHNE is the slowest.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 import pytest
 
 from harness import (
     ALL_DATASETS,
-    MethodRun,
+    BENCH_QUERIES,
+    bench_dataset,
+    build_method,
     emit,
-    prepare,
     render_metric_table,
-    run_method,
 )
-from repro.baselines import available_baselines
-from repro.eval import paired_t_test
+from repro.eval import LinkPredictionProtocol, paired_t_test
+from repro.eval.protocol import ProtocolResult
 
 METHODS = [
     "DeepWalk",
@@ -47,13 +47,17 @@ METHODS = [
     "SUPA",
 ]
 
-_RUNS: Dict[str, List[MethodRun]] = {}
+_RUNS: Dict[str, Dict[str, ProtocolResult]] = {}
 
 
-def _run_dataset(name: str) -> List[MethodRun]:
+def _run_dataset(name: str) -> Dict[str, ProtocolResult]:
     if name not in _RUNS:
-        dataset, train, _, queries = prepare(name)
-        _RUNS[name] = [run_method(m, dataset, train, queries) for m in METHODS]
+        dataset = bench_dataset(name)
+        protocol = LinkPredictionProtocol(max_queries=BENCH_QUERIES)
+        _RUNS[name] = {
+            m: protocol.run(lambda ds, m=m: build_method(m, ds), dataset)
+            for m in METHODS
+        }
     return _RUNS[name]
 
 
@@ -63,7 +67,7 @@ def test_link_prediction_dataset(benchmark, dataset_name):
     runs = benchmark.pedantic(
         _run_dataset, args=(dataset_name,), rounds=1, iterations=1
     )
-    supa = next(r for r in runs if r.method == "SUPA")
+    supa = runs["SUPA"]
     for metric in ("H@20", "H@50", "NDCG@10", "MRR"):
         benchmark.extra_info[f"SUPA:{metric}"] = supa.metrics[metric]
 
@@ -83,14 +87,12 @@ def test_render_tables_v_vi(benchmark):
         )
         stars = []
         for name, runs in runs_by_dataset.items():
-            supa = next(r for r in runs if r.method == "SUPA")
-            better_than_all = True
-            for r in runs:
-                if r.method == "SUPA":
-                    continue
-                t = paired_t_test(supa.result.ranks, r.result.ranks)
-                if not t.significant(alpha=0.01):
-                    better_than_all = False
+            supa = runs["SUPA"].evaluation.ranks
+            better_than_all = all(
+                paired_t_test(supa, r.evaluation.ranks).significant(alpha=0.01)
+                for method, r in runs.items()
+                if method != "SUPA"
+            )
             stars.append(
                 f"{name}: SUPA {'significantly best (p<0.01)' if better_than_all else 'not significantly best vs every baseline'}"
             )

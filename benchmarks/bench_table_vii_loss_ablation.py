@@ -21,8 +21,8 @@ from harness import (
     emit,
     evaluate_queries,
     prepare,
-    supa_configs,
 )
+from repro.baselines.supa_adapter import cpu_schedule
 from repro.core import SUPA, InsLearnTrainer
 from repro.core.inslearn import train_conventional
 from repro.core.variants import make_variant
@@ -46,7 +46,7 @@ def run_dataset(name: str) -> Dict[str, Dict[str, float]]:
     if name in _ROWS:
         return _ROWS[name]
     dataset, train, _, queries = prepare(name)
-    base_cfg, train_cfg = supa_configs()
+    base_cfg, train_cfg = cpu_schedule()
     out: Dict[str, Dict[str, float]] = {}
     for variant in VARIANTS:
         cfg = make_variant(variant, base_cfg)

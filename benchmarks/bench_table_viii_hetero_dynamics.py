@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from typing import Dict
 
-from harness import emit, evaluate_queries, prepare, supa_configs
+from harness import emit, evaluate_queries, prepare
+from repro.baselines.supa_adapter import cpu_schedule
 from repro.core import SUPA, InsLearnTrainer
 from repro.core.variants import make_variant
 from repro.utils.tables import format_table
@@ -24,7 +25,7 @@ VARIANTS = ["supa_sn", "supa_se", "supa_s", "supa_nf", "supa_nd", "supa_nt", "su
 
 
 def run_table_viii():
-    base_cfg, train_cfg = supa_configs()
+    base_cfg, train_cfg = cpu_schedule()
     results: Dict[str, Dict[str, Dict[str, float]]] = {}
     for name in DATASETS:
         dataset, train, _, queries = prepare(name)

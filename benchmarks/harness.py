@@ -8,7 +8,8 @@ paper's evaluation section.  This module centralises:
   preserving each method's mechanism),
 * dataset/evaluation sizing via environment knobs
   (``REPRO_BENCH_SCALE``, ``REPRO_BENCH_QUERIES``),
-* fit + evaluate plumbing with wall-clock capture, and
+* the split and evaluator the SUPA-variant benches share (Tables V/VI
+  and Figures 4-6 run :mod:`repro.eval.protocol` instead), and
 * result persistence: every harness prints its paper-style table and
   writes it under ``benchmarks/results/``.
 """
@@ -16,20 +17,16 @@ paper's evaluation section.  This module centralises:
 from __future__ import annotations
 
 import os
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, List, Sequence
 
 from repro.baselines import make_baseline
 from repro.baselines.base import BaselineModel
-from repro.core import InsLearnConfig, SUPAConfig
+from repro.baselines.supa_adapter import cpu_schedule
 from repro.datasets import load_dataset
 from repro.datasets.base import Dataset
 from repro.eval import RankingEvaluator
+from repro.eval.protocol import ProtocolResult
 from repro.eval.ranking import EvaluationResult, RankingQuery
-from repro.graph.streams import EdgeStream
 from repro.utils.tables import format_table
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.5"))
@@ -60,20 +57,6 @@ METHOD_KWARGS: Dict[str, dict] = {
 }
 
 
-def supa_configs(dim: int = 32, seed: int = 0):
-    """The calibrated CPU-scale SUPA model + InsLearn settings."""
-    model_cfg = SUPAConfig(dim=dim, num_walks=4, walk_length=3, seed=seed)
-    train_cfg = InsLearnConfig(
-        batch_size=1024,
-        max_iterations=8,
-        validation_interval=2,
-        validation_size=100,
-        patience=2,
-        seed=seed,
-    )
-    return model_cfg, train_cfg
-
-
 def build_method(
     name: str,
     dataset: Dataset,
@@ -94,65 +77,28 @@ def build_method(
             if key in kwargs:
                 kwargs[key] = max(1, int(round(kwargs[key] * steps_scale)))
     if name == "SUPA":
-        model_cfg, train_cfg = supa_configs(dim=dim, seed=seed)
+        model_cfg, train_cfg = cpu_schedule(dim=dim, seed=seed)
         kwargs.update(config=model_cfg, train_config=train_cfg)
     return make_baseline(name, dataset, dim=dim, seed=seed, **kwargs)
 
 
-@dataclass
-class MethodRun:
-    """One (method, dataset) evaluation outcome."""
-
-    method: str
-    dataset: str
-    metrics: Dict[str, float]
-    fit_seconds: float
-    result: EvaluationResult = field(repr=False, default=None)
-
-    def __getitem__(self, key: str) -> float:
-        return self.metrics[key]
+def bench_dataset(name: str) -> Dataset:
+    """Dataset ``name`` at the bench scale (seed 0)."""
+    return load_dataset(name, scale=BENCH_SCALE, seed=0)
 
 
-def prepare(name: str, scale: Optional[float] = None, seed: int = 0):
-    """Dataset + (train, valid, test) split + capped test queries."""
-    dataset = load_dataset(name, scale=scale if scale is not None else BENCH_SCALE, seed=seed)
+def prepare(name: str):
+    """Dataset + (train, valid, test) split + its test queries."""
+    dataset = bench_dataset(name)
     train, valid, test = dataset.split()
-    queries = dataset.ranking_queries(test)
-    return dataset, train, valid, queries
+    return dataset, train, valid, dataset.ranking_queries(test)
 
 
 def evaluate_queries(
-    model: BaselineModel,
-    queries: Sequence[RankingQuery],
-    max_queries: int = None,
+    model: BaselineModel, queries: Sequence[RankingQuery]
 ) -> EvaluationResult:
-    evaluator = RankingEvaluator(
-        hit_ks=(20, 50), ndcg_k=10, max_queries=max_queries or BENCH_QUERIES, rng=0
-    )
+    evaluator = RankingEvaluator(hit_ks=(20, 50), ndcg_k=10, max_queries=BENCH_QUERIES)
     return evaluator.evaluate(model, queries)
-
-
-def run_method(
-    name: str,
-    dataset: Dataset,
-    train: EdgeStream,
-    queries: Sequence[RankingQuery],
-    dim: int = 32,
-    seed: int = 0,
-) -> MethodRun:
-    """Fit ``name`` on ``train`` and evaluate on ``queries``."""
-    model = build_method(name, dataset, dim=dim, seed=seed)
-    start = time.perf_counter()
-    model.fit(train)
-    fit_seconds = time.perf_counter() - start
-    result = evaluate_queries(model, queries)
-    return MethodRun(
-        method=name,
-        dataset=dataset.name,
-        metrics=result.metrics,
-        fit_seconds=fit_seconds,
-        result=result,
-    )
 
 
 def emit(name: str, text: str) -> None:
@@ -163,27 +109,19 @@ def emit(name: str, text: str) -> None:
         fh.write(text + "\n")
 
 
-def star_best(runs: List[MethodRun], metric: str) -> str:
-    """Name of the best method on ``metric`` (the row the paper bolds)."""
-    best = max(runs, key=lambda r: r.metrics[metric])
-    return best.method
-
-
 def render_metric_table(
     title: str,
-    runs_by_dataset: Dict[str, List[MethodRun]],
+    runs_by_dataset: Dict[str, Dict[str, ProtocolResult]],
     metrics: Sequence[str],
 ) -> str:
     """Rows = methods, column groups = datasets x metrics."""
     datasets = list(runs_by_dataset)
-    methods = [r.method for r in runs_by_dataset[datasets[0]]]
     headers = ["method"] + [f"{d}:{m}" for d in datasets for m in metrics]
     rows = []
-    for method in methods:
+    for method in runs_by_dataset[datasets[0]]:
         row: List[object] = [method]
         for d in datasets:
-            run = next(r for r in runs_by_dataset[d] if r.method == method)
-            row.extend(run.metrics[m] for m in metrics)
+            row.extend(runs_by_dataset[d][method].metrics[m] for m in metrics)
         rows.append(row)
     highlight = list(range(1, len(headers)))
     return format_table(headers, rows, title=title, highlight_best=highlight)

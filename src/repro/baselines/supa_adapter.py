@@ -8,7 +8,7 @@ delegates to Eq. 15.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -18,6 +18,22 @@ from repro.core.inslearn import InsLearnConfig, InsLearnTrainer
 from repro.core.model import SUPA
 from repro.datasets.base import Dataset
 from repro.graph.streams import EdgeStream
+
+
+def cpu_schedule(dim: int = 32, seed: int = 0) -> Tuple[SUPAConfig, InsLearnConfig]:
+    """The CPU-scale SUPA model + InsLearn schedule the paper benches and
+    ``repro train`` / ``compare`` run: walks 4 x 3, and ``S_batch`` 1024 /
+    ``N_iter`` 8 / ``I_valid`` 2 / ``S_valid`` 100 / patience 2."""
+    model_cfg = SUPAConfig(dim=dim, num_walks=4, walk_length=3, seed=seed)
+    train_cfg = InsLearnConfig(
+        batch_size=1024,
+        max_iterations=8,
+        validation_interval=2,
+        validation_size=100,
+        patience=2,
+        seed=seed,
+    )
+    return model_cfg, train_cfg
 
 
 class SUPARecommender(BaselineModel):

@@ -41,7 +41,8 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from repro.baselines import available_baselines, make_baseline
-from repro.core import InsLearnConfig, SUPAConfig
+from repro.baselines.supa_adapter import cpu_schedule
+from repro.core import SUPAConfig
 from repro.datasets import DATASET_BUILDERS, load_dataset
 from repro.datasets.loaders import save_edge_tsv
 from repro.eval import LinkPredictionProtocol
@@ -115,23 +116,11 @@ def _serving_model_config(args: argparse.Namespace) -> SUPAConfig:
 
 
 def _build(name: str, dataset, dim: int, seed: int):
+    kwargs = {}
     if name == "SUPA":
-        return make_baseline(
-            "SUPA",
-            dataset,
-            dim=dim,
-            seed=seed,
-            config=SUPAConfig(dim=dim, num_walks=4, walk_length=3, seed=seed),
-            train_config=InsLearnConfig(
-                batch_size=1024,
-                max_iterations=8,
-                validation_interval=2,
-                validation_size=100,
-                patience=2,
-                seed=seed,
-            ),
-        )
-    return make_baseline(name, dataset, dim=dim, seed=seed)
+        config, train_config = cpu_schedule(dim=dim, seed=seed)
+        kwargs = dict(config=config, train_config=train_config)
+    return make_baseline(name, dataset, dim=dim, seed=seed, **kwargs)
 
 
 def cmd_datasets(args: argparse.Namespace) -> int:

@@ -1,18 +1,19 @@
-"""Reusable experiment protocols from the paper's evaluation section.
-
-The benchmark harnesses under ``benchmarks/`` print paper-style tables;
-these classes expose the same experimental designs as library API so a
-downstream user can run them on their own datasets and models:
+"""The paper's experiment protocols, run by its benchmarks and the CLI.
 
 * :class:`LinkPredictionProtocol` — Section IV-C/IV-D: chronological
-  80/1/19 split, full-catalogue ranking on the test tail.
+  80/1/19 split, full-catalogue ranking on the test tail (Tables V/VI,
+  ``repro train`` / ``compare``).
 * :class:`DynamicLinkPredictionProtocol` — Section IV-E: ten equal
-  time slices, (re)train on ``E_i``, evaluate on ``E_{i+1}``.
+  time slices, (re)train on ``E_i``, evaluate on ``E_{i+1}`` (Figs. 4
+  and 5).
 * :class:`NeighborhoodDisturbanceProtocol` — Section IV-F: train on
-  the most recent subgraph under a per-node recency cap ``eta``.
+  the most recent subgraph under a per-node recency cap ``eta`` (Fig. 6).
 
-Models enter through factories so each protocol stage starts from a
-fresh, identically configured model.
+The split protocols train on the 80 % prefix alone: the 1 % validation
+slice only moves the test tail's start.  Models enter through factories
+so each protocol stage starts from a fresh, identically configured
+model, and one stage's models are all ranked on the same query subsample
+(:class:`~repro.eval.ranking.RankingEvaluator` draws it from its seed).
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.eval.ranking import EvaluationResult, RankingEvaluator
+from repro.eval.ranking import EvaluationResult, RankingEvaluator, RankingQuery
 from repro.graph.streams import EdgeStream
 from repro.utils.timer import Timer
 
@@ -59,6 +58,32 @@ class ProtocolResult:
         return self.metrics[key]
 
 
+def _evaluator(protocol) -> RankingEvaluator:
+    return RankingEvaluator(
+        hit_ks=protocol.hit_ks,
+        ndcg_k=protocol.ndcg_k,
+        max_queries=protocol.max_queries,
+        seed=protocol.seed,
+    )
+
+
+def _timed_fit(model: BaselineModel, stream: EdgeStream) -> float:
+    fit_timer = Timer()
+    with fit_timer:
+        model.fit(stream)
+    return fit_timer.elapsed
+
+
+def _ranked(
+    model: BaselineModel,
+    fit_seconds: float,
+    evaluator: RankingEvaluator,
+    queries: Sequence[RankingQuery],
+) -> ProtocolResult:
+    evaluation = evaluator.evaluate(model, queries)
+    return ProtocolResult(evaluation.metrics, fit_seconds, evaluation)
+
+
 @dataclass
 class LinkPredictionProtocol:
     """Chronological split + full-catalogue ranking (Sections IV-C/D)."""
@@ -68,31 +93,15 @@ class LinkPredictionProtocol:
     hit_ks: Tuple[int, ...] = (20, 50)
     ndcg_k: int = 10
     max_queries: Optional[int] = None
-    include_valid_in_training: bool = True
     seed: int = 0
 
     def run(self, factory: ModelFactory, dataset: Dataset) -> ProtocolResult:
         """Fit a fresh model on the training prefix; rank the test tail."""
-        train, valid, test = dataset.split(self.train_frac, self.valid_frac)
-        if self.include_valid_in_training:
-            train = EdgeStream(list(train) + list(valid))
+        train, _, test = dataset.split(self.train_frac, self.valid_frac)
         model = factory(dataset)
-        fit_timer = Timer()
-        with fit_timer:
-            model.fit(train)
-        fit_seconds = fit_timer.elapsed
-        evaluator = RankingEvaluator(
-            hit_ks=self.hit_ks,
-            ndcg_k=self.ndcg_k,
-            max_queries=self.max_queries,
-            rng=self.seed,
-        )
-        evaluation = evaluator.evaluate(model, dataset.ranking_queries(test))
-        return ProtocolResult(
-            metrics=evaluation.metrics,
-            fit_seconds=fit_seconds,
-            evaluation=evaluation,
-        )
+        fit_seconds = _timed_fit(model, train)
+        queries = dataset.ranking_queries(test)
+        return _ranked(model, fit_seconds, _evaluator(self), queries)
 
 
 @dataclass
@@ -102,7 +111,8 @@ class DynamicLinkPredictionProtocol:
     Dynamic models (``is_dynamic``) receive each slice through
     ``partial_fit``; static models are refit from scratch on everything
     seen so far (``retrain_factory`` may vary the budget with the
-    accumulated edge count, mirroring training-to-convergence).
+    accumulated edge count, mirroring training-to-convergence).  A
+    step's ``fit_seconds`` includes a refit model's construction.
     """
 
     num_slices: int = 10
@@ -119,38 +129,22 @@ class DynamicLinkPredictionProtocol:
         if self.num_slices < 2:
             raise ValueError(f"need at least 2 slices, got {self.num_slices}")
         slices = dataset.stream.equal_slices(self.num_slices)
-        evaluator = RankingEvaluator(
-            hit_ks=self.hit_ks,
-            ndcg_k=self.ndcg_k,
-            max_queries=self.max_queries,
-            rng=self.seed,
-        )
+        evaluator = _evaluator(self)
+        retrain = self.retrain_factory or (lambda ds, _: factory(ds))
         model = factory(dataset)
         seen: List = []
         results: List[ProtocolResult] = []
         for i in range(self.num_slices - 1):
-            seen.extend(list(slices[i]))
+            seen.extend(slices[i])
             fit_timer = Timer()
             with fit_timer:
                 if model.is_dynamic:
                     model.partial_fit(slices[i])
                 else:
-                    if self.retrain_factory is not None:
-                        model = self.retrain_factory(dataset, len(seen))
-                    else:
-                        model = factory(dataset)
+                    model = retrain(dataset, len(seen))
                     model.fit(EdgeStream(list(seen)))
-            fit_seconds = fit_timer.elapsed
-            evaluation = evaluator.evaluate(
-                model, dataset.ranking_queries(slices[i + 1])
-            )
-            results.append(
-                ProtocolResult(
-                    metrics=evaluation.metrics,
-                    fit_seconds=fit_seconds,
-                    evaluation=evaluation,
-                )
-            )
+            queries = dataset.ranking_queries(slices[i + 1])
+            results.append(_ranked(model, fit_timer.elapsed, evaluator, queries))
         return results
 
 
@@ -173,29 +167,14 @@ class NeighborhoodDisturbanceProtocol:
     ) -> Dict[Optional[int], ProtocolResult]:
         """One result per eta; ``factory(dataset, eta)`` builds the model
         (SUPA-style models can pass the cap to their internal graph)."""
-        train, valid, test = dataset.split(self.train_frac, self.valid_frac)
-        train = EdgeStream(list(train) + list(valid))
+        train, _, test = dataset.split(self.train_frac, self.valid_frac)
         queries = dataset.ranking_queries(test)
-        evaluator = RankingEvaluator(
-            hit_ks=self.hit_ks,
-            ndcg_k=self.ndcg_k,
-            max_queries=self.max_queries,
-            rng=self.seed,
-        )
+        evaluator = _evaluator(self)
         out: Dict[Optional[int], ProtocolResult] = {}
         for eta in self.etas:
             capped = capped_stream(dataset, train, eta)
             model = factory(dataset, eta)
-            fit_timer = Timer()
-            with fit_timer:
-                model.fit(capped)
-            fit_seconds = fit_timer.elapsed
-            evaluation = evaluator.evaluate(model, queries)
-            out[eta] = ProtocolResult(
-                metrics=evaluation.metrics,
-                fit_seconds=fit_seconds,
-                evaluation=evaluation,
-            )
+            out[eta] = _ranked(model, _timed_fit(model, capped), evaluator, queries)
         return out
 
     @staticmethod

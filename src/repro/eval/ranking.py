@@ -14,7 +14,7 @@ from typing import Dict, Iterable, List, NamedTuple, Optional, Protocol, Sequenc
 import numpy as np
 
 from repro.eval.metrics import RankingAccumulator, rank_of_target
-from repro.utils.rng import RngLike, new_rng
+from repro.utils.rng import new_rng
 
 
 class Scorer(Protocol):
@@ -61,7 +61,12 @@ class RankingEvaluator:
         The metric cut-offs (paper: H@20, H@50, NDCG@10, MRR).
     max_queries:
         Optional subsample cap — large test sets are subsampled uniformly
-        at random (seeded) to bound evaluation cost.
+        at random to bound evaluation cost.
+    seed:
+        The subsample's seed.  Every :meth:`evaluate` draws from a fresh
+        generator built from it, so the subsample depends only on the
+        seed and the number of queries: every model one evaluator ranks
+        on the same query list is ranked on the same queries.
     """
 
     def __init__(
@@ -69,17 +74,18 @@ class RankingEvaluator:
         hit_ks: Iterable[int] = (20, 50),
         ndcg_k: int = 10,
         max_queries: Optional[int] = None,
-        rng: RngLike = 0,
+        seed: int = 0,
     ):
         self.hit_ks = tuple(hit_ks)
         self.ndcg_k = ndcg_k
         self.max_queries = max_queries
-        self._rng = new_rng(rng)
+        self.seed = seed
 
     def _subsample(self, queries: Sequence[RankingQuery]) -> Sequence[RankingQuery]:
         if self.max_queries is None or len(queries) <= self.max_queries:
             return queries
-        idx = self._rng.choice(len(queries), size=self.max_queries, replace=False)
+        rng = new_rng(self.seed)
+        idx = rng.choice(len(queries), size=self.max_queries, replace=False)
         return [queries[i] for i in sorted(idx)]
 
     def evaluate(self, model: Scorer, queries: Sequence[RankingQuery]) -> EvaluationResult:

@@ -203,42 +203,12 @@ class DMHG:
 
     # -------------------------------------------------------------- neighbours
 
-    def neighbors(
-        self,
-        node: int,
-        edge_types: Optional[Sequence[str]] = None,
-        node_type: Optional[str] = None,
-        now: Optional[float] = None,
-        within: Optional[float] = None,
-    ) -> List[Tuple[int, int, float, int]]:
-        """Traversable neighbours of ``node`` as ``(other, rel_id, t, edge_index)``.
-
-        Filters, all optional: ``edge_types`` restricts the connecting edge
-        type (a multiplex metapath's ``R_j`` set); ``node_type`` restricts
-        the neighbour's type (the metapath's ``o_{i+1}``); ``now``/``within``
-        keep only edges with ``now - t <= within``, the propagation
-        termination window ``tau`` of Eq. 9.
-        """
+    def neighbors(self, node: int) -> List[Tuple[int, int, float, int]]:
+        """Traversable neighbours of ``node`` as ``(other, rel_id, t,
+        edge_index)``, in adjacency (insertion) order; :meth:`candidates`
+        is the filtered lookup a metapath hop makes."""
         self._check_node(node)
-        rel_ids = None
-        if edge_types is not None:
-            rel_ids = {self.schema.edge_type_id(r) for r in edge_types}
-        type_id = None
-        if node_type is not None:
-            type_id = self.schema.node_type_id(node_type)
-        out = []
-        for entry in self._adj[node]:
-            other, rel, t, _ = entry
-            if rel_ids is not None and rel not in rel_ids:
-                continue
-            if type_id is not None and self._node_types[other] != type_id:
-                continue
-            if within is not None:
-                reference = self._last_time[node] if now is None else now
-                if reference - t > within:
-                    continue
-            out.append(entry)
-        return out
+        return list(self._adj[node])
 
     def candidates(
         self, node: int, rel_ids: frozenset, type_id: int
@@ -247,8 +217,7 @@ class DMHG:
 
         ``(others, rels, times)`` as int64 / int64 / float64 arrays, in
         adjacency (insertion) order, of the traversable edges whose type
-        is in ``rel_ids`` and whose far end has node type ``type_id`` —
-        :meth:`neighbors` by ids, without names or the time window.
+        is in ``rel_ids`` and whose far end has node type ``type_id``.
         Answers are memoised per node and dropped whenever that node's
         adjacency list changes; they read nothing else that can change,
         so a memoised answer is never stale.  The arrays are read-only:

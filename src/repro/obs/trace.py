@@ -5,12 +5,14 @@ A span marks one timed region of a hot path::
     with tracer.span("core.engine.execute", edges=len(records)):
         ...
 
-Spans nest: a span opened while another is active becomes its child, so
-a traced run yields a call tree — per node the call count, total wall
-seconds, self seconds (total minus children) and accumulated numeric
-attributes.  Same-named spans under the same parent **aggregate** into
-one node (count += 1, total += elapsed) rather than appending, which
-keeps the tree bounded no matter how many batches replay through it.
+Spans nest: a span opened while another is active on the same thread
+becomes its child (each thread keeps its own stack of open spans under
+the one shared root), so a traced run yields a call tree — per node the
+call count, total wall seconds, self seconds (total minus children) and
+accumulated numeric attributes.  Same-named spans under the same parent
+**aggregate** into one node (count += 1, total += elapsed) rather than
+appending, which keeps the tree bounded no matter how many batches
+replay through it.
 
 Two tracer implementations share the interface:
 
@@ -36,6 +38,7 @@ Span names follow ``layer.component.phase`` (DESIGN.md §10), e.g.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, List, Optional, Union
 
@@ -60,8 +63,9 @@ class SpanNode:
     def child(self, name: str) -> "SpanNode":
         node = self.children.get(name)
         if node is None:
-            node = SpanNode(name)
-            self.children[name] = node
+            # one dict operation: two threads creating the same child
+            # both get the node that landed
+            node = self.children.setdefault(name, SpanNode(name))
         return node
 
     @property
@@ -101,10 +105,10 @@ class SpanNode:
 class _Span:
     """Live context manager for one :meth:`Tracer.span` entry."""
 
-    __slots__ = ("_tracer", "_node", "_start")
+    __slots__ = ("_stack", "_node", "_start")
 
-    def __init__(self, tracer: "Tracer", node: SpanNode):
-        self._tracer = tracer
+    def __init__(self, stack: List[SpanNode], node: SpanNode):
+        self._stack = stack
         self._node = node
         self._start = 0.0
 
@@ -119,7 +123,7 @@ class _Span:
         node.total_seconds += elapsed
         # Exception-safe unwind: the stack entry is removed even when the
         # body raised, so the tracer stays usable afterwards.
-        stack = self._tracer._stack
+        stack = self._stack
         if stack and stack[-1] is node:
             stack.pop()
 
@@ -150,14 +154,22 @@ class Tracer:
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.root = SpanNode("root")
-        self._stack: List[SpanNode] = [self.root]
+        self._local = threading.local()
+
+    def _stack(self) -> List[SpanNode]:
+        """The calling thread's open spans, from the shared root up."""
+        stack = getattr(self._local, "stack", None)
+        if stack is None:
+            stack = self._local.stack = [self.root]
+        return stack
 
     def span(self, name: str, **attrs) -> _Span:
-        node = self._stack[-1].child(name)
+        stack = self._stack()
+        node = stack[-1].child(name)
         if attrs:
             node.merge_attrs(attrs)
-        self._stack.append(node)
-        return _Span(self, node)
+        stack.append(node)
+        return _Span(stack, node)
 
     def wrap(self, name: str, fn):
         """Wrap ``fn`` so every call is recorded as span ``name``.
@@ -176,7 +188,7 @@ class Tracer:
     def reset(self) -> None:
         """Drop the recorded tree (the registry is left alone)."""
         self.root = SpanNode("root")
-        self._stack = [self.root]
+        self._local = threading.local()
 
     def as_dict(self) -> Dict[str, object]:
         """The span tree as JSON-ready nested dicts (top-level spans only)."""

@@ -89,8 +89,9 @@ class ReplicationFollower:
     serve_config / model_config / train_config:
         Must match the primary's — replay re-derives state, it does not
         ship hyper-parameters.  The follower forces ``read_only=True``
-        and strips the resilience knobs until promotion, when it adopts
-        ``serve_config.checkpoint_every`` as its checkpoint cadence.
+        and drops the WAL and checkpoint directory until promotion;
+        ``serve_config.checkpoint_every`` is the promoted replica's
+        checkpoint cadence.
     clock:
         Injectable time source (seconds) for heartbeat-age accounting;
         defaults to :func:`time.monotonic` and must share a clock
@@ -113,15 +114,13 @@ class ReplicationFollower:
         self._model_config = model_config
         self._train_config = train_config
         self._clock = clock if clock is not None else time.monotonic
-        base = serve_config or ServeConfig()
-        self._checkpoint_every = base.checkpoint_every
-        # the primary's log is this replica's durability until promotion
+        # the primary's log is this replica's durability until promotion;
+        # with no checkpoint_dir the cadence waits for promote()
         self._serve_config = replace(
-            base,
+            serve_config or ServeConfig(),
             read_only=True,
             wal_path=None,
             checkpoint_dir=None,
-            checkpoint_every=0,
         )
         self.service: Optional[RecommendationService] = None
         self.tailer: Optional[WalTailer] = None
@@ -309,11 +308,7 @@ class ReplicationFollower:
             shutil.copyfile(shipped_wal, own_wal)
 
         service = self.service
-        service.attach_durability(
-            own_wal,
-            checkpoint_dir=checkpoint_dir(target),
-            checkpoint_every=self._checkpoint_every,
-        )
+        service.attach_durability(own_wal, checkpoint_dir=checkpoint_dir(target))
         with self._lock:
             log = self._log
             applied_seq = self._last_seq_applied

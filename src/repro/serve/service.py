@@ -561,7 +561,6 @@ class RecommendationService:
         self,
         wal_path: str,
         checkpoint_dir: Optional[str] = None,
-        checkpoint_every: Optional[int] = None,
         recovered=None,
     ) -> None:
         """Wire a WAL (and optionally checkpoints) into a running service.
@@ -584,8 +583,6 @@ class RecommendationService:
         self._open_wal(recovered)
         if checkpoint_dir is not None:
             self.config.checkpoint_dir = checkpoint_dir
-            if checkpoint_every is not None:
-                self.config.checkpoint_every = int(checkpoint_every)
             self._open_checkpoints()
         self.queue.set_journal(self.wal)
 

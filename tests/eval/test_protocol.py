@@ -59,18 +59,6 @@ class TestLinkPredictionProtocol:
         assert result.fit_seconds >= 0
         assert result["MRR"] >= 0
 
-    def test_valid_included_by_default(self, tiny_synthetic):
-        model_holder = []
-
-        def factory(ds):
-            m = CountingModel(ds)
-            model_holder.append(m)
-            return m
-
-        LinkPredictionProtocol(max_queries=5).run(factory, tiny_synthetic)
-        train, valid, test = tiny_synthetic.split()
-        assert model_holder[0].fit_sizes[0] == len(train) + len(valid)
-
     def test_valid_excluded_option(self, tiny_synthetic):
         model_holder = []
 
@@ -79,11 +67,65 @@ class TestLinkPredictionProtocol:
             model_holder.append(m)
             return m
 
-        LinkPredictionProtocol(
-            max_queries=5, include_valid_in_training=False
-        ).run(factory, tiny_synthetic)
+        LinkPredictionProtocol(max_queries=5).run(factory, tiny_synthetic)
         train, _, _ = tiny_synthetic.split()
         assert model_holder[0].fit_sizes[0] == len(train)
+
+
+class TestOneTrainingPrefix:
+    def test_every_split_protocol_fits_on_the_80_percent_prefix(self, tiny_synthetic):
+        """The 1 % validation slice only moves the test tail's start:
+        nothing trains on it."""
+        sizes = []
+
+        class Recording(CountingModel):
+            def fit(self, stream):
+                sizes.append(len(stream))
+                super().fit(stream)
+
+        LinkPredictionProtocol(max_queries=5).run(Recording, tiny_synthetic)
+        NeighborhoodDisturbanceProtocol(etas=(None,), max_queries=5).run(
+            lambda ds, eta: Recording(ds), tiny_synthetic
+        )
+        train, valid, _ = tiny_synthetic.split()
+        assert len(valid) > 0
+        assert sizes == [len(train), len(train)]
+
+
+class RecordingModel(CountingModel):
+    """Records every query node it is asked to score."""
+
+    def __init__(self, dataset, asked, dynamic=False):
+        super().__init__(dataset, dynamic=dynamic)
+        self.asked = asked
+
+    def score(self, node, candidates, edge_type, t):
+        self.asked.append(node)
+        return super().score(node, candidates, edge_type, t)
+
+
+class TestSameQueriesForEveryModel:
+    """One protocol stage ranks every model on one query subsample."""
+
+    def test_every_eta_ranks_the_same_queries(self, tiny_synthetic):
+        asked = []
+        NeighborhoodDisturbanceProtocol(etas=(2, None), max_queries=5).run(
+            lambda ds, eta: RecordingModel(ds, asked), tiny_synthetic
+        )
+        assert len(asked) == 10
+        assert asked[:5] == asked[5:]
+
+    def test_every_method_ranks_the_same_queries_per_slice(self, tiny_synthetic):
+        protocol = DynamicLinkPredictionProtocol(num_slices=4, max_queries=5)
+        runs = []
+        for dynamic in (True, False):
+            asked = []
+            protocol.run(
+                lambda ds: RecordingModel(ds, asked, dynamic=dynamic), tiny_synthetic
+            )
+            runs.append(asked)
+        assert len(runs[0]) == 3 * 5
+        assert runs[0] == runs[1]
 
 
 class TestDynamicProtocol:

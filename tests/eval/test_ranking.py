@@ -57,9 +57,28 @@ class TestEvaluate:
 
     def test_max_queries_subsamples(self):
         queries, truth = make_queries(n=50)
-        ev = RankingEvaluator(max_queries=10, rng=0)
+        ev = RankingEvaluator(max_queries=10, seed=0)
         result = ev.evaluate(PerfectScorer(truth), queries)
         assert result.num_queries == 10
+
+    def test_every_call_ranks_the_same_subsample(self):
+        """The subsample depends on the seed alone, not on how many
+        models the evaluator ranked before: a figure's methods all see
+        the same queries."""
+        queries, _ = make_queries(n=20)
+        asked = []
+
+        class Recording(ConstantScorer):
+            def score(self, node, candidates, edge_type, t):
+                asked[-1].append(node)
+                return super().score(node, candidates, edge_type, t)
+
+        ev = RankingEvaluator(max_queries=5)
+        for _ in range(2):
+            asked.append([])
+            ev.evaluate(Recording(), queries)
+        assert len(asked[0]) == 5
+        assert asked[0] == asked[1]
 
     def test_shape_mismatch_raises(self):
         queries, _ = make_queries(n=1)

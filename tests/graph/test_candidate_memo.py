@@ -34,11 +34,10 @@ _query = st.tuples(
 
 
 def _brute_force(graph, node, rel_ids, type_id):
-    entries = graph.neighbors(
-        node,
-        edge_types=[SCHEMA.edge_types[r] for r in sorted(rel_ids)],
-        node_type=SCHEMA.node_types[type_id],
-    )
+    entries = [
+        e for e in graph.neighbors(node)
+        if e[1] in rel_ids and graph.node_type_id(e[0]) == type_id
+    ]
     return (
         [e[0] for e in entries], [e[1] for e in entries], [e[2] for e in entries]
     )

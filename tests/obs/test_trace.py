@@ -1,5 +1,9 @@
 """repro.obs.trace: span nesting, aggregation, the zero-cost null path."""
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
@@ -59,6 +63,73 @@ class TestSpanTree:
         with t.span("after"):
             pass
         assert "after" in t.root.children
+
+    def test_threads_keep_their_own_stacks(self):
+        """B's span opens first, A's opens while it is open, B's closes
+        while A's is open.  With one shared stack A's span nested under
+        B's, B's self time went negative, and B's node was never popped,
+        so every later span nested under it."""
+        t = Tracer()
+        b_open, a_open, b_closed = (threading.Event() for _ in range(3))
+
+        def thread_b():
+            with t.span("b"):
+                b_open.set()
+                assert a_open.wait(5)
+            b_closed.set()
+
+        def thread_a():
+            assert b_open.wait(5)
+            with t.span("a"):
+                a_open.set()
+                assert b_closed.wait(5)
+                time.sleep(0.02)
+
+        threads = [threading.Thread(target=f) for f in (thread_b, thread_a)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(5)
+            assert not thread.is_alive()
+        assert set(t.root.children) == {"a", "b"}
+        for name in ("a", "b"):
+            node = t.root.children[name]
+            assert node.count == 1 and not node.children
+            assert node.self_seconds >= 0
+        with t.span("after"):
+            pass
+        assert "after" in t.root.children
+
+    def test_threads_racing_to_create_a_child_share_one_node(self):
+        """Eight threads open the same new span names at once: each gets
+        the node the tree holds, so no thread records into an orphan."""
+        t = Tracer()
+        names = [f"span{j}" for j in range(200)]
+        held = []
+
+        def worker():
+            nodes = []
+            for name in names:
+                with t.span(name) as node:
+                    nodes.append(node)
+            held.append(nodes)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(held) == 8
+        assert set(t.root.children) == set(names)
+        for nodes in held:
+            assert all(node is t.root.children[node.name] for node in nodes)
+            assert not any(node.children for node in nodes)
 
     def test_numeric_attrs_sum_others_keep_last(self):
         t = Tracer()

@@ -33,16 +33,12 @@ class TestReadOnly:
 
 class TestAttachDurability:
     def test_attach_starts_journaling(self, small_dataset, tmp_path):
-        svc = make_service(small_dataset)
+        svc = make_service(small_dataset, checkpoint_every=2)
         assert svc.wal is None
         edges = list(small_dataset.stream)
         svc.ingest(edges[0])  # pre-attach: nothing journaled
         wal_file = str(tmp_path / "late.wal")
-        svc.attach_durability(
-            wal_file,
-            checkpoint_dir=str(tmp_path / "ckpt"),
-            checkpoint_every=2,
-        )
+        svc.attach_durability(wal_file, checkpoint_dir=str(tmp_path / "ckpt"))
         svc.ingest(edges[1])
         svc.close()
         records = scan(wal_file).records
@@ -64,13 +60,9 @@ class TestAttachDurability:
         config = ServeConfig(batch_size=4, capacity=16, cache_size=32)
         first = RecommendationService(small_dataset, config=config)
         wal_file = str(tmp_path / "first.wal")
-        first.attach_durability(
-            wal_file, checkpoint_dir=str(tmp_path / "ckpt"), checkpoint_every=2
-        )
+        first.attach_durability(wal_file, checkpoint_dir=str(tmp_path / "ckpt"))
         assert (config.wal_path, config.checkpoint_dir) == (None, None)
-        assert config.checkpoint_every == ServeConfig().checkpoint_every
         assert first.config.wal_path == wal_file  # the service sees its own
-        assert first.config.checkpoint_every == 2
         second = RecommendationService(small_dataset, config=config)
         assert second.wal is None and second.checkpoints is None
         edges = list(small_dataset.stream)
