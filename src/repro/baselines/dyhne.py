@@ -92,7 +92,10 @@ class DyHNE(EmbeddingModel):
         if k < 1 or proximity.nnz == 0:
             self.embeddings = np.zeros((n, self.dim), dtype=np.float64)
             return
-        u, s, _ = spla.svds(proximity.astype(np.float64), k=k)
+        # a seeded start vector: ARPACK's own draw is unseeded
+        u, s, _ = spla.svds(
+            proximity.astype(np.float64), k=k, v0=self.rng.standard_normal(n)
+        )
         emb = u * np.sqrt(np.maximum(s, 0.0))
         if emb.shape[1] < self.dim:
             emb = np.pad(emb, ((0, 0), (0, self.dim - emb.shape[1])))

@@ -45,9 +45,8 @@ def test_supa_config_fields():
 
 
 def test_top_k_index_constructor():
-    assert list(inspect.signature(TopKIndex).parameters) == [
-        "candidates", "cache_size", "score_block",
-    ]
+    # SCORE_BLOCK fixes the gemv shape the served bits depend on: no knob
+    assert list(inspect.signature(TopKIndex).parameters) == ["candidates", "cache_size"]
 
 
 def test_admission_config_fields():

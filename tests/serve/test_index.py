@@ -23,6 +23,30 @@ def offline_top_k(matrix, items, user, k):
     return items[np.argsort(-scores, kind="stable")[:k]]
 
 
+def per_row_scores(snap, items, user):
+    """Eq. 15 scores over ``SCORE_BLOCK`` chunks gathered one row at a time."""
+    query = snap.row(user)
+    return np.concatenate(
+        [
+            np.stack([snap.row(c) for c in items[lo : lo + SCORE_BLOCK]]) @ query
+            for lo in range(0, items.size, SCORE_BLOCK)
+        ]
+    )
+
+
+def count_block_calls(monkeypatch):
+    """Record the block index of every ``DecayedSnapshot.block`` call."""
+    calls = []
+    block = DecayedSnapshot.block
+
+    def counted(snapshot, i):
+        calls.append(i)
+        return block(snapshot, i)
+
+    monkeypatch.setattr(DecayedSnapshot, "block", counted)
+    return calls
+
+
 class TestTopK:
     @pytest.mark.parametrize("k", [1, 3, 10, 19, 20, 50])
     def test_matches_stable_argsort_reference(self, k):
@@ -47,14 +71,6 @@ class TestTopK:
                 index.top_k(store.snapshot(), 0, k),
                 offline_top_k(matrix, items, 0, k),
             )
-
-    def test_blocked_scoring_equals_single_shot(self):
-        store, index_small, matrix, items = make_world(score_block=3)
-        _, index_big, _, _ = make_world(score_block=1000)
-        snap = store.snapshot()
-        np.testing.assert_allclose(
-            index_small.scores(snap, 2), index_big.scores(snap, 2)
-        )
 
     def test_k_must_be_positive(self):
         store, index, _, _ = make_world()
@@ -82,6 +98,18 @@ class TestCache:
     def test_rejects_negative_cache_size(self):
         with pytest.raises(ValueError, match="cache_size must be >= 0"):
             make_world(cache_size=-4)
+
+    def test_a_served_answer_is_read_only(self):
+        """The caller holds the array the next hit serves: a write to it
+        raises instead of corrupting the cached answer."""
+        store, index, _, _ = make_world()
+        snap = store.snapshot()
+        first = index.top_k(snap, 1, 5)
+        original = first.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = -1
+        np.testing.assert_array_equal(index.top_k(snap, 1, 5), original)
+        assert index.hits == 1
 
     def test_cache_disabled(self):
         store, index, _, _ = make_world(cache_size=0)
@@ -179,13 +207,7 @@ class TestBlockGather:
         index = TopKIndex(items)
         snap = store.snapshot()
         for user in (0, 7, 99):
-            query = snap.row(user)
-            want = np.concatenate(
-                [
-                    np.stack([snap.row(c) for c in items[lo : lo + SCORE_BLOCK]]) @ query
-                    for lo in range(0, items.size, SCORE_BLOCK)
-                ]
-            )
+            want = per_row_scores(snap, items, user)
             assert index.scores(snap, user).tobytes() == want.tobytes()
 
     def test_a_miss_reads_a_block_per_run_not_per_row(self, monkeypatch):
@@ -206,3 +228,63 @@ class TestBlockGather:
         index.top_k(store.snapshot(), 3, 10)
         assert index.misses == 1
         assert 0 < len(calls) <= 40
+
+
+class TestHeldCatalogue:
+    """The index gathers the catalogue's rows once per snapshot version
+    and slices that frozen matrix on every later miss of the version."""
+
+    @staticmethod
+    def world():
+        store = make_decayed_store(7500, 8, BLOCK_SIZE)
+        return store, TopKIndex(np.arange(1500, 7500, dtype=np.int64))
+
+    def test_a_second_miss_on_a_version_reads_only_the_user_block(self, monkeypatch):
+        store, index = self.world()
+        snap = store.snapshot()
+        index.top_k(snap, 3, 10)
+        calls = count_block_calls(monkeypatch)
+        index.top_k(snap, 4, 10)
+        assert index.misses == 2
+        assert calls == [0]  # users 3 and 4 live in block 0
+
+    @pytest.mark.parametrize("first", ["new", "old"])
+    def test_each_reader_scores_its_own_version_across_a_publish(
+        self, monkeypatch, first
+    ):
+        """A publish lands between two reads: the reader on the new
+        snapshot and the one still pinned to the old both get their own
+        version's bytes, in either order, and the old reader never
+        replaces the newer matrix."""
+        store, index = self.world()
+        items = index.candidates
+        old = store.snapshot()
+        index.scores(old, 3)  # the index now holds the old version's rows
+        touched = np.array([2, 1600, 4000], dtype=np.int64)
+        new = store.publish(
+            touched,
+            np.full((touched.size, 24), 0.5),
+            last_times=np.full(touched.size, 6.5),
+            alpha=np.zeros(3),
+            clock=7.0,
+        )
+        snaps = {"old": old, "new": new}
+        for which in (first, "new" if first == "old" else "old"):
+            snap = snaps[which]
+            assert index.scores(snap, 3).tobytes() == per_row_scores(
+                snap, items, 3
+            ).tobytes(), which
+        calls = count_block_calls(monkeypatch)
+        index.scores(new, 5)
+        assert calls == [0]
+
+    def test_the_matrix_is_frozen_and_invalidate_drops_it(self, monkeypatch):
+        store, index = self.world()
+        snap = store.snapshot()
+        index.top_k(snap, 3, 10)
+        assert not index._catalogue.rows.flags.writeable
+        index.invalidate(snap)
+        assert index._catalogue is None
+        calls = count_block_calls(monkeypatch)
+        index.top_k(snap, 4, 10)
+        assert len(calls) > 1  # the catalogue is gathered again
