@@ -283,7 +283,6 @@ class BatchedEngine(_EngineBase):
             return
         registry.counter("engine.plan.edges").inc(plan.num_edges)
         registry.counter("engine.plan.walk_steps").inc(len(plan.step_rows))
-        registry.counter("engine.plan.walk_lookups").inc(plan.walk_lookups)
         registry.counter("engine.plan.negatives").inc(len(plan.neg_rows))
         registry.counter("engine.plan.ctx_rows").inc(len(plan.ctx_rows))
         registry.counter("engine.plan.rounds").inc(plan.num_rounds)

@@ -84,9 +84,6 @@ class BatchPlan(NamedTuple):
       ``ctx_max_rank``: ``(R,)`` its per-round maximum, and
       ``contended_ctx_rows``: how many block rows share their value
       with another block of the same round.
-
-    ``walk_lookups``: the distinct ``(node, hop filter)`` candidate
-    lookups the pass's walks made (:class:`~repro.graph.sampling.PassWalks`).
     """
 
     edges: np.ndarray
@@ -118,7 +115,6 @@ class BatchPlan(NamedTuple):
     ctx_rank: np.ndarray
     ctx_max_rank: np.ndarray
     contended_ctx_rows: int
-    walk_lookups: int
 
     @property
     def num_edges(self) -> int:
@@ -397,5 +393,4 @@ def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
             ctx_rank=ctx_rank,
             ctx_max_rank=ctx_max_rank,
             contended_ctx_rows=contended,
-            walk_lookups=walks.lookups,
         )

@@ -8,13 +8,34 @@ operations the paper's system needs:
 * per-node temporal adjacency with an optional recency cap ``eta``
   (``max_neighbors``) modelling the resource-constrained platforms that
   cause *neighbourhood disturbance* (Section IV-F),
-* type/time-filtered neighbour queries for metapath walks,
+* a hop-filter index answering metapath walks' typed neighbour
+  queries (below),
 * last-interaction timestamps for the active time interval ``Delta_V``,
 * degree tallies for the skip-gram noise distribution.
+
+The hop-filter index.  A metapath hop admits the traversable edges whose
+type is in ``rel_ids`` and whose far end has node type ``type_id``; that
+``(rel_ids, type_id)`` pair is a *hop filter*, and each one a walk asks
+for becomes a column ``f`` of the index on first use.  Per column, a
+node's admissible entries sit in insertion order as one *segment* of a
+shared pool (``others`` / ``rels`` / ``times``), located by the dense
+``(num_nodes, F)`` arrays ``start`` and ``length``.  Inserts keep it
+current: an entry is appended to each segment it matches (a full
+segment moves to a fresh region twice its length at the pool's end), an
+η eviction advances the start of each segment the evicted entry
+matched, and :meth:`DMHG.remove_edge` rebuilds both endpoints' segments.
+A pool slot is written at most once (growth copies into a new buffer),
+so a view handed out never changes.  The index costs ``24·F`` bytes per
+node (start, length, region end) plus 24 bytes per pool slot, a few
+slots per admitted entry.  :meth:`DMHG.candidates` answers one ``(node,
+filter)`` from it; :meth:`DMHG.hop_index` hands a whole hop level's
+walks the arrays to gather from.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +51,38 @@ class TemporalEdge(NamedTuple):
     rel: int
     t: float
     index: int
+
+
+#: smallest pool region a segment is given; a full one moves to a region
+#: twice its length, so an append costs amortised O(1)
+_MIN_REGION = 4
+
+
+def _regions(length: np.ndarray) -> np.ndarray:
+    """The region a segment of each ``length`` is laid out in."""
+    return np.where(length > 0, np.maximum(_MIN_REGION, 2 * length), 0)
+
+
+def _slots(base: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The pool slots of segments of ``length`` entries from ``base``."""
+    slots = np.arange(int(length.sum()), dtype=np.int64)
+    slots += np.repeat(base - (np.cumsum(length) - length), length)
+    return slots
+
+
+class HopIndex(NamedTuple):
+    """Read-only views of :class:`DMHG`'s hop-filter index: the entries
+    of ``(node, column f)`` are ``others / rels / times[start[node, f] :
+    start[node, f] + length[node, f]]``, in insertion order."""
+
+    #: ``(num_nodes, F)`` first pool slot of each segment
+    start: np.ndarray
+    #: ``(num_nodes, F)`` entries per segment
+    length: np.ndarray
+    #: the pool: far node, edge type id and time of each entry
+    others: np.ndarray
+    rels: np.ndarray
+    times: np.ndarray
 
 
 class DMHG:
@@ -58,9 +111,18 @@ class DMHG:
         #: per node, its traversable incident edges as
         #: ``(other, rel, t, index)`` in insertion order
         self._adj: List[List[Tuple[int, int, float, int]]] = []
-        #: per node, :meth:`candidates` answers keyed by filter; dropped
-        #: whenever that node's adjacency list changes
-        self._memo: List[Dict[tuple, tuple]] = []
+        #: the hop-filter index (module docstring): filter → column,
+        #: column → filter, and ``(rel, far-end type)`` → the columns an
+        #: entry of that kind matches (cleared when a column is added)
+        self._columns: Dict[tuple, int] = {}
+        self._filters: List[tuple] = []
+        self._matches: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        #: ``(3, node capacity, F)``: per segment its start, length and
+        #: the end of its reserved region; grows with ``_last_time``
+        self._set_seg(np.zeros((3, 0, 0), dtype=np.int64))
+        #: the pool; slots below ``_pool_used`` are reserved
+        self._set_pool(self._new_pool(0))
+        self._pool_used = 0
         self._edge_u: List[int] = []
         self._edge_v: List[int] = []
         self._edge_rel: List[int] = []
@@ -82,11 +144,13 @@ class DMHG:
         self._nodes_by_type[type_id].append(node)
         self._type_pools.pop(type_id, None)
         self._adj.append([])
-        self._memo.append({})
         if node == self._last_time.size:
             grown = np.full(max(16, 2 * node), -np.inf)
             grown[:node] = self._last_time
             self._last_time = grown
+            seg = np.zeros((3, grown.size, len(self._filters)), dtype=np.int64)
+            seg[:, :node] = self._seg
+            self._set_seg(seg)
         self._degree.append(0)
         return node
 
@@ -162,20 +226,151 @@ class DMHG:
             return
         self._edge_alive[index] = False
         self._num_alive_edges -= 1
-        for node in (self._edge_u[index], self._edge_v[index]):
+        ends = (self._edge_u[index], self._edge_v[index])
+        for node in ends:
             self._adj[node] = [e for e in self._adj[node] if e[3] != index]
-            self._memo[node].clear()
             self._degree[node] = max(0, self._degree[node] - 1)
+        self._lay_out(range(len(self._filters)), list(dict.fromkeys(ends)))
 
     def _append_adj(self, node: int, entry: Tuple[int, int, float, int]) -> None:
         lst = self._adj[node]
         lst.append(entry)
+        # index bookkeeping reads and writes Python ints and floats
+        # through memoryviews: no numpy scalar per entry
+        seg = self._seg_mv
         if self.max_neighbors is not None and len(lst) > self.max_neighbors:
             # Recency cap: forget the oldest inserted incident edge.  The
             # edge stays in the global store (it still exists historically)
-            # but is no longer traversable from this node.
-            del lst[0]
-        self._memo[node].clear()
+            # but is no longer traversable from this node.  It is the
+            # oldest entry of every segment it matched.
+            for f in self._columns_of(lst.pop(0)):
+                seg[0, node, f] += 1
+                seg[1, node, f] -= 1
+        for f in self._columns_of(entry):
+            n = seg[1, node, f]
+            slot = seg[0, node, f] + n
+            if slot == seg[2, node, f]:
+                slot = self._move(node, f, n) + n
+            others, rels, times = self._pool_mv
+            others[slot], rels[slot], times[slot] = entry[:3]
+            seg[1, node, f] = n + 1
+
+    # -------------------------------------------------------- hop-filter index
+
+    def _set_seg(self, seg: np.ndarray) -> None:
+        self._seg, self._seg_mv = seg, memoryview(seg)
+
+    def _set_pool(self, pool: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        self._pool, self._pool_mv = pool, tuple(memoryview(a) for a in pool)
+
+    def _add_columns(self, keys: Sequence[tuple]) -> None:
+        """Make each hop filter in ``keys`` that has no column one, built
+        over every node in one pass over the adjacency lists."""
+        new = [key for key in dict.fromkeys(keys) if key not in self._columns]
+        if not new:
+            return
+        first = len(self._filters)
+        for key in new:
+            self._columns[key] = len(self._filters)
+            self._filters.append(key)
+        self._matches.clear()
+        seg = np.zeros(self._seg.shape[:2] + (len(self._filters),), dtype=np.int64)
+        seg[:, :, :first] = self._seg
+        self._set_seg(seg)
+        self._lay_out(range(first, len(self._filters)), range(self.num_nodes))
+
+    def _columns_of(self, entry: Tuple[int, int, float, int]) -> Tuple[int, ...]:
+        """The columns whose filter admits adjacency entry ``entry``."""
+        key = (entry[1], self._node_types[entry[0]])
+        cols = self._matches.get(key)
+        if cols is None:
+            cols = tuple(
+                f for f, (rel_ids, type_id) in enumerate(self._filters)
+                if key[0] in rel_ids and key[1] == type_id
+            )
+            self._matches[key] = cols
+        return cols
+
+    def _lay_out(self, columns: Sequence[int], nodes: Sequence[int]) -> None:
+        """Write the segments of ``nodes`` in ``columns`` afresh from their
+        adjacency lists, each in a fresh region twice its length."""
+        lists = [self._adj[node] for node in nodes]
+        owner = np.repeat(np.arange(len(lists)), [len(lst) for lst in lists])
+        entries = list(chain.from_iterable(lists))
+        values = [
+            np.fromiter(map(itemgetter(k), entries), dtype=dtype, count=len(entries))
+            for k, dtype in enumerate((np.int64, np.int64, np.float64))
+        ]
+        far_type = self.node_type_ids()[values[0]]
+        for f in columns:
+            rel_ids, type_id = self._filters[f]
+            admitted = np.isin(values[1], list(rel_ids)) & (far_type == type_id)
+            length = np.bincount(owner[admitted], minlength=len(lists))
+            region = _regions(length)
+            base = self._reserve(int(region.sum())) + np.cumsum(region) - region
+            slots = _slots(base, length)
+            for array, column in zip(self._pool, values):
+                array[slots] = column[admitted]
+            self._seg[:, nodes, f] = (base, length, base + region)
+
+    def _move(self, node: int, f: int, n: int) -> int:
+        """Move a full segment to a fresh region twice its length at the
+        pool's end; returns its new start."""
+        size = max(_MIN_REGION, 2 * n)
+        base = self._reserve(size)
+        seg = self._seg_mv
+        start = seg[0, node, f]  # after any compaction
+        for array in self._pool:
+            array[base : base + n] = array[start : start + n]
+        seg[0, node, f] = base
+        seg[2, node, f] = base + size
+        return base
+
+    def _reserve(self, size: int) -> int:
+        """The first of ``size`` fresh pool slots.  A full pool is
+        compacted into a new buffer twice the size it then needs: each
+        segment keeps its entries and a region twice their number."""
+        if self._pool_used + size > self._pool[0].size:
+            seg = self._seg[:, : self.num_nodes]
+            start, length = seg[0].ravel(), seg[1].ravel()
+            region = _regions(length)
+            base = np.cumsum(region) - region
+            used = int(region.sum())
+            pool = self._new_pool(2 * (used + size))
+            dest, source = _slots(base, length), _slots(start, length)
+            for new, old in zip(pool, self._pool):
+                new[dest] = old[source]
+            seg[0] = base.reshape(seg[0].shape)
+            seg[2] = (base + region).reshape(seg[0].shape)
+            self._set_pool(pool)
+            self._pool_used = used
+        base = self._pool_used
+        self._pool_used += size
+        return base
+
+    @staticmethod
+    def _new_pool(size: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (
+            np.empty(size, dtype=np.int64),
+            np.empty(size, dtype=np.int64),
+            np.empty(size, dtype=np.float64),
+        )
+
+    def hop_index(self, filters: Sequence[tuple]) -> Tuple[np.ndarray, HopIndex]:
+        """The index columns of hop ``filters`` (``(rel_ids, type_id)``
+        pairs, each built on first use) and read-only views of the index,
+        valid until the graph next changes."""
+        self._add_columns(filters)
+        columns = np.asarray([self._columns[key] for key in filters], dtype=np.int64)
+        num_nodes = self.num_nodes
+        index = HopIndex(
+            self._seg[0, :num_nodes],
+            self._seg[1, :num_nodes],
+            *(array[: self._pool_used] for array in self._pool),
+        )
+        for array in index:
+            array.flags.writeable = False
+        return columns, index
 
     @property
     def num_edges(self) -> int:
@@ -217,30 +412,21 @@ class DMHG:
 
         ``(others, rels, times)`` as int64 / int64 / float64 arrays, in
         adjacency (insertion) order, of the traversable edges whose type
-        is in ``rel_ids`` and whose far end has node type ``type_id``.
-        Answers are memoised per node and dropped whenever that node's
-        adjacency list changes; they read nothing else that can change,
-        so a memoised answer is never stale.  The arrays are read-only:
-        every caller shares them.
+        is in ``rel_ids`` and whose far end has node type ``type_id``:
+        read-only views of ``node``'s segment in the hop-filter index
+        (module docstring), which never change.
         """
-        memo = self._memo[node]
+        self._check_node(node)
         key = (rel_ids, type_id)
-        hit = memo.get(key)
-        if hit is None:
-            node_types = self._node_types
-            entries = [
-                e for e in self._adj[node]
-                if e[1] in rel_ids and node_types[e[0]] == type_id
-            ]
-            hit = (
-                np.asarray([e[0] for e in entries], dtype=np.int64),
-                np.asarray([e[1] for e in entries], dtype=np.int64),
-                np.asarray([e[2] for e in entries], dtype=np.float64),
-            )
-            for array in hit:
-                array.flags.writeable = False
-            memo[key] = hit
-        return hit
+        if key not in self._columns:
+            self._add_columns([key])
+        f = self._columns[key]
+        start = self._seg_mv[0, node, f]
+        stop = start + self._seg_mv[1, node, f]
+        answer = tuple(array[start:stop] for array in self._pool)
+        for array in answer:
+            array.flags.writeable = False
+        return answer
 
     def degree(self, node: int) -> int:
         """Number of live incident edges of ``node`` (before the recency cap)."""

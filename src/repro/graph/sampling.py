@@ -126,8 +126,8 @@ class HopFilters(NamedTuple):
 
     Option ``o`` of node type ``t`` (``compiled.for_type(t)[o]``) is row
     ``option_base[t] + o`` of ``table``; ``filters[table[row, h]]`` is the
-    ``(rel_ids, next_type_id)`` pair its hop ``h`` (0-based) hands
-    :meth:`DMHG.candidates`.  Equal pairs share one id.
+    ``(rel_ids, next_type_id)`` hop filter of its hop ``h`` (0-based), a
+    column of :meth:`DMHG.hop_index`.  Equal pairs share one id.
     """
 
     #: ``(T,)`` row of each node type's first option
@@ -265,8 +265,6 @@ class PassWalks(NamedTuple):
     sides: np.ndarray
     #: ``(B,)`` hops per edge
     hop_counts: np.ndarray
-    #: distinct ``(node, hop filter)`` candidate lookups the pass made
-    lookups: int
 
 
 def sample_pass_walks(
@@ -289,10 +287,10 @@ def sample_pass_walks(
     1``); slots a walk does not reach are never read.
 
     The graph is static for the pass, so every live walk advances
-    together: per hop, the walks are grouped by ``(current node, hop
-    filter id)`` (:meth:`CompiledMetapathSet.hop_filters`),
-    :meth:`DMHG.candidates` is asked once per group, and each walk picks
-    ``offset[group] + int(u * n)`` in the concatenated answers.
+    together, one hop level at a time, by gathers from the graph's
+    hop-filter index (:meth:`DMHG.hop_index`): a walk at ``node`` on hop
+    filter column ``f`` has ``n = length[node, f]`` candidates and takes
+    pool slot ``start[node, f] + int(u * n)``.
     """
     batch = uv.shape[0]
     if uniforms is None:
@@ -300,7 +298,9 @@ def sample_pass_walks(
     num_walks, length = uniforms.shape[2:]
     hops = length - 1
     table = compiled.hop_filters(hops)
-    num_filters = len(table.filters)
+    columns, index = graph.hop_index(table.filters)
+    # the index column of each option's hop
+    column_of = columns[table.table]
     # walk ``(b, side, w)`` is row ``(2b + side) * k + w``
     draws = uniforms.reshape(-1, length)
     types = np.repeat(start_types.reshape(-1), num_walks)
@@ -312,28 +312,19 @@ def sample_pass_walks(
     hop_times = np.empty((draws.shape[0], hops), dtype=np.float64)
     live = np.flatnonzero(count > 0)
     current = np.repeat(uv.reshape(-1), num_walks)[live]
-    lookups = 0
     for h in range(hops):
         if not live.size:
             break
-        keys = current * num_filters + table.table[option[live], h]
-        groups, inverse = np.unique(keys, return_inverse=True)
-        lookups += groups.size
-        nodes_of, filters_of = np.divmod(groups, num_filters)
-        answers = [
-            graph.candidates(node, *table.filters[f])
-            for node, f in zip(nodes_of.tolist(), filters_of.tolist())
-        ]
-        sizes = np.asarray([a[0].size for a in answers], dtype=np.int64)
-        n = sizes[inverse]
+        f = column_of[option[live], h]
+        n = index.length[current, f]
         moving = n > 0
         live, n = live[moving], n[moving]
-        first = np.cumsum(sizes) - sizes
-        pick = first[inverse[moving]] + (draws[live, h + 1] * n).astype(np.int64)
-        current = np.concatenate([a[0] for a in answers])[pick]
+        pick = index.start[current[moving], f[moving]]
+        pick += (draws[live, h + 1] * n).astype(np.int64)
+        current = index.others[pick]
         hop_nodes[live, h] = current
-        hop_rels[live, h] = np.concatenate([a[1] for a in answers])[pick]
-        hop_times[live, h] = np.concatenate([a[2] for a in answers])[pick]
+        hop_rels[live, h] = index.rels[pick]
+        hop_times[live, h] = index.times[pick]
         taken[live] += 1
     reached = np.arange(hops) < taken[:, None]
     kept = taken > 0
@@ -347,7 +338,6 @@ def sample_pass_walks(
         offsets=offsets,
         sides=sides[kept],
         hop_counts=taken.reshape(batch, 2 * num_walks).sum(axis=1),
-        lookups=lookups,
     )
 
 

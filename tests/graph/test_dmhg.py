@@ -145,6 +145,14 @@ class TestNeighbors:
             zip(others.tolist(), rels.tolist(), times.tolist())
         )
 
+    @pytest.mark.parametrize("node", [-1, 10])
+    def test_candidates_refuse_out_of_range_nodes(self, small_graph, node):
+        """A negative id must not wrap to the last node's answer."""
+        with pytest.raises(IndexError, match=f"node {node} out of range"):
+            small_graph.candidates(node, frozenset({0}), 1)
+        with pytest.raises(IndexError, match=f"node {node} out of range"):
+            small_graph.neighbors(node)
+
 
 class TestRecencyCap:
     def test_cap_drops_oldest(self, schema):

@@ -1,11 +1,12 @@
-"""The plan sampler's per-pass draw contract and the candidate memo.
+"""The plan sampler's per-pass draw contract and the hop-filter index.
 
 :func:`sample_pass_walks` feeds the batched engine; given the same
 uniforms it must walk exactly what the per-edge
 :func:`sample_influenced_graph_compiled` walks, a compiled pass must
 consume the model RNG exactly as the two documented draws do (DESIGN.md
-§9 rule 2), and the memo behind :meth:`DMHG.candidates` must answer
-repeats without going stale when the graph mutates.
+§9 rule 2), and the index behind :meth:`DMHG.hop_index` and
+:meth:`DMHG.candidates` must hold still over an unchanged graph and
+follow every insert.
 """
 
 import numpy as np
@@ -120,16 +121,16 @@ class TestPlanSampler:
         assert plan.sides.size == 0
         assert plan.hop_counts.tolist() == [0]
 
-    def test_one_lookup_per_distinct_node_and_filter(self, small_graph, compiled):
-        """Four edges from one user ask the memo once per hop level for
-        the user, where the per-edge sampler asks once per walk."""
+    def test_pass_gathers_without_lookups(self, small_graph, compiled):
+        """Four edges from one user walk by gathers from the index: no
+        :meth:`DMHG.candidates` call, and every walk takes its hop."""
         calls = []
         candidates = small_graph.candidates
         small_graph.candidates = lambda *key: calls.append(key) or candidates(*key)
         uniforms = np.random.default_rng(0).random((4, 2, 4, 2))
         walks = _pass_walks(small_graph, [(0, 5)] * 4, compiled, uniforms)
         # hop 1 only: user 0 (one filter); videos head no metapath
-        assert walks.lookups == len(calls) == 1
+        assert calls == []
         assert walks.hop_counts.tolist() == [4] * 4
 
 
@@ -192,12 +193,10 @@ def test_pass_walks_match_the_per_edge_oracle(
     candidates = graph.candidates
     graph.candidates = lambda *key: calls.append(key) or candidates(*key)
     expected = _oracle_walks(graph, uv.tolist(), compiled, uniforms)
-    oracle_calls = len(calls)
     # steer towards passes where many picks have a real choice
     target(float(sum(candidates(*key)[0].size > 1 for key in calls)))
     walks = _pass_walks(graph, uv, compiled, uniforms)
     _assert_same_walks(walks, expected)
-    assert walks.lookups == len(calls) - oracle_calls <= oracle_calls
 
 
 # ------------------------------------------------------- the per-pass draws
@@ -251,7 +250,7 @@ class TestPassDraws:
 
 
 def _copy(graph):
-    """The same nodes and edges in a fresh graph (an empty memo)."""
+    """The same nodes and edges in a fresh graph (an index built afresh)."""
     g = DMHG(graph.schema, max_neighbors=graph.max_neighbors)
     for node in range(graph.num_nodes):
         g.add_node(graph.node_type(node))
@@ -260,36 +259,57 @@ def _copy(graph):
     return g
 
 
+def _segments(graph, compiled):
+    """Every ``(node, hop filter)`` segment of ``compiled``'s filters, as
+    the bytes of its start, length and pool entries."""
+    filters = compiled.hop_filters(3).filters
+    columns, index = graph.hop_index(filters)
+    out = [index.start.tobytes(), index.length.tobytes()]
+    for node in range(graph.num_nodes):
+        for f in columns.tolist():
+            start, n = index.start[node, f], index.length[node, f]
+            out += [a[start : start + n].tobytes() for a in index[2:]]
+    return out
+
+
 class TestCandidateMemo:
+    """The hop-filter index that answers :meth:`DMHG.candidates` and the
+    pass sampler's gathers."""
+
     def test_repeat_queries_hit(self, small_graph, compiled):
-        """A replay over an unchanged graph reuses every memoised array."""
+        """Passes over an unchanged graph read the same segment bytes and
+        write nothing to the index."""
         _plan(small_graph, compiled, seed=1)
-        first = [dict(memo) for memo in small_graph._memo]
-        assert any(first)
+        first = _segments(small_graph, compiled)
+        assert any(first[2:])
         _plan(small_graph, compiled, seed=1)
-        for before, after in zip(first, small_graph._memo):
-            assert after.keys() == before.keys()
-            assert all(after[key] is arrays for key, arrays in before.items())
+        _plan(small_graph, compiled, seed=2)
+        assert _segments(small_graph, compiled) == first
 
     def test_mutation_invalidates(self, small_graph, compiled):
         _plan(small_graph, compiled, seed=1)
         small_graph.add_edge(0, 9, "click", 10.0)
-        # Post-mutation, memoised answers must match a fresh graph's.
+        # After an insert, the kept index must walk as a fresh graph's does.
         warm = _plan(small_graph, compiled, seed=2)
         fresh = _plan(_copy(small_graph), compiled, seed=2)
         for name in _ARRAYS:
             assert getattr(warm, name).tobytes() == getattr(fresh, name).tobytes()
 
     def test_candidates_reflect_new_edge(self, small_graph):
+        """An insert appends to the segment, and an answer handed out
+        before it keeps its bytes."""
         every_rel = frozenset(range(len(small_graph.schema.edge_types)))
-        before = small_graph.candidates(0, every_rel, 1)[0].tolist()
-        assert small_graph.candidates(0, every_rel, 1)[0].tolist() == before
+        held = small_graph.candidates(0, every_rel, 1)
+        before = [array.tolist() for array in held]
+        assert small_graph.candidates(0, every_rel, 1)[0].tolist() == before[0]
         small_graph.add_edge(0, 9, "click", 10.0)
-        assert small_graph.candidates(0, every_rel, 1)[0].tolist() == before + [9]
+        assert small_graph.candidates(0, every_rel, 1)[0].tolist() == before[0] + [9]
+        assert [array.tolist() for array in held] == before
 
-    def test_memoised_arrays_are_read_only(self, small_graph):
-        """Every walker shares the memo's arrays, so none may write them."""
+    def test_index_views_are_read_only(self, small_graph, compiled):
+        """Every walker shares the index's arrays, so none may write them."""
         every_rel = frozenset(range(len(small_graph.schema.edge_types)))
-        for array in small_graph.candidates(0, every_rel, 1):
+        _, index = small_graph.hop_index(compiled.hop_filters(3).filters)
+        for array in (*small_graph.candidates(0, every_rel, 1), *index):
             with pytest.raises(ValueError):
                 array[0] = array[0]
