@@ -108,6 +108,11 @@ class DMHG:
             i: [] for i in range(schema.num_node_types)
         }
         self._type_pools: Dict[int, np.ndarray] = {}
+        #: rel id → its ``(source, target)`` type ids, where declared
+        self._rel_ends: Dict[int, Tuple[int, int]] = {
+            schema.edge_type_id(rel): (schema.node_type_id(s), schema.node_type_id(d))
+            for rel, (s, d) in schema.endpoints.items()
+        }
         #: per node, its traversable incident edges as
         #: ``(other, rel, t, index)`` in insertion order
         self._adj: List[List[Tuple[int, int, float, int]]] = []
@@ -131,7 +136,7 @@ class DMHG:
         self._num_alive_edges = 0
         #: per node, its latest interaction time (``-inf`` if none); a
         #: growable buffer whose first ``num_nodes`` entries are live
-        self._last_time = np.empty(0, dtype=np.float64)
+        self._set_last_time(np.empty(0, dtype=np.float64))
         self._degree: List[int] = []
 
     # ------------------------------------------------------------------ nodes
@@ -147,7 +152,7 @@ class DMHG:
         if node == self._last_time.size:
             grown = np.full(max(16, 2 * node), -np.inf)
             grown[:node] = self._last_time
-            self._last_time = grown
+            self._set_last_time(grown)
             seg = np.zeros((3, grown.size, len(self._filters)), dtype=np.int64)
             seg[:, :node] = self._seg
             self._set_seg(seg)
@@ -196,24 +201,28 @@ class DMHG:
         self._check_node(u)
         self._check_node(v)
         rel = self.schema.edge_type_id(edge_type)
-        if edge_type in self.schema.endpoints:
+        ends = self._rel_ends.get(rel)
+        if ends is not None and (
+            self._node_types[u] != ends[0] or self._node_types[v] != ends[1]
+        ):
             src_type, dst_type = self.schema.endpoints_of(edge_type)
-            if self.node_type(u) != src_type or self.node_type(v) != dst_type:
-                raise ValueError(
-                    f"edge type {edge_type!r} connects {src_type}->{dst_type}, "
-                    f"got {self.node_type(u)}->{self.node_type(v)}"
-                )
+            raise ValueError(
+                f"edge type {edge_type!r} connects {src_type}->{dst_type}, "
+                f"got {self.node_type(u)}->{self.node_type(v)}"
+            )
+        t = float(t)
         index = len(self._edge_u)
         self._edge_u.append(u)
         self._edge_v.append(v)
         self._edge_rel.append(rel)
-        self._edge_t.append(float(t))
+        self._edge_t.append(t)
         self._edge_alive.append(True)
         self._num_alive_edges += 1
-        self._append_adj(u, (v, rel, float(t), index))
-        self._append_adj(v, (u, rel, float(t), index))
-        self._last_time[u] = max(self._last_time[u], float(t))
-        self._last_time[v] = max(self._last_time[v], float(t))
+        self._append_adj(u, (v, rel, t, index))
+        self._append_adj(v, (u, rel, t, index))
+        last = self._last_time_mv  # Python floats, no numpy scalar
+        last[u] = max(last[u], t)
+        last[v] = max(last[v], t)
         self._degree[u] += 1
         self._degree[v] += 1
         return index
@@ -256,6 +265,9 @@ class DMHG:
             seg[1, node, f] = n + 1
 
     # -------------------------------------------------------- hop-filter index
+
+    def _set_last_time(self, last_time: np.ndarray) -> None:
+        self._last_time, self._last_time_mv = last_time, memoryview(last_time)
 
     def _set_seg(self, seg: np.ndarray) -> None:
         self._seg, self._seg_mv = seg, memoryview(seg)

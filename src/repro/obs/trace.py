@@ -105,12 +105,13 @@ class SpanNode:
 class _Span:
     """Live context manager for one :meth:`Tracer.span` entry."""
 
-    __slots__ = ("_stack", "_node", "_start")
+    __slots__ = ("_stack", "_node", "_start", "_lock")
 
-    def __init__(self, stack: List[SpanNode], node: SpanNode):
+    def __init__(self, stack: List[SpanNode], node: SpanNode, lock: threading.Lock):
         self._stack = stack
         self._node = node
         self._start = 0.0
+        self._lock = lock
 
     def __enter__(self) -> SpanNode:
         self._start = time.perf_counter()
@@ -119,8 +120,9 @@ class _Span:
     def __exit__(self, *exc_info) -> None:
         elapsed = time.perf_counter() - self._start
         node = self._node
-        node.count += 1
-        node.total_seconds += elapsed
+        with self._lock:
+            node.count += 1
+            node.total_seconds += elapsed
         # Exception-safe unwind: the stack entry is removed even when the
         # body raised, so the tracer stays usable afterwards.
         stack = self._stack
@@ -155,6 +157,9 @@ class Tracer:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.root = SpanNode("root")
         self._local = threading.local()
+        # Guards every SpanNode's count / total / attrs: threads share
+        # the tree, so same-named spans update one node.
+        self._lock = threading.Lock()
 
     def _stack(self) -> List[SpanNode]:
         """The calling thread's open spans, from the shared root up."""
@@ -167,9 +172,10 @@ class Tracer:
         stack = self._stack()
         node = stack[-1].child(name)
         if attrs:
-            node.merge_attrs(attrs)
+            with self._lock:
+                node.merge_attrs(attrs)
         stack.append(node)
-        return _Span(stack, node)
+        return _Span(stack, node, self._lock)
 
     def wrap(self, name: str, fn):
         """Wrap ``fn`` so every call is recorded as span ``name``.

@@ -19,10 +19,11 @@ on disk) expose the bound.
 Promotion (:meth:`promote`) is the failover state machine's last step:
 drain the shipped log to its end, *inherit* it — the log file is
 copied into the replica's own directory so the new timeline keeps the
-full decision history — flip the service writable, restore the
-surviving FIFO residue, and checkpoint immediately so the promoted
-node is recoverable from its own state from the first post-promotion
-event.
+full decision history — attach its WAL and checkpoints the way
+:func:`~repro.resilience.recovery.recover` does, flip the service
+writable, restore the surviving FIFO residue, and checkpoint
+immediately so the promoted node is recoverable from its own state
+from the first post-promotion event.
 
 Threading: one driver thread calls ``bootstrap``/``poll``/``promote``;
 the internal lock makes the replication position and lag observables
@@ -88,8 +89,9 @@ class ReplicationFollower:
         be passed to :meth:`promote` directly.
     serve_config / model_config / train_config:
         Must match the primary's — replay re-derives state, it does not
-        ship hyper-parameters.  The follower forces ``read_only=True``
-        and drops the WAL and checkpoint directory until promotion;
+        ship hyper-parameters.  The follower forces ``read_only=True``;
+        like every catch-up, its service has no WAL and no checkpoints
+        until :meth:`promote` attaches its own, and
         ``serve_config.checkpoint_every`` is the promoted replica's
         checkpoint cadence.
     clock:
@@ -114,14 +116,7 @@ class ReplicationFollower:
         self._model_config = model_config
         self._train_config = train_config
         self._clock = clock if clock is not None else time.monotonic
-        # the primary's log is this replica's durability until promotion;
-        # with no checkpoint_dir the cadence waits for promote()
-        self._serve_config = replace(
-            serve_config or ServeConfig(),
-            read_only=True,
-            wal_path=None,
-            checkpoint_dir=None,
-        )
+        self._serve_config = replace(serve_config or ServeConfig(), read_only=True)
         self.service: Optional[RecommendationService] = None
         self.tailer: Optional[WalTailer] = None
         # Guards the replication position (applied seq, the mirrored
@@ -192,10 +187,14 @@ class ReplicationFollower:
 
         Applies every complete record the tailer returns — a torn tail
         at the shipped log's EOF simply stays pending for the next
-        poll.  Updates the lag gauges afterwards.
+        poll.  Updates the lag gauges afterwards.  A promoted follower
+        is the writer: its state comes from its own log, so it polls no
+        other.
         """
         if self.tailer is None:
             raise ReplicationError("call bootstrap() before poll()")
+        if self.state == PROMOTED:
+            raise ReplicationError("a promoted follower polls no log")
         records = self.tailer.poll(max_records=max_records)
         with self._lock:
             self._lag_records = len(records)
@@ -308,7 +307,7 @@ class ReplicationFollower:
             shutil.copyfile(shipped_wal, own_wal)
 
         service = self.service
-        service.attach_durability(own_wal, checkpoint_dir=checkpoint_dir(target))
+        service.attach_durability(own_wal, checkpoint_dir(target))
         with self._lock:
             log = self._log
             applied_seq = self._last_seq_applied

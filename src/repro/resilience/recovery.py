@@ -4,8 +4,10 @@
 whose learned state is **bitwise identical** to the writer's at its last
 journaled decision — the same golden-parity discipline as
 ``tests/core/test_engine_parity.py``.  :func:`recover` (crash recovery)
-and a replication follower's bootstrap are its two callers.  The
-argument, step by step:
+and a replication follower's bootstrap are its two callers; both make
+the bare service it returns durable with one ``attach_durability`` call
+(``recover()`` at once, a follower on promotion).  The argument, step
+by step:
 
 1. The WAL (:mod:`repro.resilience.wal`) is the queue's decision log:
    ``accept``/``evict``/``batch`` records written *before* each state
@@ -192,13 +194,15 @@ def catch_up(
     model_config: Optional[SUPAConfig] = None,
     train_config: Optional[InsLearnConfig] = None,
 ) -> RecoveryResult:
-    """The one catch-up: newest checkpoint + log → a running service.
+    """The one catch-up: newest checkpoint + log → a bare service.
 
     ``records`` is the log from seq 1, read once: batches cut up to the
     checkpoint's seq are only observed (the checkpoint holds their
     learning), later ones retrain through ``apply_recovered_batch``.  A
     checkpoint newer than the log is refused — no history produces that
-    state.  Handing the queue over, or mirroring it, is the caller's job.
+    state.  The service has no WAL and no checkpoints, whatever
+    ``serve_config`` sets, so replay can neither journal nor checkpoint;
+    attaching them and handing the queue over is the caller's job.
     """
     checkpoints = CheckpointManager(checkpoint_dir)
     ckpt = checkpoints.latest()
@@ -224,9 +228,8 @@ def catch_up(
         )
     if prefix is None:  # the log ends at the checkpoint
         prefix = state
-    service = restore_service(
-        dataset, serve_config, ckpt, prefix, model_config, train_config
-    )
+    bare = replace(serve_config, wal_path=None, checkpoint_dir=None)
+    service = restore_service(dataset, bare, ckpt, prefix, model_config, train_config)
     for chunk in suffix_batches:
         service.apply_recovered_batch(EdgeStream(chunk))
     state.trained = []
@@ -249,7 +252,8 @@ def recover(
     train_config: Optional[InsLearnConfig] = None,
 ) -> RecoveryResult:
     """Rebuild the service from ``serve_config``'s WAL + checkpoints:
-    :func:`catch_up` over the log, then hand the queue over.
+    :func:`catch_up` over the log, then attach durability and hand the
+    queue over, as a follower's promotion does.
 
     ``model_config`` / ``train_config`` must match the crashed process's
     (recovery re-derives, it does not store hyper-parameters); omitted
@@ -268,14 +272,16 @@ def recover(
         status = scan(serve_config.wal_path)
         result = catch_up(
             dataset,
-            replace(serve_config, wal_path=None),
+            serve_config,
             serve_config.checkpoint_dir,
             status.records,
             model_config,
             train_config,
         )
         service = result.service
-        service.attach_durability(serve_config.wal_path, recovered=status)
+        service.attach_durability(
+            serve_config.wal_path, serve_config.checkpoint_dir, recovered=status
+        )
         result.log.hand_over(service)
         service.metrics.counter("recovery.replayed_events").inc(
             result.replayed_events

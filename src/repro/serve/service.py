@@ -283,7 +283,6 @@ class RecommendationService:
             ("cache.misses", lambda: index.misses),
             ("cache.invalidated", lambda: index.invalidations),
             ("cache.evictions", lambda: index.evictions),
-            ("store.compactions", lambda: store.compactions),
         ):
             metrics.counter(name, source=source)
         for key in ("admitted", "throttled", "shed", "escalations"):
@@ -444,7 +443,7 @@ class RecommendationService:
 
     # ----------------------------------------------------------------- updates
 
-    def _apply_batch(self, batch: EdgeStream, checkpoint: bool = True) -> None:
+    def _apply_batch(self, batch: EdgeStream) -> None:
         """One background InsLearn step + atomic snapshot publication.
 
         A failing update never poisons the ingest path: the batch is
@@ -452,7 +451,6 @@ class RecommendationService:
         counted, and after ``BREAKER_THRESHOLD`` consecutive failures
         the circuit breaker opens — dispatch pauses and the service
         degrades to bounded-stale reads until a cooldown probe.
-        ``checkpoint=False`` (WAL replay) skips the auto-checkpoint.
         """
         with self._state_lock:
             self._update_in_flight = True
@@ -469,8 +467,7 @@ class RecommendationService:
             with self._state_lock:
                 self._updates_applied += 1
                 self._consecutive_update_failures = 0
-            if checkpoint:
-                self._maybe_checkpoint()
+            self._maybe_checkpoint()
         finally:
             with self._state_lock:
                 self._update_in_flight = False
@@ -558,16 +555,12 @@ class RecommendationService:
             self._read_only = False
 
     def attach_durability(
-        self,
-        wal_path: str,
-        checkpoint_dir: Optional[str] = None,
-        recovered=None,
+        self, wal_path: str, checkpoint_dir: str, recovered=None
     ) -> None:
-        """Wire a WAL (and optionally checkpoints) into a running service.
+        """Wire a WAL and checkpoints into the bare service
+        :func:`~repro.resilience.recovery.catch_up` returns.
 
-        Two callers: promotion — a follower runs with journaling off,
-        the primary's log is its source of truth, and it gains
-        durability of its own only on becoming the writer — and
+        Two callers, one call each: promotion, and
         :func:`~repro.resilience.recovery.recover`, which passes the
         :func:`~repro.resilience.wal.scan` it replayed as ``recovered``
         so the log opens (and repairs its torn tail) from that walk
@@ -579,11 +572,11 @@ class RecommendationService:
             raise ValueError("service already has a write-ahead log")
         # on a copy: the caller's ServeConfig may build other services,
         # and one journal must never gain a second writer
-        self.config = replace(self.config, wal_path=wal_path)
+        self.config = replace(
+            self.config, wal_path=wal_path, checkpoint_dir=checkpoint_dir
+        )
         self._open_wal(recovered)
-        if checkpoint_dir is not None:
-            self.config.checkpoint_dir = checkpoint_dir
-            self._open_checkpoints()
+        self._open_checkpoints()
         self.queue.set_journal(self.wal)
 
     def _open_wal(self, recovered=None) -> None:
@@ -661,11 +654,12 @@ class RecommendationService:
         """Re-run one journaled micro-batch during WAL replay.
 
         The batch bypasses the queue, so nothing is journaled — the
-        record being replayed already exists in the log — and the
-        auto-checkpoint is off: checkpointing against a mid-replay WAL
-        position would corrupt the sequence.
+        record being replayed already exists in the log — and a
+        replaying service has no checkpoints until
+        :meth:`attach_durability`, so none is taken at a mid-replay WAL
+        position.  The benchmark spine's probes bind this name.
         """
-        self._apply_batch(batch, checkpoint=False)
+        self._apply_batch(batch)
 
     def close(self) -> None:
         """Release pooled resources (idempotent): the dispatcher thread

@@ -21,15 +21,6 @@ consistency from block-granular copy-on-write:
 Blocks untouched by an update are shared structurally between
 consecutive snapshots, so a publish that touches ``m`` rows costs
 ``O(ceil(m / block) * block * dim)`` — not ``O(num_rows * dim)``.
-
-After many partial publishes the live snapshot's blocks are small
-arrays allocated across many update generations, which scatters the
-table over the heap.  :meth:`VersionedEmbeddingStore.compact` rebuilds
-the current version into one contiguous backing matrix (blocks become
-views into it), restoring locality for blockwise scoring; passing
-``compact_every=N`` runs it automatically every ``N`` publishes.
-Compaction is content-preserving — the version number does not change
-and already-pinned snapshots are untouched.
 """
 
 from __future__ import annotations
@@ -44,8 +35,6 @@ from repro.core.updater import final_embedding_rows
 
 #: Rows per copy-on-write block.
 BLOCK_SIZE = 256
-#: Publishes between automatic compactions of the live snapshot.
-COMPACT_EVERY = 64
 
 
 def _runs(block_ids: np.ndarray) -> List[Tuple[int, int]]:
@@ -144,29 +133,16 @@ class VersionedEmbeddingStore:
     block_size:
         Rows per copy-on-write block.  Smaller blocks copy less per
         update but cost more gather overhead per read.
-    compact_every:
-        Automatically :meth:`compact` after every this many publishes;
-        0 disables automatic compaction.
     """
 
-    def __init__(
-        self,
-        initial: np.ndarray,
-        block_size: int = BLOCK_SIZE,
-        compact_every: int = COMPACT_EVERY,
-    ):
+    def __init__(self, initial: np.ndarray, block_size: int = BLOCK_SIZE):
         initial = np.asarray(initial, dtype=np.float64)
         if initial.ndim != 2:
             raise ValueError(f"expected a 2-D matrix, got shape {initial.shape}")
         if block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {block_size}")
-        if compact_every < 0:
-            raise ValueError(f"compact_every must be >= 0, got {compact_every}")
         self.num_rows, self.dim = initial.shape
         self._block_size = block_size
-        self.compact_every = int(compact_every)
-        self.compactions = 0
-        self._publishes_since_compact = 0
         self._lock = threading.Lock()
         blocks = tuple(
             _freeze(initial[lo : lo + block_size].copy())
@@ -224,9 +200,6 @@ class VersionedEmbeddingStore:
                 blocks[b] = _freeze(writable)
             new = Snapshot(old.version + 1, tuple(blocks), self._block_size, self.num_rows)
             self._current = new
-            self._publishes_since_compact += 1
-            if self.compact_every and self._publishes_since_compact >= self.compact_every:
-                new = self._compact_locked()
             return new
 
     def publish_parts(
@@ -250,32 +223,6 @@ class VersionedEmbeddingStore:
             axis=0,
         )
         return self.publish(rows, values)
-
-    def _compact_locked(self) -> Snapshot:
-        """Rebuild the current snapshot over one contiguous buffer.
-
-        Caller must hold ``self._lock``.  Content and version are
-        preserved; only the backing memory layout changes.
-        """
-        old = self._current
-        matrix = _freeze(old.matrix())
-        blocks = tuple(
-            matrix[lo : lo + self._block_size]
-            for lo in range(0, self.num_rows, self._block_size)
-        )
-        self._current = Snapshot(old.version, blocks, self._block_size, self.num_rows)
-        self.compactions += 1
-        self._publishes_since_compact = 0
-        return self._current
-
-    def compact(self) -> Snapshot:
-        """Defragment the live snapshot into one contiguous allocation.
-
-        Readers holding older snapshots are unaffected; the returned
-        snapshot has the same version and content as the current one.
-        """
-        with self._lock:
-            return self._compact_locked()
 
 
 class DecayedSnapshot:
@@ -381,6 +328,11 @@ class DecayedEmbeddingStore:
     shared between consecutive snapshots.
     """
 
+    #: The store never compacts.  Kept at 0 only because the traced pass
+    #: of ``benchmarks/spine/worker.py`` reads ``service.store.compactions``;
+    #: it goes with ROADMAP item 1's metrics that measure nothing.
+    compactions = 0
+
     def __init__(
         self,
         components: np.ndarray,
@@ -390,7 +342,6 @@ class DecayedEmbeddingStore:
         config: SUPAConfig,
         clock: float = 0.0,
         block_size: int = BLOCK_SIZE,
-        compact_every: int = COMPACT_EVERY,
     ):
         components = np.asarray(components, dtype=np.float64)
         if components.ndim != 2 or components.shape[1] % 3:
@@ -398,9 +349,7 @@ class DecayedEmbeddingStore:
                 "components must be (num_rows, 3 * dim), got shape "
                 f"{components.shape}"
             )
-        self._inner = VersionedEmbeddingStore(
-            components, block_size=block_size, compact_every=compact_every
-        )
+        self._inner = VersionedEmbeddingStore(components, block_size=block_size)
         self.num_rows = self._inner.num_rows
         self.dim = components.shape[1] // 3
         last_times = np.asarray(last_times, dtype=np.float64)
@@ -432,10 +381,6 @@ class DecayedEmbeddingStore:
     @property
     def block_size(self) -> int:
         return self._inner.block_size
-
-    @property
-    def compactions(self) -> int:
-        return self._inner.compactions
 
     def snapshot(self) -> DecayedSnapshot:
         """The latest published snapshot; holding it pins the version.
@@ -476,21 +421,6 @@ class DecayedEmbeddingStore:
                 clock,
                 new_last,
                 _freeze(np.asarray(alpha, dtype=np.float64).copy()),
-                self._slots,
-                self._config,
-            )
-            self._current = snap
-            return snap
-
-    def compact(self) -> DecayedSnapshot:
-        """Defragment the inner component store (content-preserving)."""
-        with self._lock:
-            old = self._current
-            snap = DecayedSnapshot(
-                self._inner.compact(),
-                old.clock,
-                old._last_times,
-                old._alpha,
                 self._slots,
                 self._config,
             )

@@ -131,6 +131,32 @@ class TestSpanTree:
             assert all(node is t.root.children[node.name] for node in nodes)
             assert not any(node.children for node in nodes)
 
+    def test_threads_sharing_a_span_lose_no_update(self):
+        """Threads (more than cores) record the same span name into one
+        node: every attribute sum and call count lands, none is
+        overwritten by a racing read-modify-write."""
+        t = Tracer()
+        workers, calls = 4, 25_000
+
+        def worker():
+            for _ in range(calls):
+                with t.span("x", n=1):
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        node = t.root.children["x"]
+        assert node.attrs["n"] == node.count == workers * calls
+
     def test_numeric_attrs_sum_others_keep_last(self):
         t = Tracer()
         with t.span("batch", edges=3, phase="warm", ok=True):

@@ -270,6 +270,25 @@ class TestPromote:
             follower.promote()  # already promoted
         follower.close()
 
+    def test_promoted_follower_refuses_to_poll(self, dataset, tmp_path):
+        """After promotion the old primary's later records must not reach
+        the new writer: they are in no log of its own, so its state (and
+        its next checkpoint) would match no history it could recover."""
+        primary = make_primary(dataset, tmp_path)
+        stream = list(dataset.stream)
+        for edge in stream[:40]:
+            primary.ingest(edge)
+        follower = make_follower(dataset, tmp_path).bootstrap()
+        follower.promote()
+        for edge in stream[40:80]:  # a primary that was not dead after all
+            primary.ingest(edge)
+        primary.close()
+        applied = follower.service.updates_applied
+        with pytest.raises(ReplicationError):
+            follower.poll()
+        assert follower.service.updates_applied == applied
+        follower.close()
+
     def test_promoted_replica_checkpoints_at_its_serve_cadence(self, dataset, tmp_path):
         primary = make_primary(dataset, tmp_path)
         stream = list(dataset.stream)

@@ -18,6 +18,7 @@ from repro.core.model import SUPA
 from repro.datasets.zoo import load_dataset
 from repro.resilience import recover, wal
 from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.recovery import catch_up
 from repro.resilience.wal import WriteAheadLog, scan
 from repro.serve.service import RecommendationService, ServeConfig
 
@@ -85,6 +86,28 @@ def test_recover_decodes_each_record_once(dataset, tmp_path, monkeypatch):
     assert result.replayed_batches > 0
     assert len(decoded) == len(records)
     result.service.close()
+
+
+def test_catch_up_returns_a_bare_service(dataset, tmp_path):
+    """Replay can neither journal nor checkpoint: the caught-up service
+    has no WAL and no checkpoint manager even when ``serve_config`` names
+    both, and the log and the checkpoints are left as they were."""
+    config = crash(dataset, str(tmp_path), 150, checkpoint_every=4)
+    on_disk = log_bytes(config.wal_path), os.listdir(config.checkpoint_dir)
+    result = catch_up(
+        dataset,
+        config,
+        config.checkpoint_dir,
+        scan(config.wal_path).records,
+        MODEL_CFG,
+        TRAIN_CFG,
+    )
+    service = result.service
+    assert result.replayed_batches > 0
+    assert service.wal is None and service.checkpoints is None
+    assert service.queue.pending == 0  # handing the queue over is the caller's
+    assert (log_bytes(config.wal_path), os.listdir(config.checkpoint_dir)) == on_disk
+    service.close()
 
 
 class TestTornTailThroughOneWalk:

@@ -18,6 +18,7 @@ from repro.serve.admission import AdmissionConfig
 from repro.serve.index import TopKIndex
 from repro.serve.ingest import OVERFLOW_POLICIES
 from repro.serve.service import ServeConfig
+from repro.serve.store import DecayedEmbeddingStore, VersionedEmbeddingStore
 
 
 def field_names(cls):
@@ -47,6 +48,17 @@ def test_supa_config_fields():
 def test_top_k_index_constructor():
     # SCORE_BLOCK fixes the gemv shape the served bits depend on: no knob
     assert list(inspect.signature(TopKIndex).parameters) == ["candidates", "cache_size"]
+
+
+def test_store_constructors():
+    # the layout is fixed: BLOCK_SIZE blocks, copy-on-write, no compaction
+    assert list(inspect.signature(VersionedEmbeddingStore).parameters) == [
+        "initial", "block_size",
+    ]
+    assert list(inspect.signature(DecayedEmbeddingStore).parameters) == [
+        "components", "last_times", "alpha", "alpha_slots", "config",
+        "clock", "block_size",
+    ]
 
 
 def test_admission_config_fields():

@@ -277,7 +277,6 @@ class TestSanitized:
             "cache.misses": index.misses,
             "cache.invalidated": index.invalidations,
             "cache.evictions": index.evictions,
-            "store.compactions": svc.store.compactions,
             "store.version": svc.store.version,
         }
         assert {name: value[name] for name in owners} == owners

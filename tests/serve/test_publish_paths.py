@@ -162,8 +162,8 @@ class TestDecayedServing:
         the touched component blocks, even though the clock advance
         moves every decayed embedding."""
         svc = make_service(small_dataset)
-        # the service's own store, re-cut into 1-row blocks that are
-        # never compacted, so block identity tracks row identity
+        # the service's own store, re-cut into 1-row blocks, so block
+        # identity tracks row identity
         seed = svc.store.snapshot()
         svc.store = DecayedEmbeddingStore(
             svc.store._inner.snapshot().matrix(),
@@ -173,7 +173,6 @@ class TestDecayedServing:
             config=svc.model.config,
             clock=seed.clock,
             block_size=1,
-            compact_every=0,
         )
         published = set()
         original = svc.store.publish

@@ -59,6 +59,17 @@ class TestPublish:
         assert new.block(2) is old.block(2)
         assert new.block(1) is not old.block(1)
 
+    def test_untouched_block_stays_shared_across_many_publishes(self):
+        """The layout never changes behind the readers' backs: a block no
+        publish touches is the seed's array however many publishes land."""
+        store, _ = make_store(n=8, block=4)
+        first = store.snapshot()
+        for i in range(100):
+            store.publish([i % 4], np.full((1, 4), float(i), dtype=np.float64))
+        newest = store.snapshot()
+        assert newest.version == 100
+        assert newest.block(1) is first.block(1)
+
     def test_blocks_are_read_only(self):
         store, _ = make_store()
         snap = store.snapshot()
@@ -126,62 +137,6 @@ class TestSnapshotReads:
         assert store.snapshot().row(0)[0] == 3.0
 
 
-class TestCompaction:
-    def test_compact_preserves_content_and_version(self):
-        rng = np.random.default_rng(0)
-        matrix = rng.normal(size=(23, 4))
-        store = VersionedEmbeddingStore(matrix, block_size=5)
-        store.publish([3, 17], np.ones((2, 4), dtype=np.float64))
-        before = store.snapshot()
-        after = store.compact()
-        assert after.version == before.version
-        np.testing.assert_array_equal(after.matrix(), before.matrix())
-        assert store.compactions == 1
-
-    def test_compact_backing_is_contiguous_and_frozen(self):
-        rng = np.random.default_rng(1)
-        store = VersionedEmbeddingStore(rng.normal(size=(12, 3)), block_size=4)
-        store.publish([0], np.zeros((1, 3), dtype=np.float64))
-        snap = store.compact()
-        base = snap.block(0).base
-        assert base is not None
-        for i in range(snap.num_blocks):
-            assert snap.block(i).base is base
-            assert not snap.block(i).flags.writeable
-
-    def test_compact_leaves_pinned_snapshots_untouched(self):
-        rng = np.random.default_rng(2)
-        matrix = rng.normal(size=(10, 2))
-        store = VersionedEmbeddingStore(matrix, block_size=3)
-        pinned = store.snapshot()
-        store.publish([4], np.full((1, 2), 9.0))
-        store.compact()
-        np.testing.assert_array_equal(pinned.matrix(), matrix)
-
-    def test_auto_compaction_every_n_publishes(self):
-        rng = np.random.default_rng(3)
-        store = VersionedEmbeddingStore(
-            rng.normal(size=(10, 2)), block_size=3, compact_every=3
-        )
-        for i in range(7):
-            store.publish([i % 10], np.zeros((1, 2), dtype=np.float64))
-        assert store.compactions == 2
-        assert store.version == 7  # compaction never bumps the version
-
-    def test_compact_every_validation(self):
-        with pytest.raises(ValueError):
-            VersionedEmbeddingStore(np.zeros((4, 2)), compact_every=-1)
-
-    def test_publish_after_compaction_still_cow(self):
-        rng = np.random.default_rng(4)
-        store = VersionedEmbeddingStore(rng.normal(size=(9, 2)), block_size=3)
-        compacted = store.compact()
-        new = store.publish([0], np.full((1, 2), 5.0))
-        np.testing.assert_array_equal(new.row(0), [5.0, 5.0])
-        # untouched blocks are still shared with the compacted snapshot
-        assert new.block(1) is compacted.block(1)
-
-
 # --------------------------------------------------- block gather and scatter
 
 
@@ -236,7 +191,7 @@ def test_publish_is_the_per_row_scatter_last_write_wins(block_size, writes):
     rng = np.random.default_rng(len(writes))
     initial = rng.normal(size=(300, 3))
     values = rng.normal(size=(len(writes), 3))
-    store = VersionedEmbeddingStore(initial, block_size=block_size, compact_every=0)
+    store = VersionedEmbeddingStore(initial, block_size=block_size)
     old = store.snapshot()
     new = store.publish(writes, values)
     want = initial.copy()

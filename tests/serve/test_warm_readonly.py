@@ -48,9 +48,9 @@ class TestAttachDurability:
 
     def test_attach_twice_raises(self, small_dataset, tmp_path):
         svc = make_service(small_dataset)
-        svc.attach_durability(str(tmp_path / "a.wal"))
+        svc.attach_durability(str(tmp_path / "a.wal"), str(tmp_path / "a"))
         with pytest.raises(ValueError):
-            svc.attach_durability(str(tmp_path / "b.wal"))
+            svc.attach_durability(str(tmp_path / "b.wal"), str(tmp_path / "b"))
         svc.close()
 
     def test_attach_leaves_the_callers_config_alone(self, small_dataset, tmp_path):
