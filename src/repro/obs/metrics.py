@@ -5,10 +5,10 @@ trainer, the execution engines, sampling and the serving stack all
 report into one instrument namespace.  Three instrument kinds cover
 everything the system reports:
 
-* :class:`Counter` — monotonically increasing event counts
-  (events ingested, cache hits, plan hops compiled, ...),
-* :class:`Gauge` — point-in-time values with ``set``/``inc``/``dec``
-  (queue depth, staleness, cache hit rate),
+* :class:`Counter` — monotonically increasing event counts, moved by
+  ``inc`` (events offered, recommendations served, plan edges compiled),
+* :class:`Gauge` — a point-in-time level, replaced by ``set`` (events
+  behind the published snapshot),
 * :class:`Histogram` — latency/size distributions summarised as
   count/sum/mean/min/max plus p50/p95/p99/p99.9.  **Bounded and
   tail-accurate**: a fixed array of log-spaced buckets with exact
@@ -26,7 +26,8 @@ instrument observe/inc/set — so ingest producers, the dispatcher thread
 and concurrent readers can share one registry without lost updates.  A
 tally some component already keeps is not copied in: the counter or
 gauge is registered with a ``source`` and reads its owner on demand, so
-every tally has one owner.  The
+every tally has one owner (the queue's accepts, the log's appends, a
+follower's lag) and no instrument mirrors another object's count.  The
 registry renders to plain dictionaries / JSON so replay drivers and
 benchmarks persist snapshots next to their tables; Prometheus text and
 JSONL exposition live in :mod:`repro.obs.export`.
@@ -50,7 +51,7 @@ class Counter:
 
     With a ``source`` the counter owns no total: ``value`` (and so every
     export) calls ``source()`` — the component that keeps the tally —
-    with no registry or counter lock held, and ``inc`` / ``set`` raise.
+    with no registry or counter lock held, and ``inc`` raises.
     """
 
     def __init__(self, name: str, source: Optional[Callable[[], float]] = None):
@@ -75,29 +76,13 @@ class Counter:
         with self._lock:
             self._total += amount
 
-    def set(self, value: float) -> None:
-        """Mirror a cumulative total polled from elsewhere (monotone
-        latch: quality, replication lag, the engine's sampling cache).
-
-        Callers write from many threads with no ordering between the
-        read and the write, so an older reading may arrive after a newer
-        one: the counter keeps the larger value and drops the stale
-        write — a mirror must never fail the call it reports on.
-        """
-        if self._source is not None:
-            raise _sourced(self)
-        with self._lock:
-            if value > self._total:
-                self._total = value
-
     def as_dict(self) -> Dict[str, object]:
         return {"type": "counter", "value": self.value}
 
 
 class Gauge:
-    """A point-in-time value that can move in either direction, or —
-    with a ``source`` — is read from its owner like a sourced
-    :class:`Counter`."""
+    """A point-in-time level replaced by :meth:`set`, or — with a
+    ``source`` — read from its owner like a sourced :class:`Counter`."""
 
     def __init__(self, name: str, source: Optional[Callable[[], float]] = None):
         self.name = name
@@ -117,17 +102,6 @@ class Gauge:
             raise _sourced(self)
         with self._lock:
             self._level = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Move the gauge up by ``amount`` (queue-depth style tracking)."""
-        if self._source is not None:
-            raise _sourced(self)
-        with self._lock:
-            self._level += float(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Move the gauge down by ``amount``."""
-        self.inc(-amount)
 
     def as_dict(self) -> Dict[str, object]:
         return {"type": "gauge", "value": self.value}

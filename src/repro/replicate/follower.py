@@ -13,8 +13,11 @@ equal to the primary's at every applied sequence number.
 Reads are served from the replica's latest published snapshot with
 **bounded staleness**: gauges ``replica.seq_lag`` (records behind at
 the start of the last poll), ``replica.lag_seconds`` (age of the
-newest heartbeat stamp) and ``replica.backlog_bytes`` (unshipped bytes
-on disk) expose the bound.
+newest heartbeat stamp on the follower clock, as of the last poll) and
+``replica.backlog_bytes`` (unshipped bytes on disk) expose the bound;
+all three read 0 once the follower is promoted.  Every ``replica.*``
+counter and gauge reads the follower or its tailer, which keep the one
+copy of each tally.
 
 Promotion (:meth:`promote`) is the failover state machine's last step:
 drain the shipped log to its end, *inherit* it — the log file is
@@ -131,6 +134,7 @@ class ReplicationFollower:
         self._last_hb_seen_at: Optional[float] = None
         self._heartbeats_seen = 0
         self._lag_records = 0
+        self._lag_seconds = 0.0
 
     # -------------------------------------------------------------- bootstrap
 
@@ -152,21 +156,27 @@ class ReplicationFollower:
                 self._model_config,
                 self._train_config,
             )
-        service = caught.service
-        service.metrics.gauge("replica.lag_seconds")  # set by a heartbeat
-        service.metrics.counter("replica.batches_applied").inc(
-            caught.replayed_batches
-        )
-        service.metrics.counter("checkpoint.fallbacks").inc(
-            caught.checkpoint_fallbacks
-        )
-        self.service = service
+        metrics = caught.service.metrics
+        metrics.counter("replica.batches_applied").inc(caught.replayed_batches)
+        metrics.counter("checkpoint.fallbacks").inc(caught.checkpoint_fallbacks)
+        for name, source in (
+            ("replica.records_applied", lambda: self.applied_seq),
+            ("replica.bytes_shipped", lambda: tailer.bytes_read),
+            ("replica.heartbeats_seen", lambda: self.heartbeats_seen),
+        ):
+            metrics.counter(name, source=source)
+        for name, source in (
+            ("replica.seq_lag", lambda: self.lag_records),
+            ("replica.backlog_bytes", lambda: 0 if self.state == PROMOTED else tailer.backlog_bytes),
+            ("replica.lag_seconds", lambda: self.lag_seconds),
+        ):
+            metrics.gauge(name, source=source)
+        self.service = caught.service
         self.tailer = tailer
         with self._lock:
             self._log = caught.log
-            self._lag_records = caught.last_seq - caught.checkpoint_seq
             self._state = TAILING
-        self._publish_lag()
+        self._polled(caught.last_seq - caught.checkpoint_seq)
         return self
 
     def _shipped(self, tailer: WalTailer) -> Iterator[WalRecord]:
@@ -187,7 +197,7 @@ class ReplicationFollower:
 
         Applies every complete record the tailer returns — a torn tail
         at the shipped log's EOF simply stays pending for the next
-        poll.  Updates the lag gauges afterwards.  A promoted follower
+        poll.  Records its staleness afterwards.  A promoted follower
         is the writer: its state comes from its own log, so it polls no
         other.
         """
@@ -196,11 +206,9 @@ class ReplicationFollower:
         if self.state == PROMOTED:
             raise ReplicationError("a promoted follower polls no log")
         records = self.tailer.poll(max_records=max_records)
-        with self._lock:
-            self._lag_records = len(records)
         for record in records:
             self._apply(record)
-        self._publish_lag()
+        self._polled(len(records))
         return len(records)
 
     def _apply(self, record: WalRecord) -> None:
@@ -225,22 +233,14 @@ class ReplicationFollower:
                 self._last_hb_seen_at = now
             self._last_seq_applied = record.seq
 
-    def _publish_lag(self) -> None:
-        """Refresh the staleness observables after a poll."""
-        metrics = self.service.metrics
+    def _polled(self, lag_records: int) -> None:
+        """Record a finished poll's staleness: the records it fetched,
+        and the newest heartbeat's age on the follower clock now."""
         now = self._clock()
         with self._lock:
-            hb_t = self._last_hb_primary_t
-            heartbeats = self._heartbeats_seen
-            applied_seq = self._last_seq_applied  # seqs count from 1
-            lag = self._lag_records
-        metrics.counter("replica.records_applied").set(applied_seq)
-        metrics.counter("replica.bytes_shipped").set(self.tailer.bytes_read)
-        metrics.counter("replica.heartbeats_seen").set(heartbeats)
-        metrics.gauge("replica.seq_lag").set(lag)
-        metrics.gauge("replica.backlog_bytes").set(self.tailer.backlog_bytes)
-        if hb_t is not None:
-            metrics.gauge("replica.lag_seconds").set(max(0.0, now - hb_t))
+            self._lag_records = lag_records
+            if self._last_hb_primary_t is not None:
+                self._lag_seconds = max(0.0, now - self._last_hb_primary_t)
 
     # ---------------------------------------------------------------- serving
 
@@ -320,10 +320,9 @@ class ReplicationFollower:
         service.set_writable()
         with self._lock:
             self._state = PROMOTED
+            self._lag_seconds = 0.0  # the drain's empty last poll zeroed lag_records
         self.replica_dir = target
         service.checkpoint()
-        service.metrics.gauge("replica.seq_lag").set(0)
-        service.metrics.gauge("replica.backlog_bytes").set(0)
 
     def ingest(self, edge: StreamEdge) -> bool:
         """Offer one event to a *promoted* replica (the new writer)."""
@@ -379,6 +378,12 @@ class ReplicationFollower:
         """Records the replica was behind at the start of its last poll."""
         with self._lock:
             return self._lag_records
+
+    @property
+    def lag_seconds(self) -> float:
+        """The newest heartbeat's age at the last poll (0 once promoted)."""
+        with self._lock:
+            return self._lag_seconds
 
     def lag_from(self, primary_seq: int) -> int:
         """Records behind a known primary position (external measure)."""

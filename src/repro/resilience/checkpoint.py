@@ -186,18 +186,19 @@ class CheckpointManager:
 
     Files are named ``ckpt-<seq:012d>.ckpt`` so lexicographic order is
     recency order; :meth:`latest` walks newest-first and silently falls
-    back past corrupt files (counting them on ``checkpoint.fallbacks``).
+    back past corrupt files.  The manager keeps its own tallies: the
+    service's ``checkpoint.writes`` reads ``writes``, and catch-up
+    reports ``fallbacks`` in its ``RecoveryResult``.
     """
 
     SUFFIX = ".ckpt"
 
-    def __init__(self, directory: str, retain: int = RETAIN, metrics=None):
+    def __init__(self, directory: str, retain: int = RETAIN):
         if retain < 1:
             raise ValueError(f"retain must be >= 1, got {retain}")
         os.makedirs(directory, exist_ok=True)
         self.directory = directory
         self.retain = retain
-        self._metrics = metrics
         # Guards the write/fallback tallies only; file I/O stays outside
         # (atomicity there comes from the tmp-then-replace protocol).
         self._lock = threading.Lock()
@@ -228,8 +229,6 @@ class CheckpointManager:
         os.replace(tmp, final)
         with self._lock:
             self.writes += 1
-        if self._metrics is not None:
-            self._metrics.counter("checkpoint.writes").inc()
         self.prune()
         return final
 
@@ -255,6 +254,4 @@ class CheckpointManager:
             except (CheckpointError, OSError):
                 with self._lock:
                     self.fallbacks += 1
-                if self._metrics is not None:
-                    self._metrics.counter("checkpoint.fallbacks").inc()
         return None

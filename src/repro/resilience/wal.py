@@ -210,8 +210,6 @@ class _Cursor:
         self.path = path
         self.offset = offset
         self.next_seq = next_seq
-        #: bytes of the records yielded so far
-        self.nbytes = 0
         self.stop: Optional[str] = None
 
     def __iter__(self) -> Iterator[WalRecord]:
@@ -238,7 +236,6 @@ class _Cursor:
                 if record.seq != self.next_seq:
                     return GAP
                 self.offset += len(line)
-                self.nbytes += len(line)
                 self.next_seq += 1
                 yield record
 
@@ -307,6 +304,9 @@ def _repair(path: str, recovered: WalScan) -> None:
 class WriteAheadLog:
     """Appender over one journal, self-repairing on open.
 
+    It counts its own ``appends`` and ``bytes_appended`` since this open
+    and the open's ``torn_records_dropped``: ``wal.*`` instruments read them.
+
     Parameters
     ----------
     path:
@@ -317,10 +317,6 @@ class WriteAheadLog:
         ``True`` forces an ``os.fsync`` after every append (durability
         against OS crash, not just process crash).  Default off: the
         per-record flush already survives process death.
-    metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; appends
-        increment ``wal.appends`` and a repaired torn tail increments
-        ``wal.torn_records_dropped``.
     recovered:
         A :func:`scan` of ``path`` taken since its last append (recovery
         reads the log once and opens from that walk); ``None`` scans.
@@ -330,14 +326,13 @@ class WriteAheadLog:
         self,
         path: str,
         fsync: bool = False,
-        metrics=None,
         recovered: Optional[WalScan] = None,
     ):
         self.path = path
         self.fsync = fsync
-        self._metrics = metrics
-        # Guards the file handle and the sequence counter: one append =
-        # one contiguous seq + one uninterleaved record line.
+        # Guards the file handle, the sequence counter and the append
+        # tallies: one append = one contiguous seq + one uninterleaved
+        # record line.
         self._lock = threading.Lock()
         parent = os.path.dirname(os.path.abspath(path))
         os.makedirs(parent, exist_ok=True)
@@ -346,10 +341,8 @@ class WriteAheadLog:
         _repair(path, recovered)
         self.last_seq = recovered.last_seq
         self.torn_records_dropped = recovered.dropped_records
-        if metrics is not None and self.torn_records_dropped:
-            metrics.counter("wal.torn_records_dropped").inc(
-                self.torn_records_dropped
-            )
+        self.appends = 0
+        self.bytes_appended = 0
         self._fh: Optional[IO[bytes]] = open(path, "ab")
 
     # ------------------------------------------------------------- appending
@@ -406,9 +399,8 @@ class WriteAheadLog:
             if self.fsync:
                 os.fsync(self._fh.fileno())  # reprolint: disable=hold-and-call
             self.last_seq = record.seq
-        if self._metrics is not None:
-            self._metrics.counter("wal.appends").inc()
-            self._metrics.counter("wal.bytes_appended").inc(len(payload))
+            self.appends += 1
+            self.bytes_appended += len(payload)
         return record
 
     # ------------------------------------------------------------- lifecycle
@@ -462,18 +454,16 @@ class WalTailer:
     raise :class:`WalTailError`.  A tailer always starts at seq 1.
 
     Single-consumer: one thread drives :meth:`poll`; the lock makes the
-    position and tallies safely readable from other threads (lag
+    position and backlog safely readable from other threads (lag
     probes, metrics scrapes).
     """
 
     def __init__(self, path: str):
         self.path = path
-        # Guards the committed read position and tallies so lag probes
-        # from other threads see a consistent (offset, seq).
+        # Guards the committed read position and the backlog so lag
+        # probes from other threads see a consistent (offset, seq).
         self._lock = threading.Lock()
         self._position: Tuple[int, int] = (0, 1)
-        self._bytes_read = 0
-        self._records_read = 0
         self._backlog_bytes = 0
 
     # --------------------------------------------------------------- polling
@@ -498,8 +488,6 @@ class WalTailer:
         backlog = self._measure_backlog(cursor.offset)
         with self._lock:
             self._position = (cursor.offset, cursor.next_seq)
-            self._bytes_read += cursor.nbytes
-            self._records_read += len(records)
             self._backlog_bytes = backlog
         return records
 
@@ -514,20 +502,18 @@ class WalTailer:
 
     @property
     def committed_seq(self) -> int:
-        """Highest sequence number returned by :meth:`poll` so far."""
+        """Highest sequence number returned by :meth:`poll` so far —
+        also the count of records read: seqs start at 1 and are
+        contiguous."""
         with self._lock:
             return self._position[1] - 1
 
     @property
     def bytes_read(self) -> int:
-        """Payload bytes consumed (committed records only)."""
+        """Bytes of the records returned so far: the committed offset,
+        since a tailer starts at byte 0."""
         with self._lock:
-            return self._bytes_read
-
-    @property
-    def records_read(self) -> int:
-        with self._lock:
-            return self._records_read
+            return self._position[0]
 
     @property
     def backlog_bytes(self) -> int:

@@ -283,6 +283,12 @@ class RecommendationService:
             ("cache.misses", lambda: index.misses),
             ("cache.invalidated", lambda: index.invalidations),
             ("cache.evictions", lambda: index.evictions),
+            # recovery and promotion attach the log and the checkpoint
+            # manager after construction: these read 0 until then
+            ("wal.appends", lambda: self.wal.appends if self.wal else 0),
+            ("wal.bytes_appended", lambda: self.wal.bytes_appended if self.wal else 0),
+            ("wal.torn_records_dropped", lambda: self.wal.torn_records_dropped if self.wal else 0),
+            ("checkpoint.writes", lambda: self.checkpoints.writes if self.checkpoints else 0),
         ):
             metrics.counter(name, source=source)
         for key in ("admitted", "throttled", "shed", "escalations"):
@@ -295,13 +301,11 @@ class RecommendationService:
             ("queue.depth_fraction", lambda: queue.pending / queue.capacity),
             ("store.version", lambda: store.version),
             ("admission.state", lambda: admission is not None and admission.state == SHEDDING),
+            ("breaker.state", lambda: self.breaker_open),
         ):
             metrics.gauge(name, source=source)
         for name in (
             "updates.failed",
-            "wal.appends",
-            "wal.torn_records_dropped",
-            "checkpoint.writes",
             "checkpoint.fallbacks",
             "recovery.replayed_events",
             "breaker.opened",
@@ -309,7 +313,6 @@ class RecommendationService:
             "serve.degraded",
         ):
             metrics.counter(name)
-        metrics.gauge("breaker.state")
         # Stage histograms: queue wait (accept → batch cut, observed by
         # the queue) and the train/publish split inside each update.
         for name in ("latency.update_seconds", "stage.train_seconds", "stage.publish_seconds"):
@@ -526,13 +529,11 @@ class RecommendationService:
         if trip:
             self.queue.pause()
             self.metrics.counter("breaker.opened").inc()
-            self.metrics.gauge("breaker.state").set(1.0)
 
     def _probe_breaker(self) -> None:
         """Half-open: re-enable dispatch; the next failure re-opens."""
         with self._state_lock:
             self._breaker_open = False
-        self.metrics.gauge("breaker.state").set(0.0)
         self.queue.resume()
 
     @property
@@ -585,17 +586,13 @@ class RecommendationService:
         self.wal = WriteAheadLog(
             self.config.wal_path,
             fsync=self.config.wal_fsync,
-            metrics=self.metrics,
             recovered=recovered,
         )
 
     def _open_checkpoints(self) -> None:
         from repro.resilience.checkpoint import CheckpointManager
 
-        self.checkpoints = CheckpointManager(
-            self.config.checkpoint_dir,
-            metrics=self.metrics,
-        )
+        self.checkpoints = CheckpointManager(self.config.checkpoint_dir)
 
     # -------------------------------------------------------------- durability
 

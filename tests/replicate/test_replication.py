@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.config import SUPAConfig
 from repro.datasets.zoo import load_dataset
+from repro.obs.metrics import Counter
 from repro.replicate.config import checkpoint_dir, wal_path
 from repro.replicate.failover import state_fingerprint
 from repro.replicate.follower import ReplicationError, ReplicationFollower
@@ -150,7 +151,6 @@ class TestFollower:
         follower = make_follower(dataset, tmp_path).bootstrap()
         assert len(decoded) == len(records)
         assert follower.applied_seq == follower.tailer.committed_seq == len(records)
-        assert follower.tailer.records_read == len(records)
         assert follower.poll() == 0  # and it tails on from where it stopped
         assert len(decoded) == len(records)
 
@@ -204,6 +204,39 @@ class TestFollower:
         assert gauge.value == pytest.approx(2.5)
         assert follower.service.metrics.gauge("replica.backlog_bytes").value == 0
         assert follower.lag_from(primary.last_seq) == 0
+        primary.close()
+
+    def test_replica_instruments_read_the_follower_and_its_tailer(
+        self, dataset, tmp_path
+    ):
+        """Every ``replica.*`` instrument reads the one object that keeps
+        its tally: after any poll the export equals the owner, and no
+        write reaches it."""
+        primary = make_primary(dataset, tmp_path, clock=lambda: 10.0)
+        stream = list(dataset.stream)
+        for edge in stream[:30]:
+            primary.ingest(edge)
+        follower = make_follower(dataset, tmp_path, clock=lambda: 12.5).bootstrap()
+        for edge in stream[30:60]:
+            primary.ingest(edge)
+            follower.poll(max_records=1)  # falls behind the primary
+        metrics, tailer = follower.service.metrics, follower.tailer
+        owners = {
+            "replica.records_applied": follower.applied_seq,
+            "replica.bytes_shipped": tailer.bytes_read,
+            "replica.heartbeats_seen": follower.heartbeats_seen,
+            "replica.seq_lag": follower.lag_records,
+            "replica.backlog_bytes": tailer.backlog_bytes,
+            "replica.lag_seconds": follower.lag_seconds,
+        }
+        assert {name: metrics.get(name).value for name in owners} == owners
+        assert tailer.backlog_bytes > 0 and follower.lag_records == 1
+        assert follower.lag_seconds == pytest.approx(2.5)
+        for name in owners:
+            instrument = metrics.get(name)
+            write = instrument.inc if isinstance(instrument, Counter) else instrument.set
+            with pytest.raises(TypeError, match="sourced"):
+                write(1)
         primary.close()
 
     def test_primary_silence_detection(self, dataset, tmp_path):
@@ -268,6 +301,49 @@ class TestPromote:
         assert svc.wal.last_seq == before + 1
         with pytest.raises(ReplicationError):
             follower.promote()  # already promoted
+        follower.close()
+
+    def test_promotion_zeroes_every_lag_gauge(self, dataset, tmp_path):
+        """A promoted follower is the writer, behind no one: all three
+        lag gauges read 0 however far its clock then moves, though its
+        clock ran ahead of the primary's stamps and the dead primary
+        left a torn record pending in the tailer's backlog."""
+        now = {"t": 13.0}
+        primary = make_primary(dataset, tmp_path, clock=lambda: 10.0)
+        for edge in list(dataset.stream)[:40]:
+            primary.ingest(edge)
+        primary.close()
+        with open(wal_path(str(tmp_path / "primary")), "ab") as fh:
+            fh.write(b'{"half')
+        follower = make_follower(dataset, tmp_path, clock=lambda: now["t"]).bootstrap()
+        metrics = follower.service.metrics
+        gauges = ("replica.lag_seconds", "replica.seq_lag", "replica.backlog_bytes")
+        assert metrics.gauge("replica.lag_seconds").value == pytest.approx(3.0)
+        assert metrics.gauge("replica.backlog_bytes").value == 6
+        follower.promote()
+        now["t"] += 100.0
+        assert [metrics.gauge(name).value for name in gauges] == [0.0, 0.0, 0.0]
+        follower.close()
+
+    def test_export_names_are_fixed_at_bootstrap(self, dataset, tmp_path):
+        """Tailing, promotion and the promoted node's own ingest,
+        flush and checkpoint register no instrument bootstrap did not."""
+        primary = make_primary(dataset, tmp_path)
+        stream = list(dataset.stream)
+        for edge in stream[:40]:
+            primary.ingest(edge)
+        follower = make_follower(dataset, tmp_path).bootstrap()
+        names = set(follower.service.metrics)
+        for edge in stream[40:60]:
+            primary.ingest(edge)
+        follower.poll()
+        primary.close()
+        follower.promote()
+        for edge in stream[60:80]:
+            follower.ingest(edge)
+        follower.flush()
+        follower.service.checkpoint()
+        assert set(follower.service.metrics) == names
         follower.close()
 
     def test_promoted_follower_refuses_to_poll(self, dataset, tmp_path):

@@ -42,6 +42,18 @@ class TestWalWiring:
         assert kinds[:first_batch].count("accept") >= 16
         assert service.metrics.counter("wal.appends").value == len(records)
 
+    def test_export_names_are_fixed_at_construction(self, dataset, tmp_path):
+        """Every instrument exists before the first event: ingest, flush
+        and checkpoint register none (``wal.bytes_appended`` included)."""
+        service = durable_service(dataset, tmp_path)
+        names = set(service.metrics)
+        for edge in list(dataset.stream)[:40]:
+            service.ingest(edge)
+        service.flush()
+        service.checkpoint()
+        service.close()
+        assert set(service.metrics) == names
+
     def test_drop_oldest_evictions_are_journaled(self, dataset, tmp_path):
         service = durable_service(
             dataset, tmp_path, batch_size=16, capacity=16, overflow="drop_oldest"

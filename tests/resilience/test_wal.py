@@ -124,17 +124,17 @@ class TestLifecycle:
             wal.append_accept(edge(1))
 
     def test_metrics_count_appends_and_torn_repairs(self, wal_path):
-        from repro.obs.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry()
-        with WriteAheadLog(wal_path, metrics=metrics) as wal:
+        with WriteAheadLog(wal_path) as wal:
             wal.append_accept(edge(1))
             wal.append_batch(1)
-        assert metrics.counter("wal.appends").value == 2
+        assert wal.appends == 2
+        assert wal.bytes_appended == os.path.getsize(wal_path)
         with open(wal_path, "ab") as fh:
             fh.write(b"torn")
-        WriteAheadLog(wal_path, metrics=metrics).close()
-        assert metrics.counter("wal.torn_records_dropped").value == 1
+        reopened = WriteAheadLog(wal_path)
+        reopened.close()
+        assert reopened.torn_records_dropped == 1
+        assert reopened.appends == reopened.bytes_appended == 0
 
     def test_parent_directories_are_created(self, tmp_path):
         nested = str(tmp_path / "a" / "b" / "deep.wal")

@@ -79,7 +79,7 @@ class TestTailer:
             wal.append_batch(2)
             assert [r.seq for r in tailer.poll()] == [2, 3]
             assert tailer.committed_seq == 3
-            assert tailer.records_read == 3
+            assert tailer.bytes_read == os.path.getsize(wal_path)
 
     def test_torn_tail_is_pending_not_fatal(self, wal_path):
         with WriteAheadLog(wal_path) as wal:

@@ -14,6 +14,9 @@ import inspect
 from repro.cli import build_parser
 from repro.core.config import SUPAConfig
 from repro.core.inslearn import InsLearnConfig
+from repro.obs.metrics import Counter, Gauge
+from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.wal import WriteAheadLog
 from repro.serve.admission import AdmissionConfig
 from repro.serve.index import TopKIndex
 from repro.serve.ingest import OVERFLOW_POLICIES
@@ -59,6 +62,23 @@ def test_store_constructors():
         "components", "last_times", "alpha", "alpha_slots", "config",
         "clock", "block_size",
     ]
+
+
+def test_durability_constructors():
+    # the log and the checkpoint manager keep their own tallies, which
+    # the service's instruments read: neither takes a registry
+    assert list(inspect.signature(WriteAheadLog).parameters) == [
+        "path", "fsync", "recovered",
+    ]
+    assert list(inspect.signature(CheckpointManager).parameters) == [
+        "directory", "retain",
+    ]
+
+
+def test_instruments_move_one_way():
+    # a counter counts or reads its owner; a gauge is set or reads its owner
+    assert not hasattr(Counter, "set")
+    assert not hasattr(Gauge, "inc") and not hasattr(Gauge, "dec")
 
 
 def test_admission_config_fields():

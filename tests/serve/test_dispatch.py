@@ -7,6 +7,7 @@ killing the worker, and the whole producer/worker dance stays clean
 under the concurrency sanitizer.
 """
 
+import os
 import threading
 import time
 
@@ -290,3 +291,64 @@ class TestSanitized:
         series = parse_prometheus_text(to_prometheus_text(svc.metrics))
         assert series["repro_ingest_accepted"] == queue.accepted
 
+
+    def test_durable_service_sourced_metrics_equal_their_owners(
+        self, small_dataset, tmp_path, monkeypatch
+    ):
+        """The log's, the checkpoint manager's and the breaker's
+        instruments read their owners too: a service opened over a torn
+        log, checkpointed, then tripped open by failing updates, scraped
+        while it runs."""
+        from repro.obs.export import to_prometheus_text
+        from repro.serve import service as service_module
+        from repro.serve.service import RecommendationService, ServeConfig
+        from tests.resilience.test_service_resilience import FailingTrainer
+
+        monkeypatch.setattr(service_module, "BREAKER_THRESHOLD", 2)
+        wal_path = tmp_path / "svc.wal"
+        wal_path.write_bytes(b'{"crc":1,"half')  # a crashed writer's torn record
+        edges = [
+            e._replace(t=e.t + 8.0 * lap) for lap in range(2) for e in small_dataset.stream
+        ]
+        scrapes, done = [], threading.Event()
+        with threadcheck() as monitor:
+            svc = RecommendationService(
+                small_dataset,
+                config=ServeConfig(
+                    batch_size=4,
+                    wal_path=str(wal_path),
+                    checkpoint_dir=str(tmp_path / "ckpts"),
+                    checkpoint_every=1,
+                ),
+            )
+
+            def scrape():
+                while not done.is_set():
+                    scrapes.append(to_prometheus_text(svc.metrics))
+
+            scraper = threading.Thread(target=scrape)
+            scraper.start()
+            for e in edges[:8]:  # two updates, one checkpoint each
+                svc.ingest(e)
+            svc.trainer = FailingTrainer(svc.trainer)
+            for e in edges[8:]:  # two failed updates open the breaker
+                svc.ingest(e)
+            done.set()
+            scraper.join()
+            svc.close()
+        assert monitor.inversions == [] and monitor.unguarded_writes == []
+        assert scrapes and "repro_breaker_state" in scrapes[-1]
+
+        wal, checkpoints = svc.wal, svc.checkpoints
+        assert svc.breaker_open and checkpoints.writes == 2
+        assert wal.torn_records_dropped == 1 and wal.appends == 16 + 4
+        assert wal.bytes_appended == os.path.getsize(wal_path)
+        value = {k: v["value"] for k, v in svc.metrics.as_dict().items() if "value" in v}
+        owners = {
+            "wal.appends": wal.appends,
+            "wal.bytes_appended": wal.bytes_appended,
+            "wal.torn_records_dropped": wal.torn_records_dropped,
+            "checkpoint.writes": checkpoints.writes,
+            "breaker.state": float(svc.breaker_open),
+        }
+        assert {name: value[name] for name in owners} == owners
