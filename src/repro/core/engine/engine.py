@@ -19,7 +19,8 @@ dispatch is paid per round, not per edge.
 Python objects for walks and hops, dict-based gradient accumulation,
 one optimiser step per edge.  It is easy to audit line-by-line against
 the paper, and no configuration selects it — tests install it on a
-freshly built model (``model.engine = ReferenceEngine(model)``).
+freshly built model (``model.engine = ReferenceEngine()``).  Neither
+holds a model: each entry point takes the model it trains.
 
 Both route every float through the same kernels
 (:mod:`repro.core.engine.kernels`), take a pass's randomness from the
@@ -50,20 +51,26 @@ _Record = Tuple[StreamEdge, float, float]
 
 
 class _EngineBase:
-    """Shared wiring: an engine executes gradient steps for its model."""
-
-    def __init__(self, model) -> None:
-        self.model = model
+    """Shared wiring: an engine executes gradient steps for the model it
+    is handed.  It holds no model — the model holds its engine, and a
+    back-reference would make every model a reference cycle."""
 
     def train_step(
-        self, u: int, v: int, edge_type: str, t: float, delta_u: float, delta_v: float
+        self,
+        model,
+        u: int,
+        v: int,
+        edge_type: str,
+        t: float,
+        delta_u: float,
+        delta_v: float,
     ) -> float:
         """One edge is a micro-batch of one (a single round)."""
         record = (StreamEdge(u=u, v=v, edge_type=edge_type, t=t), delta_u, delta_v)
-        return float(self.train_batch((record,))[0])
+        return float(self.train_batch(model, (record,))[0])
 
-    def train_batch(self, records: Sequence[_Record]) -> np.ndarray:
-        """Train on ``records`` round by round; returns per-edge losses.
+    def train_batch(self, model, records: Sequence[_Record]) -> np.ndarray:
+        """Train ``model`` on ``records`` round by round; returns per-edge losses.
 
         Leaves the union of the batch's touched nodes (sorted tuple) on
         ``model.last_touched_nodes`` and the last record's loss terms on
@@ -94,13 +101,12 @@ class ReferenceEngine(_EngineBase):
     """The per-edge object path (the correctness oracle)."""
 
     def _sample_pass(
-        self, records: Sequence[_Record], uv: np.ndarray
+        self, model, records: Sequence[_Record], uv: np.ndarray
     ) -> List[_EdgeSample]:
         """Every edge's walks and negatives, as objects, from the pass's
         :func:`~repro.core.engine.plan.draw_pass` over the ``(B, 2)``
         endpoints ``uv`` — the draws
         :func:`~repro.core.engine.plan.compile_plan` makes."""
-        model = self.model
         cfg = model.config
         draws = draw_pass(model, uv)
         negs = draws.negatives
@@ -127,12 +133,13 @@ class ReferenceEngine(_EngineBase):
             samples.append(_EdgeSample(influenced, negatives))
         return samples
 
-    def _edge_gradients(self, record: _Record, sample: _EdgeSample) -> _EdgeGradients:
+    def _edge_gradients(
+        self, model, record: _Record, sample: _EdgeSample
+    ) -> _EdgeGradients:
         """Eq. 5/7/10/12 forward and backward for one edge against the
         memory as it stands; writes nothing."""
         edge, delta_u, delta_v = record
         u, v, t = edge.u, edge.v, edge.t
-        model = self.model
         cfg = model.config
         tracer = model.tracer
         memory = model.memory
@@ -226,8 +233,7 @@ class ReferenceEngine(_EngineBase):
             components, long_grads, short_grads, context_grads, alpha_grads
         )
 
-    def train_batch(self, records: Sequence[_Record]) -> np.ndarray:
-        model = self.model
+    def train_batch(self, model, records: Sequence[_Record]) -> np.ndarray:
         tracer = model.tracer
         losses = np.empty(len(records), dtype=np.float64)
         if not len(records):
@@ -235,13 +241,14 @@ class ReferenceEngine(_EngineBase):
             return losses
         uv = np.asarray([(edge.u, edge.v) for edge, _, _ in records], dtype=np.int64)
         with tracer.span("core.engine.sample", edges=len(records)):
-            samples = self._sample_pass(records, uv)
+            samples = self._sample_pass(model, records, uv)
         num_nodes = model.memory.num_nodes
         touched: set = set()
         for round_edges in partition_round_indices(uv):
             # Every gradient of the round before any write of the round.
             gradients = [
-                self._edge_gradients(records[b], samples[b]) for b in round_edges
+                self._edge_gradients(model, records[b], samples[b])
+                for b in round_edges
             ]
             with tracer.span("core.engine.apply", edges=len(round_edges)):
                 for b, grads in zip(round_edges, gradients):
@@ -260,14 +267,13 @@ class ReferenceEngine(_EngineBase):
 class BatchedEngine(_EngineBase):
     """Plan-compiled, round-stacked execution (the production engine)."""
 
-    def train_batch(self, records: Sequence[_Record]) -> np.ndarray:
+    def train_batch(self, model, records: Sequence[_Record]) -> np.ndarray:
         """Compile the micro-batch, then execute the plan round by round.
 
         The two halves get their own spans (``core.engine.compile`` /
         ``core.engine.execute``); with the default no-op tracer a span
         is one shared do-nothing context manager per batch.
         """
-        model = self.model
         if not len(records):
             model.last_touched_nodes = ()
             return np.empty(0, dtype=np.float64)
@@ -275,7 +281,7 @@ class BatchedEngine(_EngineBase):
         with tracer.span("core.engine.compile", edges=len(records)):
             plan = compile_plan(model, records)
         with tracer.span("core.engine.execute", edges=plan.num_edges):
-            return self._execute_plan(plan)
+            return self._execute_plan(model, plan)
 
     def _record_plan_metrics(self, plan, registry) -> None:
         """Plan- and round-size telemetry."""
@@ -295,7 +301,7 @@ class BatchedEngine(_EngineBase):
         for size in np.diff(plan.edge_bounds).tolist():
             round_edges.observe(size)
 
-    def _execute_plan(self, plan) -> np.ndarray:
+    def _execute_plan(self, model, plan) -> np.ndarray:
         """Execute a compiled plan as conflict-free rounds.
 
         Each round is one pass of stacked kernels over its ``k`` edges'
@@ -313,7 +319,6 @@ class BatchedEngine(_EngineBase):
         The arithmetic, the optimiser-update gating and the per-row
         update order are exactly those of :class:`ReferenceEngine`.
         """
-        model = self.model
         cfg = model.config
         memory = model.memory
         optimizer = model.optimizer

@@ -62,29 +62,20 @@ __all__ = [
 
 def sigmoid_branched(x: np.ndarray) -> np.ndarray:
     """Numerically-stable sigmoid (``x >= 0``: ``1/(1+exp(-min(x,500)))``;
-    else ``z/(1+z)`` with ``z = exp(max(x,-500))``)."""
+    else ``z/(1+z)`` with ``z = exp(max(x,-500))``).  Both branches read
+    one ``exp(-min(|x|, 500))``, which is each branch's exponential."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty(x.shape, dtype=np.float64)
-    pos = x >= 0.0
-    xp = np.minimum(x[pos], 500.0)
-    out[pos] = 1.0 / (1.0 + np.exp(-xp))
-    neg = ~pos
-    z = np.exp(np.maximum(x[neg], -500.0))
-    out[neg] = z / (1.0 + z)
-    return out
+    z = np.exp(-np.minimum(np.abs(x), 500.0))
+    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
 
 
 def log_sigmoid_branched(x: np.ndarray) -> np.ndarray:
     """``log sigma(x)`` without overflow (``x >= 0``:
-    ``-log1p(exp(-x))``; else ``x - log1p(exp(x))``)."""
+    ``-log1p(exp(-x))``; else ``x - log1p(exp(x))``), both branches from
+    one ``exp(-|x|)``."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty(x.shape, dtype=np.float64)
-    pos = x >= 0.0
-    out[pos] = -np.log1p(np.exp(-x[pos]))
-    neg = ~pos
-    xn = x[neg]
-    out[neg] = xn - np.log1p(np.exp(xn))
-    return out
+    tail = np.log1p(np.exp(-np.abs(x)))
+    return np.where(x >= 0.0, -tail, x - tail)
 
 
 def sigmoid_clipped(x: np.ndarray) -> np.ndarray:

@@ -34,6 +34,10 @@ from repro.utils.rng import RngLike, new_rng
 _ALL = slice(None)
 
 
+def _copies(views: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    return {name: array.copy() for name, array in views.items()}
+
+
 class SparseAdam:
     """Adam over selected rows of a 2-D parameter array.
 
@@ -232,20 +236,19 @@ class SparseAdam:
             v_all[row] = v
             steps[row] = t
 
+    def state_views(self, rows: slice = _ALL) -> Dict[str, np.ndarray]:
+        """The moments and step counts of the ``rows`` slice, as live views."""
+        return {"m": self._m[rows], "v": self._v[rows], "steps": self._steps[rows]}
+
     def state_dict(self, rows: slice = _ALL) -> Dict[str, np.ndarray]:
-        """Copies of the moments and step counts of the ``rows`` slice
-        (one copy of that block, never of the whole table)."""
-        return {
-            "m": self._m[rows].copy(),
-            "v": self._v[rows].copy(),
-            "steps": self._steps[rows].copy(),
-        }
+        """Copies of :meth:`state_views` (one copy of that block, never
+        of the whole table)."""
+        return _copies(self.state_views(rows))
 
     def check_state(self, state: Dict[str, np.ndarray], rows: slice = _ALL) -> None:
         """Raise ``ValueError`` unless ``state`` holds ``m`` / ``v`` /
         ``steps`` of exactly the ``rows`` slice's shapes and dtypes."""
-        expected = {"m": self._m[rows], "v": self._v[rows], "steps": self._steps[rows]}
-        for key, target in expected.items():
+        for key, target in self.state_views(rows).items():
             if key not in state:
                 raise ValueError(f"optimizer state has no {key!r}")
             value = np.asarray(state[key])
@@ -335,13 +338,17 @@ class NodeMemory:
         ids = np.asarray(node_type_ids, dtype=np.int64)
         return ids if self.typed_alpha else np.zeros(ids.shape, dtype=np.int64)
 
-    def state_dict(self) -> Dict[str, np.ndarray]:
+    def state_views(self) -> Dict[str, np.ndarray]:
+        """The learnable arrays themselves (what a checkpoint reads)."""
         return {
-            "long": self.long.copy(),
-            "short": self.short.copy(),
-            "context": self.context.copy(),
-            "alpha": self.alpha.copy(),
+            "long": self.long,
+            "short": self.short,
+            "context": self.context,
+            "alpha": self.alpha,
         }
+
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        return _copies(self.state_views())
 
     def check_state(self, state: Dict[str, np.ndarray]) -> None:
         """Raise ``ValueError`` unless every array of ``state`` matches
@@ -470,6 +477,11 @@ class MemoryOptimizer:
         """Close the undo log, dropping whatever it holds (idempotent)."""
         for adam in self._adams:
             adam.release()
+
+    def state_views(self) -> Dict[str, Dict[str, np.ndarray]]:
+        return {
+            name: adam.state_views(rows) for name, (adam, rows) in self._parts.items()
+        }
 
     def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
         return {

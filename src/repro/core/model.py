@@ -103,7 +103,7 @@ class SUPA:
         #: as a traced service does), so engines read this attribute per
         #: call rather than caching it.
         self.tracer = NULL_TRACER
-        self.engine = BatchedEngine(self)
+        self.engine = BatchedEngine()
 
     @classmethod
     def for_dataset(
@@ -167,7 +167,7 @@ class SUPA:
         times and must control insertion separately.  Delegates to the
         execution engine (a micro-batch of one).
         """
-        return self.engine.train_step(u, v, edge_type, t, delta_u, delta_v)
+        return self.engine.train_step(self, u, v, edge_type, t, delta_u, delta_v)
 
     def train_batch(
         self, records: Sequence[Tuple[StreamEdge, float, float]]
@@ -182,7 +182,7 @@ class SUPA:
         whole micro-batch into one structure-of-arrays plan here, which
         is where its speedup comes from.
         """
-        return self.engine.train_batch(records)
+        return self.engine.train_batch(self, records)
 
     # --------------------------------------------------------------- inference
 
@@ -234,6 +234,15 @@ class SUPA:
         return {
             "memory": self.memory.state_dict(),
             "optimizer": self.optimizer.state_dict(),
+        }
+
+    def state_views(self) -> Dict[str, object]:
+        """:meth:`state_dict`'s arrays uncopied: live views, valid only
+        while nothing trains (a checkpoint reads them under the dispatch
+        barrier)."""
+        return {
+            "memory": self.memory.state_views(),
+            "optimizer": self.optimizer.state_views(),
         }
 
     def load_state_dict(self, state: Dict[str, object]) -> None:

@@ -45,17 +45,18 @@ def parity_matches(
 
 
 def state_fingerprint(service: RecommendationService) -> str:
-    """SHA-256 over the model's flattened ``state_dict`` arrays.
+    """SHA-256 over the model's flattened ``state_dict`` arrays, read in
+    place (``state_views``: a quiesced service, no copy).
 
     Bitwise: two services fingerprint equal iff every parameter and
     optimiser-moment array matches byte for byte.
     """
     flat: Dict[str, np.ndarray] = {}
-    _flatten(service.model.state_dict(), "", flat)
+    _flatten(service.model.state_views(), "", flat)
     digest = hashlib.sha256()
     for name in sorted(flat):
         digest.update(name.encode("utf-8"))
-        digest.update(np.ascontiguousarray(flat[name]).tobytes())
+        digest.update(np.ascontiguousarray(flat[name]))
     return digest.hexdigest()
 
 

@@ -39,6 +39,7 @@ import os
 import shutil
 import threading
 import time
+import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 from typing import Callable, Iterator, Optional
@@ -159,16 +160,19 @@ class ReplicationFollower:
         metrics = caught.service.metrics
         metrics.counter("replica.batches_applied").inc(caught.replayed_batches)
         metrics.counter("checkpoint.fallbacks").inc(caught.checkpoint_fallbacks)
+        # the follower owns the service: its sources reach back weakly,
+        # as the service's own do (DESIGN.md §8)
+        me = weakref.proxy(self)
         for name, source in (
-            ("replica.records_applied", lambda: self.applied_seq),
+            ("replica.records_applied", lambda: me.applied_seq),
             ("replica.bytes_shipped", lambda: tailer.bytes_read),
-            ("replica.heartbeats_seen", lambda: self.heartbeats_seen),
+            ("replica.heartbeats_seen", lambda: me.heartbeats_seen),
         ):
             metrics.counter(name, source=source)
         for name, source in (
-            ("replica.seq_lag", lambda: self.lag_records),
-            ("replica.backlog_bytes", lambda: 0 if self.state == PROMOTED else tailer.backlog_bytes),
-            ("replica.lag_seconds", lambda: self.lag_seconds),
+            ("replica.seq_lag", lambda: me.lag_records),
+            ("replica.backlog_bytes", lambda: 0 if me.state == PROMOTED else tailer.backlog_bytes),
+            ("replica.lag_seconds", lambda: me.lag_seconds),
         ):
             metrics.gauge(name, source=source)
         self.service = caught.service

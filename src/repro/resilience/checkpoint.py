@@ -5,7 +5,9 @@ needs to resume bitwise-identically, keyed to the write-ahead log by the
 WAL sequence number it covers:
 
 * ``seq`` — the last WAL record reflected in this snapshot;
-* ``model_state`` — ``SUPA.state_dict()`` (memory + optimizer arrays);
+* ``model_state`` — the memory + optimizer arrays in ``SUPA.state_dict()``'s
+  layout (a save passes ``SUPA.state_views()``: the live arrays, read
+  under the dispatch barrier, not copies);
 * ``model_rng_state`` / ``trainer_rng_state`` — the exact PCG64 states
   of the model's sampling RNG and the trainer's validation RNG;
 * ``clock`` / ``updates_applied`` — the service's stream watermark and
@@ -20,9 +22,16 @@ CRC-protected, so *any* truncation or bit-flip is detected and surfaces
 as :class:`CheckpointError` — which :meth:`CheckpointManager.latest`
 treats as "fall back to the next-older file".
 
-Writes are atomic: serialize to ``<name>.tmp``, ``fsync``, then
+Writes are atomic: write to ``<name>.tmp``, ``fsync``, then
 ``os.replace`` — a crash mid-write can never damage an existing
 checkpoint.
+
+Memory: a file costs one state-sized buffer each way.  A save streams
+the live arrays into the npz payload's buffer, then writes the header
+and that buffer one after the other (never joined into one ``bytes``);
+a load takes the payload's length and CRC in 1 MB chunks, then reads
+the arrays from the open file.  :func:`serialize` / :func:`deserialize`
+are the same format as whole ``bytes``.
 """
 
 from __future__ import annotations
@@ -31,9 +40,10 @@ import io
 import json
 import os
 import threading
+import zipfile
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -41,6 +51,8 @@ from repro.graph.streams import StreamEdge
 
 #: bump when the on-disk layout changes incompatibly
 FORMAT_VERSION = 1
+#: read size of the streamed CRC pass over a checkpoint's payload
+_CHUNK_BYTES = 1 << 20
 
 
 class CheckpointError(RuntimeError):
@@ -88,13 +100,18 @@ def _unflatten(flat: Dict[str, np.ndarray]) -> Dict[str, object]:
     return nested
 
 
-def serialize(ckpt: Checkpoint) -> bytes:
-    """Header line + npz payload; inverse of :func:`deserialize`."""
+def _encode(ckpt: Checkpoint) -> Tuple[bytes, io.BytesIO]:
+    """The header line (its newline included) and the buffer holding the
+    npz payload: the one state-sized allocation a save makes, since
+    ``np.savez`` streams ``model_state``'s arrays — live views, at a
+    save — into it."""
     flat: Dict[str, np.ndarray] = {}
     _flatten(ckpt.model_state, "", flat)
     buffer = io.BytesIO()
     np.savez(buffer, **flat)
-    payload = buffer.getvalue()
+    with buffer.getbuffer() as payload:
+        payload_bytes = len(payload)
+        payload_crc = zlib.crc32(payload) & 0xFFFFFFFF
     meta = {
         "format": FORMAT_VERSION,
         "seq": int(ckpt.seq),
@@ -106,8 +123,8 @@ def serialize(ckpt: Checkpoint) -> bytes:
         ],
         "model_rng_state": ckpt.model_rng_state,
         "trainer_rng_state": ckpt.trainer_rng_state,
-        "payload_bytes": len(payload),
-        "payload_crc": zlib.crc32(payload) & 0xFFFFFFFF,
+        "payload_bytes": payload_bytes,
+        "payload_crc": payload_crc,
     }
     canonical = json.dumps(meta, sort_keys=True, separators=(",", ":"))
     header = json.dumps(
@@ -115,17 +132,21 @@ def serialize(ckpt: Checkpoint) -> bytes:
         sort_keys=True,
         separators=(",", ":"),
     )
-    return header.encode("utf-8") + b"\n" + payload
+    return header.encode("utf-8") + b"\n", buffer
 
 
-def deserialize(data: bytes) -> Checkpoint:
-    """Parse + verify one serialized checkpoint (:class:`CheckpointError`
-    on any corruption)."""
-    newline = data.find(b"\n")
-    if newline < 0:
+def serialize(ckpt: Checkpoint) -> bytes:
+    """Header line + npz payload; inverse of :func:`deserialize`."""
+    header, buffer = _encode(ckpt)
+    return header + buffer.getvalue()
+
+
+def _parse_header(line: bytes) -> dict:
+    """The verified ``meta`` of a header line (newline included)."""
+    if not line.endswith(b"\n"):
         raise CheckpointError("missing checkpoint header line")
     try:
-        wrapper = json.loads(data[:newline].decode("utf-8"))
+        wrapper = json.loads(line[:-1].decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise CheckpointError(f"unparsable checkpoint header: {exc}") from exc
     if not isinstance(wrapper, dict) or "meta" not in wrapper or "crc" not in wrapper:
@@ -142,23 +163,26 @@ def deserialize(data: bytes) -> Checkpoint:
             f"unsupported checkpoint format {meta.get('format')!r} "
             f"(expected {FORMAT_VERSION})"
         )
+    for key in ("payload_bytes", "payload_crc"):
+        if key not in meta:
+            raise CheckpointError(f"checkpoint header lacks {key!r}")
+    return meta
+
+
+def _read_arrays(fh: BinaryIO) -> Dict[str, np.ndarray]:
+    """Every array of the npz archive starting at ``fh``'s position
+    (``zipfile`` finds an archive behind prepended bytes)."""
     try:
-        payload_bytes, payload_crc = meta["payload_bytes"], meta["payload_crc"]
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint header lacks {exc}") from exc
-    payload = data[newline + 1 :]
-    if len(payload) != payload_bytes:
-        raise CheckpointError(
-            f"truncated checkpoint payload ({len(payload)} of "
-            f"{payload_bytes} bytes)"
-        )
-    if zlib.crc32(payload) & 0xFFFFFFFF != payload_crc:
-        raise CheckpointError("checkpoint payload failed its CRC check")
-    try:
-        with np.load(io.BytesIO(payload), allow_pickle=False) as archive:
-            flat = {name: archive[name] for name in archive.files}
-    except (ValueError, OSError) as exc:
+        archive = np.load(fh, allow_pickle=False)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("payload is not an npz archive")
+        with archive:
+            return {name: archive[name] for name in archive.files}
+    except (ValueError, OSError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise CheckpointError(f"unreadable checkpoint payload: {exc}") from exc
+
+
+def _checkpoint(meta: dict, flat: Dict[str, np.ndarray]) -> Checkpoint:
     try:
         return Checkpoint(
             seq=int(meta["seq"]),
@@ -175,6 +199,34 @@ def deserialize(data: bytes) -> Checkpoint:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint header: {exc!r}") from exc
+
+
+def _read(fh: BinaryIO) -> Checkpoint:
+    """Parse + verify the checkpoint ``fh`` holds, streaming: the
+    payload's length and CRC are taken chunk by chunk, then the archive
+    is read from ``fh`` itself, so the arrays are the one state-sized
+    allocation (:class:`CheckpointError` on any corruption)."""
+    meta = _parse_header(fh.readline())
+    start = fh.tell()
+    length = crc = 0
+    for chunk in iter(lambda: fh.read(_CHUNK_BYTES), b""):
+        length += len(chunk)
+        crc = zlib.crc32(chunk, crc)
+    if length != meta["payload_bytes"]:
+        raise CheckpointError(
+            f"truncated checkpoint payload ({length} of "
+            f"{meta['payload_bytes']} bytes)"
+        )
+    if crc != meta["payload_crc"]:
+        raise CheckpointError("checkpoint payload failed its CRC check")
+    fh.seek(start)
+    return _checkpoint(meta, _read_arrays(fh))
+
+
+def deserialize(data: bytes) -> Checkpoint:
+    """Parse + verify one serialized checkpoint (:class:`CheckpointError`
+    on any corruption)."""
+    return _read(io.BytesIO(data))
 
 
 #: Newest checkpoints kept on disk; older ones are pruned on save.
@@ -219,11 +271,13 @@ class CheckpointManager:
 
     def save(self, ckpt: Checkpoint) -> str:
         """Atomically persist ``ckpt``; prunes past ``retain``; returns path."""
-        data = serialize(ckpt)
+        header, buffer = _encode(ckpt)
         final = os.path.join(self.directory, f"ckpt-{ckpt.seq:012d}{self.SUFFIX}")
         tmp = final + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        with open(tmp, "wb") as fh, buffer.getbuffer() as payload:
+            # :func:`serialize`'s bytes, never joined into one copy
+            fh.write(header)
+            fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, final)
@@ -238,9 +292,9 @@ class CheckpointManager:
             os.remove(stale)
 
     def load(self, path: str) -> Checkpoint:
-        """Read + verify one checkpoint file."""
+        """Read + verify one checkpoint file, streamed from disk."""
         with open(path, "rb") as fh:
-            return deserialize(fh.read())
+            return _read(fh)
 
     def latest(self) -> Optional[Checkpoint]:
         """Newest checkpoint passing integrity checks; ``None`` if none do.

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
 
@@ -242,11 +243,17 @@ class RecommendationService:
             if self.config.admission is not None
             else None
         )
+        # Every callback another component holds reaches the service
+        # through this one weak reference, never a bound method or a
+        # closure over ``self`` (DESIGN.md §8): the service is then no
+        # reference cycle and frees the moment its last user drops it.
+        # A callback fired after that raises ReferenceError.
+        me = weakref.proxy(self)
         self.queue = EventQueue(
-            handler=self._apply_batch,
+            handler=lambda batch: me._apply_batch(batch),
             batch_size=self.config.batch_size,
             capacity=self.config.capacity,
-            validator=self._validate_event,
+            validator=lambda edge: me._validate_event(edge),
             overflow=self.config.overflow,
             late_tolerance=self.config.late_tolerance,
             journal=self.wal,  # None until attach_durability() on a follower
@@ -258,18 +265,22 @@ class RecommendationService:
         # Created eagerly, started lazily on the first ingest: recovery
         # replay (apply_recovered_batch) must never race a live worker.
         self.dispatcher: Optional[DispatchWorker] = (
-            DispatchWorker(self.queue, on_error=self._register_dispatch_failure)
+            DispatchWorker(
+                self.queue, on_error=lambda exc: me._register_dispatch_failure(exc)
+            )
             if self.config.async_dispatch
             else None
         )
-        self._register_metrics()
+        self._register_metrics(me)
 
-    def _register_metrics(self) -> None:
+    def _register_metrics(self, me: "RecommendationService") -> None:
         """Every instrument, registered once so exports are fully
         populated before the first event.  A tally a component already
         keeps is *sourced* — read from its one owner at ``.value`` /
         export time, never copied — and the service keeps handles to
-        the instruments it moves itself on the per-event paths."""
+        the instruments it moves itself on the per-event paths.  A
+        source that reads the service reads it through ``me``, the
+        service's weak proxy."""
         metrics, queue, index, store = self.metrics, self.queue, self.index, self.store
         admission = self.admission
         for name, source in (
@@ -278,17 +289,17 @@ class RecommendationService:
             ("ingest.dropped", lambda: queue.dropped),
             ("ingest.shed", lambda: queue.shed),
             ("ingest.late", lambda: queue.deadletters_by_reason().get("late event", 0)),
-            ("updates.applied", lambda: self.updates_applied),
+            ("updates.applied", lambda: me.updates_applied),
             ("cache.hits", lambda: index.hits),
             ("cache.misses", lambda: index.misses),
             ("cache.invalidated", lambda: index.invalidations),
             ("cache.evictions", lambda: index.evictions),
             # recovery and promotion attach the log and the checkpoint
             # manager after construction: these read 0 until then
-            ("wal.appends", lambda: self.wal.appends if self.wal else 0),
-            ("wal.bytes_appended", lambda: self.wal.bytes_appended if self.wal else 0),
-            ("wal.torn_records_dropped", lambda: self.wal.torn_records_dropped if self.wal else 0),
-            ("checkpoint.writes", lambda: self.checkpoints.writes if self.checkpoints else 0),
+            ("wal.appends", lambda: me.wal.appends if me.wal else 0),
+            ("wal.bytes_appended", lambda: me.wal.bytes_appended if me.wal else 0),
+            ("wal.torn_records_dropped", lambda: me.wal.torn_records_dropped if me.wal else 0),
+            ("checkpoint.writes", lambda: me.checkpoints.writes if me.checkpoints else 0),
         ):
             metrics.counter(name, source=source)
         for key in ("admitted", "throttled", "shed", "escalations"):
@@ -301,7 +312,7 @@ class RecommendationService:
             ("queue.depth_fraction", lambda: queue.pending / queue.capacity),
             ("store.version", lambda: store.version),
             ("admission.state", lambda: admission is not None and admission.state == SHEDDING),
-            ("breaker.state", lambda: self.breaker_open),
+            ("breaker.state", lambda: me.breaker_open),
         ):
             metrics.gauge(name, source=source)
         for name in (
@@ -609,10 +620,10 @@ class RecommendationService:
         is keyed to the WAL position (``wal.last_seq``) so recovery can
         replay exactly the suffix this checkpoint has not seen.  Safe
         from any thread: the queue's dispatch barrier keeps every update
-        out while the model is copied (a call from inside an update —
-        the auto-checkpoint — re-enters it), and ``(seq, residue)`` are
-        read in one hold of the queue lock, so the checkpoint describes
-        exactly one batch boundary.
+        out while the model's live arrays are written to disk (a call
+        from inside an update — the auto-checkpoint — re-enters it), and
+        ``(seq, residue)`` are read in one hold of the queue lock, so the
+        checkpoint describes exactly one batch boundary.
         """
         if self.checkpoints is None:
             return None
@@ -631,7 +642,7 @@ class RecommendationService:
                 updates_applied=updates_applied,
                 clock=clock,
                 residue=list(residue),
-                model_state=self.model.state_dict(),
+                model_state=self.model.state_views(),  # no copy: under the barrier
                 model_rng_state=self.model.rng.bit_generator.state,
                 trainer_rng_state=self.trainer.rng_state(),
                 num_nodes=self.dataset.num_nodes,

@@ -1,5 +1,7 @@
 """Shared fixtures: a tiny bipartite world every test layer can reuse."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,26 @@ from repro.graph.dmhg import DMHG
 from repro.graph.metapath import MultiplexMetapath
 from repro.graph.schema import GraphSchema
 from repro.graph.streams import EdgeStream, StreamEdge
+
+#: A file closed by the garbage collector, not by its owner, fails the
+#: test that leaked it: its ResourceWarning is raised inside a finaliser,
+#: so pytest reports it as an unraisable exception, and both are errors.
+#: A service frees the moment it is dropped, so a forgotten WAL or
+#: checkpoint handle warns in the test that forgot it.
+LEAK_FILTERS = (
+    "error::ResourceWarning",
+    "error::pytest.PytestUnraisableExceptionWarning",
+)
+
+
+def pytest_collection_modifyitems(items):
+    """Apply :data:`LEAK_FILTERS` to this directory's tests only (the
+    paper benches and the benchmark spine keep the default filters)."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            for spec in LEAK_FILTERS:
+                item.add_marker(pytest.mark.filterwarnings(spec))
 
 
 @pytest.fixture

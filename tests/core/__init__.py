@@ -10,7 +10,7 @@ def build_model(dataset, config, engine="batched") -> SUPA:
     engine construction draws no RNG, so the swap moves no bytes."""
     model = SUPA.for_dataset(dataset, config=config)
     if engine == "reference":
-        model.engine = ReferenceEngine(model)
+        model.engine = ReferenceEngine()
     return model
 
 

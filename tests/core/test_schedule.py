@@ -84,7 +84,7 @@ def compiled_plan():
     after = model.rng.bit_generator.state
     model.rng.bit_generator.state = before
     uv = np.asarray([(e.u, e.v) for e, _, _ in records], dtype=np.int64)
-    samples = ReferenceEngine(model)._sample_pass(records, uv)
+    samples = ReferenceEngine()._sample_pass(model, records, uv)
     assert model.rng.bit_generator.state == after
     return model, records, plan, samples
 

@@ -3,11 +3,13 @@
 import io
 import json
 import os
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
+from repro.core.memory import MemoryOptimizer, NodeMemory
 from repro.graph.streams import StreamEdge
 from repro.resilience.checkpoint import (
     Checkpoint,
@@ -179,3 +181,106 @@ class TestMalformedHeader:
         (tmp_path / f"ckpt-{2:012d}.ckpt").write_bytes(data)
         assert manager.latest().seq == 1
         assert manager.fallbacks == 1
+
+
+def with_payload(payload):
+    """A checkpoint file whose header and payload CRCs both pass around
+    ``payload``, whatever it holds."""
+    data = serialize(make_checkpoint(seq=2))
+    meta = json.loads(data[: data.find(b"\n")])["meta"]
+    meta.update(payload_bytes=len(payload), payload_crc=zlib.crc32(payload))
+    return header_only(meta, payload)
+
+
+def _npy():
+    buffer = io.BytesIO()
+    np.save(buffer, np.zeros(2))
+    return buffer.getvalue()
+
+
+def _bad_central_directory():
+    data = bytearray(_npz())
+    at = data.rfind(b"PK\x01\x02")  # the central directory's entry signature
+    data[at + 3] ^= 0xFF
+    return bytes(data)
+
+
+_NOT_AN_ARCHIVE = {
+    "zip magic then garbage": with_payload(b"PK\x03\x04garbage"),
+    "damaged central directory": with_payload(_bad_central_directory()),
+    "an npy array, not an archive": with_payload(_npy()),
+}
+
+
+class TestPayloadNotAnArchive:
+    """A payload can pass its CRC and still not be an npz archive: that
+    is corruption too, on the bytes path and the streamed load alike."""
+
+    @pytest.mark.parametrize(
+        "data", _NOT_AN_ARCHIVE.values(), ids=_NOT_AN_ARCHIVE.keys()
+    )
+    def test_is_a_checkpoint_error(self, data):
+        with pytest.raises(CheckpointError):
+            deserialize(data)
+
+    @pytest.mark.parametrize(
+        "data", _NOT_AN_ARCHIVE.values(), ids=_NOT_AN_ARCHIVE.keys()
+    )
+    def test_latest_falls_back_past_it(self, tmp_path, data):
+        manager = CheckpointManager(str(tmp_path))
+        manager.save(make_checkpoint(seq=1))
+        (tmp_path / f"ckpt-{2:012d}.ckpt").write_bytes(data)
+        assert manager.latest().seq == 1
+        assert manager.fallbacks == 1
+
+
+def model_sized_checkpoint():
+    """A checkpoint of the model's own memory + optimiser layout (live
+    views, as a save passes them), about 25 MB: big enough that the
+    arrays dominate every other allocation of a save or a load."""
+    memory = NodeMemory(
+        num_nodes=8000, num_edge_types=2, num_node_types=2, dim=32, rng=0
+    )
+    ckpt = make_checkpoint()
+    ckpt.model_state = {
+        "memory": memory.state_views(),
+        "optimizer": MemoryOptimizer(memory).state_views(),
+    }
+    return ckpt
+
+
+def traced_peak(call):
+    """``(result, peak bytes traced while call() ran)``."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """A checkpoint costs one state-sized buffer each way: a save streams
+    the live arrays into one payload buffer and writes the header and
+    that buffer one after the other; a load streams the CRC and reads
+    the arrays from the open file."""
+
+    def test_save_writes_exactly_the_serialized_bytes(self, tmp_path):
+        ckpt = make_checkpoint()
+        path = CheckpointManager(str(tmp_path)).save(ckpt)
+        with open(path, "rb") as fh:
+            assert fh.read() == serialize(ckpt)
+
+    def test_save_peak_is_one_state_sized_buffer(self, tmp_path):
+        ckpt = model_sized_checkpoint()
+        manager = CheckpointManager(str(tmp_path))
+        path, peak = traced_peak(lambda: manager.save(ckpt))
+        assert peak <= 1.25 * os.path.getsize(path)
+
+    def test_load_peak_is_one_state_sized_buffer(self, tmp_path):
+        ckpt = model_sized_checkpoint()
+        manager = CheckpointManager(str(tmp_path))
+        path = manager.save(ckpt)
+        loaded, peak = traced_peak(lambda: manager.load(path))
+        assert peak <= 1.1 * os.path.getsize(path)
+        assert serialize(loaded) == serialize(ckpt)  # every array, bitwise

@@ -125,7 +125,7 @@ def test_committed_position_survives_crash_repair_at_every_tear(tmp_path):
     wal.close()
     with WriteAheadLog(str(tmp_path / "donor.wal")) as donor:
         donor.append_accept(edge(50))
-    line = open(str(tmp_path / "donor.wal"), "rb").read()
+    line = (tmp_path / "donor.wal").read_bytes()
 
     seq = 4
     for tear in range(1, len(line)):
