@@ -21,8 +21,6 @@ Commands:
   publishing its WAL, ``follower`` bootstraps a read replica and tails
   it, and ``promote`` flips a drained follower writable and optionally
   resumes ingest with a golden parity check.
-* ``lint`` — run the reprolint static-analysis suite over the source
-  tree (see :mod:`repro.analysis`).
 
 Every command is deterministic for a fixed ``--seed`` (timings vary with
 the machine).  Load and latency under open-loop arrivals are measured by
@@ -200,24 +198,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
     for mp in schemas:
         print("  ", mp.describe())
     return 0
-
-
-def cmd_lint(args: argparse.Namespace) -> int:
-    """Exit 0 on a clean tree, 1 on violations, 2 on a usage error."""
-    from repro.analysis import render_text, run_lint
-
-    try:
-        result = run_lint(
-            args.paths,
-            project_root=args.project_root,
-            select=args.select,
-            ignore=args.ignore,
-        )
-    except (FileNotFoundError, KeyError) as exc:
-        print(f"repro lint: error: {exc}", file=sys.stderr)
-        return 2
-    print(render_text(result))
-    return 0 if result.ok else 1
 
 
 def _print_summary(title: str, rows) -> None:
@@ -641,20 +621,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--probes", type=_positive_int, default=16, help="parity probes when verifying"
     )
     rp.set_defaults(func=cmd_replicate_promote)
-
-    p = sub.add_parser(
-        "lint", help="run the reprolint static-analysis suite"
-    )
-    p.add_argument(
-        "paths", nargs="*", default=["src/repro"], help="files/dirs (default: src/repro)"
-    )
-    p.add_argument("--select", nargs="+", metavar="RULE", help="run only these rules")
-    p.add_argument("--ignore", nargs="+", metavar="RULE", help="skip these rules")
-    p.add_argument(
-        "--project-root",
-        help="repository root (default: walk up to pyproject.toml/.git)",
-    )
-    p.set_defaults(func=cmd_lint)
 
     return parser
 

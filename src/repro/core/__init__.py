@@ -2,12 +2,14 @@
 
 This package is the paper's primary contribution (Section III): the
 Influenced Graph Sampling Module (``repro.graph.sampling``), the
-Relation-specific Update Module (:mod:`repro.core.updater` /
-:mod:`repro.core.interactor`), the Time-aware Propagation Module
-(:mod:`repro.core.propagation`), the combined model with hand-derived
-analytic gradients (:mod:`repro.core.model`), the single-pass InsLearn
-training workflow (:mod:`repro.core.inslearn`, Algorithm 1), and every
-ablation variant of Tables VII/VIII (:mod:`repro.core.variants`).
+Relation-specific Update Module and the Time-aware Propagation Module
+(Eq. 5-12 as the row kernels of :mod:`repro.core.engine.kernels`, run by
+:mod:`repro.core.engine`; Eq. 14 in :mod:`repro.core.updater`), the
+combined model with hand-derived analytic gradients
+(:mod:`repro.core.model`), the single-pass InsLearn training workflow
+(:mod:`repro.core.inslearn`, Algorithm 1), and every ablation variant of
+Tables VII/VIII (:mod:`repro.core.variants`).  The readable per-edge
+form of each equation is the test oracle in ``tests/oracle/``.
 """
 
 from repro.core.config import SUPAConfig, tau_from_g

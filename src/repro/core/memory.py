@@ -402,39 +402,6 @@ class MemoryOptimizer:
         block (table row ``memory.context_offset`` + this)."""
         return slot * self.memory.num_nodes + node
 
-    def step(
-        self,
-        long_grads: Dict[int, np.ndarray],
-        short_grads: Dict[int, np.ndarray],
-        context_grads: Dict[int, np.ndarray],
-        alpha_grads: Optional[Dict[int, float]] = None,
-    ) -> None:
-        """Apply accumulated per-row gradients in one sparse Adam step.
-
-        The reference engine's per-edge path: long rows keyed by node,
-        short rows by node, context rows by :meth:`context_row`, written
-        at their table offsets.  With the undo log open, the keys are
-        the rows to save.
-        """
-        memory = self.memory
-        groups = (
-            (long_grads, 0),
-            (short_grads, memory.short_offset),
-            (context_grads, memory.context_offset),
-        )
-        rows = [offset + row for grads, offset in groups for row in grads]
-        if rows:
-            rows = np.asarray(rows, dtype=np.int64)
-            self.table.save_rows(rows)
-            self.table.update_rows(
-                rows, np.stack([g for grads, _ in groups for g in grads.values()])
-            )
-        if alpha_grads:
-            rows = np.fromiter(alpha_grads, dtype=np.int64, count=len(alpha_grads))
-            grads = np.asarray([alpha_grads[r] for r in rows])[:, None]
-            self.alpha.save_rows(rows)
-            self.alpha.update_rows(rows, grads)
-
     # ------------------------------------------------------------- undo log
 
     def mark(self) -> None:

@@ -14,8 +14,9 @@ For every streamed edge ``(u, v, r, t)`` the model
 Gradients are hand-derived (the model is shallow — every loss is a
 log-sigmoid of an inner product of memory rows), which keeps the per-edge
 step allocation-light; correctness is cross-checked against finite
-differences in ``tests/core/test_propagation.py``, ``test_updater.py``,
-``test_interactor.py`` and ``test_engine_parity.py``.
+differences in ``tests/core/test_propagation.py``, ``test_updater.py``
+and ``test_interactor.py``, and against the per-edge oracle
+(``tests/oracle/``) in ``test_engine_parity.py``.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ sampling used by SUPA (Section III-B).
 
 from repro.graph.dmhg import DMHG, TemporalEdge
 from repro.graph.metapath import MultiplexMetapath
-from repro.graph.sampling import InfluencedGraph, Walk, WalkStep, sample_metapath_walk
+from repro.graph.sampling import Walk, WalkStep
 from repro.graph.schema import GraphSchema
 from repro.graph.streams import EdgeStream
 
@@ -16,10 +16,8 @@ __all__ = [
     "DMHG",
     "TemporalEdge",
     "MultiplexMetapath",
-    "InfluencedGraph",
     "Walk",
     "WalkStep",
-    "sample_metapath_walk",
     "GraphSchema",
     "EdgeStream",
 ]

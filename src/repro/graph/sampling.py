@@ -4,7 +4,9 @@ For a new edge ``(u, v, r, t)`` the Influenced Graph Sampling Module draws
 ``k`` metapath-constrained random walks of length ``l`` from each of the
 two interactive nodes (Eq. 1-3).  The union of walks is the *influenced
 graph* ``G_{s,e}`` on which the Time-aware Propagation Module spreads the
-interaction information.
+interaction information.  :func:`sample_pass_walks` samples a whole
+pass's influenced graphs as flat arrays; the object walker
+(:class:`Walk`) serves the random-walk baselines' corpora.
 
 Walks are sampled *before* the new edge is inserted into the graph, so a
 walk never trivially crosses the edge whose influence it measures.
@@ -12,8 +14,8 @@ walk never trivially crosses the edge whose influence it measures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -52,35 +54,6 @@ class Walk:
     def hops(self) -> List[WalkStep]:
         """Steps after the start node, each carrying its arrival edge."""
         return self.steps[1:]
-
-
-@dataclass
-class InfluencedGraph:
-    """The sampled influenced graph ``G_{s,e}`` of a new edge.
-
-    ``walks_u``/``walks_v`` are the path sets ``p_u``/``p_v`` of Eq. 1,
-    rooted at the two interactive nodes.
-    """
-
-    u: int
-    v: int
-    rel: int
-    t: float
-    walks_u: List[Walk] = field(default_factory=list)
-    walks_v: List[Walk] = field(default_factory=list)
-
-    @property
-    def walks(self) -> List[Walk]:
-        return self.walks_u + self.walks_v
-
-    def influenced_nodes(self) -> Set[int]:
-        """Nodes reached by any walk, excluding the two interactive nodes."""
-        nodes: Set[int] = set()
-        for walk in self.walks:
-            nodes.update(step.node for step in walk.hops())
-        nodes.discard(self.u)
-        nodes.discard(self.v)
-        return nodes
 
 
 class CompiledMetapath:
@@ -175,19 +148,6 @@ class CompiledMetapathSet:
         return cached
 
 
-def uniform_pick(u: float, n: int) -> int:
-    """The index in ``[0, n)`` that a uniform ``u`` in ``[0, 1)`` picks.
-
-    ``int(u * n)``.  It never reaches ``n`` for ``n < 2**53``: the
-    largest ``u`` is ``1 - 2**-53``, whose exact product with ``n`` lies
-    ``n * 2**-53`` below ``n`` — more than half an ulp of ``n``, or
-    exactly representable when ``n`` is a power of two — so the rounded
-    product is below ``n`` (rounding is monotone) and truncation gives at
-    most ``n - 1``.
-    """
-    return int(u * n)
-
-
 def _sample_compiled_walk(
     graph: DMHG, start: int, compiled: CompiledMetapath, length: int, pick
 ) -> Walk:
@@ -209,46 +169,6 @@ def _sample_compiled_walk(
 def _rng_pick(rng):
     """Per-hop picks drawn one by one from ``rng`` (the baselines' walkers)."""
     return lambda _, n: int(rng.integers(n))
-
-
-def sample_influenced_graph_compiled(
-    graph: DMHG,
-    u: int,
-    v: int,
-    rel: int,
-    t: float,
-    compiled: CompiledMetapathSet,
-    num_walks: int,
-    walk_length: int,
-    uniforms,
-) -> InfluencedGraph:
-    """Sample ``G_{s,e}`` for the new edge ``(u, v, rel, t)`` as objects.
-
-    Draws ``num_walks`` (the paper's ``k``) walks of ``walk_length``
-    (the paper's ``l``) from each interactive node.  Each walk picks a
-    uniformly random schema among those applicable to its start node; a
-    node with no applicable schema contributes no walks (its side of the
-    influenced graph is empty, and propagation towards it is skipped).
-
-    ``uniforms`` is the edge's ``(2, k, l)`` block of the pass's walk
-    draw (DESIGN.md §9 rule 2): walk ``w`` of side ``s`` picks its schema
-    with ``uniforms[s][w][0]`` and hop ``h`` with ``uniforms[s][w][h]``,
-    both by :func:`uniform_pick`.  The per-edge object oracle of
-    :func:`sample_pass_walks`."""
-    result = InfluencedGraph(u=u, v=v, rel=rel, t=float(t))
-    for side, (node, bucket) in enumerate(((u, result.walks_u), (v, result.walks_v))):
-        options = compiled.for_type(graph.node_type_id(node))
-        if not options:
-            continue
-        for w in range(num_walks):
-            slots = uniforms[side][w]
-            mp = options[uniform_pick(slots[0], len(options))]
-            walk = _sample_compiled_walk(
-                graph, node, mp, walk_length, lambda h, n: uniform_pick(slots[h], n)
-            )
-            if len(walk) > 1:
-                bucket.append(walk)
-    return result
 
 
 class PassWalks(NamedTuple):
@@ -279,12 +199,12 @@ def sample_pass_walks(
 
     Draw contract: no RNG is read here.  ``uniforms`` is the pass's
     ``(B, 2, k, l)`` walk draw (``None``: walks are off), read exactly as
-    :func:`sample_influenced_graph_compiled` reads each edge's block:
-    slot 0 picks the walk's metapath among its start type's options,
-    slot ``h`` picks hop ``h`` among the ``n`` candidates, both by
-    :func:`uniform_pick`.  A walk stops when its hop has no candidate,
-    and one that stops at hop 1 is dropped (the oracle's ``len(walk) >
-    1``); slots a walk does not reach are never read.
+    the per-edge object oracle reads each edge's block: slot 0 picks the
+    walk's metapath among its start type's options, slot ``h`` picks hop
+    ``h`` among the ``n`` candidates, both as ``int(u * n)`` (never ``n``
+    for ``n < 2**53``).  A walk stops when its hop has no candidate, and
+    one that stops at hop 1 is dropped; slots a walk does not reach are
+    never read.
 
     The graph is static for the pass, so every live walk advances
     together, one hop level at a time, by gathers from the graph's
@@ -338,36 +258,6 @@ def sample_pass_walks(
         offsets=offsets,
         sides=sides[kept],
         hop_counts=taken.reshape(batch, 2 * num_walks).sum(axis=1),
-    )
-
-
-def sample_metapath_walk(
-    graph: DMHG,
-    start: int,
-    metapath: MultiplexMetapath,
-    length: int,
-    rng: RngLike = None,
-) -> Walk:
-    """One random walk of up to ``length`` nodes following ``metapath``.
-
-    At position ``i`` the next node must have type ``o_{P, f(i+1)}`` and be
-    reachable over an edge whose type is in ``R_{P, f(i)}`` (Eq. 2-3); the
-    choice among admissible neighbours is uniform.  The walk stops early
-    when no admissible neighbour exists.
-    """
-    if length < 1:
-        raise ValueError(f"walk length must be >= 1, got {length}")
-    if graph.node_type(start) != metapath.head:
-        raise ValueError(
-            f"start node {start} has type {graph.node_type(start)!r}; "
-            f"metapath head is {metapath.head!r}"
-        )
-    return _sample_compiled_walk(
-        graph,
-        start,
-        CompiledMetapath(metapath, graph.schema),
-        length,
-        _rng_pick(new_rng(rng)),
     )
 
 

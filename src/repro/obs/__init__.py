@@ -22,17 +22,12 @@ in DESIGN.md §10 (e.g. ``core.inslearn.replay``, ``core.engine.compile``,
 ``serve.service.query``).
 """
 
-from repro.obs.export import (
-    parse_prometheus_text,
-    to_prometheus_text,
-    write_jsonl_snapshot,
-)
+from repro.obs.export import to_prometheus_text, write_jsonl_snapshot
 from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    exact_percentile,
 )
 from repro.obs.trace import (
     NULL_TRACER,
@@ -47,7 +42,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "exact_percentile",
     "MetricsRegistry",
     "Tracer",
     "NullTracer",
@@ -56,6 +50,5 @@ __all__ = [
     "format_span_tree",
     "format_flame_table",
     "to_prometheus_text",
-    "parse_prometheus_text",
     "write_jsonl_snapshot",
 ]

@@ -8,10 +8,9 @@ Two formats, both deliberately boring:
   Prometheus *histogram* families: cumulative ``_bucket{le="..."}``
   series ending in ``le="+Inf"``, plus ``_count``/``_sum`` (quantiles
   are derivable from the buckets, ``histogram_quantile``-style).  Metric
-  names are sanitised (dots → underscores) and prefixed ``repro_``.
-  :func:`parse_prometheus_text` reads that text back into a flat
-  ``{series_name: value}`` dict so the format is round-trippable in
-  tests and scrapeable by anything that speaks Prometheus.
+  names are sanitised (dots → underscores) and prefixed ``repro_``, so
+  the text is scrapeable by anything that speaks Prometheus (the tests
+  read it back with their own round-trip parser).
 * :func:`write_jsonl_snapshot` appends one JSON object per call to a
   ``.jsonl`` file — metrics summary, span tree, and an optional label /
   extra payload — so replay drivers and benchmark harnesses accumulate
@@ -85,25 +84,6 @@ def to_prometheus_text(
         else:
             raise ValueError(f"unknown instrument type {kind!r} for {name!r}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_prometheus_text(text: str) -> Dict[str, float]:
-    """Parse exposition text back into ``{series_name: value}``.
-
-    Labelled samples keep their label block in the key
-    (``repro_serve_latency_bucket{le="0.5"}``).  Comment and blank lines
-    are skipped.
-    """
-    series: Dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.rpartition(" ")
-        if not key:
-            raise ValueError(f"malformed exposition line: {line!r}")
-        series[key] = float(value)
-    return series
 
 
 def write_jsonl_snapshot(

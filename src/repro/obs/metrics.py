@@ -39,7 +39,7 @@ import json
 import math
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -242,8 +242,9 @@ class Histogram:
     def percentile(self, p: float) -> float:
         """The ``p``-th percentile as a bucket upper bound (0.0 if empty).
 
-        The returned boundary is >= the exact ceil-rank quantile
-        (:func:`exact_percentile`) and within one bucket of it —
+        The returned boundary is >= the exact ceil-rank quantile (the
+        smallest value with at least ``ceil(p/100 * n)`` observations at
+        or below it) and within one bucket of it —
         :attr:`relative_error` relative width, ~8 % at the default 30
         buckets per decade — at any observation count.  A quantile that
         falls in the overflow bucket reports the exact observed maximum;
@@ -295,21 +296,6 @@ class Histogram:
             for le, c in self._bucket_pairs(cumulative)
         ]
         return summary
-
-
-def exact_percentile(values: Sequence[float], p: float) -> float:
-    """Rank-based exact quantile matching :meth:`Histogram.percentile`.
-
-    Uses the same ceil-rank definition (the smallest value with at least
-    ``ceil(p/100 * n)`` observations at or below it) so tests and the
-    load harness can compare a bucketed estimate against ground truth
-    bucket-for-bucket.
-    """
-    data = np.sort(np.asarray(values, dtype=np.float64))
-    if data.size == 0:
-        return 0.0
-    rank = max(1, int(math.ceil(p / 100.0 * data.size)))
-    return float(data[rank - 1])
 
 
 class MetricsRegistry:

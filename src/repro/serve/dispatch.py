@@ -22,6 +22,12 @@ the service can count it toward the circuit breaker; the worker itself
 never dies, it backs off to its poll interval (a paused queue yields no
 batches, so an open breaker idles the thread at no cost).
 
+Owner gone: the worker holds the queue, not the service, so a service
+dropped without ``close()`` stops it through :meth:`stop`, which only
+*signals* — it may run on any thread, the worker's own included — and
+the worker checks the flag between batches as well as between polls.
+Batches still buffered stay journaled for ``recover()``.
+
 The worker's lock is leaf-like: never held while calling into the
 queue, so the lock hierarchy (DESIGN.md §12) gains no new edges.
 ``dispatch_next`` itself trains under the queue's dispatch mutex with
@@ -38,6 +44,11 @@ from typing import Callable, Optional
 
 from repro.serve.ingest import EventQueue
 
+#: idle wake-up interval — the liveness backstop when no ``notify()``
+#: arrives (``poll_seconds`` is per instance, so a test can shorten it
+#: before the first ``start()``)
+POLL_SECONDS = 0.05
+
 
 class DispatchWorker:
     """Drain ready micro-batches from an :class:`EventQueue` on a thread.
@@ -48,9 +59,6 @@ class DispatchWorker:
         The queue to drain; normally constructed with
         ``defer_dispatch=True`` (the worker also composes with inline
         dispatch, where it simply finds nothing ready).
-    poll_seconds:
-        Idle wake-up interval — the liveness backstop when no
-        :meth:`notify` arrives.
     on_error:
         Called with any exception escaping a dispatch round (see module
         docstring); exceptions it raises itself are swallowed.
@@ -59,13 +67,10 @@ class DispatchWorker:
     def __init__(
         self,
         queue: EventQueue,
-        poll_seconds: float = 0.05,
         on_error: Optional[Callable[[Exception], None]] = None,
     ):
-        if poll_seconds <= 0:
-            raise ValueError(f"poll_seconds must be > 0, got {poll_seconds}")
         self._queue = queue
-        self.poll_seconds = float(poll_seconds)
+        self.poll_seconds = POLL_SECONDS
         self._on_error = on_error
         # Guards lifecycle state (_thread, _closing) and the drain
         # tallies.  Leaf lock by contract: never held across a call
@@ -113,6 +118,19 @@ class DispatchWorker:
         with self._lock:
             self._thread = None
 
+    def stop(self) -> None:
+        """Signal the worker to exit; never joins and never drains.
+
+        The finaliser of a service dropped without ``close()`` calls
+        this, possibly on the worker thread itself, once the handler's
+        target is gone: any batch cut now would die in a
+        ``ReferenceError``, so the buffered events stay in the queue
+        (and in the WAL, for ``recover()``).
+        """
+        with self._lock:
+            self._closing = True
+        self._wake.set()
+
     def notify(self) -> None:
         """Nudge the worker (cheap; called after every accepted event)."""
         self._wake.set()
@@ -140,7 +158,8 @@ class DispatchWorker:
                 self._wake.clear()
 
     def _drain(self) -> int:
-        """Dispatch ready batches until the queue yields none; returns
+        """Dispatch ready batches until the queue yields none (or, on
+        the worker thread, until the worker is told to stop); returns
         events drained.  Runs on the worker thread and, during
         ``close()``, once on the closer's thread — never
         concurrently, because close joins the worker first."""
@@ -167,3 +186,5 @@ class DispatchWorker:
             with self._lock:
                 self.batches += 1
                 self.events += n
+                if self._closing and threading.current_thread() is self._thread:
+                    return total

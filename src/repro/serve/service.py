@@ -271,6 +271,11 @@ class RecommendationService:
             if self.config.async_dispatch
             else None
         )
+        if self.dispatcher is not None:
+            # A service dropped without close() must not leave its worker
+            # polling a queue whose handler target is gone.  The callback
+            # holds the worker, never the service, and only signals it.
+            weakref.finalize(self, self.dispatcher.stop)
         self._register_metrics(me)
 
     def _register_metrics(self, me: "RecommendationService") -> None:

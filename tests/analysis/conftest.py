@@ -28,7 +28,7 @@ def make_project(tmp_path):
 @pytest.fixture
 def lint(make_project):
     """Build a fixture project and lint its ``src/repro`` tree."""
-    from repro.analysis import run_lint
+    from reprolint import run_lint
 
     def _lint(files, **kwargs):
         root = make_project(files)

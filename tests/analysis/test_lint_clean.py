@@ -2,7 +2,7 @@
 
 from pathlib import Path
 
-from repro.analysis import run_lint
+from reprolint import run_lint
 
 REPO = Path(__file__).resolve().parents[2]
 

@@ -1,6 +1,6 @@
-"""The text report ``repro lint`` prints."""
+"""The text report ``python -m reprolint`` prints."""
 
-from repro.analysis import render_text
+from reprolint import render_text
 
 FILES_CLEAN = {"src/repro/core/clean.py": "x = 1\n"}
 FILES_DIRTY = {

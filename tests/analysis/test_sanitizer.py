@@ -13,9 +13,9 @@ import threading
 
 import pytest
 
-from repro.analysis import Audit, LockMonitor, SanitizedLock, threadcheck
-from repro.analysis.concurrency import infer_guarded
-from repro.analysis.sanitizer import default_audits
+from reprolint import Audit, LockMonitor, SanitizedLock, threadcheck
+from reprolint.concurrency import infer_guarded
+from reprolint.sanitizer import default_audits
 
 
 class _Pair:

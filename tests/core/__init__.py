@@ -1,7 +1,8 @@
 import numpy as np
 
-from repro.core.engine.engine import ReferenceEngine
 from repro.core.model import SUPA
+
+from tests.oracle.engine import ReferenceEngine
 
 
 def build_model(dataset, config, engine="batched") -> SUPA:

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.interactor import (
-    final_embedding,
-    interaction_loss,
-    interaction_loss_backward,
-)
+from repro.core.updater import final_embedding
+
+from tests.oracle.interactor import interaction_loss, interaction_loss_backward
 
 
 class TestFinalEmbedding:

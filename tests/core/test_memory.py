@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.core.memory import MemoryOptimizer, NodeMemory, SparseAdam
 
+from tests.oracle.engine import optimizer_step
+
 
 def make_memory(**kwargs):
     defaults = dict(
@@ -314,7 +316,8 @@ class TestMemoryOptimizer:
         before_short = mem.short[2].copy()
         before_ctx = mem.context[0, 3].copy()
         before_alpha = mem.alpha.copy()
-        opt.step(
+        optimizer_step(
+            opt,
             long_grads={1: np.ones(4)},
             short_grads={2: np.ones(4)},
             context_grads={opt.context_row(0, 3): np.ones(4)},
@@ -329,15 +332,15 @@ class TestMemoryOptimizer:
     def test_alpha_view_write_through(self):
         mem = make_memory()
         opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)
-        opt.step({}, {}, {}, alpha_grads={1: 2.0})
+        optimizer_step(opt, {}, {}, {}, alpha_grads={1: 2.0})
         assert mem.alpha[1] != 0.0
 
     def test_state_roundtrip(self):
         mem = make_memory()
         opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)
-        opt.step({0: np.ones(4)}, {}, {}, {})
+        optimizer_step(opt, {0: np.ones(4)}, {}, {}, {})
         state = opt.state_dict()
-        opt.step({0: np.ones(4)}, {}, {}, {})
+        optimizer_step(opt, {0: np.ones(4)}, {}, {}, {})
         opt.load_state_dict(state)
         assert opt.state_dict()["long"]["steps"][0] == 1
 
@@ -346,7 +349,7 @@ class TestMemoryOptimizer:
         """Every part is checked before any is written."""
         mem = make_memory()
         opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)
-        opt.step({0: np.ones(4)}, {1: np.ones(4)}, {2: np.ones(4)}, {0: 1.0})
+        optimizer_step(opt, {0: np.ones(4)}, {1: np.ones(4)}, {2: np.ones(4)}, {0: 1.0})
         before = _state_bytes(mem, opt)
         state = MemoryOptimizer(make_memory(), lr=0.1, weight_decay=0.0).state_dict()
         state[part]["steps"] = state[part]["steps"][:1]
@@ -445,19 +448,19 @@ class TestUndoLog:
         mem = make_memory()
         opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)
         opt.save_rows(np.array([0, 1]), np.array([2, 3]))
-        opt.step({0: np.ones(4)}, {}, {}, {0: 1.0})
+        optimizer_step(opt, {0: np.ones(4)}, {}, {}, {0: 1.0})
         assert all(a._undo is None for a in opt._adams)
 
     def test_step_and_pass_level_saves_cover_their_writes(self):
-        """The two production save sites: ``step`` (reference engine,
-        gradient-dict keys) and ``save_rows`` (compiled engines, one call
-        per pass with repeated rows) — alpha through its ``[:, None]`` view."""
+        """The two save sites: ``optimizer_step`` (the oracle engine,
+        gradient-dict keys) and ``save_rows`` (the production engine, one
+        call per pass with repeated rows) — alpha through its ``[:, None]`` view."""
         mem = make_memory()
         opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)
-        opt.step({1: np.ones(4)}, {1: np.ones(4)}, {3: np.ones(4)}, {1: 0.5})
+        optimizer_step(opt, {1: np.ones(4)}, {1: np.ones(4)}, {3: np.ones(4)}, {1: 0.5})
         start = _state_bytes(mem, opt)
         opt.mark()
-        opt.step({1: np.ones(4), 2: np.ones(4)}, {2: np.ones(4)}, {3: np.ones(4)}, {1: 2.0})
+        optimizer_step(opt, {1: np.ones(4), 2: np.ones(4)}, {2: np.ones(4)}, {3: np.ones(4)}, {1: 2.0})
         opt.save_rows(np.array([4, 4, 1]), np.array([3, 9, 9]))
         opt.table.update_rows(np.array([1, 4, 12 + 3, 12 + 9]), np.ones((4, 4)))
         opt.alpha.update_rows(np.array([0, 1]), np.ones((2, 1)))

@@ -5,12 +5,14 @@ import pytest
 
 from repro.core.config import SUPAConfig, g_decay
 from repro.core.memory import NodeMemory
-from repro.core.propagation import (
+from repro.graph.sampling import Walk, WalkStep
+
+from tests.oracle.propagation import (
     edge_factor,
     propagation_loss,
     propagation_loss_backward,
 )
-from repro.graph.sampling import InfluencedGraph, Walk, WalkStep
+from tests.oracle.sampling import InfluencedGraph
 
 
 @pytest.fixture

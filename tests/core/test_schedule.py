@@ -17,14 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SUPAConfig
-from repro.core.engine.engine import ReferenceEngine
 from repro.core.engine.plan import compile_plan
 from repro.core.engine.schedule import partition_round_indices
 from repro.core.inslearn import _record_and_observe
 from repro.core.model import SUPA
-from repro.core.propagation import propagation_loss
 from repro.datasets.zoo import movielens
 from repro.graph.streams import StreamEdge
+
+from tests.oracle.engine import ReferenceEngine
+from tests.oracle.propagation import propagation_loss
 
 
 def partition_conflict_free_rounds(

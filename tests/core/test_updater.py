@@ -5,12 +5,9 @@ import pytest
 
 from repro.core.config import SUPAConfig, g_decay
 from repro.core.memory import NodeMemory
-from repro.core.updater import (
-    active_interval,
-    final_embedding_rows,
-    target_embedding,
-    target_embedding_backward,
-)
+from repro.core.updater import active_interval, final_embedding_rows
+
+from tests.oracle.updater import target_embedding, target_embedding_backward
 
 
 @pytest.fixture

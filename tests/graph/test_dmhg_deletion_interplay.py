@@ -5,9 +5,9 @@ import pytest
 
 from repro.graph.dmhg import DMHG
 from repro.graph.metapath import MultiplexMetapath
-from repro.graph.sampling import sample_metapath_walk
 from repro.graph.schema import GraphSchema
 from tests.graph.test_sampling import sample_influenced_graph
+from tests.oracle.sampling import sample_metapath_walk
 
 
 @pytest.fixture

@@ -9,14 +9,17 @@ from repro.graph.dmhg import DMHG
 from repro.graph.metapath import MultiplexMetapath
 from repro.graph.sampling import (
     CompiledMetapathSet,
-    InfluencedGraph,
     random_walk_corpus,
-    sample_influenced_graph_compiled,
-    sample_metapath_walk,
     sample_pass_walks,
-    uniform_pick,
 )
 from repro.graph.schema import GraphSchema
+
+from tests.oracle.sampling import (
+    InfluencedGraph,
+    sample_influenced_graph_compiled,
+    sample_metapath_walk,
+    uniform_pick,
+)
 
 
 def _pass_walk_nodes(graph, u, v, compiled, block):

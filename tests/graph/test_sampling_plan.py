@@ -21,12 +21,10 @@ from repro.core.model import SUPA
 from repro.datasets.zoo import movielens
 from repro.graph.dmhg import DMHG
 from repro.graph.metapath import MultiplexMetapath
-from repro.graph.sampling import (
-    CompiledMetapathSet,
-    sample_influenced_graph_compiled,
-    sample_pass_walks,
-)
+from repro.graph.sampling import CompiledMetapathSet, sample_pass_walks
 from repro.graph.schema import GraphSchema
+
+from tests.oracle.sampling import sample_influenced_graph_compiled
 
 #: the array fields of :class:`~repro.graph.sampling.PassWalks`
 _ARRAYS = ("nodes", "rels", "times", "offsets", "sides", "hop_counts")

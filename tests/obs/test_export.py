@@ -4,13 +4,11 @@ import json
 
 import pytest
 
-from repro.obs.export import (
-    parse_prometheus_text,
-    to_prometheus_text,
-    write_jsonl_snapshot,
-)
+from repro.obs.export import to_prometheus_text, write_jsonl_snapshot
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+
+from tests.oracle.obs import parse_prometheus_text
 
 
 def make_registry():

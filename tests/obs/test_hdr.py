@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.obs.export import parse_prometheus_text, to_prometheus_text
-from repro.obs.metrics import Histogram, MetricsRegistry, exact_percentile
+from repro.obs.export import to_prometheus_text
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.utils.rng import new_rng
+
+from tests.oracle.obs import exact_percentile, parse_prometheus_text
 
 
 def heavy_tailed(n: int = 20_000, seed: int = 7) -> np.ndarray:

@@ -5,14 +5,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.obs.export import parse_prometheus_text, to_prometheus_text
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    exact_percentile,
-)
+from repro.obs.export import to_prometheus_text
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+
+from tests.oracle.obs import exact_percentile, parse_prometheus_text
 
 
 class TestCounter:
@@ -231,7 +227,7 @@ class TestThreadSafety:
     def test_mixed_hammer_is_sanitizer_clean(self):
         """Counters, gauges and histograms hammered together under the
         runtime lock sanitizer: no inversion, no unguarded write."""
-        from repro.analysis import threadcheck
+        from reprolint import threadcheck
 
         with threadcheck() as monitor:
             reg = MetricsRegistry()

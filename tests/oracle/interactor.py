@@ -1,14 +1,11 @@
-"""The edge-type specific interactor (Section III-C.2, Eq. 6-7).
+"""The edge-type specific interactor, one edge at a time (Section III-C.2, Eq. 7).
 
-Combines target embeddings with relation-specific context embeddings to
-form the final embeddings
-
-    h^r = 1/2 (h* + c^r),
-
-and computes the interaction loss ``L_inter = -log sigma(h_u^r . h_v^r)``
-that pulls the two interactive nodes together.  Forward and analytic
-backward are exposed separately so the model can fold the gradients into
-its sparse accumulators; both are one-edge calls of the row kernels in
+The readable form of Eq. 7: the interaction loss ``L_inter = -log
+sigma(h_u^r . h_v^r)`` over the final embeddings ``h^r = 1/2 (h* + c^r)``
+(Eq. 6, :func:`repro.core.updater.final_embedding`) that pulls the two
+interactive nodes together.  Forward and analytic backward are separate
+so the oracle engine can fold the gradients into its dict accumulators;
+both are one-edge calls of the row kernels in
 :mod:`repro.core.engine.kernels`, which own the arithmetic.
 """
 
@@ -19,11 +16,6 @@ from typing import NamedTuple, Tuple
 import numpy as np
 
 from repro.core.engine import kernels
-
-
-def final_embedding(h_star: np.ndarray, context: np.ndarray) -> np.ndarray:
-    """Eq. 6/14: ``h^r = 1/2 (h* + c^r)``."""
-    return 0.5 * (h_star + context)
 
 
 class InteractionForward(NamedTuple):

@@ -1,4 +1,4 @@
-"""The time-aware propagation module (Section III-D, Eq. 8-10).
+"""The time-aware propagation module, one edge at a time (Section III-D, Eq. 8-10).
 
 Two propagation flows carry the target embeddings of the interactive
 nodes across the sampled influenced graph.  Crossing an edge of age
@@ -9,10 +9,10 @@ propagation loss (Eq. 10) is a skip-gram objective between the arriving
 information and each influenced node's context embedding.
 
 The arithmetic lives in the shared array kernels
-(:mod:`repro.core.engine.kernels`); this module walks the influenced
-graph's Python objects, lowers the surviving hops to flat arrays and
-calls the same kernels the batched execution engine uses, so the two
-engines cannot drift numerically.
+(:mod:`repro.core.engine.kernels`); this readable form walks the
+influenced graph's Python objects, lowers the surviving hops to flat
+arrays and calls the same kernels the batched engine uses, so the oracle
+and the engine cannot drift numerically.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ import numpy as np
 from repro.core.config import SUPAConfig, g_decay
 from repro.core.engine import kernels
 from repro.core.memory import NodeMemory
-from repro.graph.sampling import InfluencedGraph, Walk
+from repro.graph.sampling import Walk
+
+from tests.oracle.sampling import InfluencedGraph
 
 
 @dataclass

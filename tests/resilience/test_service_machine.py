@@ -35,7 +35,6 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.analysis import threadcheck
 from repro.core.config import SUPAConfig
 from repro.core.inslearn import InsLearnConfig
 from repro.core.model import SUPA
@@ -48,6 +47,7 @@ from repro.resilience.recovery import recover
 from repro.resilience.wal import iter_records
 from repro.serve.ingest import EventQueue
 from repro.serve.service import RecommendationService, ServeConfig
+from reprolint import threadcheck
 from tests.resilience import fold
 
 DATASET = load_dataset("uci", scale=0.1)

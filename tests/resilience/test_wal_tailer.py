@@ -137,7 +137,7 @@ class TestConcurrentAppendAndTail:
         """One writer appends while a tailer polls
         concurrently; the tailer must observe every record exactly once,
         in sequence, and the lock sanitizer must stay clean."""
-        from repro.analysis import threadcheck
+        from reprolint import threadcheck
 
         total = 200
         with threadcheck() as monitor:

@@ -138,5 +138,4 @@ def test_cli_surface():
         "replicate promote": REPLICATE | {
             "--replica-dir", "--resume-from", "--events", "--verify-parity", "--probes",
         },
-        "lint": {"paths", "--select", "--ignore", "--project-root"},
     }

@@ -13,10 +13,10 @@ import time
 
 import pytest
 
-from repro.analysis import threadcheck
 from repro.graph.streams import StreamEdge
 from repro.serve.dispatch import DispatchWorker
 from repro.serve.ingest import EventQueue
+from reprolint import threadcheck
 
 #: worker poll long enough that tests exercise notify()/close(), not the
 #: liveness backstop
@@ -32,6 +32,13 @@ def collector():
     return batches, batches.append
 
 
+def make_worker(queue, poll_seconds=SLOW_POLL, on_error=None):
+    """A worker with its poll overridden before it starts."""
+    worker = DispatchWorker(queue, on_error=on_error)
+    worker.poll_seconds = poll_seconds
+    return worker
+
+
 def wait_until(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -42,16 +49,11 @@ def wait_until(predicate, timeout=5.0):
 
 
 class TestLifecycle:
-    def test_rejects_nonpositive_poll(self):
-        q = EventQueue(lambda b: None, batch_size=2, capacity=8)
-        with pytest.raises(ValueError):
-            DispatchWorker(q, poll_seconds=0.0)
-
     def test_start_is_idempotent(self):
         q = EventQueue(
             lambda b: None, batch_size=2, capacity=8, defer_dispatch=True
         )
-        worker = DispatchWorker(q, poll_seconds=SLOW_POLL)
+        worker = make_worker(q)
         try:
             assert worker.start() is worker
             thread = worker._thread
@@ -65,7 +67,7 @@ class TestLifecycle:
         q = EventQueue(
             lambda b: None, batch_size=2, capacity=8, defer_dispatch=True
         )
-        worker = DispatchWorker(q, poll_seconds=SLOW_POLL)
+        worker = make_worker(q)
         worker.close()  # never started: no-op
         worker.start()
         worker.close()
@@ -75,7 +77,7 @@ class TestLifecycle:
     def test_restart_after_close(self):
         batches, handler = collector()
         q = EventQueue(handler, batch_size=2, capacity=8, defer_dispatch=True)
-        worker = DispatchWorker(q, poll_seconds=SLOW_POLL)
+        worker = make_worker(q)
         worker.start()
         worker.close()
         worker.start()  # a closed worker can come back up
@@ -90,7 +92,7 @@ class TestLifecycle:
     def test_notify_wakes_the_worker(self):
         batches, handler = collector()
         q = EventQueue(handler, batch_size=2, capacity=8, defer_dispatch=True)
-        worker = DispatchWorker(q, poll_seconds=SLOW_POLL).start()
+        worker = make_worker(q).start()
         try:
             # the poll is 30s: only notify() can deliver this batch fast
             for i in range(2):
@@ -106,7 +108,7 @@ class TestDrainOnClose:
     def test_close_drains_ready_batches_on_closers_thread(self):
         batches, handler = collector()
         q = EventQueue(handler, batch_size=2, capacity=16, defer_dispatch=True)
-        worker = DispatchWorker(q, poll_seconds=SLOW_POLL).start()
+        worker = make_worker(q).start()
         # wait for the startup drain to finish, then buffer 3 batches
         # without notifying — the sleeping worker never sees them
         assert wait_until(lambda: not worker._wake.is_set())
@@ -116,6 +118,89 @@ class TestDrainOnClose:
         assert len(batches) == 3
         assert q.pending == 1  # the partial batch stays for flush()
         assert q.flush() == 1
+
+
+class TestOwnerGone:
+    def test_stop_ends_the_drain_between_batches(self):
+        """A stop signalled while a batch trains (a dropped service's
+        finaliser runs when the batch lets go of it) cuts no further
+        batch: the rest stay buffered."""
+        batches = []
+
+        def handler(batch):
+            batches.append(batch)
+            worker.stop()
+
+        q = EventQueue(handler, batch_size=2, capacity=16, defer_dispatch=True)
+        for i in range(6):
+            q.put(edge(i))
+        worker = make_worker(q)
+        worker.start()
+        assert wait_until(lambda: not worker.running, timeout=2.0)
+        assert len(batches) == 1 and q.pending == 4
+        assert worker.batches == 1 and worker.errors == 0
+        worker.close()  # the closer's thread still drains what is ready
+        assert len(batches) == 3
+
+    def test_a_dropped_async_service_stops_its_worker(self, tmp_path):
+        """A service dropped without ``close()`` signals its worker from a
+        finaliser: the thread ends, no batch is cut for a handler whose
+        target is gone, and the buffered events stay journaled, so
+        ``recover()`` retrains them into the inline run's state."""
+        import gc
+
+        from repro.core.config import SUPAConfig
+        from repro.core.model import SUPA
+        from repro.datasets.zoo import load_dataset
+        from repro.replicate.failover import state_fingerprint
+        from repro.resilience.recovery import recover
+        from repro.serve.service import RecommendationService, ServeConfig
+
+        dataset = load_dataset("uci", scale=0.1)
+        model_config = SUPAConfig(dim=8, num_walks=2, walk_length=2, seed=0)
+        events = list(dataset.stream)[:64]
+
+        def config(**durable):
+            return ServeConfig(batch_size=32, capacity=128, **durable)
+
+        durable = config(
+            async_dispatch=True,
+            wal_path=str(tmp_path / "events.wal"),
+            checkpoint_dir=str(tmp_path / "ckpts"),
+        )
+        svc = RecommendationService(
+            dataset, model=SUPA.for_dataset(dataset, model_config), config=durable
+        )
+        queue, worker, wal = svc.queue, svc.dispatcher, svc.wal
+        queue.pause()
+        for event in events:
+            svc.ingest(event)
+        assert worker.running and queue.pending == 64
+        time.sleep(0.2)  # let the last notify's empty drain go back to sleep
+        queue.resume()  # two batches ready, and nothing left to train them
+        dispatched = queue.batches_dispatched
+        del svc
+        gc.collect()
+        try:
+            assert wait_until(lambda: not worker.running, timeout=2.0)
+            time.sleep(2 * worker.poll_seconds)
+            assert worker.errors == 0
+            assert queue.batches_dispatched == dispatched == 0
+            assert queue.pending == 64
+        finally:
+            wal.close()  # what the dead process's exit would release
+
+        recovered = recover(dataset, durable, model_config=model_config).service
+        inline = RecommendationService(
+            dataset, model=SUPA.for_dataset(dataset, model_config), config=config()
+        )
+        for event in events:
+            inline.ingest(event)
+        for service in (recovered, inline):
+            service.flush()
+            service.close()
+        assert recovered.queue.batches_dispatched == 2
+        assert state_fingerprint(recovered) == state_fingerprint(inline)
 
 
 class TestCrashRouting:
@@ -128,8 +213,8 @@ class TestCrashRouting:
                 raise RuntimeError("train blew up")
 
         q = EventQueue(handler, batch_size=2, capacity=16, defer_dispatch=True)
-        worker = DispatchWorker(
-            q, poll_seconds=0.01, on_error=crashes.append
+        worker = make_worker(
+            q, 0.01, on_error=crashes.append
         ).start()
         try:
             for i in range(2):
@@ -154,8 +239,8 @@ class TestCrashRouting:
             raise ValueError("the error handler is broken too")
 
         q = EventQueue(handler, batch_size=1, capacity=8, defer_dispatch=True)
-        worker = DispatchWorker(
-            q, poll_seconds=0.01, on_error=bad_callback
+        worker = make_worker(
+            q, 0.01, on_error=bad_callback
         ).start()
         try:
             q.put(edge(0))
@@ -184,7 +269,7 @@ class TestSanitized:
                 overflow="drop_new",
                 defer_dispatch=True,
             )
-            worker = DispatchWorker(q, poll_seconds=0.005).start()
+            worker = make_worker(q, 0.005).start()
 
             def produce(base):
                 for i in range(50):
@@ -215,9 +300,10 @@ class TestSanitized:
         while it runs: a sourced instrument reads its owner at export
         time (no registry lock held, so no order inversion), and at
         quiescence every one of them equals the tally it sources."""
-        from repro.obs.export import parse_prometheus_text, to_prometheus_text
+        from repro.obs.export import to_prometheus_text
         from repro.serve.admission import AdmissionConfig
         from repro.serve.service import RecommendationService, ServeConfig
+        from tests.oracle.obs import parse_prometheus_text
 
         edges = list(small_dataset.stream)
         malformed = edges[0]._replace(edge_type="nope")

@@ -213,7 +213,7 @@ class TestConcurrentPut:
     def hammer(self, overflow):
         import threading
 
-        from repro.analysis import threadcheck
+        from reprolint import threadcheck
 
         batches, handler = collector()
         # the whole hammer runs under the lock sanitizer: any lock-order
@@ -287,7 +287,7 @@ class TestConcurrentPut:
         import threading
         import time
 
-        from repro.analysis import threadcheck
+        from reprolint import threadcheck
 
         batches, accepted_order, cuts = [], [], []
 

@@ -381,7 +381,7 @@ class TestOneIntakeDecision:
     def test_ingest_holds_the_queue_lock_once_plus_once_per_cut(
         self, small_dataset
     ):
-        from repro.analysis import threadcheck
+        from reprolint import threadcheck
 
         edges = list(small_dataset.stream)
         with threadcheck() as monitor:
@@ -413,7 +413,7 @@ class TestNobodyWaitsOnAnUpdate:
     def test_ingest_and_reads_return_while_an_update_is_parked(
         self, small_dataset
     ):
-        from repro.analysis import threadcheck
+        from reprolint import threadcheck
 
         edges = list(small_dataset.stream)[:4] + [
             StreamEdge(u=i % 5, v=5 + (i * 3) % 5, t=10.0 + i, edge_type="click")

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from reprolint.__main__ import main as lint_main
 
 #: a ``core/`` module with one dtype-less allocation (an ``explicit-dtype`` hit)
 UNPINNED = "import numpy as np\nbuf = np.zeros(3)\n"
@@ -104,13 +105,8 @@ class TestCommands:
 
     def test_lint_subcommand_clean_on_src(self, capsys):
         repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        code = main(
-            [
-                "lint",
-                os.path.join(repo, "src", "repro"),
-                "--project-root",
-                repo,
-            ]
+        code = lint_main(
+            [os.path.join(repo, "src", "repro"), "--project-root", repo]
         )
         assert code == 0
         assert "reprolint: clean" in capsys.readouterr().out
@@ -132,7 +128,7 @@ class TestCommands:
             (tmp_path / "pyproject.toml").write_text("[project]\nname = 'fixture'\n")
             (tree / "core").mkdir(parents=True)
             (tree / "core" / "alloc.py").write_text(source)
-        assert main(["lint", str(tree), "--project-root", str(tmp_path), *extra]) == code
+        assert lint_main([str(tree), "--project-root", str(tmp_path), *extra]) == code
         captured = capsys.readouterr()
         assert expected in (captured.err if code == 2 else captured.out)
 

@@ -8,11 +8,10 @@ nothing reaches.  A package ``__init__`` does not count as a reacher:
 ``from repro.obs import Tracer`` is an edge to the module that defines
 ``Tracer``, not to everything ``obs/__init__`` re-exports, so a module
 that is only re-exported (and imported by its own tests, which are not
-entrypoints) is reported.
-
-``KEPT_ON_PURPOSE`` is the allow-list: modules no entrypoint reaches
-that stay anyway, each with the reason.  An entry that *is* reached is
-stale and fails too, so the list cannot rot.
+entrypoints) is reported.  There are no exceptions: code only tests run
+lives under ``tests/`` (the per-edge oracles in ``tests/oracle/``) or
+``tools/`` (the linter and its lock sanitizer), and the package imports
+neither, so an installed wheel needs neither.
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
+
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
@@ -28,16 +28,8 @@ SRC = ROOT / "src"
 ENTRY_MODULES = ("repro.__main__", "repro.cli")
 #: script directories whose files are each an entrypoint.
 ENTRY_DIRS = ("examples", "benchmarks", "benchmarks/spine")
-
-#: module -> why it stays although no entrypoint imports it.
-KEPT_ON_PURPOSE: Dict[str, str] = {
-    "repro.analysis.sanitizer": (
-        "test instrument, like ReferenceEngine: `threadcheck()` is the runtime "
-        "half of the concurrency lint that the serve / resilience / replicate "
-        "stress tests run under; its guarded sets are the static rule's inference "
-        "(`concurrency.infer_guarded`)"
-    ),
-}
+#: top-level packages outside ``src`` that the package must never import.
+DEV_ONLY = ("tests", "reprolint")
 
 
 def _module_table() -> Dict[str, Path]:
@@ -137,16 +129,20 @@ def test_entrypoints_exist():
 
 
 def test_every_module_is_reached_by_an_entrypoint():
-    orphans = [name for name in unreached_modules() if name not in KEPT_ON_PURPOSE]
+    orphans = unreached_modules()
     assert not orphans, (
         "modules no entrypoint reaches (only their own tests or a package "
         f"__init__ import them): {orphans}.  Delete them, wire them into an "
-        "entrypoint, or add them to KEPT_ON_PURPOSE with the reason."
+        "entrypoint, or move them beside the tests that use them."
     )
 
 
-def test_allow_list_has_no_stale_rows():
-    unreached = set(unreached_modules())
-    stale = sorted(set(KEPT_ON_PURPOSE) - unreached)
-    assert not stale, f"KEPT_ON_PURPOSE rows that are reached (or gone): {stale}"
-    assert all(reason.strip() for reason in KEPT_ON_PURPOSE.values())
+def test_package_imports_neither_tests_nor_tools():
+    """An installed ``repro`` needs nothing from ``tests/`` or ``tools/``."""
+    bad = sorted(
+        f"{name} -> {module}"
+        for name, path in MODULES.items()
+        for module, _ in _imports(path)
+        if module.split(".")[0] in DEV_ONLY
+    )
+    assert not bad, f"package modules importing dev-only code: {bad}"

@@ -34,7 +34,7 @@ inside the service) and sees a lock taken through a context-manager
 method (``with self.dispatch_barrier():``) as a call, not an
 acquisition, so cross-class lock ordering — and the rank of such an
 order-only mutex — is enforced at runtime by
-:mod:`repro.analysis.sanitizer` instead; the two halves share one
+:mod:`reprolint.sanitizer` instead; the two halves share one
 lock-hierarchy contract (DESIGN.md §12).
 """
 
@@ -46,7 +46,7 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.core import (
+from reprolint.core import (
     Rule,
     SourceFile,
     Violation,

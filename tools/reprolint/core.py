@@ -6,8 +6,9 @@ one module at a time (``check_file``), report :class:`Violation`
 records, and can be silenced per line or per file with
 ``# reprolint: disable=<rule>[,<rule>...]`` comments.
 
-``run_lint`` is the single entry point used by the ``repro lint``
-subcommand and the tier-1 gate test; ``render_text`` is its report.
+``run_lint`` is the single entry point used by ``python -m reprolint``
+(:mod:`reprolint.__main__`) and the tier-1 gate test; ``render_text`` is
+its report.
 """
 
 from __future__ import annotations
@@ -195,8 +196,8 @@ def get_rules(
 ) -> List[Rule]:
     """Registered rules, optionally filtered by ``select`` / ``ignore``."""
     # Importing the rule modules populates the registry on first use.
-    from repro.analysis import concurrency as _concurrency  # noqa: F401
-    from repro.analysis import rules as _rules  # noqa: F401
+    from reprolint import concurrency as _concurrency  # noqa: F401
+    from reprolint import rules as _rules  # noqa: F401
 
     known = set(_REGISTRY)
     for name in list(select or []) + list(ignore or []):

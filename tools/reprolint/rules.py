@@ -1,9 +1,9 @@
 """The reprolint rule set: five general checks for this codebase's hazards.
 
 With the three concurrency-correctness rules in
-:mod:`repro.analysis.concurrency` — ``lock-discipline``,
+:mod:`reprolint.concurrency` — ``lock-discipline``,
 ``lock-ordering`` and ``hold-and-call``, whose runtime counterpart is
-:mod:`repro.analysis.sanitizer` — that makes eight.  Invariants a tier-1
+:mod:`reprolint.sanitizer` — that makes eight.  Invariants a tier-1
 test already checks at runtime (``repro.__all__`` documented, every
 baseline registered and tested, every taped op gradchecked) are left to
 those tests.
@@ -40,14 +40,14 @@ exception-discipline  error paths that hide failures: bare ``except:``
 ====================  ======================================================
 
 The numpy and clock checks match calls by
-:func:`~repro.analysis.core.qualified_name`, so an aliased import
+:func:`~reprolint.core.qualified_name`, so an aliased import
 (``import numpy as xp``, ``from time import perf_counter``) is seen
 through.  Every rule honours ``# reprolint: disable=<id>`` on the
 reported line and ``# reprolint: disable-file=<id>`` anywhere in the
 reported file.  To add a rule: subclass
-:class:`~repro.analysis.core.Rule`, set ``id`` and ``description``,
+:class:`~reprolint.core.Rule`, set ``id`` and ``description``,
 implement ``check_file``, and decorate with
-:func:`~repro.analysis.core.register_rule`.
+:func:`~reprolint.core.register_rule`.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, Set
 
-from repro.analysis.core import (
+from reprolint.core import (
     Rule,
     SourceFile,
     Violation,

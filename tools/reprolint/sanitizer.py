@@ -1,6 +1,6 @@
 """Runtime lock sanitizer: order-inversion and unguarded-write detection.
 
-The static rules in :mod:`repro.analysis.concurrency` stop at the class
+The static rules in :mod:`reprolint.concurrency` stop at the class
 boundary; this module watches the *running* system.  Inside a
 :func:`threadcheck` block every audited class (the serving queue, the
 embedding store, the top-K index, the metrics primitives, the service
@@ -250,14 +250,14 @@ class LockMonitor:
 def default_audits() -> List[Audit]:
     """The audited classes: every lock owner in serve/obs/resilience.
 
-    Imports live here (not module top) so ``repro.analysis`` stays
+    Imports live here (not module top) so ``reprolint`` stays
     importable without dragging in numpy-heavy serving modules.  Each
     row names a lock; what it guards is what the static
     ``lock-discipline`` rule infers from the class's source
-    (:func:`~repro.analysis.concurrency.infer_guarded`), so the two
+    (:func:`~reprolint.concurrency.infer_guarded`), so the two
     halves of the suite cannot drift apart.
     """
-    from repro.analysis.concurrency import infer_guarded
+    from reprolint.concurrency import infer_guarded
     from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
     from repro.replicate.follower import ReplicationFollower
     from repro.resilience.checkpoint import CheckpointManager
