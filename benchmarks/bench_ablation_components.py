@@ -31,9 +31,9 @@ H_STAR, CONTEXT = np.stack((H_U, H_V)), np.stack((C_U, C_V))
 
 
 def hand_gradient() -> np.ndarray:
-    """``d L_inter / d h*`` per endpoint row (equal to ``d / d c^r``)."""
-    _, score, h_r = kernels.interaction_forward(H_STAR, CONTEXT)
-    return kernels.interaction_backward(score, h_r)
+    """``d L_inter / d h*`` per endpoint row (equal to ``d / d c^r``),
+    from the engine's fused Eq. 7 kernel."""
+    return kernels.interaction_rows(H_STAR, CONTEXT)[1]
 
 
 def test_hand_gradient_step(benchmark):

@@ -12,10 +12,10 @@ of one, so ``train_step`` is plain per-edge SGD (DESIGN.md §9).
 compiles the micro-batch into a round-major
 :class:`~repro.core.engine.plan.BatchPlan` (all sampling up front,
 :mod:`repro.core.engine.plan`) and executes each round, a contiguous
-slice of it, as a handful of stacked ``[round, dim]`` kernels — Python
+slice of it, as a handful of fused ``[round, dim]`` kernels — Python
 dispatch is paid per round, not per edge.  Every float goes through the
-shared kernels (:mod:`repro.core.engine.kernels`), and a pass's
-randomness comes from :func:`~repro.core.engine.plan.draw_pass`.
+kernels (:mod:`repro.core.engine.kernels`), and a pass's randomness
+comes from :func:`~repro.core.engine.plan.draw_pass`.
 
 Its specification is the per-edge oracle in ``tests/oracle/engine.py``:
 the same semantics with Python objects for walks and hops, dict
@@ -71,6 +71,7 @@ class BatchedEngine:
         """
         if not len(records):
             model.last_touched_nodes = ()
+            model.last_loss_components = {}
             return np.empty(0, dtype=np.float64)
         tracer = model.tracer
         with tracer.span("core.engine.compile", edges=len(records)):
@@ -83,8 +84,8 @@ class BatchedEngine:
         if registry is None:
             return
         registry.counter("engine.plan.edges").inc(plan.num_edges)
-        registry.counter("engine.plan.walk_steps").inc(len(plan.step_rows))
-        registry.counter("engine.plan.negatives").inc(len(plan.neg_rows))
+        registry.counter("engine.plan.walk_steps").inc(plan.num_walk_steps)
+        registry.counter("engine.plan.negatives").inc(plan.num_negatives)
         registry.counter("engine.plan.ctx_rows").inc(len(plan.ctx_rows))
         registry.counter("engine.plan.rounds").inc(plan.num_rounds)
         registry.counter("engine.plan.contended_ctx_rows").inc(
@@ -99,20 +100,23 @@ class BatchedEngine:
     def _execute_plan(self, model, plan) -> np.ndarray:
         """Execute a compiled plan as conflict-free rounds.
 
-        Each round is one pass of stacked kernels over its ``k`` edges'
-        ``(2k, dim)`` endpoint rows, hop rows and negative rows (all
-        gathered from round-start memory), then the barrier: long,
+        Each round is one pass of fused kernels over its ``k`` edges'
+        ``(2k, dim)`` endpoint rows and its gradient stack's context rows
+        (each gathered from round-start memory in one call): Eq. 5
+        forward, Eq. 7 over the pairs, one draw kernel over the round's
+        hops and negatives, the per-side gradient sums, Eq. 5 backward.
+        Then the barrier, whose rows and calls the plan laid out: long,
         short and context rows share one table, so the round's long rows
         (endpoint-disjoint, so unique up to self-loops), its short rows
-        (at ``+N``) and its first occurrence of every context row (at
-        ``+2N``) take **one** optimiser call; a context row several
-        edges of the round share takes its later occurrences in
-        occurrence-rank sweeps after it (Adam is per-row, so a row's
-        updates land in edge order either way), and the alpha slots
-        one in-order chain of scalar steps (nearly every edge shares
-        them, so each step needs the moments the previous edge left).
-        The arithmetic, the optimiser-update gating and the per-row
-        update order are exactly those of the per-edge oracle
+        (at ``+N``) and its rank-0 context rows (at ``+2N``) take **one**
+        optimiser call; a context row several edges of the round share
+        takes its later occurrences in occurrence-rank sweeps after it,
+        one call per rank over a contiguous slice (Adam is per-row, so a
+        row's updates land in edge order either way), and the alpha
+        slots one in-order chain of scalar steps (nearly every edge
+        shares them, so each step needs the moments the previous edge
+        left).  The arithmetic, the optimiser-update gating and the
+        per-row update order are exactly those of the per-edge oracle
         (``tests/oracle/engine.py``).
         """
         cfg = model.config
@@ -124,11 +128,9 @@ class BatchedEngine:
         # rollback needs no hook in the round loop.
         optimizer.save_rows(plan.nodes, plan.ctx_rows)
         num_nodes = memory.num_nodes
-        # Context rows as table rows; ``ctx_flat`` is the context block.
-        ctx_table_rows = plan.ctx_rows + memory.context_offset
-        ctx_flat = memory.table[memory.context_offset :]
-        mem_long = memory.long
-        mem_short = memory.short
+        dim = cfg.dim
+        table = memory.table
+        ctx_flat = table[memory.context_offset :]
         mem_alpha = memory.alpha
         padded_segment_sums = kernels.padded_segment_sums
         accumulate_rows = kernels.accumulate_rows
@@ -139,142 +141,160 @@ class BatchedEngine:
         wrap = tracer.wrap
         target_forward = wrap("core.kernels.update", kernels.target_forward)
         target_backward = wrap("core.kernels.update", kernels.target_backward)
-        interaction_forward = wrap("core.kernels.update", kernels.interaction_forward)
-        interaction_backward = wrap(
-            "core.kernels.update", kernels.interaction_backward
-        )
-        propagation_rows = wrap("core.kernels.propagate", kernels.propagation_rows)
-        negative_rows = wrap("core.kernels.negative", kernels.negative_rows)
+        interaction_rows = wrap("core.kernels.update", kernels.interaction_rows)
+        context_draw_rows = wrap("core.kernels.draw", kernels.context_draw_rows)
         update_rows = wrap("core.engine.apply", optimizer.table.update_rows)
         update_alpha = wrap("core.engine.apply", optimizer.alpha.update_chain)
         use_inter = cfg.use_inter
         use_prop = cfg.use_prop and cfg.num_walks > 0
         use_neg = cfg.use_neg and cfg.num_negatives > 0
+        end_n = 2 if cfg.use_short_term else 1
         edge_bounds = plan.edge_bounds.tolist()
-        step_bounds = plan.step_bounds.tolist()
-        neg_bounds = plan.neg_bounds.tolist()
+        stack_bounds = plan.stack_bounds.tolist()
+        draw_bounds = plan.draw_bounds.tolist()
         ctx_bounds = plan.ctx_bounds.tolist()
         later_bounds = plan.ctx_later_bounds.tolist()
-        max_rank = plan.ctx_max_rank.tolist()
+        cuts = plan.barrier_cuts.tolist()
+        round_cuts = plan.round_cuts.tolist()
         has_self_loop = plan.has_self_loop.tolist()
+        alpha_pair = plan.alpha_pair.tolist()
+        draw_width = plan.draw_width
 
-        # Per-edge loss terms in round-major order; hop terms accumulate
-        # per edge and negative terms per (edge, side), both in order.
-        num_edges = plan.num_edges
-        inter_loss = np.zeros(num_edges, dtype=np.float64)
-        prop_loss = np.zeros(num_edges, dtype=np.float64)
-        neg_side_loss = np.zeros(2 * num_edges, dtype=np.float64)
+        # Loss terms in plan order: Eq. 7 per edge, the draws' per round.
+        inter_losses = []
+        draw_terms = []
         adam_calls = 0
 
         for r in range(plan.num_rounds):
             e0 = edge_bounds[r]
             e1 = edge_bounds[r + 1]
+            n2 = 2 * (e1 - e0)
             ends = slice(2 * e0, 2 * e1)
-            nodes = plan.nodes[ends]
+            c0 = round_cuts[r]
+            c1 = round_cuts[r + 1]
+            b0 = cuts[c0]
+            rows = plan.barrier_rows[b0 : cuts[c1]]
+            # The round's barrier gradients, written in place: g_long
+            # (``grad_h``), g_short, then the summed catalogue rows.
+            grads = np.empty((rows.size, dim), dtype=np.float64)
+            grad_h = grads[:n2]
+            endpoint_rows = table.take(rows[: end_n * n2], axis=0)
+            short_rows = endpoint_rows[n2:]  # empty (and unread) without h^S
             alpha_slots = plan.alpha_slots[ends]
+            alpha_values = mem_alpha.take(alpha_slots)
             deltas = plan.deltas[ends]
-            short_rows = mem_short[nodes]
-            alpha_values = mem_alpha[alpha_slots]
-            h_star, gamma, x, sig = target_forward(
-                mem_long[nodes], short_rows, alpha_values, deltas, cfg
+            h_star, gamma, x, sig, log_term = target_forward(
+                endpoint_rows[:n2], short_rows, alpha_values, deltas, cfg
             )
-
-            grad_h = np.zeros(h_star.shape, dtype=np.float64)
-            # Context gradients stacked in the plan's catalogue order:
-            # interaction pair rows, hop rows, negative rows.
-            ctx_grad_parts = []
+            context = ctx_flat.take(
+                plan.stack_rows[stack_bounds[r] : stack_bounds[r + 1]], axis=0
+            )
+            # Context gradients in stack order: interaction pair rows,
+            # then the draws' rows.
+            stack_parts = []
 
             # --- interaction loss (Eq. 7) -------------------------------
+            inter_n = 0
             if use_inter:
-                loss, score, h_r = interaction_forward(
-                    h_star, ctx_flat[plan.inter_rows[ends]]
-                )
-                grad = interaction_backward(score, h_r)
-                inter_loss[e0:e1] = loss
-                grad_h += grad
-                ctx_grad_parts.append(grad)
+                inter_n = n2
+                loss, grad = interaction_rows(h_star, context[:n2])
+                inter_losses.append(loss)
+                np.add(0.0, grad, out=grad_h)
+                stack_parts.append(grad)
+            else:
+                grad_h.fill(0.0)
 
-            # --- propagation loss (Eq. 10) ------------------------------
-            hops = slice(step_bounds[r], step_bounds[r + 1])
-            if use_prop and hops.stop > hops.start:
-                terms, ctx_grads, source_grads = propagation_rows(
-                    ctx_flat[plan.step_rows[hops]],
-                    h_star[plan.step_source[hops]],
-                    plan.step_cums[hops],
+            # --- propagation (Eq. 10) and negative (Eq. 12) draws ---------
+            d0 = draw_bounds[r]
+            d1 = draw_bounds[r + 1]
+            if d1 > d0:
+                terms, ctx_grads, source_grads = context_draw_rows(
+                    context[inter_n:],
+                    h_star.take(plan.draw_source[d0:d1], axis=0),
+                    plan.draw_factors[d0:d1],
+                    plan.draw_labels[d0:d1],
+                    plan.draw_signs[d0:d1],
                 )
-                np.add.at(prop_loss, plan.step_owner[hops], terms)
-                grad_h += padded_segment_sums(
-                    source_grads, plan.step_slots[hops], len(nodes), plan.step_width
+                draw_terms.append(terms)
+                sums = padded_segment_sums(
+                    source_grads, plan.draw_slots[d0:d1], 2 * n2, draw_width
                 )
-                ctx_grad_parts.append(ctx_grads)
-
-            # --- negative sampling loss (Eq. 12) -------------------------
-            draws = slice(neg_bounds[r], neg_bounds[r + 1])
-            if use_neg and draws.stop > draws.start:
-                terms, ctx_grads, source_grads = negative_rows(
-                    ctx_flat[plan.neg_rows[draws]], h_star[plan.neg_source[draws]]
-                )
-                np.add.at(neg_side_loss, plan.neg_owner[draws], terms)
-                grad_h += padded_segment_sums(
-                    source_grads, plan.neg_slots[draws], len(nodes), plan.neg_width
-                )
-                ctx_grad_parts.append(ctx_grads)
+                grad_h += sums[:n2]  # hops
+                grad_h += sums[n2:]  # negatives
+                stack_parts.append(ctx_grads)
 
             # --- backprop through the updater ---------------------------
-            g_long, g_short, g_alpha = target_backward(
-                grad_h, short_rows, alpha_values, gamma, x, deltas, cfg, sig=sig
+            _, g_short, g_alpha = target_backward(
+                grad_h,
+                short_rows,
+                alpha_values,
+                gamma,
+                x,
+                deltas,
+                cfg,
+                sig=sig,
+                log_term=log_term,
             )
+            if g_short is not None:
+                grads[n2 : 2 * n2] = g_short
 
             # --- round barrier: apply ------------------------------------
-            if g_short is not None:
-                rows = np.concatenate((nodes, nodes + num_nodes))
-                grads = np.concatenate((g_long, g_short))
-            else:
-                rows, grads = nodes, g_long
-            if has_self_loop[r]:
-                rows, grads = accumulate_rows(rows, grads)
-            sweeps = ()
-            if ctx_grad_parts:
+            if stack_parts:
                 stack = (
-                    np.concatenate(ctx_grad_parts, axis=0)
-                    if len(ctx_grad_parts) > 1
-                    else ctx_grad_parts[0]
+                    np.concatenate(stack_parts, axis=0)
+                    if len(stack_parts) > 1
+                    else stack_parts[0]
                 )
-                block = slice(ctx_bounds[r], ctx_bounds[r + 1])
-                later = slice(later_bounds[r], later_bounds[r + 1])
-                # Each unique row starts from its first contribution and
-                # adds the rest in catalogue order — dict accumulation.
-                summed = stack[plan.ctx_first[block]]
-                if later.stop > later.start:
+                # Each catalogue row starts from its first contribution
+                # and adds the rest in stack order — dict accumulation.
+                stack.take(
+                    plan.ctx_first[ctx_bounds[r] : ctx_bounds[r + 1]],
+                    axis=0,
+                    out=grads[end_n * n2 :],
+                )
+                l0 = later_bounds[r]
+                l1 = later_bounds[r + 1]
+                if l1 > l0:
                     np.add.at(
-                        summed,
-                        plan.ctx_later_dest[later],
-                        stack[plan.ctx_later_sel[later]],
+                        grads,
+                        plan.ctx_later_dest[l0:l1],
+                        stack.take(plan.ctx_later_sel[l0:l1], axis=0),
                     )
-                ctx_rows = ctx_table_rows[block]
-                first = slice(None)
-                if max_rank[r]:
-                    rank = plan.ctx_rank[block]
-                    first, *sweeps = [
-                        np.flatnonzero(rank == k) for k in range(max_rank[r] + 1)
-                    ]
-                rows = np.concatenate((rows, ctx_rows[first]))
-                grads = np.concatenate((grads, summed[first]))
-            update_rows(rows, grads)
-            for pick in sweeps:
-                update_rows(ctx_rows[pick], summed[pick])
-            adam_calls += 1 + len(sweeps)
+            for c in range(c0, c1):
+                lo = cuts[c] - b0
+                hi = cuts[c + 1] - b0
+                if c == c0 and has_self_loop[r]:
+                    # a self-loop's two endpoint rows collapse to one
+                    split = end_n * n2
+                    loop_rows, loop_grads = accumulate_rows(rows[:split], grads[:split])
+                    update_rows(
+                        np.concatenate((loop_rows, rows[split:hi])),
+                        np.concatenate((loop_grads, grads[split:hi])),
+                    )
+                else:
+                    update_rows(rows[lo:hi], grads[lo:hi])
+            adam_calls += c1 - c0
             if g_alpha is not None:
-                update_alpha(*_alpha_steps(alpha_slots, g_alpha))
+                if alpha_pair[r]:
+                    update_alpha(*_alpha_steps(alpha_slots, g_alpha))
+                else:
+                    update_alpha(alpha_slots, g_alpha)
 
         # Per-edge totals in the per-edge summation order (inter + prop
         # + neg, u-side negatives before v-side), back in plan order.
+        # One in-order ``np.add.at`` for the pass's draws: hop terms per
+        # edge at ``[0, B)``, negative terms per (edge, side) after.
+        num_edges = plan.num_edges
+        draw_loss = np.zeros(3 * num_edges, dtype=np.float64)
+        if draw_terms:
+            np.add.at(draw_loss, plan.draw_owner, np.concatenate(draw_terms))
         components = {}
         if use_inter:
-            components["inter"] = inter_loss
+            components["inter"] = np.concatenate(inter_losses)
         if use_prop:
-            components["prop"] = prop_loss
+            components["prop"] = draw_loss[:num_edges]
         if use_neg:
+            neg_side_loss = draw_loss[num_edges:]
             components["neg"] = 0.0 + neg_side_loss[0::2] + neg_side_loss[1::2]
         totals = np.zeros(num_edges, dtype=np.float64)
         for values in components.values():
@@ -305,8 +325,6 @@ def _alpha_steps(slots: np.ndarray, grads: np.ndarray):
     """
     pair_slots = slots.reshape(-1, 2)
     same = pair_slots[:, 0] == pair_slots[:, 1]
-    if not same.any():
-        return slots, grads
     pair_grads = grads.reshape(-1, 2).copy()
     pair_grads[same, 0] = 0.0 + pair_grads[same, 0] + pair_grads[same, 1]
     keep = np.ones(pair_slots.shape, dtype=bool)

@@ -1,27 +1,36 @@
-"""Vectorised numpy kernels shared by the round executor and its oracle.
+"""Vectorised numpy kernels: every float of the round executor.
 
 Every float produced on the training hot path — Eq. 5 target
 embeddings, the Eq. 7 interaction score, the propagation weighting of
 Eq. 8-9, the skip-gram losses of Eq. 10/12 and their analytic
-gradients — is computed here, once, as an array kernel.  The per-edge
-oracle (:mod:`repro.core.interactor`, :mod:`repro.core.updater`,
-:mod:`repro.core.propagation`) calls them one edge at a time; the
-round executor (:mod:`repro.core.engine.engine`) calls the row kernels
-(``*_rows``, ``interaction_*``, ``target_*``) once per conflict-free
-round over ``[round, dim]`` stacks.  Neither owns any arithmetic, which
-is what makes the two *bitwise* comparable.
+gradients — is computed here as an array kernel.  The round executor
+(:mod:`repro.core.engine.engine`) calls the row kernels once per
+conflict-free round over ``[round, dim]`` stacks, fused so a round
+costs few array calls: :func:`interaction_rows` is Eq. 7's forward and
+backward, :func:`context_draw_rows` scores a round's Eq. 10 hops and
+Eq. 12 negatives in one pass, and both read :func:`sigmoid_nll`, which
+draws the sigmoid and the loss from one exponential.
 
-Bitwise-determinism contract (verified by the golden parity suite):
+Their specification is the per-edge oracle's split forms
+(``tests/oracle/kernels.py``: separate forward and backward, one kernel
+per loss, separate sigmoid and log-sigmoid), which the oracle engine
+calls one edge at a time.  Each fused form is pinned bit for bit to the
+split form it replaces (``tests/core/test_round_kernels.py``), and the
+parity suite holds the two engines byte-identical end to end.
+
+Bitwise-determinism contract:
 
 * ufunc evaluation is element-for-element independent of the array
   length, so a row kernel applied to a stack of rounds' rows equals the
   same kernel applied one edge at a time;
+* a fused kernel only shares intermediates or applies IEEE identities
+  (``1.0 * x``, ``x - 0.0``, ``-1.0 * x`` are exact), never reorders an
+  operation;
 * ``rowwise_dot`` reduces each row independently of the batch size
   (unlike BLAS ``np.dot``, whose summation order is unspecified —
   never mix the two on values that must match across engines);
-* ``sequential_sum`` / ``sequential_colsum`` /
-  ``padded_segment_sums`` accumulate strictly left-to-right
-  (``np.add.accumulate``), matching a scalar ``+=`` loop;
+* ``sequential_sum`` / ``padded_segment_sums`` accumulate strictly
+  left to right, matching a scalar ``+=`` loop;
 * ``np.add.at`` applies duplicate-index contributions sequentially in
   index order, matching dict-based gradient accumulation.
 """
@@ -35,24 +44,17 @@ import numpy as np
 from repro.core.config import SUPAConfig, g_decay, g_decay_derivative
 
 __all__ = [
-    "sigmoid_branched",
-    "log_sigmoid_branched",
+    "sigmoid_nll",
     "sigmoid_clipped",
     "rowwise_dot",
     "sequential_sum",
-    "sequential_colsum",
     "padded_segment_sums",
     "edge_factors",
     "walk_cumulative_factors",
     "target_forward",
     "target_backward",
-    "interaction_forward",
-    "interaction_backward",
-    "propagation_rows",
-    "propagation_forward",
-    "propagation_backward",
-    "negative_rows",
-    "negative_forward_backward",
+    "interaction_rows",
+    "context_draw_rows",
     "accumulate_rows",
 ]
 
@@ -60,30 +62,37 @@ __all__ = [
 # ------------------------------------------------------------------ primitives
 
 
-def sigmoid_branched(x: np.ndarray) -> np.ndarray:
-    """Numerically-stable sigmoid (``x >= 0``: ``1/(1+exp(-min(x,500)))``;
-    else ``z/(1+z)`` with ``z = exp(max(x,-500))``).  Both branches read
-    one ``exp(-min(|x|, 500))``, which is each branch's exponential."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.minimum(np.abs(x), 500.0))
-    return np.where(x >= 0.0, 1.0 / (1.0 + z), z / (1.0 + z))
+def sigmoid_nll(
+    x: np.ndarray, signs: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sigma(x), -log sigma(t))`` with ``t = signs * x`` (``t = x``
+    when ``signs`` is ``None``; each sign is ``+1.0`` or ``-1.0``).
 
-
-def log_sigmoid_branched(x: np.ndarray) -> np.ndarray:
-    """``log sigma(x)`` without overflow (``x >= 0``:
-    ``-log1p(exp(-x))``; else ``x - log1p(exp(x))``), both branches from
-    one ``exp(-|x|)``."""
+    Both read one ``z = exp(-|x|)``, since ``|t| = |x|``: the sigmoid
+    is ``1/(1+z)`` for ``x >= 0``, else ``z/(1+z)``, and ``log sigma(t)``
+    is ``-log1p(z)`` for ``t >= 0``, else ``t - log1p(z)``.  The
+    sigmoid's exponential is clipped at ``|x| = 500``; where any
+    ``|x|`` exceeds that, it is recomputed from the clipped argument.
+    Equal, bit for bit, to the oracle's separate ``sigmoid_branched`` /
+    ``log_sigmoid_branched`` pair.
+    """
     x = np.asarray(x, dtype=np.float64)
-    tail = np.log1p(np.exp(-np.abs(x)))
-    return np.where(x >= 0.0, -tail, x - tail)
+    t = x if signs is None else signs * x
+    magnitude = np.abs(x)
+    z = np.exp(-magnitude)
+    tail = np.log1p(z)
+    nll = -np.where(t >= 0.0, -tail, t - tail)
+    if magnitude.size and not magnitude.max() <= 500.0:  # NaN falls back too
+        z = np.exp(-np.minimum(magnitude, 500.0))
+    return np.where(x >= 0.0, 1.0, z) / (1.0 + z), nll
 
 
 def sigmoid_clipped(x: np.ndarray) -> np.ndarray:
     """The updater's clipped-form sigmoid, ``1/(1+exp(-clip(x)))``.
 
-    Kept distinct from :func:`sigmoid_branched`: the two legacy helpers
-    differ in the last ulp for negative inputs, and each engine must use
-    the form its loss historically used to stay bitwise-stable.
+    Kept distinct from :func:`sigmoid_nll`'s branched sigmoid: the two
+    forms differ in the last ulp for negative inputs, and Eq. 5 must keep
+    the form it historically used to stay bitwise-stable.
     """
     return 1.0 / (1.0 + np.exp(-np.clip(np.asarray(x, dtype=np.float64), -500, 500)))
 
@@ -106,32 +115,32 @@ def sequential_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1])
 
 
-def sequential_colsum(mat: np.ndarray) -> np.ndarray:
-    """Column sums accumulated row-by-row (the array analogue of adding
-    per-sample gradient vectors into an accumulator in sample order)."""
-    if mat.shape[0] == 0:
-        return np.zeros(mat.shape[1], dtype=np.float64)
-    return np.add.accumulate(mat, axis=0)[-1]
-
-
 def padded_segment_sums(
     values: np.ndarray, slots: np.ndarray, num_segments: int, width: int
 ) -> np.ndarray:
     """Left-to-right row sums of ``values`` grouped into segments.
 
-    ``slots[i] = segment * width + position`` places row ``i`` at its
-    position within its segment (positions run ``0, 1, ...`` in
-    accumulation order; ``width`` bounds the longest segment).  The
-    rows are scattered into a zero-padded ``(segment, width, dim)``
-    block and accumulated along ``width``, so segment ``s`` receives
-    ``v0 + v1 + ...`` in position order — :func:`sequential_colsum` per
-    segment, in a constant number of array calls (``np.add.at`` visits
-    one row per inner-loop call).  Trailing padding adds exact zeros;
-    an empty segment sums to zero.
+    ``slots[i] = position * num_segments + segment`` places row ``i`` at
+    its position within its segment (positions run ``0, 1, ...`` in
+    accumulation order; ``width`` bounds the longest segment).  The rows
+    are scattered into a zero-padded *position-major* ``(width,
+    segment · dim)`` block and reduced over positions, so segment ``s``
+    receives ``v0 + v1 + ...`` in position order: ``np.add.reduce`` over
+    the outer axis adds one whole row of the block at a time, the same
+    additions as ``np.add.accumulate`` (≈ 3 µs against ≈ 34 µs for a
+    ``backfill``-sized ``(8, 27 · 32)`` block on a 2-CPU host).  It
+    starts from ``-0.0``, the exact additive identity (numpy's default
+    ``+0.0`` would turn an all ``-0.0`` sum positive).  A one-column
+    block would reduce along its contiguous axis, which numpy sums
+    pairwise, so it is accumulated instead.  Trailing padding adds exact
+    zeros; an empty segment sums to ``+0.0`` (``width >= 1``).
     """
-    padded = np.zeros((num_segments * width, values.shape[1]), dtype=np.float64)
-    padded[slots] = values
-    return np.add.accumulate(padded.reshape(num_segments, width, -1), axis=1)[:, -1]
+    dim = values.shape[1]
+    padded = np.zeros((width, num_segments * dim), dtype=np.float64)
+    padded.reshape(-1, dim)[slots] = values
+    if num_segments * dim == 1:
+        return np.add.accumulate(padded, axis=0)[-1:]
+    return np.add.reduce(padded, axis=0, initial=-0.0).reshape(num_segments, dim)
 
 
 # ------------------------------------------------------------ Eq. 8-9 factors
@@ -201,16 +210,19 @@ def target_forward(
     alpha_values: np.ndarray,
     deltas: np.ndarray,
     cfg: SUPAConfig,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+) -> Tuple[
+    np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]
+]:
     """Eq. 5 forward over a batch of nodes.
 
-    Returns ``(h_star, gamma, x, sig)`` where ``x = sigma(alpha) * Delta``
-    is the pre-``g`` argument the backward needs and ``sig`` is the
-    ``sigma(alpha)`` factor (``None`` on the ablation branches that never
-    evaluate it) — :func:`target_backward` accepts it to skip the
-    recomputation.  Ablations follow the per-node reference:
-    ``use_short_term=False`` drops ``h^S`` (gamma = x = 0),
-    ``use_forgetting=False`` freezes gamma at 1.
+    Returns ``(h_star, gamma, x, sig, log_term)`` where ``x = sigma(alpha)
+    * Delta`` is the pre-``g`` argument the backward needs, ``sig`` the
+    ``sigma(alpha)`` factor and ``log_term`` the ``log(e + x)`` that
+    ``gamma = g(x)`` divides by (both ``None`` on the ablation branches
+    that never evaluate them) — :func:`target_backward` accepts them to
+    skip the recomputation.  Ablations follow the per-node reference:
+    ``use_short_term=False`` drops ``h^S`` (gamma = x = 0; ``short_rows``
+    is not read), ``use_forgetting=False`` freezes gamma at 1.
     """
     n = long_rows.shape[0]
     if not cfg.use_short_term:
@@ -219,6 +231,7 @@ def target_forward(
             np.zeros(n, dtype=np.float64),
             np.zeros(n, dtype=np.float64),
             None,
+            None,
         )
     if not cfg.use_forgetting:
         return (
@@ -226,12 +239,14 @@ def target_forward(
             np.ones(n, dtype=np.float64),
             np.zeros(n, dtype=np.float64),
             None,
+            None,
         )
     sig = sigmoid_clipped(alpha_values)
     x = sig * np.asarray(deltas, dtype=np.float64)
-    gamma = g_decay(x)
+    log_term = np.log(np.e + x)
+    gamma = 1.0 / log_term  # g_decay(x), same operations
     h_star = long_rows + gamma[:, None] * short_rows
-    return h_star, gamma, x, sig
+    return h_star, gamma, x, sig, log_term
 
 
 def target_backward(
@@ -243,6 +258,7 @@ def target_backward(
     deltas: np.ndarray,
     cfg: SUPAConfig,
     sig: Optional[np.ndarray] = None,
+    log_term: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
     """Analytic gradients of Eq. 5 w.r.t. ``(h^L, h^S, alpha)``.
 
@@ -250,9 +266,11 @@ def target_backward(
     parameter does not participate (matching the scalar reference, so
     callers skip the optimiser update entirely instead of applying a
     zero gradient — an applied zero still advances Adam moments).
-    ``sig`` forwards the ``sigma(alpha)`` already evaluated by
-    :func:`target_forward` (same input → same bits, so passing it is
-    purely a recomputation skip).
+    ``sig`` / ``log_term`` forward the ``sigma(alpha)`` and ``log(e +
+    x)`` already evaluated by :func:`target_forward` (same input → same
+    bits, so passing them is purely a recomputation skip: ``g'(x) =
+    -1 / ((e + x) · log(e + x)²)`` is :func:`g_decay_derivative`'s
+    expression).  ``grad_long`` is ``grad_h_star`` itself.
     """
     grad_long = grad_h_star
     if not cfg.use_short_term:
@@ -262,9 +280,11 @@ def target_backward(
         return grad_long, grad_short, None
     if sig is None:
         sig = sigmoid_clipped(alpha_values)
-    dgamma_dalpha = (
-        g_decay_derivative(x) * np.asarray(deltas, dtype=np.float64) * sig * (1.0 - sig)
-    )
+    if log_term is None:
+        g_prime = g_decay_derivative(x)
+    else:
+        g_prime = -1.0 / ((np.e + x) * log_term**2)
+    dgamma_dalpha = g_prime * np.asarray(deltas, dtype=np.float64) * sig * (1.0 - sig)
     grad_alpha = rowwise_dot(grad_h_star, short_rows) * dgamma_dalpha
     return grad_long, grad_short, grad_alpha
 
@@ -272,123 +292,52 @@ def target_backward(
 # ------------------------------------------------------------ Eq. 7 interactor
 
 
-def interaction_forward(
+def interaction_rows(
     h_star: np.ndarray, context: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eq. 6-7 forward over stacked endpoint pairs.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. 6-7 forward and backward over stacked endpoint pairs.
 
     Rows ``2i`` / ``2i + 1`` of both inputs are edge ``i``'s ``u`` /
-    ``v`` side.  Returns ``(loss, score, h_r)``: the per-edge
-    ``-log sigma(h_u^r . h_v^r)``, its score, and the ``(2k, dim)``
-    final embeddings ``h^r = 1/2 (h* + c^r)`` the backward reuses.
+    ``v`` side.  With ``h^r = 1/2 (h* + c^r)`` and ``s = h_u^r . h_v^r``
+    returns ``(loss, grad)``: the per-edge ``-log sigma(s)`` and the
+    ``(2k, dim)`` gradient w.r.t. each endpoint's ``h*`` *and* ``c^r``
+    (``dL/ds = sigma(s) - 1``; Eq. 6's half factor makes a side's two
+    gradients equal).
     """
     h_r = 0.5 * (h_star + context)
-    score = rowwise_dot(h_r[0::2], h_r[1::2])
-    return -log_sigmoid_branched(score), score, h_r
+    pairs = h_r.reshape(-1, 2, h_r.shape[1])
+    score = rowwise_dot(pairs[:, 0], pairs[:, 1])
+    sig, loss = sigmoid_nll(score)
+    grad = (sig - 1.0)[:, None, None] * pairs[:, ::-1]
+    return loss, (0.5 * grad).reshape(h_r.shape)
 
 
-def interaction_backward(score: np.ndarray, h_r: np.ndarray) -> np.ndarray:
-    """Gradient of Eq. 7 w.r.t. each endpoint's ``h*`` *and* ``c^r``.
-
-    With ``s = h_u^r . h_v^r`` the upstream derivative is
-    ``dL/ds = sigma(s) - 1``; Eq. 6's half factor makes the two
-    gradients of a side equal, so one ``(2k, dim)`` array serves both.
-    """
-    coeff = (sigmoid_branched(score) - 1.0)[:, None]
-    grad = np.empty(h_r.shape, dtype=np.float64)
-    grad[0::2] = coeff * h_r[1::2]
-    grad[1::2] = coeff * h_r[0::2]
-    return 0.5 * grad
+# ------------------------------------------------- Eq. 10 / Eq. 12 draws
 
 
-# --------------------------------------------------------- Eq. 10 propagation
-
-
-def propagation_rows(
-    context_rows: np.ndarray, source_rows: np.ndarray, cum_factors: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eq. 10 hop by hop, no reduction across hops.
-
-    ``source_rows`` gathers each hop's source target embedding.  Returns
-    ``(loss_terms, context_grads, source_grads)`` — the caller sums the
-    terms per edge and the source grads per ``(edge, side)`` in hop
-    order.
-    """
-    scores = rowwise_dot(context_rows, cum_factors[:, None] * source_rows)
-    coeff = ((sigmoid_branched(scores) - 1.0) * cum_factors)[:, None]
-    return (
-        -log_sigmoid_branched(scores),
-        coeff * source_rows,
-        coeff * context_rows,
-    )
-
-
-def propagation_forward(
+def context_draw_rows(
     context_rows: np.ndarray,
-    h_star_sides: np.ndarray,
-    sides: np.ndarray,
-    cum_factors: np.ndarray,
-) -> Tuple[np.ndarray, float]:
-    """Eq. 10 forward over the surviving propagation hops of one edge.
-
-    ``context_rows`` gathers ``c_z^r`` per hop, ``h_star_sides`` is the
-    ``(2, dim)`` stack of source target embeddings and ``sides`` selects
-    the flow's source per hop.  Returns ``(scores, loss)``.
-    """
-    d_vecs = cum_factors[:, None] * h_star_sides[sides]
-    scores = rowwise_dot(context_rows, d_vecs)
-    loss = sequential_sum(-log_sigmoid_branched(scores))
-    return scores, loss
-
-
-def propagation_backward(
-    context_rows: np.ndarray,
-    h_star_sides: np.ndarray,
-    sides: np.ndarray,
-    cum_factors: np.ndarray,
-    scores: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Gradients of Eq. 10: per-hop context grads and the two summed
-    source-side grads (``np.add.at`` keeps hop-order accumulation)."""
-    coeff = (sigmoid_branched(scores) - 1.0) * cum_factors
-    context_grads = coeff[:, None] * h_star_sides[sides]
-    grad_sides = np.zeros(h_star_sides.shape, dtype=np.float64)
-    np.add.at(grad_sides, sides, coeff[:, None] * context_rows)
-    return context_grads, grad_sides
-
-
-# ------------------------------------------------------------- Eq. 12 negative
-
-
-def negative_rows(
-    context_rows: np.ndarray, source_rows: np.ndarray
+    source_rows: np.ndarray,
+    factors: np.ndarray,
+    labels: np.ndarray,
+    signs: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eq. 12 draw by draw, no reduction across draws.
+    """Eq. 10 hops and Eq. 12 negatives, draw by draw, in one pass.
 
-    Returns ``(loss_terms, context_grads, source_grads)``, shaped like
-    :func:`propagation_rows`.
+    A draw scores ``s = c . (factor · h*_source)``.  A hop (Eq. 10) has
+    its Eq. 8-9 ``factor``, label 1 and sign +1: loss ``-log sigma(s)``,
+    ``dL/ds = (sigma(s) - 1) · factor``.  A negative (Eq. 12) has factor
+    1, label 0 and sign -1: loss ``-log sigma(-s)``, ``dL/ds =
+    sigma(s)``.  ``1.0 · x``, ``x - 0.0`` and ``-1.0 · x`` are exact, so
+    each kind keeps the bits of its own split kernel.  Returns
+    ``(loss_terms, context_grads, source_grads)`` with no reduction
+    across draws — the caller sums terms per loss owner and the source
+    grads per ``(kind, edge, side)`` in draw order.
     """
-    scores = rowwise_dot(context_rows, source_rows)
-    coeff = sigmoid_branched(scores)[:, None]
-    return (
-        -log_sigmoid_branched(-scores),
-        coeff * source_rows,
-        coeff * context_rows,
-    )
-
-
-def negative_forward_backward(
-    context_rows: np.ndarray, h_star: np.ndarray
-) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Eq. 12 loss and gradients for one side's negative samples.
-
-    Returns ``(loss, context_grads, grad_h_star)``; ``grad_h_star`` is
-    pre-summed over samples in draw order.
-    """
-    terms, context_grads, source_grads = negative_rows(
-        context_rows, np.broadcast_to(h_star, context_rows.shape)
-    )
-    return sequential_sum(terms), context_grads, sequential_colsum(source_grads)
+    scores = rowwise_dot(context_rows, factors[:, None] * source_rows)
+    sig, terms = sigmoid_nll(scores, signs)
+    coeff = ((sig - labels) * factors)[:, None]
+    return terms, coeff * source_rows, coeff * context_rows
 
 
 # ------------------------------------------------------------- accumulation

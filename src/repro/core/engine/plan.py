@@ -6,9 +6,10 @@ laid out *round-major*: the batch is partitioned into conflict-free
 rounds (:func:`repro.core.engine.schedule.partition_round_indices`) and
 every per-edge, per-hop, per-negative and per-context-row array is
 ordered so that a round is a contiguous slice.  Everything a round
-needs beyond slicing — where each hop's source embedding sits in the
-round's stack, where each context gradient accumulates, which context
-rows several edges of the round share — is precomputed as index arrays.
+needs beyond slicing — where each draw's source embedding sits in the
+round's stack, where each context gradient and loss term accumulates,
+which table rows each optimiser call of the round barrier writes — is
+precomputed as index arrays.
 
 Compilation performs every stochastic decision up front, from the two
 draws :func:`draw_pass` makes for the whole pass (the per-pass draw
@@ -45,45 +46,59 @@ class BatchPlan(NamedTuple):
 
     Round ``r`` owns the slices ``[bounds[r], bounds[r + 1])`` of the
     arrays its ``*_bounds`` index.  *Local* indices count from the start
-    of the round's own slice or stack.
+    of the round's own slice or stack; a round of ``k`` edges has a
+    ``(2k, dim)`` endpoint stack (``u`` then ``v`` per edge).
 
     Edges (``B``; endpoint arrays are flat ``(2B,)``, ``u`` then ``v``):
 
     - ``edges``: stream index of the edge at each position, ascending
       within a round (the greedy partition appends in stream order);
       ``edge_bounds``,
-    - ``nodes`` / ``deltas`` / ``alpha_slots`` / ``inter_rows``: node
-      ids, active intervals ``Delta_V``, forgetting-parameter slots and
-      flat context rows of ``(slot, u/v)``,
+    - ``nodes`` / ``deltas`` / ``alpha_slots``: node ids, active
+      intervals ``Delta_V`` and forgetting-parameter slots,
     - ``has_self_loop``: ``(R,)`` — some edge of the round has
-      ``u == v``, so its endpoint rows are not all distinct.
+      ``u == v``, so its endpoint rows are not all distinct;
+      ``alpha_pair``: ``(R,)`` — some edge has both endpoints on one
+      alpha slot, so the pair takes one alpha step.
 
-    Surviving hops and negative draws (``step_*`` / ``neg_*``, stream
-    order within an edge, u-side first):
+    Draws — the round's surviving Eq. 10 hops, then its Eq. 12 negative
+    draws, each in stream order within an edge, u-side first
+    (``draw_bounds``):
 
-    - ``*_rows``: flat context rows; ``step_cums``: Eq. 8-9 factors,
-    - ``*_source``: local row of the source embedding in the round's
-      ``(2k, dim)`` endpoint stack,
-    - ``*_owner``: where the loss term accumulates — the edge position
-      for hops, the flat endpoint position for negatives,
-    - ``*_slots`` / ``*_width``: ``source * width + position`` for
-      :func:`~repro.core.engine.kernels.padded_segment_sums`.
+    - ``draw_source``: local row of the source embedding in the endpoint
+      stack; ``draw_factors`` / ``draw_labels`` / ``draw_signs``: the
+      Eq. 8-9 factor, 1 and +1 for a hop, 1, 0 and -1 for a negative
+      (:func:`~repro.core.engine.kernels.context_draw_rows`),
+    - ``draw_owner``: where the loss term accumulates, the edge position
+      for a hop and ``B +`` the flat endpoint position for a negative,
+    - ``draw_slots`` / ``draw_width``: ``position * 4k + segment`` for
+      :func:`~repro.core.engine.kernels.padded_segment_sums`, with the
+      hop segments of the endpoint stack at ``[0, 2k)`` and the negative
+      ones at ``[2k, 4k)``.
 
-    Context catalogue — the round's gradient stack is the concatenation
-    of its interaction, hop and negative context gradients:
+    Gradient stack — per round ``[interaction pair rows (when Eq. 7 is
+    on) | draw rows]`` as flat context rows (``stack_rows`` /
+    ``stack_bounds``), gathered in one call.
 
-    - ``ctx_rows`` / ``ctx_bounds``: each edge's unique context rows
-      (sorted), concatenated in edge order (a row shared by two edges of
-      the round appears in both blocks),
-    - ``ctx_first``: per unique row, the local stack index of its first
-      contribution; ``ctx_later_sel`` → ``ctx_later_dest`` (CSR by
-      ``ctx_later_bounds``): the remaining contributions in stack
-      order, as local stack index → local unique row,
-    - ``ctx_rank``: occurrence rank of the row value among the round's
-      blocks (0 everywhere for an uncontended round),
-      ``ctx_max_rank``: ``(R,)`` its per-round maximum, and
-      ``contended_ctx_rows``: how many block rows share their value
+    Context catalogue — each edge's unique context rows, per round
+    ordered by occurrence rank (``ctx_rank``: 0 for a row's first block
+    among the round's edges, 1 for its second, ...; all of rank 0 first,
+    then rank 1, ..., edge order within a rank):
+
+    - ``ctx_rows`` / ``ctx_bounds``,
+    - ``ctx_first``: per catalogue row, the local stack index of its
+      first contribution; ``ctx_later_sel`` → ``ctx_later_dest`` (CSR by
+      ``ctx_later_bounds``): the remaining contributions in stack order,
+      as local stack index → local barrier row,
+    - ``contended_ctx_rows``: how many catalogue rows share their value
       with another block of the same round.
+
+    Barrier — the table rows a round's optimiser calls write,
+    ``[nodes | nodes + N (with h^S) | 2N + ctx_rows]`` per round
+    (``barrier_rows``); call ``i`` takes ``[barrier_cuts[i],
+    barrier_cuts[i + 1])``, and round ``r`` makes calls ``round_cuts[r]
+    .. round_cuts[r + 1] - 1``: first the endpoints and the rank-0 rows,
+    then one occurrence-rank sweep per higher rank.
     """
 
     edges: np.ndarray
@@ -91,29 +106,28 @@ class BatchPlan(NamedTuple):
     nodes: np.ndarray
     deltas: np.ndarray
     alpha_slots: np.ndarray
-    inter_rows: np.ndarray
     has_self_loop: np.ndarray
-    step_bounds: np.ndarray
-    step_rows: np.ndarray
-    step_cums: np.ndarray
-    step_source: np.ndarray
-    step_owner: np.ndarray
-    step_slots: np.ndarray
-    step_width: int
-    neg_bounds: np.ndarray
-    neg_rows: np.ndarray
-    neg_source: np.ndarray
-    neg_owner: np.ndarray
-    neg_slots: np.ndarray
-    neg_width: int
+    alpha_pair: np.ndarray
+    stack_rows: np.ndarray
+    stack_bounds: np.ndarray
+    draw_bounds: np.ndarray
+    draw_source: np.ndarray
+    draw_factors: np.ndarray
+    draw_labels: np.ndarray
+    draw_signs: np.ndarray
+    draw_owner: np.ndarray
+    draw_slots: np.ndarray
+    draw_width: int
     ctx_rows: np.ndarray
     ctx_bounds: np.ndarray
+    ctx_rank: np.ndarray
     ctx_first: np.ndarray
     ctx_later_bounds: np.ndarray
     ctx_later_sel: np.ndarray
     ctx_later_dest: np.ndarray
-    ctx_rank: np.ndarray
-    ctx_max_rank: np.ndarray
+    barrier_rows: np.ndarray
+    barrier_cuts: np.ndarray
+    round_cuts: np.ndarray
     contended_ctx_rows: int
 
     @property
@@ -123,6 +137,16 @@ class BatchPlan(NamedTuple):
     @property
     def num_rounds(self) -> int:
         return int(self.edge_bounds.size) - 1
+
+    @property
+    def num_walk_steps(self) -> int:
+        """Surviving hops (Eq. 10 draws)."""
+        return int(np.count_nonzero(self.draw_owner < self.num_edges))
+
+    @property
+    def num_negatives(self) -> int:
+        """Negative draws (Eq. 12)."""
+        return int(self.draw_owner.size) - self.num_walk_steps
 
 
 def _offsets(counts: np.ndarray) -> np.ndarray:
@@ -155,14 +179,14 @@ def _run_positions(keys: np.ndarray) -> np.ndarray:
     return index - np.maximum.accumulate(starts)
 
 
-def _segment_slots(source: np.ndarray, round_first: np.ndarray):
-    """``(slots, width)`` placing each row at ``local source * width +
-    position``; equal ``source`` values must be contiguous."""
-    if source.size == 0:
+def _segment_slots(keys: np.ndarray, segment: np.ndarray, segments: np.ndarray):
+    """``(slots, width)`` placing each row at ``position * segments +
+    segment``, its position counted within its run of equal ``keys``
+    (equal keys must be contiguous)."""
+    if keys.size == 0:
         return np.empty(0, dtype=np.int64), 0
-    position = _run_positions(source)
-    width = int(position.max()) + 1
-    return (source - round_first) * width + position, width
+    position = _run_positions(keys)
+    return position * segments + segment, int(position.max()) + 1
 
 
 class PassDraws(NamedTuple):
@@ -269,15 +293,18 @@ def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
         num_rounds = len(rounds)
         edge_bounds = _offsets(np.asarray([len(r) for r in rounds], dtype=np.int64))
         edges = np.asarray([b for r in rounds for b in r], dtype=np.int64)
-        round_of_edge = np.repeat(
-            np.arange(num_rounds, dtype=np.int64), np.diff(edge_bounds)
-        )
+        round_sizes = np.diff(edge_bounds)
+        round_of_edge = np.repeat(np.arange(num_rounds, dtype=np.int64), round_sizes)
         uv = uv[edges]
         edge_slots = edge_slots[edges]
         nodes = uv.reshape(-1)
+        node_round = np.repeat(round_of_edge, 2)
         inter_rows = (edge_slots[:, None] * num_nodes + uv).reshape(-1)
         has_self_loop = np.zeros(num_rounds, dtype=bool)
         has_self_loop[round_of_edge[uv[:, 0] == uv[:, 1]]] = True
+        alpha_slots = memory.alpha_slots(node_type_ids[nodes])
+        alpha_pair = np.zeros(num_rounds, dtype=bool)
+        alpha_pair[round_of_edge[alpha_slots[0::2] == alpha_slots[1::2]]] = True
 
         # --- hops: each source embedding's (edge, side) is one segment --
         step_flat, step_offsets = _csr_gather(_offsets(kept_per_edge), edges)
@@ -290,9 +317,6 @@ def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
             + walks.nodes[step_flat]
         )
         step_endpoint = 2 * step_edge + hop_sides[step_flat]
-        step_slots, step_width = _segment_slots(
-            step_endpoint, 2 * edge_bounds[step_round]
-        )
 
         # --- negatives: u-side draws first within each edge -------------
         neg_flat, neg_offsets = _csr_gather(_offsets(neg_counts.sum(axis=1)), edges)
@@ -303,94 +327,149 @@ def compile_plan(model, records: Sequence[_Record]) -> BatchPlan:
         neg_round = round_of_edge[neg_edge]
         neg_bounds = neg_offsets[edge_bounds]
         neg_rows = edge_slots[neg_edge] * num_nodes + draws.negatives[neg_flat]
-        neg_slots, neg_width = _segment_slots(neg_owner, 2 * edge_bounds[neg_round])
+
+        # --- draws: each round's hops, then its negatives ----------------
+        # ``order`` maps a draw position to its index in [hops | negatives]
+        draw_bounds = step_bounds + neg_bounds
+        num_hops = step_flat.size
+        hop_ids = np.arange(num_hops, dtype=np.int64)
+        neg_ids = np.arange(neg_flat.size, dtype=np.int64)
+        order = np.empty(int(draw_bounds[-1]), dtype=np.int64)
+        order[hop_ids + neg_bounds[step_round]] = hop_ids
+        order[neg_ids + step_bounds[neg_round + 1]] = num_hops + neg_ids
+        is_neg = order >= num_hops
+
+        def merged(hop_values, neg_values):
+            return np.concatenate((hop_values, neg_values))[order]
+
+        draw_round = merged(step_round, neg_round)
+        draw_endpoint = merged(step_endpoint, neg_owner)
+        draw_edge = draw_endpoint // 2
+        draw_factors = merged(cums[step_flat], np.ones(neg_ids.size, dtype=np.float64))
+        draw_labels = np.where(is_neg, 0.0, 1.0)
+        draw_signs = np.where(is_neg, -1.0, 1.0)
+        draw_owner = np.where(is_neg, batch + draw_endpoint, draw_edge)
+        draw_source = draw_endpoint - 2 * edge_bounds[draw_round]
+        pair_rows = 2 * round_sizes[draw_round]  # the round's endpoint stack
+        draw_slots, draw_width = _segment_slots(
+            draw_endpoint + 2 * batch * is_neg,
+            draw_source + pair_rows * is_neg,
+            2 * pair_rows,
+        )
+
+        # --- gradient stack: [interaction pair rows | draw rows] ---------
+        inter_n = 2 if cfg.use_inter else 0
+        stack_bounds = inter_n * edge_bounds + draw_bounds
+        stack_rows = np.empty(int(stack_bounds[-1]), dtype=np.int64)
+        stack_edge = np.empty(stack_rows.size, dtype=np.int64)
+        draw_at = np.arange(order.size, dtype=np.int64) + inter_n * edge_bounds[
+            draw_round + 1
+        ]
+        stack_rows[draw_at] = merged(step_rows, neg_rows)
+        stack_edge[draw_at] = draw_edge
+        if inter_n:
+            pair_at = np.arange(2 * batch, dtype=np.int64) + draw_bounds[node_round]
+            stack_rows[pair_at] = inter_rows
+            stack_edge[pair_at] = np.repeat(edge_pos, 2)
 
         # --- context catalogue ------------------------------------------
-        # Each round's gradient stack is [interaction pair rows | hop
-        # rows | negative rows].  ONE ``np.unique`` over ``edge position
-        # * span + row`` keys taken in stack order deduplicates every
-        # edge's rows at once: edge blocks are key-disjoint and edge
-        # positions ascend with the round, so the sorted unique keys are
-        # each edge's sorted unique rows in round-major edge order,
-        # ``first`` is each unique row's first contribution in the stack
-        # and ``dest`` maps every stack row to its unique row.
-        inter_n = 2 if cfg.use_inter else 0
-        stack_bounds = inter_n * edge_bounds + step_bounds + neg_bounds
+        # ONE ``np.unique`` over ``edge position * span + row`` keys taken
+        # in stack order deduplicates every edge's rows at once: edge
+        # blocks are key-disjoint and edge positions ascend with the
+        # round, so the sorted unique keys are each edge's sorted unique
+        # rows in round-major edge order, ``first`` is each unique row's
+        # first contribution in the stack and ``dest`` maps every stack
+        # row to its unique row.
         span = np.int64(memory.num_context_slots) * num_nodes
-        keys = np.empty(int(stack_bounds[-1]), dtype=np.int64)
-        if inter_n:
-            pair_edge = np.repeat(edge_pos, 2)
-            pair_round = round_of_edge[pair_edge]
-            keys[
-                np.arange(2 * batch, dtype=np.int64)
-                + step_bounds[pair_round]
-                + neg_bounds[pair_round]
-            ] = pair_edge * span + inter_rows
-        keys[
-            np.arange(step_flat.size, dtype=np.int64)
-            + inter_n * edge_bounds[step_round + 1]
-            + neg_bounds[step_round]
-        ] = step_edge * span + step_rows
-        keys[
-            np.arange(neg_flat.size, dtype=np.int64)
-            + inter_n * edge_bounds[neg_round + 1]
-            + step_bounds[neg_round + 1]
-        ] = neg_edge * span + neg_rows
         uniq_keys, first, dest = np.unique(
-            keys, return_index=True, return_inverse=True
+            stack_edge * span + stack_rows, return_index=True, return_inverse=True
         )
         ctx_rows = uniq_keys % span
         ctx_edge = uniq_keys // span
         round_of_ctx = round_of_edge[ctx_edge]
         ctx_bounds = np.searchsorted(ctx_edge, edge_bounds)
-        is_later = np.ones(keys.size, dtype=bool)
-        is_later[first] = False
-        later = np.flatnonzero(is_later)
-        later_round = np.searchsorted(stack_bounds, later, side="right") - 1
 
-        # Occurrence rank of each context row among its round's blocks.
-        # Singleton rounds cannot contend (an edge's block is unique).
+        # Occurrence rank of each context row among its round's blocks,
+        # then each round's catalogue reordered rank by rank (stable, so
+        # edge order within a rank).  Singleton rounds cannot contend (an
+        # edge's block is unique).
         ctx_rank = np.zeros(ctx_rows.size, dtype=np.int64)
-        ctx_max_rank = np.zeros(num_rounds, dtype=np.int64)
         contended = 0
         if num_rounds < batch and ctx_rows.size:
             round_keys = round_of_ctx * span + ctx_rows
-            order = np.argsort(round_keys, kind="stable")
-            ranks = _run_positions(round_keys[order])
-            ctx_rank[order] = ranks
-            np.maximum.at(ctx_max_rank, round_of_ctx, ctx_rank)
+            by_row = np.argsort(round_keys, kind="stable")
+            ranks = _run_positions(round_keys[by_row])
+            ctx_rank[by_row] = ranks
             # rows of every run longer than one: each later occurrence
             # plus the run's first
             contended = int((ranks > 0).sum() + (ranks == 1).sum())
+        is_later = np.ones(stack_rows.size, dtype=bool)
+        is_later[first] = False
+        later = np.flatnonzero(is_later)
+        later_round = np.searchsorted(stack_bounds, later, side="right") - 1
+        later_dest = dest[later]
+        if contended:
+            perm = np.argsort(
+                round_of_ctx * (int(ctx_rank.max()) + 1) + ctx_rank, kind="stable"
+            )
+            ctx_rows = ctx_rows[perm]
+            ctx_rank = ctx_rank[perm]
+            first = first[perm]
+            moved = np.empty(perm.size, dtype=np.int64)
+            moved[perm] = np.arange(perm.size, dtype=np.int64)
+            later_dest = moved[later_dest]
+
+        # --- barrier: [nodes | nodes + N | 2N + catalogue] per round -----
+        end_n = 2 if cfg.use_short_term else 1
+        barrier_bounds = 2 * end_n * edge_bounds + ctx_bounds
+        barrier_rows = np.empty(int(barrier_bounds[-1]), dtype=np.int64)
+        long_at = (
+            np.arange(2 * batch, dtype=np.int64)
+            + barrier_bounds[node_round]
+            - 2 * edge_bounds[node_round]
+        )
+        barrier_rows[long_at] = nodes
+        if end_n == 2:
+            barrier_rows[long_at + 2 * round_sizes[node_round]] = nodes + num_nodes
+        ctx_at = np.arange(ctx_rows.size, dtype=np.int64) + 2 * end_n * edge_bounds[
+            round_of_ctx + 1
+        ]
+        barrier_rows[ctx_at] = ctx_rows + memory.context_offset
+        # a sweep starts at each rank change inside a round (a round's
+        # catalogue starts at rank 0)
+        sweep = np.flatnonzero(ctx_rank[1:] > ctx_rank[:-1]) + 1
+        starts = np.sort(np.concatenate((barrier_bounds[:-1], ctx_at[sweep])))
+        barrier_cuts = np.concatenate((starts, barrier_bounds[-1:]))
 
         return BatchPlan(
             edges=edges,
             edge_bounds=edge_bounds,
             nodes=nodes,
             deltas=deltas[edges].reshape(-1),
-            alpha_slots=memory.alpha_slots(node_type_ids[nodes]),
-            inter_rows=inter_rows,
+            alpha_slots=alpha_slots,
             has_self_loop=has_self_loop,
-            step_bounds=step_bounds,
-            step_rows=step_rows,
-            step_cums=cums[step_flat],
-            step_source=step_endpoint - 2 * edge_bounds[step_round],
-            step_owner=step_edge,
-            step_slots=step_slots,
-            step_width=step_width,
-            neg_bounds=neg_bounds,
-            neg_rows=neg_rows,
-            neg_source=neg_owner - 2 * edge_bounds[neg_round],
-            neg_owner=neg_owner,
-            neg_slots=neg_slots,
-            neg_width=neg_width,
+            alpha_pair=alpha_pair,
+            stack_rows=stack_rows,
+            stack_bounds=stack_bounds,
+            draw_bounds=draw_bounds,
+            draw_source=draw_source,
+            draw_factors=draw_factors,
+            draw_labels=draw_labels,
+            draw_signs=draw_signs,
+            draw_owner=draw_owner,
+            draw_slots=draw_slots,
+            draw_width=draw_width,
             ctx_rows=ctx_rows,
             ctx_bounds=ctx_bounds,
+            ctx_rank=ctx_rank,
             ctx_first=first - stack_bounds[round_of_ctx],
             ctx_later_bounds=np.searchsorted(later, stack_bounds),
             ctx_later_sel=later - stack_bounds[later_round],
-            ctx_later_dest=dest[later] - ctx_bounds[later_round],
-            ctx_rank=ctx_rank,
-            ctx_max_rank=ctx_max_rank,
+            ctx_later_dest=later_dest
+            - ctx_bounds[later_round]
+            + 2 * end_n * round_sizes[later_round],
+            barrier_rows=barrier_rows,
+            barrier_cuts=barrier_cuts,
+            round_cuts=np.searchsorted(barrier_cuts, barrier_bounds),
             contended_ctx_rows=contended,
         )

@@ -44,16 +44,8 @@ class Walk:
     def __len__(self) -> int:
         return len(self.steps)
 
-    @property
-    def start(self) -> int:
-        return self.steps[0].node
-
     def nodes(self) -> List[int]:
         return [s.node for s in self.steps]
-
-    def hops(self) -> List[WalkStep]:
-        """Steps after the start node, each carrying its arrival edge."""
-        return self.steps[1:]
 
 
 class CompiledMetapath:

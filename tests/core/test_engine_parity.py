@@ -10,12 +10,14 @@ full model state, the per-batch reports, and the consumed RNG state.
 ``+0.0`` and catches any reassociated float reduction that ``allclose``
 would wave through.  Hand-built micro-batches then hit the cases a
 stacked round can get wrong, a mutation check shows the gate goes red
-when the barrier order is broken, and two golden digests pin
-single-edge ``train_step`` bytes under the per-pass draw contract.
+when the barrier order is broken, two golden digests pin single-edge
+``train_step`` bytes under the per-pass draw contract, and a third pins
+a run under the service's training schedule.
 
 The second half checks every analytic kernel against central finite
 differences, and the stacked-vs-per-edge / fused-vs-split identities
-the kernels module promises.
+the kernels module promises (``test_round_kernels.py`` pins each fused
+round kernel against the split form bit for bit over Hypothesis shapes).
 """
 
 import hashlib
@@ -34,6 +36,7 @@ from repro.datasets.zoo import movielens
 from repro.graph.streams import StreamEdge
 from repro.obs.trace import Tracer
 from tests.core import build_model
+from tests.oracle import kernels as oracle_kernels
 
 BATCH_SIZE = 96
 N_BATCHES = 2
@@ -226,7 +229,8 @@ def test_edge_with_no_surviving_hops_inside_a_multi_edge_round():
 
     bat, records = _assert_pair_identical(_trained_pair({}, make))
     plan = compile_plan(bat, records)
-    hops = np.bincount(plan.edges[plan.step_owner], minlength=plan.num_edges)
+    hop_owner = plan.draw_owner[plan.draw_owner < plan.num_edges]
+    hops = np.bincount(plan.edges[hop_owner], minlength=plan.num_edges)
     assert hops[5] == 0 and hops.sum() > 0
     assert len(next(r for r in _rounds_of(records) if 5 in r)) > 1
 
@@ -251,19 +255,31 @@ def test_barrier_order_mutation_turns_parity_red(monkeypatch):
     """Mutation check on the parity gate itself: apply each round's
     contended context rows in *reverse* edge order and the suite must
     notice (ROADMAP aim 3: every gate is shown to fail when the thing it
-    guards is broken)."""
+    guards is broken).  The occurrences of a contended row swap their
+    gradients: the rank-0 row of the barrier's first call gets the last
+    edge's sum, the last sweep the first edge's."""
     real = engine_module.compile_plan
 
     def reversed_contended_order(model, records):
         plan = real(model, records)
-        rank = plan.ctx_rank.copy()
-        bounds = plan.ctx_bounds.tolist()
-        for c0, c1 in zip(bounds[:-1], bounds[1:]):
+        first = plan.ctx_first.copy()
+        dest = plan.ctx_later_dest.copy()
+        cuts = plan.barrier_cuts
+        for r in range(plan.num_rounds):
+            c0, c1 = plan.ctx_bounds[r], plan.ctx_bounds[r + 1]
             rows = plan.ctx_rows[c0:c1]
-            for row in np.unique(rows[rank[c0:c1] > 0]):
-                hits = c0 + np.flatnonzero(rows == row)
-                rank[hits] = rank[hits][::-1]
-        return plan._replace(ctx_rank=rank)
+            swap = np.arange(c1 - c0)
+            for row in np.unique(rows[plan.ctx_rank[c0:c1] > 0]):
+                hits = np.flatnonzero(rows == row)
+                swap[hits] = hits[::-1]
+            first[c0:c1] = plan.ctx_first[c0:c1][swap]
+            # barrier-local catalogue row = endpoint rows + local index
+            ends = int(
+                cuts[plan.round_cuts[r + 1]] - cuts[plan.round_cuts[r]]
+            ) - (c1 - c0)
+            l0, l1 = plan.ctx_later_bounds[r], plan.ctx_later_bounds[r + 1]
+            dest[l0:l1] = ends + swap[plan.ctx_later_dest[l0:l1] - ends]
+        return plan._replace(ctx_first=first, ctx_later_dest=dest)
 
     monkeypatch.setattr(engine_module, "compile_plan", reversed_contended_order)
     with pytest.raises(AssertionError):
@@ -314,7 +330,8 @@ def test_single_edge_bytes_equal_the_parent_given_its_blas_score(
     """Eq. 7's score reduces through ``rowwise_dot`` like every other
     inner product; the per-edge executor the round engine replaced used
     BLAS ``np.dot``, whose summation order no stacked kernel can
-    reproduce.  Put the BLAS reduction back and the full model's
+    reproduce.  Put the BLAS reduction back — in the engine's fused
+    Eq. 7 entry, or in the oracle's split forward — and the full model's
     single-edge bytes are the golden digest, which therefore still
     pins that executor's arithmetic under today's draws."""
 
@@ -324,10 +341,69 @@ def test_single_edge_bytes_equal_the_parent_given_its_blas_score(
             [float(np.dot(u, v)) for u, v in zip(h_r[0::2], h_r[1::2])],
             dtype=np.float64,
         )
-        return -kernels.log_sigmoid_branched(score), score, h_r
+        return -oracle_kernels.log_sigmoid_branched(score), score, h_r
 
-    monkeypatch.setattr(kernels, "interaction_forward", blas_forward)
+    def blas_rows(h_star, context):
+        loss, score, h_r = blas_forward(h_star, context)
+        return loss, oracle_kernels.interaction_backward(score, h_r)
+
+    if engine == "batched":
+        monkeypatch.setattr(kernels, "interaction_rows", blas_rows)
+    else:
+        monkeypatch.setattr(oracle_kernels, "interaction_forward", blas_forward)
     assert _single_edge_digest(SUPAConfig(seed=7), engine) == PARENT_DIGEST
+
+
+# ---------------------------------------------- served-schedule golden digest
+#
+# Three 256-event batches under the service's training schedule (4 passes,
+# validation every 2, 25-edge tail, patience 1): every pass's per-edge
+# losses, the reports, the final state and both RNG states.  Captured
+# before the round kernels were fused; a change that moves any bit on
+# the engine and the oracle together still fails here.
+
+SERVED_GOLDEN = "60b2f03cd30ae0129d770465141a87e55024ca06aff9b19dd54e37327f89816b"
+
+
+def _served_schedule_digest(engine):
+    dataset = movielens(scale=0.3, seed=3)
+    model = build_model(dataset, SUPAConfig(seed=7), engine)
+    trainer = InsLearnTrainer(
+        model,
+        InsLearnConfig(
+            batch_size=256,
+            max_iterations=4,
+            validation_interval=2,
+            validation_size=25,
+            patience=1,
+        ),
+    )
+    digest = hashlib.sha256()
+    real = model.engine.train_batch
+
+    def recorded(m, records):
+        losses = real(m, records)
+        digest.update(losses.tobytes())
+        return losses
+
+    model.engine.train_batch = recorded
+    passes = 0
+    for i, batch in enumerate(dataset.stream.sequential_batches(256)):
+        if i == 3:
+            break
+        report = trainer.train_one_batch(batch, batch_index=i)
+        passes += report.iterations_run
+        digest.update(np.float64(report.mean_loss).tobytes())
+        digest.update(np.float64(report.best_score).tobytes())
+    digest.update(_state_bytes(model))
+    digest.update(repr(model.rng.bit_generator.state).encode())
+    digest.update(repr(trainer.rng_state()).encode())
+    return passes, digest.hexdigest()
+
+
+@pytest.mark.parametrize("engine", ["batched", "reference"])
+def test_served_schedule_bytes_equal_the_golden_digest(engine):
+    assert _served_schedule_digest(engine) == (12, SERVED_GOLDEN)
 
 
 # ------------------------------------------------------------ tracing parity
@@ -429,7 +505,7 @@ class TestTargetKernelGradients:
         )
 
     def _loss(self, long_rows, short_rows, alpha, deltas, w, cfg):
-        h_star, _, _, _ = kernels.target_forward(
+        h_star, *_ = kernels.target_forward(
             long_rows, short_rows, alpha, deltas, cfg
         )
         return float((w * h_star).sum())
@@ -446,11 +522,11 @@ class TestTargetKernelGradients:
     def test_target_backward_matches_fd(self, cfg):
         rng = np.random.default_rng(11)
         long_rows, short_rows, alpha, deltas, w = self._inputs(rng)
-        _, gamma, x, sig = kernels.target_forward(
+        _, gamma, x, sig, log_term = kernels.target_forward(
             long_rows, short_rows, alpha, deltas, cfg
         )
         grad_long, grad_short, grad_alpha = kernels.target_backward(
-            w, short_rows, alpha, gamma, x, deltas, cfg, sig=sig
+            w, short_rows, alpha, gamma, x, deltas, cfg, sig=sig, log_term=log_term
         )
         _assert_close(
             grad_long,
@@ -477,41 +553,68 @@ class TestTargetKernelGradients:
             _assert_close(grad_alpha, fd_alpha)
 
     def test_sig_reuse_is_bitwise_neutral(self):
-        """Passing the forward's sigma(alpha) to the backward must be a
-        pure recomputation skip — identical bits either way."""
+        """Passing the forward's sigma(alpha) and log(e + x) to the
+        backward must be a pure recomputation skip — identical bits
+        either way, and the forward's gamma is ``g_decay``'s."""
         rng = np.random.default_rng(12)
         cfg = SUPAConfig()
         long_rows, short_rows, alpha, deltas, w = self._inputs(rng)
-        _, gamma, x, sig = kernels.target_forward(
+        _, gamma, x, sig, log_term = kernels.target_forward(
             long_rows, short_rows, alpha, deltas, cfg
         )
-        with_sig = kernels.target_backward(
-            w, short_rows, alpha, gamma, x, deltas, cfg, sig=sig
+        assert gamma.tobytes() == g_decay(x).tobytes()
+        with_both = kernels.target_backward(
+            w, short_rows, alpha, gamma, x, deltas, cfg, sig=sig, log_term=log_term
         )
         without = kernels.target_backward(
             w, short_rows, alpha, gamma, x, deltas, cfg
         )
-        for a, b in zip(with_sig, without):
+        for a, b in zip(with_both, without):
             assert a.tobytes() == b.tobytes()
 
 
+def _position_major_slots(segments: np.ndarray, num_segments: int) -> np.ndarray:
+    """``position * num_segments + segment`` per row, positions counted
+    per segment in row order (the plan's ``draw_slots`` layout)."""
+    slots = np.empty(segments.size, dtype=np.int64)
+    for seg in range(num_segments):
+        picked = np.flatnonzero(segments == seg)
+        slots[picked] = np.arange(picked.size) * num_segments + seg
+    return slots
+
+
 def _propagation_fused(context_rows, h_star_sides, sides, cum_factors):
-    """The round executor's Eq. 10 for one edge: the row kernel plus the
-    reductions the engine applies (hop-order loss sum, per-side gradient
-    sums)."""
-    terms, context_grads, source_grads = kernels.propagation_rows(
-        context_rows, h_star_sides[sides], cum_factors
+    """The round executor's Eq. 10 for one edge: the draw kernel (hop
+    mode) plus the reductions the engine applies (hop-order loss sum,
+    per-side position-major gradient sums)."""
+    ones = np.ones(sides.size, dtype=np.float64)
+    terms, context_grads, source_grads = kernels.context_draw_rows(
+        context_rows, h_star_sides[sides], cum_factors, ones, ones
     )
-    slots = np.empty(sides.size, dtype=np.int64)
-    for side in (0, 1):
-        picked = np.flatnonzero(sides == side)
-        slots[picked] = side * sides.size + np.arange(picked.size)
+    slots = _position_major_slots(sides, 2)
     grad_sides = kernels.padded_segment_sums(source_grads, slots, 2, sides.size)
     return kernels.sequential_sum(terms), context_grads, grad_sides
 
 
+def _negative_fused(context_rows, h_star):
+    """The round executor's Eq. 12 for one side: the draw kernel
+    (negative mode) plus the draw-order loss and gradient sums."""
+    n = context_rows.shape[0]
+    terms, context_grads, source_grads = kernels.context_draw_rows(
+        context_rows,
+        np.broadcast_to(h_star, context_rows.shape),
+        np.ones(n, dtype=np.float64),
+        np.zeros(n, dtype=np.float64),
+        -np.ones(n, dtype=np.float64),
+    )
+    grad_h = kernels.padded_segment_sums(
+        source_grads, np.arange(n, dtype=np.int64), 1, n
+    )[0]
+    return kernels.sequential_sum(terms), context_grads, grad_h
+
+
 class TestPropagationKernelGradients:
-    """Eq. 10 propagation: row kernel FD check + stacked == split."""
+    """Eq. 10 / 12 through the draw kernel: FD checks + fused == split."""
 
     def _inputs(self, rng, hops=5, dim=6):
         return (
@@ -547,13 +650,13 @@ class TestPropagationKernelGradients:
         )
 
     def test_fused_equals_split_bitwise(self):
-        """The executor's row kernel + reductions equal the split
-        forward / backward pair the oracle calls: same ufuncs in the
-        same order, so identical bits."""
+        """The executor's draw kernel + reductions equal the split
+        forward / backward pairs the oracle calls (Eq. 10 per edge,
+        Eq. 12 per side): identical bits."""
         rng = np.random.default_rng(22)
         ctx, h_star, sides, cums = self._inputs(rng)
-        scores, loss = kernels.propagation_forward(ctx, h_star, sides, cums)
-        ctx_grads, side_grads = kernels.propagation_backward(
+        scores, loss = oracle_kernels.propagation_forward(ctx, h_star, sides, cums)
+        ctx_grads, side_grads = oracle_kernels.propagation_backward(
             ctx, h_star, sides, cums, scores
         )
         f_loss, f_ctx, f_sides = _propagation_fused(
@@ -562,23 +665,23 @@ class TestPropagationKernelGradients:
         assert np.float64(f_loss).tobytes() == np.float64(loss).tobytes()
         assert f_ctx.tobytes() == ctx_grads.tobytes()
         assert f_sides.tobytes() == side_grads.tobytes()
+        split = oracle_kernels.negative_forward_backward(ctx, h_star[0])
+        fused = _negative_fused(ctx, h_star[0])
+        for a, b in zip(split, fused):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_negative_kernel_matches_fd(self):
         rng = np.random.default_rng(23)
         ctx = rng.normal(size=(5, 6))
         h_star = rng.normal(size=6)
-        loss, ctx_grads, grad_h = kernels.negative_forward_backward(ctx, h_star)
+        loss, ctx_grads, grad_h = _negative_fused(ctx, h_star)
         _assert_close(
             ctx_grads,
-            _fd_grad(
-                lambda a: kernels.negative_forward_backward(a, h_star)[0], ctx
-            ),
+            _fd_grad(lambda a: _negative_fused(a, h_star)[0], ctx),
         )
         _assert_close(
             grad_h,
-            _fd_grad(
-                lambda a: kernels.negative_forward_backward(ctx, a)[0], h_star
-            ),
+            _fd_grad(lambda a: _negative_fused(ctx, a)[0], h_star),
         )
 
 
@@ -590,22 +693,20 @@ class TestStackedKernels:
         rng = np.random.default_rng(51)
         h_star = rng.normal(size=(10, 7))
         context = rng.normal(size=(10, 7))
-        loss, score, h_r = kernels.interaction_forward(h_star, context)
-        grad = kernels.interaction_backward(score, h_r)
+        loss, grad = kernels.interaction_rows(h_star, context)
         for i in range(5):
             pair = slice(2 * i, 2 * i + 2)
-            l_i, s_i, h_i = kernels.interaction_forward(h_star[pair], context[pair])
+            l_i, g_i = kernels.interaction_rows(h_star[pair], context[pair])
             assert l_i.tobytes() == loss[i : i + 1].tobytes()
-            assert s_i.tobytes() == score[i : i + 1].tobytes()
-            assert kernels.interaction_backward(s_i, h_i).tobytes() == grad[pair].tobytes()
+            assert g_i.tobytes() == grad[pair].tobytes()
 
     def test_interaction_backward_matches_fd(self):
         rng = np.random.default_rng(52)
         h_star = rng.normal(size=(4, 5))
         context = rng.normal(size=(4, 5))
-        loss, score, h_r = kernels.interaction_forward(h_star, context)
-        grad = kernels.interaction_backward(score, h_r)
-        total = lambda h, c: float(kernels.interaction_forward(h, c)[0].sum())  # noqa: E731
+        _, grad = kernels.interaction_rows(h_star, context)
+        def total(h, c):
+            return float(kernels.interaction_rows(h, c)[0].sum())
         _assert_close(grad, _fd_grad(lambda a: total(a, context), h_star))
         _assert_close(grad, _fd_grad(lambda a: total(h_star, a), context))
 
@@ -614,14 +715,16 @@ class TestStackedKernels:
         ctx = rng.normal(size=(23, 6))
         src = rng.normal(size=(23, 6))
         cums = rng.uniform(0.1, 1.0, size=23)
-        whole_p = kernels.propagation_rows(ctx, src, cums)
-        whole_n = kernels.negative_rows(ctx, src)
+        labels = (rng.random(23) < 0.5).astype(np.float64)
+        factors = np.where(labels == 1.0, cums, 1.0)
+        signs = labels + labels - 1.0
+        whole = kernels.context_draw_rows(ctx, src, factors, labels, signs)
         for lo, hi in ((0, 1), (1, 9), (9, 23)):
-            part_p = kernels.propagation_rows(ctx[lo:hi], src[lo:hi], cums[lo:hi])
-            part_n = kernels.negative_rows(ctx[lo:hi], src[lo:hi])
-            for whole, part in ((whole_p, part_p), (whole_n, part_n)):
-                for w, p in zip(whole, part):
-                    assert w[lo:hi].tobytes() == p.tobytes()
+            part = kernels.context_draw_rows(
+                ctx[lo:hi], src[lo:hi], factors[lo:hi], labels[lo:hi], signs[lo:hi]
+            )
+            for w, p in zip(whole, part):
+                assert w[lo:hi].tobytes() == p.tobytes()
 
     def test_padded_segment_sums_are_sequential_per_segment(self):
         rng = np.random.default_rng(54)
@@ -630,14 +733,12 @@ class TestStackedKernels:
         values = rng.normal(size=(sum(lengths), 6)) * 10.0 ** rng.integers(
             -6, 6, size=(sum(lengths), 1)
         )
-        slots = np.asarray(
-            [seg * width + pos for seg, n in enumerate(lengths) for pos in range(n)],
-            dtype=np.int64,
-        )
+        segments = np.repeat(np.arange(len(lengths)), lengths)
+        slots = _position_major_slots(segments, len(lengths))
         sums = kernels.padded_segment_sums(values, slots, len(lengths), width)
         start = 0
         for seg, n in enumerate(lengths):
-            expected = kernels.sequential_colsum(values[start : start + n])
+            expected = oracle_kernels.sequential_colsum(values[start : start + n])
             assert sums[seg].tobytes() == expected.tobytes()
             start += n
 

@@ -71,6 +71,38 @@ class TestDegenerateStreams:
         assert np.isfinite(loss)
 
 
+class TestEmptyMicroBatch:
+    @pytest.mark.parametrize("engine", ["batched", "reference"])
+    def test_empty_batch_clears_the_last_batch_report(self, tiny_synthetic, engine):
+        """An empty micro-batch leaves no stale loss terms behind: not
+        from an empty batch's replay passes, nor from a direct call."""
+        from repro.core.inslearn import (
+            InsLearnConfig,
+            InsLearnTrainer,
+            _record_and_observe as trainer_records,
+        )
+        from repro.graph.streams import EdgeStream
+
+        from tests.core import build_model
+
+        model = build_model(tiny_synthetic, SUPAConfig(dim=4, seed=1), engine)
+        edges = list(tiny_synthetic.stream)
+        trainer = InsLearnTrainer(
+            model, InsLearnConfig(batch_size=64, max_iterations=2, validation_size=4)
+        )
+        trainer.train_one_batch(EdgeStream(edges[:40]))
+        assert model.last_loss_components and model.last_touched_nodes
+        report = trainer.train_one_batch(EdgeStream([]))
+        assert report.num_train_edges == 0 and report.iterations_run == 2
+        assert model.last_loss_components == {}
+        assert model.last_touched_nodes == ()
+        model.train_batch(trainer_records(model, edges[40:48]))
+        assert model.last_loss_components
+        assert model.train_batch([]).size == 0
+        assert model.last_loss_components == {}
+        assert model.last_touched_nodes == ()
+
+
 class TestZeroWalkConfiguration:
     def test_num_walks_zero_skips_propagation(self, small_dataset):
         cfg = SUPAConfig(dim=4, num_walks=0)

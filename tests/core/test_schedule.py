@@ -224,6 +224,26 @@ def _round_slices(bounds):
     return list(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
 
 
+def _barrier_slice(plan, r):
+    cuts = plan.barrier_cuts
+    return int(cuts[plan.round_cuts[r]]), int(cuts[plan.round_cuts[r + 1]])
+
+
+def _draw_rows(plan):
+    """Each draw's context row, read from the gradient stack (after its
+    round's interaction pair rows)."""
+    sizes = np.diff(plan.draw_bounds)
+    round_of = np.repeat(np.arange(plan.num_rounds), sizes)
+    pair_rows = 2 * np.diff(plan.edge_bounds)
+    at = (
+        np.arange(int(plan.draw_bounds[-1]))
+        - plan.draw_bounds[round_of]
+        + plan.stack_bounds[round_of]
+        + pair_rows[round_of]
+    )
+    return plan.stack_rows[at]
+
+
 def _oracle_rows(model, record, sample):
     """One edge's context rows as the per-edge oracle scores them:
     ``(hop rows, hop cums, hop sides, u-side and v-side negative rows)``
@@ -254,6 +274,7 @@ class TestBuildSchedule:
         assert plan.num_rounds == 0 and plan.num_edges == 0
         assert plan.contended_ctx_rows == 0
         assert plan.edges.size == 0 and plan.ctx_rows.size == 0
+        assert plan.barrier_rows.size == 0 and plan.round_cuts.tolist() == [0]
 
     def test_rounds_cover_plan_and_are_conflict_free(self, compiled_plan):
         model, records, plan, _ = compiled_plan
@@ -274,80 +295,132 @@ class TestBuildSchedule:
             assert not plan.has_self_loop[r]
 
     def test_round_major_layout_matches_the_plan(self, compiled_plan):
-        """Every edge's slice of the round-major hop, negative and
-        context-row arrays is what the object sampler + the Eq. 8-9
-        survivors give for that edge under the same RNG state, and it
-        addresses the edge's own rows of its round's endpoint stack."""
+        """Every edge's slice of the round-major draw arrays and its
+        interaction pair in the gradient stack are what the object
+        sampler + the Eq. 8-9 survivors give for that edge under the
+        same RNG state, addressing the edge's own rows of its round's
+        endpoint stack; a round's draws are its hops, then its
+        negatives; and its catalogue holds each edge's unique context
+        rows, rank by rank."""
         model, records, plan, samples = compiled_plan
+        num_nodes = model.memory.num_nodes
         round_of = np.repeat(np.arange(plan.num_rounds), np.diff(plan.edge_bounds))
+        draw_rows = _draw_rows(plan)
         hops_per_round = np.zeros(plan.num_rounds, dtype=np.int64)
         negs_per_round = np.zeros(plan.num_rounds, dtype=np.int64)
-        ctx_per_round = np.zeros(plan.num_rounds, dtype=np.int64)
-        ctx_at = 0
+        blocks = [[] for _ in range(plan.num_rounds)]
         for pos, e in enumerate(plan.edges.tolist()):
+            r = round_of[pos]
             rows, cums, sides, negs = _oracle_rows(model, records[e], samples[e])
-            local = 2 * (pos - plan.edge_bounds[round_of[pos]])
-            hops = np.flatnonzero(plan.step_owner == pos)
+            local = 2 * (pos - plan.edge_bounds[r])
+            hops = np.flatnonzero(plan.draw_owner == pos)
             assert (np.diff(hops) == 1).all()
-            assert plan.step_rows[hops].tobytes() == rows.tobytes()
-            assert plan.step_cums[hops].tobytes() == cums.tobytes()
-            assert (plan.step_source[hops] == local + sides).all()
+            assert draw_rows[hops].tobytes() == rows.tobytes()
+            assert plan.draw_factors[hops].tobytes() == cums.tobytes()
+            assert (plan.draw_source[hops] == local + sides).all()
+            assert (plan.draw_labels[hops] == 1.0).all()
+            assert (plan.draw_signs[hops] == 1.0).all()
             draws = []
             for side in (0, 1):
-                hits = np.flatnonzero(plan.neg_owner == 2 * pos + side)
-                assert plan.neg_rows[hits].tobytes() == negs[side].tobytes()
-                assert (plan.neg_source[hits] == local + side).all()
+                owner = plan.num_edges + 2 * pos + side
+                hits = np.flatnonzero(plan.draw_owner == owner)
+                assert draw_rows[hits].tobytes() == negs[side].tobytes()
+                assert (plan.draw_source[hits] == local + side).all()
+                assert (plan.draw_factors[hits] == 1.0).all()
+                assert (plan.draw_labels[hits] == 0.0).all()
+                assert (plan.draw_signs[hits] == -1.0).all()
                 draws.extend(hits.tolist())
             assert draws == list(range(draws[0], draws[0] + len(draws)))
-            uniq = np.unique(
-                np.concatenate((plan.inter_rows[2 * pos : 2 * pos + 2], rows, *negs))
-            )
-            block = plan.ctx_rows[ctx_at : ctx_at + uniq.size]
-            assert block.tobytes() == uniq.tobytes()
-            ctx_at += uniq.size
-            hops_per_round[round_of[pos]] += hops.size
-            negs_per_round[round_of[pos]] += len(draws)
-            ctx_per_round[round_of[pos]] += uniq.size
-        assert ctx_at == plan.ctx_rows.size
-        assert np.diff(plan.step_bounds).tolist() == hops_per_round.tolist()
-        assert np.diff(plan.neg_bounds).tolist() == negs_per_round.tolist()
-        assert np.diff(plan.ctx_bounds).tolist() == ctx_per_round.tolist()
+            edge = records[e][0]
+            slot = model.memory.context_slot(model.schema.edge_type_id(edge.edge_type))
+            pair_at = plan.stack_bounds[r] + local
+            pair = plan.stack_rows[pair_at : pair_at + 2]
+            assert (pair == slot * num_nodes + np.asarray([edge.u, edge.v])).all()
+            blocks[r].append(np.unique(np.concatenate((pair, rows, *negs))))
+            hops_per_round[r] += hops.size
+            negs_per_round[r] += len(draws)
+        assert (
+            np.diff(plan.draw_bounds).tolist()
+            == (hops_per_round + negs_per_round).tolist()
+        )
+        for r, (d0, d1) in enumerate(_round_slices(plan.draw_bounds)):
+            # hops first, then negatives
+            split = d0 + hops_per_round[r]
+            assert (plan.draw_owner[d0:split] < plan.num_edges).all()
+            assert (plan.draw_owner[split:d1] >= plan.num_edges).all()
+            # the catalogue: rank 0 of every edge's block in edge order,
+            # then rank 1, ...
+            seen = {}
+            ranked = []
+            for i, block in enumerate(blocks[r]):
+                for row in block.tolist():
+                    ranked.append((seen.get(row, 0), i, row))
+                    seen[row] = ranked[-1][0] + 1
+            c0, c1 = plan.ctx_bounds[r], plan.ctx_bounds[r + 1]
+            assert plan.ctx_rows[c0:c1].tolist() == [row for *_, row in sorted(ranked)]
+        assert plan.ctx_bounds[-1] == plan.ctx_rows.size
         # the fixture exercises Eq. 9 termination and both sides
-        assert 0 < plan.step_rows.size < sum(
-            len(w.hops()) for s in samples for w in s.influenced.walks
+        assert 0 < plan.num_walk_steps < sum(
+            len(w.steps[1:]) for s in samples for w in s.influenced.walks
         )
 
     def test_context_accumulation_indices_rebuild_the_catalogue(self, compiled_plan):
         """``ctx_first`` + the later lists route every row of a round's
-        gradient stack to the unique context row of its edge's block."""
-        plan = compiled_plan[2]
-        for r, (e0, e1) in enumerate(_round_slices(plan.edge_bounds)):
+        gradient stack to the barrier row of its edge's catalogue row."""
+        model, _, plan, _ = compiled_plan
+        offset = model.memory.context_offset
+        for r, (s0, s1) in enumerate(_round_slices(plan.stack_bounds)):
             # the round's stack: interaction pair rows | hop rows | negative rows
-            stack_rows = np.concatenate(
-                (
-                    plan.inter_rows[2 * e0 : 2 * e1],
-                    plan.step_rows[plan.step_bounds[r] : plan.step_bounds[r + 1]],
-                    plan.neg_rows[plan.neg_bounds[r] : plan.neg_bounds[r + 1]],
-                )
-            )
+            stack_rows = plan.stack_rows[s0:s1]
             c0, c1 = plan.ctx_bounds[r], plan.ctx_bounds[r + 1]
             rows = plan.ctx_rows[c0:c1]
             first = plan.ctx_first[c0:c1]
             assert (stack_rows[first] == rows).all()
+            b0, b1 = _barrier_slice(plan, r)
+            ends = (b1 - b0) - (c1 - c0)
+            barrier = plan.barrier_rows[b0:b1]
             l0, l1 = plan.ctx_later_bounds[r], plan.ctx_later_bounds[r + 1]
             sel = plan.ctx_later_sel[l0:l1]
             dest = plan.ctx_later_dest[l0:l1]
-            assert (stack_rows[sel] == rows[dest]).all()
+            assert (stack_rows[sel] + offset == barrier[dest]).all()
             # firsts and laters partition the stack; a later row follows
-            # its unique row's first contribution
+            # its catalogue row's first contribution
             assert sorted(first.tolist() + sel.tolist()) == list(range(stack_rows.size))
-            assert (sel > first[dest]).all()
+            assert (dest >= ends).all()
+            assert (sel > first[dest - ends]).all()
             assert (np.diff(sel) > 0).all()
+
+    def test_barrier_rows_and_calls_follow_the_ranks(self, compiled_plan):
+        """A round's barrier rows are ``[nodes | nodes + N | 2N +
+        catalogue]``; its first call ends after the rank-0 rows and
+        every later call is one rank's contiguous sweep."""
+        model, _, plan, _ = compiled_plan
+        n = model.memory.num_nodes
+        for r, (e0, e1) in enumerate(_round_slices(plan.edge_bounds)):
+            nodes = plan.nodes[2 * e0 : 2 * e1]
+            c0, c1 = plan.ctx_bounds[r], plan.ctx_bounds[r + 1]
+            b0, b1 = _barrier_slice(plan, r)
+            barrier = plan.barrier_rows[b0:b1]
+            k2 = nodes.size
+            assert barrier[:k2].tolist() == nodes.tolist()
+            assert barrier[k2 : 2 * k2].tolist() == (nodes + n).tolist()
+            assert barrier[2 * k2 :].tolist() == (plan.ctx_rows[c0:c1] + 2 * n).tolist()
+            ranks = plan.ctx_rank[c0:c1]
+            cuts = plan.barrier_cuts[plan.round_cuts[r] : plan.round_cuts[r + 1] + 1]
+            expected = [b0, b0 + 2 * k2 + int((ranks == 0).sum())]
+            for k in range(1, int(ranks.max(initial=0)) + 1):
+                expected.append(expected[-1] + int((ranks == k).sum()))
+            assert cuts.tolist() == expected
+            # no optimiser call sees a row twice (the fixture has no self-loop)
+            for lo, hi in zip(expected[:-1], expected[1:]):
+                chunk = plan.barrier_rows[lo:hi]
+                assert np.unique(chunk).size == chunk.size
 
     def test_contended_mask_matches_recomputation(self, compiled_plan):
         """Within a round, a context row's k-th block occurrence (edge
         order) has rank k — non-zero ranks (and their rank-0 firsts) are
-        exactly the rows two or more edges of the round contend for."""
+        exactly the rows two or more edges of the round contend for, and
+        the round makes one optimiser sweep per non-zero rank."""
         plan = compiled_plan[2]
         contended = 0
         for r, (c0, c1) in enumerate(_round_slices(plan.ctx_bounds)):
@@ -357,7 +430,8 @@ class TestBuildSchedule:
                 expected.append(seen.get(row, 0))
                 seen[row] = expected[-1] + 1
             assert plan.ctx_rank[c0:c1].tolist() == expected
-            assert plan.ctx_max_rank[r] == max(expected, default=0)
+            calls = plan.round_cuts[r + 1] - plan.round_cuts[r]
+            assert calls == 1 + max(expected, default=0)
             contended += sum(n for n in seen.values() if n > 1)
         assert plan.contended_ctx_rows == contended
         # the fixture batch is dense enough to exercise the sweep path

@@ -1,17 +1,19 @@
-"""The sigmoid pair keeps every bit of its boolean-mask form.
+"""The split sigmoid pair keeps every bit of its boolean-mask form.
 
-``sigmoid_branched`` / ``log_sigmoid_branched`` pick each branch with
-``np.where`` over one shared exponential; the oracles below are the
-gather/scatter expressions they replaced.  Every finite and infinite
-input must give the same bits (the engines' parity digests depend on
-them), and NaN must stay NaN.
+``sigmoid_branched`` / ``log_sigmoid_branched`` (the oracle's split
+forms, ``tests/oracle/kernels.py``) pick each branch with ``np.where``
+over one shared exponential; the oracles below are the gather/scatter
+expressions they replaced.  Every finite and infinite input must give
+the same bits (the engines' parity digests depend on them), and NaN must
+stay NaN.  The engine's fused ``sigmoid_nll`` is pinned to this pair in
+``test_round_kernels.py``.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import kernels
+from tests.oracle import kernels
 
 EPS = 1e-13
 SUBNORMAL = 5e-324

@@ -52,7 +52,7 @@ class TestMetapathWalk:
     def test_walk_respects_edge_types(self, small_graph):
         mp = MultiplexMetapath.create(["user", "video", "user"], [["like"], ["like"]])
         walk = sample_metapath_walk(small_graph, 0, mp, 6, rng=0)
-        for step in walk.hops():
+        for step in walk.steps[1:]:
             assert small_graph.schema.edge_types[step.rel] == "like"
 
     def test_walk_stops_without_candidates(self, schema, metapath):
@@ -77,8 +77,9 @@ class TestMetapathWalk:
 
     def test_walk_accessors(self, small_graph, metapath):
         walk = sample_metapath_walk(small_graph, 0, metapath, 4, rng=0)
-        assert walk.start == 0
-        assert len(walk.hops()) == len(walk) - 1
+        assert walk.nodes()[0] == 0 == walk.steps[0].node
+        assert walk.steps[0].rel is None and walk.steps[0].t is None
+        assert len(walk.nodes()) == len(walk)
 
 
 class TestInfluencedGraph:
@@ -148,7 +149,7 @@ class TestUniformPick:
             current = int(small_graph.candidates(current, rel_ids, type_id)[0][-1])
             expected.append(current)
         assert nodes == expected * 2
-        assert [[s.node for s in w.hops()] for w in ig.walks] == [expected] * 2
+        assert [[s.node for s in w.steps[1:]] for w in ig.walks] == [expected] * 2
 
     def test_hop_picks_are_uniform_over_candidates(self, schema, metapath):
         """Fixed-seed chi-square: one node's first-hop picks over its 7

@@ -54,7 +54,7 @@ def _oracle_walks(graph, uv, compiled, uniforms):
         begin = len(nodes)
         for side, walks in enumerate((influenced.walks_u, influenced.walks_v)):
             for walk in walks:
-                for step in walk.hops():
+                for step in walk.steps[1:]:
                     nodes.append(step.node)
                     rels.append(step.rel)
                     times.append(step.t)
@@ -242,7 +242,7 @@ class TestPassDraws:
         for warm in (True, False):
             model, records = _warm_model(warm=warm)
             plan = compile_plan(model, records)
-            assert (plan.step_rows.size > 0) == warm
+            assert (plan.num_walk_steps > 0) == warm
             states.append(model.rng.bit_generator.state)
         assert states[0] == states[1]
 

@@ -11,9 +11,10 @@ model (``model.engine = ReferenceEngine()``, see
 ``tests.core.build_model``).  Like the production engine it holds no
 model; each entry point takes the model it trains.
 
-Both route every float through the same kernels
-(:mod:`repro.core.engine.kernels`), take a pass's randomness from the
-same two draws (:func:`~repro.core.engine.plan.draw_pass`, before any
+Both route every float through kernels — the engine through the fused
+round kernels (:mod:`repro.core.engine.kernels`), the oracle through
+the split forms they are pinned to (:mod:`tests.oracle.kernels`) —
+take a pass's randomness from the same two draws (:func:`~repro.core.engine.plan.draw_pass`, before any
 walk), and gate optimiser updates on the same "did this parameter get a
 gradient" conditions, which makes their results *bitwise* identical —
 losses, memories, Adam moments, touched-node sets and RNG state — as
@@ -26,12 +27,12 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.engine import kernels
 from repro.core.engine.plan import draw_pass
 from repro.core.engine.schedule import partition_round_indices
 from repro.core.memory import MemoryOptimizer
 from repro.graph.streams import StreamEdge
 
+from tests.oracle import kernels
 from tests.oracle.interactor import interaction_loss, interaction_loss_backward
 from tests.oracle.propagation import propagation_loss, propagation_loss_backward
 from tests.oracle.sampling import InfluencedGraph, sample_influenced_graph_compiled
@@ -254,6 +255,7 @@ class ReferenceEngine:
         losses = np.empty(len(records), dtype=np.float64)
         if not len(records):
             model.last_touched_nodes = ()
+            model.last_loss_components = {}
             return losses
         uv = np.asarray([(edge.u, edge.v) for edge, _, _ in records], dtype=np.int64)
         with tracer.span("core.engine.sample", edges=len(records)):

@@ -5,8 +5,9 @@ sigma(h_u^r . h_v^r)`` over the final embeddings ``h^r = 1/2 (h* + c^r)``
 (Eq. 6, :func:`repro.core.updater.final_embedding`) that pulls the two
 interactive nodes together.  Forward and analytic backward are separate
 so the oracle engine can fold the gradients into its dict accumulators;
-both are one-edge calls of the row kernels in
-:mod:`repro.core.engine.kernels`, which own the arithmetic.
+both are one-edge calls of the split Eq. 7 kernels in
+:mod:`tests.oracle.kernels`, which the engine's fused
+:func:`~repro.core.engine.kernels.interaction_rows` is pinned to.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from repro.core.engine import kernels
+from tests.oracle import kernels
 
 
 class InteractionForward(NamedTuple):

@@ -8,11 +8,10 @@ nodes across the sampled influenced graph.  Crossing an edge of age
 propagation loss (Eq. 10) is a skip-gram objective between the arriving
 information and each influenced node's context embedding.
 
-The arithmetic lives in the shared array kernels
-(:mod:`repro.core.engine.kernels`); this readable form walks the
-influenced graph's Python objects, lowers the surviving hops to flat
-arrays and calls the same kernels the batched engine uses, so the oracle
-and the engine cannot drift numerically.
+This readable form walks the influenced graph's Python objects, lowers
+the surviving hops to flat arrays and calls the split Eq. 10 kernels
+(:mod:`tests.oracle.kernels`), which the batched engine's fused draw
+kernel is pinned to bit for bit.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.config import SUPAConfig, g_decay
-from repro.core.engine import kernels
 from repro.core.memory import NodeMemory
 from repro.graph.sampling import Walk
 
+from tests.oracle import kernels
 from tests.oracle.sampling import InfluencedGraph
 
 
@@ -75,7 +74,7 @@ def _walk_steps(
     """``(node, rel, cum_factor)`` per hop until the flow terminates."""
     out = []
     cum = 1.0
-    for step in walk.hops():
+    for step in walk.steps[1:]:
         factor = edge_factor(now - step.t, cfg)
         if factor == 0.0:
             break  # Eq. 9: out-of-date edge terminates this flow.

@@ -50,7 +50,7 @@ class InfluencedGraph:
         """Nodes reached by any walk, excluding the two interactive nodes."""
         nodes: Set[int] = set()
         for walk in self.walks:
-            nodes.update(step.node for step in walk.hops())
+            nodes.update(step.node for step in walk.steps[1:])
         nodes.discard(self.u)
         nodes.discard(self.v)
         return nodes

@@ -9,7 +9,9 @@ short-term memory is forgotten according to its active time interval:
 The forward returns everything the analytic backward needs.  Both are
 thin 1-row wrappers over the shared array kernels
 (:mod:`repro.core.engine.kernels`), so the oracle and the batched engine
-compute Eq. 5 with literally the same code.
+compute Eq. 5 with the same code — except that the oracle's backward
+takes ``g'(x)`` from :func:`~repro.core.config.g_decay_derivative` (the
+split form), where the engine reuses the forward's ``log(e + x)``.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ def target_embedding(
     time-blind part of SUPA_nt).
     """
     slot = memory.alpha_slot(node_type_id)
-    h, gamma, x, sig = kernels.target_forward(
+    h, gamma, x, sig, _ = kernels.target_forward(
         memory.long[node : node + 1],
         memory.short[node : node + 1],
         memory.alpha[slot : slot + 1],

@@ -48,11 +48,9 @@ class TestPublicAPI:
         for name in (
             "target_forward",  # Eq. 5
             "target_backward",
-            "interaction_forward",  # Eq. 7
-            "interaction_backward",
+            "interaction_rows",  # Eq. 7
             "edge_factors",  # Eq. 8-9
-            "propagation_rows",  # Eq. 10
-            "negative_rows",  # Eq. 12
+            "context_draw_rows",  # Eq. 10 and Eq. 12
         ):
             assert callable(getattr(kernels, name)), name
         assert callable(repro.core.updater.final_embedding)  # Eq. 6 / 14
