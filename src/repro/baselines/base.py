@@ -91,9 +91,6 @@ class EmbeddingModel(BaselineModel):
             return table
         return self.embeddings
 
-    def node_embedding(self, node: int, edge_type: str) -> np.ndarray:
-        return self._table(edge_type)[node]
-
     def score(
         self, node: int, candidates: np.ndarray, edge_type: str, t: float
     ) -> np.ndarray:

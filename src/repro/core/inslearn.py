@@ -221,6 +221,18 @@ class InsLearnTrainer:
         report carries the batch's touched-node set for the serve
         store's row publish.
         """
+        if not len(batch):
+            # Nothing to replay or validate.  The empty call clears the
+            # model's last-batch report, as a pass over no edges would.
+            self.model.train_batch(())
+            return BatchReport(
+                batch_index,
+                num_train_edges=0,
+                num_valid_edges=0,
+                iterations_run=0,
+                best_score=0.0,
+                mean_loss=0.0,
+            )
         cfg = self.config
         tracer = self.model.tracer
         touched: Set[int] = set()

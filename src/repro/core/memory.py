@@ -20,6 +20,11 @@ learnable state, so an **undo log** of the pre-images of the rows
 written since a *mark* is enough to return to the marked state — cost
 proportional to the rows an update touched, never to the node count
 (:meth:`MemoryOptimizer.mark` / ``rollback`` / ``release``).
+
+The learned state a checkpoint saves is one flat, name-ordered map of
+live views, listed by :func:`state_views` alone and written back by
+:func:`load_state`; ``SUPA.state_views`` / ``state_dict`` /
+``load_state_dict`` are the model's face of the two.
 """
 
 from __future__ import annotations
@@ -30,12 +35,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.utils.rng import RngLike, new_rng
-
-_ALL = slice(None)
-
-
-def _copies(views: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
-    return {name: array.copy() for name, array in views.items()}
 
 
 class SparseAdam:
@@ -236,36 +235,6 @@ class SparseAdam:
             v_all[row] = v
             steps[row] = t
 
-    def state_views(self, rows: slice = _ALL) -> Dict[str, np.ndarray]:
-        """The moments and step counts of the ``rows`` slice, as live views."""
-        return {"m": self._m[rows], "v": self._v[rows], "steps": self._steps[rows]}
-
-    def state_dict(self, rows: slice = _ALL) -> Dict[str, np.ndarray]:
-        """Copies of :meth:`state_views` (one copy of that block, never
-        of the whole table)."""
-        return _copies(self.state_views(rows))
-
-    def check_state(self, state: Dict[str, np.ndarray], rows: slice = _ALL) -> None:
-        """Raise ``ValueError`` unless ``state`` holds ``m`` / ``v`` /
-        ``steps`` of exactly the ``rows`` slice's shapes and dtypes."""
-        for key, target in self.state_views(rows).items():
-            if key not in state:
-                raise ValueError(f"optimizer state has no {key!r}")
-            value = np.asarray(state[key])
-            if value.shape != target.shape or value.dtype != target.dtype:
-                raise ValueError(
-                    f"optimizer state {key!r} is {value.dtype}{value.shape}, "
-                    f"expected {target.dtype}{target.shape}"
-                )
-
-    def load_state_dict(self, state: Dict[str, np.ndarray], rows: slice = _ALL) -> None:
-        """Write ``state`` (as :meth:`state_dict` made it) over ``rows``."""
-        self.check_state(state, rows)
-        self._m[rows] = state["m"]
-        self._v[rows] = state["v"]
-        self._steps[rows] = state["steps"]
-        self._step_bound = int(self._steps.max(initial=0))
-
 
 class NodeMemory:
     """The full learnable state of a SUPA model.
@@ -338,38 +307,6 @@ class NodeMemory:
         ids = np.asarray(node_type_ids, dtype=np.int64)
         return ids if self.typed_alpha else np.zeros(ids.shape, dtype=np.int64)
 
-    def state_views(self) -> Dict[str, np.ndarray]:
-        """The learnable arrays themselves (what a checkpoint reads)."""
-        return {
-            "long": self.long,
-            "short": self.short,
-            "context": self.context,
-            "alpha": self.alpha,
-        }
-
-    def state_dict(self) -> Dict[str, np.ndarray]:
-        return _copies(self.state_views())
-
-    def check_state(self, state: Dict[str, np.ndarray]) -> None:
-        """Raise ``ValueError`` unless every array of ``state`` matches
-        its target's shape and dtype."""
-        for name in ("long", "short", "context", "alpha"):
-            if name not in state:
-                raise ValueError(f"memory state has no {name!r}")
-            target, value = getattr(self, name), np.asarray(state[name])
-            if target.shape != value.shape or target.dtype != value.dtype:
-                raise ValueError(
-                    f"memory state {name!r} is {value.dtype}{value.shape}, "
-                    f"expected {target.dtype}{target.shape}"
-                )
-
-    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
-        """Write ``state`` into the existing arrays (views stay views);
-        nothing is written unless every array fits."""
-        self.check_state(state)
-        for name in ("long", "short", "context", "alpha"):
-            getattr(self, name)[...] = state[name]
-
 
 class MemoryOptimizer:
     """One sparse Adam over the memory's row table, plus the alpha chain;
@@ -387,15 +324,6 @@ class MemoryOptimizer:
         self.alpha = SparseAdam(memory.alpha[:, None], lr, weight_decay=0.0)
         self._adams = (self.table, self.alpha)
         self._alpha_rows = np.arange(memory.num_alpha_slots, dtype=np.int64)
-        # Checkpoint part → (optimiser, its rows): the per-array format
-        # of the separate long / short / context optimisers, kept.
-        n = memory.num_nodes
-        self._parts = {
-            "long": (self.table, slice(0, n)),
-            "short": (self.table, slice(n, 2 * n)),
-            "context": (self.table, slice(2 * n, None)),
-            "alpha": (self.alpha, _ALL),
-        }
 
     def context_row(self, slot: int, node: int) -> int:
         """Row of context embedding ``(slot, node)`` within the context
@@ -445,25 +373,52 @@ class MemoryOptimizer:
         for adam in self._adams:
             adam.release()
 
-    def state_views(self) -> Dict[str, Dict[str, np.ndarray]]:
-        return {
-            name: adam.state_views(rows) for name, (adam, rows) in self._parts.items()
-        }
 
-    def state_dict(self) -> Dict[str, Dict[str, np.ndarray]]:
-        return {
-            name: adam.state_dict(rows) for name, (adam, rows) in self._parts.items()
-        }
+def state_views(optimizer: MemoryOptimizer) -> Dict[str, np.ndarray]:
+    """The learned state of ``optimizer`` and its memory: name → live
+    view, in name (sorted) order — the checkpoint archive's members.
 
-    def check_state(self, state: Dict[str, Dict[str, np.ndarray]]) -> None:
-        """Raise ``ValueError`` unless every part of ``state`` fits."""
-        for name, (adam, rows) in self._parts.items():
-            if name not in state:
-                raise ValueError(f"optimizer state has no {name!r} part")
-            adam.check_state(state[name], rows)
+    ``memory.{alpha,context,long,short}`` are :class:`NodeMemory`'s
+    arrays; ``optimizer.<part>.{m,steps,v}`` are the Adam moments and
+    step counts of that part's rows (``long`` / ``short`` / ``context``
+    are row blocks of the one table, ``alpha`` its own optimiser).
+    """
+    memory, table = optimizer.memory, optimizer.table
+    n = memory.num_nodes
+    parts = {
+        "alpha": (memory.alpha, optimizer.alpha, slice(None)),
+        "context": (memory.context, table, slice(2 * n, None)),
+        "long": (memory.long, table, slice(0, n)),
+        "short": (memory.short, table, slice(n, 2 * n)),
+    }
+    views = {f"memory.{name}": array for name, (array, _, _) in parts.items()}
+    for name, (_, adam, rows) in parts.items():
+        views[f"optimizer.{name}.m"] = adam._m[rows]
+        views[f"optimizer.{name}.steps"] = adam._steps[rows]
+        views[f"optimizer.{name}.v"] = adam._v[rows]
+    return views
 
-    def load_state_dict(self, state: Dict[str, Dict[str, np.ndarray]]) -> None:
-        """Write every part; nothing is written unless every part fits."""
-        self.check_state(state)
-        for name, (adam, rows) in self._parts.items():
-            adam.load_state_dict(state[name], rows)
+
+def load_state(optimizer: MemoryOptimizer, state: Dict[str, np.ndarray]) -> None:
+    """Write ``state`` (name → array, as :func:`state_views` names them)
+    into the live arrays, views staying views.
+
+    Every name, shape and dtype is checked before anything is written,
+    so a refused state (``ValueError``) leaves the model as it was.  The
+    step counts may jump past the calls made so far, so each Adam's call
+    bound is re-seeded from them.
+    """
+    views = state_views(optimizer)
+    for name, target in views.items():
+        if name not in state:
+            raise ValueError(f"model state has no {name!r}")
+        value = np.asarray(state[name])
+        if value.shape != target.shape or value.dtype != target.dtype:
+            raise ValueError(
+                f"model state {name!r} is {value.dtype}{value.shape}, "
+                f"expected {target.dtype}{target.shape}"
+            )
+    for name, target in views.items():
+        target[...] = state[name]
+    for adam in optimizer._adams:
+        adam._step_bound = int(adam._steps.max(initial=0))

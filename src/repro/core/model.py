@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.config import SUPAConfig
 from repro.core.engine.engine import BatchedEngine
-from repro.core.memory import MemoryOptimizer, NodeMemory
+from repro.core.memory import MemoryOptimizer, NodeMemory, load_state, state_views
 from repro.core.negative import NegativeSampler
 from repro.core.updater import active_interval, final_embedding_rows
 from repro.datasets.base import Dataset
@@ -230,27 +230,19 @@ class SUPA:
 
     # ------------------------------------------------------------- checkpoints
 
-    def state_dict(self) -> Dict[str, object]:
-        """Learnable state (memories + optimiser moments), not the graph."""
-        return {
-            "memory": self.memory.state_dict(),
-            "optimizer": self.optimizer.state_dict(),
-        }
+    def state_views(self) -> Dict[str, np.ndarray]:
+        """The learned state (memories + optimiser moments, not the
+        graph) as :func:`~repro.core.memory.state_views` lists it: live
+        views, valid only while nothing trains (a checkpoint reads them
+        under the dispatch barrier)."""
+        return state_views(self.optimizer)
 
-    def state_views(self) -> Dict[str, object]:
-        """:meth:`state_dict`'s arrays uncopied: live views, valid only
-        while nothing trains (a checkpoint reads them under the dispatch
-        barrier)."""
-        return {
-            "memory": self.memory.state_views(),
-            "optimizer": self.optimizer.state_views(),
-        }
+    def state_dict(self) -> Dict[str, np.ndarray]:
+        """A copy of :meth:`state_views`."""
+        return {name: array.copy() for name, array in self.state_views().items()}
 
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore :meth:`state_dict`'s output; a state whose memory or
-        optimiser part does not fit raises ``ValueError`` before either
-        is written, so a refused load leaves the model as it was."""
-        self.memory.check_state(state["memory"])
-        self.optimizer.check_state(state["optimizer"])
-        self.memory.load_state_dict(state["memory"])
-        self.optimizer.load_state_dict(state["optimizer"])
+    def load_state_dict(self, state: Dict[str, np.ndarray]) -> None:
+        """Restore :meth:`state_dict`'s output; a state with a missing
+        name or a misfit array raises ``ValueError`` before anything is
+        written (:func:`~repro.core.memory.load_state`)."""
+        load_state(self.optimizer, state)

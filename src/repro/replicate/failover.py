@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.resilience.checkpoint import _flatten
 from repro.serve.service import RecommendationService
 
 
@@ -45,18 +44,16 @@ def parity_matches(
 
 
 def state_fingerprint(service: RecommendationService) -> str:
-    """SHA-256 over the model's flattened ``state_dict`` arrays, read in
-    place (``state_views``: a quiesced service, no copy).
+    """SHA-256 over the model's learned state, name then bytes in name
+    order, read in place (``state_views``: a quiesced service, no copy).
 
     Bitwise: two services fingerprint equal iff every parameter and
     optimiser-moment array matches byte for byte.
     """
-    flat: Dict[str, np.ndarray] = {}
-    _flatten(service.model.state_views(), "", flat)
     digest = hashlib.sha256()
-    for name in sorted(flat):
+    for name, array in sorted(service.model.state_views().items()):
         digest.update(name.encode("utf-8"))
-        digest.update(np.ascontiguousarray(flat[name]))
+        digest.update(np.ascontiguousarray(array))
     return digest.hexdigest()
 
 

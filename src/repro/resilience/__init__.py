@@ -8,8 +8,9 @@ Three pieces, composing into crash recovery with bitwise parity:
   batch, plus replication heartbeats), tolerant of torn tails, with a
   :class:`WalTailer` for live follow reads against a concurrent writer;
 * :mod:`~repro.resilience.checkpoint` — atomic (write-temp + rename)
-  snapshots of the full learned state: ``SUPA.state_dict()``, both RNG
-  streams, the queue residue and the WAL position;
+  snapshots of the full learned state: ``SUPA.state_dict()``'s one
+  name-ordered map of arrays, both RNG streams, the queue residue and
+  the WAL position;
 * :mod:`~repro.resilience.recovery` — :func:`catch_up` turns the
   newest valid checkpoint plus one read of the WAL into a service
   **bitwise identical** to one that never crashed (:func:`recover`).

@@ -5,9 +5,10 @@ needs to resume bitwise-identically, keyed to the write-ahead log by the
 WAL sequence number it covers:
 
 * ``seq`` — the last WAL record reflected in this snapshot;
-* ``model_state`` — the memory + optimizer arrays in ``SUPA.state_dict()``'s
-  layout (a save passes ``SUPA.state_views()``: the live arrays, read
-  under the dispatch barrier, not copies);
+* ``model_state`` — the learned state as ``SUPA.state_dict()`` names it:
+  one flat name → array map in name order, ``memory.alpha`` …
+  ``optimizer.short.v`` (a save passes ``SUPA.state_views()``: the live
+  arrays, read under the dispatch barrier, not copies);
 * ``model_rng_state`` / ``trainer_rng_state`` — the exact PCG64 states
   of the model's sampling RNG and the trainer's validation RNG;
 * ``clock`` / ``updates_applied`` — the service's stream watermark and
@@ -16,11 +17,13 @@ WAL sequence number it covers:
   cross-checking against the WAL prefix during recovery.
 
 On-disk layout: one JSON header line (``{"crc": ..., "meta": {...}}``)
-followed by an ``np.savez`` archive of the flattened state arrays.  The
-header carries the payload's byte length and CRC-32, and is itself
-CRC-protected, so *any* truncation or bit-flip is detected and surfaces
-as :class:`CheckpointError` — which :meth:`CheckpointManager.latest`
-treats as "fall back to the next-older file".
+followed by an ``np.savez`` archive with one member per ``model_state``
+name, in the map's order; a load's ``model_state`` is the archive's own
+name → array dict.  The header carries the payload's byte length and
+CRC-32, and is itself CRC-protected, so *any* truncation or bit-flip is
+detected and surfaces as :class:`CheckpointError` — which
+:meth:`CheckpointManager.latest` treats as "fall back to the next-older
+file".
 
 Writes are atomic: write to ``<name>.tmp``, ``fsync``, then
 ``os.replace`` — a crash mid-write can never damage an existing
@@ -67,48 +70,20 @@ class Checkpoint:
     updates_applied: int
     clock: float
     residue: List[StreamEdge]
-    model_state: Dict[str, object]
+    model_state: Dict[str, np.ndarray]
     model_rng_state: Dict[str, object]
     trainer_rng_state: Dict[str, object]
     #: node-universe size, cross-checked at recovery time
     num_nodes: int = 0
 
 
-def _flatten(state: Dict[str, object], prefix: str, out: Dict[str, np.ndarray]) -> None:
-    for key in sorted(state):
-        value = state[key]
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            _flatten(value, name + ".", out)
-        elif isinstance(value, np.ndarray):
-            out[name] = value
-        else:
-            raise CheckpointError(
-                f"unsupported state leaf {name!r} of type {type(value).__name__}; "
-                "state_dict leaves must be numpy arrays"
-            )
-
-
-def _unflatten(flat: Dict[str, np.ndarray]) -> Dict[str, object]:
-    nested: Dict[str, object] = {}
-    for name, value in flat.items():
-        parts = name.split(".")
-        node = nested
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = value
-    return nested
-
-
 def _encode(ckpt: Checkpoint) -> Tuple[bytes, io.BytesIO]:
     """The header line (its newline included) and the buffer holding the
     npz payload: the one state-sized allocation a save makes, since
     ``np.savez`` streams ``model_state``'s arrays — live views, at a
-    save — into it."""
-    flat: Dict[str, np.ndarray] = {}
-    _flatten(ckpt.model_state, "", flat)
+    save — into it, one archive member per name, in the map's order."""
     buffer = io.BytesIO()
-    np.savez(buffer, **flat)
+    np.savez(buffer, **ckpt.model_state)
     with buffer.getbuffer() as payload:
         payload_bytes = len(payload)
         payload_crc = zlib.crc32(payload) & 0xFFFFFFFF
@@ -182,7 +157,7 @@ def _read_arrays(fh: BinaryIO) -> Dict[str, np.ndarray]:
         raise CheckpointError(f"unreadable checkpoint payload: {exc}") from exc
 
 
-def _checkpoint(meta: dict, flat: Dict[str, np.ndarray]) -> Checkpoint:
+def _checkpoint(meta: dict, arrays: Dict[str, np.ndarray]) -> Checkpoint:
     try:
         return Checkpoint(
             seq=int(meta["seq"]),
@@ -192,7 +167,7 @@ def _checkpoint(meta: dict, flat: Dict[str, np.ndarray]) -> Checkpoint:
                 StreamEdge(int(u), int(v), str(et), float(t))
                 for u, v, et, t in meta["residue"]
             ],
-            model_state=_unflatten(flat),
+            model_state=arrays,
             model_rng_state=meta["model_rng_state"],
             trainer_rng_state=meta["trainer_rng_state"],
             num_nodes=int(meta.get("num_nodes", 0)),

@@ -25,8 +25,9 @@ by step:
 3. All training randomness flows through exactly two generators —
    ``model.rng`` (walk/negative sampling) and the trainer's validation
    RNG — whose full PCG64 states live in the checkpoint.  Restoring
-   ``state_dict`` + both RNG states puts the model on the identical
-   stochastic path.
+   the learned state (``load_state_dict`` of the checkpoint's flat
+   name → array map, which also re-seeds both Adams' step bounds) + both
+   RNG states puts the model on the identical stochastic path.
 4. Replaying the post-checkpoint ``batch`` records through
    ``train_one_batch`` with the restored ``updates_applied`` as
    ``batch_index`` then re-derives every post-checkpoint update

@@ -43,15 +43,8 @@ N_BATCHES = 2
 
 
 def _state_bytes(model):
-    """The full model state as one byte string (order-canonicalised)."""
-    parts = []
-    for _, group in sorted(model.state_dict().items()):
-        for _, value in sorted(group.items()):
-            if isinstance(value, dict):
-                parts.extend(arr.tobytes() for _, arr in sorted(value.items()))
-            else:
-                parts.append(np.asarray(value).tobytes())
-    return b"".join(parts)
+    """The full model state as one byte string, in name order."""
+    return b"".join(array.tobytes() for array in model.state_views().values())
 
 
 def _train(config, engine="batched", traced=False):

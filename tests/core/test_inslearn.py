@@ -209,11 +209,11 @@ class TestTrainOneBatch:
         cfg = InsLearnConfig(**self.CFG)
         trainer = InsLearnTrainer(model, cfg)
         before = {
-            k: v.copy() for k, v in model.memory.state_dict().items()
+            k: v for k, v in model.state_dict().items() if k.startswith("memory.")
         }
         batch = train_stream[: cfg.batch_size]
         report = trainer.train_one_batch(batch)
-        after = model.memory.state_dict()
+        after = model.state_views()
         num_nodes = model.memory.num_nodes
         changed = set()
         for key in before:

@@ -1,12 +1,20 @@
-"""Tests for NodeMemory and the sparse Adam optimiser."""
+"""Tests for NodeMemory, the sparse Adam optimiser and the state map."""
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.memory import MemoryOptimizer, NodeMemory, SparseAdam
-
+from repro.core import SUPA, SUPAConfig
+from repro.core.memory import (
+    MemoryOptimizer,
+    NodeMemory,
+    SparseAdam,
+    load_state,
+    state_views,
+)
 from tests.oracle.engine import optimizer_step
 
 
@@ -16,6 +24,11 @@ def make_memory(**kwargs):
     )
     defaults.update(kwargs)
     return NodeMemory(**defaults)
+
+
+def copy_state(opt):
+    """A copy of ``opt``'s state map (what ``SUPA.state_dict`` returns)."""
+    return {name: array.copy() for name, array in state_views(opt).items()}
 
 
 class TestNodeMemory:
@@ -46,17 +59,18 @@ class TestNodeMemory:
 
     def test_state_roundtrip(self):
         mem = make_memory()
-        state = mem.state_dict()
+        opt = MemoryOptimizer(mem)
+        state = copy_state(opt)
         mem.long[...] = 0.0
-        mem.load_state_dict(state)
+        load_state(opt, state)
         assert not np.allclose(mem.long, 0.0)
 
     def test_state_shape_mismatch(self):
-        mem = make_memory()
-        state = mem.state_dict()
-        state["long"] = np.zeros((2, 2))
+        opt = MemoryOptimizer(make_memory())
+        state = copy_state(opt)
+        state["memory.long"] = np.zeros((2, 2))
         with pytest.raises(ValueError):
-            mem.load_state_dict(state)
+            load_state(opt, state)
 
     def test_deterministic_init(self):
         a = make_memory()
@@ -79,13 +93,13 @@ class TestNodeMemory:
         assert mem.table.shape == ((2 + mem.num_context_slots) * 6, 4)
 
     def test_refused_load_writes_nothing(self):
-        mem = make_memory()
-        before = {k: v.tobytes() for k, v in mem.state_dict().items()}
-        state = make_memory(rng=1).state_dict()
-        state["context"] = state["context"][:, :3]
+        opt = MemoryOptimizer(make_memory())
+        before = _state_bytes(opt)
+        state = copy_state(MemoryOptimizer(make_memory(rng=1)))
+        state["memory.context"] = state["memory.context"][:, :3]
         with pytest.raises(ValueError, match="context"):
-            mem.load_state_dict(state)
-        assert {k: v.tobytes() for k, v in mem.state_dict().items()} == before
+            load_state(opt, state)
+        assert _state_bytes(opt) == before
 
 
 class TestSparseAdam:
@@ -139,13 +153,12 @@ class TestSparseAdam:
         assert np.all(param < 10.0)
 
     def test_state_roundtrip(self):
-        param = np.ones((2, 2))
-        opt = SparseAdam(param, lr=0.1)
-        opt.update_rows(np.array([0]), np.ones((1, 2)))
-        state = opt.state_dict()
-        opt.update_rows(np.array([0]), np.ones((1, 2)))
-        opt.load_state_dict(state)
-        assert state["steps"][0] == 1
+        opt = MemoryOptimizer(make_memory(), lr=0.1)
+        opt.table.update_rows(np.array([0]), np.ones((1, 4)))
+        state = copy_state(opt)
+        opt.table.update_rows(np.array([0]), np.ones((1, 4)))
+        load_state(opt, state)
+        assert opt.table._steps[0] == 1
 
     @given(
         calls=st.lists(
@@ -224,48 +237,57 @@ class TestSparseAdam:
             for name in ("param", "_m", "_v", "_steps"):
                 assert getattr(lean, name).tobytes() == getattr(oracle, name).tobytes()
 
-    def test_loaded_steps_beyond_the_call_count_grow_the_tables(self):
-        """The call counter bounds the step counts only from where
-        ``load_state_dict`` re-seeds it: a loaded row far past the
-        number of calls made must still find its correction."""
-        lean = SparseAdam(np.ones((4, 2)), lr=0.1)
-        oracle = SparseAdam(np.ones((4, 2)), lr=0.1)
+    def test_loaded_steps_beyond_the_call_count_grow_the_tables(self, small_dataset):
+        """The call counter bounds the step counts only from where the
+        model's ``load_state_dict`` re-seeds it: a loaded row far past
+        the number of calls made must still find its correction, in the
+        table's Adam and in alpha's."""
+        lean, oracle = (
+            SUPA.for_dataset(small_dataset, SUPAConfig(dim=4)) for _ in range(2)
+        )
         state = lean.state_dict()
-        state["steps"] = np.asarray([0, 5000, 3, 0], dtype=np.int64)
-        for adam in (lean, oracle):
-            adam.load_state_dict(state)
-        rows, grads = np.asarray([1, 2]), np.full((2, 2), 0.5)
-        lean.update_rows(rows, grads)
-        _textbook_update_rows(oracle, rows, grads)
-        assert lean._corr1.size > 5001
-        for name in ("param", "_m", "_v", "_steps"):
-            assert getattr(lean, name).tobytes() == getattr(oracle, name).tobytes()
+        state["optimizer.long.steps"][1:3] = (5000, 3)
+        state["optimizer.alpha.steps"][0] = 7000
+        for model in (lean, oracle):
+            model.load_state_dict(state)
+        for name, rows, steps in (("table", [1, 2], 5000), ("alpha", [0], 7000)):
+            adam = getattr(lean.optimizer, name)
+            textbook = getattr(oracle.optimizer, name)
+            rows = np.asarray(rows)
+            grads = np.full((rows.size, adam.param.shape[1]), 0.5)
+            adam.update_rows(rows, grads)
+            _textbook_update_rows(textbook, rows, grads)
+            assert adam._corr1.size > steps + 1
+            for attr in ("param", "_m", "_v", "_steps"):
+                assert getattr(adam, attr).tobytes() == getattr(textbook, attr).tobytes()
 
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("m", np.ones((1, 2))),  # broadcastable: used to be accepted
-            ("v", np.ones(2)),
+            ("m", np.ones((1, 4))),  # broadcastable: used to be accepted
+            ("v", np.ones(4)),
             ("steps", np.asarray([7])),
-            ("m", np.ones((4, 2), dtype=np.float32)),
-            ("steps", np.ones(4, dtype=np.int32)),
-            ("steps", np.ones(4)),
+            ("m", np.ones((6, 4), dtype=np.float32)),
+            ("steps", np.ones(6, dtype=np.int32)),
+            ("steps", np.ones(6)),
             ("m", None),
         ],
     )
     def test_load_refuses_a_mismatched_state(self, key, value):
-        opt = SparseAdam(np.ones((4, 2)), lr=0.1)
-        opt.update_rows(np.asarray([0, 3]), np.ones((2, 2)))
-        before = opt.state_dict()
-        state = opt.state_dict()
+        """A misfit moment of the long rows (table rows ``[0, 6)``) is
+        refused by name, and nothing is written."""
+        opt = MemoryOptimizer(make_memory(), lr=0.1)
+        opt.table.update_rows(np.asarray([0, 3]), np.ones((2, 4)))
+        before = _state_bytes(opt)
+        state = copy_state(opt)
+        name = f"optimizer.long.{key}"
         if value is None:
-            del state[key]
+            del state[name]
         else:
-            state[key] = value
-        with pytest.raises(ValueError, match=key):
-            opt.load_state_dict(state)
-        for name, array in opt.state_dict().items():
-            assert array.tobytes() == before[name].tobytes()
+            state[name] = value
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            load_state(opt, state)
+        assert _state_bytes(opt) == before
 
     def test_update_chain_rejects_wide_parameters(self):
         opt = SparseAdam(np.ones((2, 2)), lr=0.1)
@@ -339,10 +361,10 @@ class TestMemoryOptimizer:
         mem = make_memory()
         opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)
         optimizer_step(opt, {0: np.ones(4)}, {}, {}, {})
-        state = opt.state_dict()
+        state = copy_state(opt)
         optimizer_step(opt, {0: np.ones(4)}, {}, {}, {})
-        opt.load_state_dict(state)
-        assert opt.state_dict()["long"]["steps"][0] == 1
+        load_state(opt, state)
+        assert state_views(opt)["optimizer.long.steps"][0] == 1
 
     @pytest.mark.parametrize("part", ["long", "short", "context", "alpha"])
     def test_refused_load_writes_no_part(self, part):
@@ -350,12 +372,13 @@ class TestMemoryOptimizer:
         mem = make_memory()
         opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)
         optimizer_step(opt, {0: np.ones(4)}, {1: np.ones(4)}, {2: np.ones(4)}, {0: 1.0})
-        before = _state_bytes(mem, opt)
-        state = MemoryOptimizer(make_memory(), lr=0.1, weight_decay=0.0).state_dict()
-        state[part]["steps"] = state[part]["steps"][:1]
-        with pytest.raises(ValueError, match="steps"):
-            opt.load_state_dict(state)
-        assert _state_bytes(mem, opt) == before
+        before = _state_bytes(opt)
+        state = copy_state(MemoryOptimizer(make_memory(), lr=0.1, weight_decay=0.0))
+        name = f"optimizer.{part}.steps"
+        state[name] = state[name][:1]
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            load_state(opt, state)
+        assert _state_bytes(opt) == before
 
 
 # ------------------------------------------------------------------ undo log
@@ -363,22 +386,9 @@ class TestMemoryOptimizer:
 GROUPS = ("long", "short", "context", "alpha")
 
 
-def _snapshot(mem, opt):
-    """The full-copy oracle the undo log replaces: every learnable byte."""
-    return mem.state_dict(), opt.state_dict()
-
-
-def _restore(mem, opt, snapshot):
-    mem.load_state_dict(snapshot[0])
-    opt.load_state_dict(snapshot[1])
-
-
-def _state_bytes(mem, opt):
-    memory, moments = _snapshot(mem, opt)
-    flat = dict(memory)
-    for group, arrays in moments.items():
-        flat.update({f"{group}.{k}": v for k, v in arrays.items()})
-    return {k: v.tobytes() for k, v in flat.items()}
+def _state_bytes(opt):
+    """Every learnable byte, name by name."""
+    return {name: array.tobytes() for name, array in state_views(opt).items()}
 
 
 #: group → (first table row, row count) for ``make_memory()``'s 6 nodes
@@ -403,7 +413,8 @@ _ops = st.lists(
 
 
 class TestUndoLog:
-    """mark / save_rows / rollback must equal state_dict → load_state_dict."""
+    """mark / save_rows / rollback must equal a full copy of the state
+    map → ``load_state``."""
 
     @settings(max_examples=200, deadline=None)
     @given(ops=_ops)
@@ -411,8 +422,7 @@ class TestUndoLog:
         mem = make_memory()
         opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.01)
         # the oracle runs the same writes on a twin and restores a copy
-        twin_mem = make_memory()
-        twin = MemoryOptimizer(twin_mem, lr=0.1, weight_decay=0.01)
+        twin = MemoryOptimizer(make_memory(), lr=0.1, weight_decay=0.01)
         best = None  # twin snapshot at the last mark; None = log closed
         for op, *args in ops:
             if op == "update":
@@ -428,18 +438,18 @@ class TestUndoLog:
                 twin_adam.update_rows(rows, grads)
             elif op == "mark":
                 opt.mark()
-                best = _snapshot(twin_mem, twin)
+                best = copy_state(twin)
             elif op == "rollback" and best is not None:
                 opt.rollback()
-                _restore(twin_mem, twin, best)
+                load_state(twin, best)
             elif op == "release":
                 opt.release()
                 best = None
-            assert _state_bytes(mem, opt) == _state_bytes(twin_mem, twin)
+            assert _state_bytes(opt) == _state_bytes(twin)
         if best is not None:
             opt.rollback()
-            _restore(twin_mem, twin, best)
-            assert _state_bytes(mem, opt) == _state_bytes(twin_mem, twin)
+            load_state(twin, best)
+            assert _state_bytes(opt) == _state_bytes(twin)
         opt.release()
         for adam in opt._adams:
             assert adam._undo is None and not adam._logged.any()
@@ -458,14 +468,14 @@ class TestUndoLog:
         mem = make_memory()
         opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)
         optimizer_step(opt, {1: np.ones(4)}, {1: np.ones(4)}, {3: np.ones(4)}, {1: 0.5})
-        start = _state_bytes(mem, opt)
+        start = _state_bytes(opt)
         opt.mark()
         optimizer_step(opt, {1: np.ones(4), 2: np.ones(4)}, {2: np.ones(4)}, {3: np.ones(4)}, {1: 2.0})
         opt.save_rows(np.array([4, 4, 1]), np.array([3, 9, 9]))
         opt.table.update_rows(np.array([1, 4, 12 + 3, 12 + 9]), np.ones((4, 4)))
         opt.alpha.update_rows(np.array([0, 1]), np.ones((2, 1)))
-        assert _state_bytes(mem, opt) != start
+        assert _state_bytes(opt) != start
         opt.rollback()
-        assert _state_bytes(mem, opt) == start
+        assert _state_bytes(opt) == start
         assert mem.alpha[1] != 0.0  # the pre-mark value, not the initial one
         opt.release()

@@ -40,7 +40,7 @@ class TestStreaming:
         model.observe(0, 5, "click", 1.0)
         assert model.graph.num_edges == 1
         after = model.state_dict()
-        assert np.allclose(state["memory"]["long"], after["memory"]["long"])
+        assert np.allclose(state["memory.long"], after["memory.long"])
 
     def test_process_edge_learns_and_inserts(self, model):
         before = model.memory.long[0].copy()
@@ -129,4 +129,4 @@ class TestCheckpoint:
     def test_state_dict_is_deep(self, model):
         state = model.state_dict()
         model.memory.long[...] = 0.0
-        assert not np.allclose(state["memory"]["long"], 0.0)
+        assert not np.allclose(state["memory.long"], 0.0)

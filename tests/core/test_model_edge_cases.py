@@ -75,7 +75,8 @@ class TestEmptyMicroBatch:
     @pytest.mark.parametrize("engine", ["batched", "reference"])
     def test_empty_batch_clears_the_last_batch_report(self, tiny_synthetic, engine):
         """An empty micro-batch leaves no stale loss terms behind: not
-        from an empty batch's replay passes, nor from a direct call."""
+        through the trainer, which runs no replay pass over it, nor from
+        a direct call."""
         from repro.core.inslearn import (
             InsLearnConfig,
             InsLearnTrainer,
@@ -93,7 +94,7 @@ class TestEmptyMicroBatch:
         trainer.train_one_batch(EdgeStream(edges[:40]))
         assert model.last_loss_components and model.last_touched_nodes
         report = trainer.train_one_batch(EdgeStream([]))
-        assert report.num_train_edges == 0 and report.iterations_run == 2
+        assert report.num_train_edges == 0 and report.iterations_run == 0
         assert model.last_loss_components == {}
         assert model.last_touched_nodes == ()
         model.train_batch(trainer_records(model, edges[40:48]))

@@ -1,5 +1,7 @@
 """Checkpoint/restore semantics across the whole core stack."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,19 @@ from hypothesis import strategies as st
 
 from repro.core import SUPA, SUPAConfig
 from tests.core import assert_one_row_table
+
+#: the state map's names in the order a checkpoint archive holds them
+STATE_NAMES = (
+    "memory.alpha",
+    "memory.context",
+    "memory.long",
+    "memory.short",
+    *(
+        f"optimizer.{part}.{moment}"
+        for part in ("alpha", "context", "long", "short")
+        for moment in ("m", "steps", "v")
+    ),
+)
 
 
 @pytest.fixture
@@ -29,54 +44,47 @@ class TestRoundtrips:
 
     def test_restore_includes_optimizer_moments(self, trained_model):
         state = trained_model.state_dict()
-        steps_before = trained_model.optimizer.state_dict()["long"]["steps"]
+        steps_before = trained_model.state_dict()["optimizer.long.steps"]
         trained_model.train_step(0, 5, "click", 20.0, 1.0, 1.0)
         trained_model.load_state_dict(state)
-        steps_after = trained_model.optimizer.state_dict()["long"]["steps"]
+        steps_after = trained_model.state_dict()["optimizer.long.steps"]
         assert np.array_equal(steps_before, steps_after)
 
     def test_double_restore_idempotent(self, trained_model):
         state = trained_model.state_dict()
         trained_model.load_state_dict(state)
         trained_model.load_state_dict(state)
-        assert np.allclose(trained_model.memory.long, state["memory"]["long"])
+        assert np.allclose(trained_model.memory.long, state["memory.long"])
 
     def test_state_dict_format_is_the_per_array_one(self, trained_model):
-        """Keys, shapes and dtypes of the checkpoint format: one row
-        table inside, the per-array memory and optimiser parts out."""
+        """Names, order, shapes and dtypes of the checkpoint format: one
+        row table inside, one flat map of per-array parts out, in the
+        order the archive holds its members."""
         memory = trained_model.memory
         n, r, o = memory.num_nodes, memory.num_context_slots, memory.num_alpha_slots
         f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
-
-        def moments(rows, width):
-            matrix = ((rows, width), f8)
-            return {"m": matrix, "v": matrix, "steps": ((rows,), i8)}
-
-        layout = {
-            group: {
-                name: (
-                    {k: (v.shape, v.dtype) for k, v in value.items()}
-                    if isinstance(value, dict)
-                    else (value.shape, value.dtype)
-                )
-                for name, value in part.items()
-            }
-            for group, part in trained_model.state_dict().items()
-        }
-        assert layout == {
-            "memory": {
-                "long": ((n, 6), f8),
-                "short": ((n, 6), f8),
-                "context": ((r, n, 6), f8),
-                "alpha": ((o,), f8),
-            },
-            "optimizer": {
-                "long": moments(n, 6),
-                "short": moments(n, 6),
-                "context": moments(r * n, 6),
-                "alpha": moments(o, 1),
-            },
-        }
+        rows = {"alpha": o, "context": r * n, "long": n, "short": n}
+        width = {"alpha": 1, "context": 6, "long": 6, "short": 6}
+        expected = [
+            ("memory.alpha", (o,), f8),
+            ("memory.context", (r, n, 6), f8),
+            ("memory.long", (n, 6), f8),
+            ("memory.short", (n, 6), f8),
+        ]
+        for part in ("alpha", "context", "long", "short"):
+            matrix = (rows[part], width[part])
+            expected += [
+                (f"optimizer.{part}.m", matrix, f8),
+                (f"optimizer.{part}.steps", (rows[part],), i8),
+                (f"optimizer.{part}.v", matrix, f8),
+            ]
+        layout = [
+            (name, array.shape, array.dtype)
+            for name, array in trained_model.state_dict().items()
+        ]
+        assert layout == expected
+        assert [name for name, _, _ in expected] == list(STATE_NAMES)
+        assert list(trained_model.state_views()) == list(STATE_NAMES)
 
     def test_construction_training_and_loading_keep_one_row_table(
         self, trained_model, small_dataset
@@ -87,40 +95,41 @@ class TestRoundtrips:
         trained_model.train_step(0, 5, "click", 30.0, 1.0, 1.0)
         trained_model.load_state_dict(state)
         assert_one_row_table(trained_model)
-        assert trained_model.memory.long.tobytes() == state["memory"]["long"].tobytes()
+        assert trained_model.memory.long.tobytes() == state["memory.long"].tobytes()
 
     @pytest.mark.parametrize(
-        "group, part, key",
+        "name, defect",
         [
-            ("memory", "context", None),
-            ("optimizer", "short", "m"),
-            ("optimizer", "context", "steps"),
-            ("optimizer", "alpha", "v"),
+            *((name, "shape") for name in STATE_NAMES),
+            ("optimizer.context.v", "missing"),
+            ("optimizer.short.steps", "dtype"),
         ],
     )
     def test_refused_load_leaves_the_model_as_it_was(
-        self, trained_model, group, part, key
+        self, trained_model, name, defect
     ):
-        """Memory and optimiser are both checked before either is
-        written: a refused optimiser part used to land after the memory."""
+        """Every name is checked before any array is written: a refused
+        optimiser part used to land after the memory."""
         state = trained_model.state_dict()
         trained_model.train_step(0, 5, "click", 40.0, 1.0, 1.0)
         before = _model_bytes(trained_model)
-        if key is None:
-            state[group][part] = state[group][part][:1]
+        if defect == "missing":
+            del state[name]
+        elif defect == "dtype":
+            state[name] = state[name].astype(np.float64)
         else:
-            state[group][part][key] = state[group][part][key][:1]
-        with pytest.raises(ValueError):
+            state[name] = np.concatenate((state[name], state[name][:1]))
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
             trained_model.load_state_dict(state)
         assert _model_bytes(trained_model) == before
 
     def test_state_survives_further_training(self, trained_model):
         """The saved dict is a snapshot, not a live view."""
         state = trained_model.state_dict()
-        saved = state["memory"]["long"].copy()
+        saved = state["memory.long"].copy()
         for _ in range(5):
             trained_model.train_step(0, 5, "click", 30.0, 1.0, 1.0)
-        assert np.allclose(state["memory"]["long"], saved)
+        assert np.allclose(state["memory.long"], saved)
 
 
 @given(seed=st.integers(0, 100))
@@ -143,8 +152,4 @@ def test_identical_seeds_identical_models(seed, ):
 
 
 def _model_bytes(model):
-    state = model.state_dict()
-    flat = dict(state["memory"])
-    for part, arrays in state["optimizer"].items():
-        flat.update({f"{part}.{k}": v for k, v in arrays.items()})
-    return {k: v.tobytes() for k, v in flat.items()}
+    return {name: array.tobytes() for name, array in model.state_views().items()}

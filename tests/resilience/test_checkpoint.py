@@ -9,7 +9,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.memory import MemoryOptimizer, NodeMemory
+from repro.core.memory import MemoryOptimizer, NodeMemory, state_views
 from repro.graph.streams import StreamEdge
 from repro.resilience.checkpoint import (
     Checkpoint,
@@ -35,11 +35,9 @@ def make_checkpoint(seq=7, with_residue=True):
         clock=6.25,
         residue=residue,
         model_state={
-            "memory": {
-                "long_term": rng.normal(size=(5, 4)),
-                "counts": np.arange(5, dtype=np.int64),
-            },
-            "optimizer": {"m": rng.normal(size=(5, 4))},
+            "memory.long_term": rng.normal(size=(5, 4)),
+            "memory.counts": np.arange(5, dtype=np.int64),
+            "optimizer.m": rng.normal(size=(5, 4)),
         },
         model_rng_state=model_rng.bit_generator.state,
         trainer_rng_state=new_rng(seq + 2).bit_generator.state,
@@ -55,11 +53,11 @@ def assert_same(a: Checkpoint, b: Checkpoint):
     assert a.num_nodes == b.num_nodes
     assert a.model_rng_state == b.model_rng_state
     assert a.trainer_rng_state == b.trainer_rng_state
-    for section in a.model_state:
-        for key, value in a.model_state[section].items():
-            restored = b.model_state[section][key]
-            assert restored.dtype == value.dtype
-            assert restored.tobytes() == value.tobytes()  # bitwise
+    assert list(b.model_state) == list(a.model_state)  # the archive keeps the order
+    for name, value in a.model_state.items():
+        restored = b.model_state[name]
+        assert restored.dtype == value.dtype
+        assert restored.tobytes() == value.tobytes()  # bitwise
 
 
 class TestSerialization:
@@ -88,12 +86,6 @@ class TestSerialization:
         data[-10] ^= 0xFF
         with pytest.raises(CheckpointError):
             deserialize(bytes(data))
-
-    def test_non_array_state_leaf_rejected(self):
-        ckpt = make_checkpoint()
-        ckpt.model_state["memory"]["oops"] = [1, 2, 3]
-        with pytest.raises(CheckpointError):
-            serialize(ckpt)
 
 
 class TestManager:
@@ -242,10 +234,7 @@ def model_sized_checkpoint():
         num_nodes=8000, num_edge_types=2, num_node_types=2, dim=32, rng=0
     )
     ckpt = make_checkpoint()
-    ckpt.model_state = {
-        "memory": memory.state_views(),
-        "optimizer": MemoryOptimizer(memory).state_views(),
-    }
+    ckpt.model_state = state_views(MemoryOptimizer(memory))
     return ckpt
 
 

@@ -19,7 +19,7 @@ from repro.core.inslearn import InsLearnConfig
 from repro.core.model import SUPA
 from repro.datasets.zoo import load_dataset
 from repro.resilience import RecoveryError, recover
-from repro.resilience.checkpoint import CheckpointManager, _flatten
+from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.wal import iter_records
 from repro.serve.service import RecommendationService, ServeConfig
 from tests.core import assert_one_row_table
@@ -56,9 +56,10 @@ def golden(dataset):
 
 
 def state_bytes(service):
-    flat = {}
-    _flatten(service.model.state_dict(), "", flat)
-    return b"".join(np.ascontiguousarray(flat[k]).tobytes() for k in sorted(flat))
+    return b"".join(
+        np.ascontiguousarray(array).tobytes()
+        for _, array in sorted(service.model.state_views().items())
+    )
 
 
 def durable_config(tmp_path):

@@ -1,6 +1,8 @@
 """The documented top-level API surface stays importable and coherent."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import repro
 
@@ -59,3 +61,19 @@ class TestPublicAPI:
         assert callable(interactor.interaction_loss)
         assert callable(propagation.propagation_loss)
         assert callable(sampling.sample_influenced_graph_compiled)
+
+    def test_no_module_imports_a_private_name(self):
+        """An ``_``-prefixed name is private to its module: no module of
+        the package imports one from another (what two modules share is
+        public, or it lives in one of them)."""
+        package = Path(repro.__file__).parent
+        found = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom):
+                    found += [
+                        f"{path.relative_to(package)}:{node.lineno} {alias.name}"
+                        for alias in node.names
+                        if alias.name.startswith("_")
+                    ]
+        assert found == []
