@@ -62,8 +62,3 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         x._accumulate(data * (grad - dot))
 
     return Tensor._make(data, (x,), backward)
-
-
-def embedding(table: Tensor, indices) -> Tensor:
-    """Row lookup into an embedding ``table`` with scatter-add gradient."""
-    return table.gather_rows(indices)

@@ -1,7 +1,7 @@
 """First-order optimisers over autograd tensors.
 
 The paper trains SUPA with Adam (lr 3e-3, weight decay 1e-4); the
-baselines use SGD or Adam depending on their original publications.
+baselines that train through the tape use Adam.
 Weight decay is applied as decoupled L2 on the raw gradient (classic
 Adam-with-L2, matching the common framework default the paper used).
 """
@@ -32,41 +32,6 @@ class Optimizer:
 
     def step(self) -> None:
         raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum and weight decay."""
-
-    def __init__(
-        self,
-        params: Iterable[Tensor],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params)
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, vel in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            if self.momentum:
-                vel *= self.momentum
-                vel += grad
-                grad = vel
-            # Parameter updates run strictly after backward() has drained
-            # the tape, so the in-place write cannot corrupt saved
-            # activations.
-            p.data -= self.lr * grad  # reprolint: disable=inplace-mutation
 
 
 class Adam(Optimizer):
@@ -109,7 +74,9 @@ class Adam(Optimizer):
             v += (1.0 - self.beta2) * grad**2
             m_hat = m / bias1
             v_hat = v / bias2
-            # Post-backward update, same as SGD above.
+            # Parameter updates run strictly after backward() has drained
+            # the tape, so the in-place write cannot corrupt saved
+            # activations.
             p.data -= self.lr * m_hat / (  # reprolint: disable=inplace-mutation
                 np.sqrt(v_hat) + self.eps
             )

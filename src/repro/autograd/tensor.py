@@ -8,24 +8,9 @@ gradients summed back over broadcast axes.
 
 from __future__ import annotations
 
-import contextlib
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
-
-_GRAD_ENABLED = True
-
-
-@contextlib.contextmanager
-def no_grad():
-    """Context manager disabling tape recording (inference / updates)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -60,7 +45,7 @@ class Tensor:
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward
@@ -86,10 +71,6 @@ class Tensor:
         """The underlying array (shared, not copied)."""
         return self.data
 
-    def detach(self) -> "Tensor":
-        """A tape-free view of the same data."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -108,7 +89,7 @@ class Tensor:
         parents: Tuple["Tensor", ...],
         backward: Callable[[np.ndarray], None],
     ) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        requires = any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires)
         if requires:
             out._parents = tuple(p for p in parents if p.requires_grad)
@@ -372,12 +353,6 @@ class Tensor:
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
-
-    def var(self, axis=None, keepdims: bool = False) -> "Tensor":
-        """Population variance, differentiable (used by norm layers)."""
-        mean = self.mean(axis=axis, keepdims=True)
-        centered = self - mean
-        return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

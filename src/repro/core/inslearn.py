@@ -79,18 +79,9 @@ class BatchReport:
 
 @dataclass
 class TrainingReport:
-    """Per-batch traces plus totals for the whole stream."""
+    """Per-batch traces for the whole stream."""
 
     batches: List[BatchReport] = field(default_factory=list)
-
-    @property
-    def total_edges(self) -> int:
-        return sum(b.num_train_edges + b.num_valid_edges for b in self.batches)
-
-    @property
-    def mean_best_score(self) -> float:
-        scored = [b.best_score for b in self.batches if b.num_valid_edges > 0]
-        return float(np.mean(scored)) if scored else 0.0
 
 
 _Record = Tuple[StreamEdge, float, float]

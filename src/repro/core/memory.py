@@ -293,17 +293,13 @@ class NodeMemory:
         """Map an edge type to its context table (0 when shared)."""
         return edge_type_id if self.typed_context else 0
 
-    def alpha_slot(self, node_type_id: int) -> int:
-        """Map a node type to its alpha parameter (0 when shared)."""
-        return node_type_id if self.typed_alpha else 0
-
     def context_slots(self, edge_type_ids: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`context_slot` for the batched engine."""
         ids = np.asarray(edge_type_ids, dtype=np.int64)
         return ids if self.typed_context else np.zeros(ids.shape, dtype=np.int64)
 
     def alpha_slots(self, node_type_ids: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`alpha_slot` for the batched engine."""
+        """Map node types to their alpha parameters (all 0 when shared)."""
         ids = np.asarray(node_type_ids, dtype=np.int64)
         return ids if self.typed_alpha else np.zeros(ids.shape, dtype=np.int64)
 
@@ -324,11 +320,6 @@ class MemoryOptimizer:
         self.alpha = SparseAdam(memory.alpha[:, None], lr, weight_decay=0.0)
         self._adams = (self.table, self.alpha)
         self._alpha_rows = np.arange(memory.num_alpha_slots, dtype=np.int64)
-
-    def context_row(self, slot: int, node: int) -> int:
-        """Row of context embedding ``(slot, node)`` within the context
-        block (table row ``memory.context_offset`` + this)."""
-        return slot * self.memory.num_nodes + node
 
     # ------------------------------------------------------------- undo log
 

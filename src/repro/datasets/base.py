@@ -183,18 +183,3 @@ class Dataset:
             f"|O|={stats['|O|']}, |R|={stats['|R|']}, |T|={stats['|T|']}\n"
             f"  metapaths: {paths}"
         )
-
-    def subset(self, stream: EdgeStream, name: Optional[str] = None) -> "Dataset":
-        """A dataset view over a different stream (same nodes/schema)."""
-        return Dataset(
-            name=name or self.name,
-            schema=self.schema,
-            nodes_by_type=list(self.nodes_by_type),
-            stream=stream,
-            metapaths=list(self.metapaths),
-            target_edge_types=(
-                list(self.target_edge_types)
-                if self.target_edge_types is not None
-                else None
-            ),
-        )

@@ -74,10 +74,6 @@ class RankingAccumulator:
             raise ValueError(f"ranks are 1-based, got {rank}")
         self.ranks.append(float(rank))
 
-    def add_scores(self, scores: np.ndarray, target_position: int) -> None:
-        """Score-vector convenience: computes and stores the target's rank."""
-        self.add_rank(rank_of_target(scores, target_position))
-
     def __len__(self) -> int:
         return len(self.ranks)
 

@@ -97,16 +97,3 @@ def tsne(
         y = y + velocity
         y = y - y.mean(axis=0)
     return y
-
-
-def kl_divergence(x: np.ndarray, y: np.ndarray, perplexity: float = 10.0) -> float:
-    """KL(P || Q) between high- and low-dimensional affinities (diagnostic)."""
-    n = x.shape[0]
-    dists = _pairwise_sq_dists(np.asarray(x, dtype=np.float64))
-    p = np.stack([_row_affinities(dists[i], i, min(perplexity, (n - 1) / 3.0)) for i in range(n)])
-    p = np.maximum((p + p.T) / (2.0 * n), 1e-12)
-    dy = _pairwise_sq_dists(np.asarray(y, dtype=np.float64))
-    q_unnorm = 1.0 / (1.0 + dy)
-    np.fill_diagonal(q_unnorm, 0.0)
-    q = np.maximum(q_unnorm / q_unnorm.sum(), 1e-12)
-    return float(np.sum(p * np.log(p / q)))

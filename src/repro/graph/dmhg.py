@@ -399,9 +399,6 @@ class DMHG:
             index,
         )
 
-    def edge_alive(self, index: int) -> bool:
-        return self._edge_alive[index]
-
     def edges(self) -> Iterator[TemporalEdge]:
         """Iterate over live edges in insertion order."""
         for i in range(len(self._edge_u)):

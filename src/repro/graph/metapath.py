@@ -3,8 +3,10 @@
 A multiplex metapath ``P = o_1 --R_1--> o_2 --R_2--> ... --R_{n-1}--> o_n``
 prescribes node types and *sets* of admissible edge types along a path.
 Walks longer than ``|P|`` repeat the schema by treating the tail node type
-as the head (the paper's modular index ``f(i, |P|-1)``), which requires a
-symmetric schema; Eq. 4 symmetrises an asymmetric one by reflection.
+as the head (the paper's modular index ``f(i, |P|-1)``, applied by
+:class:`~repro.graph.sampling.CompiledMetapath`), which requires a
+symmetric schema.  Every declared and mined metapath here is symmetric, so
+Eq. 4's reflection of an asymmetric schema has no caller and is left out.
 """
 
 from __future__ import annotations
@@ -13,17 +15,6 @@ from dataclasses import dataclass
 from typing import FrozenSet, Sequence, Tuple
 
 from repro.graph.schema import GraphSchema
-
-
-def schema_index(i: int, period: int) -> int:
-    """The paper's ``f(i, L) = ((i - 1) mod L) + 1`` with 0-based ``i``.
-
-    Maps a 0-based walk position onto a 0-based schema position, wrapping
-    with period ``period = |P| - 1``.
-    """
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-    return i % period
 
 
 @dataclass(frozen=True)
@@ -72,45 +63,6 @@ class MultiplexMetapath:
     @property
     def head(self) -> str:
         return self.node_types[0]
-
-    @property
-    def is_symmetric(self) -> bool:
-        """True when the schema equals its own reflection.
-
-        Only symmetric schemas tile into walks longer than ``|P|``.
-        """
-        return (
-            self.node_types == tuple(reversed(self.node_types))
-            and self.edge_type_sets == tuple(reversed(self.edge_type_sets))
-        )
-
-    def symmetrized(self) -> "MultiplexMetapath":
-        """Eq. 4: reflect an asymmetric schema into a symmetric one.
-
-        ``o_1 -R_1-> ... -R_{n-1}-> o_n`` becomes
-        ``o_1 -R_1-> ... -> o_n -R_{n-1}-> ... -R_1-> o_1``.
-        Symmetric schemas are returned unchanged.
-        """
-        if self.is_symmetric:
-            return self
-        node_types = self.node_types + tuple(reversed(self.node_types[:-1]))
-        edge_sets = self.edge_type_sets + tuple(reversed(self.edge_type_sets))
-        return MultiplexMetapath(node_types, edge_sets)
-
-    def node_type_at(self, position: int) -> str:
-        """Node type required at 0-based walk ``position`` (Eq. 2).
-
-        Positions beyond ``|P| - 1`` wrap with period ``|P| - 1``.
-        """
-        if position < 0:
-            raise ValueError(f"position must be >= 0, got {position}")
-        return self.node_types[schema_index(position, len(self) - 1)]
-
-    def edge_types_at(self, hop: int) -> FrozenSet[str]:
-        """Admissible edge types for 0-based ``hop`` (Eq. 3), wrapping."""
-        if hop < 0:
-            raise ValueError(f"hop must be >= 0, got {hop}")
-        return self.edge_type_sets[schema_index(hop, len(self) - 1)]
 
     def validate_against(self, schema: GraphSchema) -> None:
         """Raise if the metapath references types absent from ``schema``

@@ -106,17 +106,6 @@ class GraphSchema:
             raise KeyError(f"edge type {edge_type!r} has no declared endpoints")
         return tuple(self.endpoints[edge_type])
 
-    def edge_types_between(self, src_type: str, dst_type: str) -> Tuple[str, ...]:
-        """All edge types connecting ``src_type`` and ``dst_type`` (either way)."""
-        hits = []
-        for etype in self.edge_types:
-            if etype not in self.endpoints:
-                continue
-            s, d = self.endpoints[etype]
-            if {s, d} == {src_type, dst_type} or (s == src_type and d == dst_type):
-                hits.append(etype)
-        return tuple(hits)
-
     def describe(self) -> Dict[str, object]:
         """Summary dict used in dataset statistics tables (|O|, |R|)."""
         return {

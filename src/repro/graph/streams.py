@@ -58,10 +58,6 @@ class EdgeStream:
         else:
             self.edges = sorted(self.edges, key=lambda e: e.t)
 
-    @classmethod
-    def from_tuples(cls, tuples: Sequence[Tuple[int, int, str, float]]) -> "EdgeStream":
-        return cls([StreamEdge(*t) for t in tuples])
-
     def __len__(self) -> int:
         return len(self.edges)
 

@@ -188,14 +188,9 @@ class Histogram:
         """Worst-case relative quantile error: one bucket's width."""
         return 10.0 ** (1.0 / self.buckets_per_decade) - 1.0
 
-    @property
-    def boundaries(self) -> np.ndarray:
-        """The inclusive bucket upper bounds (``le`` values), a copy."""
-        return np.asarray(self._boundaries, dtype=np.float64)
-
     def bucket_index(self, value: float) -> int:
-        """Index of the bucket ``value`` lands in; ``len(boundaries)``
-        is the overflow bucket."""
+        """Index of the bucket ``value`` lands in; the last index (the
+        bucket count) is the overflow bucket."""
         return bisect_left(self._boundaries, float(value))
 
     def observe(self, value: float) -> None:
@@ -254,15 +249,6 @@ class Histogram:
             raise ValueError(f"percentile must be in [0, 100], got {p}")
         cumulative, _, _, max_observed = self._snapshot()
         return self._quantile(cumulative, max_observed, p)
-
-    def cumulative_buckets(self) -> List[Tuple[float, int]]:
-        """``(le, cumulative_count)`` pairs for Prometheus exposition.
-
-        Leading all-zero buckets are trimmed and trailing buckets are cut
-        once the cumulative count reaches the finite total; the ``+Inf``
-        bucket is always emitted last so ``_bucket{le="+Inf"} == _count``.
-        """
-        return self._bucket_pairs(self._snapshot()[0])
 
     def _bucket_pairs(self, cumulative: np.ndarray) -> List[Tuple[float, int]]:
         finite = cumulative[:-1]

@@ -191,11 +191,6 @@ class Tracer:
         traced.__name__ = getattr(fn, "__name__", name)
         return traced
 
-    def reset(self) -> None:
-        """Drop the recorded tree (the registry is left alone)."""
-        self.root = SpanNode("root")
-        self._local = threading.local()
-
     def as_dict(self) -> Dict[str, object]:
         """The span tree as JSON-ready nested dicts (top-level spans only)."""
         return {
@@ -250,9 +245,6 @@ class NullTracer:
 
     def wrap(self, name: str, fn):
         return fn
-
-    def reset(self) -> None:
-        return None
 
     def as_dict(self) -> Dict[str, object]:
         return {"spans": []}

@@ -55,9 +55,6 @@ from repro.resilience.recovery import QueueLogState, RecoveryError, catch_up
 from repro.resilience.wal import WalRecord, WalTailer
 from repro.serve.service import RecommendationService, ServeConfig
 
-#: primary silence (seconds without a heartbeat) before promotion is advised
-HEARTBEAT_TIMEOUT_SECONDS = 5.0
-
 #: follower lifecycle states (the promote state machine, DESIGN.md §13)
 BOOTSTRAPPING = "bootstrapping"
 TAILING = "tailing"
@@ -132,7 +129,6 @@ class ReplicationFollower:
         self._state = BOOTSTRAPPING
         self._last_seq_applied = 0
         self._last_hb_primary_t: Optional[float] = None
-        self._last_hb_seen_at: Optional[float] = None
         self._heartbeats_seen = 0
         self._lag_records = 0
         self._lag_seconds = 0.0
@@ -228,13 +224,11 @@ class ReplicationFollower:
 
     def _observe(self, record: WalRecord) -> None:
         """Move the replication position past ``record``; a heartbeat
-        also refreshes the primary's liveness."""
-        now = self._clock() if record.kind == "heartbeat" else None
+        also refreshes the primary stamp the lag gauge ages."""
         with self._lock:
-            if now is not None:
+            if record.kind == "heartbeat":
                 self._heartbeats_seen += 1
                 self._last_hb_primary_t = record.t
-                self._last_hb_seen_at = now
             self._last_seq_applied = record.seq
 
     def _polled(self, lag_records: int) -> None:
@@ -256,21 +250,6 @@ class ReplicationFollower:
         return self.service.recommend(user, k)
 
     # ------------------------------------------------------------- promotion
-
-    def primary_silent(self) -> bool:
-        """True when no heartbeat arrived within
-        :data:`HEARTBEAT_TIMEOUT_SECONDS`.
-
-        Measured against the follower clock at the moment the last
-        heartbeat was *applied* — keep polling, or silence and a stalled
-        poller look alike.  ``False`` until the first heartbeat lands.
-        """
-        now = self._clock()
-        with self._lock:
-            seen_at = self._last_hb_seen_at
-        if seen_at is None:
-            return False
-        return (now - seen_at) > HEARTBEAT_TIMEOUT_SECONDS
 
     def promote(self, replica_dir: Optional[str] = None) -> None:
         """Flip the drained replica into a writable primary-in-waiting.

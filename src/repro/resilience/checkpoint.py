@@ -33,8 +33,7 @@ Memory: a file costs one state-sized buffer each way.  A save streams
 the live arrays into the npz payload's buffer, then writes the header
 and that buffer one after the other (never joined into one ``bytes``);
 a load takes the payload's length and CRC in 1 MB chunks, then reads
-the arrays from the open file.  :func:`serialize` / :func:`deserialize`
-are the same format as whole ``bytes``.
+the arrays from the open file.
 """
 
 from __future__ import annotations
@@ -108,12 +107,6 @@ def _encode(ckpt: Checkpoint) -> Tuple[bytes, io.BytesIO]:
         separators=(",", ":"),
     )
     return header.encode("utf-8") + b"\n", buffer
-
-
-def serialize(ckpt: Checkpoint) -> bytes:
-    """Header line + npz payload; inverse of :func:`deserialize`."""
-    header, buffer = _encode(ckpt)
-    return header + buffer.getvalue()
 
 
 def _parse_header(line: bytes) -> dict:
@@ -198,12 +191,6 @@ def _read(fh: BinaryIO) -> Checkpoint:
     return _checkpoint(meta, _read_arrays(fh))
 
 
-def deserialize(data: bytes) -> Checkpoint:
-    """Parse + verify one serialized checkpoint (:class:`CheckpointError`
-    on any corruption)."""
-    return _read(io.BytesIO(data))
-
-
 #: Newest checkpoints kept on disk; older ones are pruned on save.
 RETAIN = 3
 
@@ -250,7 +237,7 @@ class CheckpointManager:
         final = os.path.join(self.directory, f"ckpt-{ckpt.seq:012d}{self.SUFFIX}")
         tmp = final + ".tmp"
         with open(tmp, "wb") as fh, buffer.getbuffer() as payload:
-            # :func:`serialize`'s bytes, never joined into one copy
+            # header, then payload: never joined into one copy
             fh.write(header)
             fh.write(payload)
             fh.flush()

@@ -405,11 +405,6 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------- lifecycle
 
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._fh is None
-
     def close(self) -> None:
         with self._lock:
             if self._fh is not None:
@@ -499,14 +494,6 @@ class WalTailer:
             return 0
 
     # ------------------------------------------------------------ inspection
-
-    @property
-    def committed_seq(self) -> int:
-        """Highest sequence number returned by :meth:`poll` so far —
-        also the count of records read: seqs start at 1 and are
-        contiguous."""
-        with self._lock:
-            return self._position[1] - 1
 
     @property
     def bytes_read(self) -> int:

@@ -219,12 +219,6 @@ class AdmissionController:
         with self._lock:
             return self._offered
 
-    @property
-    def tracked_users(self) -> int:
-        """Live token buckets (bounded by :data:`MAX_TRACKED_USERS`)."""
-        with self._lock:
-            return len(self._buckets)
-
     def counts(self) -> Dict[str, int]:
         """A consistent snapshot of the decision tallies."""
         with self._lock:

@@ -135,12 +135,6 @@ class DispatchWorker:
         """Nudge the worker (cheap; called after every accepted event)."""
         self._wake.set()
 
-    @property
-    def running(self) -> bool:
-        """True while the worker thread is alive."""
-        with self._lock:
-            return self._thread is not None and self._thread.is_alive()
-
     # ------------------------------------------------------------ the thread
 
     def _run(self) -> None:

@@ -181,16 +181,6 @@ class TopKIndex:
 
     # -------------------------------------------------------------- inspection
 
-    def cached_keys(self) -> Tuple[Tuple[int, int], ...]:
-        """Current ``(user, k)`` cache keys, oldest first."""
-        with self._lock:
-            return tuple(self._cache.keys())
-
-    def cache_entry(self, user: int, k: int) -> Optional[CacheEntry]:
-        """The cached entry for ``(user, k)``, if any (no LRU effect)."""
-        with self._lock:
-            return self._cache.get((int(user), int(k)))
-
     @property
     def hit_rate(self) -> float:
         with self._lock:

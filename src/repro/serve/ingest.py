@@ -39,7 +39,7 @@ batches.  What serialises it is a *dispatch mutex* of its own
 one cut-then-apply routine holds it across "cut a batch, run the
 handler" and takes the queue lock inside it only for the cut, so the
 handler — a whole train + publish step — runs with the queue lock
-*released* and ``put()``, ``pending`` and ``has_ready`` never wait on an
+*released* and ``put()`` and ``pending`` never wait on an
 update, whichever thread runs it (DESIGN.md §12).
 
 For durability the queue writes every *decision* to its ``journal`` —
@@ -211,11 +211,6 @@ class EventQueue:
         with self._lock:
             return len(self._buffer)
 
-    @property
-    def paused(self) -> bool:
-        with self._lock:
-            return self._paused
-
     def pause(self) -> None:
         """Stop dispatching micro-batches; events keep buffering.
 
@@ -300,12 +295,6 @@ class EventQueue:
             self._drain_ready()
         return True
 
-    @property
-    def has_ready(self) -> bool:
-        """True when a full micro-batch is buffered and dispatch is live."""
-        with self._lock:
-            return self._ready()
-
     def dispatch_next(self) -> int:
         """Dispatch at most one ready micro-batch; returns events cut.
 
@@ -346,14 +335,11 @@ class EventQueue:
 
     # ------------------------------------------------------- recovery support
 
-    def buffered(self) -> Tuple[StreamEdge, ...]:
-        """Snapshot of not-yet-dispatched events, oldest first."""
-        return self.buffered_at(lambda: 0)[1]
-
     def buffered_at(
         self, position: Callable[[], int]
     ) -> Tuple[int, Tuple[StreamEdge, ...]]:
-        """``(position(), buffered())`` read at one instant.
+        """``position()`` and the buffered events (oldest first), read at
+        one instant.
 
         ``position`` reads the journal's write position (the WAL's last
         sequence number).  Every journaled decision is written under the

@@ -29,7 +29,6 @@ answers equal the offline ranking pipeline exactly.
 from __future__ import annotations
 
 import threading
-import time
 import weakref
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Tuple
@@ -50,7 +49,7 @@ from repro.serve.admission import (
 )
 from repro.serve.dispatch import DispatchWorker
 from repro.serve.index import TopKIndex
-from repro.serve.ingest import BackpressureError, EventQueue
+from repro.serve.ingest import EventQueue
 from repro.serve.store import DecayedEmbeddingStore
 
 #: consecutive update failures that open the circuit breaker
@@ -325,7 +324,6 @@ class RecommendationService:
             "checkpoint.fallbacks",
             "recovery.replayed_events",
             "breaker.opened",
-            "retry.exhausted",
             "serve.degraded",
         ):
             metrics.counter(name)
@@ -405,46 +403,6 @@ class RecommendationService:
         failure, so a persistently failing async path degrades to
         bounded-stale serving instead of spinning."""
         self._count_failure()
-
-    def ingest_with_retry(
-        self,
-        edge: StreamEdge,
-        retries: int = 3,
-        backoff_seconds: float = 0.001,
-        deadline_seconds: Optional[float] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> bool:
-        """:meth:`ingest` with exponential-backoff retries on backpressure.
-
-        Only meaningful under the ``"raise"`` overflow policy with a
-        concurrent drainer (the async dispatcher, or another thread
-        flushing or resuming the queue).  Two budgets bound the retry
-        loop: the attempt count (``retries``) and a total deadline over
-        the *planned* cumulative backoff (``deadline_seconds``; ``None``
-        keeps the attempt budget alone) — deterministic, no clock read —
-        so retries can never stall a caller past its timeout.  The delay
-        before retry ``n`` is ``backoff_seconds * 2**n``, slept through
-        ``sleep`` (tests pass a recording fake).  Exhausting either
-        budget counts ``retry.exhausted`` and re-raises the final
-        :class:`~repro.serve.ingest.BackpressureError`.
-        """
-        attempt = 0
-        planned_wait = 0.0
-        while True:
-            try:
-                return self.ingest(edge)
-            except BackpressureError:
-                delay = backoff_seconds * (2.0 ** attempt)
-                over_deadline = (
-                    deadline_seconds is not None
-                    and planned_wait + delay > deadline_seconds
-                )
-                if attempt >= retries or over_deadline:
-                    self.metrics.counter("retry.exhausted").inc()
-                    raise
-                sleep(delay)
-                planned_wait += delay
-                attempt += 1
 
     def flush(self) -> int:
         """Drain every buffered event through updates; returns the count.

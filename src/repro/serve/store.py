@@ -87,10 +87,6 @@ class Snapshot:
         self.num_rows = num_rows
         self.dim = int(blocks[0].shape[1]) if blocks else 0
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self._blocks)
-
     def block(self, index: int) -> np.ndarray:
         """The ``index``-th row block (read-only array)."""
         return self._blocks[index]

@@ -59,15 +59,8 @@ class AliasTable:
             self._prob[leftover] = 1.0
             self._alias[leftover] = leftover
 
-        self._weights = w / total
-
     def __len__(self) -> int:
         return self._n
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """The normalised distribution this table samples from."""
-        return self._weights
 
     def sample(self, rng: RngLike = None, size: Optional[int] = None):
         """Draw one index (``size=None``) or an array of ``size`` indices."""

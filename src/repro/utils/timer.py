@@ -29,7 +29,3 @@ class Timer:
         lap = time.perf_counter() - self._start
         self.elapsed += lap
         self.laps.append(lap)
-
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self.laps = []

@@ -41,10 +41,3 @@ class TestTensorOps:
 
     def test_min_gradient(self):
         check_gradients(lambda a: a.min(axis=0), np.random.randn(3, 4))
-
-    def test_var_matches_numpy(self):
-        x = np.random.randn(4, 6)
-        assert np.allclose(Tensor(x).var().item(), x.var())
-
-    def test_var_gradient(self):
-        check_gradients(lambda a: a.var(axis=1), np.random.randn(3, 5))

@@ -1,9 +1,8 @@
-"""Finite-difference gradient checks for the ``embedding`` row-lookup
-primitive."""
+"""Finite-difference gradient checks for the row-lookup primitive
+(:meth:`Tensor.gather_rows`): its gradient scatter-adds into the table."""
 
 import numpy as np
 
-from repro.autograd import functional as F
 from repro.autograd.tensor import Tensor
 
 from tests.autograd.test_tensor import check_gradients
@@ -14,7 +13,7 @@ class TestEmbeddingGradients:
         rng = np.random.default_rng(2)
         indices = np.array([0, 2, 2, 1])
         check_gradients(
-            lambda table: F.embedding(table, indices), rng.normal(size=(3, 4))
+            lambda table: table.gather_rows(indices), rng.normal(size=(3, 4))
         )
 
     def test_embedding_duplicate_rows_accumulate(self):
@@ -24,6 +23,6 @@ class TestEmbeddingGradients:
         indices = np.array([1, 1, 0])
         weights = Tensor(rng.normal(size=(3, 2)))
         check_gradients(
-            lambda table: F.embedding(table, indices) * weights,
+            lambda table: table.gather_rows(indices) * weights,
             rng.normal(size=(2, 2)),
         )

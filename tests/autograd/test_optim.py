@@ -1,9 +1,9 @@
-"""Tests for SGD and Adam optimisers."""
+"""Tests for the Adam optimiser and its base class."""
 
 import numpy as np
 import pytest
 
-from repro.autograd import SGD, Adam
+from repro.autograd import Adam
 from repro.autograd.tensor import Tensor
 
 
@@ -23,7 +23,7 @@ def quadratic_descend(optimizer_factory, steps=200):
 class TestValidation:
     def test_empty_params_raise(self):
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            Adam([], lr=0.1)
 
     def test_non_trainable_raises(self):
         with pytest.raises(ValueError):
@@ -31,7 +31,7 @@ class TestValidation:
 
     def test_bad_lr(self):
         with pytest.raises(ValueError):
-            SGD([Tensor([1.0], requires_grad=True)], lr=0.0)
+            Adam([Tensor([1.0], requires_grad=True)], lr=0.0)
         with pytest.raises(ValueError):
             Adam([Tensor([1.0], requires_grad=True)], lr=-1.0)
 
@@ -41,14 +41,6 @@ class TestValidation:
 
 
 class TestConvergence:
-    def test_sgd_converges(self):
-        final, target = quadratic_descend(lambda p: SGD(p, lr=0.1))
-        assert np.allclose(final, target, atol=1e-3)
-
-    def test_sgd_momentum_converges(self):
-        final, target = quadratic_descend(lambda p: SGD(p, lr=0.05, momentum=0.9))
-        assert np.allclose(final, target, atol=1e-2)
-
     def test_adam_converges(self):
         final, target = quadratic_descend(lambda p: Adam(p, lr=0.1), steps=400)
         assert np.allclose(final, target, atol=1e-2)
@@ -58,18 +50,11 @@ class TestBehaviour:
     def test_skips_params_without_grad(self):
         a = Tensor([1.0], requires_grad=True)
         b = Tensor([1.0], requires_grad=True)
-        opt = SGD([a, b], lr=0.1)
+        opt = Adam([a, b], lr=0.1)
         (a * 2).sum().backward()
         opt.step()
         assert a.data[0] != 1.0
         assert b.data[0] == 1.0
-
-    def test_weight_decay_shrinks_params(self):
-        a = Tensor([10.0], requires_grad=True)
-        opt = SGD([a], lr=0.1, weight_decay=0.5)
-        a.grad = np.zeros(1)
-        opt.step()
-        assert a.data[0] < 10.0
 
     def test_adam_weight_decay(self):
         a = Tensor([10.0], requires_grad=True)
@@ -80,7 +65,7 @@ class TestBehaviour:
 
     def test_zero_grad_clears(self):
         a = Tensor([1.0], requires_grad=True)
-        opt = SGD([a], lr=0.1)
+        opt = Adam([a], lr=0.1)
         (a * 2).sum().backward()
         opt.zero_grad()
         assert a.grad is None

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.autograd.tensor import Tensor, concatenate, no_grad, stack
+from repro.autograd.tensor import Tensor, concatenate, stack
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -51,12 +51,6 @@ class TestBasics:
     def test_item(self):
         assert Tensor(3.5).item() == 3.5
 
-    def test_detach_shares_data(self):
-        t = Tensor([1.0], requires_grad=True)
-        d = t.detach()
-        assert not d.requires_grad
-        assert d.data is t.data
-
     def test_backward_requires_grad(self):
         with pytest.raises(RuntimeError):
             Tensor([1.0]).backward()
@@ -65,12 +59,6 @@ class TestBasics:
         t = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(RuntimeError, match="scalar"):
             t.backward()
-
-    def test_no_grad_blocks_tape(self):
-        a = Tensor([1.0], requires_grad=True)
-        with no_grad():
-            out = a * 2.0
-        assert not out.requires_grad
 
     def test_grad_accumulates_across_uses(self):
         a = Tensor([2.0], requires_grad=True)

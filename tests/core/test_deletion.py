@@ -89,7 +89,7 @@ class TestProcessDeletion:
         model.observe(0, 6, "click", 2.0)
         model.observe(1, 5, "click", 2.5)
         process_edge_deletion(model, 0, 5, "click", 3.0, learn=False)
-        assert not model.graph.edge_alive(0)
+        assert 0 not in [e.index for e in model.graph.edges()]
         assert model.graph.num_edges == 2
         assert model.graph.degree(0) == 1 and model.graph.degree(5) == 1
 

@@ -15,7 +15,7 @@ from repro.core.memory import (
     load_state,
     state_views,
 )
-from tests.oracle.engine import optimizer_step
+from tests.oracle.engine import context_row, optimizer_step
 
 
 def make_memory(**kwargs):
@@ -51,7 +51,7 @@ class TestNodeMemory:
     def test_shared_alpha_slot(self):
         mem = make_memory(typed_alpha=False)
         assert mem.alpha.shape == (1,)
-        assert mem.alpha_slot(1) == 0
+        assert mem.alpha_slots(np.array([0, 1, 2])).tolist() == [0, 0, 0]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -325,11 +325,14 @@ class TestMemoryOptimizer:
                 MemoryOptimizer(make_memory(), lr=bad)
 
     def test_context_row_mapping(self):
+        """The oracle's flat context row ``slot * N + node`` is table row
+        ``context_offset`` + that, the same storage as ``context[slot, node]``."""
         mem = make_memory()
-        opt = MemoryOptimizer(mem, lr=0.1, weight_decay=0.0)
-        assert opt.context_row(0, 0) == 0
-        assert opt.context_row(1, 2) == 8
-        assert opt.context_row(2, 5) == 17
+        assert [context_row(mem, *key) for key in ((0, 0), (1, 2), (2, 5))] == [0, 8, 17]
+        for slot, node in ((0, 0), (1, 2), (2, 5)):
+            row = mem.table[mem.context_offset + context_row(mem, slot, node)]
+            assert np.shares_memory(row, mem.context[slot, node])
+            assert row.tobytes() == mem.context[slot, node].tobytes()
 
     def test_step_updates_all_groups(self):
         mem = make_memory()
@@ -342,7 +345,7 @@ class TestMemoryOptimizer:
             opt,
             long_grads={1: np.ones(4)},
             short_grads={2: np.ones(4)},
-            context_grads={opt.context_row(0, 3): np.ones(4)},
+            context_grads={context_row(mem, 0, 3): np.ones(4)},
             alpha_grads={0: 1.0},
         )
         assert not np.allclose(mem.long[1], before_long)

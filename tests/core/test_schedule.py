@@ -26,6 +26,7 @@ from repro.graph.streams import StreamEdge
 
 from tests.oracle.engine import ReferenceEngine
 from tests.oracle.propagation import propagation_loss
+from tests.oracle.updater import alpha_slot
 
 
 def partition_conflict_free_rounds(
@@ -284,7 +285,7 @@ class TestBuildSchedule:
         assert plan.nodes.tobytes() == uv[plan.edges].tobytes()
         assert plan.deltas.tobytes() == deltas[plan.edges].tobytes()
         assert plan.alpha_slots.tolist() == [
-            model.memory.alpha_slot(model._node_type_ids[n]) for n in plan.nodes
+            alpha_slot(model.memory, model._node_type_ids[n]) for n in plan.nodes
         ]
         for r, (e0, e1) in enumerate(_round_slices(plan.edge_bounds)):
             assert (np.diff(plan.edges[e0:e1]) > 0).all()

@@ -46,7 +46,8 @@ class TestAdapter:
         train, _, _ = tiny_synthetic.split()
         model.fit(train[:150])
         assert model.last_report is not None
-        assert model.last_report.total_edges == 150
+        batches = model.last_report.batches
+        assert sum(b.num_train_edges + b.num_valid_edges for b in batches) == 150
 
     def test_max_neighbors_forwarded(self, tiny_synthetic, fast_train):
         model = SUPARecommender(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.base import Dataset
-from repro.graph.streams import EdgeStream, StreamEdge
+from repro.graph.streams import StreamEdge
 
 
 class TestLayout:
@@ -75,9 +75,3 @@ class TestQueries:
 
     def test_describe_mentions_metapaths(self, small_dataset):
         assert "user" in small_dataset.describe()
-
-    def test_subset_shares_layout(self, small_dataset):
-        sub = small_dataset.subset(EdgeStream(list(small_dataset.stream)[:3]), "mini")
-        assert sub.num_nodes == small_dataset.num_nodes
-        assert sub.num_edges == 3
-        assert sub.name == "mini"

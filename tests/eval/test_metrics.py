@@ -78,11 +78,6 @@ class TestAccumulator:
         m = acc.metrics()
         assert set(m) == {"H@20", "H@50", "NDCG@10", "MRR"}
 
-    def test_add_scores(self):
-        acc = RankingAccumulator()
-        acc.add_scores(np.array([0.1, 0.9, 0.5]), target_position=1)
-        assert acc.ranks == [1.0]
-
     def test_rank_below_one_rejected(self):
         with pytest.raises(ValueError):
             RankingAccumulator().add_rank(0.5)

@@ -112,7 +112,7 @@ class TestDeletion:
     def test_remove_edge(self, small_graph):
         small_graph.remove_edge(0)
         assert small_graph.num_edges == 7
-        assert not small_graph.edge_alive(0)
+        assert 0 not in [e.index for e in small_graph.edges()]
         assert small_graph.degree(0) == 1
 
     def test_remove_idempotent(self, small_graph):

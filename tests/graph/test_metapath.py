@@ -2,20 +2,8 @@
 
 import pytest
 
-from repro.graph.metapath import MultiplexMetapath, schema_index
+from repro.graph.metapath import MultiplexMetapath
 from repro.graph.schema import GraphSchema
-
-
-class TestSchemaIndex:
-    def test_wraps_with_period(self):
-        assert [schema_index(i, 2) for i in range(5)] == [0, 1, 0, 1, 0]
-
-    def test_period_one(self):
-        assert schema_index(7, 1) == 0
-
-    def test_invalid_period(self):
-        with pytest.raises(ValueError):
-            schema_index(0, 0)
 
 
 class TestConstruction:
@@ -34,51 +22,6 @@ class TestConstruction:
     def test_empty_edge_set(self):
         with pytest.raises(ValueError, match="non-empty"):
             MultiplexMetapath.create(["a", "b"], [[]])
-
-
-class TestSymmetry:
-    def test_symmetric_detection(self, metapath):
-        assert metapath.is_symmetric
-
-    def test_asymmetric_detection(self):
-        mp = MultiplexMetapath.create(["u", "v", "a"], [["r1"], ["r2"]])
-        assert not mp.is_symmetric
-
-    def test_symmetrized_eq4(self):
-        mp = MultiplexMetapath.create(["u", "v", "a"], [["r1"], ["r2"]])
-        sym = mp.symmetrized()
-        assert sym.node_types == ("u", "v", "a", "v", "u")
-        assert sym.edge_type_sets == (
-            frozenset({"r1"}),
-            frozenset({"r2"}),
-            frozenset({"r2"}),
-            frozenset({"r1"}),
-        )
-        assert sym.is_symmetric
-
-    def test_symmetrized_noop_on_symmetric(self, metapath):
-        assert metapath.symmetrized() is metapath
-
-
-class TestWrapping:
-    def test_node_type_at_wraps(self, metapath):
-        # user -> video -> user -> video -> ...
-        assert [metapath.node_type_at(i) for i in range(5)] == [
-            "user",
-            "video",
-            "user",
-            "video",
-            "user",
-        ]
-
-    def test_edge_types_at_wraps(self, metapath):
-        assert metapath.edge_types_at(0) == metapath.edge_types_at(2)
-
-    def test_negative_position_raises(self, metapath):
-        with pytest.raises(ValueError):
-            metapath.node_type_at(-1)
-        with pytest.raises(ValueError):
-            metapath.edge_types_at(-1)
 
 
 class TestValidation:

@@ -27,7 +27,8 @@ class TestMineMetapaths:
 
     def test_mined_schemas_are_symmetric(self, small_graph):
         for mp in mine_metapaths(small_graph, num_walks=200, min_support=3, rng=0):
-            assert mp.is_symmetric
+            assert mp.node_types == mp.node_types[::-1]
+            assert mp.edge_type_sets == mp.edge_type_sets[::-1]
 
     def test_mined_schemas_validate(self, small_graph):
         for mp in mine_metapaths(small_graph, num_walks=200, min_support=3, rng=0):

@@ -46,7 +46,7 @@ class TestMetapathWalk:
         for seed in range(10):
             walk = sample_metapath_walk(small_graph, 0, metapath, 6, rng=seed)
             for i, step in enumerate(walk.steps):
-                expected = metapath.node_type_at(i)
+                expected = metapath.node_types[i % (len(metapath) - 1)]
                 assert small_graph.node_type(step.node) == expected
 
     def test_walk_respects_edge_types(self, small_graph):
@@ -115,7 +115,8 @@ class TestInfluencedGraph:
         assert isinstance(ig, InfluencedGraph)
         for walk in ig.walks:
             for i, step in enumerate(walk.steps):
-                assert small_graph.node_type(step.node) == metapath.node_type_at(i)
+                expected = metapath.node_types[i % (len(metapath) - 1)]
+                assert small_graph.node_type(step.node) == expected
 
 
 class TestUniformPick:

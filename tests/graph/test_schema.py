@@ -66,10 +66,6 @@ class TestLookups:
         with pytest.raises(KeyError, match="no declared endpoints"):
             s.endpoints_of("r")
 
-    def test_edge_types_between(self, schema):
-        assert set(schema.edge_types_between("user", "video")) == {"click", "like"}
-        assert schema.edge_types_between("video", "user") == ("click", "like")
-
     def test_describe(self, schema):
         d = schema.describe()
         assert d["|O|"] == 2

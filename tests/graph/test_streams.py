@@ -27,11 +27,6 @@ class TestConstruction:
         )
         assert s[0].u == 0 and s[1].u == 2
 
-    def test_from_tuples(self):
-        s = EdgeStream.from_tuples([(0, 1, "r", 2.0)])
-        assert len(s) == 1
-        assert isinstance(s[0], StreamEdge)
-
     def test_slicing_returns_stream(self):
         s = _stream(10)
         sub = s[2:5]

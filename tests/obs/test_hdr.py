@@ -12,6 +12,12 @@ from repro.utils.rng import new_rng
 from tests.oracle.obs import exact_percentile, parse_prometheus_text
 
 
+def bucket_pairs(h: Histogram):
+    """``(le, cumulative count)`` as :meth:`Histogram.as_dict` exports them,
+    ``+Inf`` read back as ``math.inf``."""
+    return [(math.inf if le == "+Inf" else le, c) for le, c in h.as_dict()["buckets"]]
+
+
 def heavy_tailed(n: int = 20_000, seed: int = 7) -> np.ndarray:
     """A lognormal latency-like sample: most mass low, a long p999 tail."""
     rng = new_rng(seed)
@@ -21,7 +27,10 @@ def heavy_tailed(n: int = 20_000, seed: int = 7) -> np.ndarray:
 class TestBucketLayout:
     def test_boundaries_are_geometric(self):
         h = Histogram("x", min_value=1e-3, max_value=1e0, buckets_per_decade=10)
-        b = h.boundaries
+        for v in np.geomspace(1e-3, 1.0, 31):  # one value per bucket
+            h.observe(float(v))
+        b = np.asarray([le for le, _ in bucket_pairs(h)[:-1]])
+        assert b.size == 31
         ratios = b[1:] / b[:-1]
         assert np.allclose(ratios, 10 ** 0.1)
         assert b[0] == pytest.approx(1e-3)
@@ -37,14 +46,16 @@ class TestBucketLayout:
         assert h.bucket_index(0.0) == 0  # below min clamps into bucket 0
         assert h.bucket_index(1e-9) == 0
         assert h.bucket_index(1e-3) == 0  # boundary is inclusive
-        assert h.bucket_index(1e9) == len(h.boundaries)  # overflow
+        assert h.bucket_index(1.0) == 30  # the last finite bucket
+        assert h.bucket_index(1e9) == 31  # overflow
 
     def test_memory_is_bounded(self):
         h = Histogram("x")  # default 1e-6..1e3, 30/decade
-        assert len(h.boundaries) <= 9 * 30 + 2
+        overflow = h.bucket_index(math.inf)  # the bucket count
+        assert overflow <= 9 * 30 + 1
         for v in np.linspace(1e-6, 2e3, 10_000):
             h.observe(v)
-        assert len(h.boundaries) <= 9 * 30 + 2  # observations never grow it
+        assert h.bucket_index(math.inf) == overflow  # observations never grow it
 
     def test_validation(self):
         with pytest.raises(ValueError, match="min_value"):
@@ -98,7 +109,7 @@ class TestCumulativeBuckets:
         h = Histogram("x")
         for v in (0.001, 0.002, 0.002, 0.004):
             h.observe(v)
-        pairs = h.cumulative_buckets()
+        pairs = bucket_pairs(h)
         les = [le for le, _ in pairs]
         counts = [c for _, c in pairs]
         assert les == sorted(les)
@@ -106,17 +117,17 @@ class TestCumulativeBuckets:
         assert math.isinf(les[-1]) and counts[-1] == h.count
 
     def test_empty_emits_only_inf(self):
-        assert Histogram("x").cumulative_buckets() == [(math.inf, 0)]
+        assert bucket_pairs(Histogram("x")) == [(math.inf, 0)]
 
     def test_all_overflow_emits_only_inf(self):
         h = Histogram("x", min_value=1e-3, max_value=1e-2)
         h.observe(5.0)
-        assert h.cumulative_buckets() == [(math.inf, 1)]
+        assert bucket_pairs(h) == [(math.inf, 1)]
 
     def test_trims_leading_zero_buckets(self):
         h = Histogram("x")
         h.observe(0.5)  # far above min_value
-        pairs = h.cumulative_buckets()
+        pairs = bucket_pairs(h)
         assert pairs[0][1] == 1  # first emitted bucket already has count
 
 
@@ -142,7 +153,7 @@ class TestPrometheusExposition:
     def test_round_trip_recovers_cumulative_counts(self):
         reg, h = self.make_registry()
         series = parse_prometheus_text(to_prometheus_text(reg))
-        for le, cumulative in h.cumulative_buckets():
+        for le, cumulative in bucket_pairs(h):
             label = "+Inf" if math.isinf(le) else repr(float(le))
             key = f'repro_latency_e2e_seconds_bucket{{le="{label}"}}'
             assert series[key] == float(cumulative)

@@ -1,5 +1,6 @@
 """repro.obs.metrics: instruments, bounded histograms, thread safety."""
 
+import math
 import threading
 
 import numpy as np
@@ -51,14 +52,14 @@ class TestHistogram:
         for p in (50.0, 95.0, 99.0):
             exact = exact_percentile(values, p)
             assert exact <= h.percentile(p) <= exact * (1.0 + h.relative_error)
-            assert h.percentile(p) in h.boundaries
+            assert h.percentile(p) in [le for le, _ in h.as_dict()["buckets"]]
 
     def test_memory_stays_bounded_and_moments_exact(self):
         h = Histogram("latency")
-        buckets = len(h.boundaries)
+        buckets = h.bucket_index(math.inf)  # the overflow bucket's index
         for v in range(10_000):
             h.observe(v)
-        assert len(h.boundaries) == buckets  # observations never grow it
+        assert h.bucket_index(math.inf) == buckets  # observations never grow it
         assert h.count == 10_000
         # streaming moments are exact: 0 is under range, 1001.. over range
         assert h.sum == float(sum(range(10_000)))
@@ -205,7 +206,7 @@ class TestThreadSafety:
         h = reg.histogram("lat")
         assert h.count == self.N_THREADS * self.N_OPS
         assert h.sum == float(self.N_THREADS * sum(range(self.N_OPS)))
-        assert h.cumulative_buckets()[-1][1] == h.count
+        assert h.as_dict()["buckets"][-1] == ["+Inf", h.count]
 
     def test_concurrent_get_or_create_yields_one_instrument(self):
         reg = MetricsRegistry()

@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -177,15 +176,6 @@ class TestSpanTree:
         traced = t.wrap("kernel", kernel)
         assert traced(1) == 2 and traced(2) == 3
         assert t.root.children["kernel"].count == 2
-
-    def test_reset_drops_tree_keeps_registry(self):
-        reg = MetricsRegistry()
-        t = Tracer(registry=reg)
-        with t.span("a"):
-            pass
-        t.reset()
-        assert t.as_dict() == {"spans": []}
-        assert t.registry is reg
 
     def test_as_dict_shape(self):
         t = Tracer()

@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.engine.plan import draw_pass
 from repro.core.engine.schedule import partition_round_indices
-from repro.core.memory import MemoryOptimizer
+from repro.core.memory import MemoryOptimizer, NodeMemory
 from repro.graph.streams import StreamEdge
 
 from tests.oracle import kernels
@@ -39,6 +39,12 @@ from tests.oracle.sampling import InfluencedGraph, sample_influenced_graph_compi
 from tests.oracle.updater import target_embedding, target_embedding_backward
 
 _Record = Tuple[StreamEdge, float, float]
+
+
+def context_row(memory: NodeMemory, slot: int, node: int) -> int:
+    """Row of context embedding ``(slot, node)`` within the context
+    block (table row ``memory.context_offset`` + this)."""
+    return slot * memory.num_nodes + node
 
 
 def optimizer_step(
@@ -51,7 +57,7 @@ def optimizer_step(
     """Apply accumulated per-row gradients in one sparse Adam step.
 
     The oracle's per-edge apply: long rows keyed by node, short rows by
-    node, context rows by :meth:`MemoryOptimizer.context_row`, written at
+    node, context rows by :func:`context_row`, written at
     their table offsets.  With the undo log open, the keys are the rows
     to save.
     """
@@ -178,8 +184,8 @@ class ReferenceEngine:
                 g_hu, g_cu, g_hv, g_cv = interaction_loss_backward(inter)
                 grad_h_star_u += g_hu
                 grad_h_star_v += g_hv
-                add_context_grad(model.optimizer.context_row(slot, u), g_cu)
-                add_context_grad(model.optimizer.context_row(slot, v), g_cv)
+                add_context_grad(context_row(memory, slot, u), g_cu)
+                add_context_grad(context_row(memory, slot, v), g_cv)
                 components["inter"] = inter.loss
 
         # --- propagation loss (Eq. 10) ----------------------------------
@@ -196,7 +202,7 @@ class ReferenceEngine:
                     grad_h_star_v += g_v
                     for ctx_slot, node, grad in ctx:
                         add_context_grad(
-                            model.optimizer.context_row(ctx_slot, node), grad
+                            context_row(memory, ctx_slot, node), grad
                         )
                 components["prop"] = prop.loss
 
@@ -219,7 +225,7 @@ class ReferenceEngine:
                         grad_h_star += grad_h_add
                         for i in range(samples.size):
                             add_context_grad(
-                                model.optimizer.context_row(slot, int(samples[i])),
+                                context_row(memory, slot, int(samples[i])),
                                 ctx_grads[i],
                             )
                 components["neg"] = neg_loss

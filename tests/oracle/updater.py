@@ -44,6 +44,11 @@ class TargetEmbedding(NamedTuple):
     sig: "np.ndarray | None" = None
 
 
+def alpha_slot(memory: NodeMemory, node_type_id: int) -> int:
+    """The alpha parameter of one node type (0 when alpha is shared)."""
+    return node_type_id if memory.typed_alpha else 0
+
+
 def target_embedding(
     memory: NodeMemory,
     node: int,
@@ -57,7 +62,7 @@ def target_embedding(
     (SUPA_nf); ``use_forgetting=False`` freezes ``gamma = 1`` (the
     time-blind part of SUPA_nt).
     """
-    slot = memory.alpha_slot(node_type_id)
+    slot = alpha_slot(memory, node_type_id)
     h, gamma, x, sig, _ = kernels.target_forward(
         memory.long[node : node + 1],
         memory.short[node : node + 1],

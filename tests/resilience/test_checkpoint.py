@@ -15,8 +15,7 @@ from repro.resilience.checkpoint import (
     Checkpoint,
     CheckpointError,
     CheckpointManager,
-    deserialize,
-    serialize,
+    _encode,
 )
 from repro.utils.rng import new_rng
 
@@ -60,32 +59,45 @@ def assert_same(a: Checkpoint, b: Checkpoint):
         assert restored.tobytes() == value.tobytes()  # bitwise
 
 
+def saved(tmp_path, ckpt: Checkpoint) -> bytes:
+    """The file ``CheckpointManager.save`` writes for ``ckpt``."""
+    with open(CheckpointManager(str(tmp_path / "saved")).save(ckpt), "rb") as fh:
+        return fh.read()
+
+
+def loaded(tmp_path, data: bytes) -> Checkpoint:
+    """``CheckpointManager.load`` of a file holding ``data``."""
+    path = tmp_path / "loaded.ckpt"
+    path.write_bytes(data)
+    return CheckpointManager(str(tmp_path)).load(str(path))
+
+
 class TestSerialization:
-    def test_roundtrip_is_bitwise(self):
+    def test_roundtrip_is_bitwise(self, tmp_path):
         ckpt = make_checkpoint()
-        assert_same(ckpt, deserialize(serialize(ckpt)))
+        assert_same(ckpt, loaded(tmp_path, saved(tmp_path, ckpt)))
 
-    def test_empty_residue_roundtrips(self):
+    def test_empty_residue_roundtrips(self, tmp_path):
         ckpt = make_checkpoint(with_residue=False)
-        assert deserialize(serialize(ckpt)).residue == []
+        assert loaded(tmp_path, saved(tmp_path, ckpt)).residue == []
 
-    def test_truncated_payload_detected(self):
-        data = serialize(make_checkpoint())
+    def test_truncated_payload_detected(self, tmp_path):
+        data = saved(tmp_path, make_checkpoint())
         with pytest.raises(CheckpointError):
-            deserialize(data[:-20])
+            loaded(tmp_path, data[:-20])
 
-    def test_header_bitflip_detected(self):
-        data = bytearray(serialize(make_checkpoint()))
+    def test_header_bitflip_detected(self, tmp_path):
+        data = bytearray(saved(tmp_path, make_checkpoint()))
         # flip a byte inside the meta section of the header line
         data[data.find(b'"seq"') + 8] ^= 0x01
         with pytest.raises(CheckpointError):
-            deserialize(bytes(data))
+            loaded(tmp_path, bytes(data))
 
-    def test_payload_bitflip_detected(self):
-        data = bytearray(serialize(make_checkpoint()))
+    def test_payload_bitflip_detected(self, tmp_path):
+        data = bytearray(saved(tmp_path, make_checkpoint()))
         data[-10] ^= 0xFF
         with pytest.raises(CheckpointError):
-            deserialize(bytes(data))
+            loaded(tmp_path, bytes(data))
 
 
 class TestManager:
@@ -162,9 +174,9 @@ class TestMalformedHeader:
     that is corruption too, so recovery falls back past it."""
 
     @pytest.mark.parametrize("data", _MALFORMED.values(), ids=_MALFORMED.keys())
-    def test_is_a_checkpoint_error(self, data):
+    def test_is_a_checkpoint_error(self, tmp_path, data):
         with pytest.raises(CheckpointError):
-            deserialize(data)
+            loaded(tmp_path, data)
 
     @pytest.mark.parametrize("data", _MALFORMED.values(), ids=_MALFORMED.keys())
     def test_latest_falls_back_past_it(self, tmp_path, data):
@@ -178,8 +190,7 @@ class TestMalformedHeader:
 def with_payload(payload):
     """A checkpoint file whose header and payload CRCs both pass around
     ``payload``, whatever it holds."""
-    data = serialize(make_checkpoint(seq=2))
-    meta = json.loads(data[: data.find(b"\n")])["meta"]
+    meta = json.loads(_encode(make_checkpoint(seq=2))[0])["meta"]
     meta.update(payload_bytes=len(payload), payload_crc=zlib.crc32(payload))
     return header_only(meta, payload)
 
@@ -206,14 +217,14 @@ _NOT_AN_ARCHIVE = {
 
 class TestPayloadNotAnArchive:
     """A payload can pass its CRC and still not be an npz archive: that
-    is corruption too, on the bytes path and the streamed load alike."""
+    is corruption too, on a direct load and the fallback chain alike."""
 
     @pytest.mark.parametrize(
         "data", _NOT_AN_ARCHIVE.values(), ids=_NOT_AN_ARCHIVE.keys()
     )
-    def test_is_a_checkpoint_error(self, data):
+    def test_is_a_checkpoint_error(self, tmp_path, data):
         with pytest.raises(CheckpointError):
-            deserialize(data)
+            loaded(tmp_path, data)
 
     @pytest.mark.parametrize(
         "data", _NOT_AN_ARCHIVE.values(), ids=_NOT_AN_ARCHIVE.keys()
@@ -254,12 +265,6 @@ class TestMemory:
     that buffer one after the other; a load streams the CRC and reads
     the arrays from the open file."""
 
-    def test_save_writes_exactly_the_serialized_bytes(self, tmp_path):
-        ckpt = make_checkpoint()
-        path = CheckpointManager(str(tmp_path)).save(ckpt)
-        with open(path, "rb") as fh:
-            assert fh.read() == serialize(ckpt)
-
     def test_save_peak_is_one_state_sized_buffer(self, tmp_path):
         ckpt = model_sized_checkpoint()
         manager = CheckpointManager(str(tmp_path))
@@ -270,6 +275,6 @@ class TestMemory:
         ckpt = model_sized_checkpoint()
         manager = CheckpointManager(str(tmp_path))
         path = manager.save(ckpt)
-        loaded, peak = traced_peak(lambda: manager.load(path))
+        restored, peak = traced_peak(lambda: manager.load(path))
         assert peak <= 1.1 * os.path.getsize(path)
-        assert serialize(loaded) == serialize(ckpt)  # every array, bitwise
+        assert_same(ckpt, restored)  # every array, bitwise

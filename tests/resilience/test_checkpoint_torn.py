@@ -17,7 +17,7 @@ import pytest
 from repro.core import SUPAConfig
 from repro.core.model import SUPA
 from repro.replicate.failover import state_fingerprint
-from repro.resilience.checkpoint import CheckpointError, CheckpointManager, deserialize
+from repro.resilience.checkpoint import CheckpointError, CheckpointManager
 from repro.resilience.recovery import recover
 from repro.serve.service import RecommendationService, ServeConfig
 from tests.resilience.test_checkpoint import make_checkpoint
@@ -75,8 +75,6 @@ def test_latest_falls_back_past_damage_at_every_offset(tmp_path):
         pristine = fh.read()
     cases = 0
     for label, data in damaged(pristine):
-        with pytest.raises(CheckpointError):
-            deserialize(data)
         for target, expected in (
             (newest, previous_seq),
             (os.path.join(lone, os.path.basename(newest)), None),
@@ -87,6 +85,8 @@ def test_latest_falls_back_past_damage_at_every_offset(tmp_path):
             found = manager.latest()  # never raises
             assert (found and found.seq) == expected, label
             assert manager.fallbacks == 1, label
+        with pytest.raises(CheckpointError):
+            manager.load(target)  # the lone copy, loaded directly
         cases += 1
     assert cases >= 2 * min(len(pristine), EXHAUSTIVE_BYTES)
 
@@ -103,7 +103,7 @@ def test_recover_over_a_damaged_checkpoint_equals_recover_without_it(
             state_fingerprint(service),
             service.model.rng.bit_generator.state,
             service.trainer.rng_state(),
-            service.queue.buffered(),
+            service.queue.buffered_at(lambda: 0)[1],
         )
 
     def copy_of(name):

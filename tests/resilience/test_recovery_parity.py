@@ -145,7 +145,7 @@ def test_recovered_model_keeps_one_row_table(dataset, tmp_path):
 def test_recovery_accounting(dataset, tmp_path):
     config = durable_config(tmp_path)
     victim = crash_at(dataset, config, 150)
-    buffered_at_crash = len(victim.queue.buffered())
+    buffered_at_crash = len(victim.queue.buffered_at(lambda: 0)[1])
 
     result = recover(
         dataset, serve_config=config, model_config=MODEL_CFG, train_config=TRAIN_CFG

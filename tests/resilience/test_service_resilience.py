@@ -1,4 +1,4 @@
-"""Service-level resilience: WAL wiring, checkpoints, breaker, retries."""
+"""Service-level resilience: WAL wiring, checkpoints, breaker, late events."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ import pytest
 from repro.datasets.zoo import load_dataset
 from repro.resilience.wal import scan
 from repro.serve import service as service_module
-from repro.serve.ingest import BackpressureError
 from repro.serve.service import RecommendationService, ServeConfig
 
 
@@ -139,7 +138,6 @@ class TestCircuitBreaker:
         for edge in list(dataset.stream)[:8]:  # two failing batches
             service.ingest(edge)
         assert service.breaker_open
-        assert service.queue.paused
         assert service.metrics.counter("breaker.opened").value == 1
         assert service.metrics.gauge("breaker.state").value == 1.0
         # bounded-stale reads keep working while open
@@ -150,6 +148,9 @@ class TestCircuitBreaker:
         for edge in list(dataset.stream)[8:12]:
             service.ingest(edge)
         assert service.trainer.calls == before
+        # the queue is paused: a full batch is buffered and none is cut
+        assert service.queue.pending >= service.queue.batch_size
+        assert service.queue.dispatch_next() == 0
 
     def test_cooldown_probe_resumes_dispatch(self, dataset, monkeypatch):
         monkeypatch.setattr(service_module, "BREAKER_COOLDOWN_EVENTS", 3)
@@ -165,64 +166,7 @@ class TestCircuitBreaker:
             service.ingest(edge)
         assert not service.breaker_open
         assert service.metrics.gauge("breaker.state").value == 0.0
-        assert not service.queue.paused
         assert service.metrics.counter("updates.applied").value > 0
-
-
-class TestIngestWithRetry:
-    def test_retries_then_succeeds_when_queue_drains(self, dataset):
-        service = RecommendationService(
-            dataset,
-            config=ServeConfig(batch_size=4, capacity=4),
-        )
-        service.queue.pause()
-        stream = list(dataset.stream)
-        for edge in stream[:4]:
-            service.ingest(edge)
-        # a concurrent drainer would resume(); simulate it from the retry
-        # loop's perspective by resuming before the budget runs out
-        original_ingest = service.ingest
-        attempts = []
-
-        def draining_ingest(edge):
-            attempts.append(edge)
-            if len(attempts) == 2:
-                service.queue.resume()
-            return original_ingest(edge)
-
-        service.ingest = draining_ingest
-        assert service.ingest_with_retry(stream[4], retries=3, backoff_seconds=0.0)
-        assert len(attempts) >= 2
-
-    def test_injected_sleep_fn_sees_exponential_backoff(self, dataset):
-        """``sleep=`` replaces ``time.sleep`` in the retry loop, making
-        backoff schedules testable without wall-clock."""
-        naps = []
-        service = RecommendationService(
-            dataset, config=ServeConfig(batch_size=4, capacity=4)
-        )
-        service.queue.pause()
-        stream = list(dataset.stream)
-        for edge in stream[:4]:
-            service.ingest(edge)
-        with pytest.raises(BackpressureError):
-            service.ingest_with_retry(
-                stream[4], retries=3, backoff_seconds=0.5, sleep=naps.append
-            )
-        # 3 retries -> 3 naps, doubling each time, no real sleeping
-        assert naps == [0.5, 1.0, 2.0]
-
-    def test_exhausted_budget_reraises(self, dataset):
-        service = RecommendationService(
-            dataset,
-            config=ServeConfig(batch_size=4, capacity=4),
-        )
-        service.queue.pause()
-        stream = list(dataset.stream)
-        for edge in stream[:4]:
-            service.ingest(edge)
-        with pytest.raises(BackpressureError):
-            service.ingest_with_retry(stream[4], retries=2, backoff_seconds=0.0)
 
 
 class TestLateEvents:

@@ -129,17 +129,19 @@ def test_committed_position_survives_crash_repair_at_every_tear(tmp_path):
 
     seq = 4
     for tear in range(1, len(line)):
+        committed = os.path.getsize(path)
         with open(path, "ab") as fh:
             fh.write(line[:tear])  # the crash: an unterminated record
         assert tailer.poll() == []  # pending, not an error
-        assert tailer.committed_seq == seq
+        assert tailer.bytes_read == committed
         assert tailer.backlog_bytes == tear
         with WriteAheadLog(path) as wal:  # crash-repair, then carry on
             assert wal.torn_records_dropped == 1
             assert wal.append_accept(edge(seq)).seq == seq + 1
         assert [r.seq for r in tailer.poll()] == [seq + 1]
         seq += 1
-    assert tailer.committed_seq == seq == scan(path).last_seq
+    assert seq == scan(path).last_seq
+    assert tailer.bytes_read == os.path.getsize(path)
     assert tailer.backlog_bytes == 0
 
 
@@ -176,7 +178,7 @@ def test_a_seq_gap_ends_every_reader_at_the_same_record(tmp_path):
     assert raised and tailed == expected.records
     with pytest.raises(WalTailError, match="sequence gap after seq 3"):
         tailer.poll()
-    assert tailer.committed_seq == 3  # a raising poll commits nothing
+    assert tailer.bytes_read == sum(map(len, lines[:3]))  # a raising poll commits nothing
 
     with WriteAheadLog(path) as wal:
         assert wal.torn_records_dropped == 2
@@ -208,7 +210,7 @@ def test_a_log_gone_below_the_committed_position_is_vanished(tmp_path, damage):
     for _ in range(2):
         with pytest.raises(WalTailError, match="vanished after seq 10"):
             tailer.poll()
-        assert tailer.committed_seq == 10
+        assert tailer.bytes_read == sum(map(len, lines))
     cursor = _Cursor(path, offset=sum(map(len, lines)), next_seq=11)
     assert list(cursor) == [] and cursor.stop == VANISHED
 

@@ -78,7 +78,6 @@ class TestTailer:
             wal.append_accept(edge(2))
             wal.append_batch(2)
             assert [r.seq for r in tailer.poll()] == [2, 3]
-            assert tailer.committed_seq == 3
             assert tailer.bytes_read == os.path.getsize(wal_path)
 
     def test_torn_tail_is_pending_not_fatal(self, wal_path):
@@ -163,5 +162,5 @@ class TestConcurrentAppendAndTail:
         monitor.assert_clean()
         assert not errors, errors
         assert [r.seq for r in seen] == list(range(1, total + 1))
-        assert tailer.committed_seq == total
+        assert tailer.bytes_read == os.path.getsize(wal_path)
         assert tailer.backlog_bytes == 0

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 
 from repro.core.config import SUPAConfig
@@ -18,3 +20,9 @@ def make_decayed_store(num_rows, dim, block_size, seed=0):
         clock=6.0,
         block_size=block_size,
     )
+
+
+def dispatch_threads():
+    """The live ``repro-dispatch`` threads (what a ``DispatchWorker``
+    names its worker): a started worker shows one, a closed one none."""
+    return [t for t in threading.enumerate() if t.name == "repro-dispatch"]

@@ -18,6 +18,8 @@ from repro.serve.dispatch import DispatchWorker
 from repro.serve.ingest import EventQueue
 from reprolint import threadcheck
 
+from tests.serve import dispatch_threads
+
 #: worker poll long enough that tests exercise notify()/close(), not the
 #: liveness backstop
 SLOW_POLL = 30.0
@@ -59,7 +61,7 @@ class TestLifecycle:
             thread = worker._thread
             assert worker.start() is worker  # second start: same thread
             assert worker._thread is thread
-            assert worker.running
+            assert dispatch_threads()
         finally:
             worker.close()
 
@@ -72,7 +74,7 @@ class TestLifecycle:
         worker.start()
         worker.close()
         worker.close()  # second close: no-op
-        assert not worker.running
+        assert not dispatch_threads()
 
     def test_restart_after_close(self):
         batches, handler = collector()
@@ -136,7 +138,7 @@ class TestOwnerGone:
             q.put(edge(i))
         worker = make_worker(q)
         worker.start()
-        assert wait_until(lambda: not worker.running, timeout=2.0)
+        assert wait_until(lambda: not dispatch_threads(), timeout=2.0)
         assert len(batches) == 1 and q.pending == 4
         assert worker.batches == 1 and worker.errors == 0
         worker.close()  # the closer's thread still drains what is ready
@@ -175,14 +177,14 @@ class TestOwnerGone:
         queue.pause()
         for event in events:
             svc.ingest(event)
-        assert worker.running and queue.pending == 64
+        assert dispatch_threads() and queue.pending == 64
         time.sleep(0.2)  # let the last notify's empty drain go back to sleep
         queue.resume()  # two batches ready, and nothing left to train them
         dispatched = queue.batches_dispatched
         del svc
         gc.collect()
         try:
-            assert wait_until(lambda: not worker.running, timeout=2.0)
+            assert wait_until(lambda: not dispatch_threads(), timeout=2.0)
             time.sleep(2 * worker.poll_seconds)
             assert worker.errors == 0
             assert queue.batches_dispatched == dispatched == 0
@@ -222,7 +224,7 @@ class TestCrashRouting:
             worker.notify()
             assert wait_until(lambda: crashes)
             assert isinstance(crashes[0], RuntimeError)
-            assert worker.running  # the crash never killed the thread
+            assert dispatch_threads()  # the crash never killed the thread
             # after the fault clears the same worker keeps dispatching
             fail["on"] = False
             worker.notify()
@@ -247,7 +249,7 @@ class TestCrashRouting:
             worker.notify()
             # dispatch crash + callback crash both tallied
             assert wait_until(lambda: worker.errors >= 2)
-            assert worker.running
+            assert dispatch_threads()
         finally:
             worker.close()
 

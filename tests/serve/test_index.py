@@ -93,7 +93,11 @@ class TestCache:
         index.top_k(snap, 0, 5)
         index.top_k(snap, 1, 5)
         index.top_k(snap, 2, 5)  # evicts user 0
-        assert index.cached_keys() == ((1, 5), (2, 5))
+        index.top_k(snap, 1, 5)  # kept: hits
+        index.top_k(snap, 2, 5)
+        assert (index.hits, index.misses, index.evictions) == (2, 3, 1)
+        index.top_k(snap, 0, 5)  # evicted: misses
+        assert (index.hits, index.misses, index.evictions) == (2, 4, 2)
 
     def test_rejects_negative_cache_size(self):
         with pytest.raises(ValueError, match="cache_size must be >= 0"):
@@ -131,7 +135,7 @@ class TestInvalidation:
         index.top_k(snap, 0, 3)
         new = store.publish([0], np.zeros((1, 8), dtype=np.float64))
         assert index.invalidate(new) == 5
-        assert index.invalidations == 5 and index.cached_keys() == ()
+        assert index.invalidations == 5
         np.testing.assert_array_equal(
             index.top_k(new, 1, 5), offline_top_k(new.matrix(), items, 1, 5)
         )
@@ -181,7 +185,6 @@ class TestEviction:
         for user in range(3):
             index.top_k(snap, user, 5)
         assert index.evictions == 1
-        assert index.cached_keys() == ((1, 5), (2, 5))
         # invalidations are not evictions
         new = store.publish([1], np.zeros((1, 8), dtype=np.float64))
         assert index.invalidate(new) == 2

@@ -115,7 +115,7 @@ class TestBackpressure:
         assert not q.put(edge(99))
         assert q.pending == 3
         assert q.dropped == 1
-        assert [e.u for e in q.buffered()] == [0, 1, 2]
+        assert [e.u for e in q.buffered_at(lambda: 0)[1]] == [0, 1, 2]
         assert q.deadletters[-1].edge.u == 99
 
     def test_drop_oldest_policy(self):
@@ -123,7 +123,7 @@ class TestBackpressure:
         assert q.put(edge(99))
         assert q.pending == 3
         assert q.dropped == 1
-        assert [e.u for e in q.buffered()] == [1, 2, 99]
+        assert [e.u for e in q.buffered_at(lambda: 0)[1]] == [1, 2, 99]
         assert q.deadletters[-1].edge.u == 0
 
 
@@ -147,7 +147,10 @@ class TestPauseResume:
             q.put(edge(i))
         assert q.flush() == 3
         assert q.pending == 0
-        assert q.paused  # flush drains but does not silently resume
+        # flush drains but does not silently resume: a full batch stays
+        q.put(edge(3))
+        q.put(edge(4))
+        assert q.dispatch_next() == 0 and q.pending == 2 and len(batches) == 2
 
 
 class TestDeadletterTrimRegression:

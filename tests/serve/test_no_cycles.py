@@ -26,6 +26,8 @@ from repro.resilience.recovery import recover
 from repro.serve.admission import AdmissionConfig
 from repro.serve.service import RecommendationService, ServeConfig
 
+from tests.serve import dispatch_threads
+
 MODEL = SUPAConfig(dim=8, num_walks=2, walk_length=2, seed=0)
 EVENTS = 40
 
@@ -80,7 +82,7 @@ def sync_durable(dataset, tmp_path):
 
 def async_started(dataset, tmp_path):
     svc = run(service(dataset, async_dispatch=True), dataset)
-    assert svc.dispatcher.running
+    assert dispatch_threads()
     svc.close()
     svc.flush()
     return svc

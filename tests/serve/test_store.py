@@ -123,7 +123,7 @@ class TestSnapshotReads:
     def test_block_rows_ranges(self):
         store, _ = make_store(n=10, block=4)
         snap = store.snapshot()
-        assert [snap.block_rows(i) for i in range(snap.num_blocks)] == [
+        assert [snap.block_rows(i) for i in range(3)] == [
             (0, 4),
             (4, 8),
             (8, 10),
@@ -199,5 +199,5 @@ def test_publish_is_the_per_row_scatter_last_write_wins(block_size, writes):
         want[row] = value
     assert new.matrix().tobytes() == want.tobytes()
     dirty = {row // block_size for row in writes}
-    for b in range(new.num_blocks):
+    for b in range(-(-new.num_rows // block_size)):  # every block
         assert (new.block(b) is old.block(b)) == (b not in dirty)

@@ -1,4 +1,5 @@
-"""Reachability census: every ``src/repro`` module is reached by an entrypoint.
+"""Reachability census: every ``src/repro`` module and def is reached by an
+entrypoint.
 
 Walks the static import graph (``ast``, lazy imports inside functions
 included) from the things a user or CI job actually runs — the
@@ -12,13 +13,26 @@ entrypoints) is reported.  There are no exceptions: code only tests run
 lives under ``tests/`` (the per-edge oracles in ``tests/oracle/``) or
 ``tools/`` (the linter and its lock sanitizer), and the package imports
 neither, so an installed wheel needs neither.
+
+The def census (:func:`unreached_defs`) goes one level down: every
+function, method, class and module-level assigned name in the package
+(dunders aside) must be *used* somewhere in the package or an entrypoint
+script, outside its own body.  A use is a name or attribute reference, an
+import of the name (not in a package ``__init__``), or a string constant
+spelling it (the spine binds probes by name: ``wrap(X, "publish_parts")``).
+Uses are matched by name alone, so the census under-reports (two defs
+sharing a name cover each other) but never reports a def something uses.
+A package ``__init__`` re-export or ``__all__`` entry is no use, and
+tests are not entrypoints: an API only tests call goes, or its tests
+assert a public effect instead.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,6 +58,11 @@ def _module_table() -> Dict[str, Path]:
 
 
 MODULES = _module_table()
+
+
+def entry_scripts() -> List[Path]:
+    """Every script under :data:`ENTRY_DIRS`."""
+    return [path for directory in ENTRY_DIRS for path in sorted((ROOT / directory).glob("*.py"))]
 
 
 def _is_package(name: str) -> bool:
@@ -103,9 +122,8 @@ def reached_modules() -> Set[str]:
             frontier.append(target)
 
     visit({name for name in ENTRY_MODULES if name in MODULES})
-    for directory in ENTRY_DIRS:
-        for script in sorted((ROOT / directory).glob("*.py")):
-            visit(_edges(script))
+    for script in entry_scripts():
+        visit(_edges(script))
     while frontier:
         name = frontier.pop()
         visit(_edges(MODULES[name]))
@@ -119,6 +137,84 @@ def unreached_modules() -> List[str]:
         for name, path in MODULES.items()
         if name not in reached and path.name not in ("__init__.py", "__main__.py")
     )
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _defs(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
+    """``(qualified name, node)`` of every function, method, class and
+    module-level assigned name (under module-level ``if`` / ``try`` too)."""
+
+    def visit(body: List[ast.stmt], prefix: str, in_class: bool):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield prefix + node.name, node
+                if isinstance(node, ast.ClassDef):
+                    yield from visit(node.body, f"{prefix}{node.name}.", True)
+            elif in_class:
+                continue
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            yield prefix + name.id, node
+            elif isinstance(node, (ast.If, ast.Try)):
+                for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
+                    yield from visit(block, prefix, False)
+                for handler in getattr(node, "handlers", []):
+                    yield from visit(handler.body, prefix, False)
+
+    for qualname, node in visit(tree.body, "", False):
+        if not _is_dunder(qualname.rsplit(".", 1)[-1]):
+            yield qualname, node
+
+
+def _uses(node: ast.AST, in_init: bool) -> Counter:
+    """How often each name is used inside ``node`` (see the module doc)."""
+    found: Counter = Counter()
+    stack = [node]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in current.targets
+        ):
+            continue  # an export list names, it does not use
+        if isinstance(current, ast.Name):
+            found[current.id] += 1
+        elif isinstance(current, ast.Attribute):
+            found[current.attr] += 1
+        elif isinstance(current, (ast.Import, ast.ImportFrom)) and not in_init:
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in current.names)
+        elif (
+            isinstance(current, ast.Constant)
+            and isinstance(current.value, str)
+            and current.value.isidentifier()
+        ):
+            found[current.value] += 1
+        stack.extend(ast.iter_child_nodes(current))
+    return found
+
+
+def unreached_defs(package: Path, entrypoints: Iterable[Path]) -> List[str]:
+    """``path:line qualname`` of every def in ``package`` that neither the
+    package nor an ``entrypoints`` script uses outside the def's own body."""
+    modules = sorted(package.rglob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in modules}
+    used: Counter = Counter()
+    for path in [*modules, *entrypoints]:
+        tree = trees.get(path) or ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used += _uses(tree, path.name == "__init__.py")
+    unreached = []
+    for path, tree in trees.items():
+        for qualname, node in _defs(tree):
+            name = qualname.rsplit(".", 1)[-1]
+            if used[name] <= _uses(node, path.name == "__init__.py")[name]:
+                where = path.relative_to(package.parent)
+                unreached.append(f"{where}:{node.lineno} {qualname}")
+    return unreached
 
 
 def test_entrypoints_exist():
@@ -146,3 +242,60 @@ def test_package_imports_neither_tests_nor_tools():
         if module.split(".")[0] in DEV_ONLY
     )
     assert not bad, f"package modules importing dev-only code: {bad}"
+
+
+def test_every_def_is_reached():
+    orphans = unreached_defs(SRC / "repro", entry_scripts())
+    assert not orphans, (
+        "defs nothing but their own body, a package __init__ or the tests "
+        f"use: {orphans}.  Delete them, or test the public effect they stand "
+        "for; a helper only the oracle needs lives in tests/oracle/."
+    )
+
+
+def test_def_census_reports_what_it_should(tmp_path):
+    """The census over a planted package: each unreached kind is reported,
+    and a name a script reaches only through a string constant is not."""
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from pkg.mod import Kept, only_reexported\n"
+        "__all__ = ['Kept', 'only_reexported']\n"
+    )
+    (package / "mod.py").write_text(
+        "ORPHAN = 3\n"
+        "\n"
+        "def unreached_function():\n"
+        "    return 1\n"
+        "\n"
+        "def only_reexported():\n"
+        "    return 2\n"
+        "\n"
+        "def recurses(n):\n"
+        "    return recurses(n - 1) if n else 0\n"
+        "\n"
+        "def bound_by_string():\n"
+        "    return 3\n"
+        "\n"
+        "class Kept:\n"
+        "    def used_method(self):\n"
+        "        return 4\n"
+        "\n"
+        "    def unreached_method(self):\n"
+        "        return 5\n"
+    )
+    script = tmp_path / "run.py"
+    script.write_text(
+        "import pkg.mod\n"
+        "from pkg.mod import Kept\n"
+        "Kept().used_method()\n"
+        "wrap(pkg.mod, 'bound_by_string')\n"
+    )
+    reported = {line.split()[1] for line in unreached_defs(package, [script])}
+    assert reported == {
+        "ORPHAN",
+        "unreached_function",
+        "only_reexported",
+        "recurses",
+        "Kept.unreached_method",
+    }

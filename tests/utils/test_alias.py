@@ -66,19 +66,6 @@ class TestSampling:
 
 @given(
     weights=st.lists(
-        st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=40
-    )
-)
-@settings(max_examples=50, deadline=None)
-def test_probabilities_normalised(weights):
-    table = AliasTable(weights)
-    probs = table.probabilities
-    assert np.isclose(probs.sum(), 1.0)
-    assert np.allclose(probs, np.asarray(weights) / np.sum(weights))
-
-
-@given(
-    weights=st.lists(
         st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=10
     )
 )
