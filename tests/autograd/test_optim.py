@@ -63,6 +63,24 @@ class TestBehaviour:
         opt.step()
         assert a.data[0] < 10.0
 
+    def test_weight_decay_shrinks_params(self):
+        # decay pulls every coordinate toward zero, from either side
+        a = Tensor([10.0, -10.0], requires_grad=True)
+        opt = Adam([a], lr=0.1, weight_decay=0.5)
+        for _ in range(5):
+            a.grad = np.zeros(2)
+            opt.step()
+        assert 0.0 < a.data[0] < 10.0
+        assert -10.0 < a.data[1] < 0.0
+
+    def test_first_step_is_lr_per_coordinate(self):
+        # bias correction makes step one lr * sign(grad), whatever the scale
+        a = Tensor([0.0, 0.0, 0.0], requires_grad=True)
+        opt = Adam([a], lr=0.01)
+        a.grad = np.array([1e-3, -5.0, 1e4])
+        opt.step()
+        assert np.allclose(a.data, [-0.01, 0.01, -0.01], rtol=1e-3)
+
     def test_zero_grad_clears(self):
         a = Tensor([1.0], requires_grad=True)
         opt = Adam([a], lr=0.1)

@@ -65,6 +65,19 @@ class TestBasics:
         (a * 3.0 + a * 4.0).sum().backward()
         assert np.allclose(a.grad, [7.0])
 
+    def test_constant_operands_record_no_tape(self):
+        out = (Tensor([1.0]) * 2.0 + Tensor([3.0])).exp()
+        assert not out.requires_grad
+        assert out._parents == ()
+
+    def test_tape_keeps_only_trainable_parents(self):
+        a = Tensor([1.0], requires_grad=True)
+        c = Tensor([2.0])
+        out = a * c
+        assert out.requires_grad and out._parents == (a,)
+        out.sum().backward()
+        assert np.allclose(a.grad, [2.0]) and c.grad is None
+
     def test_zero_grad(self):
         a = Tensor([1.0], requires_grad=True)
         (a * 2).sum().backward()

@@ -33,6 +33,19 @@ class TestRankOfTarget:
         with pytest.raises(IndexError):
             rank_of_target(np.array([1.0]), 5)
 
+    @given(
+        scores=st.lists(st.integers(0, 5), min_size=1, max_size=30),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_invariant_under_candidate_order(self, scores, seed):
+        """Only scores rank: shuffling the candidates keeps each rank."""
+        scores = np.asarray(scores, dtype=np.float64)
+        order = np.random.default_rng(seed).permutation(scores.size)
+        shuffled = scores[order]
+        for new_pos, old_pos in enumerate(order):
+            assert rank_of_target(shuffled, new_pos) == rank_of_target(scores, old_pos)
+
 
 class TestHitRate:
     def test_basic(self):
@@ -81,6 +94,18 @@ class TestAccumulator:
     def test_rank_below_one_rejected(self):
         with pytest.raises(ValueError):
             RankingAccumulator().add_rank(0.5)
+
+    def test_metrics_equal_the_functions_over_its_ranks(self):
+        ranks = [1, 3, 12, 60, 2.5]
+        acc = RankingAccumulator(hit_ks=(10, 50), ndcg_k=10)
+        for rank in ranks:
+            acc.add_rank(rank)
+        assert acc.metrics() == {
+            "H@10": hit_rate(ranks, 10),
+            "H@50": hit_rate(ranks, 50),
+            "NDCG@10": ndcg(ranks, 10),
+            "MRR": mrr(ranks),
+        }
 
     def test_len(self):
         acc = RankingAccumulator()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.eval.tsne import tsne
+from repro.eval.tsne import _pairwise_sq_dists, _row_affinities, tsne
 
 
 def two_clusters(n_per=10, d=8, gap=12.0, seed=0):
@@ -11,6 +11,21 @@ def two_clusters(n_per=10, d=8, gap=12.0, seed=0):
     a = rng.normal(0, 1, size=(n_per, d))
     b = rng.normal(0, 1, size=(n_per, d)) + gap
     return np.concatenate([a, b]), n_per
+
+
+def kl_divergence(x, y, perplexity=10.0):
+    """KL(P || Q) between the high-dimensional affinities of ``x`` and the
+    Student-t affinities of the layout ``y``: the objective t-SNE descends."""
+    n = x.shape[0]
+    dists = _pairwise_sq_dists(x)
+    p = np.stack(
+        [_row_affinities(dists[i], i, min(perplexity, (n - 1) / 3.0)) for i in range(n)]
+    )
+    p = np.maximum((p + p.T) / (2.0 * n), 1e-12)
+    q = 1.0 / (1.0 + _pairwise_sq_dists(y))
+    np.fill_diagonal(q, 0.0)
+    q = np.maximum(q / q.sum(), 1e-12)
+    return float(np.sum(p * np.log(p / q)))
 
 
 class TestTSNE:
@@ -53,3 +68,9 @@ class TestTSNE:
         init = np.zeros((20, 2))
         y = tsne(x, iterations=10, init=init, rng=0)
         assert y.shape == (20, 2)
+
+    def test_kl_improves_over_random(self):
+        x, _ = two_clusters()
+        y = tsne(x, iterations=250, rng=0, perplexity=10.0)
+        random_layout = np.random.default_rng(0).normal(size=(20, 2))
+        assert kl_divergence(x, y) < kl_divergence(x, random_layout)

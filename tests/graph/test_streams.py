@@ -46,6 +46,11 @@ class TestChronologicalSplit:
         train, valid, test = _stream(100).chronological_split()
         assert train.timestamps().max() < test.timestamps().min()
 
+    def test_parts_partition_the_stream_in_order(self):
+        stream = _stream(37)
+        parts = stream.chronological_split(0.6, 0.1)
+        assert [e for part in parts for e in part] == list(stream)
+
     def test_bad_fractions(self):
         with pytest.raises(ValueError):
             _stream(10).chronological_split(0.9, 0.2)
@@ -66,6 +71,12 @@ class TestSequentialBatches:
         with pytest.raises(ValueError):
             _stream(10).sequential_batches(0)
 
+    def test_batches_keep_stream_order(self):
+        stream = _stream(10)
+        batches = stream.sequential_batches(4)
+        assert [e for b in batches for e in b] == list(stream)
+        assert all(isinstance(b, EdgeStream) for b in batches)
+
 
 class TestTrainValidSplit:
     def test_last_edges_become_validation(self):
@@ -85,6 +96,10 @@ class TestTrainValidSplit:
         with pytest.raises(ValueError):
             _stream(5).split_train_valid(-1)
 
+    def test_single_edge_is_kept_for_training(self):
+        train, valid = _stream(1).split_train_valid(3)
+        assert len(train) == 1 and len(valid) == 0
+
 
 class TestEqualSlices:
     def test_ten_parts(self):
@@ -100,12 +115,22 @@ class TestEqualSlices:
         with pytest.raises(ValueError):
             _stream(10).equal_slices(0)
 
+    def test_more_parts_than_edges_leaves_empty_slices(self):
+        slices = _stream(3).equal_slices(5)
+        assert len(slices) == 5
+        assert sorted(len(s) for s in slices) == [0, 0, 1, 1, 1]
+
 
 class TestBuildGraph:
     def test_builds_all_edges(self, schema, small_stream):
         g = small_stream.build_graph(schema, [("user", 5), ("video", 5)])
         assert g.num_edges == len(small_stream)
         assert g.num_nodes == 10
+
+    def test_edges_keep_their_types_and_times(self, schema, small_stream):
+        g = small_stream.build_graph(schema, [("user", 5), ("video", 5)])
+        stored = [(e.u, e.v, schema.edge_types[e.rel], e.t) for e in g.edges()]
+        assert stored == [tuple(e) for e in small_stream]  # insertion order
 
     def test_max_neighbors_forwarded(self, schema, small_stream):
         g = small_stream.build_graph(schema, [("user", 5), ("video", 5)], max_neighbors=1)

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -176,6 +177,27 @@ class TestSpanTree:
         traced = t.wrap("kernel", kernel)
         assert traced(1) == 2 and traced(2) == 3
         assert t.root.children["kernel"].count == 2
+
+    def test_wrap_records_a_call_that_raises(self):
+        t = Tracer()
+
+        def kernel():
+            raise ValueError("bad batch")
+
+        with pytest.raises(ValueError):
+            t.wrap("kernel", kernel)()
+        assert t.root.children["kernel"].count == 1
+        with t.span("next"):  # the failed call's span is closed
+            pass
+        assert sorted(t.root.children) == ["kernel", "next"]
+
+    def test_new_tracer_is_empty_and_keeps_its_registry(self):
+        reg = MetricsRegistry()
+        t = Tracer(registry=reg)
+        assert t.as_dict() == {"spans": []}
+        assert t.flame_rows() == []
+        assert t.registry is reg
+        assert isinstance(Tracer().registry, MetricsRegistry)
 
     def test_as_dict_shape(self):
         t = Tracer()

@@ -196,6 +196,24 @@ class TestFollower:
         assert follower.accepted_total == primary.service.queue.accepted
         primary.close()
 
+    def test_primary_silence_detection(self, dataset, tmp_path):
+        """A silent primary shows as a growing ``replica.lag_seconds``:
+        the age of its newest heartbeat on the follower clock."""
+        now = {"t": 100.0}
+        primary = make_primary(dataset, tmp_path, clock=lambda: now["t"])
+        follower = make_follower(
+            dataset, tmp_path, clock=lambda: now["t"]
+        ).bootstrap()
+        gauge = follower.service.metrics.gauge("replica.lag_seconds")
+        assert gauge.value == 0.0
+        now["t"] = 104.0
+        follower.poll()
+        assert gauge.value == pytest.approx(4.0)
+        now["t"] = 120.0  # no heartbeat for 20 s
+        follower.poll()
+        assert gauge.value == pytest.approx(20.0)
+        primary.close()
+
     def test_staleness_observables(self, dataset, tmp_path):
         primary = make_primary(dataset, tmp_path, clock=lambda: 10.0)
         follower = make_follower(

@@ -81,6 +81,12 @@ class TestSerialization:
         ckpt = make_checkpoint(with_residue=False)
         assert loaded(tmp_path, saved(tmp_path, ckpt)).residue == []
 
+    def test_save_is_byte_deterministic(self, tmp_path):
+        """One state writes one file: two saves of it are equal bytes."""
+        first = saved(tmp_path / "a", make_checkpoint())
+        assert saved(tmp_path / "b", make_checkpoint()) == first
+        assert saved(tmp_path / "c", make_checkpoint(seq=8)) != first
+
     def test_truncated_payload_detected(self, tmp_path):
         data = saved(tmp_path, make_checkpoint())
         with pytest.raises(CheckpointError):

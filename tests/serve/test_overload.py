@@ -22,7 +22,7 @@ from repro.serve.admission import (
     AdmissionController,
 )
 from repro.serve import service as service_module
-from repro.serve.ingest import EventQueue
+from repro.serve.ingest import BackpressureError, EventQueue
 from repro.serve.service import RecommendationService, ServeConfig
 
 from tests.serve import dispatch_threads
@@ -194,6 +194,25 @@ class TestSheddingStandsDown:
         assert queue.pending < batch_size
         assert self.offer(queue, 1, start=prefix + burst) == 1
         assert controller.state == NORMAL
+
+
+class TestRaiseOnFullQueue:
+    def test_full_queue_refuses_then_accepts_once_drained(self, small_dataset):
+        """``overflow="raise"`` hands a full queue's refusal to the caller,
+        leaves the queue as it was, and admits the same edge once the
+        queue has room again."""
+        svc = make_service(small_dataset, overflow="raise", batch_size=4, capacity=4)
+        edges = list(small_dataset.stream)
+        svc.queue.pause()
+        for e in edges[:4]:
+            assert svc.ingest(e)
+        with pytest.raises(BackpressureError):
+            svc.ingest(edges[4])
+        assert svc.queue.accepted == 4 and svc.queue.pending == 4
+        svc.queue.resume()  # drains the ready batch
+        assert svc.queue.pending == 0
+        assert svc.ingest(edges[4])
+        assert svc.queue.accepted == 5 and svc.queue.pending == 1
 
 
 class TestAsyncInlineParity:

@@ -34,6 +34,8 @@ from collections import Counter
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+import pytest
+
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -253,9 +255,21 @@ def test_every_def_is_reached():
     )
 
 
-def test_def_census_reports_what_it_should(tmp_path):
-    """The census over a planted package: each unreached kind is reported,
-    and a name a script reaches only through a string constant is not."""
+#: The planted package's orphans: each kind of unreached def, one apiece.
+PLANTED_ORPHANS = {
+    "unreached function": "unreached_function",
+    "unreached method": "Kept.unreached_method",
+    "orphaned constant": "ORPHAN",
+    "used only in its own body": "recurses",
+    "only re-exported by __init__": "only_reexported",
+}
+
+
+@pytest.fixture
+def planted_report(tmp_path) -> Set[str]:
+    """The qualnames the census reports over a planted package and one
+    script that uses ``Kept``, ``Kept.used_method`` and (through a string
+    constant only) ``bound_by_string``."""
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "__init__.py").write_text(
@@ -291,11 +305,22 @@ def test_def_census_reports_what_it_should(tmp_path):
         "Kept().used_method()\n"
         "wrap(pkg.mod, 'bound_by_string')\n"
     )
-    reported = {line.split()[1] for line in unreached_defs(package, [script])}
-    assert reported == {
-        "ORPHAN",
-        "unreached_function",
-        "only_reexported",
-        "recurses",
-        "Kept.unreached_method",
-    }
+    return {line.split()[1] for line in unreached_defs(package, [script])}
+
+
+@pytest.mark.parametrize("qualname", list(PLANTED_ORPHANS.values()), ids=list(PLANTED_ORPHANS))
+def test_def_census_reports_what_it_should(planted_report, qualname):
+    """Each planted kind of unreached def is reported."""
+    assert qualname in planted_report
+
+
+def test_def_census_spares_a_name_only_a_string_reaches(planted_report):
+    """A name a script reaches only through a string constant (a probe
+    binding) is no orphan."""
+    assert "bound_by_string" not in planted_report
+
+
+def test_def_census_reports_only_the_planted_orphans(planted_report):
+    """Nothing the script reaches is reported: the census has no false
+    positive on the planted package."""
+    assert planted_report == set(PLANTED_ORPHANS.values())

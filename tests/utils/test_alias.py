@@ -74,3 +74,30 @@ def test_samples_in_range(weights):
     table = AliasTable(weights)
     samples = table.sample(new_rng(0), size=100)
     assert np.all((0 <= samples) & (samples < len(weights)))
+
+
+def encoded_distribution(table: AliasTable) -> np.ndarray:
+    """The distribution the table's columns encode: column ``i`` is drawn
+    with probability ``1/n`` and keeps ``i`` with probability ``prob[i]``,
+    else yields ``alias[i]``."""
+    n = len(table)
+    kept = table._prob / n
+    handed_on = np.bincount(table._alias, weights=(1.0 - table._prob) / n, minlength=n)
+    return kept + handed_on
+
+
+@given(
+    weights=st.lists(
+        st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=40
+    )
+)
+@settings(max_examples=50, deadline=None)
+def test_probabilities_normalised(weights):
+    probs = encoded_distribution(AliasTable(weights))
+    assert np.isclose(probs.sum(), 1.0)
+    assert np.allclose(probs, np.asarray(weights) / np.sum(weights))
+
+
+def test_zero_weight_columns_hand_everything_on():
+    probs = encoded_distribution(AliasTable([0.0, 3.0, 0.0, 1.0]))
+    assert np.allclose(probs, [0.0, 0.75, 0.0, 0.25])
