@@ -10,13 +10,12 @@ optimiser.
 
 from repro.autograd import functional
 from repro.autograd.init import normal_, xavier_uniform
-from repro.autograd.optim import Adam, Optimizer
+from repro.autograd.optim import Adam
 from repro.autograd.tensor import Tensor
 
 __all__ = [
     "Tensor",
     "functional",
-    "Optimizer",
     "Adam",
     "normal_",
     "xavier_uniform",

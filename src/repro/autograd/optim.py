@@ -1,4 +1,4 @@
-"""First-order optimisers over autograd tensors.
+"""The first-order optimiser over autograd tensors.
 
 The paper trains SUPA with Adam (lr 3e-3, weight decay 1e-4); the
 baselines that train through the tape use Adam.
@@ -15,26 +15,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 
 
-class Optimizer:
-    """Base optimiser holding a parameter list."""
-
-    def __init__(self, params: Iterable[Tensor]):
-        self.params: List[Tensor] = list(params)
-        if not self.params:
-            raise ValueError("optimizer received no parameters")
-        for p in self.params:
-            if not p.requires_grad:
-                raise ValueError("optimizer received a non-trainable tensor")
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba, 2015) with L2 weight decay."""
 
     def __init__(
@@ -45,7 +26,12 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
-        super().__init__(params)
+        self.params: List[Tensor] = list(params)
+        if not self.params:
+            raise ValueError("optimizer received no parameters")
+        for p in self.params:
+            if not p.requires_grad:
+                raise ValueError("optimizer received a non-trainable tensor")
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         if not 0.0 <= betas[0] < 1.0 or not 0.0 <= betas[1] < 1.0:
@@ -57,6 +43,10 @@ class Adam(Optimizer):
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
+
+    def zero_grad(self) -> None:
+        for p in self.params:
+            p.zero_grad()
 
     def step(self) -> None:
         self._t += 1

@@ -52,18 +52,6 @@ class Tensor:
 
     # ------------------------------------------------------------- structure
 
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -75,7 +63,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     # ------------------------------------------------------------- tape core
 
@@ -111,7 +99,7 @@ class Tensor:
             if self.data.size != 1:
                 raise RuntimeError(
                     f"backward() without an explicit gradient needs a scalar, "
-                    f"got shape {self.shape}"
+                    f"got shape {self.data.shape}"
                 )
             grad = np.ones_like(self.data)
         topo: List[Tensor] = []
@@ -287,86 +275,6 @@ class Tensor:
             self._accumulate(full)
 
         return self._make(out_data, (self,), backward)
-
-    # ------------------------------------------------------- elementwise fns
-
-    def exp(self) -> "Tensor":
-        out_data = np.exp(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data)
-
-        return self._make(out_data, (self,), backward)
-
-    def log(self) -> "Tensor":
-        out_data = np.log(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad / self.data)
-
-        return self._make(out_data, (self,), backward)
-
-    def clip(self, low: float, high: float) -> "Tensor":
-        out_data = np.clip(self.data, low, high)
-        mask = (self.data >= low) & (self.data <= high)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * mask)
-
-        return self._make(out_data, (self,), backward)
-
-    def sqrt(self) -> "Tensor":
-        out_data = np.sqrt(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * 0.5 / out_data)
-
-        return self._make(out_data, (self,), backward)
-
-    def abs(self) -> "Tensor":
-        out_data = np.abs(self.data)
-        sign = np.sign(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * sign)
-
-        return self._make(out_data, (self,), backward)
-
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-        # Gradient flows to the (first) maximal entries only.
-        expanded = (
-            out_data
-            if keepdims or axis is None
-            else np.expand_dims(out_data, axis)
-        )
-        mask = self.data == expanded
-
-        def backward(grad: np.ndarray) -> None:
-            g = np.asarray(grad)
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            counts = mask.sum(axis=axis, keepdims=True)
-            self._accumulate(np.broadcast_to(g, self.data.shape) * mask / counts)
-
-        return self._make(out_data, (self,), backward)
-
-    def min(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return -((-self).max(axis=axis, keepdims=keepdims))
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis, differentiable."""
-    tensors = list(tensors)
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        pieces = np.split(grad, len(tensors), axis=axis)
-        for t, g in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accumulate(np.squeeze(g, axis=axis))
-
-    return Tensor._make(out_data, tuple(tensors), backward)
 
 
 def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

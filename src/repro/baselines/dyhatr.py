@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.autograd import Adam, Tensor
 from repro.autograd.functional import sigmoid, softmax, tanh
 from repro.autograd.init import normal_, xavier_uniform

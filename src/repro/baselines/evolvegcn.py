@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.autograd import Adam, Tensor
 from repro.autograd.functional import sigmoid, tanh
 from repro.autograd.init import normal_, xavier_uniform

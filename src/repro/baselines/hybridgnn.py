@@ -16,8 +16,6 @@ Trained with BPR.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.autograd import Tensor
 from repro.autograd.functional import softmax, tanh
 from repro.autograd.init import normal_, xavier_uniform

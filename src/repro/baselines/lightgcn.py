@@ -9,8 +9,6 @@ to neighbourhood disturbance in the eta-truncation experiment (Fig. 6).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.autograd import Tensor
 from repro.autograd.init import normal_
 from repro.baselines.base import EmbeddingModel, bipartite_pairs

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Dict
 
-import numpy as np
-
 from repro.autograd import Tensor
 from repro.autograd.functional import softmax
 from repro.autograd.init import normal_, xavier_uniform

@@ -15,9 +15,7 @@ for, is kept.  Trained with BPR over all behaviours jointly.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-import numpy as np
+from typing import Dict
 
 from repro.autograd import Tensor
 from repro.autograd.init import normal_, xavier_uniform

@@ -18,12 +18,9 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-import numpy as np
-
 from repro.baselines.base import EmbeddingModel
 from repro.baselines.sgns import SkipGramTrainer
 from repro.datasets.base import Dataset
-from repro.graph.sampling import random_walk_corpus
 from repro.graph.streams import EdgeStream
 
 

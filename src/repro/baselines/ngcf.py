@@ -11,7 +11,6 @@ final representations concatenate all layers.  Trained with BPR.
 
 from __future__ import annotations
 
-import numpy as np
 import scipy.sparse as sp
 
 from repro.autograd import Tensor

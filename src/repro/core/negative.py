@@ -10,7 +10,7 @@ versa.  Alias tables make each draw O(1); they are rebuilt every
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 

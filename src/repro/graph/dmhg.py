@@ -437,11 +437,6 @@ class DMHG:
             array.flags.writeable = False
         return answer
 
-    def degree(self, node: int) -> int:
-        """Number of live incident edges of ``node`` (before the recency cap)."""
-        self._check_node(node)
-        return self._degree[node]
-
     def degrees(self) -> np.ndarray:
         """Degree of every node, indexed by node id."""
         return np.asarray(self._degree, dtype=np.int64)

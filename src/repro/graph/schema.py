@@ -9,7 +9,7 @@ mapping from each edge type to its ``(source, target)`` node types.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,3 @@ class GraphSchema:
         if edge_type not in self.endpoints:
             raise KeyError(f"edge type {edge_type!r} has no declared endpoints")
         return tuple(self.endpoints[edge_type])
-
-    def describe(self) -> Dict[str, object]:
-        """Summary dict used in dataset statistics tables (|O|, |R|)."""
-        return {
-            "node_types": list(self.node_types),
-            "edge_types": list(self.edge_types),
-            "|O|": self.num_node_types,
-            "|R|": self.num_edge_types,
-        }

@@ -25,6 +25,7 @@ import os
 from typing import Dict, Optional, Union
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 
 _PREFIX = "repro_"
 
@@ -89,15 +90,15 @@ def to_prometheus_text(
 def write_jsonl_snapshot(
     path: str,
     metrics: Optional[Union[MetricsRegistry, Dict[str, Dict[str, object]]]] = None,
-    trace: Optional[object] = None,
+    trace: Optional[Tracer] = None,
     label: Optional[str] = None,
     extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Append one JSON snapshot line to ``path`` and return the record.
 
-    ``trace`` is any tracer (its ``as_dict()`` is embedded); ``extra``
-    merges additional top-level fields (e.g. benchmark throughput
-    numbers) into the record.
+    ``trace``'s ``as_dict()`` span tree is embedded; ``extra`` merges
+    additional top-level fields (e.g. benchmark throughput numbers) into
+    the record.
     """
     record: Dict[str, object] = {}
     if label is not None:
@@ -107,7 +108,7 @@ def write_jsonl_snapshot(
             metrics.as_dict() if isinstance(metrics, MetricsRegistry) else metrics
         )
     if trace is not None:
-        record["trace"] = trace.as_dict() if hasattr(trace, "as_dict") else trace
+        record["trace"] = trace.as_dict()
     if extra:
         record.update(extra)
     parent = os.path.dirname(os.path.abspath(path))

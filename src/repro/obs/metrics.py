@@ -209,11 +209,6 @@ class Histogram:
         """Context manager: ``with h.time(): ...`` observes the lap."""
         return _HistogramTimer(self)
 
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self.sum / self.count if self.count else 0.0
-
     def _snapshot(self) -> Tuple[np.ndarray, float, float, float]:
         """``(cumulative bucket counts, sum, min, max)`` from one lock
         hold; the last cumulative entry is the observation count."""
@@ -335,11 +330,6 @@ class MetricsRegistry:
             max_value=max_value,
             buckets_per_decade=buckets_per_decade,
         )
-
-    def get(self, name: str) -> Optional[object]:
-        """The instrument registered under ``name``, if any."""
-        with self._lock:
-            return self._instruments.get(name)
 
     def __len__(self) -> int:
         with self._lock:

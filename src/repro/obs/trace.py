@@ -246,12 +246,6 @@ class NullTracer:
     def wrap(self, name: str, fn):
         return fn
 
-    def as_dict(self) -> Dict[str, object]:
-        return {"spans": []}
-
-    def flame_rows(self) -> List[List[object]]:
-        return []
-
 
 #: Shared disabled tracer; instrumented modules default to this.
 NULL_TRACER = NullTracer()
@@ -287,9 +281,7 @@ def format_span_tree(
     return "\n".join(lines)
 
 
-def format_flame_table(
-    tracer: Union[Tracer, NullTracer], precision: int = 4
-) -> str:
+def format_flame_table(tracer: Tracer, precision: int = 4) -> str:
     """Self-time-ordered flat table of every span in the tree."""
     rows = tracer.flame_rows()
     if not rows:

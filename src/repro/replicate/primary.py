@@ -24,8 +24,6 @@ import time
 from dataclasses import replace
 from typing import Callable, Optional
 
-import numpy as np
-
 from repro.core.config import SUPAConfig
 from repro.core.inslearn import InsLearnConfig
 from repro.core.model import SUPA
@@ -120,12 +118,6 @@ class ReplicationPrimary:
     def checkpoint(self) -> Optional[str]:
         """Write one atomic checkpoint now; returns its path."""
         return self.service.checkpoint()
-
-    # ---------------------------------------------------------------- serving
-
-    def recommend(self, user: int, k: int = 10) -> np.ndarray:
-        """Top-``k`` from the primary's own published snapshot."""
-        return self.service.recommend(user, k)
 
     # ------------------------------------------------------------- inspection
 

@@ -52,7 +52,7 @@ from repro.resilience.checkpoint import Checkpoint, CheckpointManager
 from repro.resilience.wal import (
     LEDGER_ONLY_KINDS,
     WalRecord,
-    iter_records,  # unused here; bound so the spine's probes can wrap it
+    iter_records,  # reprolint: disable=unused-import -- the spine's probes wrap it here by name
     scan,
 )
 from repro.serve.service import RecommendationService, ServeConfig

@@ -213,12 +213,6 @@ class AdmissionController:
         with self._lock:
             return self._state
 
-    @property
-    def offered(self) -> int:
-        """Events this controller has decided on."""
-        with self._lock:
-            return self._offered
-
     def counts(self) -> Dict[str, int]:
         """A consistent snapshot of the decision tallies."""
         with self._lock:

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.serve.store import Snapshot
+from repro.serve.store import DecayedSnapshot
 
 #: Candidate rows scored per matmul block; fixes the gemv shape, and so
 #: the bits, of every served score.
@@ -85,7 +85,7 @@ class TopKIndex:
 
     # ---------------------------------------------------------------- scoring
 
-    def _catalogue_rows(self, snapshot: Snapshot) -> np.ndarray:
+    def _catalogue_rows(self, snapshot: DecayedSnapshot) -> np.ndarray:
         """The candidates' rows under ``snapshot`` (read-only), gathered
         once per version: the held matrix if it is this version's, else
         a fresh gather that replaces it unless it is older."""
@@ -101,7 +101,7 @@ class TopKIndex:
                 self._catalogue = Catalogue(snapshot.version, rows)
         return rows
 
-    def scores(self, snapshot: Snapshot, user: int) -> np.ndarray:
+    def scores(self, snapshot: DecayedSnapshot, user: int) -> np.ndarray:
         """Eq. 15 scores of every candidate for ``user``, blockwise."""
         query = np.asarray(snapshot.row(user), dtype=np.float64)
         rows = self._catalogue_rows(snapshot)
@@ -125,7 +125,7 @@ class TopKIndex:
         # lexsort: primary key -score, ties broken by ascending position
         return part[np.lexsort((part, -scores[part]))]
 
-    def top_k(self, snapshot: Snapshot, user: int, k: int) -> np.ndarray:
+    def top_k(self, snapshot: DecayedSnapshot, user: int, k: int) -> np.ndarray:
         """The ``k`` best candidate ids for ``user`` under ``snapshot``.
 
         Serves from the LRU cache when a prior answer is still valid for
@@ -161,7 +161,7 @@ class TopKIndex:
 
     # ----------------------------------------------------------- invalidation
 
-    def invalidate(self, snapshot: Snapshot) -> int:
+    def invalidate(self, snapshot: DecayedSnapshot) -> int:
         """Drop every cached answer and the held catalogue now that
         ``snapshot`` is published.
 

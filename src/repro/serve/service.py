@@ -518,12 +518,6 @@ class RecommendationService:
 
     # ------------------------------------------------------------ replica mode
 
-    @property
-    def read_only(self) -> bool:
-        """True while the service rejects ingest (replica mode)."""
-        with self._state_lock:
-            return self._read_only
-
     def set_writable(self) -> None:
         """Flip a read-only replica to writable (follower promotion)."""
         with self._state_lock:

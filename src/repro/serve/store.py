@@ -26,7 +26,7 @@ consecutive snapshots, so a publish that touches ``m`` rows costs
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,35 +43,12 @@ def _runs(block_ids: np.ndarray) -> List[Tuple[int, int]]:
     return list(zip(starts, starts[1:] + [block_ids.size]))
 
 
-def _gather(
-    block: Callable[[int], np.ndarray],
-    block_size: int,
-    num_rows: int,
-    dim: int,
-    indices: Sequence[int],
-) -> np.ndarray:
-    """Rows ``indices`` of a blocked matrix as a fresh ``(n, dim)`` array.
-
-    One fancy-index per run of consecutive indices in the same block,
-    so a sorted or contiguous gather touches each block once.
-    """
-    indices = np.asarray(indices, dtype=np.int64)
-    outside = (indices < 0) | (indices >= num_rows)
-    if outside.any():
-        raise IndexError(f"row {indices[outside][0]} outside store of {num_rows} rows")
-    out = np.empty((indices.size, dim), dtype=np.float64)
-    block_ids, offsets = np.divmod(indices, block_size)
-    for lo, hi in _runs(block_ids):
-        out[lo:hi] = block(int(block_ids[lo]))[offsets[lo:hi]]
-    return out
-
-
 class Snapshot:
     """An immutable, versioned view of the full embedding matrix.
 
-    Readers gather rows with :meth:`rows` / :meth:`row` and iterate
-    blocks for blocked matmuls; the backing arrays are read-only, so a
-    pinned snapshot can never change underneath its holder.
+    A :class:`DecayedSnapshot` reads it block by block; the backing
+    arrays are read-only, so a pinned snapshot can never change
+    underneath its holder.
     """
 
     def __init__(
@@ -95,23 +72,6 @@ class Snapshot:
         """Half-open global row range ``[lo, hi)`` covered by a block."""
         lo = index * self._block_size
         return lo, min(lo + self._block_size, self.num_rows)
-
-    def row(self, index: int) -> np.ndarray:
-        """One embedding row (read-only view)."""
-        if not 0 <= index < self.num_rows:
-            raise IndexError(f"row {index} outside store of {self.num_rows} rows")
-        block, offset = divmod(index, self._block_size)
-        return self._blocks[block][offset]
-
-    def rows(self, indices: Sequence[int]) -> np.ndarray:
-        """Gather ``indices`` into a fresh ``(len(indices), dim)`` array."""
-        return _gather(
-            self._blocks.__getitem__, self._block_size, self.num_rows, self.dim, indices
-        )
-
-    def matrix(self) -> np.ndarray:
-        """The full matrix as one fresh (writable) array."""
-        return self.rows(np.arange(self.num_rows, dtype=np.int64))
 
 
 def _freeze(array: np.ndarray) -> np.ndarray:
@@ -145,15 +105,6 @@ class VersionedEmbeddingStore:
             for lo in range(0, self.num_rows, block_size)
         )
         self._current = Snapshot(0, blocks, block_size, self.num_rows)
-
-    @property
-    def version(self) -> int:
-        # Wait-free by design, like snapshot(): one atomic reference read.
-        return self._current.version  # reprolint: disable=lock-discipline
-
-    @property
-    def block_size(self) -> int:
-        return self._block_size
 
     def snapshot(self) -> Snapshot:
         """The latest published snapshot; holding it pins the version.
@@ -222,7 +173,7 @@ class VersionedEmbeddingStore:
 
 
 class DecayedSnapshot:
-    """A :class:`Snapshot` duck-type that materialises Eq. 14 lazily.
+    """The served snapshot: Eq. 14 materialised lazily over a component :class:`Snapshot`.
 
     Wraps a component snapshot whose rows are ``concat(h^L, h^S, c^r)``
     (width ``3d``) plus the decay inputs frozen at publish time — the
@@ -294,12 +245,22 @@ class DecayedSnapshot:
         return self.block(block)[offset]
 
     def rows(self, indices: Sequence[int]) -> np.ndarray:
-        """Gather ``indices`` into a fresh ``(len(indices), dim)`` array."""
-        return _gather(self.block, self._block_size, self.num_rows, self.dim, indices)
+        """Gather ``indices`` into a fresh ``(len(indices), dim)`` array.
 
-    def matrix(self) -> np.ndarray:
-        """The full Eq. 14 matrix as one fresh (writable) array."""
-        return self.rows(np.arange(self.num_rows, dtype=np.int64))
+        One fancy-index per run of consecutive indices in the same block,
+        so a sorted or contiguous gather touches each block once.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        outside = (indices < 0) | (indices >= self.num_rows)
+        if outside.any():
+            raise IndexError(
+                f"row {indices[outside][0]} outside store of {self.num_rows} rows"
+            )
+        out = np.empty((indices.size, self.dim), dtype=np.float64)
+        block_ids, offsets = np.divmod(indices, self._block_size)
+        for lo, hi in _runs(block_ids):
+            out[lo:hi] = self.block(int(block_ids[lo]))[offsets[lo:hi]]
+        return out
 
 
 class DecayedEmbeddingStore:
@@ -371,12 +332,8 @@ class DecayedEmbeddingStore:
 
     @property
     def version(self) -> int:
-        # Wait-free like VersionedEmbeddingStore.version.
+        # Wait-free like snapshot(): one atomic reference read.
         return self._current.version  # reprolint: disable=lock-discipline
-
-    @property
-    def block_size(self) -> int:
-        return self._inner.block_size
 
     def snapshot(self) -> DecayedSnapshot:
         """The latest published snapshot; holding it pins the version.

@@ -227,18 +227,20 @@ class TestInplaceMutation:
         )
         assert rules_hit(result) == ["inplace-mutation"]
 
-    def test_inside_no_grad_is_clean(self, lint):
+    def test_message_points_to_the_inline_suppression(self, lint):
+        """No context manager exempts a write: the message names the
+        tape and the optimiser's inline suppression, nothing else."""
         result = lint(
             {
                 "src/repro/core/update.py": """
-                from repro.autograd.tensor import no_grad
                 def step(p, lr, grad):
-                    with no_grad():
-                        p.data -= lr * grad
+                    p.data -= lr * grad
                 """
             }
         )
-        assert result.ok
+        (violation,) = result.violations
+        assert "# reprolint: disable=inplace-mutation" in violation.message
+        assert "no_grad" not in violation.message
 
     def test_plain_array_aug_assign_is_clean(self, lint):
         result = lint(
@@ -607,3 +609,106 @@ class TestUnusedSuppression:
         assert [(v.rule, v.line) for v in lint(files).violations] == [
             ("unused-suppression", 3)
         ]
+
+
+# -------------------------------------------------------------- unused-import
+
+
+class TestUnusedImport:
+    def test_never_referenced_import_fires(self, lint):
+        result = lint(
+            {
+                "src/repro/core/foo.py": """
+                import numpy as np
+                from typing import Dict, List
+                from repro.graph.sampling import random_walk_corpus
+
+                def f() -> Dict[str, int]:
+                    return {}
+                """
+            }
+        )
+        assert rules_hit(result) == ["unused-import"]
+        assert [(v.line, v.message.split()[0]) for v in result.violations] == [
+            (1, "'np'"),
+            (2, "'List'"),
+            (3, "'random_walk_corpus'"),
+        ]
+
+    def test_every_kind_of_reference_is_clean(self, lint):
+        """An attribute head, a string annotation, an ``__all__`` entry, a
+        dotted import's head and ``__future__`` all count as used."""
+        result = lint(
+            {
+                "src/repro/serve/foo.py": """
+                from __future__ import annotations
+                import os.path
+                from collections import OrderedDict
+                from typing import Tuple
+                from repro.obs import Tracer
+
+                __all__ = ["Tracer"]
+
+                class Cache:
+                    def __init__(self):
+                        self._entries: "OrderedDict[Tuple[int, int], str]" = {}
+
+                def here():
+                    return os.path.dirname(__file__)
+                """
+            }
+        )
+        assert result.ok, [v.format() for v in result.violations]
+
+    def test_package_init_and_function_level_imports_are_exempt(self, lint):
+        result = lint(
+            {
+                "src/repro/core/__init__.py": """
+                from repro.core.model import SUPA
+                """,
+                "src/repro/core/foo.py": """
+                def f():
+                    import json
+                    return 1
+                """,
+            }
+        )
+        assert result.ok
+
+    def test_module_level_if_and_try_imports_are_checked(self, lint):
+        result = lint(
+            {
+                "src/repro/core/foo.py": """
+                try:
+                    import json
+                except ImportError:
+                    json = None
+                if True:
+                    import pickle
+                try:
+                    import csv
+                except ImportError:
+                    csv = None
+                dump = json.dumps
+                """
+            }
+        )
+        # a fallback assignment is a binding, not a use
+        assert [(v.rule, v.line) for v in result.violations] == [
+            ("unused-import", 6),
+            ("unused-import", 8),
+        ]
+
+    def test_suppression_comment_silences(self, lint):
+        result = lint(
+            {
+                "src/repro/resilience/foo.py": """
+                from repro.resilience.wal import (
+                    scan,
+                    iter_records,  # reprolint: disable=unused-import -- bound for a probe
+                )
+                scan("x")
+                """
+            }
+        )
+        assert result.ok

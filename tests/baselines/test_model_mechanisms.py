@@ -103,7 +103,7 @@ class TestEvolveGCNWeights:
         w0 = xavier_uniform((6, 6), rng=rng)
         x = Tensor(rng.normal(size=(6, 6)))
         w1 = gru.step(x, w0)
-        assert w1.shape == (6, 6)
+        assert w1.numpy().shape == (6, 6)
         assert not np.allclose(w1.numpy(), w0.numpy())
 
     def test_six_gru_parameter_matrices(self):

@@ -91,7 +91,7 @@ class TestProcessDeletion:
         process_edge_deletion(model, 0, 5, "click", 3.0, learn=False)
         assert 0 not in [e.index for e in model.graph.edges()]
         assert model.graph.num_edges == 2
-        assert model.graph.degree(0) == 1 and model.graph.degree(5) == 1
+        assert model.graph.degrees()[0] == 1 and model.graph.degrees()[5] == 1
 
     def test_newest_match_wins_even_when_capped_out(self, schema, metapath):
         model = SUPA(

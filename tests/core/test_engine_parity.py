@@ -423,14 +423,14 @@ def test_tracing_is_bitwise_neutral(engine):
     assert "core.inslearn.batch" in spans
     if engine == "batched":
         # ... and the round-size telemetry the next engine issue sizes from
-        registry = traced_model.tracer.registry
-        rounds = registry.get("engine.plan.rounds").value
-        edges = registry.get("engine.plan.edges").value
-        histogram = registry.get("engine.round.edges").as_dict()
+        metrics = traced_model.tracer.registry.as_dict()
+        rounds = metrics["engine.plan.rounds"]["value"]
+        edges = metrics["engine.plan.edges"]["value"]
+        histogram = metrics["engine.round.edges"]
         assert 0 < rounds <= edges
         assert histogram["count"] == rounds
         assert histogram["sum"] == edges
-        assert registry.get("engine.plan.contended_ctx_rows").value > 0
+        assert metrics["engine.plan.contended_ctx_rows"]["value"] > 0
 
 
 def test_adam_call_counter_counts_every_optimiser_call(monkeypatch):
@@ -448,10 +448,10 @@ def test_adam_call_counter_counts_every_optimiser_call(monkeypatch):
         lambda self, *a: calls.append(1) or real(self, *a),
     )
     model, _ = _train(SUPAConfig(seed=7), traced=True)
-    registry = model.tracer.registry
-    adam_calls = registry.get("engine.apply.adam_calls").value
-    rounds = registry.get("engine.plan.rounds").value
-    contended = registry.get("engine.plan.contended_ctx_rows").value
+    metrics = model.tracer.registry.as_dict()
+    adam_calls = metrics["engine.apply.adam_calls"]["value"]
+    rounds = metrics["engine.plan.rounds"]["value"]
+    contended = metrics["engine.plan.contended_ctx_rows"]["value"]
     assert adam_calls == len(calls)
     assert rounds < adam_calls <= rounds + contended
 

@@ -71,8 +71,8 @@ class TestEdges:
         assert (e.u, e.v, e.t) == (0, 5, 1.0)
 
     def test_degree_counts_both_endpoints(self, small_graph):
-        assert small_graph.degree(0) == 2
-        assert small_graph.degree(5) == 2
+        assert small_graph.degrees()[0] == 2
+        assert small_graph.degrees()[5] == 2
 
     def test_degree_sum_is_twice_edges(self, small_graph):
         assert small_graph.degrees().sum() == 2 * small_graph.num_edges
@@ -113,7 +113,7 @@ class TestDeletion:
         small_graph.remove_edge(0)
         assert small_graph.num_edges == 7
         assert 0 not in [e.index for e in small_graph.edges()]
-        assert small_graph.degree(0) == 1
+        assert small_graph.degrees()[0] == 1
 
     def test_remove_idempotent(self, small_graph):
         small_graph.remove_edge(0)

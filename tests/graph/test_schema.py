@@ -65,9 +65,3 @@ class TestLookups:
         s = GraphSchema(("a", "b"), ("r",), {})
         with pytest.raises(KeyError, match="no declared endpoints"):
             s.endpoints_of("r")
-
-    def test_describe(self, schema):
-        d = schema.describe()
-        assert d["|O|"] == 2
-        assert d["|R|"] == 2
-        assert "user" in d["node_types"]

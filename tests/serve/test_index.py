@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from repro.serve.index import SCORE_BLOCK, TopKIndex
-from repro.serve.store import BLOCK_SIZE, DecayedSnapshot, VersionedEmbeddingStore
-from tests.serve import make_decayed_store
+from repro.serve.store import BLOCK_SIZE, DecayedSnapshot
+from tests.serve import ServedMatrix, full_matrix, make_decayed_store
 
 
 def make_world(n_users=4, n_items=20, d=8, seed=0, **index_kwargs):
-    """Users are rows [0, n_users); items the rest."""
+    """Users are rows [0, n_users); items the rest.  The store serves
+    ``matrix`` bitwise (:class:`~tests.serve.ServedMatrix`)."""
     rng = np.random.default_rng(seed)
     matrix = rng.normal(size=(n_users + n_items, d))
-    store = VersionedEmbeddingStore(matrix, block_size=5)
+    store = ServedMatrix(matrix, block_size=5)
     items = np.arange(n_users, n_users + n_items, dtype=np.int64)
     index = TopKIndex(items, **index_kwargs)
     return store, index, matrix, items
@@ -63,7 +64,7 @@ class TestTopK:
         matrix[0] = [1.0, 0.0]  # user
         matrix[1:4] = [2.0, 0.0]  # three tied items
         matrix[4:6] = [1.0, 0.0]  # two tied items below
-        store = VersionedEmbeddingStore(matrix, block_size=2)
+        store = ServedMatrix(matrix, block_size=2)
         items = np.arange(1, 6, dtype=np.int64)
         index = TopKIndex(items)
         for k in (1, 2, 3, 4):
@@ -137,7 +138,7 @@ class TestInvalidation:
         assert index.invalidate(new) == 5
         assert index.invalidations == 5
         np.testing.assert_array_equal(
-            index.top_k(new, 1, 5), offline_top_k(new.matrix(), items, 1, 5)
+            index.top_k(new, 1, 5), offline_top_k(full_matrix(new), items, 1, 5)
         )
         assert index.misses == 6 and index.hits == 0
 
@@ -173,7 +174,7 @@ class TestInvalidation:
         new = store.publish([outsider], 100.0 * np.sign(snap.row(0))[None, :])
         fresh = index.top_k(new, 0, 5)
         assert int(fresh[0]) == outsider
-        np.testing.assert_array_equal(fresh, offline_top_k(new.matrix(), items, 0, 5))
+        np.testing.assert_array_equal(fresh, offline_top_k(full_matrix(new), items, 0, 5))
         np.testing.assert_array_equal(index.top_k(snap, 0, 5), old)
         assert index.hits == 0 and index.misses == 3
 
@@ -201,7 +202,7 @@ class TestBlockGather:
         rng = np.random.default_rng(5)
         num_rows, d = 1337, 16
         if kind == "dense":
-            store = VersionedEmbeddingStore(rng.normal(size=(num_rows, d)))
+            store = ServedMatrix(rng.normal(size=(num_rows, d)), BLOCK_SIZE)
         else:
             store = make_decayed_store(num_rows, d, BLOCK_SIZE, seed=5)
         items = np.arange(100, num_rows, dtype=np.int64)

@@ -333,7 +333,7 @@ class TestOneIntakeDecision:
         assert svc.queue.rejected == 1 and svc.queue.shed == 0
         # validation of outside input precedes policy: nothing offered to
         # the controller, no token charged
-        assert svc.admission.offered == 0
+        assert svc.admission.counts()["offered"] == 0
         assert svc.ingest(StreamEdge(0, 5, "click", 1.0))  # user 0's one token
 
     def test_late_offers_never_reach_admission(self, small_dataset):
@@ -345,7 +345,7 @@ class TestOneIntakeDecision:
         assert svc.ingest(StreamEdge(0, 5, "click", 10.0))
         assert svc.ingest(StreamEdge(0, 5, "click", 5.0)) is False
         assert svc.deadletters[-1].reason.startswith("late event")
-        assert svc.admission.offered == 1
+        assert svc.admission.counts()["offered"] == 1
         assert svc.metrics.counter("ingest.late").value == 1
         assert svc.ingest(StreamEdge(0, 6, "click", 11.0))  # the second token
 

@@ -20,6 +20,7 @@ from repro.serve.store import (
     DecayedSnapshot,
     VersionedEmbeddingStore,
 )
+from tests.serve import ServedMatrix, component_matrix, full_matrix
 
 
 def make_service(dataset, model_config=None, **kwargs):
@@ -88,10 +89,10 @@ def test_every_variant_serves_the_model_bitwise(small_dataset, name):
     for e in edges[4:]:
         svc.ingest(e)
     svc.flush()
-    assert svc.store.version > pinned.version
-    assert pinned.matrix().tobytes() == mid.tobytes()
+    assert svc.store.snapshot().version > pinned.version
+    assert full_matrix(pinned).tobytes() == mid.tobytes()
     expected = svc.model.final_embeddings(all_nodes, svc.edge_type, svc.clock)
-    assert svc.store.snapshot().matrix().tobytes() == expected.tobytes()
+    assert full_matrix(svc.store.snapshot()).tobytes() == expected.tobytes()
     np.testing.assert_allclose(
         expected, eq14_reference(svc.model, svc.edge_type, svc.clock), rtol=1e-12
     )
@@ -111,7 +112,7 @@ class TestStripedPublish:
         values = np.arange(6, dtype=np.float64).reshape(2, 3)
         snap = store.publish_parts([(rows, values)])
         assert snap.version == 2
-        np.testing.assert_array_equal(store.snapshot().rows(rows), values)
+        np.testing.assert_array_equal(component_matrix(store.snapshot())[rows], values)
 
     def test_publish_parts_merges_in_stripe_order(self):
         store = VersionedEmbeddingStore(np.zeros((8, 2)), block_size=4)
@@ -122,10 +123,10 @@ class TestStripedPublish:
         ]
         snap = store.publish_parts(parts)
         assert snap.version == 1
-        np.testing.assert_array_equal(snap.row(1), [1.0, 1.0])
-        np.testing.assert_array_equal(snap.row(5), [2.0, 2.0])
-        np.testing.assert_array_equal(snap.row(7), [3.0, 3.0])
-        np.testing.assert_array_equal(snap.row(2), [0.0, 0.0])
+        matrix = component_matrix(snap)
+        np.testing.assert_array_equal(
+            matrix[[1, 5, 7, 2]], [[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [0.0, 0.0]]
+        )
 
 
 # ------------------------------------------------------- delta-publish store
@@ -145,7 +146,7 @@ class TestDecayedServing:
         expected = svc.model.final_embeddings(
             all_nodes, svc.edge_type, svc.clock
         )
-        assert svc.store.snapshot().matrix().tobytes() == expected.tobytes()
+        assert full_matrix(svc.store.snapshot()).tobytes() == expected.tobytes()
         svc.close()
 
     def test_quiesced_recommendations_match_offline(self, small_dataset):
@@ -166,7 +167,7 @@ class TestDecayedServing:
         # identity tracks row identity
         seed = svc.store.snapshot()
         svc.store = DecayedEmbeddingStore(
-            svc.store._inner.snapshot().matrix(),
+            component_matrix(svc.store._inner.snapshot()),
             last_times=seed._last_times,
             alpha=seed._alpha,
             alpha_slots=svc.store._slots,
@@ -204,13 +205,23 @@ class TestDecayedServing:
             svc.ingest(e)
         svc.flush()
         pinned = svc.store.snapshot()
-        pinned_matrix = pinned.matrix().copy()
+        pinned_matrix = full_matrix(pinned).copy()
         for e in edges[4:]:
             svc.ingest(e)
         svc.flush()
         assert svc.store.snapshot().version > pinned.version
-        assert pinned.matrix().tobytes() == pinned_matrix.tobytes()
+        assert full_matrix(pinned).tobytes() == pinned_matrix.tobytes()
         svc.close()
+
+    def test_store_version_is_its_current_snapshots(self):
+        """``version`` is a wait-free read of the newest snapshot's
+        number: a publish bumps it, an older snapshot keeps its own."""
+        store = ServedMatrix(np.zeros((5, 2)), block_size=2).store
+        first = store.snapshot()
+        assert store.version == first.version == 0
+        new = store.publish([3], np.zeros((1, 6)), np.zeros(1), np.zeros(1), 1.0)
+        assert store.version == new.version == 1 and first.version == 0
+        assert store.snapshot() is new and new.clock == 1.0
 
     def test_decayed_store_validates_shapes(self):
         with pytest.raises(ValueError, match="3 \\* dim"):

@@ -15,6 +15,7 @@ import pytest
 
 from repro.graph.streams import StreamEdge
 from repro.serve.service import RecommendationService, ServeConfig
+from tests.serve import full_matrix
 
 
 def make_service(dataset, **kwargs):
@@ -94,11 +95,11 @@ class TestUpdateLoop:
 
     def test_updates_republish_touched_rows(self, small_dataset):
         svc = make_service(small_dataset)
-        before = svc.store.snapshot().matrix()
+        before = full_matrix(svc.store.snapshot())
         for e in stream_edges(small_dataset):
             svc.ingest(e)
         svc.flush()
-        after = svc.store.snapshot().matrix()
+        after = full_matrix(svc.store.snapshot())
         assert not np.array_equal(before, after)
 
 

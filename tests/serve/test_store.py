@@ -1,4 +1,5 @@
-"""Tests for the copy-on-write versioned embedding store."""
+"""Tests for the copy-on-write versioned embedding store and the served
+snapshot's row reads."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.serve.store import BLOCK_SIZE, VersionedEmbeddingStore
-from tests.serve import make_decayed_store
+from tests.serve import ServedMatrix, component_matrix, make_decayed_store
 
 
 def make_store(n=10, d=4, block=4, seed=0):
@@ -20,7 +21,7 @@ class TestConstruction:
         store, initial = make_store()
         snap = store.snapshot()
         assert snap.version == 0
-        np.testing.assert_array_equal(snap.matrix(), initial)
+        np.testing.assert_array_equal(component_matrix(snap), initial)
 
     def test_rejects_non_2d(self):
         with pytest.raises(ValueError):
@@ -37,19 +38,19 @@ class TestPublish:
         new_rows = np.ones((2, 4), dtype=np.float64)
         snap = store.publish([2, 7], new_rows)
         assert snap.version == 1
-        np.testing.assert_array_equal(snap.row(2), new_rows[0])
-        np.testing.assert_array_equal(snap.row(7), new_rows[1])
+        matrix = component_matrix(snap)
+        np.testing.assert_array_equal(matrix[[2, 7]], new_rows)
         untouched = [i for i in range(10) if i not in (2, 7)]
-        np.testing.assert_array_equal(snap.rows(untouched), initial[untouched])
+        np.testing.assert_array_equal(matrix[untouched], initial[untouched])
 
     def test_pinned_snapshot_never_changes(self):
         """Snapshot isolation: readers pin a version; publishes are invisible."""
         store, initial = make_store()
         pinned = store.snapshot()
-        before = pinned.matrix()
+        before = component_matrix(pinned)
         store.publish([0, 5, 9], np.full((3, 4), 42.0, dtype=np.float64))
-        np.testing.assert_array_equal(pinned.matrix(), before)
-        assert pinned.version == 0 and store.version == 1
+        np.testing.assert_array_equal(component_matrix(pinned), before)
+        assert pinned.version == 0 and store.snapshot().version == 1
 
     def test_untouched_blocks_are_shared_not_copied(self):
         store, _ = make_store(n=12, block=4)  # blocks: [0-3], [4-7], [8-11]
@@ -80,7 +81,7 @@ class TestPublish:
         store, initial = make_store()
         snap = store.publish([], np.empty((0, 4), dtype=np.float64))
         assert snap.version == 1
-        np.testing.assert_array_equal(snap.matrix(), initial)
+        np.testing.assert_array_equal(component_matrix(snap), initial)
 
     def test_shape_mismatch_raises(self):
         store, _ = make_store()
@@ -95,16 +96,16 @@ class TestPublish:
 
 class TestSnapshotReads:
     def test_row_and_rows_agree(self):
-        store, initial = make_store(n=9, block=2)
-        snap = store.snapshot()
+        initial = np.random.default_rng(0).normal(size=(9, 4))
+        snap = ServedMatrix(initial, block_size=2).snapshot()
         for i in range(9):
             np.testing.assert_array_equal(snap.row(i), initial[i])
         np.testing.assert_array_equal(snap.rows([8, 0, 3]), initial[[8, 0, 3]])
 
     def test_row_out_of_range(self):
-        store, _ = make_store()
+        snap = ServedMatrix(np.zeros((10, 4)), block_size=4).snapshot()
         with pytest.raises(IndexError):
-            store.snapshot().row(10)
+            snap.row(10)
 
     @pytest.mark.parametrize("kind", ["dense", "decayed"])
     @pytest.mark.parametrize("bad", [-217, -1, 2600, 9999])
@@ -134,18 +135,19 @@ class TestSnapshotReads:
         for expected in (1, 2, 3):
             snap = store.publish([0], np.full((1, 4), float(expected), dtype=np.float64))
             assert snap.version == expected
-        assert store.snapshot().row(0)[0] == 3.0
+        assert store.snapshot().block(0)[0, 0] == 3.0
 
 
 # --------------------------------------------------- block gather and scatter
 
 
 def _snapshot(kind, num_rows, block_size, dim=3, seed=0):
-    """A snapshot of either kind over ``num_rows`` random rows."""
+    """A served snapshot over ``num_rows`` random rows: ``dense`` serves a
+    plain matrix (no decay), ``decayed`` materialises Eq. 14."""
     if kind == "dense":
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=(num_rows, dim))
-        return VersionedEmbeddingStore(matrix, block_size=block_size).snapshot()
+        return ServedMatrix(matrix, block_size).snapshot()
     return make_decayed_store(num_rows, dim, block_size, seed=seed).snapshot()
 
 
@@ -197,7 +199,7 @@ def test_publish_is_the_per_row_scatter_last_write_wins(block_size, writes):
     want = initial.copy()
     for row, value in zip(writes, values):
         want[row] = value
-    assert new.matrix().tobytes() == want.tobytes()
+    assert component_matrix(new).tobytes() == want.tobytes()
     dirty = {row // block_size for row in writes}
     for b in range(-(-new.num_rows // block_size)):  # every block
         assert (new.block(b) is old.block(b)) == (b not in dirty)

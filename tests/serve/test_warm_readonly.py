@@ -22,12 +22,11 @@ class TestReadOnly:
         svc = make_service(small_dataset, read_only=True)
         with pytest.raises(ReadOnlyServiceError):
             svc.ingest(StreamEdge(0, 5, "click", 1.0))
-        assert svc.read_only
+        assert svc.queue.pending == 0 and svc.metrics.counter("ingest.offered").value == 0
 
     def test_set_writable_flips_the_switch(self, small_dataset):
         svc = make_service(small_dataset, read_only=True)
         svc.set_writable()
-        assert not svc.read_only
         assert svc.ingest(StreamEdge(0, 5, "click", 1.0))
 
 

@@ -11,7 +11,7 @@ nothing reaches.  A package ``__init__`` does not count as a reacher:
 that is only re-exported (and imported by its own tests, which are not
 entrypoints) is reported.  There are no exceptions: code only tests run
 lives under ``tests/`` (the per-edge oracles in ``tests/oracle/``) or
-``tools/`` (the linter and its lock sanitizer), and the package imports
+``tools/`` (the linter, its lock sanitizer and the run census), and the package imports
 neither, so an installed wheel needs neither.
 
 The def census (:func:`unreached_defs`) goes one level down: every
@@ -21,7 +21,10 @@ script, outside its own body.  A use is a name or attribute reference, an
 import of the name (not in a package ``__init__``), or a string constant
 spelling it (the spine binds probes by name: ``wrap(X, "publish_parts")``).
 Uses are matched by name alone, so the census under-reports (two defs
-sharing a name cover each other) but never reports a def something uses.
+sharing a name cover each other) but never reports a def something uses;
+the run census (``python -m runcensus``, which lists defs with the same
+:func:`runcensus.iter_defs`) closes that gap for functions and methods by
+recording what the entrypoints execute.
 A package ``__init__`` re-export or ``__all__`` entry is no use, and
 tests are not entrypoints: an API only tests call goes, or its tests
 assert a public effect instead.
@@ -36,6 +39,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 import pytest
 
+from runcensus import iter_defs
+
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -45,7 +50,7 @@ ENTRY_MODULES = ("repro.__main__", "repro.cli")
 #: script directories whose files are each an entrypoint.
 ENTRY_DIRS = ("examples", "benchmarks", "benchmarks/spine")
 #: top-level packages outside ``src`` that the package must never import.
-DEV_ONLY = ("tests", "reprolint")
+DEV_ONLY = ("tests", "reprolint", "runcensus")
 
 
 def _module_table() -> Dict[str, Path]:
@@ -141,39 +146,6 @@ def unreached_modules() -> List[str]:
     )
 
 
-def _is_dunder(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
-
-
-def _defs(tree: ast.Module) -> Iterator[Tuple[str, ast.AST]]:
-    """``(qualified name, node)`` of every function, method, class and
-    module-level assigned name (under module-level ``if`` / ``try`` too)."""
-
-    def visit(body: List[ast.stmt], prefix: str, in_class: bool):
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                yield prefix + node.name, node
-                if isinstance(node, ast.ClassDef):
-                    yield from visit(node.body, f"{prefix}{node.name}.", True)
-            elif in_class:
-                continue
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    for name in ast.walk(target):
-                        if isinstance(name, ast.Name):
-                            yield prefix + name.id, node
-            elif isinstance(node, (ast.If, ast.Try)):
-                for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
-                    yield from visit(block, prefix, False)
-                for handler in getattr(node, "handlers", []):
-                    yield from visit(handler.body, prefix, False)
-
-    for qualname, node in visit(tree.body, "", False):
-        if not _is_dunder(qualname.rsplit(".", 1)[-1]):
-            yield qualname, node
-
-
 def _uses(node: ast.AST, in_init: bool) -> Counter:
     """How often each name is used inside ``node`` (see the module doc)."""
     found: Counter = Counter()
@@ -211,7 +183,7 @@ def unreached_defs(package: Path, entrypoints: Iterable[Path]) -> List[str]:
         used += _uses(tree, path.name == "__init__.py")
     unreached = []
     for path, tree in trees.items():
-        for qualname, node in _defs(tree):
+        for qualname, node in iter_defs(tree):
             name = qualname.rsplit(".", 1)[-1]
             if used[name] <= _uses(node, path.name == "__init__.py")[name]:
                 where = path.relative_to(package.parent)

@@ -383,12 +383,3 @@ def qualified_name(node: ast.AST, sf: SourceFile) -> Optional[str]:
         return None
     head, dot, rest = dotted.partition(".")
     return sf.imports.get(head, head) + dot + rest
-
-
-def build_parent_map(tree: ast.AST) -> Dict[ast.AST, ast.AST]:
-    """Child -> parent links for ancestry queries (e.g. no_grad contexts)."""
-    parents: Dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-    return parents

@@ -1,9 +1,9 @@
-"""The reprolint rule set: five general checks for this codebase's hazards.
+"""The reprolint rule set: six general checks for this codebase's hazards.
 
 With the three concurrency-correctness rules in
 :mod:`reprolint.concurrency` — ``lock-discipline``,
 ``lock-ordering`` and ``hold-and-call``, whose runtime counterpart is
-:mod:`reprolint.sanitizer` — that makes eight.  Invariants a tier-1
+:mod:`reprolint.sanitizer` — that makes nine.  Invariants a tier-1
 test already checks at runtime (``repro.__all__`` documented, every
 baseline registered and tested, every taped op gradchecked) are left to
 those tests.
@@ -20,8 +20,9 @@ explicit-dtype        silent float64/float32 drift from dtype-less array
                       ``arange`` (plan arrays cross the bitwise-parity
                       gate as raw bytes)
 inplace-mutation      augmented assignment on a tensor's backing ``.data``
-                      array outside ``no_grad()`` — corrupts saved
-                      activations; in ``core/engine/`` also any subscript
+                      array — corrupts saved activations (the optimiser's
+                      post-backward step carries an inline suppression);
+                      in ``core/engine/`` also any subscript
                       write to an attribute-held array (kernels must
                       return gradients and route memory writes through
                       the optimizer, never scatter into shared state)
@@ -37,6 +38,9 @@ exception-discipline  error paths that hide failures: bare ``except:``
                       raise / return / call / assignment / control flow,
                       i.e. nothing that records, translates or reacts to
                       the error
+unused-import         a module-level import (outside a package
+                      ``__init__``) whose name the module never
+                      references — it hides dead code from the def census
 ====================  ======================================================
 
 The numpy and clock checks match calls by
@@ -53,13 +57,12 @@ implement ``check_file``, and decorate with
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Set
+from typing import Iterator, Set
 
 from reprolint.core import (
     Rule,
     SourceFile,
     Violation,
-    build_parent_map,
     dotted_name,
     qualified_name,
     register_rule,
@@ -207,8 +210,8 @@ class InplaceMutationRule(Rule):
 
     id = "inplace-mutation"
     description = (
-        "augmented assignment targeting a `.data` backing array outside a "
-        "`with no_grad():` block mutates values saved by backward closures; "
+        "augmented assignment targeting a `.data` backing array mutates "
+        "values saved by backward closures; "
         "in core/engine/ any subscript write to an "
         "attribute-held array is also banned — kernels return gradients, "
         "the optimizer owns writes"
@@ -217,7 +220,6 @@ class InplaceMutationRule(Rule):
     ENGINE_SCOPE = "core/engine/"
 
     def check_file(self, sf: SourceFile) -> Iterator[Violation]:
-        parents = build_parent_map(sf.tree)
         engine = sf.package_rel.startswith(self.ENGINE_SCOPE)
         for node in ast.walk(sf.tree):
             if not isinstance(node, (ast.Assign, ast.AugAssign)):
@@ -229,8 +231,6 @@ class InplaceMutationRule(Rule):
                 for element in (t.elts if isinstance(t, (ast.Tuple, ast.List)) else (t,))
             ]
             if isinstance(node, ast.AugAssign) and self._targets_data(node.target):
-                if self._inside_no_grad(node, parents):
-                    continue
                 yield Violation(
                     path=sf.rel,
                     line=node.lineno,
@@ -238,7 +238,9 @@ class InplaceMutationRule(Rule):
                     rule=self.id,
                     message=(
                         "augmented assignment mutates a tensor's .data in place; "
-                        "wrap in `with no_grad():` or route through the tape"
+                        "route it through the tape, or, for a write that runs "
+                        "strictly after backward() (an optimiser step), say so "
+                        "with `# reprolint: disable=inplace-mutation`"
                     ),
                 )
             elif engine and any(self._writes_attribute_array(t) for t in targets):
@@ -274,20 +276,6 @@ class InplaceMutationRule(Rule):
         for node in ast.walk(target):
             if isinstance(node, ast.Attribute) and node.attr == "data":
                 return True
-        return False
-
-    @staticmethod
-    def _inside_no_grad(node: ast.AST, parents: Dict[ast.AST, ast.AST]) -> bool:
-        current = parents.get(node)
-        while current is not None:
-            if isinstance(current, (ast.With, ast.AsyncWith)):
-                for item in current.items:
-                    expr = item.context_expr
-                    if isinstance(expr, ast.Call):
-                        dotted = dotted_name(expr.func)
-                        if dotted is not None and dotted.split(".")[-1] == "no_grad":
-                            return True
-            current = parents.get(current)
         return False
 
 
@@ -425,3 +413,81 @@ class ExceptionDisciplineRule(Rule):
             ):
                 return True
         return False
+
+
+# -------------------------------------------------------------- unused-import
+
+
+@register_rule
+class UnusedImportRule(Rule):
+    """An import the module never uses is dead weight that hides dead code."""
+
+    id = "unused-import"
+    description = (
+        "a module-level import whose name the module never references "
+        "(a string annotation counts) reads as a use to the def census; "
+        "package __init__ files, whose imports are re-exports, are exempt"
+    )
+
+    def applies_to(self, sf: SourceFile) -> bool:
+        return sf.path.name != "__init__.py"
+
+    def check_file(self, sf: SourceFile) -> Iterator[Violation]:
+        used = self._references(sf.tree)
+        for node in self._module_level(sf.tree.body):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    yield Violation(
+                        path=sf.rel,
+                        line=alias.lineno,
+                        col=alias.col_offset,
+                        rule=self.id,
+                        message=f"{bound!r} is imported but never used; delete the import",
+                    )
+
+    def _module_level(self, body) -> Iterator[ast.stmt]:
+        """Imports in the module body, under module-level ``if`` / ``try`` too."""
+        for node in body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield node
+            elif isinstance(node, (ast.If, ast.Try)):
+                for block in (node.body, node.orelse, getattr(node, "finalbody", [])):
+                    yield from self._module_level(block)
+                for handler in getattr(node, "handlers", []):
+                    yield from self._module_level(handler.body)
+
+    @staticmethod
+    def _references(tree: ast.Module) -> Set[str]:
+        """Every name the module loads, plus the names inside string
+        annotations and the entries of ``__all__``."""
+        names: Set[str] = set()
+        annotations = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.arg) and node.annotation is not None:
+                annotations.append(node.annotation)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+                annotations.append(node.returns)
+            elif isinstance(node, ast.AnnAssign):
+                annotations.append(node.annotation)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                names.update(
+                    c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)
+                )
+        for annotation in annotations:
+            for const in ast.walk(annotation):
+                if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                    try:
+                        parsed = ast.parse(const.value, mode="eval")
+                    except SyntaxError:
+                        continue
+                    names.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+        return names
